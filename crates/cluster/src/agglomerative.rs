@@ -20,7 +20,7 @@ pub fn agglomerative(
 }
 
 /// Single-linkage clustering over a precomputed pairwise distance matrix
-/// (shared with the other backends through the Gram GEMM path).
+/// (shared with the other backends through the triangle Gram pass).
 pub fn agglomerative_with_distances(
     distances: &[Vec<f64>],
     distance_threshold: f64,

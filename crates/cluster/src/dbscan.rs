@@ -51,24 +51,39 @@ pub fn dbscan_with_distances(distances: &[Vec<f64>], config: &DbscanConfig) -> C
     assert!(config.eps > 0.0, "eps must be positive");
     assert!(config.min_points >= 1, "min_points must be at least 1");
 
-    let neighbourhoods: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .filter(|&j| distances[i][j] <= config.eps)
-                .collect::<Vec<usize>>()
-        })
-        .collect();
+    // ε-neighbourhoods in compressed-row form: point `i`'s neighbours are
+    // `neighbours[offsets[i]..offsets[i + 1]]`, ascending. A counting pass
+    // sizes both vectors up front, so the lists cost two allocations
+    // however large the committee is.
+    let within = |i: usize| {
+        distances[i]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &d)| d <= config.eps)
+            .map(|(j, _)| j)
+    };
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    for i in 0..n {
+        offsets.push(offsets[i] + within(i).count());
+    }
+    let mut neighbours = Vec::with_capacity(offsets[n]);
+    for i in 0..n {
+        neighbours.extend(within(i));
+    }
+    let neighbourhood = |i: usize| &neighbours[offsets[i]..offsets[i + 1]];
 
     let mut assignments: Vec<Option<usize>> = vec![None; n];
     let mut visited = vec![false; n];
     let mut next_cluster = 0usize;
+    let mut queue: VecDeque<usize> = VecDeque::new();
 
     for point in 0..n {
         if visited[point] {
             continue;
         }
         visited[point] = true;
-        if neighbourhoods[point].len() < config.min_points {
+        if neighbourhood(point).len() < config.min_points {
             // Provisionally noise; may later be absorbed as a border point.
             continue;
         }
@@ -76,15 +91,15 @@ pub fn dbscan_with_distances(distances: &[Vec<f64>], config: &DbscanConfig) -> C
         let cluster = next_cluster;
         next_cluster += 1;
         assignments[point] = Some(cluster);
-        let mut queue: VecDeque<usize> = neighbourhoods[point].iter().copied().collect();
+        queue.extend(neighbourhood(point));
         while let Some(candidate) = queue.pop_front() {
             if assignments[candidate].is_none() {
                 assignments[candidate] = Some(cluster);
             }
             if !visited[candidate] {
                 visited[candidate] = true;
-                if neighbourhoods[candidate].len() >= config.min_points {
-                    queue.extend(neighbourhoods[candidate].iter().copied());
+                if neighbourhood(candidate).len() >= config.min_points {
+                    queue.extend(neighbourhood(candidate));
                 }
             }
         }
@@ -192,8 +207,67 @@ mod tests {
         );
     }
 
+    /// The textbook formulation with one growable neighbour list per
+    /// point — what `dbscan_with_distances` ran before the lists moved
+    /// into compressed-row form. Labels must not have changed.
+    fn dbscan_with_neighbour_lists(distances: &[Vec<f64>], config: &DbscanConfig) -> ClusterLabels {
+        let n = distances.len();
+        let neighbourhoods: Vec<Vec<usize>> = (0..n)
+            .map(|i| (0..n).filter(|&j| distances[i][j] <= config.eps).collect())
+            .collect();
+        let mut assignments: Vec<Option<usize>> = vec![None; n];
+        let mut visited = vec![false; n];
+        let mut next_cluster = 0usize;
+        for point in 0..n {
+            if visited[point] {
+                continue;
+            }
+            visited[point] = true;
+            if neighbourhoods[point].len() < config.min_points {
+                continue;
+            }
+            let cluster = next_cluster;
+            next_cluster += 1;
+            assignments[point] = Some(cluster);
+            let mut queue: VecDeque<usize> = neighbourhoods[point].iter().copied().collect();
+            while let Some(candidate) = queue.pop_front() {
+                if assignments[candidate].is_none() {
+                    assignments[candidate] = Some(cluster);
+                }
+                if !visited[candidate] {
+                    visited[candidate] = true;
+                    if neighbourhoods[candidate].len() >= config.min_points {
+                        queue.extend(neighbourhoods[candidate].iter().copied());
+                    }
+                }
+            }
+        }
+        ClusterLabels::new(assignments)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn compressed_neighbourhoods_leave_every_label_unchanged(
+            n in 1usize..40,
+            eps in 0.05f64..1.5,
+            min_points in 1usize..5,
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed | 1;
+            let mut next = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                ((state >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
+            };
+            let data: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next()]).collect();
+            let config = DbscanConfig { eps, min_points, metric: DistanceMetric::Euclidean };
+            let distances = distance_matrix(&data, config.metric);
+            prop_assert_eq!(
+                dbscan_with_distances(&distances, &config),
+                dbscan_with_neighbour_lists(&distances, &config)
+            );
+        }
 
         #[test]
         fn labels_cover_every_point(n in 1usize..30, eps in 0.05f64..1.5, seed in any::<u64>()) {

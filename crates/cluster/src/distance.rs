@@ -3,30 +3,53 @@
 //! The pairwise matrix is the shared substrate of every clustering
 //! backend (DBSCAN and agglomerative consume it directly; k-means uses
 //! the rectangular [`cross_distance_matrix`] for its assignment step).
-//! Instead of `k²` independent `O(d)` vector traversals, the vectors are
-//! packed once into a row-major [`Matrix`] and a single Gram GEMM
-//! (`G = V · Vᵀ`, [`bfl_ml::tensor::matmul_transpose_b_into`]) produces
-//! every inner product; cosine and Euclidean distances then derive from
-//! `G` and its diagonal:
+//! Instead of `n²` independent `O(d)` vector traversals, every inner
+//! product comes out of one Gram pass and cosine and Euclidean distances
+//! derive from `G = V · Vᵀ` and its diagonal:
 //!
 //! * cosine:    `d_ij = 1 − G_ij / √(G_ii · G_jj)`
 //! * euclidean: `d_ij = √(G_ii + G_jj − 2 G_ij)`
 //!
-//! Identical rows produce bit-identical Gram entries (every output
-//! element accumulates in the same ascending-`k` order), so identical
-//! points keep exactly zero distance — single-linkage clustering at a
-//! zero threshold depends on this. The quadratic per-pair path is
-//! retained as [`distance_matrix_reference`] for the equivalence tests.
+//! # The triangle kernel
 //!
-//! Because everything funnels through that one Gram GEMM, this module
-//! inherits the PR 10 AVX2+FMA tier (`bfl_ml::simd`) with no code of
-//! its own: `gemm_nt` dispatches per [`bfl_ml::simd::active`], and the
-//! vector tier reproduces the scalar accumulation order bit-for-bit —
-//! so the identical-rows ⇒ zero-distance guarantee above holds
-//! unchanged under either tier (Algorithm 2's θ scoring rides on it).
+//! A pairwise matrix is symmetric, so only `G_ij` with `j ≥ i` is ever
+//! read. [`distance_matrix_rows`] therefore asks
+//! [`bfl_ml::tensor::gram_upper`] for the upper triangle alone — half the
+//! dot products of a full `V · Vᵀ` — over *borrowed* rows: Algorithm 2
+//! hands in the round's uploads plus the anchor row exactly where they
+//! already live, and nothing is packed into a contiguous copy first.
+//! [`distance_matrix`] and [`distance_matrix_packed`] are thin adapters
+//! that borrow their rows and call the same function. Only the
+//! rectangular [`cross_distance_matrix`] (two different row sets, nothing
+//! to halve) still runs the general `A · Bᵀ` GEMM.
+//!
+//! Each Gram entry is the lane-striped `dot_lanes` reduction in a fixed
+//! accumulation order, dispatched per [`bfl_ml::simd::active`] to an
+//! AVX2+FMA form that reproduces the scalar order bit-for-bit. Two
+//! guarantees follow and hold under either tier and any thread count:
+//! identical rows produce bit-identical entries, so identical points keep
+//! *exactly* zero Euclidean distance (single-linkage clustering at a zero
+//! threshold and Algorithm 2's θ scoring depend on this); and every entry
+//! has the bit pattern the full GEMM used to give it, so labels, θ and
+//! the golden run digests are unchanged.
+//!
+//! # The work-based split
+//!
+//! Row `i` of the triangle holds `n − i` entries, so an even row split
+//! would leave the first worker with most of the work. The kernel cuts
+//! the rows into contiguous ranges of near-equal *area* and decides
+//! whether to fan out at all from the multiply-add count
+//! (`n (n + 1) / 2 · d`), not the row count: 51 uploads of 7850
+//! parameters are 10 M multiply-adds and use every core, while an 11- or
+//! 15-row committee stays on the calling thread and pays no spawn. Each
+//! worker owns a disjoint block of output rows, so the split never shows
+//! in the result.
+//!
+//! The quadratic per-pair path is retained as
+//! [`distance_matrix_reference`] for the equivalence tests.
 
 use bfl_ml::gradient::{cosine_distance, l2_distance};
-use bfl_ml::tensor::{matmul_transpose_b_into, Matrix};
+use bfl_ml::tensor::{gram_upper, matmul_transpose_b_into, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Metric used to compare gradient vectors.
@@ -81,38 +104,31 @@ fn pack(vectors: &[Vec<f64>]) -> Matrix {
     Matrix::from_rows(vectors)
 }
 
-/// Full symmetric pairwise distance matrix (row-major `n x n`), computed
-/// through one Gram GEMM over the packed vector set.
+/// Full symmetric pairwise distance matrix (`n x n`) of a vector set.
 pub fn distance_matrix(vectors: &[Vec<f64>], metric: DistanceMetric) -> Vec<Vec<f64>> {
-    if vectors.is_empty() {
-        return Vec::new();
-    }
-    distance_matrix_packed(&pack(vectors), metric)
+    let rows: Vec<&[f64]> = vectors.iter().map(Vec::as_slice).collect();
+    distance_matrix_rows(&rows, metric)
 }
 
-/// [`distance_matrix`] over an already packed row-major vector set — the
-/// form Algorithm 2 uses so the round's gradient set is packed exactly
-/// once and shared by clustering and the θ weights.
+/// [`distance_matrix`] over the rows of a packed row-major matrix.
 pub fn distance_matrix_packed(rows: &Matrix, metric: DistanceMetric) -> Vec<Vec<f64>> {
-    let n = rows.rows;
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut gram = Matrix::zeros(0, 0);
-    matmul_transpose_b_into(rows, rows, &mut gram);
+    let rows: Vec<&[f64]> = (0..rows.rows).map(|i| rows.row(i)).collect();
+    distance_matrix_rows(&rows, metric)
+}
+
+/// [`distance_matrix`] over borrowed rows — the form Algorithm 2 uses,
+/// passing the round's uploads and the anchor row where they already
+/// live. One triangle Gram pass (see the module docs) feeds every pair.
+pub fn distance_matrix_rows(rows: &[&[f64]], metric: DistanceMetric) -> Vec<Vec<f64>> {
+    let n = rows.len();
+    let mut gram = vec![0.0; n * n];
+    gram_upper(rows, &mut gram);
 
     let mut matrix = vec![vec![0.0; n]; n];
-    #[allow(clippy::needless_range_loop)] // triangular fill of both halves
     for i in 0..n {
-        let g_ii = gram.get(i, i);
+        let g_ii = gram[i * n + i];
         for j in (i + 1)..n {
-            let d = metric.gram_distance(
-                rows.row(i),
-                rows.row(j),
-                gram.get(i, j),
-                g_ii,
-                gram.get(j, j),
-            );
+            let d = metric.gram_distance(rows[i], rows[j], gram[i * n + j], g_ii, gram[j * n + j]);
             matrix[i][j] = d;
             matrix[j][i] = d;
         }
@@ -179,6 +195,7 @@ pub fn cross_distance_matrix_packed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfl_ml::par;
     use proptest::prelude::*;
 
     #[test]
@@ -252,6 +269,48 @@ mod tests {
         // like the per-pair reference.
         let m = distance_matrix(&vectors, DistanceMetric::Cosine);
         assert!(m[0][1].abs() < 1e-12);
+    }
+
+    #[test]
+    fn duplicate_uploads_stay_at_exactly_zero_distance_across_worker_boundaries() {
+        // 40 x 7850 is 6.4 M multiply-adds: the triangle kernel fans out
+        // (three ways at most), and the duplicated rows sit in different
+        // workers' ranges. Thread count must not show anywhere.
+        let (n, d) = (40usize, 7850usize);
+        let mut state = 0xD15C_u64;
+        let mut vectors: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..d)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+                    })
+                    .collect()
+            })
+            .collect();
+        vectors[39] = vectors[0].clone();
+        vectors[21] = vectors[5].clone();
+        let rows: Vec<&[f64]> = vectors.iter().map(Vec::as_slice).collect();
+
+        let serial =
+            par::with_thread_limit(1, || distance_matrix_rows(&rows, DistanceMetric::Euclidean));
+        assert_eq!(serial[0][39], 0.0);
+        assert_eq!(serial[5][21], 0.0);
+        assert!(serial[0][1] > 0.0);
+        for limit in [2, 3, 8] {
+            let parallel = par::with_thread_limit(limit, || {
+                distance_matrix_rows(&rows, DistanceMetric::Euclidean)
+            });
+            assert_eq!(parallel, serial, "{limit} threads");
+        }
+        // The owned and packed front-ends are the same computation.
+        assert_eq!(distance_matrix(&vectors, DistanceMetric::Euclidean), serial);
+        assert_eq!(
+            distance_matrix_packed(&Matrix::from_rows(&vectors), DistanceMetric::Euclidean),
+            serial
+        );
     }
 
     #[test]

@@ -65,20 +65,22 @@ impl ClusteringAlgorithm {
     /// Runs the selected algorithm over the given vectors with the given
     /// metric, returning per-vector cluster labels.
     pub fn run(&self, vectors: &[Vec<f64>], metric: DistanceMetric) -> ClusterLabels {
-        if vectors.is_empty() {
-            return ClusterLabels::new(Vec::new());
-        }
-        self.run_packed(&Matrix::from_rows(vectors), metric)
+        let rows: Vec<&[f64]> = vectors.iter().map(Vec::as_slice).collect();
+        self.run_rows(&rows, metric)
     }
 
-    /// [`ClusteringAlgorithm::run`] over an already packed row-major
-    /// vector set. DBSCAN and agglomerative clustering consume the shared
-    /// Gram-derived distance matrix directly; k-means reuses the packed
-    /// rows for its per-iteration assignment GEMMs.
-    pub fn run_packed(&self, rows: &Matrix, metric: DistanceMetric) -> ClusterLabels {
+    /// [`ClusteringAlgorithm::run`] over borrowed rows — Algorithm 2
+    /// passes the round's uploads plus the anchor row where they already
+    /// live. DBSCAN and agglomerative clustering consume the shared
+    /// triangle-Gram distance matrix directly; k-means packs the rows once
+    /// for its per-iteration assignment GEMMs.
+    pub fn run_rows(&self, rows: &[&[f64]], metric: DistanceMetric) -> ClusterLabels {
+        if rows.is_empty() {
+            return ClusterLabels::new(Vec::new());
+        }
         match *self {
             ClusteringAlgorithm::Dbscan { eps, min_points } => dbscan::dbscan_with_distances(
-                &distance::distance_matrix_packed(rows, metric),
+                &distance::distance_matrix_rows(rows, metric),
                 &dbscan::DbscanConfig {
                     eps,
                     min_points,
@@ -86,7 +88,7 @@ impl ClusteringAlgorithm {
                 },
             ),
             ClusteringAlgorithm::KMeans { k, max_iterations } => kmeans::kmeans_packed(
-                rows,
+                &Matrix::from_rows(rows),
                 &kmeans::KmeansConfig {
                     k,
                     max_iterations,
@@ -96,7 +98,7 @@ impl ClusteringAlgorithm {
             ),
             ClusteringAlgorithm::Agglomerative { distance_threshold } => {
                 agglomerative::agglomerative_with_distances(
-                    &distance::distance_matrix_packed(rows, metric),
+                    &distance::distance_matrix_rows(rows, metric),
                     distance_threshold,
                 )
             }

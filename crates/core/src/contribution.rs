@@ -15,7 +15,7 @@ use crate::reward::RewardEntry;
 use crate::strategy::LowContributionStrategy;
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
 use bfl_ml::gradient::GradientVector;
-use bfl_ml::tensor::{self, Matrix};
+use bfl_ml::tensor;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of running Algorithm 2 on one round's gradient set.
@@ -112,36 +112,9 @@ pub fn identify_contributions_with(
     reward: &dyn RewardPolicy,
 ) -> ContributionReport {
     let analysis = analyze_contributions(uploads, algorithm, metric, anchor);
-    let ContributionAnalysis {
-        high_contribution,
-        low_contribution,
-        global_gradient,
-        cluster_count,
-    } = analysis;
-
-    let rewards = reward.round_rewards(round, &high_contribution);
-
-    // Apply the strategy: discarding recomputes the anchor from the
-    // high-contribution uploads only.
-    let effective_global = if strategy.discards() && high_contribution.len() < uploads.len() {
-        let kept: Vec<&[f64]> = uploads
-            .iter()
-            .filter(|(id, _)| high_contribution.iter().any(|(hid, _)| hid == id))
-            .map(|(_, g)| *g)
-            .collect();
-        anchor.compute(&kept)
-    } else {
-        global_gradient.clone()
-    };
-
-    ContributionReport {
-        high_contribution,
-        low_contribution,
-        rewards,
-        global_gradient,
-        effective_global,
-        cluster_count,
-    }
+    let rewards = reward.round_rewards(round, &analysis.high_contribution);
+    let effective_global = analysis.effective_global(uploads, strategy, anchor);
+    analysis.into_report(rewards, effective_global)
 }
 
 /// The reward-free core of Algorithm 2: anchor, clustering, and θ scores.
@@ -161,6 +134,52 @@ pub struct ContributionAnalysis {
     pub global_gradient: GradientVector,
     /// Number of clusters found.
     pub cluster_count: usize,
+    /// The same labels aligned with the analysed `uploads` slice: entry
+    /// `i` is `Some(θ_i)` when upload `i` is high contribution and `None`
+    /// when it is low. Aggregation walks this next to the uploads instead
+    /// of searching `high_contribution` by client id.
+    pub theta_by_upload: Vec<Option<f64>>,
+}
+
+impl ContributionAnalysis {
+    /// The anchor gradient after `strategy` is applied: the anchor
+    /// recomputed over the high-contribution uploads when low contributors
+    /// are discarded, `global_gradient` itself otherwise. `uploads` must be
+    /// the slice this analysis was computed from.
+    pub fn effective_global(
+        &self,
+        uploads: &[(u64, &[f64])],
+        strategy: LowContributionStrategy,
+        anchor: AggregationAnchor,
+    ) -> GradientVector {
+        if strategy.discards() && !self.low_contribution.is_empty() {
+            let kept: Vec<&[f64]> = uploads
+                .iter()
+                .zip(&self.theta_by_upload)
+                .filter(|(_, theta)| theta.is_some())
+                .map(|((_, g), _)| *g)
+                .collect();
+            anchor.compute(&kept)
+        } else {
+            self.global_gradient.clone()
+        }
+    }
+
+    /// Completes the analysis into Algorithm 2's report.
+    pub fn into_report(
+        self,
+        rewards: Vec<RewardEntry>,
+        effective_global: GradientVector,
+    ) -> ContributionReport {
+        ContributionReport {
+            high_contribution: self.high_contribution,
+            low_contribution: self.low_contribution,
+            rewards,
+            global_gradient: self.global_gradient,
+            effective_global,
+            cluster_count: self.cluster_count,
+        }
+    }
 }
 
 /// Runs Algorithm 2's analysis phase (anchor, clustering, θ) without
@@ -173,66 +192,49 @@ pub fn analyze_contributions(
     anchor: AggregationAnchor,
 ) -> ContributionAnalysis {
     assert!(!uploads.is_empty(), "Algorithm 2 needs at least one upload");
-
-    let upload_refs: Vec<&[f64]> = uploads.iter().map(|(_, g)| *g).collect();
-    let global_gradient = anchor.compute(&upload_refs);
-
-    // Pack the round's gradient set (uploads plus the anchor gradient,
-    // appended last) into one row-major matrix. This single packed copy
-    // feeds both the clustering backend — whose pairwise distances come
-    // out of one Gram GEMM — and the batched θ computation below.
     let n = uploads.len();
-    let dim = global_gradient.len();
-    let mut clustered = Matrix::zeros(0, 0);
-    clustered.data.reserve((n + 1) * dim);
-    for upload in &upload_refs {
-        assert_eq!(upload.len(), dim, "all uploads must have equal length");
-        clustered.data.extend_from_slice(upload);
-    }
-    clustered.data.extend_from_slice(&global_gradient);
-    clustered.rows = n + 1;
-    clustered.cols = dim;
 
-    let labels = algorithm.run_packed(&clustered, metric);
-    let global_index = n;
+    // The clustered set is the uploads plus the anchor gradient, appended
+    // last — as borrowed rows: the clustering backend's triangle Gram
+    // pass reads every vector where it already lives.
+    let mut clustered: Vec<&[f64]> = Vec::with_capacity(n + 1);
+    clustered.extend(uploads.iter().map(|(_, g)| *g));
+    let global_gradient = anchor.compute(&clustered);
+    clustered.push(&global_gradient);
+    let labels = algorithm.run_rows(&clustered, metric);
     let cluster_count = labels.cluster_count();
 
-    // Algorithm 2's θ weights — cosine distance of every upload to the
-    // global gradient — as one matrix-vector product plus per-row norms,
-    // instead of one full vector traversal per upload.
-    let inner: Vec<f64> = clustered.matvec(&global_gradient);
+    // Algorithm 2's θ weights: the cosine distance of an upload to the
+    // anchor gradient, floored so Equation 1 never divides by zero.
     let global_norm = tensor::l2_norm(&global_gradient);
-    let theta = |i: usize| -> f64 {
-        let upload_norm = tensor::l2_norm(upload_refs[i]);
+    let theta = |upload: &[f64]| -> f64 {
+        let upload_norm = tensor::l2_norm(upload);
         let similarity = if upload_norm == 0.0 || global_norm == 0.0 {
             0.0
         } else {
-            (inner[i] / (upload_norm * global_norm)).clamp(-1.0, 1.0)
+            (tensor::dot(upload, &global_gradient) / (upload_norm * global_norm)).clamp(-1.0, 1.0)
         };
         (1.0 - similarity).max(WEIGHT_FLOOR)
     };
-
-    let mut high_contribution = Vec::new();
-    let mut low_contribution = Vec::new();
-    for (i, (client_id, _)) in uploads.iter().enumerate() {
-        if labels.same_cluster(i, global_index) {
-            high_contribution.push((*client_id, theta(i)));
-        } else {
-            low_contribution.push(*client_id);
-        }
-    }
 
     // Degenerate case: if the clustering failed to place the anchor
     // gradient in any cluster (for example every point is noise under a
     // tiny eps), treat every client as high contribution rather than
     // discarding the whole round.
-    if high_contribution.is_empty() {
-        high_contribution = uploads
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (*id, theta(i)))
-            .collect();
-        low_contribution.clear();
+    let nobody_high = (0..n).all(|i| !labels.same_cluster(i, n));
+    let theta_by_upload: Vec<Option<f64>> = uploads
+        .iter()
+        .enumerate()
+        .map(|(i, (_, upload))| (nobody_high || labels.same_cluster(i, n)).then(|| theta(upload)))
+        .collect();
+
+    let mut high_contribution = Vec::new();
+    let mut low_contribution = Vec::new();
+    for ((client_id, _), theta) in uploads.iter().zip(&theta_by_upload) {
+        match theta {
+            Some(theta) => high_contribution.push((*client_id, *theta)),
+            None => low_contribution.push(*client_id),
+        }
     }
 
     ContributionAnalysis {
@@ -240,6 +242,7 @@ pub fn analyze_contributions(
         low_contribution,
         global_gradient,
         cluster_count,
+        theta_by_upload,
     }
 }
 
@@ -314,6 +317,32 @@ mod tests {
         assert_eq!(report.high_contribution.len(), 8);
         // Rewards only go to high contributors.
         assert!(report.rewards.iter().all(|r| r.client_id < 8));
+    }
+
+    #[test]
+    fn the_index_aligned_view_agrees_with_the_id_lists() {
+        // Forgeries interleaved with honest uploads, ids out of order.
+        let mut uploads = uploads_with_forgeries(6, 2);
+        uploads.swap(1, 6);
+        uploads.swap(3, 7);
+        let refs: Vec<(u64, &[f64])> = uploads.iter().map(|(id, g)| (*id, g.as_slice())).collect();
+        let analysis = analyze_contributions(
+            &refs,
+            &dbscan(),
+            DistanceMetric::Cosine,
+            AggregationAnchor::Mean,
+        );
+        assert_eq!(analysis.theta_by_upload.len(), uploads.len());
+        let mut high = analysis.high_contribution.iter();
+        let mut low = analysis.low_contribution.iter();
+        for ((id, _), theta) in refs.iter().zip(&analysis.theta_by_upload) {
+            match theta {
+                Some(theta) => assert_eq!(high.next(), Some(&(*id, *theta))),
+                None => assert_eq!(low.next(), Some(id)),
+            }
+        }
+        assert!(high.next().is_none() && low.next().is_none());
+        assert_eq!(analysis.low_contribution, vec![6, 7]);
     }
 
     #[test]

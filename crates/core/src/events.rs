@@ -128,7 +128,8 @@ pub enum EventKind {
     TrainingFinished,
     /// Procedure-II completed: the upload arrived and was admitted.
     UploadArrived,
-    /// The upload arrived but its signature failed verification.
+    /// The upload arrived but the miner refused it: its signature failed
+    /// verification, or it carried a non-finite coordinate.
     UploadRejected,
     /// The upload was lost: its client churned offline before it landed,
     /// or a miner crash wiped it from the pending pool.
@@ -1397,23 +1398,15 @@ impl StreamFold {
             .collect();
         let analysis =
             analyze_contributions(&refs, &config.clustering, config.metric, config.anchor);
-        let dropped: BTreeSet<u64> = if config.strategy.discards() {
-            analysis.low_contribution.iter().copied().collect()
-        } else {
-            BTreeSet::new()
-        };
-        for (id, params) in &refs {
-            if dropped.contains(id) {
-                continue;
-            }
+        let discards = config.strategy.discards();
+        for ((_, params), theta) in refs.iter().zip(&analysis.theta_by_upload) {
             // Kept-but-low uploads (the keep strategy) weigh in at the
             // floor, mirroring `compute_global_update`.
-            let theta = analysis
-                .high_contribution
-                .iter()
-                .find(|(hid, _)| hid == id)
-                .map(|&(_, t)| t)
-                .unwrap_or(WEIGHT_FLOOR);
+            let theta = match theta {
+                Some(theta) => *theta,
+                None if discards => continue,
+                None => WEIGHT_FLOOR,
+            };
             if config.fair_aggregation {
                 for (acc, &v) in self.weighted_sum.iter_mut().zip(*params) {
                     *acc += theta * v;
@@ -1622,9 +1615,9 @@ fn schedule_retry(
     }
 }
 
-/// The `UploadArrived` handler's admission step: staleness policy for
-/// late uploads, Procedure-II signing, in-transit corruption, and
-/// signature verification (through the chain's mempool in mining modes —
+/// The `UploadArrived` handler's admission step: the finite-gradient
+/// check, staleness policy for late uploads, Procedure-II signing,
+/// in-transit corruption, and signature verification (through the chain's mempool in mining modes —
 /// the Figure 2 step). Returns the trace kind of the resolution.
 #[allow(clippy::too_many_arguments)]
 fn admit_upload(
@@ -1658,6 +1651,12 @@ fn admit_upload(
             &snapshot,
         ),
     };
+    // A NaN or infinite coordinate would poison the anchor and the
+    // aggregate for everyone: the miner refuses the upload outright, as
+    // it would a bad signature.
+    if !gradient::all_finite(&update.params) {
+        return EventKind::UploadRejected;
+    }
     let id = update.client_id;
     let forged = update.forged;
     let final_epoch_loss = update.stats.final_epoch_loss;

@@ -10,7 +10,7 @@
 //! the Scenario API's seam for this procedure.
 
 use crate::aggregation::{contribution_weights, WEIGHT_FLOOR};
-use crate::contribution::{identify_contributions_with, ContributionReport};
+use crate::contribution::{analyze_contributions, ContributionReport};
 use crate::policy::{AggregationAnchor, RewardPolicy};
 use crate::procedures::upload::VerifiedUpload;
 use crate::strategy::LowContributionStrategy;
@@ -40,6 +40,13 @@ pub struct GlobalUpdatePolicy<'a> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalUpdateOutcome {
     /// Algorithm 2's report (contribution labels, rewards, anchor gradient).
+    ///
+    /// `report.effective_global` is the strategy-recomputed anchor only
+    /// under plain averaging, where it *is* the round's global update.
+    /// Under fair aggregation Equation 1 supersedes it, so it is not
+    /// recomputed and equals `report.global_gradient`;
+    /// [`identify_contributions_with`](crate::contribution::identify_contributions_with)
+    /// is the form that always materializes it.
     pub report: ContributionReport,
     /// The parameters recorded in the block and used by clients next round.
     pub global_params: Vec<f64>,
@@ -60,48 +67,34 @@ pub fn compute_global_update(
         .map(|u| (u.client_id, u.params.as_slice()))
         .collect();
 
-    let report = identify_contributions_with(
-        &uploads,
-        policy.clustering,
-        policy.metric,
-        policy.strategy,
-        policy.anchor,
-        policy.round,
-        policy.reward,
-    );
-    let dropped = report.dropped_clients(policy.strategy);
+    let analysis = analyze_contributions(&uploads, policy.clustering, policy.metric, policy.anchor);
+    let rewards = policy
+        .reward
+        .round_rewards(policy.round, &analysis.high_contribution);
+    let discards = policy.strategy.discards();
 
-    // Determine which uploads participate in the final aggregation.
-    let kept: Vec<&(u64, &[f64])> = uploads
-        .iter()
-        .filter(|(id, _)| !dropped.contains(id))
-        .collect();
-    let kept: Vec<&(u64, &[f64])> = if kept.is_empty() {
-        uploads.iter().collect()
-    } else {
-        kept
-    };
-
-    let global_params = if policy.fair_aggregation {
-        // Equation 1: weights from the θ scores of the kept clients.
-        let scores: Vec<f64> = kept
+    let (global_params, effective_global) = if policy.fair_aggregation {
+        // Equation 1 over the uploads the strategy keeps, weighted by θ;
+        // a kept-but-low upload (the keep strategy) weighs in at the floor.
+        let (vectors, scores): (Vec<&[f64]>, Vec<f64>) = uploads
             .iter()
-            .map(|(id, _)| {
-                report
-                    .high_contribution
-                    .iter()
-                    .find(|(hid, _)| hid == id)
-                    .map(|(_, theta)| *theta)
-                    .unwrap_or(WEIGHT_FLOOR)
-            })
-            .collect();
+            .zip(&analysis.theta_by_upload)
+            .filter(|(_, theta)| theta.is_some() || !discards)
+            .map(|((_, g), theta)| (*g, theta.unwrap_or(WEIGHT_FLOOR)))
+            .unzip();
         let weights = contribution_weights(&scores);
-        let vectors: Vec<&[f64]> = kept.iter().map(|(_, g)| *g).collect();
-        weighted_average_refs(&vectors, &weights)
+        (
+            weighted_average_refs(&vectors, &weights),
+            analysis.global_gradient.clone(),
+        )
     } else {
-        report.effective_global.clone()
+        // Plain averaging: the anchor over the kept uploads is the update.
+        let effective = analysis.effective_global(&uploads, policy.strategy, policy.anchor);
+        (effective.clone(), effective)
     };
 
+    let report = analysis.into_report(rewards, effective_global);
+    let dropped = report.dropped_clients(policy.strategy);
     GlobalUpdateOutcome {
         report,
         global_params,
@@ -250,6 +243,134 @@ mod tests {
         assert!(!rewarded.contains(&20));
         let total: u64 = outcome.report.rewards.iter().map(|r| r.amount_milli).sum();
         assert!((total as i64 - 50_000).abs() <= 6);
+    }
+
+    /// Procedure-IV as it ran before Algorithm 2 kept an index-aligned
+    /// view: the full standalone report first, then every kept upload
+    /// re-found in it by client id.
+    fn outcome_by_id_lookup(
+        merged: &[VerifiedUpload],
+        policy: &GlobalUpdatePolicy<'_>,
+    ) -> GlobalUpdateOutcome {
+        let uploads: Vec<(u64, &[f64])> = merged
+            .iter()
+            .map(|u| (u.client_id, u.params.as_slice()))
+            .collect();
+        let report = crate::contribution::identify_contributions_with(
+            &uploads,
+            policy.clustering,
+            policy.metric,
+            policy.strategy,
+            policy.anchor,
+            policy.round,
+            policy.reward,
+        );
+        let dropped = report.dropped_clients(policy.strategy);
+        let kept: Vec<&(u64, &[f64])> = uploads
+            .iter()
+            .filter(|(id, _)| !dropped.contains(id))
+            .collect();
+        let global_params = if policy.fair_aggregation {
+            let scores: Vec<f64> = kept
+                .iter()
+                .map(|(id, _)| {
+                    report
+                        .high_contribution
+                        .iter()
+                        .find(|(hid, _)| hid == id)
+                        .map_or(WEIGHT_FLOOR, |(_, theta)| *theta)
+                })
+                .collect();
+            let vectors: Vec<&[f64]> = kept.iter().map(|(_, g)| *g).collect();
+            weighted_average_refs(&vectors, &contribution_weights(&scores))
+        } else {
+            report.effective_global.clone()
+        };
+        GlobalUpdateOutcome {
+            report,
+            global_params,
+            dropped,
+        }
+    }
+
+    #[test]
+    fn every_strategy_aggregation_and_anchor_keeps_its_pre_change_outcome() {
+        // Nine honest uploads (ids deliberately out of order), two
+        // sign-flipped ones and a -8x scaler: the robust anchors drop
+        // attackers, the mean anchor is dragged — all three must come out
+        // exactly as the id-lookup form computed them.
+        let mut merged: Vec<VerifiedUpload> = (0..9)
+            .map(|i| {
+                let t = i as f64 * 0.013;
+                upload(
+                    (i * 7 + 3) % 11,
+                    vec![1.0 + t, 0.5 - t, 0.25 + 0.5 * t, -0.125],
+                    false,
+                )
+            })
+            .collect();
+        merged.insert(2, upload(40, vec![-1.0, -0.5, -0.25, 0.125], true));
+        merged.insert(7, upload(41, vec![-1.03, -0.48, -0.26, 0.12], true));
+        merged.push(upload(42, vec![-8.4, -6.4, 0.4, 1.0], true));
+
+        let clustering = dbscan();
+        for strategy in [
+            LowContributionStrategy::Discard,
+            LowContributionStrategy::Keep,
+        ] {
+            for fair in [true, false] {
+                for anchor in [
+                    AggregationAnchor::Mean,
+                    AggregationAnchor::Median,
+                    AggregationAnchor::TrimmedMean { trim_ratio: 0.2 },
+                ] {
+                    let mut p = policy(&clustering, strategy, fair, &BASE_100);
+                    p.anchor = anchor;
+                    let context = format!("{strategy:?} fair={fair} {anchor:?}");
+                    let now = compute_global_update(&merged, &p);
+                    let before = outcome_by_id_lookup(&merged, &p);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&now.global_params),
+                        bits(&before.global_params),
+                        "{context}"
+                    );
+                    assert_eq!(now.dropped, before.dropped, "{context}");
+                    assert_eq!(
+                        now.report.high_contribution, before.report.high_contribution,
+                        "{context}"
+                    );
+                    assert_eq!(
+                        now.report.low_contribution, before.report.low_contribution,
+                        "{context}"
+                    );
+                    assert_eq!(now.report.rewards, before.report.rewards, "{context}");
+                    assert_eq!(
+                        now.report.global_gradient, before.report.global_gradient,
+                        "{context}"
+                    );
+                    assert_eq!(
+                        now.report.cluster_count, before.report.cluster_count,
+                        "{context}"
+                    );
+                    // The one deliberate difference: nobody consumes the
+                    // strategy-recomputed anchor under fair aggregation, so
+                    // Procedure-IV no longer computes it there.
+                    if fair {
+                        assert_eq!(now.report.effective_global, now.report.global_gradient);
+                    } else {
+                        assert_eq!(
+                            now.report.effective_global, before.report.effective_global,
+                            "{context}"
+                        );
+                        assert_eq!(now.global_params, now.report.effective_global);
+                    }
+                    if strategy.discards() && !matches!(anchor, AggregationAnchor::Mean) {
+                        assert!(!now.dropped.is_empty(), "{context} should drop attackers");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

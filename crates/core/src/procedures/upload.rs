@@ -4,7 +4,9 @@
 //! uploads its updated gradient, signed with its RSA private key; the miner
 //! verifies the signature against the registered public key before
 //! accepting the transaction (Figure 2). Uploads that fail verification are
-//! rejected and never enter the round's gradient set.
+//! rejected and never enter the round's gradient set — and so is an upload
+//! carrying a NaN or infinite coordinate, signed or not: one such value
+//! would poison the anchor and the aggregate for every client.
 //!
 //! Signing and verification are independent across uploads (each client
 //! signs with its own key; each miner checks against the registered
@@ -41,7 +43,8 @@ pub struct VerifiedUpload {
 pub struct UploadOutcome {
     /// Uploads that passed verification, grouped per miner.
     pub per_miner: BTreeMap<usize, Vec<VerifiedUpload>>,
-    /// Client ids whose uploads failed signature verification.
+    /// Client ids whose uploads failed signature verification or carried
+    /// a non-finite coordinate.
     pub rejected: Vec<u64>,
 }
 
@@ -74,7 +77,7 @@ enum Verdict {
 /// accepted uploads per miner.
 ///
 /// When `keys`/`keypairs` are `None` signature handling is skipped (the
-/// "verification off" ablation) and every upload is accepted.
+/// "verification off" ablation) and every finite upload is accepted.
 pub fn upload_gradients<R: Rng + ?Sized>(
     updates: &[LocalUpdate],
     topology: &Topology,
@@ -103,7 +106,7 @@ pub fn upload_gradients<R: Rng + ?Sized>(
                 1,
                 BatchVerifier::new,
                 |verifier, _, &(update, miner)| match pairs.get(&update.client_id) {
-                    Some(pair) => {
+                    Some(pair) if gradient::all_finite(&update.params) => {
                         let payload = gradient::to_bytes(&update.params);
                         let envelope = sign_message(update.client_id, &payload, &pair.private);
                         if store.verify_cached(&envelope, verifier).is_ok() {
@@ -112,7 +115,7 @@ pub fn upload_gradients<R: Rng + ?Sized>(
                             Verdict::Rejected(update.client_id)
                         }
                     }
-                    None => Verdict::Rejected(update.client_id),
+                    _ => Verdict::Rejected(update.client_id),
                 },
             )
         }
@@ -120,7 +123,13 @@ pub fn upload_gradients<R: Rng + ?Sized>(
         // fan-out would only pay thread overhead.
         _ => items
             .iter()
-            .map(|&(update, miner)| Verdict::Accepted(verified(update, miner)))
+            .map(|&(update, miner)| {
+                if gradient::all_finite(&update.params) {
+                    Verdict::Accepted(verified(update, miner))
+                } else {
+                    Verdict::Rejected(update.client_id)
+                }
+            })
             .collect(),
     };
 
@@ -180,6 +189,30 @@ mod tests {
         // Ordered by client id and assigned to valid miners.
         assert!(all.windows(2).all(|w| w[0].client_id < w[1].client_id));
         assert!(all.iter().all(|u| u.miner < 3));
+    }
+
+    #[test]
+    fn non_finite_uploads_are_rejected_signed_or_not() {
+        let mut store = KeyStore::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let pairs = store.provision(&mut rng, &[0, 1, 2], 256).unwrap();
+        let mut updates: Vec<LocalUpdate> = (0..3).map(update).collect();
+        updates[1].params[2] = f64::NAN;
+        updates[2].params[0] = f64::NEG_INFINITY;
+        let topology = Topology::new(100, 2);
+        for keys in [None, Some((&pairs, &store))] {
+            let outcome = upload_gradients(
+                &updates,
+                &topology,
+                keys.map(|k| k.0),
+                keys.map(|k| k.1),
+                &mut rng,
+            );
+            assert_eq!(outcome.rejected, vec![1, 2]);
+            let accepted = outcome.into_all_accepted();
+            assert_eq!(accepted.len(), 1);
+            assert_eq!(accepted[0].client_id, 0);
+        }
     }
 
     #[test]

@@ -87,12 +87,14 @@ pub fn max_threads() -> usize {
     })
 }
 
-/// Number of workers a row-parallel job of `rows` rows would use, given
-/// the minimum rows worth handing one thread. Kernels use this to pick
-/// the plain serial core when the answer is 1, keeping the hot loop free
-/// of any fork/join machinery.
-pub fn plan_workers(rows: usize, min_rows_per_thread: usize) -> usize {
-    max_threads().min(rows / min_rows_per_thread.max(1)).max(1)
+/// Number of workers a job of `work` units would use, given the minimum
+/// units worth handing one thread. The unit is the caller's: output rows
+/// for the GEMMs, multiply-adds for the triangle Gram kernel, gathered
+/// values for the robust anchors — whatever tracks the job's cost.
+/// Kernels use this to pick the plain serial core when the answer is 1,
+/// keeping the hot loop free of any fork/join machinery.
+pub fn plan_workers(work: usize, min_work_per_thread: usize) -> usize {
+    max_threads().min(work / min_work_per_thread.max(1)).max(1)
 }
 
 /// Balanced split: chunk sizes differ by at most one.
@@ -172,9 +174,9 @@ where
 
 /// Runs `f` over disjoint contiguous row-chunks of `data`, in parallel.
 ///
-/// `data` is split along `row_len`-sized rows into one chunk per worker;
-/// `f` receives the starting row index and the mutable chunk. Used by
-/// the GEMM kernels to parallelize over blocks of output rows.
+/// `data` is split along `row_len`-sized rows into one balanced chunk per
+/// worker; `f` receives the starting row index and the mutable chunk.
+/// Used by the GEMM kernels to parallelize over blocks of output rows.
 #[inline]
 pub fn par_rows_mut<T, F>(data: &mut [T], row_len: usize, min_rows_per_thread: usize, f: F)
 where
@@ -182,9 +184,40 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(row_len > 0, "row_len must be positive");
-    debug_assert_eq!(data.len() % row_len, 0);
     let rows = data.len() / row_len;
     let workers = plan_workers(rows, min_rows_per_thread);
+    par_row_ranges_mut(
+        data,
+        row_len,
+        workers,
+        |w| chunk_len(rows, workers, w).start,
+        f,
+    );
+}
+
+/// [`par_rows_mut`] with the split chosen by the caller: worker `w` owns
+/// rows `first_row(w)..first_row(w + 1)`, so `first_row` must be
+/// non-decreasing with `first_row(0) == 0` and `first_row(workers)` the
+/// row count. Jobs whose rows cost unequal amounts (the triangle Gram
+/// kernel) pass a cost-balanced split here instead of an even one.
+///
+/// The last range runs on the calling thread, so a `workers`-way fan-out
+/// spawns `workers - 1` threads and `workers == 1` spawns none.
+#[inline]
+pub fn par_row_ranges_mut<T, F>(
+    data: &mut [T],
+    row_len: usize,
+    workers: usize,
+    first_row: impl Fn(usize) -> usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(row_len > 0, "row_len must be positive");
+    debug_assert_eq!(data.len() % row_len, 0);
+    debug_assert_eq!(first_row(0), 0);
+    debug_assert_eq!(first_row(workers.max(1)), data.len() / row_len);
     if workers <= 1 {
         f(0, data);
         return;
@@ -192,16 +225,14 @@ where
 
     std::thread::scope(|scope| {
         let mut rest = data;
-        let mut row_start = 0;
-        for w in 0..workers {
-            let range = chunk_len(rows, workers, w);
-            let (chunk, tail) = rest.split_at_mut(range.len() * row_len);
+        for w in 0..workers - 1 {
+            let start = first_row(w);
+            let (chunk, tail) = rest.split_at_mut((first_row(w + 1) - start) * row_len);
             rest = tail;
             let f = &f;
-            let start = row_start;
             scope.spawn(move || run_as_worker(|| f(start, chunk)));
-            row_start += range.len();
         }
+        run_as_worker(|| f(first_row(workers - 1), rest));
     });
 }
 
@@ -269,6 +300,30 @@ mod tests {
         });
         for (r, row) in data.chunks(cols).enumerate() {
             assert!(row.iter().all(|&v| v == r as f64));
+        }
+    }
+
+    #[test]
+    fn par_row_ranges_mut_honours_an_uneven_split() {
+        let rows = 11;
+        let cols = 3;
+        // Boundaries 0 | 1 | 1 | 7 | 11: one single-row range, one empty.
+        let bounds = [0usize, 1, 1, 7, 11];
+        let mut data = vec![0usize; rows * cols];
+        par_row_ranges_mut(
+            &mut data,
+            cols,
+            4,
+            |w| bounds[w],
+            |row_start, chunk| {
+                assert!(bounds.contains(&row_start));
+                for (r, row) in chunk.chunks_mut(cols).enumerate() {
+                    row.fill(row_start + r + 1);
+                }
+            },
+        );
+        for (r, row) in data.chunks(cols).enumerate() {
+            assert!(row.iter().all(|&v| v == r + 1));
         }
     }
 

@@ -255,12 +255,12 @@ mod avx2 {
         out
     }
 
-    /// AVX2 large-row `A · Bᵀ` regime (evaluation logits, Gram
-    /// matrices): the per-element dot is [`dot`], unchanged; the only
-    /// vector-tier addition is a 4-row output tile with `j` innermost,
-    /// so each `B` row is touched once per tile instead of once per
-    /// output row — on Gram shapes (`B` panel ≫ L2) that quarters the
-    /// dominant memory traffic. Pure loop interchange over independent
+    /// AVX2 large-row `A · Bᵀ` regime (evaluation logits, k-means
+    /// point-to-centroid products): the per-element dot is [`dot`],
+    /// unchanged; the only vector-tier addition is an output-row tile
+    /// with `j` innermost, so each `B` row is touched once per tile
+    /// instead of once per output row — on long-row shapes (`B` panel
+    /// ≫ L2) that divides the dominant memory traffic. Pure loop interchange over independent
     /// output elements: bit-identity is structural.
     ///
     /// # Safety
@@ -278,8 +278,8 @@ mod avx2 {
     ) {
         // Tile depth by `A`-row footprint: short rows (evaluation
         // logits) keep the whole tile plus one `B` row L1-resident, so
-        // a shallow tile avoids thrashing; long rows (Gram matrices,
-        // 63 KiB/row) never fit L1 anyway and the tile only exists to
+        // a shallow tile avoids thrashing; long rows (model parameter
+        // vectors, 63 KiB/row) never fit L1 anyway and the tile only exists to
         // divide how often the `B` panel streams from L2/L3 — go deep.
         let tile = if k * 8 > 24 * 1024 { 16 } else { 4 };
         let mut r0 = 0usize;

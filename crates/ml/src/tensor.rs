@@ -4,7 +4,7 @@
 //! # Kernel layer
 //!
 //! Three matrix-matrix kernels cover every shape the training and
-//! evaluation engines need:
+//! evaluation engines need, and a fourth serves Algorithm 2:
 //!
 //! * [`matmul_into`] — `C = A · B`, in `i`/`k`/`j` loop order. The inner
 //!   `j` loop is a pure `c[j] += a_ik * b[j]` stream with no reduction
@@ -15,20 +15,37 @@
 //!   (`grad_W = δᵀ · X`). Accumulation over `k` runs in ascending order,
 //!   which keeps the batched gradients numerically aligned with the
 //!   per-sample reference path (same summation order per output element).
-//! * [`matmul_transpose_b_into`] — `C = A · Bᵀ`, the Gram kernel used
-//!   for logits against row-major weights and for cosine-distance
-//!   matrices. The `j` loop is unrolled four wide so four independent
-//!   dot-product accumulators hide the floating-point add latency that
-//!   makes one-at-a-time `dot` calls latency-bound.
+//! * [`matmul_transpose_b_into`] — `C = A · Bᵀ`, used for logits against
+//!   row-major weights, evaluation, and the rectangular point-to-centroid
+//!   distances of k-means. Every output element is one lane-striped
+//!   `dot_lanes` reduction (or, for at most 16 long rows, its
+//!   `k`-blocked partial sums), so independent accumulator chains hide
+//!   the floating-point add latency that makes a plain `dot`
+//!   latency-bound.
+//! * [`gram_upper`] — the upper triangle of `G = V · Vᵀ` over *borrowed*
+//!   rows, the kernel behind every pairwise distance matrix. A Gram
+//!   matrix is symmetric and only `G_ij`, `j ≥ i`, is ever read, so this
+//!   computes half the dot products of the general kernel and needs no
+//!   packed copy of `V`. Each entry is the same `dot_lanes` reduction
+//!   in the same regime `gemm_nt(V, V)` would use for it — the bit
+//!   patterns are those of the full product.
 //!
-//! Each kernel has a slice-level core ([`gemm_nn`], [`gemm_tn`],
+//! Each GEMM has a slice-level core ([`gemm_nn`], [`gemm_tn`],
 //! [`gemm_nt`]) taking raw row-major buffers plus dimensions, so models
 //! can point operands directly at windows of their flat parameter
 //! vector — logits and weight gradients run against the parameters in
-//! place, with no per-step transpose or copy. All three parallelize over
-//! contiguous blocks of output rows via [`crate::par::par_rows_mut`];
-//! each worker owns a disjoint slice of `C`, so results are
-//! bit-identical regardless of thread count.
+//! place, with no per-step transpose or copy.
+//!
+//! All four parallelize over contiguous blocks of output rows through
+//! [`crate::par`]; each worker owns a disjoint slice of `C`, so results
+//! are bit-identical regardless of thread count. *Whether* and *where*
+//! to split is a question of work, not of rows. The GEMMs' rows all cost
+//! the same, so they split evenly once every worker gets
+//! `MIN_ROWS_PER_THREAD` of them. A triangle's rows do not — row `i`
+//! holds `n − i` entries — so [`gram_upper`] cuts ranges of near-equal
+//! *area* and fans out only when each worker would own about two million
+//! multiply-adds: a 51 × 7850 committee uses every core, an 11- or
+//! 15-row one runs on the calling thread and pays no spawn.
 //!
 //! # Scratch workspace
 //!
@@ -91,14 +108,16 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a matrix from a list of equal-length rows.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    /// Creates a matrix from a list of equal-length rows (owned vectors
+    /// or borrowed slices).
+    pub fn from_rows<R: AsRef<[f64]>>(rows: &[R]) -> Self {
         if rows.is_empty() {
             return Matrix::zeros(0, 0);
         }
-        let cols = rows[0].len();
+        let cols = rows[0].as_ref().len();
         let mut data = Vec::with_capacity(rows.len() * cols);
         for row in rows {
+            let row = row.as_ref();
             assert_eq!(row.len(), cols, "all rows must have equal length");
             data.extend_from_slice(row);
         }
@@ -552,7 +571,7 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// `C = A · Bᵀ` with `C` reusing its allocation — the Gram kernel
+/// `C = A · Bᵀ` with `C` reusing its allocation
 /// (`C[i][j] = ⟨A.row(i), B.row(j)⟩`).
 pub fn matmul_transpose_b_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(
@@ -598,9 +617,9 @@ pub(crate) const LANES: usize = 8;
 pub(crate) const STRIPE: usize = 4 * LANES;
 
 /// Lane-striped dot product: deterministic (fixed stripe layout, fixed
-/// reduction order) and auto-vectorizable. All Gram entries produced by
-/// [`gemm_nt`] go through this one routine, so identical input rows
-/// yield bit-identical entries — the Euclidean-from-Gram cancellation
+/// reduction order) and auto-vectorizable. Every entry [`gram_upper`] and
+/// [`gemm_nt`] produce goes through this one routine, so identical input
+/// rows yield bit-identical entries — the Euclidean-from-Gram cancellation
 /// depends on this. Dispatches to the hand-written AVX2+FMA form when
 /// [`simd::active`]; both tiers run the identical stripe/fold/tail
 /// order, so the result is the same bit pattern either way.
@@ -657,6 +676,12 @@ pub(crate) fn dot_lanes_scalar(a: &[f64], b: &[f64]) -> f64 {
 /// operand tiles (16 KiB each) fit L1 together.
 pub(crate) const NT_K_BLOCK: usize = 128;
 
+/// Most output rows the small-row regime takes. [`gram_upper`] keys its
+/// own regime choice on the same bound, so a Gram matrix this small
+/// keeps the `k`-blocked accumulation — and with it the bit patterns —
+/// it had as a [`gemm_nt`] product.
+const NT_SMALL_ROWS: usize = 16;
+
 /// Serial core of [`gemm_nt`] over one contiguous block of output rows.
 fn gemm_nt_serial(a: &[f64], b: &[f64], chunk: &mut [f64], row_start: usize, k: usize, n: usize) {
     let rows = chunk.len() / n;
@@ -680,7 +705,7 @@ fn gemm_nt_serial(a: &[f64], b: &[f64], chunk: &mut [f64], row_start: usize, k: 
 ///   each operand is read from L2 exactly once per call instead of once
 ///   per output row — training throughput is then insensitive to L2/L3
 ///   bandwidth contention.
-/// * **Large row blocks** (evaluation, Gram matrices): one lane-striped
+/// * **Large row blocks** (evaluation, k-means assignment): one lane-striped
 ///   dot product per output element; the `B` panel stays cache-resident
 ///   across rows and `A` streams once.
 ///
@@ -695,7 +720,7 @@ fn gemm_nt_core<'a>(
     k: usize,
     n: usize,
 ) {
-    if rows <= 16 && n <= 32 && k > 2 * NT_K_BLOCK {
+    if rows <= NT_SMALL_ROWS && n <= 32 && k > 2 * NT_K_BLOCK {
         #[cfg(target_arch = "x86_64")]
         if simd::active() {
             // SAFETY: `simd::active()` guarantees AVX2+FMA were detected.
@@ -730,6 +755,104 @@ fn gemm_nt_core<'a>(
         let row = a_row(offset);
         for (j, c_j) in c_row.iter_mut().enumerate() {
             *c_j = dot_lanes(row, &b[j * k..(j + 1) * k]);
+        }
+    }
+}
+
+/// Multiply-adds one worker must own before [`gram_upper`] fans out:
+/// roughly half a millisecond of dot products, an order of magnitude
+/// above a scoped-thread spawn. A row count cannot make this call — a
+/// 51 x 7850 Gram is 10 M multiply-adds, an 11 x 7850 one half a million.
+const MIN_GRAM_MACS_PER_WORKER: usize = 1 << 21;
+
+/// Output rows per tile of the large-row [`gram_upper`] regime. Model
+/// parameter rows (63 KiB) never fit L1, so the tile exists to divide
+/// how often the column operand streams in from L2/L3: once per tile
+/// instead of once per output row.
+const GRAM_ROW_TILE: usize = 16;
+
+/// Upper triangle of the Gram matrix `G = V · Vᵀ` over borrowed rows:
+/// `out[i * n + j] = ⟨rows[i], rows[j]⟩` for `j >= i`; entries below the
+/// diagonal are left untouched. Rows are read where they live — no
+/// packed copy of `V` is needed.
+///
+/// Every entry is the same `dot_lanes` reduction, in the same regime
+/// (`k`-blocked partials for at most 16 long rows, one full-length dot
+/// otherwise), that `gemm_nt(V, V)` produces for it, so each entry
+/// computed here has that product's exact bit pattern and identical rows
+/// still yield identical entries. The work is split over contiguous row
+/// ranges of near-equal *area* (row `i` holds `n - i` entries) and fans
+/// out only past about two million multiply-adds per worker; each worker
+/// owns a disjoint slice of `out`, so thread count never shows in the
+/// result.
+pub fn gram_upper(rows: &[&[f64]], out: &mut [f64]) {
+    let n = rows.len();
+    assert_eq!(out.len(), n * n, "gram_upper needs an n x n output");
+    let Some(first) = rows.first() else {
+        return;
+    };
+    let k = first.len();
+    assert!(
+        rows.iter().all(|row| row.len() == k),
+        "all rows must have equal length"
+    );
+    let macs = n * (n + 1) / 2 * k;
+    let workers = par::plan_workers(macs, MIN_GRAM_MACS_PER_WORKER).min(n);
+    par::par_row_ranges_mut(
+        out,
+        n,
+        workers,
+        |w| triangle_first_row(n, workers, w),
+        |row_start, chunk| gram_upper_rows(rows, row_start, chunk),
+    );
+}
+
+/// First row of worker `w` when the `n` rows of an upper triangle are
+/// split into `workers` contiguous ranges of near-equal area: the
+/// smallest `r` whose preceding rows hold at least `w / workers` of the
+/// `n (n + 1) / 2` entries.
+fn triangle_first_row(n: usize, workers: usize, w: usize) -> usize {
+    // Twice the entries in rows `0..r`, to stay in integers.
+    let doubled_area = |r: usize| r * (2 * n - r + 1);
+    let mut r = 0;
+    while doubled_area(r) * workers < w * n * (n + 1) {
+        r += 1;
+    }
+    r
+}
+
+/// Serial core of [`gram_upper`] over the output rows held by `chunk`
+/// (starting at `row_start`).
+fn gram_upper_rows(rows: &[&[f64]], row_start: usize, chunk: &mut [f64]) {
+    let n = rows.len();
+    let k = rows[0].len();
+    let row_end = row_start + chunk.len() / n;
+    if n <= NT_SMALL_ROWS && k > 2 * NT_K_BLOCK {
+        // Small regime: every row's `k`-block stays L1-resident while
+        // the block's partial products are added to the entries above
+        // the diagonal, blocks in ascending order.
+        for k0 in (0..k).step_by(NT_K_BLOCK) {
+            let k_end = (k0 + NT_K_BLOCK).min(k);
+            for (i, c_row) in (row_start..row_end).zip(chunk.chunks_mut(n)) {
+                let a_blk = &rows[i][k0..k_end];
+                for j in i..n {
+                    let partial = dot_lanes(a_blk, &rows[j][k0..k_end]);
+                    if k0 == 0 {
+                        c_row[j] = partial;
+                    } else {
+                        c_row[j] += partial;
+                    }
+                }
+            }
+        }
+        return;
+    }
+    for tile_start in (row_start..row_end).step_by(GRAM_ROW_TILE) {
+        let tile_end = (tile_start + GRAM_ROW_TILE).min(row_end);
+        for (j, b_j) in rows.iter().enumerate().skip(tile_start) {
+            for i in tile_start..tile_end.min(j + 1) {
+                chunk[(i - row_start) * n + j] = dot_lanes(rows[i], b_j);
+            }
         }
     }
 }
@@ -858,7 +981,7 @@ mod tests {
         assert_eq!(m.get(2, 0), 50.0);
         m.set(0, 0, 9.0);
         assert_eq!(m.get(0, 0), 9.0);
-        assert_eq!(Matrix::from_rows(&[]).rows, 0);
+        assert_eq!(Matrix::from_rows::<Vec<f64>>(&[]).rows, 0);
     }
 
     #[test]
@@ -1045,8 +1168,69 @@ mod tests {
         assert_eq!(m, back);
     }
 
+    #[test]
+    fn triangle_split_is_monotone_complete_and_area_balanced() {
+        for n in 0..70usize {
+            for workers in 1..=n.clamp(1, 8) {
+                assert_eq!(triangle_first_row(n, workers, 0), 0);
+                assert_eq!(triangle_first_row(n, workers, workers), n);
+                let total = n * (n + 1) / 2;
+                for w in 0..workers {
+                    let (start, end) = (
+                        triangle_first_row(n, workers, w),
+                        triangle_first_row(n, workers, w + 1),
+                    );
+                    assert!(start <= end, "n={n} workers={workers} w={w}");
+                    // No range exceeds its fair share by more than the one
+                    // row that straddles the boundary.
+                    let area: usize = (start..end).map(|r| n - r).sum();
+                    assert!(
+                        area * workers <= total + n * workers,
+                        "n={n} workers={workers} w={w}: area {area} of {total}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Cutting the output rows anywhere — worker boundaries that fall
+        /// inside a tile, single-row and empty ranges — leaves every
+        /// upper-triangle entry with the bits of the one-piece kernel, in
+        /// both regimes (`k = 300` with `n <= 16` is the `k`-blocked one).
+        #[test]
+        fn gram_upper_rows_is_invariant_under_any_row_split(
+            n in 1usize..40,
+            long_rows in any::<bool>(),
+            cut_a in 0usize..40,
+            cut_b in 0usize..40,
+            seed in any::<u64>(),
+        ) {
+            let k = if long_rows { 300 } else { 37 };
+            let packed = deterministic_matrix(n, k, seed);
+            let rows: Vec<&[f64]> = (0..n).map(|i| packed.row(i)).collect();
+            let mut whole = vec![f64::NAN; n * n];
+            gram_upper_rows(&rows, 0, &mut whole);
+
+            let (lo, hi) = (cut_a.min(cut_b).min(n), cut_a.max(cut_b).min(n));
+            let mut pieces = vec![f64::NAN; n * n];
+            for (start, end) in [(0, lo), (lo, hi), (hi, n)] {
+                gram_upper_rows(&rows, start, &mut pieces[start * n..end * n]);
+            }
+            for i in 0..n {
+                for j in 0..n {
+                    let (a, b) = (whole[i * n + j], pieces[i * n + j]);
+                    if j >= i {
+                        prop_assert_eq!(a.to_bits(), b.to_bits());
+                    } else {
+                        // Below the diagonal nothing is written.
+                        prop_assert!(a.is_nan() && b.is_nan());
+                    }
+                }
+            }
+        }
 
         #[test]
         fn matvec_is_linear(rows in 1usize..20, cols in 1usize..20, seed in any::<u64>()) {

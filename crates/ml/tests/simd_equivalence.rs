@@ -17,7 +17,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use bfl_ml::model::{AnyModel, Model, ModelKind};
 use bfl_ml::tensor::{self, Matrix, Scratch};
-use bfl_ml::{metrics, simd};
+use bfl_ml::{metrics, par, simd};
 use proptest::prelude::*;
 
 /// Serializes tier flips across this binary's concurrently running
@@ -240,6 +240,113 @@ proptest! {
             y
         });
     }
+}
+
+/// The `j >= i` entries of a row-major `n x n` matrix, row by row.
+fn upper_entries(matrix: &[f64], n: usize) -> Vec<f64> {
+    (0..n)
+        .flat_map(|i| (i..n).map(move |j| (i, j)))
+        .map(|(i, j)| matrix[i * n + j])
+        .collect()
+}
+
+/// Everything `gram_upper` writes for `rows` — the entries with `j >= i`,
+/// row-major — under a pinned fan-out limit.
+fn gram_upper_entries(rows: &[&[f64]], thread_limit: usize) -> Vec<f64> {
+    let n = rows.len();
+    let mut out = vec![f64::NAN; n * n];
+    par::with_thread_limit(thread_limit, || tensor::gram_upper(rows, &mut out));
+    for i in 0..n {
+        for j in 0..i {
+            assert!(out[i * n + j].is_nan(), "entry ({i}, {j}) was written");
+        }
+    }
+    upper_entries(&out, n)
+}
+
+/// The same entries read out of the full `V · Vᵀ` GEMM the Gram path
+/// used to run — the bit patterns `gram_upper` must keep.
+fn gemm_nt_upper_entries(rows: &[&[f64]]) -> Vec<f64> {
+    let n = rows.len();
+    let k = rows.first().map_or(0, |row| row.len());
+    let packed: Vec<f64> = rows.iter().flat_map(|row| row.iter().copied()).collect();
+    let mut full = vec![0.0f64; n * n];
+    tensor::gemm_nt(&packed, &packed, &mut full, n, k, n);
+    upper_entries(&full, n)
+}
+
+/// Row lengths that end in every kind of tail: empty, sub-`LANES`
+/// scalar remainders, `LANES` tails, whole stripes, and both sides of
+/// the `2 * NT_K_BLOCK = 256` regime switch.
+const GRAM_ROW_LENGTHS: [usize; 14] = [0, 1, 7, 8, 9, 31, 32, 33, 40, 71, 256, 257, 300, 389];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The triangle kernel against the GEMM it replaced, entry by entry
+    /// and bit by bit, on both tiers. Every `n` in `0..70` is visited
+    /// (crossing the 16-row regime switch and the 16-row tiles) with row
+    /// lengths cycling through every tail, and one row is repeated so the
+    /// identical-rows ⇒ identical-entries guarantee is exercised too.
+    #[test]
+    fn gram_upper_matches_gemm_nt_bits(
+        shift in 0usize..14,
+        duplicate_to in 0usize..70,
+        duplicate_from in 0usize..70,
+        seed in buffer(70 * 389),
+    ) {
+        for n in 0..70 {
+            let k = GRAM_ROW_LENGTHS[(n + shift) % GRAM_ROW_LENGTHS.len()];
+            let mut rows: Vec<&[f64]> = (0..n).map(|i| &seed[i * k..(i + 1) * k]).collect();
+            if n > 0 {
+                rows[duplicate_to % n] = rows[duplicate_from % n];
+            }
+            assert_tiers_bit_identical("gram_upper vs gemm_nt", || {
+                let expected = gemm_nt_upper_entries(&rows);
+                let got = gram_upper_entries(&rows, 8);
+                assert!(
+                    got.iter().zip(&expected).all(|(g, e)| g.to_bits() == e.to_bits()),
+                    "n={n} k={k}: gram_upper differs from gemm_nt"
+                );
+                expected
+            });
+        }
+    }
+}
+
+/// A Gram large enough that the work gate really fans out — 2415 dots of
+/// 7001 multiply-adds split two, three and eight ways, boundaries landing
+/// inside 16-row tiles — still equals the serial kernel and the GEMM on
+/// every entry, under either tier.
+#[test]
+fn gram_upper_fans_out_without_changing_a_bit() {
+    let (n, k) = (69usize, 7001usize);
+    let mut state = 0x6AA3_u64;
+    let data: Vec<f64> = (0..n * k)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        })
+        .collect();
+    let mut rows: Vec<&[f64]> = data.chunks(k).collect();
+    // Identical rows on both sides of every worker boundary.
+    rows[68] = rows[0];
+    rows[40] = rows[3];
+    assert_tiers_bit_identical("gram_upper fan-out", || {
+        let expected = gemm_nt_upper_entries(&rows);
+        for limit in [1, 2, 3, 8] {
+            let got = gram_upper_entries(&rows, limit);
+            assert!(
+                got.iter()
+                    .zip(&expected)
+                    .all(|(g, e)| g.to_bits() == e.to_bits()),
+                "limit={limit}: gram_upper differs from gemm_nt"
+            );
+        }
+        expected
+    });
 }
 
 /// End-to-end: a full batched loss/gradient pass and an evaluation sweep

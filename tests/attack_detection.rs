@@ -188,3 +188,55 @@ fn attackers_that_are_caught_earn_no_rewards_that_round() {
         }
     }
 }
+
+#[test]
+fn a_non_finite_upload_is_rejected_at_admission_and_never_reaches_the_model() {
+    use fair_bfl::core::events::EventKind;
+    use fair_bfl::core::SyncMode;
+
+    // One attacker per round scales its update by NaN. Under the median
+    // anchor that used to panic the miner's sort; under the mean it
+    // silently turned the global model into NaNs.
+    let (train, test) = small_dataset();
+    let rounds = 3;
+    let mut config = attacked_config(rounds, PartitionKind::Iid);
+    config.anchor = AggregationAnchor::Median;
+    config.attack = AttackConfig {
+        enabled: true,
+        min_attackers: 1,
+        max_attackers: 1,
+        kind: AttackKind::Scaling { factor: f64::NAN },
+    };
+    let clients = config.fl.clients;
+
+    // Lockstep engine: the attacker's upload never enters the round.
+    let result = BflSimulation::new(config).run(&train, &test).unwrap();
+    assert_eq!(result.outcomes.len(), rounds);
+    for outcome in &result.outcomes {
+        assert_eq!(outcome.attackers.len(), 1);
+        assert_eq!(outcome.participants, clients - 1, "round {}", outcome.round);
+        assert!(outcome.accuracy.is_finite());
+    }
+    assert!(result.final_params.iter().all(|p| p.is_finite()));
+    assert!(result.final_accuracy().unwrap() > 0.3);
+
+    // Event engine: the miner refuses it like a bad signature.
+    config.sync = SyncMode::FlexibleQuota { quota: clients - 1 };
+    let scenario = Scenario::from_config(config).unwrap();
+    let mut run = scenario.start(&train, &test).unwrap();
+    run.run_to_completion().unwrap();
+    let rejected = run
+        .event_trace()
+        .iter()
+        .filter(|e| e.kind == EventKind::UploadRejected)
+        .count();
+    assert_eq!(rejected, rounds, "one refused upload per round");
+    let result = run.into_result();
+    assert_eq!(result.outcomes.len(), rounds);
+    assert!(result
+        .outcomes
+        .iter()
+        .all(|o| o.participants == clients - 1));
+    assert!(result.final_params.iter().all(|p| p.is_finite()));
+    assert!(result.final_accuracy().unwrap() > 0.3);
+}
