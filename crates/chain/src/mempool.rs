@@ -84,34 +84,24 @@ impl Mempool {
         keys: &KeyStore,
     ) -> Result<bool, CryptoError> {
         keys.verify(envelope)?;
-        if let Some(key) = upload_key(&tx) {
-            if !self.upload_keys.insert(key) {
-                return Ok(false);
-            }
-        }
-        self.pending.push_back(tx);
-        Ok(true)
+        Ok(self.submit_verified(tx))
     }
 
-    /// [`Mempool::submit_signed`] with a caller-supplied [`BatchVerifier`],
-    /// so an arrival loop draining many envelopes amortises one Montgomery
-    /// workspace across all of them. Decision-identical to
-    /// [`Mempool::submit_signed`].
-    pub fn submit_signed_with(
-        &mut self,
-        tx: Transaction,
-        envelope: &SignedMessage,
-        keys: &KeyStore,
-        verifier: &mut BatchVerifier,
-    ) -> Result<bool, CryptoError> {
-        keys.verify_cached(envelope, verifier)?;
+    /// Admits a transaction whose carrier signature the caller has already
+    /// verified against the signer's registered key — the event engine
+    /// checks detached signatures itself
+    /// ([`KeyStore::verify_detached`]) and builds the transaction only for
+    /// uploads that pass. Returns `false` when `tx` is a retransmit of a
+    /// pending local-gradient upload for the same `(round, client)` and was
+    /// ignored.
+    pub fn submit_verified(&mut self, tx: Transaction) -> bool {
         if let Some(key) = upload_key(&tx) {
             if !self.upload_keys.insert(key) {
-                return Ok(false);
+                return false;
             }
         }
         self.pending.push_back(tx);
-        Ok(true)
+        true
     }
 
     /// Admits a batch of signed transactions, verifying all envelopes as
@@ -133,13 +123,7 @@ impl Mempool {
             .zip(verdicts)
             .map(|((tx, _), verdict)| {
                 verdict?;
-                if let Some(key) = upload_key(&tx) {
-                    if !self.upload_keys.insert(key) {
-                        return Ok(false);
-                    }
-                }
-                self.pending.push_back(tx);
-                Ok(true)
+                Ok(self.submit_verified(tx))
             })
             .collect()
     }
@@ -360,7 +344,7 @@ mod tests {
         let mut verifier = BatchVerifier::new();
         let expected: Vec<_> = uploads
             .iter()
-            .map(|(tx, env)| serial.submit_signed_with(tx.clone(), env, &store, &mut verifier))
+            .map(|(tx, env)| serial.submit_signed(tx.clone(), env, &store))
             .collect();
 
         let mut batched = Mempool::new();

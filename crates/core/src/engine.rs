@@ -327,7 +327,11 @@ impl<'a> SimulationRun<'a> {
 pub(crate) type SteppedRound = (RoundOutcome, f64, Option<DetectionRow>);
 
 impl<'a> LearningState<'a> {
-    fn new(config: &BflConfig, train: &'a Dataset, test: &'a Dataset) -> Result<Self, CoreError> {
+    pub(crate) fn new(
+        config: &BflConfig,
+        train: &'a Dataset,
+        test: &'a Dataset,
+    ) -> Result<Self, CoreError> {
         let mut rng = StdRng::seed_from_u64(config.fl.seed);
 
         // Client population and data shards (reusing the FL trainer's

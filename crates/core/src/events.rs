@@ -8,17 +8,27 @@
 //! * **Procedure-I** is scheduled: each selected client's local pass
 //!   finishes at `round start + t_local · compute_multiplier` of its
 //!   [`NodeProfile`], producing a `TrainingFinished` event.
-//! * **Procedure-II** is the `TrainingFinished` handler: the client signs
-//!   its gradient, associates with a miner through the run's
-//!   [`Topology`](bfl_net::Topology), and the upload is scheduled to
-//!   arrive after its profile's uplink latency plus the payload transfer
-//!   and miner-side processing time.
-//! * The `UploadArrived` handler verifies the signature and admits the
-//!   upload into the chain's [`Mempool`] (via
-//!   [`Mempool::submit_signed`], the Figure 2 verification step). Stale
-//!   uploads — commissioned in an earlier round, arriving after that
-//!   round's block sealed — pass through the configured
-//!   [`StalenessPolicy`](crate::policy::StalenessPolicy) first.
+//! * **Procedure-II** starts where the paper puts it, at the client: the
+//!   worker that trains a client's pass signs the update right after, in
+//!   the same fan-out (`local_update::run_local_updates_signed`), and
+//!   the detached [`Signature`] (128 bytes under 1024-bit keys) rides the
+//!   upload's ticket through every retry, duplicate, strand and salvage —
+//!   one private-key operation per commission, none on the event pump. The
+//!   `TrainingFinished` handler then associates the client with a miner
+//!   through the run's [`Topology`](bfl_net::Topology), and the upload is
+//!   scheduled to arrive after its profile's uplink latency plus the
+//!   payload transfer and miner-side processing time.
+//! * The `UploadArrived` handler is the miner's half: it serialises the
+//!   upload, applies an in-transit corruption if one struck, verifies the
+//!   signature against the registered key (the Figure 2 verification
+//!   step) and admits the upload into the chain's [`Mempool`]
+//!   ([`Mempool::submit_verified`]). Stale uploads — commissioned in an
+//!   earlier round, arriving after that round's block sealed — pass
+//!   through the configured
+//!   [`StalenessPolicy`](crate::policy::StalenessPolicy) first; one the
+//!   policy discards whatever it carries is dropped unopened. (It was
+//!   still signed, in the parallel region, when its client sent it — a
+//!   client cannot know its upload will arrive late.)
 //! * **Procedures III–V** fire when the *flexible block quota* `K` of
 //!   uploads has arrived — the paper's flexible block size — rather than
 //!   when every participant reports: the miner drains the mempool,
@@ -66,10 +76,11 @@
 //! implicit `ClientPool` backend (`population` module) rejection-samples
 //! Procedure-I's selection without materializing a `Vec<Client>`; and
 //! under [`AggregationMode::Streaming`](crate::config::AggregationMode)
-//! each upload is carried as a *deferred ticket* — the local pass runs at
-//! admission against the commissioning round's snapshot of the global
-//! parameters (a pure function, so retries and duplicates resolve
-//! identically) — and Procedure-IV folds arrivals chunk by chunk: each
+//! each upload is carried as a *deferred ticket* — the local pass, and
+//! with it the client's signing, runs at admission against the
+//! commissioning round's snapshot of the global parameters (a pure
+//! function, so retries and duplicates resolve identically) — and
+//! Procedure-IV folds arrivals chunk by chunk: each
 //! full chunk runs Algorithm 2 as its own clustering committee and is
 //! absorbed into running aggregation sums, so no round ever holds more
 //! than one chunk of gradients. Rewards still settle exactly once per
@@ -97,8 +108,7 @@ use crate::simulation::{KpiRow, RoundOutcome};
 use bfl_chain::consensus::RoundConsensus;
 use bfl_chain::mempool::Mempool;
 use bfl_chain::Transaction;
-use bfl_crypto::signature::sign_message;
-use bfl_crypto::BatchVerifier;
+use bfl_crypto::{sign_detached, BatchVerifier, Signature};
 use bfl_fl::attack::AttackKind;
 use bfl_fl::client::{Client, LocalUpdate};
 use bfl_fl::selection::{drop_stragglers, select_clients};
@@ -129,12 +139,16 @@ pub enum EventKind {
     /// Procedure-II completed: the upload arrived and was admitted.
     UploadArrived,
     /// The upload arrived but the miner refused it: its signature failed
-    /// verification, or it carried a non-finite coordinate.
+    /// verification (or was missing), or it carried a non-finite
+    /// coordinate.
     UploadRejected,
     /// The upload was lost: its client churned offline before it landed,
     /// or a miner crash wiped it from the pending pool.
     UploadLost,
-    /// A stale upload was discarded by the staleness policy.
+    /// A stale upload was discarded by the staleness policy. Under
+    /// `StalenessPolicy::Discard` the verdict cannot depend on the
+    /// payload, so the upload is dropped unopened — it is `StaleDiscarded`
+    /// even if its payload would have been refused as non-finite.
     StaleDiscarded,
     /// A stale upload was decayed and carried into the next block.
     StaleIncluded,
@@ -174,19 +188,30 @@ pub struct EventRecord {
     pub kind: EventKind,
 }
 
-/// An upload in flight: either the eagerly computed local update (the
-/// PR 5/6 behaviour, bit-identity pinned), or a *deferred* commission
-/// that trains at admission time — the streaming aggregation path, where
-/// an event must not pin a full parameter vector per in-flight client.
+/// An upload in flight: either the eagerly computed local update with the
+/// signature its client made when it sent it, or a *deferred* commission
+/// that trains (and signs) at admission time — the streaming aggregation
+/// path, where an event must not pin a full parameter vector per
+/// in-flight client.
 ///
-/// A deferred ticket is resolved by a pure function of its fields (the
-/// client derivation, the attack designation, the born round's seed and
-/// global-parameter snapshot), so a retransmission or duplicate resolves
-/// to the identical [`LocalUpdate`] the original would have.
+/// Cloning a ticket (a duplicate delivery, an armed retransmission) clones
+/// the signature with it: however many copies of a commission travel, it
+/// was signed once. A deferred ticket is resolved by a pure function of
+/// its fields (the client derivation, the attack designation, the born
+/// round's seed and global-parameter snapshot), so a retransmission or
+/// duplicate resolves to the identical [`LocalUpdate`] — and, raw RSA
+/// being deterministic, the identical signature — the original would
+/// have.
 #[derive(Clone)]
 enum UploadTicket {
     /// The computed local update travels inside the event.
-    Ready(LocalUpdate),
+    Ready {
+        update: LocalUpdate,
+        /// The client's signature over what it sent, made at commission.
+        /// `None` when signatures are off, or when the client holds no
+        /// identity (the miner then rejects the upload).
+        signature: Option<Signature>,
+    },
     /// The local pass runs when the upload is admitted.
     Deferred {
         client_id: u64,
@@ -202,7 +227,7 @@ enum UploadTicket {
 impl UploadTicket {
     fn client_id(&self) -> u64 {
         match self {
-            UploadTicket::Ready(update) => update.client_id,
+            UploadTicket::Ready { update, .. } => update.client_id,
             UploadTicket::Deferred { client_id, .. } => *client_id,
         }
     }
@@ -252,7 +277,7 @@ struct ArrivedUpload {
 }
 
 /// An upload that landed on the partition's secondary component, held
-/// there until the mesh heals. Always a [`UploadTicket::Ready`] in
+/// there until the mesh heals. Always an `UploadTicket::Ready` in
 /// practice: streaming aggregation (the only producer of deferred
 /// tickets) rejects partition plans at validation.
 struct StrandedUpload {
@@ -775,6 +800,15 @@ fn step_flexible_inner(
             );
         }
     } else {
+        // Procedure-II's client half rides the same fan-out: the round's
+        // identities are resolved up front (the lazy chain derives or
+        // LRU-touches exactly the selection) and every worker signs the
+        // update it just trained.
+        if let Some(keys) = state.keys.as_mut() {
+            let ids: Vec<u64> = selected_positions.iter().map(|&p| p as u64).collect();
+            keys.ensure_selected(&ids).map_err(CoreError::from)?;
+        }
+        let pairs = state.keys.as_ref().map(KeyChain::pairs);
         let updates = if state.pool.is_implicit() {
             // Materialize exactly the round's working set and train over
             // identity positions (client id == population index).
@@ -783,7 +817,7 @@ fn step_flexible_inner(
                 .map(|&p| state.pool.client_cloned(p))
                 .collect();
             let identity: Vec<usize> = (0..round_clients.len()).collect();
-            local_update::run_local_updates_with_attacks(
+            local_update::run_local_updates_signed(
                 &round_clients,
                 &identity,
                 &attacks,
@@ -792,9 +826,10 @@ fn step_flexible_inner(
                 state.train,
                 &state.local_config,
                 round_seed,
+                pairs,
             )
         } else {
-            local_update::run_local_updates_with_attacks(
+            local_update::run_local_updates_signed(
                 state.pool.materialized_slice(),
                 &selected_positions,
                 &attacks,
@@ -803,9 +838,10 @@ fn step_flexible_inner(
                 state.train,
                 &state.local_config,
                 round_seed,
+                pairs,
             )
         };
-        for (&position, update) in selected_positions.iter().zip(updates) {
+        for (&position, (update, signature)) in selected_positions.iter().zip(updates) {
             let id = update.client_id;
             let steps = local_step_count(state.pool.sample_count(position), &state.local_config);
             let finish = round_start
@@ -818,7 +854,7 @@ fn step_flexible_inner(
                 finish,
                 EngineEvent::TrainingFinished {
                     born_round: round,
-                    update: UploadTicket::Ready(update),
+                    update: UploadTicket::Ready { update, signature },
                 },
             );
         }
@@ -1187,7 +1223,7 @@ fn step_flexible_inner(
                     let refs: Vec<&[f64]> = fresh
                         .iter()
                         .map(|s| match &s.update {
-                            UploadTicket::Ready(update) => update.params.as_slice(),
+                            UploadTicket::Ready { update, .. } => update.params.as_slice(),
                             UploadTicket::Deferred { .. } => {
                                 unreachable!("streaming aggregation rejects partition plans")
                             }
@@ -1615,10 +1651,24 @@ fn schedule_retry(
     }
 }
 
-/// The `UploadArrived` handler's admission step: the finite-gradient
-/// check, staleness policy for late uploads, Procedure-II signing,
-/// in-transit corruption, and signature verification (through the chain's mempool in mining modes —
-/// the Figure 2 step). Returns the trace kind of the resolution.
+/// The `UploadArrived` handler's admission step — the miner's half of
+/// Procedure-II. In order: the staleness verdict when it cannot depend on
+/// the payload, opening the ticket, the finite-gradient check, the
+/// staleness policy for carried uploads, serialisation, in-transit
+/// corruption, signature verification against the registered key
+/// (Figure 2), and admission to the chain's mempool in mining modes.
+/// Returns the trace kind of the resolution.
+///
+/// A `Ready` ticket arrives with the signature its client made at
+/// commission; nothing here touches a private key for it, so a corrupted
+/// delivery and its retransmission are checked against one and the same
+/// signature. A `Deferred` ticket's client signs here, where its pass
+/// runs.
+///
+/// A stale upload under `StalenessPolicy::Discard` is dropped before the
+/// ticket is opened — no deferred local pass, no serialisation — and is
+/// `StaleDiscarded` whatever its payload held. Fresh uploads and
+/// `DecayedInclude` keep the finite check first.
 #[allow(clippy::too_many_arguments)]
 fn admit_upload(
     state: &mut LearningState<'_>,
@@ -1631,25 +1681,33 @@ fn admit_upload(
     ticket: UploadTicket,
     corrupt: Option<(u64, u8)>,
 ) -> EventKind {
+    let age = round - born_round;
+    if age > 0 && config.staleness.discards_unseen() {
+        return EventKind::StaleDiscarded;
+    }
+
     // A deferred ticket runs its local pass now, against the commissioning
     // round's parameter snapshot — a pure function of the ticket, so a
     // retransmission or duplicate resolves to the identical update.
-    let update = match ticket {
-        UploadTicket::Ready(update) => update,
+    let (update, sent_signature, deferred) = match ticket {
+        UploadTicket::Ready { update, signature } => (update, signature, false),
         UploadTicket::Deferred {
             client_id,
             attack,
             born_seed,
             snapshot,
-        } => resolve_deferred(
-            state,
-            &mut rt.scratch,
-            config,
-            client_id,
-            attack,
-            born_seed,
-            &snapshot,
-        ),
+        } => {
+            let update = resolve_deferred(
+                state,
+                &mut rt.scratch,
+                config,
+                client_id,
+                attack,
+                born_seed,
+                &snapshot,
+            );
+            (update, None, true)
+        }
     };
     // A NaN or infinite coordinate would poison the anchor and the
     // aggregate for everyone: the miner refuses the upload outright, as
@@ -1660,11 +1718,7 @@ fn admit_upload(
     let id = update.client_id;
     let forged = update.forged;
     let final_epoch_loss = update.stats.final_epoch_loss;
-    let age = round - born_round;
-    let mines = config.mode.mines();
 
-    // Stale uploads consult the staleness policy first: a `Discard`
-    // verdict must not pay for an RSA signing operation it throws away.
     let decayed = if age > 0 {
         match config
             .staleness
@@ -1677,72 +1731,64 @@ fn admit_upload(
         None
     };
 
-    // Procedure-II signing: the client signs what it *sent* (the original
-    // upload). The sent gradient is serialized at most once — the buffer
-    // doubles as a fresh upload's transaction payload below. A lazy key
-    // chain derives (or LRU-touches) the identity right here, so stale
-    // and retried uploads stay signable after any amount of eviction.
-    let signing_key = match state.keys.as_mut() {
-        Some(chain) => match chain.signing_pair(id) {
-            Some(pair) => Some(pair),
-            None => return EventKind::UploadRejected,
-        },
+    // Miner-side verification of what the client sent and signed — the
+    // original upload, serialized once (the buffer doubles as a fresh
+    // upload's transaction payload below). The unsigned ablation has
+    // nothing to verify. Looking the identity up also re-registers a
+    // lazily provisioned key the LRU has evicted since the commission, so
+    // stale and retried uploads stay verifiable after any amount of
+    // eviction.
+    let sent_bytes = match state.keys.as_mut() {
         None => None,
-    };
-    let sent_bytes = signing_key
-        .is_some()
-        .then(|| gradient::to_bytes(&update.params));
-    let mut envelope = signing_key.map(|pair| {
-        sign_message(
-            id,
-            sent_bytes
-                .as_deref()
-                .expect("signing serialized the upload"),
-            &pair.private,
-        )
-    });
-    // The corrupt fault flips one byte of the signed envelope in transit;
-    // the miner's signature check below is the detector. (The unsigned
-    // ablation has no envelope — and no detector.)
-    if let (Some((seed, flip)), Some(env)) = (corrupt, envelope.as_mut()) {
-        if !env.payload.is_empty() {
-            let index = seed as usize % env.payload.len();
-            env.payload[index] ^= flip;
+        Some(chain) => {
+            let Some(pair) = chain.signing_pair(id) else {
+                return EventKind::UploadRejected;
+            };
+            let mut sent_bytes = gradient::to_bytes(&update.params);
+            let signature = match sent_signature {
+                Some(signature) => signature,
+                None if deferred => sign_detached(id, &sent_bytes, &pair.private),
+                // Commissioned without an identity: nothing vouches for it.
+                None => return EventKind::UploadRejected,
+            };
+            // The corrupt fault flips one byte of the payload in transit;
+            // the signature check is the detector. (The unsigned ablation
+            // has no detector.)
+            if let Some((seed, flip)) = corrupt {
+                if !sent_bytes.is_empty() {
+                    let index = seed as usize % sent_bytes.len();
+                    sent_bytes[index] ^= flip;
+                }
+            }
+            if chain
+                .store()
+                .verify_detached(id, &sent_bytes, &signature, &mut rt.verifier)
+                .is_err()
+            {
+                return EventKind::UploadRejected;
+            }
+            Some(sent_bytes)
         }
-    }
+    };
 
     // What the block may aggregate: the decayed vector for carried stale
     // uploads, the sent vector (moved, not cloned) for fresh ones.
-    let signed = envelope.is_some();
-    let (params, tx_bytes, kind) = match decayed {
-        Some(decayed) => {
-            let bytes = (mines && signed).then(|| gradient::to_bytes(&decayed));
-            (decayed, bytes, EventKind::StaleIncluded)
-        }
-        None => (update.params, sent_bytes, EventKind::UploadArrived),
+    let (params, kind) = match decayed {
+        Some(decayed) => (decayed, EventKind::StaleIncluded),
+        None => (update.params, EventKind::UploadArrived),
     };
 
-    // Miner-side verification against the registered key, at mempool
-    // admission (Figure 2); FL-only mode verifies without a pool, and
-    // the unsigned ablation has nothing to verify so it bypasses the
-    // mempool entirely.
-    if let (Some(envelope), Some(store)) = (&envelope, state.keys.as_ref().map(KeyChain::store)) {
-        if mines {
-            let tx = Transaction::local_gradient(
-                id,
-                born_round as u64,
-                tx_bytes.expect("signed uploads serialized the admitted payload"),
-            );
-            match rt
-                .mempool
-                .submit_signed_with(tx, envelope, store, &mut rt.verifier)
-            {
-                Err(_) => return EventKind::UploadRejected,
-                Ok(false) => return EventKind::DuplicateIgnored,
-                Ok(true) => {}
-            }
-        } else if store.verify_cached(envelope, &mut rt.verifier).is_err() {
-            return EventKind::UploadRejected;
+    // Mining modes admit the verified upload to the miner's mempool (the
+    // unsigned ablation bypasses the pool entirely): a carried stale
+    // upload as its decayed vector, a fresh one as the bytes just checked.
+    if let (true, Some(sent_bytes)) = (config.mode.mines(), sent_bytes) {
+        let tx_bytes = match kind {
+            EventKind::StaleIncluded => gradient::to_bytes(&params),
+            _ => sent_bytes,
+        };
+        let tx = Transaction::local_gradient(id, born_round as u64, tx_bytes);
+        if !rt.mempool.submit_verified(tx) {
+            return EventKind::DuplicateIgnored;
         }
     }
 
@@ -1794,4 +1840,297 @@ fn resolve_deferred(
         born_seed,
         scratch,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SyncMode;
+    use crate::policy::StalenessPolicy;
+    use bfl_crypto::RsaKeyPair;
+    use bfl_data::{Dataset, SynthMnist, SynthMnistConfig};
+    use bfl_fl::config::PartitionKind;
+    use bfl_ml::optimizer::LocalTrainingStats;
+
+    fn dataset() -> (Dataset, Dataset) {
+        let generator = SynthMnist::new(SynthMnistConfig {
+            train_samples: 120,
+            test_samples: 20,
+            noise_std: 0.05,
+            max_translation: 1.0,
+        });
+        generator.generate(&mut StdRng::seed_from_u64(99))
+    }
+
+    /// Six signed clients (256-bit keys, eager provisioning) on the event
+    /// engine, mining, stale uploads carried.
+    fn signed_config() -> BflConfig {
+        let mut config = BflConfig::small_test(3);
+        config.fl.clients = 6;
+        config.fl.participation_ratio = 1.0;
+        config.fl.partition = PartitionKind::Iid;
+        config.sync = SyncMode::FlexibleQuota { quota: 4 };
+        config.staleness = StalenessPolicy::DecayedInclude { decay: 0.5 };
+        config.validate().unwrap();
+        assert!(config.verify_signatures && config.mode.mines());
+        config
+    }
+
+    /// Procedure-I plus the client half of Procedure-II for `positions`,
+    /// exactly as `step_flexible_inner` commissions them.
+    fn commission(
+        state: &LearningState<'_>,
+        config: &BflConfig,
+        positions: &[usize],
+    ) -> Vec<UploadTicket> {
+        local_update::run_local_updates_signed(
+            state.pool.materialized_slice(),
+            positions,
+            &vec![None; positions.len()],
+            config.fl.model,
+            &state.global_params,
+            state.train,
+            &state.local_config,
+            config.fl.seed,
+            state.keys.as_ref().map(KeyChain::pairs),
+        )
+        .into_iter()
+        .map(|(update, signature)| UploadTicket::Ready { update, signature })
+        .collect()
+    }
+
+    /// Replaces `id`'s private half with an unrelated key while the miners
+    /// keep the public half they registered: from here on, anything signed
+    /// for `id` fails verification, so an upload of `id`'s that still
+    /// verifies can only carry a signature made before the swap.
+    fn swap_private_key(state: &mut LearningState<'_>, id: u64) {
+        let Some(KeyChain::Eager { pairs, .. }) = state.keys.as_mut() else {
+            panic!("the signed test config provisions eagerly");
+        };
+        let stranger = RsaKeyPair::generate(&mut StdRng::seed_from_u64(0x57A6), 256).unwrap();
+        pairs.insert(id, stranger);
+    }
+
+    fn admit(
+        state: &mut LearningState<'_>,
+        rt: &mut AsyncRuntime,
+        config: &BflConfig,
+        round: usize,
+        born_round: usize,
+        ticket: UploadTicket,
+        corrupt: Option<(u64, u8)>,
+    ) -> EventKind {
+        admit_upload(
+            state, rt, config, round, born_round, 0, 0.25, ticket, corrupt,
+        )
+    }
+
+    #[test]
+    fn a_retried_upload_is_checked_against_the_signature_made_at_commission() {
+        let (train, test) = dataset();
+        let config = signed_config();
+        let mut state = LearningState::new(&config, &train, &test).unwrap();
+        let mut rt = state.async_rt.take().unwrap();
+
+        // One private-key operation per commission: every ticket leaves
+        // the fan-out signed.
+        let mut tickets = commission(&state, &config, &[0, 1, 2]);
+        assert!(tickets
+            .iter()
+            .all(|t| matches!(t, UploadTicket::Ready { signature: Some(s), .. } if !s.is_empty())));
+        let (stale, fresh) = (tickets.pop().unwrap(), tickets.pop().unwrap());
+        swap_private_key(&mut state, 1);
+        swap_private_key(&mut state, 2);
+
+        // The corrupted delivery fails the miner's check ...
+        let corrupted = admit(
+            &mut state,
+            &mut rt,
+            &config,
+            1,
+            1,
+            fresh.clone(),
+            Some((12345, 0x20)),
+        );
+        assert_eq!(corrupted, EventKind::UploadRejected);
+        assert!(rt.arrived.is_empty() && rt.mempool.is_empty());
+        // ... and its retransmission passes it, with the signature the
+        // client made when it first sent the upload.
+        let retried = admit(&mut state, &mut rt, &config, 1, 1, fresh.clone(), None);
+        assert_eq!(retried, EventKind::UploadArrived);
+        assert!(rt.arrived.contains_key(&1));
+        assert_eq!(rt.mempool.len(), 1);
+        // A copy racing it is squashed by the pool's `(round, client)` key.
+        rt.arrived.remove(&1);
+        let raced = admit(&mut state, &mut rt, &config, 1, 1, fresh, None);
+        assert_eq!(raced, EventKind::DuplicateIgnored);
+
+        // A carried stale upload verifies the same way: what was signed
+        // is what was sent, whatever the block aggregates.
+        let carried = admit(&mut state, &mut rt, &config, 2, 1, stale, None);
+        assert_eq!(carried, EventKind::StaleIncluded);
+        assert_eq!(rt.mempool.len(), 2);
+    }
+
+    #[test]
+    fn an_upload_without_a_commission_signature_is_rejected() {
+        let (train, test) = dataset();
+        let config = signed_config();
+        let mut state = LearningState::new(&config, &train, &test).unwrap();
+        let mut rt = state.async_rt.take().unwrap();
+
+        // Client 3 holds no identity at all: unsigned at commission,
+        // unknown at admission.
+        let Some(KeyChain::Eager { pairs, .. }) = state.keys.as_mut() else {
+            panic!("eager chain");
+        };
+        pairs.remove(&3);
+        let mut tickets = commission(&state, &config, &[3, 4]);
+        let known = tickets.pop().unwrap();
+        let nobody = tickets.pop().unwrap();
+        assert!(matches!(
+            nobody,
+            UploadTicket::Ready {
+                signature: None,
+                ..
+            }
+        ));
+        assert_eq!(
+            admit(&mut state, &mut rt, &config, 1, 1, nobody, None),
+            EventKind::UploadRejected
+        );
+
+        // Client 4 has one, but its upload arrives bare: the miner never
+        // signs on a client's behalf.
+        let UploadTicket::Ready { update, signature } = known else {
+            unreachable!()
+        };
+        assert!(signature.is_some());
+        let bare = UploadTicket::Ready {
+            update,
+            signature: None,
+        };
+        assert_eq!(
+            admit(&mut state, &mut rt, &config, 1, 1, bare, None),
+            EventKind::UploadRejected
+        );
+        assert!(rt.arrived.is_empty() && rt.mempool.is_empty());
+    }
+
+    #[test]
+    fn a_stranded_upload_is_salvaged_with_its_commission_signature() {
+        let (train, test) = dataset();
+        let mut config = signed_config();
+        config.reorg = ReorgPolicy::Salvage;
+        let mut state = LearningState::new(&config, &train, &test).unwrap();
+        let mut rt = state.async_rt.take().unwrap();
+
+        let ticket = commission(&state, &config, &[5]).pop().unwrap();
+        swap_private_key(&mut state, 5);
+        rt.stranded.push(StrandedUpload {
+            update: ticket,
+            born_round: 1,
+            miner: 1,
+            train_finished_s: 0.5,
+        });
+        salvage_stranded(&mut state, &mut rt, &config, 2);
+        let last = rt.trace.last().expect("the salvage is traced");
+        assert_eq!((last.client_id, last.kind), (5, EventKind::StaleIncluded));
+        assert_eq!(rt.arrived[&5].born_round, 1);
+        assert_eq!(rt.delivered[&5], 1);
+    }
+
+    /// The discard-before-open rule, on the path it saves the most: a
+    /// deferred ticket's local pass.
+    #[test]
+    fn a_stale_upload_under_discard_is_dropped_unopened() {
+        let (train, test) = dataset();
+        let mut config = BflConfig::small_test(3);
+        config.fl.clients = 40;
+        config.fl.partition = PartitionKind::ImplicitIid {
+            samples_per_client: 6,
+        };
+        config.verify_signatures = false;
+        config.sync = SyncMode::FlexibleQuota { quota: 4 };
+        config.aggregation = AggregationMode::Streaming { chunk: 4 };
+        config.staleness = StalenessPolicy::Discard;
+        config.validate().unwrap();
+        let mut state = LearningState::new(&config, &train, &test).unwrap();
+        let mut rt = state.async_rt.take().unwrap();
+        assert_eq!(state.pool.resident(), 0, "nobody has been derived yet");
+
+        let deferred = |client_id: u64, snapshot: &[f64]| UploadTicket::Deferred {
+            client_id,
+            attack: None,
+            born_seed: 7,
+            snapshot: Arc::new(snapshot.to_vec()),
+        };
+        let snapshot = state.global_params.clone();
+        // Late: discarded without deriving the client or training it.
+        let late = admit(
+            &mut state,
+            &mut rt,
+            &config,
+            2,
+            1,
+            deferred(17, &snapshot),
+            None,
+        );
+        assert_eq!(late, EventKind::StaleDiscarded);
+        assert_eq!(state.pool.resident(), 0, "no local pass ran");
+        // On time: the same ticket trains at admission.
+        let fresh = admit(
+            &mut state,
+            &mut rt,
+            &config,
+            1,
+            1,
+            deferred(17, &snapshot),
+            None,
+        );
+        assert_eq!(fresh, EventKind::UploadArrived);
+        assert_eq!(state.pool.resident(), 1);
+        // Under a policy that reads the payload, a late ticket is opened.
+        config.staleness = StalenessPolicy::DecayedInclude { decay: 0.5 };
+        let carried = admit(
+            &mut state,
+            &mut rt,
+            &config,
+            2,
+            1,
+            deferred(18, &snapshot),
+            None,
+        );
+        assert_eq!(carried, EventKind::StaleIncluded);
+        assert_eq!(state.pool.resident(), 2);
+
+        // The documented difference: unopened means unchecked, so a late
+        // non-finite upload is `StaleDiscarded` under `Discard` and
+        // `UploadRejected` everywhere else.
+        let poisoned = || UploadTicket::Ready {
+            update: LocalUpdate {
+                client_id: 19,
+                params: vec![f64::NAN; snapshot.len()],
+                forged: true,
+                stats: LocalTrainingStats {
+                    steps: 1,
+                    final_epoch_loss: 0.5,
+                    update_norm: 1.0,
+                },
+            },
+            signature: None,
+        };
+        let kinds = |config: &BflConfig, state: &mut LearningState<'_>, rt: &mut AsyncRuntime| {
+            [2, 1].map(|round| admit(state, rt, config, round, 1, poisoned(), None))
+        };
+        assert_eq!(
+            kinds(&config, &mut state, &mut rt),
+            [EventKind::UploadRejected, EventKind::UploadRejected]
+        );
+        config.staleness = StalenessPolicy::Discard;
+        assert_eq!(
+            kinds(&config, &mut state, &mut rt),
+            [EventKind::StaleDiscarded, EventKind::UploadRejected]
+        );
+    }
 }

@@ -130,6 +130,13 @@ impl StalenessPolicy {
         }
     }
 
+    /// True when [`Self::apply`] returns `None` for every stale upload,
+    /// whatever it carries — the miner can then drop a late arrival
+    /// without opening it.
+    pub fn discards_unseen(&self) -> bool {
+        matches!(self, StalenessPolicy::Discard)
+    }
+
     /// Short display name (used by sweep labels and reports).
     pub fn name(&self) -> &'static str {
         match self {
@@ -392,6 +399,8 @@ mod tests {
         let global = [0.0, 0.0];
         let params = [4.0, -2.0];
         assert_eq!(StalenessPolicy::Discard.apply(&global, &params, 1), None);
+        assert!(StalenessPolicy::Discard.discards_unseen());
+        assert!(!StalenessPolicy::DecayedInclude { decay: 0.5 }.discards_unseen());
         assert_eq!(
             StalenessPolicy::DecayedInclude { decay: 0.5 }.apply(&global, &params, 1),
             Some(vec![2.0, -1.0])

@@ -6,7 +6,16 @@
 //! parallel — one fork/join task per participant, with each worker
 //! reusing a single scratch workspace across every client in its chunk,
 //! so the batched GEMM engine stays allocation-free for the whole round.
+//!
+//! The event engine's clients also *sign* here
+//! (`run_local_updates_signed`): a client signs what it sends when it
+//! sends it (Procedure-II, Figure 2), and the only batch of a
+//! flexible-quota round is this one — so each worker signs its client's
+//! update right after training it, and the round's private-key
+//! operations run in parallel instead of one at a time on the event pump.
 
+use crate::procedures::upload::sign_update;
+use bfl_crypto::{RsaKeyPair, Signature};
 use bfl_data::Dataset;
 use bfl_fl::attack::AttackKind;
 use bfl_fl::client::{Client, LocalUpdate};
@@ -14,6 +23,7 @@ use bfl_ml::model::ModelKind;
 use bfl_ml::optimizer::{local_step_count, LocalTrainingConfig};
 use bfl_ml::par;
 use bfl_ml::tensor::Scratch;
+use std::collections::BTreeMap;
 
 /// Runs Procedure-I for the given participants.
 ///
@@ -57,13 +67,76 @@ pub fn run_local_updates_with_attacks(
     local: &LocalTrainingConfig,
     round_seed: u64,
 ) -> Vec<LocalUpdate> {
+    fan_out(
+        clients,
+        participants,
+        attacks,
+        model,
+        global_params,
+        train,
+        local,
+        round_seed,
+        |update| update,
+    )
+}
+
+/// [`run_local_updates_with_attacks`] with Procedure-II's client half in
+/// the same fan-out: each worker signs the update it just trained with
+/// its client's key from `pairs` ([`sign_update`]). The signature is
+/// `None` when signatures are off (`pairs` is `None`) or the client holds
+/// no identity — the miner rejects the latter at admission.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_local_updates_signed(
+    clients: &[Client],
+    participants: &[usize],
+    attacks: &[Option<AttackKind>],
+    model: ModelKind,
+    global_params: &[f64],
+    train: &Dataset,
+    local: &LocalTrainingConfig,
+    round_seed: u64,
+    pairs: Option<&BTreeMap<u64, RsaKeyPair>>,
+) -> Vec<(LocalUpdate, Option<Signature>)> {
+    fan_out(
+        clients,
+        participants,
+        attacks,
+        model,
+        global_params,
+        train,
+        local,
+        round_seed,
+        |update| {
+            let signature = pairs
+                .and_then(|pairs| pairs.get(&update.client_id))
+                .map(|pair| sign_update(&update, &pair.private));
+            (update, signature)
+        },
+    )
+}
+
+/// The round's one fork/join over its participants: trains each under its
+/// attack designation and hands the update to `finish` on the same
+/// worker.
+#[allow(clippy::too_many_arguments)]
+fn fan_out<U: Send>(
+    clients: &[Client],
+    participants: &[usize],
+    attacks: &[Option<AttackKind>],
+    model: ModelKind,
+    global_params: &[f64],
+    train: &Dataset,
+    local: &LocalTrainingConfig,
+    round_seed: u64,
+    finish: impl Fn(LocalUpdate) -> U + Sync,
+) -> Vec<U> {
     assert_eq!(
         participants.len(),
         attacks.len(),
         "one attack designation per participant required"
     );
     par::par_map_with(participants, 1, Scratch::new, |scratch, position, &idx| {
-        clients[idx].local_update_as(
+        finish(clients[idx].local_update_as(
             attacks[position],
             model,
             global_params,
@@ -72,7 +145,7 @@ pub fn run_local_updates_with_attacks(
             local,
             round_seed,
             scratch,
-        )
+        ))
     })
 }
 

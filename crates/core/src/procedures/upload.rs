@@ -14,9 +14,13 @@
 //! cores through [`bfl_ml::par`]: miner association is drawn from the
 //! round RNG *before* the fan-out and results are stitched back in
 //! upload order, so a parallel round is bit-identical to a serial one.
+//!
+//! Signatures are detached ([`bfl_crypto::signature`]): `sign_update`
+//! hashes a client's gradient straight from its `f64`s, and the miner
+//! checks the signature against the serialized payload it received —
+//! no envelope copy on either side.
 
-use bfl_crypto::signature::sign_message;
-use bfl_crypto::{BatchVerifier, KeyStore, RsaKeyPair};
+use bfl_crypto::{BatchVerifier, EnvelopeDigest, KeyStore, RsaKeyPair, RsaPrivateKey, Signature};
 use bfl_fl::client::LocalUpdate;
 use bfl_ml::gradient;
 use bfl_ml::par;
@@ -72,6 +76,17 @@ enum Verdict {
     Rejected(u64),
 }
 
+/// The client half of Procedure-II: `update`'s owner signs what it is
+/// about to send — its id and its gradient's serialized form
+/// ([`gradient::to_bytes`]) — with its private key. The bytes are
+/// streamed into the digest, never materialised, so the signature equals
+/// `sign_detached(update.client_id, &to_bytes(&update.params), key)`.
+pub(crate) fn sign_update(update: &LocalUpdate, key: &RsaPrivateKey) -> Signature {
+    let mut digest = EnvelopeDigest::new(update.client_id);
+    gradient::stream_bytes(&update.params, |bytes| digest.update(bytes));
+    digest.sign(key)
+}
+
 /// Runs Procedure-II: associates every update with a random miner, signs
 /// the payload with the client's key, verifies at the miner, and groups the
 /// accepted uploads per miner.
@@ -107,9 +122,11 @@ pub fn upload_gradients<R: Rng + ?Sized>(
                 BatchVerifier::new,
                 |verifier, _, &(update, miner)| match pairs.get(&update.client_id) {
                     Some(pair) if gradient::all_finite(&update.params) => {
+                        let signature = sign_update(update, &pair.private);
                         let payload = gradient::to_bytes(&update.params);
-                        let envelope = sign_message(update.client_id, &payload, &pair.private);
-                        if store.verify_cached(&envelope, verifier).is_ok() {
+                        let verdict =
+                            store.verify_detached(update.client_id, &payload, &signature, verifier);
+                        if verdict.is_ok() {
                             Verdict::Accepted(verified(update, miner))
                         } else {
                             Verdict::Rejected(update.client_id)
@@ -174,6 +191,34 @@ mod tests {
                 update_norm: 1.0,
             },
         }
+    }
+
+    #[test]
+    fn sign_update_streams_the_same_preimage_the_miner_checks() {
+        use bfl_crypto::{sha256, sign_detached};
+        let mut store = KeyStore::new();
+        let mut rng = StdRng::seed_from_u64(13);
+        let pairs = store.provision(&mut rng, &[6], 256).unwrap();
+        // Longer than one streaming chunk, with a non-trivial tail.
+        let mut sent = update(6);
+        sent.params = (0..1300).map(|i| (i as f64).sin()).collect();
+
+        let signature = sign_update(&sent, &pairs[&6].private);
+        let payload = gradient::to_bytes(&sent.params);
+        assert_eq!(signature, sign_detached(6, &payload, &pairs[&6].private));
+        // What it signed is SHA-256 of `signer ‖ to_bytes(g)`: the public
+        // operation recovers exactly that digest.
+        let preimage = [&6u64.to_be_bytes()[..], &payload].concat();
+        let by_hand = bfl_crypto::BigUint::from_bytes_be(&sha256(&preimage));
+        let public = &pairs[&6].public;
+        assert_eq!(
+            public.apply(&signature.to_biguint()),
+            by_hand.rem(public.modulus())
+        );
+        let mut verifier = BatchVerifier::new();
+        store
+            .verify_detached(6, &payload, &signature, &mut verifier)
+            .expect("the miner accepts what the client signed");
     }
 
     #[test]

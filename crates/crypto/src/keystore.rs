@@ -8,7 +8,7 @@
 
 use crate::error::CryptoError;
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
-use crate::signature::{verify_message, BatchVerifier, SignedMessage};
+use crate::signature::{verify_message, BatchVerifier, Signature, SignedMessage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -79,11 +79,31 @@ impl KeyStore {
         message: &SignedMessage,
         verifier: &mut BatchVerifier,
     ) -> Result<(), CryptoError> {
+        self.verify_detached(
+            message.signer,
+            &message.payload,
+            &message.signature,
+            verifier,
+        )
+    }
+
+    /// Verifies a detached `signature` over `signer ‖ payload` against
+    /// the key registered for `signer`, through a shared
+    /// [`BatchVerifier`]: the miner-side check for an upload whose payload
+    /// and signature travel separately. Decision-identical to
+    /// [`KeyStore::verify`] on the assembled envelope.
+    pub fn verify_detached(
+        &self,
+        signer: u64,
+        payload: &[u8],
+        signature: &Signature,
+        verifier: &mut BatchVerifier,
+    ) -> Result<(), CryptoError> {
         let key = self
             .keys
-            .get(&message.signer)
-            .ok_or(CryptoError::UnknownSigner(message.signer))?;
-        verifier.confirm(message, key)
+            .get(&signer)
+            .ok_or(CryptoError::UnknownSigner(signer))?;
+        verifier.confirm_detached(signer, payload, signature, key)
     }
 
     /// Verifies a slice of signed messages as a batch, returning one
@@ -364,8 +384,14 @@ mod tests {
         let unknown = sign_message(4, b"upload", &pairs[&3].private);
         let mut verifier = BatchVerifier::new();
         for msg in [&good, &bad, &unknown] {
-            assert_eq!(store.verify_cached(msg, &mut verifier), store.verify(msg));
+            let expected = store.verify(msg);
+            assert_eq!(store.verify_cached(msg, &mut verifier), expected);
+            assert_eq!(
+                store.verify_detached(msg.signer, &msg.payload, &msg.signature, &mut verifier),
+                expected
+            );
         }
+        assert_eq!(store.verify(&unknown), Err(CryptoError::UnknownSigner(4)));
     }
 
     #[test]

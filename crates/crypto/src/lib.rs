@@ -62,4 +62,7 @@ pub use keystore::{KeyStore, LazyKeyVault};
 pub use montgomery::{MontWorkspace, MontgomeryCtx};
 pub use rsa::{CrtFactors, RsaKeyPair, RsaPrivateKey, RsaPublicKey};
 pub use sha256::{sha256, Sha256};
-pub use signature::{sign_message, verify_message, BatchVerifier, Signature, SignedMessage};
+pub use signature::{
+    sign_detached, sign_message, verify_detached, verify_message, BatchVerifier, EnvelopeDigest,
+    Signature, SignedMessage,
+};

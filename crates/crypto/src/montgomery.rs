@@ -12,10 +12,27 @@
 //! [`MontgomeryCtx`] carries the per-modulus precomputation (`n'` and
 //! `R^2 mod n`) and implements fixed 4-bit-window exponentiation whose
 //! inner loop is allocation-free: the window table is built once per
-//! exponentiation and every multiply writes through reusable scratch
-//! buffers. The CIOS words are the 64-bit limbs of [`BigUint`], so a
-//! 1024-bit modulus runs 16-limb inner loops with `u128`
-//! multiply-accumulates.
+//! exponentiation and every multiply writes through the buffers of a
+//! [`MontWorkspace`]. The CIOS words are the 64-bit limbs of
+//! [`BigUint`], with `u128` multiply-accumulates.
+//!
+//! ## Fixed-width kernel
+//!
+//! The limb counts the simulation actually runs — 2 and 4 (the CRT primes
+//! and moduli of 256-bit keys), 8 and 16 (the same for 1024-bit keys,
+//! and the primes of 2048-bit ones) — dispatch to one const-generic
+//! multiply, `mul_fixed`: the trip counts are compile-time constants,
+//! the accumulator is a stack array the compiler keeps in registers (or
+//! spills without bounds checks at 16 limbs), the final conditional
+//! subtract is a select instead of a branch, and no scratch slice is
+//! walked. Squarings at these widths are `mul_fixed(a, a)`: a fixed-width
+//! SOS square (half the limb products, but a second pass over a
+//! double-width accumulator) measured level with it at 8 limbs and 10%
+//! behind at 16, so it was not kept. Every other width runs the generic
+//! slice loops — CIOS multiply, SOS square — which are also the oracle
+//! the fixed kernel is tested against limb for limb: a Montgomery product
+//! of reduced operands is a unique residue, so the two can only agree or
+//! be wrong.
 //!
 //! Building a context costs one full division (`R^2 mod n`), which is
 //! why the RSA key types ([`crate::rsa`]) cache one context per key
@@ -67,9 +84,10 @@ pub struct MontElem {
 /// sequence through one workspace with zero per-operation allocation.
 #[derive(Debug, Default)]
 pub struct MontWorkspace {
-    /// CIOS accumulator, `k + 2` limbs (or `2k + 2` after
-    /// [`MontgomeryCtx::prepare`], which unlocks the squaring-specialised
-    /// reduction).
+    /// Accumulator of the generic-width loops, `2k + 2` limbs: the SOS
+    /// square needs `2k + 1`, the CIOS multiply `k + 2` (its spare upper
+    /// half doubles as the output of [`MontgomeryCtx::recover_value`],
+    /// the only use the fixed-width kernel has for it).
     scratch: Vec<u64>,
     /// Swap target for in-place multiplies, `k` limbs.
     tmp: Vec<u64>,
@@ -141,7 +159,7 @@ impl MontgomeryCtx {
     pub fn workspace(&self) -> MontWorkspace {
         let k = self.k();
         MontWorkspace {
-            scratch: vec![0u64; k + 2],
+            scratch: vec![0u64; 2 * k + 2],
             tmp: vec![0u64; k],
             table: Vec::new(),
             value: vec![0u64; k],
@@ -153,11 +171,9 @@ impl MontgomeryCtx {
     /// actually changed. This is what lets one workspace serve a whole
     /// batch of keys: the batched verification paths call `prepare` per
     /// key and pay nothing when consecutive keys share a width (every
-    /// simulation key at one `modulus_bits` does).
-    ///
-    /// A prepared workspace carries a `2k + 2`-limb scratch — large
-    /// enough for the squaring-specialised reduction
-    /// that [`Self::pow_in_place`] then uses for its squarings.
+    /// simulation key at one `modulus_bits` does), and one thread-local
+    /// workspace serve both CRT halves of every signature a thread makes
+    /// (see [`crate::rsa`]).
     pub fn prepare(&self, ws: &mut MontWorkspace) {
         let k = self.k();
         if ws.value.len() != k {
@@ -202,7 +218,7 @@ impl MontgomeryCtx {
         match limbs.len().cmp(&self.k()) {
             std::cmp::Ordering::Less => true,
             std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => Self::less_than(limbs, &self.n),
+            std::cmp::Ordering::Equal => less_than(limbs, &self.n),
         }
     }
 
@@ -283,12 +299,22 @@ impl MontgomeryCtx {
         MontElem { limbs: ws.value }
     }
 
-    /// The working element mapped back to an ordinary residue (a
-    /// convenience over [`Self::recover`] for workspace chains).
-    pub fn recover_value(&self, ws: &MontWorkspace) -> BigUint {
-        self.recover(&MontElem {
-            limbs: ws.value.clone(),
-        })
+    /// The working element mapped back to an ordinary residue: one
+    /// Montgomery multiply by `1` through the workspace's own buffers, so
+    /// the returned `BigUint` is the only allocation.
+    pub fn recover_value(&self, ws: &mut MontWorkspace) -> BigUint {
+        let k = self.k();
+        let MontWorkspace {
+            scratch,
+            tmp,
+            value,
+            ..
+        } = ws;
+        tmp.fill(0);
+        tmp[0] = 1;
+        let (scratch, out) = scratch.split_at_mut(k + 2);
+        self.mul_into(value, tmp, scratch, &mut out[..k]);
+        BigUint::from_limbs(out[..k].to_vec())
     }
 
     /// Maps a Montgomery-domain element back to an ordinary residue.
@@ -404,7 +430,17 @@ impl MontgomeryCtx {
     /// Convenience: full modular exponentiation `base^exponent mod n`
     /// through the Montgomery domain.
     pub fn modpow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        self.recover(&self.pow(&self.convert(base), exponent))
+        self.modpow_in(base, exponent, &mut self.workspace())
+    }
+
+    /// [`Self::modpow`] through a caller-held workspace (re-fitted to
+    /// this context first), so a caller exponentiating repeatedly — the
+    /// CRT signing path — allocates nothing per call but the result.
+    pub fn modpow_in(&self, base: &BigUint, exponent: &BigUint, ws: &mut MontWorkspace) -> BigUint {
+        self.prepare(ws);
+        self.load(base, ws);
+        self.pow_in_place(exponent, ws);
+        self.recover_value(ws)
     }
 
     /// Extracts the `w`-th 4-bit window of `exponent` (window 0 holds the
@@ -417,45 +453,47 @@ impl MontgomeryCtx {
         ((limb >> (bit % 64)) & (TABLE_LEN as u64 - 1)) as usize
     }
 
-    /// Squares `a` into `out` (`out = a^2 * R^{-1} mod n`), dispatching
-    /// to the squaring-specialised reduction when the scratch is large
-    /// enough (a [`Self::prepare`]d workspace) and to the generic CIOS
-    /// multiply otherwise. Squarings are ~84% of a 65537-exponent verify
-    /// (16 of 19 reductions), which is why the batch-verify paths prepare
-    /// their workspaces.
+    /// Squares `a` into `out` (`out = a^2 * R^{-1} mod n`). Squarings are
+    /// ~84% of a 65537-exponent verify (16 of 19 reductions) and four in
+    /// five reductions of a windowed private exponentiation; the generic
+    /// widths give them the SOS form, the fixed widths their multiply (see
+    /// the module docs).
     #[inline]
     fn square_into(&self, a: &[u64], scratch: &mut [u64], out: &mut [u64]) {
-        if scratch.len() > 2 * self.k() {
-            self.sqr_into(a, scratch, out);
-        } else {
-            self.mul_into(a, a, scratch, out);
+        match self.k() {
+            // The widths `mul_into` has a fixed kernel for.
+            2 | 4 | 8 | 16 => self.mul_into(a, a, scratch, out),
+            _ => self.sqr_into_generic(a, scratch, out),
         }
     }
 
-    /// SOS Montgomery squaring: `out = a^2 * R^{-1} mod n`.
+    /// `out = a * b * R^{-1} mod n` for `k`-limb operands below `n`,
+    /// through the fixed-width kernel when the width has one. No heap
+    /// allocation occurs here — this is the innermost loop of every
+    /// exponentiation.
+    #[inline]
+    fn mul_into(&self, a: &[u64], b: &[u64], scratch: &mut [u64], out: &mut [u64]) {
+        match self.k() {
+            2 => mul_fixed::<2>(a, b, &self.n, self.n0_inv, out),
+            4 => mul_fixed::<4>(a, b, &self.n, self.n0_inv, out),
+            8 => mul_fixed::<8>(a, b, &self.n, self.n0_inv, out),
+            16 => mul_fixed::<16>(a, b, &self.n, self.n0_inv, out),
+            _ => self.mul_into_generic(a, b, scratch, out),
+        }
+    }
+
+    /// SOS Montgomery squaring at any width: `out = a^2 * R^{-1} mod n`.
     ///
     /// Computes the full `2k`-limb square first — off-diagonal partial
     /// products once, doubled, then the diagonal — and Montgomery-reduces
     /// it in a second pass. The symmetry saves nearly half the limb
     /// multiplies of a generic CIOS multiply. `scratch` must hold at
     /// least `2k + 1` limbs.
-    fn sqr_into(&self, a: &[u64], scratch: &mut [u64], out: &mut [u64]) {
+    fn sqr_into_generic(&self, a: &[u64], scratch: &mut [u64], out: &mut [u64]) {
         let k = self.k();
         debug_assert_eq!(a.len(), k);
         debug_assert_eq!(out.len(), k);
         debug_assert!(scratch.len() > 2 * k);
-        if k == 2 {
-            // The unrolled two-limb CIOS already keeps everything in
-            // registers; the split square/reduce passes would only add
-            // memory traffic.
-            return self.mul_into_k2(a, a, out);
-        }
-        if k == 4 {
-            // Same story at four limbs: the unrolled CIOS beats the
-            // split square/reduce passes, whose savings only outgrow
-            // the extra memory traffic at wider moduli.
-            return self.mul_into_k4(a, a, out);
-        }
         let t = &mut scratch[..2 * k + 1];
         t.fill(0);
 
@@ -519,45 +557,20 @@ impl MontgomeryCtx {
 
         // a < n keeps the reduced value below 2n; one conditional
         // subtract brings it into [0, n). t[2k] is the overflow limb.
-        let needs_sub = t[2 * k] != 0 || !Self::less_than(&t[k..2 * k], &self.n);
-        if needs_sub {
-            let mut borrow: u64 = 0;
-            for j in 0..k {
-                let (d1, b1) = t[k + j].overflowing_sub(self.n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 | b2) as u64;
-            }
-            debug_assert_eq!(borrow, t[2 * k]);
-        } else {
-            out.copy_from_slice(&t[k..2 * k]);
-        }
+        reduce_once(&t[k..2 * k], t[2 * k], &self.n, out);
     }
 
-    /// CIOS Montgomery multiply-accumulate: `out = a * b * R^{-1} mod n`.
+    /// CIOS Montgomery multiply-accumulate at any width:
+    /// `out = a * b * R^{-1} mod n`.
     ///
     /// `a`, `b` and `out` are `k`-limb little-endian buffers holding
-    /// values below `n`; `scratch` must hold `k + 2` limbs. No heap
-    /// allocation occurs here — this is the innermost loop of every
-    /// exponentiation.
-    fn mul_into(&self, a: &[u64], b: &[u64], scratch: &mut [u64], out: &mut [u64]) {
+    /// values below `n`; `scratch` must hold `k + 2` limbs.
+    fn mul_into_generic(&self, a: &[u64], b: &[u64], scratch: &mut [u64], out: &mut [u64]) {
         let k = self.k();
         debug_assert_eq!(a.len(), k);
         debug_assert_eq!(b.len(), k);
         debug_assert_eq!(out.len(), k);
         debug_assert!(scratch.len() >= k + 2);
-        if k == 2 {
-            // Two-limb moduli (the CRT primes of 256-bit simulation keys,
-            // every Miller-Rabin witness behind them) are the hottest
-            // case: a fully unrolled CIOS keeps the accumulator in
-            // registers instead of walking the scratch slice.
-            return self.mul_into_k2(a, b, out);
-        }
-        if k == 4 {
-            // Four-limb moduli are every 256-bit verify — the default
-            // upload-signature width — so they get the same treatment.
-            return self.mul_into_k4(a, b, out);
-        }
         let t = &mut scratch[..k + 2];
         t.fill(0);
 
@@ -592,138 +605,92 @@ impl MontgomeryCtx {
 
         // The CIOS invariant keeps t < 2n; one conditional subtract
         // brings the result into [0, n).
-        let needs_sub = t[k] != 0 || !Self::less_than(&t[..k], &self.n);
-        if needs_sub {
-            let mut borrow: u64 = 0;
-            for j in 0..k {
-                let (d1, b1) = t[j].overflowing_sub(self.n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 | b2) as u64;
-            }
-            debug_assert_eq!(borrow, t[k]);
-        } else {
-            out.copy_from_slice(&t[..k]);
+        reduce_once(&t[..k], t[k], &self.n, out);
+    }
+}
+
+/// Limb-slice comparison `a < b` for equal-length buffers.
+fn less_than(a: &[u64], b: &[u64]) -> bool {
+    for i in (0..a.len()).rev() {
+        match a[i].cmp(&b[i]) {
+            std::cmp::Ordering::Less => return true,
+            std::cmp::Ordering::Greater => return false,
+            std::cmp::Ordering::Equal => {}
         }
     }
+    false
+}
 
-    /// Fully unrolled CIOS for `k == 2`: same recurrence as the generic
-    /// loop, with the four-limb accumulator held in scalars.
-    #[inline]
-    fn mul_into_k2(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        let (b0, b1) = (b[0], b[1]);
-        let (n0, n1) = (self.n[0], self.n[1]);
+/// The final step of every reduction: `t` (with overflow limb `top`) is
+/// below `2n`, so one conditional subtract lands `out` in `[0, n)`.
+#[inline(always)]
+fn reduce_once(t: &[u64], top: u64, n: &[u64], out: &mut [u64]) {
+    if top == 0 && less_than(t, n) {
+        out.copy_from_slice(t);
+        return;
+    }
+    let mut borrow: u64 = 0;
+    for ((slot, &t), &n) in out.iter_mut().zip(t).zip(n) {
+        let (d1, b1) = t.overflowing_sub(n);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        *slot = d2;
+        borrow = (b1 | b2) as u64;
+    }
+    debug_assert_eq!(borrow, top);
+}
 
-        let mut t0: u64 = 0;
-        let mut t1: u64 = 0;
-        let mut t2: u64 = 0;
-        for &ai in &a[..2] {
-            // t += a_i * b
-            let s0 = t0 as u128 + ai as u128 * b0 as u128;
-            let s1 = t1 as u128 + ai as u128 * b1 as u128 + (s0 >> 64);
-            let s2 = t2 as u128 + (s1 >> 64);
-            t0 = s0 as u64;
-            t1 = s1 as u64;
-            t2 = s2 as u64;
-            let t3 = (s2 >> 64) as u64;
-
-            // m = t0 * n' mod 2^64; t = (t + m * n) / 2^64.
-            let m = t0.wrapping_mul(self.n0_inv);
-            let r0 = t0 as u128 + m as u128 * n0 as u128;
-            debug_assert_eq!(r0 as u64, 0);
-            let r1 = t1 as u128 + m as u128 * n1 as u128 + (r0 >> 64);
-            let r2 = t2 as u128 + (r1 >> 64);
-            t0 = r1 as u64;
-            t1 = r2 as u64;
-            t2 = t3.wrapping_add((r2 >> 64) as u64);
+/// Fixed-width Montgomery multiply: `out = a * b * R^{-1} mod n` for
+/// `K`-limb operands below `n`.
+///
+/// The same recurrence as [`MontgomeryCtx::mul_into_generic`] with the
+/// two inner passes fused: row `i` adds `a[i] * b` and `m * n` to the
+/// accumulator in one sweep over two carry chains and shifts it down a
+/// limb as it goes. `K` is a compile-time constant, so the sweep unrolls
+/// and the accumulator lives in registers instead of a scratch slice.
+#[inline(always)]
+fn mul_fixed<const K: usize>(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, out: &mut [u64]) {
+    let a: &[u64; K] = a.try_into().expect("operand width is the kernel's");
+    let b: &[u64; K] = b.try_into().expect("operand width is the kernel's");
+    let n: &[u64; K] = n.try_into().expect("modulus width is the kernel's");
+    let mut t = [0u64; K];
+    // t < 2n throughout, so the limb above t[K - 1] is a single bit.
+    let mut top: u64 = 0;
+    for &ai in a {
+        let ai = ai as u128;
+        let s = t[0] as u128 + ai * b[0] as u128;
+        // m = t[0] * n' mod 2^64: adding m * n clears the low limb
+        // exactly, so shifting it out drops no bits.
+        let m = (s as u64).wrapping_mul(n0_inv) as u128;
+        let r = (s as u64) as u128 + m * n[0] as u128;
+        debug_assert_eq!(r as u64, 0);
+        let mut carry_ab = s >> 64;
+        let mut carry_mn = r >> 64;
+        for j in 1..K {
+            let s = t[j] as u128 + ai * b[j] as u128 + carry_ab;
+            carry_ab = s >> 64;
+            let r = (s as u64) as u128 + m * n[j] as u128 + carry_mn;
+            carry_mn = r >> 64;
+            t[j - 1] = r as u64;
         }
-
-        // t < 2n, one conditional subtract (t2 is the overflow limb).
-        if t2 != 0 || (t1, t0) >= (n1, n0) {
-            let (d0, borrow0) = t0.overflowing_sub(n0);
-            let (d1, borrow1a) = t1.overflowing_sub(n1);
-            let (d1, borrow1b) = d1.overflowing_sub(borrow0 as u64);
-            debug_assert_eq!((borrow1a | borrow1b) as u64, t2);
-            out[0] = d0;
-            out[1] = d1;
-        } else {
-            out[0] = t0;
-            out[1] = t1;
-        }
+        let s = top as u128 + carry_ab + carry_mn;
+        t[K - 1] = s as u64;
+        top = (s >> 64) as u64;
     }
 
-    /// Fully unrolled four-limb CIOS: same algorithm as the general
-    /// loop, with the five-limb accumulator held in scalars. 256-bit
-    /// moduli are the default signature-verification width, so this is
-    /// the inner loop of every upload check a round performs.
-    #[inline]
-    fn mul_into_k4(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        let (b0, b1, b2, b3) = (b[0], b[1], b[2], b[3]);
-        let (n0, n1, n2, n3) = (self.n[0], self.n[1], self.n[2], self.n[3]);
-
-        let mut t0: u64 = 0;
-        let mut t1: u64 = 0;
-        let mut t2: u64 = 0;
-        let mut t3: u64 = 0;
-        let mut t4: u64 = 0;
-        for &ai in &a[..4] {
-            // t += a_i * b
-            let s0 = t0 as u128 + ai as u128 * b0 as u128;
-            let s1 = t1 as u128 + ai as u128 * b1 as u128 + (s0 >> 64);
-            let s2 = t2 as u128 + ai as u128 * b2 as u128 + (s1 >> 64);
-            let s3 = t3 as u128 + ai as u128 * b3 as u128 + (s2 >> 64);
-            let s4 = t4 as u128 + (s3 >> 64);
-            t0 = s0 as u64;
-            t1 = s1 as u64;
-            t2 = s2 as u64;
-            t3 = s3 as u64;
-            t4 = s4 as u64;
-            let t5 = (s4 >> 64) as u64;
-
-            // m = t0 * n' mod 2^64; t = (t + m * n) / 2^64.
-            let m = t0.wrapping_mul(self.n0_inv);
-            let r0 = t0 as u128 + m as u128 * n0 as u128;
-            debug_assert_eq!(r0 as u64, 0);
-            let r1 = t1 as u128 + m as u128 * n1 as u128 + (r0 >> 64);
-            let r2 = t2 as u128 + m as u128 * n2 as u128 + (r1 >> 64);
-            let r3 = t3 as u128 + m as u128 * n3 as u128 + (r2 >> 64);
-            let r4 = t4 as u128 + (r3 >> 64);
-            t0 = r1 as u64;
-            t1 = r2 as u64;
-            t2 = r3 as u64;
-            t3 = r4 as u64;
-            t4 = t5.wrapping_add((r4 >> 64) as u64);
-        }
-
-        // t < 2n, one conditional subtract (t4 is the overflow limb).
-        if t4 != 0 || (t3, t2, t1, t0) >= (n3, n2, n1, n0) {
-            let mut borrow: u64 = 0;
-            for (slot, (t, n)) in out.iter_mut().zip([(t0, n0), (t1, n1), (t2, n2), (t3, n3)]) {
-                let (d1, b1) = t.overflowing_sub(n);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                *slot = d2;
-                borrow = (b1 | b2) as u64;
-            }
-            debug_assert_eq!(borrow, t4);
-        } else {
-            out[0] = t0;
-            out[1] = t1;
-            out[2] = t2;
-            out[3] = t3;
-        }
+    // t < 2n: subtract n and keep the difference unless it borrowed past
+    // the top bit. Fixed width, so both candidates sit in registers and
+    // the choice is a select, not a branch on data that is a coin flip
+    // for full-width moduli.
+    let mut reduced = [0u64; K];
+    let mut borrow = false;
+    for j in 0..K {
+        let (d1, b1) = t[j].overflowing_sub(n[j]);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        reduced[j] = d2;
+        borrow = b1 | b2;
     }
-
-    /// Limb-slice comparison `a < b` for equal-length buffers.
-    fn less_than(a: &[u64], b: &[u64]) -> bool {
-        for i in (0..a.len()).rev() {
-            match a[i].cmp(&b[i]) {
-                std::cmp::Ordering::Less => return true,
-                std::cmp::Ordering::Greater => return false,
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-        false
-    }
+    let out: &mut [u64; K] = out.try_into().expect("output width is the kernel's");
+    *out = if top == 0 && borrow { t } else { reduced };
 }
 
 #[cfg(test)]
@@ -842,8 +809,8 @@ mod tests {
             ctx.load_bytes_be(&bytes, &mut ws_bytes);
             ctx.load(&BigUint::from_bytes_be(&bytes), &mut ws_ref);
             assert_eq!(
-                ctx.recover_value(&ws_bytes),
-                ctx.recover_value(&ws_ref),
+                ctx.recover_value(&mut ws_bytes),
+                ctx.recover_value(&mut ws_ref),
                 "bytes = {bytes:02x?}"
             );
         }
@@ -873,10 +840,10 @@ mod tests {
     }
 
     #[test]
-    fn prepared_workspace_squarings_match_generic_multiplies() {
+    fn fitted_and_refitted_workspaces_exponentiate_identically() {
         let _guard = engine::mode_lock();
-        // Odd moduli across limb counts, including k > 2 where the SOS
-        // squaring path actually runs.
+        // Odd moduli across limb counts: fixed-width kernels (k = 2, 4)
+        // and the generic loops (k = 1, 3).
         for dec in [
             "1000003",
             "170141183460469231731687303715884105727", // 2^127 - 1 (k = 2)
@@ -895,11 +862,15 @@ mod tests {
             ctx.load(&a, &mut plain);
             ctx.pow_in_place(&e, &mut plain);
             assert_eq!(prepared.value, plain.value, "modulus {dec}");
+            let reference = engine::with_reference_mode(|| a.modpow(&e, &m));
+            assert_eq!(ctx.recover_value(&mut plain), reference);
             // Long (windowed) exponents agree too.
             let d = BigUint::from_decimal_str("123456789012345678901234567890123456789").unwrap();
             ctx.load(&a, &mut prepared);
             ctx.pow_in_place(&d, &mut prepared);
-            assert_eq!(ctx.modpow(&a, &d), ctx.recover_value(&prepared));
+            assert_eq!(ctx.modpow(&a, &d), ctx.recover_value(&mut prepared));
+            let reference = engine::with_reference_mode(|| a.modpow(&d, &m));
+            assert_eq!(ctx.modpow(&a, &d), reference);
         }
     }
 
@@ -923,13 +894,146 @@ mod tests {
         large.load(&a, &mut ws);
         large.pow_in_place(&BigUint::from_u32(65537), &mut ws);
         assert_eq!(
-            large.recover_value(&ws),
+            large.recover_value(&mut ws),
             large.modpow(&a, &BigUint::from_u32(65537))
         );
         small.prepare(&mut ws);
         small.load(&big(7), &mut ws);
         small.pow_in_place(&big(13), &mut ws);
-        assert_eq!(small.recover_value(&ws), small.modpow(&big(7), &big(13)));
+        assert_eq!(
+            small.recover_value(&mut ws),
+            small.modpow(&big(7), &big(13))
+        );
+    }
+
+    /// A deterministic stream of limbs for the kernel comparisons.
+    fn limb_stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// The fixed-width multiply against the generic slice loops, limb for
+    /// limb, on one modulus and a set of edge operands. Returns
+    /// how many products needed the final subtract and how many did not,
+    /// decided by the textbook REDC `t = (ab + mn) / R` in `BigUint`
+    /// arithmetic — a third, independent statement of the result.
+    fn check_width<const K: usize>(next: &mut impl FnMut() -> u64, dense: bool) -> (usize, usize) {
+        let mut n: Vec<u64> = (0..K).map(|_| next()).collect();
+        n[0] |= 1;
+        if dense {
+            // n just under R: the unreduced accumulator lands in [n, 2n)
+            // about half the time.
+            n.iter_mut().for_each(|limb| *limb = u64::MAX);
+            n[0] = u64::MAX - 58;
+        } else {
+            // n far below R: the final subtract all but never fires.
+            n[K - 1] = (n[K - 1] >> 40) | 1;
+        }
+        let modulus = BigUint::from_limbs(n.clone());
+        let ctx = MontgomeryCtx::new(&modulus).unwrap();
+        assert_eq!(ctx.k(), K);
+        let r = BigUint::one().shl(64 * K);
+        let neg_n_inv = r.sub(&modulus.modinv(&r).unwrap());
+
+        let n_minus_one = modulus.sub(&BigUint::one());
+        let pad = |v: &BigUint| {
+            let mut limbs = v.limbs().to_vec();
+            limbs.resize(K, 0);
+            limbs
+        };
+        let mut operands: Vec<Vec<u64>> = vec![
+            vec![0; K],
+            pad(&BigUint::one()),
+            pad(&n_minus_one),
+            // All-ones limbs reduced into range: the largest carries the
+            // accumulator can see.
+            pad(&BigUint::from_limbs(vec![u64::MAX; K]).rem(&modulus)),
+        ];
+        for _ in 0..6 {
+            let raw: Vec<u64> = (0..K).map(|_| next()).collect();
+            operands.push(pad(&BigUint::from_limbs(raw).rem(&modulus)));
+        }
+
+        let mut scratch = vec![0u64; 2 * K + 2];
+        let (mut fixed, mut generic) = (vec![0u64; K], vec![0u64; K]);
+        let (mut subtracted, mut direct) = (0usize, 0usize);
+        for a in &operands {
+            for b in &operands {
+                mul_fixed::<K>(a, b, &ctx.n, ctx.n0_inv, &mut fixed);
+                ctx.mul_into_generic(a, b, &mut scratch, &mut generic);
+                assert_eq!(fixed, generic, "K={K} mul a={a:x?} b={b:x?}");
+                // The dispatching entry point lands on the same limbs.
+                ctx.mul_into(a, b, &mut scratch, &mut generic);
+                assert_eq!(fixed, generic);
+
+                let ab = BigUint::from_limbs(a.clone()).mul(&BigUint::from_limbs(b.clone()));
+                let m = ab.rem(&r).mul(&neg_n_inv).rem(&r);
+                let t = ab.add(&m.mul(&modulus)).shr(64 * K);
+                let expected = if t >= modulus {
+                    subtracted += 1;
+                    t.sub(&modulus)
+                } else {
+                    direct += 1;
+                    t
+                };
+                assert_eq!(fixed, pad(&expected), "K={K} REDC a={a:x?} b={b:x?}");
+            }
+            // a == b: the squaring entry point against the generic SOS loop.
+            ctx.square_into(a, &mut scratch, &mut fixed);
+            ctx.sqr_into_generic(a, &mut scratch, &mut generic);
+            assert_eq!(fixed, generic, "K={K} sqr a={a:x?}");
+        }
+        (subtracted, direct)
+    }
+
+    #[test]
+    fn the_fixed_width_kernel_matches_the_generic_loops_limb_for_limb() {
+        let mut next = limb_stream(0x13_F1ED);
+        for dense in [true, false, true, false] {
+            for (subtracted, direct) in [
+                check_width::<2>(&mut next, dense),
+                check_width::<4>(&mut next, dense),
+                check_width::<8>(&mut next, dense),
+                check_width::<16>(&mut next, dense),
+            ] {
+                assert!(direct > 0, "some product must skip the final subtract");
+                assert!(
+                    !dense || subtracted > 0,
+                    "a modulus just under R must force the final subtract"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_exponentiation_matches_the_reference_path() {
+        let _guard = engine::mode_lock();
+        let mut next = limb_stream(0xE4_9013);
+        for k in [2usize, 4, 8, 16] {
+            let mut n: Vec<u64> = (0..k).map(|_| next()).collect();
+            n[0] |= 1;
+            n[k - 1] |= 1 << 63;
+            let modulus = BigUint::from_limbs(n);
+            let ctx = MontgomeryCtx::new(&modulus).unwrap();
+            let base = BigUint::from_limbs((0..k).map(|_| next()).collect());
+            let exponent = BigUint::from_limbs((0..k).map(|_| next()).collect());
+            let reference = engine::with_reference_mode(|| base.modpow(&exponent, &modulus));
+            assert_eq!(ctx.modpow(&base, &exponent), reference, "k={k}");
+            // A workspace warmed on another width re-fits and agrees.
+            let mut ws = MontWorkspace::new();
+            MontgomeryCtx::new(&big(1_000_003))
+                .unwrap()
+                .prepare(&mut ws);
+            assert_eq!(ctx.modpow_in(&base, &exponent, &mut ws), reference);
+            assert_eq!(ctx.modpow_in(&base, &exponent, &mut ws), reference);
+        }
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //! q_inv)`, so [`RsaPrivateKey::apply`] runs two half-size Montgomery
 //! exponentiations and recombines by Garner's formula — roughly 4x
 //! faster than a full-size exponentiation, on top of the Montgomery
-//! speedup itself. Keys built from `(n, d)` alone (deserialized legacy
+//! speedup itself. Both halves run through one thread-local
+//! [`MontWorkspace`], re-fitted only when the prime width changes, so a
+//! thread signing a batch (a `bfl_ml::par` worker signing its clients'
+//! updates) allocates no Montgomery scratch after its first signature
+//! and gets the squaring kernel on every exponentiation. Keys built from
+//! `(n, d)` alone (deserialized legacy
 //! material, external test vectors) still work through the plain path,
 //! and [`crate::engine::set_reference_mode`] forces the retained
 //! seed-path square-and-multiply for equivalence testing and
@@ -31,11 +36,19 @@
 use crate::bigint::BigUint;
 use crate::engine;
 use crate::error::CryptoError;
-use crate::montgomery::MontgomeryCtx;
+use crate::montgomery::{MontWorkspace, MontgomeryCtx};
 use crate::prime::{generate_prime, miller_rabin_rounds};
 use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
+use std::cell::RefCell;
 use std::sync::OnceLock;
+
+thread_local! {
+    /// This thread's Montgomery scratch for private-key operations (see
+    /// the module docs). Pure scratch: every use re-fits and reloads it,
+    /// so it carries nothing from one signature to the next.
+    static SIGNING_WORKSPACE: RefCell<MontWorkspace> = RefCell::new(MontWorkspace::new());
+}
 
 /// The conventional RSA public exponent.
 pub const PUBLIC_EXPONENT: u32 = 65537;
@@ -262,7 +275,9 @@ impl RsaPrivateKey {
             return self.apply_crt(message, crt);
         }
         match self.mont.get_or_build(&self.modulus) {
-            Some(ctx) => ctx.modpow(message, &self.exponent),
+            Some(ctx) => {
+                SIGNING_WORKSPACE.with_borrow_mut(|ws| ctx.modpow_in(message, &self.exponent, ws))
+            }
             None => message.modpow(&self.exponent, &self.modulus),
         }
     }
@@ -270,16 +285,23 @@ impl RsaPrivateKey {
     /// CRT signing: `s_p = m^{d_p} mod p`, `s_q = m^{d_q} mod q`,
     /// `s = s_q + q * (q_inv (s_p - s_q) mod p)`.
     fn apply_crt(&self, message: &BigUint, crt: &CrtFactors) -> BigUint {
+        let reduced;
         let m = if *message < self.modulus {
-            message.clone()
+            message
         } else {
-            message.rem(&self.modulus)
+            reduced = message.rem(&self.modulus);
+            &reduced
         };
         let (s_p, s_q) = match (
             self.crt_p_mont.get_or_build(&crt.p),
             self.crt_q_mont.get_or_build(&crt.q),
         ) {
-            (Some(ctx_p), Some(ctx_q)) => (ctx_p.modpow(&m, &crt.d_p), ctx_q.modpow(&m, &crt.d_q)),
+            (Some(ctx_p), Some(ctx_q)) => SIGNING_WORKSPACE.with_borrow_mut(|ws| {
+                (
+                    ctx_p.modpow_in(m, &crt.d_p, ws),
+                    ctx_q.modpow_in(m, &crt.d_q, ws),
+                )
+            }),
             // Unreachable for generated keys (primes are odd), but keeps
             // hand-built factors correct.
             _ => (

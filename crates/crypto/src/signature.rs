@@ -7,23 +7,35 @@
 //! modulus, the payload is first hashed with SHA-256 and the digest, reduced
 //! modulo `n`, is what gets exponentiated.
 //!
-//! [`verify_message`] is the one-shot entry point; [`BatchVerifier`] is
-//! the amortized one. A round's uploads arrive as a batch, and the
-//! one-shot path pays roughly a dozen small allocations per call
-//! (workspace buffers for the Montgomery convert/pow/recover chain, the
-//! digest preimage, the explicit digest reduction). The batch verifier
-//! keeps a single prepared [`MontWorkspace`] plus a reusable preimage
-//! buffer across the whole batch, compares in the Montgomery domain
-//! (skipping the recover multiply), and gets the squaring-specialised
-//! reduction that prepared workspaces unlock — same accept/reject
-//! decision per upload, measurably less constant overhead per upload.
+//! ## Detached signatures
+//!
+//! A signature is over `signer ‖ payload` and never needs the two in one
+//! buffer: [`EnvelopeDigest`] streams the signer prefix and then the
+//! payload — in as many pieces as the caller has it — through the
+//! incremental SHA-256, so neither signing nor verifying builds a
+//! preimage, copies the payload, or constructs a [`SignedMessage`].
+//! [`sign_detached`] / [`verify_detached`] /
+//! [`BatchVerifier::confirm_detached`] are the primitives; a client that
+//! holds its gradient as `f64`s feeds an [`EnvelopeDigest`] chunk by
+//! chunk and calls [`EnvelopeDigest::sign`]. [`sign_message`],
+//! [`verify_message`] and [`BatchVerifier::confirm`] are thin wrappers
+//! for callers that do want the owning envelope, with identical bytes
+//! and decisions.
+//!
+//! [`verify_detached`] is the one-shot check; [`BatchVerifier`] is the
+//! amortized one. A round's uploads arrive as a batch, and the one-shot
+//! path allocates a Montgomery workspace and the digest reduction per
+//! call. The batch verifier keeps a single [`MontWorkspace`] across the
+//! whole batch (re-fitted only when the key width changes) and compares
+//! in the Montgomery domain (skipping the recover multiply) — same
+//! accept/reject decision per upload, less constant overhead per upload.
 
 use crate::bigint::BigUint;
 use crate::engine;
 use crate::error::CryptoError;
 use crate::montgomery::MontWorkspace;
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
-use crate::sha256::sha256;
+use crate::sha256::{sha256, Digest, Sha256};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -62,37 +74,87 @@ pub struct SignedMessage {
     pub signature: Signature,
 }
 
-/// Reduces the SHA-256 digest of `signer || payload` into the key's modulus.
-fn digest_as_integer(signer: u64, payload: &[u8], modulus: &BigUint) -> BigUint {
-    let mut preimage = Vec::with_capacity(payload.len() + 8);
-    preimage.extend_from_slice(&signer.to_be_bytes());
-    preimage.extend_from_slice(payload);
-    let digest = sha256(&preimage);
-    BigUint::from_bytes_be(&digest).rem(modulus)
+/// The streaming SHA-256 of a signed envelope's preimage,
+/// `signer (8 bytes, big-endian) ‖ payload`. The one place that format
+/// lives: every sign and verify path in this module hashes through it.
+#[derive(Debug, Clone)]
+pub struct EnvelopeDigest {
+    hasher: Sha256,
 }
 
-/// Signs `payload` on behalf of `signer` with `key`.
-pub fn sign_message(signer: u64, payload: &[u8], key: &RsaPrivateKey) -> SignedMessage {
-    let m = digest_as_integer(signer, payload, key.modulus());
-    let s = key.apply(&m);
-    SignedMessage {
-        signer,
-        payload: payload.to_vec(),
-        signature: Signature {
-            bytes: s.to_bytes_be(),
-        },
+impl EnvelopeDigest {
+    /// Starts the digest of an envelope signed by `signer`.
+    pub fn new(signer: u64) -> Self {
+        let mut hasher = Sha256::new();
+        hasher.update(&signer.to_be_bytes());
+        EnvelopeDigest { hasher }
+    }
+
+    /// Absorbs the next piece of the payload.
+    pub fn update(&mut self, payload_part: &[u8]) {
+        self.hasher.update(payload_part);
+    }
+
+    /// The digest of `signer ‖ payload` for a payload held in one piece.
+    fn of(signer: u64, payload: &[u8]) -> Digest {
+        let mut digest = EnvelopeDigest::new(signer);
+        digest.update(payload);
+        digest.hasher.finalize()
+    }
+
+    /// Signs the absorbed envelope with `key`: the digest, reduced modulo
+    /// `n`, raised to the private exponent. Raw hash-then-sign draws no
+    /// randomness, so the same envelope and key always give the same
+    /// bytes.
+    pub fn sign(self, key: &RsaPrivateKey) -> Signature {
+        sign_digest(&self.hasher.finalize(), key)
     }
 }
 
-/// Verifies a [`SignedMessage`] against the claimed signer's public key.
-pub fn verify_message(message: &SignedMessage, key: &RsaPublicKey) -> Result<(), CryptoError> {
-    let expected = digest_as_integer(message.signer, &message.payload, key.modulus());
-    let recovered = key.apply(&message.signature.to_biguint());
+fn sign_digest(digest: &Digest, key: &RsaPrivateKey) -> Signature {
+    let m = BigUint::from_bytes_be(digest).rem(key.modulus());
+    Signature {
+        bytes: key.apply(&m).to_bytes_be(),
+    }
+}
+
+/// Signs `payload` on behalf of `signer` with `key`, returning only the
+/// signature: nothing is copied, the payload is only read.
+pub fn sign_detached(signer: u64, payload: &[u8], key: &RsaPrivateKey) -> Signature {
+    sign_digest(&EnvelopeDigest::of(signer, payload), key)
+}
+
+/// Verifies a detached `signature` over `signer ‖ payload` against the
+/// claimed signer's public key.
+pub fn verify_detached(
+    signer: u64,
+    payload: &[u8],
+    signature: &Signature,
+    key: &RsaPublicKey,
+) -> Result<(), CryptoError> {
+    let digest = EnvelopeDigest::of(signer, payload);
+    let expected = BigUint::from_bytes_be(&digest).rem(key.modulus());
+    let recovered = key.apply(&signature.to_biguint());
     if recovered == expected {
         Ok(())
     } else {
         Err(CryptoError::InvalidSignature)
     }
+}
+
+/// Signs `payload` on behalf of `signer` with `key`, returning the owning
+/// envelope ([`sign_detached`] plus a copy of the payload).
+pub fn sign_message(signer: u64, payload: &[u8], key: &RsaPrivateKey) -> SignedMessage {
+    SignedMessage {
+        signer,
+        payload: payload.to_vec(),
+        signature: sign_detached(signer, payload, key),
+    }
+}
+
+/// Verifies a [`SignedMessage`] against the claimed signer's public key.
+pub fn verify_message(message: &SignedMessage, key: &RsaPublicKey) -> Result<(), CryptoError> {
+    verify_detached(message.signer, &message.payload, &message.signature, key)
 }
 
 /// Exponent bit length at which the random-linear-combination screen
@@ -106,9 +168,9 @@ pub fn verify_message(message: &SignedMessage, key: &RsaPublicKey) -> Result<(),
 const SCREEN_MIN_EXPONENT_BITS: usize = 128;
 
 /// Verifies uploads in batches, amortizing the per-call setup that
-/// [`verify_message`] pays: one prepared [`MontWorkspace`] (re-fitted
-/// only when the key width changes) and one preimage buffer serve the
-/// whole batch, and comparisons happen in the Montgomery domain.
+/// [`verify_detached`] pays: one [`MontWorkspace`] (re-fitted only when
+/// the key width changes) serves the whole batch, and comparisons happen
+/// in the Montgomery domain.
 ///
 /// [`BatchVerifier::verify_batch`] additionally runs a screen-then-confirm
 /// pass: signatures sharing a `(modulus, exponent)` pair are screened with
@@ -131,7 +193,6 @@ const SCREEN_MIN_EXPONENT_BITS: usize = 128;
 #[derive(Debug, Default)]
 pub struct BatchVerifier {
     ws: MontWorkspace,
-    preimage: Vec<u8>,
     confirms: u64,
     screen_passes: u64,
     screen_fallbacks: u64,
@@ -143,36 +204,39 @@ impl BatchVerifier {
         Self::default()
     }
 
-    /// SHA-256 digest of `signer || payload` through the reusable
-    /// preimage buffer.
-    fn digest32(&mut self, signer: u64, payload: &[u8]) -> [u8; 32] {
-        self.preimage.clear();
-        self.preimage.extend_from_slice(&signer.to_be_bytes());
-        self.preimage.extend_from_slice(payload);
-        sha256(&self.preimage)
-    }
-
     /// Verifies one message exactly like [`verify_message`], through the
-    /// shared workspace. Decisions are identical: both compare
-    /// `s^e mod n` against the reduced digest, here via the (bijective)
-    /// Montgomery images instead of the recovered residues.
+    /// shared workspace ([`Self::confirm_detached`] on its parts).
     pub fn confirm(
         &mut self,
         message: &SignedMessage,
         key: &RsaPublicKey,
     ) -> Result<(), CryptoError> {
+        self.confirm_detached(message.signer, &message.payload, &message.signature, key)
+    }
+
+    /// Verifies a detached signature exactly like [`verify_detached`],
+    /// through the shared workspace. Decisions are identical: both
+    /// compare `s^e mod n` against the reduced digest, here via the
+    /// (bijective) Montgomery images instead of the recovered residues.
+    pub fn confirm_detached(
+        &mut self,
+        signer: u64,
+        payload: &[u8],
+        signature: &Signature,
+        key: &RsaPublicKey,
+    ) -> Result<(), CryptoError> {
         self.confirms += 1;
         if engine::reference_mode() {
-            return verify_message(message, key);
+            return verify_detached(signer, payload, signature, key);
         }
         let Some(ctx) = key.montgomery_ctx() else {
             // Even/trivial modulus: no Montgomery context exists and the
             // one-shot path's reference exponentiation is the only route.
-            return verify_message(message, key);
+            return verify_detached(signer, payload, signature, key);
         };
-        let digest = self.digest32(message.signer, &message.payload);
+        let digest = EnvelopeDigest::of(signer, payload);
         ctx.prepare(&mut self.ws);
-        ctx.load_bytes_be(&message.signature.bytes, &mut self.ws);
+        ctx.load_bytes_be(&signature.bytes, &mut self.ws);
         ctx.pow_in_place(key.exponent(), &mut self.ws);
         ctx.stash_value(&mut self.ws);
         ctx.load_bytes_be(&digest, &mut self.ws);
@@ -265,7 +329,7 @@ impl BatchVerifier {
         let mut transcript = Vec::new();
         for &i in indices {
             let (message, _) = batch[i];
-            let digest = self.digest32(message.signer, &message.payload);
+            let digest = EnvelopeDigest::of(message.signer, &message.payload);
             transcript.extend_from_slice(&message.signer.to_be_bytes());
             transcript.extend_from_slice(&digest);
             transcript.extend_from_slice(&(message.signature.bytes.len() as u64).to_be_bytes());
@@ -525,6 +589,113 @@ mod tests {
         verify_message(&back, &pair.public).unwrap();
     }
 
+    #[test]
+    fn envelope_digest_is_sha256_of_signer_then_payload_however_it_is_fed() {
+        let payload: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        let mut preimage = 0xDEAD_BEEF_u64.to_be_bytes().to_vec();
+        preimage.extend_from_slice(&payload);
+        let expected = sha256(&preimage);
+        assert_eq!(EnvelopeDigest::of(0xDEAD_BEEF, &payload), expected);
+        for piece in [1usize, 7, 56, 64, 299, 300] {
+            let mut digest = EnvelopeDigest::new(0xDEAD_BEEF);
+            payload.chunks(piece).for_each(|part| digest.update(part));
+            assert_eq!(digest.hasher.finalize(), expected, "piece = {piece}");
+        }
+    }
+
+    /// The detached API against the envelope API it now underlies: same
+    /// signature bytes, same verdict, for every way a check can fail.
+    fn assert_detached_matches_envelope(
+        signer: u64,
+        payload: &[u8],
+        private: &RsaPrivateKey,
+        public: &RsaPublicKey,
+        other: &RsaPublicKey,
+    ) {
+        let envelope = sign_message(signer, payload, private);
+        let signature = sign_detached(signer, payload, private);
+        assert_eq!(envelope.signature, signature);
+        assert_eq!(envelope.payload, payload);
+        let mut streamed = EnvelopeDigest::new(signer);
+        payload.chunks(61).for_each(|part| streamed.update(part));
+        assert_eq!(streamed.sign(private), signature);
+
+        let mut tampered_payload = payload.to_vec();
+        match tampered_payload.last_mut() {
+            Some(last) => *last ^= 0x10,
+            None => tampered_payload.push(0),
+        }
+        let mut tampered_signature = signature.clone();
+        match tampered_signature.bytes.first_mut() {
+            Some(first) => *first ^= 0x01,
+            None => tampered_signature.bytes.push(1),
+        }
+        let mut verifier = BatchVerifier::new();
+        for (case, signer, payload, signature, key, ok) in [
+            ("valid", signer, payload, &signature, public, true),
+            (
+                "payload",
+                signer,
+                &tampered_payload[..],
+                &signature,
+                public,
+                false,
+            ),
+            ("signer", signer ^ 1, payload, &signature, public, false),
+            (
+                "signature",
+                signer,
+                payload,
+                &tampered_signature,
+                public,
+                false,
+            ),
+            ("wrong key", signer, payload, &signature, other, false),
+        ] {
+            let message = SignedMessage {
+                signer,
+                payload: payload.to_vec(),
+                signature: signature.clone(),
+            };
+            let expected = verify_message(&message, key);
+            assert_eq!(expected.is_ok(), ok, "{case}");
+            assert_eq!(verify_detached(signer, payload, signature, key), expected);
+            assert_eq!(verifier.confirm(&message, key), expected, "{case}");
+            assert_eq!(
+                verifier.confirm_detached(signer, payload, signature, key),
+                expected,
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
+    fn detached_matches_envelope_at_block_boundaries_and_upload_size() {
+        let _guard = crate::engine::mode_lock();
+        let pair = keypair();
+        let other = {
+            let mut rng = StdRng::seed_from_u64(0x0DD);
+            RsaKeyPair::generate(&mut rng, 256).unwrap()
+        };
+        // The 8-byte signer prefix shifts SHA-256's padding boundaries:
+        // 47/48 and 55/56 payload bytes straddle the one- and two-block
+        // paddings; 62 800 is a 7850-parameter upload.
+        for len in [0usize, 1, 47, 48, 55, 56, 57, 63, 64, 119, 120, 128, 62_800] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+            for reference in [false, true] {
+                crate::engine::set_reference_mode(reference);
+                assert_detached_matches_envelope(
+                    len as u64,
+                    &payload,
+                    &pair.private,
+                    &pair.public,
+                    &other.public,
+                );
+            }
+            crate::engine::set_reference_mode(false);
+        }
+    }
+
     mod batch_equivalence_properties {
         use super::*;
         use proptest::prelude::*;
@@ -547,6 +718,22 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Detached signing and verification agree with the envelope
+            /// forms on arbitrary payloads and signers, under both key
+            /// regimes.
+            #[test]
+            fn detached_equals_envelope_for_arbitrary_payloads(
+                payload in proptest::collection::vec(any::<u8>(), 0..200),
+                signer in any::<u64>(),
+                key_choice in any::<bool>(),
+            ) {
+                let pairs = shared_pairs();
+                let (private, public) = &pairs[usize::from(key_choice)];
+                let (_, other) = &pairs[usize::from(!key_choice)];
+                let _guard = crate::engine::mode_lock();
+                assert_detached_matches_envelope(signer, &payload, private, public, other);
+            }
 
             /// Batched verification reaches exactly the per-upload
             /// `verify_message` verdicts for arbitrary accept/reject

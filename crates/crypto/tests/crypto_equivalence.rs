@@ -319,6 +319,67 @@ proptest! {
     }
 }
 
+/// CRT signing through the thread's reused Montgomery workspace ≡ the
+/// reference-mode `(n, d)` exponentiation at the key sizes whose primes
+/// take the fixed-width kernel (4, 8 and 16 limbs) — cold (a fresh
+/// thread's empty workspace, cold key caches), warm (the same thread
+/// again), and across re-fits (the sizes interleaved on one workspace).
+/// The 2048-bit leg runs in optimized builds only: its reference side is
+/// a full-size square-and-multiply over bit-by-bit division.
+#[test]
+fn crt_sign_through_the_reused_workspace_matches_reference_mode() {
+    let mut sizes = vec![512usize, 1024];
+    if !cfg!(debug_assertions) {
+        sizes.push(2048);
+    }
+    let mut rng = StdRng::seed_from_u64(0x51_6E13);
+    let pairs: Vec<RsaKeyPair> = sizes
+        .iter()
+        .map(|&bits| RsaKeyPair::generate(&mut rng, bits).expect("keygen"))
+        .collect();
+    let message = BigUint::from_bytes_be(&bfl_crypto::sha256(b"gradient upload, round 13"));
+
+    let _guard = engine::mode_lock();
+    let reference: Vec<BigUint> =
+        engine::with_reference_mode(|| pairs.iter().map(|p| p.private.apply(&message)).collect());
+    for (pair, expected) in pairs.iter().zip(&reference) {
+        assert_eq!(&pair.public.apply(expected), &message, "reference signs");
+    }
+
+    // A fresh thread starts with an empty workspace; the key clones it
+    // signs with have never built a context.
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let cold: Vec<RsaPrivateKey> = pairs
+                    .iter()
+                    .map(|p| {
+                        RsaPrivateKey::with_crt(
+                            p.private.modulus().clone(),
+                            p.private.exponent().clone(),
+                            p.private.crt().cloned(),
+                        )
+                    })
+                    .collect();
+                for pass in 0..3 {
+                    // Forward, backward, forward: every adjacent pair of
+                    // widths re-fits the workspace in both directions.
+                    let order: Vec<usize> = if pass % 2 == 0 {
+                        (0..cold.len()).collect()
+                    } else {
+                        (0..cold.len()).rev().collect()
+                    };
+                    for i in order {
+                        assert_eq!(cold[i].context_is_warm(), pass > 0);
+                        assert_eq!(cold[i].apply(&message), reference[i], "pass {pass}");
+                    }
+                }
+            })
+            .join()
+            .expect("signing thread");
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Per-key Montgomery-context caches must never leak into the wire format.
 // ---------------------------------------------------------------------------

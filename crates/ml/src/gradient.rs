@@ -227,10 +227,24 @@ pub fn weighted_average_refs(vectors: &[&[f64]], weights: &[f64]) -> GradientVec
 /// blockchain transaction payload.
 pub fn to_bytes(gradient: &[f64]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(gradient.len() * 8);
-    for value in gradient {
-        bytes.extend_from_slice(&value.to_le_bytes());
-    }
+    stream_bytes(gradient, |chunk| bytes.extend_from_slice(chunk));
     bytes
+}
+
+/// Feeds `sink` the serialized form of `gradient` ([`to_bytes`]' bytes, in
+/// order) through a small stack buffer — for consumers that only read it
+/// once (hashing an upload for its signature) and should not allocate a
+/// gradient-sized `Vec` to do it.
+pub fn stream_bytes(gradient: &[f64], mut sink: impl FnMut(&[u8])) {
+    const VALUES_PER_CHUNK: usize = 512;
+    let mut buffer = [0u8; VALUES_PER_CHUNK * 8];
+    for values in gradient.chunks(VALUES_PER_CHUNK) {
+        let bytes = &mut buffer[..values.len() * 8];
+        for (slot, value) in bytes.chunks_exact_mut(8).zip(values) {
+            slot.copy_from_slice(&value.to_le_bytes());
+        }
+        sink(bytes);
+    }
 }
 
 /// Deserializes a gradient previously produced by [`to_bytes`]. Returns
@@ -509,6 +523,25 @@ mod tests {
         assert_eq!(from_bytes(&bytes), Some(g));
         assert_eq!(from_bytes(&bytes[..7]), None);
         assert_eq!(from_bytes(&[]), Some(vec![]));
+    }
+
+    #[test]
+    fn streamed_bytes_concatenate_to_the_serialized_form() {
+        // Lengths around the 512-value chunk, and an upload-sized vector.
+        for len in [0usize, 1, 511, 512, 513, 1024, 7850] {
+            let g: Vec<f64> = (0..len).map(|i| (i as f64 - 300.5) * 0.37).collect();
+            let mut streamed = Vec::new();
+            let mut largest = 0;
+            stream_bytes(&g, |chunk| {
+                assert!(!chunk.is_empty() && chunk.len().is_multiple_of(8));
+                largest = largest.max(chunk.len());
+                streamed.extend_from_slice(chunk);
+            });
+            let by_value: Vec<u8> = g.iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(streamed, by_value, "len = {len}");
+            assert_eq!(to_bytes(&g), by_value);
+            assert!(largest <= 4096, "the buffer stays on the stack");
+        }
     }
 
     proptest! {

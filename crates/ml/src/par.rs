@@ -127,7 +127,8 @@ where
 /// Like [`par_map`], but each worker first builds a reusable state with
 /// `init` and threads it through every item of its chunk — the hook the
 /// training engine uses to reuse one [`crate::tensor::Scratch`] across
-/// all clients a worker processes.
+/// all clients a worker processes. The calling thread is one of the
+/// workers (it takes the last chunk, with its own `init()` state).
 #[inline]
 pub fn par_map_with<T, S, U, I, F>(items: &[T], min_per_thread: usize, init: I, f: F) -> Vec<U>
 where
@@ -146,28 +147,30 @@ where
             .collect();
     }
 
+    // One chunk per worker; the last runs on the calling thread, so a
+    // `workers`-way fan-out spawns `workers - 1` threads.
+    let run_chunk = |w: usize| {
+        let range = chunk_len(items.len(), workers, w);
+        run_as_worker(|| {
+            let mut state = init();
+            items[range.clone()]
+                .iter()
+                .zip(range)
+                .map(|(item, index)| f(&mut state, index, item))
+                .collect::<Vec<U>>()
+        })
+    };
     let mut results: Vec<Vec<U>> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let range = chunk_len(items.len(), workers, w);
-            let chunk = &items[range.clone()];
-            let f = &f;
-            let init = &init;
-            handles.push(scope.spawn(move || {
-                run_as_worker(|| {
-                    let mut state = init();
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(offset, item)| f(&mut state, range.start + offset, item))
-                        .collect::<Vec<U>>()
-                })
-            }));
-        }
+        let run_chunk = &run_chunk;
+        let handles: Vec<_> = (0..workers - 1)
+            .map(|w| scope.spawn(move || run_chunk(w)))
+            .collect();
+        let last = run_chunk(workers - 1);
         for handle in handles {
             results.push(handle.join().expect("par_map worker panicked"));
         }
+        results.push(last);
     });
     results.into_iter().flatten().collect()
 }
@@ -271,6 +274,32 @@ mod tests {
             assert_eq!(*item, i);
             assert!(*calls >= 1);
         }
+    }
+
+    #[test]
+    fn par_map_with_runs_the_last_chunk_on_the_calling_thread() {
+        let items: Vec<usize> = (0..9).collect();
+        let caller = std::thread::current().id();
+        let (threads, inits) = with_thread_limit(3, || {
+            let inits = std::sync::atomic::AtomicUsize::new(0);
+            let threads = par_map_with(
+                &items,
+                1,
+                || inits.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                |_, index, &item| {
+                    assert_eq!(index, item);
+                    // The caller's chunk is a worker like any other.
+                    assert_eq!(max_threads(), 1);
+                    std::thread::current().id()
+                },
+            );
+            (threads, inits.into_inner())
+        });
+        assert_eq!(inits, 3, "one state per worker, the caller's included");
+        assert!(threads[..6].iter().all(|&id| id != caller));
+        assert!(threads[6..].iter().all(|&id| id == caller));
+        // The caller stops being a worker when its chunk is done.
+        with_thread_limit(3, || assert_eq!(max_threads(), 3));
     }
 
     #[test]

@@ -11,8 +11,8 @@ mod common;
 use common::{small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
-    ProfileConfig, ReorgPolicy, RetryPolicy, Scenario, SimulationResult, StalenessPolicy,
-    SweepPoint, SweepRunner, SyncMode,
+    EventRecord, ProfileConfig, ProvisioningMode, ReorgPolicy, RetryPolicy, Scenario,
+    SimulationResult, StalenessPolicy, SweepPoint, SweepRunner, SyncMode,
 };
 use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::net::{CrashSchedule, DelayDistribution, FaultPlan, LinkFaults, Partition};
@@ -577,6 +577,119 @@ fn faulted_sweeps_are_bit_identical_for_any_thread_count() {
                 "cell `{}` must not depend on sweep parallelism",
                 a.label
             );
+        }
+    }
+}
+
+/// SHA-256 over the event trace, bit-exact in its times.
+fn trace_digest(trace: &[EventRecord]) -> String {
+    let mut canon = String::new();
+    for e in trace {
+        canon.push_str(&format!(
+            "{:016x} {} {} {} {:?}\n",
+            e.time_s.to_bits(),
+            e.round,
+            e.born_round,
+            e.client_id,
+            e.kind
+        ));
+    }
+    let digest = fair_bfl::crypto::sha256::sha256(canon.as_bytes());
+    digest.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Procedure II moved: clients now sign inside Procedure I's fan-out and
+/// the signature rides the upload through every fault, instead of the
+/// event pump signing at each admission. Raw RSA draws no randomness, so
+/// nothing observable may move — the run digest and the event trace of a
+/// signed scenario under drop, duplicate and corrupt faults with backoff
+/// retries equal the values recorded before the change, at any fan-out
+/// width and under eager and lazy key provisioning (a budget of one
+/// round's selection out of 30 clients, so stale and retried uploads
+/// outlive their keys' cache residency).
+#[test]
+fn signed_faulty_rounds_replay_the_pre_change_goldens_at_any_fan_out_and_provisioning() {
+    const RUN: &str = "09906e1ae30ef122328986e65455945c62b6d7a5ded0fa38e913fe56554b1673";
+    const TRACE: &str = "3ee6f4f747f138e049dcfd59f1ae0dfc8b9851cc94247bc04f8526664a04ff01";
+
+    let (train, test) = small_dataset();
+    let scenario = |provisioning: ProvisioningMode| {
+        Scenario::builder()
+            .clients(30)
+            .miners(3)
+            .rounds(5)
+            .participation_ratio(0.4)
+            .partition(PartitionKind::ImplicitIid {
+                samples_per_client: 6,
+            })
+            .local_epochs(1)
+            .batch_size(10)
+            .verify_signatures(true)
+            .rsa_modulus_bits(256)
+            .provisioning(provisioning)
+            .seed(29)
+            .sync(SyncMode::FlexibleQuota { quota: 8 })
+            .staleness(StalenessPolicy::DecayedInclude { decay: 0.5 })
+            .profiles(ProfileConfig {
+                straggler_slowdown: 6.0,
+                straggler_fraction: 0.25,
+                uplink: DelayDistribution::Constant(0.05),
+                ..ProfileConfig::default()
+            })
+            .fault(FaultPlan {
+                uplink: LinkFaults {
+                    drop_rate: 0.15,
+                    duplicate_rate: 0.2,
+                    corrupt_rate: 0.25,
+                    ..LinkFaults::default()
+                },
+                ..FaultPlan::default()
+            })
+            .retry(RetryPolicy::Backoff {
+                max_attempts: 3,
+                timeout_s: 1.0,
+                base_s: 0.5,
+                factor: 2.0,
+                jitter_s: 0.1,
+            })
+            .build()
+            .unwrap()
+    };
+
+    for provisioning in [
+        ProvisioningMode::Eager,
+        ProvisioningMode::Lazy { cache_budget: 12 },
+    ] {
+        for threads in [1usize, 2, 8] {
+            let (trace, result) = fair_bfl::ml::par::with_thread_limit(threads, || {
+                let mut run = scenario(provisioning).start(&train, &test).unwrap();
+                run.run_to_completion().unwrap();
+                (run.event_trace().to_vec(), run.into_result())
+            });
+            for kind in [
+                EventKind::UploadRejected,
+                EventKind::UploadRetried,
+                EventKind::DuplicateIgnored,
+                EventKind::StaleIncluded,
+            ] {
+                assert!(
+                    trace.iter().any(|e| e.kind == kind),
+                    "the scenario exercises {kind:?}"
+                );
+            }
+            // A corrupted delivery's retransmission is admitted later.
+            assert!(trace.iter().any(|rejected| {
+                rejected.kind == EventKind::UploadRejected
+                    && trace.iter().any(|e| {
+                        e.client_id == rejected.client_id
+                            && e.born_round == rejected.born_round
+                            && e.time_s > rejected.time_s
+                            && matches!(e.kind, EventKind::UploadArrived | EventKind::StaleIncluded)
+                    })
+            }));
+            let context = format!("{provisioning:?}, {threads} thread(s)");
+            assert_eq!(run_digest(&result), RUN, "run digest, {context}");
+            assert_eq!(trace_digest(&trace), TRACE, "event trace, {context}");
         }
     }
 }

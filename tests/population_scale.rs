@@ -221,3 +221,35 @@ fn streaming_multi_chunk_composition_is_deterministic() {
     }
     assert!(first.final_params.iter().all(|p| p.is_finite()));
 }
+
+/// Under `StalenessPolicy::Discard` a late deferred upload is now dropped
+/// before its local pass runs instead of after. The pass was a pure
+/// function whose result was thrown away, so no artifact may move: a
+/// streaming run with stragglers — signed, so the deferred tickets that
+/// *are* admitted also sign at admission — keeps the digest recorded
+/// before the change, and still discards stale uploads every round.
+#[test]
+fn streaming_rounds_that_discard_stale_uploads_unopened_keep_their_digest() {
+    const GOLDEN: &str = "a2c94987bf1fc97e3c51512ee2d0492730e803aa72bf9f85c6808728e142e500";
+
+    let _guard = lock();
+    let mut config = implicit_config(4);
+    config.fl.clients = 40;
+    config.fl.participation_ratio = 0.3;
+    config.sync = SyncMode::FlexibleQuota { quota: 8 };
+    config.staleness = StalenessPolicy::Discard;
+    config.provisioning = ProvisioningMode::Lazy { cache_budget: 12 };
+    config.aggregation = AggregationMode::Streaming { chunk: 4 };
+    config.profiles = ProfileConfig {
+        straggler_slowdown: 6.0,
+        straggler_fraction: 0.25,
+        uplink: DelayDistribution::Constant(0.05),
+        ..ProfileConfig::default()
+    };
+    assert!(config.verify_signatures);
+
+    let result = run(config);
+    let discarded: usize = result.outcomes.iter().map(|o| o.kpi.stale_discarded).sum();
+    assert!(discarded > 0, "the stragglers' uploads arrive late");
+    assert_eq!(run_digest(&result), GOLDEN);
+}
