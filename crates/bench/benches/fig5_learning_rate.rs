@@ -3,7 +3,7 @@
 //! (only on accuracy) — the paper's Insight 1.
 
 use bfl_bench::experiments::{dataset, system_config, Scale, SystemLabel};
-use bfl_core::BflSimulation;
+use bfl_core::Scenario;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -21,7 +21,8 @@ fn bench_fig5(c: &mut Criterion) {
                 let mut config = system_config(SystemLabel::Fair, Scale::Smoke);
                 config.fl.local.learning_rate = lr;
                 black_box(
-                    BflSimulation::new(config)
+                    Scenario::from_config(config)
+                        .expect("configuration is valid")
                         .run(&data.0, &data.1)
                         .expect("run completes"),
                 )

@@ -3,7 +3,7 @@
 //! stays nearly flat.
 
 use bfl_bench::experiments::{dataset, system_config, Scale, SystemLabel};
-use bfl_core::BflSimulation;
+use bfl_core::Scenario;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -24,7 +24,8 @@ fn bench_workers(c: &mut Criterion) {
                     let mut config = system_config(SystemLabel::Blockchain, Scale::Smoke);
                     config.fl.clients = workers;
                     black_box(
-                        BflSimulation::new(config)
+                        Scenario::from_config(config)
+                            .expect("configuration is valid")
                             .run(&data.0, &data.1)
                             .expect("run completes"),
                     )
@@ -48,7 +49,8 @@ fn bench_miners(c: &mut Criterion) {
                 let mut config = system_config(SystemLabel::Fair, Scale::Smoke);
                 config.miners = miners;
                 black_box(
-                    BflSimulation::new(config)
+                    Scenario::from_config(config)
+                        .expect("configuration is valid")
                         .run(&data.0, &data.1)
                         .expect("run completes"),
                 )

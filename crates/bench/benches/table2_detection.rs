@@ -6,7 +6,7 @@
 use bfl_bench::experiments::{dataset, Scale};
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
 use bfl_core::contribution::identify_contributions;
-use bfl_core::{AttackConfig, BflSimulation, LowContributionStrategy};
+use bfl_core::{AttackConfig, LowContributionStrategy, Scenario};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -25,7 +25,8 @@ fn bench_attacked_run(c: &mut Criterion) {
             config.strategy = LowContributionStrategy::Discard;
             config.attack = AttackConfig::table2();
             black_box(
-                BflSimulation::new(config)
+                Scenario::from_config(config)
+                    .expect("configuration is valid")
                     .run(&data.0, &data.1)
                     .expect("run completes"),
             )

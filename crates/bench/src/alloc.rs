@@ -1,9 +1,9 @@
 //! A counting global allocator for heap high-water measurements.
 //!
-//! The PR 7 population-scale bench needs *peak resident heap* per cell to
+//! The population-scale test needs *peak resident heap* per cell to
 //! show that memory tracks participants, not population. `VmHWM` is
 //! monotonic for the process lifetime, so it cannot compare cells run in
-//! one binary; instead the bench binaries install [`CountingAllocator`] as
+//! one binary; instead the test binaries install [`CountingAllocator`] as
 //! their `#[global_allocator]` and bracket each cell with
 //! [`reset_peak`](CountingAllocator::reset_peak) /
 //! [`peak_bytes`](CountingAllocator::peak_bytes).
@@ -13,13 +13,12 @@
 //! compare-and-swap loop. Overhead is a few relaxed atomic updates per
 //! allocation — invisible next to the workloads being measured.
 //!
-//! Beyond the PR 7 high-water use, the allocator also counts *allocation
+//! Beyond the high-water use, the allocator also counts *allocation
 //! events* and *live blocks*, and [`CountingAllocator::snapshot`] /
 //! [`CountingAllocator::delta_since`] bracket a region with one call on
 //! each side — the steady-state round-loop test uses this to assert that
 //! a warmed-up flexible round leaves **zero net** bytes and blocks
-//! behind, and the `pr10` bench section to report allocation churn per
-//! round.
+//! behind.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

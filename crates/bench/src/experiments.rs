@@ -1,13 +1,12 @@
 //! Scenario construction and the per-figure experiment runners.
 
 use bfl_core::{
-    AggregationAnchor, AggregationMode, AttackConfig, BflConfig, BflSimulation, DetectionTable,
-    FlexibilityMode, LowContributionStrategy, ProfileConfig, ProvisioningMode, ReorgPolicy,
-    RetryPolicy, Scenario, SimulationResult, StalenessPolicy, SweepPoint, SyncMode,
+    AggregationMode, AttackConfig, BflConfig, DetectionTable, FlexibilityMode,
+    LowContributionStrategy, ProvisioningMode, Scenario, SimulationResult, StalenessPolicy,
+    SyncMode,
 };
 use bfl_data::{Dataset, SynthMnist, SynthMnistConfig};
 use bfl_fl::config::PartitionKind;
-use bfl_net::{DelayDistribution, FaultPlan, LinkFaults, Partition};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -184,8 +183,13 @@ pub fn run_system(
     scale: Scale,
     data: &(Dataset, Dataset),
 ) -> SimulationResult {
-    let config = system_config(system, scale);
-    BflSimulation::new(config)
+    run_config(system_config(system, scale), data)
+}
+
+/// Runs one configuration over the given dataset.
+fn run_config(config: BflConfig, data: &(Dataset, Dataset)) -> SimulationResult {
+    Scenario::from_config(config)
+        .expect("experiment configuration is valid")
         .run(&data.0, &data.1)
         .expect("experiment run should complete")
 }
@@ -278,9 +282,7 @@ pub fn figure5(scale: Scale, learning_rates: &[f64]) -> Vec<LearningRateRow> {
             for system in [SystemLabel::Fair, SystemLabel::FedAvg, SystemLabel::FedProx] {
                 let mut config = system_config(system, scale);
                 config.fl.local.learning_rate = lr;
-                let result = BflSimulation::new(config)
-                    .run(&data.0, &data.1)
-                    .expect("sweep run should complete");
+                let result = run_config(config, &data);
                 delays.push((system, result.mean_delay()));
                 accuracies.push((system, result.history.mean_accuracy()));
             }
@@ -327,9 +329,7 @@ pub fn figure6_workers(scale: Scale, worker_counts: &[usize]) -> Vec<ScaleRow> {
                 // The dataset must cover the clients; reuse a split sized to
                 // the largest count to keep shards non-empty.
                 let data = dataset_for_clients(scale, n);
-                let result = BflSimulation::new(config)
-                    .run(&data.0, &data.1)
-                    .expect("worker sweep run should complete");
+                let result = run_config(config, &data);
                 delays.push((system, result.mean_delay()));
             }
             ScaleRow { x: n, delays }
@@ -347,9 +347,7 @@ pub fn figure6_miners(scale: Scale, miner_counts: &[usize]) -> Vec<ScaleRow> {
             for system in [SystemLabel::Fair, SystemLabel::Blockchain] {
                 let mut config = system_config(system, scale);
                 config.miners = m;
-                let result = BflSimulation::new(config)
-                    .run(&data.0, &data.1)
-                    .expect("miner sweep run should complete");
+                let result = run_config(config, &data);
                 delays.push((system, result.mean_delay()));
             }
             ScaleRow { x: m, delays }
@@ -434,206 +432,10 @@ pub fn figure7(scale: Scale) -> Figure7 {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario sweeps (the PR 4 grid).
-// ---------------------------------------------------------------------------
-
-/// A small design-space grid for the sweep runner: every learning mode ×
-/// aggregation anchor × low-contribution strategy, under the Table 2
-/// attack, plus the chain-only baseline. Signatures are off so cell cost
-/// is dominated by the learning substrate the sweep actually varies.
-pub fn scenario_grid(scale: Scale, rounds: usize) -> Vec<SweepPoint> {
-    let mut grid = Vec::new();
-    for (mode, mode_name) in [
-        (FlexibilityMode::FullBfl, "full"),
-        (FlexibilityMode::FlOnly, "fl-only"),
-    ] {
-        for anchor in [
-            AggregationAnchor::Mean,
-            AggregationAnchor::Median,
-            AggregationAnchor::TrimmedMean { trim_ratio: 0.2 },
-        ] {
-            for (strategy, strategy_name) in [
-                (LowContributionStrategy::Keep, "keep"),
-                (LowContributionStrategy::Discard, "discard"),
-            ] {
-                let mut config = base_config(scale);
-                config.fl.clients = 10;
-                config.fl.participation_ratio = 1.0;
-                config.fl.rounds = rounds;
-                config.mode = mode;
-                config.anchor = anchor;
-                config.strategy = strategy;
-                config.attack = AttackConfig::table2();
-                config.verify_signatures = false;
-                grid.push(SweepPoint::new(
-                    format!("{mode_name}/{}/{strategy_name}", anchor.name()),
-                    Scenario::from_config(config).expect("grid cell is valid"),
-                ));
-            }
-        }
-    }
-    let mut chain = base_config(scale);
-    chain.fl.rounds = rounds;
-    chain.mode = FlexibilityMode::ChainOnly;
-    chain.verify_signatures = false;
-    grid.push(SweepPoint::new(
-        "chain-only",
-        Scenario::from_config(chain).expect("grid cell is valid"),
-    ));
-    grid
-}
-
-// ---------------------------------------------------------------------------
-// Asynchronous scenario sweeps (the PR 5 grid).
-// ---------------------------------------------------------------------------
-
-/// The heterogeneous population every asynchronous grid cell runs on:
-/// 30% of the clients are stragglers up to `straggler_slowdown` slower
-/// than the baseline.
-fn async_profile(straggler_slowdown: f64, uplink: DelayDistribution, churn: bool) -> ProfileConfig {
-    ProfileConfig {
-        straggler_slowdown,
-        straggler_fraction: 0.3,
-        uplink,
-        // Short online windows so departures land inside the few-round
-        // simulated horizon of a bench cell (~1.5 simulated s per round).
-        churn_fraction: if churn { 0.2 } else { 0.0 },
-        churn_online_s: 2.0,
-        churn_offline_s: 3.0,
-    }
-}
-
-/// The quota × latency × churn grid of the event-driven engine: block
-/// quotas from "wait for everyone" down to half the population, calm and
-/// jittery uplinks, with and without client churn — all over the same
-/// straggler-heavy population, with decayed staleness carry-over.
-/// Signatures are off so cell cost is dominated by what the sweep varies.
-pub fn async_grid(scale: Scale, rounds: usize) -> Vec<SweepPoint> {
-    let clients = 10usize;
-    let mut grid = Vec::new();
-    for (quota, quota_name) in [(clients, "quota-all"), (7, "quota-7"), (5, "quota-5")] {
-        for (uplink, uplink_name) in [
-            (DelayDistribution::Constant(0.02), "calm-uplink"),
-            (
-                DelayDistribution::Normal {
-                    mean: 0.08,
-                    std: 0.03,
-                },
-                "jittery-uplink",
-            ),
-        ] {
-            for (churn, churn_name) in [(false, "stable"), (true, "churn")] {
-                let mut config = base_config(scale);
-                config.fl.clients = clients;
-                config.fl.participation_ratio = 1.0;
-                config.fl.rounds = rounds;
-                config.verify_signatures = false;
-                config.sync = SyncMode::FlexibleQuota { quota };
-                config.staleness = StalenessPolicy::DecayedInclude { decay: 0.5 };
-                config.profiles = async_profile(8.0, uplink, churn);
-                grid.push(SweepPoint::new(
-                    format!("{quota_name}/{uplink_name}/{churn_name}"),
-                    Scenario::from_config(config).expect("grid cell is valid"),
-                ));
-            }
-        }
-    }
-    grid
-}
-
-/// The loss-rate × partition grid of the fault-injection subsystem
-/// (PR 6): uplink drop rates crossed with mesh-splitting partitions of
-/// increasing length, every faulted cell retrying lost uploads under
-/// exponential backoff and salvaging orphaned ones at heal time. The
-/// zero-fault/zero-split corner is the resilience curve's baseline. At
-/// [`Scale::Smoke`] the grid shrinks to its four corners.
-pub fn fault_grid(scale: Scale, rounds: usize) -> Vec<SweepPoint> {
-    let clients = 10usize;
-    let loss_rates: &[(f64, &str)] = match scale {
-        Scale::Smoke => &[(0.0, "drop-00"), (0.3, "drop-30")],
-        _ => &[(0.0, "drop-00"), (0.15, "drop-15"), (0.3, "drop-30")],
-    };
-    // Partition windows in absolute simulated seconds; rounds on this
-    // population run ~1-3 simulated seconds each, so the splits cover
-    // roughly one to two rounds and heal well before the run ends.
-    let splits: &[(f64, &str)] = match scale {
-        Scale::Smoke => &[(0.0, "joined"), (2.0, "split-2s")],
-        _ => &[(0.0, "joined"), (2.0, "split-2s"), (4.0, "split-4s")],
-    };
-    let mut grid = Vec::new();
-    for &(drop_rate, drop_name) in loss_rates {
-        for &(split_s, split_name) in splits {
-            let mut config = base_config(scale);
-            config.fl.clients = clients;
-            config.fl.participation_ratio = 1.0;
-            config.fl.rounds = rounds;
-            config.verify_signatures = false;
-            config.miners = 3;
-            config.sync = SyncMode::FlexibleQuota { quota: 7 };
-            config.staleness = StalenessPolicy::DecayedInclude { decay: 0.5 };
-            config.profiles = async_profile(8.0, DelayDistribution::Constant(0.05), false);
-            config.fault = FaultPlan {
-                uplink: LinkFaults {
-                    drop_rate,
-                    ..LinkFaults::default()
-                },
-                partition: (split_s > 0.0).then_some(Partition {
-                    start_s: 1.0,
-                    duration_s: split_s,
-                    boundary: 2,
-                }),
-                ..FaultPlan::default()
-            };
-            if drop_rate > 0.0 {
-                config.retry = RetryPolicy::Backoff {
-                    max_attempts: 3,
-                    timeout_s: 0.5,
-                    base_s: 0.5,
-                    factor: 2.0,
-                    jitter_s: 0.1,
-                };
-            }
-            config.reorg = ReorgPolicy::Salvage;
-            grid.push(SweepPoint::new(
-                format!("{drop_name}/{split_name}"),
-                Scenario::from_config(config).expect("fault grid cell is valid"),
-            ));
-        }
-    }
-    grid
-}
-
-/// The synchronous-vs-flexible comparison pair of the PR 5 bench: the
-/// same straggler-heavy population run with the block quota at "wait for
-/// everyone" (the synchronous behaviour under heterogeneity) and at 60%
-/// of the participants (the paper's flexible block size).
-pub fn quota_comparison_configs(scale: Scale, rounds: usize) -> (BflConfig, BflConfig) {
-    let clients = 10usize;
-    let mut waiting = base_config(scale);
-    waiting.fl.clients = clients;
-    waiting.fl.participation_ratio = 1.0;
-    waiting.fl.rounds = rounds;
-    waiting.verify_signatures = false;
-    waiting.sync = SyncMode::FlexibleQuota { quota: clients };
-    waiting.staleness = StalenessPolicy::Discard;
-    waiting.profiles = async_profile(
-        8.0,
-        DelayDistribution::Normal {
-            mean: 0.08,
-            std: 0.03,
-        },
-        false,
-    );
-    let mut flexible = waiting;
-    flexible.sync = SyncMode::FlexibleQuota { quota: 6 };
-    (waiting, flexible)
-}
-
-// ---------------------------------------------------------------------------
 // PR 7: population-scale rounds.
 // ---------------------------------------------------------------------------
 
-/// One cell of the PR 7 population-scale bench: an implicit population of
+/// One cell of the population-scale heap ladder: an implicit population of
 /// `population` clients from which each round samples `participants`,
 /// provisioned lazily under an O(participants) cache and folded through
 /// streaming Procedure IV in `chunk`-sized committees on the event
@@ -671,21 +473,6 @@ pub fn population_scale_config(
     // paper's flexible block size, taken to population scale).
     config.delay.max_block_bytes = (512 * 1024).max(192 * participants);
     debug_assert_eq!(config.fl.selected_per_round(), participants);
-    config
-}
-
-/// The signed companion cell: a small participant set drawn from the same
-/// implicit population, with RSA signing *on* and keys derived lazily, so
-/// the bench can show key-generation cost also tracks participants rather
-/// than population.
-pub fn population_signed_config(
-    population: usize,
-    participants: usize,
-    rounds: usize,
-) -> BflConfig {
-    let mut config = population_scale_config(population, participants, rounds, participants);
-    config.verify_signatures = true;
-    config.rsa_modulus_bits = 256;
     config
 }
 
@@ -730,9 +517,7 @@ pub fn table2(scale: Scale) -> Vec<Table2Run> {
         config.fl.partition = partition;
         config.strategy = LowContributionStrategy::Discard;
         config.attack = AttackConfig::table2();
-        let result = BflSimulation::new(config)
-            .run(&data.0, &data.1)
-            .expect("table 2 run should complete");
+        let result = run_config(config, &data);
         let final_accuracy = result.final_accuracy().unwrap_or(0.0);
         Table2Run {
             label,
@@ -795,71 +580,6 @@ mod tests {
         };
         // FedAvg is the cheapest of the three delay curves even at smoke scale.
         assert!(delay_of(SystemLabel::FedAvg) < delay_of(SystemLabel::Fair));
-    }
-
-    #[test]
-    fn scenario_grid_covers_the_design_space_and_completes() {
-        let grid = scenario_grid(Scale::Smoke, 1);
-        // 2 modes x 3 anchors x 2 strategies + chain-only.
-        assert_eq!(grid.len(), 13);
-        let labels: Vec<&str> = grid.iter().map(|p| p.label.as_str()).collect();
-        assert!(labels.contains(&"full/median/discard"));
-        assert!(labels.contains(&"fl-only/mean/keep"));
-        assert!(labels.contains(&"chain-only"));
-        // Labels are unique — sweep reports key on them.
-        let mut deduped = labels.clone();
-        deduped.sort_unstable();
-        deduped.dedup();
-        assert_eq!(deduped.len(), labels.len());
-    }
-
-    #[test]
-    fn async_grid_covers_quota_latency_and_churn() {
-        let grid = async_grid(Scale::Smoke, 1);
-        // 3 quotas x 2 uplinks x 2 churn settings.
-        assert_eq!(grid.len(), 12);
-        let labels: Vec<&str> = grid.iter().map(|p| p.label.as_str()).collect();
-        assert!(labels.contains(&"quota-all/calm-uplink/stable"));
-        assert!(labels.contains(&"quota-5/jittery-uplink/churn"));
-        let mut deduped = labels.clone();
-        deduped.sort_unstable();
-        deduped.dedup();
-        assert_eq!(deduped.len(), labels.len());
-    }
-
-    #[test]
-    fn fault_grid_covers_loss_and_partition_axes() {
-        let grid = fault_grid(Scale::Smoke, 1);
-        // 2 loss rates x 2 partition windows at smoke scale.
-        assert_eq!(grid.len(), 4);
-        let full = fault_grid(Scale::Medium, 1);
-        // 3 loss rates x 3 partition windows otherwise.
-        assert_eq!(full.len(), 9);
-        let labels: Vec<&str> = grid.iter().map(|p| p.label.as_str()).collect();
-        assert!(labels.contains(&"drop-00/joined"), "baseline corner exists");
-        assert!(labels.contains(&"drop-30/split-2s"));
-        let mut deduped = labels.clone();
-        deduped.sort_unstable();
-        deduped.dedup();
-        assert_eq!(deduped.len(), labels.len());
-        // The baseline corner carries no active faults; every other cell
-        // carries at least one.
-        for point in &full {
-            let active = point.scenario.config().fault.is_active();
-            assert_eq!(active, point.label != "drop-00/joined", "{}", point.label);
-        }
-    }
-
-    #[test]
-    fn quota_comparison_pair_differs_only_in_the_quota() {
-        let (waiting, flexible) = quota_comparison_configs(Scale::Smoke, 2);
-        waiting.validate().unwrap();
-        flexible.validate().unwrap();
-        assert_eq!(waiting.sync, SyncMode::FlexibleQuota { quota: 10 });
-        assert_eq!(flexible.sync, SyncMode::FlexibleQuota { quota: 6 });
-        let mut aligned = flexible;
-        aligned.sync = waiting.sync;
-        assert_eq!(aligned, waiting);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The O(participants) memory contract, asserted in-process: running the
 //! same per-round working set against a population ten times larger must
-//! not move the heap high-water mark. This is the PR 7 bench's flatness
-//! assertion at test scale, with the counting allocator installed as this
-//! binary's global allocator.
+//! not move the heap high-water mark. The counting allocator is installed
+//! as this binary's global allocator.
 
 use bfl_bench::experiments::{dataset, population_scale_config, Scale};
 use bfl_bench::CountingAllocator;

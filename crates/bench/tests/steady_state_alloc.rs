@@ -10,9 +10,18 @@
 //! The only *intentional* per-round growth is the deterministic event
 //! trace and the accumulated round records, which grow by amortized
 //! doubling — the warm-up below runs long enough that the measured
-//! window sits inside their spare capacity. Everything is seeded, so the
-//! allocation sequence is deterministic: if this test passes once it
-//! passes everywhere.
+//! window sits inside their spare capacity.
+//!
+//! The whole run is pinned to one thread. Everything is seeded, so the
+//! engine's own allocation sequence is deterministic, but a
+//! `bfl_ml::par` fan-out worker can finish its exit path after the
+//! fan-out has returned: its last frees then land inside the *next*
+//! round's bracket, which reads a few blocks down while the round the
+//! worker belonged to reads the same few blocks up. With one thread
+//! every fan-out takes its inline branch, nothing is spawned, and the
+//! bracket sees the engine alone. Warm-up rounds are pinned too — a
+//! worker spawned by the last warm-up round would otherwise spill into
+//! the first measured one.
 
 use bfl_bench::experiments::{dataset, Scale};
 use bfl_bench::CountingAllocator;
@@ -65,6 +74,10 @@ const MEASURED_ROUNDS: usize = 8;
 /// nothing else may run concurrently with the bracketed regions.
 #[test]
 fn flexible_round_loop_is_allocation_free_at_steady_state() {
+    bfl_ml::par::with_thread_limit(1, warm_up_then_measure);
+}
+
+fn warm_up_then_measure() {
     let (train, test) = dataset(Scale::Smoke);
     let mut run = steady_scenario()
         .start(&train, &test)

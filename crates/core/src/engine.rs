@@ -7,8 +7,7 @@
 //! interleave their own logic (early stopping, logging, checkpointing,
 //! sweep bookkeeping) between rounds instead of handing control to a
 //! monolithic `run()` for the whole experiment. A full run is literally
-//! `while run.step()?.is_some() {}` — which is exactly what the legacy
-//! [`crate::simulation::BflSimulation::run`] wrapper and the
+//! `while run.step()?.is_some() {}` — which is exactly what the
 //! [`crate::scenario::Scenario`] drivers do, so a step-driven run is
 //! bit-identical to a one-shot run by construction.
 

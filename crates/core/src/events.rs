@@ -886,7 +886,7 @@ fn step_flexible_inner(
     let stranded_mark = rt.stranded.len();
     let mut quota_time = round_start;
     let mut deadline_hit = false;
-    // Same-timestamp events are drained from the lane-sharded queue as one
+    // Same-timestamp events are drained from the queue as one
     // batch (`pop_due_batch`) and fed through the pump from `due`. The
     // quota and deadline are re-checked before *each* member — exactly the
     // checks the one-at-a-time loop ran per pop — and whatever the round

@@ -38,10 +38,10 @@
 //! Algorithm 2 measures against (mean / median / trimmed mean), the
 //! [`policy::RewardPolicy`] that turns θ scores into payouts, and the
 //! [`policy::RoundObserver`] that streams per-round events to the driver.
-//! [`sweep::SweepRunner`] fans grids of scenarios across cores with
-//! order-stable, thread-count-invariant results. The legacy one-shot
-//! entry point [`simulation::BflSimulation`] remains as a thin wrapper
-//! over the engine.
+//! A scenario's run depends on nothing but the scenario and the shared
+//! datasets, so grids of them fan out across cores and processes with
+//! order-stable, thread-count-invariant results — that is `bfl-harness`
+//! (`bflharness run`), the one fleet runner.
 
 #![warn(missing_docs)]
 
@@ -61,7 +61,6 @@ pub mod reward;
 pub mod scenario;
 pub mod simulation;
 pub mod strategy;
-pub mod sweep;
 pub mod theory;
 
 pub use aggregation::{contribution_weights, fair_aggregate};
@@ -81,7 +80,6 @@ pub use policy::{
 };
 pub use reward::{gini, RewardEntry};
 pub use scenario::{Scenario, ScenarioBuilder};
-pub use simulation::{BflSimulation, KpiRow, RoundOutcome, SimulationResult};
+pub use simulation::{KpiRow, RoundOutcome, SimulationResult};
 pub use strategy::LowContributionStrategy;
-pub use sweep::{SweepCell, SweepPoint, SweepRunner};
 pub use theory::TheoremParams;

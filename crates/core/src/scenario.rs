@@ -4,8 +4,8 @@
 //! A [`Scenario`] is a *validated* configuration — building one can fail
 //! with [`CoreError::InvalidConfig`], running one cannot fail for
 //! configuration reasons. Scenarios are cheap values (`Copy`,
-//! serializable), which is what lets [`crate::sweep::SweepRunner`] fan
-//! whole grids of them across cores.
+//! serializable), which is what lets `bflharness` fan whole grids of
+//! them across cores and processes.
 //!
 //! ```no_run
 //! use bfl_core::{AggregationAnchor, FlexibilityMode, Scenario};

@@ -1,22 +1,15 @@
-//! Run-level record types and the legacy one-shot simulation facade.
+//! Run-level record types.
 //!
 //! The round loop itself lives in the stepwise engine
 //! ([`crate::engine::SimulationRun`]); scenarios are composed and driven
 //! through [`crate::scenario::Scenario`]. This module keeps the shared
-//! result types ([`RoundOutcome`], [`SimulationResult`]) and
-//! [`BflSimulation`], the original `run(&train, &test)` entry point —
-//! now a thin wrapper over the engine, retained so existing drivers and
-//! the figure/table binaries keep working unchanged.
+//! result types ([`KpiRow`], [`RoundOutcome`], [`SimulationResult`]).
 
-use crate::config::BflConfig;
 use crate::delay_model::DelayBreakdown;
 use crate::detection::DetectionTable;
-use crate::error::CoreError;
 use crate::flexibility::FlexibilityMode;
 use crate::reward::RewardEntry;
-use crate::scenario::Scenario;
 use bfl_chain::Blockchain;
-use bfl_data::Dataset;
 use bfl_fl::history::RunHistory;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -115,40 +108,14 @@ impl SimulationResult {
     }
 }
 
-/// The legacy one-shot FAIR-BFL driver, kept as a thin compatibility
-/// wrapper over the Scenario API: `BflSimulation::new(config).run(..)`
-/// is exactly `Scenario::from_config(config)?.run(..)` — the same
-/// stepwise engine, stepped to completion.
-#[derive(Debug, Clone)]
-pub struct BflSimulation {
-    /// The run configuration.
-    pub config: BflConfig,
-}
-
-impl BflSimulation {
-    /// Creates a simulation after validating the configuration, panicking
-    /// on an invalid one (the original contract). Use
-    /// [`Scenario::builder`] or [`Scenario::from_config`] for the
-    /// non-panicking form.
-    pub fn new(config: BflConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
-        BflSimulation { config }
-    }
-
-    /// Runs the configured number of communication rounds.
-    pub fn run(&self, train: &Dataset, test: &Dataset) -> Result<SimulationResult, CoreError> {
-        Scenario::from_config(self.config)?.run(train, test)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AttackConfig;
+    use crate::config::{AttackConfig, BflConfig};
+    use crate::scenario::Scenario;
     use crate::strategy::LowContributionStrategy;
     use bfl_data::synth_mnist::{SynthMnist, SynthMnistConfig};
+    use bfl_data::Dataset;
     use bfl_fl::config::PartitionKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -164,6 +131,13 @@ mod tests {
         gen.generate(&mut rng)
     }
 
+    fn run(config: BflConfig, train: &Dataset, test: &Dataset) -> SimulationResult {
+        Scenario::from_config(config)
+            .unwrap()
+            .run(train, test)
+            .unwrap()
+    }
+
     fn base_config(rounds: usize) -> BflConfig {
         let mut config = BflConfig::small_test(rounds);
         config.fl.partition = PartitionKind::Iid;
@@ -174,7 +148,7 @@ mod tests {
     fn full_bfl_run_produces_consistent_artifacts() {
         let (train, test) = tiny_data();
         let config = base_config(3);
-        let result = BflSimulation::new(config).run(&train, &test).unwrap();
+        let result = run(config, &train, &test);
 
         assert_eq!(result.history.len(), 3);
         assert_eq!(result.outcomes.len(), 3);
@@ -211,7 +185,7 @@ mod tests {
         let (train, test) = tiny_data();
         let mut config = base_config(2);
         config.mode = FlexibilityMode::FlOnly;
-        let result = BflSimulation::new(config).run(&train, &test).unwrap();
+        let result = run(config, &train, &test);
         assert!(result.chain.is_none());
         assert!(result.outcomes.iter().all(|o| o.block_hash.is_none()));
         assert!(result
@@ -226,7 +200,7 @@ mod tests {
         let (train, test) = tiny_data();
         let mut config = base_config(2);
         config.mode = FlexibilityMode::ChainOnly;
-        let result = BflSimulation::new(config).run(&train, &test).unwrap();
+        let result = run(config, &train, &test);
         let chain = result.chain.as_ref().unwrap();
         assert!(chain.height() >= 2, "at least one block per round");
         chain.validate_all().unwrap();
@@ -250,9 +224,9 @@ mod tests {
         // transactions; model that scale for the delay comparison.
         chain_only.fl.clients = 100;
 
-        let fair_result = BflSimulation::new(fair).run(&train, &test).unwrap();
-        let fl_result = BflSimulation::new(fl_only).run(&train, &test).unwrap();
-        let chain_result = BflSimulation::new(chain_only).run(&train, &test).unwrap();
+        let fair_result = run(fair, &train, &test);
+        let fl_result = run(fl_only, &train, &test);
+        let chain_result = run(chain_only, &train, &test);
 
         assert!(fair_result.mean_delay() > fl_result.mean_delay());
         assert!(chain_result.mean_delay() > fair_result.mean_delay());
@@ -265,7 +239,7 @@ mod tests {
         config.strategy = LowContributionStrategy::Discard;
         config.attack = AttackConfig::table2();
         config.fl.participation_ratio = 1.0;
-        let result = BflSimulation::new(config).run(&train, &test).unwrap();
+        let result = run(config, &train, &test);
 
         assert_eq!(result.detection.len(), 5);
         let (total_attackers, caught) = result.detection.totals();
@@ -304,7 +278,7 @@ mod tests {
         let (train, test) = tiny_data();
         let mut config = base_config(2);
         config.verify_signatures = false;
-        let result = BflSimulation::new(config).run(&train, &test).unwrap();
+        let result = run(config, &train, &test);
         assert_eq!(result.history.len(), 2);
     }
 
@@ -314,8 +288,8 @@ mod tests {
         let serial = base_config(2);
         let mut parallel = serial;
         parallel.mining_threads = 0; // one worker per core
-        let a = BflSimulation::new(serial).run(&train, &test).unwrap();
-        let b = BflSimulation::new(parallel).run(&train, &test).unwrap();
+        let a = run(serial, &train, &test);
+        let b = run(parallel, &train, &test);
         // The deterministic parallel nonce search seals the same blocks,
         // so the entire trajectory is bit-identical.
         assert_eq!(a.history, b.history);
@@ -330,8 +304,8 @@ mod tests {
     fn runs_are_reproducible() {
         let (train, test) = tiny_data();
         let config = base_config(3);
-        let a = BflSimulation::new(config).run(&train, &test).unwrap();
-        let b = BflSimulation::new(config).run(&train, &test).unwrap();
+        let a = run(config, &train, &test);
+        let b = run(config, &train, &test);
         assert_eq!(a.final_params, b.final_params);
         assert_eq!(a.history, b.history);
         assert_eq!(a.reward_totals, b.reward_totals);
@@ -344,17 +318,8 @@ mod tests {
         fair.fair_aggregation = true;
         let mut simple = base_config(3);
         simple.fair_aggregation = false;
-        let a = BflSimulation::new(fair).run(&train, &test).unwrap();
-        let b = BflSimulation::new(simple).run(&train, &test).unwrap();
+        let a = run(fair, &train, &test);
+        let b = run(simple, &train, &test);
         assert_ne!(a.final_params, b.final_params);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid configuration")]
-    fn legacy_constructor_still_panics_on_invalid_configs() {
-        let _ = BflSimulation::new(BflConfig {
-            miners: 0,
-            ..Default::default()
-        });
     }
 }

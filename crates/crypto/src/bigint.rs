@@ -497,7 +497,7 @@ impl BigUint {
 
     /// The seed binary long division, one quotient bit per step. Retained
     /// as the reference path for [`Self::div_rem_knuth`]'s equivalence
-    /// tests and the throughput benchmark.
+    /// tests.
     pub fn div_rem_reference(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero BigUint");
         if self < divisor {

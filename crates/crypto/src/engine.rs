@@ -5,11 +5,9 @@
 //! paths (word-level Knuth division, Montgomery/REDC modular
 //! exponentiation, CRT signing) are the default, and the original
 //! bit-by-bit / square-and-multiply / plain-exponent implementations are
-//! retained behind this switch for two consumers: the equivalence test
-//! suites (which compare both paths bit-for-bit on the same inputs) and
-//! the throughput benchmark (which measures the speedup end-to-end by
-//! flipping this switch around otherwise identical runs, in the same
-//! process, on the same machine).
+//! retained behind this switch as test oracles: the equivalence suites
+//! compare both paths bit-for-bit on the same inputs, and the engine's
+//! golden-digest tests replay whole runs under either setting.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};

@@ -11,6 +11,7 @@
 //! -clock report. `merge` folds shard directories into a summary
 //! byte-identical to the unsharded run's.
 
+use bfl_harness::runner::{to_pretty_json, write_text};
 use bfl_harness::{merge_shards, run_fleet, write_outputs, Manifest, Shard};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -95,9 +96,6 @@ fn run_command(args: &[String]) {
     let elapsed = started.elapsed().as_secs_f64();
     write_outputs(&manifest, shard, &records, &out).unwrap_or_else(|e| fail(e));
 
-    // Wall-clock timing through the shared bench report writer. Sharded
-    // processes suffix the file so two shards writing into sibling dirs
-    // under one parent never race on a name.
     let timing = TimingReport {
         fleet: manifest.name.clone(),
         runs: records.len(),
@@ -114,8 +112,7 @@ fn run_command(args: &[String]) {
             0.0
         },
     };
-    let timing_path = out.join("timing.json");
-    bfl_bench::write_report(&timing_path.display().to_string(), &timing);
+    write_text(&out.join("timing.json"), &to_pretty_json(&timing)).unwrap_or_else(|e| fail(e));
 
     eprintln!(
         "wrote {} runs to `{}` in {elapsed:.2}s",

@@ -5,10 +5,11 @@
 //! A JSON [`manifest`](manifest::Manifest) names a base scenario, a grid
 //! of override axes (cross-producting into labelled cells), and a seed
 //! fleet. The [`runner`] expands cells × seeds into a canonical job
-//! list, fans it across cores with the same order-stable schedule the
-//! core `SweepRunner` uses, and streams per-round KPI rows through the
-//! [`bfl_core::RoundObserver`] seam into per-seed CSV/JSON series plus a
-//! cross-seed `summary.json` ([`stats::Stats`] per KPI per cell).
+//! list, fans it across cores with `bfl_ml::par`'s order-stable
+//! fork/join map (this is the workspace's one fleet runner), and streams
+//! per-round KPI rows through the [`bfl_core::RoundObserver`] seam into
+//! per-seed CSV/JSON series plus a cross-seed `summary.json`
+//! ([`stats::Stats`] per KPI per cell).
 //!
 //! Fleets also shard across *processes* with zero coordination: shard
 //! `i` of `N` owns every job whose global index is `≡ i (mod N)`, and

@@ -2,10 +2,10 @@
 //!
 //! The runner expands a [`Manifest`] into the canonical job list
 //! (cell-major, seeds in manifest order), filters it by the process
-//! [`Shard`], and executes the surviving jobs with the same balanced
-//! contiguous-chunk schedule the core `SweepRunner` uses — so results
-//! are order-stable and bit-identical at every thread count. All file
-//! writes happen serially after the parallel phase, in canonical order.
+//! [`Shard`], and executes the surviving jobs through
+//! [`par::par_map`]'s order-stable fork/join map — so results are
+//! bit-identical at every thread count. All file writes happen serially
+//! after the parallel phase, in canonical order.
 
 use crate::manifest::{DatasetSpec, Manifest};
 use crate::stats::Stats;
@@ -161,7 +161,7 @@ pub struct FinalMetrics {
 }
 
 /// The in-memory result of one cell × seed run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// Index of the cell in the manifest's expansion order.
     pub cell_index: usize,
@@ -257,10 +257,13 @@ pub fn generate_dataset(spec: &DatasetSpec) -> (Dataset, Dataset) {
 /// Runs every job of `manifest` owned by `shard` and returns the records
 /// in canonical (cell-major) order.
 ///
-/// `threads` caps the worker count (0 = all available). Scheduling
-/// mirrors the core `SweepRunner`: balanced contiguous chunks over the
-/// job list, mapped with `par::par_map`, flattened — so the output is
-/// independent of the thread count and of which shard ran which job.
+/// `threads` is the worker count: `N` runs the jobs on exactly `N`
+/// workers (fewer only when there are fewer jobs), whatever the host's
+/// core count; `0` means all available cores. [`par::par_map`] gives
+/// each worker one balanced contiguous chunk of the job list and
+/// stitches the chunks back in order, and each job is seeded by its
+/// cell and seed alone — so the output is independent of the thread
+/// count and of which shard ran which job.
 pub fn run_fleet(
     manifest: &Manifest,
     shard: Shard,
@@ -273,35 +276,18 @@ pub fn run_fleet(
         .filter(|(g, _)| shard.owns(*g))
         .map(|(_, job)| job)
         .collect();
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
-
-    let workers = if threads == 0 {
-        par::max_threads()
-    } else {
-        threads
-    }
-    .min(jobs.len())
-    .max(1);
-    let mut chunks: Vec<&[(usize, u64)]> = Vec::with_capacity(workers);
-    let per = jobs.len() / workers;
-    let extra = jobs.len() % workers;
-    let mut start = 0;
-    for w in 0..workers {
-        let len = per + usize::from(w < extra);
-        chunks.push(&jobs[start..start + len]);
-        start += len;
-    }
-
-    let results: Vec<Vec<Result<RunRecord, HarnessError>>> =
-        par::par_map(&chunks, 1, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&(cell, seed)| run_one(manifest, cell, seed, &train, &test))
-                .collect()
-        });
-    results.into_iter().flatten().collect()
+    let run_jobs = || {
+        par::par_map(&jobs, 1, |_, &(cell, seed)| {
+            run_one(manifest, cell, seed, &train, &test)
+        })
+    };
+    // `with_thread_limit(0, ..)` would clamp to one worker, so "all
+    // available" runs outside any limit scope.
+    let results = match threads {
+        0 => run_jobs(),
+        n => par::with_thread_limit(n, run_jobs),
+    };
+    results.into_iter().collect()
 }
 
 /// Runs one cell × seed job.
@@ -523,6 +509,20 @@ mod tests {
         for g in 0..20 {
             let owners = shards.iter().filter(|s| s.owns(g)).count();
             assert_eq!(owners, 1, "job {g} must have exactly one owner");
+        }
+    }
+
+    #[test]
+    fn a_thread_budget_is_a_worker_count_and_never_changes_the_records() {
+        let manifest = Manifest::from_json(include_str!("../../../scenarios/smoke.json"))
+            .expect("the smoke manifest is valid");
+        // An explicit budget overrides the host limit, so 8 workers are 8
+        // workers on a 2-core host too (here: one per job, four jobs).
+        let serial = run_fleet(&manifest, Shard::default(), 1).unwrap();
+        assert_eq!(serial.len(), manifest.total_runs());
+        for threads in [2, 8] {
+            let records = run_fleet(&manifest, Shard::default(), threads).unwrap();
+            assert_eq!(records, serial, "threads={threads}");
         }
     }
 

@@ -1,11 +1,10 @@
 //! Process-wide switch between the batched GEMM compute engine and the
 //! retained per-sample reference implementations.
 //!
-//! The batched engine is the default. The reference path exists for two
-//! consumers: the equivalence tests (which compare both paths on the
-//! same inputs) and the throughput benchmark (which measures the
-//! speedup end-to-end by flipping this switch around otherwise
-//! identical runs, in the same process, on the same machine).
+//! The batched engine is the default. The reference path exists as a
+//! test oracle: the equivalence tests compare both paths on the same
+//! inputs, and the engine's golden-digest tests replay whole runs under
+//! either setting.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};

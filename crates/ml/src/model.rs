@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// engine (`loss_and_grad_batched`, `logits_batch`) that moves whole
 /// minibatches through the GEMM kernels of [`crate::tensor`], and the
 /// retained per-sample reference path (`loss_and_grad_reference`) used
-/// by the equivalence tests and the throughput benchmark.
+/// by the equivalence and golden-digest tests.
 /// [`Model::loss_and_grad`] dispatches between them according to
 /// [`crate::engine::reference_mode`].
 pub trait Model {

@@ -32,8 +32,9 @@ thread_local! {
 }
 
 /// Runs `f` with [`max_threads`] clamped to `limit` (at least 1) on the
-/// *current* thread. The benchmark scaling curves use this to sweep
-/// explicit thread counts {1, 2, 4, 8} without touching global state;
+/// *current* thread. Fleet runs (`bflharness --threads N`) and the
+/// determinism tests use this to pick an explicit worker count,
+/// whatever the host's core count, without touching global state;
 /// worker threads spawned inside the scope observe the usual nesting
 /// rule (they report 1), so the limit composes with — never overrides —
 /// worker serialization.

@@ -110,11 +110,10 @@ pub fn hardware_supported() -> bool {
     }
 }
 
-/// Test/bench hook: force the vector tier on or off for the whole
-/// process (all threads). Forcing `true` on a host without AVX2+FMA is
-/// ignored — the scalar tier stays pinned, never an illegal dispatch.
-/// The equivalence suite and the `pr10` bench section use this to time
-/// and compare both tiers in one process.
+/// Test hook: force the vector tier on or off for the whole process
+/// (all threads). Forcing `true` on a host without AVX2+FMA is ignored —
+/// the scalar tier stays pinned, never an illegal dispatch. The
+/// equivalence suite uses this to compare both tiers in one process.
 pub fn set_enabled(on: bool) {
     STATE.store(
         if on && hardware_supported() { ON } else { OFF },

@@ -10,54 +10,19 @@
 //! uploads) resolve in the order they were scheduled, never in allocator
 //! or hash order.
 //!
-//! ## Lane sharding
+//! ## Due batches
 //!
-//! Internally the queue is sharded into a fixed set of per-lane binary
-//! heaps instead of one global heap, in the spirit of event-driven
-//! components that each own a local clock. The invariants that keep the
-//! shards invisible to observers:
-//!
-//! * **Total order lives in the key, not the structure.** Every event
-//!   carries a globally monotone sequence number allocated at `push`, and
-//!   the pop order is defined as ascending `(time_s, seq)` — a total
-//!   order over all events in the queue, regardless of which lane holds
-//!   them. Lane placement is pure storage routing.
-//! * **Merge order.** `pop` takes the minimum over the lane heads by
-//!   `(time_s, seq)`; lanes are scanned in ascending lane index, and a
-//!   later lane replaces the candidate only when *strictly* smaller, so
-//!   the scan order cannot matter (two heads can never share a `seq`).
-//!   Tie-breaks between equal times are therefore decided by `seq`
-//!   alone — exactly the FIFO contract of the old global heap.
-//! * **Replay determinism.** Because the pop sequence is a pure function
-//!   of the pushed `(time_s, seq, payload)` set, resharding (any lane
-//!   count, any routing function) is bit-invisible to replay: the PR 4–7
-//!   golden digests hold for any `with_lanes` choice.
-//! * **Batch drains.** All events sharing the earliest pending time form
-//!   a *due batch*; [`EventQueue::pop_due_batch`] removes the per-lane
-//!   runs and merges them by `seq`. A handler that processes a drained
-//!   batch left-to-right observes exactly the one-at-a-time pop order
-//!   (any event scheduled *while* processing carries a larger `seq` and
-//!   therefore sorts after the drained batch, even at the same time);
-//!   unprocessed members can go back via [`EventQueue::reinsert`], which
-//!   preserves their original `seq` and hence their slot in the total
-//!   order.
-//! * **Parallel lane drains.** Each lane's contents can be extracted and
-//!   sorted independently ([`EventQueue::into_lane_runs`]) — each run is
-//!   already ascending in `(time_s, seq)` — and a k-way merge
-//!   ([`merge_runs`]) reproduces the exact global pop order. This is
-//!   what lets a fan-out drain lanes on worker threads and still hand
-//!   the engine a bit-identical event sequence.
+//! All events sharing the earliest pending time form a *due batch*;
+//! [`EventQueue::pop_due_batch`] drains it in one call, in pop order. A
+//! handler that processes a drained batch left-to-right observes exactly
+//! the one-at-a-time pop order: any event scheduled *while* processing
+//! carries a larger `seq` and therefore sorts after the drained batch,
+//! even at the same time. Unprocessed members can go back via
+//! [`EventQueue::reinsert`], which preserves their original `seq` and
+//! hence their slot in the total order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Number of lanes a queue built with [`EventQueue::new`] shards into.
-///
-/// Eight stripes keeps each per-lane heap roughly an eighth of the
-/// population's pending events (sequence routing is round-robin), cutting
-/// the `O(log n)` sift depth per operation while staying small enough
-/// that the head-merge scan in `pop` is a handful of comparisons.
-pub const DEFAULT_LANES: usize = 8;
 
 /// An event popped from the queue: when it fires, its insertion sequence
 /// number, and the scheduled payload.
@@ -138,10 +103,10 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// A lane-sharded min-heap of timed events with deterministic FIFO
-/// tie-breaking. See the [module docs](self) for the sharding invariants.
+/// A min-heap of timed events keyed by `(time_s, seq)`, so time ties
+/// pop FIFO.
 pub struct EventQueue<T> {
-    lanes: Vec<BinaryHeap<Entry<T>>>,
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
 }
 
@@ -152,34 +117,22 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue with [`DEFAULT_LANES`] lanes.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_lanes(DEFAULT_LANES)
-    }
-
-    /// Creates an empty queue sharded into `lanes` heaps (at least one).
-    /// The lane count only shapes storage — pop order is identical for
-    /// every choice.
-    pub fn with_lanes(lanes: usize) -> Self {
         EventQueue {
-            lanes: (0..lanes.max(1)).map(|_| BinaryHeap::new()).collect(),
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
 
-    /// Number of storage lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(BinaryHeap::len).sum()
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(BinaryHeap::is_empty)
+        self.heap.is_empty()
     }
 
     /// Schedules `payload` at simulated second `time_s` (must be finite
@@ -205,8 +158,7 @@ impl<T> EventQueue<T> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let lane = (seq % self.lanes.len() as u64) as usize;
-        self.lanes[lane].push(Entry {
+        self.heap.push(Entry {
             time_s,
             seq,
             payload,
@@ -218,190 +170,53 @@ impl<T> EventQueue<T> {
     /// number — and therefore its exact slot in the pop order. Used by
     /// batch drains to return members they chose not to process.
     pub fn reinsert(&mut self, event: ScheduledEvent<T>) {
-        let lane = (event.seq % self.lanes.len() as u64) as usize;
-        self.lanes[lane].push(Entry {
+        self.heap.push(Entry {
             time_s: event.time_s,
             seq: event.seq,
             payload: event.payload,
         });
     }
 
-    /// Index of the lane holding the globally earliest `(time, seq)`
-    /// head, or `None` when every lane is empty. Later lanes win only on
-    /// strict inequality, so the ascending scan order is immaterial.
-    fn min_lane(&self) -> Option<usize> {
-        let mut best: Option<(usize, f64, u64)> = None;
-        for (lane, heap) in self.lanes.iter().enumerate() {
-            let Some(head) = heap.peek() else { continue };
-            let better = match &best {
-                None => true,
-                Some((_, time, seq)) => match head.time_s.total_cmp(time) {
-                    Ordering::Less => true,
-                    Ordering::Greater => false,
-                    Ordering::Equal => head.seq < *seq,
-                },
-            };
-            if better {
-                best = Some((lane, head.time_s, head.seq));
-            }
-        }
-        best.map(|(lane, _, _)| lane)
-    }
-
     /// Removes and returns the earliest pending event (ties broken by
     /// insertion order), or `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        let lane = self.min_lane()?;
-        self.lanes[lane].pop().map(Entry::into_event)
+        self.heap.pop().map(Entry::into_event)
     }
 
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<f64> {
-        let lane = self.min_lane()?;
-        self.lanes[lane].peek().map(|e| e.time_s)
+        self.heap.peek().map(|e| e.time_s)
     }
 
     /// Removes *every* event scheduled at the earliest pending time and
     /// appends them to `out` in pop order (ascending `seq`), returning
-    /// how many were drained. Each lane's same-time run is popped once,
-    /// then one sort by `seq` merges the runs — cheaper than `len` full
-    /// head-merges when simultaneous fan-ins are wide (PR 7's
-    /// population-scale rounds commission thousands of zero-delay
-    /// events at one timestamp).
+    /// how many were drained.
     pub fn pop_due_batch(&mut self, out: &mut Vec<ScheduledEvent<T>>) -> usize {
-        let Some(lane) = self.min_lane() else {
+        let Some(due) = self.peek_time() else {
             return 0;
         };
-        let due = self.lanes[lane]
-            .peek()
-            .map(|e| e.time_s)
-            .expect("min_lane returned a non-empty lane");
         let start = out.len();
-        for heap in &mut self.lanes {
-            while let Some(head) = heap.peek() {
-                if head.time_s.total_cmp(&due) != Ordering::Equal {
-                    break;
-                }
-                let entry = heap.pop().expect("peeked entry pops");
-                out.push(entry.into_event());
+        while let Some(head) = self.heap.peek() {
+            if head.time_s.total_cmp(&due) != Ordering::Equal {
+                break;
             }
+            let entry = self.heap.pop().expect("peeked entry pops");
+            out.push(entry.into_event());
         }
-        out[start..].sort_by_key(|e| e.seq);
         out.len() - start
-    }
-
-    /// Consumes the queue into one ascending `(time, seq)` run per lane.
-    /// Each run can be produced on its own worker; [`merge_runs`] then
-    /// reconstructs the exact global pop order.
-    pub fn into_lane_runs(self) -> Vec<Vec<ScheduledEvent<T>>> {
-        self.lanes
-            .into_iter()
-            .map(|heap| {
-                let mut run: Vec<ScheduledEvent<T>> =
-                    heap.into_vec().into_iter().map(Entry::into_event).collect();
-                run.sort_by(|a, b| {
-                    a.time_s
-                        .total_cmp(&b.time_s)
-                        .then_with(|| a.seq.cmp(&b.seq))
-                });
-                run
-            })
-            .collect()
-    }
-
-    /// [`EventQueue::into_lane_runs`] with the per-lane sorts fanned out
-    /// over at most `workers` scoped threads (stripes of whole lanes per
-    /// worker). Each lane's run is a pure function of that lane's
-    /// contents, so the output — and any downstream [`merge_runs`] — is
-    /// bit-identical at every worker count.
-    pub fn into_lane_runs_parallel(self, workers: usize) -> Vec<Vec<ScheduledEvent<T>>>
-    where
-        T: Send,
-    {
-        let lanes = self.lanes.len();
-        let workers = workers.max(1).min(lanes);
-        if workers <= 1 {
-            return self.into_lane_runs();
-        }
-        let mut slots: Vec<Vec<ScheduledEvent<T>>> = Vec::with_capacity(lanes);
-        let heaps: Vec<BinaryHeap<Entry<T>>> = self.lanes;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut rest = heaps;
-            // Contiguous stripes, sized front-loaded like a balanced split.
-            for w in 0..workers {
-                let remaining_workers = workers - w;
-                let take = rest.len().div_ceil(remaining_workers);
-                let tail = rest.split_off(take);
-                let stripe = std::mem::replace(&mut rest, tail);
-                handles.push(scope.spawn(move || {
-                    stripe
-                        .into_iter()
-                        .map(|heap| {
-                            let mut run: Vec<ScheduledEvent<T>> =
-                                heap.into_vec().into_iter().map(Entry::into_event).collect();
-                            run.sort_by(|a, b| {
-                                a.time_s
-                                    .total_cmp(&b.time_s)
-                                    .then_with(|| a.seq.cmp(&b.seq))
-                            });
-                            run
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                slots.extend(handle.join().expect("lane-drain worker panicked"));
-            }
-        });
-        slots
     }
 
     /// Drops every pending event (the sequence counter keeps advancing so
     /// event identities stay unique across the run).
     pub fn clear(&mut self) {
-        for heap in &mut self.lanes {
-            heap.clear();
-        }
+        self.heap.clear();
     }
-}
-
-/// K-way merges per-lane runs (each ascending in `(time_s, seq)`, as
-/// produced by [`EventQueue::into_lane_runs`]) into the global pop order.
-pub fn merge_runs<T>(runs: Vec<Vec<ScheduledEvent<T>>>) -> Vec<ScheduledEvent<T>> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    let mut cursors: Vec<std::iter::Peekable<std::vec::IntoIter<ScheduledEvent<T>>>> = runs
-        .into_iter()
-        .map(|run| run.into_iter().peekable())
-        .collect();
-    while merged.len() < total {
-        let mut best: Option<(usize, f64, u64)> = None;
-        for (index, cursor) in cursors.iter_mut().enumerate() {
-            let Some(head) = cursor.peek() else { continue };
-            let better = match &best {
-                None => true,
-                Some((_, time, seq)) => match head.time_s.total_cmp(time) {
-                    Ordering::Less => true,
-                    Ordering::Greater => false,
-                    Ordering::Equal => head.seq < *seq,
-                },
-            };
-            if better {
-                best = Some((index, head.time_s, head.seq));
-            }
-        }
-        let (index, _, _) = best.expect("total counts unmerged events");
-        merged.push(cursors[index].next().expect("peeked head advances"));
-    }
-    merged
 }
 
 impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("len", &self.len())
-            .field("lanes", &self.lanes.len())
             .field("next_seq", &self.next_seq)
             .finish()
     }
@@ -410,6 +225,7 @@ impl<T> std::fmt::Debug for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -470,17 +286,6 @@ mod tests {
         assert_eq!(q.try_push(0.0, ()), Ok(0));
     }
 
-    /// Reference pop order: sort the pushed set by `(time, seq)`.
-    fn reference_order(pushes: &[(f64, u32)]) -> Vec<(f64, u64, u32)> {
-        let mut all: Vec<(f64, u64, u32)> = pushes
-            .iter()
-            .enumerate()
-            .map(|(seq, &(t, p))| (t, seq as u64, p))
-            .collect();
-        all.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        all
-    }
-
     /// A pseudo-random scenario with heavy time collisions.
     fn collision_pushes(count: u64) -> Vec<(f64, u32)> {
         (0..count)
@@ -489,22 +294,6 @@ mod tests {
                 (t, i as u32)
             })
             .collect()
-    }
-
-    #[test]
-    fn lane_counts_are_invisible_to_pop_order() {
-        let pushes = collision_pushes(200);
-        let expected = reference_order(&pushes);
-        for lanes in [1, 2, 3, 8, 64] {
-            let mut q = EventQueue::with_lanes(lanes);
-            assert_eq!(q.lane_count(), lanes);
-            for &(t, p) in &pushes {
-                q.push(t, p);
-            }
-            let popped: Vec<(f64, u64, u32)> =
-                std::iter::from_fn(|| q.pop().map(|e| (e.time_s, e.seq, e.payload))).collect();
-            assert_eq!(popped, expected, "lanes={lanes}");
-        }
     }
 
     #[test]
@@ -564,49 +353,59 @@ mod tests {
         assert_eq!(order, expected);
     }
 
-    #[test]
-    fn parallel_lane_runs_match_serial_at_every_worker_count() {
-        let pushes = collision_pushes(96);
-        let serial = {
-            let mut q = EventQueue::with_lanes(8);
-            for &(t, p) in &pushes {
-                q.push(t, p);
+    proptest! {
+        /// Model-based: any interleaving of the queue's operations agrees,
+        /// step by step, with a `Vec` kept sorted by `(time_s, seq)`.
+        #[test]
+        fn random_interleavings_match_a_sorted_vec_model(
+            ops in proptest::collection::vec(any::<u64>(), 0..400),
+        ) {
+            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut model: Vec<ScheduledEvent<u32>> = Vec::new();
+            let mut next_seq = 0u64;
+            let by_slot = |a: &ScheduledEvent<u32>, b: &ScheduledEvent<u32>| {
+                a.time_s.total_cmp(&b.time_s).then(a.seq.cmp(&b.seq))
+            };
+            for op in ops {
+                let arg = (op >> 8) as usize;
+                match op % 32 {
+                    // Five distinct times: collisions are the common case.
+                    0..=17 => {
+                        let time_s = (arg % 5) as f64 * 0.25;
+                        prop_assert_eq!(q.push(time_s, arg as u32), next_seq);
+                        model.push(ScheduledEvent { time_s, seq: next_seq, payload: arg as u32 });
+                        model.sort_by(by_slot);
+                        next_seq += 1;
+                    }
+                    18..=22 => {
+                        let expected = (!model.is_empty()).then(|| model.remove(0));
+                        prop_assert_eq!(q.pop(), expected);
+                    }
+                    23..=30 => {
+                        let due = model.iter().take_while(|e| e.time_s == model[0].time_s).count();
+                        let expected: Vec<_> = model.drain(..due).collect();
+                        let mut out = Vec::new();
+                        prop_assert_eq!(q.pop_due_batch(&mut out), due);
+                        prop_assert_eq!(&out, &expected);
+                        // Put an arbitrary suffix (possibly empty, possibly
+                        // the whole batch) back.
+                        for event in out.drain(arg % (due + 1)..) {
+                            model.push(event.clone());
+                            q.reinsert(event);
+                        }
+                        model.sort_by(by_slot);
+                    }
+                    _ => {
+                        q.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                prop_assert_eq!(q.peek_time(), model.first().map(|e| e.time_s));
             }
-            q.into_lane_runs()
-        };
-        for workers in [1, 2, 3, 8, 16] {
-            let mut q = EventQueue::with_lanes(8);
-            for &(t, p) in &pushes {
-                q.push(t, p);
-            }
-            assert_eq!(
-                q.into_lane_runs_parallel(workers),
-                serial,
-                "workers={workers}"
-            );
+            let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            prop_assert_eq!(rest, model);
         }
-    }
-
-    #[test]
-    fn lane_runs_merge_back_to_global_order() {
-        let pushes = collision_pushes(120);
-        let mut q = EventQueue::with_lanes(8);
-        for &(t, p) in &pushes {
-            q.push(t, p);
-        }
-        let runs = q.into_lane_runs();
-        assert_eq!(runs.len(), 8);
-        for run in &runs {
-            assert!(run
-                .windows(2)
-                .all(|w| (w[0].time_s, w[0].seq) < (w[1].time_s, w[1].seq)));
-        }
-        let merged = merge_runs(runs);
-        let expected = reference_order(&pushes);
-        let got: Vec<(f64, u64, u32)> = merged
-            .into_iter()
-            .map(|e| (e.time_s, e.seq, e.payload))
-            .collect();
-        assert_eq!(got, expected);
     }
 }

@@ -27,7 +27,7 @@ pub mod topology;
 
 pub use clock::SimClock;
 pub use delay::{DelayDistribution, LinkModel};
-pub use event::{merge_runs, EventQueue, InvalidEventTime, ScheduledEvent, DEFAULT_LANES};
+pub use event::{EventQueue, InvalidEventTime, ScheduledEvent};
 pub use fault::{CrashSchedule, FaultPlan, LinkFaults, Partition, TimeWindow};
 pub use profile::{ChurnSchedule, NodeProfile};
 pub use topology::Topology;

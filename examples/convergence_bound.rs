@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example convergence_bound`
 
-use fair_bfl::core::{BflConfig, BflSimulation, TheoremParams};
+use fair_bfl::core::{BflConfig, Scenario, TheoremParams};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
 use fair_bfl::fl::config::PartitionKind;
 use rand::rngs::StdRng;
@@ -30,7 +30,8 @@ fn main() {
     config.fl.local.epochs = 2;
     config.fl.partition = PartitionKind::Iid;
 
-    let result = BflSimulation::new(config)
+    let result = Scenario::from_config(config)
+        .expect("configuration is valid")
         .run(&train, &test)
         .expect("simulation should complete");
 

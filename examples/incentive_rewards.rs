@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example incentive_rewards`
 
-use fair_bfl::core::{BflConfig, BflSimulation};
+use fair_bfl::core::{BflConfig, Scenario};
 use fair_bfl::data::{Dataset, SynthMnist, SynthMnistConfig};
 use fair_bfl::fl::config::PartitionKind;
 use rand::rngs::StdRng;
@@ -40,7 +40,8 @@ fn main() {
     config.fl.partition = PartitionKind::Iid;
     config.reward_base = 100.0;
 
-    let result = BflSimulation::new(config)
+    let result = Scenario::from_config(config)
+        .expect("configuration is valid")
         .run(&corrupted, &test)
         .expect("simulation should complete");
 

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example malicious_detection`
 
-use fair_bfl::core::{AttackConfig, BflConfig, BflSimulation, LowContributionStrategy};
+use fair_bfl::core::{AttackConfig, BflConfig, LowContributionStrategy, Scenario};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
 use fair_bfl::fl::config::PartitionKind;
 use rand::rngs::StdRng;
@@ -31,7 +31,8 @@ fn run(partition: PartitionKind, label: &str) {
     config.strategy = LowContributionStrategy::Discard;
     config.attack = AttackConfig::table2();
 
-    let result = BflSimulation::new(config)
+    let result = Scenario::from_config(config)
+        .expect("configuration is valid")
         .run(&train, &test)
         .expect("simulation should complete");
 

@@ -19,9 +19,10 @@
 //!
 //! ## Quickstart
 //!
-//! Scenarios are composed with a validating builder, run either in one
-//! shot or round by round through the stepwise engine, and fanned out in
-//! grids by the sweep runner:
+//! Scenarios are composed with a validating builder and run either in
+//! one shot or round by round through the stepwise engine; grids of them
+//! fan out across cores and processes through `bflharness`
+//! (`crates/harness`):
 //!
 //! ```no_run
 //! use fair_bfl::core::{AggregationAnchor, Scenario};

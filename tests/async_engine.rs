@@ -6,11 +6,9 @@
 
 mod common;
 
-use common::{small_config, small_dataset};
+use common::{run_grid, small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
-use fair_bfl::core::{
-    ProfileConfig, Scenario, SimulationResult, StalenessPolicy, SweepPoint, SweepRunner, SyncMode,
-};
+use fair_bfl::core::{ProfileConfig, Scenario, SimulationResult, StalenessPolicy, SyncMode};
 use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::net::DelayDistribution;
 use std::sync::Mutex;
@@ -142,37 +140,21 @@ fn flexible_quota_runs_are_deterministic_with_identical_event_traces() {
 fn flexible_sweeps_are_bit_identical_for_any_thread_count() {
     let _guard = lock();
     let (train, test) = small_dataset();
-    let grid: Vec<SweepPoint> = [
-        ("quota-8", 8),
-        ("quota-6", 6),
-        ("quota-4", 4),
-        ("quota-3", 3),
-        ("quota-2", 2),
-    ]
-    .into_iter()
-    .map(|(label, quota)| {
-        SweepPoint::new(
-            label,
-            straggler_scenario(quota, StalenessPolicy::DecayedInclude { decay: 0.5 }, 2),
-        )
-    })
-    .collect();
+    let quotas = [8, 6, 4, 3, 2];
+    let grid: Vec<Scenario> = quotas
+        .into_iter()
+        .map(|quota| straggler_scenario(quota, StalenessPolicy::DecayedInclude { decay: 0.5 }, 2))
+        .collect();
 
-    let serial = SweepRunner::with_threads(1)
-        .run(&grid, &train, &test)
-        .unwrap();
-    for threads in [0usize, 2, 3] {
-        let cells = SweepRunner::with_threads(threads)
-            .run(&grid, &train, &test)
-            .unwrap();
+    let serial = run_grid(&grid, 1, &train, &test);
+    for workers in [2, 8] {
+        let cells = run_grid(&grid, workers, &train, &test);
         assert_eq!(cells.len(), serial.len());
-        for (a, b) in serial.iter().zip(cells.iter()) {
-            assert_eq!(a.label, b.label);
+        for ((a, b), quota) in serial.iter().zip(cells.iter()).zip(quotas) {
             assert_eq!(
-                run_digest(&a.result),
-                run_digest(&b.result),
-                "cell `{}` must not depend on sweep parallelism",
-                a.label
+                run_digest(a),
+                run_digest(b),
+                "cell `quota-{quota}` must not depend on sweep parallelism"
             );
         }
     }

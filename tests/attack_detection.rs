@@ -5,9 +5,7 @@
 mod common;
 
 use common::{small_config, small_dataset};
-use fair_bfl::core::{
-    AggregationAnchor, AttackConfig, BflSimulation, LowContributionStrategy, Scenario,
-};
+use fair_bfl::core::{AggregationAnchor, AttackConfig, LowContributionStrategy, Scenario};
 use fair_bfl::fl::attack::AttackKind;
 use fair_bfl::fl::config::PartitionKind;
 
@@ -24,7 +22,10 @@ fn attacked_config(rounds: usize, partition: PartitionKind) -> fair_bfl::core::B
 fn sign_flip_attackers_are_detected_at_a_high_rate() {
     let (train, test) = small_dataset();
     let config = attacked_config(6, PartitionKind::Iid);
-    let result = BflSimulation::new(config).run(&train, &test).unwrap();
+    let result = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
 
     assert_eq!(result.detection.len(), 6);
     let (total, caught) = result.detection.totals();
@@ -47,12 +48,14 @@ fn detection_works_under_non_iid_too_and_iid_is_not_worse() {
     );
     let iid = attacked_config(6, PartitionKind::Iid);
 
-    let non_iid_rate = BflSimulation::new(non_iid)
+    let non_iid_rate = Scenario::from_config(non_iid)
+        .unwrap()
         .run(&train, &test)
         .unwrap()
         .detection
         .average_detection_rate();
-    let iid_rate = BflSimulation::new(iid)
+    let iid_rate = Scenario::from_config(iid)
+        .unwrap()
         .run(&train, &test)
         .unwrap()
         .detection
@@ -91,8 +94,14 @@ fn discarding_protects_accuracy_against_poisoning() {
     undefended.anchor = AggregationAnchor::Mean;
     undefended.fair_aggregation = false;
 
-    let defended_result = BflSimulation::new(defended).run(&train, &test).unwrap();
-    let undefended_result = BflSimulation::new(undefended).run(&train, &test).unwrap();
+    let defended_result = Scenario::from_config(defended)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
+    let undefended_result = Scenario::from_config(undefended)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
 
     let defended_acc = defended_result.final_accuracy().unwrap();
     let undefended_acc = undefended_result.final_accuracy().unwrap();
@@ -163,7 +172,10 @@ fn robust_anchors_catch_the_scaling_attacker_that_defeats_the_mean() {
 fn attackers_that_are_caught_earn_no_rewards_that_round() {
     let (train, test) = small_dataset();
     let config = attacked_config(5, PartitionKind::Iid);
-    let result = BflSimulation::new(config).run(&train, &test).unwrap();
+    let result = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
 
     // For every round, any attacker listed in the dropped set must not have
     // received a reward in that round's block.
@@ -210,7 +222,10 @@ fn a_non_finite_upload_is_rejected_at_admission_and_never_reaches_the_model() {
     let clients = config.fl.clients;
 
     // Lockstep engine: the attacker's upload never enters the round.
-    let result = BflSimulation::new(config).run(&train, &test).unwrap();
+    let result = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
     assert_eq!(result.outcomes.len(), rounds);
     for outcome in &result.outcomes {
         assert_eq!(outcome.attackers.len(), 1);

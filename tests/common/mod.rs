@@ -1,8 +1,9 @@
 //! Shared fixtures for the cross-crate integration tests.
 
-use fair_bfl::core::BflConfig;
+use fair_bfl::core::{BflConfig, Scenario, SimulationResult};
 use fair_bfl::data::{Dataset, SynthMnist, SynthMnistConfig};
 use fair_bfl::fl::config::PartitionKind;
+use fair_bfl::ml::par;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,4 +25,19 @@ pub fn small_config(rounds: usize) -> BflConfig {
     let mut config = BflConfig::small_test(rounds);
     config.fl.partition = PartitionKind::Iid;
     config
+}
+
+/// Runs every scenario of `grid` over the shared split on exactly
+/// `workers` threads (fewer only when the grid is shorter), results in
+/// grid order — the fan-out `bflharness` fleets use, at test scale.
+#[allow(dead_code)] // not every test binary sweeps a grid
+pub fn run_grid(
+    grid: &[Scenario],
+    workers: usize,
+    train: &Dataset,
+    test: &Dataset,
+) -> Vec<SimulationResult> {
+    par::with_thread_limit(workers, || {
+        par::par_map(grid, 1, |_, scenario| scenario.run(train, test).unwrap())
+    })
 }

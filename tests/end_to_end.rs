@@ -5,14 +5,17 @@
 mod common;
 
 use common::{small_config, small_dataset};
-use fair_bfl::core::{BflSimulation, TheoremParams};
+use fair_bfl::core::{Scenario, TheoremParams};
 use fair_bfl::ml::gradient;
 
 #[test]
 fn full_run_produces_valid_ledger_and_matching_rewards() {
     let (train, test) = small_dataset();
     let config = small_config(4);
-    let result = BflSimulation::new(config).run(&train, &test).unwrap();
+    let result = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
 
     // One block per communication round, none empty, all valid.
     let chain = result.chain.as_ref().expect("FAIR-BFL mines");
@@ -50,7 +53,8 @@ fn full_run_produces_valid_ledger_and_matching_rewards() {
 #[test]
 fn accuracy_improves_and_delays_accumulate_monotonically() {
     let (train, test) = small_dataset();
-    let result = BflSimulation::new(small_config(6))
+    let result = Scenario::from_config(small_config(6))
+        .unwrap()
         .run(&train, &test)
         .unwrap();
 
@@ -83,8 +87,14 @@ fn accuracy_improves_and_delays_accumulate_monotonically() {
 fn runs_with_the_same_seed_are_bit_identical() {
     let (train, test) = small_dataset();
     let config = small_config(3);
-    let a = BflSimulation::new(config).run(&train, &test).unwrap();
-    let b = BflSimulation::new(config).run(&train, &test).unwrap();
+    let a = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
+    let b = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
     assert_eq!(a.final_params, b.final_params);
     assert_eq!(a.history, b.history);
     assert_eq!(a.reward_totals, b.reward_totals);
@@ -101,8 +111,14 @@ fn different_seeds_give_different_runs() {
     config_a.fl.seed = 1;
     let mut config_b = small_config(3);
     config_b.fl.seed = 2;
-    let a = BflSimulation::new(config_a).run(&train, &test).unwrap();
-    let b = BflSimulation::new(config_b).run(&train, &test).unwrap();
+    let a = Scenario::from_config(config_a)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
+    let b = Scenario::from_config(config_b)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
     assert_ne!(a.final_params, b.final_params);
 }
 
@@ -111,7 +127,10 @@ fn theorem_bound_upper_envelopes_the_loss_decay_shape() {
     let (train, test) = small_dataset();
     let mut config = small_config(8);
     config.fl.participation_ratio = 1.0;
-    let result = BflSimulation::new(config).run(&train, &test).unwrap();
+    let result = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
 
     let params = TheoremParams {
         clients_per_round: config.fl.selected_per_round(),

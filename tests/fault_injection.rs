@@ -8,11 +8,11 @@
 
 mod common;
 
-use common::{small_config, small_dataset};
+use common::{run_grid, small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
     EventRecord, ProfileConfig, ProvisioningMode, ReorgPolicy, RetryPolicy, Scenario,
-    SimulationResult, StalenessPolicy, SweepPoint, SweepRunner, SyncMode,
+    SimulationResult, StalenessPolicy, SyncMode,
 };
 use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::net::{CrashSchedule, DelayDistribution, FaultPlan, LinkFaults, Partition};
@@ -540,42 +540,28 @@ fn faulted_sweeps_are_bit_identical_for_any_thread_count() {
         }),
         ..FaultPlan::default()
     };
-    let grid: Vec<SweepPoint> = vec![
-        SweepPoint::new(
-            "loss-retry",
-            faulted_scenario(6, 2, loss, retry, ReorgPolicy::Discard),
-        ),
-        SweepPoint::new(
-            "partition-salvage",
-            faulted_scenario(8, 3, split, RetryPolicy::None, ReorgPolicy::Salvage),
-        ),
-        SweepPoint::new(
-            "fault-free",
-            faulted_scenario(
-                6,
-                2,
-                FaultPlan::default(),
-                RetryPolicy::None,
-                ReorgPolicy::Discard,
-            ),
+    let labels = ["loss-retry", "partition-salvage", "fault-free"];
+    let grid = [
+        faulted_scenario(6, 2, loss, retry, ReorgPolicy::Discard),
+        faulted_scenario(8, 3, split, RetryPolicy::None, ReorgPolicy::Salvage),
+        faulted_scenario(
+            6,
+            2,
+            FaultPlan::default(),
+            RetryPolicy::None,
+            ReorgPolicy::Discard,
         ),
     ];
 
-    let serial = SweepRunner::with_threads(1)
-        .run(&grid, &train, &test)
-        .unwrap();
-    for threads in [0usize, 2, 3] {
-        let cells = SweepRunner::with_threads(threads)
-            .run(&grid, &train, &test)
-            .unwrap();
+    let serial = run_grid(&grid, 1, &train, &test);
+    for workers in [2, 8] {
+        let cells = run_grid(&grid, workers, &train, &test);
         assert_eq!(cells.len(), serial.len());
-        for (a, b) in serial.iter().zip(cells.iter()) {
-            assert_eq!(a.label, b.label);
+        for ((a, b), label) in serial.iter().zip(cells.iter()).zip(labels) {
             assert_eq!(
-                run_digest(&a.result),
-                run_digest(&b.result),
-                "cell `{}` must not depend on sweep parallelism",
-                a.label
+                run_digest(a),
+                run_digest(b),
+                "cell `{label}` must not depend on sweep parallelism"
             );
         }
     }

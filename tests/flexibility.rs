@@ -6,7 +6,7 @@
 mod common;
 
 use common::{small_config, small_dataset};
-use fair_bfl::core::{BflSimulation, FlexibilityMode};
+use fair_bfl::core::{FlexibilityMode, Scenario};
 use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::fl::trainer::{FlAlgorithm, FlTrainer};
 
@@ -20,7 +20,10 @@ fn fl_only_mode_matches_a_standalone_fedavg_trainer_in_quality() {
     config.mode = FlexibilityMode::FlOnly;
     config.fair_aggregation = false;
     config.verify_signatures = false;
-    let degraded = BflSimulation::new(config).run(&train, &test).unwrap();
+    let degraded = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
 
     // The standalone FedAvg baseline on the same data and scale.
     let mut fl_config = config.fl;
@@ -50,7 +53,10 @@ fn chain_only_mode_produces_a_ledger_and_no_model() {
     let (train, test) = small_dataset();
     let mut config = small_config(3);
     config.mode = FlexibilityMode::ChainOnly;
-    let result = BflSimulation::new(config).run(&train, &test).unwrap();
+    let result = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
 
     let chain = result.chain.as_ref().unwrap();
     chain.validate_all().unwrap();
@@ -73,9 +79,18 @@ fn delay_budgets_reflect_the_active_procedures() {
     let mut chain_only = full;
     chain_only.mode = FlexibilityMode::ChainOnly;
 
-    let full_result = BflSimulation::new(full).run(&train, &test).unwrap();
-    let fl_result = BflSimulation::new(fl_only).run(&train, &test).unwrap();
-    let chain_result = BflSimulation::new(chain_only).run(&train, &test).unwrap();
+    let full_result = Scenario::from_config(full)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
+    let fl_result = Scenario::from_config(fl_only)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
+    let chain_result = Scenario::from_config(chain_only)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
 
     // Full BFL pays for every procedure.
     for outcome in &full_result.outcomes {

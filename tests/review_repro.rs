@@ -2,7 +2,7 @@ mod common;
 
 use common::{small_config, small_dataset};
 use fair_bfl::core::{
-    BflSimulation, ProfileConfig, ReorgPolicy, RetryPolicy, Scenario, StalenessPolicy, SyncMode,
+    ProfileConfig, ReorgPolicy, RetryPolicy, Scenario, StalenessPolicy, SyncMode,
 };
 use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::net::{DelayDistribution, FaultPlan, LinkFaults, TimeWindow};
@@ -11,8 +11,14 @@ use fair_bfl::net::{DelayDistribution, FaultPlan, LinkFaults, TimeWindow};
 fn identical_configs_reproduce_the_run_exactly() {
     let (train, test) = small_dataset();
     let config = small_config(2);
-    let first = BflSimulation::new(config).run(&train, &test).unwrap();
-    let second = BflSimulation::new(config).run(&train, &test).unwrap();
+    let first = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
+    let second = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
     assert_eq!(first.final_params, second.final_params);
     assert_eq!(first.reward_totals, second.reward_totals);
 }

@@ -5,11 +5,11 @@
 
 mod common;
 
-use common::{small_config, small_dataset};
+use common::{run_grid, small_config, small_dataset};
 use fair_bfl::core::reward::RewardEntry;
 use fair_bfl::core::{
-    AggregationAnchor, BflSimulation, CoreError, FlexibilityMode, ObserverControl, RewardPolicy,
-    RoundEvent, RoundObserver, Scenario, SimulationResult, SweepPoint, SweepRunner,
+    AggregationAnchor, CoreError, FlexibilityMode, ObserverControl, RewardPolicy, RoundEvent,
+    RoundObserver, Scenario, SimulationResult,
 };
 use std::sync::Mutex;
 
@@ -50,8 +50,8 @@ fn step_driven_run_is_bit_identical_to_one_shot_run_in_both_engine_modes() {
         fair_bfl::ml::engine::set_reference_mode(reference);
         fair_bfl::crypto::engine::set_reference_mode(reference);
 
-        // The one-shot legacy driver...
-        let one_shot = BflSimulation::new(config).run(&train, &test).unwrap();
+        // The one-shot driver...
+        let one_shot = scenario.run(&train, &test).unwrap();
         // ...and an explicitly step()-driven run of the same scenario.
         let mut run = scenario.start(&train, &test).unwrap();
         let mut rounds = 0;
@@ -156,36 +156,33 @@ fn sweep_runner_is_order_stable_and_thread_invariant_through_the_facade() {
     let _guard = lock();
     let (train, test) = small_dataset();
     let base = small_config(2);
-    let grid: Vec<SweepPoint> = vec![
-        ("mean", AggregationAnchor::Mean),
-        ("median", AggregationAnchor::Median),
-        (
-            "trimmed",
-            AggregationAnchor::TrimmedMean { trim_ratio: 0.2 },
-        ),
+    let grid: Vec<Scenario> = [
+        AggregationAnchor::Mean,
+        AggregationAnchor::Median,
+        AggregationAnchor::TrimmedMean { trim_ratio: 0.2 },
     ]
     .into_iter()
-    .map(|(label, anchor)| {
+    .map(|anchor| {
         let mut config = base;
         config.anchor = anchor;
         config.verify_signatures = false;
-        SweepPoint::new(label, Scenario::from_config(config).unwrap())
+        Scenario::from_config(config).unwrap()
     })
     .collect();
 
-    let serial = SweepRunner::with_threads(1)
-        .run(&grid, &train, &test)
-        .unwrap();
-    let parallel = SweepRunner::new().run(&grid, &train, &test).unwrap();
+    let serial = run_grid(&grid, 1, &train, &test);
     assert_eq!(serial.len(), 3);
-    for (a, b) in serial.iter().zip(parallel.iter()) {
-        assert_eq!(a.label, b.label);
-        assert_bit_identical(&a.result, &b.result);
+    for workers in [2, 8] {
+        let parallel = run_grid(&grid, workers, &train, &test);
+        assert_eq!(parallel.len(), serial.len());
+        for (a, b) in serial.iter().zip(parallel.iter()) {
+            assert_bit_identical(a, b);
+        }
     }
-    // Each cell equals its standalone run (seed isolation).
-    for (point, cell) in grid.iter().zip(serial.iter()) {
-        let standalone = point.scenario.run(&train, &test).unwrap();
-        assert_bit_identical(&standalone, &cell.result);
+    // Each cell equals its standalone run (seed isolation, grid order).
+    for (scenario, cell) in grid.iter().zip(serial.iter()) {
+        let standalone = scenario.run(&train, &test).unwrap();
+        assert_bit_identical(&standalone, cell);
     }
 }
 
