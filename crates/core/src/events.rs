@@ -76,18 +76,38 @@
 //! implicit `ClientPool` backend (`population` module) rejection-samples
 //! Procedure-I's selection without materializing a `Vec<Client>`; and
 //! under [`AggregationMode::Streaming`](crate::config::AggregationMode)
-//! each upload is carried as a *deferred ticket* — the local pass, and
-//! with it the client's signing, runs at admission against the
-//! commissioning round's snapshot of the global parameters (a pure
-//! function, so retries and duplicates resolve identically) — and
-//! Procedure-IV folds arrivals chunk by chunk: each
+//! each upload is carried as a *deferred ticket* — the local pass runs
+//! no later than the upload's admission, against the commissioning
+//! round's snapshot of the global parameters (a pure function, so retries
+//! and duplicates resolve identically), and the client signs at
+//! admission — and Procedure-IV folds arrivals chunk by chunk: each
 //! full chunk runs Algorithm 2 as its own clustering committee and is
 //! absorbed into running aggregation sums, so no round ever holds more
 //! than one chunk of gradients. Rewards still settle exactly once per
 //! round over the concatenated θ scores. Streaming requires the mean
 //! anchor (the only anchor whose aggregation composes across chunks) and
-//! a fault-free plan (crash purges and partition strands cannot un-fold
-//! an absorbed chunk); validation enforces both.
+//! a plan without crashes or partitions (crash purges and partition
+//! strands cannot un-fold an absorbed chunk); validation enforces both.
+//!
+//! Deferred passes are opened *a run at a time*. When the pump is about
+//! to admit a deferred ticket with no pass waiting for it, it looks at
+//! the deferred arrivals queued directly behind that ticket — up to as
+//! many as the chunk buffer and the quota still have room for, so nothing
+//! is trained that this round cannot take — and runs all their passes in
+//! one fan-out across workers (`resolve_run_ahead`). The resulting
+//! updates are *parked* in the runtime under `(client_id, born_round)`;
+//! each event is then popped, checked and recorded exactly as before, and
+//! `admit_upload` merely finds its ticket's pass already there. Parked
+//! passes plus buffered uploads never exceed one chunk, so the heap
+//! high-water does not move. A parked pass whose arrival is not admitted
+//! after all (a squashed duplicate, a client gone offline, a round sealed
+//! by its deadline first) is dropped when the next run starts or the
+//! round seals — never carried in the queue, where its ticket, if still
+//! in flight, stays deferred. Order cannot change because the walk only
+//! *reads* the queue (events it pops to look at go straight back with
+//! their sequence numbers) and because a pass is a pure function of its
+//! ticket: the thread it ran on and the moment it ran leave no mark on
+//! the trace, the KPIs, or any RNG stream.
 
 use crate::aggregation::WEIGHT_FLOOR;
 use crate::config::{AggregationMode, BflConfig, ProfileConfig};
@@ -116,6 +136,7 @@ use bfl_ml::gradient;
 use bfl_ml::metrics::accuracy;
 use bfl_ml::model::Model;
 use bfl_ml::optimizer::local_step_count;
+use bfl_ml::par;
 use bfl_ml::tensor::Scratch;
 use bfl_net::{EventQueue, NodeProfile, ScheduledEvent};
 use rand::rngs::StdRng;
@@ -190,18 +211,19 @@ pub struct EventRecord {
 
 /// An upload in flight: either the eagerly computed local update with the
 /// signature its client made when it sent it, or a *deferred* commission
-/// that trains (and signs) at admission time — the streaming aggregation
-/// path, where an event must not pin a full parameter vector per
-/// in-flight client.
+/// whose local pass has not run yet — the streaming aggregation path,
+/// where an event must not pin a full parameter vector per in-flight
+/// client. A deferred ticket is trained no later than its admission — by
+/// [`resolve_run_ahead`], together with the deferred arrivals queued right
+/// behind it, or else by [`admit_upload`] itself — and signed at it.
 ///
 /// Cloning a ticket (a duplicate delivery, an armed retransmission) clones
 /// the signature with it: however many copies of a commission travel, it
 /// was signed once. A deferred ticket is resolved by a pure function of
-/// its fields (the client derivation, the attack designation, the born
-/// round's seed and global-parameter snapshot), so a retransmission or
-/// duplicate resolves to the identical [`LocalUpdate`] — and, raw RSA
-/// being deterministic, the identical signature — the original would
-/// have.
+/// its [`Commission`], so a retransmission or duplicate resolves to the
+/// identical [`LocalUpdate`] — and, raw RSA being deterministic, the
+/// identical signature — the original would have, whenever and on
+/// whichever thread it is opened.
 #[derive(Clone)]
 enum UploadTicket {
     /// The computed local update travels inside the event.
@@ -212,23 +234,28 @@ enum UploadTicket {
         /// identity (the miner then rejects the upload).
         signature: Option<Signature>,
     },
-    /// The local pass runs when the upload is admitted.
-    Deferred {
-        client_id: u64,
-        attack: Option<AttackKind>,
-        /// The commissioning round's seed (Procedure-I determinism).
-        born_seed: u64,
-        /// The commissioning round's global parameters, shared across the
-        /// round's tickets.
-        snapshot: Arc<Vec<f64>>,
-    },
+    /// The local pass runs when (or just before) the upload is admitted.
+    Deferred(Commission),
+}
+
+/// Everything a deferred Procedure-I pass is a function of, besides the
+/// client's own derivation and the run's training configuration.
+#[derive(Clone)]
+struct Commission {
+    client_id: u64,
+    attack: Option<AttackKind>,
+    /// The commissioning round's seed (Procedure-I determinism).
+    born_seed: u64,
+    /// The commissioning round's global parameters, shared across the
+    /// round's tickets.
+    snapshot: Arc<Vec<f64>>,
 }
 
 impl UploadTicket {
     fn client_id(&self) -> u64 {
         match self {
             UploadTicket::Ready { update, .. } => update.client_id,
-            UploadTicket::Deferred { client_id, .. } => *client_id,
+            UploadTicket::Deferred(commission) => commission.client_id,
         }
     }
 }
@@ -336,16 +363,23 @@ pub(crate) struct AsyncRuntime {
     /// Decisions are identical to per-upload `verify`, so the cache is
     /// invisible to replay determinism.
     verifier: BatchVerifier,
-    /// Reusable same-timestamp batch buffers for the pump loop. Taken out
-    /// at the top of each round and handed back at the end, so the
+    /// Reusable same-timestamp batch buffers for the pump loop, so the
     /// steady-state loop reuses their capacity instead of reallocating
-    /// two fresh buffers per round.
+    /// two fresh buffers per round. `due` is taken out at the top of each
+    /// round and handed back at the end; `drain_buf` is empty whenever the
+    /// pump is not in the middle of a batch drain, and doubles as the
+    /// run-ahead walk's holding buffer for the events it looks at.
     due: VecDeque<ScheduledEvent<EngineEvent>>,
     drain_buf: Vec<ScheduledEvent<EngineEvent>>,
-    /// Reusable training workspace for deferred-ticket resolution, so
-    /// streaming rounds don't build a fresh `Scratch` per admitted
+    /// Reusable training workspace for deferred tickets `admit_upload`
+    /// opens itself, so they don't build a fresh `Scratch` per admitted
     /// upload.
     scratch: Scratch,
+    /// Deferred passes [`resolve_run_ahead`] ran ahead of their admission,
+    /// keyed by `(client_id, born_round)`; `admit_upload` takes them from
+    /// here. Never more than the chunk buffer and the quota have room
+    /// for, and empty between rounds.
+    parked: BTreeMap<(u64, usize), LocalUpdate>,
     /// Stale uploads discarded since the last KPI reset (one round,
     /// spanning `EmptyRound` retries).
     kpi_stale_discarded: usize,
@@ -377,6 +411,7 @@ impl AsyncRuntime {
             due: VecDeque::new(),
             drain_buf: Vec::new(),
             scratch: Scratch::new(),
+            parked: BTreeMap::new(),
             kpi_stale_discarded: 0,
             kpi_dropped: 0,
             kpi_retried: 0,
@@ -772,8 +807,8 @@ fn step_flexible_inner(
     // computed eagerly (their *content* is a pure function of the round
     // seed) but *finish* at profile-scaled simulated times — that is what
     // the events model. Under streaming aggregation each pass is deferred
-    // into its ticket and runs at admission against this round's
-    // parameter snapshot, so in-flight state is O(1) per client.
+    // into its ticket and runs just before its admission, against this
+    // round's parameter snapshot, so in-flight state is O(1) per client.
     let round_seed = config.fl.seed ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15);
     if config.aggregation.is_streaming() {
         let snapshot = Arc::new(state.global_params.clone());
@@ -790,12 +825,12 @@ fn step_flexible_inner(
                 finish,
                 EngineEvent::TrainingFinished {
                     born_round: round,
-                    update: UploadTicket::Deferred {
+                    update: UploadTicket::Deferred(Commission {
                         client_id: id,
                         attack: attacks[i],
                         born_seed: round_seed,
                         snapshot: Arc::clone(&snapshot),
-                    },
+                    }),
                 },
             );
         }
@@ -895,7 +930,6 @@ fn step_flexible_inner(
     // batch is processed always carry larger sequence numbers and so sort
     // after the drained members even at the same timestamp.
     let mut due = std::mem::take(&mut rt.due);
-    let mut drain_buf = std::mem::take(&mut rt.drain_buf);
     while rt.arrived.len() + fold.as_ref().map_or(0, |f| f.admitted) < target {
         let pending = rt.arrived.len() + fold.as_ref().map_or(0, |f| f.admitted);
         let next_time = due
@@ -911,10 +945,10 @@ fn step_flexible_inner(
         let event = match due.pop_front() {
             Some(event) => event,
             None => {
-                if rt.queue.pop_due_batch(&mut drain_buf) == 0 {
+                if rt.queue.pop_due_batch(&mut rt.drain_buf) == 0 {
                     break;
                 }
-                due.extend(drain_buf.drain(..));
+                due.extend(rt.drain_buf.drain(..));
                 due.pop_front().expect("drained batch is non-empty")
             }
         };
@@ -1016,6 +1050,13 @@ fn step_flexible_inner(
                     rt.record(time, round, born_round, id, EventKind::DuplicateIgnored);
                     continue;
                 }
+                // Streaming: a deferred ticket about to be opened brings
+                // the deferred arrivals queued right behind it along, as
+                // far as the chunk buffer and the quota have room.
+                if let Some(fold) = fold.as_ref() {
+                    let room = (fold.chunk - rt.arrived.len()).min(target - pending);
+                    resolve_run_ahead(state, rt, config, round, room, (born_round, &update), &due);
+                }
                 let kind = admit_upload(
                     state,
                     rt,
@@ -1056,7 +1097,10 @@ fn step_flexible_inner(
         rt.queue.reinsert(event);
     }
     rt.due = due;
-    rt.drain_buf = drain_buf;
+    // Passes resolved ahead for arrivals this round did not admit are
+    // dropped, never carried: their tickets (if still queued) stay
+    // deferred and resolve again, identically, when they do arrive.
+    rt.parked.clear();
 
     if rt.arrived.len() + fold.as_ref().map_or(0, |f| f.admitted) == 0 {
         return Err(CoreError::EmptyRound { round });
@@ -1224,7 +1268,7 @@ fn step_flexible_inner(
                         .iter()
                         .map(|s| match &s.update {
                             UploadTicket::Ready { update, .. } => update.params.as_slice(),
-                            UploadTicket::Deferred { .. } => {
+                            UploadTicket::Deferred(_) => {
                                 unreachable!("streaming aggregation rejects partition plans")
                             }
                         })
@@ -1662,8 +1706,11 @@ fn schedule_retry(
 /// A `Ready` ticket arrives with the signature its client made at
 /// commission; nothing here touches a private key for it, so a corrupted
 /// delivery and its retransmission are checked against one and the same
-/// signature. A `Deferred` ticket's client signs here, where its pass
-/// runs.
+/// signature. A `Deferred` ticket is opened here: its pass is taken from
+/// where [`resolve_run_ahead`] parked it, or run now if none is parked,
+/// and its client signs here either way. Where the pass came from is the
+/// only thing the run-ahead changes — every check below runs at
+/// admission, in admission order, on every ticket.
 ///
 /// A stale upload under `StalenessPolicy::Discard` is dropped before the
 /// ticket is opened — no deferred local pass, no serialisation — and is
@@ -1682,30 +1729,20 @@ fn admit_upload(
     corrupt: Option<(u64, u8)>,
 ) -> EventKind {
     let age = round - born_round;
-    if age > 0 && config.staleness.discards_unseen() {
+    if dropped_unopened(config, round, born_round) {
         return EventKind::StaleDiscarded;
     }
 
-    // A deferred ticket runs its local pass now, against the commissioning
-    // round's parameter snapshot — a pure function of the ticket, so a
-    // retransmission or duplicate resolves to the identical update.
+    // A deferred ticket's local pass — a pure function of its commission,
+    // so a retransmission or duplicate resolves to the identical update —
+    // is either waiting where `resolve_run_ahead` parked it, or runs now.
     let (update, sent_signature, deferred) = match ticket {
         UploadTicket::Ready { update, signature } => (update, signature, false),
-        UploadTicket::Deferred {
-            client_id,
-            attack,
-            born_seed,
-            snapshot,
-        } => {
-            let update = resolve_deferred(
-                state,
-                &mut rt.scratch,
-                config,
-                client_id,
-                attack,
-                born_seed,
-                &snapshot,
-            );
+        UploadTicket::Deferred(commission) => {
+            let update = match rt.parked.remove(&(commission.client_id, born_round)) {
+                Some(update) => update,
+                None => resolve_deferred(state, &mut rt.scratch, config, &commission),
+            };
             (update, None, true)
         }
     };
@@ -1813,33 +1850,170 @@ fn admit_upload(
     kind
 }
 
-/// Runs a deferred ticket's Procedure-I pass at admission time: the
+/// The verdict that cannot depend on the payload: an upload commissioned
+/// in an earlier round, under a staleness policy that discards whatever a
+/// stale upload carries. [`admit_upload`] returns it before opening the
+/// ticket, so [`resolve_run_ahead`] runs no pass for such a ticket either.
+fn dropped_unopened(config: &BflConfig, round: usize, born_round: usize) -> bool {
+    born_round < round && config.staleness.discards_unseen()
+}
+
+/// Runs one deferred commission's Procedure-I pass on the event pump: the
 /// client (materialized from the pool if implicit) trains against the
 /// commissioning round's global-parameter snapshot under its designated
 /// attack and the born round's seed, reusing the runtime's training
-/// workspace.
-#[allow(clippy::too_many_arguments)]
+/// workspace. This is [`admit_upload`]'s fallback for a ticket
+/// [`resolve_run_ahead`] did not open — a run of one, or an admission
+/// outside the pump (a salvage).
 fn resolve_deferred(
     state: &mut LearningState<'_>,
     scratch: &mut Scratch,
     config: &BflConfig,
-    client_id: u64,
-    attack: Option<AttackKind>,
-    born_seed: u64,
-    snapshot: &[f64],
+    commission: &Commission,
 ) -> LocalUpdate {
     let train = state.train;
     let local = state.local_config;
-    state.pool.client(client_id as usize).local_update_as(
-        attack,
-        config.fl.model,
-        snapshot,
-        &train.features,
-        &train.labels,
-        &local,
-        born_seed,
-        scratch,
-    )
+    state
+        .pool
+        .client(commission.client_id as usize)
+        .local_update_as(
+            commission.attack,
+            config.fl.model,
+            &commission.snapshot,
+            &train.features,
+            &train.labels,
+            &local,
+            commission.born_seed,
+            scratch,
+        )
+}
+
+/// Local-pass work (samples × epochs × parameters) worth one worker of
+/// the run-ahead fan-out: about eight of `pop1m_streaming`'s one-step
+/// passes, a few hundred microseconds against the ~100 µs a scoped spawn
+/// and join costs. Paper-sized passes clear it one apiece.
+const MIN_RUN_AHEAD_WORK: usize = 1 << 19;
+
+/// Opens a run of deferred tickets at once, ahead of their admission.
+///
+/// Called when the pump is about to hand `admit_upload` the deferred
+/// arrival `head`. If that ticket will be opened and no pass is parked
+/// for it, this walks the deferred `UploadArrived` events that follow it
+/// in `(time_s, seq)` order — the rest of the due batch, then the queue
+/// itself, each event popped and put straight back with
+/// [`EventQueue::reinsert`] so the pop order is untouched — until the
+/// first event of any other kind, or until `room` distinct commissions
+/// are collected: the caller passes what the arrival buffer and the quota
+/// can still take, so parked passes plus buffered uploads never exceed one
+/// chunk and no pass is run for a round that cannot admit it. Tickets the
+/// staleness policy will drop unopened are skipped; a commission queued
+/// twice (a duplicate, a retransmission) is run once. The run's passes
+/// then go through one `par_map_with` over clients cloned out of the pool
+/// and are parked in `rt.parked` under `(client_id, born_round)`, where
+/// `admit_upload` finds them.
+///
+/// Only *where a pass runs* changes. Every event is still popped, checked
+/// and recorded by the pump in its original order, and a pass is a pure
+/// function of its commission, so the trace, the KPIs and every RNG draw
+/// are those of opening each ticket at its admission. A parked pass whose
+/// event turns out not to be admitted (a squashed duplicate, a client
+/// that churned offline, a seal that came first) is dropped — by the next
+/// run, which starts from an empty set, or at the seal — and its ticket,
+/// if still queued, stays deferred.
+fn resolve_run_ahead(
+    state: &mut LearningState<'_>,
+    rt: &mut AsyncRuntime,
+    config: &BflConfig,
+    round: usize,
+    room: usize,
+    head: (usize, &UploadTicket),
+    due: &VecDeque<ScheduledEvent<EngineEvent>>,
+) {
+    let (head_born, UploadTicket::Deferred(first)) = head else {
+        return;
+    };
+    if dropped_unopened(config, round, head_born)
+        || rt.parked.contains_key(&(first.client_id, head_born))
+    {
+        return;
+    }
+    // Every event of the previous run has been handled by now; what it
+    // left parked was not admitted.
+    rt.parked.clear();
+
+    let mut run: Vec<(usize, Commission)> = vec![(head_born, first.clone())];
+    let mut seen = BTreeSet::from([(first.client_id, head_born)]);
+    // Extends the run by one event; `false` once the run is over.
+    let mut extend = |event: &EngineEvent| {
+        let EngineEvent::UploadArrived {
+            born_round,
+            update: UploadTicket::Deferred(commission),
+            ..
+        } = event
+        else {
+            return false;
+        };
+        if !dropped_unopened(config, round, *born_round)
+            && seen.insert((commission.client_id, *born_round))
+        {
+            run.push((*born_round, commission.clone()));
+        }
+        run.len() < room
+    };
+    if room > 1 && due.iter().all(|event| extend(&event.payload)) {
+        // `drain_buf` is empty between the pump's batch drains.
+        while let Some(event) = rt.queue.pop() {
+            let more = extend(&event.payload);
+            rt.drain_buf.push(event);
+            if !more {
+                break;
+            }
+        }
+        for event in rt.drain_buf.drain(..) {
+            rt.queue.reinsert(event);
+        }
+    }
+    // A run of one is the pass `admit_upload` runs itself, in the
+    // runtime's warm workspace.
+    if run.len() < 2 {
+        return;
+    }
+
+    let clients: Vec<Client> = run
+        .iter()
+        .map(|(_, commission)| state.pool.client_cloned(commission.client_id as usize))
+        .collect();
+    let (train, local) = (state.train, &state.local_config);
+    let work: usize = clients
+        .iter()
+        .map(|client| client.sample_count() * local.epochs * state.global_params.len())
+        .sum();
+    let min_per_thread = MIN_RUN_AHEAD_WORK.div_ceil((work / run.len()).max(1));
+    let updates = par::par_map_with(
+        &run,
+        min_per_thread,
+        Scratch::new,
+        |scratch, i, (_, commission)| {
+            clients[i].local_update_as(
+                commission.attack,
+                config.fl.model,
+                &commission.snapshot,
+                &train.features,
+                &train.labels,
+                local,
+                commission.born_seed,
+                scratch,
+            )
+        },
+    );
+    rt.parked.extend(
+        run.iter()
+            .zip(updates)
+            .map(|((born_round, commission), update)| {
+                ((commission.client_id, *born_round), update)
+            }),
+    );
+    debug_assert!(rt.parked.len() <= room, "a run never outgrows its room");
 }
 
 #[cfg(test)]
@@ -2040,6 +2214,173 @@ mod tests {
         assert_eq!(rt.delivered[&5], 1);
     }
 
+    /// Forty implicit, unsigned clients streaming through chunks of six.
+    fn streaming_config(staleness: StalenessPolicy) -> BflConfig {
+        let mut config = BflConfig::small_test(4);
+        config.fl.clients = 40;
+        config.fl.participation_ratio = 0.5;
+        config.fl.partition = PartitionKind::ImplicitIid {
+            samples_per_client: 6,
+        };
+        config.verify_signatures = false;
+        config.sync = SyncMode::FlexibleQuota { quota: 14 };
+        config.aggregation = AggregationMode::Streaming { chunk: 6 };
+        config.staleness = staleness;
+        config.profiles = ProfileConfig {
+            straggler_slowdown: 6.0,
+            straggler_fraction: 0.25,
+            uplink: bfl_net::DelayDistribution::Constant(0.05),
+            ..ProfileConfig::default()
+        };
+        config.validate().unwrap();
+        config
+    }
+
+    #[test]
+    fn no_pass_stays_parked_across_a_seal() {
+        let (train, test) = dataset();
+        let config = streaming_config(StalenessPolicy::DecayedInclude { decay: 0.5 });
+        let reward = crate::policy::ProportionalReward {
+            base: config.reward_base,
+        };
+        let mut state = LearningState::new(&config, &train, &test).unwrap();
+        for round in 1..=config.fl.rounds {
+            // (Every walk of the round also ran `resolve_run_ahead`'s own
+            // `parked.len() <= room` assertion.)
+            let (outcome, ..) = step_flexible(&mut state, &config, &reward, round, 14).unwrap();
+            assert_eq!(outcome.participants, 14);
+            let rt = state.async_rt.as_ref().unwrap();
+            assert!(rt.parked.is_empty(), "round {round} left a pass parked");
+            assert!(
+                rt.arrived.is_empty(),
+                "round {round} left an upload buffered"
+            );
+        }
+        // Stragglers' tickets are still queued, and still deferred.
+        assert!(!state.async_rt.as_ref().unwrap().queue.is_empty());
+    }
+
+    /// The walk itself, on a hand-built queue: what it parks, what it
+    /// skips, where it stops, and that the queue cannot tell it happened.
+    #[test]
+    fn a_run_is_resolved_within_its_room_and_the_queue_keeps_its_order() {
+        const CHUNK: usize = 6;
+        let (train, test) = dataset();
+        let config = streaming_config(StalenessPolicy::Discard);
+        let mut state = LearningState::new(&config, &train, &test).unwrap();
+        let mut rt = state.async_rt.take().unwrap();
+        let snapshot = Arc::new(state.global_params.clone());
+        let poisoned = Arc::new(vec![f64::NAN; snapshot.len()]);
+        let commission = |client_id: u64, snapshot: &Arc<Vec<f64>>| Commission {
+            client_id,
+            attack: None,
+            born_seed: 7,
+            snapshot: Arc::clone(snapshot),
+        };
+        let arrival = |born_round: usize, commission: Commission| EngineEvent::UploadArrived {
+            born_round,
+            miner: 0,
+            train_finished_s: 0.5,
+            update: UploadTicket::Deferred(commission),
+            attempt: 1,
+            corrupt: None,
+            retry_pending: false,
+        };
+
+        // Round 2's queue. One timestamp holds clients 1 and 2, a second
+        // copy of 2's ticket, a round-1 ticket `Discard` will drop
+        // unopened, client 4 (whose snapshot is poisoned) and 5; clients
+        // 6 and 7 arrive later; a `TrainingFinished` ends the run before
+        // client 9's arrival.
+        for (id, born_round) in [(1, 2), (2, 2), (2, 2), (3, 1), (4, 2), (5, 2)] {
+            let source = if id == 4 { &poisoned } else { &snapshot };
+            rt.queue
+                .push(1.0, arrival(born_round, commission(id, source)));
+        }
+        rt.queue.push(1.5, arrival(2, commission(6, &snapshot)));
+        rt.queue.push(1.5, arrival(2, commission(7, &snapshot)));
+        rt.queue.push(
+            2.0,
+            EngineEvent::TrainingFinished {
+                born_round: 2,
+                update: UploadTicket::Deferred(commission(8, &snapshot)),
+            },
+        );
+        rt.queue.push(2.5, arrival(2, commission(9, &snapshot)));
+
+        // The pump's position: the first timestamp drained, its head in
+        // hand.
+        let mut batch = Vec::new();
+        rt.queue.pop_due_batch(&mut batch);
+        let mut due: VecDeque<_> = batch.into();
+        let head = due.pop_front().unwrap();
+        let EngineEvent::UploadArrived {
+            update: head_ticket,
+            ..
+        } = &head.payload
+        else {
+            unreachable!()
+        };
+        let parked_ids = |rt: &AsyncRuntime| rt.parked.keys().map(|k| k.0).collect::<Vec<u64>>();
+        let walk = |rt: &mut AsyncRuntime, state: &mut LearningState<'_>, room: usize| {
+            resolve_run_ahead(state, rt, &config, 2, room, (2, head_ticket), &due);
+            assert!(rt.drain_buf.is_empty(), "everything popped went back");
+        };
+
+        // Room for three: the duplicate and the stale ticket take none.
+        walk(&mut rt, &mut state, 3);
+        assert_eq!(parked_ids(&rt), [1, 2, 4]);
+        // With its head already parked the walk has nothing to do ...
+        walk(&mut rt, &mut state, CHUNK);
+        assert_eq!(parked_ids(&rt), [1, 2, 4]);
+        // ... and a run of one is left to `admit_upload`.
+        rt.parked.clear();
+        walk(&mut rt, &mut state, 1);
+        assert!(rt.parked.is_empty());
+        // A whole chunk's room reaches past the due batch into the queue
+        // and stops when the chunk is spoken for.
+        walk(&mut rt, &mut state, CHUNK);
+        assert_eq!(parked_ids(&rt), [1, 2, 4, 5, 6, 7]);
+        // More room than run: the `TrainingFinished` ends it, and client
+        // 9's arrival behind it is not looked at.
+        rt.parked.clear();
+        walk(&mut rt, &mut state, 2 * CHUNK);
+        assert_eq!(parked_ids(&rt), [1, 2, 4, 5, 6, 7]);
+
+        // The queue pops exactly what it would have popped untouched.
+        let rest: Vec<(f64, u64)> = std::iter::from_fn(|| rt.queue.pop())
+            .map(|e| (e.time_s, e.seq))
+            .collect();
+        assert_eq!(rest, [(1.5, 6), (1.5, 7), (2.0, 8), (2.5, 9)]);
+
+        // Admission takes each pass from where it was parked — the very
+        // update the ticket resolves to on its own — and every check still
+        // runs on it: the poisoned pass is refused.
+        for (id, source) in [(1, &snapshot), (4, &poisoned), (2, &snapshot)] {
+            let ticket = commission(id, source);
+            let expected = resolve_deferred(&mut state, &mut Scratch::new(), &config, &ticket);
+            let before = rt.parked.len();
+            let kind = admit(
+                &mut state,
+                &mut rt,
+                &config,
+                2,
+                2,
+                UploadTicket::Deferred(ticket),
+                None,
+            );
+            assert_eq!(rt.parked.len(), before - 1, "client {id}'s pass was taken");
+            assert!(rt.parked.len() <= CHUNK - rt.arrived.len());
+            if id == 4 {
+                assert_eq!(kind, EventKind::UploadRejected);
+                assert!(!rt.arrived.contains_key(&4));
+            } else {
+                assert_eq!(kind, EventKind::UploadArrived);
+                assert_eq!(rt.arrived[&id].upload.params, expected.params);
+            }
+        }
+    }
+
     /// The discard-before-open rule, on the path it saves the most: a
     /// deferred ticket's local pass.
     #[test]
@@ -2059,11 +2400,13 @@ mod tests {
         let mut rt = state.async_rt.take().unwrap();
         assert_eq!(state.pool.resident(), 0, "nobody has been derived yet");
 
-        let deferred = |client_id: u64, snapshot: &[f64]| UploadTicket::Deferred {
-            client_id,
-            attack: None,
-            born_seed: 7,
-            snapshot: Arc::new(snapshot.to_vec()),
+        let deferred = |client_id: u64, snapshot: &[f64]| {
+            UploadTicket::Deferred(Commission {
+                client_id,
+                attack: None,
+                born_seed: 7,
+                snapshot: Arc::new(snapshot.to_vec()),
+            })
         };
         let snapshot = state.global_params.clone();
         // Late: discarded without deriving the client or training it.
@@ -2115,7 +2458,6 @@ mod tests {
                 stats: LocalTrainingStats {
                     steps: 1,
                     final_epoch_loss: 0.5,
-                    update_norm: 1.0,
                 },
             },
             signature: None,

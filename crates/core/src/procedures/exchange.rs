@@ -62,7 +62,6 @@ mod tests {
                 stats: LocalTrainingStats {
                     steps: 1,
                     final_epoch_loss: 0.1,
-                    update_norm: 1.0,
                 },
             })
             .collect();

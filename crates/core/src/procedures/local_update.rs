@@ -255,9 +255,12 @@ mod tests {
         );
         assert!(updates[0].forged);
         assert!(!updates[1].forged);
-        // The honest result matches what the client produces on its own.
+        // The honest result is the pass the client runs on its own, before
+        // it flips the signs.
         let own = clients[2].local_update(kind, &global, &data.features, &data.labels, &local, 7);
-        assert_eq!(updates[1].stats.update_norm, own.stats.update_norm);
+        assert_eq!(updates[1].stats, own.stats);
+        let flipped: Vec<f64> = updates[1].params.iter().map(|v| -v).collect();
+        assert_eq!(flipped, own.params);
     }
 
     #[test]

@@ -188,7 +188,6 @@ mod tests {
             stats: LocalTrainingStats {
                 steps: 1,
                 final_epoch_loss: 0.5,
-                update_norm: 1.0,
             },
         }
     }

@@ -146,8 +146,9 @@ impl Client {
     ) -> LocalUpdate {
         let mut rng =
             StdRng::seed_from_u64(round_seed ^ (self.id.wrapping_mul(0x9E3779B97F4A7C15)));
-        let mut model: AnyModel = model_kind.build(&mut rng);
-        model.set_params(global_params);
+        // The pass's one model-sized allocation: the copy of the global
+        // parameters it trains in place and then uploads.
+        let mut model: AnyModel = model_kind.adopt(global_params.to_vec(), &mut rng);
         let stats = train_local_with_scratch(
             &mut model,
             features,
@@ -157,7 +158,7 @@ impl Client {
             &mut rng,
             scratch,
         );
-        let honest_params = model.params();
+        let honest_params = model.into_params();
         match attack {
             None => LocalUpdate {
                 client_id: self.id,
@@ -227,12 +228,127 @@ mod tests {
         let b = client.local_update(kind, &global, &data.features, &data.labels, &config, 7);
         assert!(!a.forged);
         assert_eq!(a.params, b.params, "same seed must give the same update");
-        assert!(a.stats.update_norm > 0.0);
         assert_ne!(a.params, global);
 
         let different_seed =
             client.local_update(kind, &global, &data.features, &data.labels, &config, 8);
         assert_ne!(a.params, different_seed.params);
+    }
+
+    /// The composition `local_update_as` replaced — initialise a model,
+    /// overwrite it with the global parameters, train, copy the result
+    /// out — kept as the oracle for it.
+    fn local_update_oracle(
+        client: &Client,
+        attack: Option<AttackKind>,
+        model_kind: ModelKind,
+        global_params: &[f64],
+        data: &bfl_data::Dataset,
+        config: &LocalTrainingConfig,
+        round_seed: u64,
+    ) -> LocalUpdate {
+        let mut rng =
+            StdRng::seed_from_u64(round_seed ^ (client.id.wrapping_mul(0x9E3779B97F4A7C15)));
+        let mut model = model_kind.build(&mut rng);
+        model.set_params(global_params);
+        let stats = bfl_ml::optimizer::train_local(
+            &mut model,
+            &data.features,
+            &data.labels,
+            &client.shard,
+            config,
+            &mut rng,
+        );
+        let honest_params = model.params();
+        LocalUpdate {
+            client_id: client.id,
+            params: match attack {
+                None => honest_params,
+                Some(attack) => attack.forge(&honest_params, &mut rng),
+            },
+            forged: attack.is_some(),
+            stats,
+        }
+    }
+
+    #[test]
+    fn local_update_equals_the_build_then_overwrite_composition_bit_for_bit() {
+        let data = small_data();
+        let attacks = [
+            None,
+            Some(AttackKind::SignFlip),
+            Some(AttackKind::Scaling { factor: 4.0 }),
+            Some(AttackKind::GaussianNoise { std: 0.5 }),
+            Some(AttackKind::AdditiveNoise { std: 0.1 }),
+        ];
+        // Shard sizes on both sides of the batch size, visited in an order
+        // that grows and shrinks the reused workspace's buffers.
+        let clients = [
+            Client::honest(11, (0..25).collect()),
+            Client::honest(12, (25..28).collect()),
+            Client::honest(13, (28..78).collect()),
+            Client::honest(14, (78..85).collect()),
+        ];
+        let mlp = ModelKind::Mlp {
+            features: 784,
+            hidden: 6,
+            classes: 10,
+        };
+        let mut scratch = Scratch::new();
+        for model_kind in [kind(), mlp] {
+            let global: Vec<f64> = (0..model_kind.num_params())
+                .map(|i| (i as f64 * 0.013).sin() * 0.05)
+                .collect();
+            for proximal_mu in [0.0, 0.3] {
+                let config = LocalTrainingConfig {
+                    epochs: 2,
+                    batch_size: 10,
+                    learning_rate: 0.05,
+                    proximal_mu,
+                };
+                for (round_seed, attack) in attacks.into_iter().enumerate() {
+                    for client in &clients {
+                        let update = client.local_update_as(
+                            attack,
+                            model_kind,
+                            &global,
+                            &data.features,
+                            &data.labels,
+                            &config,
+                            round_seed as u64,
+                            &mut scratch,
+                        );
+                        let oracle = local_update_oracle(
+                            client,
+                            attack,
+                            model_kind,
+                            &global,
+                            &data,
+                            &config,
+                            round_seed as u64,
+                        );
+                        let context = format!(
+                            "{model_kind:?}, mu {proximal_mu}, {attack:?}, client {}",
+                            client.id
+                        );
+                        // Bit patterns, not `==`: the noise forgeries must
+                        // agree to the last bit too.
+                        let bits = |params: &[f64]| -> Vec<u64> {
+                            params.iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&update.params), bits(&oracle.params), "{context}");
+                        assert_eq!(update.stats.steps, oracle.stats.steps, "{context}");
+                        assert_eq!(
+                            update.stats.final_epoch_loss.to_bits(),
+                            oracle.stats.final_epoch_loss.to_bits(),
+                            "{context}"
+                        );
+                        assert_eq!(update.forged, oracle.forged, "{context}");
+                        assert_eq!(update.client_id, oracle.client_id, "{context}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

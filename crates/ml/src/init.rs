@@ -12,6 +12,19 @@ pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usiz
         .collect()
 }
 
+/// Advances `rng` past exactly the draws [`xavier_uniform`] makes for the
+/// same layer, producing nothing: one `next_u64` per weight, which is what
+/// a `gen_range` over `f64` consumes (`vendor/rand`'s `unit_f64`). The
+/// adopting model constructors call this where `new` calls
+/// [`xavier_uniform`], so whatever draws from `rng` next sees the same
+/// stream either way. (xoshiro256++ has no O(1) jump of arbitrary length;
+/// the loop is a few microseconds at the paper's 7840 weights.)
+pub(crate) fn skip_xavier_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usize) {
+    for _ in 0..fan_in * fan_out {
+        rng.next_u64();
+    }
+}
+
 /// Zero initialization of `len` parameters (used for biases).
 pub fn zeros(len: usize) -> Vec<f64> {
     vec![0.0; len]

@@ -46,6 +46,35 @@ impl Mlp {
         }
     }
 
+    /// [`Mlp::new`] for a caller that already holds the parameters: adopts
+    /// `params` and skips, draw for draw, the initialisation `new` would
+    /// have sampled from `rng` (see [`crate::ModelKind::adopt`]). Every
+    /// initialiser call in `new` has its `skip_` twin here, in the same
+    /// order.
+    pub(crate) fn adopt<R: Rng + ?Sized>(
+        features: usize,
+        hidden: usize,
+        classes: usize,
+        params: Vec<f64>,
+        rng: &mut R,
+    ) -> Self {
+        assert!(features > 0 && hidden > 0 && classes > 1);
+        init::skip_xavier_uniform(rng, features, hidden);
+        init::skip_xavier_uniform(rng, hidden, classes);
+        let model = Mlp {
+            features,
+            hidden,
+            classes,
+            params,
+        };
+        assert_eq!(
+            model.params.len(),
+            model.num_params(),
+            "parameter length mismatch"
+        );
+        model
+    }
+
     /// Input dimensionality.
     pub fn feature_count(&self) -> usize {
         self.features
@@ -149,6 +178,10 @@ impl Model for Mlp {
 
     fn params_mut(&mut self) -> &mut [f64] {
         &mut self.params
+    }
+
+    fn into_params(self) -> Vec<f64> {
+        self.params
     }
 
     fn set_params(&mut self, params: &[f64]) {

@@ -40,6 +40,13 @@ pub trait Model {
     /// [`Model::set_params`] every step.
     fn params_mut(&mut self) -> &mut [f64];
 
+    /// Consumes the model, yielding its own parameter vector — what a
+    /// local pass uploads once training is done, without the copy
+    /// [`Model::params`] makes.
+    fn into_params(self) -> Vec<f64>
+    where
+        Self: Sized;
+
     /// Overwrites the parameters from a flat vector of length
     /// [`Model::num_params`].
     fn set_params(&mut self, params: &[f64]);
@@ -202,6 +209,33 @@ impl ModelKind {
             } => AnyModel::Mlp(Mlp::new(features, hidden, classes, rng)),
         }
     }
+
+    /// Instantiates the model around `params` (length
+    /// [`ModelKind::num_params`], taken by value — no copy) and leaves
+    /// `rng` exactly where [`ModelKind::build`] would have left it.
+    ///
+    /// `build` samples one value per weight — `features·classes` draws
+    /// for softmax regression, `features·hidden + hidden·classes` for the
+    /// MLP; biases start at zero and draw nothing — and a local pass
+    /// overwrites every one of them with the global parameters before its
+    /// first step. This constructor skips the sampling but not the draws:
+    /// the pass's shuffles and an attacker's forgery noise come from the
+    /// same `rng` afterwards, and every golden digest fixes the numbers
+    /// they see, so the stream must advance as if the initialisation had
+    /// happened. `adopt(p, rng)` is therefore `build(rng)` followed by
+    /// `set_params(&p)`, bit for bit, for the model and for `rng`.
+    pub fn adopt<R: Rng + ?Sized>(&self, params: Vec<f64>, rng: &mut R) -> AnyModel {
+        match *self {
+            ModelKind::SoftmaxRegression { features, classes } => {
+                AnyModel::Softmax(SoftmaxRegression::adopt(features, classes, params, rng))
+            }
+            ModelKind::Mlp {
+                features,
+                hidden,
+                classes,
+            } => AnyModel::Mlp(Mlp::adopt(features, hidden, classes, params, rng)),
+        }
+    }
 }
 
 /// Enum dispatch over the concrete model types, so federated code can store
@@ -233,6 +267,13 @@ impl Model for AnyModel {
         match self {
             AnyModel::Softmax(m) => m.params_mut(),
             AnyModel::Mlp(m) => m.params_mut(),
+        }
+    }
+
+    fn into_params(self) -> Vec<f64> {
+        match self {
+            AnyModel::Softmax(m) => m.into_params(),
+            AnyModel::Mlp(m) => m.into_params(),
         }
     }
 
@@ -289,8 +330,57 @@ impl Model for AnyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    proptest! {
+        /// `adopt` against the composition it replaced, `build` then
+        /// `set_params`: the same model, and an `rng` in the same state —
+        /// whatever draws next (a shuffle, a forgery) sees the same
+        /// stream. Shapes are arbitrary and small; `hidden == 0` selects
+        /// softmax regression.
+        #[test]
+        fn adopt_is_build_then_set_params_for_the_model_and_the_rng(
+            features in 1usize..24,
+            hidden in 0usize..9,
+            classes in 2usize..7,
+            seed in any::<u64>(),
+        ) {
+            let kind = if hidden == 0 {
+                ModelKind::SoftmaxRegression { features, classes }
+            } else {
+                ModelKind::Mlp { features, hidden, classes }
+            };
+            let params: Vec<f64> = (0..kind.num_params())
+                .map(|i| (i as f64 * 0.37 + seed as f64 * 1e-19).sin())
+                .collect();
+
+            let mut built_rng = StdRng::seed_from_u64(seed);
+            let mut built = kind.build(&mut built_rng);
+            built.set_params(&params);
+
+            let mut adopted_rng = StdRng::seed_from_u64(seed);
+            let adopted = kind.adopt(params.clone(), &mut adopted_rng);
+
+            prop_assert_eq!(&adopted, &built);
+            prop_assert_eq!(adopted.params_ref(), params.as_slice());
+            prop_assert_eq!(adopted.into_params(), params);
+            for _ in 0..8 {
+                prop_assert_eq!(adopted_rng.next_u64(), built_rng.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter length mismatch")]
+    fn adopt_rejects_a_vector_of_the_wrong_length() {
+        let kind = ModelKind::SoftmaxRegression {
+            features: 5,
+            classes: 3,
+        };
+        let _ = kind.adopt(vec![0.0; 17], &mut StdRng::seed_from_u64(1));
+    }
 
     #[test]
     fn argmax_picks_first_maximum() {

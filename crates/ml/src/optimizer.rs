@@ -58,15 +58,18 @@ impl Default for LocalTrainingConfig {
     }
 }
 
-/// Statistics reported by one local training pass.
+/// Statistics reported by one local training pass — only what the pass
+/// has in hand when its last step is done. Anything that needs another
+/// sweep over the parameters (how far they moved, say) is the caller's to
+/// compute from the vectors it already holds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LocalTrainingStats {
-    /// Number of SGD steps (mini-batches) executed.
+    /// Number of SGD steps (mini-batches) executed:
+    /// [`local_step_count`] of the shard.
     pub steps: usize,
-    /// Mean training loss over the final epoch.
+    /// Mean training loss over the final epoch's mini-batches, each
+    /// measured before its step was applied.
     pub final_epoch_loss: f64,
-    /// L2 distance between the parameters before and after training.
-    pub update_norm: f64,
 }
 
 /// Runs `config.epochs` epochs of mini-batch SGD on `model` over the rows
@@ -90,10 +93,14 @@ pub fn train_local<M: Model, R: Rng + ?Sized>(
     train_local_with_scratch(model, features, labels, samples, config, rng, &mut scratch)
 }
 
-/// [`train_local`] with an externally owned [`Scratch`]: after the first
-/// minibatch warms the buffers, every subsequent step of every epoch —
-/// and every later client trained with the same workspace — runs without
-/// heap allocation in the forward/backward pass.
+/// [`train_local`] with an externally owned [`Scratch`], which holds
+/// every buffer the pass needs besides the model itself: the
+/// forward/backward intermediates, the flat gradient and the shuffled
+/// sample order. After the first pass warms them, every step of every
+/// epoch — and every later client trained with the same workspace, whatever
+/// its shard size — runs without heap allocation. The one exception is
+/// FedProx (`proximal_mu > 0`), which keeps a copy of the starting
+/// parameters to pull towards.
 pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
     model: &mut M,
     features: &Matrix,
@@ -112,7 +119,12 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
 
     let reference = crate::engine::reference_mode();
     let optimizer = Sgd::new(config.learning_rate);
-    let anchor = model.params();
+    // Only the proximal term ever reads the starting point.
+    let anchor = if config.proximal_mu > 0.0 {
+        model.params()
+    } else {
+        Vec::new()
+    };
     // The reference mode reproduces the seed's per-sample loop verbatim,
     // including its separate parameter vector round-tripped through
     // `set_params` every step — that loop is the baseline the batched
@@ -122,8 +134,12 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
     } else {
         Vec::new()
     };
-    let mut grad: Vec<f64> = Vec::new();
-    let mut order: Vec<usize> = samples.to_vec();
+    // Taken out of the workspace for the pass (the gradient kernels borrow
+    // `scratch` next to `grad`) and handed back below.
+    let mut grad = std::mem::take(&mut scratch.grad);
+    let mut order = std::mem::take(&mut scratch.order);
+    order.clear();
+    order.extend_from_slice(samples);
     let mut steps = 0;
     let mut final_epoch_loss = 0.0;
 
@@ -191,11 +207,11 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
     if reference {
         model.set_params(&reference_params);
     }
-    let update_norm = tensor::l2_norm(&tensor::sub(model.params_ref(), &anchor));
+    scratch.grad = grad;
+    scratch.order = order;
     LocalTrainingStats {
         steps,
         final_epoch_loss,
-        update_norm,
     }
 }
 
@@ -209,6 +225,7 @@ pub fn local_step_count(samples: usize, config: &LocalTrainingConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient::l2_distance;
     use crate::linear::SoftmaxRegression;
     use crate::model::{argmax, dataset_loss};
     use rand::rngs::StdRng;
@@ -258,6 +275,7 @@ mod tests {
         let samples: Vec<usize> = (0..features.rows).collect();
         let mut rng = StdRng::seed_from_u64(5);
         let mut model = SoftmaxRegression::new(3, 3, &mut rng);
+        let start = model.params();
         let before = dataset_loss(&model, &features, &labels);
         let config = LocalTrainingConfig {
             epochs: 10,
@@ -269,7 +287,7 @@ mod tests {
         let after = dataset_loss(&model, &features, &labels);
         assert!(after < before, "loss should drop: {before} -> {after}");
         assert_eq!(stats.steps, 10 * 9); // 90 samples / batch 10 = 9 batches per epoch
-        assert!(stats.update_norm > 0.0);
+        assert!(l2_distance(model.params_ref(), &start) > 0.0);
         assert!(stats.final_epoch_loss > 0.0);
 
         // Accuracy after training should be high on this separable data.
@@ -301,17 +319,18 @@ mod tests {
             proximal_mu: 1.0,
             ..plain_cfg
         };
-        let plain_stats = train_local(
+        train_local(
             &mut plain, &features, &labels, &samples, &plain_cfg, &mut rng_a,
         );
-        let prox_stats = train_local(
+        train_local(
             &mut prox, &features, &labels, &samples, &prox_cfg, &mut rng_b,
         );
+        let start = base_model.params_ref();
+        let plain_norm = l2_distance(plain.params_ref(), start);
+        let prox_norm = l2_distance(prox.params_ref(), start);
         assert!(
-            prox_stats.update_norm < plain_stats.update_norm,
-            "proximal update {} should be smaller than plain {}",
-            prox_stats.update_norm,
-            plain_stats.update_norm
+            prox_norm < plain_norm,
+            "proximal update {prox_norm} should be smaller than plain {plain_norm}"
         );
     }
 

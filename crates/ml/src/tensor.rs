@@ -51,12 +51,14 @@
 //!
 //! [`Scratch`] owns every intermediate buffer a batched forward/backward
 //! pass needs (packed minibatch, logits, deltas, hidden activations,
-//! prediction buffer). Buffers are resized with
-//! [`Matrix::resize_in_place`], which reuses the underlying allocation,
-//! so a training loop that threads one `Scratch` through all of its
-//! epochs allocates only on the first minibatch and runs allocation-free
-//! afterwards. Each rayon-style worker in the client-parallel loops
-//! builds one `Scratch` and reuses it for every client in its chunk.
+//! prediction buffer) and the two a local training pass adds (the flat
+//! parameter gradient and the shuffled sample order). Buffers are resized
+//! with [`Matrix::resize_in_place`], which reuses the underlying
+//! allocation, so a training loop that threads one `Scratch` through all
+//! of its epochs allocates only on the first minibatch and runs
+//! allocation-free afterwards. Each rayon-style worker in the
+//! client-parallel loops builds one `Scratch` and reuses it for every
+//! client in its chunk.
 
 use crate::par;
 use crate::simd;
@@ -876,6 +878,11 @@ pub struct Scratch {
     pub g_h: Matrix,
     /// Predicted class per batch row.
     pub predictions: Vec<usize>,
+    /// Flat parameter gradient of the current minibatch (local training).
+    pub grad: Vec<f64>,
+    /// The shard's row indices in this epoch's shuffled order (local
+    /// training).
+    pub order: Vec<usize>,
 }
 
 impl Scratch {

@@ -8,11 +8,14 @@
 mod common;
 
 use common::{small_config, small_dataset};
+use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
-    AggregationMode, AttackConfig, BflConfig, LowContributionStrategy, ProfileConfig,
-    ProvisioningMode, Scenario, SimulationResult, StalenessPolicy, SyncMode,
+    AggregationMode, AttackConfig, BflConfig, EventRecord, KpiRow, LowContributionStrategy,
+    ProfileConfig, ProvisioningMode, Scenario, SimulationResult, StalenessPolicy, SyncMode,
 };
+use fair_bfl::fl::attack::AttackKind;
 use fair_bfl::fl::config::PartitionKind;
+use fair_bfl::ml::par;
 use fair_bfl::net::DelayDistribution;
 use std::sync::Mutex;
 
@@ -252,4 +255,97 @@ fn streaming_rounds_that_discard_stale_uploads_unopened_keep_their_digest() {
     let discarded: usize = result.outcomes.iter().map(|o| o.kpi.stale_discarded).sum();
     assert!(discarded > 0, "the stragglers' uploads arrive late");
     assert_eq!(run_digest(&result), GOLDEN);
+}
+
+/// Streaming rounds open deferred tickets a run at a time, across workers,
+/// ahead of their admission. Nothing observable may depend on that: the
+/// run digest, the event trace and every round's KPI row are identical
+/// whether the runs resolve inline on the pump (one thread) or fan out
+/// over two or eight workers.
+///
+/// The scenario is built to put every kind of run in front of the walk:
+/// a constant uplink (whole cohorts arrive on one timestamp, so runs span
+/// the due batch and the queue behind it), stragglers (late arrivals
+/// interleave with the next round's `TrainingFinished` events, which end
+/// a run), `DecayedInclude` (stale tickets are opened and carried), a
+/// quota of 57 over chunks of 25 (full chunks and a partial one bound the
+/// runs), and one to three `Scaling` attackers a round whose infinite
+/// factor makes their upload fail the finite check — a rejection in the
+/// middle of a run. Passes are sized (24 samples, 2 epochs) so a run of
+/// 25 clears the fan-out's work gate on every worker count tried.
+#[test]
+fn streaming_run_ahead_is_invisible_at_any_thread_count() {
+    let _guard = lock();
+    let mut config = small_config(4);
+    config.fl.clients = 200;
+    config.fl.participation_ratio = 0.5;
+    config.fl.local.epochs = 2;
+    config.fl.partition = PartitionKind::ImplicitIid {
+        samples_per_client: 24,
+    };
+    config.sync = SyncMode::FlexibleQuota { quota: 57 };
+    config.staleness = StalenessPolicy::DecayedInclude { decay: 0.5 };
+    config.provisioning = ProvisioningMode::Lazy { cache_budget: 100 };
+    config.aggregation = AggregationMode::Streaming { chunk: 25 };
+    config.attack = AttackConfig {
+        enabled: true,
+        kind: AttackKind::Scaling {
+            factor: f64::INFINITY,
+        },
+        ..AttackConfig::table2()
+    };
+    config.profiles = ProfileConfig {
+        straggler_slowdown: 6.0,
+        straggler_fraction: 0.25,
+        uplink: DelayDistribution::Constant(0.05),
+        ..ProfileConfig::default()
+    };
+    assert!(config.verify_signatures, "admitted tickets sign too");
+    let scenario = Scenario::from_config(config).unwrap();
+    let (train, test) = small_dataset();
+
+    let observe = |threads: usize| -> (String, Vec<EventRecord>, Vec<KpiRow>) {
+        par::with_thread_limit(threads, || {
+            let mut run = scenario.start(&train, &test).unwrap();
+            run.run_to_completion().unwrap();
+            let trace = run.event_trace().to_vec();
+            let kpis = run.outcomes().iter().map(|o| o.kpi).collect();
+            (run_digest(&run.into_result()), trace, kpis)
+        })
+    };
+    let (digest, trace, kpis) = observe(1);
+
+    // The scenario does what it was built to do.
+    assert!(
+        kpis.iter().map(|k| k.stale_included).sum::<usize>() > 0,
+        "stragglers' uploads are carried into later blocks"
+    );
+    let rejected: Vec<usize> = trace
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.kind == EventKind::UploadRejected)
+        .map(|(i, _)| i)
+        .collect();
+    assert!(
+        !rejected.is_empty(),
+        "the overflowing forgeries are refused"
+    );
+    assert!(
+        rejected.iter().any(|&i| {
+            let admitted = |e: &EventRecord| e.kind == EventKind::UploadArrived;
+            admitted(&trace[i - 1]) && admitted(&trace[i + 1])
+        }),
+        "at least one refusal sits between two admissions of the same run"
+    );
+    assert!(
+        kpis.iter().all(|k| k.mempool_depth_at_seal % 25 != 0),
+        "every round seals on a partial chunk"
+    );
+
+    for threads in [2, 8] {
+        let (d, t, k) = observe(threads);
+        assert_eq!(d, digest, "digest at {threads} threads");
+        assert_eq!(t, trace, "event trace at {threads} threads");
+        assert_eq!(k, kpis, "KPI rows at {threads} threads");
+    }
 }
