@@ -16,7 +16,7 @@ use serde::Serialize;
 /// that matters for the figures' shapes while keeping wall-clock time low.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny runs for CI and Criterion benches (seconds).
+    /// Tiny runs for CI and smoke checks (seconds).
     Smoke,
     /// Default for the experiment binaries (tens of seconds in release).
     Medium,
@@ -36,17 +36,26 @@ impl Scale {
     }
 
     /// Reads `--scale <value>` from the process arguments, defaulting to
-    /// [`Scale::Medium`].
+    /// [`Scale::Medium`] when the flag is absent. An unknown or missing
+    /// value is a usage error: the process exits with status 2 instead of
+    /// silently running another scale.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for window in args.windows(2) {
-            if window[0] == "--scale" {
-                if let Some(scale) = Scale::parse(&window[1]) {
-                    return scale;
-                }
-            }
-        }
-        Scale::Medium
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::from_arg_list(&args).unwrap_or_else(|message| {
+            eprintln!("{message}\nusage: [--scale smoke|medium|paper]");
+            std::process::exit(2);
+        })
+    }
+
+    /// The scale `args` (the program name excluded) ask for.
+    fn from_arg_list(args: &[String]) -> Result<Scale, String> {
+        let Some(flag) = args.iter().position(|arg| arg == "--scale") else {
+            return Ok(Scale::Medium);
+        };
+        let value = args
+            .get(flag + 1)
+            .ok_or_else(|| "--scale needs a value".to_string())?;
+        Scale::parse(value).ok_or_else(|| format!("unknown --scale value `{value}`"))
     }
 
     /// Training-set size.
@@ -537,6 +546,15 @@ mod tests {
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("SMOKE"), Some(Scale::Smoke));
         assert_eq!(Scale::parse("nope"), None);
+        let args = |list: &[&str]| list.iter().map(|arg| arg.to_string()).collect::<Vec<_>>();
+        assert_eq!(Scale::from_arg_list(&args(&[])), Ok(Scale::Medium));
+        assert_eq!(
+            Scale::from_arg_list(&args(&["--scale", "smoke"])),
+            Ok(Scale::Smoke)
+        );
+        let unknown = Scale::from_arg_list(&args(&["--scale", "papr"])).unwrap_err();
+        assert!(unknown.contains("papr"), "{unknown}");
+        assert!(Scale::from_arg_list(&args(&["--scale"])).is_err());
         assert!(Scale::Paper.clients() > Scale::Smoke.clients());
         assert_eq!(Scale::Paper.clients(), 100);
         assert_eq!(Scale::Paper.rounds(), 100);

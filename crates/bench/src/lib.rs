@@ -12,8 +12,7 @@
 //!
 //! Each figure/table has a dedicated binary (`fig4`, `fig5`, `fig6`,
 //! `fig7`, `table2`, `all_experiments`) accepting a `--scale
-//! {smoke|medium|paper}` argument, and a matching Criterion benchmark under
-//! `benches/` that exercises the same code path at smoke scale.
+//! {smoke|medium|paper}` argument.
 
 #![warn(missing_docs)]
 

@@ -10,7 +10,7 @@
 //! draining into block-sized batches.
 
 use crate::transaction::{Transaction, TransactionKind};
-use bfl_crypto::{BatchVerifier, CryptoError, KeyStore, SignedMessage};
+use bfl_crypto::{CryptoError, KeyStore, SignedMessage};
 use std::collections::{BTreeSet, VecDeque};
 
 /// A FIFO pool of transactions waiting to be packed into blocks.
@@ -102,30 +102,6 @@ impl Mempool {
         }
         self.pending.push_back(tx);
         true
-    }
-
-    /// Admits a batch of signed transactions, verifying all envelopes as
-    /// one [`BatchVerifier::verify_batch`] call before any admission.
-    /// Returns one [`Mempool::submit_signed`]-shaped verdict per input, in
-    /// input order — semantics identical to submitting the pairs one at a
-    /// time (verification cannot observe mempool state, and dedup runs in
-    /// input order after the verdicts are in).
-    pub fn submit_signed_batch(
-        &mut self,
-        uploads: Vec<(Transaction, &SignedMessage)>,
-        keys: &KeyStore,
-        verifier: &mut BatchVerifier,
-    ) -> Vec<Result<bool, CryptoError>> {
-        let envelopes: Vec<&SignedMessage> = uploads.iter().map(|(_, env)| *env).collect();
-        let verdicts = keys.verify_batch(&envelopes, verifier);
-        uploads
-            .into_iter()
-            .zip(verdicts)
-            .map(|((tx, _), verdict)| {
-                verdict?;
-                Ok(self.submit_verified(tx))
-            })
-            .collect()
     }
 
     /// Removes the pending local-gradient upload of `(round, client)`,
@@ -317,44 +293,6 @@ mod tests {
         let err = pool.submit_signed(tx, &forged, &store).unwrap_err();
         assert_eq!(err, CryptoError::InvalidSignature);
         assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn batch_submission_matches_one_at_a_time() {
-        let mut store = KeyStore::new();
-        let mut rng = StdRng::seed_from_u64(45);
-        let pairs = store.provision(&mut rng, &[1, 2, 3], 256).unwrap();
-
-        // Valid uploads for clients 1..3, a forged envelope for client 2,
-        // a retransmit of client 1, and an unknown signer — the batch and
-        // the one-at-a-time pools must agree verdict-for-verdict.
-        let good1 = sign_message(1, b"upload", &pairs[&1].private);
-        let forged2 = sign_message(2, b"upload", &pairs[&3].private);
-        let good3 = sign_message(3, b"upload", &pairs[&3].private);
-        let ghost = sign_message(9, b"upload", &pairs[&1].private);
-        let uploads = vec![
-            (gradient_tx(1, 16), &good1),
-            (gradient_tx(2, 16), &forged2),
-            (gradient_tx(3, 16), &good3),
-            (gradient_tx(1, 16), &good1),
-            (gradient_tx(9, 16), &ghost),
-        ];
-
-        let mut serial = Mempool::new();
-        let mut verifier = BatchVerifier::new();
-        let expected: Vec<_> = uploads
-            .iter()
-            .map(|(tx, env)| serial.submit_signed(tx.clone(), env, &store))
-            .collect();
-
-        let mut batched = Mempool::new();
-        let got = batched.submit_signed_batch(uploads, &store, &mut verifier);
-        assert_eq!(got, expected);
-        assert_eq!(got[0], Ok(true));
-        assert_eq!(got[1], Err(CryptoError::InvalidSignature));
-        assert_eq!(got[3], Ok(false), "retransmit deduplicated");
-        assert_eq!(got[4], Err(CryptoError::UnknownSigner(9)));
-        assert_eq!(batched.len(), serial.len());
     }
 
     #[test]

@@ -24,17 +24,17 @@
 //! lowercase hex (the serde wire format), and both round-trip
 //! bit-for-bit with what the 32-bit layout produced.
 //!
-//! # Fast and reference paths
+//! # Fast paths and their oracles
 //!
-//! Division and modular exponentiation each have two implementations.
-//! The hot path uses word-level Knuth Algorithm D division (one 64-bit
-//! quotient digit per step) and Montgomery/REDC exponentiation (see
-//! [`crate::montgomery`]); the seed implementations — binary long
-//! division and square-and-multiply over `div_rem`-based `modmul` — are
-//! retained behind [`crate::engine::set_reference_mode`] and pinned to
-//! the fast paths bit-for-bit by the equivalence test suite.
+//! [`BigUint::div_rem`] is word-level Knuth Algorithm D (one 64-bit
+//! quotient digit per step) and [`BigUint::modpow`] is Montgomery/REDC
+//! exponentiation (see [`crate::montgomery`]). The seed implementations
+//! stay as plain functions that only tests call:
+//! [`BigUint::div_rem_reference`] (binary long division) and
+//! [`BigUint::modpow_reference`] (square-and-multiply reduced through
+//! it). `tests/crypto_equivalence.rs` pins each fast path to its oracle
+//! bit for bit, up to 4096-bit operands.
 
-use crate::engine;
 use crate::montgomery::MontgomeryCtx;
 use serde::{Deserialize, Serialize, Value};
 use std::cmp::Ordering;
@@ -298,11 +298,6 @@ impl BigUint {
         BigUint { limbs: out }
     }
 
-    /// Multiplication by a `u32` scalar (see [`Self::mul_u64`]).
-    pub fn mul_u32(&self, scalar: u32) -> BigUint {
-        self.mul_u64(scalar as u64)
-    }
-
     /// Division by a small scalar, at the limb level: returns the quotient
     /// and the `u64` remainder in a single high-to-low pass.
     ///
@@ -313,15 +308,6 @@ impl BigUint {
         let mut quotient = self.clone();
         let rem = quotient.div_assign_u64(divisor);
         (quotient, rem)
-    }
-
-    /// Division by a `u32` scalar (see [`Self::div_rem_u64`]).
-    ///
-    /// # Panics
-    /// Panics if `divisor` is zero.
-    pub fn div_rem_u32(&self, divisor: u32) -> (BigUint, u32) {
-        let (q, r) = self.div_rem_u64(divisor as u64);
-        (q, r as u32)
     }
 
     /// Remainder of division by a small scalar, in one high-to-low pass
@@ -403,22 +389,12 @@ impl BigUint {
 
     /// Division with remainder. Panics if `divisor` is zero.
     ///
-    /// Routes to word-level Knuth Algorithm D by default; the seed
-    /// binary long division is retained behind
-    /// [`crate::engine::set_reference_mode`] as [`Self::div_rem_reference`].
+    /// Word-level division (Knuth TAOCP Vol. 2, Algorithm 4.3.1 D):
+    /// one 64-bit quotient limb per step against a normalized divisor,
+    /// instead of one bit per step, with the multiply-subtract in place —
+    /// no allocation inside the loop. [`Self::div_rem_reference`] is its
+    /// oracle.
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
-        if engine::reference_mode() {
-            return self.div_rem_reference(divisor);
-        }
-        self.div_rem_knuth(divisor)
-    }
-
-    /// Word-level division (Knuth TAOCP Vol. 2, Algorithm 4.3.1 D).
-    ///
-    /// Processes one 64-bit quotient limb per step against a normalized
-    /// divisor, instead of one bit per step, and performs the
-    /// multiply-subtract in place — no allocation inside the loop.
-    pub fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero BigUint");
         if self < divisor {
             return (BigUint::zero(), self.clone());
@@ -495,9 +471,9 @@ impl BigUint {
         (BigUint::from_limbs(q), remainder)
     }
 
-    /// The seed binary long division, one quotient bit per step. Retained
-    /// as the reference path for [`Self::div_rem_knuth`]'s equivalence
-    /// tests.
+    /// The seed binary long division, one quotient bit per step: the
+    /// oracle for [`Self::div_rem`] (`knuth_div_rem_matches_reference` in
+    /// `tests/crypto_equivalence.rs`). No production path calls it.
     pub fn div_rem_reference(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero BigUint");
         if self < divisor {
@@ -543,29 +519,54 @@ impl BigUint {
 
     /// Modular exponentiation.
     ///
-    /// Routes to Montgomery/REDC with fixed 4-bit windows for odd moduli
-    /// (see [`crate::montgomery`]); even moduli and
-    /// [`crate::engine::set_reference_mode`] fall back to binary
-    /// square-and-multiply over `modmul`.
+    /// Montgomery/REDC with fixed 4-bit windows for odd moduli (see
+    /// [`crate::montgomery`]); even moduli, which REDC cannot serve,
+    /// fall back to binary square-and-multiply over [`Self::rem`].
     pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         if modulus.is_one() {
             return BigUint::zero();
         }
-        if !engine::reference_mode() {
-            if let Some(ctx) = MontgomeryCtx::new(modulus) {
-                return ctx.modpow(self, exponent);
-            }
+        match MontgomeryCtx::new(modulus) {
+            Some(ctx) => ctx.modpow(self, exponent),
+            None => self.modpow_binary(exponent, modulus, BigUint::rem),
         }
-        let mut base = self.rem(modulus);
+    }
+
+    /// The seed modular exponentiation: binary square-and-multiply with
+    /// every product reduced through [`Self::div_rem_reference`], so it
+    /// shares nothing with Knuth division, Montgomery arithmetic or CRT.
+    /// The oracle for [`Self::modpow`], [`MontgomeryCtx`] and both RSA
+    /// key operations (`tests/crypto_equivalence.rs` and the in-crate
+    /// Montgomery, primality and signature tests call it); no production
+    /// path does.
+    pub fn modpow_reference(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
+        assert!(!modulus.is_zero(), "modpow with zero modulus");
+        if modulus.is_one() {
+            return BigUint::zero();
+        }
+        self.modpow_binary(exponent, modulus, |value, modulus| {
+            value.div_rem_reference(modulus).1
+        })
+    }
+
+    /// Right-to-left binary exponentiation for a modulus above one, with
+    /// the reduction supplied by the caller.
+    fn modpow_binary(
+        &self,
+        exponent: &BigUint,
+        modulus: &BigUint,
+        reduce: fn(&BigUint, &BigUint) -> BigUint,
+    ) -> BigUint {
+        let mut base = reduce(self, modulus);
         let mut result = BigUint::one();
         let bits = exponent.bit_len();
         for i in 0..bits {
             if exponent.bit(i) {
-                result = result.modmul(&base, modulus);
+                result = reduce(&result.mul(&base), modulus);
             }
             if i + 1 < bits {
-                base = base.modmul(&base, modulus);
+                base = reduce(&base.mul(&base), modulus);
             }
         }
         result
@@ -902,7 +903,6 @@ mod tests {
             a.mul(&a).to_decimal_string(),
             "115792089237316195423570985008687907853269984665640564039457584007913129639936"
         );
-        assert_eq!(big(7).mul_u32(6), big(42));
         assert_eq!(
             big(u64::MAX).mul_u64(u64::MAX),
             big(u64::MAX).mul(&big(u64::MAX))
@@ -932,11 +932,6 @@ mod tests {
         assert_eq!(q, v);
         assert_eq!(r, 17);
         assert_eq!(v.mul_u64(0), BigUint::zero());
-        // The u32 wrappers agree with the u64 forms.
-        let (q32, r32) = v.div_rem_u32(999_999_937);
-        let (q64, r64) = v.div_rem_u64(999_999_937);
-        assert_eq!(q32, q64);
-        assert_eq!(r32 as u64, r64);
     }
 
     #[test]
@@ -998,7 +993,7 @@ mod tests {
         // limbs against a divisor just below a power of two.
         let a = BigUint::from_limbs(vec![0, u64::MAX - 1, u64::MAX]);
         let b = BigUint::from_limbs(vec![u64::MAX, u64::MAX]);
-        let (q, r) = a.div_rem_knuth(&b);
+        let (q, r) = a.div_rem(&b);
         assert_eq!(b.mul(&q).add(&r), a);
         assert!(r < b);
         let (q_ref, r_ref) = a.div_rem_reference(&b);
@@ -1177,10 +1172,11 @@ mod tests {
             for _ in 0..exp {
                 expected = expected * (base as u128 % modulus as u128) % modulus as u128;
             }
-            prop_assert_eq!(
-                big(base).modpow(&big(exp), &big(modulus)),
-                BigUint::from_u64(expected as u64)
-            );
+            // Even and odd moduli alike: the Montgomery path, its binary
+            // fallback and the oracle all land on the u128 product chain.
+            let expected = BigUint::from_u64(expected as u64);
+            prop_assert_eq!(&big(base).modpow(&big(exp), &big(modulus)), &expected);
+            prop_assert_eq!(big(base).modpow_reference(&big(exp), &big(modulus)), expected);
         }
 
         #[test]

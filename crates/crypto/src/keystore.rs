@@ -71,22 +71,6 @@ impl KeyStore {
         verify_message(message, key)
     }
 
-    /// Verifies a signed message through a shared [`BatchVerifier`], so a
-    /// caller draining many uploads amortises one Montgomery workspace
-    /// across all of them. Decision-identical to [`KeyStore::verify`].
-    pub fn verify_cached(
-        &self,
-        message: &SignedMessage,
-        verifier: &mut BatchVerifier,
-    ) -> Result<(), CryptoError> {
-        self.verify_detached(
-            message.signer,
-            &message.payload,
-            &message.signature,
-            verifier,
-        )
-    }
-
     /// Verifies a detached `signature` over `signer ‖ payload` against
     /// the key registered for `signer`, through a shared
     /// [`BatchVerifier`]: the miner-side check for an upload whose payload
@@ -109,8 +93,8 @@ impl KeyStore {
     /// Verifies a slice of signed messages as a batch, returning one
     /// verdict per message in input order. Unknown signers are reported
     /// per slot; the known-signer remainder goes through
-    /// [`BatchVerifier::verify_batch`], whose screen-then-confirm path
-    /// keeps every per-message decision identical to [`KeyStore::verify`].
+    /// [`BatchVerifier::verify_batch`], every per-message decision
+    /// identical to [`KeyStore::verify`].
     pub fn verify_batch(
         &self,
         messages: &[&SignedMessage],
@@ -368,30 +352,14 @@ mod tests {
         let verdicts = store.verify_batch(&batch, &mut verifier);
         let singles: Vec<_> = batch.iter().map(|m| store.verify(m)).collect();
         assert_eq!(verdicts, singles);
+        let detached: Vec<_> = batch
+            .iter()
+            .map(|m| store.verify_detached(m.signer, &m.payload, &m.signature, &mut verifier))
+            .collect();
+        assert_eq!(detached, singles);
         assert_eq!(verdicts[0], Ok(()));
         assert_eq!(verdicts[1], Err(CryptoError::UnknownSigner(9)));
         assert_eq!(verdicts[2], Err(CryptoError::InvalidSignature));
-    }
-
-    #[test]
-    fn verify_cached_matches_verify() {
-        let mut store = KeyStore::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        let pairs = store.provision(&mut rng, &[3], 256).unwrap();
-        let good = sign_message(3, b"upload", &pairs[&3].private);
-        let mut bad = good.clone();
-        bad.payload.push(0xFF);
-        let unknown = sign_message(4, b"upload", &pairs[&3].private);
-        let mut verifier = BatchVerifier::new();
-        for msg in [&good, &bad, &unknown] {
-            let expected = store.verify(msg);
-            assert_eq!(store.verify_cached(msg, &mut verifier), expected);
-            assert_eq!(
-                store.verify_detached(msg.signer, &msg.payload, &msg.signature, &mut verifier),
-                expected
-            );
-        }
-        assert_eq!(store.verify(&unknown), Err(CryptoError::UnknownSigner(4)));
     }
 
     #[test]

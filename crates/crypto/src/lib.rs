@@ -18,8 +18,7 @@
 //!   compression dispatches to the hardware instruction sequence.
 //! * [`bigint`] — arbitrary-precision unsigned integers ([`BigUint`])
 //!   over 64-bit limbs with `u128` intermediates: schoolbook
-//!   multiplication, word-level Knuth Algorithm D division (seed binary
-//!   long division retained as the reference path), modular
+//!   multiplication, word-level Knuth Algorithm D division, modular
 //!   exponentiation, and a minimal signed wrapper used by the extended
 //!   Euclidean algorithm.
 //! * [`montgomery`] — REDC-based modular multiplication (64-bit CIOS)
@@ -35,9 +34,14 @@
 //! * [`signature`] — the hash-then-sign envelope used by the protocol.
 //! * [`keystore`] — the miner-side registry mapping client identifiers to
 //!   public keys.
-//! * [`engine`] — the process-wide switch that reroutes division,
-//!   exponentiation and signing through the retained seed
-//!   implementations for equivalence tests and benchmarks.
+//!
+//! The seed implementations the fast paths replaced stay as oracles —
+//! plain functions no production path calls:
+//! [`BigUint::div_rem_reference`] (binary long division) and
+//! [`BigUint::modpow_reference`] (square-and-multiply over it, which is
+//! also plain-exponent RSA signing and verification).
+//! `tests/crypto_equivalence.rs` compares every fast path against them
+//! bit for bit; nothing in this crate switches behaviour at run time.
 //!
 //! The implementation favours determinism and measured speed; it is a
 //! faithful protocol substrate for a simulation, **not** a hardened
@@ -47,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod bigint;
-pub mod engine;
 pub mod error;
 pub mod keystore;
 pub mod montgomery;

@@ -39,8 +39,8 @@
 //! instead of rebuilding it on every sign/verify.
 //!
 //! Montgomery reduction requires an odd modulus; [`MontgomeryCtx::new`]
-//! returns `None` otherwise and callers fall back to the reference
-//! square-and-multiply path.
+//! returns `None` otherwise and [`BigUint::modpow`] falls back to binary
+//! square-and-multiply.
 
 use crate::bigint::BigUint;
 
@@ -135,7 +135,7 @@ impl MontgomeryCtx {
         let n0_inv = inv.wrapping_neg();
 
         // R^2 mod n = 2^(128k) mod n; one division at setup time.
-        let r2 = BigUint::one().shl(128 * k).div_rem_knuth(modulus).1;
+        let r2 = BigUint::one().shl(128 * k).div_rem(modulus).1;
         let mut r2_limbs = r2.limbs().to_vec();
         r2_limbs.resize(k, 0);
         Some(MontgomeryCtx {
@@ -230,7 +230,7 @@ impl MontgomeryCtx {
             ws.tmp[..a.limbs().len()].copy_from_slice(a.limbs());
             ws.tmp[a.limbs().len()..k].fill(0);
         } else {
-            let reduced = a.div_rem_knuth(&self.modulus()).1;
+            let reduced = a.div_rem(&self.modulus()).1;
             ws.tmp[..reduced.limbs().len()].copy_from_slice(reduced.limbs());
             ws.tmp[reduced.limbs().len()..k].fill(0);
         }
@@ -343,7 +343,8 @@ impl MontgomeryCtx {
         MontElem { limbs: out }
     }
 
-    /// Exponentiation in the Montgomery domain.
+    /// Exponentiation in the Montgomery domain, in place:
+    /// `ws.value = ws.value^exponent`.
     ///
     /// Long exponents (private/CRT exponents, Miller-Rabin's `d`) use
     /// fixed 4-bit windows: the table (`base^0 .. base^15`) is built
@@ -351,18 +352,9 @@ impl MontgomeryCtx {
     /// window. Short exponents — above all the RSA public exponent
     /// 65537 on the verify path — cannot amortize the 14-multiply table
     /// build, so they run plain left-to-right square-and-multiply (one
-    /// multiply per set bit). Both loops go through preallocated scratch
-    /// buffers; no allocation per step.
-    pub fn pow(&self, base: &MontElem, exponent: &BigUint) -> MontElem {
-        let mut ws = self.workspace();
-        ws.value.copy_from_slice(&base.limbs);
-        self.pow_in_place(exponent, &mut ws);
-        MontElem { limbs: ws.value }
-    }
-
-    /// Exponentiation in place: `ws.value = ws.value^exponent`. The
-    /// workspace's table, scratch and swap buffers are reused across
-    /// calls — no allocation (see [`Self::pow`] for the algorithm).
+    /// multiply per set bit). Both loops go through the workspace's
+    /// table, scratch and swap buffers, reused across calls; no
+    /// allocation per step.
     pub fn pow_in_place(&self, exponent: &BigUint, ws: &mut MontWorkspace) {
         let k = self.k();
         if exponent.is_zero() {
@@ -696,7 +688,6 @@ fn mul_fixed<const K: usize>(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, out: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine;
 
     fn big(v: u64) -> BigUint {
         BigUint::from_u64(v)
@@ -723,7 +714,6 @@ mod tests {
 
     #[test]
     fn mul_matches_modmul() {
-        let _guard = engine::mode_lock();
         let m = big(0xffff_ffff_ffff_ffc5); // largest prime below 2^64
         let ctx = MontgomeryCtx::new(&m).unwrap();
         for (a, b) in [
@@ -739,7 +729,6 @@ mod tests {
 
     #[test]
     fn modpow_matches_reference_small() {
-        let _guard = engine::mode_lock();
         let m = big(497); // odd composite
         let ctx = MontgomeryCtx::new(&m).unwrap();
         assert_eq!(ctx.modpow(&big(4), &big(13)), big(445));
@@ -762,7 +751,6 @@ mod tests {
 
     #[test]
     fn four_limb_modulus_uses_the_unrolled_path_correctly() {
-        let _guard = engine::mode_lock();
         // 2^255 - 19: exactly four limbs, prime.
         let m = BigUint::one().shl(255).sub(&BigUint::from_u32(19));
         let ctx = MontgomeryCtx::new(&m).unwrap();
@@ -818,7 +806,6 @@ mod tests {
 
     #[test]
     fn two_limb_modulus_uses_the_unrolled_path_correctly() {
-        let _guard = engine::mode_lock();
         // 2^127 - 1 is a Mersenne prime: exactly two limbs.
         let m = BigUint::one().shl(127).sub(&BigUint::one());
         let ctx = MontgomeryCtx::new(&m).unwrap();
@@ -841,7 +828,6 @@ mod tests {
 
     #[test]
     fn fitted_and_refitted_workspaces_exponentiate_identically() {
-        let _guard = engine::mode_lock();
         // Odd moduli across limb counts: fixed-width kernels (k = 2, 4)
         // and the generic loops (k = 1, 3).
         for dec in [
@@ -862,14 +848,14 @@ mod tests {
             ctx.load(&a, &mut plain);
             ctx.pow_in_place(&e, &mut plain);
             assert_eq!(prepared.value, plain.value, "modulus {dec}");
-            let reference = engine::with_reference_mode(|| a.modpow(&e, &m));
+            let reference = a.modpow_reference(&e, &m);
             assert_eq!(ctx.recover_value(&mut plain), reference);
             // Long (windowed) exponents agree too.
             let d = BigUint::from_decimal_str("123456789012345678901234567890123456789").unwrap();
             ctx.load(&a, &mut prepared);
             ctx.pow_in_place(&d, &mut prepared);
             assert_eq!(ctx.modpow(&a, &d), ctx.recover_value(&mut prepared));
-            let reference = engine::with_reference_mode(|| a.modpow(&d, &m));
+            let reference = a.modpow_reference(&d, &m);
             assert_eq!(ctx.modpow(&a, &d), reference);
         }
     }
@@ -1014,7 +1000,6 @@ mod tests {
 
     #[test]
     fn fixed_width_exponentiation_matches_the_reference_path() {
-        let _guard = engine::mode_lock();
         let mut next = limb_stream(0xE4_9013);
         for k in [2usize, 4, 8, 16] {
             let mut n: Vec<u64> = (0..k).map(|_| next()).collect();
@@ -1024,7 +1009,7 @@ mod tests {
             let ctx = MontgomeryCtx::new(&modulus).unwrap();
             let base = BigUint::from_limbs((0..k).map(|_| next()).collect());
             let exponent = BigUint::from_limbs((0..k).map(|_| next()).collect());
-            let reference = engine::with_reference_mode(|| base.modpow(&exponent, &modulus));
+            let reference = base.modpow_reference(&exponent, &modulus);
             assert_eq!(ctx.modpow(&base, &exponent), reference, "k={k}");
             // A workspace warmed on another width re-fits and agrees.
             let mut ws = MontWorkspace::new();

@@ -6,7 +6,6 @@
 //! random [`BigUint`] values of a given bit length or below a bound.
 
 use crate::bigint::BigUint;
-use crate::engine;
 use crate::error::CryptoError;
 use crate::montgomery::MontgomeryCtx;
 use rand::Rng;
@@ -110,13 +109,13 @@ pub fn random_range<R: Rng + ?Sized>(rng: &mut R, low: &BigUint, high: &BigUint)
     low.add(&random_below(rng, &span))
 }
 
-/// Miller-Rabin primality test with `rounds` random witnesses.
-///
-/// Returns `true` if `candidate` is probably prime. Deterministically
-/// correct for candidates below 114 (covered by trial division).
-pub fn is_probably_prime<R: Rng + ?Sized>(candidate: &BigUint, rounds: usize, rng: &mut R) -> bool {
+/// What Miller-Rabin needs before its first witness: `Err(verdict)` when
+/// the candidate is below two or trial division by the small primes
+/// settles it, otherwise `candidate - 1` and its split `d * 2^s` with `d`
+/// odd.
+fn miller_rabin_setup(candidate: &BigUint) -> Result<(BigUint, BigUint, usize), bool> {
     if candidate.is_zero() || candidate.is_one() {
-        return false;
+        return Err(false);
     }
     // Trial division by small primes, one remainder pass per group.
     for &(product, primes) in small_prime_groups() {
@@ -124,65 +123,52 @@ pub fn is_probably_prime<R: Rng + ?Sized>(candidate: &BigUint, rounds: usize, rn
         for &p in primes {
             if group_rem.is_multiple_of(p as u64) {
                 // Divisible by p: prime exactly when the candidate *is* p.
-                return *candidate == BigUint::from_u32(p);
+                return Err(*candidate == BigUint::from_u32(p));
             }
         }
     }
 
-    // Write candidate - 1 = d * 2^s with d odd.
-    let one = BigUint::one();
-    let two = BigUint::from_u32(2);
-    let n_minus_one = candidate.sub(&one);
+    let n_minus_one = candidate.sub(&BigUint::one());
     let mut d = n_minus_one.clone();
     let mut s = 0usize;
     while d.is_even() {
         d = d.shr(1);
         s += 1;
     }
+    Ok((n_minus_one, d, s))
+}
+
+/// Miller-Rabin primality test with `rounds` random witnesses.
+///
+/// Returns `true` if `candidate` is probably prime. Deterministically
+/// correct for candidates below 114 (covered by trial division).
+pub fn is_probably_prime<R: Rng + ?Sized>(candidate: &BigUint, rounds: usize, rng: &mut R) -> bool {
+    let (n_minus_one, d, s) = match miller_rabin_setup(candidate) {
+        Ok(split) => split,
+        Err(verdict) => return verdict,
+    };
+    let two = BigUint::from_u32(2);
 
     // One Montgomery context serves every witness of this candidate; the
     // witness chain then squares entirely inside the Montgomery domain
     // (the domain map is a bijection, so comparing in-domain values is
-    // comparing residues). Trial division already removed even
-    // candidates, so the context only fails in reference mode.
-    let ctx = if engine::reference_mode() {
-        None
-    } else {
-        MontgomeryCtx::new(candidate)
-    };
-    if let Some(ctx) = ctx {
-        let one_m = ctx.one();
-        let minus_one_m = ctx.convert(&n_minus_one);
-        // One workspace serves every witness: the whole chain (domain
-        // conversion, windowed pow, squarings) runs allocation-free.
-        let mut ws = ctx.workspace();
-        'mont_witness: for _ in 0..rounds {
-            let a = random_range(rng, &two, &n_minus_one);
-            ctx.load(&a, &mut ws);
-            ctx.pow_in_place(&d, &mut ws);
-            if ctx.element_equals(&ws, &one_m) || ctx.element_equals(&ws, &minus_one_m) {
-                continue 'mont_witness;
-            }
-            for _ in 0..s.saturating_sub(1) {
-                ctx.square_in_place(&mut ws);
-                if ctx.element_equals(&ws, &minus_one_m) {
-                    continue 'mont_witness;
-                }
-            }
-            return false;
-        }
-        return true;
-    }
-
+    // comparing residues).
+    let ctx = MontgomeryCtx::new(candidate).expect("trial division removed every even candidate");
+    let one_m = ctx.one();
+    let minus_one_m = ctx.convert(&n_minus_one);
+    // One workspace serves every witness: the whole chain (domain
+    // conversion, windowed pow, squarings) runs allocation-free.
+    let mut ws = ctx.workspace();
     'witness: for _ in 0..rounds {
         let a = random_range(rng, &two, &n_minus_one);
-        let mut x = a.modpow(&d, candidate);
-        if x.is_one() || x == n_minus_one {
+        ctx.load(&a, &mut ws);
+        ctx.pow_in_place(&d, &mut ws);
+        if ctx.element_equals(&ws, &one_m) || ctx.element_equals(&ws, &minus_one_m) {
             continue 'witness;
         }
         for _ in 0..s.saturating_sub(1) {
-            x = x.modmul(&x, candidate);
-            if x == n_minus_one {
+            ctx.square_in_place(&mut ws);
+            if ctx.element_equals(&ws, &minus_one_m) {
                 continue 'witness;
             }
         }
@@ -224,7 +210,7 @@ pub fn generate_prime<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xBF1_2022)
@@ -366,10 +352,34 @@ mod tests {
         }
     }
 
+    /// The seed Miller-Rabin witness loop — plain residues through
+    /// `modpow_reference` and `div_rem_reference`, no Montgomery context —
+    /// drawing the same witnesses from `rng` as [`is_probably_prime`].
+    fn is_probably_prime_reference(candidate: &BigUint, rounds: usize, rng: &mut StdRng) -> bool {
+        let (n_minus_one, d, s) = match miller_rabin_setup(candidate) {
+            Ok(split) => split,
+            Err(verdict) => return verdict,
+        };
+        let two = BigUint::from_u32(2);
+        'witness: for _ in 0..rounds {
+            let a = random_range(rng, &two, &n_minus_one);
+            let mut x = a.modpow_reference(&d, candidate);
+            if x.is_one() || x == n_minus_one {
+                continue 'witness;
+            }
+            for _ in 0..s.saturating_sub(1) {
+                x = x.mul(&x).div_rem_reference(candidate).1;
+                if x == n_minus_one {
+                    continue 'witness;
+                }
+            }
+            return false;
+        }
+        true
+    }
+
     #[test]
     fn reference_and_montgomery_paths_agree_on_primality() {
-        use crate::engine;
-        let _guard = engine::mode_lock();
         for v in [
             104729u64,
             (1u64 << 61) - 1,
@@ -379,15 +389,16 @@ mod tests {
             999999999990,
         ] {
             let candidate = BigUint::from_u64(v);
-            let fast = {
-                let mut r = StdRng::seed_from_u64(42);
-                is_probably_prime(&candidate, 16, &mut r)
-            };
-            let reference = engine::with_reference_mode(|| {
-                let mut r = StdRng::seed_from_u64(42);
-                is_probably_prime(&candidate, 16, &mut r)
-            });
+            let mut fast_rng = StdRng::seed_from_u64(42);
+            let mut reference_rng = StdRng::seed_from_u64(42);
+            let fast = is_probably_prime(&candidate, 16, &mut fast_rng);
+            let reference = is_probably_prime_reference(&candidate, 16, &mut reference_rng);
             assert_eq!(fast, reference, "paths disagree on {v}");
+            assert_eq!(
+                fast_rng.next_u64(),
+                reference_rng.next_u64(),
+                "paths drew different witnesses for {v}"
+            );
         }
     }
 

@@ -15,11 +15,12 @@
 //! thread signing a batch (a `bfl_ml::par` worker signing its clients'
 //! updates) allocates no Montgomery scratch after its first signature
 //! and gets the squaring kernel on every exponentiation. Keys built from
-//! `(n, d)` alone (deserialized legacy
-//! material, external test vectors) still work through the plain path,
-//! and [`crate::engine::set_reference_mode`] forces the retained
-//! seed-path square-and-multiply for equivalence testing and
-//! benchmarking.
+//! `(n, d)` alone (deserialized legacy material, external test vectors)
+//! still work through the full-size exponentiation. The oracle for both
+//! key operations is the plain exponent through
+//! [`BigUint::modpow_reference`] — `m.modpow_reference(d, n)` is what a
+//! signature must equal — which `tests/crypto_equivalence.rs` and the
+//! [`crate::signature`] tests compare against bit for bit.
 //!
 //! Both key types carry a lazily-built, shareable [`MontgomeryCtx`]
 //! cache ([`MontCache`]): constructing a context costs a full division
@@ -34,7 +35,6 @@
 //! The protocol-facing hash-then-sign wrapper lives in [`crate::signature`].
 
 use crate::bigint::BigUint;
-use crate::engine;
 use crate::error::CryptoError;
 use crate::montgomery::{MontWorkspace, MontgomeryCtx};
 use crate::prime::{generate_prime, miller_rabin_rounds};
@@ -168,12 +168,10 @@ impl RsaPublicKey {
     /// Applies the public operation `m^e mod n` (used for verification)
     /// through the cached Montgomery context.
     pub fn apply(&self, message: &BigUint) -> BigUint {
-        if !engine::reference_mode() {
-            if let Some(ctx) = self.mont.get_or_build(&self.modulus) {
-                return ctx.modpow(message, &self.exponent);
-            }
+        match self.mont.get_or_build(&self.modulus) {
+            Some(ctx) => ctx.modpow(message, &self.exponent),
+            None => message.modpow(&self.exponent, &self.modulus),
         }
-        message.modpow(&self.exponent, &self.modulus)
     }
 
     /// The key's cached Montgomery context, building it on first use.
@@ -262,15 +260,11 @@ impl RsaPrivateKey {
 
     /// Applies the private operation `m^d mod n` (used for signing).
     ///
-    /// With CRT factors present (and the reference mode off) this runs
-    /// two half-size Montgomery exponentiations mod `p` and `q` and
-    /// recombines with Garner's formula; otherwise a single full-size
-    /// exponentiation. All Montgomery contexts come from the per-key
-    /// caches.
+    /// With CRT factors present this runs two half-size Montgomery
+    /// exponentiations mod `p` and `q` and recombines with Garner's
+    /// formula; otherwise a single full-size exponentiation. All
+    /// Montgomery contexts come from the per-key caches.
     pub fn apply(&self, message: &BigUint) -> BigUint {
-        if engine::reference_mode() {
-            return message.modpow(&self.exponent, &self.modulus);
-        }
         if let Some(crt) = &self.crt {
             return self.apply_crt(message, crt);
         }

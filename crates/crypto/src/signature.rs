@@ -29,15 +29,19 @@
 //! whole batch (re-fitted only when the key width changes) and compares
 //! in the Montgomery domain (skipping the recover multiply) — same
 //! accept/reject decision per upload, less constant overhead per upload.
+//!
+//! The oracle for all of it is the plain exponent through
+//! [`BigUint::modpow_reference`] (no CRT, no Montgomery, seed long
+//! division): the unit tests below hold every signature to
+//! `H(m).modpow_reference(d, n)` and every verdict to
+//! `s.modpow_reference(e, n) == H(m) mod n`, bit for bit.
 
 use crate::bigint::BigUint;
-use crate::engine;
 use crate::error::CryptoError;
 use crate::montgomery::MontWorkspace;
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
-use crate::sha256::{sha256, Digest, Sha256};
+use crate::sha256::{Digest, Sha256};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A detached RSA signature over a SHA-256 digest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -157,45 +161,14 @@ pub fn verify_message(message: &SignedMessage, key: &RsaPublicKey) -> Result<(),
     verify_detached(message.signer, &message.payload, &message.signature, key)
 }
 
-/// Exponent bit length at which the random-linear-combination screen
-/// becomes arithmetically profitable. The screen replaces one
-/// full-exponent pow per signature with one per *batch* plus two 64-bit
-/// coefficient pows per signature (~96 Montgomery multiplies each side);
-/// with the fixed public exponent 65537 a direct confirm is only ~19
-/// multiplies, so screening a standard-key batch would cost more than it
-/// saves. Long-exponent key material (raw-RSA verification against a
-/// full-size exponent) clears this threshold comfortably.
-const SCREEN_MIN_EXPONENT_BITS: usize = 128;
-
 /// Verifies uploads in batches, amortizing the per-call setup that
 /// [`verify_detached`] pays: one [`MontWorkspace`] (re-fitted only when
 /// the key width changes) serves the whole batch, and comparisons happen
-/// in the Montgomery domain.
-///
-/// [`BatchVerifier::verify_batch`] additionally runs a screen-then-confirm
-/// pass: signatures sharing a `(modulus, exponent)` pair are screened with
-/// a random linear combination — coefficients drawn Fiat–Shamir-style
-/// from a SHA-256 transcript of the batch, so they are deterministic for
-/// a given batch yet unpredictable to anything that produced the
-/// signatures — and only on screen failure does it fall back to
-/// per-signature confirmation. A passing screen accepts the group
-/// outright (soundness error 2^-64 per forged group against the
-/// content-derived coefficients); a failing screen changes nothing about
-/// the final decisions, because every member is then confirmed
-/// individually. The screen only engages where it is profitable
-/// (exponents of at least 128 bits); standard e = 65537 batches always take
-/// the amortized per-signature confirm, whose decisions are *exactly*
-/// those of [`verify_message`].
-///
-/// In [`engine::set_reference_mode`] the verifier delegates every
-/// message to [`verify_message`] so the retained seed path stays the
-/// single source of truth for equivalence runs.
+/// in the Montgomery domain. Every verdict is exactly the one
+/// [`verify_message`] reaches.
 #[derive(Debug, Default)]
 pub struct BatchVerifier {
     ws: MontWorkspace,
-    confirms: u64,
-    screen_passes: u64,
-    screen_fallbacks: u64,
 }
 
 impl BatchVerifier {
@@ -225,13 +198,9 @@ impl BatchVerifier {
         signature: &Signature,
         key: &RsaPublicKey,
     ) -> Result<(), CryptoError> {
-        self.confirms += 1;
-        if engine::reference_mode() {
-            return verify_detached(signer, payload, signature, key);
-        }
         let Some(ctx) = key.montgomery_ctx() else {
             // Even/trivial modulus: no Montgomery context exists and the
-            // one-shot path's reference exponentiation is the only route.
+            // one-shot path's binary exponentiation is the only route.
             return verify_detached(signer, payload, signature, key);
         };
         let digest = EnvelopeDigest::of(signer, payload);
@@ -248,129 +217,15 @@ impl BatchVerifier {
     }
 
     /// Verifies a batch, returning one verdict per message in input
-    /// order. Per-message decisions match [`verify_message`] (see the
-    /// type-level docs for the screen's soundness bound).
+    /// order: [`Self::confirm`] on each.
     pub fn verify_batch(
         &mut self,
         batch: &[(&SignedMessage, &RsaPublicKey)],
     ) -> Vec<Result<(), CryptoError>> {
-        let mut results: Vec<Option<Result<(), CryptoError>>> =
-            batch.iter().map(|_| None).collect();
-        if engine::reference_mode() {
-            for (slot, (message, key)) in results.iter_mut().zip(batch) {
-                self.confirms += 1;
-                *slot = Some(verify_message(message, key));
-            }
-            return results.into_iter().map(|r| r.expect("all set")).collect();
-        }
-        // Fast path: when no key clears the screen threshold the
-        // grouping buys nothing (the screen would never engage), so the
-        // per-message slice-keyed map lookups are pure overhead —
-        // confirm straight through in input order instead.
-        if batch
+        batch
             .iter()
-            .all(|(_, key)| key.exponent().bit_len() < SCREEN_MIN_EXPONENT_BITS)
-        {
-            return batch
-                .iter()
-                .map(|(message, key)| self.confirm(message, key))
-                .collect();
-        }
-        // Group by (modulus, exponent): the screen's product identity
-        // only holds within one key equation.
-        let mut groups: BTreeMap<(&[u64], &[u64]), Vec<usize>> = BTreeMap::new();
-        for (i, (_, key)) in batch.iter().enumerate() {
-            groups
-                .entry((key.modulus().limbs(), key.exponent().limbs()))
-                .or_default()
-                .push(i);
-        }
-        let group_lists: Vec<Vec<usize>> = groups.into_values().collect();
-        for indices in group_lists {
-            let key = batch[indices[0]].1;
-            let screenable = indices.len() >= 2
-                && key.exponent().bit_len() >= SCREEN_MIN_EXPONENT_BITS
-                && key.montgomery_ctx().is_some();
-            if screenable && self.screen_group(batch, &indices) {
-                self.screen_passes += 1;
-                for &i in &indices {
-                    results[i] = Some(Ok(()));
-                }
-                continue;
-            }
-            if screenable {
-                self.screen_fallbacks += 1;
-            }
-            for &i in &indices {
-                let (message, key) = batch[i];
-                results[i] = Some(self.confirm(message, key));
-            }
-        }
-        results.into_iter().map(|r| r.expect("all set")).collect()
-    }
-
-    /// Random-linear-combination screen over one same-key group: checks
-    /// `(∏ s_i^{r_i})^e == ∏ d_i^{r_i} (mod n)` for Fiat–Shamir 64-bit
-    /// coefficients `r_i`. `true` means every member verifies (up to the
-    /// 2^-64 soundness error against content-derived coefficients);
-    /// `false` means at least one member is dubious and the caller must
-    /// confirm individually.
-    fn screen_group(
-        &mut self,
-        batch: &[(&SignedMessage, &RsaPublicKey)],
-        indices: &[usize],
-    ) -> bool {
-        let key = batch[indices[0]].1;
-        let ctx = key.montgomery_ctx().expect("caller checked");
-        let exponent = key.exponent().clone();
-
-        // Transcript: every member's signer, digest, and signature bytes.
-        let mut digests = Vec::with_capacity(indices.len());
-        let mut transcript = Vec::new();
-        for &i in indices {
-            let (message, _) = batch[i];
-            let digest = EnvelopeDigest::of(message.signer, &message.payload);
-            transcript.extend_from_slice(&message.signer.to_be_bytes());
-            transcript.extend_from_slice(&digest);
-            transcript.extend_from_slice(&(message.signature.bytes.len() as u64).to_be_bytes());
-            transcript.extend_from_slice(&message.signature.bytes);
-            digests.push(digest);
-        }
-        let seed = sha256(&transcript);
-
-        let mut sig_acc = ctx.one();
-        let mut digest_acc = ctx.one();
-        for (slot, &i) in indices.iter().enumerate() {
-            let (message, _) = batch[i];
-            let mut coeff_input = Vec::with_capacity(40);
-            coeff_input.extend_from_slice(&seed);
-            coeff_input.extend_from_slice(&(slot as u64).to_be_bytes());
-            let coeff_bytes = sha256(&coeff_input);
-            let coeff = BigUint::from_bytes_be(&coeff_bytes[..8]);
-
-            let s = ctx.convert(&message.signature.to_biguint());
-            sig_acc = ctx.mul(&sig_acc, &ctx.pow(&s, &coeff));
-            let d = ctx.convert(&BigUint::from_bytes_be(&digests[slot]));
-            digest_acc = ctx.mul(&digest_acc, &ctx.pow(&d, &coeff));
-        }
-        ctx.pow(&sig_acc, &exponent) == digest_acc
-    }
-
-    /// Number of per-signature confirmations run (screened-and-passed
-    /// messages never reach a confirm).
-    pub fn confirms(&self) -> u64 {
-        self.confirms
-    }
-
-    /// Number of same-key groups accepted wholesale by the screen.
-    pub fn screen_passes(&self) -> u64 {
-        self.screen_passes
-    }
-
-    /// Number of same-key groups whose screen failed and fell back to
-    /// per-signature confirmation.
-    pub fn screen_fallbacks(&self) -> u64 {
-        self.screen_fallbacks
+            .map(|(message, key)| self.confirm(message, key))
+            .collect()
     }
 }
 
@@ -378,6 +233,7 @@ impl BatchVerifier {
 mod tests {
     use super::*;
     use crate::rsa::RsaKeyPair;
+    use crate::sha256::sha256;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -452,9 +308,10 @@ mod tests {
         verify_message(&msg, &pair.public).unwrap();
     }
 
-    /// A "reversed" pair for exercising the screen: signing uses the
-    /// short exponent 65537, verification the full-size exponent `d` —
-    /// a valid RSA relation with a screenable (long) verify exponent.
+    /// A "reversed" pair: signing uses the short exponent 65537,
+    /// verification the full-size exponent `d` — a valid RSA relation
+    /// that drives the verifier's windowed exponentiation over a long
+    /// exponent, where every generated key has the 17-bit 65537.
     fn long_exponent_pair() -> (RsaPrivateKey, RsaPublicKey) {
         let mut rng = StdRng::seed_from_u64(0xB47C);
         let pair = RsaKeyPair::generate(&mut rng, 256).unwrap();
@@ -471,7 +328,6 @@ mod tests {
 
     #[test]
     fn batch_confirm_matches_one_shot_decisions() {
-        let _guard = crate::engine::mode_lock();
         let pair = keypair();
         let other = {
             let mut rng = StdRng::seed_from_u64(0x717);
@@ -492,12 +348,13 @@ mod tests {
         ] {
             assert_eq!(verifier.confirm(msg, key), verify_message(msg, key));
         }
-        assert_eq!(verifier.confirms(), 4);
     }
 
+    /// ("Both engine modes" in the name dates from the process-wide
+    /// reference-arithmetic switch; one mode remains, and the name stays
+    /// so the test keeps its id.)
     #[test]
     fn verify_batch_matches_per_upload_in_both_engine_modes() {
-        let _guard = crate::engine::mode_lock();
         let pair = keypair();
         let mut msgs: Vec<SignedMessage> = (0..6)
             .map(|i| sign_message(i, format!("upload {i}").as_bytes(), &pair.private))
@@ -509,74 +366,11 @@ mod tests {
         }
         let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
             msgs.iter().map(|m| (m, &pair.public)).collect();
-        for reference in [false, true] {
-            crate::engine::set_reference_mode(reference);
-            let mut verifier = BatchVerifier::new();
-            let got = verifier.verify_batch(&batch);
-            let expected: Vec<_> = batch.iter().map(|(m, k)| verify_message(m, k)).collect();
-            assert_eq!(got, expected, "reference={reference}");
-        }
-        crate::engine::set_reference_mode(false);
-    }
-
-    #[test]
-    fn screen_accepts_valid_long_exponent_batches_wholesale() {
-        let _guard = crate::engine::mode_lock();
-        let (signer, public) = long_exponent_pair();
-        assert!(public.exponent().bit_len() >= super::SCREEN_MIN_EXPONENT_BITS);
-        let msgs: Vec<SignedMessage> = (0..5)
-            .map(|i| sign_message(i, format!("member {i}").as_bytes(), &signer))
-            .collect();
-        let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
-            msgs.iter().map(|m| (m, &public)).collect();
-        let mut verifier = BatchVerifier::new();
-        let got = verifier.verify_batch(&batch);
-        assert!(got.iter().all(Result::is_ok));
-        assert_eq!(verifier.screen_passes(), 1);
-        assert_eq!(verifier.screen_fallbacks(), 0);
-        assert_eq!(verifier.confirms(), 0, "a passing screen skips confirms");
-    }
-
-    #[test]
-    fn screen_fallback_rejects_swapped_signatures_exactly() {
-        let _guard = crate::engine::mode_lock();
-        // Swapping two signatures preserves the *product* of the batch,
-        // which is exactly the cancellation the random coefficients must
-        // catch: the screen fails and the per-signature fallback rejects
-        // both swapped members while keeping the honest ones.
-        let (signer, public) = long_exponent_pair();
-        let mut msgs: Vec<SignedMessage> = (0..4)
-            .map(|i| sign_message(i, format!("member {i}").as_bytes(), &signer))
-            .collect();
-        let swapped = msgs[1].signature.clone();
-        msgs[1].signature = msgs[2].signature.clone();
-        msgs[2].signature = swapped;
-        let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
-            msgs.iter().map(|m| (m, &public)).collect();
-        let mut verifier = BatchVerifier::new();
-        let got = verifier.verify_batch(&batch);
+        let got = BatchVerifier::new().verify_batch(&batch);
         let expected: Vec<_> = batch.iter().map(|(m, k)| verify_message(m, k)).collect();
         assert_eq!(got, expected);
-        assert!(got[0].is_ok() && got[3].is_ok());
-        assert!(got[1].is_err() && got[2].is_err());
-        assert_eq!(verifier.screen_fallbacks(), 1);
-        assert_eq!(verifier.screen_passes(), 0);
-    }
-
-    #[test]
-    fn standard_exponent_batches_never_screen() {
-        let _guard = crate::engine::mode_lock();
-        let pair = keypair();
-        let msgs: Vec<SignedMessage> = (0..8)
-            .map(|i| sign_message(i, b"same key", &pair.private))
-            .collect();
-        let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
-            msgs.iter().map(|m| (m, &pair.public)).collect();
-        let mut verifier = BatchVerifier::new();
-        let got = verifier.verify_batch(&batch);
-        assert!(got.iter().all(Result::is_ok));
-        assert_eq!(verifier.screen_passes() + verifier.screen_fallbacks(), 0);
-        assert_eq!(verifier.confirms(), 8);
+        assert!(got[1].is_err() && got[4].is_err());
+        assert_eq!(got.iter().filter(|verdict| verdict.is_ok()).count(), 4);
     }
 
     #[test]
@@ -603,8 +397,18 @@ mod tests {
         }
     }
 
-    /// The detached API against the envelope API it now underlies: same
-    /// signature bytes, same verdict, for every way a check can fail.
+    /// The envelope digest as the integer both oracles below start from,
+    /// reduced by the seed long division.
+    fn reference_digest(signer: u64, payload: &[u8], modulus: &BigUint) -> BigUint {
+        BigUint::from_bytes_be(&EnvelopeDigest::of(signer, payload))
+            .div_rem_reference(modulus)
+            .1
+    }
+
+    /// The detached API against the envelope API it now underlies, and
+    /// both against the seed path (`modpow_reference` over the plain
+    /// exponent, no CRT, no Montgomery): same signature bytes, same
+    /// verdict, for every way a check can fail.
     fn assert_detached_matches_envelope(
         signer: u64,
         payload: &[u8],
@@ -619,6 +423,11 @@ mod tests {
         let mut streamed = EnvelopeDigest::new(signer);
         payload.chunks(61).for_each(|part| streamed.update(part));
         assert_eq!(streamed.sign(private), signature);
+        assert_eq!(
+            signature.to_biguint(),
+            reference_digest(signer, payload, private.modulus())
+                .modpow_reference(private.exponent(), private.modulus())
+        );
 
         let mut tampered_payload = payload.to_vec();
         match tampered_payload.last_mut() {
@@ -659,6 +468,14 @@ mod tests {
             };
             let expected = verify_message(&message, key);
             assert_eq!(expected.is_ok(), ok, "{case}");
+            let recovered = signature
+                .to_biguint()
+                .modpow_reference(key.exponent(), key.modulus());
+            assert_eq!(
+                recovered == reference_digest(signer, payload, key.modulus()),
+                ok,
+                "{case}"
+            );
             assert_eq!(verify_detached(signer, payload, signature, key), expected);
             assert_eq!(verifier.confirm(&message, key), expected, "{case}");
             assert_eq!(
@@ -671,7 +488,6 @@ mod tests {
 
     #[test]
     fn detached_matches_envelope_at_block_boundaries_and_upload_size() {
-        let _guard = crate::engine::mode_lock();
         let pair = keypair();
         let other = {
             let mut rng = StdRng::seed_from_u64(0x0DD);
@@ -682,17 +498,13 @@ mod tests {
         // paddings; 62 800 is a 7850-parameter upload.
         for len in [0usize, 1, 47, 48, 55, 56, 57, 63, 64, 119, 120, 128, 62_800] {
             let payload: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
-            for reference in [false, true] {
-                crate::engine::set_reference_mode(reference);
-                assert_detached_matches_envelope(
-                    len as u64,
-                    &payload,
-                    &pair.private,
-                    &pair.public,
-                    &other.public,
-                );
-            }
-            crate::engine::set_reference_mode(false);
+            assert_detached_matches_envelope(
+                len as u64,
+                &payload,
+                &pair.private,
+                &pair.public,
+                &other.public,
+            );
         }
     }
 
@@ -703,7 +515,7 @@ mod tests {
 
         /// Two key pairs shared across proptest cases (keygen is the
         /// expensive part): a standard short-exponent pair and a reversed
-        /// long-exponent pair that engages the screen.
+        /// long-exponent pair.
         fn shared_pairs() -> &'static [(RsaPrivateKey, RsaPublicKey); 2] {
             static PAIRS: OnceLock<[(RsaPrivateKey, RsaPublicKey); 2]> = OnceLock::new();
             PAIRS.get_or_init(|| {
@@ -731,15 +543,13 @@ mod tests {
                 let pairs = shared_pairs();
                 let (private, public) = &pairs[usize::from(key_choice)];
                 let (_, other) = &pairs[usize::from(!key_choice)];
-                let _guard = crate::engine::mode_lock();
                 assert_detached_matches_envelope(signer, &payload, private, public, other);
             }
 
             /// Batched verification reaches exactly the per-upload
             /// `verify_message` verdicts for arbitrary accept/reject
             /// mixes — corrupted payload bytes and corrupted signature
-            /// bytes included — under both engine modes and under both
-            /// screening regimes (short- and long-exponent keys).
+            /// bytes included — under short- and long-exponent keys.
             #[test]
             fn verify_batch_equals_per_upload_for_arbitrary_mixes(
                 payloads in proptest::collection::vec(
@@ -748,7 +558,6 @@ mod tests {
                 corrupt_at in proptest::collection::vec(any::<usize>(), 0..4),
                 corrupt_flip in proptest::collection::vec(1u8..=255, 0..4),
                 key_choice in any::<bool>(),
-                reference in any::<bool>(),
             ) {
                 let (private, public) = &shared_pairs()[usize::from(key_choice)];
                 let mut msgs: Vec<SignedMessage> = payloads
@@ -776,12 +585,9 @@ mod tests {
                 }
                 let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
                     msgs.iter().map(|m| (m, public)).collect();
-                let _guard = crate::engine::mode_lock();
-                crate::engine::set_reference_mode(reference);
                 let expected: Vec<_> =
                     batch.iter().map(|(m, k)| verify_message(m, k)).collect();
                 let got = BatchVerifier::new().verify_batch(&batch);
-                crate::engine::set_reference_mode(false);
                 prop_assert_eq!(got, expected);
             }
         }

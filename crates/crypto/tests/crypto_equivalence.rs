@@ -1,5 +1,7 @@
-//! Equivalence suites pinning the optimized crypto engine to the
-//! retained reference implementations, bit-for-bit.
+//! Equivalence suites pinning the crypto engine to its oracles — the
+//! seed implementations kept as plain functions
+//! (`BigUint::div_rem_reference`, `BigUint::modpow_reference`) that only
+//! tests call — bit-for-bit.
 //!
 //! Mirrors `crates/ml/tests/batched_equivalence.rs` from the batched
 //! GEMM PR, with one difference: this is integer arithmetic, so every
@@ -11,8 +13,10 @@
 //!   this file, up to 4096-bit operands,
 //! * Knuth Algorithm D division ≡ the seed binary long division, up to
 //!   4096-bit operands,
-//! * Montgomery fixed-window `modpow` ≡ square-and-multiply `modpow`,
-//! * CRT signing ≡ plain `(n, d)` signing.
+//! * Montgomery fixed-window `modpow` ≡ `modpow_reference`
+//!   (square-and-multiply over the seed division), up to 4096-bit moduli,
+//! * CRT signing and cached-context verification ≡ the plain exponent
+//!   through `modpow_reference`.
 //!
 //! A further suite checks that the per-key Montgomery-context caches are
 //! pure acceleration state: serialized keys are byte-identical whether
@@ -20,7 +24,6 @@
 //! produces a key that signs/verifies identically.
 
 use bfl_crypto::bigint::BigUint;
-use bfl_crypto::engine;
 use bfl_crypto::montgomery::MontgomeryCtx;
 use bfl_crypto::rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};
 use proptest::prelude::*;
@@ -174,7 +177,7 @@ proptest! {
     ) {
         let a = BigUint::from_bytes_be(&a_bytes);
         let b = nonzero(&b_bytes, fallback);
-        let (q_fast, r_fast) = a.div_rem_knuth(&b);
+        let (q_fast, r_fast) = a.div_rem(&b);
         let (q_ref, r_ref) = a.div_rem_reference(&b);
         prop_assert_eq!(&q_fast, &q_ref);
         prop_assert_eq!(&r_fast, &r_ref);
@@ -201,10 +204,7 @@ proptest! {
         let modulus = odd_modulus(&mod_bytes);
         let ctx = MontgomeryCtx::new(&modulus).expect("odd modulus >= 3");
         let fast = ctx.modpow(&base, &exponent);
-        let _guard = engine::mode_lock();
-        let reference =
-            engine::with_reference_mode(|| base.modpow(&exponent, &modulus));
-        prop_assert_eq!(fast, reference);
+        prop_assert_eq!(fast, base.modpow_reference(&exponent, &modulus));
     }
 
     /// Full-size exponents on smaller moduli.
@@ -219,10 +219,7 @@ proptest! {
         let modulus = odd_modulus(&mod_bytes);
         let ctx = MontgomeryCtx::new(&modulus).expect("odd modulus >= 3");
         let fast = ctx.modpow(&base, &exponent);
-        let _guard = engine::mode_lock();
-        let reference =
-            engine::with_reference_mode(|| base.modpow(&exponent, &modulus));
-        prop_assert_eq!(fast, reference);
+        prop_assert_eq!(fast, base.modpow_reference(&exponent, &modulus));
     }
 }
 
@@ -242,9 +239,7 @@ fn montgomery_modpow_matches_reference_at_2048_bits() {
 
     let ctx = MontgomeryCtx::new(&modulus).expect("odd 2048-bit modulus");
     let fast = ctx.modpow(&base, &exponent);
-    let _guard = engine::mode_lock();
-    let reference = engine::with_reference_mode(|| base.modpow(&exponent, &modulus));
-    assert_eq!(fast, reference);
+    assert_eq!(fast, base.modpow_reference(&exponent, &modulus));
 }
 
 /// A deterministic 4096-bit modulus exercise for the u64-limb engine:
@@ -265,9 +260,7 @@ fn montgomery_modpow_matches_reference_at_4096_bits() {
 
     let ctx = MontgomeryCtx::new(&modulus).expect("odd 4096-bit modulus");
     let fast = ctx.modpow(&base, &exponent);
-    let _guard = engine::mode_lock();
-    let reference = engine::with_reference_mode(|| base.modpow(&exponent, &modulus));
-    assert_eq!(fast, reference);
+    assert_eq!(fast, base.modpow_reference(&exponent, &modulus));
 }
 
 /// Keys generated once and shared across the signing equivalence cases
@@ -294,9 +287,9 @@ proptest! {
         let message = BigUint::from_bytes_be(&msg_bytes);
         for pair in shared_keys() {
             prop_assert!(pair.private.crt().is_some());
-            let _guard = engine::mode_lock();
             let fast = pair.private.apply(&message);
-            let reference = engine::with_reference_mode(|| pair.private.apply(&message));
+            let reference =
+                message.modpow_reference(pair.private.exponent(), pair.private.modulus());
             prop_assert_eq!(&fast, &reference);
             // The signature round-trips through the public operation.
             let m_reduced = message.rem(pair.private.modulus());
@@ -304,30 +297,32 @@ proptest! {
         }
     }
 
-    /// Verification agrees across engines: a signature produced by the
-    /// fast path verifies under the reference public operation.
+    /// Verification agrees with the oracle: a signature produced by the
+    /// fast path verifies under the reference public operation, which
+    /// the cached-context public operation equals.
     #[test]
     fn cross_engine_sign_verify_round_trip(
         msg_bytes in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
         let message = BigUint::from_bytes_be(&msg_bytes);
         let pair = &shared_keys()[0];
-        let _guard = engine::mode_lock();
         let sig_fast = pair.private.apply(&message);
-        let recovered_ref = engine::with_reference_mode(|| pair.public.apply(&sig_fast));
-        prop_assert_eq!(recovered_ref, message.rem(pair.private.modulus()));
+        let recovered_ref =
+            sig_fast.modpow_reference(pair.public.exponent(), pair.public.modulus());
+        prop_assert_eq!(&recovered_ref, &message.rem(pair.private.modulus()));
+        prop_assert_eq!(pair.public.apply(&sig_fast), recovered_ref);
     }
 }
 
 /// CRT signing through the thread's reused Montgomery workspace ≡ the
-/// reference-mode `(n, d)` exponentiation at the key sizes whose primes
+/// oracle's `(n, d)` exponentiation at the key sizes whose primes
 /// take the fixed-width kernel (4, 8 and 16 limbs) — cold (a fresh
 /// thread's empty workspace, cold key caches), warm (the same thread
 /// again), and across re-fits (the sizes interleaved on one workspace).
 /// The 2048-bit leg runs in optimized builds only: its reference side is
 /// a full-size square-and-multiply over bit-by-bit division.
 #[test]
-fn crt_sign_through_the_reused_workspace_matches_reference_mode() {
+fn crt_sign_through_the_reused_workspace_matches_the_plain_exponent_oracle() {
     let mut sizes = vec![512usize, 1024];
     if !cfg!(debug_assertions) {
         sizes.push(2048);
@@ -339,9 +334,10 @@ fn crt_sign_through_the_reused_workspace_matches_reference_mode() {
         .collect();
     let message = BigUint::from_bytes_be(&bfl_crypto::sha256(b"gradient upload, round 13"));
 
-    let _guard = engine::mode_lock();
-    let reference: Vec<BigUint> =
-        engine::with_reference_mode(|| pairs.iter().map(|p| p.private.apply(&message)).collect());
+    let reference: Vec<BigUint> = pairs
+        .iter()
+        .map(|p| message.modpow_reference(p.private.exponent(), p.private.modulus()))
+        .collect();
     for (pair, expected) in pairs.iter().zip(&reference) {
         assert_eq!(&pair.public.apply(expected), &message, "reference signs");
     }

@@ -11,12 +11,16 @@
 //! ([`tensor`]). Whole minibatches and evaluation sets move through
 //! cache-blocked matrix-matrix kernels that parallelize over output row
 //! blocks ([`par`]), with a reusable [`tensor::Scratch`] workspace keeping
-//! the hot loops allocation-free; the original per-sample implementations
-//! are retained as reference paths behind [`engine::set_reference_mode`]
-//! for equivalence tests and speedup measurements. On hosts with
-//! AVX2+FMA the GEMM family additionally dispatches to a hand-written
-//! vector tier ([`simd`]) that reproduces the scalar kernels
-//! bit-for-bit (`BFL_SIMD=off` pins the scalar tier).
+//! the hot loops allocation-free. The original per-sample
+//! implementations stay as oracles — plain functions that only tests
+//! call ([`Model::loss_and_grad_reference`],
+//! [`optimizer::train_local_reference`],
+//! [`metrics::accuracy_reference`]; `tests/batched_equivalence.rs` holds
+//! the batched paths to them) — and nothing in this crate switches
+//! behaviour at run time. On hosts with AVX2+FMA the GEMM family
+//! additionally dispatches to a hand-written vector tier ([`simd`]) that
+//! reproduces the scalar kernels bit-for-bit (`BFL_SIMD=off` pins the
+//! scalar tier).
 //!
 //! The quantity clients upload in FAIR-BFL (the "gradient" `w^i_{r+1}` of
 //! Algorithm 1) is the *updated parameter vector* after `E` local epochs,
@@ -27,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod activation;
-pub mod engine;
 pub mod gradient;
 pub mod init;
 pub mod linear;

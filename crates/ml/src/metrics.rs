@@ -8,12 +8,12 @@
 //! Prediction runs through the batched engine: evaluation rows are packed
 //! into blocks of [`EVAL_BLOCK`] and pushed through one logits GEMM per
 //! block, with blocks distributed over worker threads (each reusing its
-//! own [`Scratch`]). The per-row reference path is retained behind
-//! [`crate::engine::reference_mode`] for equivalence tests and speedup
-//! measurement. Batched logits agree with the per-row dot products to
-//! within a few ulps (the kernels use fused multiply-add and striped
-//! reductions), so predictions can differ from the reference path only
-//! on logit ties at that scale.
+//! own [`Scratch`]). The per-row [`accuracy_reference`] is the oracle
+//! the tests here and in `tests/batched_equivalence.rs` compare against.
+//! Batched logits agree with the per-row dot products to within a few
+//! ulps (the kernels use fused multiply-add and striped reductions), so
+//! predictions can differ from the per-row path only on logit ties at
+//! that scale.
 //!
 //! The logits GEMM dispatches through the PR 10 SIMD tier
 //! ([`crate::simd`]) — that is where evaluation's cycles go. The
@@ -73,9 +73,6 @@ pub fn accuracy<M: Model + Sync + ?Sized>(
     if rows.is_empty() {
         return 0.0;
     }
-    if crate::engine::reference_mode() {
-        return accuracy_reference(model, features, labels, rows);
-    }
     let blocks: Vec<&[usize]> = rows.chunks(EVAL_BLOCK).collect();
     let correct: usize = par::par_map_with(&blocks, 1, Scratch::new, |scratch, _, block| {
         count_correct_block(model, features, labels, block, scratch)
@@ -86,7 +83,7 @@ pub fn accuracy<M: Model + Sync + ?Sized>(
 }
 
 /// Per-row reference implementation of [`accuracy`] (the pre-batching
-/// engine), kept for equivalence tests and A/B measurement.
+/// engine): the oracle for the blocked evaluation, called only by tests.
 pub fn accuracy_reference<M: Model + ?Sized>(
     model: &M,
     features: &Matrix,
@@ -111,15 +108,6 @@ pub fn confusion_matrix<M: Model + ?Sized>(
     classes: usize,
 ) -> Vec<Vec<usize>> {
     let mut counts = vec![vec![0usize; classes]; classes];
-    if crate::engine::reference_mode() {
-        for (r, &truth) in labels.iter().enumerate().take(features.rows) {
-            let predicted = model.predict_row(features.row(r));
-            if truth < classes && predicted < classes {
-                counts[truth][predicted] += 1;
-            }
-        }
-        return counts;
-    }
     let mut scratch = Scratch::new();
     let mut start = 0;
     while start < features.rows {
@@ -167,9 +155,9 @@ mod tests {
         assert_eq!(accuracy(&m, &features, &labels, Some(&[])), 0.0);
     }
 
-    #[test]
-    fn batched_accuracy_matches_reference_across_block_boundary() {
-        let _guard = crate::engine::mode_lock();
+    /// A four-class model and dataset one partial block past
+    /// [`EVAL_BLOCK`], so blocked evaluation crosses a block boundary.
+    fn boundary_dataset() -> (SoftmaxRegression, Matrix, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(9);
         let m = SoftmaxRegression::new(6, 4, &mut rng);
         let rows = EVAL_BLOCK + 37;
@@ -181,10 +169,32 @@ mod tests {
                 .collect(),
         );
         let labels: Vec<usize> = (0..rows).map(|i| i % 4).collect();
-        let indices: Vec<usize> = (0..rows).collect();
+        (m, features, labels)
+    }
+
+    #[test]
+    fn batched_accuracy_matches_reference_across_block_boundary() {
+        let (m, features, labels) = boundary_dataset();
+        let indices: Vec<usize> = (0..features.rows).collect();
         let batched = accuracy(&m, &features, &labels, None);
         let reference = accuracy_reference(&m, &features, &labels, &indices);
         assert_eq!(batched, reference);
+    }
+
+    #[test]
+    fn confusion_matrix_matches_per_row_predictions_across_block_boundary() {
+        let (m, features, labels) = boundary_dataset();
+        let mut expected = vec![vec![0usize; 4]; 4];
+        for (r, &truth) in labels.iter().enumerate() {
+            expected[truth][m.predict_row(features.row(r))] += 1;
+        }
+        let cm = confusion_matrix(&m, &features, &labels, 4);
+        assert_eq!(cm, expected);
+        assert_eq!(cm.iter().flatten().sum::<usize>(), features.rows);
+        assert!(
+            cm.iter().flatten().filter(|&&count| count > 0).count() > 4,
+            "the fixture must spread predictions over several cells"
+        );
     }
 
     #[test]

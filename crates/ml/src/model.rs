@@ -15,13 +15,13 @@ use serde::{Deserialize, Serialize};
 
 /// A trainable classification model with flat parameter access.
 ///
-/// The compute-heavy entry points come in two flavours: the batched
-/// engine (`loss_and_grad_batched`, `logits_batch`) that moves whole
-/// minibatches through the GEMM kernels of [`crate::tensor`], and the
-/// retained per-sample reference path (`loss_and_grad_reference`) used
-/// by the equivalence and golden-digest tests.
-/// [`Model::loss_and_grad`] dispatches between them according to
-/// [`crate::engine::reference_mode`].
+/// The compute-heavy entry points (`loss_and_grad_batched`,
+/// `logits_batch`) move whole minibatches through the GEMM kernels of
+/// [`crate::tensor`]; [`Model::loss_and_grad`] is the allocating
+/// convenience form over them. The seed's per-sample
+/// [`Model::loss_and_grad_reference`] is their oracle: nothing but tests
+/// (`tests/batched_equivalence.rs`) and the reference local pass
+/// ([`crate::optimizer::train_local_reference`]) calls it.
 pub trait Model {
     /// Total number of parameters.
     fn num_params(&self) -> usize;
@@ -101,8 +101,9 @@ pub trait Model {
     }
 
     /// Per-sample reference implementation of [`Model::loss_and_grad`],
-    /// kept verbatim from the pre-batching engine for equivalence tests
-    /// and A/B speedup measurement.
+    /// kept verbatim from the pre-batching engine as the oracle
+    /// `tests/batched_equivalence.rs` holds the batched gradient to, to
+    /// 1e-9 per component.
     fn loss_and_grad_reference(
         &self,
         features: &Matrix,
@@ -111,22 +112,18 @@ pub trait Model {
     ) -> (f64, Vec<f64>);
 
     /// Mean loss and flat parameter gradient over the selected rows of the
-    /// dataset (`rows` indexes into `features` / `labels`). Dispatches to
-    /// the batched engine unless the process-wide reference mode is set.
+    /// dataset (`rows` indexes into `features` / `labels`), through the
+    /// batched engine with a one-shot workspace.
     fn loss_and_grad(
         &self,
         features: &Matrix,
         labels: &[usize],
         rows: &[usize],
     ) -> (f64, Vec<f64>) {
-        if crate::engine::reference_mode() {
-            self.loss_and_grad_reference(features, labels, rows)
-        } else {
-            let mut scratch = Scratch::new();
-            let mut grad = Vec::new();
-            let loss = self.loss_and_grad_batched(features, labels, rows, &mut grad, &mut scratch);
-            (loss, grad)
-        }
+        let mut scratch = Scratch::new();
+        let mut grad = Vec::new();
+        let loss = self.loss_and_grad_batched(features, labels, rows, &mut grad, &mut scratch);
+        (loss, grad)
     }
 
     /// Predicted class for a single feature row (argmax of the logits).

@@ -6,6 +6,13 @@
 //! objective with a proximal term `μ/2 ‖w − w_global‖²`, which shows up in
 //! the update as an extra `μ (w − w_global)` gradient component; setting
 //! `proximal_mu = 0` recovers FedAvg/FAIR-BFL local training.
+//!
+//! [`train_local_with_scratch`] is the pass every run executes: batched
+//! gradients, in-place steps, no allocation once its [`Scratch`] is warm.
+//! [`train_local_reference`] is the seed's per-sample pass, kept as its
+//! oracle — `batched_local_pass_matches_the_reference_pass` in
+//! `tests/batched_equivalence.rs` holds the two to 1e-9 per trained
+//! parameter — and called by nothing else.
 
 use crate::model::Model;
 use crate::tensor::{self, Matrix, Scratch};
@@ -110,26 +117,10 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut Scratch,
 ) -> LocalTrainingStats {
-    assert!(config.batch_size > 0, "batch size must be positive");
-    assert!(config.epochs > 0, "epoch count must be positive");
-    assert!(
-        !samples.is_empty(),
-        "a client cannot train on an empty shard"
-    );
+    check_local_pass(samples, config);
 
-    let reference = crate::engine::reference_mode();
-    let optimizer = Sgd::new(config.learning_rate);
     // Only the proximal term ever reads the starting point.
     let anchor = if config.proximal_mu > 0.0 {
-        model.params()
-    } else {
-        Vec::new()
-    };
-    // The reference mode reproduces the seed's per-sample loop verbatim,
-    // including its separate parameter vector round-tripped through
-    // `set_params` every step — that loop is the baseline the batched
-    // engine's speedup is measured against.
-    let mut reference_params = if reference {
         model.params()
     } else {
         Vec::new()
@@ -150,51 +141,87 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
         for batch in order.chunks(config.batch_size) {
             // The model's own parameter vector is the optimizer state:
             // gradients are computed against it in place and the SGD step
-            // mutates it directly, with no per-step copy. The batched
-            // path leaves the gradient as a sum over the batch and folds
-            // the `1/B` mean into the step's coefficient, saving one full
-            // pass over the gradient per step; the reference path keeps
-            // its original mean-gradient form.
-            let loss = if reference {
-                model.set_params(&reference_params);
-                let (loss, mut reference_grad) =
-                    model.loss_and_grad_reference(features, labels, batch);
-                if config.proximal_mu > 0.0 {
-                    // FedProx: grad += mu * (w - w_global).
-                    for ((g, w), w0) in reference_grad
-                        .iter_mut()
-                        .zip(reference_params.iter())
-                        .zip(anchor.iter())
-                    {
-                        *g += config.proximal_mu * (w - w0);
-                    }
+            // mutates it directly, with no per-step copy. The gradient
+            // stays a sum over the batch and the `1/B` mean is folded
+            // into the step's coefficient, saving one full pass over the
+            // gradient per step.
+            let inverse_batch = 1.0 / batch.len() as f64;
+            let loss_sum =
+                model.loss_and_sum_grad_batched(features, labels, batch, &mut grad, scratch);
+            if config.proximal_mu > 0.0 {
+                // FedProx on the summed gradient: the proximal pull
+                // scales by B so the fused `lr/B` step recovers
+                // `lr * mu * (w - w_global)` exactly.
+                let mu_times_batch = config.proximal_mu * batch.len() as f64;
+                for ((g, w), w0) in grad
+                    .iter_mut()
+                    .zip(model.params_ref().iter())
+                    .zip(anchor.iter())
+                {
+                    *g += mu_times_batch * (w - w0);
                 }
-                optimizer.step(&mut reference_params, &reference_grad);
-                loss
-            } else {
-                let inverse_batch = 1.0 / batch.len() as f64;
-                let loss_sum =
-                    model.loss_and_sum_grad_batched(features, labels, batch, &mut grad, scratch);
-                if config.proximal_mu > 0.0 {
-                    // FedProx on the summed gradient: the proximal pull
-                    // scales by B so the fused `lr/B` step recovers
-                    // `lr * mu * (w - w_global)` exactly.
-                    let mu_times_batch = config.proximal_mu * batch.len() as f64;
-                    for ((g, w), w0) in grad
-                        .iter_mut()
-                        .zip(model.params_ref().iter())
-                        .zip(anchor.iter())
-                    {
-                        *g += mu_times_batch * (w - w0);
-                    }
+            }
+            tensor::axpy(
+                -config.learning_rate * inverse_batch,
+                &grad,
+                model.params_mut(),
+            );
+            epoch_loss += loss_sum * inverse_batch;
+            epoch_batches += 1;
+            steps += 1;
+        }
+        if epoch == config.epochs - 1 {
+            final_epoch_loss = epoch_loss / epoch_batches.max(1) as f64;
+        }
+    }
+
+    scratch.grad = grad;
+    scratch.order = order;
+    LocalTrainingStats {
+        steps,
+        final_epoch_loss,
+    }
+}
+
+/// The seed's per-sample local pass, kept as the oracle for
+/// [`train_local_with_scratch`]: a separate parameter vector
+/// round-tripped through `set_params` every step, the mean gradient from
+/// [`Model::loss_and_grad_reference`], the proximal pull and the
+/// [`Sgd::step`] applied to it unfused. It shuffles with `rng` exactly as
+/// the batched pass does, so from equal models and rng states the two
+/// visit the same batches and agree up to floating-point summation order
+/// (`tests/batched_equivalence.rs`). No production path calls it.
+pub fn train_local_reference<M: Model, R: Rng + ?Sized>(
+    model: &mut M,
+    features: &Matrix,
+    labels: &[usize],
+    samples: &[usize],
+    config: &LocalTrainingConfig,
+    rng: &mut R,
+) -> LocalTrainingStats {
+    check_local_pass(samples, config);
+
+    let optimizer = Sgd::new(config.learning_rate);
+    let anchor = model.params();
+    let mut params = anchor.clone();
+    let mut order = samples.to_vec();
+    let mut steps = 0;
+    let mut final_epoch_loss = 0.0;
+
+    for epoch in 0..config.epochs {
+        order.shuffle(rng);
+        let mut epoch_loss = 0.0;
+        let mut epoch_batches = 0;
+        for batch in order.chunks(config.batch_size) {
+            model.set_params(&params);
+            let (loss, mut grad) = model.loss_and_grad_reference(features, labels, batch);
+            if config.proximal_mu > 0.0 {
+                // FedProx: grad += mu * (w - w_global).
+                for ((g, w), w0) in grad.iter_mut().zip(params.iter()).zip(anchor.iter()) {
+                    *g += config.proximal_mu * (w - w0);
                 }
-                tensor::axpy(
-                    -config.learning_rate * inverse_batch,
-                    &grad,
-                    model.params_mut(),
-                );
-                loss_sum * inverse_batch
-            };
+            }
+            optimizer.step(&mut params, &grad);
             epoch_loss += loss;
             epoch_batches += 1;
             steps += 1;
@@ -204,15 +231,22 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
         }
     }
 
-    if reference {
-        model.set_params(&reference_params);
-    }
-    scratch.grad = grad;
-    scratch.order = order;
+    model.set_params(&params);
     LocalTrainingStats {
         steps,
         final_epoch_loss,
     }
+}
+
+/// The preconditions both local passes share.
+fn check_local_pass(samples: &[usize], config: &LocalTrainingConfig) {
+    assert!(config.batch_size > 0, "batch size must be positive");
+    assert!(config.epochs > 0, "epoch count must be positive");
+    assert!(config.learning_rate > 0.0, "learning rate must be positive");
+    assert!(
+        !samples.is_empty(),
+        "a client cannot train on an empty shard"
+    );
 }
 
 /// Number of SGD steps one local pass will take: `E * ceil(|D_i| / B)`,

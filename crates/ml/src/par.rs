@@ -60,9 +60,14 @@ fn run_as_worker<T>(f: impl FnOnce() -> T) -> T {
 /// `available_parallelism` is a syscall, and the kernels consult this on
 /// every dispatch. Returns 1 inside an existing worker, so parallel
 /// regions never nest. A [`with_thread_limit`] scope takes precedence;
-/// otherwise the `BFL_MAX_THREADS` environment variable (when set to a
-/// positive integer, read once) caps the host limit — the CI determinism
-/// suites use it to pin explicit 2- and 8-thread runs.
+/// otherwise the `BFL_MAX_THREADS` environment variable (read once)
+/// *replaces* the host's core count — `BFL_MAX_THREADS=8` on two cores
+/// is eight workers, which is how the CI determinism suites pin explicit
+/// 1-, 2- and oversubscribed 8-thread runs.
+///
+/// # Panics
+/// Panics at first use if `BFL_MAX_THREADS` is set to anything but a
+/// positive integer: a mistyped pin must not pass for the default.
 pub fn max_threads() -> usize {
     if IN_WORKER.with(Cell::get) {
         return 1;
@@ -73,19 +78,37 @@ pub fn max_threads() -> usize {
     }
     static MAX_THREADS: OnceLock<usize> = OnceLock::new();
     *MAX_THREADS.get_or_init(|| {
-        let host = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        match std::env::var("BFL_MAX_THREADS") {
-            Ok(value) => value
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .unwrap_or(host),
-            Err(_) => host,
-        }
+        env_override("BFL_MAX_THREADS", parse_max_threads).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     })
+}
+
+/// Reads the override variable `name` through its pure parser, panicking
+/// with the parser's message on a value it rejects (a value that is not
+/// UTF-8 reaches the parser with U+FFFD in it, which no accepted form
+/// contains).
+pub(crate) fn env_override<T>(name: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
+    let raw = std::env::var_os(name);
+    let value = raw.as_deref().map(|value| value.to_string_lossy());
+    parse(value.as_deref()).unwrap_or_else(|message| panic!("{message}"))
+}
+
+/// Reads a `BFL_MAX_THREADS` value: unset (`None`) leaves the choice to
+/// the host, anything else must be a positive integer.
+fn parse_max_threads(value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = value else {
+        return Ok(None);
+    };
+    match raw.trim().parse::<usize>() {
+        Ok(workers) if workers > 0 => Ok(Some(workers)),
+        _ => Err(format!(
+            "BFL_MAX_THREADS={raw:?} is not a worker count: \
+             leave it unset (the host's core count) or set a positive integer"
+        )),
+    }
 }
 
 /// Number of workers a job of `work` units would use, given the minimum
@@ -243,6 +266,20 @@ pub fn par_row_ranges_mut<T, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn max_threads_override_is_unset_or_a_positive_integer() {
+        assert_eq!(parse_max_threads(None), Ok(None));
+        assert_eq!(parse_max_threads(Some("1")), Ok(Some(1)));
+        assert_eq!(parse_max_threads(Some("8")), Ok(Some(8)));
+        assert_eq!(parse_max_threads(Some(" 2 ")), Ok(Some(2)));
+        for bad in ["", "0", "two", "1x", "-1", "2.0", "\u{fffd}"] {
+            let message = parse_max_threads(Some(bad)).unwrap_err();
+            assert!(message.contains("BFL_MAX_THREADS"), "{message}");
+            assert!(message.contains(&format!("{bad:?}")), "{message}");
+            assert!(message.contains("positive integer"), "{message}");
+        }
+    }
 
     #[test]
     fn par_map_preserves_order_and_indices() {

@@ -33,7 +33,7 @@
 //! in `tests/simd_equivalence.rs` pins `to_bits()` equality across
 //! arbitrary shapes anyway. The golden run digests from PRs 4–7 hold
 //! under both tiers for the same reason — this is the same arithmetic,
-//! computed wider, so no new `engine::set_reference_mode` tier exists.
+//! computed wider.
 //!
 //! What deliberately *stays scalar*: `softmax_in_place` and the
 //! cross-entropy losses call libm's `exp`/`ln`, whose bit patterns a
@@ -50,9 +50,11 @@
 //! environment override and `is_x86_feature_detected!` — the same
 //! cached-detection pattern as the SHA-NI dispatch in
 //! `bfl-crypto::sha256` — then costs one relaxed atomic load per
-//! query. `BFL_SIMD=off` pins the scalar tier (CI runs a full test leg
-//! this way); `BFL_SIMD=avx2` asks for the vector tier but still
-//! refuses hosts without AVX2+FMA rather than faulting. Non-x86_64
+//! query. `BFL_SIMD=off` (or `0`, `scalar`) pins the scalar tier (CI
+//! runs a full test leg this way); `BFL_SIMD=avx2` asks for the vector
+//! tier but still refuses hosts without AVX2+FMA rather than faulting;
+//! any other value panics at first resolve, so a mistyped pin cannot
+//! pass for the default. Non-x86_64
 //! builds compile the scalar tier only and [`active`] is always
 //! `false`. AVX-512 is intentionally not a tier: the workspace pins
 //! `-C target-feature=-avx512f,...` (see `.cargo/config.toml` and the
@@ -88,14 +90,24 @@ pub fn active() -> bool {
 
 #[cold]
 fn resolve_and_cache() -> bool {
+    // Asking for `avx2` still never dispatches past missing hardware.
+    let on = crate::par::env_override("BFL_SIMD", parse_override) && hardware_supported();
     // Benign race: concurrent first calls resolve to the same value.
-    let on = match std::env::var("BFL_SIMD").ok().as_deref() {
-        Some("off") | Some("0") | Some("scalar") => false,
-        // Forcing `avx2` still never dispatches past missing hardware.
-        _ => hardware_supported(),
-    };
     STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
     on
+}
+
+/// Reads a `BFL_SIMD` value: whether the vector tier may be dispatched
+/// (subject to the hardware having it).
+fn parse_override(value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None | Some("avx2") => Ok(true),
+        Some("off" | "0" | "scalar") => Ok(false),
+        Some(other) => Err(format!(
+            "BFL_SIMD={other:?} is not a kernel tier: leave it unset (auto-detect), \
+             or set `off`, `0` or `scalar` (portable kernels) or `avx2`"
+        )),
+    }
 }
 
 /// True when the host CPU reports AVX2 and FMA.
@@ -598,3 +610,27 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 pub use avx2::{axpy, dot, gemm_nt_large, gemm_nt_small, gemm_tn};
+
+#[cfg(test)]
+mod tests {
+    use super::parse_override;
+
+    #[test]
+    fn override_is_unset_or_one_of_the_named_tiers() {
+        assert_eq!(parse_override(None), Ok(true));
+        assert_eq!(parse_override(Some("avx2")), Ok(true));
+        for scalar in ["off", "0", "scalar"] {
+            assert_eq!(parse_override(Some(scalar)), Ok(false));
+        }
+        for bad in [
+            "", "Off", "OFF", "false", "1x", "1", "avx512", " off", "\u{fffd}",
+        ] {
+            let message = parse_override(Some(bad)).unwrap_err();
+            assert!(message.contains("BFL_SIMD"), "{message}");
+            assert!(message.contains(&format!("{bad:?}")), "{message}");
+            for accepted in ["unset", "`off`", "`0`", "`scalar`", "`avx2`"] {
+                assert!(message.contains(accepted), "{message}");
+            }
+        }
+    }
+}

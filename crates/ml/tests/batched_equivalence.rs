@@ -1,12 +1,15 @@
-//! Equivalence of the batched GEMM engine against the retained
-//! per-sample reference implementations: same losses, same gradients,
-//! same predictions, on randomized models and data.
+//! Equivalence of the batched GEMM engine against its oracles, the
+//! retained per-sample implementations (`loss_and_grad_reference`,
+//! `train_local_reference`, `accuracy_reference`): same losses, same
+//! gradients, same trained parameters, same predictions, on randomized
+//! models and data.
 
+use bfl_ml::metrics;
 use bfl_ml::model::{AnyModel, Model, ModelKind};
+use bfl_ml::optimizer::{train_local_reference, train_local_with_scratch, LocalTrainingConfig};
 use bfl_ml::tensor::{Matrix, Scratch};
-use bfl_ml::{engine, metrics};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const TOLERANCE: f64 = 1e-9;
 
@@ -108,7 +111,6 @@ fn scratch_reuse_across_batches_and_models_does_not_leak_state() {
 
 #[test]
 fn batched_accuracy_matches_reference_predictions() {
-    let _guard = engine::mode_lock();
     let mut rng = StdRng::seed_from_u64(0xACC);
     for kind in model_kinds() {
         let model: AnyModel = kind.build(&mut rng);
@@ -152,22 +154,83 @@ fn logits_batch_matches_per_row_logits() {
     }
 }
 
+/// The whole local pass, not just one gradient: the batched loop (summed
+/// gradient, `lr/B` folded into the step, proximal pull scaled by `B`,
+/// parameters updated in place) against the seed's per-sample loop, from
+/// the same model, shard and rng state.
 #[test]
-fn reference_mode_switch_routes_loss_and_grad() {
-    let _guard = engine::mode_lock();
-    let mut rng = StdRng::seed_from_u64(0x5117);
-    let kind = ModelKind::SoftmaxRegression {
-        features: 8,
-        classes: 3,
-    };
-    let model: AnyModel = kind.build(&mut rng);
-    let (features, labels) = random_dataset(&mut rng, 12, 8, 3);
-    let rows: Vec<usize> = (0..12).collect();
+fn batched_local_pass_matches_the_reference_pass() {
+    let mut rng = StdRng::seed_from_u64(0x10CA1);
+    // One workspace across every case: a pass must not depend on what the
+    // previous one left in it.
+    let mut scratch = Scratch::new();
+    for kind in model_kinds() {
+        let (features, labels) = random_dataset(&mut rng, 64, 17, 5);
+        // Shards of 7 rows (smaller than one batch), 23 (two batches and a
+        // remainder of 3) and 40 (a whole number of batches), scattered
+        // through the dataset.
+        for shard_len in [7usize, 23, 40] {
+            let shard: Vec<usize> = (0..shard_len).map(|i| (i * 11 + 3) % 64).collect();
+            for proximal_mu in [0.0, 0.3] {
+                let config = LocalTrainingConfig {
+                    epochs: 4,
+                    batch_size: 10,
+                    learning_rate: 0.05,
+                    proximal_mu,
+                };
+                let start: AnyModel = kind.build(&mut rng);
+                let seed = rng.next_u64();
+                let case = format!("{kind:?} shard {shard_len} mu {proximal_mu}");
 
-    let batched = model.loss_and_grad(&features, &labels, &rows);
-    let reference = engine::with_reference_mode(|| model.loss_and_grad(&features, &labels, &rows));
-    assert!((batched.0 - reference.0).abs() < TOLERANCE);
-    for (b, r) in batched.1.iter().zip(reference.1.iter()) {
-        assert!((b - r).abs() < TOLERANCE);
+                let mut batched = start.clone();
+                let mut batched_rng = StdRng::seed_from_u64(seed);
+                let batched_stats = train_local_with_scratch(
+                    &mut batched,
+                    &features,
+                    &labels,
+                    &shard,
+                    &config,
+                    &mut batched_rng,
+                    &mut scratch,
+                );
+                let mut reference = start.clone();
+                let mut reference_rng = StdRng::seed_from_u64(seed);
+                let reference_stats = train_local_reference(
+                    &mut reference,
+                    &features,
+                    &labels,
+                    &shard,
+                    &config,
+                    &mut reference_rng,
+                );
+
+                assert_eq!(batched_stats.steps, reference_stats.steps, "{case}");
+                assert_eq!(batched_stats.steps, 4 * shard_len.div_ceil(10), "{case}");
+                assert!(
+                    (batched_stats.final_epoch_loss - reference_stats.final_epoch_loss).abs()
+                        < TOLERANCE,
+                    "{case}: loss {} vs {}",
+                    batched_stats.final_epoch_loss,
+                    reference_stats.final_epoch_loss
+                );
+                assert_ne!(batched.params_ref(), start.params_ref(), "{case}: trained");
+                for (i, (b, r)) in batched
+                    .params_ref()
+                    .iter()
+                    .zip(reference.params_ref())
+                    .enumerate()
+                {
+                    assert!(
+                        (b - r).abs() < TOLERANCE,
+                        "{case} param[{i}]: batched {b} vs reference {r}"
+                    );
+                }
+                assert_eq!(
+                    batched_rng.next_u64(),
+                    reference_rng.next_u64(),
+                    "{case}: both passes must consume the rng identically"
+                );
+            }
+        }
     }
 }

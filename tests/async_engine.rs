@@ -6,91 +6,40 @@
 
 mod common;
 
-use common::{run_grid, small_config, small_dataset};
+use common::{run_digest, run_grid, small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{ProfileConfig, Scenario, SimulationResult, StalenessPolicy, SyncMode};
 use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::net::DelayDistribution;
-use std::sync::Mutex;
-
-/// The batched/reference engine switches are process-global; tests that
-/// flip them serialize through this lock.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Canonical digest over every artifact the experiments read: block
-/// hashes, per-round history records (bit-exact), detection rows, reward
-/// totals, and the final parameter vector.
-fn run_digest(result: &SimulationResult) -> String {
-    let mut canon = String::new();
-    if let Some(chain) = &result.chain {
-        for block in chain.iter() {
-            canon.push_str(&block.hash_hex());
-            canon.push('\n');
-        }
-    }
-    for r in &result.history.rounds {
-        canon.push_str(&format!(
-            "round {} acc {:016x} loss {:016x} delay {:016x} elapsed {:016x} n {}\n",
-            r.round,
-            r.accuracy.to_bits(),
-            r.train_loss.to_bits(),
-            r.round_delay_s.to_bits(),
-            r.elapsed_s.to_bits(),
-            r.participants
-        ));
-    }
-    for row in &result.detection.rows {
-        canon.push_str(&format!(
-            "detect {} attackers {:?} dropped {:?}\n",
-            row.round, row.attacker_ids, row.dropped_ids
-        ));
-    }
-    for (client, total) in &result.reward_totals {
-        canon.push_str(&format!("reward {client} {total}\n"));
-    }
-    for p in &result.final_params {
-        canon.push_str(&format!("{:016x}", p.to_bits()));
-    }
-    let digest = fair_bfl::crypto::sha256::sha256(canon.as_bytes());
-    digest.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 /// The synchronous mode (the degenerate case of the event-driven
 /// redesign: zero delays, quota = all participants) must stay
-/// bit-identical to the PR 4 step engine. The digests below were captured
-/// on the PR 4 engine *before* this refactor landed, over every artifact
+/// bit-identical to the PR 4 step engine. The digest below was captured
+/// on the PR 4 engine *before* that refactor landed, over every artifact
 /// the experiments read — history, detection rows, reward totals, final
-/// parameters, and every block hash — in both engine modes.
+/// parameters, and every block hash.
+///
+/// ("Both engine modes" in the name dates from the process-wide
+/// reference-arithmetic switch; one mode remains, and the name stays so
+/// the test keeps its id.)
 #[test]
 fn synchronous_mode_is_bit_identical_to_the_pr4_engine_in_both_engine_modes() {
     const PR4_BATCHED: &str = "49e74382d7ab1bec34dbf20e11088ad99656afb8b2eb3f2c14036611cc0340dc";
-    const PR4_REFERENCE: &str = "4ddc2d5d580a1fa38e2007973e80841fcc26d8751e88380b8a3b84a391ebcbcc";
 
-    let _guard = lock();
     let (train, test) = small_dataset();
     let config = small_config(3);
     assert!(config.sync.is_synchronous(), "the default mode is lockstep");
 
-    for (reference, expected) in [(false, PR4_BATCHED), (true, PR4_REFERENCE)] {
-        fair_bfl::ml::engine::set_reference_mode(reference);
-        fair_bfl::crypto::engine::set_reference_mode(reference);
-        let result = Scenario::from_config(config)
-            .unwrap()
-            .run(&train, &test)
-            .unwrap();
-        fair_bfl::ml::engine::set_reference_mode(false);
-        fair_bfl::crypto::engine::set_reference_mode(false);
-        assert_eq!(
-            run_digest(&result),
-            expected,
-            "synchronous run diverged from the PR 4 engine (reference={reference})"
-        );
-        assert!(result.outcomes.iter().all(|o| o.stale_included == 0));
-    }
+    let result = Scenario::from_config(config)
+        .unwrap()
+        .run(&train, &test)
+        .unwrap();
+    assert_eq!(
+        run_digest(&result),
+        PR4_BATCHED,
+        "synchronous run diverged from the PR 4 engine"
+    );
+    assert!(result.outcomes.iter().all(|o| o.stale_included == 0));
 }
 
 /// A heterogeneous scenario: stragglers, jitter-free but non-zero uplink
@@ -119,7 +68,6 @@ fn straggler_scenario(quota: usize, staleness: StalenessPolicy, rounds: usize) -
 
 #[test]
 fn flexible_quota_runs_are_deterministic_with_identical_event_traces() {
-    let _guard = lock();
     let (train, test) = small_dataset();
     let scenario = straggler_scenario(6, StalenessPolicy::DecayedInclude { decay: 0.5 }, 3);
 
@@ -138,7 +86,6 @@ fn flexible_quota_runs_are_deterministic_with_identical_event_traces() {
 
 #[test]
 fn flexible_sweeps_are_bit_identical_for_any_thread_count() {
-    let _guard = lock();
     let (train, test) = small_dataset();
     let quotas = [8, 6, 4, 3, 2];
     let grid: Vec<Scenario> = quotas
@@ -162,7 +109,6 @@ fn flexible_sweeps_are_bit_identical_for_any_thread_count() {
 
 #[test]
 fn flexible_quota_seals_blocks_without_waiting_for_stragglers() {
-    let _guard = lock();
     let (train, test) = small_dataset();
     let rounds = 4;
     // Quota = all participants: every block waits for the 8x straggler.
@@ -191,7 +137,6 @@ fn flexible_quota_seals_blocks_without_waiting_for_stragglers() {
 
 #[test]
 fn staleness_policies_govern_what_late_uploads_contribute() {
-    let _guard = lock();
     let (train, test) = small_dataset();
     let rounds = 4;
 
@@ -237,7 +182,6 @@ fn staleness_policies_govern_what_late_uploads_contribute() {
 
 #[test]
 fn churn_schedules_gate_selection_and_can_lose_in_flight_uploads() {
-    let _guard = lock();
     let (train, test) = small_dataset();
     let rounds = 6;
     let scenario = Scenario::builder()
@@ -303,7 +247,6 @@ fn churn_schedules_gate_selection_and_can_lose_in_flight_uploads() {
 
 #[test]
 fn a_fully_churning_population_fast_forwards_instead_of_aborting() {
-    let _guard = lock();
     let (train, test) = small_dataset();
     // Every client churns with overlapping offline windows: rounds whose
     // start lands in an all-offline window must fast-forward the clock
@@ -343,7 +286,6 @@ fn a_fully_churning_population_fast_forwards_instead_of_aborting() {
 
 #[test]
 fn flexible_quota_works_with_signatures_and_in_fl_only_mode() {
-    let _guard = lock();
     let (train, test) = small_dataset();
 
     // Signatures on: uploads are signed by the client, verified at the

@@ -27,6 +27,45 @@ pub fn small_config(rounds: usize) -> BflConfig {
     config
 }
 
+/// Canonical digest over every artifact the experiments read: block
+/// hashes, per-round history records (bit-exact), detection rows, reward
+/// totals, and the final parameter vector.
+#[allow(dead_code)] // not every test binary pins a digest
+pub fn run_digest(result: &SimulationResult) -> String {
+    let mut canon = String::new();
+    if let Some(chain) = &result.chain {
+        for block in chain.iter() {
+            canon.push_str(&block.hash_hex());
+            canon.push('\n');
+        }
+    }
+    for r in &result.history.rounds {
+        canon.push_str(&format!(
+            "round {} acc {:016x} loss {:016x} delay {:016x} elapsed {:016x} n {}\n",
+            r.round,
+            r.accuracy.to_bits(),
+            r.train_loss.to_bits(),
+            r.round_delay_s.to_bits(),
+            r.elapsed_s.to_bits(),
+            r.participants
+        ));
+    }
+    for row in &result.detection.rows {
+        canon.push_str(&format!(
+            "detect {} attackers {:?} dropped {:?}\n",
+            row.round, row.attacker_ids, row.dropped_ids
+        ));
+    }
+    for (client, total) in &result.reward_totals {
+        canon.push_str(&format!("reward {client} {total}\n"));
+    }
+    for p in &result.final_params {
+        canon.push_str(&format!("{:016x}", p.to_bits()));
+    }
+    let digest = fair_bfl::crypto::sha256::sha256(canon.as_bytes());
+    digest.iter().map(|b| format!("{b:02x}")).collect()
+}
+
 /// Runs every scenario of `grid` over the shared split on exactly
 /// `workers` threads (fewer only when the grid is shorter), results in
 /// grid order — the fan-out `bflharness` fleets use, at test scale.

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{run_grid, small_config, small_dataset};
+use common::{run_digest, run_grid, small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
     EventRecord, ProfileConfig, ProvisioningMode, ReorgPolicy, RetryPolicy, Scenario,
@@ -16,45 +16,6 @@ use fair_bfl::core::{
 };
 use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::net::{CrashSchedule, DelayDistribution, FaultPlan, LinkFaults, Partition};
-
-/// Canonical digest over every artifact the experiments read (the same
-/// construction the PR 5 golden tests pin): block hashes, per-round
-/// history records (bit-exact), detection rows, reward totals, and the
-/// final parameter vector.
-fn run_digest(result: &SimulationResult) -> String {
-    let mut canon = String::new();
-    if let Some(chain) = &result.chain {
-        for block in chain.iter() {
-            canon.push_str(&block.hash_hex());
-            canon.push('\n');
-        }
-    }
-    for r in &result.history.rounds {
-        canon.push_str(&format!(
-            "round {} acc {:016x} loss {:016x} delay {:016x} elapsed {:016x} n {}\n",
-            r.round,
-            r.accuracy.to_bits(),
-            r.train_loss.to_bits(),
-            r.round_delay_s.to_bits(),
-            r.elapsed_s.to_bits(),
-            r.participants
-        ));
-    }
-    for row in &result.detection.rows {
-        canon.push_str(&format!(
-            "detect {} attackers {:?} dropped {:?}\n",
-            row.round, row.attacker_ids, row.dropped_ids
-        ));
-    }
-    for (client, total) in &result.reward_totals {
-        canon.push_str(&format!("reward {client} {total}\n"));
-    }
-    for p in &result.final_params {
-        canon.push_str(&format!("{:016x}", p.to_bits()));
-    }
-    let digest = fair_bfl::crypto::sha256::sha256(canon.as_bytes());
-    digest.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 /// A flexible-quota scenario with an (optional) fault plan, shared by
 /// most tests here: 8 clients, full participation, no signatures.

@@ -1,13 +1,13 @@
 //! Integration tests for population-scale rounds (PR 7): lazy
 //! O(participants) provisioning must reproduce the eager path bit for bit
-//! on both engines and in both engine modes, and streaming Procedure-IV
+//! on both engines, and streaming Procedure-IV
 //! aggregation must match the materialized fold exactly where exactness
 //! is defined (detection, rewards, participants) and to float-reorder
 //! tolerance on the parameters themselves.
 
 mod common;
 
-use common::{small_config, small_dataset};
+use common::{run_digest, small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
     AggregationMode, AttackConfig, BflConfig, EventRecord, KpiRow, LowContributionStrategy,
@@ -17,53 +17,6 @@ use fair_bfl::fl::attack::AttackKind;
 use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::ml::par;
 use fair_bfl::net::DelayDistribution;
-use std::sync::Mutex;
-
-/// The batched/reference engine switches are process-global; every test
-/// in this binary serializes through this lock (one of them flips the
-/// switches).
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Canonical digest over every artifact the experiments read — the same
-/// construction the PR 5 goldens in `async_engine.rs` pin.
-fn run_digest(result: &SimulationResult) -> String {
-    let mut canon = String::new();
-    if let Some(chain) = &result.chain {
-        for block in chain.iter() {
-            canon.push_str(&block.hash_hex());
-            canon.push('\n');
-        }
-    }
-    for r in &result.history.rounds {
-        canon.push_str(&format!(
-            "round {} acc {:016x} loss {:016x} delay {:016x} elapsed {:016x} n {}\n",
-            r.round,
-            r.accuracy.to_bits(),
-            r.train_loss.to_bits(),
-            r.round_delay_s.to_bits(),
-            r.elapsed_s.to_bits(),
-            r.participants
-        ));
-    }
-    for row in &result.detection.rows {
-        canon.push_str(&format!(
-            "detect {} attackers {:?} dropped {:?}\n",
-            row.round, row.attacker_ids, row.dropped_ids
-        ));
-    }
-    for (client, total) in &result.reward_totals {
-        canon.push_str(&format!("reward {client} {total}\n"));
-    }
-    for p in &result.final_params {
-        canon.push_str(&format!("{:016x}", p.to_bits()));
-    }
-    let digest = fair_bfl::crypto::sha256::sha256(canon.as_bytes());
-    digest.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 /// The small test configuration re-based onto an implicit partition, so
 /// the same population can be provisioned eagerly or lazily.
@@ -85,29 +38,25 @@ fn run(config: BflConfig) -> SimulationResult {
 
 /// Lazy provisioning (budgeted client cache + lazy RSA key vault) must be
 /// invisible in every artifact: history, block hashes, detection, rewards,
-/// final parameters — under both the batched and the reference engines.
-/// Signatures stay on so the lazy key vault is actually exercised, and
-/// the cache budget sits at the selection size so eviction happens.
+/// final parameters. Signatures stay on so the lazy key vault is actually
+/// exercised, and the cache budget sits at the selection size so eviction
+/// happens.
+///
+/// ("Both engine modes" in the name dates from the process-wide
+/// reference-arithmetic switch; one mode remains, and the name stays so
+/// the test keeps its id.)
 #[test]
 fn lazy_provisioning_is_bit_identical_to_eager_in_both_engine_modes() {
-    let _guard = lock();
     let eager = implicit_config(3);
     assert!(eager.verify_signatures, "the small config signs uploads");
     let mut lazy = eager;
     lazy.provisioning = ProvisioningMode::Lazy { cache_budget: 5 };
 
-    for reference in [false, true] {
-        fair_bfl::ml::engine::set_reference_mode(reference);
-        fair_bfl::crypto::engine::set_reference_mode(reference);
-        let eager_digest = run_digest(&run(eager));
-        let lazy_digest = run_digest(&run(lazy));
-        fair_bfl::ml::engine::set_reference_mode(false);
-        fair_bfl::crypto::engine::set_reference_mode(false);
-        assert_eq!(
-            eager_digest, lazy_digest,
-            "lazy provisioning diverged from the eager path (reference={reference})"
-        );
-    }
+    assert_eq!(
+        run_digest(&run(eager)),
+        run_digest(&run(lazy)),
+        "lazy provisioning diverged from the eager path"
+    );
 }
 
 /// A flexible-quota population with stragglers and non-zero uplinks; the
@@ -115,7 +64,6 @@ fn lazy_provisioning_is_bit_identical_to_eager_in_both_engine_modes() {
 /// provisioning-blind.
 #[test]
 fn lazy_provisioning_matches_eager_on_the_flexible_engine() {
-    let _guard = lock();
     let mut eager = implicit_config(3);
     eager.fl.clients = 12;
     eager.fl.participation_ratio = 1.0;
@@ -145,7 +93,6 @@ fn lazy_provisioning_matches_eager_on_the_flexible_engine() {
 /// weighting), bounded here at 1e-9 relative.
 #[test]
 fn streaming_single_chunk_matches_materialized_procedure_iv() {
-    let _guard = lock();
     let mut materialized = small_config(3);
     materialized.fl.participation_ratio = 1.0;
     materialized.verify_signatures = false;
@@ -195,7 +142,6 @@ fn streaming_single_chunk_matches_materialized_procedure_iv() {
 /// must still learn (finite loss, everyone admitted up to the quota).
 #[test]
 fn streaming_multi_chunk_composition_is_deterministic() {
-    let _guard = lock();
     let mut config = implicit_config(3);
     config.fl.clients = 12;
     config.fl.participation_ratio = 1.0;
@@ -235,7 +181,6 @@ fn streaming_multi_chunk_composition_is_deterministic() {
 fn streaming_rounds_that_discard_stale_uploads_unopened_keep_their_digest() {
     const GOLDEN: &str = "a2c94987bf1fc97e3c51512ee2d0492730e803aa72bf9f85c6808728e142e500";
 
-    let _guard = lock();
     let mut config = implicit_config(4);
     config.fl.clients = 40;
     config.fl.participation_ratio = 0.3;
@@ -275,7 +220,6 @@ fn streaming_rounds_that_discard_stale_uploads_unopened_keep_their_digest() {
 /// 25 clears the fan-out's work gate on every worker count tried.
 #[test]
 fn streaming_run_ahead_is_invisible_at_any_thread_count() {
-    let _guard = lock();
     let mut config = small_config(4);
     config.fl.clients = 200;
     config.fl.participation_ratio = 0.5;
