@@ -43,15 +43,6 @@ impl Blockchain {
         }
     }
 
-    /// Creates a chain with a custom block-size limit.
-    pub fn with_max_block_bytes(max_block_bytes: usize) -> Self {
-        Blockchain {
-            blocks: vec![Block::genesis()],
-            max_block_bytes,
-            require_proof: true,
-        }
-    }
-
     /// Number of blocks including genesis.
     pub fn len(&self) -> usize {
         self.blocks.len()
@@ -116,12 +107,6 @@ impl Blockchain {
         self.validate_candidate(&block)?;
         self.blocks.push(block);
         Ok(())
-    }
-
-    /// Appends without validation. Only used by tests and by the fork model
-    /// when reconstructing a competing branch that was already validated.
-    pub fn force_append(&mut self, block: Block) {
-        self.blocks.push(block);
     }
 
     /// Re-validates the entire chain from genesis.
@@ -316,7 +301,8 @@ mod tests {
 
     #[test]
     fn append_rejects_oversized_block() {
-        let mut chain = Blockchain::with_max_block_bytes(1024);
+        let mut chain = Blockchain::new();
+        chain.max_block_bytes = 1024;
         let big = vec![Transaction::local_gradient(1, 1, vec![0u8; 4096])];
         let mut block = Block::candidate(chain.tip(), big, 0, 1, 1);
         block.mine(&easy_pow());

@@ -8,34 +8,21 @@
 //! [`Mempool`] models exactly that: admission (with optional signature
 //! verification against a [`bfl_crypto::KeyStore`]), FIFO ordering, and
 //! draining into block-sized batches.
+//!
+//! It is the vanilla-BFL / chain-only queue and nothing else. FAIR-BFL's
+//! own rounds never put a local gradient in a block (Assumption 2), so the
+//! event engine's miners keep their pending uploads decoded, in the
+//! engine's own per-client pool (`bfl_core::events`), and this type has no
+//! part in them.
 
-use crate::transaction::{Transaction, TransactionKind};
+use crate::transaction::Transaction;
 use bfl_crypto::{CryptoError, KeyStore, SignedMessage};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A FIFO pool of transactions waiting to be packed into blocks.
-///
-/// Local-gradient uploads are additionally keyed by `(round, client)`:
-/// when the network retries a lost upload *and* the original copy turns
-/// out to have been delivered after all (or a faulty link duplicates the
-/// send), the second arrival is recognised and ignored instead of
-/// double-counting in aggregation.
 #[derive(Debug, Clone, Default)]
 pub struct Mempool {
     pending: VecDeque<Transaction>,
-    /// `(round, client)` keys of the pending local-gradient uploads.
-    upload_keys: BTreeSet<(u64, u64)>,
-}
-
-/// The `(round, client)` dedup key of a local-gradient upload; `None`
-/// for transaction kinds that are never retransmitted.
-fn upload_key(tx: &Transaction) -> Option<(u64, u64)> {
-    match &tx.kind {
-        TransactionKind::LocalGradient {
-            round, client_id, ..
-        } => Some((*round, *client_id)),
-        _ => None,
-    }
 }
 
 impl Mempool {
@@ -54,16 +41,8 @@ impl Mempool {
         self.pending.is_empty()
     }
 
-    /// Total size of all pending transactions in bytes.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending.iter().map(Transaction::size_bytes).sum()
-    }
-
     /// Admits a transaction without verification.
     pub fn submit(&mut self, tx: Transaction) {
-        if let Some(key) = upload_key(&tx) {
-            self.upload_keys.insert(key);
-        }
         self.pending.push_back(tx);
     }
 
@@ -73,50 +52,15 @@ impl Mempool {
     /// `envelope` is the signed message that carried `tx` over the network;
     /// the mempool does not interpret its payload, it only checks the
     /// signature (the paper's Figure 2 verification step).
-    ///
-    /// Returns `Ok(true)` when the transaction was admitted and
-    /// `Ok(false)` when it was a retransmit of a pending local-gradient
-    /// upload for the same `(round, client)` and was ignored.
     pub fn submit_signed(
         &mut self,
         tx: Transaction,
         envelope: &SignedMessage,
         keys: &KeyStore,
-    ) -> Result<bool, CryptoError> {
+    ) -> Result<(), CryptoError> {
         keys.verify(envelope)?;
-        Ok(self.submit_verified(tx))
-    }
-
-    /// Admits a transaction whose carrier signature the caller has already
-    /// verified against the signer's registered key — the event engine
-    /// checks detached signatures itself
-    /// ([`KeyStore::verify_detached`]) and builds the transaction only for
-    /// uploads that pass. Returns `false` when `tx` is a retransmit of a
-    /// pending local-gradient upload for the same `(round, client)` and was
-    /// ignored.
-    pub fn submit_verified(&mut self, tx: Transaction) -> bool {
-        if let Some(key) = upload_key(&tx) {
-            if !self.upload_keys.insert(key) {
-                return false;
-            }
-        }
-        self.pending.push_back(tx);
-        true
-    }
-
-    /// Removes the pending local-gradient upload of `(round, client)`,
-    /// returning it when one was pending. Models a miner crash losing
-    /// (part of) its mempool.
-    pub fn remove_upload(&mut self, round: u64, client: u64) -> Option<Transaction> {
-        if !self.upload_keys.remove(&(round, client)) {
-            return None;
-        }
-        let position = self
-            .pending
-            .iter()
-            .position(|tx| upload_key(tx) == Some((round, client)))
-            .expect("keyed upload is pending");
-        self.pending.remove(position)
+        self.submit(tx);
+        Ok(())
     }
 
     /// Drains the oldest transactions that fit within `max_block_bytes`
@@ -133,11 +77,7 @@ impl Mempool {
             let tx_size = tx.size_bytes();
             if batch.is_empty() || used + tx_size <= max_block_bytes {
                 used += tx_size;
-                let tx = self.pending.pop_front().expect("front exists");
-                if let Some(key) = upload_key(&tx) {
-                    self.upload_keys.remove(&key);
-                }
-                batch.push(tx);
+                batch.push(self.pending.pop_front().expect("front exists"));
                 if used > max_block_bytes {
                     break;
                 }
@@ -146,18 +86,6 @@ impl Mempool {
             }
         }
         batch
-    }
-
-    /// Drains every pending transaction in FIFO order, regardless of
-    /// block-size limits.
-    ///
-    /// This is the miner-side drain of FAIR-BFL's flexible-block round:
-    /// under Assumption 2 the sealed block carries only the *global*
-    /// gradient, so the pending local-gradient uploads are consumed as a
-    /// working set when the quota fires rather than packed into blocks.
-    pub fn drain_all(&mut self) -> Vec<Transaction> {
-        self.upload_keys.clear();
-        self.pending.drain(..).collect()
     }
 
     /// How many blocks of size `max_block_bytes` are needed to clear the
@@ -178,7 +106,6 @@ impl Mempool {
     /// Discards everything (used when a round is abandoned).
     pub fn clear(&mut self) {
         self.pending.clear();
-        self.upload_keys.clear();
     }
 }
 
@@ -201,7 +128,6 @@ mod tests {
         pool.submit(gradient_tx(1, 10));
         pool.submit(gradient_tx(2, 10));
         assert_eq!(pool.len(), 2);
-        assert!(pool.pending_bytes() > 20);
     }
 
     #[test]
@@ -248,24 +174,19 @@ mod tests {
         assert_eq!(pool.blocks_needed(4096), 0);
     }
 
+    /// An unbounded block is a drain of everything. (`drain_all`, which the
+    /// name comes from, went with the event engine's second pool.)
     #[test]
     fn drain_all_empties_the_pool_in_fifo_order() {
         let mut pool = Mempool::new();
         for client in 0..5u64 {
             pool.submit(gradient_tx(client, 100_000));
         }
-        let drained = pool.drain_all();
+        let drained = pool.drain_block(usize::MAX);
         assert!(pool.is_empty());
-        assert_eq!(drained.len(), 5);
-        let ids: Vec<u64> = drained
-            .iter()
-            .map(|tx| match &tx.kind {
-                crate::transaction::TransactionKind::LocalGradient { client_id, .. } => *client_id,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
+        let ids: Vec<u64> = drained.iter().map(|tx| tx.submitter).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        assert!(pool.drain_all().is_empty());
+        assert!(pool.drain_block(usize::MAX).is_empty());
     }
 
     #[test]
@@ -293,61 +214,6 @@ mod tests {
         let err = pool.submit_signed(tx, &forged, &store).unwrap_err();
         assert_eq!(err, CryptoError::InvalidSignature);
         assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn retransmitted_upload_is_deduplicated_by_round_and_client() {
-        let mut store = KeyStore::new();
-        let mut rng = StdRng::seed_from_u64(44);
-        let pairs = store.provision(&mut rng, &[1, 2], 256).unwrap();
-
-        let mut pool = Mempool::new();
-        let tx = gradient_tx(1, 16);
-        let envelope = sign_message(1, b"upload r1", &pairs[&1].private);
-        assert!(pool.submit_signed(tx.clone(), &envelope, &store).unwrap());
-        // The retry + the duplicated link both deliver the same upload
-        // again: recognised and ignored, not double-counted.
-        assert!(!pool.submit_signed(tx.clone(), &envelope, &store).unwrap());
-        assert!(!pool.submit_signed(tx, &envelope, &store).unwrap());
-        assert_eq!(pool.len(), 1);
-
-        // A different client or a different round is not a duplicate.
-        let other_client = gradient_tx(2, 16);
-        let env2 = sign_message(2, b"upload r1", &pairs[&2].private);
-        assert!(pool.submit_signed(other_client, &env2, &store).unwrap());
-        let later_round = Transaction::local_gradient(1, 2, vec![0u8; 16]);
-        assert!(pool.submit_signed(later_round, &envelope, &store).unwrap());
-        assert_eq!(pool.len(), 3);
-
-        // Draining frees the keys: a fresh upload for the same round is
-        // admissible again (a new block's working set).
-        let drained = pool.drain_all();
-        assert_eq!(drained.len(), 3);
-        let tx = gradient_tx(1, 16);
-        assert!(pool.submit_signed(tx, &envelope, &store).unwrap());
-        assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn remove_upload_models_a_lost_mempool_entry() {
-        let mut pool = Mempool::new();
-        pool.submit(gradient_tx(1, 16));
-        pool.submit(Transaction::local_gradient(2, 1, vec![0u8; 16]));
-        pool.submit(Transaction::reward(9, 1, 2, 100));
-
-        // Unknown key: no-op.
-        assert!(pool.remove_upload(1, 7).is_none());
-        assert_eq!(pool.len(), 3);
-
-        let removed = pool.remove_upload(1, 2).unwrap();
-        match &removed.kind {
-            TransactionKind::LocalGradient { client_id, .. } => assert_eq!(*client_id, 2),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(pool.len(), 2);
-        // Removed means re-admissible.
-        pool.submit(Transaction::local_gradient(2, 1, vec![0u8; 16]));
-        assert_eq!(pool.len(), 3);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl Miner {
         Miner { id, hash_rate }
     }
 
-    /// Expected solo mining time in seconds at the given difficulty.
-    pub fn expected_solo_time(&self, config: &PowConfig) -> f64 {
-        config.expected_hashes() / self.hash_rate
-    }
-
     /// Performs a real bounded nonce search on `candidate`, returning the
     /// number of hashes spent if a proof was found.
     ///
@@ -133,9 +128,10 @@ mod tests {
 
     #[test]
     fn expected_solo_time_scales_with_difficulty() {
-        let miner = Miner::new(1, 1000.0);
-        let slow = miner.expected_solo_time(&PowConfig::new(10_000));
-        let fast = miner.expected_solo_time(&PowConfig::new(100));
+        // A competition of one is a solo search.
+        let solo = [Miner::new(1, 1000.0)];
+        let slow = expected_competition_time(&solo, &PowConfig::new(10_000));
+        let fast = expected_competition_time(&solo, &PowConfig::new(100));
         assert!(slow > fast);
         assert!((slow - 10.0).abs() < 1e-9);
         assert!((fast - 0.1).abs() < 1e-9);

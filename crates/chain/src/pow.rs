@@ -13,7 +13,7 @@
 //! real PoW chain, not a mock.
 //!
 //! The header searches ([`PowConfig::search_header`],
-//! [`PowConfig::search_header_parallel`]) go through the block header's
+//! [`PowConfig::search_header_parallel_budget`]) go through the block header's
 //! SHA-256 midstate ([`crate::block::BlockHeader::pow_midstate`]): the
 //! nonce is the last header field, so the 96-byte prefix is compressed
 //! once per mining attempt and each nonce costs one final padded block —
@@ -229,25 +229,12 @@ impl PowConfig {
         self.search(start_nonce, budget, |nonce| midstate.hash_with_nonce(nonce))
     }
 
-    /// Multi-threaded nonce search over `header` through its midstate;
-    /// each worker hashes via a clone of the midstate, so the 96-byte
-    /// prefix is compressed once for the whole race.
-    pub fn search_header_parallel(
-        &self,
-        header: &BlockHeader,
-        threads: usize,
-        budget_per_thread: u64,
-    ) -> (Option<u64>, u64) {
-        let midstate: PowMidstate = header.pow_midstate();
-        self.search_parallel(threads, budget_per_thread, move |nonce| {
-            midstate.hash_with_nonce(nonce)
-        })
-    }
-
-    /// Like [`Self::search_header_parallel`], but over exactly the nonce
-    /// range `[0, budget)` — the same range the serial
-    /// [`Self::search_header`] scans — so consensus mining covers an
-    /// identical search space at every worker count.
+    /// Multi-threaded nonce search over `header` through its midstate
+    /// (each worker hashes via a clone of it, so the 96-byte prefix is
+    /// compressed once for the whole race), over exactly the nonce range
+    /// `[0, budget)` — the same range the serial [`Self::search_header`]
+    /// scans — so consensus mining covers an identical search space at
+    /// every worker count.
     pub fn search_header_parallel_budget(
         &self,
         header: &BlockHeader,
@@ -411,7 +398,7 @@ mod tests {
     fn parallel_header_search_finds_valid_nonce() {
         let header = sample_header();
         let config = PowConfig::new(64);
-        let (nonce, hashes) = config.search_header_parallel(&header, 4, 250_000);
+        let (nonce, hashes) = config.search_header_parallel_budget(&header, 4, 1_000_000);
         let nonce = nonce.expect("difficulty 64 must be solvable");
         assert!(config.meets_target(&header.hash_with_nonce(nonce)));
         assert!(hashes > 0);

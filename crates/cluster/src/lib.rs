@@ -19,7 +19,6 @@ pub mod dbscan;
 pub mod distance;
 pub mod kmeans;
 pub mod labels;
-pub mod validation;
 
 pub use dbscan::{dbscan, DbscanConfig};
 pub use distance::{cross_distance_matrix, distance_matrix, DistanceMetric};

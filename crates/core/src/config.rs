@@ -203,13 +203,6 @@ pub enum ProvisioningMode {
     },
 }
 
-impl ProvisioningMode {
-    /// True for the lazy mode.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self, ProvisioningMode::Lazy { .. })
-    }
-}
-
 /// How Procedure IV consumes a round's uploads.
 ///
 /// The materialized mode buffers every admitted upload until the quota is
@@ -477,6 +470,28 @@ impl BflConfig {
                      stranded by partitions; use the materialized mode with those faults",
                 ));
             }
+        }
+        Ok(())
+    }
+
+    /// What [`validate`](Self::validate) cannot see: whether a training
+    /// set of `train_samples` samples can feed the configured population.
+    /// Every materialized partitioner needs a sample per client; implicit
+    /// shards sample with replacement and chain-only rounds train nobody.
+    /// The engine asks when a run meets its data, the fleet harness per
+    /// manifest cell.
+    pub fn validate_for_dataset(&self, train_samples: usize) -> Result<(), CoreError> {
+        let partitions = self.mode != FlexibilityMode::ChainOnly
+            && !matches!(
+                self.fl.partition,
+                bfl_fl::config::PartitionKind::ImplicitIid { .. }
+            );
+        if partitions && train_samples < self.fl.clients {
+            return Err(CoreError::invalid(format!(
+                "{train_samples} training samples cannot be partitioned over {} clients: a \
+                 materialized partition needs at least one sample per client",
+                self.fl.clients
+            )));
         }
         Ok(())
     }

@@ -70,21 +70,8 @@ pub fn identify_contributions(
     reward_base: f64,
 ) -> ContributionReport {
     let refs: Vec<(u64, &[f64])> = uploads.iter().map(|(id, g)| (*id, g.as_slice())).collect();
-    identify_contributions_refs(&refs, algorithm, metric, strategy, reward_base)
-}
-
-/// [`identify_contributions`] over borrowed gradient slices — the round
-/// driver hands uploads straight from Procedure-III without cloning each
-/// parameter vector first.
-pub fn identify_contributions_refs(
-    uploads: &[(u64, &[f64])],
-    algorithm: &ClusteringAlgorithm,
-    metric: DistanceMetric,
-    strategy: LowContributionStrategy,
-    reward_base: f64,
-) -> ContributionReport {
     identify_contributions_with(
-        uploads,
+        &refs,
         algorithm,
         metric,
         strategy,

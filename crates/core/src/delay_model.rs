@@ -30,18 +30,6 @@ use bfl_net::delay::LinkModel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Which system a round delay is being computed for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SystemKind {
-    /// Full FAIR-BFL (all five procedures).
-    FairBfl,
-    /// FedAvg or FedProx: Procedures I, II and a plain server aggregation.
-    FederatedOnly,
-    /// The pure-blockchain baseline: Procedures II, III, V over generic
-    /// transactions, with block-size queuing and forking.
-    PureBlockchain,
-}
-
 /// Per-procedure breakdown of one round's simulated delay, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct DelayBreakdown {
@@ -282,23 +270,6 @@ impl DelayModel {
             t_fork,
         }
     }
-
-    /// Dispatches on the system kind with the given scale parameters.
-    pub fn round_for_system<R: Rng + ?Sized>(
-        &self,
-        system: SystemKind,
-        participants: usize,
-        max_local_steps: usize,
-        workers: usize,
-        miners: usize,
-        rng: &mut R,
-    ) -> DelayBreakdown {
-        match system {
-            SystemKind::FairBfl => self.fair_round(participants, max_local_steps, miners, rng),
-            SystemKind::FederatedOnly => self.federated_round(participants, max_local_steps, rng),
-            SystemKind::PureBlockchain => self.blockchain_round(workers, miners, rng),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -444,13 +415,16 @@ mod tests {
         assert!(model.t_bl(2, &mut r) > 0.0);
     }
 
+    /// Each system's round has its own shape. (Named for the
+    /// `round_for_system` dispatcher it used to go through; the id is
+    /// kept.)
     #[test]
     fn round_for_system_dispatches() {
         let model = DelayModel::default();
         let mut r = rng();
-        let fair = model.round_for_system(SystemKind::FairBfl, 10, 30, 100, 2, &mut r);
-        let fed = model.round_for_system(SystemKind::FederatedOnly, 10, 30, 100, 2, &mut r);
-        let chain = model.round_for_system(SystemKind::PureBlockchain, 10, 30, 100, 2, &mut r);
+        let fair = model.fair_round(10, 30, 2, &mut r);
+        let fed = model.federated_round(10, 30, &mut r);
+        let chain = model.blockchain_round(100, 2, &mut r);
         assert!(fair.t_bl > 0.0 && fair.t_ex > 0.0);
         assert_eq!(fed.t_bl, 0.0);
         assert_eq!(fed.t_ex, 0.0);

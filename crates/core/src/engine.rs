@@ -10,15 +10,28 @@
 //! `while run.step()?.is_some() {}` — which is exactly what the
 //! [`crate::scenario::Scenario`] drivers do, so a step-driven run is
 //! bit-identical to a one-shot run by construction.
+//!
+//! A learning round is written once. The lockstep engine here and the
+//! event engine ([`crate::events`]) share Procedure I (selection through
+//! `ClientPool::select`, each under its own eligibility predicate and
+//! fallback; one training fan-out, `LearningState::train_selection`), the
+//! Procedure-IV hand-off (`SealedRound`, adopted through
+//! `LearningState::adopt`) and the round's tail
+//! (`LearningState::finish_round`: evaluation, detection row,
+//! [`RoundOutcome`]). What each engine keeps to itself is how uploads get
+//! from the clients to Procedure IV: the lockstep *middle* of
+//! `step_synchronous`, or the event pump.
 
 use crate::config::{BflConfig, ProvisioningMode};
+use crate::delay_model::DelayBreakdown;
 use crate::detection::{DetectionRow, DetectionTable};
 use crate::error::CoreError;
 use crate::flexibility::FlexibilityMode;
 use crate::policy::{ProportionalReward, RewardPolicy};
-use crate::population::{sample_population, ClientPool, ImplicitSpec};
-use crate::procedures::global_update::GlobalUpdatePolicy;
+use crate::population::{ClientPool, ImplicitSpec};
+use crate::procedures::global_update::{GlobalUpdateOutcome, GlobalUpdatePolicy};
 use crate::procedures::{exchange, global_update, local_update, mining, upload};
+use crate::reward::RewardEntry;
 use crate::simulation::{KpiRow, RoundOutcome, SimulationResult};
 use bfl_chain::consensus::RoundConsensus;
 use bfl_chain::mempool::Mempool;
@@ -27,14 +40,14 @@ use bfl_chain::{Blockchain, Transaction};
 use bfl_crypto::{CryptoError, KeyStore, LazyKeyVault, RsaKeyPair};
 use bfl_data::Dataset;
 use bfl_fl::attack::AttackKind;
-use bfl_fl::client::Client;
+use bfl_fl::client::LocalUpdate;
 use bfl_fl::config::PartitionKind;
 use bfl_fl::history::{RoundRecord, RunHistory};
-use bfl_fl::selection::{drop_stragglers, select_clients};
+use bfl_fl::selection::drop_stragglers;
 use bfl_fl::trainer::{FlAlgorithm, FlTrainer};
 use bfl_ml::metrics::accuracy;
 use bfl_ml::model::{AnyModel, Model};
-use bfl_ml::optimizer::LocalTrainingConfig;
+use bfl_ml::optimizer::{local_step_count, LocalTrainingConfig};
 use bfl_net::{SimClock, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -325,12 +338,91 @@ impl<'a> SimulationRun<'a> {
 /// in chain-only mode, which never runs Algorithm 2).
 pub(crate) type SteppedRound = (RoundOutcome, f64, Option<DetectionRow>);
 
+/// Procedure I's per-round seed: every local pass of `round` derives its
+/// own stream from this and its client id.
+pub(crate) fn round_seed(config: &BflConfig, round: usize) -> u64 {
+    config.fl.seed ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15)
+}
+
+/// The run's consensus group (Procedure V): `config.miners` replicas
+/// mining at a light real difficulty — wall-clock time stays negligible,
+/// the *simulated* delay comes from the delay model — under the delay
+/// model's block-size limit (population-scale rounds carry
+/// O(participants) reward lists, which outgrow the default limit long
+/// before the gradient does).
+fn consensus_group(config: &BflConfig) -> RoundConsensus {
+    let miners: Vec<Miner> = (0..config.miners as u64)
+        .map(|id| Miner::new(id, config.delay.miner_hash_rate))
+        .collect();
+    let mut consensus = RoundConsensus::new(
+        miners,
+        bfl_chain::PowConfig::new(64).with_mining_threads(config.mining_threads),
+    );
+    consensus
+        .replicas
+        .iter_mut()
+        .for_each(|c| c.max_block_bytes = config.delay.max_block_bytes);
+    consensus
+}
+
+/// What Procedure IV hands to the rest of a round, in either engine: the
+/// new global parameters (until [`LearningState::adopt`] moves them into
+/// the run), what Procedure V records in the block, and what the round's
+/// tail ([`LearningState::finish_round`]) reports. Built from a
+/// materialized [`GlobalUpdateOutcome`] by
+/// [`from_global_update`](Self::from_global_update), or by sealing the
+/// event engine's streaming fold; Algorithm 2's full report (anchor
+/// gradients, contribution labels) ends here.
+pub(crate) struct SealedRound {
+    /// Uploads that entered the aggregation.
+    pub(crate) participants: usize,
+    /// How many of them were commissioned in an earlier round.
+    pub(crate) stale_included: usize,
+    /// Mean final-epoch training loss the round reports.
+    pub(crate) train_loss: f64,
+    /// Ground-truth attacker ids the detection row is scored against.
+    pub(crate) attackers: Vec<u64>,
+    /// The round's global update.
+    pub(crate) global_params: Vec<f64>,
+    /// The reward list the block records.
+    pub(crate) rewards: Vec<RewardEntry>,
+    /// Clients the discard strategy excluded.
+    pub(crate) dropped: Vec<u64>,
+    /// Clients labelled high contribution.
+    pub(crate) high_contributors: usize,
+}
+
+impl SealedRound {
+    /// The hand-off from a materialized Procedure IV over `participants`
+    /// uploads.
+    pub(crate) fn from_global_update(
+        global: GlobalUpdateOutcome,
+        participants: usize,
+        stale_included: usize,
+        train_loss: f64,
+        attackers: Vec<u64>,
+    ) -> Self {
+        SealedRound {
+            participants,
+            stale_included,
+            train_loss,
+            attackers,
+            global_params: global.global_params,
+            high_contributors: global.report.high_contribution.len(),
+            rewards: global.report.rewards,
+            dropped: global.dropped,
+        }
+    }
+}
+
 impl<'a> LearningState<'a> {
     pub(crate) fn new(
         config: &BflConfig,
         train: &'a Dataset,
         test: &'a Dataset,
     ) -> Result<Self, CoreError> {
+        // The first place that sees both the population and the data.
+        config.validate_for_dataset(train.len())?;
         let mut rng = StdRng::seed_from_u64(config.fl.seed);
 
         // Client population and data shards (reusing the FL trainer's
@@ -392,27 +484,8 @@ impl<'a> LearningState<'a> {
             None
         };
 
-        // Consensus group (Procedure-V), only when the mode mines. The
-        // replicas take the delay model's block-size limit (as the
-        // chain-only baseline already does): population-scale rounds
-        // carry O(participants) reward lists, which outgrow the default
-        // limit long before the gradient does.
-        let consensus = if config.mode.mines() {
-            let miners: Vec<Miner> = (0..config.miners as u64)
-                .map(|id| Miner::new(id, config.delay.miner_hash_rate))
-                .collect();
-            let mut consensus = RoundConsensus::new(
-                miners,
-                bfl_chain::PowConfig::new(64).with_mining_threads(config.mining_threads),
-            );
-            consensus
-                .replicas
-                .iter_mut()
-                .for_each(|c| c.max_block_bytes = config.delay.max_block_bytes);
-            Some(consensus)
-        } else {
-            None
-        };
+        // Consensus group (Procedure-V), only when the mode mines.
+        let consensus = config.mode.mines().then(|| consensus_group(config));
 
         let topology = Topology::new(config.fl.clients, config.miners);
         let global_model: AnyModel = config.fl.model.build(&mut rng);
@@ -517,7 +590,107 @@ impl<'a> LearningState<'a> {
         }
     }
 
-    /// One full lockstep pass through Procedures I–V plus bookkeeping.
+    /// SGD steps of client `position`'s local pass (what `T_local` is
+    /// proportional to), read off the pool without deriving the client.
+    pub(crate) fn local_steps(&self, position: usize) -> usize {
+        local_step_count(self.pool.sample_count(position), &self.local_config)
+    }
+
+    /// Procedure I's fan-out, shared by both engines: trains the selection
+    /// `positions` under `attacks` against the current global parameters
+    /// and `round`'s seed — over the working set the pool lends — and hands
+    /// each update to `finish` on the worker that trained it, together
+    /// with its client's signing pair when the run signs and the client
+    /// currently holds one. Results come back in selection order.
+    pub(crate) fn train_selection<U: Send>(
+        &mut self,
+        config: &BflConfig,
+        round: usize,
+        positions: &[usize],
+        attacks: &[Option<AttackKind>],
+        finish: impl Fn(LocalUpdate, Option<&RsaKeyPair>) -> U + Sync,
+    ) -> Vec<U> {
+        let (clients, indices) = self.pool.working_set(positions);
+        let pairs = self.keys.as_ref().map(KeyChain::pairs);
+        local_update::fan_out(
+            &clients,
+            &indices,
+            attacks,
+            config.fl.model,
+            &self.global_params,
+            self.train,
+            &self.local_config,
+            round_seed(config, round),
+            |update| {
+                let pair = pairs.and_then(|pairs| pairs.get(&update.client_id));
+                finish(update, pair)
+            },
+        )
+    }
+
+    /// Adopts the sealed round's global update as the run's model, moving
+    /// the parameters out of `sealed`.
+    pub(crate) fn adopt(&mut self, sealed: &mut SealedRound) {
+        self.global_params = std::mem::take(&mut sealed.global_params);
+        self.global_model.set_params(&self.global_params);
+    }
+
+    /// The tail every learning round ends in, once its block is mined and
+    /// the clock has advanced: evaluates the adopted model on the test
+    /// set, scores the detection row and assembles the [`RoundOutcome`].
+    /// `kpi` carries the event engine's counters (all zero in lockstep);
+    /// the makespan and the stale count are filled in here.
+    pub(crate) fn finish_round(
+        &self,
+        round: usize,
+        sealed: SealedRound,
+        breakdown: DelayBreakdown,
+        block_hash: Option<String>,
+        kpi: KpiRow,
+    ) -> SteppedRound {
+        let test_accuracy = accuracy(
+            &self.global_model,
+            &self.test.features,
+            &self.test.labels,
+            None,
+        );
+        let rewards_paid = sealed.rewards.iter().map(|r| r.amount_milli).sum();
+        let detection_row = DetectionRow::new(round, &sealed.attackers, &sealed.dropped);
+        let outcome = RoundOutcome {
+            round,
+            breakdown,
+            accuracy: test_accuracy,
+            train_loss: sealed.train_loss,
+            participants: sealed.participants,
+            stale_included: sealed.stale_included,
+            attackers: sealed.attackers,
+            dropped: sealed.dropped,
+            high_contributors: sealed.high_contributors,
+            rewards_paid_milli: rewards_paid,
+            rewards: sealed.rewards,
+            block_hash,
+            kpi: KpiRow {
+                makespan_s: breakdown.total(),
+                stale_included: sealed.stale_included,
+                ..kpi
+            },
+        };
+        (outcome, self.clock.now_seconds(), Some(detection_row))
+    }
+
+    /// One lockstep round. Procedure I, the Procedure-IV hand-off
+    /// ([`SealedRound`], [`adopt`](Self::adopt)) and the tail
+    /// ([`finish_round`](Self::finish_round)) are the pieces shared with
+    /// the event engine; what is written out between them is the lockstep
+    /// *middle* — key provisioning, `upload_gradients`,
+    /// `exchange_gradients`, `compute_global_update`, `mine_round` and the
+    /// delay model's one `fair_round`/`federated_round` draw. The middle is
+    /// still here because the benchmark's replay (`benchmark/src/replay.rs`)
+    /// calls those lockstep drivers itself and checks every block hash
+    /// against this engine bit for bit, while the event engine draws from
+    /// `rng` in a different order (per send: association, then latency);
+    /// making lockstep a configuration of the event engine has to re-pin
+    /// that benchmark first.
     fn step_synchronous(
         &mut self,
         config: &BflConfig,
@@ -526,87 +699,33 @@ impl<'a> LearningState<'a> {
     ) -> Result<SteppedRound, CoreError> {
         self.advance_cooldowns();
 
-        // Procedure-I selection. The materialized backend keeps the PR 4
-        // shuffle-truncate draw (bit-identity contract); the implicit
-        // backend rejection-samples distinct indices so no
-        // population-sized vector ever exists.
-        let selected_positions = if self.pool.is_implicit() {
-            let population = self.pool.population();
-            let count = config.fl.selected_per_round();
-            let cooldown = &self.cooldown;
-            let picked = sample_population(
-                population,
-                count,
-                |i| !cooldown.contains_key(&(i as u64)),
-                &mut self.rng,
-            );
-            if picked.is_empty() {
-                // Mirror the eager engine's empty-pool branch: re-sample
-                // ignoring cooldowns rather than producing an empty round.
-                sample_population(population, count, |_| true, &mut self.rng)
-            } else {
-                picked
-            }
-        } else {
-            let clients = self.pool.materialized_slice();
-            let active: Vec<usize> = (0..clients.len())
-                .filter(|i| !self.cooldown.contains_key(&clients[*i].id))
-                .collect();
-            let pool: &[usize] = if active.is_empty() { &[] } else { &active };
-            if pool.is_empty() {
-                select_clients(clients.len(), config.fl.selected_per_round(), &mut self.rng)
-            } else {
-                select_clients(pool.len(), config.fl.selected_per_round(), &mut self.rng)
-                    .into_iter()
-                    .map(|i| pool[i])
-                    .collect()
-            }
-        };
-        let selected_positions =
-            drop_stragglers(&selected_positions, config.fl.drop_percent, &mut self.rng);
-
-        let (attacks, attackers) = self.designate_attackers(config, &selected_positions);
-
-        // Procedure-I: local learning. The implicit backend materializes
-        // exactly the round's working set (O(participants)) and trains
-        // over identity positions; the materialized backend fans out over
-        // the population slice untouched.
-        let round_seed = config.fl.seed ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        let (updates, max_steps) = if self.pool.is_implicit() {
-            let round_clients: Vec<Client> = selected_positions
-                .iter()
-                .map(|&p| self.pool.client_cloned(p))
-                .collect();
-            let identity: Vec<usize> = (0..round_clients.len()).collect();
-            let updates = local_update::run_local_updates_with_attacks(
-                &round_clients,
-                &identity,
-                &attacks,
-                config.fl.model,
-                &self.global_params,
-                self.train,
-                &self.local_config,
-                round_seed,
-            );
-            let max_steps =
-                local_update::max_local_steps(&round_clients, &identity, &self.local_config);
-            (updates, max_steps)
-        } else {
-            let clients = self.pool.materialized_slice();
-            let updates = local_update::run_local_updates_with_attacks(
-                clients,
-                &selected_positions,
-                &attacks,
-                config.fl.model,
-                &self.global_params,
-                self.train,
-                &self.local_config,
-                round_seed,
-            );
-            let max_steps =
-                local_update::max_local_steps(clients, &selected_positions, &self.local_config);
-            (updates, max_steps)
-        };
+        // Procedure-I. Lockstep eligibility is "not cooling down"; when
+        // that leaves nobody, re-draw ignoring cooldowns rather than run
+        // an empty round.
+        let count = config.fl.selected_per_round();
+        let LearningState {
+            pool,
+            cooldown,
+            rng,
+            ..
+        } = self;
+        let mut picked = pool.select(count, |i| !cooldown.contains_key(&(i as u64)), rng);
+        if picked.is_empty() {
+            picked = pool.select(count, |_| true, rng);
+        }
+        let selected = drop_stragglers(&picked, config.fl.drop_percent, rng);
+        let (attacks, attackers) = self.designate_attackers(config, &selected);
+        let updates = self.train_selection(config, round, &selected, &attacks, |update, _| update);
+        let max_steps = selected
+            .iter()
+            .map(|&position| self.local_steps(position))
+            .max()
+            .unwrap_or(0);
+        let train_loss = updates
+            .iter()
+            .map(|u| u.stats.final_epoch_loss)
+            .sum::<f64>()
+            / updates.len().max(1) as f64;
 
         // Procedure-II: upload + verification. The lazy key chain
         // provisions (or LRU-touches) exactly the selected identities
@@ -638,20 +757,13 @@ impl<'a> LearningState<'a> {
 
         // Procedure-IV: global update + Algorithm 2, under the scenario's
         // anchor and reward policies.
-        let mut global = global_update::compute_global_update(
+        let global = global_update::compute_global_update(
             &merged,
-            &GlobalUpdatePolicy {
-                clustering: &config.clustering,
-                metric: config.metric,
-                strategy: config.strategy,
-                fair_aggregation: config.fair_aggregation,
-                anchor: config.anchor,
-                round,
-                reward: reward_policy,
-            },
+            &GlobalUpdatePolicy::for_round(config, round, reward_policy),
         );
-        self.global_params = std::mem::take(&mut global.global_params);
-        self.global_model.set_params(&self.global_params);
+        let mut sealed =
+            SealedRound::from_global_update(global, merged.len(), 0, train_loss, attackers);
+        self.adopt(&mut sealed);
 
         // Procedure-V: mining and consensus.
         let block_hash = if let Some(consensus) = self.consensus.as_mut() {
@@ -659,7 +771,7 @@ impl<'a> LearningState<'a> {
                 consensus,
                 round as u64,
                 &self.global_params,
-                &global.report.rewards,
+                &sealed.rewards,
                 self.clock.now_millis(),
                 &mut self.rng,
             )?;
@@ -669,7 +781,7 @@ impl<'a> LearningState<'a> {
         };
 
         // Discard strategy: dropped clients sit out the next few rounds.
-        self.apply_discard_cooldowns(config, &global.dropped);
+        self.apply_discard_cooldowns(config, &sealed.dropped);
 
         // Delay accounting and the clock.
         let breakdown = match config.mode {
@@ -687,40 +799,7 @@ impl<'a> LearningState<'a> {
         };
         self.clock.advance(breakdown.total());
 
-        // Evaluation.
-        let test_accuracy = accuracy(
-            &self.global_model,
-            &self.test.features,
-            &self.test.labels,
-            None,
-        );
-        let train_loss = updates
-            .iter()
-            .map(|u| u.stats.final_epoch_loss)
-            .sum::<f64>()
-            / updates.len().max(1) as f64;
-
-        let rewards_paid = global.report.rewards.iter().map(|r| r.amount_milli).sum();
-        let detection_row = DetectionRow::new(round, &attackers, &global.dropped);
-        let outcome = RoundOutcome {
-            round,
-            breakdown,
-            accuracy: test_accuracy,
-            train_loss,
-            participants: merged.len(),
-            stale_included: 0,
-            attackers,
-            dropped: global.dropped,
-            high_contributors: global.report.high_contribution.len(),
-            rewards_paid_milli: rewards_paid,
-            rewards: global.report.rewards,
-            block_hash,
-            kpi: KpiRow {
-                makespan_s: breakdown.total(),
-                ..KpiRow::default()
-            },
-        };
-        Ok((outcome, self.clock.now_seconds(), Some(detection_row)))
+        Ok(self.finish_round(round, sealed, breakdown, block_hash, KpiRow::default()))
     }
 }
 
@@ -728,23 +807,9 @@ impl ChainOnlyState {
     /// Chain-only mode: workers submit generic transactions, miners drain
     /// the mempool into blocks — the pure-blockchain baseline.
     fn new(config: &BflConfig) -> Self {
-        let rng = StdRng::seed_from_u64(config.fl.seed);
-        let miners: Vec<Miner> = (0..config.miners as u64)
-            .map(|id| Miner::new(id, config.delay.miner_hash_rate))
-            .collect();
-        // Real mining uses a light difficulty so wall-clock time stays
-        // negligible; the *simulated* delay comes from the delay model.
-        let mut consensus = RoundConsensus::new(
-            miners,
-            bfl_chain::PowConfig::new(64).with_mining_threads(config.mining_threads),
-        );
-        consensus
-            .replicas
-            .iter_mut()
-            .for_each(|c| c.max_block_bytes = config.delay.max_block_bytes);
         ChainOnlyState {
-            rng,
-            consensus,
+            rng: StdRng::seed_from_u64(config.fl.seed),
+            consensus: consensus_group(config),
             mempool: Mempool::new(),
             clock: SimClock::new(),
         }

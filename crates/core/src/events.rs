@@ -10,7 +10,8 @@
 //!   [`NodeProfile`], producing a `TrainingFinished` event.
 //! * **Procedure-II** starts where the paper puts it, at the client: the
 //!   worker that trains a client's pass signs the update right after, in
-//!   the same fan-out (`local_update::run_local_updates_signed`), and
+//!   the same fan-out (the `finish` step of the engines' shared
+//!   `LearningState::train_selection`), and
 //!   the detached [`Signature`] (128 bytes under 1024-bit keys) rides the
 //!   upload's ticket through every retry, duplicate, strand and salvage —
 //!   one private-key operation per commission, none on the event pump. The
@@ -21,8 +22,12 @@
 //! * The `UploadArrived` handler is the miner's half: it serialises the
 //!   upload, applies an in-transit corruption if one struck, verifies the
 //!   signature against the registered key (the Figure 2 verification
-//!   step) and admits the upload into the chain's [`Mempool`]
-//!   ([`Mempool::submit_verified`]). Stale uploads — commissioned in an
+//!   step) and admits the upload into the miner's pending pool — the
+//!   runtime's `arrived` map of verified, decoded uploads, keyed by
+//!   client. It is the only pool there is: under the paper's Assumption 2
+//!   a block carries the global gradient and the reward list, never a
+//!   local gradient, so nothing keeps the serialized upload once it is
+//!   checked. Stale uploads — commissioned in an
 //!   earlier round, arriving after that round's block sealed — pass
 //!   through the configured
 //!   [`StalenessPolicy`](crate::policy::StalenessPolicy) first; one the
@@ -31,9 +36,11 @@
 //!   client cannot know its upload will arrive late.)
 //! * **Procedures III–V** fire when the *flexible block quota* `K` of
 //!   uploads has arrived — the paper's flexible block size — rather than
-//!   when every participant reports: the miner drains the mempool,
+//!   when every participant reports: the miner drains the pending pool,
 //!   computes the global update under the scenario's anchor/reward
-//!   policies, and seals the block at the quota's simulated time.
+//!   policies, and seals the block at the quota's simulated time. From
+//!   the Procedure-IV hand-off on, the round is the lockstep engine's:
+//!   one `SealedRound`, one `adopt`, one `finish_round` (`engine.rs`).
 //!
 //! ## Fault injection
 //!
@@ -41,12 +48,12 @@
 //! handlers. Link faults strike each send: a *dropped* upload never
 //! arrives (the client retransmits per the
 //! [`RetryPolicy`] seam), a *duplicated*
-//! upload arrives twice (the mempool's `(round, client)` dedup and the
-//! engine's delivery ledger squash the copy), and a *corrupted* upload
-//! arrives with one payload byte flipped — the mempool's signature check
-//! is the detector and rejects it. A [`CrashSchedule`](bfl_net::CrashSchedule)
+//! upload arrives twice (the engine's delivery ledger and the pending
+//! pool's one-upload-per-client key squash the copy), and a *corrupted*
+//! upload arrives with one payload byte flipped — the miner's signature
+//! check is the detector and rejects it. A [`CrashSchedule`](bfl_net::CrashSchedule)
 //! takes one miner down: uploads landing on it are swallowed, its pending
-//! mempool entries are lost at the crash instant, and it rejoins sealing
+//! uploads are lost at the crash instant, and it rejoins sealing
 //! only after resynchronising its replica. A
 //! [`Partition`](bfl_net::Partition) splits the miner mesh: each
 //! component seals its own branch (a real fork), and the first round
@@ -113,29 +120,20 @@ use crate::aggregation::WEIGHT_FLOOR;
 use crate::config::{AggregationMode, BflConfig, ProfileConfig};
 use crate::contribution::analyze_contributions;
 use crate::delay_model::DelayBreakdown;
-use crate::detection::DetectionRow;
-use crate::engine::{KeyChain, LearningState, SteppedRound};
+use crate::engine::{round_seed, LearningState, SealedRound, SteppedRound};
 use crate::error::CoreError;
 use crate::flexibility::FlexibilityMode;
 use crate::policy::{ReorgPolicy, RetryPolicy, RewardPolicy};
-use crate::population::sample_population;
 use crate::procedures::global_update::{self, GlobalUpdatePolicy};
-use crate::procedures::local_update;
 use crate::procedures::mining;
-use crate::procedures::upload::VerifiedUpload;
-use crate::reward::RewardEntry;
-use crate::simulation::{KpiRow, RoundOutcome};
+use crate::procedures::upload::{sign_update, VerifiedUpload};
+use crate::simulation::KpiRow;
 use bfl_chain::consensus::RoundConsensus;
-use bfl_chain::mempool::Mempool;
-use bfl_chain::Transaction;
 use bfl_crypto::{sign_detached, BatchVerifier, Signature};
 use bfl_fl::attack::AttackKind;
 use bfl_fl::client::{Client, LocalUpdate};
-use bfl_fl::selection::{drop_stragglers, select_clients};
+use bfl_fl::selection::drop_stragglers;
 use bfl_ml::gradient;
-use bfl_ml::metrics::accuracy;
-use bfl_ml::model::Model;
-use bfl_ml::optimizer::local_step_count;
 use bfl_ml::par;
 use bfl_ml::tensor::Scratch;
 use bfl_net::{EventQueue, NodeProfile, ScheduledEvent};
@@ -143,6 +141,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::num::NonZeroU8;
 use std::sync::Arc;
 
 /// XOR'd into the scenario seed to derive the fault stream, so fault
@@ -209,8 +208,9 @@ pub struct EventRecord {
     pub kind: EventKind,
 }
 
-/// An upload in flight: either the eagerly computed local update with the
-/// signature its client made when it sent it, or a *deferred* commission
+/// What an upload in flight carries: either the eagerly computed local
+/// update with the signature its client made when it sent it, or a
+/// *deferred* commission
 /// whose local pass has not run yet — the streaming aggregation path,
 /// where an event must not pin a full parameter vector per in-flight
 /// client. A deferred ticket is trained no later than its admission — by
@@ -260,36 +260,51 @@ impl UploadTicket {
     }
 }
 
+/// An upload in flight, from its commission to its terminal state: the
+/// one value the events, the stranded list and the send / retry / admit
+/// steps pass whole.
+#[derive(Clone)]
+struct InFlightUpload {
+    ticket: UploadTicket,
+    /// The round that commissioned the pass (earlier than the round that
+    /// resolves it for stale uploads).
+    born_round: usize,
+    /// Finish time of its Procedure-I pass (for the delay breakdown).
+    train_finished_s: f64,
+    /// The send attempt it travels on (1-based); on a `RetryTimer`, the
+    /// attempt the resend will carry.
+    attempt: u32,
+}
+
+impl InFlightUpload {
+    fn client_id(&self) -> u64 {
+        self.ticket.client_id()
+    }
+}
+
+/// An in-transit corruption: `(byte index seed, xor mask)`. A zero mask
+/// would corrupt nothing, and saying so in the type lets the `Option`
+/// around it live in the mask's niche: 16 bytes of every queued event
+/// instead of 24.
+type Corruption = (u64, NonZeroU8);
+
 /// Timed payloads flowing through the engine's event queue.
 enum EngineEvent {
-    /// Procedure-I completion, carrying the upload ticket.
-    TrainingFinished {
-        born_round: usize,
-        update: UploadTicket,
-    },
+    /// Procedure-I completion: the client sends its first attempt.
+    TrainingFinished(InFlightUpload),
     /// Procedure-II arrival at the associated miner.
     UploadArrived {
-        born_round: usize,
+        upload: InFlightUpload,
         miner: usize,
-        train_finished_s: f64,
-        update: UploadTicket,
-        /// Which send attempt this delivery belongs to (1-based).
-        attempt: u32,
-        /// In-transit corruption: `(byte index seed, xor mask)` applied
-        /// to the signed envelope's payload at admission.
-        corrupt: Option<(u64, u8)>,
+        /// In-transit corruption, applied to the serialized payload at
+        /// admission.
+        corrupt: Option<Corruption>,
         /// A retransmission is already armed for this commission, so the
         /// client stays busy regardless of this delivery's outcome.
         retry_pending: bool,
     },
     /// The client-side retransmission timer for a failed attempt.
-    RetryTimer {
-        born_round: usize,
-        train_finished_s: f64,
-        update: UploadTicket,
-        /// The attempt number the resend will carry.
-        attempt: u32,
-    },
+    RetryTimer(InFlightUpload),
 }
 
 /// An upload admitted to the pending pool, awaiting the block quota.
@@ -308,10 +323,8 @@ struct ArrivedUpload {
 /// practice: streaming aggregation (the only producer of deferred
 /// tickets) rejects partition plans at validation.
 struct StrandedUpload {
-    update: UploadTicket,
-    born_round: usize,
+    upload: InFlightUpload,
     miner: usize,
-    train_finished_s: f64,
 }
 
 /// Derives per-client heterogeneity profiles on demand — bit-identical to
@@ -334,14 +347,15 @@ impl ProfileOracle {
 /// a flexible block quota.
 pub(crate) struct AsyncRuntime {
     queue: EventQueue<EngineEvent>,
-    /// Miner-side pending pool: verified uploads waiting for the quota.
-    mempool: Mempool,
     /// Per-client heterogeneity profiles, derived on demand.
     profiles: ProfileOracle,
     /// Clients with a commissioned pass or in-flight upload.
     in_flight: BTreeSet<u64>,
-    /// Decoded uploads admitted this round, keyed by client id (so the
-    /// merged set is ordered by client id, like the synchronous engine's).
+    /// The miners' pending pool: verified, decoded uploads waiting for the
+    /// quota, keyed by client id (a client never has two pending at once,
+    /// and the merged set comes out ordered by client id, like the
+    /// synchronous engine's). Under streaming aggregation it is the chunk
+    /// buffer.
     arrived: BTreeMap<u64, ArrivedUpload>,
     trace: Vec<EventRecord>,
     /// Dedicated RNG stream for fault coin-flips: an inactive plan draws
@@ -393,7 +407,6 @@ impl AsyncRuntime {
     pub(crate) fn new(config: &BflConfig) -> Self {
         AsyncRuntime {
             queue: EventQueue::new(),
-            mempool: Mempool::new(),
             profiles: ProfileOracle {
                 config: config.profiles,
                 population: config.fl.clients,
@@ -566,7 +579,7 @@ fn fault_prologue(
         return 0.0;
     }
     let now = state.clock.now_seconds();
-    purge_crashed_mempool(rt, config, round, now);
+    purge_crashed_pending(rt, config, round, now);
 
     let mut t_fork = 0.0;
     if let Some(partition) = config.fault.partition {
@@ -605,7 +618,7 @@ fn fault_prologue(
 /// The crash instant: every upload pending at the crashed miner vanishes
 /// from the pool (and from the delivery ledger, so a redundant copy or a
 /// retransmission may still save it).
-fn purge_crashed_mempool(rt: &mut AsyncRuntime, config: &BflConfig, round: usize, now: f64) {
+fn purge_crashed_pending(rt: &mut AsyncRuntime, config: &BflConfig, round: usize, now: f64) {
     let Some(crash) = config.fault.crash else {
         return;
     };
@@ -621,7 +634,6 @@ fn purge_crashed_mempool(rt: &mut AsyncRuntime, config: &BflConfig, round: usize
         .collect();
     for id in victims {
         let lost = rt.arrived.remove(&id).expect("victim is pending");
-        rt.mempool.remove_upload(lost.born_round as u64, id);
         rt.delivered.remove(&id);
         rt.record(
             crash.crash_at_s,
@@ -648,10 +660,10 @@ fn salvage_stranded(
         return;
     }
     let now = state.clock.now_seconds();
-    for s in stranded {
-        let id = s.update.client_id();
+    for StrandedUpload { upload, miner } in stranded {
+        let (id, born_round) = (upload.client_id(), upload.born_round);
         if config.reorg == ReorgPolicy::Discard {
-            rt.record(now, round, s.born_round, id, EventKind::StaleDiscarded);
+            rt.record(now, round, born_round, id, EventKind::StaleDiscarded);
             continue;
         }
         // A stranded upload was never delivered — stranding happens
@@ -660,30 +672,20 @@ fn salvage_stranded(
         // The only real collision is an upload by the same client already
         // awaiting this round's seal.
         if rt.arrived.contains_key(&id) {
-            rt.record(now, round, s.born_round, id, EventKind::DuplicateIgnored);
+            rt.record(now, round, born_round, id, EventKind::DuplicateIgnored);
             continue;
         }
-        let kind = admit_upload(
-            state,
-            rt,
-            config,
-            round,
-            s.born_round,
-            s.miner,
-            s.train_finished_s,
-            s.update,
-            None,
-        );
+        let kind = admit_upload(state, rt, config, round, upload, miner, None);
         if matches!(
             kind,
             EventKind::UploadArrived | EventKind::StaleIncluded | EventKind::StaleDiscarded
         ) {
             // Never lower the high-water mark: the client may have
             // delivered fresher rounds while this upload sat stranded.
-            let mark = rt.delivered.entry(id).or_insert(s.born_round);
-            *mark = (*mark).max(s.born_round);
+            let mark = rt.delivered.entry(id).or_insert(born_round);
+            *mark = (*mark).max(born_round);
         }
-        rt.record(now, round, s.born_round, id, kind);
+        rt.record(now, round, born_round, id, kind);
     }
 }
 
@@ -760,138 +762,96 @@ fn step_flexible_inner(
     // flight, the round fast-forwards the clock to the next rejoin
     // instead of aborting — the system waits for someone to join.
     let mut round_start = state.clock.now_seconds();
-    let selected_positions: Vec<usize> = if state.pool.is_implicit() {
-        // Implicit populations rejection-sample the selection directly:
-        // no pool vector proportional to the population ever exists.
-        let mut picked = sample_flexible_pool(state, rt, config, round_start);
-        if picked.is_empty() && rt.in_flight.is_empty() && fast_forward_to_next_join(state, rt) {
-            round_start = state.clock.now_seconds();
-            picked = sample_flexible_pool(state, rt, config, round_start);
-        }
-        picked
-    } else {
-        let build_pool = |state: &LearningState<'_>, rt: &AsyncRuntime, now: f64| -> Vec<usize> {
-            (0..state.pool.population())
-                .filter(|&i| {
-                    let id = i as u64;
-                    !state.cooldown.contains_key(&id)
-                        && !rt.in_flight.contains(&id)
-                        && !rt.arrived.contains_key(&id)
-                        && rt.profiles.get(id).is_online(now)
-                })
-                .collect()
-        };
-        let mut pool = build_pool(state, rt, round_start);
-        if pool.is_empty() && rt.in_flight.is_empty() && fast_forward_to_next_join(state, rt) {
-            round_start = state.clock.now_seconds();
-            pool = build_pool(state, rt, round_start);
-        }
-        if pool.is_empty() {
-            Vec::new()
-        } else {
-            select_clients(pool.len(), config.fl.selected_per_round(), &mut state.rng)
-                .into_iter()
-                .map(|i| pool[i])
-                .collect()
-        }
+    let count = config.fl.selected_per_round();
+    let select = |state: &mut LearningState<'_>, rt: &AsyncRuntime, now: f64| {
+        let LearningState {
+            pool,
+            cooldown,
+            rng,
+            ..
+        } = state;
+        pool.select(
+            count,
+            |i| {
+                let id = i as u64;
+                !cooldown.contains_key(&id)
+                    && !rt.in_flight.contains(&id)
+                    && !rt.arrived.contains_key(&id)
+                    && rt.profiles.get(id).is_online(now)
+            },
+            rng,
+        )
     };
-    let selected_positions =
-        drop_stragglers(&selected_positions, config.fl.drop_percent, &mut state.rng);
+    let mut picked = select(state, rt, round_start);
+    if picked.is_empty() && rt.in_flight.is_empty() && fast_forward_to_next_join(state, rt) {
+        round_start = state.clock.now_seconds();
+        picked = select(state, rt, round_start);
+    }
+    let selected_positions = drop_stragglers(&picked, config.fl.drop_percent, &mut state.rng);
 
     // Designation drives Procedure-I's forging; the outcome's attacker
     // list is rebuilt later from the uploads that entered the block, so
     // stale attackers land in the round they were actually judged in.
     let (attacks, _designated) = state.designate_attackers(config, &selected_positions);
 
-    // Procedure-I. Under materialized aggregation the local passes are
-    // computed eagerly (their *content* is a pure function of the round
-    // seed) but *finish* at profile-scaled simulated times — that is what
-    // the events model. Under streaming aggregation each pass is deferred
-    // into its ticket and runs just before its admission, against this
-    // round's parameter snapshot, so in-flight state is O(1) per client.
-    let round_seed = config.fl.seed ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    // Procedure-I. Every commissioned pass *finishes* at its client's
+    // profile-scaled simulated time — that is what the events model.
+    let commission = |state: &LearningState<'_>,
+                      rt: &mut AsyncRuntime,
+                      position: usize,
+                      ticket: UploadTicket| {
+        let id = position as u64;
+        let t_local = config.delay.t_local(state.local_steps(position));
+        let finish = round_start + rt.profiles.get(id).training_seconds(t_local);
+        rt.record(round_start, round, round, id, EventKind::TrainingScheduled);
+        rt.in_flight.insert(id);
+        rt.queue.push(
+            finish,
+            EngineEvent::TrainingFinished(InFlightUpload {
+                ticket,
+                born_round: round,
+                train_finished_s: finish,
+                attempt: 1,
+            }),
+        );
+    };
     if config.aggregation.is_streaming() {
+        // Each pass is deferred into its ticket and runs just before its
+        // admission, against this round's parameter snapshot, so in-flight
+        // state is O(1) per client.
         let snapshot = Arc::new(state.global_params.clone());
-        for (i, &position) in selected_positions.iter().enumerate() {
-            let id = position as u64;
-            let steps = local_step_count(state.pool.sample_count(position), &state.local_config);
-            let finish = round_start
-                + rt.profiles
-                    .get(id)
-                    .training_seconds(config.delay.t_local(steps));
-            rt.record(round_start, round, round, id, EventKind::TrainingScheduled);
-            rt.in_flight.insert(id);
-            rt.queue.push(
-                finish,
-                EngineEvent::TrainingFinished {
-                    born_round: round,
-                    update: UploadTicket::Deferred(Commission {
-                        client_id: id,
-                        attack: attacks[i],
-                        born_seed: round_seed,
-                        snapshot: Arc::clone(&snapshot),
-                    }),
-                },
-            );
+        let born_seed = round_seed(config, round);
+        for (&position, &attack) in selected_positions.iter().zip(&attacks) {
+            let ticket = UploadTicket::Deferred(Commission {
+                client_id: position as u64,
+                attack,
+                born_seed,
+                snapshot: Arc::clone(&snapshot),
+            });
+            commission(state, rt, position, ticket);
         }
     } else {
-        // Procedure-II's client half rides the same fan-out: the round's
-        // identities are resolved up front (the lazy chain derives or
-        // LRU-touches exactly the selection) and every worker signs the
-        // update it just trained.
+        // The passes are computed eagerly (their *content* is a pure
+        // function of the round seed), and Procedure-II's client half
+        // rides the same fan-out: the round's identities are resolved up
+        // front (the lazy chain derives or LRU-touches exactly the
+        // selection) and every worker signs the update it just trained.
         if let Some(keys) = state.keys.as_mut() {
             let ids: Vec<u64> = selected_positions.iter().map(|&p| p as u64).collect();
             keys.ensure_selected(&ids).map_err(CoreError::from)?;
         }
-        let pairs = state.keys.as_ref().map(KeyChain::pairs);
-        let updates = if state.pool.is_implicit() {
-            // Materialize exactly the round's working set and train over
-            // identity positions (client id == population index).
-            let round_clients: Vec<Client> = selected_positions
-                .iter()
-                .map(|&p| state.pool.client_cloned(p))
-                .collect();
-            let identity: Vec<usize> = (0..round_clients.len()).collect();
-            local_update::run_local_updates_signed(
-                &round_clients,
-                &identity,
-                &attacks,
-                config.fl.model,
-                &state.global_params,
-                state.train,
-                &state.local_config,
-                round_seed,
-                pairs,
-            )
-        } else {
-            local_update::run_local_updates_signed(
-                state.pool.materialized_slice(),
-                &selected_positions,
-                &attacks,
-                config.fl.model,
-                &state.global_params,
-                state.train,
-                &state.local_config,
-                round_seed,
-                pairs,
-            )
-        };
-        for (&position, (update, signature)) in selected_positions.iter().zip(updates) {
-            let id = update.client_id;
-            let steps = local_step_count(state.pool.sample_count(position), &state.local_config);
-            let finish = round_start
-                + rt.profiles
-                    .get(id)
-                    .training_seconds(config.delay.t_local(steps));
-            rt.record(round_start, round, round, id, EventKind::TrainingScheduled);
-            rt.in_flight.insert(id);
-            rt.queue.push(
-                finish,
-                EngineEvent::TrainingFinished {
-                    born_round: round,
-                    update: UploadTicket::Ready { update, signature },
-                },
-            );
+        let tickets = state.train_selection(
+            config,
+            round,
+            &selected_positions,
+            &attacks,
+            |update, pair| UploadTicket::Ready {
+                signature: pair.map(|pair| sign_update(&update, &pair.private)),
+                update,
+            },
+        );
+        for (&position, ticket) in selected_positions.iter().zip(tickets) {
+            commission(state, rt, position, ticket);
         }
     }
 
@@ -906,7 +866,6 @@ fn step_flexible_inner(
     // The streaming fold: absorbed chunks count toward the quota even
     // though `rt.arrived` (now a chunk buffer, not the round's full set)
     // has been drained into the running sums.
-    let signed_mining = config.mode.mines() && state.keys.is_some();
     let mut fold = match config.aggregation {
         AggregationMode::Streaming { chunk } => {
             Some(StreamFold::new(chunk, state.global_params.len()))
@@ -954,43 +913,25 @@ fn step_flexible_inner(
         };
         let time = event.time_s;
         // A crash mid-pump wipes the victim miner's pending pool.
-        purge_crashed_mempool(rt, config, round, time);
+        purge_crashed_pending(rt, config, round, time);
         match event.payload {
-            EngineEvent::TrainingFinished { born_round, update } => {
-                let id = update.client_id();
+            EngineEvent::TrainingFinished(upload) => {
+                let (id, born_round) = (upload.client_id(), upload.born_round);
                 rt.record(time, round, born_round, id, EventKind::TrainingFinished);
-                send_upload(state, rt, config, round, time, born_round, time, update, 1);
+                send_upload(state, rt, config, round, time, upload);
             }
-            EngineEvent::RetryTimer {
-                born_round,
-                train_finished_s,
-                update,
-                attempt,
-            } => {
-                let id = update.client_id();
+            EngineEvent::RetryTimer(upload) => {
+                let (id, born_round) = (upload.client_id(), upload.born_round);
                 rt.record(time, round, born_round, id, EventKind::UploadRetried);
-                send_upload(
-                    state,
-                    rt,
-                    config,
-                    round,
-                    time,
-                    born_round,
-                    train_finished_s,
-                    update,
-                    attempt,
-                );
+                send_upload(state, rt, config, round, time, upload);
             }
             EngineEvent::UploadArrived {
-                born_round,
+                upload,
                 miner,
-                train_finished_s,
-                update,
-                attempt,
                 corrupt,
                 retry_pending,
             } => {
-                let id = update.client_id();
+                let (id, born_round) = (upload.client_id(), upload.born_round);
                 if !retry_pending {
                     rt.in_flight.remove(&id);
                 }
@@ -1002,16 +943,7 @@ fn step_flexible_inner(
                     if !retry_pending {
                         let earliest = rt.profiles.get(id).next_online_from(time);
                         if earliest.is_finite()
-                            && schedule_retry(
-                                rt,
-                                config,
-                                time,
-                                born_round,
-                                train_finished_s,
-                                update,
-                                attempt,
-                                earliest,
-                            )
+                            && schedule_retry(rt, config, time, upload, earliest)
                         {
                             rt.in_flight.insert(id);
                         }
@@ -1032,12 +964,7 @@ fn step_flexible_inner(
                         rt.record(time, round, born_round, id, EventKind::UploadRejected);
                     } else {
                         rt.record(time, round, born_round, id, EventKind::UploadStranded);
-                        rt.stranded.push(StrandedUpload {
-                            update,
-                            born_round,
-                            miner,
-                            train_finished_s,
-                        });
+                        rt.stranded.push(StrandedUpload { upload, miner });
                     }
                     continue;
                 }
@@ -1055,19 +982,9 @@ fn step_flexible_inner(
                 // far as the chunk buffer and the quota have room.
                 if let Some(fold) = fold.as_ref() {
                     let room = (fold.chunk - rt.arrived.len()).min(target - pending);
-                    resolve_run_ahead(state, rt, config, round, room, (born_round, &update), &due);
+                    resolve_run_ahead(state, rt, config, round, room, &upload, &due);
                 }
-                let kind = admit_upload(
-                    state,
-                    rt,
-                    config,
-                    round,
-                    born_round,
-                    miner,
-                    train_finished_s,
-                    update,
-                    corrupt,
-                );
+                let kind = admit_upload(state, rt, config, round, upload, miner, corrupt);
                 rt.record(time, round, born_round, id, kind);
                 match kind {
                     EventKind::UploadArrived | EventKind::StaleIncluded => {
@@ -1080,11 +997,11 @@ fn step_flexible_inner(
                     _ => {}
                 }
                 // Streaming: a full chunk is absorbed into the running
-                // sums immediately, keeping the buffer (and the mempool)
-                // bounded by the chunk size.
+                // sums immediately, keeping the pending pool bounded by
+                // the chunk size.
                 if let Some(fold) = fold.as_mut() {
                     if rt.arrived.len() >= fold.chunk {
-                        fold.flush(rt, config, round, round_start, signed_mining);
+                        fold.flush(rt, config, round, round_start);
                     }
                 }
             }
@@ -1126,49 +1043,28 @@ fn step_flexible_inner(
     // round's full gradient set and runs `compute_global_update` exactly
     // as the synchronous engine does; the streaming path absorbs the
     // final partial chunk and seals the fold's running sums.
-    let sealed = match fold {
+    let (mut sealed, max_own_finish) = match fold {
         Some(mut fold) => {
-            fold.flush(rt, config, round, round_start, signed_mining);
+            fold.flush(rt, config, round, round_start);
             fold.seal(round, config, reward_policy)
         }
         None => {
-            // Assemble the round's gradient set. When signature
-            // verification is on, mining modes drain the miner's mempool —
-            // the pool the signed uploads were admitted through — and the
-            // drained transactions must agree with the arrival metadata by
-            // construction. (The unsigned ablation has nothing to verify,
-            // so it bypasses the pool entirely.)
-            let arrived: Vec<(u64, ArrivedUpload)> =
-                std::mem::take(&mut rt.arrived).into_iter().collect();
-            if signed_mining {
-                let drained = rt.mempool.drain_all();
-                debug_assert_eq!(
-                    drained.len(),
-                    arrived.len(),
-                    "the mempool holds exactly the pending uploads"
-                );
-                debug_assert_eq!(
-                    drained
-                        .iter()
-                        .map(|tx| tx.submitter)
-                        .collect::<BTreeSet<u64>>(),
-                    arrived.iter().map(|(id, _)| *id).collect::<BTreeSet<u64>>(),
-                    "the mempool and the arrival metadata agree on the pending clients"
-                );
-            }
-            let stale_included = arrived.iter().filter(|(_, a)| a.born_round < round).count();
+            // The miner drains its pending pool: the round's gradient set,
+            // ordered by client id.
+            let arrived = std::mem::take(&mut rt.arrived);
+            let stale_included = arrived.values().filter(|a| a.born_round < round).count();
             let max_own_finish = arrived
-                .iter()
-                .filter(|(_, a)| a.born_round == round)
-                .map(|(_, a)| a.train_finished_s - round_start)
+                .values()
+                .filter(|a| a.born_round == round)
+                .map(|a| a.train_finished_s - round_start)
                 .fold(0.0f64, f64::max);
             // The round record averages the losses of the passes that
             // actually entered the block (never empty here), so a
             // stale-heavy round reports its real training loss instead of
             // a 0.0 sentinel.
             let train_loss =
-                arrived.iter().map(|(_, a)| a.final_epoch_loss).sum::<f64>() / arrived.len() as f64;
-            let merged: Vec<VerifiedUpload> = arrived.into_iter().map(|(_, a)| a.upload).collect();
+                arrived.values().map(|a| a.final_epoch_loss).sum::<f64>() / arrived.len() as f64;
+            let merged: Vec<VerifiedUpload> = arrived.into_values().map(|a| a.upload).collect();
             // Ground truth for the detection row: the forged uploads *in
             // this block* — a stale attacker is attributed to the round
             // whose block (and Algorithm 2 pass) it actually entered,
@@ -1178,33 +1074,21 @@ fn step_flexible_inner(
                 .filter(|u| u.forged)
                 .map(|u| u.client_id)
                 .collect();
-            let mut global = global_update::compute_global_update(
+            let global = global_update::compute_global_update(
                 &merged,
-                &GlobalUpdatePolicy {
-                    clustering: &config.clustering,
-                    metric: config.metric,
-                    strategy: config.strategy,
-                    fair_aggregation: config.fair_aggregation,
-                    anchor: config.anchor,
-                    round,
-                    reward: reward_policy,
-                },
+                &GlobalUpdatePolicy::for_round(config, round, reward_policy),
             );
-            SealedRound {
-                participants: merged.len(),
+            let sealed = SealedRound::from_global_update(
+                global,
+                merged.len(),
                 stale_included,
-                max_own_finish,
                 train_loss,
                 block_attackers,
-                global_params: std::mem::take(&mut global.global_params),
-                rewards: global.report.rewards,
-                dropped: global.dropped,
-                high_contributors: global.report.high_contribution.len(),
-            }
+            );
+            (sealed, max_own_finish)
         }
     };
-    state.global_params = sealed.global_params;
-    state.global_model.set_params(&state.global_params);
+    state.adopt(&mut sealed);
 
     // The round's delay breakdown, read off the event clock: the wait for
     // the quota decomposes into the slowest counted own-round local pass
@@ -1212,7 +1096,7 @@ fn step_flexible_inner(
     // aggregation and mining costs come from the delay model as in the
     // synchronous engine.
     let wait = (quota_time - round_start).max(0.0);
-    let t_local = sealed.max_own_finish.clamp(0.0, wait);
+    let t_local = max_own_finish.clamp(0.0, wait);
     let full = config.mode == FlexibilityMode::FullBfl;
     let t_ex = if full {
         config
@@ -1266,7 +1150,7 @@ fn step_flexible_inner(
                     // the stranded uploads — and seals its own block.
                     let refs: Vec<&[f64]> = fresh
                         .iter()
-                        .map(|s| match &s.update {
+                        .map(|s| match &s.upload.ticket {
                             UploadTicket::Ready { update, .. } => update.params.as_slice(),
                             UploadTicket::Deferred(_) => {
                                 unreachable!("streaming aggregation rejects partition plans")
@@ -1310,77 +1194,14 @@ fn step_flexible_inner(
         t_fork,
     };
 
-    let test_accuracy = accuracy(
-        &state.global_model,
-        &state.test.features,
-        &state.test.labels,
-        None,
-    );
-    let rewards_paid = sealed.rewards.iter().map(|r| r.amount_milli).sum();
-    let detection_row = DetectionRow::new(round, &sealed.block_attackers, &sealed.dropped);
-    let outcome = RoundOutcome {
-        round,
-        breakdown,
-        accuracy: test_accuracy,
-        train_loss: sealed.train_loss,
-        participants: sealed.participants,
-        stale_included: sealed.stale_included,
-        attackers: sealed.block_attackers,
-        dropped: sealed.dropped,
-        high_contributors: sealed.high_contributors,
-        rewards_paid_milli: rewards_paid,
-        rewards: sealed.rewards,
-        block_hash,
-        kpi: KpiRow {
-            makespan_s: breakdown.total(),
-            mempool_depth_at_seal,
-            stale_included: sealed.stale_included,
-            stale_discarded: rt.kpi_stale_discarded,
-            dropped_uploads: rt.kpi_dropped,
-            retried_uploads: rt.kpi_retried,
-        },
+    let kpi = KpiRow {
+        mempool_depth_at_seal,
+        stale_discarded: rt.kpi_stale_discarded,
+        dropped_uploads: rt.kpi_dropped,
+        retried_uploads: rt.kpi_retried,
+        ..KpiRow::default()
     };
-    Ok((outcome, state.clock.now_seconds(), Some(detection_row)))
-}
-
-/// Procedure-I selection over an implicit population: rejection-samples
-/// this round's participants directly against the event-engine
-/// eligibility predicate (not cooling down, not busy, online at `now`),
-/// so no pool vector proportional to the population is ever built.
-fn sample_flexible_pool(
-    state: &mut LearningState<'_>,
-    rt: &AsyncRuntime,
-    config: &BflConfig,
-    now: f64,
-) -> Vec<usize> {
-    let population = state.pool.population();
-    let LearningState { cooldown, rng, .. } = state;
-    sample_population(
-        population,
-        config.fl.selected_per_round(),
-        |i| {
-            let id = i as u64;
-            !cooldown.contains_key(&id)
-                && !rt.in_flight.contains(&id)
-                && !rt.arrived.contains_key(&id)
-                && rt.profiles.get(id).is_online(now)
-        },
-        rng,
-    )
-}
-
-/// What Procedures III–V consume, produced either by the materialized
-/// round-end assembly or by sealing a [`StreamFold`].
-struct SealedRound {
-    participants: usize,
-    stale_included: usize,
-    max_own_finish: f64,
-    train_loss: f64,
-    block_attackers: Vec<u64>,
-    global_params: Vec<f64>,
-    rewards: Vec<RewardEntry>,
-    dropped: Vec<u64>,
-    high_contributors: usize,
+    Ok(state.finish_round(round, sealed, breakdown, block_hash, kpi))
 }
 
 /// The streaming Procedure-IV fold: uploads are absorbed chunk by chunk
@@ -1436,38 +1257,22 @@ impl StreamFold {
         }
     }
 
-    /// Drains the arrival buffer (and, in signed mining modes, the
-    /// mempool) and absorbs the chunk into the running sums.
-    fn flush(
-        &mut self,
-        rt: &mut AsyncRuntime,
-        config: &BflConfig,
-        round: usize,
-        round_start: f64,
-        signed_mining: bool,
-    ) {
+    /// Drains the pending pool and absorbs the chunk into the running
+    /// sums.
+    fn flush(&mut self, rt: &mut AsyncRuntime, config: &BflConfig, round: usize, round_start: f64) {
         if rt.arrived.is_empty() {
             return;
         }
-        let chunk: Vec<(u64, ArrivedUpload)> =
-            std::mem::take(&mut rt.arrived).into_iter().collect();
-        if signed_mining {
-            let drained = rt.mempool.drain_all();
-            debug_assert_eq!(
-                drained.len(),
-                chunk.len(),
-                "the mempool holds exactly the pending chunk"
-            );
-        }
+        let chunk = std::mem::take(&mut rt.arrived);
         self.admitted += chunk.len();
-        self.stale_included += chunk.iter().filter(|(_, a)| a.born_round < round).count();
+        self.stale_included += chunk.values().filter(|a| a.born_round < round).count();
         self.max_own_finish = chunk
-            .iter()
-            .filter(|(_, a)| a.born_round == round)
-            .map(|(_, a)| a.train_finished_s - round_start)
+            .values()
+            .filter(|a| a.born_round == round)
+            .map(|a| a.train_finished_s - round_start)
             .fold(self.max_own_finish, f64::max);
-        self.loss_sum += chunk.iter().map(|(_, a)| a.final_epoch_loss).sum::<f64>();
-        let uploads: Vec<VerifiedUpload> = chunk.into_iter().map(|(_, a)| a.upload).collect();
+        self.loss_sum += chunk.values().map(|a| a.final_epoch_loss).sum::<f64>();
+        let uploads: Vec<VerifiedUpload> = chunk.into_values().map(|a| a.upload).collect();
         self.forged
             .extend(uploads.iter().filter(|u| u.forged).map(|u| u.client_id));
 
@@ -1506,12 +1311,14 @@ impl StreamFold {
     /// Settles the round: normalizes the running sums into the global
     /// parameters and pays rewards exactly once over the concatenated
     /// θ scores (sorted by client id, the materialized path's order).
+    /// Returns the hand-off with, beside it, the slowest counted own-round
+    /// local pass (the event clock's `T_local`).
     fn seal(
         self,
         round: usize,
         config: &BflConfig,
         reward_policy: &dyn RewardPolicy,
-    ) -> SealedRound {
+    ) -> (SealedRound, f64) {
         debug_assert!(self.admitted > 0, "sealing an empty fold");
         let global_params: Vec<f64> = if config.fair_aggregation {
             self.weighted_sum
@@ -1535,17 +1342,17 @@ impl StreamFold {
         dropped.sort_unstable();
         let mut block_attackers = self.forged;
         block_attackers.sort_unstable();
-        SealedRound {
+        let sealed = SealedRound {
             participants: self.admitted,
             stale_included: self.stale_included,
-            max_own_finish: self.max_own_finish,
             train_loss: self.loss_sum / self.admitted as f64,
-            block_attackers,
+            attackers: block_attackers,
             global_params,
             rewards,
             dropped,
             high_contributors: scores.len(),
-        }
+        };
+        (sealed, self.max_own_finish)
     }
 }
 
@@ -1555,19 +1362,15 @@ impl StreamFold {
 /// stream. A fault-free send performs exactly the draws of the PR 5
 /// engine (one association, one latency sample) and schedules exactly
 /// one arrival.
-#[allow(clippy::too_many_arguments)]
 fn send_upload(
     state: &mut LearningState<'_>,
     rt: &mut AsyncRuntime,
     config: &BflConfig,
     round: usize,
     time: f64,
-    born_round: usize,
-    train_finished_s: f64,
-    update: UploadTicket,
-    attempt: u32,
+    upload: InFlightUpload,
 ) {
-    let id = update.client_id();
+    let (id, born_round) = (upload.client_id(), upload.born_round);
     let miner = state.topology.associate_one(&mut state.rng);
     let transfer = config.delay.gradient_bytes as f64 / config.delay.uplink.bandwidth_bytes_per_s;
     let latency = rt.profiles.get(id).uplink.sample(&mut state.rng);
@@ -1583,7 +1386,12 @@ fn send_upload(
         }
         if !dropped && faults.corrupt_rate > 0.0 && rt.fault_rng.gen::<f64>() < faults.corrupt_rate
         {
-            corrupt = Some((rt.fault_rng.gen::<u64>(), rt.fault_rng.gen_range(1..=255u8)));
+            let index_seed = rt.fault_rng.gen::<u64>();
+            let mask = rt.fault_rng.gen_range(1..=255u8);
+            corrupt = Some((
+                index_seed,
+                NonZeroU8::new(mask).expect("drawn from 1..=255"),
+            ));
         }
         if !dropped && faults.duplicate_rate > 0.0 {
             duplicated = rt.fault_rng.gen::<f64>() < faults.duplicate_rate;
@@ -1597,16 +1405,7 @@ fn send_upload(
 
     if dropped || swallowed {
         rt.record(time, round, born_round, id, EventKind::UploadDropped);
-        if !schedule_retry(
-            rt,
-            config,
-            time,
-            born_round,
-            train_finished_s,
-            update,
-            attempt,
-            time,
-        ) {
+        if !schedule_retry(rt, config, time, upload, time) {
             rt.in_flight.remove(&id);
         }
         return;
@@ -1616,17 +1415,7 @@ fn send_upload(
     // client's retransmission timer (when the policy grants one) is
     // armed at send time — the timeout models the missing receipt.
     let certain_reject = corrupt.is_some() && state.keys.is_some();
-    let retry_pending = certain_reject
-        && schedule_retry(
-            rt,
-            config,
-            time,
-            born_round,
-            train_finished_s,
-            update.clone(),
-            attempt,
-            time,
-        );
+    let retry_pending = certain_reject && schedule_retry(rt, config, time, upload.clone(), time);
 
     if duplicated {
         // The duplicate is an independent network copy arriving one
@@ -1635,11 +1424,8 @@ fn send_upload(
         rt.queue.push(
             arrival + transfer + config.delay.upload_processing_s,
             EngineEvent::UploadArrived {
-                born_round,
+                upload: upload.clone(),
                 miner,
-                train_finished_s,
-                update: update.clone(),
-                attempt,
                 corrupt: None,
                 retry_pending,
             },
@@ -1648,46 +1434,37 @@ fn send_upload(
     rt.queue.push(
         arrival,
         EngineEvent::UploadArrived {
-            born_round,
+            upload,
             miner,
-            train_finished_s,
-            update,
-            attempt,
             corrupt,
             retry_pending,
         },
     );
 }
 
-/// Arms the client-side retransmission timer for a failed send attempt.
-/// Returns `false` when the retry policy grants no further attempt. The
-/// resend fires no earlier than `earliest` (a churned client waits for
-/// its next online window).
-#[allow(clippy::too_many_arguments)]
+/// Arms the client-side retransmission timer for `upload`'s failed send
+/// attempt. Returns `false` when the retry policy grants no further
+/// attempt. The resend fires no earlier than `earliest` (a churned client
+/// waits for its next online window).
 fn schedule_retry(
     rt: &mut AsyncRuntime,
     config: &BflConfig,
     now: f64,
-    born_round: usize,
-    train_finished_s: f64,
-    update: UploadTicket,
-    attempt: u32,
+    upload: InFlightUpload,
     earliest: f64,
 ) -> bool {
     let jitter01 = match config.retry {
         RetryPolicy::Backoff { jitter_s, .. } if jitter_s > 0.0 => rt.fault_rng.gen::<f64>(),
         _ => 0.0,
     };
-    match config.retry.backoff_delay(attempt, jitter01) {
+    match config.retry.backoff_delay(upload.attempt, jitter01) {
         Some(delay) => {
             rt.queue.push(
                 (now + delay).max(earliest),
-                EngineEvent::RetryTimer {
-                    born_round,
-                    train_finished_s,
-                    update,
-                    attempt: attempt + 1,
-                },
+                EngineEvent::RetryTimer(InFlightUpload {
+                    attempt: upload.attempt + 1,
+                    ..upload
+                }),
             );
             true
         }
@@ -1699,9 +1476,16 @@ fn schedule_retry(
 /// Procedure-II. In order: the staleness verdict when it cannot depend on
 /// the payload, opening the ticket, the finite-gradient check, the
 /// staleness policy for carried uploads, serialisation, in-transit
-/// corruption, signature verification against the registered key
-/// (Figure 2), and admission to the chain's mempool in mining modes.
+/// corruption, and signature verification against the registered key
+/// (Figure 2). An upload that passes them all is *admitted*: it joins the
+/// miners' pending pool, `rt.arrived`, as a decoded [`VerifiedUpload`]
+/// (the decayed vector for a carried stale upload) and counts toward the
+/// quota. The serialized bytes exist only for the signature check.
 /// Returns the trace kind of the resolution.
+///
+/// The caller has already squashed redundant deliveries: the pool holds
+/// at most one upload per client, and both the pump and the salvage check
+/// `rt.arrived` (the pump also the delivery ledger) before admitting.
 ///
 /// A `Ready` ticket arrives with the signature its client made at
 /// commission; nothing here touches a private key for it, so a corrupted
@@ -1716,18 +1500,21 @@ fn schedule_retry(
 /// ticket is opened — no deferred local pass, no serialisation — and is
 /// `StaleDiscarded` whatever its payload held. Fresh uploads and
 /// `DecayedInclude` keep the finite check first.
-#[allow(clippy::too_many_arguments)]
 fn admit_upload(
     state: &mut LearningState<'_>,
     rt: &mut AsyncRuntime,
     config: &BflConfig,
     round: usize,
-    born_round: usize,
+    upload: InFlightUpload,
     miner: usize,
-    train_finished_s: f64,
-    ticket: UploadTicket,
-    corrupt: Option<(u64, u8)>,
+    corrupt: Option<Corruption>,
 ) -> EventKind {
+    let InFlightUpload {
+        ticket,
+        born_round,
+        train_finished_s,
+        ..
+    } = upload;
     let age = round - born_round;
     if dropped_unopened(config, round, born_round) {
         return EventKind::StaleDiscarded;
@@ -1769,44 +1556,38 @@ fn admit_upload(
     };
 
     // Miner-side verification of what the client sent and signed — the
-    // original upload, serialized once (the buffer doubles as a fresh
-    // upload's transaction payload below). The unsigned ablation has
-    // nothing to verify. Looking the identity up also re-registers a
-    // lazily provisioned key the LRU has evicted since the commission, so
-    // stale and retried uploads stay verifiable after any amount of
-    // eviction.
-    let sent_bytes = match state.keys.as_mut() {
-        None => None,
-        Some(chain) => {
-            let Some(pair) = chain.signing_pair(id) else {
-                return EventKind::UploadRejected;
-            };
-            let mut sent_bytes = gradient::to_bytes(&update.params);
-            let signature = match sent_signature {
-                Some(signature) => signature,
-                None if deferred => sign_detached(id, &sent_bytes, &pair.private),
-                // Commissioned without an identity: nothing vouches for it.
-                None => return EventKind::UploadRejected,
-            };
-            // The corrupt fault flips one byte of the payload in transit;
-            // the signature check is the detector. (The unsigned ablation
-            // has no detector.)
-            if let Some((seed, flip)) = corrupt {
-                if !sent_bytes.is_empty() {
-                    let index = seed as usize % sent_bytes.len();
-                    sent_bytes[index] ^= flip;
-                }
+    // original upload, serialized once. The unsigned ablation has nothing
+    // to verify. Looking the identity up also re-registers a lazily
+    // provisioned key the LRU has evicted since the commission, so stale
+    // and retried uploads stay verifiable after any amount of eviction.
+    if let Some(chain) = state.keys.as_mut() {
+        let Some(pair) = chain.signing_pair(id) else {
+            return EventKind::UploadRejected;
+        };
+        let mut sent_bytes = gradient::to_bytes(&update.params);
+        let signature = match sent_signature {
+            Some(signature) => signature,
+            None if deferred => sign_detached(id, &sent_bytes, &pair.private),
+            // Commissioned without an identity: nothing vouches for it.
+            None => return EventKind::UploadRejected,
+        };
+        // The corrupt fault flips one byte of the payload in transit; the
+        // signature check is the detector. (The unsigned ablation has no
+        // detector.)
+        if let Some((seed, flip)) = corrupt {
+            if !sent_bytes.is_empty() {
+                let index = seed as usize % sent_bytes.len();
+                sent_bytes[index] ^= flip.get();
             }
-            if chain
-                .store()
-                .verify_detached(id, &sent_bytes, &signature, &mut rt.verifier)
-                .is_err()
-            {
-                return EventKind::UploadRejected;
-            }
-            Some(sent_bytes)
         }
-    };
+        if chain
+            .store()
+            .verify_detached(id, &sent_bytes, &signature, &mut rt.verifier)
+            .is_err()
+        {
+            return EventKind::UploadRejected;
+        }
+    }
 
     // What the block may aggregate: the decayed vector for carried stale
     // uploads, the sent vector (moved, not cloned) for fresh ones.
@@ -1814,21 +1595,6 @@ fn admit_upload(
         Some(decayed) => (decayed, EventKind::StaleIncluded),
         None => (update.params, EventKind::UploadArrived),
     };
-
-    // Mining modes admit the verified upload to the miner's mempool (the
-    // unsigned ablation bypasses the pool entirely): a carried stale
-    // upload as its decayed vector, a fresh one as the bytes just checked.
-    if let (true, Some(sent_bytes)) = (config.mode.mines(), sent_bytes) {
-        let tx_bytes = match kind {
-            EventKind::StaleIncluded => gradient::to_bytes(&params),
-            _ => sent_bytes,
-        };
-        let tx = Transaction::local_gradient(id, born_round as u64, tx_bytes);
-        if !rt.mempool.submit_verified(tx) {
-            return EventKind::DuplicateIgnored;
-        }
-    }
-
     let previous = rt.arrived.insert(
         id,
         ArrivedUpload {
@@ -1926,10 +1692,10 @@ fn resolve_run_ahead(
     config: &BflConfig,
     round: usize,
     room: usize,
-    head: (usize, &UploadTicket),
+    head: &InFlightUpload,
     due: &VecDeque<ScheduledEvent<EngineEvent>>,
 ) {
-    let (head_born, UploadTicket::Deferred(first)) = head else {
+    let (head_born, UploadTicket::Deferred(first)) = (head.born_round, &head.ticket) else {
         return;
     };
     if dropped_unopened(config, round, head_born)
@@ -1946,8 +1712,12 @@ fn resolve_run_ahead(
     // Extends the run by one event; `false` once the run is over.
     let mut extend = |event: &EngineEvent| {
         let EngineEvent::UploadArrived {
-            born_round,
-            update: UploadTicket::Deferred(commission),
+            upload:
+                InFlightUpload {
+                    ticket: UploadTicket::Deferred(commission),
+                    born_round,
+                    ..
+                },
             ..
         } = event
         else {
@@ -1981,7 +1751,7 @@ fn resolve_run_ahead(
 
     let clients: Vec<Client> = run
         .iter()
-        .map(|(_, commission)| state.pool.client_cloned(commission.client_id as usize))
+        .map(|(_, commission)| state.pool.client(commission.client_id as usize).clone())
         .collect();
     let (train, local) = (state.train, &state.local_config);
     let work: usize = clients
@@ -2020,6 +1790,7 @@ fn resolve_run_ahead(
 mod tests {
     use super::*;
     use crate::config::SyncMode;
+    use crate::engine::KeyChain;
     use crate::policy::StalenessPolicy;
     use bfl_crypto::RsaKeyPair;
     use bfl_data::{Dataset, SynthMnist, SynthMnistConfig};
@@ -2050,27 +1821,21 @@ mod tests {
         config
     }
 
-    /// Procedure-I plus the client half of Procedure-II for `positions`,
-    /// exactly as `step_flexible_inner` commissions them.
+    /// Round 1's Procedure-I plus the client half of Procedure-II for
+    /// `positions`, through the fan-out `step_flexible_inner` commissions
+    /// them with.
     fn commission(
-        state: &LearningState<'_>,
+        state: &mut LearningState<'_>,
         config: &BflConfig,
         positions: &[usize],
     ) -> Vec<UploadTicket> {
-        local_update::run_local_updates_signed(
-            state.pool.materialized_slice(),
-            positions,
-            &vec![None; positions.len()],
-            config.fl.model,
-            &state.global_params,
-            state.train,
-            &state.local_config,
-            config.fl.seed,
-            state.keys.as_ref().map(KeyChain::pairs),
-        )
-        .into_iter()
-        .map(|(update, signature)| UploadTicket::Ready { update, signature })
-        .collect()
+        let attacks = vec![None; positions.len()];
+        state.train_selection(config, 1, positions, &attacks, |update, pair| {
+            UploadTicket::Ready {
+                signature: pair.map(|pair| sign_update(&update, &pair.private)),
+                update,
+            }
+        })
     }
 
     /// Replaces `id`'s private half with an unrelated key while the miners
@@ -2092,11 +1857,15 @@ mod tests {
         round: usize,
         born_round: usize,
         ticket: UploadTicket,
-        corrupt: Option<(u64, u8)>,
+        corrupt: Option<Corruption>,
     ) -> EventKind {
-        admit_upload(
-            state, rt, config, round, born_round, 0, 0.25, ticket, corrupt,
-        )
+        let upload = InFlightUpload {
+            ticket,
+            born_round,
+            train_finished_s: 0.25,
+            attempt: 1,
+        };
+        admit_upload(state, rt, config, round, upload, 0, corrupt)
     }
 
     #[test]
@@ -2108,7 +1877,7 @@ mod tests {
 
         // One private-key operation per commission: every ticket leaves
         // the fan-out signed.
-        let mut tickets = commission(&state, &config, &[0, 1, 2]);
+        let mut tickets = commission(&mut state, &config, &[0, 1, 2]);
         assert!(tickets
             .iter()
             .all(|t| matches!(t, UploadTicket::Ready { signature: Some(s), .. } if !s.is_empty())));
@@ -2124,26 +1893,22 @@ mod tests {
             1,
             1,
             fresh.clone(),
-            Some((12345, 0x20)),
+            Some((12345, NonZeroU8::new(0x20).unwrap())),
         );
         assert_eq!(corrupted, EventKind::UploadRejected);
-        assert!(rt.arrived.is_empty() && rt.mempool.is_empty());
+        assert!(rt.arrived.is_empty());
         // ... and its retransmission passes it, with the signature the
         // client made when it first sent the upload.
-        let retried = admit(&mut state, &mut rt, &config, 1, 1, fresh.clone(), None);
+        let retried = admit(&mut state, &mut rt, &config, 1, 1, fresh, None);
         assert_eq!(retried, EventKind::UploadArrived);
-        assert!(rt.arrived.contains_key(&1));
-        assert_eq!(rt.mempool.len(), 1);
-        // A copy racing it is squashed by the pool's `(round, client)` key.
-        rt.arrived.remove(&1);
-        let raced = admit(&mut state, &mut rt, &config, 1, 1, fresh, None);
-        assert_eq!(raced, EventKind::DuplicateIgnored);
+        assert_eq!(rt.arrived.keys().copied().collect::<Vec<u64>>(), [1]);
 
         // A carried stale upload verifies the same way: what was signed
         // is what was sent, whatever the block aggregates.
         let carried = admit(&mut state, &mut rt, &config, 2, 1, stale, None);
         assert_eq!(carried, EventKind::StaleIncluded);
-        assert_eq!(rt.mempool.len(), 2);
+        assert_eq!(rt.arrived.keys().copied().collect::<Vec<u64>>(), [1, 2]);
+        assert_eq!(rt.arrived[&2].born_round, 1);
     }
 
     #[test]
@@ -2159,7 +1924,7 @@ mod tests {
             panic!("eager chain");
         };
         pairs.remove(&3);
-        let mut tickets = commission(&state, &config, &[3, 4]);
+        let mut tickets = commission(&mut state, &config, &[3, 4]);
         let known = tickets.pop().unwrap();
         let nobody = tickets.pop().unwrap();
         assert!(matches!(
@@ -2188,7 +1953,7 @@ mod tests {
             admit(&mut state, &mut rt, &config, 1, 1, bare, None),
             EventKind::UploadRejected
         );
-        assert!(rt.arrived.is_empty() && rt.mempool.is_empty());
+        assert!(rt.arrived.is_empty());
     }
 
     #[test]
@@ -2199,13 +1964,16 @@ mod tests {
         let mut state = LearningState::new(&config, &train, &test).unwrap();
         let mut rt = state.async_rt.take().unwrap();
 
-        let ticket = commission(&state, &config, &[5]).pop().unwrap();
+        let ticket = commission(&mut state, &config, &[5]).pop().unwrap();
         swap_private_key(&mut state, 5);
         rt.stranded.push(StrandedUpload {
-            update: ticket,
-            born_round: 1,
+            upload: InFlightUpload {
+                ticket,
+                born_round: 1,
+                train_finished_s: 0.5,
+                attempt: 1,
+            },
             miner: 1,
-            train_finished_s: 0.5,
         });
         salvage_stranded(&mut state, &mut rt, &config, 2);
         let last = rt.trace.last().expect("the salvage is traced");
@@ -2277,12 +2045,15 @@ mod tests {
             born_seed: 7,
             snapshot: Arc::clone(snapshot),
         };
-        let arrival = |born_round: usize, commission: Commission| EngineEvent::UploadArrived {
+        let in_flight = |born_round: usize, commission: Commission| InFlightUpload {
+            ticket: UploadTicket::Deferred(commission),
             born_round,
-            miner: 0,
             train_finished_s: 0.5,
-            update: UploadTicket::Deferred(commission),
             attempt: 1,
+        };
+        let arrival = |born_round: usize, commission: Commission| EngineEvent::UploadArrived {
+            upload: in_flight(born_round, commission),
+            miner: 0,
             corrupt: None,
             retry_pending: false,
         };
@@ -2301,10 +2072,7 @@ mod tests {
         rt.queue.push(1.5, arrival(2, commission(7, &snapshot)));
         rt.queue.push(
             2.0,
-            EngineEvent::TrainingFinished {
-                born_round: 2,
-                update: UploadTicket::Deferred(commission(8, &snapshot)),
-            },
+            EngineEvent::TrainingFinished(in_flight(2, commission(8, &snapshot))),
         );
         rt.queue.push(2.5, arrival(2, commission(9, &snapshot)));
 
@@ -2315,7 +2083,7 @@ mod tests {
         let mut due: VecDeque<_> = batch.into();
         let head = due.pop_front().unwrap();
         let EngineEvent::UploadArrived {
-            update: head_ticket,
+            upload: head_upload,
             ..
         } = &head.payload
         else {
@@ -2323,7 +2091,7 @@ mod tests {
         };
         let parked_ids = |rt: &AsyncRuntime| rt.parked.keys().map(|k| k.0).collect::<Vec<u64>>();
         let walk = |rt: &mut AsyncRuntime, state: &mut LearningState<'_>, room: usize| {
-            resolve_run_ahead(state, rt, &config, 2, room, (2, head_ticket), &due);
+            resolve_run_ahead(state, rt, &config, 2, room, head_upload, &due);
             assert!(rt.drain_buf.is_empty(), "everything popped went back");
         };
 

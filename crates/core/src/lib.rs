@@ -68,7 +68,7 @@ pub use config::{
     AggregationMode, AttackConfig, BflConfig, ProfileConfig, ProvisioningMode, SyncMode,
 };
 pub use contribution::{identify_contributions, ContributionReport};
-pub use delay_model::{DelayBreakdown, DelayModel, SystemKind};
+pub use delay_model::{DelayBreakdown, DelayModel};
 pub use detection::{DetectionRow, DetectionTable};
 pub use engine::SimulationRun;
 pub use error::CoreError;

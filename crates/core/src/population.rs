@@ -8,14 +8,22 @@
 //! cache, so memory scales with the participants a round actually touches
 //! rather than the configured population.
 //!
-//! [`sample_population`] is Procedure I over an implicit population: it
-//! draws a sorted set of distinct eligible indices by rejection sampling
-//! instead of shuffling a population-sized vector.
+//!
+//! The round engines ask the pool two questions and never which backend
+//! answers them. [`ClientPool::select`] is Procedure I's selection: up to
+//! `count` distinct eligible indices, sorted — the shuffle-truncate draw
+//! over the eligible indices when materialized, [`sample_population`]'s
+//! rejection sampling (no population-sized vector) when implicit.
+//! [`ClientPool::working_set`] lends the clients a selection trains: the
+//! population slice itself when materialized, exactly the selected clients
+//! — derived, O(participants) — when implicit.
 
 use bfl_fl::implicit::implicit_client;
+use bfl_fl::selection::select_clients;
 use bfl_fl::Client;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Parameters an implicit population derives clients from.
@@ -123,18 +131,56 @@ impl ClientPool {
         }
     }
 
-    /// True for the implicit backend.
-    pub(crate) fn is_implicit(&self) -> bool {
-        matches!(self, ClientPool::Implicit(_))
+    /// Procedure I's selection: up to `count` (clamped to at least one)
+    /// distinct indices `eligible` admits, sorted ascending. Empty only
+    /// when (effectively, for the implicit backend) nobody is eligible;
+    /// what to do then is the calling engine's own fallback.
+    ///
+    /// The materialized backend keeps the PR 4 draw — shuffle-truncate
+    /// over the eligible indices, and *no* draw when there are none; the
+    /// implicit backend rejection-samples ([`sample_population`]). Both
+    /// are part of the bit-identity contract.
+    pub(crate) fn select(
+        &self,
+        count: usize,
+        mut eligible: impl FnMut(usize) -> bool,
+        rng: &mut StdRng,
+    ) -> Vec<usize> {
+        match self {
+            ClientPool::Materialized(clients) => {
+                let pool: Vec<usize> = (0..clients.len()).filter(|&i| eligible(i)).collect();
+                if pool.is_empty() {
+                    return pool;
+                }
+                select_clients(pool.len(), count, rng)
+                    .into_iter()
+                    .map(|i| pool[i])
+                    .collect()
+            }
+            ClientPool::Implicit(pool) => {
+                sample_population(pool.spec.population, count, eligible, rng)
+            }
+        }
     }
 
-    /// The eager population slice; panics on the implicit backend (callers
-    /// branch on [`is_implicit`](Self::is_implicit) first).
-    pub(crate) fn materialized_slice(&self) -> &[Client] {
+    /// Lends the round's working set for the selection `positions`: a
+    /// client slice and, aligned with `positions`, each selected client's
+    /// index into it. Materialized: the population slice and `positions`
+    /// themselves, nothing copied. Implicit: exactly the selected clients,
+    /// derived (or taken from the cache) in selection order, under the
+    /// identity indices `0..positions.len()` — so the fan-out that borrows
+    /// it never holds the cache.
+    pub(crate) fn working_set<'a>(
+        &'a mut self,
+        positions: &'a [usize],
+    ) -> (Cow<'a, [Client]>, Cow<'a, [usize]>) {
         match self {
-            ClientPool::Materialized(clients) => clients,
-            ClientPool::Implicit(_) => {
-                unreachable!("materialized_slice on an implicit population")
+            ClientPool::Materialized(clients) => (Cow::Borrowed(clients), Cow::Borrowed(positions)),
+            ClientPool::Implicit(pool) => {
+                let clients: Vec<Client> =
+                    positions.iter().map(|&p| pool.client(p).clone()).collect();
+                let identity: Vec<usize> = (0..clients.len()).collect();
+                (Cow::Owned(clients), Cow::Owned(identity))
             }
         }
     }
@@ -156,12 +202,6 @@ impl ClientPool {
         }
     }
 
-    /// Clones client `index` out of the pool (used to assemble a round's
-    /// working set without holding a borrow across the training fan-out).
-    pub(crate) fn client_cloned(&mut self, index: usize) -> Client {
-        self.client(index).clone()
-    }
-
     /// Number of currently materialized clients (population size for the
     /// eager backend, cache occupancy for the implicit one).
     #[cfg(test)]
@@ -181,9 +221,8 @@ impl ClientPool {
 /// least one, sorted output) but never instantiates the population. If the
 /// eligible set is smaller than `count` the sampler returns what it found
 /// after a bounded number of attempts; an empty result means effectively
-/// nobody was eligible, and the caller falls back exactly like the eager
-/// engine's empty-pool branch (re-sample ignoring eligibility).
-pub(crate) fn sample_population(
+/// nobody was eligible. The implicit half of [`ClientPool::select`].
+fn sample_population(
     population: usize,
     count: usize,
     mut eligible: impl FnMut(usize) -> bool,
@@ -211,6 +250,7 @@ pub(crate) fn sample_population(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn spec(population: usize, budget: usize) -> ImplicitSpec {
@@ -226,14 +266,14 @@ mod tests {
     #[test]
     fn implicit_pool_caches_under_budget_and_rederives_identically() {
         let mut pool = ClientPool::implicit(spec(1_000_000, 3));
-        let first = pool.client_cloned(999_999);
+        let first = pool.client(999_999).clone();
         assert_eq!(first.id, 999_999);
         // Touch enough other clients to evict it.
         for i in 0..5 {
             pool.client(i);
         }
         assert_eq!(pool.resident(), 3, "budget bounds residency");
-        let again = pool.client_cloned(999_999);
+        let again = pool.client(999_999).clone();
         assert_eq!(first, again, "rederivation after eviction is identity");
     }
 
@@ -277,6 +317,87 @@ mod tests {
         for (i, expected) in eager.iter().enumerate() {
             assert_eq!(lazy.client(i), expected, "client {i}");
         }
+    }
+
+    fn materialized(population: usize) -> ClientPool {
+        ClientPool::materialized(
+            (0..population)
+                .map(|i| Client::honest(i as u64, vec![i]))
+                .collect(),
+        )
+    }
+
+    proptest! {
+        /// `select` is the expression the engines used to spell out per
+        /// backend — same picks, and the rng left in the same state: the
+        /// shuffle-truncate over the filtered indices when materialized,
+        /// the rejection sampler when implicit.
+        #[test]
+        fn select_draws_exactly_what_it_replaces(
+            population in 1usize..48,
+            count in 0usize..56,
+            mask in proptest::collection::vec(any::<bool>(), 48..49),
+            nobody in 0u8..4,
+            seed in any::<u64>(),
+        ) {
+            let eligible = |i: usize| nobody != 0 && mask[i];
+            let filtered: Vec<usize> = (0..population).filter(|&i| eligible(i)).collect();
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = rng.clone();
+            let picked = materialized(population).select(count, eligible, &mut rng);
+            // Nobody eligible: nothing picked and — `oracle_rng` is still
+            // untouched when the draws are compared below — nothing drawn.
+            let expected: Vec<usize> = if filtered.is_empty() {
+                Vec::new()
+            } else {
+                select_clients(filtered.len(), count, &mut oracle_rng)
+                    .into_iter()
+                    .map(|i| filtered[i])
+                    .collect()
+            };
+            prop_assert_eq!(picked, expected);
+            prop_assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = rng.clone();
+            let picked = ClientPool::implicit(spec(population, 4)).select(count, eligible, &mut rng);
+            let expected = sample_population(population, count, eligible, &mut oracle_rng);
+            prop_assert!(picked.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(picked.iter().all(|&i| eligible(i)));
+            prop_assert_eq!(picked, expected);
+            prop_assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn the_working_set_lends_the_population_or_derives_exactly_the_selection() {
+        // Materialized: the population slice itself, positions unchanged.
+        let mut pool = materialized(9);
+        let ClientPool::Materialized(all) = &pool else {
+            unreachable!()
+        };
+        let population: *const [Client] = all.as_slice();
+        let positions = [1usize, 4, 7];
+        let (clients, indices) = pool.working_set(&positions);
+        assert!(std::ptr::eq(&*clients, population), "lent, not copied");
+        assert!(std::ptr::eq(&*indices, &positions[..]));
+
+        // Implicit: one derived client per position, in selection order,
+        // under identity indices — whatever the cache budget evicts on
+        // the way.
+        let spec = spec(1_000_000, 2);
+        let mut pool = ClientPool::implicit(spec);
+        let positions = [3usize, 999_999, 17, 250_000, 4];
+        let (clients, indices) = pool.working_set(&positions);
+        assert_eq!(&*indices, &[0, 1, 2, 3, 4]);
+        assert_eq!(clients.len(), positions.len());
+        for (client, &p) in clients.iter().zip(&positions) {
+            let derived =
+                implicit_client(spec.seed, p as u64, spec.samples_per_client, spec.train_len);
+            assert_eq!(client, &derived, "position {p}");
+        }
+        assert_eq!(pool.resident(), 2, "the cache stays within its budget");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! the Scenario API's seam for this procedure.
 
 use crate::aggregation::{contribution_weights, WEIGHT_FLOOR};
+use crate::config::BflConfig;
 use crate::contribution::{analyze_contributions, ContributionReport};
 use crate::policy::{AggregationAnchor, RewardPolicy};
 use crate::procedures::upload::VerifiedUpload;
@@ -34,6 +35,26 @@ pub struct GlobalUpdatePolicy<'a> {
     pub round: usize,
     /// How θ scores become paid rewards.
     pub reward: &'a dyn RewardPolicy,
+}
+
+impl<'a> GlobalUpdatePolicy<'a> {
+    /// `round`'s view of the scenario configuration, paying out through
+    /// `reward` — how both round engines build their policy.
+    pub(crate) fn for_round(
+        config: &'a BflConfig,
+        round: usize,
+        reward: &'a dyn RewardPolicy,
+    ) -> Self {
+        GlobalUpdatePolicy {
+            clustering: &config.clustering,
+            metric: config.metric,
+            strategy: config.strategy,
+            fair_aggregation: config.fair_aggregation,
+            anchor: config.anchor,
+            round,
+            reward,
+        }
+    }
 }
 
 /// The result of Procedure-IV.

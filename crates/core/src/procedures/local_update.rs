@@ -7,15 +7,14 @@
 //! reusing a single scratch workspace across every client in its chunk,
 //! so the batched GEMM engine stays allocation-free for the whole round.
 //!
-//! The event engine's clients also *sign* here
-//! (`run_local_updates_signed`): a client signs what it sends when it
+//! Both round engines go through the one fan-out here (`fan_out`, by way
+//! of `LearningState::train_selection`), which hands each finished update
+//! to the caller's `finish` on the worker that trained it. The event
+//! engine's clients *sign* there: a client signs what it sends when it
 //! sends it (Procedure-II, Figure 2), and the only batch of a
-//! flexible-quota round is this one — so each worker signs its client's
-//! update right after training it, and the round's private-key
+//! flexible-quota round is this one — so the round's private-key
 //! operations run in parallel instead of one at a time on the event pump.
 
-use crate::procedures::upload::sign_update;
-use bfl_crypto::{RsaKeyPair, Signature};
 use bfl_data::Dataset;
 use bfl_fl::attack::AttackKind;
 use bfl_fl::client::{Client, LocalUpdate};
@@ -23,39 +22,18 @@ use bfl_ml::model::ModelKind;
 use bfl_ml::optimizer::{local_step_count, LocalTrainingConfig};
 use bfl_ml::par;
 use bfl_ml::tensor::Scratch;
-use std::collections::BTreeMap;
 
 /// Runs Procedure-I for the given participants.
 ///
-/// `participants` are indices into `clients`. Returns one [`LocalUpdate`]
-/// per participant, in the same order. Each client forges (or not)
-/// according to its own [`Client::attack`] field.
-pub fn run_local_updates(
-    clients: &[Client],
-    participants: &[usize],
-    model: ModelKind,
-    global_params: &[f64],
-    train: &Dataset,
-    local: &LocalTrainingConfig,
-    round_seed: u64,
-) -> Vec<LocalUpdate> {
-    par::par_map_with(participants, 1, Scratch::new, |scratch, _, &idx| {
-        clients[idx].local_update_with_scratch(
-            model,
-            global_params,
-            &train.features,
-            &train.labels,
-            local,
-            round_seed,
-            scratch,
-        )
-    })
-}
-
-/// [`run_local_updates`] with explicit per-participant attack
-/// designations (aligned with `participants`), overriding each client's
-/// own attack field. The round driver uses this to designate per-round
-/// attackers without cloning the client population.
+/// `participants` are indices into `clients`; `attacks` holds one attack
+/// designation per participant (aligned with `participants`), overriding
+/// each client's own attack field — per-round attackers are designated
+/// without cloning the client population. Returns one [`LocalUpdate`] per
+/// participant, in the same order.
+///
+/// Public because the benchmark's lockstep replay (`benchmark/`) rebuilds
+/// a round from the procedures and calls it; the engines reach the same
+/// fan-out through `LearningState::train_selection`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_local_updates_with_attacks(
     clients: &[Client],
@@ -80,46 +58,11 @@ pub fn run_local_updates_with_attacks(
     )
 }
 
-/// [`run_local_updates_with_attacks`] with Procedure-II's client half in
-/// the same fan-out: each worker signs the update it just trained with
-/// its client's key from `pairs` ([`sign_update`]). The signature is
-/// `None` when signatures are off (`pairs` is `None`) or the client holds
-/// no identity — the miner rejects the latter at admission.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_local_updates_signed(
-    clients: &[Client],
-    participants: &[usize],
-    attacks: &[Option<AttackKind>],
-    model: ModelKind,
-    global_params: &[f64],
-    train: &Dataset,
-    local: &LocalTrainingConfig,
-    round_seed: u64,
-    pairs: Option<&BTreeMap<u64, RsaKeyPair>>,
-) -> Vec<(LocalUpdate, Option<Signature>)> {
-    fan_out(
-        clients,
-        participants,
-        attacks,
-        model,
-        global_params,
-        train,
-        local,
-        round_seed,
-        |update| {
-            let signature = pairs
-                .and_then(|pairs| pairs.get(&update.client_id))
-                .map(|pair| sign_update(&update, &pair.private));
-            (update, signature)
-        },
-    )
-}
-
 /// The round's one fork/join over its participants: trains each under its
 /// attack designation and hands the update to `finish` on the same
 /// worker.
 #[allow(clippy::too_many_arguments)]
-fn fan_out<U: Send>(
+pub(crate) fn fan_out<U: Send>(
     clients: &[Client],
     participants: &[usize],
     attacks: &[Option<AttackKind>],
@@ -151,6 +94,9 @@ fn fan_out<U: Send>(
 
 /// The number of SGD steps taken by the slowest participant — the quantity
 /// T_local is proportional to (Section 4.1: complexity O(E·|D_i|/B)).
+///
+/// Public because the benchmark's lockstep replay calls it; the engines
+/// read shard sizes off their `ClientPool` instead.
 pub fn max_local_steps(
     clients: &[Client],
     participants: &[usize],
@@ -167,7 +113,6 @@ pub fn max_local_steps(
 mod tests {
     use super::*;
     use bfl_data::synth_mnist::{SynthMnist, SynthMnistConfig};
-    use bfl_fl::attack::AttackKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -191,6 +136,11 @@ mod tests {
         (data, clients, kind)
     }
 
+    /// Every participant under its own [`Client::attack`] designation.
+    fn own_attacks(clients: &[Client], participants: &[usize]) -> Vec<Option<AttackKind>> {
+        participants.iter().map(|&i| clients[i].attack).collect()
+    }
+
     #[test]
     fn produces_one_update_per_participant_in_order() {
         let (data, clients, kind) = setup();
@@ -201,7 +151,16 @@ mod tests {
             proximal_mu: 0.0,
         };
         let global = vec![0.0; kind.num_params()];
-        let updates = run_local_updates(&clients, &[0, 2], kind, &global, &data, &local, 99);
+        let updates = run_local_updates_with_attacks(
+            &clients,
+            &[0, 2],
+            &own_attacks(&clients, &[0, 2]),
+            kind,
+            &global,
+            &data,
+            &local,
+            99,
+        );
         assert_eq!(updates.len(), 2);
         assert_eq!(updates[0].client_id, 0);
         assert_eq!(updates[1].client_id, 2);
@@ -219,7 +178,16 @@ mod tests {
             proximal_mu: 0.0,
         };
         let global = vec![0.0; kind.num_params()];
-        let parallel = run_local_updates(&clients, &[0, 1, 2], kind, &global, &data, &local, 5);
+        let parallel = run_local_updates_with_attacks(
+            &clients,
+            &[0, 1, 2],
+            &own_attacks(&clients, &[0, 1, 2]),
+            kind,
+            &global,
+            &data,
+            &local,
+            5,
+        );
         let sequential: Vec<_> = [0usize, 1, 2]
             .iter()
             .map(|&i| {

@@ -21,15 +21,18 @@ use std::collections::BTreeMap;
 /// Every engine fills the row: the synchronous and chain-only engines
 /// report the round makespan with all event-driven counters at zero
 /// (nothing queues, goes stale, or retries there), while the flexible
-/// event engine additionally snapshots its mempool and the fault/staleness
-/// counters accumulated since the previous seal.
+/// event engine additionally snapshots its miners' pending pool and the
+/// fault/staleness counters accumulated since the previous seal.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct KpiRow {
     /// Simulated wall-clock of the round, in seconds (the delay
     /// breakdown's total).
     pub makespan_s: f64,
-    /// Uploads sitting in the runtime's arrival buffer at the moment the
-    /// round sealed (0 outside the event engine).
+    /// Verified uploads in the event engine's pending pool — the only pool
+    /// its miners keep; no serialized copy sits in a `bfl_chain::Mempool`
+    /// beside it — at the moment the quota or the deadline fired, before
+    /// the seal drained them. Under streaming aggregation that is the
+    /// un-flushed tail of the last chunk. 0 outside the event engine.
     pub mempool_depth_at_seal: usize,
     /// Stale uploads the staleness policy carried into this round's block.
     pub stale_included: usize,

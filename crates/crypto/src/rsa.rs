@@ -57,9 +57,6 @@ pub const PUBLIC_EXPONENT: u32 = 65537;
 /// digest comfortably after reduction and offers no meaningful structure.
 pub const MIN_MODULUS_BITS: usize = 128;
 
-/// Default modulus size used by the protocol when none is specified.
-pub const DEFAULT_MODULUS_BITS: usize = 1024;
-
 /// A lazily-built per-modulus [`MontgomeryCtx`] cache.
 ///
 /// The first caller pays the context construction (one division for
@@ -448,11 +445,6 @@ impl RsaKeyPair {
             });
         }
         Err(CryptoError::PrimeGenerationFailed)
-    }
-
-    /// Generates a key pair with the protocol default modulus size.
-    pub fn generate_default<R: Rng + ?Sized>(rng: &mut R) -> Result<Self, CryptoError> {
-        Self::generate(rng, DEFAULT_MODULUS_BITS)
     }
 }
 

@@ -20,7 +20,6 @@
 
 pub mod dataset;
 pub mod partition;
-pub mod stats;
 pub mod synth_mnist;
 
 pub use dataset::Dataset;

@@ -6,15 +6,11 @@
 //! `bfl-core`. Both simple and sample-weighted rules live here so the
 //! ablation benches can compare them.
 
-use bfl_ml::gradient::{average, average_refs, weighted_average, GradientVector};
+use bfl_ml::gradient::{average_refs, weighted_average, GradientVector};
 
-/// Simple average of the uploaded parameter vectors (Algorithm 1 line 24).
-pub fn simple_average(updates: &[GradientVector]) -> GradientVector {
-    average(updates)
-}
-
-/// [`simple_average`] over borrowed slices — the round loop aggregates
-/// uploads in place without cloning each parameter vector first.
+/// Simple average of the uploaded parameter vectors (Algorithm 1 line 24),
+/// over borrowed slices — the round loop aggregates uploads in place
+/// without cloning each parameter vector first.
 pub fn simple_average_refs(updates: &[&[f64]]) -> GradientVector {
     average_refs(updates)
 }
@@ -72,8 +68,8 @@ mod tests {
 
     #[test]
     fn simple_average_is_unweighted() {
-        let updates = vec![vec![0.0, 0.0], vec![2.0, 4.0]];
-        assert_eq!(simple_average(&updates), vec![1.0, 2.0]);
+        let updates: [&[f64]; 2] = [&[0.0, 0.0], &[2.0, 4.0]];
+        assert_eq!(simple_average_refs(&updates), vec![1.0, 2.0]);
     }
 
     #[test]

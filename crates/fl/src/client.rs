@@ -69,12 +69,6 @@ impl Client {
         self.attack.is_some()
     }
 
-    /// Marks the client as malicious (used by the per-round attacker
-    /// designation of the Table 2 experiment).
-    pub fn set_attack(&mut self, attack: Option<AttackKind>) {
-        self.attack = attack;
-    }
-
     /// Runs Procedure-I: starts from `global_params`, trains for the
     /// configured epochs/batches on the local shard, and returns the upload.
     ///
@@ -208,7 +202,7 @@ mod tests {
 
         let mut evil = Client::malicious(4, vec![5], AttackKind::SignFlip);
         assert!(evil.is_malicious());
-        evil.set_attack(None);
+        evil.attack = None;
         assert!(!evil.is_malicious());
     }
 

@@ -102,15 +102,30 @@ impl FlConfig {
         if self.local.batch_size == 0 || self.local.epochs == 0 {
             return Err("batch size and local epochs must be positive".into());
         }
-        if self.local.learning_rate <= 0.0 {
-            return Err("learning rate must be positive".into());
+        let lr = self.local.learning_rate;
+        if !(lr.is_finite() && lr > 0.0) {
+            return Err(format!(
+                "learning rate must be finite and positive, got {lr}"
+            ));
         }
-        if let PartitionKind::ImplicitIid { samples_per_client } = self.partition {
-            if samples_per_client == 0 {
-                return Err("implicit partition needs samples_per_client >= 1".into());
-            }
+        let mu = self.local.proximal_mu;
+        if !(mu.is_finite() && mu >= 0.0) {
+            return Err(format!(
+                "proximal_mu must be finite and non-negative, got {mu}"
+            ));
         }
-        Ok(())
+        match self.partition {
+            PartitionKind::ShardNonIid {
+                shards_per_client: 0,
+            } => Err("shard partition needs shards_per_client >= 1, got 0".into()),
+            PartitionKind::Dirichlet { alpha } if !(alpha.is_finite() && alpha > 0.0) => Err(
+                format!("Dirichlet concentration alpha must be finite and positive, got {alpha}"),
+            ),
+            PartitionKind::ImplicitIid {
+                samples_per_client: 0,
+            } => Err("implicit partition needs samples_per_client >= 1".into()),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -193,8 +208,47 @@ mod tests {
         let mut bad_local = FlConfig::default();
         bad_local.local.epochs = 0;
         assert!(bad_local.validate().unwrap_err().contains("epochs"));
-        let mut bad_lr = FlConfig::default();
-        bad_lr.local.learning_rate = 0.0;
-        assert!(bad_lr.validate().unwrap_err().contains("learning rate"));
+        for lr in [0.0, -0.01, f64::NAN, f64::INFINITY] {
+            let mut bad_lr = FlConfig::default();
+            bad_lr.local.learning_rate = lr;
+            assert!(bad_lr.validate().unwrap_err().contains("learning rate"));
+        }
+        for mu in [-0.1, f64::NAN, f64::INFINITY] {
+            let mut bad_mu = FlConfig::default();
+            bad_mu.local.proximal_mu = mu;
+            assert!(bad_mu.validate().unwrap_err().contains("proximal_mu"));
+        }
+    }
+
+    /// Ranges the partitioners themselves only `assert!`: a hostile
+    /// configuration must stop here, with the offending number in the
+    /// message, instead of panicking inside `bfl_data::partition`.
+    #[test]
+    fn degenerate_partitions_are_rejected_before_they_reach_a_partitioner() {
+        let with = |partition| FlConfig {
+            partition,
+            ..Default::default()
+        };
+        let err = with(PartitionKind::ShardNonIid {
+            shards_per_client: 0,
+        })
+        .validate()
+        .unwrap_err();
+        assert!(
+            err.contains("shards_per_client") && err.contains('0'),
+            "{err}"
+        );
+        for alpha in [0.0, -1.5, f64::NAN, f64::INFINITY] {
+            let err = with(PartitionKind::Dirichlet { alpha })
+                .validate()
+                .unwrap_err();
+            assert!(
+                err.contains("alpha") && err.contains(&alpha.to_string()),
+                "{err}"
+            );
+        }
+        with(PartitionKind::Dirichlet { alpha: 0.3 })
+            .validate()
+            .unwrap();
     }
 }

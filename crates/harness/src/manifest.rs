@@ -174,7 +174,7 @@ impl Manifest {
             Some(value) => parse_grid(value, "grid")?,
             None => Vec::new(),
         };
-        let cells = expand_cells(&base, &axes)?;
+        let cells = expand_cells(&base, &axes, &dataset)?;
 
         let seeds = match root.take("seeds") {
             Some(value) => parse_seeds(value, "seeds")?,
@@ -287,10 +287,14 @@ fn parse_grid(value: &Value, path: &str) -> Result<Vec<Axis>, ManifestError> {
 
 /// Cross-products the axes (declaration order, last axis fastest) into
 /// labelled cells, applying each combination's patches on top of the base
-/// configuration and validating the result.
-fn expand_cells(base: &BflConfig, axes: &[Axis]) -> Result<Vec<CellSpec>, ManifestError> {
+/// configuration and validating the result against the fleet's dataset.
+fn expand_cells(
+    base: &BflConfig,
+    axes: &[Axis],
+    dataset: &DatasetSpec,
+) -> Result<Vec<CellSpec>, ManifestError> {
     if axes.is_empty() {
-        validate_config(base, "base")?;
+        validate_config(base, dataset, "base")?;
         return Ok(vec![CellSpec {
             label: "base".to_string(),
             config: *base,
@@ -308,7 +312,7 @@ fn expand_cells(base: &BflConfig, axes: &[Axis]) -> Result<Vec<CellSpec>, Manife
             apply_settings(&mut config, &patch.value, &patch.path)?;
         }
         let label = labels.join("/");
-        validate_config(&config, &format!("cell `{label}`"))?;
+        validate_config(&config, dataset, &format!("cell `{label}`"))?;
         cells.push(CellSpec { label, config });
 
         // Odometer step: last axis fastest.
@@ -327,9 +331,16 @@ fn expand_cells(base: &BflConfig, axes: &[Axis]) -> Result<Vec<CellSpec>, Manife
     }
 }
 
-fn validate_config(config: &BflConfig, what: &str) -> Result<(), ManifestError> {
+fn validate_config(
+    config: &BflConfig,
+    dataset: &DatasetSpec,
+    what: &str,
+) -> Result<(), ManifestError> {
+    // The second check is the one the engine makes when a run meets its
+    // data; made here, the message names the cell.
     config
         .validate()
+        .and_then(|()| config.validate_for_dataset(dataset.train_samples))
         .map_err(|e| ManifestError::new("", format!("{what} resolves to an invalid scenario: {e}")))
 }
 
@@ -392,7 +403,7 @@ fn parse_seeds(value: &Value, path: &str) -> Result<Vec<u64>, ManifestError> {
 /// | `local_epochs` | uint ≥ 1 | `fl.local.epochs` |
 /// | `learning_rate` | float > 0 | `fl.local.learning_rate` |
 /// | `batch_size` | uint ≥ 1 | `fl.local.batch_size` |
-/// | `drop_percent` | float in [0, 100) | `fl.drop_percent` |
+/// | `drop_percent` | float in [0, 1) — a fraction despite the name: `0.02` is FedProx-Drop(0.02) | `fl.drop_percent` |
 /// | `partition` | `"iid"` \| `{"shards_per_client": n}` \| `{"dirichlet_alpha": a}` | `fl.partition` |
 /// | `miners` | uint ≥ 1 | `miners` |
 /// | `mode` | `"full"` \| `"fl-only"` \| `"chain-only"` | `mode` |
@@ -1114,5 +1125,55 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.message.contains("a/small"), "{err}");
+    }
+
+    /// The three manifests that used to panic inside a partitioner
+    /// (`bfl_data::partition`'s `assert!`s) now fail here, naming the cell
+    /// and the numbers involved.
+    #[test]
+    fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
+        let base = r#""clients": 10, "rounds": 1"#;
+        for (extra, needles) in [
+            (
+                format!(r#", "base": {{{base}, "partition": {{"shards_per_client": 0}}}}"#),
+                ["base", "shards_per_client", "0"],
+            ),
+            (
+                format!(r#", "base": {{{base}, "partition": {{"dirichlet_alpha": 0}}}}"#),
+                ["base", "alpha", "0"],
+            ),
+            (
+                format!(r#", "base": {{{base}, "partition": {{"dirichlet_alpha": -2.5}}}}"#),
+                ["base", "alpha", "-2.5"],
+            ),
+            (
+                format!(
+                    r#", "dataset": {{"train_samples": 5, "test_samples": 5}},
+                       "base": {{{base}, "partition": "iid"}}"#
+                ),
+                ["base", "5 training samples", "10 clients"],
+            ),
+            (
+                format!(
+                    r#", "dataset": {{"train_samples": 5, "test_samples": 5}}, "base": {{{base}}},
+                       "grid": [{{"axis": "pop", "cells": [
+                           {{"label": "fits", "set": {{"clients": 5}}}},
+                           {{"label": "starved", "set": {{"clients": 6}}}}
+                       ]}}]"#
+                ),
+                ["cell `starved`", "5 training samples", "6 clients"],
+            ),
+        ] {
+            let err = Manifest::from_json(&minimal(&extra)).unwrap_err();
+            for needle in needles {
+                assert!(err.to_string().contains(needle), "`{needle}` in: {err}");
+            }
+        }
+        // Chain-only cells train nobody and partition nothing.
+        Manifest::from_json(&minimal(
+            r#", "dataset": {"train_samples": 5, "test_samples": 5},
+               "base": {"clients": 10, "mode": "chain-only"}"#,
+        ))
+        .unwrap();
     }
 }

@@ -59,14 +59,6 @@ pub fn average_refs(vectors: &[&[f64]]) -> GradientVector {
     out
 }
 
-/// Coordinate-wise median of a set of equal-length vectors — the robust
-/// anchor that stays near the honest mass even when a single upload is
-/// scaled far beyond the honest head-count (the attack that corrupts the
-/// plain average).
-pub fn median_refs(vectors: &[&[f64]]) -> GradientVector {
-    trimmed_mean_refs(vectors, 0.5)
-}
-
 /// Coordinates gathered per pass over the uploads: eight `f64`s are one
 /// cache line of every row, so each line is fetched once instead of once
 /// per coordinate (rows sit 63 KiB apart for the paper's model).
@@ -81,7 +73,9 @@ const MIN_ANCHOR_VALUES_PER_WORKER: usize = 1 << 16;
 /// `floor(trim_ratio * n)` values are discarded and the rest averaged.
 /// `trim_ratio` must be in `[0, 0.5]`; `0` is the plain average and `0.5`
 /// degenerates to the coordinate-wise median (for even counts, the mean of
-/// the two middle values).
+/// the two middle values) — the robust anchor that stays near the honest
+/// mass even when a single upload is scaled far beyond the honest
+/// head-count (the attack that corrupts the plain average).
 ///
 /// Defined as: stable-sort the coordinate's values by `partial_cmp`, sum
 /// the kept window in ascending order, divide by its length. Computed by
@@ -316,7 +310,7 @@ mod tests {
         let mut with_attacker = honest.clone();
         with_attacker.push(vec![-8.0, 8.0]);
         let refs: Vec<&[f64]> = with_attacker.iter().map(|v| v.as_slice()).collect();
-        let median = median_refs(&refs);
+        let median = trimmed_mean_refs(&refs, 0.5);
         // The attacker drags the mean negative but barely moves the median.
         let mean = average(&with_attacker);
         assert!(mean[0] < 0.0);
@@ -328,14 +322,14 @@ mod tests {
     fn median_of_odd_count_is_the_middle_value() {
         let vs = [vec![5.0], vec![1.0], vec![3.0]];
         let refs: Vec<&[f64]> = vs.iter().map(|v| v.as_slice()).collect();
-        assert_eq!(median_refs(&refs), vec![3.0]);
+        assert_eq!(trimmed_mean_refs(&refs, 0.5), vec![3.0]);
     }
 
     #[test]
     fn median_of_even_count_averages_the_middle_pair() {
         let vs = [vec![1.0], vec![2.0], vec![10.0], vec![4.0]];
         let refs: Vec<&[f64]> = vs.iter().map(|v| v.as_slice()).collect();
-        assert_eq!(median_refs(&refs), vec![3.0]);
+        assert_eq!(trimmed_mean_refs(&refs, 0.5), vec![3.0]);
     }
 
     #[test]
@@ -474,7 +468,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero vectors")]
     fn median_of_nothing_panics() {
-        let _ = median_refs(&[]);
+        let _ = trimmed_mean_refs(&[], 0.5);
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //! Three matrix-matrix kernels cover every shape the training and
 //! evaluation engines need, and a fourth serves Algorithm 2:
 //!
-//! * [`matmul_into`] — `C = A · B`, in `i`/`k`/`j` loop order. The inner
+//! * [`gemm_nn`] — `C = A · B`, in `i`/`k`/`j` loop order. The inner
 //!   `j` loop is a pure `c[j] += a_ik * b[j]` stream with no reduction
 //!   dependency, so it auto-vectorizes; the `k` loop is blocked
 //!   ([`K_BLOCK`]) so the touched panel of `B` stays cache-resident for
 //!   large inner dimensions.
-//! * [`matmul_transpose_a_into`] — `C = Aᵀ · B`, the gradient kernel
+//! * [`gemm_tn`] — `C = Aᵀ · B`, the gradient kernel
 //!   (`grad_W = δᵀ · X`). Accumulation over `k` runs in ascending order,
 //!   which keeps the batched gradients numerically aligned with the
 //!   per-sample reference path (same summation order per output element).
-//! * [`matmul_transpose_b_into`] — `C = A · Bᵀ`, used for logits against
+//! * [`gemm_nt`] — `C = A · Bᵀ`, used for logits against
 //!   row-major weights, evaluation, and the rectangular point-to-centroid
 //!   distances of k-means. Every output element is one lane-striped
 //!   `dot_lanes` reduction (or, for at most 16 long rows, its
@@ -30,11 +30,12 @@
 //!   in the same regime `gemm_nt(V, V)` would use for it — the bit
 //!   patterns are those of the full product.
 //!
-//! Each GEMM has a slice-level core ([`gemm_nn`], [`gemm_tn`],
-//! [`gemm_nt`]) taking raw row-major buffers plus dimensions, so models
+//! The GEMMs take raw row-major buffers plus dimensions, so models
 //! can point operands directly at windows of their flat parameter
 //! vector — logits and weight gradients run against the parameters in
-//! place, with no per-step transpose or copy.
+//! place, with no per-step transpose or copy. [`matmul_transpose_b_into`]
+//! is [`gemm_nt`] over whole [`Matrix`] operands, for Algorithm 2's
+//! rectangular distances.
 //!
 //! All four parallelize over contiguous blocks of output rows through
 //! [`crate::par`]; each worker owns a disjoint slice of `C`, so results
@@ -67,7 +68,7 @@ use serde::{Deserialize, Serialize};
 /// A dense vector of `f64` values.
 pub type Vector = Vec<f64>;
 
-/// Inner-dimension block size for [`matmul_into`]: 256 `f64`s (2 KiB per
+/// Inner-dimension block size for [`gemm_nn`]: 256 `f64`s (2 KiB per
 /// row of the `B` panel) keeps the working set inside L1/L2 for the
 /// matrix shapes the models produce.
 pub const K_BLOCK: usize = 256;
@@ -238,24 +239,6 @@ pub fn transpose_slice_into(src: &[f64], rows: usize, cols: usize, out: &mut Mat
     }
 }
 
-/// `C = A · B`. Allocating front-end for [`matmul_into`].
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut c = Matrix::zeros(0, 0);
-    matmul_into(a, b, &mut c);
-    c
-}
-
-/// `C = A · B` with `C` reusing its allocation.
-pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    assert_eq!(
-        a.cols, b.rows,
-        "matmul dimension mismatch: {}x{} * {}x{}",
-        a.rows, a.cols, b.rows, b.cols
-    );
-    c.resize_in_place(a.rows, b.cols);
-    gemm_nn(&a.data, &b.data, &mut c.data, a.rows, a.cols, b.cols);
-}
-
 /// Slice-level `C = A · B` over row-major buffers (`A: m x k`,
 /// `B: k x n`, `C: m x n`, `C` pre-zeroed).
 ///
@@ -298,27 +281,9 @@ fn gemm_nn_serial(a: &[f64], b: &[f64], chunk: &mut [f64], row_start: usize, k: 
     }
 }
 
-/// `C = Aᵀ · B`. Allocating front-end for [`matmul_transpose_a_into`].
-pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut c = Matrix::zeros(0, 0);
-    matmul_transpose_a_into(a, b, &mut c);
-    c
-}
-
-/// `C = Aᵀ · B` with `C` reusing its allocation — the gradient kernel
-/// (`grad_W = δᵀ · X` with `δ` as `A` and the packed minibatch as `B`).
-pub fn matmul_transpose_a_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    assert_eq!(
-        a.rows, b.rows,
-        "matmul_transpose_a dimension mismatch: ({}x{})ᵀ * {}x{}",
-        a.rows, a.cols, b.rows, b.cols
-    );
-    c.resize_in_place(a.cols, b.cols);
-    gemm_tn(&a.data, &b.data, &mut c.data, a.rows, a.cols, b.cols);
-}
-
 /// Slice-level `C = Aᵀ · B` over row-major buffers (`A: k x m`,
-/// `B: k x n`, `C: m x n`, `C` pre-zeroed).
+/// `B: k x n`, `C: m x n`, `C` pre-zeroed) — the gradient kernel
+/// (`grad_W = δᵀ · X` with `δ` as `A` and the packed minibatch as `B`).
 ///
 /// The `k` (sample) loop is outermost so each `B` row is loaded once and
 /// scattered into every output row it contributes to while hot — the
@@ -564,13 +529,6 @@ fn gemm_tn_body<'a, const ACCUMULATE: bool>(
         }
         r += 1;
     }
-}
-
-/// `C = A · Bᵀ`. Allocating front-end for [`matmul_transpose_b_into`].
-pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut c = Matrix::zeros(0, 0);
-    matmul_transpose_b_into(a, b, &mut c);
-    c
 }
 
 /// `C = A · Bᵀ` with `C` reusing its allocation
@@ -1079,6 +1037,25 @@ mod tests {
         c
     }
 
+    /// `A · B`, `Aᵀ · B` and `A · Bᵀ` through the slice-level kernels.
+    fn nn(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut c = Matrix::zeros(a.rows, b.cols);
+        gemm_nn(&a.data, &b.data, &mut c.data, a.rows, a.cols, b.cols);
+        c
+    }
+
+    fn tn(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut c = Matrix::zeros(a.cols, b.cols);
+        gemm_tn(&a.data, &b.data, &mut c.data, a.rows, a.cols, b.cols);
+        c
+    }
+
+    fn nt(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut c = Matrix::zeros(a.rows, b.rows);
+        gemm_nt(&a.data, &b.data, &mut c.data, a.rows, a.cols, b.rows);
+        c
+    }
+
     fn assert_close(a: &Matrix, b: &Matrix, tolerance: f64) {
         assert_eq!(a.rows, b.rows);
         assert_eq!(a.cols, b.cols);
@@ -1092,7 +1069,7 @@ mod tests {
         for (m, k, n, seed) in [(3, 5, 7, 1), (1, 9, 4, 2), (8, 1, 3, 3), (13, 300, 5, 4)] {
             let a = deterministic_matrix(m, k, seed);
             let b = deterministic_matrix(k, n, seed + 100);
-            assert_close(&matmul(&a, &b), &matmul_naive(&a, &b), 1e-12);
+            assert_close(&nn(&a, &b), &matmul_naive(&a, &b), 1e-12);
         }
     }
 
@@ -1103,7 +1080,7 @@ mod tests {
             let b = deterministic_matrix(k, n, seed + 200);
             let mut at = Matrix::zeros(0, 0);
             a.transpose_into(&mut at);
-            assert_close(&matmul_transpose_a(&a, &b), &matmul_naive(&at, &b), 1e-12);
+            assert_close(&tn(&a, &b), &matmul_naive(&at, &b), 1e-12);
         }
     }
 
@@ -1115,54 +1092,57 @@ mod tests {
             let b = deterministic_matrix(n, k, seed + 300);
             let mut bt = Matrix::zeros(0, 0);
             b.transpose_into(&mut bt);
-            assert_close(&matmul_transpose_b(&a, &b), &matmul_naive(&a, &bt), 1e-12);
+            assert_close(&nt(&a, &b), &matmul_naive(&a, &bt), 1e-12);
         }
     }
 
     #[test]
     fn gemm_kernels_handle_empty_and_degenerate_shapes() {
         let empty = Matrix::zeros(0, 0);
-        let c = matmul(&empty, &empty);
+        let c = nn(&empty, &empty);
         assert_eq!((c.rows, c.cols), (0, 0));
 
         // Empty inner dimension: the result is a zero matrix.
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 4);
-        let c = matmul(&a, &b);
+        let c = nn(&a, &b);
         assert_eq!((c.rows, c.cols), (3, 4));
         assert!(c.data.iter().all(|&v| v == 0.0));
 
         // Single row times single column.
         let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         let b = Matrix::from_vec(3, 1, vec![4.0, 5.0, 6.0]);
-        let c = matmul(&a, &b);
+        let c = nn(&a, &b);
         assert_eq!((c.rows, c.cols), (1, 1));
         assert!((c.get(0, 0) - 32.0).abs() < 1e-12);
 
         // Transpose kernels on empty inputs.
-        let c = matmul_transpose_a(&Matrix::zeros(0, 2), &Matrix::zeros(0, 3));
+        let c = tn(&Matrix::zeros(0, 2), &Matrix::zeros(0, 3));
         assert_eq!((c.rows, c.cols), (2, 3));
         assert!(c.data.iter().all(|&v| v == 0.0));
-        let c = matmul_transpose_b(&Matrix::zeros(0, 5), &Matrix::zeros(0, 5));
+        let c = nt(&Matrix::zeros(0, 5), &Matrix::zeros(0, 5));
         assert_eq!((c.rows, c.cols), (0, 0));
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matmul_rejects_mismatched_shapes() {
-        let _ = matmul(&Matrix::zeros(2, 3), &Matrix::zeros(4, 2));
+        let mut c = Matrix::zeros(0, 0);
+        matmul_transpose_b_into(&Matrix::zeros(2, 3), &Matrix::zeros(4, 2), &mut c);
     }
 
     #[test]
     fn into_variants_reuse_allocations() {
         let a = deterministic_matrix(6, 5, 21);
-        let b = deterministic_matrix(5, 4, 22);
+        let b = deterministic_matrix(4, 5, 22);
         let mut c = Matrix::zeros(0, 0);
-        matmul_into(&a, &b, &mut c);
+        matmul_transpose_b_into(&a, &b, &mut c);
         let capacity = c.data.capacity();
-        matmul_into(&a, &b, &mut c);
+        matmul_transpose_b_into(&a, &b, &mut c);
         assert_eq!(c.data.capacity(), capacity);
-        assert_close(&c, &matmul_naive(&a, &b), 1e-12);
+        let mut bt = Matrix::zeros(0, 0);
+        b.transpose_into(&mut bt);
+        assert_close(&c, &matmul_naive(&a, &bt), 1e-12);
     }
 
     #[test]
@@ -1290,7 +1270,7 @@ mod tests {
                 ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
             };
             let x: Vec<f64> = (0..n).map(|_| next()).collect();
-            let lhs = matmul(&a, &b).matvec(&x);
+            let lhs = nn(&a, &b).matvec(&x);
             let rhs = a.matvec(&b.matvec(&x));
             for (p, q) in lhs.iter().zip(rhs.iter()) {
                 prop_assert!((p - q).abs() < 1e-9);

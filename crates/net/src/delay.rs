@@ -142,11 +142,6 @@ impl LinkModel {
         );
         self.latency.sample(rng) + payload_bytes as f64 / self.bandwidth_bytes_per_s
     }
-
-    /// Expected time to move `payload_bytes` over this link.
-    pub fn expected_transfer(&self, payload_bytes: usize) -> f64 {
-        self.latency.mean() + payload_bytes as f64 / self.bandwidth_bytes_per_s
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +227,7 @@ mod tests {
         let small = link.sample_transfer(1_000, &mut r);
         let large = link.sample_transfer(10_000_000, &mut r);
         assert!(large > small);
-        assert!((link.expected_transfer(1_000_000) - 1.05).abs() < 1e-9);
+        assert!((link.sample_transfer(1_000_000, &mut r) - 1.05).abs() < 1e-9);
     }
 
     mod properties {
@@ -323,6 +318,9 @@ mod tests {
         let edge = LinkModel::edge_uplink();
         let backbone = LinkModel::miner_backbone();
         // The backbone moves a 1 MB payload much faster than the edge uplink.
-        assert!(backbone.expected_transfer(1_000_000) < edge.expected_transfer(1_000_000));
+        let mut r = rng();
+        assert!(
+            backbone.sample_transfer(1_000_000, &mut r) < edge.sample_transfer(1_000_000, &mut r)
+        );
     }
 }

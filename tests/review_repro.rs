@@ -2,7 +2,7 @@ mod common;
 
 use common::{small_config, small_dataset};
 use fair_bfl::core::{
-    ProfileConfig, ReorgPolicy, RetryPolicy, Scenario, StalenessPolicy, SyncMode,
+    CoreError, ProfileConfig, ReorgPolicy, RetryPolicy, Scenario, StalenessPolicy, SyncMode,
 };
 use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::net::{DelayDistribution, FaultPlan, LinkFaults, TimeWindow};
@@ -58,10 +58,8 @@ fn total_loss_without_retry_does_not_panic() {
         .reorg(ReorgPolicy::Discard)
         .build()
         .unwrap();
-    // Expectation: a graceful error (e.g. EmptyRound), not a panic.
+    // Every upload of round 1 is dropped and nothing retries: the round
+    // ends empty, as an error the caller can handle.
     let result = scenario.run(&train, &test);
-    eprintln!(
-        "outcome: {:?}",
-        result.as_ref().map(|_| "ok").map_err(|e| e.to_string())
-    );
+    assert_eq!(result.err(), Some(CoreError::EmptyRound { round: 1 }));
 }

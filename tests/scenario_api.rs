@@ -203,3 +203,47 @@ fn invalid_scenarios_surface_typed_errors_through_the_facade() {
         .unwrap_err();
     assert!(err.to_string().contains("attacker range inverted"));
 }
+
+/// The configurations behind the three manifests that used to panic
+/// inside a partitioner: two stop at `Scenario::from_config`, the third —
+/// fewer training samples than clients — at `Scenario::start`, the first
+/// place that sees the data. Each names the numbers involved.
+#[test]
+fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
+    use fair_bfl::fl::config::PartitionKind;
+    let (train, test) = small_dataset();
+    let mut config = small_config(1);
+
+    config.fl.partition = PartitionKind::ShardNonIid {
+        shards_per_client: 0,
+    };
+    let err = Scenario::from_config(config).unwrap_err();
+    assert!(matches!(err, CoreError::InvalidConfig(_)));
+    assert!(err.to_string().contains("shards_per_client >= 1, got 0"));
+
+    for alpha in [0.0, -3.0, f64::NAN] {
+        config.fl.partition = PartitionKind::Dirichlet { alpha };
+        let err = Scenario::from_config(config).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(_)));
+        assert!(err
+            .to_string()
+            .contains(&format!("alpha must be finite and positive, got {alpha}")));
+    }
+
+    config.fl.partition = PartitionKind::Iid;
+    config.fl.clients = train.len() + 1;
+    let scenario = Scenario::from_config(config).expect("valid until it meets the data");
+    let err = scenario.start(&train, &test).err().expect("starved");
+    assert!(matches!(err, CoreError::InvalidConfig(_)));
+    assert!(
+        err.to_string()
+            .contains("250 training samples cannot be partitioned over 251 clients"),
+        "{err}"
+    );
+    // The same population trains nobody in chain-only mode, and starts.
+    config.mode = FlexibilityMode::ChainOnly;
+    assert!(Scenario::from_config(config)
+        .unwrap()
+        .start(&train, &test)
+        .is_ok());
+}
