@@ -1,14 +1,26 @@
-//! The O(participants) memory contract, asserted in-process: running the
-//! same per-round working set against a population ten times larger must
-//! not move the heap high-water mark. The counting allocator is installed
-//! as this binary's global allocator.
+//! The memory contracts of a run, asserted in-process with the counting
+//! allocator installed as this binary's global allocator.
+//!
+//! * **O(participants), not O(population):** running the same per-round
+//!   working set against a population ten times larger must not move the
+//!   heap high-water mark.
+//! * **The rounds ladder — O(rounds × block), not O(rounds × miners ×
+//!   block):** what a mining run retains grows by one sealed block a
+//!   round however many miners hold a replica, because the replicas share
+//!   the block.
 
 use bfl_bench::experiments::{dataset, population_scale_config, Scale};
 use bfl_bench::CountingAllocator;
-use bfl_core::Scenario;
+use bfl_core::{FlexibilityMode, Scenario};
+use bfl_fl::config::PartitionKind;
+use std::sync::{Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
+
+/// The allocator's counters are shared by the whole binary, so the tests
+/// here take turns: nothing else may run beside a bracketed region.
+static BRACKET: Mutex<()> = Mutex::new(());
 
 fn peak_for(population: usize, data: &(bfl_data::Dataset, bfl_data::Dataset)) -> usize {
     let config = population_scale_config(population, 64, 1, 16);
@@ -20,10 +32,9 @@ fn peak_for(population: usize, data: &(bfl_data::Dataset, bfl_data::Dataset)) ->
     ALLOC.peak_bytes()
 }
 
-/// One test, one binary: the global allocator's counters are shared, so
-/// nothing else may run concurrently with the bracketed regions.
 #[test]
 fn peak_heap_tracks_participants_not_population() {
+    let _turn = BRACKET.lock().unwrap_or_else(PoisonError::into_inner);
     let data = dataset(Scale::Smoke);
     // Warm-up run so one-time allocations (thread pools, caches) don't
     // land inside the first measured bracket.
@@ -36,5 +47,74 @@ fn peak_heap_tracks_participants_not_population() {
         "population x10 moved the heap high-water: {small} -> {large} bytes \
          ({:.2}x; allocation proportional to population has crept back in)",
         large as f64 / small as f64
+    );
+}
+
+/// Rounds per rung of the ladder.
+const RUNG: usize = 8;
+
+/// Heap a `FullBfl` run retains over rounds `RUNG + 1 ..= 2 * RUNG` while
+/// it is still alive (every replica included), and the bytes of the
+/// blocks it sealed in them.
+fn retained_over_second_rung(
+    miners: usize,
+    data: &(bfl_data::Dataset, bfl_data::Dataset),
+) -> (usize, usize) {
+    let scenario = Scenario::builder()
+        .mode(FlexibilityMode::FullBfl)
+        .clients(16)
+        .miners(miners)
+        .rounds(2 * RUNG)
+        .participation_ratio(0.5)
+        .partition(PartitionKind::Iid)
+        .local_epochs(1)
+        .batch_size(10)
+        .verify_signatures(false)
+        .seed(21)
+        .build()
+        .expect("scenario is valid");
+    // One thread: no fan-out worker's exit path frees into a later round.
+    bfl_ml::par::with_thread_limit(1, || {
+        let mut run = scenario.start(&data.0, &data.1).expect("run provisions");
+        let mut live = [0usize; 2];
+        for after_rung in &mut live {
+            for _ in 0..RUNG {
+                drop(run.step().expect("round succeeds").expect("rounds remain"));
+            }
+            *after_rung = ALLOC.current_bytes();
+        }
+        let retained = live[1] - live[0];
+
+        let chain = run.chain().expect("FullBfl mines");
+        assert_eq!(chain.height() as usize, 2 * RUNG);
+        let sealed: usize = chain.iter().skip(1 + RUNG).map(|b| b.size_bytes()).sum();
+        (retained, sealed)
+    })
+}
+
+#[test]
+fn retained_heap_grows_by_one_block_a_round_whatever_the_miner_count() {
+    let _turn = BRACKET.lock().unwrap_or_else(PoisonError::into_inner);
+    let data = dataset(Scale::Smoke);
+    let (at_two, sealed) = retained_over_second_rung(2, &data);
+    let (at_six, sealed_at_six) = retained_over_second_rung(6, &data);
+    assert_eq!(
+        sealed, sealed_at_six,
+        "the miner count does not shape a block"
+    );
+
+    // A round's records and reward list ride along with its block; they
+    // are a percent or two of the 63 KB gradient it carries.
+    let ratio = at_two as f64 / sealed as f64;
+    assert!(
+        (0.9..=1.1).contains(&ratio),
+        "{RUNG} more rounds at two miners retained {at_two} bytes for {sealed} bytes of \
+         sealed blocks ({ratio:.2}x; a per-replica copy of the block has crept back in)"
+    );
+    let spread = at_six as f64 / at_two as f64;
+    assert!(
+        (0.9..=1.1).contains(&spread),
+        "{RUNG} more rounds retained {at_two} bytes at two miners and {at_six} at six \
+         ({spread:.2}x; chain memory is growing with the miner count again)"
     );
 }

@@ -8,7 +8,7 @@
 //! under vanilla BFL it contains whatever local-gradient transactions fit
 //! below the block-size limit.
 
-use crate::merkle::merkle_root;
+use crate::merkle::{merkle_root, merkle_root_in_place};
 use crate::pow::{Difficulty, PowConfig};
 use crate::transaction::Transaction;
 use bfl_crypto::sha256::{sha256, to_hex, Digest, Sha256};
@@ -103,6 +103,13 @@ impl PowMidstate {
     }
 }
 
+/// Merkle root of a block body: the transaction ids, folded inside the
+/// one buffer they were collected into.
+fn body_merkle_root(transactions: &[Transaction]) -> Digest {
+    let mut leaves: Vec<Digest> = transactions.iter().map(Transaction::id).collect();
+    merkle_root_in_place(&mut leaves)
+}
+
 /// A block: header plus transaction body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Block {
@@ -138,11 +145,10 @@ impl Block {
         difficulty: Difficulty,
         miner_id: u64,
     ) -> Block {
-        let leaves: Vec<Digest> = transactions.iter().map(|tx| tx.id()).collect();
         let header = BlockHeader {
             index: previous.header.index + 1,
             previous_hash: previous.header.hash(),
-            merkle_root: merkle_root(&leaves),
+            merkle_root: body_merkle_root(&transactions),
             timestamp_ms,
             difficulty,
             nonce: 0,
@@ -176,8 +182,7 @@ impl Block {
 
     /// Recomputes the Merkle root from the body and compares with the header.
     pub fn merkle_consistent(&self) -> bool {
-        let leaves: Vec<Digest> = self.transactions.iter().map(|tx| tx.id()).collect();
-        merkle_root(&leaves) == self.header.merkle_root
+        body_merkle_root(&self.transactions) == self.header.merkle_root
     }
 
     /// True when the recorded nonce satisfies the block's own difficulty.
@@ -293,6 +298,32 @@ mod tests {
         );
         assert!(large.size_bytes() > small.size_bytes());
         assert!(large.size_bytes() > 50_000);
+    }
+
+    /// Pinned on the pre-streaming implementation (materialised id
+    /// preimages, level-by-level Merkle tree): whatever id and root
+    /// computation replaces them must seal this exact block.
+    #[test]
+    fn mined_block_hash_and_merkle_root_are_golden() {
+        let payload: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        let txs = vec![
+            Transaction::global_gradient(0, 5, payload),
+            Transaction::reward(0, 5, 11, 40_000),
+            Transaction::reward(0, 5, 12, 35_000),
+            Transaction::reward(0, 5, 13, 25_000),
+        ];
+        let mut b = Block::candidate(&Block::genesis(), txs, 1234, 64, 1);
+        b.mine(&PowConfig::new(64));
+        assert_eq!(b.header.nonce, 69);
+        assert_eq!(
+            to_hex(&b.header.merkle_root),
+            "275ef120a96619ccd2d3f88c7ff00b5d43ad0ddb7cc13fa3de6ffade0cfef481"
+        );
+        assert_eq!(
+            b.hash_hex(),
+            "01b0c4333d52b8691110ce0b1831007e805e97e88606193d9a51360248dde7e7"
+        );
+        assert!(b.merkle_consistent());
     }
 
     #[test]

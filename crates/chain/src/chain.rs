@@ -1,8 +1,12 @@
 //! The validated, append-only blockchain.
 //!
-//! Every miner holds a copy of the chain. Under FAIR-BFL's synchronized
-//! design all copies stay identical (one block per communication round, no
-//! forks); the vanilla baseline may need to resolve competing tips, which
+//! Every miner holds a replica of the chain. A sealed block is immutable,
+//! so replicas hold it as a shared handle (`Arc<Block>`): the winner's
+//! block exists once however many miners append it, and each replica
+//! still runs the full [`Blockchain::validate_candidate`] on it before it
+//! does. Under FAIR-BFL's synchronized design all replicas stay identical
+//! (one block per communication round, no forks); the vanilla baseline
+//! may need to resolve competing tips, which
 //! [`Blockchain::resolve_longest`] models with the longest-chain rule.
 
 use crate::block::Block;
@@ -10,11 +14,12 @@ use crate::error::ChainError;
 use crate::pow::PowConfig;
 use crate::transaction::TransactionKind;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// An append-only chain of validated blocks starting at genesis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Blockchain {
-    blocks: Vec<Block>,
+    blocks: Vec<Arc<Block>>,
     /// Maximum accepted block size in bytes (the paper's "block size is
     /// limited" constraint that causes vanilla-BFL queuing).
     pub max_block_bytes: usize,
@@ -37,7 +42,7 @@ impl Blockchain {
     /// Creates a chain containing only the genesis block.
     pub fn new() -> Self {
         Blockchain {
-            blocks: vec![Block::genesis()],
+            blocks: vec![Arc::new(Block::genesis())],
             max_block_bytes: DEFAULT_MAX_BLOCK_BYTES,
             require_proof: true,
         }
@@ -65,24 +70,26 @@ impl Blockchain {
 
     /// Block at `height`, if it exists.
     pub fn block_at(&self, height: u64) -> Option<&Block> {
-        self.blocks.get(height as usize)
+        self.blocks.get(height as usize).map(Arc::as_ref)
     }
 
     /// Iterates over all blocks from genesis to tip.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter()
+        self.blocks.iter().map(Arc::as_ref)
     }
 
-    /// Validates a candidate block against the current tip without appending.
-    pub fn validate_candidate(&self, block: &Block) -> Result<(), ChainError> {
-        let tip = self.tip();
-        if block.header.index != tip.header.index + 1 {
+    /// The one per-block rule of this chain: `block` extends `prev` when
+    /// it carries the next index and `prev`'s hash, its Merkle root
+    /// recomputes from its body, it fits the size limit and — when
+    /// required — its proof of work meets its difficulty.
+    fn validate_link(&self, prev: &Block, block: &Block) -> Result<(), ChainError> {
+        if block.header.index != prev.header.index + 1 {
             return Err(ChainError::WrongIndex {
                 expected: block.header.index,
-                found: tip.header.index + 1,
+                found: prev.header.index + 1,
             });
         }
-        if block.header.previous_hash != tip.hash() {
+        if block.header.previous_hash != prev.hash() {
             return Err(ChainError::BrokenLink {
                 height: block.header.index,
             });
@@ -102,47 +109,55 @@ impl Blockchain {
         Ok(())
     }
 
-    /// Validates and appends a block.
-    pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
+    /// Validates a candidate block against the current tip without appending.
+    pub fn validate_candidate(&self, block: &Block) -> Result<(), ChainError> {
+        self.validate_link(self.tip(), block)
+    }
+
+    /// Validates and appends a block. A block other replicas hold too is
+    /// passed as its shared handle; every replica validates it for itself.
+    pub fn append(&mut self, block: impl Into<Arc<Block>>) -> Result<(), ChainError> {
+        let block = block.into();
         self.validate_candidate(&block)?;
         self.blocks.push(block);
         Ok(())
     }
 
-    /// Re-validates the entire chain from genesis.
+    /// Re-validates the entire chain from genesis, by the rule
+    /// [`append`](Blockchain::append) applies.
     pub fn validate_all(&self) -> Result<(), ChainError> {
-        for (i, window) in self.blocks.windows(2).enumerate() {
-            let (prev, block) = (&window[0], &window[1]);
-            if block.header.index != prev.header.index + 1 {
-                return Err(ChainError::WrongIndex {
-                    expected: block.header.index,
-                    found: prev.header.index + 1,
-                });
-            }
-            if block.header.previous_hash != prev.hash() {
-                return Err(ChainError::BrokenLink {
-                    height: (i + 1) as u64,
-                });
-            }
-            if !block.merkle_consistent() {
-                return Err(ChainError::MerkleMismatch);
-            }
-            if self.require_proof && !block.proof_is_valid() {
-                return Err(ChainError::InsufficientWork);
-            }
+        self.validate_blocks(&self.blocks)
+    }
+
+    /// Checks every link of `blocks` under *this* chain's size limit and
+    /// proof requirement.
+    fn validate_blocks(&self, blocks: &[Arc<Block>]) -> Result<(), ChainError> {
+        blocks
+            .windows(2)
+            .try_for_each(|window| self.validate_link(&window[0], &window[1]))
+    }
+
+    /// Replaces this replica's blocks with handles to `other`'s. The
+    /// caller has validated `other`.
+    pub(crate) fn adopt(&mut self, other: &Blockchain) {
+        self.blocks.clone_from(&other.blocks);
+    }
+
+    /// Adopts `other` when every block of it is one this chain's
+    /// [`append`](Blockchain::append) would have accepted — its own size
+    /// limit and proof requirement, not `other`'s.
+    fn adopt_if_valid(&mut self, other: &Blockchain) -> bool {
+        let valid = self.validate_blocks(&other.blocks).is_ok();
+        if valid {
+            self.adopt(other);
         }
-        Ok(())
+        valid
     }
 
     /// Longest-chain resolution: adopts `other` if it is strictly longer and
     /// fully valid. Returns true when a reorganisation happened.
     pub fn resolve_longest(&mut self, other: &Blockchain) -> bool {
-        if other.len() > self.len() && other.validate_all().is_ok() {
-            self.blocks = other.blocks.clone();
-            true
-        } else {
-            false
-        }
+        other.len() > self.len() && self.adopt_if_valid(other)
     }
 
     /// Tie-breaking resolution for healing a fork whose branches grew to
@@ -155,22 +170,16 @@ impl Blockchain {
     ///
     /// [`resolve_longest`]: Blockchain::resolve_longest
     pub fn resolve_preferred(&mut self, other: &Blockchain) -> bool {
-        if other.len() >= self.len()
+        other.len() >= self.len()
             && other.tip().hash() != self.tip().hash()
-            && other.validate_all().is_ok()
-        {
-            self.blocks = other.blocks.clone();
-            true
-        } else {
-            false
-        }
+            && self.adopt_if_valid(other)
     }
 
     /// The blocks of `self` that do not appear in `canonical` (compared by
     /// hash): the orphaned branch left behind after a reorganisation.
-    pub fn orphaned_against(&self, canonical: &Blockchain) -> Vec<Block> {
+    pub fn orphaned_against(&self, canonical: &Blockchain) -> Vec<Arc<Block>> {
         let canonical_hashes: std::collections::BTreeSet<[u8; 32]> =
-            canonical.blocks.iter().map(Block::hash).collect();
+            canonical.iter().map(Block::hash).collect();
         self.blocks
             .iter()
             .filter(|b| !canonical_hashes.contains(&b.hash()))
@@ -193,7 +202,7 @@ impl Blockchain {
     /// Sums the rewards recorded on chain per client.
     pub fn reward_totals(&self) -> std::collections::BTreeMap<u64, u64> {
         let mut totals = std::collections::BTreeMap::new();
-        for block in &self.blocks {
+        for block in self.iter() {
             for tx in &block.transactions {
                 if let TransactionKind::Reward {
                     client_id,
@@ -310,6 +319,38 @@ mod tests {
             chain.append(block),
             Err(ChainError::BlockTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn a_chain_holding_an_oversize_block_fails_validation_and_is_not_adopted() {
+        // Sealed under a generous limit...
+        let mut roomy = Blockchain::new();
+        let big = vec![Transaction::local_gradient(1, 1, vec![0u8; 4096])];
+        roomy.mine_and_append(big, 0, &easy_pow(), 1).unwrap();
+        roomy.mine_and_append(vec![], 1, &easy_pow(), 1).unwrap();
+        roomy.validate_all().unwrap();
+
+        // ...the same blocks are not a valid chain under a tighter one:
+        // `validate_all` applies the rule `append` applies.
+        let mut strict = roomy.clone();
+        strict.max_block_bytes = 1024;
+        assert!(matches!(
+            strict.validate_all(),
+            Err(ChainError::BlockTooLarge { limit: 1024, .. })
+        ));
+
+        // A replica whose `append` would have refused the block does not
+        // take it through fork resolution either, however long the chain.
+        let mut replica = Blockchain::new();
+        replica.max_block_bytes = 1024;
+        assert!(!replica.resolve_longest(&roomy));
+        assert!(!replica.resolve_preferred(&roomy));
+        assert_eq!(replica.height(), 0);
+
+        // Under the limit it was sealed with, the chain is adopted.
+        let mut peer = Blockchain::new();
+        assert!(peer.resolve_longest(&roomy));
+        assert_eq!(peer.height(), 2);
     }
 
     #[test]
@@ -461,6 +502,44 @@ mod tests {
         let back: Blockchain = serde_json::from_str(&json).unwrap();
         assert_eq!(back, chain);
         back.validate_all().unwrap();
+    }
+
+    #[test]
+    fn blocks_shared_between_replicas_keep_the_wire_form() {
+        let mut a = Blockchain::new();
+        a.mine_and_append(
+            vec![
+                Transaction::global_gradient(1, 1, vec![7, 8, 9]),
+                Transaction::reward(1, 1, 5, 42),
+            ],
+            9,
+            &easy_pow(),
+            3,
+        )
+        .unwrap();
+        a.mine_and_append(vec![Transaction::reward(1, 2, 5, 8)], 10, &easy_pow(), 3)
+            .unwrap();
+
+        // `b` appends handles to `a`'s blocks, `deep` its own copies.
+        let mut b = Blockchain::new();
+        let mut deep = Blockchain::new();
+        for block in &a.blocks[1..] {
+            b.append(Arc::clone(block)).unwrap();
+            deep.append(Block::clone(block)).unwrap();
+        }
+        assert!(Arc::ptr_eq(&a.blocks[2], &b.blocks[2]));
+        assert!(!Arc::ptr_eq(&a.blocks[2], &deep.blocks[2]));
+
+        // Sharing is invisible on the wire and survives a round trip.
+        let json = serde_json::to_string(&b).unwrap();
+        assert_eq!(json, serde_json::to_string(&a).unwrap());
+        assert_eq!(json, serde_json::to_string(&deep).unwrap());
+        assert!(json.starts_with("{\"blocks\":[{\"header\":{\"index\":0,"));
+        let back: Blockchain = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, a);
+        assert_eq!(back, b);
+        back.validate_all().unwrap();
+        assert_eq!(back.tip().hash(), a.tip().hash());
     }
 
     mod fork_properties {

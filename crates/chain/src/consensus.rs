@@ -7,6 +7,12 @@
 //! to resolve because there is nothing for a second winner to add. The
 //! [`RoundConsensus`] type drives that flow over a set of per-miner chain
 //! replicas and checks the invariant that all replicas stay identical.
+//!
+//! A round seals *one* block: the winner's block is handed to every
+//! member replica as a shared handle, and each replica runs the complete
+//! [`Blockchain::validate_candidate`] on it — link, Merkle recomputation,
+//! size limit, proof of work — before appending. Sharing changes what a
+//! round stores (one block, not one per miner), never what a miner checks.
 
 use crate::block::Block;
 use crate::chain::Blockchain;
@@ -15,14 +21,15 @@ use crate::miner::{sample_competition, Miner, MiningOutcome};
 use crate::pow::PowConfig;
 use crate::transaction::Transaction;
 use rand::Rng;
+use std::sync::Arc;
 
 /// The result of sealing one communication round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConsensusOutcome {
     /// Outcome of the mining competition (winner and timing).
     pub mining: MiningOutcome,
-    /// The block every replica appended.
-    pub block: Block,
+    /// The block every member replica appended (the one shared copy).
+    pub block: Arc<Block>,
     /// Height the replicas agree on after the round.
     pub height: u64,
 }
@@ -108,9 +115,8 @@ impl RoundConsensus {
             .iter()
             .find(|m| m.id == mining.winner)
             .expect("winner is one of the members");
-        let tip = self.replicas[members[0]].tip().clone();
         let mut candidate = Block::candidate(
-            &tip,
+            self.replicas[members[0]].tip(),
             transactions,
             timestamp_ms,
             self.pow.difficulty,
@@ -125,15 +131,16 @@ impl RoundConsensus {
             .ok_or(ChainError::InsufficientWork)?;
 
         // Broadcast within the component: every member replica validates
-        // and appends the same block.
+        // the block for itself, then appends a handle to the one copy.
+        let block = Arc::new(candidate);
         for &i in members {
-            self.replicas[i].append(candidate.clone())?;
+            self.replicas[i].append(Arc::clone(&block))?;
         }
 
         let height = self.replicas[members[0]].height();
         Ok(ConsensusOutcome {
             mining,
-            block: candidate,
+            block,
             height,
         })
     }
@@ -145,17 +152,24 @@ impl RoundConsensus {
     /// hash, in replica order) so the round engine can salvage or discard
     /// their contents per the configured reorg policy.
     ///
+    /// The winning chain is re-validated once, under the size limit and
+    /// proof requirement the group's replicas share, and the adopting
+    /// replicas then take handles to its blocks.
+    ///
     /// A no-op returning an empty list when the replicas already agree.
-    pub fn heal(&mut self) -> Vec<Block> {
+    pub fn heal(&mut self) -> Vec<Arc<Block>> {
         if self.agreed_height().is_some() {
             return Vec::new();
         }
         let winner_index = (0..self.replicas.len())
             .max_by_key(|&i| (self.replicas[i].height(), std::cmp::Reverse(i)))
             .expect("consensus holds at least one replica");
+        // Handles only: the winner's blocks are shared, not copied.
         let winner = self.replicas[winner_index].clone();
+        let winner_tip = winner.tip().hash();
+        let winner_valid = winner.validate_all().is_ok();
 
-        let mut orphans: Vec<Block> = Vec::new();
+        let mut orphans: Vec<Arc<Block>> = Vec::new();
         let mut seen = std::collections::BTreeSet::new();
         for replica in &mut self.replicas {
             for orphan in replica.orphaned_against(&winner) {
@@ -163,8 +177,10 @@ impl RoundConsensus {
                     orphans.push(orphan);
                 }
             }
-            if !replica.resolve_longest(&winner) {
-                replica.resolve_preferred(&winner);
+            // No replica is longer than the winner, so "strictly longer,
+            // else equally long with another tip" is "another tip".
+            if winner_valid && replica.tip().hash() != winner_tip {
+                replica.adopt(&winner);
             }
         }
         debug_assert!(self.agreed_height().is_some(), "healed replicas agree");
@@ -174,6 +190,12 @@ impl RoundConsensus {
     /// Returns a reference to the (agreed) canonical chain.
     pub fn canonical_chain(&self) -> &Blockchain {
         &self.replicas[0]
+    }
+
+    /// Dissolves the group into its canonical chain, dropping the other
+    /// replicas' handles.
+    pub fn into_canonical_chain(mut self) -> Blockchain {
+        self.replicas.swap_remove(0)
     }
 }
 
@@ -220,6 +242,51 @@ mod tests {
             assert_eq!(replica.len(), 6);
             replica.validate_all().unwrap();
         }
+    }
+
+    #[test]
+    fn a_round_seals_one_block_that_every_member_replica_shares() {
+        let mut consensus = group(4);
+        let mut rng = StdRng::seed_from_u64(8);
+        let txs = vec![Transaction::global_gradient(0, 1, vec![1; 64])];
+        let all = consensus.seal_round(txs, 0, &mut rng).unwrap();
+        // Four replicas and the outcome hold the one copy.
+        assert_eq!(Arc::strong_count(&all.block), 5);
+
+        // A component's block is shared by its members only...
+        let txs = vec![Transaction::global_gradient(0, 2, vec![2; 64])];
+        let part = consensus
+            .seal_round_among(&[0, 1], txs, 1000, &mut rng)
+            .unwrap();
+        assert_eq!(Arc::strong_count(&part.block), 3);
+        // ...until the fork heals and the others take handles to it.
+        assert!(consensus.heal().is_empty());
+        assert_eq!(Arc::strong_count(&part.block), 5);
+        assert_eq!(consensus.agreed_height(), Some(2));
+
+        // Dissolving the group leaves the canonical chain's handle.
+        let chain = consensus.into_canonical_chain();
+        assert_eq!(chain.tip().hash(), part.block.hash());
+        assert_eq!(Arc::strong_count(&part.block), 2);
+        assert_eq!(Arc::strong_count(&all.block), 2);
+    }
+
+    /// Sharing the block does not share the verdict: a replica that
+    /// cannot accept the block refuses it although an earlier member
+    /// already validated and appended the same handle.
+    #[test]
+    fn every_member_replica_validates_the_shared_block_itself() {
+        let mut consensus = group(3);
+        consensus.replicas[2].max_block_bytes = 256;
+        let mut rng = StdRng::seed_from_u64(9);
+        let txs = vec![Transaction::global_gradient(0, 1, vec![0; 1024])];
+        assert!(matches!(
+            consensus.seal_round_among(&[0, 1, 2], txs, 0, &mut rng),
+            Err(ChainError::BlockTooLarge { limit: 256, .. })
+        ));
+        assert_eq!(consensus.replicas[0].height(), 1);
+        assert_eq!(consensus.replicas[1].height(), 1);
+        assert_eq!(consensus.replicas[2].height(), 0);
     }
 
     #[test]

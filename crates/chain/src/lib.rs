@@ -21,7 +21,9 @@
 //!   multi-threaded), and the analytic expected-hash-count model.
 //! * [`mempool`] — a size-limited pending-transaction pool that models the
 //!   transaction queuing of vanilla BFL.
-//! * [`chain`] — the append-only validated chain with reorg support.
+//! * [`chain`] — the append-only validated chain with reorg support;
+//!   replicas share sealed blocks (`Arc<Block>`) and validate each for
+//!   themselves.
 //! * [`miner`] — a miner identity with a hash rate, used both for real
 //!   nonce searches and for sampling simulated mining times.
 //! * [`fork`] — the fork-probability and fork-resolution-delay model used

@@ -14,7 +14,7 @@
 //! Amounts are carried in milli-units of the reward `base` so that the
 //! ledger stays integer-only and hash-stable.
 
-use bfl_crypto::sha256::{sha256, Digest};
+use bfl_crypto::sha256::{Digest, Sha256};
 use serde::{Deserialize, Serialize};
 
 /// The payload variants a BFL transaction can carry.
@@ -121,11 +121,57 @@ impl Transaction {
         )
     }
 
-    /// Stable content hash used as the transaction id and Merkle leaf.
+    /// Stable content hash used as the transaction id and Merkle leaf:
+    /// SHA-256 of `submitter ‖ tag ‖ round ‖ …` (all integers big-endian,
+    /// a gradient's payload last). The fields are streamed into the hasher
+    /// one by one — the payload from where it lies — so an id costs no
+    /// allocation.
     pub fn id(&self) -> Digest {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&self.submitter.to_be_bytes());
+        let mut hasher = Sha256::new();
+        hasher.update(&self.submitter.to_be_bytes());
         match &self.kind {
+            TransactionKind::GlobalGradient { round, payload } => {
+                hasher.update(&[0]);
+                hasher.update(&round.to_be_bytes());
+                hasher.update(payload);
+            }
+            TransactionKind::LocalGradient {
+                round,
+                client_id,
+                payload,
+            } => {
+                hasher.update(&[1]);
+                hasher.update(&round.to_be_bytes());
+                hasher.update(&client_id.to_be_bytes());
+                hasher.update(payload);
+            }
+            TransactionKind::Reward {
+                round,
+                client_id,
+                amount_milli,
+            } => {
+                hasher.update(&[2]);
+                hasher.update(&round.to_be_bytes());
+                hasher.update(&client_id.to_be_bytes());
+                hasher.update(&amount_milli.to_be_bytes());
+            }
+        }
+        hasher.finalize()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bfl_crypto::sha256::sha256;
+    use proptest::prelude::*;
+
+    /// The id's preimage, materialised — the form `id()` had before it
+    /// streamed, kept as its oracle.
+    fn id_preimage(tx: &Transaction) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&tx.submitter.to_be_bytes());
+        match &tx.kind {
             TransactionKind::GlobalGradient { round, payload } => {
                 bytes.push(0);
                 bytes.extend_from_slice(&round.to_be_bytes());
@@ -152,13 +198,39 @@ impl Transaction {
                 bytes.extend_from_slice(&amount_milli.to_be_bytes());
             }
         }
-        sha256(&bytes)
+        bytes
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Payload lengths that put the 17- and 25-byte heads on either side
+    /// of SHA-256's padding and block edges, plus the paper model's
+    /// serialized gradient.
+    const PAYLOAD_LENS: [usize; 11] = [0, 38, 39, 40, 55, 56, 57, 63, 64, 65, 62_800];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn streamed_id_is_sha256_of_the_materialised_preimage(
+            submitter in any::<u64>(),
+            round in any::<u64>(),
+            client_id in any::<u64>(),
+            amount_milli in any::<u64>(),
+            fill in any::<u8>(),
+        ) {
+            let reward = Transaction::reward(submitter, round, client_id, amount_milli);
+            prop_assert_eq!(reward.id(), sha256(&id_preimage(&reward)));
+            for len in PAYLOAD_LENS {
+                let payload: Vec<u8> = (0..len)
+                    .map(|i| fill.wrapping_add((i as u8).wrapping_mul(31)))
+                    .collect();
+                let global = Transaction::global_gradient(submitter, round, payload.clone());
+                let mut local = Transaction::local_gradient(client_id, round, payload);
+                local.submitter = submitter;
+                prop_assert_eq!(global.id(), sha256(&id_preimage(&global)), "global, {} bytes", len);
+                prop_assert_eq!(local.id(), sha256(&id_preimage(&local)), "local, {} bytes", len);
+            }
+        }
+    }
 
     #[test]
     fn constructors_set_fields() {

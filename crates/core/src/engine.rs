@@ -314,11 +314,11 @@ impl<'a> SimulationRun<'a> {
     pub fn into_result(self) -> SimulationResult {
         let (chain, final_params) = match self.state {
             RunState::Learning(state) => (
-                state.consensus.map(|c| c.canonical_chain().clone()),
+                state.consensus.map(RoundConsensus::into_canonical_chain),
                 state.global_params,
             ),
             RunState::ChainOnly(state) => {
-                (Some(state.consensus.canonical_chain().clone()), Vec::new())
+                (Some(state.consensus.into_canonical_chain()), Vec::new())
             }
         };
         SimulationResult {

@@ -4,6 +4,11 @@
 //! block's *only* gradient payload) together with the reward list into a
 //! new block, solves the PoW puzzle, and broadcasts; every miner verifies
 //! and appends, so all replicas stay identical and no forks occur.
+//!
+//! A round seals one block and costs one block: the transaction list is
+//! sized once, ids and the Merkle root are hashed without a buffer per
+//! transaction, and the replicas append handles to the winner's block —
+//! each after its own full validation — instead of copies of it.
 
 use crate::error::CoreError;
 use crate::reward::{reward_transactions, RewardEntry};
@@ -20,11 +25,12 @@ pub fn build_block_transactions(
     global_params: &[f64],
     rewards: &[RewardEntry],
 ) -> Vec<Transaction> {
-    let mut transactions = vec![Transaction::global_gradient(
+    let mut transactions = Vec::with_capacity(1 + rewards.len());
+    transactions.push(Transaction::global_gradient(
         miner_id,
         round,
         gradient::to_bytes(global_params),
-    )];
+    ));
     transactions.extend(reward_transactions(rewards, miner_id, round));
     transactions
 }

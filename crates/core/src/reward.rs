@@ -94,11 +94,14 @@ pub fn gini(rewards: &[u64]) -> f64 {
 
 /// Converts a reward list into ledger transactions submitted by `miner_id`
 /// for `round`.
-pub fn reward_transactions(rewards: &[RewardEntry], miner_id: u64, round: u64) -> Vec<Transaction> {
+pub fn reward_transactions(
+    rewards: &[RewardEntry],
+    miner_id: u64,
+    round: u64,
+) -> impl Iterator<Item = Transaction> + '_ {
     rewards
         .iter()
-        .map(|entry| Transaction::reward(miner_id, round, entry.client_id, entry.amount_milli))
-        .collect()
+        .map(move |entry| Transaction::reward(miner_id, round, entry.client_id, entry.amount_milli))
 }
 
 #[cfg(test)]
@@ -148,7 +151,7 @@ mod tests {
     #[test]
     fn transactions_carry_the_right_fields() {
         let rewards = build_reward_list(&[(7, 0.3), (9, 0.7)], 50.0);
-        let txs = reward_transactions(&rewards, 2, 12);
+        let txs: Vec<Transaction> = reward_transactions(&rewards, 2, 12).collect();
         assert_eq!(txs.len(), 2);
         for (tx, entry) in txs.iter().zip(rewards.iter()) {
             assert_eq!(tx.round(), 12);
