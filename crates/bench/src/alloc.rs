@@ -94,18 +94,6 @@ impl CountingAllocator {
         self.live.load(Ordering::Relaxed)
     }
 
-    /// Currently live heap blocks (allocations not yet freed).
-    pub fn current_blocks(&self) -> usize {
-        self.blocks.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative allocation events (`alloc`, `alloc_zeroed`, and
-    /// `realloc` calls) since process start. Monotonic; deallocations do
-    /// not count.
-    pub fn allocation_count(&self) -> usize {
-        self.events.load(Ordering::Relaxed)
-    }
-
     /// Reads all counters at once, for [`delta_since`](Self::delta_since)
     /// bracketing. The three loads are not mutually atomic, so take
     /// snapshots at points where no other thread is allocating (or accept

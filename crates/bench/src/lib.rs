@@ -1,24 +1,16 @@
 //! # bfl-bench
 //!
-//! The paper's evaluation section as code. The [`experiments`] module
-//! builds the configurations for every system in the paper's comparison
-//! (FAIR-BFL, FAIR-Discard, FedAvg, FedProx, pure blockchain) and runs
-//! the parameter sweeps behind every table and figure; [`report`] renders
-//! the results as the markdown tables recorded in EXPERIMENTS.md;
-//! [`alloc`] provides the counting global allocator the allocation tests
-//! under `tests/` install. Performance numbers do not come from this
-//! crate: the canonical end-to-end benchmark is the `benchmark/` package
-//! at the repository root.
-//!
-//! Each figure/table has a dedicated binary (`fig4`, `fig5`, `fig6`,
-//! `fig7`, `table2`, `all_experiments`) accepting a `--scale
-//! {smoke|medium|paper}` argument.
+//! The counting global allocator ([`alloc`]) and, under `tests/`, the
+//! allocation contracts that install it: heap tracks participants and
+//! rounds × one block, a warm round nets zero, a local pass allocates its
+//! upload, sealing a round costs one block. Performance numbers do not
+//! come from this crate (the canonical end-to-end benchmark is the
+//! `benchmark/` package at the repository root), and neither does the
+//! paper's evaluation: its figures and tables are the manifests under
+//! `scenarios/`, run by `bflharness`.
 
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod experiments;
-pub mod report;
 
 pub use alloc::{AllocDelta, AllocSnapshot, CountingAllocator};
-pub use experiments::{Scale, SystemLabel};

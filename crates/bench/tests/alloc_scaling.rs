@@ -9,10 +9,11 @@
 //!   round however many miners hold a replica, because the replicas share
 //!   the block.
 
-use bfl_bench::experiments::{dataset, population_scale_config, Scale};
 use bfl_bench::CountingAllocator;
-use bfl_core::{FlexibilityMode, Scenario};
+use bfl_core::{AggregationMode, BflConfig, FlexibilityMode, ProvisioningMode, Scenario, SyncMode};
 use bfl_fl::config::PartitionKind;
+use bfl_harness::runner::generate_dataset;
+use bfl_harness::DatasetSpec;
 use std::sync::{Mutex, PoisonError};
 
 #[global_allocator]
@@ -22,8 +23,35 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 /// here take turns: nothing else may run beside a bracketed region.
 static BRACKET: Mutex<()> = Mutex::new(());
 
+/// Participants a round in every cell of the population ladder.
+const PARTICIPANTS: usize = 64;
+
+/// Peak heap of one cell of the population-scale ladder: an implicit
+/// population of `population` clients from which the round samples
+/// [`PARTICIPANTS`], provisioned lazily under an O(participants) cache and
+/// folded through streaming Procedure IV in 16-upload committees on the
+/// event engine. The block quota sits at 80% of the participants so the
+/// round seals without waiting for the slowest uplinks; signatures stay
+/// off so the cell measures engine bookkeeping and training, not RSA.
 fn peak_for(population: usize, data: &(bfl_data::Dataset, bfl_data::Dataset)) -> usize {
-    let config = population_scale_config(population, 64, 1, 16);
+    let mut config = BflConfig::default();
+    config.fl.clients = population;
+    config.fl.participation_ratio = PARTICIPANTS as f64 / population as f64;
+    config.fl.rounds = 1;
+    config.fl.local.epochs = 1;
+    config.fl.partition = PartitionKind::ImplicitIid {
+        samples_per_client: 8,
+    };
+    config.fl.seed = 0xBF1;
+    config.verify_signatures = false;
+    config.sync = SyncMode::FlexibleQuota {
+        quota: PARTICIPANTS * 4 / 5,
+    };
+    config.provisioning = ProvisioningMode::Lazy {
+        cache_budget: 2 * PARTICIPANTS,
+    };
+    config.aggregation = AggregationMode::Streaming { chunk: 16 };
+    assert_eq!(config.fl.selected_per_round(), PARTICIPANTS);
     let scenario = Scenario::from_config(config).expect("cell is valid");
     ALLOC.reset_peak();
     let result = scenario.run(&data.0, &data.1).expect("cell completes");
@@ -35,7 +63,7 @@ fn peak_for(population: usize, data: &(bfl_data::Dataset, bfl_data::Dataset)) ->
 #[test]
 fn peak_heap_tracks_participants_not_population() {
     let _turn = BRACKET.lock().unwrap_or_else(PoisonError::into_inner);
-    let data = dataset(Scale::Smoke);
+    let data = generate_dataset(&DatasetSpec::default());
     // Warm-up run so one-time allocations (thread pools, caches) don't
     // land inside the first measured bracket.
     let _ = peak_for(50_000, &data);
@@ -95,7 +123,7 @@ fn retained_over_second_rung(
 #[test]
 fn retained_heap_grows_by_one_block_a_round_whatever_the_miner_count() {
     let _turn = BRACKET.lock().unwrap_or_else(PoisonError::into_inner);
-    let data = dataset(Scale::Smoke);
+    let data = generate_dataset(&DatasetSpec::default());
     let (at_two, sealed) = retained_over_second_rung(2, &data);
     let (at_six, sealed_at_six) = retained_over_second_rung(6, &data);
     assert_eq!(

@@ -6,9 +6,10 @@
 //! the result. The counting allocator is installed as this binary's
 //! global allocator.
 
-use bfl_bench::experiments::{dataset, Scale};
 use bfl_bench::CountingAllocator;
 use bfl_fl::client::Client;
+use bfl_harness::runner::generate_dataset;
+use bfl_harness::DatasetSpec;
 use bfl_ml::model::ModelKind;
 use bfl_ml::optimizer::LocalTrainingConfig;
 use bfl_ml::tensor::Scratch;
@@ -20,7 +21,7 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 /// nothing else may run concurrently with the bracketed region.
 #[test]
 fn a_warm_local_pass_allocates_its_upload_and_nothing_else() {
-    let (train, _test) = dataset(Scale::Smoke);
+    let (train, _test) = generate_dataset(&DatasetSpec::default());
     let model = ModelKind::default_mnist();
     let model_bytes = model.num_params() * std::mem::size_of::<f64>();
     let global = vec![0.01; model.num_params()];

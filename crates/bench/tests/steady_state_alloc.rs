@@ -23,10 +23,11 @@
 //! worker spawned by the last warm-up round would otherwise spill into
 //! the first measured one.
 
-use bfl_bench::experiments::{dataset, Scale};
 use bfl_bench::CountingAllocator;
 use bfl_core::{FlexibilityMode, RewardEntry, RewardPolicy, Scenario, SyncMode};
 use bfl_fl::config::PartitionKind;
+use bfl_harness::runner::generate_dataset;
+use bfl_harness::DatasetSpec;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -78,7 +79,7 @@ fn flexible_round_loop_is_allocation_free_at_steady_state() {
 }
 
 fn warm_up_then_measure() {
-    let (train, test) = dataset(Scale::Smoke);
+    let (train, test) = generate_dataset(&DatasetSpec::default());
     let mut run = steady_scenario()
         .start(&train, &test)
         .expect("run provisions")

@@ -50,14 +50,6 @@ impl SyncMode {
             _ => Ok(()),
         }
     }
-
-    /// Short display name (used by sweep labels and reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SyncMode::Synchronous => "synchronous",
-            SyncMode::FlexibleQuota { .. } => "flexible-quota",
-        }
-    }
 }
 
 /// Parametric description of the client population's heterogeneity, from
@@ -654,11 +646,6 @@ mod tests {
         assert!(config.sync.is_synchronous());
         assert_eq!(config.staleness, StalenessPolicy::Discard);
         assert_eq!(config.profiles, ProfileConfig::default());
-        assert_eq!(config.sync.name(), "synchronous");
-        assert_eq!(
-            SyncMode::FlexibleQuota { quota: 3 }.name(),
-            "flexible-quota"
-        );
     }
 
     #[test]

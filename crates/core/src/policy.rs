@@ -70,15 +70,6 @@ impl AggregationAnchor {
             }
         }
     }
-
-    /// Short display name (used by sweep labels and reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AggregationAnchor::Mean => "mean",
-            AggregationAnchor::Median => "median",
-            AggregationAnchor::TrimmedMean { .. } => "trimmed-mean",
-        }
-    }
 }
 
 /// What the asynchronous engine does with a *stale* upload — one that was
@@ -135,14 +126,6 @@ impl StalenessPolicy {
     /// without opening it.
     pub fn discards_unseen(&self) -> bool {
         matches!(self, StalenessPolicy::Discard)
-    }
-
-    /// Short display name (used by sweep labels and reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            StalenessPolicy::Discard => "discard",
-            StalenessPolicy::DecayedInclude { .. } => "decayed-include",
-        }
     }
 }
 
@@ -230,14 +213,6 @@ impl RetryPolicy {
             }),
         }
     }
-
-    /// Short display name (used by sweep labels and reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            RetryPolicy::None => "no-retry",
-            RetryPolicy::Backoff { .. } => "backoff",
-        }
-    }
 }
 
 /// What becomes of the uploads stranded on the losing branch of a healed
@@ -254,16 +229,6 @@ pub enum ReorgPolicy {
     /// at heal time, subject to the run's staleness policy (they are by
     /// construction at least one round old).
     Salvage,
-}
-
-impl ReorgPolicy {
-    /// Short display name (used by sweep labels and reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReorgPolicy::Discard => "discard",
-            ReorgPolicy::Salvage => "salvage",
-        }
-    }
 }
 
 /// How a round's high-contribution θ scores become paid rewards.
@@ -380,7 +345,6 @@ mod tests {
             serde_json::to_string(&AggregationAnchor::TrimmedMean { trim_ratio: 0.2 }).unwrap();
         let back: AggregationAnchor = serde_json::from_str(&json).unwrap();
         assert_eq!(back, AggregationAnchor::TrimmedMean { trim_ratio: 0.2 });
-        assert_eq!(AggregationAnchor::Median.name(), "median");
     }
 
     #[test]
@@ -406,10 +370,6 @@ mod tests {
             Some(vec![2.0, -1.0])
         );
         assert_eq!(StalenessPolicy::default(), StalenessPolicy::Discard);
-        assert_eq!(
-            StalenessPolicy::DecayedInclude { decay: 0.9 }.name(),
-            "decayed-include"
-        );
     }
 
     #[test]
@@ -426,7 +386,6 @@ mod tests {
             jitter_s: 0.5,
         };
         backoff.validate().unwrap();
-        assert_eq!(backoff.name(), "backoff");
         // First attempt fails: retry after timeout + base + jitter.
         assert_eq!(backoff.backoff_delay(1, 0.0), Some(3.0));
         // Second attempt fails: backoff doubles, jitter applies.
@@ -463,8 +422,6 @@ mod tests {
     #[test]
     fn reorg_policy_names_and_default() {
         assert_eq!(ReorgPolicy::default(), ReorgPolicy::Discard);
-        assert_eq!(ReorgPolicy::Discard.name(), "discard");
-        assert_eq!(ReorgPolicy::Salvage.name(), "salvage");
         let json = serde_json::to_string(&ReorgPolicy::Salvage).unwrap();
         let back: ReorgPolicy = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ReorgPolicy::Salvage);

@@ -72,15 +72,6 @@ impl RunHistory {
         self.rounds.iter().map(|r| r.round_delay_s).sum::<f64>() / self.rounds.len() as f64
     }
 
-    /// Mean accuracy over all recorded rounds (the paper's "average
-    /// accuracy" summary statistic).
-    pub fn mean_accuracy(&self) -> f64 {
-        if self.rounds.is_empty() {
-            return 0.0;
-        }
-        self.rounds.iter().map(|r| r.accuracy).sum::<f64>() / self.rounds.len() as f64
-    }
-
     /// Cumulative average delay after each round — the series Figure 4a and
     /// Figure 7a plot against the communication round.
     pub fn cumulative_average_delay(&self) -> Vec<f64> {
@@ -113,15 +104,6 @@ impl RunHistory {
         }
         None
     }
-
-    /// Simulated time (seconds) at which convergence was reached, if ever.
-    pub fn convergence_time(&self) -> Option<f64> {
-        let round = self.convergence_round()?;
-        self.rounds
-            .iter()
-            .find(|r| r.round == round)
-            .map(|r| r.elapsed_s)
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +127,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.final_accuracy(), None);
         assert_eq!(h.mean_round_delay(), 0.0);
-        assert_eq!(h.mean_accuracy(), 0.0);
         assert!(h.convergence_round().is_none());
         assert!(h.cumulative_average_delay().is_empty());
     }
@@ -158,7 +139,6 @@ mod tests {
         assert_eq!(h.len(), 2);
         assert!((h.final_accuracy().unwrap() - 0.7).abs() < 1e-12);
         assert!((h.mean_round_delay() - 3.0).abs() < 1e-12);
-        assert!((h.mean_accuracy() - 0.6).abs() < 1e-12);
         let cum = h.cumulative_average_delay();
         assert_eq!(cum, vec![2.0, 3.0]);
     }
@@ -175,7 +155,6 @@ mod tests {
         }
         // Stable pairs start at (6,7); the fifth stable pair ends at round 11.
         assert_eq!(h.convergence_round(), Some(11));
-        assert!(h.convergence_time().is_some());
     }
 
     #[test]
@@ -185,7 +164,6 @@ mod tests {
             h.push(record(round, 0.03 * round as f64, 1.0));
         }
         assert!(h.convergence_round().is_none());
-        assert!(h.convergence_time().is_none());
     }
 
     #[test]

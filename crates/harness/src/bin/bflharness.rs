@@ -1,25 +1,28 @@
-//! `bflharness` — run and merge manifest-driven experiment fleets.
+//! `bflharness` — run, merge and report manifest-driven experiment fleets.
 //!
 //! ```text
 //! bflharness run --manifest m.json --out dir/ [--shard i/N] [--threads T]
 //! bflharness merge <shard-dir>... --out dir/
+//! bflharness report <dir>
 //! ```
 //!
 //! `run` expands the manifest's cells × seeds, executes the jobs this
 //! process's shard owns, and writes per-seed KPI series plus (when
 //! unsharded) the cross-seed `summary.json` and a `timing.json` wall
 //! -clock report. `merge` folds shard directories into a summary
-//! byte-identical to the unsharded run's.
+//! byte-identical to the unsharded run's. `report` prints the summary a
+//! run or a merge wrote as one markdown table.
 
 use bfl_harness::runner::{to_pretty_json, write_text};
-use bfl_harness::{merge_shards, run_fleet, write_outputs, Manifest, Shard};
+use bfl_harness::{merge_shards, report, run_fleet, write_outputs, Manifest, Shard, Summary};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  bflharness run --manifest <m.json> --out <dir> \
-         [--shard i/N] [--threads T]\n  bflharness merge <dir>... --out <dir>"
+         [--shard i/N] [--threads T]\n  bflharness merge <dir>... --out <dir>\n  \
+         bflharness report <dir>"
     );
     std::process::exit(2);
 }
@@ -34,6 +37,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("run") => run_command(&args[1..]),
         Some("merge") => merge_command(&args[1..]),
+        Some("report") => report_command(&args[1..]),
         _ => usage(),
     }
 }
@@ -121,6 +125,7 @@ fn run_command(args: &[String]) {
     );
 }
 
+#[derive(serde::Serialize)]
 struct TimingReport {
     fleet: String,
     runs: usize,
@@ -128,25 +133,6 @@ struct TimingReport {
     threads: usize,
     wall_s: f64,
     runs_per_s: f64,
-}
-
-impl serde::Serialize for TimingReport {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            ("fleet".to_string(), serde::Value::Str(self.fleet.clone())),
-            ("runs".to_string(), serde::Value::UInt(self.runs as u64)),
-            ("shard".to_string(), serde::Value::Str(self.shard.clone())),
-            (
-                "threads".to_string(),
-                serde::Value::UInt(self.threads as u64),
-            ),
-            ("wall_s".to_string(), serde::Value::Float(self.wall_s)),
-            (
-                "runs_per_s".to_string(),
-                serde::Value::Float(self.runs_per_s),
-            ),
-        ])
-    }
 }
 
 fn merge_command(args: &[String]) {
@@ -181,4 +167,14 @@ fn merge_command(args: &[String]) {
         summary.cells.len(),
         summary.seeds.len(),
     );
+}
+
+fn report_command(args: &[String]) {
+    let [dir] = args else { usage() };
+    let path = Path::new(dir).join("summary.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| fail(format!("cannot read `{}`: {e}", path.display())));
+    let summary: Summary = serde_json::from_str(&text)
+        .unwrap_or_else(|e| fail(format!("`{}` is not a fleet summary: {e}", path.display())));
+    print!("{}", report::render(&summary));
 }

@@ -19,21 +19,24 @@
 //! in an order fixed by the manifest rather than by execution.
 //!
 //! The `bflharness` binary is the CLI: `bflharness run --manifest m.json
-//! --out dir/ [--shard i/N] [--threads T]` and `bflharness merge
-//! <dirs...> --out dir/`. Exemplar manifests live in `scenarios/`.
+//! --out dir/ [--shard i/N] [--threads T]`, `bflharness merge
+//! <dirs...> --out dir/` and `bflharness report dir/` (the summary as a
+//! markdown table, [`report`]). The manifests of the paper's figures and
+//! tables live in `scenarios/`; `REPRODUCTION.md` records what they show.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod manifest;
 pub mod merge;
+pub mod report;
 pub mod runner;
 pub mod stats;
 
 pub use manifest::{CellSpec, DatasetSpec, Manifest, ManifestError};
 pub use merge::merge_shards;
 pub use runner::{
-    run_fleet, summarize, write_outputs, FinalMetrics, FleetFile, HarnessError, RoundRow,
-    RunRecord, RunSidecar, Shard, Summary,
+    run_fleet, summarize, write_outputs, CellSummary, FinalMetrics, FleetFile, HarnessError,
+    RoundRow, RunRecord, RunSidecar, Shard, Summary,
 };
 pub use stats::Stats;

@@ -2,13 +2,15 @@
 //!
 //! A manifest names a base scenario, a grid of override axes whose cells
 //! cross-product into labelled configurations, and a seed fleet. Parsing
-//! is **strict**: unknown keys and out-of-range values are hard errors
-//! carrying the JSON path of the offending element (`grid[1].cells[0]
-//! .set.quota`), because a typo that silently falls back to a default
-//! would corrupt a fleet's results without a trace. The vendored serde
-//! shim has no `deny_unknown_fields`, so the decoder is hand-rolled over
-//! [`serde::Value`]: every object walks through a strict walker that
-//! tracks which keys were consumed and rejects the leftovers.
+//! is **strict**: unknown keys, wrong types and out-of-range values are
+//! hard errors carrying the JSON path of the offending element
+//! (`grid[1].cells[0].set.fl.cleints`), because a typo that silently falls
+//! back to a default would corrupt a fleet's results without a trace. The
+//! vendored serde shim has no `deny_unknown_fields`, so the root is
+//! decoded over [`serde::Value`] by a strict walker that tracks which keys
+//! were consumed and rejects the leftovers, and `base` / `set` objects go
+//! through [`apply_patch`], which gets the same guarantee from a
+//! serialise–merge–deserialise round trip.
 //!
 //! ## Schema
 //!
@@ -17,11 +19,11 @@
 //!   "name": "table2_attack",
 //!   "description": "optional free text",
 //!   "dataset": {"train_samples": 300, "test_samples": 100, "data_seed": 55930},
-//!   "base": { <settings> },
+//!   "base": { <partial BflConfig> },
 //!   "grid": [
 //!     {"axis": "strategy", "cells": [
-//!       {"label": "keep", "set": { <settings> }},
-//!       {"label": "discard", "set": { <settings> }}
+//!       {"label": "keep", "set": {"strategy": "Keep"}},
+//!       {"label": "discard", "set": {"strategy": "Discard"}}
 //!     ]}
 //!   ],
 //!   "seeds": [1, 2, 3]        // or {"range": [0, 5]} = seeds 0..5
@@ -30,35 +32,12 @@
 //!
 //! `dataset`, `base` and `grid` are optional (defaults: a smoke-scale
 //! synthetic MNIST, the paper's Section 5.1 configuration, a single
-//! unlabelled cell). The recognised settings keys are listed in
-//! [`apply_settings`].
+//! unlabelled cell). A `base` or `set` object is a partial
+//! [`BflConfig`] in its serde form — see [`apply_patch`].
 
-use bfl_core::{
-    AggregationAnchor, AttackConfig, BflConfig, FlexibilityMode, LowContributionStrategy,
-    ReorgPolicy, RetryPolicy, StalenessPolicy, SyncMode,
-};
-use bfl_fl::config::PartitionKind;
-use bfl_net::{DelayDistribution, Partition};
-use serde::Value;
+use bfl_core::BflConfig;
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-
-/// Transparent wrapper so a raw [`Value`] tree can pass through the
-/// shim's `from_str`/`to_string_pretty`, which are generic over the
-/// `Deserialize`/`Serialize` traits that `Value` itself does not
-/// implement.
-pub(crate) struct RawJson(pub(crate) Value);
-
-impl serde::Deserialize for RawJson {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(RawJson(value.clone()))
-    }
-}
-
-impl serde::Serialize for RawJson {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
 
 /// A manifest parse/validation failure, pinned to a JSON path.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +82,8 @@ pub struct DatasetSpec {
 }
 
 impl Default for DatasetSpec {
-    /// Smoke scale: the same shape the bench suite's `Scale::Smoke` uses.
+    /// Smoke scale: 300 training and 100 test samples — seconds per fleet,
+    /// and what the allocation contracts in `crates/bench/tests/` train on.
     fn default() -> Self {
         DatasetSpec {
             train_samples: 300,
@@ -141,9 +121,9 @@ pub struct Manifest {
 impl Manifest {
     /// Parses and validates a manifest from JSON text.
     pub fn from_json(text: &str) -> Result<Manifest, ManifestError> {
-        let raw: RawJson = serde_json::from_str(text)
+        let value: Value = serde_json::from_str(text)
             .map_err(|e| ManifestError::new("", format!("not valid JSON: {e}")))?;
-        Self::from_value(&raw.0)
+        Self::from_value(&value)
     }
 
     /// Parses and validates a manifest from a decoded JSON tree.
@@ -167,7 +147,7 @@ impl Manifest {
 
         let mut base = BflConfig::default();
         if let Some(value) = root.take("base") {
-            apply_settings(&mut base, value, "base")?;
+            apply_patch(&mut base, value, "base")?;
         }
 
         let axes = match root.take("grid") {
@@ -309,7 +289,7 @@ fn expand_cells(
         for (axis, &pick) in axes.iter().zip(indices.iter()) {
             let (label, patch) = &axis.cells[pick];
             labels.push(label.as_str());
-            apply_settings(&mut config, &patch.value, &patch.path)?;
+            apply_patch(&mut config, &patch.value, &patch.path)?;
         }
         let label = labels.join("/");
         validate_config(&config, dataset, &format!("cell `{label}`"))?;
@@ -393,383 +373,159 @@ fn parse_seeds(value: &Value, path: &str) -> Result<Vec<u64>, ManifestError> {
     Ok(seeds)
 }
 
-/// Applies one `settings` object onto `config`. Recognised keys:
+/// Applies one `base` / `set` object onto `config`.
 ///
-/// | key | value | target |
-/// |---|---|---|
-/// | `clients` | uint ≥ 1 | `fl.clients` |
-/// | `rounds` | uint ≥ 1 | `fl.rounds` |
-/// | `participation_ratio` | float in (0, 1] | `fl.participation_ratio` |
-/// | `local_epochs` | uint ≥ 1 | `fl.local.epochs` |
-/// | `learning_rate` | float > 0 | `fl.local.learning_rate` |
-/// | `batch_size` | uint ≥ 1 | `fl.local.batch_size` |
-/// | `drop_percent` | float in [0, 1) — a fraction despite the name: `0.02` is FedProx-Drop(0.02) | `fl.drop_percent` |
-/// | `partition` | `"iid"` \| `{"shards_per_client": n}` \| `{"dirichlet_alpha": a}` | `fl.partition` |
-/// | `miners` | uint ≥ 1 | `miners` |
-/// | `mode` | `"full"` \| `"fl-only"` \| `"chain-only"` | `mode` |
-/// | `strategy` | `"keep"` \| `"discard"` | `strategy` |
-/// | `anchor` | `"mean"` \| `"median"` \| `{"trimmed_mean": r}` | `anchor` |
-/// | `fair_aggregation` | bool | `fair_aggregation` |
-/// | `reward_base` | float ≥ 0 | `reward_base` |
-/// | `verify_signatures` | bool | `verify_signatures` |
-/// | `rsa_modulus_bits` | uint | `rsa_modulus_bits` |
-/// | `discard_cooldown_rounds` | uint | `discard_cooldown_rounds` |
-/// | `quota` | uint (0 = synchronous, n ≥ 1 = flexible quota) | `sync` |
-/// | `staleness` | `"discard"` \| `{"decay": d}` with d in (0, 1] | `staleness` |
-/// | `straggler_slowdown` | float ≥ 1 | `profiles.straggler_slowdown` |
-/// | `straggler_fraction` | float in [0, 1] | `profiles.straggler_fraction` |
-/// | `churn_fraction` | float in [0, 1] | `profiles.churn_fraction` |
-/// | `churn_online_s` | float > 0 | `profiles.churn_online_s` |
-/// | `churn_offline_s` | float > 0 | `profiles.churn_offline_s` |
-/// | `uplink` | `{"constant": s}` \| `{"uniform": [min, max]}` \| `{"normal": [mean, std]}` \| `{"exponential": mean}` | `profiles.uplink` |
-/// | `drop_rate` | float in [0, 1] | `fault.uplink.drop_rate` |
-/// | `partition_fault` | `"none"` \| `{"start_s": f, "duration_s": f, "boundary": n}` | `fault.partition` |
-/// | `retry` | `"none"` \| `{"max_attempts": n, "timeout_s": f, "base_s": f, "factor": f, "jitter_s": f}` | `retry` |
-/// | `reorg` | `"discard"` \| `"salvage"` | `reorg` |
-/// | `attack` | `"off"` \| `{"min": a, "max": b}` | `attack` |
-///
-/// Any other key is a hard error naming the full JSON path. Range checks
-/// beyond the table are enforced by [`BflConfig::validate`] once the cell
-/// is fully resolved.
-pub fn apply_settings(
-    config: &mut BflConfig,
-    value: &Value,
-    path: &str,
-) -> Result<(), ManifestError> {
-    let mut walker = ObjWalker::new(value, path)?;
-
-    if let Some(n) = take_usize(&mut walker, "clients")? {
-        config.fl.clients = n;
-    }
-    if let Some(n) = take_usize(&mut walker, "rounds")? {
-        config.fl.rounds = n;
-    }
-    if let Some(r) = take_f64(&mut walker, "participation_ratio")? {
-        config.fl.participation_ratio = r;
-    }
-    if let Some(n) = take_usize(&mut walker, "local_epochs")? {
-        config.fl.local.epochs = n;
-    }
-    if let Some(lr) = take_f64(&mut walker, "learning_rate")? {
-        config.fl.local.learning_rate = lr;
-    }
-    if let Some(n) = take_usize(&mut walker, "batch_size")? {
-        config.fl.local.batch_size = n;
-    }
-    if let Some(p) = take_f64(&mut walker, "drop_percent")? {
-        config.fl.drop_percent = p;
-    }
-    if let Some(value) = walker.take("partition") {
-        let key_path = walker.key_path("partition");
-        config.fl.partition = parse_partition_kind(value, &key_path)?;
-    }
-    if let Some(n) = take_usize(&mut walker, "miners")? {
-        config.miners = n;
-    }
-    if let Some(mode) = take_string(&mut walker, "mode")? {
-        config.mode = match mode.as_str() {
-            "full" => FlexibilityMode::FullBfl,
-            "fl-only" => FlexibilityMode::FlOnly,
-            "chain-only" => FlexibilityMode::ChainOnly,
-            other => {
-                return Err(ManifestError::new(
-                    walker.key_path("mode"),
-                    format!("expected full | fl-only | chain-only, got `{other}`"),
-                ));
-            }
-        };
-    }
-    if let Some(strategy) = take_string(&mut walker, "strategy")? {
-        config.strategy = match strategy.as_str() {
-            "keep" => LowContributionStrategy::Keep,
-            "discard" => LowContributionStrategy::Discard,
-            other => {
-                return Err(ManifestError::new(
-                    walker.key_path("strategy"),
-                    format!("expected keep | discard, got `{other}`"),
-                ));
-            }
-        };
-    }
-    if let Some(value) = walker.take("anchor") {
-        let key_path = walker.key_path("anchor");
-        config.anchor = parse_anchor(value, &key_path)?;
-    }
-    if let Some(fair) = take_bool(&mut walker, "fair_aggregation")? {
-        config.fair_aggregation = fair;
-    }
-    if let Some(base) = take_f64(&mut walker, "reward_base")? {
-        require(base >= 0.0, walker.key_path("reward_base"), "must be >= 0")?;
-        config.reward_base = base;
-    }
-    if let Some(verify) = take_bool(&mut walker, "verify_signatures")? {
-        config.verify_signatures = verify;
-    }
-    if let Some(bits) = take_usize(&mut walker, "rsa_modulus_bits")? {
-        config.rsa_modulus_bits = bits;
-    }
-    if let Some(rounds) = take_usize(&mut walker, "discard_cooldown_rounds")? {
-        config.discard_cooldown_rounds = rounds;
-    }
-    if let Some(quota) = take_usize(&mut walker, "quota")? {
-        config.sync = if quota == 0 {
-            SyncMode::Synchronous
-        } else {
-            SyncMode::FlexibleQuota { quota }
-        };
-    }
-    if let Some(value) = walker.take("staleness") {
-        let key_path = walker.key_path("staleness");
-        config.staleness = parse_staleness(value, &key_path)?;
-    }
-    if let Some(s) = take_f64(&mut walker, "straggler_slowdown")? {
-        config.profiles.straggler_slowdown = s;
-    }
-    if let Some(f) = take_f64(&mut walker, "straggler_fraction")? {
-        config.profiles.straggler_fraction = f;
-    }
-    if let Some(f) = take_f64(&mut walker, "churn_fraction")? {
-        config.profiles.churn_fraction = f;
-    }
-    if let Some(s) = take_f64(&mut walker, "churn_online_s")? {
-        config.profiles.churn_online_s = s;
-    }
-    if let Some(s) = take_f64(&mut walker, "churn_offline_s")? {
-        config.profiles.churn_offline_s = s;
-    }
-    if let Some(value) = walker.take("uplink") {
-        let key_path = walker.key_path("uplink");
-        config.profiles.uplink = parse_uplink(value, &key_path)?;
-    }
-    if let Some(rate) = take_f64(&mut walker, "drop_rate")? {
-        config.fault.uplink.drop_rate = rate;
-    }
-    if let Some(value) = walker.take("partition_fault") {
-        let key_path = walker.key_path("partition_fault");
-        config.fault.partition = parse_partition_fault(value, &key_path)?;
-    }
-    if let Some(value) = walker.take("retry") {
-        let key_path = walker.key_path("retry");
-        config.retry = parse_retry(value, &key_path)?;
-    }
-    if let Some(reorg) = take_string(&mut walker, "reorg")? {
-        config.reorg = match reorg.as_str() {
-            "discard" => ReorgPolicy::Discard,
-            "salvage" => ReorgPolicy::Salvage,
-            other => {
-                return Err(ManifestError::new(
-                    walker.key_path("reorg"),
-                    format!("expected discard | salvage, got `{other}`"),
-                ));
-            }
-        };
-    }
-    if let Some(value) = walker.take("attack") {
-        let key_path = walker.key_path("attack");
-        config.attack = parse_attack(value, &key_path)?;
-    }
-
-    walker.finish()
-}
-
-fn parse_partition_kind(value: &Value, path: &str) -> Result<PartitionKind, ManifestError> {
-    match value {
-        Value::Str(s) if s == "iid" => Ok(PartitionKind::Iid),
-        Value::Str(other) => Err(ManifestError::new(
-            path,
-            format!("expected `iid` or an object, got `{other}`"),
-        )),
-        Value::Obj(_) => {
-            let mut walker = ObjWalker::new(value, path)?;
-            let kind = if let Some(n) = take_usize(&mut walker, "shards_per_client")? {
-                PartitionKind::ShardNonIid {
-                    shards_per_client: n,
-                }
-            } else if let Some(alpha) = take_f64(&mut walker, "dirichlet_alpha")? {
-                PartitionKind::Dirichlet { alpha }
-            } else {
-                return Err(ManifestError::new(
-                    path,
-                    "expected one of shards_per_client | dirichlet_alpha",
-                ));
-            };
-            walker.finish()?;
-            Ok(kind)
-        }
-        other => Err(ManifestError::new(
-            path,
-            format!("expected a partition kind, found {}", other.kind()),
-        )),
-    }
-}
-
-fn parse_anchor(value: &Value, path: &str) -> Result<AggregationAnchor, ManifestError> {
-    match value {
-        Value::Str(s) if s == "mean" => Ok(AggregationAnchor::Mean),
-        Value::Str(s) if s == "median" => Ok(AggregationAnchor::Median),
-        Value::Str(other) => Err(ManifestError::new(
-            path,
-            format!("expected mean | median | {{\"trimmed_mean\": r}}, got `{other}`"),
-        )),
-        Value::Obj(_) => {
-            let mut walker = ObjWalker::new(value, path)?;
-            let ratio = take_f64(&mut walker, "trimmed_mean")?
-                .ok_or_else(|| ManifestError::new(path, "expected a trimmed_mean ratio"))?;
-            walker.finish()?;
-            Ok(AggregationAnchor::TrimmedMean { trim_ratio: ratio })
-        }
-        other => Err(ManifestError::new(
-            path,
-            format!("expected an anchor, found {}", other.kind()),
-        )),
-    }
-}
-
-fn parse_staleness(value: &Value, path: &str) -> Result<StalenessPolicy, ManifestError> {
-    match value {
-        Value::Str(s) if s == "discard" => Ok(StalenessPolicy::Discard),
-        Value::Str(other) => Err(ManifestError::new(
-            path,
-            format!("expected discard | {{\"decay\": d}}, got `{other}`"),
-        )),
-        Value::Obj(_) => {
-            let mut walker = ObjWalker::new(value, path)?;
-            let decay = take_f64(&mut walker, "decay")?
-                .ok_or_else(|| ManifestError::new(path, "expected a decay factor"))?;
-            walker.finish()?;
-            Ok(StalenessPolicy::DecayedInclude { decay })
-        }
-        other => Err(ManifestError::new(
-            path,
-            format!("expected a staleness policy, found {}", other.kind()),
-        )),
-    }
-}
-
-fn parse_uplink(value: &Value, path: &str) -> Result<DelayDistribution, ManifestError> {
-    let mut walker = ObjWalker::new(value, path)?;
-    let distribution = if let Some(s) = take_f64(&mut walker, "constant")? {
-        DelayDistribution::Constant(s)
-    } else if let Some(value) = walker.take("uniform") {
-        let pair_path = walker.key_path("uniform");
-        let (min, max) = as_f64_pair(value, &pair_path)?;
-        DelayDistribution::Uniform { min, max }
-    } else if let Some(value) = walker.take("normal") {
-        let pair_path = walker.key_path("normal");
-        let (mean, std) = as_f64_pair(value, &pair_path)?;
-        DelayDistribution::Normal { mean, std }
-    } else if let Some(mean) = take_f64(&mut walker, "exponential")? {
-        DelayDistribution::Exponential { mean }
-    } else {
+/// The object is a **strict partial [`BflConfig`] in its serde form** —
+/// the form `benchmark/workloads/*.json` spell in full under `config` —
+/// so every field of every nested struct and every variant of every enum
+/// is addressable, and none is mapped by hand. It is merged into the
+/// serialised configuration: an object merges field by field into the
+/// struct (or the same enum variant's payload) it addresses; anything
+/// else — a string, number, bool, `null`, or an enum value of another
+/// variant — replaces the node. The merged tree must deserialise after
+/// every replacement, which pins a wrong type, a misspelt variant or a
+/// half-specified payload to the key that introduced it, and must come
+/// back unchanged when the result is serialised again, which turns a key
+/// `from_value` silently ignored into an `unknown key` error at its exact
+/// path — the same walk refuses non-finite numbers. `fl.seed` is refused
+/// too: the fleet's `seeds` overwrite it in every run; so is a key
+/// written twice in one object. Range checks are
+/// [`BflConfig::validate`]'s, once the cell is fully resolved.
+pub fn apply_patch(config: &mut BflConfig, patch: &Value, path: &str) -> Result<(), ManifestError> {
+    ObjWalker::new(patch, path)?;
+    reject_repeated_keys(patch, path)?;
+    if patch.field("fl").and_then(|fl| fl.field("seed")).is_ok() {
         return Err(ManifestError::new(
-            path,
-            "expected one of constant | uniform | normal | exponential",
+            format!("{path}.fl.seed"),
+            "seeds come from the fleet (`seeds`), which overwrites this field in every run",
         ));
+    }
+
+    let mut tree = config.to_value();
+    let mut edits = Vec::new();
+    collect_edits(&tree, patch, &mut Vec::new(), &mut edits);
+    let mut resolved = *config;
+    for (keys, value) in edits {
+        let at = format!("{path}.{}", keys.join("."));
+        let Some(node) = slot(&mut tree, &keys) else {
+            return Err(ManifestError::new(at, "lies under a replaced value"));
+        };
+        *node = value.clone();
+        resolved =
+            BflConfig::from_value(&tree).map_err(|e| ManifestError::new(at, e.to_string()))?;
+    }
+    require_round_trip(&tree, &resolved.to_value(), path)?;
+    *config = resolved;
+    Ok(())
+}
+
+/// Refuses a key written twice in one object of `patch`, at any depth: the
+/// JSON parser keeps both, so the second would win unseen — or slip past
+/// the `fl.seed` refusal, which reads the first.
+fn reject_repeated_keys(patch: &Value, path: &str) -> Result<(), ManifestError> {
+    let Value::Obj(fields) = patch else {
+        return Ok(());
     };
-    walker.finish()?;
-    Ok(distribution)
+    fields.iter().enumerate().try_for_each(|(i, (key, value))| {
+        let child = format!("{path}.{key}");
+        let first = fields[..i].iter().all(|(earlier, _)| earlier != key);
+        require(first, child.as_str(), "duplicate key")?;
+        reject_repeated_keys(value, &child)
+    })
 }
 
-fn parse_partition_fault(value: &Value, path: &str) -> Result<Option<Partition>, ManifestError> {
-    match value {
-        Value::Str(s) if s == "none" => Ok(None),
-        Value::Obj(_) => {
-            let mut walker = ObjWalker::new(value, path)?;
-            let start_s = take_f64(&mut walker, "start_s")?.ok_or_else(|| {
-                ManifestError::new(walker.key_path("start_s"), "required key is missing")
-            })?;
-            let duration_s = take_f64(&mut walker, "duration_s")?.ok_or_else(|| {
-                ManifestError::new(walker.key_path("duration_s"), "required key is missing")
-            })?;
-            let boundary = take_usize(&mut walker, "boundary")?.ok_or_else(|| {
-                ManifestError::new(walker.key_path("boundary"), "required key is missing")
-            })?;
-            walker.finish()?;
-            Ok(Some(Partition {
-                start_s,
-                duration_s,
-                boundary,
-            }))
+/// One replacement a patch makes: the keys from the configuration's root
+/// to the node, and the node's new value.
+type Edit<'a> = (Vec<&'a str>, &'a Value);
+
+/// Flattens `patch` against the serialised configuration `node` into the
+/// replacements it makes, in document order.
+fn collect_edits<'a>(
+    node: &Value,
+    patch: &'a Value,
+    keys: &mut Vec<&'a str>,
+    edits: &mut Vec<Edit<'a>>,
+) {
+    match (node, patch) {
+        (Value::Obj(fields), Value::Obj(patch_fields))
+            if !switches_variant(fields, patch_fields) =>
+        {
+            for (key, value) in patch_fields {
+                keys.push(key);
+                match fields.iter().find(|(k, _)| k == key) {
+                    Some((_, child)) => collect_edits(child, value, keys, edits),
+                    // Not a field of this struct: inserted as it stands, so
+                    // the round-trip check reports it as unknown.
+                    None => edits.push((keys.clone(), value)),
+                }
+                keys.pop();
+            }
         }
-        other => Err(ManifestError::new(
-            path,
-            format!(
-                "expected `none` or a partition object, found {}",
-                other.kind()
-            ),
-        )),
+        _ => edits.push((keys.clone(), patch)),
     }
 }
 
-fn parse_retry(value: &Value, path: &str) -> Result<RetryPolicy, ManifestError> {
-    match value {
-        Value::Str(s) if s == "none" => Ok(RetryPolicy::None),
-        Value::Obj(_) => {
-            let mut walker = ObjWalker::new(value, path)?;
-            let max_attempts = take_u64(&mut walker, "max_attempts")?.ok_or_else(|| {
-                ManifestError::new(walker.key_path("max_attempts"), "required key is missing")
-            })?;
-            let max_attempts = u32::try_from(max_attempts).map_err(|_| {
-                ManifestError::new(walker.key_path("max_attempts"), "does not fit in u32")
-            })?;
-            let timeout_s = take_f64(&mut walker, "timeout_s")?.ok_or_else(|| {
-                ManifestError::new(walker.key_path("timeout_s"), "required key is missing")
-            })?;
-            let base_s = take_f64(&mut walker, "base_s")?.ok_or_else(|| {
-                ManifestError::new(walker.key_path("base_s"), "required key is missing")
-            })?;
-            let factor = take_f64(&mut walker, "factor")?.ok_or_else(|| {
-                ManifestError::new(walker.key_path("factor"), "required key is missing")
-            })?;
-            let jitter_s = take_f64(&mut walker, "jitter_s")?.unwrap_or(0.0);
-            walker.finish()?;
-            Ok(RetryPolicy::Backoff {
-                max_attempts,
-                timeout_s,
-                base_s,
-                factor,
-                jitter_s,
-            })
+/// True when `fields` is an externally tagged enum value (`{"Variant":
+/// payload}` — variants are CamelCase, struct fields snake_case) and the
+/// patch does not address that variant: the patch then replaces the value
+/// instead of merging a second tag into it.
+fn switches_variant(fields: &[(String, Value)], patch_fields: &[(String, Value)]) -> bool {
+    match fields {
+        [(tag, _)] if tag.starts_with(|c: char| c.is_ascii_uppercase()) => {
+            !patch_fields.iter().any(|(key, _)| key == tag)
         }
-        other => Err(ManifestError::new(
-            path,
-            format!(
-                "expected `none` or a backoff object, found {}",
-                other.kind()
-            ),
-        )),
+        _ => false,
     }
 }
 
-fn parse_attack(value: &Value, path: &str) -> Result<AttackConfig, ManifestError> {
-    match value {
-        Value::Str(s) if s == "off" => Ok(AttackConfig {
-            enabled: false,
-            ..AttackConfig::default()
-        }),
-        Value::Obj(_) => {
-            let mut walker = ObjWalker::new(value, path)?;
-            let min = take_usize(&mut walker, "min")?.ok_or_else(|| {
-                ManifestError::new(walker.key_path("min"), "required key is missing")
-            })?;
-            let max = take_usize(&mut walker, "max")?.ok_or_else(|| {
-                ManifestError::new(walker.key_path("max"), "required key is missing")
-            })?;
-            walker.finish()?;
-            Ok(AttackConfig {
-                enabled: true,
-                min_attackers: min,
-                max_attackers: max,
-                ..AttackConfig::default()
+/// The node `keys` address under `tree`, created as `null` when its last
+/// key is new to its object; `None` when the path runs through a value
+/// that is not an object (distinct keys make edits disjoint, so it cannot).
+fn slot<'t>(tree: &'t mut Value, keys: &[&str]) -> Option<&'t mut Value> {
+    let mut node = tree;
+    for key in keys {
+        let Value::Obj(fields) = node else {
+            return None;
+        };
+        let index = fields
+            .iter()
+            .position(|(k, _)| k == key)
+            .unwrap_or_else(|| {
+                fields.push((key.to_string(), Value::Null));
+                fields.len() - 1
+            });
+        node = &mut fields[index].1;
+    }
+    Some(node)
+}
+
+/// Requires that `read` — the resolved configuration, serialised again —
+/// says everything `merged` says: a key it lacks is one no field read.
+/// Numbers compare by value (`1` for an `f64` field comes back as `1.0`)
+/// and must be finite.
+fn require_round_trip(merged: &Value, read: &Value, path: &str) -> Result<(), ManifestError> {
+    match (merged, read) {
+        (Value::Obj(fields), Value::Obj(read_fields)) => {
+            fields.iter().try_for_each(|(key, value)| {
+                let child = format!("{path}.{key}");
+                match read_fields.iter().find(|(k, _)| k == key) {
+                    Some((_, read_value)) => require_round_trip(value, read_value, &child),
+                    None => Err(ManifestError::new(child, "unknown key")),
+                }
             })
         }
-        other => Err(ManifestError::new(
-            path,
-            format!(
-                "expected `off` or {{\"min\": a, \"max\": b}}, found {}",
-                other.kind()
-            ),
-        )),
+        (Value::Float(v), _) if !v.is_finite() => Err(ManifestError::new(path, "must be finite")),
+        _ => {
+            let same_number = matches!((merged.as_f64(), read.as_f64()), (Ok(a), Ok(b)) if a == b);
+            require(
+                merged == read || same_number,
+                path,
+                &format!(
+                    "the configuration reads this {} back as {read:?}",
+                    merged.kind()
+                ),
+            )
+        }
     }
 }
 
@@ -849,32 +605,6 @@ fn as_u64(value: &Value, path: &str) -> Result<u64, ManifestError> {
     }
 }
 
-fn as_f64(value: &Value, path: &str) -> Result<f64, ManifestError> {
-    let v = match value {
-        Value::UInt(v) => *v as f64,
-        Value::Int(v) => *v as f64,
-        Value::Float(v) => *v,
-        other => {
-            return Err(ManifestError::new(
-                path,
-                format!("expected a number, found {}", other.kind()),
-            ));
-        }
-    };
-    require(v.is_finite(), path, "must be finite")?;
-    Ok(v)
-}
-
-fn as_bool(value: &Value, path: &str) -> Result<bool, ManifestError> {
-    match value {
-        Value::Bool(b) => Ok(*b),
-        other => Err(ManifestError::new(
-            path,
-            format!("expected a bool, found {}", other.kind()),
-        )),
-    }
-}
-
 fn as_str<'a>(value: &'a Value, path: &str) -> Result<&'a str, ManifestError> {
     match value {
         Value::Str(s) => Ok(s),
@@ -895,20 +625,6 @@ fn as_array<'a>(value: &'a Value, path: &str) -> Result<&'a [Value], ManifestErr
     }
 }
 
-fn as_f64_pair(value: &Value, path: &str) -> Result<(f64, f64), ManifestError> {
-    let items = as_array(value, path)?;
-    if items.len() != 2 {
-        return Err(ManifestError::new(
-            path,
-            format!("expected a two-element array, got {} elements", items.len()),
-        ));
-    }
-    Ok((
-        as_f64(&items[0], &format!("{path}[0]"))?,
-        as_f64(&items[1], &format!("{path}[1]"))?,
-    ))
-}
-
 fn take_u64(walker: &mut ObjWalker<'_>, key: &str) -> Result<Option<u64>, ManifestError> {
     match walker.take(key) {
         Some(value) => Ok(Some(as_u64(value, &walker.key_path(key))?)),
@@ -927,20 +643,6 @@ fn take_usize(walker: &mut ObjWalker<'_>, key: &str) -> Result<Option<usize>, Ma
     }
 }
 
-fn take_f64(walker: &mut ObjWalker<'_>, key: &str) -> Result<Option<f64>, ManifestError> {
-    match walker.take(key) {
-        Some(value) => Ok(Some(as_f64(value, &walker.key_path(key))?)),
-        None => Ok(None),
-    }
-}
-
-fn take_bool(walker: &mut ObjWalker<'_>, key: &str) -> Result<Option<bool>, ManifestError> {
-    match walker.take(key) {
-        Some(value) => Ok(Some(as_bool(value, &walker.key_path(key))?)),
-        None => Ok(None),
-    }
-}
-
 fn take_string(walker: &mut ObjWalker<'_>, key: &str) -> Result<Option<String>, ManifestError> {
     match walker.take(key) {
         Some(value) => Ok(Some(as_str(value, &walker.key_path(key))?.to_string())),
@@ -951,14 +653,21 @@ fn take_string(walker: &mut ObjWalker<'_>, key: &str) -> Result<Option<String>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfl_core::{LowContributionStrategy, ReorgPolicy, RetryPolicy, StalenessPolicy, SyncMode};
 
-    fn minimal(extra: &str) -> String {
-        format!(r#"{{"name": "t", "seeds": [1, 2]{extra}}}"#)
+    /// Parses a manifest named `t` with seeds 1 and 2 plus `extra` root keys.
+    fn parse(extra: &str) -> Result<Manifest, ManifestError> {
+        Manifest::from_json(&format!(r#"{{"name": "t", "seeds": [1, 2]{extra}}}"#))
+    }
+
+    /// The configuration a manifest whose `base` is `patch` resolves to.
+    fn base(patch: &str) -> Result<BflConfig, ManifestError> {
+        parse(&format!(r#", "base": {patch}"#)).map(|manifest| manifest.cells[0].config)
     }
 
     #[test]
     fn minimal_manifest_parses_to_one_base_cell() {
-        let manifest = Manifest::from_json(&minimal("")).unwrap();
+        let manifest = parse("").unwrap();
         assert_eq!(manifest.name, "t");
         assert_eq!(manifest.cells.len(), 1);
         assert_eq!(manifest.cells[0].label, "base");
@@ -970,56 +679,63 @@ mod tests {
 
     #[test]
     fn unknown_root_key_is_rejected_with_its_path() {
-        let err = Manifest::from_json(&minimal(r#", "sedes": [3]"#)).unwrap_err();
+        let err = parse(r#", "sedes": [3]"#).unwrap_err();
         assert_eq!(err.path, "sedes");
         assert!(err.message.contains("unknown key"), "{err}");
     }
 
     #[test]
     fn unknown_setting_key_carries_the_full_path() {
-        let err = Manifest::from_json(&minimal(r#", "base": {"client": 5}"#)).unwrap_err();
-        assert_eq!(err.path, "base.client");
+        let err = base(r#"{"minners": 5}"#).unwrap_err();
+        assert_eq!(err.path, "base.minners");
+        assert!(err.message.contains("unknown key"), "{err}");
+        assert_eq!(
+            base(r#"{"fl": {"cleints": 5}}"#).unwrap_err().path,
+            "base.fl.cleints"
+        );
     }
 
     #[test]
     fn unknown_key_inside_a_grid_cell_names_the_cell() {
-        let err = Manifest::from_json(&minimal(
-            r#", "grid": [{"axis": "a", "cells": [{"label": "x", "set": {"qotta": 3}}]}]"#,
-        ))
+        let err = parse(
+            r#", "grid": [{"axis": "a", "cells": [
+                {"label": "x", "set": {"miners": 3}},
+                {"label": "y", "set": {"fl": {"cleints": 3}}}]}]"#,
+        )
         .unwrap_err();
-        assert_eq!(err.path, "grid[0].cells[0].set.qotta");
+        assert_eq!(err.path, "grid[0].cells[1].set.fl.cleints");
     }
 
     #[test]
     fn out_of_range_values_are_hard_errors() {
-        // A negative participation ratio passes the decoder's type check
-        // but fails the scenario validation, pinned to the cell.
-        let err = Manifest::from_json(&minimal(r#", "base": {"participation_ratio": -0.5}"#))
-            .unwrap_err();
-        assert!(err.message.contains("invalid scenario"), "{err}");
-
-        let err = Manifest::from_json(&minimal(r#", "base": {"reward_base": -1.0}"#)).unwrap_err();
-        assert_eq!(err.path, "base.reward_base");
-
-        let err = Manifest::from_json(&minimal(r#", "base": {"clients": -3}"#)).unwrap_err();
-        assert_eq!(err.path, "base.clients");
+        // A negative ratio or reward pool is a well-typed number: the
+        // scenario validation refuses it, pinned to the cell.
+        for patch in [
+            r#"{"fl": {"participation_ratio": -0.5}}"#,
+            r#"{"reward_base": -1.0}"#,
+        ] {
+            let err = base(patch).unwrap_err();
+            assert!(err.message.contains("base resolves to an invalid"), "{err}");
+        }
+        let err = base(r#"{"fl": {"clients": -3}}"#).unwrap_err();
+        assert_eq!(err.path, "base.fl.clients");
         assert!(err.message.contains("unsigned"), "{err}");
     }
 
     #[test]
     fn grid_axes_cross_product_in_declaration_order() {
-        let manifest = Manifest::from_json(&minimal(
+        let manifest = parse(
             r#", "grid": [
                 {"axis": "strategy", "cells": [
-                    {"label": "keep", "set": {"strategy": "keep"}},
-                    {"label": "discard", "set": {"strategy": "discard"}}
+                    {"label": "keep", "set": {"strategy": "Keep"}},
+                    {"label": "discard", "set": {"strategy": "Discard"}}
                 ]},
                 {"axis": "fair", "cells": [
                     {"label": "fair", "set": {"fair_aggregation": true}},
                     {"label": "simple", "set": {"fair_aggregation": false}}
                 ]}
             ]"#,
-        ))
+        )
         .unwrap();
         let labels: Vec<&str> = manifest.cells.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(
@@ -1059,22 +775,28 @@ mod tests {
         );
     }
 
+    const BACKOFF: &str = r#"{"Backoff": {"max_attempts": 3, "timeout_s": 0.5, "base_s": 0.25, "factor": 2.0, "jitter_s": 0.1}}"#;
+
+    /// An event-engine base every test below that needs one starts from.
+    fn event_engine_base() -> String {
+        format!(
+            r#"{{
+                "fl": {{"clients": 10, "rounds": 2, "participation_ratio": 1.0}},
+                "sync": {{"FlexibleQuota": {{"quota": 7}}}},
+                "staleness": {{"DecayedInclude": {{"decay": 0.5}}}},
+                "profiles": {{"straggler_slowdown": 8.0, "uplink": {{"Normal": {{"mean": 0.08, "std": 0.03}}}}}},
+                "fault": {{
+                    "uplink": {{"drop_rate": 0.15}},
+                    "partition": {{"start_s": 1.0, "duration_s": 2.0, "boundary": 2}}
+                }},
+                "retry": {BACKOFF}, "reorg": "Salvage", "miners": 3, "verify_signatures": false
+            }}"#
+        )
+    }
+
     #[test]
     fn event_engine_settings_decode() {
-        let manifest = Manifest::from_json(&minimal(
-            r#", "base": {
-                "clients": 10, "rounds": 2, "participation_ratio": 1.0,
-                "quota": 7, "staleness": {"decay": 0.5},
-                "straggler_slowdown": 8.0, "straggler_fraction": 0.3,
-                "uplink": {"normal": [0.08, 0.03]},
-                "drop_rate": 0.15,
-                "partition_fault": {"start_s": 1.0, "duration_s": 2.0, "boundary": 2},
-                "retry": {"max_attempts": 3, "timeout_s": 0.5, "base_s": 0.5, "factor": 2.0, "jitter_s": 0.1},
-                "reorg": "salvage", "miners": 3, "verify_signatures": false
-            }"#,
-        ))
-        .unwrap();
-        let config = &manifest.cells[0].config;
+        let config = base(&event_engine_base()).unwrap();
         assert_eq!(config.sync, SyncMode::FlexibleQuota { quota: 7 });
         assert_eq!(
             config.staleness,
@@ -1090,90 +812,180 @@ mod tests {
             }
         ));
         assert_eq!(config.reorg, ReorgPolicy::Salvage);
-        // quota 0 switches back to the synchronous engine.
-        let sync = Manifest::from_json(&minimal(r#", "base": {"quota": 0}"#)).unwrap();
-        assert_eq!(sync.cells[0].config.sync, SyncMode::Synchronous);
     }
 
     #[test]
     fn attack_settings_decode() {
-        let manifest = Manifest::from_json(&minimal(
-            r#", "base": {"clients": 10, "participation_ratio": 1.0, "attack": {"min": 1, "max": 3}}"#,
-        ))
-        .unwrap();
-        let attack = manifest.cells[0].config.attack;
+        let attack = base(
+            r#"{"fl": {"clients": 10, "participation_ratio": 1.0},
+                "attack": {"enabled": true, "min_attackers": 1, "max_attackers": 3}}"#,
+        )
+        .unwrap()
+        .attack;
         assert!(attack.enabled);
         assert_eq!((attack.min_attackers, attack.max_attackers), (1, 3));
-        let off = Manifest::from_json(&minimal(r#", "base": {"attack": "off"}"#)).unwrap();
-        assert!(!off.cells[0].config.attack.enabled);
+        assert_eq!(attack.kind, BflConfig::default().attack.kind);
+        assert!(
+            !base(r#"{"attack": {"enabled": false}}"#)
+                .unwrap()
+                .attack
+                .enabled
+        );
     }
 
     #[test]
     fn grid_patch_invalid_only_in_combination_is_caught() {
-        // quota 8 is fine against the default 100 clients but the second
-        // axis shrinks the population: the *combination* must fail
-        // validation (quota is capped at runtime, but an attack larger
-        // than the population is structurally invalid).
-        let err = Manifest::from_json(&minimal(
+        // Eight attackers are fine against 20 clients but the second axis
+        // shrinks the population: the *combination* must fail validation.
+        let err = parse(
             r#", "grid": [
-                {"axis": "attack", "cells": [{"label": "a", "set": {"attack": {"min": 1, "max": 8}}}]},
+                {"axis": "attack", "cells": [{"label": "a", "set":
+                    {"attack": {"enabled": true, "min_attackers": 1, "max_attackers": 8}}}]},
                 {"axis": "pop", "cells": [
-                    {"label": "big", "set": {"clients": 20}},
-                    {"label": "small", "set": {"clients": 4}}
+                    {"label": "big", "set": {"fl": {"clients": 20}}},
+                    {"label": "small", "set": {"fl": {"clients": 4}}}
                 ]}
             ]"#,
-        ))
+        )
         .unwrap_err();
-        assert!(err.message.contains("a/small"), "{err}");
+        let expected = "cell `a/small` resolves to an invalid scenario";
+        assert!(err.message.contains(expected), "{err}");
     }
 
     /// The three manifests that used to panic inside a partitioner
-    /// (`bfl_data::partition`'s `assert!`s) now fail here, naming the cell
+    /// (`bfl_data::partition`'s `assert!`s) fail here, naming the cell
     /// and the numbers involved.
     #[test]
     fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
-        let base = r#""clients": 10, "rounds": 1"#;
+        let fl = |partition: &str| {
+            format!(r#""base": {{"fl": {{"clients": 10, "rounds": 1, "partition": {partition}}}}}"#)
+        };
+        let starved = r#""dataset": {"train_samples": 5, "test_samples": 5}"#;
         for (extra, needles) in [
             (
-                format!(r#", "base": {{{base}, "partition": {{"shards_per_client": 0}}}}"#),
+                fl(r#"{"ShardNonIid": {"shards_per_client": 0}}"#),
                 ["base", "shards_per_client", "0"],
             ),
+            (fl(r#"{"Dirichlet": {"alpha": 0}}"#), ["base", "alpha", "0"]),
             (
-                format!(r#", "base": {{{base}, "partition": {{"dirichlet_alpha": 0}}}}"#),
-                ["base", "alpha", "0"],
-            ),
-            (
-                format!(r#", "base": {{{base}, "partition": {{"dirichlet_alpha": -2.5}}}}"#),
+                fl(r#"{"Dirichlet": {"alpha": -2.5}}"#),
                 ["base", "alpha", "-2.5"],
             ),
             (
-                format!(
-                    r#", "dataset": {{"train_samples": 5, "test_samples": 5}},
-                       "base": {{{base}, "partition": "iid"}}"#
-                ),
+                format!("{starved}, {}", fl(r#""Iid""#)),
                 ["base", "5 training samples", "10 clients"],
             ),
             (
                 format!(
-                    r#", "dataset": {{"train_samples": 5, "test_samples": 5}}, "base": {{{base}}},
-                       "grid": [{{"axis": "pop", "cells": [
-                           {{"label": "fits", "set": {{"clients": 5}}}},
-                           {{"label": "starved", "set": {{"clients": 6}}}}
-                       ]}}]"#
+                    r#"{starved}, {}, "grid": [{{"axis": "pop", "cells": [
+                        {{"label": "fits", "set": {{"fl": {{"clients": 5}}}}}},
+                        {{"label": "starved", "set": {{"fl": {{"clients": 6}}}}}}]}}]"#,
+                    fl(r#""Iid""#)
                 ),
                 ["cell `starved`", "5 training samples", "6 clients"],
             ),
         ] {
-            let err = Manifest::from_json(&minimal(&extra)).unwrap_err();
+            let err = parse(&format!(", {extra}")).unwrap_err();
             for needle in needles {
                 assert!(err.to_string().contains(needle), "`{needle}` in: {err}");
             }
         }
         // Chain-only cells train nobody and partition nothing.
-        Manifest::from_json(&minimal(
-            r#", "dataset": {"train_samples": 5, "test_samples": 5},
-               "base": {"clients": 10, "mode": "chain-only"}"#,
+        parse(&format!(
+            r#", {starved}, "base": {{"fl": {{"clients": 10}}, "mode": "ChainOnly"}}"#
         ))
         .unwrap();
+    }
+
+    /// Every way a `base` / `set` object can be wrong is a
+    /// [`ManifestError`] at the offending key — for a misspelt variant or
+    /// a malformed enum value, the enum's own key — and never a panic.
+    /// One case a line: `patch => path under base => what the message says`.
+    #[test]
+    fn strictness_is_path_precise_at_any_depth() {
+        const CASES: &str = r#"
+            {"delay": {"fork": {"propagation_delay": 0.3}}} => .delay.fork.propagation_delay => unknown key
+            {"sync": "Synchronus"} => .sync => unknown SyncMode variant `Synchronus`
+            {"sync": {"FlexibleQuotta": {"quota": 3}}} => .sync => unknown SyncMode variant
+            {"fl": {"partition": {"ShardNonIid": {"shards_per_cleint": 1}}}} => .fl.partition.ShardNonIid.shards_per_cleint => unknown key
+            {"fl": {"partition": {"Dirichlet": {"alfa": 0.5}}}} => .fl.partition => missing field `alpha`
+            {"fl": {"partition": {"Dirichlet": {"alpha": 0.5, "beta": 1}}}} => .fl.partition.Dirichlet.beta => unknown key
+            {"fault": {"crash": {"miner": 0, "crash_at_s": 1.0, "down_for_s": 2.0, "why": 1}}} => .fault.crash.why => unknown key
+            {"fl": {"clients": -3}} => .fl.clients => expected unsigned integer
+            {"fl": {"clients": 2.5}} => .fl.clients => expected unsigned integer
+            {"miners": "two"} => .miners => expected unsigned integer, found string
+            {"verify_signatures": 1} => .verify_signatures => expected bool
+            {"retry": {"Backoff": {"max_attempts": 4294967296, "timeout_s": 1, "base_s": 1, "factor": 2, "jitter_s": 0}}} => .retry => out of range
+            {"fl": {"local": {"learning_rate": 1e999}}} => .fl.local.learning_rate => must be finite
+            {"profiles": {"uplink": {"Uniform": {"min": 0.0, "max": -1e999}}}} => .profiles.uplink.Uniform.max => must be finite
+            {"fl": {"seed": 7}} => .fl.seed => seeds come from the fleet
+            {"miners": 2, "miners": 3} => .miners => duplicate key
+            {"fl": {}, "fl": {"seed": 7}} => .fl => duplicate key
+            {"fl": {"partition": "Iid"}, "fl": {"partition": {"ShardNonIid": {"shards_per_client": 3}}}} => .fl => duplicate key
+            {"sync": {"FlexibleQuota": {"quota": 3, "quota": 4}}} => .sync.FlexibleQuota.quota => duplicate key
+            {"sync": {"FlexibleQuota": {"quota": 3}, "Synchronous": null}} => .sync => expected SyncMode enum value, found object
+            {"retry": {"Backoff": {"max_attempts": 5}}} => .retry => missing field `timeout_s`
+            {"fl": 3} => .fl => expected object
+            [1, 2] =>  => expected an object, found array"#;
+        for case in CASES.lines().skip(1) {
+            let [patch, path, needle] = case.split(" => ").collect::<Vec<_>>()[..] else {
+                panic!("malformed case: {case}");
+            };
+            let err = base(patch).unwrap_err();
+            assert_eq!(err.path, format!("base{path}"), "{case}: {err}");
+            assert!(err.message.contains(needle), "{case}: {err}");
+        }
+        // The same checks run on every cell's `set`, at the cell's path.
+        let err = parse(
+            r#", "grid": [{"axis": "a", "cells": [
+                {"label": "x", "set": {"attack": {"kind": {"Scaling": {"factor": "ten"}}}}}]}]"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.path, "grid[0].cells[0].set.attack.kind");
+        assert!(err.message.contains("expected number"), "{err}");
+    }
+
+    /// A patch that names another variant replaces the value; a patch that
+    /// edits one field of a nested struct, an `Option`'s payload or the
+    /// current variant's payload leaves every sibling as the base had it.
+    #[test]
+    fn a_patch_replaces_variants_and_merges_structs() {
+        let parent = base(&event_engine_base()).unwrap();
+        let patched = |set: &str| -> Result<BflConfig, ManifestError> {
+            let set: Value = serde_json::from_str(set).expect("the test's JSON parses");
+            let mut config = parent;
+            apply_patch(&mut config, &set, "set").map(|()| config)
+        };
+
+        let mut expected = parent;
+        expected.fault.partition = None;
+        assert_eq!(patched(r#"{"fault": {"partition": null}}"#), Ok(expected));
+
+        let mut expected = parent;
+        expected.fault.partition.as_mut().unwrap().duration_s = 9.0;
+        let longer = patched(r#"{"fault": {"partition": {"duration_s": 9}}}"#);
+        assert_eq!(
+            longer,
+            Ok(expected),
+            "start_s and boundary stay, 9 reads as 9.0"
+        );
+
+        let mut expected = parent;
+        expected.retry = RetryPolicy::Backoff {
+            max_attempts: 5,
+            timeout_s: 0.5,
+            base_s: 0.25,
+            factor: 2.0,
+            jitter_s: 0.1,
+        };
+        let patient = patched(r#"{"retry": {"Backoff": {"max_attempts": 5}}}"#);
+        assert_eq!(patient, Ok(expected), "the other four backoff fields stay");
+
+        let mut expected = parent;
+        expected.profiles.uplink = bfl_net::DelayDistribution::Constant(0.02);
+        expected.sync = SyncMode::Synchronous;
+        let switched =
+            patched(r#"{"profiles": {"uplink": {"Constant": 0.02}}, "sync": "Synchronous"}"#);
+        assert_eq!(switched, Ok(expected), "straggler_slowdown stays at 8");
     }
 }

@@ -150,10 +150,14 @@ pub struct RoundRow {
 /// cross-seed summary aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FinalMetrics {
-    /// Test accuracy after the last round (0.0 for chain-only runs).
-    pub final_accuracy: f64,
-    /// Run-average attacker-detection rate.
-    pub detection_rate: f64,
+    /// Rounds completed.
+    pub rounds: usize,
+    /// Test accuracy after the last round (absent for chain-only runs,
+    /// which train nothing).
+    pub final_accuracy: Option<f64>,
+    /// Run-average attacker-detection rate (absent for a run that
+    /// injected no attacker, which has nothing to detect).
+    pub detection_rate: Option<f64>,
     /// Total simulated makespan across all rounds, in seconds.
     pub makespan_s: f64,
     /// Gini coefficient of the final cumulative reward ledger.
@@ -187,21 +191,22 @@ pub struct RunSidecar {
     pub cell_label: String,
     /// Scenario seed.
     pub seed: u64,
-    /// Rounds completed.
-    pub rounds: usize,
     /// End-of-run metrics.
     pub finals: FinalMetrics,
 }
 
-/// Cross-seed statistics of one cell.
+/// Cross-seed statistics of one cell. A metric is absent when it applies
+/// to none of the cell's runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellSummary {
     /// The cell's label.
     pub label: String,
+    /// Rounds each run completed.
+    pub rounds: usize,
     /// Final test accuracy across seeds.
-    pub final_accuracy: Stats,
+    pub final_accuracy: Option<Stats>,
     /// Average detection rate across seeds.
-    pub detection_rate: Stats,
+    pub detection_rate: Option<Stats>,
     /// Total makespan across seeds.
     pub makespan_s: Stats,
     /// Final reward Gini across seeds.
@@ -327,9 +332,11 @@ fn run_one(
 
     let makespan_s = rows.iter().map(|r| r.makespan_s).sum();
     let ledger: Vec<u64> = result.reward_totals.values().copied().collect();
+    let attackers_injected = result.detection.totals().0 > 0;
     let finals = FinalMetrics {
-        final_accuracy: result.final_accuracy().unwrap_or(0.0),
-        detection_rate: result.detection.average_detection_rate(),
+        rounds: rows.len(),
+        final_accuracy: result.final_accuracy().filter(|_| config.mode.learns()),
+        detection_rate: attackers_injected.then(|| result.detection.average_detection_rate()),
         makespan_s,
         reward_gini: gini(&ledger),
     };
@@ -363,10 +370,16 @@ pub fn summarize(fleet: &FleetFile, finals: &dyn Fn(usize, u64) -> FinalMetrics)
             let column = |f: &dyn Fn(&FinalMetrics) -> f64| {
                 Stats::from_sample(&metrics.iter().map(f).collect::<Vec<f64>>())
             };
+            // Over the runs a metric applies to; absent when it applies to none.
+            let applicable = |f: &dyn Fn(&FinalMetrics) -> Option<f64>| {
+                let sample: Vec<f64> = metrics.iter().filter_map(f).collect();
+                (!sample.is_empty()).then(|| Stats::from_sample(&sample))
+            };
             CellSummary {
                 label: label.clone(),
-                final_accuracy: column(&|m| m.final_accuracy),
-                detection_rate: column(&|m| m.detection_rate),
+                rounds: metrics[0].rounds,
+                final_accuracy: applicable(&|m| m.final_accuracy),
+                detection_rate: applicable(&|m| m.detection_rate),
                 makespan_s: column(&|m| m.makespan_s),
                 reward_gini: column(&|m| m.reward_gini),
             }
@@ -469,7 +482,6 @@ pub fn write_outputs(
             cell_index: record.cell_index,
             cell_label: record.cell_label.clone(),
             seed: record.seed,
-            rounds: record.rows.len(),
             finals: record.finals,
         };
         let json_path = dir.join(format!("seed_{}.json", record.seed));
@@ -477,16 +489,21 @@ pub fn write_outputs(
     }
 
     if shard.count == 1 {
-        let summary = summarize(&fleet, &|cell, seed| {
-            records
-                .iter()
-                .find(|r| r.cell_index == cell && r.seed == seed)
-                .expect("unsharded run covers every job")
-                .finals
-        });
+        let summary = summarize_records(&fleet, records);
         write_text(&out.join("summary.json"), &to_pretty_json(&summary))?;
     }
     Ok(())
+}
+
+/// The cross-seed summary of an unsharded run's records.
+pub fn summarize_records(fleet: &FleetFile, records: &[RunRecord]) -> Summary {
+    summarize(fleet, &|cell, seed| {
+        records
+            .iter()
+            .find(|r| r.cell_index == cell && r.seed == seed)
+            .expect("unsharded run covers every job")
+            .finals
+    })
 }
 
 #[cfg(test)]

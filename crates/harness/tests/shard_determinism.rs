@@ -36,8 +36,14 @@ impl Drop for TempDir {
 
 /// Builds a small manifest varied by the proptest inputs: one axis over
 /// the low-contribution strategy, optionally a second axis toggling fair
-/// aggregation, the event-driven engine behind `quota`, two seeds.
+/// aggregation, the event-driven engine behind `quota` (0 = lockstep),
+/// two seeds. The `keep` cells inject no attacker, so the summaries carry
+/// an absent detection rate (`null`) through the merge.
 fn build_manifest(rounds: usize, quota: usize, two_axes: bool, seed0: u64) -> Manifest {
+    let sync = match quota {
+        0 => r#""Synchronous""#.to_string(),
+        quota => format!(r#"{{"FlexibleQuota": {{"quota": {quota}}}}}"#),
+    };
     let fair_axis = if two_axes {
         r#",
         {"axis": "fair", "cells": [
@@ -52,14 +58,17 @@ fn build_manifest(rounds: usize, quota: usize, two_axes: bool, seed0: u64) -> Ma
         "name": "prop",
         "dataset": {{"train_samples": 80, "test_samples": 30, "data_seed": 7}},
         "base": {{
-            "clients": 4, "rounds": {rounds}, "participation_ratio": 1.0,
-            "local_epochs": 1, "batch_size": 10, "verify_signatures": false,
-            "quota": {quota}, "attack": {{"min": 1, "max": 1}}
+            "fl": {{
+                "clients": 4, "rounds": {rounds}, "participation_ratio": 1.0,
+                "local": {{"epochs": 1, "batch_size": 10}}
+            }},
+            "verify_signatures": false, "sync": {sync},
+            "attack": {{"enabled": true, "min_attackers": 1, "max_attackers": 1}}
         }},
         "grid": [
             {{"axis": "strategy", "cells": [
-                {{"label": "keep", "set": {{"strategy": "keep"}}}},
-                {{"label": "discard", "set": {{"strategy": "discard"}}}}
+                {{"label": "keep", "set": {{"strategy": "Keep", "attack": {{"enabled": false}}}}}},
+                {{"label": "discard", "set": {{"strategy": "Discard"}}}}
             ]}}{fair_axis}
         ],
         "seeds": [{seed0}, {}]
@@ -95,6 +104,7 @@ proptest! {
         write_outputs(&manifest, Shard::default(), &records, &full_dir)
             .expect("unsharded outputs write");
         let reference = read(full_dir.join("summary.json"));
+        prop_assert!(reference.contains(r#""detection_rate": null"#), "{}", reference);
 
         // N shard processes, at 1 and 2 worker threads each: every
         // combination must merge back to the reference bytes.
