@@ -55,8 +55,8 @@ fn peak_for(population: usize, data: &(bfl_data::Dataset, bfl_data::Dataset)) ->
     let scenario = Scenario::from_config(config).expect("cell is valid");
     ALLOC.reset_peak();
     let result = scenario.run(&data.0, &data.1).expect("cell completes");
-    assert_eq!(result.history.rounds.len(), 1);
-    assert!(result.history.rounds[0].participants > 0);
+    assert_eq!(result.outcomes.len(), 1);
+    assert!(result.outcomes[0].participants > 0);
     ALLOC.peak_bytes()
 }
 
@@ -88,26 +88,27 @@ fn retained_over_second_rung(
     miners: usize,
     data: &(bfl_data::Dataset, bfl_data::Dataset),
 ) -> (usize, usize) {
-    let scenario = Scenario::builder()
-        .mode(FlexibilityMode::FullBfl)
-        .clients(16)
-        .miners(miners)
-        .rounds(2 * RUNG)
-        .participation_ratio(0.5)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .batch_size(10)
-        .verify_signatures(false)
-        .seed(21)
-        .build()
-        .expect("scenario is valid");
+    let mut config = BflConfig {
+        mode: FlexibilityMode::FullBfl,
+        miners,
+        verify_signatures: false,
+        ..BflConfig::default()
+    };
+    config.fl.clients = 16;
+    config.fl.rounds = 2 * RUNG;
+    config.fl.participation_ratio = 0.5;
+    config.fl.partition = PartitionKind::Iid;
+    config.fl.local.epochs = 1;
+    config.fl.local.batch_size = 10;
+    config.fl.seed = 21;
+    let scenario = Scenario::from_config(config).expect("scenario is valid");
     // One thread: no fan-out worker's exit path frees into a later round.
     bfl_ml::par::with_thread_limit(1, || {
         let mut run = scenario.start(&data.0, &data.1).expect("run provisions");
         let mut live = [0usize; 2];
         for after_rung in &mut live {
             for _ in 0..RUNG {
-                drop(run.step().expect("round succeeds").expect("rounds remain"));
+                run.step().expect("round succeeds").expect("rounds remain");
             }
             *after_rung = ALLOC.current_bytes();
         }

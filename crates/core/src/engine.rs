@@ -2,7 +2,7 @@
 //!
 //! PR 1–3 made the substrates fast; this module makes the round loop
 //! *composable*. [`SimulationRun`] owns all of a run's state — clients,
-//! keys, consensus group, clock, accumulated history — and advances one
+//! keys, consensus group, clock, accumulated outcomes — and advances one
 //! communication round per [`SimulationRun::step`] call, so drivers can
 //! interleave their own logic (early stopping, logging, checkpointing,
 //! sweep bookkeeping) between rounds instead of handing control to a
@@ -17,10 +17,10 @@
 //! fallback; one training fan-out, `LearningState::train_selection`), the
 //! Procedure-IV hand-off (`SealedRound`, adopted through
 //! `LearningState::adopt`) and the round's tail
-//! (`LearningState::finish_round`: evaluation, detection row,
-//! [`RoundOutcome`]). What each engine keeps to itself is how uploads get
-//! from the clients to Procedure IV: the lockstep *middle* of
-//! `step_synchronous`, or the event pump.
+//! (`LearningState::finish_round`: evaluation, [`RoundOutcome`]). What
+//! each engine keeps to itself is how uploads get from the clients to
+//! Procedure IV: the lockstep *middle* of `step_synchronous`, or the
+//! event pump.
 
 use crate::config::{BflConfig, ProvisioningMode};
 use crate::delay_model::DelayBreakdown;
@@ -42,7 +42,6 @@ use bfl_data::Dataset;
 use bfl_fl::attack::AttackKind;
 use bfl_fl::client::LocalUpdate;
 use bfl_fl::config::PartitionKind;
-use bfl_fl::history::{RoundRecord, RunHistory};
 use bfl_fl::selection::drop_stragglers;
 use bfl_fl::trainer::{FlAlgorithm, FlTrainer};
 use bfl_ml::metrics::accuracy;
@@ -63,7 +62,6 @@ pub struct SimulationRun<'a> {
     state: RunState<'a>,
     round: usize,
     finished: bool,
-    history: RunHistory,
     outcomes: Vec<RoundOutcome>,
     detection: DetectionTable,
     reward_totals: BTreeMap<u64, u64>,
@@ -189,7 +187,6 @@ impl<'a> SimulationRun<'a> {
             state,
             round: 0,
             finished: false,
-            history: RunHistory::new(),
             outcomes: Vec::new(),
             detection: DetectionTable::new(),
             reward_totals: BTreeMap::new(),
@@ -217,11 +214,6 @@ impl<'a> SimulationRun<'a> {
     /// True once every configured round has run (or a round failed).
     pub fn is_finished(&self) -> bool {
         self.finished || self.round >= self.config.fl.rounds
-    }
-
-    /// The accuracy/delay history accumulated so far.
-    pub fn history(&self) -> &RunHistory {
-        &self.history
     }
 
     /// Per-round outcomes accumulated so far.
@@ -262,11 +254,12 @@ impl<'a> SimulationRun<'a> {
         }
     }
 
-    /// Advances one communication round. Returns the round's outcome, or
-    /// `None` once all configured rounds have run. A failed round (ledger
-    /// rejection, empty gradient set) finishes the run and surfaces its
-    /// error.
-    pub fn step(&mut self) -> Result<Option<RoundOutcome>, CoreError> {
+    /// Advances one communication round. Returns the round's outcome — a
+    /// borrow of the record just appended to [`outcomes`](Self::outcomes)
+    /// — or `None` once all configured rounds have run. A failed round
+    /// (ledger rejection, empty gradient set) finishes the run and
+    /// surfaces its error.
+    pub fn step(&mut self) -> Result<Option<&RoundOutcome>, CoreError> {
         if self.is_finished() {
             self.finished = true;
             return Ok(None);
@@ -276,8 +269,8 @@ impl<'a> SimulationRun<'a> {
             RunState::Learning(state) => state.step(&self.config, self.reward.as_ref(), round),
             RunState::ChainOnly(state) => state.step(&self.config, round),
         };
-        let (outcome, elapsed_s, detection_row) = match stepped {
-            Ok(parts) => parts,
+        let outcome = match stepped {
+            Ok(outcome) => outcome,
             Err(e) => {
                 self.finished = true;
                 return Err(e);
@@ -288,19 +281,16 @@ impl<'a> SimulationRun<'a> {
         for reward in &outcome.rewards {
             *self.reward_totals.entry(reward.client_id).or_insert(0) += reward.amount_milli;
         }
-        if let Some(row) = detection_row {
-            self.detection.push(row);
+        // Chain-only rounds never run Algorithm 2, so they score no row.
+        if self.config.mode.learns() {
+            self.detection.push(DetectionRow::new(
+                round,
+                &outcome.attackers,
+                &outcome.dropped,
+            ));
         }
-        self.history.push(RoundRecord {
-            round,
-            accuracy: outcome.accuracy,
-            train_loss: outcome.train_loss,
-            round_delay_s: outcome.breakdown.total(),
-            elapsed_s,
-            participants: outcome.participants,
-        });
-        self.outcomes.push(outcome.clone());
-        Ok(Some(outcome))
+        self.outcomes.push(outcome);
+        Ok(self.outcomes.last())
     }
 
     /// Runs every remaining round.
@@ -322,7 +312,6 @@ impl<'a> SimulationRun<'a> {
             }
         };
         SimulationResult {
-            history: self.history,
             outcomes: self.outcomes,
             chain,
             detection: self.detection,
@@ -332,11 +321,6 @@ impl<'a> SimulationRun<'a> {
         }
     }
 }
-
-/// What one round hands back to the accumulator: the outcome record, the
-/// simulated clock after the round, and the round's detection row (absent
-/// in chain-only mode, which never runs Algorithm 2).
-pub(crate) type SteppedRound = (RoundOutcome, f64, Option<DetectionRow>);
 
 /// Procedure I's per-round seed: every local pass of `round` derives its
 /// own stream from this and its client id.
@@ -425,8 +409,8 @@ impl<'a> LearningState<'a> {
         config.validate_for_dataset(train.len())?;
         let mut rng = StdRng::seed_from_u64(config.fl.seed);
 
-        // Client population and data shards (reusing the FL trainer's
-        // partitioning so baselines and FAIR-BFL see identical splits).
+        // Client population and data shards (`bfl-fl`'s partitioning, so
+        // every mode sees identical splits).
         // An implicit partition always gets the implicit pool — and with
         // it the rejection-sampled Procedure I — regardless of the
         // provisioning mode, so that eager and lazy provisioning draw
@@ -524,7 +508,7 @@ impl<'a> LearningState<'a> {
         config: &BflConfig,
         reward_policy: &dyn RewardPolicy,
         round: usize,
-    ) -> Result<SteppedRound, CoreError> {
+    ) -> Result<RoundOutcome, CoreError> {
         match config.sync {
             crate::config::SyncMode::Synchronous => {
                 self.step_synchronous(config, reward_policy, round)
@@ -637,7 +621,7 @@ impl<'a> LearningState<'a> {
 
     /// The tail every learning round ends in, once its block is mined and
     /// the clock has advanced: evaluates the adopted model on the test
-    /// set, scores the detection row and assembles the [`RoundOutcome`].
+    /// set and assembles the [`RoundOutcome`].
     /// `kpi` carries the event engine's counters (all zero in lockstep);
     /// the makespan and the stale count are filled in here.
     pub(crate) fn finish_round(
@@ -647,7 +631,7 @@ impl<'a> LearningState<'a> {
         breakdown: DelayBreakdown,
         block_hash: Option<String>,
         kpi: KpiRow,
-    ) -> SteppedRound {
+    ) -> RoundOutcome {
         let test_accuracy = accuracy(
             &self.global_model,
             &self.test.features,
@@ -655,9 +639,9 @@ impl<'a> LearningState<'a> {
             None,
         );
         let rewards_paid = sealed.rewards.iter().map(|r| r.amount_milli).sum();
-        let detection_row = DetectionRow::new(round, &sealed.attackers, &sealed.dropped);
-        let outcome = RoundOutcome {
+        RoundOutcome {
             round,
+            elapsed_s: self.clock.now_seconds(),
             breakdown,
             accuracy: test_accuracy,
             train_loss: sealed.train_loss,
@@ -674,8 +658,7 @@ impl<'a> LearningState<'a> {
                 stale_included: sealed.stale_included,
                 ..kpi
             },
-        };
-        (outcome, self.clock.now_seconds(), Some(detection_row))
+        }
     }
 
     /// One lockstep round. Procedure I, the Procedure-IV hand-off
@@ -696,7 +679,7 @@ impl<'a> LearningState<'a> {
         config: &BflConfig,
         reward_policy: &dyn RewardPolicy,
         round: usize,
-    ) -> Result<SteppedRound, CoreError> {
+    ) -> Result<RoundOutcome, CoreError> {
         self.advance_cooldowns();
 
         // Procedure-I. Lockstep eligibility is "not cooling down"; when
@@ -815,7 +798,7 @@ impl ChainOnlyState {
         }
     }
 
-    fn step(&mut self, config: &BflConfig, round: usize) -> Result<SteppedRound, CoreError> {
+    fn step(&mut self, config: &BflConfig, round: usize) -> Result<RoundOutcome, CoreError> {
         // Every worker submits one transaction.
         for worker in 0..config.fl.clients as u64 {
             self.mempool.submit(Transaction::local_gradient(
@@ -837,8 +820,9 @@ impl ChainOnlyState {
                 .delay
                 .blockchain_round(config.fl.clients, config.miners, &mut self.rng);
         self.clock.advance(breakdown.total());
-        let outcome = RoundOutcome {
+        Ok(RoundOutcome {
             round,
+            elapsed_s: self.clock.now_seconds(),
             breakdown,
             accuracy: 0.0,
             train_loss: 0.0,
@@ -854,7 +838,6 @@ impl ChainOnlyState {
                 makespan_s: breakdown.total(),
                 ..KpiRow::default()
             },
-        };
-        Ok((outcome, self.clock.now_seconds(), None))
+        })
     }
 }

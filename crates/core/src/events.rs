@@ -120,14 +120,14 @@ use crate::aggregation::WEIGHT_FLOOR;
 use crate::config::{AggregationMode, BflConfig, ProfileConfig};
 use crate::contribution::analyze_contributions;
 use crate::delay_model::DelayBreakdown;
-use crate::engine::{round_seed, LearningState, SealedRound, SteppedRound};
+use crate::engine::{round_seed, LearningState, SealedRound};
 use crate::error::CoreError;
 use crate::flexibility::FlexibilityMode;
 use crate::policy::{ReorgPolicy, RetryPolicy, RewardPolicy};
 use crate::procedures::global_update::{self, GlobalUpdatePolicy};
 use crate::procedures::mining;
 use crate::procedures::upload::{sign_update, VerifiedUpload};
-use crate::simulation::KpiRow;
+use crate::simulation::{KpiRow, RoundOutcome};
 use bfl_chain::consensus::RoundConsensus;
 use bfl_crypto::{sign_detached, BatchVerifier, Signature};
 use bfl_fl::attack::AttackKind;
@@ -478,7 +478,7 @@ pub(crate) fn step_flexible(
     reward_policy: &dyn RewardPolicy,
     round: usize,
     quota: usize,
-) -> Result<SteppedRound, CoreError> {
+) -> Result<RoundOutcome, CoreError> {
     let mut rt = state
         .async_rt
         .take()
@@ -746,7 +746,7 @@ fn step_flexible_inner(
     reward_policy: &dyn RewardPolicy,
     round: usize,
     quota: usize,
-) -> Result<SteppedRound, CoreError> {
+) -> Result<RoundOutcome, CoreError> {
     // Cooldowns advance exactly as in the synchronous engine.
     state.advance_cooldowns();
 
@@ -2015,7 +2015,7 @@ mod tests {
         for round in 1..=config.fl.rounds {
             // (Every walk of the round also ran `resolve_run_ahead`'s own
             // `parked.len() <= room` assertion.)
-            let (outcome, ..) = step_flexible(&mut state, &config, &reward, round, 14).unwrap();
+            let outcome = step_flexible(&mut state, &config, &reward, round, 14).unwrap();
             assert_eq!(outcome.participants, 14);
             let rt = state.async_rt.as_ref().unwrap();
             assert!(rt.parked.is_empty(), "round {round} left a pass parked");

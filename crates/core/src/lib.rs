@@ -29,11 +29,13 @@
 //!
 //! ## The Scenario API
 //!
-//! Runs are composed through [`scenario::Scenario`] — a validated point
-//! of the design space built fluently
-//! (`Scenario::builder().mode(..).clients(..).build()?`) — and executed
-//! by the stepwise round engine [`engine::SimulationRun`], one
-//! [`step`](engine::SimulationRun::step) per communication round. The
+//! A scenario *is* a [`BflConfig`]: write one in the nesting its serde
+//! form — and so a `bflharness` manifest — uses (`BflConfig { miners: 4,
+//! fl: FlConfig { clients: 20, ..fl }, ..BflConfig::default() }`),
+//! validate it with [`Scenario::from_config`], and the stepwise round
+//! engine [`engine::SimulationRun`] executes it, one
+//! [`step`](engine::SimulationRun::step) — one [`RoundOutcome`], the
+//! run's only per-round record — per communication round. The
 //! pluggable seams live in [`policy`]: the [`policy::AggregationAnchor`]
 //! Algorithm 2 measures against (mean / median / trimmed mean), the
 //! [`policy::RewardPolicy`] that turns θ scores into payouts, and the
@@ -54,6 +56,7 @@ pub mod engine;
 pub mod error;
 pub mod events;
 pub mod flexibility;
+mod history;
 pub mod policy;
 pub(crate) mod population;
 pub mod procedures;
@@ -79,7 +82,7 @@ pub use policy::{
     RoundEvent, RoundObserver, StalenessPolicy,
 };
 pub use reward::{gini, RewardEntry};
-pub use scenario::{Scenario, ScenarioBuilder};
+pub use scenario::Scenario;
 pub use simulation::{KpiRow, RoundOutcome, SimulationResult};
 pub use strategy::LowContributionStrategy;
 pub use theory::TheoremParams;

@@ -19,7 +19,7 @@
 use crate::detection::DetectionRow;
 use crate::error::CoreError;
 use crate::reward::{build_reward_list, RewardEntry};
-use crate::simulation::{KpiRow, RoundOutcome};
+use crate::simulation::RoundOutcome;
 use bfl_chain::Block;
 use bfl_ml::gradient::{average_refs, trimmed_mean_refs, GradientVector};
 use serde::{Deserialize, Serialize};
@@ -265,10 +265,6 @@ pub struct RoundEvent<'a> {
     /// The block sealed this round (absent when the mode does not mine;
     /// the last block of the round when a round seals several).
     pub block: Option<&'a Block>,
-    /// The round's typed KPI row — a copy of `outcome.kpi`, surfaced
-    /// directly so streaming consumers never re-derive makespans or
-    /// fault counters from the event trace.
-    pub kpi: KpiRow,
     /// Cumulative per-client reward ledger through this round, in
     /// milli-units — what [`crate::reward::gini`] consumes to track
     /// incentive concentration round by round.

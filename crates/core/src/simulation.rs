@@ -3,14 +3,15 @@
 //! The round loop itself lives in the stepwise engine
 //! ([`crate::engine::SimulationRun`]); scenarios are composed and driven
 //! through [`crate::scenario::Scenario`]. This module keeps the shared
-//! result types ([`KpiRow`], [`RoundOutcome`], [`SimulationResult`]).
+//! result types ([`KpiRow`], [`RoundOutcome`], [`SimulationResult`]); a
+//! result's summaries (mean delay, final accuracy, the paper's convergence
+//! criterion) are implemented in `history.rs`.
 
 use crate::delay_model::DelayBreakdown;
 use crate::detection::DetectionTable;
 use crate::flexibility::FlexibilityMode;
 use crate::reward::RewardEntry;
 use bfl_chain::Blockchain;
-use bfl_fl::history::RunHistory;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -45,11 +46,15 @@ pub struct KpiRow {
     pub retried_uploads: usize,
 }
 
-/// Everything recorded about one communication round.
+/// Everything recorded about one communication round — the run's only
+/// per-round record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundOutcome {
     /// Communication round (1-based).
     pub round: usize,
+    /// Simulated time elapsed since the start of the run when the round
+    /// ended, in seconds.
+    pub elapsed_s: f64,
     /// Per-procedure delay breakdown.
     pub breakdown: DelayBreakdown,
     /// Global-model accuracy on the held-out test set after the round.
@@ -83,9 +88,7 @@ pub struct RoundOutcome {
 /// The complete result of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimulationResult {
-    /// Accuracy/delay history in the shared [`RunHistory`] format.
-    pub history: RunHistory,
-    /// Detailed per-round outcomes.
+    /// Per-round outcomes, in round order.
     pub outcomes: Vec<RoundOutcome>,
     /// The canonical ledger (when the mode mines).
     pub chain: Option<Blockchain>,
@@ -97,18 +100,6 @@ pub struct SimulationResult {
     pub final_params: Vec<f64>,
     /// The flexibility mode the run used.
     pub mode: FlexibilityMode,
-}
-
-impl SimulationResult {
-    /// Mean per-round delay in seconds.
-    pub fn mean_delay(&self) -> f64 {
-        self.history.mean_round_delay()
-    }
-
-    /// Final test accuracy, or `None` when no round completed.
-    pub fn final_accuracy(&self) -> Option<f64> {
-        self.history.final_accuracy()
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +144,6 @@ mod tests {
         let config = base_config(3);
         let result = run(config, &train, &test);
 
-        assert_eq!(result.history.len(), 3);
         assert_eq!(result.outcomes.len(), 3);
         assert_eq!(result.mode, FlexibilityMode::FullBfl);
         // One block per round plus genesis, no empty blocks, valid chain.
@@ -176,11 +166,53 @@ mod tests {
             assert_eq!(listed, outcome.rewards_paid_milli);
         }
         // Delays are positive and the clock is cumulative.
-        assert!(result.history.rounds.iter().all(|r| r.round_delay_s > 0.0));
-        let elapsed: Vec<f64> = result.history.rounds.iter().map(|r| r.elapsed_s).collect();
+        assert!(result.outcomes.iter().all(|o| o.breakdown.total() > 0.0));
+        let elapsed: Vec<f64> = result.outcomes.iter().map(|o| o.elapsed_s).collect();
         assert!(elapsed.windows(2).all(|w| w[1] > w[0]));
         // Accuracy is meaningful by round 3 on the tiny IID task.
         assert!(result.final_accuracy().unwrap() > 0.5);
+    }
+
+    #[test]
+    fn step_lends_the_record_the_run_keeps() {
+        let (train, test) = tiny_data();
+        let scenario = Scenario::from_config(base_config(3)).unwrap();
+        let mut run = scenario.start(&train, &test).unwrap();
+        let mut clock = 0.0;
+        for round in 1..=3 {
+            let lent = run.step().unwrap().expect("rounds remain") as *const RoundOutcome;
+            let kept = run.outcomes().last().unwrap();
+            assert!(std::ptr::eq(lent, kept), "no second copy of the round");
+            assert_eq!(kept.round, round);
+            // The record carries the run's clock: the delays so far.
+            clock += kept.breakdown.total();
+            assert!((kept.elapsed_s - clock).abs() < 1e-9);
+        }
+        assert!(run.step().unwrap().is_none());
+        assert_eq!(run.into_result().outcomes.len(), 3);
+    }
+
+    #[test]
+    fn detection_rows_are_scored_from_the_outcome_in_learning_modes_only() {
+        let (train, test) = tiny_data();
+        let mut config = base_config(3);
+        config.strategy = LowContributionStrategy::Discard;
+        config.attack = AttackConfig::table2();
+        config.fl.participation_ratio = 1.0;
+        for mode in [FlexibilityMode::FullBfl, FlexibilityMode::FlOnly] {
+            let result = run(BflConfig { mode, ..config }, &train, &test);
+            assert_eq!(result.detection.len(), 3);
+            for (row, outcome) in result.detection.rows.iter().zip(&result.outcomes) {
+                assert_eq!(row.round, outcome.round);
+                assert_eq!(row.attacker_ids, outcome.attackers);
+                assert_eq!(row.dropped_ids, outcome.dropped);
+            }
+        }
+        // Chain-only never runs Algorithm 2: no rows, not rows of zeros.
+        let mode = FlexibilityMode::ChainOnly;
+        let result = run(BflConfig { mode, ..config }, &train, &test);
+        assert_eq!(result.outcomes.len(), 3);
+        assert!(result.detection.is_empty());
     }
 
     #[test]
@@ -207,9 +239,8 @@ mod tests {
         let chain = result.chain.as_ref().unwrap();
         assert!(chain.height() >= 2, "at least one block per round");
         chain.validate_all().unwrap();
-        // Chain-only rounds record the 0.0 accuracy sentinel per round —
-        // the history is non-empty, so final_accuracy is Some(0.0).
-        assert_eq!(result.final_accuracy(), Some(0.0));
+        // Nothing was trained, so there is no accuracy to report.
+        assert_eq!(result.final_accuracy(), None);
         assert!(result.final_params.is_empty());
         assert!(result.outcomes.iter().all(|o| o.breakdown.t_local == 0.0));
     }
@@ -282,7 +313,7 @@ mod tests {
         let mut config = base_config(2);
         config.verify_signatures = false;
         let result = run(config, &train, &test);
-        assert_eq!(result.history.len(), 2);
+        assert_eq!(result.outcomes.len(), 2);
     }
 
     #[test]
@@ -295,7 +326,7 @@ mod tests {
         let b = run(parallel, &train, &test);
         // The deterministic parallel nonce search seals the same blocks,
         // so the entire trajectory is bit-identical.
-        assert_eq!(a.history, b.history);
+        assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.final_params, b.final_params);
         assert_eq!(
             a.chain.as_ref().unwrap().tip().hash(),
@@ -310,7 +341,7 @@ mod tests {
         let a = run(config, &train, &test);
         let b = run(config, &train, &test);
         assert_eq!(a.final_params, b.final_params);
-        assert_eq!(a.history, b.history);
+        assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.reward_totals, b.reward_totals);
     }
 

@@ -1,19 +1,12 @@
-//! Server-side aggregation rules used by the FL baselines.
+//! Server-side aggregation helpers shared by the learning modes.
 //!
-//! FedAvg's canonical rule weights each update by its sample count; the
-//! paper's Algorithm 1 line 24 uses the plain ("simple average") variant,
-//! with FAIR-BFL's contribution-weighted Equation 1 layered on top in
-//! `bfl-core`. Both simple and sample-weighted rules live here so the
-//! ablation benches can compare them.
+//! The paper's Algorithm 1 line 24 aggregates by plain averaging
+//! (`bfl_ml::gradient::average_refs`), with FAIR-BFL's
+//! contribution-weighted Equation 1 layered on top in `bfl-core`. What
+//! lives here is the staleness decay the event engine applies to late
+//! uploads, and FedAvg's canonical sample-count weighting.
 
-use bfl_ml::gradient::{average_refs, weighted_average, GradientVector};
-
-/// Simple average of the uploaded parameter vectors (Algorithm 1 line 24),
-/// over borrowed slices — the round loop aggregates uploads in place
-/// without cloning each parameter vector first.
-pub fn simple_average_refs(updates: &[&[f64]]) -> GradientVector {
-    average_refs(updates)
-}
+use bfl_ml::gradient::{weighted_average, GradientVector};
 
 /// Decays a stale client upload toward the current global parameters.
 ///
@@ -65,12 +58,6 @@ pub fn sample_weighted_average(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn simple_average_is_unweighted() {
-        let updates: [&[f64]; 2] = [&[0.0, 0.0], &[2.0, 4.0]];
-        assert_eq!(simple_average_refs(&updates), vec![1.0, 2.0]);
-    }
 
     #[test]
     fn sample_weighting_favours_larger_shards() {

@@ -1,23 +1,23 @@
 //! # bfl-fl
 //!
-//! Federated-learning baselines and client machinery.
+//! Federated-learning client machinery.
 //!
 //! FAIR-BFL is evaluated against three baselines (paper Section 5.1): a
 //! pure blockchain (no learning), FedAvg (McMahan et al. 2017) and FedProx
-//! (Li et al. 2020). This crate implements the learning-side pieces those
-//! baselines and FAIR-BFL itself share:
+//! (Li et al. 2020). The learning baselines are configurations of
+//! `bfl-core`'s engine (`mode: FlOnly`; FedProx adds
+//! `fl.local.proximal_mu` and `fl.drop_percent`), not loops of their own;
+//! this crate implements the learning-side pieces they and FAIR-BFL share:
 //!
 //! * [`client`] — a federated client owning a shard of the training data,
 //!   able to run Procedure-I's local SGD pass and, if compromised, to forge
 //!   its upload ([`attack`]).
 //! * [`selection`] — the random λ·n client selection of Algorithm 1 line 3.
-//! * [`aggregation`] — FedAvg-style simple and sample-weighted averaging
+//! * [`aggregation`] — staleness decay and sample-weighted averaging
 //!   (FAIR-BFL's contribution-weighted rule lives in `bfl-core`).
-//! * [`trainer`] — round-driven FedAvg / FedProx training loops producing
-//!   accuracy histories with the paper's convergence criterion
-//!   (accuracy change < 0.5 % for 5 consecutive rounds).
-//! * [`history`] — per-round records and convergence detection shared by
-//!   every system in the comparison.
+//! * [`config`] — the learning side of a scenario ([`FlConfig`]).
+//! * [`trainer`] — partitions the training data into the client
+//!   population ([`FlTrainer::build_clients`]).
 
 #![warn(missing_docs)]
 
@@ -25,7 +25,6 @@ pub mod aggregation;
 pub mod attack;
 pub mod client;
 pub mod config;
-pub mod history;
 pub mod implicit;
 pub mod selection;
 pub mod trainer;
@@ -33,5 +32,4 @@ pub mod trainer;
 pub use attack::AttackKind;
 pub use client::Client;
 pub use config::FlConfig;
-pub use history::{RoundRecord, RunHistory};
 pub use trainer::{FlAlgorithm, FlTrainer};

@@ -1,57 +1,27 @@
-//! FedAvg and FedProx training loops.
+//! The client population of a federated run.
 //!
-//! These are the learning-only baselines of the comparison: clients train
-//! locally (in parallel, one fork/join task per selected client, each
-//! worker reusing one scratch workspace across its chunk of clients), the
-//! server averages the uploads, and the global model is evaluated on the
-//! held-out test set after every communication round. Delay modelling is
-//! *not* done here — the delay decomposition T(n, m) belongs to the
-//! coupled system and lives in `bfl-core::delay_model`, which wraps these
-//! same primitives so that every system in Figure 4/6/7 is timed with one
-//! consistent model.
+//! [`FlTrainer::build_clients`] partitions the training data under the
+//! configured [`PartitionKind`] and hands back one honest [`Client`] per
+//! shard. The round loop is not here: an FL baseline is `bfl-core`'s
+//! engine under `mode: FlOnly` (FedAvg with `fair_aggregation: false`,
+//! FedProx by also setting `fl.local.proximal_mu` and `fl.drop_percent`),
+//! so every system of Figure 4/6/7 is trained and timed by one loop.
 
-use crate::aggregation::simple_average_refs;
-use crate::client::{Client, LocalUpdate};
+use crate::client::Client;
 use crate::config::{FlConfig, PartitionKind};
-use crate::history::{RoundRecord, RunHistory};
-use crate::selection::{drop_stragglers, select_clients};
 use bfl_data::partition::{dirichlet_partition, iid_partition, shard_non_iid_partition};
 use bfl_data::Dataset;
-use bfl_ml::metrics::accuracy;
-use bfl_ml::model::{AnyModel, Model};
-use bfl_ml::optimizer::LocalTrainingConfig;
-use bfl_ml::par;
-use bfl_ml::tensor::Scratch;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Which baseline algorithm to run.
+/// Which baseline algorithm the trainer stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FlAlgorithm {
     /// FedAvg (McMahan et al., 2017): plain local SGD + averaging.
     FedAvg,
-    /// FedProx (Li et al., 2020): local objective augmented with
-    /// `μ/2 ‖w − w_global‖²`, plus optional straggler dropping via
-    /// [`FlConfig::drop_percent`].
-    FedProx {
-        /// Proximal coefficient μ.
-        mu: f64,
-    },
 }
 
-/// The outcome of a federated training run.
-#[derive(Debug, Clone)]
-pub struct FlRun {
-    /// Per-round accuracy/loss records.
-    pub history: RunHistory,
-    /// Final global parameter vector.
-    pub final_params: Vec<f64>,
-    /// The client population used (including shard assignments).
-    pub clients: Vec<Client>,
-}
-
-/// Round-driven federated trainer.
+/// Builds the client population of a run.
 #[derive(Debug, Clone)]
 pub struct FlTrainer {
     /// Run configuration (paper Section 5.1 defaults).
@@ -67,15 +37,6 @@ impl FlTrainer {
             .validate()
             .unwrap_or_else(|e| panic!("invalid FL configuration: {e}"));
         FlTrainer { config, algorithm }
-    }
-
-    /// Effective local-training configuration (injects FedProx's μ).
-    pub fn local_config(&self) -> LocalTrainingConfig {
-        let mut local = self.config.local;
-        if let FlAlgorithm::FedProx { mu } = self.algorithm {
-            local.proximal_mu = mu;
-        }
-        local
     }
 
     /// Partitions the training data and builds the (honest) client population.
@@ -110,121 +71,37 @@ impl FlTrainer {
             .map(|(id, shard)| Client::honest(id as u64, shard))
             .collect()
     }
-
-    /// Runs one communication round over an explicit set of participating
-    /// clients, returning their uploads (computed in parallel).
-    pub fn run_round(
-        &self,
-        clients: &[Client],
-        participants: &[usize],
-        global_params: &[f64],
-        train: &Dataset,
-        round_seed: u64,
-    ) -> Vec<LocalUpdate> {
-        let local = self.local_config();
-        par::par_map_with(participants, 1, Scratch::new, |scratch, _, &idx| {
-            clients[idx].local_update_with_scratch(
-                self.config.model,
-                global_params,
-                &train.features,
-                &train.labels,
-                &local,
-                round_seed,
-                scratch,
-            )
-        })
-    }
-
-    /// Runs the full multi-round training loop.
-    pub fn run(&self, train: &Dataset, test: &Dataset) -> FlRun {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let clients = self.build_clients(train, &mut rng);
-
-        let mut global_model: AnyModel = self.config.model.build(&mut rng);
-        let mut global_params = global_model.params();
-        let mut history = RunHistory::new();
-
-        for round in 1..=self.config.rounds {
-            let selected = select_clients(
-                self.config.clients,
-                self.config.selected_per_round(),
-                &mut rng,
-            );
-            let participants = drop_stragglers(&selected, self.config.drop_percent, &mut rng);
-            let round_seed = self.config.seed ^ (round as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
-            let updates =
-                self.run_round(&clients, &participants, &global_params, train, round_seed);
-
-            let uploads: Vec<&[f64]> = updates.iter().map(|u| u.params.as_slice()).collect();
-            global_params = simple_average_refs(&uploads);
-            global_model.set_params(&global_params);
-
-            let test_accuracy = accuracy(&global_model, &test.features, &test.labels, None);
-            let train_loss = updates
-                .iter()
-                .map(|u| u.stats.final_epoch_loss)
-                .sum::<f64>()
-                / updates.len().max(1) as f64;
-            history.push(RoundRecord {
-                round,
-                accuracy: test_accuracy,
-                train_loss,
-                round_delay_s: 0.0,
-                elapsed_s: 0.0,
-                participants: participants.len(),
-            });
-        }
-
-        FlRun {
-            history,
-            final_params: global_params,
-            clients,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bfl_data::synth_mnist::{SynthMnist, SynthMnistConfig};
-    use bfl_ml::model::ModelKind;
+    use rand::SeedableRng;
 
-    fn tiny_config(rounds: usize) -> FlConfig {
-        FlConfig {
-            clients: 10,
-            participation_ratio: 0.5,
-            rounds,
-            model: ModelKind::SoftmaxRegression {
-                features: 784,
-                classes: 10,
-            },
-            local: LocalTrainingConfig {
-                epochs: 1,
-                batch_size: 10,
-                learning_rate: 0.05,
-                proximal_mu: 0.0,
-            },
-            partition: PartitionKind::Iid,
-            drop_percent: 0.0,
-            seed: 42,
-        }
-    }
-
-    fn tiny_data() -> (Dataset, Dataset) {
+    fn tiny_train() -> Dataset {
         let gen = SynthMnist::new(SynthMnistConfig {
             train_samples: 300,
             test_samples: 100,
             noise_std: 0.05,
             max_translation: 1.0,
         });
-        let mut rng = StdRng::seed_from_u64(7);
-        gen.generate(&mut rng)
+        gen.generate(&mut StdRng::seed_from_u64(7)).0
+    }
+
+    fn trainer(partition: PartitionKind) -> FlTrainer {
+        let config = FlConfig {
+            clients: 10,
+            partition,
+            ..FlConfig::default()
+        };
+        FlTrainer::new(config, FlAlgorithm::FedAvg)
     }
 
     #[test]
     fn build_clients_partitions_all_samples() {
-        let (train, _) = tiny_data();
-        let trainer = FlTrainer::new(tiny_config(1), FlAlgorithm::FedAvg);
+        let train = tiny_train();
+        let trainer = trainer(PartitionKind::Iid);
         let mut rng = StdRng::seed_from_u64(1);
         let clients = trainer.build_clients(&train, &mut rng);
         assert_eq!(clients.len(), 10);
@@ -234,55 +111,27 @@ mod tests {
     }
 
     #[test]
-    fn fedavg_improves_accuracy_over_rounds() {
-        let (train, test) = tiny_data();
-        let trainer = FlTrainer::new(tiny_config(8), FlAlgorithm::FedAvg);
-        let run = trainer.run(&train, &test);
-        assert_eq!(run.history.len(), 8);
-        let first = run.history.rounds.first().unwrap().accuracy;
-        let last = run.history.final_accuracy().unwrap();
-        assert!(
-            last > first && last > 0.6,
-            "accuracy should improve: round1 {first} -> round8 {last}"
-        );
-        assert_eq!(run.final_params.len(), 7850);
-    }
-
-    #[test]
-    fn fedprox_uses_proximal_mu_and_drop_percent() {
-        let (train, test) = tiny_data();
-        let mut config = tiny_config(3);
-        config.drop_percent = 0.2;
-        let trainer = FlTrainer::new(config, FlAlgorithm::FedProx { mu: 0.1 });
-        assert!((trainer.local_config().proximal_mu - 0.1).abs() < 1e-12);
-        let run = trainer.run(&train, &test);
-        assert_eq!(run.history.len(), 3);
-        // Straggler dropping keeps participation below the full selection.
-        let selected = trainer.config.selected_per_round();
-        assert!(run
-            .history
-            .rounds
-            .iter()
-            .all(|r| r.participants >= 1 && r.participants <= selected));
-        assert!(run.history.rounds.iter().any(|r| r.participants < selected));
-    }
-
-    #[test]
-    fn runs_are_reproducible_for_a_fixed_seed() {
-        let (train, test) = tiny_data();
-        let trainer = FlTrainer::new(tiny_config(3), FlAlgorithm::FedAvg);
-        let a = trainer.run(&train, &test);
-        let b = trainer.run(&train, &test);
-        assert_eq!(a.final_params, b.final_params);
-        assert_eq!(a.history, b.history);
-    }
-
-    #[test]
-    fn fedavg_and_fedprox_produce_different_trajectories() {
-        let (train, test) = tiny_data();
-        let fedavg = FlTrainer::new(tiny_config(3), FlAlgorithm::FedAvg).run(&train, &test);
-        let fedprox =
-            FlTrainer::new(tiny_config(3), FlAlgorithm::FedProx { mu: 1.0 }).run(&train, &test);
-        assert_ne!(fedavg.final_params, fedprox.final_params);
+    fn build_clients_is_a_function_of_the_partition_and_the_rng() {
+        let train = tiny_train();
+        for partition in [
+            PartitionKind::Iid,
+            PartitionKind::ShardNonIid {
+                shards_per_client: 2,
+            },
+            PartitionKind::Dirichlet { alpha: 0.5 },
+            PartitionKind::ImplicitIid {
+                samples_per_client: 12,
+            },
+        ] {
+            let build =
+                |seed| trainer(partition).build_clients(&train, &mut StdRng::seed_from_u64(seed));
+            let clients = build(1);
+            assert_eq!(clients.len(), 10, "{partition:?}");
+            assert!(clients.iter().enumerate().all(|(i, c)| c.id == i as u64));
+            assert_eq!(clients, build(1), "{partition:?} reproduces under one seed");
+            // The implicit population derives from `fl.seed`, not `rng`.
+            let implicit = matches!(partition, PartitionKind::ImplicitIid { .. });
+            assert_eq!(clients == build(2), implicit, "{partition:?}");
+        }
     }
 }

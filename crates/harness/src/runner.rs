@@ -311,19 +311,20 @@ fn run_one(
     let mut rows: Vec<RoundRow> = Vec::new();
     let observer = |event: &RoundEvent<'_>| {
         let ledger: Vec<u64> = event.reward_totals.values().copied().collect();
+        let outcome = event.outcome;
         rows.push(RoundRow {
-            round: event.outcome.round,
-            accuracy: event.outcome.accuracy,
-            train_loss: event.outcome.train_loss,
-            participants: event.outcome.participants,
+            round: outcome.round,
+            accuracy: outcome.accuracy,
+            train_loss: outcome.train_loss,
+            participants: outcome.participants,
             detection_rate: event.detection.and_then(|d| d.detection_rate),
-            makespan_s: event.kpi.makespan_s,
-            mempool_depth_at_seal: event.kpi.mempool_depth_at_seal,
-            stale_included: event.kpi.stale_included,
-            stale_discarded: event.kpi.stale_discarded,
-            dropped_uploads: event.kpi.dropped_uploads,
-            retried_uploads: event.kpi.retried_uploads,
-            rewards_paid_milli: event.outcome.rewards_paid_milli,
+            makespan_s: outcome.kpi.makespan_s,
+            mempool_depth_at_seal: outcome.kpi.mempool_depth_at_seal,
+            stale_included: outcome.kpi.stale_included,
+            stale_discarded: outcome.kpi.stale_discarded,
+            dropped_uploads: outcome.kpi.dropped_uploads,
+            retried_uploads: outcome.kpi.retried_uploads,
+            rewards_paid_milli: outcome.rewards_paid_milli,
             reward_gini: gini(&ledger),
         });
     };
@@ -335,7 +336,7 @@ fn run_one(
     let attackers_injected = result.detection.totals().0 > 0;
     let finals = FinalMetrics {
         rounds: rows.len(),
-        final_accuracy: result.final_accuracy().filter(|_| config.mode.learns()),
+        final_accuracy: result.final_accuracy(),
         detection_rate: attackers_injected.then(|| result.detection.average_detection_rate()),
         makespan_s,
         reward_gini: gini(&ledger),

@@ -13,9 +13,12 @@
 //! Run with: `cargo run --release --example fault_storm`
 
 use fair_bfl::core::events::EventKind;
-use fair_bfl::core::{ProfileConfig, ReorgPolicy, RetryPolicy, Scenario, StalenessPolicy};
+use fair_bfl::core::{
+    BflConfig, ProfileConfig, ReorgPolicy, RetryPolicy, Scenario, StalenessPolicy, SyncMode,
+};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
-use fair_bfl::fl::config::PartitionKind;
+use fair_bfl::fl::config::{FlConfig, PartitionKind};
+use fair_bfl::ml::optimizer::LocalTrainingConfig;
 use fair_bfl::net::{DelayDistribution, FaultPlan, LinkFaults, Partition};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,32 +47,39 @@ fn main() {
         ..FaultPlan::default()
     };
 
-    let scenario = Scenario::builder()
-        .clients(10)
-        .miners(3)
-        .rounds(8)
-        .participation_ratio(1.0)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .verify_signatures(false)
-        .profiles(ProfileConfig {
+    let scenario = Scenario::from_config(BflConfig {
+        fl: FlConfig {
+            clients: 10,
+            rounds: 8,
+            participation_ratio: 1.0,
+            partition: PartitionKind::Iid,
+            local: LocalTrainingConfig {
+                epochs: 1,
+                ..LocalTrainingConfig::default()
+            },
+            seed: 7,
+            ..FlConfig::default()
+        },
+        miners: 3,
+        verify_signatures: false,
+        profiles: ProfileConfig {
             uplink: DelayDistribution::Constant(0.05),
             ..ProfileConfig::default()
-        })
-        .seed(7)
-        .flexible_quota(7)
-        .staleness(StalenessPolicy::DecayedInclude { decay: 0.5 })
-        .fault(storm)
-        .retry(RetryPolicy::Backoff {
+        },
+        sync: SyncMode::FlexibleQuota { quota: 7 },
+        staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
+        fault: storm,
+        retry: RetryPolicy::Backoff {
             max_attempts: 3,
             timeout_s: 0.5,
             base_s: 0.5,
             factor: 2.0,
             jitter_s: 0.1,
-        })
-        .reorg(ReorgPolicy::Salvage)
-        .build()
-        .expect("scenario is consistent");
+        },
+        reorg: ReorgPolicy::Salvage,
+        ..BflConfig::default()
+    })
+    .expect("scenario is consistent");
 
     let mut run = scenario.start(&train, &test).expect("run provisions");
     println!("round  accuracy  participants  stale  t_fork(s)  elapsed(s)");
@@ -81,7 +91,7 @@ fn main() {
             outcome.participants,
             outcome.stale_included,
             outcome.breakdown.t_fork,
-            run.history().rounds.last().unwrap().elapsed_s,
+            outcome.elapsed_s,
         );
     }
 

@@ -1,7 +1,7 @@
 //! Flexibility by design (paper Section 4.6 / Figure 3).
 //!
-//! The same workload is composed three times through the Scenario
-//! builder: as the full FAIR-BFL system, as the degraded FL-only
+//! The same workload is run three times, changing one `BflConfig` field
+//! (`mode`): as the full FAIR-BFL system, as the degraded FL-only
 //! composition (Procedures I, II, IV — no exchange, no mining), and as
 //! the degraded chain-only composition (Procedures II, III, V — no
 //! learning). The example prints the per-procedure delay budget of each
@@ -9,8 +9,10 @@
 //!
 //! Run with: `cargo run --release --example flexibility_modes`
 
-use fair_bfl::core::{FlexibilityMode, Scenario};
+use fair_bfl::core::{BflConfig, FlexibilityMode, Scenario};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
+use fair_bfl::fl::config::FlConfig;
+use fair_bfl::ml::optimizer::LocalTrainingConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,17 +35,24 @@ fn main() {
         (FlexibilityMode::FlOnly, "FL-only"),
         (FlexibilityMode::ChainOnly, "chain-only"),
     ] {
-        // One builder chain per mode — everything else stays at the
-        // paper's defaults, so the three scenarios differ only in which
+        // One config per mode — everything else stays at the paper's
+        // defaults, so the three scenarios differ only in which
         // procedures run.
-        let scenario = Scenario::builder()
-            .clients(20)
-            .rounds(8)
-            .participation_ratio(0.5)
-            .local_epochs(2)
-            .mode(mode)
-            .build()
-            .expect("scenario is consistent");
+        let scenario = Scenario::from_config(BflConfig {
+            mode,
+            fl: FlConfig {
+                clients: 20,
+                rounds: 8,
+                participation_ratio: 0.5,
+                local: LocalTrainingConfig {
+                    epochs: 2,
+                    ..LocalTrainingConfig::default()
+                },
+                ..FlConfig::default()
+            },
+            ..BflConfig::default()
+        })
+        .expect("scenario is consistent");
 
         let result = scenario
             .run(&train, &test)

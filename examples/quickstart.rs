@@ -1,13 +1,14 @@
-//! Quickstart: compose a small FAIR-BFL scenario with the builder API,
+//! Quickstart: write a small FAIR-BFL scenario as a `BflConfig`,
 //! stream every round through an observer while it runs, and inspect the
 //! results — accuracy trajectory, per-procedure delays, the ledger, and
 //! the rewards the incentive mechanism paid out.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use fair_bfl::core::{LowContributionStrategy, RoundEvent, Scenario};
+use fair_bfl::core::{BflConfig, LowContributionStrategy, RoundEvent, Scenario};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
-use fair_bfl::fl::config::PartitionKind;
+use fair_bfl::fl::config::{FlConfig, PartitionKind};
+use fair_bfl::ml::optimizer::LocalTrainingConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,22 +29,30 @@ fn main() {
         train.feature_count()
     );
 
-    // 2. Compose the scenario: 20 clients, 2 miners, non-IID shards, the
+    // 2. Write the scenario: 20 clients, 2 miners, non-IID shards, the
     //    contribution-weighted (Equation 1) aggregation, and DBSCAN-based
-    //    contribution identification with the keep strategy. `build()`
-    //    validates the composition and returns a typed error instead of
+    //    contribution identification with the keep strategy. The nesting
+    //    is the one a `bflharness` manifest uses (`fl.local.epochs`);
+    //    `from_config` validates it and returns a typed error instead of
     //    panicking on an inconsistent one.
-    let scenario = Scenario::builder()
-        .clients(20)
-        .rounds(15)
-        .participation_ratio(0.5)
-        .partition(PartitionKind::ShardNonIid {
-            shards_per_client: 2,
-        })
-        .local_epochs(2)
-        .strategy(LowContributionStrategy::Keep)
-        .build()
-        .expect("scenario is consistent");
+    let config = BflConfig {
+        fl: FlConfig {
+            clients: 20,
+            rounds: 15,
+            participation_ratio: 0.5,
+            partition: PartitionKind::ShardNonIid {
+                shards_per_client: 2,
+            },
+            local: LocalTrainingConfig {
+                epochs: 2,
+                ..LocalTrainingConfig::default()
+            },
+            ..FlConfig::default()
+        },
+        strategy: LowContributionStrategy::Keep,
+        ..BflConfig::default()
+    };
+    let scenario = Scenario::from_config(config).expect("scenario is consistent");
 
     // 3. Run it, watching every round as it completes. The observer sees
     //    the round outcome (and, in mining modes, the sealed block) the
@@ -76,7 +85,7 @@ fn main() {
         result.final_accuracy().unwrap_or(0.0)
     );
     println!("mean round delay   : {:.2} s", result.mean_delay());
-    if let Some(round) = result.history.convergence_round() {
+    if let Some(round) = result.convergence_round() {
         println!("converged at round : {round}");
     }
 
@@ -104,7 +113,7 @@ fn main() {
     let early = run.into_result();
     println!(
         "\nstep-driven rerun stopped after {} rounds at accuracy {:.3}",
-        early.history.len(),
+        early.outcomes.len(),
         early.final_accuracy().unwrap_or(0.0)
     );
 }

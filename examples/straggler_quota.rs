@@ -14,9 +14,12 @@
 //! Run with: `cargo run --release --example straggler_quota`
 
 use fair_bfl::core::events::EventKind;
-use fair_bfl::core::{ProfileConfig, Scenario, ScenarioBuilder, StalenessPolicy};
+use fair_bfl::core::{
+    BflConfig, ProfileConfig, Scenario, SimulationResult, StalenessPolicy, SyncMode,
+};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
-use fair_bfl::fl::config::PartitionKind;
+use fair_bfl::fl::config::{FlConfig, PartitionKind};
+use fair_bfl::ml::optimizer::LocalTrainingConfig;
 use fair_bfl::net::DelayDistribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,35 +47,43 @@ fn main() {
         churn_online_s: 8.0,
         churn_offline_s: 6.0,
     };
-    let base = || -> ScenarioBuilder {
-        Scenario::builder()
-            .clients(10)
-            .rounds(8)
-            .participation_ratio(1.0)
-            .partition(PartitionKind::Iid)
-            .local_epochs(1)
-            .verify_signatures(false)
-            .profiles(profiles)
-            .seed(7)
+    let base = BflConfig {
+        fl: FlConfig {
+            clients: 10,
+            rounds: 8,
+            participation_ratio: 1.0,
+            partition: PartitionKind::Iid,
+            local: LocalTrainingConfig {
+                epochs: 1,
+                ..LocalTrainingConfig::default()
+            },
+            seed: 7,
+            ..FlConfig::default()
+        },
+        verify_signatures: false,
+        profiles,
+        ..BflConfig::default()
     };
 
     // Waiting for everyone: the block quota equals the population, so
     // every round is gated by the 8x straggler.
-    let waiting = base()
-        .flexible_quota(10)
-        .build()
-        .expect("scenario is consistent")
-        .run(&train, &test)
-        .expect("run completes");
+    let waiting = Scenario::from_config(BflConfig {
+        sync: SyncMode::FlexibleQuota { quota: 10 },
+        ..base
+    })
+    .expect("scenario is consistent")
+    .run(&train, &test)
+    .expect("run completes");
 
     // The flexible block size: each block seals after 6 uploads; late
     // uploads are carried into the next block, decayed toward the
     // current global model by 0.5 per round of staleness.
-    let scenario = base()
-        .flexible_quota(6)
-        .staleness(StalenessPolicy::DecayedInclude { decay: 0.5 })
-        .build()
-        .expect("scenario is consistent");
+    let scenario = Scenario::from_config(BflConfig {
+        sync: SyncMode::FlexibleQuota { quota: 6 },
+        staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
+        ..base
+    })
+    .expect("scenario is consistent");
     let mut run = scenario.start(&train, &test).expect("run provisions");
 
     println!("round  accuracy  participants  stale  round-delay(s)  elapsed(s)");
@@ -84,7 +95,7 @@ fn main() {
             outcome.participants,
             outcome.stale_included,
             outcome.breakdown.total(),
-            run.history().rounds.last().unwrap().elapsed_s,
+            outcome.elapsed_s,
         );
     }
 
@@ -101,9 +112,8 @@ fn main() {
     }
     let flexible = run.into_result();
 
-    let makespan = |history: &fair_bfl::fl::history::RunHistory| {
-        history.rounds.last().map(|r| r.elapsed_s).unwrap_or(0.0)
-    };
+    let makespan =
+        |result: &SimulationResult| result.outcomes.last().map(|o| o.elapsed_s).unwrap_or(0.0);
     println!("\nuploads lost to churn       : {lost}");
     println!("stale uploads carried over  : {stale}");
     println!(
@@ -112,11 +122,11 @@ fn main() {
     );
     println!(
         "simulated makespan          : {:.2}s (flexible quota) vs {:.2}s (wait for everyone)",
-        makespan(&flexible.history),
-        makespan(&waiting.history),
+        makespan(&flexible),
+        makespan(&waiting),
     );
     println!(
         "the flexible block size cut the straggler-gated makespan by {:.2}x",
-        makespan(&waiting.history) / makespan(&flexible.history)
+        makespan(&waiting) / makespan(&flexible)
     );
 }

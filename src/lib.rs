@@ -13,30 +13,32 @@
 //! * [`data`] — the synthetic MNIST surrogate and federated partitioners.
 //! * [`cluster`] — DBSCAN / k-means / agglomerative clustering.
 //! * [`net`] — simulated clock, link-delay models, topology.
-//! * [`fl`] — FedAvg / FedProx baselines, clients, attacks.
+//! * [`fl`] — clients, data partitioning, selection, attacks.
 //! * [`core`] — FAIR-BFL itself: the five procedures, Algorithm 2,
 //!   Equation 1, the delay model, detection, and the simulation driver.
 //!
 //! ## Quickstart
 //!
-//! Scenarios are composed with a validating builder and run either in
-//! one shot or round by round through the stepwise engine; grids of them
-//! fan out across cores and processes through `bflharness`
-//! (`crates/harness`):
+//! A scenario is a [`core::BflConfig`], written in the nesting a
+//! `bflharness` manifest uses and validated by
+//! [`core::Scenario::from_config`]; it runs either in one shot or round by
+//! round through the stepwise engine, and grids of them fan out across
+//! cores and processes through `bflharness` (`crates/harness`):
 //!
 //! ```no_run
-//! use fair_bfl::core::{AggregationAnchor, Scenario};
+//! use fair_bfl::core::{AggregationAnchor, BflConfig, Scenario};
 //! use fair_bfl::data::{SynthMnist, SynthMnistConfig};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
 //! let (train, test) = SynthMnist::new(SynthMnistConfig::default()).generate(&mut rng);
-//! let scenario = Scenario::builder()
-//!     .clients(20)
-//!     .rounds(10)
-//!     .anchor(AggregationAnchor::Median)
-//!     .build()
-//!     .unwrap();
+//! let mut config = BflConfig {
+//!     anchor: AggregationAnchor::Median,
+//!     ..BflConfig::default()
+//! };
+//! config.fl.clients = 20;
+//! config.fl.rounds = 10;
+//! let scenario = Scenario::from_config(config).unwrap();
 //! let result = scenario.run(&train, &test).unwrap();
 //! println!(
 //!     "final accuracy {:.3}, mean delay {:.2}s",
@@ -45,9 +47,10 @@
 //! );
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! binaries that regenerate every table and figure of the paper's
-//! evaluation.
+//! See `examples/` for runnable scenarios. The paper's evaluation is
+//! data: `scenarios/fig4.json` … `table2_clustering.json` are manifests
+//! `bflharness run` executes and `bflharness report` tabulates, and
+//! `REPRODUCTION.md` is the ledger of what each one shows.
 
 #![warn(missing_docs)]
 

@@ -6,18 +6,19 @@
 
 mod common;
 
-use common::{run_digest, run_grid, small_config, small_dataset};
+use common::{full_participation_fl, run_digest, run_grid, small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
-use fair_bfl::core::{ProfileConfig, Scenario, SimulationResult, StalenessPolicy, SyncMode};
-use fair_bfl::fl::config::PartitionKind;
+use fair_bfl::core::{
+    BflConfig, ProfileConfig, Scenario, SimulationResult, StalenessPolicy, SyncMode,
+};
 use fair_bfl::net::DelayDistribution;
 
 /// The synchronous mode (the degenerate case of the event-driven
 /// redesign: zero delays, quota = all participants) must stay
 /// bit-identical to the PR 4 step engine. The digest below was captured
 /// on the PR 4 engine *before* that refactor landed, over every artifact
-/// the experiments read — history, detection rows, reward totals, final
-/// parameters, and every block hash.
+/// the experiments read — per-round records, detection rows, reward
+/// totals, final parameters, and every block hash.
 ///
 /// ("Both engine modes" in the name dates from the process-wide
 /// reference-arithmetic switch; one mode remains, and the name stays so
@@ -45,25 +46,20 @@ fn synchronous_mode_is_bit_identical_to_the_pr4_engine_in_both_engine_modes() {
 /// A heterogeneous scenario: stragglers, jitter-free but non-zero uplink
 /// latency, full participation.
 fn straggler_scenario(quota: usize, staleness: StalenessPolicy, rounds: usize) -> Scenario {
-    Scenario::builder()
-        .clients(8)
-        .rounds(rounds)
-        .participation_ratio(1.0)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .batch_size(10)
-        .verify_signatures(false)
-        .seed(42)
-        .sync(SyncMode::FlexibleQuota { quota })
-        .staleness(staleness)
-        .profiles(ProfileConfig {
+    Scenario::from_config(BflConfig {
+        fl: full_participation_fl(8, rounds, 42),
+        verify_signatures: false,
+        sync: SyncMode::FlexibleQuota { quota },
+        staleness,
+        profiles: ProfileConfig {
             straggler_slowdown: 8.0,
             straggler_fraction: 0.25,
             uplink: DelayDistribution::Constant(0.05),
             ..ProfileConfig::default()
-        })
-        .build()
-        .unwrap()
+        },
+        ..BflConfig::default()
+    })
+    .unwrap()
 }
 
 #[test]
@@ -120,7 +116,7 @@ fn flexible_quota_seals_blocks_without_waiting_for_stragglers() {
         .run(&train, &test)
         .unwrap();
 
-    let makespan = |r: &SimulationResult| r.history.rounds.last().unwrap().elapsed_s;
+    let makespan = |r: &SimulationResult| r.outcomes.last().unwrap().elapsed_s;
     assert!(
         makespan(&flexible) < makespan(&waiting),
         "the flexible quota must undercut the straggler-gated makespan \
@@ -184,30 +180,25 @@ fn staleness_policies_govern_what_late_uploads_contribute() {
 fn churn_schedules_gate_selection_and_can_lose_in_flight_uploads() {
     let (train, test) = small_dataset();
     let rounds = 6;
-    let scenario = Scenario::builder()
-        .clients(6)
-        .rounds(rounds)
-        .participation_ratio(1.0)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .batch_size(10)
-        .verify_signatures(false)
-        .seed(7)
-        .sync(SyncMode::FlexibleQuota { quota: 4 })
-        .profiles(ProfileConfig {
+    let scenario = Scenario::from_config(BflConfig {
+        fl: full_participation_fl(6, rounds, 7),
+        verify_signatures: false,
+        sync: SyncMode::FlexibleQuota { quota: 4 },
+        profiles: ProfileConfig {
             churn_fraction: 0.5,
             churn_online_s: 4.0,
             churn_offline_s: 50.0,
             ..ProfileConfig::default()
-        })
-        .build()
-        .unwrap();
+        },
+        ..BflConfig::default()
+    })
+    .unwrap();
 
     let mut run = scenario.start(&train, &test).unwrap();
     run.run_to_completion().unwrap();
     let trace = run.event_trace().to_vec();
     let result = run.into_result();
-    assert_eq!(result.history.len(), rounds);
+    assert_eq!(result.outcomes.len(), rounds);
 
     // Offline clients are never selected: every scheduled pass respects
     // the profile's churn schedule.
@@ -252,29 +243,24 @@ fn a_fully_churning_population_fast_forwards_instead_of_aborting() {
     // start lands in an all-offline window must fast-forward the clock
     // to the next rejoin (the dynamic-join property), not abort the run.
     let rounds = 5;
-    let scenario = Scenario::builder()
-        .clients(4)
-        .rounds(rounds)
-        .participation_ratio(1.0)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .batch_size(10)
-        .verify_signatures(false)
-        .seed(11)
-        .sync(SyncMode::FlexibleQuota { quota: 2 })
-        .profiles(ProfileConfig {
+    let scenario = Scenario::from_config(BflConfig {
+        fl: full_participation_fl(4, rounds, 11),
+        verify_signatures: false,
+        sync: SyncMode::FlexibleQuota { quota: 2 },
+        profiles: ProfileConfig {
             churn_fraction: 1.0,
             churn_online_s: 2.0,
             churn_offline_s: 3.0,
             ..ProfileConfig::default()
-        })
-        .build()
-        .unwrap();
+        },
+        ..BflConfig::default()
+    })
+    .unwrap();
     let mut run = scenario.start(&train, &test).unwrap();
     run.run_to_completion().unwrap();
     let trace = run.event_trace().to_vec();
     let result = run.into_result();
-    assert_eq!(result.history.len(), rounds, "no round aborts");
+    assert_eq!(result.outcomes.len(), rounds, "no round aborts");
     // Scheduling still respects every churn schedule.
     let profiles = scenario.config().profiles.build_profiles(4);
     for event in &trace {
@@ -296,7 +282,7 @@ fn flexible_quota_works_with_signatures_and_in_fl_only_mode() {
         .unwrap()
         .run(&train, &test)
         .unwrap();
-    assert_eq!(signed.history.len(), 2);
+    assert_eq!(signed.outcomes.len(), 2);
     let chain = signed.chain.as_ref().unwrap();
     assert_eq!(chain.height(), 2);
     chain.validate_all().unwrap();

@@ -126,8 +126,8 @@ fn robust_anchors_catch_the_scaling_attacker_that_defeats_the_mean() {
 
     // The ROADMAP open item: a -8x scaling attacker against 9 honest
     // uploads corrupts the plain-average anchor itself, collapsing
-    // Algorithm 2 into the keep-everyone fallback. Rebuilding the same
-    // scenario with the builder and swapping only the anchor shows the
+    // Algorithm 2 into the keep-everyone fallback. Running the same
+    // configuration with only `anchor` swapped shows the
     // mean anchor failing and both robust anchors succeeding.
     let scenario_with = |anchor: AggregationAnchor| {
         let mut config = attacked_config(6, PartitionKind::Iid);

@@ -2,7 +2,7 @@
 
 use fair_bfl::core::{BflConfig, Scenario, SimulationResult};
 use fair_bfl::data::{Dataset, SynthMnist, SynthMnistConfig};
-use fair_bfl::fl::config::PartitionKind;
+use fair_bfl::fl::config::{FlConfig, PartitionKind};
 use fair_bfl::ml::par;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,9 +27,27 @@ pub fn small_config(rounds: usize) -> BflConfig {
     config
 }
 
+/// The event-engine suites' population: `clients` IID clients, every one
+/// selected every round, one local epoch of batch 10 at the paper's
+/// learning rate.
+#[allow(dead_code)] // not every test binary runs the event engine
+pub fn full_participation_fl(clients: usize, rounds: usize, seed: u64) -> FlConfig {
+    let mut fl = FlConfig {
+        clients,
+        rounds,
+        participation_ratio: 1.0,
+        partition: PartitionKind::Iid,
+        seed,
+        ..FlConfig::default()
+    };
+    fl.local.epochs = 1;
+    fl.local.batch_size = 10;
+    fl
+}
+
 /// Canonical digest over every artifact the experiments read: block
-/// hashes, per-round history records (bit-exact), detection rows, reward
-/// totals, and the final parameter vector.
+/// hashes, per-round accuracy/loss/delay/clock/participants (bit-exact),
+/// detection rows, reward totals, and the final parameter vector.
 #[allow(dead_code)] // not every test binary pins a digest
 pub fn run_digest(result: &SimulationResult) -> String {
     let mut canon = String::new();
@@ -39,15 +57,15 @@ pub fn run_digest(result: &SimulationResult) -> String {
             canon.push('\n');
         }
     }
-    for r in &result.history.rounds {
+    for o in &result.outcomes {
         canon.push_str(&format!(
             "round {} acc {:016x} loss {:016x} delay {:016x} elapsed {:016x} n {}\n",
-            r.round,
-            r.accuracy.to_bits(),
-            r.train_loss.to_bits(),
-            r.round_delay_s.to_bits(),
-            r.elapsed_s.to_bits(),
-            r.participants
+            o.round,
+            o.accuracy.to_bits(),
+            o.train_loss.to_bits(),
+            o.breakdown.total().to_bits(),
+            o.elapsed_s.to_bits(),
+            o.participants
         ));
     }
     for row in &result.detection.rows {

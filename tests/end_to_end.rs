@@ -58,8 +58,8 @@ fn accuracy_improves_and_delays_accumulate_monotonically() {
         .run(&train, &test)
         .unwrap();
 
-    let first = result.history.rounds.first().unwrap();
-    let last = result.history.rounds.last().unwrap();
+    let first = result.outcomes.first().unwrap();
+    let last = result.outcomes.last().unwrap();
     assert!(
         last.accuracy >= first.accuracy,
         "accuracy should not regress overall: {} -> {}",
@@ -70,17 +70,13 @@ fn accuracy_improves_and_delays_accumulate_monotonically() {
 
     // The simulated clock is strictly increasing and consistent with the
     // per-round delays.
+    assert_eq!(result.outcomes.len(), 6);
     let mut expected_elapsed = 0.0;
-    for record in &result.history.rounds {
-        expected_elapsed += record.round_delay_s;
-        assert!((record.elapsed_s - expected_elapsed).abs() < 1e-9);
+    for outcome in &result.outcomes {
+        assert!(outcome.breakdown.total() > 0.0, "every round takes time");
+        expected_elapsed += outcome.breakdown.total();
+        assert!((outcome.elapsed_s - expected_elapsed).abs() < 1e-9);
     }
-
-    // The cumulative-average delay series (Figure 4a's y-axis) has one
-    // entry per round and stays positive.
-    let series = result.history.cumulative_average_delay();
-    assert_eq!(series.len(), 6);
-    assert!(series.iter().all(|&d| d > 0.0));
 }
 
 #[test]
@@ -96,7 +92,7 @@ fn runs_with_the_same_seed_are_bit_identical() {
         .run(&train, &test)
         .unwrap();
     assert_eq!(a.final_params, b.final_params);
-    assert_eq!(a.history, b.history);
+    assert_eq!(a.outcomes, b.outcomes);
     assert_eq!(a.reward_totals, b.reward_totals);
     assert_eq!(
         a.chain.as_ref().unwrap().tip().hash(),

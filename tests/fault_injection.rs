@@ -8,13 +8,14 @@
 
 mod common;
 
-use common::{run_digest, run_grid, small_config, small_dataset};
+use common::{full_participation_fl, run_digest, run_grid, small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
-    EventRecord, ProfileConfig, ProvisioningMode, ReorgPolicy, RetryPolicy, Scenario,
+    BflConfig, EventRecord, ProfileConfig, ProvisioningMode, ReorgPolicy, RetryPolicy, Scenario,
     SimulationResult, StalenessPolicy, SyncMode,
 };
-use fair_bfl::fl::config::PartitionKind;
+use fair_bfl::fl::config::{FlConfig, PartitionKind};
+use fair_bfl::ml::optimizer::LocalTrainingConfig;
 use fair_bfl::net::{CrashSchedule, DelayDistribution, FaultPlan, LinkFaults, Partition};
 
 /// A flexible-quota scenario with an (optional) fault plan, shared by
@@ -26,27 +27,22 @@ fn faulted_scenario(
     retry: RetryPolicy,
     reorg: ReorgPolicy,
 ) -> Scenario {
-    Scenario::builder()
-        .clients(8)
-        .miners(3)
-        .rounds(rounds)
-        .participation_ratio(1.0)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .batch_size(10)
-        .verify_signatures(false)
-        .seed(42)
-        .sync(SyncMode::FlexibleQuota { quota })
-        .staleness(StalenessPolicy::DecayedInclude { decay: 0.5 })
-        .profiles(ProfileConfig {
+    Scenario::from_config(BflConfig {
+        fl: full_participation_fl(8, rounds, 42),
+        miners: 3,
+        verify_signatures: false,
+        sync: SyncMode::FlexibleQuota { quota },
+        staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
+        profiles: ProfileConfig {
             uplink: DelayDistribution::Constant(0.05),
             ..ProfileConfig::default()
-        })
-        .fault(fault)
-        .retry(retry)
-        .reorg(reorg)
-        .build()
-        .unwrap()
+        },
+        fault,
+        retry,
+        reorg,
+        ..BflConfig::default()
+    })
+    .unwrap()
 }
 
 /// Cumulative end-of-round times of a fault-free probe run, used to aim
@@ -62,7 +58,7 @@ fn probe_round_ends(quota: usize, rounds: usize) -> Vec<f64> {
     )
     .run(&train, &test)
     .unwrap();
-    result.history.rounds.iter().map(|r| r.elapsed_s).collect()
+    result.outcomes.iter().map(|o| o.elapsed_s).collect()
 }
 
 /// The inactive fault plan is not allowed to change a single bit: the
@@ -93,24 +89,19 @@ fn zero_fault_plan_replays_the_pr5_engine_bit_identically() {
 
     // Event engine: a run with the default plan is trace- and
     // digest-identical to the same scenario without fault fields set.
-    let baseline = Scenario::builder()
-        .clients(8)
-        .miners(3)
-        .rounds(3)
-        .participation_ratio(1.0)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .batch_size(10)
-        .verify_signatures(false)
-        .seed(42)
-        .sync(SyncMode::FlexibleQuota { quota: 6 })
-        .staleness(StalenessPolicy::DecayedInclude { decay: 0.5 })
-        .profiles(ProfileConfig {
+    let baseline = Scenario::from_config(BflConfig {
+        fl: full_participation_fl(8, 3, 42),
+        miners: 3,
+        verify_signatures: false,
+        sync: SyncMode::FlexibleQuota { quota: 6 },
+        staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
+        profiles: ProfileConfig {
             uplink: DelayDistribution::Constant(0.05),
             ..ProfileConfig::default()
-        })
-        .build()
-        .unwrap();
+        },
+        ..BflConfig::default()
+    })
+    .unwrap();
     let mut base_run = baseline.start(&train, &test).unwrap();
     base_run.run_to_completion().unwrap();
     let base_trace = base_run.event_trace().to_vec();
@@ -195,7 +186,7 @@ fn dropped_uploads_are_retransmitted_under_the_backoff_policy() {
     let trace = run.event_trace().to_vec();
     assert!(trace.iter().any(|e| e.kind == EventKind::UploadDropped));
     assert!(trace.iter().all(|e| e.kind != EventKind::UploadRetried));
-    assert_eq!(run.into_result().history.len(), 3);
+    assert_eq!(run.into_result().outcomes.len(), 3);
 }
 
 #[test]
@@ -234,7 +225,7 @@ fn duplicate_deliveries_are_squashed_and_never_double_count() {
     for outcome in &result.outcomes {
         assert!(outcome.participants <= 8);
     }
-    assert_eq!(result.history.len(), 3);
+    assert_eq!(result.outcomes.len(), 3);
 }
 
 #[test]
@@ -247,32 +238,27 @@ fn corrupted_uploads_are_rejected_by_the_signature_check() {
         },
         ..FaultPlan::default()
     };
-    let scenario = Scenario::builder()
-        .clients(6)
-        .miners(2)
-        .rounds(3)
-        .participation_ratio(1.0)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .batch_size(10)
-        .verify_signatures(true)
-        .rsa_modulus_bits(256)
-        .seed(11)
-        .sync(SyncMode::FlexibleQuota { quota: 4 })
-        .profiles(ProfileConfig {
+    let scenario = Scenario::from_config(BflConfig {
+        fl: full_participation_fl(6, 3, 11),
+        miners: 2,
+        verify_signatures: true,
+        rsa_modulus_bits: 256,
+        sync: SyncMode::FlexibleQuota { quota: 4 },
+        profiles: ProfileConfig {
             uplink: DelayDistribution::Constant(0.05),
             ..ProfileConfig::default()
-        })
-        .fault(fault)
-        .retry(RetryPolicy::Backoff {
+        },
+        fault,
+        retry: RetryPolicy::Backoff {
             max_attempts: 2,
             timeout_s: 1.0,
             base_s: 0.5,
             factor: 2.0,
             jitter_s: 0.0,
-        })
-        .build()
-        .unwrap();
+        },
+        ..BflConfig::default()
+    })
+    .unwrap();
 
     let mut run = scenario.start(&train, &test).unwrap();
     run.run_to_completion().unwrap();
@@ -287,7 +273,7 @@ fn corrupted_uploads_are_rejected_by_the_signature_check() {
         trace.iter().any(|e| e.kind == EventKind::UploadRetried),
         "rejected attempts retransmit under the backoff policy"
     );
-    assert_eq!(result.history.len(), 3);
+    assert_eq!(result.outcomes.len(), 3);
     result.chain.as_ref().unwrap().validate_all().unwrap();
 }
 
@@ -336,7 +322,7 @@ fn a_miner_crash_loses_its_pool_and_the_mesh_recovers() {
     );
     // The run survives the crash: every round seals, the chain is whole.
     let result = scenario.run(&train, &test).unwrap();
-    assert_eq!(result.history.len(), rounds);
+    assert_eq!(result.outcomes.len(), rounds);
     let chain = result.chain.as_ref().unwrap();
     assert_eq!(chain.height(), rounds as u64);
     chain.validate_all().unwrap();
@@ -423,28 +409,23 @@ fn the_fault_deadline_seals_short_rounds_instead_of_waiting() {
     let (train, test) = small_dataset();
     // Every client must report (quota = 8) but a quarter of them are 8x
     // stragglers; without a deadline each round waits for them.
-    let patient = Scenario::builder()
-        .clients(8)
-        .miners(2)
-        .rounds(3)
-        .participation_ratio(1.0)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .batch_size(10)
-        .verify_signatures(false)
-        .seed(42)
-        .sync(SyncMode::FlexibleQuota { quota: 8 })
-        .staleness(StalenessPolicy::DecayedInclude { decay: 0.5 })
-        .profiles(ProfileConfig {
+    let patient = Scenario::from_config(BflConfig {
+        fl: full_participation_fl(8, 3, 42),
+        miners: 2,
+        verify_signatures: false,
+        sync: SyncMode::FlexibleQuota { quota: 8 },
+        staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
+        profiles: ProfileConfig {
             straggler_slowdown: 8.0,
             straggler_fraction: 0.25,
             uplink: DelayDistribution::Constant(0.05),
             ..ProfileConfig::default()
-        })
-        .build()
-        .unwrap();
+        },
+        ..BflConfig::default()
+    })
+    .unwrap();
     let patient_result = patient.run(&train, &test).unwrap();
-    let round1_s = patient_result.history.rounds[0].elapsed_s;
+    let round1_s = patient_result.outcomes[0].elapsed_s;
 
     let mut hurried_config = *patient.config();
     hurried_config.fault = FaultPlan {
@@ -465,7 +446,7 @@ fn the_fault_deadline_seals_short_rounds_instead_of_waiting() {
         result.outcomes.iter().any(|o| o.participants < 8),
         "a deadline-sealed round carries fewer than all uploads"
     );
-    let makespan = |r: &SimulationResult| r.history.rounds.last().unwrap().elapsed_s;
+    let makespan = |r: &SimulationResult| r.outcomes.last().unwrap().elapsed_s;
     assert!(
         makespan(&result) < makespan(&patient_result),
         "sealing at the deadline must undercut the straggler-gated makespan"
@@ -561,29 +542,35 @@ fn signed_faulty_rounds_replay_the_pre_change_goldens_at_any_fan_out_and_provisi
 
     let (train, test) = small_dataset();
     let scenario = |provisioning: ProvisioningMode| {
-        Scenario::builder()
-            .clients(30)
-            .miners(3)
-            .rounds(5)
-            .participation_ratio(0.4)
-            .partition(PartitionKind::ImplicitIid {
-                samples_per_client: 6,
-            })
-            .local_epochs(1)
-            .batch_size(10)
-            .verify_signatures(true)
-            .rsa_modulus_bits(256)
-            .provisioning(provisioning)
-            .seed(29)
-            .sync(SyncMode::FlexibleQuota { quota: 8 })
-            .staleness(StalenessPolicy::DecayedInclude { decay: 0.5 })
-            .profiles(ProfileConfig {
+        Scenario::from_config(BflConfig {
+            fl: FlConfig {
+                clients: 30,
+                rounds: 5,
+                participation_ratio: 0.4,
+                partition: PartitionKind::ImplicitIid {
+                    samples_per_client: 6,
+                },
+                local: LocalTrainingConfig {
+                    epochs: 1,
+                    batch_size: 10,
+                    ..LocalTrainingConfig::default()
+                },
+                seed: 29,
+                ..FlConfig::default()
+            },
+            miners: 3,
+            verify_signatures: true,
+            rsa_modulus_bits: 256,
+            provisioning,
+            sync: SyncMode::FlexibleQuota { quota: 8 },
+            staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
+            profiles: ProfileConfig {
                 straggler_slowdown: 6.0,
                 straggler_fraction: 0.25,
                 uplink: DelayDistribution::Constant(0.05),
                 ..ProfileConfig::default()
-            })
-            .fault(FaultPlan {
+            },
+            fault: FaultPlan {
                 uplink: LinkFaults {
                     drop_rate: 0.15,
                     duplicate_rate: 0.2,
@@ -591,16 +578,17 @@ fn signed_faulty_rounds_replay_the_pre_change_goldens_at_any_fan_out_and_provisi
                     ..LinkFaults::default()
                 },
                 ..FaultPlan::default()
-            })
-            .retry(RetryPolicy::Backoff {
+            },
+            retry: RetryPolicy::Backoff {
                 max_attempts: 3,
                 timeout_s: 1.0,
                 base_s: 0.5,
                 factor: 2.0,
                 jitter_s: 0.1,
-            })
-            .build()
-            .unwrap()
+            },
+            ..BflConfig::default()
+        })
+        .unwrap()
     };
 
     for provisioning in [

@@ -37,7 +37,7 @@ fn run(config: BflConfig) -> SimulationResult {
 }
 
 /// Lazy provisioning (budgeted client cache + lazy RSA key vault) must be
-/// invisible in every artifact: history, block hashes, detection, rewards,
+/// invisible in every artifact: per-round records, block hashes, detection, rewards,
 /// final parameters. Signatures stay on so the lazy key vault is actually
 /// exercised, and the cache budget sits at the selection size so eviction
 /// happens.
@@ -120,7 +120,7 @@ fn streaming_single_chunk_matches_materialized_procedure_iv() {
         base.reward_totals, folded.reward_totals,
         "the integer reward ledger is order-free and must match exactly"
     );
-    for (a, b) in base.history.rounds.iter().zip(folded.history.rounds.iter()) {
+    for (a, b) in base.outcomes.iter().zip(folded.outcomes.iter()) {
         assert_eq!(a.participants, b.participants, "round {}", a.round);
     }
     assert_eq!(base.final_params.len(), folded.final_params.len());
@@ -164,7 +164,7 @@ fn streaming_multi_chunk_composition_is_deterministic() {
         run_digest(&second),
         "streaming composition must be deterministic"
     );
-    for round in &first.history.rounds {
+    for round in &first.outcomes {
         assert!(round.participants >= 10, "quota admits ten per round");
         assert!(round.train_loss.is_finite());
     }

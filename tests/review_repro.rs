@@ -1,10 +1,10 @@
 mod common;
 
-use common::{small_config, small_dataset};
+use common::{full_participation_fl, small_config, small_dataset};
 use fair_bfl::core::{
-    CoreError, ProfileConfig, ReorgPolicy, RetryPolicy, Scenario, StalenessPolicy, SyncMode,
+    BflConfig, CoreError, ProfileConfig, ReorgPolicy, RetryPolicy, Scenario, StalenessPolicy,
+    SyncMode,
 };
-use fair_bfl::fl::config::PartitionKind;
 use fair_bfl::net::{DelayDistribution, FaultPlan, LinkFaults, TimeWindow};
 
 #[test]
@@ -37,27 +37,22 @@ fn total_loss_without_retry_does_not_panic() {
         partition: None,
         deadline_s: 0.0,
     };
-    let scenario = Scenario::builder()
-        .clients(8)
-        .miners(3)
-        .rounds(2)
-        .participation_ratio(1.0)
-        .partition(PartitionKind::Iid)
-        .local_epochs(1)
-        .batch_size(10)
-        .verify_signatures(false)
-        .seed(42)
-        .sync(SyncMode::FlexibleQuota { quota: 3 })
-        .staleness(StalenessPolicy::DecayedInclude { decay: 0.5 })
-        .profiles(ProfileConfig {
+    let scenario = Scenario::from_config(BflConfig {
+        fl: full_participation_fl(8, 2, 42),
+        miners: 3,
+        verify_signatures: false,
+        sync: SyncMode::FlexibleQuota { quota: 3 },
+        staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
+        profiles: ProfileConfig {
             uplink: DelayDistribution::Constant(0.05),
             ..ProfileConfig::default()
-        })
-        .fault(fault)
-        .retry(RetryPolicy::None)
-        .reorg(ReorgPolicy::Discard)
-        .build()
-        .unwrap();
+        },
+        fault,
+        retry: RetryPolicy::None,
+        reorg: ReorgPolicy::Discard,
+        ..BflConfig::default()
+    })
+    .unwrap();
     // Every upload of round 1 is dropped and nothing retries: the round
     // ends empty, as an error the caller can handle.
     let result = scenario.run(&train, &test);

@@ -1,4 +1,4 @@
-//! Integration tests for the Scenario API: the builder's typed
+//! Integration tests for the Scenario API: `from_config`'s typed
 //! validation, the stepwise engine's equivalence with the one-shot
 //! driver, streaming observers, pluggable reward policies, and the
 //! parallel sweep runner — all exercised through the facade crate.
@@ -8,15 +8,15 @@ mod common;
 use common::{run_grid, small_config, small_dataset};
 use fair_bfl::core::reward::RewardEntry;
 use fair_bfl::core::{
-    AggregationAnchor, CoreError, FlexibilityMode, ObserverControl, RewardPolicy, RoundEvent,
-    RoundObserver, Scenario, SimulationResult,
+    AggregationAnchor, BflConfig, CoreError, FlexibilityMode, ObserverControl, RewardPolicy,
+    RoundEvent, RoundObserver, Scenario, SimulationResult,
 };
+use fair_bfl::fl::config::FlConfig;
 
 /// Asserts two results are bit-identical in every artifact the paper's
-/// experiments read: history, detection table, reward totals, final
-/// parameters, and the sealed chain.
+/// experiments read: per-round outcomes, detection table, reward totals,
+/// final parameters, and the sealed chain.
 fn assert_bit_identical(a: &SimulationResult, b: &SimulationResult) {
-    assert_eq!(a.history, b.history);
     assert_eq!(a.outcomes, b.outcomes);
     assert_eq!(a.detection, b.detection);
     assert_eq!(a.reward_totals, b.reward_totals);
@@ -72,7 +72,7 @@ fn observers_stream_rounds_and_can_stop_early() {
     };
     let full = scenario.run_observed(&train, &test, &mut watch).unwrap();
     assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-    assert_eq!(full.history.len(), 5);
+    assert_eq!(full.outcomes.len(), 5);
 
     // A stopping observer truncates the run after its round.
     struct StopAfter(usize);
@@ -88,10 +88,37 @@ fn observers_stream_rounds_and_can_stop_early() {
     let stopped = scenario
         .run_observed(&train, &test, &mut StopAfter(2))
         .unwrap();
-    assert_eq!(stopped.history.len(), 2);
+    assert_eq!(stopped.outcomes.len(), 2);
     assert_eq!(stopped.chain.as_ref().unwrap().height(), 2);
     // The completed prefix matches the full run exactly.
-    assert_eq!(stopped.history.rounds, full.history.rounds[..2]);
+    assert_eq!(stopped.outcomes, full.outcomes[..2]);
+}
+
+/// An event carries the round's one record: everything an observer
+/// streamed — KPI row and clock included — is what the result keeps.
+#[test]
+fn observers_see_the_records_the_result_keeps() {
+    let (train, test) = small_dataset();
+    let scenario = Scenario::from_config(small_config(3)).unwrap();
+    let mut streamed = Vec::new();
+    let mut watch = |event: &RoundEvent<'_>| {
+        let paid: u64 = event.reward_totals.values().sum();
+        streamed.push((event.outcome.clone(), event.detection.cloned(), paid));
+    };
+    let result = scenario.run_observed(&train, &test, &mut watch).unwrap();
+
+    assert_eq!(streamed.len(), 3);
+    let mut paid_so_far = 0;
+    for (i, (outcome, detection, paid)) in streamed.iter().enumerate() {
+        assert_eq!(*outcome, result.outcomes[i]);
+        assert_eq!(outcome.kpi.makespan_s, outcome.breakdown.total());
+        assert_eq!(detection.as_ref(), Some(&result.detection.rows[i]));
+        paid_so_far += outcome.rewards_paid_milli;
+        assert_eq!(*paid, paid_so_far, "the ledger is cumulative");
+    }
+    assert!(streamed
+        .windows(2)
+        .all(|w| w[1].0.elapsed_s > w[0].0.elapsed_s));
 }
 
 #[test]
@@ -170,37 +197,50 @@ fn sweep_runner_is_order_stable_and_thread_invariant_through_the_facade() {
 #[test]
 fn chain_only_scenarios_step_too() {
     let (train, test) = small_dataset();
-    let scenario = Scenario::builder()
-        .mode(FlexibilityMode::ChainOnly)
-        .clients(10)
-        .rounds(2)
-        .build()
-        .unwrap();
+    let scenario = Scenario::from_config(BflConfig {
+        fl: FlConfig {
+            clients: 10,
+            rounds: 2,
+            ..FlConfig::default()
+        },
+        mode: FlexibilityMode::ChainOnly,
+        ..BflConfig::default()
+    })
+    .unwrap();
     let mut run = scenario.start(&train, &test).unwrap();
-    let mut blocks = Vec::new();
+    let mut blocks = 0;
     while let Some(outcome) = run.step().unwrap() {
-        blocks.push(outcome.block_hash.expect("chain-only seals blocks"));
+        assert!(outcome.block_hash.is_some(), "chain-only seals blocks");
+        blocks += 1;
     }
-    assert_eq!(blocks.len(), 2);
+    assert_eq!(blocks, 2);
     let result = run.into_result();
-    assert_eq!(result.final_accuracy(), Some(0.0));
+    assert_eq!(result.final_accuracy(), None);
     assert!(result.final_params.is_empty());
     result.chain.as_ref().unwrap().validate_all().unwrap();
 }
 
 #[test]
 fn invalid_scenarios_surface_typed_errors_through_the_facade() {
-    let err = Scenario::builder().rounds(0).build().unwrap_err();
+    let err = Scenario::from_config(BflConfig {
+        fl: FlConfig {
+            rounds: 0,
+            ..FlConfig::default()
+        },
+        ..BflConfig::default()
+    })
+    .unwrap_err();
     assert!(matches!(err, CoreError::InvalidConfig(_)));
-    let err = Scenario::builder()
-        .attack(fair_bfl::core::AttackConfig {
+    let err = Scenario::from_config(BflConfig {
+        attack: fair_bfl::core::AttackConfig {
             enabled: true,
             min_attackers: 5,
             max_attackers: 2,
             kind: fair_bfl::fl::attack::AttackKind::SignFlip,
-        })
-        .build()
-        .unwrap_err();
+        },
+        ..BflConfig::default()
+    })
+    .unwrap_err();
     assert!(err.to_string().contains("attacker range inverted"));
 }
 
