@@ -8,6 +8,7 @@ use crate::strategy::LowContributionStrategy;
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
 use bfl_fl::attack::AttackKind;
 use bfl_fl::config::FlConfig;
+use bfl_ml::model::ModelKind;
 use bfl_net::{ChurnSchedule, DelayDistribution, FaultPlan, NodeProfile};
 use serde::{Deserialize, Serialize};
 
@@ -467,18 +468,44 @@ impl BflConfig {
     }
 
     /// What [`validate`](Self::validate) cannot see: whether a training
-    /// set of `train_samples` samples can feed the configured population.
-    /// Every materialized partitioner needs a sample per client; implicit
-    /// shards sample with replacement and chain-only rounds train nobody.
-    /// The engine asks when a run meets its data, the fleet harness per
-    /// manifest cell.
-    pub fn validate_for_dataset(&self, train_samples: usize) -> Result<(), CoreError> {
-        let partitions = self.mode != FlexibilityMode::ChainOnly
-            && !matches!(
-                self.fl.partition,
-                bfl_fl::config::PartitionKind::ImplicitIid { .. }
-            );
-        if partitions && train_samples < self.fl.clients {
+    /// set of `train_samples` samples, each `features` wide and labelled
+    /// with one of `classes` classes, can feed the configured model and
+    /// population. The model must read exactly the data's width and score
+    /// every label; every materialized partitioner needs a sample per
+    /// client, while implicit shards sample with replacement. Chain-only
+    /// rounds train nobody, so nothing is asked of their data. The engine
+    /// asks when a run meets its data, the fleet harness per manifest
+    /// cell.
+    pub fn validate_for_dataset(
+        &self,
+        train_samples: usize,
+        features: usize,
+        classes: usize,
+    ) -> Result<(), CoreError> {
+        if self.mode == FlexibilityMode::ChainOnly {
+            return Ok(());
+        }
+        let ModelKind::SoftmaxRegression {
+            features: model_features,
+            classes: model_classes,
+        } = self.fl.model;
+        if model_features != features {
+            return Err(CoreError::invalid(format!(
+                "the model reads {model_features} features but the training samples have \
+                 {features}"
+            )));
+        }
+        if model_classes < classes {
+            return Err(CoreError::invalid(format!(
+                "the model scores {model_classes} classes but the training labels take \
+                 {classes}"
+            )));
+        }
+        let implicit = matches!(
+            self.fl.partition,
+            bfl_fl::config::PartitionKind::ImplicitIid { .. }
+        );
+        if !implicit && train_samples < self.fl.clients {
             return Err(CoreError::invalid(format!(
                 "{train_samples} training samples cannot be partitioned over {} clients: a \
                  materialized partition needs at least one sample per client",

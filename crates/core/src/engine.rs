@@ -45,8 +45,9 @@ use bfl_fl::config::PartitionKind;
 use bfl_fl::selection::drop_stragglers;
 use bfl_fl::trainer::{FlAlgorithm, FlTrainer};
 use bfl_ml::metrics::accuracy;
-use bfl_ml::model::{AnyModel, Model};
+use bfl_ml::model::Model;
 use bfl_ml::optimizer::{local_step_count, LocalTrainingConfig};
+use bfl_ml::SoftmaxRegression;
 use bfl_net::{SimClock, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -90,7 +91,7 @@ pub(crate) struct LearningState<'a> {
     pub(crate) keys: Option<KeyChain>,
     pub(crate) consensus: Option<RoundConsensus>,
     pub(crate) topology: Topology,
-    pub(crate) global_model: AnyModel,
+    pub(crate) global_model: SoftmaxRegression,
     pub(crate) global_params: Vec<f64>,
     pub(crate) clock: SimClock,
     /// Clients currently sitting out after being discarded.
@@ -406,7 +407,7 @@ impl<'a> LearningState<'a> {
         test: &'a Dataset,
     ) -> Result<Self, CoreError> {
         // The first place that sees both the population and the data.
-        config.validate_for_dataset(train.len())?;
+        config.validate_for_dataset(train.len(), train.feature_count(), train.classes)?;
         let mut rng = StdRng::seed_from_u64(config.fl.seed);
 
         // Client population and data shards (`bfl-fl`'s partitioning, so
@@ -472,7 +473,7 @@ impl<'a> LearningState<'a> {
         let consensus = config.mode.mines().then(|| consensus_group(config));
 
         let topology = Topology::new(config.fl.clients, config.miners);
-        let global_model: AnyModel = config.fl.model.build(&mut rng);
+        let global_model = config.fl.model.build(&mut rng);
         let global_params = global_model.params();
 
         // The event-driven runtime only exists when the scenario asks for

@@ -188,10 +188,19 @@ mod tests {
             &local,
             5,
         );
-        let sequential: Vec<_> = [0usize, 1, 2]
+        let sequential: Vec<_> = clients
             .iter()
-            .map(|&i| {
-                clients[i].local_update(kind, &global, &data.features, &data.labels, &local, 5)
+            .map(|client| {
+                client.local_update_as(
+                    client.attack,
+                    kind,
+                    &global,
+                    &data.features,
+                    &data.labels,
+                    &local,
+                    5,
+                    &mut Scratch::new(),
+                )
             })
             .collect();
         for (p, s) in parallel.iter().zip(sequential.iter()) {
@@ -225,7 +234,16 @@ mod tests {
         assert!(!updates[1].forged);
         // The honest result is the pass the client runs on its own, before
         // it flips the signs.
-        let own = clients[2].local_update(kind, &global, &data.features, &data.labels, &local, 7);
+        let own = clients[2].local_update_as(
+            clients[2].attack,
+            kind,
+            &global,
+            &data.features,
+            &data.labels,
+            &local,
+            7,
+            &mut Scratch::new(),
+        );
         assert_eq!(updates[1].stats, own.stats);
         let flipped: Vec<f64> = updates[1].params.iter().map(|v| -v).collect();
         assert_eq!(flipped, own.params);

@@ -6,7 +6,7 @@
 //! translation of up to ±2 pixels, random stroke intensity, random stroke
 //! thickness and additive pixel noise, followed by clamping to `[0, 1]`.
 //! The result is a ten-class image classification task of the same shape
-//! and difficulty class as MNIST for linear/MLP models, generated
+//! and difficulty class as MNIST for the linear model trained on it, generated
 //! deterministically from a seed — see DESIGN.md for why this substitution
 //! preserves the behaviours the paper's evaluation depends on.
 

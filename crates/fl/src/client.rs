@@ -7,7 +7,7 @@
 //! [`AttackKind`].
 
 use crate::attack::AttackKind;
-use bfl_ml::model::{AnyModel, Model, ModelKind};
+use bfl_ml::model::{Model, ModelKind};
 use bfl_ml::optimizer::{train_local_with_scratch, LocalTrainingConfig, LocalTrainingStats};
 use bfl_ml::tensor::{Matrix, Scratch};
 use rand::rngs::StdRng;
@@ -69,63 +69,17 @@ impl Client {
         self.attack.is_some()
     }
 
-    /// Runs Procedure-I: starts from `global_params`, trains for the
-    /// configured epochs/batches on the local shard, and returns the upload.
+    /// Runs Procedure-I as `attack` designates (the client's own
+    /// [`Client::attack`] field, or a per-round designation the FAIR-BFL
+    /// round driver makes without cloning the client population): starts
+    /// from `global_params`, trains for the configured epochs/batches on
+    /// the local shard, and returns the upload. `scratch` is the worker's
+    /// reusable workspace, so a worker training many clients reuses its
+    /// buffers across all of them.
     ///
     /// The per-client RNG is derived from `(round_seed, client id)` so runs
     /// are reproducible regardless of scheduling order; this also allows
     /// clients to be trained in parallel.
-    pub fn local_update(
-        &self,
-        model_kind: ModelKind,
-        global_params: &[f64],
-        features: &Matrix,
-        labels: &[usize],
-        config: &LocalTrainingConfig,
-        round_seed: u64,
-    ) -> LocalUpdate {
-        let mut scratch = Scratch::new();
-        self.local_update_with_scratch(
-            model_kind,
-            global_params,
-            features,
-            labels,
-            config,
-            round_seed,
-            &mut scratch,
-        )
-    }
-
-    /// [`Client::local_update`] with an externally owned scratch
-    /// workspace, so a worker training many clients reuses its buffers
-    /// across all of them.
-    #[allow(clippy::too_many_arguments)]
-    pub fn local_update_with_scratch(
-        &self,
-        model_kind: ModelKind,
-        global_params: &[f64],
-        features: &Matrix,
-        labels: &[usize],
-        config: &LocalTrainingConfig,
-        round_seed: u64,
-        scratch: &mut Scratch,
-    ) -> LocalUpdate {
-        self.local_update_as(
-            self.attack,
-            model_kind,
-            global_params,
-            features,
-            labels,
-            config,
-            round_seed,
-            scratch,
-        )
-    }
-
-    /// Runs the local pass with an explicit attack designation instead of
-    /// the client's own [`Client::attack`] field. The FAIR-BFL round
-    /// driver designates per-round attackers this way without cloning the
-    /// client population.
     #[allow(clippy::too_many_arguments)]
     pub fn local_update_as(
         &self,
@@ -142,7 +96,7 @@ impl Client {
             StdRng::seed_from_u64(round_seed ^ (self.id.wrapping_mul(0x9E3779B97F4A7C15)));
         // The pass's one model-sized allocation: the copy of the global
         // parameters it trains in place and then uploads.
-        let mut model: AnyModel = model_kind.adopt(global_params.to_vec(), &mut rng);
+        let mut model = model_kind.adopt(global_params.to_vec(), &mut rng);
         let stats = train_local_with_scratch(
             &mut model,
             features,
@@ -218,14 +172,25 @@ mod tests {
             learning_rate: 0.05,
             proximal_mu: 0.0,
         };
-        let a = client.local_update(kind, &global, &data.features, &data.labels, &config, 7);
-        let b = client.local_update(kind, &global, &data.features, &data.labels, &config, 7);
+        let update = |round_seed| {
+            client.local_update_as(
+                client.attack,
+                kind,
+                &global,
+                &data.features,
+                &data.labels,
+                &config,
+                round_seed,
+                &mut Scratch::new(),
+            )
+        };
+        let a = update(7);
+        let b = update(7);
         assert!(!a.forged);
         assert_eq!(a.params, b.params, "same seed must give the same update");
         assert_ne!(a.params, global);
 
-        let different_seed =
-            client.local_update(kind, &global, &data.features, &data.labels, &config, 8);
+        let different_seed = update(8);
         assert_ne!(a.params, different_seed.params);
     }
 
@@ -283,63 +248,54 @@ mod tests {
             Client::honest(13, (28..78).collect()),
             Client::honest(14, (78..85).collect()),
         ];
-        let mlp = ModelKind::Mlp {
-            features: 784,
-            hidden: 6,
-            classes: 10,
-        };
         let mut scratch = Scratch::new();
-        for model_kind in [kind(), mlp] {
-            let global: Vec<f64> = (0..model_kind.num_params())
-                .map(|i| (i as f64 * 0.013).sin() * 0.05)
-                .collect();
-            for proximal_mu in [0.0, 0.3] {
-                let config = LocalTrainingConfig {
-                    epochs: 2,
-                    batch_size: 10,
-                    learning_rate: 0.05,
-                    proximal_mu,
-                };
-                for (round_seed, attack) in attacks.into_iter().enumerate() {
-                    for client in &clients {
-                        let update = client.local_update_as(
-                            attack,
-                            model_kind,
-                            &global,
-                            &data.features,
-                            &data.labels,
-                            &config,
-                            round_seed as u64,
-                            &mut scratch,
-                        );
-                        let oracle = local_update_oracle(
-                            client,
-                            attack,
-                            model_kind,
-                            &global,
-                            &data,
-                            &config,
-                            round_seed as u64,
-                        );
-                        let context = format!(
-                            "{model_kind:?}, mu {proximal_mu}, {attack:?}, client {}",
-                            client.id
-                        );
-                        // Bit patterns, not `==`: the noise forgeries must
-                        // agree to the last bit too.
-                        let bits = |params: &[f64]| -> Vec<u64> {
-                            params.iter().map(|v| v.to_bits()).collect()
-                        };
-                        assert_eq!(bits(&update.params), bits(&oracle.params), "{context}");
-                        assert_eq!(update.stats.steps, oracle.stats.steps, "{context}");
-                        assert_eq!(
-                            update.stats.final_epoch_loss.to_bits(),
-                            oracle.stats.final_epoch_loss.to_bits(),
-                            "{context}"
-                        );
-                        assert_eq!(update.forged, oracle.forged, "{context}");
-                        assert_eq!(update.client_id, oracle.client_id, "{context}");
-                    }
+        let model_kind = kind();
+        let global: Vec<f64> = (0..model_kind.num_params())
+            .map(|i| (i as f64 * 0.013).sin() * 0.05)
+            .collect();
+        for proximal_mu in [0.0, 0.3] {
+            let config = LocalTrainingConfig {
+                epochs: 2,
+                batch_size: 10,
+                learning_rate: 0.05,
+                proximal_mu,
+            };
+            for (round_seed, attack) in attacks.into_iter().enumerate() {
+                for client in &clients {
+                    let update = client.local_update_as(
+                        attack,
+                        model_kind,
+                        &global,
+                        &data.features,
+                        &data.labels,
+                        &config,
+                        round_seed as u64,
+                        &mut scratch,
+                    );
+                    let oracle = local_update_oracle(
+                        client,
+                        attack,
+                        model_kind,
+                        &global,
+                        &data,
+                        &config,
+                        round_seed as u64,
+                    );
+                    let context = format!("mu {proximal_mu}, {attack:?}, client {}", client.id);
+                    // Bit patterns, not `==`: the noise forgeries must
+                    // agree to the last bit too.
+                    let bits = |params: &[f64]| -> Vec<u64> {
+                        params.iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&update.params), bits(&oracle.params), "{context}");
+                    assert_eq!(update.stats.steps, oracle.stats.steps, "{context}");
+                    assert_eq!(
+                        update.stats.final_epoch_loss.to_bits(),
+                        oracle.stats.final_epoch_loss.to_bits(),
+                        "{context}"
+                    );
+                    assert_eq!(update.forged, oracle.forged, "{context}");
+                    assert_eq!(update.client_id, oracle.client_id, "{context}");
                 }
             }
         }
@@ -359,10 +315,20 @@ mod tests {
         let shard: Vec<usize> = (0..50).collect();
         let honest = Client::honest(1, shard.clone());
         let evil = Client::malicious(1, shard, AttackKind::SignFlip);
-        let honest_update =
-            honest.local_update(kind, &global, &data.features, &data.labels, &config, 9);
-        let forged_update =
-            evil.local_update(kind, &global, &data.features, &data.labels, &config, 9);
+        let update = |client: &Client| {
+            client.local_update_as(
+                client.attack,
+                kind,
+                &global,
+                &data.features,
+                &data.labels,
+                &config,
+                9,
+                &mut Scratch::new(),
+            )
+        };
+        let honest_update = update(&honest);
+        let forged_update = update(&evil);
         assert!(forged_update.forged);
         let distance = cosine_distance(&honest_update.params, &forged_update.params);
         assert!(
@@ -382,22 +348,20 @@ mod tests {
             learning_rate: 0.05,
             proximal_mu: 0.0,
         };
-        let a = Client::honest(0, (0..50).collect()).local_update(
-            kind,
-            &global,
-            &data.features,
-            &data.labels,
-            &config,
-            3,
-        );
-        let b = Client::honest(1, (50..100).collect()).local_update(
-            kind,
-            &global,
-            &data.features,
-            &data.labels,
-            &config,
-            3,
-        );
+        let update = |client: Client| {
+            client.local_update_as(
+                client.attack,
+                kind,
+                &global,
+                &data.features,
+                &data.labels,
+                &config,
+                3,
+                &mut Scratch::new(),
+            )
+        };
+        let a = update(Client::honest(0, (0..50).collect()));
+        let b = update(Client::honest(1, (50..100).collect()));
         assert_ne!(a.params, b.params);
     }
 }

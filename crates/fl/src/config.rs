@@ -50,7 +50,9 @@ pub struct FlConfig {
     pub participation_ratio: f64,
     /// Number of communication rounds to run.
     pub rounds: usize,
-    /// Which model the clients train.
+    /// The shape of the softmax-regression model the clients train:
+    /// `features` must equal the data's width and `classes` cover its
+    /// labels, which is checked where a run meets its data.
     pub model: ModelKind,
     /// Local training hyper-parameters (E, B, η, μ).
     pub local: LocalTrainingConfig,
@@ -106,6 +108,13 @@ impl FlConfig {
         if !(lr.is_finite() && lr > 0.0) {
             return Err(format!(
                 "learning rate must be finite and positive, got {lr}"
+            ));
+        }
+        let ModelKind::SoftmaxRegression { features, classes } = self.model;
+        if features == 0 || classes < 2 {
+            return Err(format!(
+                "the model needs at least 1 feature and 2 classes, got {features} features and \
+                 {classes} classes"
             ));
         }
         let mu = self.local.proximal_mu;
@@ -198,6 +207,26 @@ mod tests {
                     ..Default::default()
                 },
                 "drop_percent",
+            ),
+            (
+                FlConfig {
+                    model: ModelKind::SoftmaxRegression {
+                        features: 0,
+                        classes: 10,
+                    },
+                    ..Default::default()
+                },
+                "got 0 features and 10 classes",
+            ),
+            (
+                FlConfig {
+                    model: ModelKind::SoftmaxRegression {
+                        features: 784,
+                        classes: 1,
+                    },
+                    ..Default::default()
+                },
+                "got 784 features and 1 classes",
             ),
         ];
         for (config, needle) in cases {

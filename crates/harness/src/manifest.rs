@@ -36,6 +36,7 @@
 //! [`BflConfig`] in its serde form — see [`apply_patch`].
 
 use bfl_core::BflConfig;
+use bfl_data::synth_mnist;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
@@ -317,10 +318,18 @@ fn validate_config(
     what: &str,
 ) -> Result<(), ManifestError> {
     // The second check is the one the engine makes when a run meets its
-    // data; made here, the message names the cell.
+    // data; made here, the message names the cell. A fleet's data is
+    // always the synthetic MNIST generator's, so its shape is that
+    // generator's.
     config
         .validate()
-        .and_then(|()| config.validate_for_dataset(dataset.train_samples))
+        .and_then(|()| {
+            config.validate_for_dataset(
+                dataset.train_samples,
+                synth_mnist::IMAGE_PIXELS,
+                synth_mnist::NUM_CLASSES,
+            )
+        })
         .map_err(|e| ManifestError::new("", format!("{what} resolves to an invalid scenario: {e}")))
 }
 
@@ -852,13 +861,17 @@ mod tests {
         assert!(err.message.contains(expected), "{err}");
     }
 
-    /// The three manifests that used to panic inside a partitioner
-    /// (`bfl_data::partition`'s `assert!`s) fail here, naming the cell
-    /// and the numbers involved.
+    /// The manifests that used to panic inside a partitioner
+    /// (`bfl_data::partition`'s `assert!`s) or inside the local pass (a
+    /// model the data cannot feed) fail here, naming the cell and the
+    /// numbers involved.
     #[test]
     fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
         let fl = |partition: &str| {
             format!(r#""base": {{"fl": {{"clients": 10, "rounds": 1, "partition": {partition}}}}}"#)
+        };
+        let model = |model: &str| {
+            format!(r#""base": {{"fl": {{"clients": 10, "rounds": 1, "model": {model}}}}}"#)
         };
         let starved = r#""dataset": {"train_samples": 5, "test_samples": 5}"#;
         for (extra, needles) in [
@@ -884,6 +897,18 @@ mod tests {
                 ),
                 ["cell `starved`", "5 training samples", "6 clients"],
             ),
+            (
+                model(r#"{"SoftmaxRegression": {"features": 100, "classes": 10}}"#),
+                ["base", "reads 100 features", "have 784"],
+            ),
+            (
+                model(r#"{"SoftmaxRegression": {"features": 784, "classes": 5}}"#),
+                ["base", "scores 5 classes", "take 10"],
+            ),
+            (
+                model(r#"{"SoftmaxRegression": {"features": 0, "classes": 1}}"#),
+                ["base", "0 features", "1 classes"],
+            ),
         ] {
             let err = parse(&format!(", {extra}")).unwrap_err();
             for needle in needles {
@@ -894,6 +919,11 @@ mod tests {
         parse(&format!(
             r#", {starved}, "base": {{"fl": {{"clients": 10}}, "mode": "ChainOnly"}}"#
         ))
+        .unwrap();
+        parse(
+            r#", "base": {"fl": {"model": {"SoftmaxRegression": {"features": 100, "classes": 5}}},
+                "mode": "ChainOnly"}"#,
+        )
         .unwrap();
     }
 
@@ -907,6 +937,7 @@ mod tests {
             {"delay": {"fork": {"propagation_delay": 0.3}}} => .delay.fork.propagation_delay => unknown key
             {"sync": "Synchronus"} => .sync => unknown SyncMode variant `Synchronus`
             {"sync": {"FlexibleQuotta": {"quota": 3}}} => .sync => unknown SyncMode variant
+            {"fl": {"model": {"Perceptron": {"features": 784, "classes": 10}}}} => .fl.model => unknown ModelKind variant `Perceptron`
             {"fl": {"partition": {"ShardNonIid": {"shards_per_cleint": 1}}}} => .fl.partition.ShardNonIid.shards_per_cleint => unknown key
             {"fl": {"partition": {"Dirichlet": {"alfa": 0.5}}}} => .fl.partition => missing field `alpha`
             {"fl": {"partition": {"Dirichlet": {"alpha": 0.5, "beta": 1}}}} => .fl.partition.Dirichlet.beta => unknown key

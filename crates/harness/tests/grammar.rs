@@ -12,7 +12,6 @@ use bfl_fl::attack::AttackKind;
 use bfl_fl::config::PartitionKind;
 use bfl_harness::manifest::apply_patch;
 use bfl_harness::Manifest;
-use bfl_ml::model::ModelKind;
 use bfl_net::{CrashSchedule, DelayDistribution, Partition};
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -85,14 +84,8 @@ fn arbitrary_valid_config(words: Vec<u64>) -> BflConfig {
     config.fl.participation_ratio = p.unit();
     config.fl.local.epochs = 1 + p.below(3);
     config.fl.local.proximal_mu = p.unit() - 0.001;
-    config.fl.model = match p.below(2) {
-        0 => ModelKind::default_mnist(),
-        _ => ModelKind::Mlp {
-            features: 784,
-            hidden: 1 + p.below(32),
-            classes: 10,
-        },
-    };
+    // `fl.model` keeps the default 784 x 10: its one variant, in the
+    // shape the fleet's dataset feeds.
     config.fl.partition = match p.below(4) {
         0 => PartitionKind::Iid,
         1 => PartitionKind::ShardNonIid {

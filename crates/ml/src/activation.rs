@@ -1,26 +1,11 @@
-//! Activation functions and their derivatives.
+//! The softmax activation.
 //!
-//! Everything here deliberately stays scalar under the PR 10 SIMD tier
-//! ([`crate::simd`]): softmax calls libm's `exp`, whose bit patterns a
+//! It deliberately stays scalar under the SIMD tier
+//! ([`crate::simd`]): it calls libm's `exp`, whose bit patterns a
 //! hand-vectorized polynomial cannot reproduce, and the stabilizing
 //! row-max fold uses `f64::max`, whose NaN/±0 semantics differ from
 //! `vmaxpd` — either would break the tier's bit-identity contract for a
 //! cost that is a rounding error next to the GEMMs feeding it.
-
-/// Rectified linear unit applied element-wise.
-pub fn relu(x: &[f64]) -> Vec<f64> {
-    x.iter().map(|&v| v.max(0.0)).collect()
-}
-
-/// Derivative of ReLU evaluated at the pre-activation values.
-pub fn relu_derivative(x: &[f64]) -> Vec<f64> {
-    x.iter().map(|&v| if v > 0.0 { 1.0 } else { 0.0 }).collect()
-}
-
-/// Logistic sigmoid applied element-wise.
-pub fn sigmoid(x: &[f64]) -> Vec<f64> {
-    x.iter().map(|&v| 1.0 / (1.0 + (-v).exp())).collect()
-}
 
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
@@ -49,23 +34,6 @@ pub fn softmax_in_place(values: &mut [f64]) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn relu_clamps_negatives() {
-        assert_eq!(relu(&[-1.0, 0.0, 2.5]), vec![0.0, 0.0, 2.5]);
-        assert_eq!(relu_derivative(&[-1.0, 0.0, 2.5]), vec![0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn sigmoid_is_bounded_and_symmetric() {
-        let y = sigmoid(&[-10.0, 0.0, 10.0]);
-        assert!(y[0] < 0.001);
-        assert!((y[1] - 0.5).abs() < 1e-12);
-        assert!(y[2] > 0.999);
-        let a = sigmoid(&[2.0])[0];
-        let b = sigmoid(&[-2.0])[0];
-        assert!((a + b - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn softmax_matches_known_values() {

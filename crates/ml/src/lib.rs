@@ -1,19 +1,18 @@
 //! # bfl-ml
 //!
 //! Learning substrate for the FAIR-BFL reproduction: dense linear algebra,
-//! classification models, losses, and the mini-batch SGD loop that each
-//! federated client runs locally (paper Procedure-I / Equation 3).
+//! the classification model, its loss, and the mini-batch SGD loop that
+//! each federated client runs locally (paper Procedure-I / Equation 3).
 //!
 //! The paper's evaluation trains an unspecified "local model" on MNIST; this
-//! crate provides two reference models of the right scale — multinomial
-//! softmax regression ([`linear::SoftmaxRegression`]) and a one-hidden-layer
-//! MLP ([`mlp::Mlp`]) — over a small, BLAS-free batched GEMM kernel set
-//! ([`tensor`]). Whole minibatches and evaluation sets move through
-//! cache-blocked matrix-matrix kernels that parallelize over output row
-//! blocks ([`par`]), with a reusable [`tensor::Scratch`] workspace keeping
-//! the hot loops allocation-free. The original per-sample
-//! implementations stay as oracles — plain functions that only tests
-//! call ([`Model::loss_and_grad_reference`],
+//! crate trains multinomial softmax regression
+//! ([`linear::SoftmaxRegression`]), 7850 parameters at MNIST scale, over a
+//! small, BLAS-free batched GEMM kernel set ([`tensor`]). Whole minibatches
+//! and evaluation sets move through cache-blocked matrix-matrix kernels
+//! that parallelize over output row blocks ([`par`]), with a reusable
+//! [`tensor::Scratch`] workspace keeping the hot loops allocation-free.
+//! The original per-sample implementations stay as oracles — plain
+//! functions that only tests call ([`Model::loss_and_grad_reference`],
 //! [`optimizer::train_local_reference`],
 //! [`metrics::accuracy_reference`]; `tests/batched_equivalence.rs` holds
 //! the batched paths to them) — and nothing in this crate switches
@@ -36,7 +35,6 @@ pub mod init;
 pub mod linear;
 pub mod loss;
 pub mod metrics;
-pub mod mlp;
 pub mod model;
 pub mod optimizer;
 pub mod par;
@@ -46,7 +44,6 @@ pub mod tensor;
 pub use gradient::GradientVector;
 pub use linear::SoftmaxRegression;
 pub use metrics::{accuracy, confusion_matrix};
-pub use mlp::Mlp;
 pub use model::{Model, ModelKind};
 pub use optimizer::{LocalTrainingConfig, Sgd};
 pub use tensor::{Matrix, Scratch, Vector};

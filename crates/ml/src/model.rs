@@ -1,24 +1,24 @@
-//! The model abstraction shared by the FL and BFL layers.
+//! The model interface shared by the FL and BFL layers.
 //!
 //! A [`Model`] owns its parameters as a flat `f64` vector (the "gradient"
 //! `w` exchanged by Algorithm 1), can compute the mini-batch loss gradient
-//! with respect to those parameters, and can classify samples. Two concrete
-//! models are provided — [`crate::SoftmaxRegression`] and [`crate::Mlp`] —
-//! and [`ModelKind`] selects between them by configuration, yielding an
-//! [`AnyModel`] that the federated machinery can hold without generics.
+//! with respect to those parameters, and can classify samples. The one
+//! model every run trains is [`SoftmaxRegression`]; [`ModelKind`] is its
+//! shape as a configuration spells it.
 
 use crate::linear::SoftmaxRegression;
-use crate::mlp::Mlp;
 use crate::tensor::{Matrix, Scratch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A trainable classification model with flat parameter access.
 ///
-/// The compute-heavy entry points (`loss_and_grad_batched`,
-/// `logits_batch`) move whole minibatches through the GEMM kernels of
-/// [`crate::tensor`]; [`Model::loss_and_grad`] is the allocating
-/// convenience form over them. The seed's per-sample
+/// [`SoftmaxRegression`] is the one implementor; the local pass
+/// ([`crate::optimizer`]) and evaluation ([`crate::metrics`]) are written
+/// against this interface. The compute-heavy entry points
+/// (`loss_and_grad_batched`, `logits_batch`) move whole minibatches
+/// through the GEMM kernels of [`crate::tensor`]; [`Model::loss_and_grad`]
+/// is the allocating convenience form over them. The seed's per-sample
 /// [`Model::loss_and_grad_reference`] is their oracle: nothing but tests
 /// (`tests/batched_equivalence.rs`) and the reference local pass
 /// ([`crate::optimizer::train_local_reference`]) calls it.
@@ -149,22 +149,17 @@ pub fn dataset_loss<M: Model + ?Sized>(model: &M, features: &Matrix, labels: &[u
     model.loss_and_grad(features, labels, &rows).0
 }
 
-/// Configuration describing which concrete model to build.
+/// The shape of the model a run trains, as its configuration spells it.
+///
+/// One variant: the enum exists so the serde form keeps naming the model
+/// (`{"SoftmaxRegression": {"features": 784, "classes": 10}}`), the form
+/// every scenario manifest and benchmark workload is written in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ModelKind {
     /// Multinomial softmax (logistic) regression.
     SoftmaxRegression {
         /// Input dimensionality.
         features: usize,
-        /// Number of classes.
-        classes: usize,
-    },
-    /// One-hidden-layer multi-layer perceptron with ReLU activation.
-    Mlp {
-        /// Input dimensionality.
-        features: usize,
-        /// Hidden-layer width.
-        hidden: usize,
         /// Number of classes.
         classes: usize,
     },
@@ -183,37 +178,22 @@ impl ModelKind {
 
     /// Number of parameters a model of this kind will have.
     pub fn num_params(&self) -> usize {
-        match *self {
-            ModelKind::SoftmaxRegression { features, classes } => classes * features + classes,
-            ModelKind::Mlp {
-                features,
-                hidden,
-                classes,
-            } => hidden * features + hidden + classes * hidden + classes,
-        }
+        let ModelKind::SoftmaxRegression { features, classes } = *self;
+        classes * features + classes
     }
 
     /// Instantiates the model with randomly initialized parameters.
-    pub fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> AnyModel {
-        match *self {
-            ModelKind::SoftmaxRegression { features, classes } => {
-                AnyModel::Softmax(SoftmaxRegression::new(features, classes, rng))
-            }
-            ModelKind::Mlp {
-                features,
-                hidden,
-                classes,
-            } => AnyModel::Mlp(Mlp::new(features, hidden, classes, rng)),
-        }
+    pub fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> SoftmaxRegression {
+        let ModelKind::SoftmaxRegression { features, classes } = *self;
+        SoftmaxRegression::new(features, classes, rng)
     }
 
     /// Instantiates the model around `params` (length
     /// [`ModelKind::num_params`], taken by value — no copy) and leaves
     /// `rng` exactly where [`ModelKind::build`] would have left it.
     ///
-    /// `build` samples one value per weight — `features·classes` draws
-    /// for softmax regression, `features·hidden + hidden·classes` for the
-    /// MLP; biases start at zero and draw nothing — and a local pass
+    /// `build` samples one value per weight — `features·classes` draws;
+    /// biases start at zero and draw nothing — and a local pass
     /// overwrites every one of them with the global parameters before its
     /// first step. This constructor skips the sampling but not the draws:
     /// the pass's shuffles and an attacker's forgery noise come from the
@@ -221,106 +201,9 @@ impl ModelKind {
     /// they see, so the stream must advance as if the initialisation had
     /// happened. `adopt(p, rng)` is therefore `build(rng)` followed by
     /// `set_params(&p)`, bit for bit, for the model and for `rng`.
-    pub fn adopt<R: Rng + ?Sized>(&self, params: Vec<f64>, rng: &mut R) -> AnyModel {
-        match *self {
-            ModelKind::SoftmaxRegression { features, classes } => {
-                AnyModel::Softmax(SoftmaxRegression::adopt(features, classes, params, rng))
-            }
-            ModelKind::Mlp {
-                features,
-                hidden,
-                classes,
-            } => AnyModel::Mlp(Mlp::adopt(features, hidden, classes, params, rng)),
-        }
-    }
-}
-
-/// Enum dispatch over the concrete model types, so federated code can store
-/// models without generic parameters or trait objects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AnyModel {
-    /// Softmax regression variant.
-    Softmax(SoftmaxRegression),
-    /// MLP variant.
-    Mlp(Mlp),
-}
-
-impl Model for AnyModel {
-    fn num_params(&self) -> usize {
-        match self {
-            AnyModel::Softmax(m) => m.num_params(),
-            AnyModel::Mlp(m) => m.num_params(),
-        }
-    }
-
-    fn params_ref(&self) -> &[f64] {
-        match self {
-            AnyModel::Softmax(m) => m.params_ref(),
-            AnyModel::Mlp(m) => m.params_ref(),
-        }
-    }
-
-    fn params_mut(&mut self) -> &mut [f64] {
-        match self {
-            AnyModel::Softmax(m) => m.params_mut(),
-            AnyModel::Mlp(m) => m.params_mut(),
-        }
-    }
-
-    fn into_params(self) -> Vec<f64> {
-        match self {
-            AnyModel::Softmax(m) => m.into_params(),
-            AnyModel::Mlp(m) => m.into_params(),
-        }
-    }
-
-    fn set_params(&mut self, params: &[f64]) {
-        match self {
-            AnyModel::Softmax(m) => m.set_params(params),
-            AnyModel::Mlp(m) => m.set_params(params),
-        }
-    }
-
-    fn logits(&self, features: &[f64]) -> Vec<f64> {
-        match self {
-            AnyModel::Softmax(m) => m.logits(features),
-            AnyModel::Mlp(m) => m.logits(features),
-        }
-    }
-
-    fn logits_block(&self, x: &[f64], rows: usize, scratch: &mut Scratch) {
-        match self {
-            AnyModel::Softmax(m) => m.logits_block(x, rows, scratch),
-            AnyModel::Mlp(m) => m.logits_block(x, rows, scratch),
-        }
-    }
-
-    fn loss_and_sum_grad_batched(
-        &self,
-        features: &Matrix,
-        labels: &[usize],
-        rows: &[usize],
-        grad: &mut Vec<f64>,
-        scratch: &mut Scratch,
-    ) -> f64 {
-        match self {
-            AnyModel::Softmax(m) => {
-                m.loss_and_sum_grad_batched(features, labels, rows, grad, scratch)
-            }
-            AnyModel::Mlp(m) => m.loss_and_sum_grad_batched(features, labels, rows, grad, scratch),
-        }
-    }
-
-    fn loss_and_grad_reference(
-        &self,
-        features: &Matrix,
-        labels: &[usize],
-        rows: &[usize],
-    ) -> (f64, Vec<f64>) {
-        match self {
-            AnyModel::Softmax(m) => m.loss_and_grad_reference(features, labels, rows),
-            AnyModel::Mlp(m) => m.loss_and_grad_reference(features, labels, rows),
-        }
+    pub fn adopt<R: Rng + ?Sized>(&self, params: Vec<f64>, rng: &mut R) -> SoftmaxRegression {
+        let ModelKind::SoftmaxRegression { features, classes } = *self;
+        SoftmaxRegression::adopt(features, classes, params, rng)
     }
 }
 
@@ -335,20 +218,14 @@ mod tests {
         /// `adopt` against the composition it replaced, `build` then
         /// `set_params`: the same model, and an `rng` in the same state —
         /// whatever draws next (a shuffle, a forgery) sees the same
-        /// stream. Shapes are arbitrary and small; `hidden == 0` selects
-        /// softmax regression.
+        /// stream. Shapes are arbitrary and small.
         #[test]
         fn adopt_is_build_then_set_params_for_the_model_and_the_rng(
             features in 1usize..24,
-            hidden in 0usize..9,
             classes in 2usize..7,
             seed in any::<u64>(),
         ) {
-            let kind = if hidden == 0 {
-                ModelKind::SoftmaxRegression { features, classes }
-            } else {
-                ModelKind::Mlp { features, hidden, classes }
-            };
+            let kind = ModelKind::SoftmaxRegression { features, classes };
             let params: Vec<f64> = (0..kind.num_params())
                 .map(|i| (i as f64 * 0.37 + seed as f64 * 1e-19).sin())
                 .collect();
@@ -396,36 +273,19 @@ mod tests {
             .num_params(),
             7850
         );
-        assert_eq!(
-            ModelKind::Mlp {
-                features: 784,
-                hidden: 32,
-                classes: 10
-            }
-            .num_params(),
-            784 * 32 + 32 + 32 * 10 + 10
-        );
         assert_eq!(ModelKind::default_mnist().num_params(), 7850);
     }
 
     #[test]
     fn build_produces_models_with_matching_param_counts() {
         let mut rng = StdRng::seed_from_u64(1);
-        for kind in [
-            ModelKind::SoftmaxRegression {
-                features: 20,
-                classes: 4,
-            },
-            ModelKind::Mlp {
-                features: 20,
-                hidden: 8,
-                classes: 4,
-            },
-        ] {
-            let model = kind.build(&mut rng);
-            assert_eq!(model.num_params(), kind.num_params());
-            assert_eq!(model.params().len(), kind.num_params());
-        }
+        let kind = ModelKind::SoftmaxRegression {
+            features: 20,
+            classes: 4,
+        };
+        let model = kind.build(&mut rng);
+        assert_eq!(model.num_params(), kind.num_params());
+        assert_eq!(model.params().len(), kind.num_params());
     }
 
     #[test]
@@ -443,12 +303,13 @@ mod tests {
 
     #[test]
     fn model_kind_serde_round_trip() {
-        let kind = ModelKind::Mlp {
-            features: 10,
-            hidden: 4,
-            classes: 3,
-        };
+        let kind = ModelKind::default_mnist();
         let json = serde_json::to_string(&kind).unwrap();
+        // The form every manifest and benchmark workload spells.
+        assert_eq!(
+            json,
+            r#"{"SoftmaxRegression":{"features":784,"classes":10}}"#
+        );
         let back: ModelKind = serde_json::from_str(&json).unwrap();
         assert_eq!(back, kind);
     }

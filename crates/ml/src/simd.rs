@@ -374,61 +374,46 @@ mod avx2 {
     }
 
     /// AVX2 `C = Aᵀ · B` register tile, generic over how `B` rows are
-    /// fetched (contiguous for `gemm_tn`/`gemm_tn_overwrite`, dataset
-    /// row indices for `gemm_tn_indexed_overwrite`) and over
-    /// `ACCUMULATE` — the same two axes as the unified scalar body it
-    /// mirrors. Four output rows × `LANES` columns advance together;
-    /// each scalar `[f64; LANES]` accumulator pair is two ymm, each
-    /// broadcast `a_col[r].mul_add(bv[l], acc[l])` is one
-    /// `vbroadcastsd` + two `vfmaddpd`, and the sample (`k`) loop order
-    /// is unchanged, so every output element accumulates its `k`
-    /// contributions in the reference order. Sub-`LANES` column tails
-    /// and sub-4-row remainders run the scalar body's literal tail code.
+    /// fetched — the mirror of the scalar body behind
+    /// `gemm_tn_indexed_overwrite`. Four output rows × `LANES` columns
+    /// advance together from zeroed accumulators; each scalar
+    /// `[f64; LANES]` accumulator pair is two ymm, each broadcast
+    /// `a_col[r].mul_add(bv[l], acc[l])` is one `vbroadcastsd` + two
+    /// `vfmaddpd`, and the sample (`k`) loop order is unchanged, so every
+    /// output element accumulates its `k` contributions in the reference
+    /// order. Sub-`LANES` column tails and sub-4-row remainders run the
+    /// scalar body's literal tail code.
     ///
     /// # Safety
     /// Requires AVX2+FMA; `a.len() == k * m`, `b_row(kk).len() >= n`
-    /// for `kk < k`, `chunk` a whole-row window of `C` starting at row
-    /// `row_start`.
+    /// for `kk < k`, `c.len() == m * n`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_tn<'a, const ACCUMULATE: bool>(
+    pub unsafe fn gemm_tn<'a>(
         a: &[f64],
         b_row: &impl Fn(usize) -> &'a [f64],
-        chunk: &mut [f64],
-        row_start: usize,
+        c: &mut [f64],
         k: usize,
         m: usize,
         n: usize,
     ) {
-        let rows = chunk.len() / n;
         let mut r = 0usize;
-        while r + 4 <= rows {
-            let base = row_start + r;
-            let sub = &mut chunk[r * n..(r + 4) * n];
+        while r + 4 <= m {
+            let sub = &mut c[r * n..(r + 4) * n];
             let (c0, rest) = sub.split_at_mut(n);
             let (c1, rest) = rest.split_at_mut(n);
             let (c2, c3) = rest.split_at_mut(n);
             let mut j = 0usize;
             while j + LANES <= n {
-                let load = |row: &[f64]| -> (__m256d, __m256d) {
-                    if ACCUMULATE {
-                        (
-                            _mm256_loadu_pd(row.as_ptr().add(j)),
-                            _mm256_loadu_pd(row.as_ptr().add(j + 4)),
-                        )
-                    } else {
-                        (_mm256_setzero_pd(), _mm256_setzero_pd())
-                    }
-                };
-                let (mut a0l, mut a0h) = load(c0);
-                let (mut a1l, mut a1h) = load(c1);
-                let (mut a2l, mut a2h) = load(c2);
-                let (mut a3l, mut a3h) = load(c3);
+                let (mut a0l, mut a0h) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+                let (mut a1l, mut a1h) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+                let (mut a2l, mut a2h) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+                let (mut a3l, mut a3h) = (_mm256_setzero_pd(), _mm256_setzero_pd());
                 for kk in 0..k {
                     let brow = b_row(kk);
                     let bl = _mm256_loadu_pd(brow.as_ptr().add(j));
                     let bh = _mm256_loadu_pd(brow.as_ptr().add(j + 4));
-                    let a_col = a.as_ptr().add(kk * m + base);
+                    let a_col = a.as_ptr().add(kk * m + r);
                     let w0 = _mm256_broadcast_sd(&*a_col);
                     a0l = _mm256_fmadd_pd(w0, bl, a0l);
                     a0h = _mm256_fmadd_pd(w0, bh, a0h);
@@ -453,14 +438,10 @@ mod avx2 {
                 j += LANES;
             }
             while j < n {
-                let init = |row: &[f64]| if ACCUMULATE { row[j] } else { 0.0 };
-                let mut s0 = init(c0);
-                let mut s1 = init(c1);
-                let mut s2 = init(c2);
-                let mut s3 = init(c3);
+                let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
                 for kk in 0..k {
                     let b_j = b_row(kk)[j];
-                    let a_col = &a[kk * m + base..kk * m + base + 4];
+                    let a_col = &a[kk * m + r..kk * m + r + 4];
                     s0 += a_col[0] * b_j;
                     s1 += a_col[1] * b_j;
                     s2 += a_col[2] * b_j;
@@ -477,29 +458,18 @@ mod avx2 {
         // Two remainder rows fuse into one pass over `B` (the scalar
         // body takes them one at a time; per-element accumulation order
         // is unchanged, only which pass computes each row).
-        if r + 2 <= rows {
-            let base = row_start + r;
-            let sub = &mut chunk[r * n..(r + 2) * n];
+        if r + 2 <= m {
+            let sub = &mut c[r * n..(r + 2) * n];
             let (c0, c1) = sub.split_at_mut(n);
             let mut j = 0usize;
             while j + LANES <= n {
-                let load = |row: &[f64]| -> (__m256d, __m256d) {
-                    if ACCUMULATE {
-                        (
-                            _mm256_loadu_pd(row.as_ptr().add(j)),
-                            _mm256_loadu_pd(row.as_ptr().add(j + 4)),
-                        )
-                    } else {
-                        (_mm256_setzero_pd(), _mm256_setzero_pd())
-                    }
-                };
-                let (mut a0l, mut a0h) = load(c0);
-                let (mut a1l, mut a1h) = load(c1);
+                let (mut a0l, mut a0h) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+                let (mut a1l, mut a1h) = (_mm256_setzero_pd(), _mm256_setzero_pd());
                 for kk in 0..k {
                     let brow = b_row(kk);
                     let bl = _mm256_loadu_pd(brow.as_ptr().add(j));
                     let bh = _mm256_loadu_pd(brow.as_ptr().add(j + 4));
-                    let a_col = a.as_ptr().add(kk * m + base);
+                    let a_col = a.as_ptr().add(kk * m + r);
                     let w0 = _mm256_broadcast_sd(&*a_col);
                     a0l = _mm256_fmadd_pd(w0, bl, a0l);
                     a0h = _mm256_fmadd_pd(w0, bh, a0h);
@@ -514,12 +484,10 @@ mod avx2 {
                 j += LANES;
             }
             while j < n {
-                let init = |row: &[f64]| if ACCUMULATE { row[j] } else { 0.0 };
-                let mut s0 = init(c0);
-                let mut s1 = init(c1);
+                let (mut s0, mut s1) = (0.0, 0.0);
                 for kk in 0..k {
                     let b_j = b_row(kk)[j];
-                    let a_col = &a[kk * m + base..kk * m + base + 2];
+                    let a_col = &a[kk * m + r..kk * m + r + 2];
                     s0 += a_col[0] * b_j;
                     s1 += a_col[1] * b_j;
                 }
@@ -529,22 +497,14 @@ mod avx2 {
             }
             r += 2;
         }
-        while r < rows {
-            let i = row_start + r;
-            let c_row = &mut chunk[r * n..(r + 1) * n];
+        while r < m {
+            let c_row = &mut c[r * n..(r + 1) * n];
             let mut j = 0usize;
             while j + LANES <= n {
-                let (mut al, mut ah) = if ACCUMULATE {
-                    (
-                        _mm256_loadu_pd(c_row.as_ptr().add(j)),
-                        _mm256_loadu_pd(c_row.as_ptr().add(j + 4)),
-                    )
-                } else {
-                    (_mm256_setzero_pd(), _mm256_setzero_pd())
-                };
+                let (mut al, mut ah) = (_mm256_setzero_pd(), _mm256_setzero_pd());
                 for kk in 0..k {
                     let brow = b_row(kk);
-                    let w = _mm256_broadcast_sd(&a[kk * m + i]);
+                    let w = _mm256_broadcast_sd(&a[kk * m + r]);
                     al = _mm256_fmadd_pd(w, _mm256_loadu_pd(brow.as_ptr().add(j)), al);
                     ah = _mm256_fmadd_pd(w, _mm256_loadu_pd(brow.as_ptr().add(j + 4)), ah);
                 }
@@ -553,9 +513,9 @@ mod avx2 {
                 j += LANES;
             }
             while j < n {
-                let mut s = if ACCUMULATE { c_row[j] } else { 0.0 };
+                let mut s = 0.0;
                 for kk in 0..k {
-                    s += a[kk * m + i] * b_row(kk)[j];
+                    s += a[kk * m + r] * b_row(kk)[j];
                 }
                 c_row[j] = s;
                 j += 1;

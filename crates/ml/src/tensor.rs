@@ -1,27 +1,24 @@
 //! Dense vectors, row-major matrices, and the batched compute kernels
-//! every model in the workspace runs on.
+//! the model in the workspace runs on.
 //!
 //! # Kernel layer
 //!
-//! Three matrix-matrix kernels cover every shape the training and
-//! evaluation engines need, and a fourth serves Algorithm 2:
+//! Two matrix-matrix kernels, each with an indexed form that reads
+//! minibatch rows in place, cover every shape training and evaluation
+//! need, and a third serves Algorithm 2:
 //!
-//! * [`gemm_nn`] — `C = A · B`, in `i`/`k`/`j` loop order. The inner
-//!   `j` loop is a pure `c[j] += a_ik * b[j]` stream with no reduction
-//!   dependency, so it auto-vectorizes; the `k` loop is blocked
-//!   ([`K_BLOCK`]) so the touched panel of `B` stays cache-resident for
-//!   large inner dimensions.
-//! * [`gemm_tn`] — `C = Aᵀ · B`, the gradient kernel
-//!   (`grad_W = δᵀ · X`). Accumulation over `k` runs in ascending order,
-//!   which keeps the batched gradients numerically aligned with the
-//!   per-sample reference path (same summation order per output element).
 //! * [`gemm_nt`] — `C = A · Bᵀ`, used for logits against
 //!   row-major weights, evaluation, and the rectangular point-to-centroid
 //!   distances of k-means. Every output element is one lane-striped
 //!   `dot_lanes` reduction (or, for at most 16 long rows, its
 //!   `k`-blocked partial sums), so independent accumulator chains hide
 //!   the floating-point add latency that makes a plain `dot`
-//!   latency-bound.
+//!   latency-bound. [`gemm_nt_indexed`] is the minibatch-logits form.
+//! * [`gemm_tn_indexed_overwrite`] — `C = Aᵀ · X[rows]`, the gradient
+//!   kernel (`grad_W = δᵀ · X`). Accumulation over the samples runs in
+//!   ascending order, which keeps the batched gradients numerically
+//!   aligned with the per-sample reference path (same summation order
+//!   per output element).
 //! * [`gram_upper`] — the upper triangle of `G = V · Vᵀ` over *borrowed*
 //!   rows, the kernel behind every pairwise distance matrix. A Gram
 //!   matrix is symmetric and only `G_ij`, `j ≥ i`, is ever read, so this
@@ -37,23 +34,25 @@
 //! is [`gemm_nt`] over whole [`Matrix`] operands, for Algorithm 2's
 //! rectangular distances.
 //!
-//! All four parallelize over contiguous blocks of output rows through
-//! [`crate::par`]; each worker owns a disjoint slice of `C`, so results
-//! are bit-identical regardless of thread count. *Whether* and *where*
-//! to split is a question of work, not of rows. The GEMMs' rows all cost
-//! the same, so they split evenly once every worker gets
-//! `MIN_ROWS_PER_THREAD` of them. A triangle's rows do not — row `i`
-//! holds `n − i` entries — so [`gram_upper`] cuts ranges of near-equal
-//! *area* and fans out only when each worker would own about two million
-//! multiply-adds: a 51 × 7850 committee uses every core, an 11- or
-//! 15-row one runs on the calling thread and pays no spawn.
+//! [`gemm_nt`] and [`gram_upper`] parallelize over contiguous blocks of
+//! output rows through [`crate::par`]; each worker owns a disjoint slice
+//! of `C`, so results are bit-identical regardless of thread count. The
+//! indexed minibatch kernels run on the calling thread: the local pass
+//! already fans out over clients. *Whether* and *where* to split is a
+//! question of work, not of rows. A GEMM's rows all cost the same, so
+//! they split evenly once every worker gets `MIN_ROWS_PER_THREAD` of
+//! them. A triangle's rows do not — row `i` holds `n − i` entries — so
+//! [`gram_upper`] cuts ranges of near-equal *area* and fans out only
+//! when each worker would own about two million multiply-adds: a
+//! 51 × 7850 committee uses every core, an 11- or 15-row one runs on the
+//! calling thread and pays no spawn.
 //!
 //! # Scratch workspace
 //!
 //! [`Scratch`] owns every intermediate buffer a batched forward/backward
-//! pass needs (packed minibatch, logits, deltas, hidden activations,
-//! prediction buffer) and the two a local training pass adds (the flat
-//! parameter gradient and the shuffled sample order). Buffers are resized
+//! pass needs (packed minibatch, logits, deltas, prediction buffer) and
+//! the two a local training pass adds (the flat parameter gradient and
+//! the shuffled sample order). Buffers are resized
 //! with [`Matrix::resize_in_place`], which reuses the underlying
 //! allocation, so a training loop that threads one `Scratch` through all
 //! of its epochs allocates only on the first minibatch and runs
@@ -67,11 +66,6 @@ use serde::{Deserialize, Serialize};
 
 /// A dense vector of `f64` values.
 pub type Vector = Vec<f64>;
-
-/// Inner-dimension block size for [`gemm_nn`]: 256 `f64`s (2 KiB per
-/// row of the `B` panel) keeps the working set inside L1/L2 for the
-/// matrix shapes the models produce.
-pub const K_BLOCK: usize = 256;
 
 /// Minimum number of output rows each GEMM worker thread must receive
 /// before the kernels fan out; below this the spawn overhead dominates.
@@ -223,9 +217,7 @@ impl Matrix {
 }
 
 /// Transposes a row-major `rows x cols` buffer into `out` (`cols x
-/// rows`), reusing `out`'s allocation. Models use this to stage their
-/// row-major weight windows in the layout [`gemm_nn`]'s vectorizable
-/// inner loop wants.
+/// rows`), reusing `out`'s allocation.
 pub fn transpose_slice_into(src: &[f64], rows: usize, cols: usize, out: &mut Matrix) {
     debug_assert_eq!(src.len(), rows * cols);
     out.rows = cols;
@@ -236,74 +228,6 @@ pub fn transpose_slice_into(src: &[f64], rows: usize, cols: usize, out: &mut Mat
         for (c, &v) in src[r * cols..(r + 1) * cols].iter().enumerate() {
             out.data[c * rows + r] = v;
         }
-    }
-}
-
-/// Slice-level `C = A · B` over row-major buffers (`A: m x k`,
-/// `B: k x n`, `C: m x n`, `C` pre-zeroed).
-///
-/// Blocked `i`/`k`/`j` kernel: for each output row, the contribution of
-/// one `A` element is an axpy over a `B` row, so the innermost loop is a
-/// dependency-free vectorizable stream. `k` is tiled by [`K_BLOCK`].
-/// The slice form exists so models can point `A`/`B` at windows of their
-/// flat parameter vector without copying into a [`Matrix`].
-pub fn gemm_nn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if par::plan_workers(m, MIN_ROWS_PER_THREAD) <= 1 {
-        gemm_nn_serial(a, b, c, 0, k, n);
-    } else {
-        par::par_rows_mut(c, n, MIN_ROWS_PER_THREAD, |row_start, chunk| {
-            gemm_nn_serial(a, b, chunk, row_start, k, n);
-        });
-    }
-}
-
-/// Serial core of [`gemm_nn`] over one contiguous block of output rows
-/// (`chunk` holds the rows starting at `row_start`).
-fn gemm_nn_serial(a: &[f64], b: &[f64], chunk: &mut [f64], row_start: usize, k: usize, n: usize) {
-    for (offset, c_row) in chunk.chunks_mut(n).enumerate() {
-        let a_row = &a[(row_start + offset) * k..(row_start + offset + 1) * k];
-        for k_start in (0..k).step_by(K_BLOCK) {
-            let k_end = (k_start + K_BLOCK).min(k);
-            for (kk, &a_ik) in a_row[k_start..k_end].iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = &b[(k_start + kk) * n..(k_start + kk + 1) * n];
-                axpy(a_ik, b_row, c_row);
-            }
-        }
-    }
-}
-
-/// Slice-level `C = Aᵀ · B` over row-major buffers (`A: k x m`,
-/// `B: k x n`, `C: m x n`, `C` pre-zeroed) — the gradient kernel
-/// (`grad_W = δᵀ · X` with `δ` as `A` and the packed minibatch as `B`).
-///
-/// The `k` (sample) loop is outermost so each `B` row is loaded once and
-/// scattered into every output row it contributes to while hot — the
-/// same locality the per-sample reference gets by construction. Every
-/// output element still accumulates over `k` in ascending order,
-/// matching the reference summation order exactly — the equivalence
-/// tests rely on this.
-pub fn gemm_tn(a: &[f64], b: &[f64], c: &mut [f64], k: usize, m: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if par::plan_workers(m, MIN_ROWS_PER_THREAD) <= 1 {
-        gemm_tn_serial::<true>(a, b, c, 0, k, m, n);
-    } else {
-        par::par_rows_mut(c, n, MIN_ROWS_PER_THREAD, |row_start, chunk| {
-            gemm_tn_serial::<true>(a, b, chunk, row_start, k, m, n);
-        });
     }
 }
 
@@ -328,8 +252,9 @@ pub fn gemm_nt_indexed(features: &Matrix, rows: &[usize], b: &[f64], c: &mut [f6
 
 /// Indexed-row store-mode gradient kernel:
 /// `C = Aᵀ · X[rows]` (`A: B x m` coefficients, `X[rows]`: the selected
-/// feature rows read in place, `C: m x k` overwritten). The `k` (sample)
-/// contributions accumulate in ascending order like [`gemm_tn`].
+/// feature rows read in place, `C: m x k` overwritten — callers reusing a
+/// gradient buffer skip zeroing it between steps). Every output element
+/// accumulates its sample contributions in ascending order.
 pub fn gemm_tn_indexed_overwrite(
     a: &[f64],
     features: &Matrix,
@@ -348,87 +273,24 @@ pub fn gemm_tn_indexed_overwrite(
         c.fill(0.0);
         return;
     }
-    gemm_tn_indexed_serial(a, features, rows, c, 0, m, n);
+    gemm_tn_body(a, |kk| features.row(rows[kk]), c, k, m, n);
 }
 
-/// Serial core of [`gemm_tn_indexed_overwrite`]: the one shared
-/// [`gemm_tn_body`] register tile with indexed `B` rows.
-fn gemm_tn_indexed_serial(
-    a: &[f64],
-    features: &Matrix,
-    rows: &[usize],
-    chunk: &mut [f64],
-    row_start: usize,
-    m: usize,
-    n: usize,
-) {
-    gemm_tn_body::<false>(
-        a,
-        |kk| features.row(rows[kk]),
-        chunk,
-        row_start,
-        rows.len(),
-        m,
-        n,
-    );
-}
-
-/// Store-mode variant of [`gemm_tn`]: `C = Aᵀ · B`, overwriting `C`
-/// without reading it first — callers reusing a gradient buffer skip
-/// zeroing it between steps.
-pub fn gemm_tn_overwrite(a: &[f64], b: &[f64], c: &mut [f64], k: usize, m: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c.fill(0.0);
-        return;
-    }
-    if par::plan_workers(m, MIN_ROWS_PER_THREAD) <= 1 {
-        gemm_tn_serial::<false>(a, b, c, 0, k, m, n);
-    } else {
-        par::par_rows_mut(c, n, MIN_ROWS_PER_THREAD, |row_start, chunk| {
-            gemm_tn_serial::<false>(a, b, chunk, row_start, k, m, n);
-        });
-    }
-}
-
-/// Serial core of [`gemm_tn`] over one contiguous block of output rows:
-/// the shared [`gemm_tn_body`] with contiguous `B` rows.
-fn gemm_tn_serial<const ACCUMULATE: bool>(
-    a: &[f64],
-    b: &[f64],
-    chunk: &mut [f64],
-    row_start: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    gemm_tn_body::<ACCUMULATE>(a, |kk| &b[kk * n..(kk + 1) * n], chunk, row_start, k, m, n);
-}
-
-/// The one `C = Aᵀ · B` register-tile body, generic over `ACCUMULATE`
-/// (load-add-store vs overwrite) and over how `B` rows are fetched — a
-/// contiguous buffer for [`gemm_tn`]/[`gemm_tn_overwrite`], dataset row
-/// indices for [`gemm_tn_indexed_overwrite`]. Collapsing the three
-/// near-identical serial bodies into this single path means the AVX2
-/// tier ([`simd::gemm_tn`], dispatched here) has exactly one scalar
-/// tail to mirror.
+/// The `C = Aᵀ · B` register-tile body behind
+/// [`gemm_tn_indexed_overwrite`], generic over how `B` rows are fetched;
+/// the AVX2 tier ([`simd::gemm_tn`], dispatched here) mirrors its scalar
+/// tails exactly.
 ///
 /// Register-tiled: four output rows advance together through `j` in
 /// [`LANES`]-wide vectors, with the full `k` (sample) dimension fused
-/// into one pass — each output element is loaded (when `ACCUMULATE`)
-/// and stored exactly once, instead of once per sample. Every element
-/// accumulates its `k` contributions in ascending order, matching the
-/// per-sample reference summation order.
-fn gemm_tn_body<'a, const ACCUMULATE: bool>(
+/// into one pass — each output element is stored exactly once, instead
+/// of once per sample. Every element accumulates its `k` contributions
+/// in ascending order from zero, matching the per-sample reference
+/// summation order.
+fn gemm_tn_body<'a>(
     a: &[f64],
     b_row: impl Fn(usize) -> &'a [f64],
-    chunk: &mut [f64],
-    row_start: usize,
+    c: &mut [f64],
     k: usize,
     m: usize,
     n: usize,
@@ -436,33 +298,24 @@ fn gemm_tn_body<'a, const ACCUMULATE: bool>(
     #[cfg(target_arch = "x86_64")]
     if simd::active() {
         // SAFETY: `simd::active()` guarantees AVX2+FMA were detected.
-        unsafe { simd::gemm_tn::<ACCUMULATE>(a, &b_row, chunk, row_start, k, m, n) };
+        unsafe { simd::gemm_tn(a, &b_row, c, k, m, n) };
         return;
     }
-    let rows = chunk.len() / n;
     let mut r = 0;
-    while r + 4 <= rows {
-        let base = row_start + r;
-        let sub = &mut chunk[r * n..(r + 4) * n];
+    while r + 4 <= m {
+        let sub = &mut c[r * n..(r + 4) * n];
         let (c0, rest) = sub.split_at_mut(n);
         let (c1, rest) = rest.split_at_mut(n);
         let (c2, c3) = rest.split_at_mut(n);
         let mut j = 0;
         while j + LANES <= n {
-            let load = |row: &[f64]| -> [f64; LANES] {
-                if ACCUMULATE {
-                    row[j..j + LANES].try_into().unwrap()
-                } else {
-                    [0.0; LANES]
-                }
-            };
-            let mut acc0 = load(c0);
-            let mut acc1 = load(c1);
-            let mut acc2 = load(c2);
-            let mut acc3 = load(c3);
+            let mut acc0 = [0.0; LANES];
+            let mut acc1 = [0.0; LANES];
+            let mut acc2 = [0.0; LANES];
+            let mut acc3 = [0.0; LANES];
             for kk in 0..k {
                 let bv: &[f64; LANES] = b_row(kk)[j..j + LANES].try_into().unwrap();
-                let a_col = &a[kk * m + base..kk * m + base + 4];
+                let a_col = &a[kk * m + r..kk * m + r + 4];
                 for l in 0..LANES {
                     acc0[l] = a_col[0].mul_add(bv[l], acc0[l]);
                     acc1[l] = a_col[1].mul_add(bv[l], acc1[l]);
@@ -477,14 +330,10 @@ fn gemm_tn_body<'a, const ACCUMULATE: bool>(
             j += LANES;
         }
         while j < n {
-            let init = |row: &[f64]| if ACCUMULATE { row[j] } else { 0.0 };
-            let mut s0 = init(c0);
-            let mut s1 = init(c1);
-            let mut s2 = init(c2);
-            let mut s3 = init(c3);
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
             for kk in 0..k {
                 let b_j = b_row(kk)[j];
-                let a_col = &a[kk * m + base..kk * m + base + 4];
+                let a_col = &a[kk * m + r..kk * m + r + 4];
                 s0 += a_col[0] * b_j;
                 s1 += a_col[1] * b_j;
                 s2 += a_col[2] * b_j;
@@ -499,19 +348,14 @@ fn gemm_tn_body<'a, const ACCUMULATE: bool>(
         r += 4;
     }
     // Remainder rows, one at a time with the same full-`k` fusion.
-    while r < rows {
-        let i = row_start + r;
-        let c_row = &mut chunk[r * n..(r + 1) * n];
+    while r < m {
+        let c_row = &mut c[r * n..(r + 1) * n];
         let mut j = 0;
         while j + LANES <= n {
-            let mut acc: [f64; LANES] = if ACCUMULATE {
-                c_row[j..j + LANES].try_into().unwrap()
-            } else {
-                [0.0; LANES]
-            };
+            let mut acc = [0.0; LANES];
             for kk in 0..k {
                 let bv: &[f64; LANES] = b_row(kk)[j..j + LANES].try_into().unwrap();
-                let a_ki = a[kk * m + i];
+                let a_ki = a[kk * m + r];
                 for l in 0..LANES {
                     acc[l] = a_ki.mul_add(bv[l], acc[l]);
                 }
@@ -520,9 +364,9 @@ fn gemm_tn_body<'a, const ACCUMULATE: bool>(
             j += LANES;
         }
         while j < n {
-            let mut s = if ACCUMULATE { c_row[j] } else { 0.0 };
+            let mut s = 0.0;
             for kk in 0..k {
-                s += a[kk * m + i] * b_row(kk)[j];
+                s += a[kk * m + r] * b_row(kk)[j];
             }
             c_row[j] = s;
             j += 1;
@@ -828,12 +672,6 @@ pub struct Scratch {
     pub z: Matrix,
     /// Loss gradient with respect to the logits (`B x classes`).
     pub delta: Matrix,
-    /// Hidden pre-activations (`B x hidden`, MLP only).
-    pub h_pre: Matrix,
-    /// Hidden activations (`B x hidden`, MLP only).
-    pub h: Matrix,
-    /// Gradient flowing back into the hidden layer (`B x hidden`).
-    pub g_h: Matrix,
     /// Predicted class per batch row.
     pub predictions: Vec<usize>,
     /// Flat parameter gradient of the current minibatch (local training).
@@ -864,8 +702,8 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
-/// In-place AXPY: `y += alpha * x` — the [`gemm_nn`] inner stream and
-/// the SGD update (`params -= lr * grad`). Element-wise multiply *then*
+/// In-place AXPY: `y += alpha * x` — the SGD update
+/// (`params -= lr * grad`) and the bias-gradient column sum. Element-wise multiply *then*
 /// add (two roundings, deliberately not fused); the AVX2 tier keeps
 /// that shape with `vmulpd` + `vaddpd`, so both tiers agree bit-for-bit
 /// on every element.
@@ -1037,16 +875,18 @@ mod tests {
         c
     }
 
-    /// `A · B`, `Aᵀ · B` and `A · Bᵀ` through the slice-level kernels.
+    /// `A · B` as [`gemm_nt`] against an explicit transpose of `B`.
     fn nn(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut c = Matrix::zeros(a.rows, b.cols);
-        gemm_nn(&a.data, &b.data, &mut c.data, a.rows, a.cols, b.cols);
-        c
+        let mut bt = Matrix::zeros(0, 0);
+        b.transpose_into(&mut bt);
+        nt(a, &bt)
     }
 
+    /// `Aᵀ · B` through the indexed gradient kernel over every row of `B`.
     fn tn(a: &Matrix, b: &Matrix) -> Matrix {
+        let rows: Vec<usize> = (0..b.rows).collect();
         let mut c = Matrix::zeros(a.cols, b.cols);
-        gemm_tn(&a.data, &b.data, &mut c.data, a.rows, a.cols, b.cols);
+        gemm_tn_indexed_overwrite(&a.data, b, &rows, &mut c.data, a.cols);
         c
     }
 
@@ -1099,20 +939,20 @@ mod tests {
     #[test]
     fn gemm_kernels_handle_empty_and_degenerate_shapes() {
         let empty = Matrix::zeros(0, 0);
-        let c = nn(&empty, &empty);
+        let c = tn(&empty, &empty);
         assert_eq!((c.rows, c.cols), (0, 0));
 
         // Empty inner dimension: the result is a zero matrix.
-        let a = Matrix::zeros(3, 0);
+        let a = Matrix::zeros(0, 3);
         let b = Matrix::zeros(0, 4);
-        let c = nn(&a, &b);
+        let c = tn(&a, &b);
         assert_eq!((c.rows, c.cols), (3, 4));
         assert!(c.data.iter().all(|&v| v == 0.0));
 
         // Single row times single column.
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
+        let a = Matrix::from_vec(3, 1, vec![1.0, 2.0, 3.0]);
         let b = Matrix::from_vec(3, 1, vec![4.0, 5.0, 6.0]);
-        let c = nn(&a, &b);
+        let c = tn(&a, &b);
         assert_eq!((c.rows, c.cols), (1, 1));
         assert!((c.get(0, 0) - 32.0).abs() < 1e-12);
 

@@ -15,7 +15,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use bfl_ml::model::{AnyModel, Model, ModelKind};
+use bfl_ml::model::{Model, ModelKind};
 use bfl_ml::tensor::{self, Matrix, Scratch};
 use bfl_ml::{metrics, par, simd};
 use proptest::prelude::*;
@@ -164,46 +164,9 @@ proptest! {
         });
     }
 
-    /// `gemm_tn` accumulate mode: `C += Aᵀ · B` on top of a random
-    /// starting `C`, so the load-add-store path is what is compared.
-    #[test]
-    fn gemm_tn_accumulate_matches_scalar_bits(
-        k in 0usize..40,
-        m in 0usize..12,
-        n in 0usize..70,
-        seed in buffer(40 * 12 + 40 * 70 + 12 * 70),
-    ) {
-        let a = seed[..k * m].to_vec();
-        let b = seed[k * m..k * m + k * n].to_vec();
-        let c0 = seed[seed.len() - m * n..].to_vec();
-        assert_tiers_bit_identical("gemm_tn (accumulate)", || {
-            let mut c = c0.clone();
-            tensor::gemm_tn(&a, &b, &mut c, k, m, n);
-            c
-        });
-    }
-
-    /// `gemm_tn_overwrite` store mode: `C = Aᵀ · B` over a garbage `C`
-    /// that must be fully overwritten identically by both tiers.
-    #[test]
-    fn gemm_tn_overwrite_matches_scalar_bits(
-        k in 0usize..40,
-        m in 0usize..12,
-        n in 0usize..70,
-        seed in buffer(40 * 12 + 40 * 70 + 12 * 70),
-    ) {
-        let a = seed[..k * m].to_vec();
-        let b = seed[k * m..k * m + k * n].to_vec();
-        assert_tiers_bit_identical("gemm_tn_overwrite", || {
-            let mut c = vec![f64::NAN; m * n];
-            tensor::gemm_tn_overwrite(&a, &b, &mut c, k, m, n);
-            c
-        });
-    }
-
     /// `gemm_tn_indexed_overwrite` fetches its `B` rows through dataset
-    /// indices (the softmax-gradient hot path): same tile body, indexed
-    /// row fetch, store mode.
+    /// indices (the softmax-gradient hot path) and overwrites a garbage
+    /// `C` identically on both tiers.
     #[test]
     fn gemm_tn_indexed_matches_scalar_bits(
         pool_rows in 1usize..8,
@@ -350,43 +313,32 @@ fn gram_upper_fans_out_without_changing_a_bit() {
 }
 
 /// End-to-end: a full batched loss/gradient pass and an evaluation sweep
-/// over both model kinds produce bit-identical losses, gradients, and
-/// accuracies under either tier — the composite the per-kernel
-/// properties exist to guarantee.
+/// produce bit-identical losses, gradients, and accuracies under either
+/// tier — the composite the per-kernel properties exist to guarantee.
 #[test]
 fn batched_training_and_eval_bits_match_across_tiers() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    let kinds = [
-        ModelKind::SoftmaxRegression {
-            features: 300,
-            classes: 7,
-        },
-        ModelKind::Mlp {
-            features: 300,
-            hidden: 11,
-            classes: 7,
-        },
-    ];
-    for kind in kinds {
-        let mut rng = StdRng::seed_from_u64(0x51D0);
-        let model: AnyModel = kind.build(&mut rng);
-        let rows = 37;
-        let data: Vec<f64> = (0..rows * 300).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let labels: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..7)).collect();
-        let features = Matrix::from_vec(rows, 300, data);
-        let batch: Vec<usize> = (0..rows).step_by(2).collect();
+    let kind = ModelKind::SoftmaxRegression {
+        features: 300,
+        classes: 7,
+    };
+    let mut rng = StdRng::seed_from_u64(0x51D0);
+    let model = kind.build(&mut rng);
+    let rows = 37;
+    let data: Vec<f64> = (0..rows * 300).map(|_| rng.gen_range(-2.0..2.0)).collect();
+    let labels: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..7)).collect();
+    let features = Matrix::from_vec(rows, 300, data);
+    let batch: Vec<usize> = (0..rows).step_by(2).collect();
 
-        assert_tiers_bit_identical(&format!("{kind:?} loss/grad/accuracy"), || {
-            let mut scratch = Scratch::new();
-            let mut grad = Vec::new();
-            let loss =
-                model.loss_and_grad_batched(&features, &labels, &batch, &mut grad, &mut scratch);
-            let acc = metrics::accuracy(&model, &features, &labels, None);
-            grad.push(loss);
-            grad.push(acc);
-            grad
-        });
-    }
+    assert_tiers_bit_identical("loss/grad/accuracy", || {
+        let mut scratch = Scratch::new();
+        let mut grad = Vec::new();
+        let loss = model.loss_and_grad_batched(&features, &labels, &batch, &mut grad, &mut scratch);
+        let acc = metrics::accuracy(&model, &features, &labels, None);
+        grad.push(loss);
+        grad.push(acc);
+        grad
+    });
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`crypto`] — SHA-256, big integers, RSA sign/verify, key store.
 //! * [`chain`] — proof-of-work blocks, mempool, fork model, consensus.
-//! * [`ml`] — tensors, softmax regression / MLP, SGD, gradient utilities.
+//! * [`ml`] — tensors, softmax regression, SGD, gradient utilities.
 //! * [`data`] — the synthetic MNIST surrogate and federated partitioners.
 //! * [`cluster`] — DBSCAN / k-means / agglomerative clustering.
 //! * [`net`] — simulated clock, link-delay models, topology.

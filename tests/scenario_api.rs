@@ -244,13 +244,15 @@ fn invalid_scenarios_surface_typed_errors_through_the_facade() {
     assert!(err.to_string().contains("attacker range inverted"));
 }
 
-/// The configurations behind the three manifests that used to panic
-/// inside a partitioner: two stop at `Scenario::from_config`, the third —
-/// fewer training samples than clients — at `Scenario::start`, the first
-/// place that sees the data. Each names the numbers involved.
+/// The configurations behind the manifests that used to panic inside a
+/// partitioner or the local pass: the ones `Scenario::from_config` can
+/// judge stop there; fewer training samples than clients, or a model the
+/// data cannot feed, stop at `Scenario::start`, the first place that
+/// sees the data. Each names the numbers involved.
 #[test]
 fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
     use fair_bfl::fl::config::PartitionKind;
+    use fair_bfl::ml::ModelKind;
     let (train, test) = small_dataset();
     let mut config = small_config(1);
 
@@ -271,6 +273,37 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
     }
 
     config.fl.partition = PartitionKind::Iid;
+    for (features, classes, needle) in [
+        (
+            100,
+            10,
+            "the model reads 100 features but the training samples have 784",
+        ),
+        (
+            784,
+            5,
+            "the model scores 5 classes but the training labels take 10",
+        ),
+    ] {
+        config.fl.model = ModelKind::SoftmaxRegression { features, classes };
+        let scenario = Scenario::from_config(config).expect("valid until it meets the data");
+        let err = scenario.start(&train, &test).err().expect("unfed");
+        assert!(matches!(err, CoreError::InvalidConfig(_)));
+        assert!(err.to_string().contains(needle), "{err}");
+    }
+    config.fl.model = ModelKind::SoftmaxRegression {
+        features: 0,
+        classes: 1,
+    };
+    let err = Scenario::from_config(config).unwrap_err();
+    assert!(matches!(err, CoreError::InvalidConfig(_)));
+    assert!(
+        err.to_string()
+            .contains("at least 1 feature and 2 classes, got 0 features and 1 classes"),
+        "{err}"
+    );
+    config.fl.model = ModelKind::default_mnist();
+
     config.fl.clients = train.len() + 1;
     let scenario = Scenario::from_config(config).expect("valid until it meets the data");
     let err = scenario.start(&train, &test).err().expect("starved");
