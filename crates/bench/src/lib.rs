@@ -3,7 +3,8 @@
 //! The counting global allocator ([`alloc`]) and, under `tests/`, the
 //! allocation contracts that install it: heap tracks participants and
 //! rounds × one block, a warm round nets zero, a local pass allocates its
-//! upload, sealing a round costs one block. Performance numbers do not
+//! upload, sealing a round costs one block, an upload allocates its
+//! signature and a fan-out its results. Performance numbers do not
 //! come from this crate (the canonical end-to-end benchmark is the
 //! `benchmark/` package at the repository root), and neither does the
 //! paper's evaluation: its figures and tables are the manifests under

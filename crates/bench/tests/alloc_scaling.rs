@@ -81,11 +81,12 @@ fn peak_heap_tracks_participants_not_population() {
 /// Rounds per rung of the ladder.
 const RUNG: usize = 8;
 
-/// Heap a `FullBfl` run retains over rounds `RUNG + 1 ..= 2 * RUNG` while
-/// it is still alive (every replica included), and the bytes of the
-/// blocks it sealed in them.
+/// Heap a `FullBfl` run on `threads` workers retains over rounds
+/// `RUNG + 1 ..= 2 * RUNG` while it is still alive (every replica
+/// included), and the bytes of the blocks it sealed in them.
 fn retained_over_second_rung(
     miners: usize,
+    threads: usize,
     data: &(bfl_data::Dataset, bfl_data::Dataset),
 ) -> (usize, usize) {
     let mut config = BflConfig {
@@ -102,8 +103,7 @@ fn retained_over_second_rung(
     config.fl.local.batch_size = 10;
     config.fl.seed = 21;
     let scenario = Scenario::from_config(config).expect("scenario is valid");
-    // One thread: no fan-out worker's exit path frees into a later round.
-    bfl_ml::par::with_thread_limit(1, || {
+    bfl_ml::par::with_thread_limit(threads, || {
         let mut run = scenario.start(&data.0, &data.1).expect("run provisions");
         let mut live = [0usize; 2];
         for after_rung in &mut live {
@@ -125,25 +125,32 @@ fn retained_over_second_rung(
 fn retained_heap_grows_by_one_block_a_round_whatever_the_miner_count() {
     let _turn = BRACKET.lock().unwrap_or_else(PoisonError::into_inner);
     let data = generate_dataset(&DatasetSpec::default());
-    let (at_two, sealed) = retained_over_second_rung(2, &data);
-    let (at_six, sealed_at_six) = retained_over_second_rung(6, &data);
-    assert_eq!(
-        sealed, sealed_at_six,
-        "the miner count does not shape a block"
-    );
+    // On one thread every fan-out runs inline; on two, chunks go to the
+    // test thread's parked helper, which frees what it allocates before
+    // each fan-out returns.
+    for threads in [1, 2] {
+        let (at_two, sealed) = retained_over_second_rung(2, threads, &data);
+        let (at_six, sealed_at_six) = retained_over_second_rung(6, threads, &data);
+        assert_eq!(
+            sealed, sealed_at_six,
+            "the miner count does not shape a block"
+        );
 
-    // A round's records and reward list ride along with its block; they
-    // are a percent or two of the 63 KB gradient it carries.
-    let ratio = at_two as f64 / sealed as f64;
-    assert!(
-        (0.9..=1.1).contains(&ratio),
-        "{RUNG} more rounds at two miners retained {at_two} bytes for {sealed} bytes of \
-         sealed blocks ({ratio:.2}x; a per-replica copy of the block has crept back in)"
-    );
-    let spread = at_six as f64 / at_two as f64;
-    assert!(
-        (0.9..=1.1).contains(&spread),
-        "{RUNG} more rounds retained {at_two} bytes at two miners and {at_six} at six \
-         ({spread:.2}x; chain memory is growing with the miner count again)"
-    );
+        // A round's records and reward list ride along with its block;
+        // they are a percent or two of the 63 KB gradient it carries.
+        let ratio = at_two as f64 / sealed as f64;
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "{RUNG} more rounds at two miners and {threads} threads retained {at_two} bytes \
+             for {sealed} bytes of sealed blocks ({ratio:.2}x; a per-replica copy of the \
+             block has crept back in)"
+        );
+        let spread = at_six as f64 / at_two as f64;
+        assert!(
+            (0.9..=1.1).contains(&spread),
+            "{RUNG} more rounds at {threads} threads retained {at_two} bytes at two miners \
+             and {at_six} at six ({spread:.2}x; chain memory is growing with the miner \
+             count again)"
+        );
+    }
 }

@@ -12,16 +12,12 @@
 //! doubling — the warm-up below runs long enough that the measured
 //! window sits inside their spare capacity.
 //!
-//! The whole run is pinned to one thread. Everything is seeded, so the
-//! engine's own allocation sequence is deterministic, but a
-//! `bfl_ml::par` fan-out worker can finish its exit path after the
-//! fan-out has returned: its last frees then land inside the *next*
-//! round's bracket, which reads a few blocks down while the round the
-//! worker belonged to reads the same few blocks up. With one thread
-//! every fan-out takes its inline branch, nothing is spawned, and the
-//! bracket sees the engine alone. Warm-up rounds are pinned too — a
-//! worker spawned by the last warm-up round would otherwise spill into
-//! the first measured one.
+//! The run is made twice: on one thread, where every `bfl_ml::par`
+//! fan-out takes its inline branch, and on two, where the fan-outs hand
+//! chunks to the test thread's parked helper. Helpers outlive every
+//! fan-out and finish their chunk before it returns, so whatever a
+//! helper allocates in a round it frees in that round, and the bracket
+//! holds for both.
 
 use bfl_bench::CountingAllocator;
 use bfl_core::{BflConfig, FlexibilityMode, RewardEntry, RewardPolicy, Scenario, SyncMode};
@@ -76,10 +72,12 @@ const MEASURED_ROUNDS: usize = 8;
 /// nothing else may run concurrently with the bracketed regions.
 #[test]
 fn flexible_round_loop_is_allocation_free_at_steady_state() {
-    bfl_ml::par::with_thread_limit(1, warm_up_then_measure);
+    for threads in [1, 2] {
+        bfl_ml::par::with_thread_limit(threads, || warm_up_then_measure(threads));
+    }
 }
 
-fn warm_up_then_measure() {
+fn warm_up_then_measure(threads: usize) {
     let (train, test) = generate_dataset(&DatasetSpec::default());
     let mut run = steady_scenario()
         .start(&train, &test)
@@ -105,9 +103,9 @@ fn warm_up_then_measure() {
         let delta = ALLOC.delta_since(&before);
         assert!(
             delta.is_net_zero(),
-            "steady-state round {} grew the heap: {} net bytes, {} net blocks \
-             across {} allocation events (per-round allocation has crept back \
-             into the flexible engine)",
+            "steady-state round {} at {threads} threads grew the heap: {} net bytes, \
+             {} net blocks across {} allocation events (per-round allocation has crept \
+             back into the flexible engine)",
             WARMUP_ROUNDS + measured + 1,
             delta.net_bytes,
             delta.net_blocks,

@@ -41,7 +41,7 @@
 //! whether to fan out at all from the multiply-add count
 //! (`n (n + 1) / 2 · d`), not the row count: 51 uploads of 7850
 //! parameters are 10 M multiply-adds and use every core, while an 11- or
-//! 15-row committee stays on the calling thread and pays no spawn. Each
+//! 15-row committee stays on the calling thread and wakes no worker. Each
 //! worker owns a disjoint block of output rows, so the split never shows
 //! in the result.
 //!

@@ -19,15 +19,17 @@
 //!   through the run's [`Topology`](bfl_net::Topology), and the upload is
 //!   scheduled to arrive after its profile's uplink latency plus the
 //!   payload transfer and miner-side processing time.
-//! * The `UploadArrived` handler is the miner's half: it serialises the
-//!   upload, applies an in-transit corruption if one struck, verifies the
+//! * The `UploadArrived` handler is the miner's half: it hashes the
+//!   upload's serialized form as it streams from the `f64`s, flipping the
+//!   byte an in-transit corruption struck on the way, verifies the
 //!   signature against the registered key (the Figure 2 verification
 //!   step) and admits the upload into the miner's pending pool — the
 //!   runtime's `arrived` map of verified, decoded uploads, keyed by
-//!   client. It is the only pool there is: under the paper's Assumption 2
-//!   a block carries the global gradient and the reward list, never a
-//!   local gradient, so nothing keeps the serialized upload once it is
-//!   checked. Stale uploads — commissioned in an
+//!   client. Every delivery is hashed and checked on its own, duplicates,
+//!   retransmissions and salvages included. The pool is the only one
+//!   there is: under the paper's Assumption 2 a block carries the global
+//!   gradient and the reward list, never a local gradient, so no
+//!   serialized upload is ever kept. Stale uploads — commissioned in an
 //!   earlier round, arriving after that round's block sealed — pass
 //!   through the configured
 //!   [`StalenessPolicy`](crate::policy::StalenessPolicy) first; one the
@@ -126,10 +128,10 @@ use crate::flexibility::FlexibilityMode;
 use crate::policy::{ReorgPolicy, RetryPolicy, RewardPolicy};
 use crate::procedures::global_update::{self, GlobalUpdatePolicy};
 use crate::procedures::mining;
-use crate::procedures::upload::{sign_update, VerifiedUpload};
+use crate::procedures::upload::{received_envelope, sign_update, Corruption, VerifiedUpload};
 use crate::simulation::{KpiRow, RoundOutcome};
 use bfl_chain::consensus::RoundConsensus;
-use bfl_crypto::{sign_detached, BatchVerifier, Signature};
+use bfl_crypto::{BatchVerifier, Signature};
 use bfl_fl::attack::AttackKind;
 use bfl_fl::client::{Client, LocalUpdate};
 use bfl_fl::selection::drop_stragglers;
@@ -217,25 +219,30 @@ pub struct EventRecord {
 /// [`resolve_run_ahead`], together with the deferred arrivals queued right
 /// behind it, or else by [`admit_upload`] itself — and signed at it.
 ///
-/// Cloning a ticket (a duplicate delivery, an armed retransmission) clones
-/// the signature with it: however many copies of a commission travel, it
-/// was signed once. A deferred ticket is resolved by a pure function of
-/// its [`Commission`], so a retransmission or duplicate resolves to the
-/// identical [`LocalUpdate`] — and, raw RSA being deterministic, the
-/// identical signature — the original would have, whenever and on
-/// whichever thread it is opened.
+/// Cloning a ticket (a duplicate delivery, an armed retransmission) shares
+/// the commissioned update and its signature instead of copying them:
+/// however many copies of a commission travel, it was trained and signed
+/// once, and its parameters are held once. A deferred ticket is resolved
+/// by a pure function of its [`Commission`], so a retransmission or
+/// duplicate resolves to the identical [`LocalUpdate`] — and, raw RSA
+/// being deterministic, the identical signature — the original would
+/// have, whenever and on whichever thread it is opened.
 #[derive(Clone)]
 enum UploadTicket {
-    /// The computed local update travels inside the event.
-    Ready {
-        update: LocalUpdate,
-        /// The client's signature over what it sent, made at commission.
-        /// `None` when signatures are off, or when the client holds no
-        /// identity (the miner then rejects the upload).
-        signature: Option<Signature>,
-    },
+    /// The computed local update travels inside the event, shared by
+    /// every copy of it in flight.
+    Ready(Arc<SentUpdate>),
     /// The local pass runs when (or just before) the upload is admitted.
     Deferred(Commission),
+}
+
+/// What a client sent: its local update and its signature over it.
+struct SentUpdate {
+    update: LocalUpdate,
+    /// The client's signature over what it sent, made at commission.
+    /// `None` when signatures are off, or when the client holds no
+    /// identity (the miner then rejects the upload).
+    signature: Option<Signature>,
 }
 
 /// Everything a deferred Procedure-I pass is a function of, besides the
@@ -252,9 +259,14 @@ struct Commission {
 }
 
 impl UploadTicket {
+    /// The ticket of an update trained and signed at commission.
+    fn ready(update: LocalUpdate, signature: Option<Signature>) -> Self {
+        UploadTicket::Ready(Arc::new(SentUpdate { update, signature }))
+    }
+
     fn client_id(&self) -> u64 {
         match self {
-            UploadTicket::Ready { update, .. } => update.client_id,
+            UploadTicket::Ready(sent) => sent.update.client_id,
             UploadTicket::Deferred(commission) => commission.client_id,
         }
     }
@@ -282,12 +294,6 @@ impl InFlightUpload {
     }
 }
 
-/// An in-transit corruption: `(byte index seed, xor mask)`. A zero mask
-/// would corrupt nothing, and saying so in the type lets the `Option`
-/// around it live in the mask's niche: 16 bytes of every queued event
-/// instead of 24.
-type Corruption = (u64, NonZeroU8);
-
 /// Timed payloads flowing through the engine's event queue.
 enum EngineEvent {
     /// Procedure-I completion: the client sends its first attempt.
@@ -296,8 +302,8 @@ enum EngineEvent {
     UploadArrived {
         upload: InFlightUpload,
         miner: usize,
-        /// In-transit corruption, applied to the serialized payload at
-        /// admission.
+        /// In-transit corruption, applied to the serialized payload as
+        /// the miner hashes it at admission.
         corrupt: Option<Corruption>,
         /// A retransmission is already armed for this commission, so the
         /// client stays busy regardless of this delivery's outcome.
@@ -845,9 +851,9 @@ fn step_flexible_inner(
             round,
             &selected_positions,
             &attacks,
-            |update, pair| UploadTicket::Ready {
-                signature: pair.map(|pair| sign_update(&update, &pair.private)),
-                update,
+            |update, pair| {
+                let signature = pair.map(|pair| sign_update(&update, &pair.private));
+                UploadTicket::ready(update, signature)
             },
         );
         for (&position, ticket) in selected_positions.iter().zip(tickets) {
@@ -1151,7 +1157,7 @@ fn step_flexible_inner(
                     let refs: Vec<&[f64]> = fresh
                         .iter()
                         .map(|s| match &s.upload.ticket {
-                            UploadTicket::Ready { update, .. } => update.params.as_slice(),
+                            UploadTicket::Ready(sent) => sent.update.params.as_slice(),
                             UploadTicket::Deferred(_) => {
                                 unreachable!("streaming aggregation rejects partition plans")
                             }
@@ -1475,13 +1481,15 @@ fn schedule_retry(
 /// The `UploadArrived` handler's admission step — the miner's half of
 /// Procedure-II. In order: the staleness verdict when it cannot depend on
 /// the payload, opening the ticket, the finite-gradient check, the
-/// staleness policy for carried uploads, serialisation, in-transit
-/// corruption, and signature verification against the registered key
-/// (Figure 2). An upload that passes them all is *admitted*: it joins the
-/// miners' pending pool, `rt.arrived`, as a decoded [`VerifiedUpload`]
-/// (the decayed vector for a carried stale upload) and counts toward the
-/// quota. The serialized bytes exist only for the signature check.
-/// Returns the trace kind of the resolution.
+/// staleness policy for carried uploads, and signature verification
+/// against the registered key (Figure 2) over the payload's serialized
+/// form, hashed as it streams from the `f64`s with any in-transit
+/// corruption applied. An upload that passes them all is *admitted*: it
+/// joins the miners' pending pool, `rt.arrived`, as a decoded
+/// [`VerifiedUpload`] (the decayed vector for a carried stale upload) and
+/// counts toward the quota — moving the sent parameters out of the ticket
+/// when no other copy of it is in flight. Returns the trace kind of the
+/// resolution.
 ///
 /// The caller has already squashed redundant deliveries: the pool holds
 /// at most one upload per client, and both the pump and the salvage check
@@ -1497,7 +1505,7 @@ fn schedule_retry(
 /// admission, in admission order, on every ticket.
 ///
 /// A stale upload under `StalenessPolicy::Discard` is dropped before the
-/// ticket is opened — no deferred local pass, no serialisation — and is
+/// ticket is opened — no deferred local pass, no hashing — and is
 /// `StaleDiscarded` whatever its payload held. Fresh uploads and
 /// `DecayedInclude` keep the finite check first.
 fn admit_upload(
@@ -1523,16 +1531,16 @@ fn admit_upload(
     // A deferred ticket's local pass — a pure function of its commission,
     // so a retransmission or duplicate resolves to the identical update —
     // is either waiting where `resolve_run_ahead` parked it, or runs now.
-    let (update, sent_signature, deferred) = match ticket {
-        UploadTicket::Ready { update, signature } => (update, signature, false),
-        UploadTicket::Deferred(commission) => {
-            let update = match rt.parked.remove(&(commission.client_id, born_round)) {
+    let opened = match ticket {
+        UploadTicket::Ready(sent) => Opened::Sent(sent),
+        UploadTicket::Deferred(commission) => Opened::Trained(
+            match rt.parked.remove(&(commission.client_id, born_round)) {
                 Some(update) => update,
                 None => resolve_deferred(state, &mut rt.scratch, config, &commission),
-            };
-            (update, None, true)
-        }
+            },
+        ),
     };
+    let update = opened.update();
     // A NaN or infinite coordinate would poison the anchor and the
     // aggregate for everyone: the miner refuses the upload outright, as
     // it would a bad signature.
@@ -1556,33 +1564,34 @@ fn admit_upload(
     };
 
     // Miner-side verification of what the client sent and signed — the
-    // original upload, serialized once. The unsigned ablation has nothing
-    // to verify. Looking the identity up also re-registers a lazily
-    // provisioned key the LRU has evicted since the commission, so stale
-    // and retried uploads stay verifiable after any amount of eviction.
+    // original upload, hashed where it lies. The unsigned ablation has
+    // nothing to verify. Looking the identity up also re-registers a
+    // lazily provisioned key the LRU has evicted since the commission, so
+    // stale and retried uploads stay verifiable after any amount of
+    // eviction.
     if let Some(chain) = state.keys.as_mut() {
         let Some(pair) = chain.signing_pair(id) else {
             return EventKind::UploadRejected;
         };
-        let mut sent_bytes = gradient::to_bytes(&update.params);
-        let signature = match sent_signature {
-            Some(signature) => signature,
-            None if deferred => sign_detached(id, &sent_bytes, &pair.private),
-            // Commissioned without an identity: nothing vouches for it.
-            None => return EventKind::UploadRejected,
+        let signed_now;
+        let signature = match &opened {
+            Opened::Sent(sent) => match &sent.signature {
+                Some(signature) => signature,
+                // Commissioned without an identity: nothing vouches for it.
+                None => return EventKind::UploadRejected,
+            },
+            Opened::Trained(update) => {
+                signed_now = sign_update(update, &pair.private);
+                &signed_now
+            }
         };
         // The corrupt fault flips one byte of the payload in transit; the
         // signature check is the detector. (The unsigned ablation has no
         // detector.)
-        if let Some((seed, flip)) = corrupt {
-            if !sent_bytes.is_empty() {
-                let index = seed as usize % sent_bytes.len();
-                sent_bytes[index] ^= flip.get();
-            }
-        }
+        let envelope = received_envelope(update, corrupt);
         if chain
             .store()
-            .verify_detached(id, &sent_bytes, &signature, &mut rt.verifier)
+            .verify_envelope(envelope, signature, &mut rt.verifier)
             .is_err()
         {
             return EventKind::UploadRejected;
@@ -1590,10 +1599,10 @@ fn admit_upload(
     }
 
     // What the block may aggregate: the decayed vector for carried stale
-    // uploads, the sent vector (moved, not cloned) for fresh ones.
+    // uploads, the sent vector for fresh ones.
     let (params, kind) = match decayed {
         Some(decayed) => (decayed, EventKind::StaleIncluded),
-        None => (update.params, EventKind::UploadArrived),
+        None => (opened.into_params(), EventKind::UploadArrived),
     };
     let previous = rt.arrived.insert(
         id,
@@ -1614,6 +1623,37 @@ fn admit_upload(
         "a client never has two uploads pending at once"
     );
     kind
+}
+
+/// A ticket opened at admission: the update it carries.
+enum Opened {
+    /// A `Ready` ticket's commission, shared with any copy still in
+    /// flight.
+    Sent(Arc<SentUpdate>),
+    /// A deferred ticket's pass, run for this admission (its client signs
+    /// it here).
+    Trained(LocalUpdate),
+}
+
+impl Opened {
+    fn update(&self) -> &LocalUpdate {
+        match self {
+            Opened::Sent(sent) => &sent.update,
+            Opened::Trained(update) => update,
+        }
+    }
+
+    /// The sent parameters, for the pending pool: moved out when no other
+    /// copy of the commission is still in flight, copied when one is.
+    fn into_params(self) -> Vec<f64> {
+        match self {
+            Opened::Sent(sent) => match Arc::try_unwrap(sent) {
+                Ok(sent) => sent.update.params,
+                Err(shared) => shared.update.params.clone(),
+            },
+            Opened::Trained(update) => update.params,
+        }
+    }
 }
 
 /// The verdict that cannot depend on the payload: an upload commissioned
@@ -1656,8 +1696,9 @@ fn resolve_deferred(
 
 /// Local-pass work (samples × epochs × parameters) worth one worker of
 /// the run-ahead fan-out: about eight of `pop1m_streaming`'s one-step
-/// passes, a few hundred microseconds against the ~100 µs a scoped spawn
-/// and join costs. Paper-sized passes clear it one apiece.
+/// passes, a few hundred microseconds against the ~11 µs it takes to hand
+/// a chunk to a parked `bfl_ml::par` worker and collect it (measured on a
+/// 2-vCPU x86-64 VM). Paper-sized passes clear it one apiece.
 const MIN_RUN_AHEAD_WORK: usize = 1 << 19;
 
 /// Opens a run of deferred tickets at once, ahead of their admission.
@@ -1831,10 +1872,8 @@ mod tests {
     ) -> Vec<UploadTicket> {
         let attacks = vec![None; positions.len()];
         state.train_selection(config, 1, positions, &attacks, |update, pair| {
-            UploadTicket::Ready {
-                signature: pair.map(|pair| sign_update(&update, &pair.private)),
-                update,
-            }
+            let signature = pair.map(|pair| sign_update(&update, &pair.private));
+            UploadTicket::ready(update, signature)
         })
     }
 
@@ -1878,30 +1917,40 @@ mod tests {
         // One private-key operation per commission: every ticket leaves
         // the fan-out signed.
         let mut tickets = commission(&mut state, &config, &[0, 1, 2]);
-        assert!(tickets
-            .iter()
-            .all(|t| matches!(t, UploadTicket::Ready { signature: Some(s), .. } if !s.is_empty())));
+        assert!(tickets.iter().all(|t| matches!(
+            t,
+            UploadTicket::Ready(sent) if sent.signature.as_ref().is_some_and(|s| !s.is_empty())
+        )));
         let (stale, fresh) = (tickets.pop().unwrap(), tickets.pop().unwrap());
         swap_private_key(&mut state, 1);
         swap_private_key(&mut state, 2);
+        let params_at = |ticket: &UploadTicket| match ticket {
+            UploadTicket::Ready(sent) => sent.update.params.as_ptr(),
+            UploadTicket::Deferred(_) => unreachable!(),
+        };
+        let sent_at = params_at(&fresh);
 
         // The corrupted delivery fails the miner's check ...
+        let copy = fresh.clone();
+        assert_eq!(params_at(&copy), sent_at, "a copy shares the update");
         let corrupted = admit(
             &mut state,
             &mut rt,
             &config,
             1,
             1,
-            fresh.clone(),
+            copy,
             Some((12345, NonZeroU8::new(0x20).unwrap())),
         );
         assert_eq!(corrupted, EventKind::UploadRejected);
         assert!(rt.arrived.is_empty());
         // ... and its retransmission passes it, with the signature the
-        // client made when it first sent the upload.
+        // client made when it first sent the upload — the last copy, so
+        // the pool takes the sent parameters themselves.
         let retried = admit(&mut state, &mut rt, &config, 1, 1, fresh, None);
         assert_eq!(retried, EventKind::UploadArrived);
         assert_eq!(rt.arrived.keys().copied().collect::<Vec<u64>>(), [1]);
+        assert_eq!(rt.arrived[&1].upload.params.as_ptr(), sent_at);
 
         // A carried stale upload verifies the same way: what was signed
         // is what was sent, whatever the block aggregates.
@@ -1909,6 +1958,18 @@ mod tests {
         assert_eq!(carried, EventKind::StaleIncluded);
         assert_eq!(rt.arrived.keys().copied().collect::<Vec<u64>>(), [1, 2]);
         assert_eq!(rt.arrived[&2].born_round, 1);
+
+        // Admitted while a copy is still in flight, an upload's
+        // parameters are copied into the pool and the copy keeps its own.
+        let first = tickets.pop().unwrap();
+        let in_flight = first.clone();
+        let admitted = admit(&mut state, &mut rt, &config, 1, 1, first, None);
+        assert_eq!(admitted, EventKind::UploadArrived);
+        let UploadTicket::Ready(sent) = &in_flight else {
+            unreachable!()
+        };
+        assert_eq!(rt.arrived[&0].upload.params, sent.update.params);
+        assert_ne!(rt.arrived[&0].upload.params.as_ptr(), params_at(&in_flight));
     }
 
     #[test]
@@ -1927,13 +1988,7 @@ mod tests {
         let mut tickets = commission(&mut state, &config, &[3, 4]);
         let known = tickets.pop().unwrap();
         let nobody = tickets.pop().unwrap();
-        assert!(matches!(
-            nobody,
-            UploadTicket::Ready {
-                signature: None,
-                ..
-            }
-        ));
+        assert!(matches!(&nobody, UploadTicket::Ready(sent) if sent.signature.is_none()));
         assert_eq!(
             admit(&mut state, &mut rt, &config, 1, 1, nobody, None),
             EventKind::UploadRejected
@@ -1941,14 +1996,11 @@ mod tests {
 
         // Client 4 has one, but its upload arrives bare: the miner never
         // signs on a client's behalf.
-        let UploadTicket::Ready { update, signature } = known else {
+        let UploadTicket::Ready(sent) = known else {
             unreachable!()
         };
-        assert!(signature.is_some());
-        let bare = UploadTicket::Ready {
-            update,
-            signature: None,
-        };
+        assert!(sent.signature.is_some());
+        let bare = UploadTicket::ready(sent.update.clone(), None);
         assert_eq!(
             admit(&mut state, &mut rt, &config, 1, 1, bare, None),
             EventKind::UploadRejected
@@ -2218,8 +2270,8 @@ mod tests {
         // The documented difference: unopened means unchecked, so a late
         // non-finite upload is `StaleDiscarded` under `Discard` and
         // `UploadRejected` everywhere else.
-        let poisoned = || UploadTicket::Ready {
-            update: LocalUpdate {
+        let poisoned = || {
+            let update = LocalUpdate {
                 client_id: 19,
                 params: vec![f64::NAN; snapshot.len()],
                 forged: true,
@@ -2227,8 +2279,8 @@ mod tests {
                     steps: 1,
                     final_epoch_loss: 0.5,
                 },
-            },
-            signature: None,
+            };
+            UploadTicket::ready(update, None)
         };
         let kinds = |config: &BflConfig, state: &mut LearningState<'_>, rt: &mut AsyncRuntime| {
             [2, 1].map(|round| admit(state, rt, config, round, 1, poisoned(), None))

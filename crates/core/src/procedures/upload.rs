@@ -17,8 +17,16 @@
 //!
 //! Signatures are detached ([`bfl_crypto::signature`]): `sign_update`
 //! hashes a client's gradient straight from its `f64`s, and the miner
-//! checks the signature against the serialized payload it received —
-//! no envelope copy on either side.
+//! hashes the payload it received the same way, where it lies
+//! (`received_envelope`, which is also where the event engine applies an
+//! in-transit corruption) — the serialized payload is never
+//! materialised, and neither is an envelope. What an upload costs the
+//! allocator is its signature's bytes and the accepted copy of its
+//! parameters: signing runs in the thread's signing workspace, and every
+//! worker checks through its own thread's [`BatchVerifier`], which the
+//! pool's parked workers keep warm from round to round. Every upload is
+//! still signed, hashed twice and verified in full every round; nothing
+//! carries a digest or a verdict from one check to the next.
 
 use bfl_crypto::{BatchVerifier, EnvelopeDigest, KeyStore, RsaKeyPair, RsaPrivateKey, Signature};
 use bfl_fl::client::LocalUpdate;
@@ -26,7 +34,16 @@ use bfl_ml::gradient;
 use bfl_ml::par;
 use bfl_net::Topology;
 use rand::Rng;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::num::NonZeroU8;
+
+thread_local! {
+    /// This thread's verification workspace for [`upload_gradients`]'
+    /// fan-out. Pure scratch, like the signing workspace: every check
+    /// re-fits and reloads it.
+    static VERIFIER: RefCell<BatchVerifier> = RefCell::default();
+}
 
 /// An upload accepted by a miner after signature verification.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,9 +99,44 @@ enum Verdict {
 /// streamed into the digest, never materialised, so the signature equals
 /// `sign_detached(update.client_id, &to_bytes(&update.params), key)`.
 pub(crate) fn sign_update(update: &LocalUpdate, key: &RsaPrivateKey) -> Signature {
-    let mut digest = EnvelopeDigest::new(update.client_id);
-    gradient::stream_bytes(&update.params, |bytes| digest.update(bytes));
-    digest.sign(key)
+    received_envelope(update, None).sign(key)
+}
+
+/// An in-transit corruption: `(byte index seed, xor mask)`. The byte at
+/// `seed % len` of the serialized payload arrives xored with the mask. A
+/// zero mask would corrupt nothing, and saying so in the type lets the
+/// `Option` around it live in the mask's niche: 16 bytes of every queued
+/// event instead of 24.
+pub(crate) type Corruption = (u64, NonZeroU8);
+
+/// The miner's hash of what arrived for `update`: the envelope digest of
+/// its id and its serialized gradient, streamed from the `f64`s where
+/// they lie, with the byte a `corrupt`ion struck flipped as it streams
+/// past. Equal to the envelope digest of the id and
+/// [`gradient::to_bytes`]' bytes with that one byte flipped; without a
+/// corruption, to what the client signed.
+pub(crate) fn received_envelope(
+    update: &LocalUpdate,
+    corrupt: Option<Corruption>,
+) -> EnvelopeDigest {
+    let len = 8 * update.params.len();
+    let mut flip = corrupt
+        .filter(|_| len > 0)
+        .map(|(seed, mask)| (seed as usize % len, mask.get()));
+    let mut envelope = EnvelopeDigest::new(update.client_id);
+    gradient::stream_bytes(&update.params, |bytes| {
+        if let Some((at, mask)) = flip {
+            match bytes.get_mut(at) {
+                Some(byte) => {
+                    *byte ^= mask;
+                    flip = None;
+                }
+                None => flip = Some((at - bytes.len(), mask)),
+            }
+        }
+        envelope.update(bytes);
+    });
+    envelope
 }
 
 /// Runs Procedure-II: associates every update with a random miner, signs
@@ -111,21 +163,19 @@ pub fn upload_gradients<R: Rng + ?Sized>(
             // chain of modexps becomes a parallel batch. Each task only
             // reads shared state (keys, store), and results come back in
             // input order, so acceptance, rejection order and per-miner
-            // grouping match the serial loop exactly. Each worker carries
-            // its own `BatchVerifier`, amortising one Montgomery workspace
-            // across every upload it checks — per-upload decisions are
-            // identical to `store.verify`, so sharing the workspace cannot
-            // change outcomes.
-            par::par_map_with(
-                &items,
-                1,
-                BatchVerifier::new,
-                |verifier, _, &(update, miner)| match pairs.get(&update.client_id) {
+            // grouping match the serial loop exactly. Each worker checks
+            // through its thread's `BatchVerifier`, one Montgomery
+            // workspace across every upload it checks, this round and the
+            // next — per-upload decisions are identical to `store.verify`,
+            // so sharing the workspace cannot change outcomes.
+            par::par_map(&items, 1, |_, &(update, miner)| {
+                match pairs.get(&update.client_id) {
                     Some(pair) if gradient::all_finite(&update.params) => {
                         let signature = sign_update(update, &pair.private);
-                        let payload = gradient::to_bytes(&update.params);
-                        let verdict =
-                            store.verify_detached(update.client_id, &payload, &signature, verifier);
+                        let verdict = VERIFIER.with_borrow_mut(|verifier| {
+                            let envelope = received_envelope(update, None);
+                            store.verify_envelope(envelope, &signature, verifier)
+                        });
                         if verdict.is_ok() {
                             Verdict::Accepted(verified(update, miner))
                         } else {
@@ -133,8 +183,8 @@ pub fn upload_gradients<R: Rng + ?Sized>(
                         }
                     }
                     _ => Verdict::Rejected(update.client_id),
-                },
-            )
+                }
+            })
         }
         // Signature handling off: nothing to compute per upload, so the
         // fan-out would only pay thread overhead.
@@ -218,6 +268,66 @@ mod tests {
         store
             .verify_detached(6, &payload, &signature, &mut verifier)
             .expect("the miner accepts what the client signed");
+        store
+            .verify_envelope(received_envelope(&sent, None), &signature, &mut verifier)
+            .expect("and hashes the same bytes where they lie");
+    }
+
+    mod received_envelope_properties {
+        use super::*;
+        use bfl_crypto::sign_detached;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        fn identity() -> &'static (KeyStore, RsaKeyPair) {
+            static IDENTITY: OnceLock<(KeyStore, RsaKeyPair)> = OnceLock::new();
+            IDENTITY.get_or_init(|| {
+                let mut store = KeyStore::new();
+                let mut pairs = store
+                    .provision(&mut StdRng::seed_from_u64(0xF11B), &[9], 256)
+                    .unwrap();
+                let pair = pairs.remove(&9).unwrap();
+                (store, pair)
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The miner's streamed hash with a corruption flipped in
+            /// flight is the hash of the materialised payload with that
+            /// byte flipped — same digest (so the same signature over it),
+            /// same verdict — at any index, chunk boundaries included.
+            #[test]
+            fn a_streamed_corruption_is_the_materialised_one(
+                len in 0usize..1300,
+                index_seed in any::<u64>(),
+                mask in 1u8..=255,
+            ) {
+                let (store, pair) = identity();
+                let mut sent = update(9);
+                sent.params = (0..len).map(|i| (i as f64 * 0.37).cos()).collect();
+                let signature = sign_update(&sent, &pair.private);
+                let corrupt = (index_seed, NonZeroU8::new(mask).unwrap());
+
+                let mut flipped = gradient::to_bytes(&sent.params);
+                if !flipped.is_empty() {
+                    let at = index_seed as usize % flipped.len();
+                    flipped[at] ^= mask;
+                }
+                prop_assert_eq!(
+                    received_envelope(&sent, Some(corrupt)).sign(&pair.private),
+                    sign_detached(9, &flipped, &pair.private)
+                );
+                let mut verifier = BatchVerifier::new();
+                let streamed =
+                    store.verify_envelope(received_envelope(&sent, Some(corrupt)), &signature, &mut verifier);
+                let materialised = store.verify_detached(9, &flipped, &signature, &mut verifier);
+                prop_assert_eq!(&streamed, &materialised);
+                // Only an empty payload has no byte to strike.
+                prop_assert_eq!(streamed.is_ok(), len == 0);
+            }
+        }
     }
 
     #[test]

@@ -71,15 +71,6 @@ impl BigUint {
         Self::from_u64(value as u64)
     }
 
-    /// Returns the value as `u64` if it fits.
-    pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0]),
-            _ => None,
-        }
-    }
-
     /// Constructs from big-endian bytes.
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
         let mut limbs = Vec::with_capacity(bytes.len() / 8 + 1);
@@ -105,18 +96,20 @@ impl BigUint {
     /// Serialises to big-endian bytes with no leading zero bytes
     /// (zero serialises to an empty vector).
     pub fn to_bytes_be(&self) -> Vec<u8> {
-        if self.is_zero() {
-            return Vec::new();
-        }
-        let mut bytes = Vec::with_capacity(self.limbs.len() * 8);
-        for limb in &self.limbs {
-            bytes.extend_from_slice(&limb.to_le_bytes());
-        }
-        while bytes.last() == Some(&0) {
-            bytes.pop();
-        }
-        bytes.reverse();
-        bytes
+        limbs_to_bytes_be(&self.limbs)
+    }
+
+    /// Compares `self` with the integer a big-endian byte string encodes
+    /// (leading zero bytes allowed), without building it.
+    pub(crate) fn cmp_bytes_be(&self, bytes: &[u8]) -> Ordering {
+        (0..self.limbs.len().max(bytes.len().div_ceil(8)))
+            .rev()
+            .map(|i| {
+                let ours = self.limbs.get(i).copied().unwrap_or(0);
+                ours.cmp(&limb_of_bytes_be(bytes, i))
+            })
+            .find(|ordering| ordering.is_ne())
+            .unwrap_or(Ordering::Equal)
     }
 
     /// Little-endian limb view (no trailing zero limbs).
@@ -260,22 +253,7 @@ impl BigUint {
             return;
         }
         out.limbs.resize(self.limbs.len() + other.limbs.len(), 0);
-        for (i, &a) in self.limbs.iter().enumerate() {
-            let mut carry: u128 = 0;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let idx = i + j;
-                let cur = out.limbs[idx] as u128 + (a as u128) * (b as u128) + carry;
-                out.limbs[idx] = cur as u64;
-                carry = cur >> 64;
-            }
-            let mut idx = i + other.limbs.len();
-            while carry > 0 {
-                let cur = out.limbs[idx] as u128 + carry;
-                out.limbs[idx] = cur as u64;
-                carry = cur >> 64;
-                idx += 1;
-            }
-        }
+        mul_add_limbs(&self.limbs, &other.limbs, &[], &mut out.limbs);
         out.normalize();
     }
 
@@ -683,6 +661,55 @@ impl BigUint {
     }
 }
 
+/// Limb `i` (little-endian limb order) of the integer a big-endian byte
+/// string encodes; zero past its top.
+pub(crate) fn limb_of_bytes_be(bytes: &[u8], i: usize) -> u64 {
+    let end = bytes.len().saturating_sub(8 * i);
+    let start = end.saturating_sub(8);
+    bytes[start..end]
+        .iter()
+        .fold(0, |limb, &byte| (limb << 8) | byte as u64)
+}
+
+/// Minimal big-endian bytes of the integer `limbs` holds (little-endian,
+/// trailing zero limbs allowed): the value's [`BigUint::to_bytes_be`],
+/// in one exactly-sized allocation.
+pub(crate) fn limbs_to_bytes_be(limbs: &[u64]) -> Vec<u8> {
+    let Some(top) = limbs.iter().rposition(|&limb| limb != 0) else {
+        return Vec::new();
+    };
+    let top_bytes = 8 - limbs[top].leading_zeros() as usize / 8;
+    let mut bytes = Vec::with_capacity(8 * top + top_bytes);
+    bytes.extend_from_slice(&limbs[top].to_be_bytes()[8 - top_bytes..]);
+    for limb in limbs[..top].iter().rev() {
+        bytes.extend_from_slice(&limb.to_be_bytes());
+    }
+    bytes
+}
+
+/// Schoolbook `out = a * b + addend` over little-endian limbs. `out` must
+/// hold the result: at least `a.len() + b.len()` limbs, and enough for
+/// the sum (every partial sum is below it, so no carry runs past `out`).
+pub(crate) fn mul_add_limbs(a: &[u64], b: &[u64], addend: &[u64], out: &mut [u64]) {
+    out.fill(0);
+    out[..addend.len()].copy_from_slice(addend);
+    for (i, &x) in a.iter().enumerate() {
+        let mut carry: u128 = 0;
+        for (j, &y) in b.iter().enumerate() {
+            let cur = out[i + j] as u128 + (x as u128) * (y as u128) + carry;
+            out[i + j] = cur as u64;
+            carry = cur >> 64;
+        }
+        let mut idx = i + b.len();
+        while carry > 0 {
+            let cur = out[idx] as u128 + carry;
+            out[idx] = cur as u64;
+            carry = cur >> 64;
+            idx += 1;
+        }
+    }
+}
+
 impl PartialOrd for BigUint {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
@@ -831,11 +858,14 @@ mod tests {
 
     #[test]
     fn from_and_to_u64() {
-        for v in [0u64, 1, 7, 0xffff_ffff, 0x1_0000_0000, u64::MAX] {
-            assert_eq!(big(v).to_u64(), Some(v));
+        // (The name is historical: the value goes in through `from_u64`
+        // and is read back off the limbs.)
+        assert!(big(0).limbs.is_empty());
+        for v in [1u64, 7, 0xffff_ffff, 0x1_0000_0000, u64::MAX] {
+            assert_eq!(big(v).limbs, [v]);
         }
         let too_big = big(u64::MAX).add(&BigUint::one());
-        assert_eq!(too_big.to_u64(), None);
+        assert_eq!(too_big.limbs, [0, 1]);
     }
 
     #[test]
@@ -855,6 +885,19 @@ mod tests {
         assert!(BigUint::zero().to_bytes_be().is_empty());
         // Leading zero bytes are absorbed.
         assert_eq!(BigUint::from_bytes_be(&[0, 0, 5]), big(5));
+        // Comparing against bytes reads them as that same value.
+        let padded = [&[0u8; 9][..], &bytes].concat();
+        assert_eq!(v.cmp_bytes_be(&padded), Ordering::Equal);
+        assert_eq!(
+            v.cmp_bytes_be(&v.add(&big(1)).to_bytes_be()),
+            Ordering::Less
+        );
+        assert_eq!(
+            v.cmp_bytes_be(&v.sub(&big(1)).to_bytes_be()),
+            Ordering::Greater
+        );
+        assert_eq!(v.cmp_bytes_be(&[1; 17]), Ordering::Less);
+        assert_eq!(BigUint::zero().cmp_bytes_be(&[0, 0]), Ordering::Equal);
     }
 
     #[test]

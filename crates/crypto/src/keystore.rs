@@ -8,7 +8,7 @@
 
 use crate::error::CryptoError;
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
-use crate::signature::{verify_message, BatchVerifier, Signature, SignedMessage};
+use crate::signature::{verify_message, BatchVerifier, EnvelopeDigest, Signature, SignedMessage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -83,11 +83,26 @@ impl KeyStore {
         signature: &Signature,
         verifier: &mut BatchVerifier,
     ) -> Result<(), CryptoError> {
+        self.verify_envelope(EnvelopeDigest::of(signer, payload), signature, verifier)
+    }
+
+    /// Verifies `signature` against an envelope the miner hashed as the
+    /// payload arrived, with the key registered for the signer the
+    /// envelope names, through a shared [`BatchVerifier`]. Decisions are
+    /// [`KeyStore::verify_detached`]'s on the payload held in one piece,
+    /// and a verifier whose workspace fits the key allocates nothing.
+    pub fn verify_envelope(
+        &self,
+        envelope: EnvelopeDigest,
+        signature: &Signature,
+        verifier: &mut BatchVerifier,
+    ) -> Result<(), CryptoError> {
+        let signer = envelope.signer();
         let key = self
             .keys
             .get(&signer)
             .ok_or(CryptoError::UnknownSigner(signer))?;
-        verifier.confirm_detached(signer, payload, signature, key)
+        verifier.confirm_envelope(envelope, signature, key)
     }
 
     /// Verifies a slice of signed messages as a batch, returning one

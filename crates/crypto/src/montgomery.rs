@@ -14,7 +14,11 @@
 //! inner loop is allocation-free: the window table is built once per
 //! exponentiation and every multiply writes through the buffers of a
 //! [`MontWorkspace`]. The CIOS words are the 64-bit limbs of
-//! [`BigUint`], with `u128` multiply-accumulates.
+//! [`BigUint`], with `u128` multiply-accumulates. Loading a value of any
+//! width reduces it on the way in by Horner's rule over `k`-limb blocks
+//! ([`MontgomeryCtx::load`]), so no load divides or allocates:
+//! a 32-byte digest enters the context of a 64-bit prime as directly as
+//! it enters that of a 1024-bit modulus.
 //!
 //! ## Fixed-width kernel
 //!
@@ -42,7 +46,7 @@
 //! returns `None` otherwise and [`BigUint::modpow`] falls back to binary
 //! square-and-multiply.
 
-use crate::bigint::BigUint;
+use crate::bigint::{limb_of_bytes_be, BigUint};
 
 /// Bits per limb window processed by the fixed-window exponentiation.
 const WINDOW_BITS: usize = 4;
@@ -86,8 +90,8 @@ pub struct MontElem {
 pub struct MontWorkspace {
     /// Accumulator of the generic-width loops, `2k + 2` limbs: the SOS
     /// square needs `2k + 1`, the CIOS multiply `k + 2` (its spare upper
-    /// half doubles as the output of [`MontgomeryCtx::recover_value`],
-    /// the only use the fixed-width kernel has for it).
+    /// half holds a block's image in [`MontgomeryCtx::load`], the
+    /// only use the fixed-width kernel has for it).
     scratch: Vec<u64>,
     /// Swap target for in-place multiplies, `k` limbs.
     tmp: Vec<u64>,
@@ -112,6 +116,11 @@ impl MontWorkspace {
     /// they walk keys of possibly different widths.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The working element's limbs (a Montgomery-domain residue).
+    pub(crate) fn value(&self) -> &[u64] {
+        &self.value
     }
 }
 
@@ -146,7 +155,7 @@ impl MontgomeryCtx {
     }
 
     /// Number of limbs in the modulus.
-    fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.n.len()
     }
 
@@ -211,79 +220,74 @@ impl MontgomeryCtx {
         ws.value == ws.hold
     }
 
-    /// Whether `a` is already below the modulus (limb-level; avoids
-    /// materialising the modulus as a `BigUint`).
-    fn below_modulus(&self, a: &BigUint) -> bool {
-        let limbs = a.limbs();
-        match limbs.len().cmp(&self.k()) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => less_than(limbs, &self.n),
-        }
-    }
-
-    /// Loads `a` into the workspace's working element (the Montgomery
-    /// image `aR mod n`), reducing modulo `n` first if needed.
+    /// Loads `a`, of any width, into the workspace's working element: the
+    /// Montgomery image `aR mod n` of its residue, with no division and no
+    /// allocation.
+    ///
+    /// The input is read as `k`-limb blocks `B_j` (`a = Σ B_j R^j`) and
+    /// folded from the top by Horner's rule in the Montgomery domain:
+    /// `acc ← REDC(acc · r2) + REDC(B_j · r2) mod n`, the first product
+    /// being the image of `acc · R` and the second that of `B_j`. A block
+    /// may exceed `n`: the CIOS accumulator bound (`t < b + n`) depends
+    /// only on the multiplicand `r2 < n`, never on the scanned operand, so
+    /// the conversion multiply reduces any `k`-limb block exactly. An
+    /// input of at most `k` limbs is one multiply.
     pub fn load(&self, a: &BigUint, ws: &mut MontWorkspace) {
-        let k = self.k();
-        if self.below_modulus(a) {
-            ws.tmp[..a.limbs().len()].copy_from_slice(a.limbs());
-            ws.tmp[a.limbs().len()..k].fill(0);
-        } else {
-            let reduced = a.div_rem(&self.modulus()).1;
-            ws.tmp[..reduced.limbs().len()].copy_from_slice(reduced.limbs());
-            ws.tmp[reduced.limbs().len()..k].fill(0);
-        }
-        self.mul_into_split(true, ws);
+        self.load_limbs(a.limbs(), ws);
     }
 
-    /// Loads a big-endian byte string into the working element without
-    /// allocating. Values up to `k` limbs wide skip the reduction
-    /// division even when they exceed `n`: the CIOS accumulator bound
-    /// (`t < b + n`) depends only on the multiplicand `r2 < n`, never on
-    /// the scanned operand, so the conversion multiply reduces any
-    /// `k`-limb input exactly. Wider inputs (a 32-byte digest against a
-    /// sub-256-bit modulus) take the allocating [`Self::load`] path.
+    /// Loads a big-endian byte string — a digest, a signature — into the
+    /// working element, reducing it modulo `n` on the way as
+    /// [`Self::load`] does.
     pub fn load_bytes_be(&self, bytes: &[u8], ws: &mut MontWorkspace) {
-        let k = self.k();
-        let first = bytes.iter().position(|&b| b != 0).unwrap_or(bytes.len());
-        let bytes = &bytes[first..];
-        if bytes.len() > k * 8 {
-            self.load(&BigUint::from_bytes_be(bytes), ws);
-            return;
-        }
-        ws.tmp[..k].fill(0);
-        for (i, chunk) in bytes.rchunks(8).enumerate() {
-            let mut limb = 0u64;
-            for &byte in chunk {
-                limb = (limb << 8) | byte as u64;
-            }
-            ws.tmp[i] = limb;
-        }
-        self.mul_into_split(true, ws);
+        self.load_wide(bytes.len().div_ceil(8), |i| limb_of_bytes_be(bytes, i), ws);
     }
 
-    /// `ws.value = ws.tmp * r2` (used by [`Self::load`]) or
-    /// `ws.value = ws.value^2` — both need `value` and `tmp` split from
-    /// the borrow on `self`.
-    fn mul_into_split(&self, from_tmp: bool, ws: &mut MontWorkspace) {
+    /// [`Self::load`] of an integer given as little-endian limbs.
+    pub(crate) fn load_limbs(&self, limbs: &[u64], ws: &mut MontWorkspace) {
+        self.load_wide(limbs.len(), |i| limbs[i], ws);
+    }
+
+    /// [`Self::load`] of the `len`-limb integer read through `limb`.
+    fn load_wide(&self, len: usize, limb: impl Fn(usize) -> u64, ws: &mut MontWorkspace) {
+        let k = self.k();
         let MontWorkspace {
             scratch,
             tmp,
             value,
             ..
         } = ws;
-        if from_tmp {
-            self.mul_into(tmp, &self.r2, scratch, value);
-        } else {
-            self.square_into(value, scratch, tmp);
-            std::mem::swap(value, tmp);
+        // The generic loops' accumulator is `scratch[..k + 2]`; the spare
+        // upper half holds one block's image.
+        let (scratch, image) = scratch.split_at_mut(k + 2);
+        let image = &mut image[..k];
+        let block = |j: usize, into: &mut [u64]| {
+            for (t, slot) in into.iter_mut().enumerate() {
+                let i = j * k + t;
+                *slot = if i < len { limb(i) } else { 0 };
+            }
+        };
+        let blocks = len.div_ceil(k).max(1);
+        block(blocks - 1, tmp);
+        self.mul_into(tmp, &self.r2, scratch, value);
+        for j in (0..blocks - 1).rev() {
+            block(j, tmp);
+            self.mul_into(tmp, &self.r2, scratch, image);
+            self.mul_into(value, &self.r2, scratch, tmp);
+            add_mod(tmp, image, &self.n, value);
         }
     }
 
     /// Squares the workspace's working element in place.
     pub fn square_in_place(&self, ws: &mut MontWorkspace) {
-        self.mul_into_split(false, ws);
+        let MontWorkspace {
+            scratch,
+            tmp,
+            value,
+            ..
+        } = ws;
+        self.square_into(value, scratch, tmp);
+        std::mem::swap(value, tmp);
     }
 
     /// Whether the workspace's working element equals `elem`.
@@ -303,7 +307,15 @@ impl MontgomeryCtx {
     /// Montgomery multiply by `1` through the workspace's own buffers, so
     /// the returned `BigUint` is the only allocation.
     pub fn recover_value(&self, ws: &mut MontWorkspace) -> BigUint {
-        let k = self.k();
+        let mut out = vec![0u64; self.k()];
+        self.recover_into(ws, &mut out);
+        BigUint::from_limbs(out)
+    }
+
+    /// Writes the working element, mapped back to an ordinary residue, to
+    /// `out` (`k` limbs): one Montgomery multiply by `1` through the
+    /// workspace's own buffers.
+    pub(crate) fn recover_into(&self, ws: &mut MontWorkspace, out: &mut [u64]) {
         let MontWorkspace {
             scratch,
             tmp,
@@ -312,9 +324,41 @@ impl MontgomeryCtx {
         } = ws;
         tmp.fill(0);
         tmp[0] = 1;
-        let (scratch, out) = scratch.split_at_mut(k + 2);
-        self.mul_into(value, tmp, scratch, &mut out[..k]);
-        BigUint::from_limbs(out[..k].to_vec())
+        self.mul_into(value, tmp, scratch, out);
+    }
+
+    /// Garner's coefficient for CRT signing, with `self` the context of
+    /// the prime `p`: writes `h = q_inv · (s_p − s_q) mod p` to `h` (`k`
+    /// limbs). `s_p` is the `p`-half's result still in this context's
+    /// Montgomery domain; `s_q` and `q_inv` are plain little-endian limbs
+    /// of any width, reduced modulo `p` by [`Self::load_limbs`] (the `q`
+    /// half's result may be wider than `p`). Runs in `ws` (re-fitted to
+    /// this context first) and allocates nothing.
+    ///
+    /// The difference stays in the Montgomery domain and so does the
+    /// product with `q_inv`'s image; one recover multiply brings `h` out.
+    pub(crate) fn garner_coefficient(
+        &self,
+        s_p: &[u64],
+        s_q: &[u64],
+        q_inv: &[u64],
+        ws: &mut MontWorkspace,
+        h: &mut [u64],
+    ) {
+        self.prepare(ws);
+        self.load_limbs(q_inv, ws);
+        self.stash_value(ws);
+        self.load_limbs(s_q, ws);
+        let MontWorkspace {
+            scratch,
+            tmp,
+            value,
+            hold,
+            ..
+        } = ws;
+        sub_mod(s_p, value, &self.n, tmp);
+        self.mul_into(tmp, hold, scratch, value);
+        self.recover_into(ws, h);
     }
 
     /// Maps a Montgomery-domain element back to an ordinary residue.
@@ -613,6 +657,49 @@ fn less_than(a: &[u64], b: &[u64]) -> bool {
     false
 }
 
+/// `acc += b` over equal-length limbs; returns the carry out of the top.
+fn add_in_place(acc: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for (slot, &y) in acc.iter_mut().zip(b) {
+        let (s1, c1) = slot.overflowing_add(y);
+        let (s2, c2) = s1.overflowing_add(carry as u64);
+        *slot = s2;
+        carry = c1 | c2;
+    }
+    carry
+}
+
+/// `acc -= b` over equal-length limbs; returns the borrow out of the top.
+fn sub_in_place(acc: &mut [u64], b: &[u64]) -> bool {
+    let mut borrow = false;
+    for (slot, &y) in acc.iter_mut().zip(b) {
+        let (d1, b1) = slot.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *slot = d2;
+        borrow = b1 | b2;
+    }
+    borrow
+}
+
+/// `out = (a + b) mod n` for `a, b < n`.
+fn add_mod(a: &[u64], b: &[u64], n: &[u64], out: &mut [u64]) {
+    out.copy_from_slice(a);
+    let carry = add_in_place(out, b);
+    if carry || !less_than(out, n) {
+        let borrow = sub_in_place(out, n);
+        debug_assert_eq!(borrow, carry);
+    }
+}
+
+/// `out = (a - b) mod n` for `a, b < n`.
+fn sub_mod(a: &[u64], b: &[u64], n: &[u64], out: &mut [u64]) {
+    out.copy_from_slice(a);
+    if sub_in_place(out, b) {
+        let carry = add_in_place(out, n);
+        debug_assert!(carry, "a - b + n wraps back into range");
+    }
+}
+
 /// The final step of every reduction: `t` (with overflow limb `top`) is
 /// below `2n`, so one conditional subtract lands `out` in `[0, n)`.
 #[inline(always)]
@@ -775,32 +862,49 @@ mod tests {
 
     #[test]
     fn load_bytes_matches_load_including_unreduced_and_wide_inputs() {
-        // A modulus with its top bit clear, so a random 32-byte digest
-        // frequently exceeds it — the no-division path must still land
-        // on the canonical image.
-        let m = BigUint::one().shl(255).sub(&BigUint::from_u32(19));
-        let ctx = MontgomeryCtx::new(&m).unwrap();
-        let mut ws_bytes = ctx.workspace();
-        let mut ws_ref = ctx.workspace();
-        ctx.prepare(&mut ws_bytes);
-        ctx.prepare(&mut ws_ref);
+        // Moduli of one to four limbs (fixed-width and generic kernels),
+        // the four-limb one with its top bit clear so a 32-byte digest
+        // frequently exceeds it: every load must land on the image of the
+        // residue the seed division computes, however many blocks the
+        // input folds through.
+        let moduli = [
+            big(1_000_003),
+            BigUint::one().shl(127).sub(&BigUint::one()),
+            BigUint::from_decimal_str("340282366920938463463374607431768211507").unwrap(),
+            BigUint::one().shl(255).sub(&BigUint::from_u32(19)),
+        ];
         let cases: Vec<Vec<u8>> = vec![
             vec![],
             vec![0x00, 0x00],
             vec![0x7f],
-            vec![0xff; 32],                           // 2^256 - 1: above n, k limbs
-            vec![0x01; 31],                           // below n
+            vec![0xff; 32], // 2^256 - 1
+            vec![0x01; 31],
             [vec![0x00; 3], vec![0xab; 29]].concat(), // leading zeros
-            vec![0xff; 40],                           // wider than k limbs: fallback path
+            vec![0xff; 40],
+            (0..129u32).map(|i| (i * 37 + 11) as u8).collect(),
         ];
-        for bytes in cases {
-            ctx.load_bytes_be(&bytes, &mut ws_bytes);
-            ctx.load(&BigUint::from_bytes_be(&bytes), &mut ws_ref);
-            assert_eq!(
-                ctx.recover_value(&mut ws_bytes),
-                ctx.recover_value(&mut ws_ref),
-                "bytes = {bytes:02x?}"
-            );
+        for m in &moduli {
+            let ctx = MontgomeryCtx::new(m).unwrap();
+            let mut ws_bytes = MontWorkspace::new();
+            let mut ws_limbs = ctx.workspace();
+            ctx.prepare(&mut ws_bytes);
+            for bytes in &cases {
+                let value = BigUint::from_bytes_be(bytes);
+                let residue = value.div_rem_reference(m).1;
+                ctx.load_bytes_be(bytes, &mut ws_bytes);
+                ctx.load(&value, &mut ws_limbs);
+                assert!(ctx.element_equals(&ws_bytes, &ctx.convert(&residue)));
+                assert_eq!(
+                    ctx.recover_value(&mut ws_bytes),
+                    residue,
+                    "bytes = {bytes:02x?}"
+                );
+                assert_eq!(
+                    ctx.recover_value(&mut ws_limbs),
+                    residue,
+                    "bytes = {bytes:02x?}"
+                );
+            }
         }
     }
 

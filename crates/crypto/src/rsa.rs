@@ -10,14 +10,21 @@
 //! q_inv)`, so [`RsaPrivateKey::apply`] runs two half-size Montgomery
 //! exponentiations and recombines by Garner's formula — roughly 4x
 //! faster than a full-size exponentiation, on top of the Montgomery
-//! speedup itself. Both halves run through one thread-local
-//! [`MontWorkspace`], re-fitted only when the prime width changes, so a
-//! thread signing a batch (a `bfl_ml::par` worker signing its clients'
-//! updates) allocates no Montgomery scratch after its first signature
-//! and gets the squaring kernel on every exponentiation. Keys built from
-//! `(n, d)` alone (deserialized legacy material, external test vectors)
-//! still work through the full-size exponentiation. The oracle for both
-//! key operations is the plain exponent through
+//! speedup itself. The whole private operation runs in the thread's
+//! signing workspace: the message is loaded modulo each prime directly
+//! (`(m mod n) mod p = m mod p`, so no reduced copy of it is built), both
+//! halves exponentiate in one [`MontWorkspace`], Garner's recombination
+//! runs in limb buffers beside it, and the result's limbs are handed to
+//! the caller to encode — a signature's bytes are the one allocation a
+//! warm thread makes. The workspace is re-fitted only when the prime
+//! width changes and keeps its buffers' capacity, so after a thread's
+//! first signature at the largest width it signs at, it allocates no
+//! scratch at all. A `bfl_ml::par` fan-out hands its chunks to parked
+//! helper threads that live as long as the thread that fans out, so a
+//! helper signing round after round keeps that warm workspace too. Keys
+//! built from `(n, d)` alone (deserialized legacy material, external test
+//! vectors) run the full-size exponentiation through the same workspace.
+//! The oracle for both key operations is the plain exponent through
 //! [`BigUint::modpow_reference`] — `m.modpow_reference(d, n)` is what a
 //! signature must equal — which `tests/crypto_equivalence.rs` and the
 //! [`crate::signature`] tests compare against bit for bit.
@@ -34,7 +41,7 @@
 //!
 //! The protocol-facing hash-then-sign wrapper lives in [`crate::signature`].
 
-use crate::bigint::BigUint;
+use crate::bigint::{mul_add_limbs, BigUint};
 use crate::error::CryptoError;
 use crate::montgomery::{MontWorkspace, MontgomeryCtx};
 use crate::prime::{generate_prime, miller_rabin_rounds};
@@ -44,10 +51,73 @@ use std::cell::RefCell;
 use std::sync::OnceLock;
 
 thread_local! {
-    /// This thread's Montgomery scratch for private-key operations (see
-    /// the module docs). Pure scratch: every use re-fits and reloads it,
-    /// so it carries nothing from one signature to the next.
-    static SIGNING_WORKSPACE: RefCell<MontWorkspace> = RefCell::new(MontWorkspace::new());
+    /// This thread's scratch for private-key operations (see the module
+    /// docs).
+    static SIGNING_WORKSPACE: RefCell<SigningWorkspace> = RefCell::default();
+}
+
+/// Scratch for one private-key operation: the Montgomery workspace the
+/// exponentiations run in and the limb buffers of Garner's recombination.
+/// Pure scratch: every use re-fits and overwrites it, so it carries
+/// nothing from one signature to the next.
+#[derive(Default)]
+struct SigningWorkspace {
+    mont: MontWorkspace,
+    /// `s_p`, still in `p`'s Montgomery domain while the `q` half runs.
+    s_p: Vec<u64>,
+    /// `s_q`, recovered.
+    s_q: Vec<u64>,
+    /// Garner's coefficient `h = q_inv (s_p - s_q) mod p`.
+    h: Vec<u64>,
+    /// The result `s`: `s_q + q h` for CRT keys.
+    s: Vec<u64>,
+}
+
+/// Sizes `buffer` to `len` zeroed limbs, keeping its capacity.
+fn fit(buffer: &mut Vec<u64>, len: usize) {
+    buffer.clear();
+    buffer.resize(len, 0);
+}
+
+impl SigningWorkspace {
+    /// `s = m^d mod n` by CRT: `s_p = m^{d_p} mod p`, `s_q = m^{d_q} mod
+    /// q`, `s = s_q + q · (q_inv (s_p - s_q) mod p)`.
+    fn crt(
+        &mut self,
+        message: &[u64],
+        crt: &CrtFactors,
+        ctx_p: &MontgomeryCtx,
+        ctx_q: &MontgomeryCtx,
+    ) {
+        let ws = &mut self.mont;
+        ctx_p.prepare(ws);
+        ctx_p.load_limbs(message, ws);
+        ctx_p.pow_in_place(&crt.d_p, ws);
+        self.s_p.clear();
+        self.s_p.extend_from_slice(ws.value());
+
+        ctx_q.prepare(ws);
+        ctx_q.load_limbs(message, ws);
+        ctx_q.pow_in_place(&crt.d_q, ws);
+        fit(&mut self.s_q, ctx_q.k());
+        ctx_q.recover_into(ws, &mut self.s_q);
+
+        fit(&mut self.h, ctx_p.k());
+        ctx_p.garner_coefficient(&self.s_p, &self.s_q, crt.q_inv.limbs(), ws, &mut self.h);
+        // s_q + q h <= (q - 1) + q (p - 1) < n: it fits p's and q's limbs.
+        fit(&mut self.s, ctx_p.k() + ctx_q.k());
+        mul_add_limbs(crt.q.limbs(), &self.h, &self.s_q, &mut self.s);
+    }
+
+    /// `s = m^d mod n` by one full-size exponentiation.
+    fn full(&mut self, message: &[u64], ctx: &MontgomeryCtx, exponent: &BigUint) {
+        let ws = &mut self.mont;
+        ctx.prepare(ws);
+        ctx.load_limbs(message, ws);
+        ctx.pow_in_place(exponent, ws);
+        fit(&mut self.s, ctx.k());
+        ctx.recover_into(ws, &mut self.s);
+    }
 }
 
 /// The conventional RSA public exponent.
@@ -259,59 +329,40 @@ impl RsaPrivateKey {
     ///
     /// With CRT factors present this runs two half-size Montgomery
     /// exponentiations mod `p` and `q` and recombines with Garner's
-    /// formula; otherwise a single full-size exponentiation. All
-    /// Montgomery contexts come from the per-key caches.
+    /// formula; otherwise a single full-size exponentiation. Either way it
+    /// runs in the thread's signing workspace (see the module docs), with
+    /// every Montgomery context from the per-key caches; the returned
+    /// `BigUint` is the only allocation.
     pub fn apply(&self, message: &BigUint) -> BigUint {
-        if let Some(crt) = &self.crt {
-            return self.apply_crt(message, crt);
-        }
-        match self.mont.get_or_build(&self.modulus) {
-            Some(ctx) => {
-                SIGNING_WORKSPACE.with_borrow_mut(|ws| ctx.modpow_in(message, &self.exponent, ws))
-            }
-            None => message.modpow(&self.exponent, &self.modulus),
-        }
+        self.apply_limbs(message.limbs(), |s| BigUint::from_limbs(s.to_vec()))
     }
 
-    /// CRT signing: `s_p = m^{d_p} mod p`, `s_q = m^{d_q} mod q`,
-    /// `s = s_q + q * (q_inv (s_p - s_q) mod p)`.
-    fn apply_crt(&self, message: &BigUint, crt: &CrtFactors) -> BigUint {
-        let reduced;
-        let m = if *message < self.modulus {
-            message
-        } else {
-            reduced = message.rem(&self.modulus);
-            &reduced
-        };
-        let (s_p, s_q) = match (
-            self.crt_p_mont.get_or_build(&crt.p),
-            self.crt_q_mont.get_or_build(&crt.q),
-        ) {
-            (Some(ctx_p), Some(ctx_q)) => SIGNING_WORKSPACE.with_borrow_mut(|ws| {
-                (
-                    ctx_p.modpow_in(m, &crt.d_p, ws),
-                    ctx_q.modpow_in(m, &crt.d_q, ws),
-                )
+    /// [`Self::apply`] on a message given as little-endian limbs of any
+    /// width, handing the result's limbs (possibly with leading zero
+    /// limbs) to `finish` — the one body every private-key operation runs.
+    pub(crate) fn apply_limbs<T>(&self, message: &[u64], finish: impl FnOnce(&[u64]) -> T) -> T {
+        let crt = self.crt.as_ref().and_then(|crt| {
+            let ctx_p = self.crt_p_mont.get_or_build(&crt.p)?;
+            Some((crt, ctx_p, self.crt_q_mont.get_or_build(&crt.q)?))
+        });
+        if let Some((crt, ctx_p, ctx_q)) = crt {
+            return SIGNING_WORKSPACE.with_borrow_mut(|ws| {
+                ws.crt(message, crt, ctx_p, ctx_q);
+                finish(&ws.s)
+            });
+        }
+        match self.mont.get_or_build(&self.modulus) {
+            Some(ctx) => SIGNING_WORKSPACE.with_borrow_mut(|ws| {
+                ws.full(message, ctx, &self.exponent);
+                finish(&ws.s)
             }),
-            // Unreachable for generated keys (primes are odd), but keeps
-            // hand-built factors correct.
-            _ => (
-                m.rem(&crt.p).modpow(&crt.d_p, &crt.p),
-                m.rem(&crt.q).modpow(&crt.d_q, &crt.q),
-            ),
-        };
-        // Garner: h = q_inv * (s_p - s_q) mod p, lifting s_q by h * q.
-        let s_q_mod_p = s_q.rem(&crt.p);
-        let diff = if s_p >= s_q_mod_p {
-            s_p.sub(&s_q_mod_p)
-        } else {
-            s_p.add(&crt.p).sub(&s_q_mod_p)
-        };
-        let h = crt.q_inv.modmul(&diff, &crt.p);
-        let mut lift = BigUint::zero();
-        h.mul_to(&crt.q, &mut lift);
-        lift.add_assign(&s_q);
-        lift
+            // An even modulus (hand-built material: every generated prime
+            // is odd) has no Montgomery form.
+            None => {
+                let message = BigUint::from_limbs(message.to_vec());
+                finish(message.modpow(&self.exponent, &self.modulus).limbs())
+            }
+        }
     }
 
     /// The modulus `n`. Read-only: the cached contexts are derived from

@@ -15,12 +15,19 @@
 //! incremental SHA-256, so neither signing nor verifying builds a
 //! preimage, copies the payload, or constructs a [`SignedMessage`].
 //! [`sign_detached`] / [`verify_detached`] /
-//! [`BatchVerifier::confirm_detached`] are the primitives; a client that
-//! holds its gradient as `f64`s feeds an [`EnvelopeDigest`] chunk by
-//! chunk and calls [`EnvelopeDigest::sign`]. [`sign_message`],
+//! [`BatchVerifier::confirm_detached`] are the primitives for a payload
+//! held in one piece. A client that holds its gradient as `f64`s feeds an
+//! [`EnvelopeDigest`] chunk by chunk and calls [`EnvelopeDigest::sign`];
+//! a miner hashes what it received the same way and hands the digest to
+//! [`KeyStore::verify_envelope`](crate::keystore::KeyStore::verify_envelope).
+//! [`sign_message`],
 //! [`verify_message`] and [`BatchVerifier::confirm`] are thin wrappers
 //! for callers that do want the owning envelope, with identical bytes
 //! and decisions.
+//!
+//! Signing runs in the thread's signing workspace ([`crate::rsa`]): the
+//! digest goes into it as limbs and the signature comes out as its
+//! bytes, which are the one allocation a warm thread makes per signature.
 //!
 //! [`verify_detached`] is the one-shot check; [`BatchVerifier`] is the
 //! amortized one. A round's uploads arrive as a batch, and the one-shot
@@ -28,20 +35,25 @@
 //! call. The batch verifier keeps a single [`MontWorkspace`] across the
 //! whole batch (re-fitted only when the key width changes) and compares
 //! in the Montgomery domain (skipping the recover multiply) — same
-//! accept/reject decision per upload, less constant overhead per upload.
+//! accept/reject decision per upload, and no allocation at all once its
+//! workspace fits the key. Both refuse a signature whose integer is not
+//! below the modulus before exponentiating (RFC 8017's RSAVP1, step 1):
+//! `s + n` has the same `e`-th power as `s`, so a verifier that reduced
+//! it would accept a second encoding of every signature.
 //!
 //! The oracle for all of it is the plain exponent through
 //! [`BigUint::modpow_reference`] (no CRT, no Montgomery, seed long
 //! division): the unit tests below hold every signature to
 //! `H(m).modpow_reference(d, n)` and every verdict to
-//! `s.modpow_reference(e, n) == H(m) mod n`, bit for bit.
+//! `s < n && s.modpow_reference(e, n) == H(m) mod n`, bit for bit.
 
-use crate::bigint::BigUint;
+use crate::bigint::{limb_of_bytes_be, limbs_to_bytes_be, BigUint};
 use crate::error::CryptoError;
 use crate::montgomery::MontWorkspace;
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{Digest, Sha256, DIGEST_LEN};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// A detached RSA signature over a SHA-256 digest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,6 +95,7 @@ pub struct SignedMessage {
 /// lives: every sign and verify path in this module hashes through it.
 #[derive(Debug, Clone)]
 pub struct EnvelopeDigest {
+    signer: u64,
     hasher: Sha256,
 }
 
@@ -91,7 +104,19 @@ impl EnvelopeDigest {
     pub fn new(signer: u64) -> Self {
         let mut hasher = Sha256::new();
         hasher.update(&signer.to_be_bytes());
-        EnvelopeDigest { hasher }
+        EnvelopeDigest { signer, hasher }
+    }
+
+    /// The digest of `signer ‖ payload` for a payload held in one piece.
+    pub(crate) fn of(signer: u64, payload: &[u8]) -> Self {
+        let mut digest = EnvelopeDigest::new(signer);
+        digest.update(payload);
+        digest
+    }
+
+    /// The signer the envelope names.
+    pub(crate) fn signer(&self) -> u64 {
+        self.signer
     }
 
     /// Absorbs the next piece of the payload.
@@ -99,33 +124,39 @@ impl EnvelopeDigest {
         self.hasher.update(payload_part);
     }
 
-    /// The digest of `signer ‖ payload` for a payload held in one piece.
-    fn of(signer: u64, payload: &[u8]) -> Digest {
-        let mut digest = EnvelopeDigest::new(signer);
-        digest.update(payload);
-        digest.hasher.finalize()
+    fn finalize(self) -> Digest {
+        self.hasher.finalize()
     }
 
     /// Signs the absorbed envelope with `key`: the digest, reduced modulo
     /// `n`, raised to the private exponent. Raw hash-then-sign draws no
     /// randomness, so the same envelope and key always give the same
-    /// bytes.
+    /// bytes. The digest goes to the key's private operation as limbs —
+    /// reduced modulo `n` on the way, inside the signing workspace — and
+    /// the signature's bytes are the only allocation.
     pub fn sign(self, key: &RsaPrivateKey) -> Signature {
-        sign_digest(&self.hasher.finalize(), key)
-    }
-}
-
-fn sign_digest(digest: &Digest, key: &RsaPrivateKey) -> Signature {
-    let m = BigUint::from_bytes_be(digest).rem(key.modulus());
-    Signature {
-        bytes: key.apply(&m).to_bytes_be(),
+        let digest = self.finalize();
+        let limbs: [u64; DIGEST_LEN / 8] = std::array::from_fn(|i| limb_of_bytes_be(&digest, i));
+        Signature {
+            bytes: key.apply_limbs(&limbs, limbs_to_bytes_be),
+        }
     }
 }
 
 /// Signs `payload` on behalf of `signer` with `key`, returning only the
 /// signature: nothing is copied, the payload is only read.
 pub fn sign_detached(signer: u64, payload: &[u8], key: &RsaPrivateKey) -> Signature {
-    sign_digest(&EnvelopeDigest::of(signer, payload), key)
+    EnvelopeDigest::of(signer, payload).sign(key)
+}
+
+/// RSAVP1's first step (RFC 8017): the signature representative must be
+/// below the modulus. The check every verification path makes before it
+/// exponentiates.
+fn check_representative(signature: &Signature, key: &RsaPublicKey) -> Result<(), CryptoError> {
+    match key.modulus().cmp_bytes_be(&signature.bytes) {
+        Ordering::Greater => Ok(()),
+        _ => Err(CryptoError::InvalidSignature),
+    }
 }
 
 /// Verifies a detached `signature` over `signer ‖ payload` against the
@@ -136,8 +167,21 @@ pub fn verify_detached(
     signature: &Signature,
     key: &RsaPublicKey,
 ) -> Result<(), CryptoError> {
-    let digest = EnvelopeDigest::of(signer, payload);
-    let expected = BigUint::from_bytes_be(&digest).rem(key.modulus());
+    verify_digest(
+        &EnvelopeDigest::of(signer, payload).finalize(),
+        signature,
+        key,
+    )
+}
+
+/// The one-shot check of `signature` against a finished envelope digest.
+fn verify_digest(
+    digest: &Digest,
+    signature: &Signature,
+    key: &RsaPublicKey,
+) -> Result<(), CryptoError> {
+    check_representative(signature, key)?;
+    let expected = BigUint::from_bytes_be(digest).rem(key.modulus());
     let recovered = key.apply(&signature.to_biguint());
     if recovered == expected {
         Ok(())
@@ -188,9 +232,7 @@ impl BatchVerifier {
     }
 
     /// Verifies a detached signature exactly like [`verify_detached`],
-    /// through the shared workspace. Decisions are identical: both
-    /// compare `s^e mod n` against the reduced digest, here via the
-    /// (bijective) Montgomery images instead of the recovered residues.
+    /// through the shared workspace.
     pub fn confirm_detached(
         &mut self,
         signer: u64,
@@ -198,12 +240,29 @@ impl BatchVerifier {
         signature: &Signature,
         key: &RsaPublicKey,
     ) -> Result<(), CryptoError> {
+        self.confirm_envelope(EnvelopeDigest::of(signer, payload), signature, key)
+    }
+
+    /// Verifies `signature` against an envelope the caller has hashed —
+    /// a miner streaming the payload it received into an
+    /// [`EnvelopeDigest`] — through the shared workspace. Decisions are
+    /// [`verify_detached`]'s: both refuse a representative not below `n`
+    /// and compare `s^e mod n` against the reduced digest, here via the
+    /// (bijective) Montgomery images instead of the recovered residues.
+    /// Allocates nothing once the workspace fits the key.
+    pub(crate) fn confirm_envelope(
+        &mut self,
+        envelope: EnvelopeDigest,
+        signature: &Signature,
+        key: &RsaPublicKey,
+    ) -> Result<(), CryptoError> {
+        let digest = envelope.finalize();
         let Some(ctx) = key.montgomery_ctx() else {
             // Even/trivial modulus: no Montgomery context exists and the
             // one-shot path's binary exponentiation is the only route.
-            return verify_detached(signer, payload, signature, key);
+            return verify_digest(&digest, signature, key);
         };
-        let digest = EnvelopeDigest::of(signer, payload);
+        check_representative(signature, key)?;
         ctx.prepare(&mut self.ws);
         ctx.load_bytes_be(&signature.bytes, &mut self.ws);
         ctx.pow_in_place(key.exponent(), &mut self.ws);
@@ -302,6 +361,53 @@ mod tests {
     }
 
     #[test]
+    fn a_representative_at_or_above_the_modulus_is_rejected() {
+        use crate::keystore::KeyStore;
+        for (bits, seed) in [(256usize, 0x5A7u64), (1024, 0x5A8)] {
+            let pair = RsaKeyPair::generate(&mut StdRng::seed_from_u64(seed), bits).unwrap();
+            let mut store = KeyStore::new();
+            store.register(3, pair.public.clone());
+            let payload = b"one gradient, one encoding";
+            let signature = sign_detached(3, payload, &pair.private);
+            let (n, e) = (pair.public.modulus(), pair.public.exponent());
+            let lifted = Signature {
+                bytes: signature.to_biguint().add(n).to_bytes_be(),
+            };
+            let at_n = Signature {
+                bytes: n.to_bytes_be(),
+            };
+            // `s + n` raises to exactly what `s` does: only the range
+            // check tells them apart.
+            assert_eq!(
+                lifted.to_biguint().modpow_reference(e, n),
+                signature.to_biguint().modpow_reference(e, n)
+            );
+            let mut verifier = BatchVerifier::new();
+            let verdicts = |signature: &Signature, verifier: &mut BatchVerifier| {
+                [
+                    verify_detached(3, payload, signature, &pair.public),
+                    verifier.confirm_detached(3, payload, signature, &pair.public),
+                    store.verify_detached(3, payload, signature, verifier),
+                ]
+            };
+            assert_eq!(
+                verdicts(&signature, &mut verifier),
+                [Ok(()), Ok(()), Ok(())]
+            );
+            // Leading zero bytes do not change the representative.
+            let padded = Signature {
+                bytes: [&[0u8, 0][..], &signature.bytes].concat(),
+            };
+            assert_eq!(verdicts(&padded, &mut verifier), [Ok(()), Ok(()), Ok(())]);
+            let refused = || Err(CryptoError::InvalidSignature);
+            for forged in [&lifted, &at_n] {
+                let expected = [refused(), refused(), refused()];
+                assert_eq!(verdicts(forged, &mut verifier), expected, "{bits} bits");
+            }
+        }
+    }
+
+    #[test]
     fn empty_payload_is_signable() {
         let pair = keypair();
         let msg = sign_message(9, b"", &pair.private);
@@ -389,7 +495,10 @@ mod tests {
         let mut preimage = 0xDEAD_BEEF_u64.to_be_bytes().to_vec();
         preimage.extend_from_slice(&payload);
         let expected = sha256(&preimage);
-        assert_eq!(EnvelopeDigest::of(0xDEAD_BEEF, &payload), expected);
+        assert_eq!(
+            EnvelopeDigest::of(0xDEAD_BEEF, &payload).finalize(),
+            expected
+        );
         for piece in [1usize, 7, 56, 64, 299, 300] {
             let mut digest = EnvelopeDigest::new(0xDEAD_BEEF);
             payload.chunks(piece).for_each(|part| digest.update(part));
@@ -400,7 +509,7 @@ mod tests {
     /// The envelope digest as the integer both oracles below start from,
     /// reduced by the seed long division.
     fn reference_digest(signer: u64, payload: &[u8], modulus: &BigUint) -> BigUint {
-        BigUint::from_bytes_be(&EnvelopeDigest::of(signer, payload))
+        BigUint::from_bytes_be(&EnvelopeDigest::of(signer, payload).finalize())
             .div_rem_reference(modulus)
             .1
     }
@@ -468,11 +577,11 @@ mod tests {
             };
             let expected = verify_message(&message, key);
             assert_eq!(expected.is_ok(), ok, "{case}");
-            let recovered = signature
-                .to_biguint()
-                .modpow_reference(key.exponent(), key.modulus());
+            let representative = signature.to_biguint();
+            let recovered = representative.modpow_reference(key.exponent(), key.modulus());
             assert_eq!(
-                recovered == reference_digest(signer, payload, key.modulus()),
+                representative < *key.modulus()
+                    && recovered == reference_digest(signer, payload, key.modulus()),
                 ok,
                 "{case}"
             );

@@ -26,6 +26,7 @@
 use bfl_crypto::bigint::BigUint;
 use bfl_crypto::montgomery::MontgomeryCtx;
 use bfl_crypto::rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};
+use bfl_crypto::signature::sign_detached;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -314,16 +315,22 @@ proptest! {
     }
 }
 
-/// CRT signing through the thread's reused Montgomery workspace ≡ the
-/// oracle's `(n, d)` exponentiation at the key sizes whose primes
-/// take the fixed-width kernel (4, 8 and 16 limbs) — cold (a fresh
-/// thread's empty workspace, cold key caches), warm (the same thread
-/// again), and across re-fits (the sizes interleaved on one workspace).
-/// The 2048-bit leg runs in optimized builds only: its reference side is
-/// a full-size square-and-multiply over bit-by-bit division.
+/// CRT signing through the thread's reused signing workspace ≡ the
+/// oracle's `(n, d)` exponentiation, for a signature over an envelope
+/// digest `H` (`s = H.modpow_reference(d, n)`, `H` unreduced). The key
+/// sizes cover a digest above `p` (128, 256, 257 and 320 bits) and below
+/// it (520 bits up), prime widths off a limb boundary (160- and 260-bit
+/// primes run the generic kernel), a `q` one bit wider than `p` (257
+/// bits), and primes that take the fixed-width kernel (4, 8 and 16
+/// limbs). Each is signed cold (a fresh thread's empty workspace, cold
+/// key caches), warm (the same thread again), and across re-fits (the
+/// sizes interleaved on one workspace); keys built from `(n, d)` alone
+/// sign identically through the full-size exponentiation. The 2048-bit
+/// leg runs in optimized builds only: its reference side is a full-size
+/// square-and-multiply over bit-by-bit division.
 #[test]
 fn crt_sign_through_the_reused_workspace_matches_the_plain_exponent_oracle() {
-    let mut sizes = vec![512usize, 1024];
+    let mut sizes = vec![128usize, 256, 257, 320, 512, 520, 1024];
     if !cfg!(debug_assertions) {
         sizes.push(2048);
     }
@@ -332,48 +339,79 @@ fn crt_sign_through_the_reused_workspace_matches_the_plain_exponent_oracle() {
         .iter()
         .map(|&bits| RsaKeyPair::generate(&mut rng, bits).expect("keygen"))
         .collect();
-    let message = BigUint::from_bytes_be(&bfl_crypto::sha256(b"gradient upload, round 13"));
+    let (signer, payload) = (13u64, b"gradient upload, round 13");
+    let mut preimage = signer.to_be_bytes().to_vec();
+    preimage.extend_from_slice(payload);
+    let digest = BigUint::from_bytes_be(&bfl_crypto::sha256(&preimage));
 
     let reference: Vec<BigUint> = pairs
         .iter()
-        .map(|p| message.modpow_reference(p.private.exponent(), p.private.modulus()))
+        .map(|p| digest.modpow_reference(p.private.exponent(), p.private.modulus()))
         .collect();
     for (pair, expected) in pairs.iter().zip(&reference) {
-        assert_eq!(&pair.public.apply(expected), &message, "reference signs");
+        let reduced = digest.div_rem_reference(pair.public.modulus()).1;
+        assert_eq!(pair.public.apply(expected), reduced, "reference signs");
+        // The 256-bit digest against the prime it is first reduced by:
+        // above every prime under 256 bits, below every prime above.
+        let p = &pair.private.crt().expect("generated keys carry CRT").p;
+        match p.bit_len() {
+            ..=255 => assert!(digest > *p),
+            257.. => assert!(digest < *p),
+            256 => {}
+        }
     }
 
     // A fresh thread starts with an empty workspace; the key clones it
     // signs with have never built a context.
-    std::thread::scope(|scope| {
-        scope
-            .spawn(|| {
-                let cold: Vec<RsaPrivateKey> = pairs
-                    .iter()
-                    .map(|p| {
-                        RsaPrivateKey::with_crt(
-                            p.private.modulus().clone(),
-                            p.private.exponent().clone(),
-                            p.private.crt().cloned(),
-                        )
-                    })
-                    .collect();
-                for pass in 0..3 {
-                    // Forward, backward, forward: every adjacent pair of
-                    // widths re-fits the workspace in both directions.
-                    let order: Vec<usize> = if pass % 2 == 0 {
-                        (0..cold.len()).collect()
-                    } else {
-                        (0..cold.len()).rev().collect()
-                    };
-                    for i in order {
-                        assert_eq!(cold[i].context_is_warm(), pass > 0);
-                        assert_eq!(cold[i].apply(&message), reference[i], "pass {pass}");
-                    }
-                }
+    std::thread::spawn(move || {
+        let cold: Vec<RsaPrivateKey> = pairs
+            .iter()
+            .map(|p| {
+                RsaPrivateKey::with_crt(
+                    p.private.modulus().clone(),
+                    p.private.exponent().clone(),
+                    p.private.crt().cloned(),
+                )
             })
-            .join()
-            .expect("signing thread");
-    });
+            .collect();
+        let plain: Vec<RsaPrivateKey> = pairs
+            .iter()
+            .map(|p| {
+                RsaPrivateKey::from_components(
+                    p.private.modulus().clone(),
+                    p.private.exponent().clone(),
+                )
+            })
+            .collect();
+        for pass in 0..3 {
+            // Forward, backward, forward: every adjacent pair of
+            // widths re-fits the workspace in both directions.
+            let order: Vec<usize> = if pass % 2 == 0 {
+                (0..cold.len()).collect()
+            } else {
+                (0..cold.len()).rev().collect()
+            };
+            for i in order {
+                assert_eq!(cold[i].context_is_warm(), pass > 0);
+                let bits = sizes[i];
+                let signed = sign_detached(signer, payload, &cold[i]);
+                assert_eq!(
+                    signed.to_biguint(),
+                    reference[i],
+                    "{bits} bits, pass {pass}"
+                );
+                assert_eq!(signed.bytes, reference[i].to_bytes_be(), "{bits} bits");
+                assert_eq!(cold[i].apply(&digest), reference[i], "{bits} bits");
+                if pass == 0 {
+                    let by_plain = sign_detached(signer, payload, &plain[i]);
+                    assert_eq!(by_plain, signed, "{bits} bits from (n, d)");
+                    assert_eq!(plain[i].apply(&digest), reference[i], "{bits} bits");
+                }
+            }
+        }
+    })
+    .join()
+    .expect("signing thread");
 }
 
 // ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ const GATHER_WIDTH: usize = 8;
 
 /// Gathered values one worker must own before [`trimmed_mean_refs`] fans
 /// out over coordinate blocks — a few hundred microseconds of selection,
-/// well above a scoped-thread spawn.
+/// well above handing a chunk to a parked worker.
 const MIN_ANCHOR_VALUES_PER_WORKER: usize = 1 << 16;
 
 /// Coordinate-wise trimmed mean: per coordinate, the smallest and largest
@@ -228,8 +228,10 @@ pub fn to_bytes(gradient: &[f64]) -> Vec<u8> {
 /// Feeds `sink` the serialized form of `gradient` ([`to_bytes`]' bytes, in
 /// order) through a small stack buffer — for consumers that only read it
 /// once (hashing an upload for its signature) and should not allocate a
-/// gradient-sized `Vec` to do it.
-pub fn stream_bytes(gradient: &[f64], mut sink: impl FnMut(&[u8])) {
+/// gradient-sized `Vec` to do it. Each chunk is the sink's to edit before
+/// it reads it (a miner applying an in-transit corruption to the bytes it
+/// hashes); the next chunk is serialized afresh.
+pub fn stream_bytes(gradient: &[f64], mut sink: impl FnMut(&mut [u8])) {
     const VALUES_PER_CHUNK: usize = 512;
     let mut buffer = [0u8; VALUES_PER_CHUNK * 8];
     for values in gradient.chunks(VALUES_PER_CHUNK) {

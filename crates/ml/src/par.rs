@@ -1,4 +1,4 @@
-//! Deterministic data-parallel helpers built on `std::thread::scope`.
+//! Deterministic data-parallel helpers over a pool of parked workers.
 //!
 //! The workspace previously reached for rayon's parallel iterators in
 //! three hot loops (per-row matvecs, per-client local SGD). The offline
@@ -10,32 +10,57 @@
 //! never reorder results, so parallel runs are bit-identical to
 //! sequential runs — a property the reproducibility tests assert.
 //!
+//! ## Parked workers
+//!
+//! Every thread that fans out owns a pool of helper threads. The pool is
+//! built by the thread's first fan-out and grows whenever a later one
+//! plans more workers ([`with_thread_limit`], `BFL_MAX_THREADS`); it never
+//! shrinks. Between fan-outs a helper blocks on a condition variable — it
+//! neither spins nor exits — so a fan-out hands its chunks to threads
+//! that are already running: it spawns nothing and allocates nothing of
+//! its own, and a helper's thread-locals (the signing workspace in
+//! `bfl_crypto::rsa`, for one) stay warm from one fan-out to the next.
+//! The calling thread runs the last chunk itself and then waits until
+//! every helper has finished — also when its own chunk panics — so no
+//! helper outlives what the fan-out lent it. A helper's panic is caught
+//! there, the helper goes back to waiting, and the panic resumes on the
+//! calling thread once every chunk is done. When the thread exits, its
+//! helpers are told to exit too, and joined.
+//!
 //! Every entry point degrades to a plain inline loop when the machine
-//! has a single core or the input is too small to amortize a thread
-//! spawn.
+//! has a single core or the input is too small to be worth waking a
+//! helper for.
 
-use std::cell::Cell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::num::NonZeroUsize;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 thread_local! {
     /// Set while the current thread is executing inside one of this
-    /// module's workers. Nested helpers then stay serial instead of
-    /// spawning a second layer of threads over the same cores (e.g. a
-    /// GEMM inside a per-client training task).
+    /// module's workers (for a helper, for its whole life). Nested
+    /// helpers then stay serial instead of fanning a second layer out
+    /// over the same cores (e.g. a GEMM inside a per-client training
+    /// task).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 
     /// Scoped override installed by [`with_thread_limit`]: while set,
     /// [`max_threads`] reports this value instead of the host or
     /// environment limit. `0` means "no override".
     static THREAD_LIMIT: Cell<usize> = const { Cell::new(0) };
+
+    /// The helpers this thread's fan-outs hand their chunks to.
+    static POOL: RefCell<Pool> = RefCell::new(Pool::default());
 }
 
 /// Runs `f` with [`max_threads`] clamped to `limit` (at least 1) on the
 /// *current* thread. Fleet runs (`bflharness --threads N`) and the
 /// determinism tests use this to pick an explicit worker count,
 /// whatever the host's core count, without touching global state;
-/// worker threads spawned inside the scope observe the usual nesting
+/// helpers running chunks inside the scope observe the usual nesting
 /// rule (they report 1), so the limit composes with — never overrides —
 /// worker serialization.
 pub fn with_thread_limit<T>(limit: usize, f: impl FnOnce() -> T) -> T {
@@ -47,13 +72,17 @@ pub fn with_thread_limit<T>(limit: usize, f: impl FnOnce() -> T) -> T {
     })
 }
 
+/// Runs `f` as a worker: fan-outs inside it stay serial. The flag is
+/// restored however `f` ends, unwinding included.
 fn run_as_worker<T>(f: impl FnOnce() -> T) -> T {
-    IN_WORKER.with(|flag| {
-        let previous = flag.replace(true);
-        let result = f();
-        flag.set(previous);
-        result
-    })
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.set(self.0);
+        }
+    }
+    let _restore = Restore(IN_WORKER.replace(true));
+    f()
 }
 
 /// Number of worker threads the helpers will use at most. Cached:
@@ -122,7 +151,7 @@ pub fn plan_workers(work: usize, min_work_per_thread: usize) -> usize {
 }
 
 /// Balanced split: chunk sizes differ by at most one.
-fn chunk_len(total: usize, workers: usize, index: usize) -> std::ops::Range<usize> {
+fn chunk_len(total: usize, workers: usize, index: usize) -> Range<usize> {
     let base = total / workers;
     let extra = total % workers;
     let start = index * base + index.min(extra);
@@ -152,7 +181,9 @@ where
 /// `init` and threads it through every item of its chunk — the hook the
 /// training engine uses to reuse one [`crate::tensor::Scratch`] across
 /// all clients a worker processes. The calling thread is one of the
-/// workers (it takes the last chunk, with its own `init()` state).
+/// workers (it takes the last chunk, with its own `init()` state). Each
+/// chunk writes its results straight into their slots of the returned
+/// vector, so the map's one allocation is that vector.
 #[inline]
 pub fn par_map_with<T, S, U, I, F>(items: &[T], min_per_thread: usize, init: I, f: F) -> Vec<U>
 where
@@ -171,32 +202,29 @@ where
             .collect();
     }
 
-    // One chunk per worker; the last runs on the calling thread, so a
-    // `workers`-way fan-out spawns `workers - 1` threads.
-    let run_chunk = |w: usize| {
-        let range = chunk_len(items.len(), workers, w);
-        run_as_worker(|| {
+    let mut out: Vec<U> = Vec::with_capacity(items.len());
+    let slots = Shared(out.as_mut_ptr());
+    fan_out(
+        items.len(),
+        workers,
+        |w| chunk_len(items.len(), workers, w),
+        &|range: Range<usize>| {
             let mut state = init();
-            items[range.clone()]
-                .iter()
-                .zip(range)
-                .map(|(item, index)| f(&mut state, index, item))
-                .collect::<Vec<U>>()
-        })
-    };
-    let mut results: Vec<Vec<U>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let run_chunk = &run_chunk;
-        let handles: Vec<_> = (0..workers - 1)
-            .map(|w| scope.spawn(move || run_chunk(w)))
-            .collect();
-        let last = run_chunk(workers - 1);
-        for handle in handles {
-            results.push(handle.join().expect("par_map worker panicked"));
-        }
-        results.push(last);
-    });
-    results.into_iter().flatten().collect()
+            for index in range {
+                let value = f(&mut state, index, &items[index]);
+                // SAFETY: `fan_out` hands out disjoint ranges within
+                // `0..items.len()`, the capacity reserved above, so each
+                // slot is written once, by one thread.
+                unsafe { slots.at(index).write(value) };
+            }
+        },
+    );
+    // SAFETY: `fan_out` returned normally, so every chunk ran to the end
+    // and the chunks' ranges cover `0..items.len()`. (A panicking chunk
+    // unwinds through `fan_out` first; the slots already written then
+    // leak instead of dropping, which is safe.)
+    unsafe { out.set_len(items.len()) };
+    out
 }
 
 /// Runs `f` over disjoint contiguous row-chunks of `data`, in parallel.
@@ -229,7 +257,11 @@ where
 /// kernel) pass a cost-balanced split here instead of an even one.
 ///
 /// The last range runs on the calling thread, so a `workers`-way fan-out
-/// spawns `workers - 1` threads and `workers == 1` spawns none.
+/// wakes `workers - 1` helpers and `workers == 1` wakes none.
+///
+/// # Panics
+/// Panics, before any range past the offending one is handed out, if the
+/// split does not run non-decreasing from 0 to the row count.
 #[inline]
 pub fn par_row_ranges_mut<T, F>(
     data: &mut [T],
@@ -243,29 +275,273 @@ pub fn par_row_ranges_mut<T, F>(
 {
     assert!(row_len > 0, "row_len must be positive");
     debug_assert_eq!(data.len() % row_len, 0);
-    debug_assert_eq!(first_row(0), 0);
-    debug_assert_eq!(first_row(workers.max(1)), data.len() / row_len);
     if workers <= 1 {
         f(0, data);
         return;
     }
 
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        for w in 0..workers - 1 {
-            let start = first_row(w);
-            let (chunk, tail) = rest.split_at_mut((first_row(w + 1) - start) * row_len);
-            rest = tail;
-            let f = &f;
-            scope.spawn(move || run_as_worker(|| f(start, chunk)));
+    let rows = Shared(data.as_mut_ptr());
+    fan_out(
+        data.len() / row_len,
+        workers,
+        |w| first_row(w)..first_row(w + 1),
+        &|range: Range<usize>| {
+            // SAFETY: `fan_out` hands out disjoint row ranges within the
+            // row count, so the chunks are disjoint slices of `data`.
+            let chunk = unsafe {
+                std::slice::from_raw_parts_mut(
+                    rows.at(range.start * row_len),
+                    range.len() * row_len,
+                )
+            };
+            f(range.start, chunk);
+        },
+    );
+}
+
+/// A pointer into a buffer that the chunks of one fan-out share, each
+/// touching only its own disjoint part of it.
+struct Shared<T>(*mut T);
+
+// SAFETY: the chunks that share a `Shared` access disjoint elements
+// (see its uses), so sharing it moves nothing but `T`s across threads.
+unsafe impl<T: Send> Sync for Shared<T> {}
+
+impl<T> Shared<T> {
+    fn at(&self, offset: usize) -> *mut T {
+        self.0.wrapping_add(offset)
+    }
+}
+
+/// Splits `0..len` into `workers` contiguous ranges, `bounds(w)` being
+/// worker `w`'s, and runs `chunk` on each: ranges `0..workers - 1` on
+/// this thread's helpers, the last on this thread. Returns once every
+/// chunk has finished, resuming a helper's panic if one panicked.
+///
+/// The ranges are computed here, on the calling thread, and each is
+/// checked before any chunk sees it: it starts where the previous one
+/// ended (the first at 0), does not run backwards, and stays within
+/// `len`, which the last one ends at. So the chunks' ranges are disjoint
+/// and cover `0..len` — what the callers' `unsafe` blocks rely on.
+fn fan_out<F>(len: usize, workers: usize, bounds: impl Fn(usize) -> Range<usize>, chunk: &F)
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    /// A helper's way into `chunk`: `data` points at the closure.
+    ///
+    /// # Safety
+    /// `data` must point at a live `F`.
+    unsafe fn run<F: Fn(Range<usize>)>(data: *const (), range: Range<usize>) {
+        // SAFETY: the caller's contract.
+        unsafe { (*data.cast::<F>())(range) }
+    }
+
+    POOL.with_borrow_mut(|pool| {
+        pool.grow_to(workers - 1);
+        pool.latch.reset();
+        // Whatever happens from here on — a chunk of this thread's that
+        // panics, a split that fails its check — this thread leaves the
+        // scope only after every helper given a chunk has finished it.
+        let join = Join(&pool.latch);
+        let mut end = 0;
+        for w in 0..workers {
+            let range = bounds(w);
+            let last = w + 1 == workers;
+            assert!(
+                range.start == end
+                    && range.start <= range.end
+                    && range.end <= len
+                    && (!last || range.end == len),
+                "worker {w}'s range {range:?} does not continue the split of 0..{len} at {end}"
+            );
+            end = range.end;
+            if !last {
+                pool.latch.add();
+                pool.helpers[w].start(Task {
+                    run: run::<F>,
+                    data: (chunk as *const F).cast(),
+                    range,
+                });
+            } else {
+                run_as_worker(|| chunk(range));
+            }
         }
-        run_as_worker(|| f(first_row(workers - 1), rest));
+        drop(join);
+        if let Some(payload) = pool.latch.take_panic() {
+            panic::resume_unwind(payload);
+        }
     });
+}
+
+/// Locks `mutex`; nothing panics while holding one of this module's
+/// locks, so poisoning carries no meaning here.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One chunk of a fan-out, type-erased for a helper: `run(data, range)`
+/// calls the fan-out's chunk closure, which `data` points at.
+struct Task {
+    run: unsafe fn(*const (), Range<usize>),
+    data: *const (),
+    range: Range<usize>,
+}
+
+// SAFETY: a task crosses to a helper only inside `fan_out`, which does
+// not return or unwind until that helper has finished with it, and the
+// closure behind `data` is `Sync`.
+unsafe impl Send for Task {}
+
+/// What a helper is told to do next.
+enum Command {
+    Wait,
+    Run(Task),
+    Exit,
+}
+
+/// A parked helper thread's mailbox.
+struct Helper {
+    command: Mutex<Command>,
+    wake: Condvar,
+}
+
+impl Helper {
+    fn start(&self, task: Task) {
+        *lock(&self.command) = Command::Run(task);
+        self.wake.notify_one();
+    }
+
+    /// The helper thread's life: take a task, run it, report to `latch`,
+    /// wait for the next — until told to exit.
+    fn serve(&self, latch: &Latch) {
+        IN_WORKER.set(true);
+        loop {
+            let task = {
+                let mut command = lock(&self.command);
+                loop {
+                    match std::mem::replace(&mut *command, Command::Wait) {
+                        Command::Run(task) => break task,
+                        Command::Exit => return,
+                        Command::Wait => {
+                            command = self
+                                .wake
+                                .wait(command)
+                                .unwrap_or_else(PoisonError::into_inner)
+                        }
+                    }
+                }
+            };
+            let Task { run, data, range } = task;
+            // SAFETY: see `Task`: the closure lives until `latch` hears
+            // back from this helper.
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| unsafe { run(data, range) }));
+            latch.finish(outcome.err());
+        }
+    }
+}
+
+/// Counts a fan-out's outstanding helper chunks, and keeps the first
+/// panic one of them raised.
+#[derive(Default)]
+struct Latch {
+    state: Mutex<Outstanding>,
+    done: Condvar,
+}
+
+#[derive(Default)]
+struct Outstanding {
+    chunks: usize,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Latch {
+    fn reset(&self) {
+        *lock(&self.state) = Outstanding::default();
+    }
+
+    fn add(&self) {
+        lock(&self.state).chunks += 1;
+    }
+
+    fn finish(&self, panic: Option<Box<dyn Any + Send>>) {
+        let mut state = lock(&self.state);
+        state.chunks -= 1;
+        if let Some(payload) = panic {
+            state.panic.get_or_insert(payload);
+        }
+        if state.chunks == 0 {
+            self.done.notify_one();
+        }
+    }
+
+    fn wait(&self) {
+        let mut state = lock(&self.state);
+        while state.chunks > 0 {
+            state = self
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
+        lock(&self.state).panic.take()
+    }
+}
+
+/// Waits on the latch when dropped.
+struct Join<'a>(&'a Latch);
+
+impl Drop for Join<'_> {
+    fn drop(&mut self) {
+        self.0.wait();
+    }
+}
+
+/// One thread's helpers, and the latch they report to (see the module
+/// docs).
+#[derive(Default)]
+struct Pool {
+    helpers: Vec<Arc<Helper>>,
+    threads: Vec<JoinHandle<()>>,
+    latch: Arc<Latch>,
+}
+
+impl Pool {
+    fn grow_to(&mut self, helpers: usize) {
+        while self.helpers.len() < helpers {
+            let helper = Arc::new(Helper {
+                command: Mutex::new(Command::Wait),
+                wake: Condvar::new(),
+            });
+            let (mine, latch) = (Arc::clone(&helper), Arc::clone(&self.latch));
+            self.threads
+                .push(std::thread::spawn(move || mine.serve(&latch)));
+            self.helpers.push(helper);
+        }
+    }
+}
+
+impl Drop for Pool {
+    /// Tells every helper to exit and joins it. A helper catches its
+    /// chunks' panics, so its thread ends cleanly; a join error is
+    /// ignored rather than raised from a destructor.
+    fn drop(&mut self) {
+        for helper in &self.helpers {
+            *lock(&helper.command) = Command::Exit;
+            helper.wake.notify_one();
+        }
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn max_threads_override_is_unset_or_a_positive_integer() {
@@ -319,11 +595,11 @@ mod tests {
         let items: Vec<usize> = (0..9).collect();
         let caller = std::thread::current().id();
         let (threads, inits) = with_thread_limit(3, || {
-            let inits = std::sync::atomic::AtomicUsize::new(0);
+            let inits = AtomicUsize::new(0);
             let threads = par_map_with(
                 &items,
                 1,
-                || inits.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                || inits.fetch_add(1, Ordering::Relaxed),
                 |_, index, &item| {
                     assert_eq!(index, item);
                     // The caller's chunk is a worker like any other.
@@ -392,6 +668,23 @@ mod tests {
         for (r, row) in data.chunks(cols).enumerate() {
             assert!(row.iter().all(|&v| v == r + 1));
         }
+        // A split that goes backwards is refused before any chunk runs.
+        let backwards = [0usize, 7, 1, 11];
+        let touched = AtomicUsize::new(0);
+        let refused = panic::catch_unwind(AssertUnwindSafe(|| {
+            par_row_ranges_mut(
+                &mut data,
+                cols,
+                3,
+                |w| backwards[w],
+                |_, chunk| {
+                    touched.fetch_add(chunk.len(), Ordering::Relaxed);
+                },
+            )
+        }));
+        assert!(refused.is_err());
+        // Only worker 0's range was handed out before the check failed.
+        assert!(touched.into_inner() <= 7 * cols);
     }
 
     #[test]
@@ -410,11 +703,91 @@ mod tests {
     #[test]
     fn thread_limit_changes_fanout_but_not_results() {
         let items: Vec<usize> = (0..64).collect();
-        let serial = with_thread_limit(1, || par_map(&items, 1, |_, &x| x * 7 + 1));
-        for limit in [2, 4, 8] {
-            let parallel = with_thread_limit(limit, || par_map(&items, 1, |_, &x| x * 7 + 1));
+        let map = || par_map(&items, 1, |_, &x| x * 7 + 1);
+        let rows = || {
+            let mut data = vec![0usize; 64 * 3];
+            par_rows_mut(&mut data, 3, 1, |first, chunk| {
+                for (r, row) in chunk.chunks_mut(3).enumerate() {
+                    row.fill((first + r) * 5);
+                }
+            });
+            data
+        };
+        let serial = (map(), rows());
+        assert_eq!(serial.0, (0..64).map(|x| x * 7 + 1).collect::<Vec<_>>());
+        for limit in [1, 2, 3, 8] {
+            let parallel = with_thread_limit(limit, || (map(), rows()));
             assert_eq!(parallel, serial, "limit={limit}");
         }
+    }
+
+    #[test]
+    fn a_panicking_chunk_reaches_the_caller_after_the_other_chunks_and_the_pool_serves_on() {
+        let items: Vec<usize> = (0..3).collect();
+        for culprit in [0, 2] {
+            // Chunk `culprit` panics (0 on a helper, 2 on the caller);
+            // chunk 1 cannot finish before the culprit has started to
+            // panic, and must be over before the panic lands.
+            let culprit_reached = Barrier::new(2);
+            let slow_done = AtomicBool::new(false);
+            let caught = with_thread_limit(3, || {
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    par_map(&items, 1, |index, _| {
+                        if index == 1 || index == culprit {
+                            culprit_reached.wait();
+                        }
+                        if index == culprit {
+                            panic!("chunk {culprit} fails");
+                        }
+                        if index == 1 {
+                            slow_done.store(true, Ordering::SeqCst);
+                        }
+                        index
+                    })
+                }))
+            });
+            let payload = caught.expect_err("the panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(format!("chunk {culprit} fails").as_str())
+            );
+            assert!(slow_done.load(Ordering::SeqCst), "culprit {culprit}");
+            // The caller is no worker once the fan-out is over, however
+            // its own chunk ended.
+            with_thread_limit(3, || assert_eq!(max_threads(), 3));
+            // The same helpers take the next fan-out.
+            let next = with_thread_limit(3, || par_map(&items, 1, |index, _| index * 2));
+            assert_eq!(next, [0, 2, 4]);
+        }
+    }
+
+    #[test]
+    fn the_pool_grows_to_the_planned_workers_and_keeps_them() {
+        // A fresh thread, so the pool under test starts empty.
+        std::thread::spawn(|| {
+            let helpers = || POOL.with_borrow(|pool| pool.helpers.len());
+            let threads = |limit: usize| {
+                let items: Vec<usize> = (0..32).collect();
+                let ids = with_thread_limit(limit, || {
+                    par_map(&items, 1, |_, _| std::thread::current().id())
+                });
+                let distinct: std::collections::HashSet<_> = ids.iter().collect();
+                let distinct = distinct.len();
+                (ids, distinct)
+            };
+            assert_eq!(helpers(), 0);
+            let (first, two) = threads(2);
+            assert_eq!((two, helpers()), (2, 1));
+            let (_, eight) = threads(8);
+            assert_eq!((eight, helpers()), (8, 7));
+            // Fewer workers reuse the first helpers; the pool never
+            // shrinks.
+            let (again, _) = threads(2);
+            assert_eq!(helpers(), 7);
+            assert_eq!(again[..16], first[..16], "helper 0 takes chunk 0 again");
+        })
+        .join()
+        .expect("pool thread");
     }
 
     #[test]

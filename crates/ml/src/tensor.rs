@@ -45,7 +45,7 @@
 //! [`gram_upper`] cuts ranges of near-equal *area* and fans out only
 //! when each worker would own about two million multiply-adds: a
 //! 51 × 7850 committee uses every core, an 11- or 15-row one runs on the
-//! calling thread and pays no spawn.
+//! calling thread and wakes no worker.
 //!
 //! # Scratch workspace
 //!
@@ -68,7 +68,7 @@ use serde::{Deserialize, Serialize};
 pub type Vector = Vec<f64>;
 
 /// Minimum number of output rows each GEMM worker thread must receive
-/// before the kernels fan out; below this the spawn overhead dominates.
+/// before the kernels fan out; below this the fan-out overhead dominates.
 const MIN_ROWS_PER_THREAD: usize = 32;
 
 /// A dense, row-major matrix.
@@ -565,8 +565,9 @@ fn gemm_nt_core<'a>(
 
 /// Multiply-adds one worker must own before [`gram_upper`] fans out:
 /// roughly half a millisecond of dot products, an order of magnitude
-/// above a scoped-thread spawn. A row count cannot make this call — a
-/// 51 x 7850 Gram is 10 M multiply-adds, an 11 x 7850 one half a million.
+/// above handing a chunk to a parked worker. A row count cannot make this
+/// call — a 51 x 7850 Gram is 10 M multiply-adds, an 11 x 7850 one half
+/// a million.
 const MIN_GRAM_MACS_PER_WORKER: usize = 1 << 21;
 
 /// Output rows per tile of the large-row [`gram_upper`] regime. Model
