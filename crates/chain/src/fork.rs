@@ -17,7 +17,6 @@
 
 use crate::miner::Miner;
 use crate::pow::PowConfig;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the fork model.
@@ -81,39 +80,11 @@ impl ForkModel {
         let extra_rounds = self.expected_extra_rounds(miners, config);
         extra_rounds * (block_interval_s + self.resolution_overhead_s + self.propagation_delay_s)
     }
-
-    /// Samples whether a particular round forks.
-    pub fn sample_fork<R: Rng + ?Sized>(
-        &self,
-        miners: &[Miner],
-        config: &PowConfig,
-        rng: &mut R,
-    ) -> bool {
-        rng.gen::<f64>() < self.fork_probability(miners, config)
-    }
-
-    /// Samples the number of cascading fork resolutions in a round
-    /// (geometric in the fork probability).
-    pub fn sample_fork_cascade<R: Rng + ?Sized>(
-        &self,
-        miners: &[Miner],
-        config: &PowConfig,
-        rng: &mut R,
-    ) -> u32 {
-        let p = self.fork_probability(miners, config).min(0.95);
-        let mut depth = 0;
-        while rng.gen::<f64>() < p && depth < 64 {
-            depth += 1;
-        }
-        depth
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn fleet(m: usize) -> Vec<Miner> {
         (0..m as u64).map(|id| Miner::new(id, 500.0)).collect()
@@ -161,33 +132,6 @@ mod tests {
         // Superlinear growth: the marginal cost of the last four miners
         // exceeds that of the first four.
         assert!(d10 - d6 > d6 - d2);
-    }
-
-    #[test]
-    fn sampled_fork_rate_tracks_probability() {
-        let model = ForkModel::default();
-        let config = PowConfig::new(2_000);
-        let miners = fleet(5);
-        let p = model.fork_probability(&miners, &config);
-        let mut rng = StdRng::seed_from_u64(77);
-        let n = 5_000;
-        let observed = (0..n)
-            .filter(|_| model.sample_fork(&miners, &config, &mut rng))
-            .count() as f64
-            / n as f64;
-        assert!((observed - p).abs() < 0.05, "observed {observed} vs p {p}");
-    }
-
-    #[test]
-    fn cascade_depth_is_bounded_and_non_negative() {
-        let model = ForkModel::new(5.0, 1.0);
-        let config = PowConfig::new(100);
-        let miners = fleet(10);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..100 {
-            let depth = model.sample_fork_cascade(&miners, &config, &mut rng);
-            assert!(depth <= 64);
-        }
     }
 
     #[test]

@@ -88,21 +88,6 @@ impl Mempool {
         batch
     }
 
-    /// How many blocks of size `max_block_bytes` are needed to clear the
-    /// current backlog. Used by the vanilla-BFL delay model.
-    pub fn blocks_needed(&self, max_block_bytes: usize) -> usize {
-        if self.pending.is_empty() {
-            return 0;
-        }
-        let mut clone = self.clone();
-        let mut blocks = 0;
-        while !clone.is_empty() {
-            clone.drain_block(max_block_bytes);
-            blocks += 1;
-        }
-        blocks
-    }
-
     /// Discards everything (used when a round is abandoned).
     pub fn clear(&mut self) {
         self.pending.clear();
@@ -156,22 +141,6 @@ mod tests {
         let batch = pool.drain_block(1024);
         assert_eq!(batch.len(), 1);
         assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn blocks_needed_matches_manual_draining() {
-        let mut pool = Mempool::new();
-        for client in 0..20u64 {
-            pool.submit(gradient_tx(client, 1000));
-        }
-        let needed = pool.blocks_needed(4096);
-        let mut count = 0;
-        while !pool.is_empty() {
-            pool.drain_block(4096);
-            count += 1;
-        }
-        assert_eq!(needed, count);
-        assert_eq!(pool.blocks_needed(4096), 0);
     }
 
     /// An unbounded block is a drain of everything. (`drain_all`, which the

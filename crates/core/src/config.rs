@@ -175,23 +175,26 @@ impl ProfileConfig {
     }
 }
 
-/// How per-client run state (data shard, RSA key pair) is provisioned.
+/// How a signing run's RSA key pairs are provisioned.
 ///
-/// Eager provisioning builds the whole population up front — O(population)
-/// memory and keygen work. Lazy provisioning derives each client on first
-/// selection from pure per-index RNG streams ([`bfl_fl::implicit`],
-/// [`bfl_crypto::LazyKeyVault`]) and caches at most `cache_budget` of them,
-/// so a round costs O(participants) regardless of population size.
+/// Eager provisioning generates the whole population's key pairs up
+/// front — O(population) memory and keygen work. Lazy provisioning derives
+/// each key pair on first selection from a pure per-index RNG stream
+/// ([`bfl_crypto::LazyKeyVault`]) and caches at most `cache_budget` of
+/// them, so a round costs O(participants) regardless of population size.
+/// Neither mode provisions clients: an implicit partition
+/// ([`bfl_fl::implicit`]) derives each client where it is used, and any
+/// other partition builds them all at run start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ProvisioningMode {
-    /// Materialize every client (and, when signing, every key pair) at run
-    /// start. The PR 4–6 behaviour, bit-identical.
+    /// Generate every key pair (when signing) at run start. The PR 4–6
+    /// behaviour, bit-identical.
     #[default]
     Eager,
-    /// Derive clients and keys on demand; requires
+    /// Derive key pairs on demand; requires
     /// [`PartitionKind::ImplicitIid`](bfl_fl::config::PartitionKind).
     Lazy {
-        /// Maximum clients/key pairs kept cached (>= selected per round).
+        /// Maximum key pairs kept cached (>= selected per round).
         cache_budget: usize,
     },
 }
@@ -328,7 +331,7 @@ pub struct BflConfig {
     /// fork (discard, or salvage through the staleness policy).
     pub reorg: ReorgPolicy,
     /// Eager (whole-population) or lazy (on-first-selection, budgeted)
-    /// provisioning of client shards and RSA key pairs.
+    /// provisioning of RSA key pairs.
     pub provisioning: ProvisioningMode,
     /// Materialized (full-round buffer) or streaming (chunked fold)
     /// Procedure-IV aggregation; streaming needs the event engine.

@@ -81,9 +81,9 @@ pub(crate) struct LearningState<'a> {
     pub(crate) train: &'a Dataset,
     pub(crate) test: &'a Dataset,
     pub(crate) rng: StdRng,
-    /// The client population: a materialized `Vec<Client>` under eager
-    /// provisioning, or an implicit population derived per index on first
-    /// touch (client id == population index in both backends).
+    /// The client population: a materialized `Vec<Client>`, or an
+    /// implicit population derived per index wherever a client is used
+    /// (client id == population index in both backends).
     pub(crate) pool: ClientPool,
     pub(crate) local_config: LocalTrainingConfig,
     /// RSA identities when `verify_signatures` is on: eagerly provisioned
@@ -416,27 +416,21 @@ impl<'a> LearningState<'a> {
         // it the rejection-sampled Procedure I — regardless of the
         // provisioning mode, so that eager and lazy provisioning draw
         // identically from the learning stream and stay bit-identical.
-        // The provisioning mode only sets the cache budget: eager pins
-        // every touched client forever (the population is the budget),
-        // lazy evicts down to the configured O(active) budget. Implicit
+        // The pool keeps no client: each is derived where it is used, so
+        // the provisioning mode shapes only the key chain below. Implicit
         // partitions consume zero learning-stream draws either way.
         let pool = match config.fl.partition {
             PartitionKind::ImplicitIid { samples_per_client } => {
-                let cache_budget = match config.provisioning {
-                    ProvisioningMode::Eager => config.fl.clients,
-                    ProvisioningMode::Lazy { cache_budget } => cache_budget,
-                };
-                ClientPool::implicit(ImplicitSpec {
+                ClientPool::Implicit(ImplicitSpec {
                     seed: config.fl.seed,
                     population: config.fl.clients,
                     samples_per_client,
                     train_len: train.len(),
-                    cache_budget,
                 })
             }
             _ => {
                 let trainer = FlTrainer::new(config.fl, FlAlgorithm::FedAvg);
-                ClientPool::materialized(trainer.build_clients(train, &mut rng))
+                ClientPool::Materialized(trainer.build_clients(train, &mut rng))
             }
         };
         let local_config = config.fl.local;

@@ -3,11 +3,11 @@
 //! [`ClientPool`] is the engine's view of the client population. The
 //! materialized backend is the PR 4–6 `Vec<Client>`, built eagerly by
 //! `FlTrainer::build_clients`. The implicit backend holds **no** per-client
-//! state up front: client `i` is a pure function of the run seed
-//! ([`bfl_fl::implicit`]), materialized on first touch into a budgeted LRU
-//! cache, so memory scales with the participants a round actually touches
-//! rather than the configured population.
-//!
+//! state: client `i` is a pure function of the run seed
+//! ([`bfl_fl::implicit`]), derived wherever it is asked for and dropped
+//! after use, so memory scales with the participants a round actually
+//! touches rather than the configured population — whatever the
+//! provisioning mode, which shapes only the key chain.
 //!
 //! The round engines ask the pool two questions and never which backend
 //! answers them. [`ClientPool::select`] is Procedure I's selection: up to
@@ -24,7 +24,7 @@ use bfl_fl::Client;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Parameters an implicit population derives clients from.
 #[derive(Debug, Clone, Copy)]
@@ -37,97 +37,37 @@ pub(crate) struct ImplicitSpec {
     pub samples_per_client: usize,
     /// Training-set length the shards index into.
     pub train_len: usize,
-    /// Maximum clients kept materialized.
-    pub cache_budget: usize,
 }
 
-/// A lazily-materialized implicit population with an LRU cache.
-#[derive(Debug)]
-pub(crate) struct ImplicitPool {
-    spec: ImplicitSpec,
-    cache: BTreeMap<u64, Client>,
-    /// LRU bookkeeping mirroring `LazyKeyVault`: monotone touch tick per
-    /// cached id plus the inverse map, so eviction is O(log n).
-    last_touch: BTreeMap<u64, u64>,
-    by_tick: BTreeMap<u64, u64>,
-    next_tick: u64,
-}
-
-impl ImplicitPool {
-    fn new(spec: ImplicitSpec) -> Self {
-        ImplicitPool {
-            spec,
-            cache: BTreeMap::new(),
-            last_touch: BTreeMap::new(),
-            by_tick: BTreeMap::new(),
-            next_tick: 0,
-        }
-    }
-
-    fn touch(&mut self, id: u64) {
-        if let Some(old) = self.last_touch.insert(id, self.next_tick) {
-            self.by_tick.remove(&old);
-        }
-        self.by_tick.insert(self.next_tick, id);
-        self.next_tick += 1;
-    }
-
-    fn evict_to_budget(&mut self) {
-        let budget = self.spec.cache_budget.max(1);
-        while self.cache.len() > budget {
-            let Some((&tick, &victim)) = self.by_tick.iter().next() else {
-                break;
-            };
-            self.by_tick.remove(&tick);
-            self.last_touch.remove(&victim);
-            self.cache.remove(&victim);
-        }
-    }
-
-    fn client(&mut self, index: usize) -> &Client {
-        debug_assert!(index < self.spec.population);
-        let id = index as u64;
-        if !self.cache.contains_key(&id) {
-            let client = implicit_client(
-                self.spec.seed,
-                id,
-                self.spec.samples_per_client,
-                self.spec.train_len,
-            );
-            self.cache.insert(id, client);
-        }
-        self.touch(id);
-        self.evict_to_budget();
-        self.cache.get(&id).expect("just materialized")
+impl ImplicitSpec {
+    /// Derives client `index`.
+    fn client(&self, index: usize) -> Client {
+        debug_assert!(index < self.population);
+        implicit_client(
+            self.seed,
+            index as u64,
+            self.samples_per_client,
+            self.train_len,
+        )
     }
 }
 
 /// The engine's client population: materialized (eager `Vec<Client>`) or
-/// implicit (derived on demand under an O(active) budget).
+/// implicit (each client derived where it is used).
 #[derive(Debug)]
 pub(crate) enum ClientPool {
     /// Every client exists up front (PR 4–6 behaviour).
     Materialized(Vec<Client>),
-    /// Clients are derived per index on first touch.
-    Implicit(ImplicitPool),
+    /// Clients are derived per index, on every ask.
+    Implicit(ImplicitSpec),
 }
 
 impl ClientPool {
-    /// Wraps an eagerly-built population.
-    pub(crate) fn materialized(clients: Vec<Client>) -> Self {
-        ClientPool::Materialized(clients)
-    }
-
-    /// Creates an implicit population from its derivation parameters.
-    pub(crate) fn implicit(spec: ImplicitSpec) -> Self {
-        ClientPool::Implicit(ImplicitPool::new(spec))
-    }
-
     /// Configured population size.
     pub(crate) fn population(&self) -> usize {
         match self {
             ClientPool::Materialized(clients) => clients.len(),
-            ClientPool::Implicit(pool) => pool.spec.population,
+            ClientPool::Implicit(spec) => spec.population,
         }
     }
 
@@ -157,9 +97,7 @@ impl ClientPool {
                     .map(|i| pool[i])
                     .collect()
             }
-            ClientPool::Implicit(pool) => {
-                sample_population(pool.spec.population, count, eligible, rng)
-            }
+            ClientPool::Implicit(spec) => sample_population(spec.population, count, eligible, rng),
         }
     }
 
@@ -167,18 +105,16 @@ impl ClientPool {
     /// client slice and, aligned with `positions`, each selected client's
     /// index into it. Materialized: the population slice and `positions`
     /// themselves, nothing copied. Implicit: exactly the selected clients,
-    /// derived (or taken from the cache) in selection order, under the
-    /// identity indices `0..positions.len()` — so the fan-out that borrows
-    /// it never holds the cache.
+    /// derived in selection order, under the identity indices
+    /// `0..positions.len()`.
     pub(crate) fn working_set<'a>(
-        &'a mut self,
+        &'a self,
         positions: &'a [usize],
     ) -> (Cow<'a, [Client]>, Cow<'a, [usize]>) {
         match self {
             ClientPool::Materialized(clients) => (Cow::Borrowed(clients), Cow::Borrowed(positions)),
-            ClientPool::Implicit(pool) => {
-                let clients: Vec<Client> =
-                    positions.iter().map(|&p| pool.client(p).clone()).collect();
+            ClientPool::Implicit(spec) => {
+                let clients: Vec<Client> = positions.iter().map(|&p| spec.client(p)).collect();
                 let identity: Vec<usize> = (0..clients.len()).collect();
                 (Cow::Owned(clients), Cow::Owned(identity))
             }
@@ -186,29 +122,19 @@ impl ClientPool {
     }
 
     /// Client `index`'s shard size. O(1) for the implicit backend — shard
-    /// sizes are uniform by construction, so no materialization happens.
+    /// sizes are uniform by construction, so nothing is derived.
     pub(crate) fn sample_count(&self, index: usize) -> usize {
         match self {
             ClientPool::Materialized(clients) => clients[index].sample_count(),
-            ClientPool::Implicit(pool) => pool.spec.samples_per_client,
+            ClientPool::Implicit(spec) => spec.samples_per_client,
         }
     }
 
-    /// Borrows client `index`, materializing (and caching) it if implicit.
-    pub(crate) fn client(&mut self, index: usize) -> &Client {
+    /// Client `index`: borrowed when materialized, derived when implicit.
+    pub(crate) fn client(&self, index: usize) -> Cow<'_, Client> {
         match self {
-            ClientPool::Materialized(clients) => &clients[index],
-            ClientPool::Implicit(pool) => pool.client(index),
-        }
-    }
-
-    /// Number of currently materialized clients (population size for the
-    /// eager backend, cache occupancy for the implicit one).
-    #[cfg(test)]
-    pub(crate) fn resident(&self) -> usize {
-        match self {
-            ClientPool::Materialized(clients) => clients.len(),
-            ClientPool::Implicit(pool) => pool.cache.len(),
+            ClientPool::Materialized(clients) => Cow::Borrowed(&clients[index]),
+            ClientPool::Implicit(spec) => Cow::Owned(spec.client(index)),
         }
     }
 }
@@ -253,28 +179,23 @@ mod tests {
     use proptest::prelude::*;
     use rand::SeedableRng;
 
-    fn spec(population: usize, budget: usize) -> ImplicitSpec {
+    fn spec(population: usize) -> ImplicitSpec {
         ImplicitSpec {
             seed: 0xBF1,
             population,
             samples_per_client: 4,
             train_len: 50,
-            cache_budget: budget,
         }
     }
 
     #[test]
     fn implicit_pool_caches_under_budget_and_rederives_identically() {
-        let mut pool = ClientPool::implicit(spec(1_000_000, 3));
-        let first = pool.client(999_999).clone();
+        let pool = ClientPool::Implicit(spec(1_000_000));
+        let first = pool.client(999_999).into_owned();
         assert_eq!(first.id, 999_999);
-        // Touch enough other clients to evict it.
-        for i in 0..5 {
-            pool.client(i);
-        }
-        assert_eq!(pool.resident(), 3, "budget bounds residency");
-        let again = pool.client(999_999).clone();
-        assert_eq!(first, again, "rederivation after eviction is identity");
+        let again = pool.client(999_999);
+        assert!(matches!(again, Cow::Owned(_)), "derived, not kept");
+        assert_eq!(first, *again, "deriving twice gives the same client");
     }
 
     #[test]
@@ -307,20 +228,19 @@ mod tests {
             "implicit build consumes zero learning-stream draws"
         );
 
-        let mut lazy = ClientPool::implicit(ImplicitSpec {
+        let lazy = ClientPool::Implicit(ImplicitSpec {
             seed: config.seed,
             population: 12,
             samples_per_client: 4,
             train_len: train.len(),
-            cache_budget: 12,
         });
         for (i, expected) in eager.iter().enumerate() {
-            assert_eq!(lazy.client(i), expected, "client {i}");
+            assert_eq!(&*lazy.client(i), expected, "client {i}");
         }
     }
 
     fn materialized(population: usize) -> ClientPool {
-        ClientPool::materialized(
+        ClientPool::Materialized(
             (0..population)
                 .map(|i| Client::honest(i as u64, vec![i]))
                 .collect(),
@@ -361,7 +281,7 @@ mod tests {
 
             let mut rng = StdRng::seed_from_u64(seed);
             let mut oracle_rng = rng.clone();
-            let picked = ClientPool::implicit(spec(population, 4)).select(count, eligible, &mut rng);
+            let picked = ClientPool::Implicit(spec(population)).select(count, eligible, &mut rng);
             let expected = sample_population(population, count, eligible, &mut oracle_rng);
             prop_assert!(picked.windows(2).all(|w| w[0] < w[1]));
             prop_assert!(picked.iter().all(|&i| eligible(i)));
@@ -373,7 +293,7 @@ mod tests {
     #[test]
     fn the_working_set_lends_the_population_or_derives_exactly_the_selection() {
         // Materialized: the population slice itself, positions unchanged.
-        let mut pool = materialized(9);
+        let pool = materialized(9);
         let ClientPool::Materialized(all) = &pool else {
             unreachable!()
         };
@@ -384,10 +304,9 @@ mod tests {
         assert!(std::ptr::eq(&*indices, &positions[..]));
 
         // Implicit: one derived client per position, in selection order,
-        // under identity indices — whatever the cache budget evicts on
-        // the way.
-        let spec = spec(1_000_000, 2);
-        let mut pool = ClientPool::implicit(spec);
+        // under identity indices.
+        let spec = spec(1_000_000);
+        let pool = ClientPool::Implicit(spec);
         let positions = [3usize, 999_999, 17, 250_000, 4];
         let (clients, indices) = pool.working_set(&positions);
         assert_eq!(&*indices, &[0, 1, 2, 3, 4]);
@@ -397,7 +316,6 @@ mod tests {
                 implicit_client(spec.seed, p as u64, spec.samples_per_client, spec.train_len);
             assert_eq!(client, &derived, "position {p}");
         }
-        assert_eq!(pool.resident(), 2, "the cache stays within its budget");
     }
 
     #[test]

@@ -48,13 +48,6 @@ impl SimClock {
         );
         self.now_seconds += seconds;
     }
-
-    /// Returns a copy advanced by `seconds` without mutating `self`.
-    pub fn advanced_by(&self, seconds: f64) -> SimClock {
-        let mut clone = *self;
-        clone.advance(seconds);
-        clone
-    }
 }
 
 #[cfg(test)]
@@ -70,14 +63,6 @@ mod tests {
         clock.advance(0.25);
         assert!((clock.now_seconds() - 1.75).abs() < 1e-12);
         assert_eq!(clock.now_millis(), 1750);
-    }
-
-    #[test]
-    fn advanced_by_does_not_mutate() {
-        let clock = SimClock::new();
-        let later = clock.advanced_by(3.0);
-        assert_eq!(clock.now_seconds(), 0.0);
-        assert_eq!(later.now_seconds(), 3.0);
     }
 
     #[test]

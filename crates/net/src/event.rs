@@ -10,16 +10,18 @@
 //! uploads) resolve in the order they were scheduled, never in allocator
 //! or hash order.
 //!
-//! ## Due batches
+//! ## Due batches and looking ahead
 //!
-//! All events sharing the earliest pending time form a *due batch*;
-//! [`EventQueue::pop_due_batch`] drains it in one call, in pop order. A
-//! handler that processes a drained batch left-to-right observes exactly
-//! the one-at-a-time pop order: any event scheduled *while* processing
-//! carries a larger `seq` and therefore sorts after the drained batch,
-//! even at the same time. Unprocessed members can go back via
-//! [`EventQueue::reinsert`], which preserves their original `seq` and
-//! hence their slot in the total order.
+//! The round engine pops one event at a time. All events sharing the
+//! earliest pending time form a *due batch*; [`EventQueue::pop_due_batch`]
+//! drains it in one call, in pop order, for a caller that wants a whole
+//! timestamp at once. Processing a drained batch left-to-right observes
+//! exactly the one-at-a-time pop order: any event scheduled *while*
+//! processing carries a larger `seq` and therefore sorts after the drained
+//! batch, even at the same time. A popped event can go back via
+//! [`EventQueue::reinsert`], which preserves its original `seq` and hence
+//! its slot in the total order; that is how the engine's run-ahead looks
+//! at the events queued behind the one it is about to handle.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -167,8 +169,9 @@ impl<T> EventQueue<T> {
     }
 
     /// Puts a previously popped event back, preserving its sequence
-    /// number — and therefore its exact slot in the pop order. Used by
-    /// batch drains to return members they chose not to process.
+    /// number — and therefore its exact slot in the pop order. Used to
+    /// return events a caller popped only to look at, or batch members it
+    /// chose not to process.
     pub fn reinsert(&mut self, event: ScheduledEvent<T>) {
         self.heap.push(Entry {
             time_s: event.time_s,

@@ -25,11 +25,6 @@ impl Topology {
         Topology { clients, miners }
     }
 
-    /// The paper's default deployment: 100 clients, 2 miners.
-    pub fn paper_default() -> Self {
-        Topology::new(100, 2)
-    }
-
     /// Uniformly associates each of the given clients with a miner for one
     /// round. Returns `assignments[i] = miner index` aligned with `clients`.
     pub fn associate_clients<R: Rng + ?Sized>(&self, clients: &[u64], rng: &mut R) -> Vec<usize> {
@@ -47,11 +42,6 @@ impl Topology {
     pub fn associate_one<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         rng.gen_range(0..self.miners)
     }
-
-    /// Number of miner-to-miner links in the full mesh.
-    pub fn miner_mesh_links(&self) -> usize {
-        self.miners * self.miners.saturating_sub(1) / 2
-    }
 }
 
 #[cfg(test)]
@@ -59,14 +49,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn paper_default_matches_section_5_1() {
-        let t = Topology::paper_default();
-        assert_eq!(t.clients, 100);
-        assert_eq!(t.miners, 2);
-        assert_eq!(t.miner_mesh_links(), 1);
-    }
 
     #[test]
     #[should_panic(expected = "at least one miner")]
@@ -104,12 +86,5 @@ mod tests {
             .map(|_| t.associate_one(&mut single_rng))
             .collect();
         assert_eq!(batch, singles);
-    }
-
-    #[test]
-    fn mesh_link_count() {
-        assert_eq!(Topology::new(10, 1).miner_mesh_links(), 0);
-        assert_eq!(Topology::new(10, 2).miner_mesh_links(), 1);
-        assert_eq!(Topology::new(10, 5).miner_mesh_links(), 10);
     }
 }

@@ -36,11 +36,11 @@ fn run(config: BflConfig) -> SimulationResult {
         .unwrap()
 }
 
-/// Lazy provisioning (budgeted client cache + lazy RSA key vault) must be
-/// invisible in every artifact: per-round records, block hashes, detection, rewards,
-/// final parameters. Signatures stay on so the lazy key vault is actually
-/// exercised, and the cache budget sits at the selection size so eviction
-/// happens.
+/// Lazy provisioning (the budgeted RSA key vault; clients are derived
+/// where used under either mode) must be invisible in every artifact:
+/// per-round records, block hashes, detection, rewards, final parameters.
+/// Signatures stay on so the lazy key vault is actually exercised, and its
+/// budget sits at the selection size so eviction happens.
 ///
 /// ("Both engine modes" in the name dates from the process-wide
 /// reference-arithmetic switch; one mode remains, and the name stays so
@@ -210,7 +210,7 @@ fn streaming_rounds_that_discard_stale_uploads_unopened_keep_their_digest() {
 ///
 /// The scenario is built to put every kind of run in front of the walk:
 /// a constant uplink (whole cohorts arrive on one timestamp, so runs span
-/// the due batch and the queue behind it), stragglers (late arrivals
+/// a timestamp and the later ones behind it), stragglers (late arrivals
 /// interleave with the next round's `TrainingFinished` events, which end
 /// a run), `DecayedInclude` (stale tickets are opened and carried), a
 /// quota of 57 over chunks of 25 (full chunks and a partial one bound the
