@@ -190,24 +190,18 @@ impl Block {
         PowConfig::new(self.header.difficulty).meets_target(&self.hash())
     }
 
-    /// Mines the block in place: searches nonces until the proof is valid.
+    /// Mines the block in place: searches nonces from zero until the proof
+    /// is valid ([`PowConfig::search_header`] with an unbounded budget).
     ///
     /// Returns the number of hash evaluations spent. Genesis-style blocks at
     /// difficulty 1 typically succeed on the first try.
     pub fn mine(&mut self, config: &PowConfig) -> u64 {
         self.header.difficulty = config.difficulty;
-        let midstate = self.header.pow_midstate();
-        let mut attempts = 0u64;
-        let mut nonce = 0u64;
-        loop {
-            attempts += 1;
-            let hash = midstate.hash_with_nonce(nonce);
-            if config.meets_target(&hash) {
-                self.header.nonce = nonce;
-                return attempts;
-            }
-            nonce = nonce.wrapping_add(1);
-        }
+        let nonce = config
+            .search_header(&self.header, 0, u64::MAX)
+            .expect("some nonce below 2^64 meets any target");
+        self.header.nonce = nonce;
+        nonce + 1
     }
 
     /// True if the block records no transactions — the "empty block" the

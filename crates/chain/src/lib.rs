@@ -17,8 +17,8 @@
 //!   (global gradients, local gradients, rewards) plus size accounting.
 //! * [`merkle`] — Merkle root over transaction ids.
 //! * [`block`] — block headers, block hashing, genesis construction.
-//! * [`pow`] — difficulty/target arithmetic, nonce search (sequential and
-//!   multi-threaded), and the analytic expected-hash-count model.
+//! * [`pow`] — difficulty/target arithmetic, the one (serial) nonce search,
+//!   and the analytic expected-hash-count model.
 //! * [`mempool`] — a size-limited pending-transaction pool that models the
 //!   transaction queuing of vanilla BFL.
 //! * [`chain`] — the append-only validated chain with reorg support;

@@ -5,9 +5,10 @@
 //! limit and transactions queue up across multiple blocks — the
 //! "transaction queuing ... regarded as a scalability issue" that makes the
 //! blockchain baseline's delay overtake FAIR-BFL in Figure 6a. The
-//! [`Mempool`] models exactly that: admission (with optional signature
-//! verification against a [`bfl_crypto::KeyStore`]), FIFO ordering, and
-//! draining into block-sized batches.
+//! [`Mempool`] models exactly that: admission, FIFO ordering, and draining
+//! into block-sized batches. It does not check signatures: a miner
+//! verifies an upload through its [`bfl_crypto::KeyStore`] before it
+//! submits the transaction.
 //!
 //! It is the vanilla-BFL / chain-only queue and nothing else. FAIR-BFL's
 //! own rounds never put a local gradient in a block (Assumption 2), so the
@@ -16,7 +17,6 @@
 //! part in them.
 
 use crate::transaction::Transaction;
-use bfl_crypto::{CryptoError, KeyStore, SignedMessage};
 use std::collections::VecDeque;
 
 /// A FIFO pool of transactions waiting to be packed into blocks.
@@ -44,23 +44,6 @@ impl Mempool {
     /// Admits a transaction without verification.
     pub fn submit(&mut self, tx: Transaction) {
         self.pending.push_back(tx);
-    }
-
-    /// Admits a transaction after verifying its carrier signature against
-    /// the registered public key of the claimed signer.
-    ///
-    /// `envelope` is the signed message that carried `tx` over the network;
-    /// the mempool does not interpret its payload, it only checks the
-    /// signature (the paper's Figure 2 verification step).
-    pub fn submit_signed(
-        &mut self,
-        tx: Transaction,
-        envelope: &SignedMessage,
-        keys: &KeyStore,
-    ) -> Result<(), CryptoError> {
-        keys.verify(envelope)?;
-        self.submit(tx);
-        Ok(())
     }
 
     /// Drains the oldest transactions that fit within `max_block_bytes`
@@ -97,10 +80,6 @@ impl Mempool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfl_crypto::signature::sign_message;
-    use bfl_crypto::RsaKeyPair;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn gradient_tx(client: u64, bytes: usize) -> Transaction {
         Transaction::local_gradient(client, 1, vec![0u8; bytes])
@@ -164,82 +143,5 @@ mod tests {
         pool.submit(gradient_tx(1, 10));
         pool.clear();
         assert!(pool.is_empty());
-    }
-
-    #[test]
-    fn signed_submission_requires_valid_signature() {
-        let mut store = KeyStore::new();
-        let mut rng = StdRng::seed_from_u64(42);
-        let pairs = store.provision(&mut rng, &[1, 2], 256).unwrap();
-
-        let mut pool = Mempool::new();
-        let tx = gradient_tx(1, 16);
-        let envelope = sign_message(1, b"serialized gradient", &pairs[&1].private);
-        pool.submit_signed(tx.clone(), &envelope, &store).unwrap();
-        assert_eq!(pool.len(), 1);
-
-        // Client 2 forging client 1's identity is rejected.
-        let forged = sign_message(1, b"poison", &pairs[&2].private);
-        let err = pool.submit_signed(tx, &forged, &store).unwrap_err();
-        assert_eq!(err, CryptoError::InvalidSignature);
-        assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn unknown_signer_is_rejected() {
-        let store = KeyStore::new();
-        let mut rng = StdRng::seed_from_u64(43);
-        let pair = RsaKeyPair::generate(&mut rng, 256).unwrap();
-        let mut pool = Mempool::new();
-        let envelope = sign_message(7, b"payload", &pair.private);
-        let err = pool
-            .submit_signed(gradient_tx(7, 4), &envelope, &store)
-            .unwrap_err();
-        assert_eq!(err, CryptoError::UnknownSigner(7));
-    }
-
-    mod corruption_properties {
-        use super::*;
-        use proptest::prelude::*;
-        use std::sync::OnceLock;
-
-        /// One provisioned signer shared across proptest cases (RSA key
-        /// generation is the expensive part).
-        fn signer() -> &'static (KeyStore, bfl_crypto::RsaKeyPair) {
-            static SIGNER: OnceLock<(KeyStore, bfl_crypto::RsaKeyPair)> = OnceLock::new();
-            SIGNER.get_or_init(|| {
-                let mut store = KeyStore::new();
-                let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-                let pairs = store.provision(&mut rng, &[1], 256).unwrap();
-                let pair = pairs[&1].clone();
-                (store, pair)
-            })
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            /// Any single-byte corruption of a signed upload in transit is
-            /// rejected by `submit_signed` — the signature check is the
-            /// fault detector for corrupt-bytes link faults.
-            #[test]
-            fn single_byte_corruption_is_rejected(
-                payload in proptest::collection::vec(any::<u8>(), 1..64),
-                index_seed in any::<usize>(),
-                flip in 1u8..=255,
-            ) {
-                let (store, pair) = signer();
-                let mut envelope = sign_message(1, &payload, &pair.private);
-                let index = index_seed % envelope.payload.len();
-                envelope.payload[index] ^= flip;
-
-                let mut pool = Mempool::new();
-                let err = pool
-                    .submit_signed(gradient_tx(1, 16), &envelope, store)
-                    .unwrap_err();
-                prop_assert_eq!(err, CryptoError::InvalidSignature);
-                prop_assert!(pool.is_empty());
-            }
-        }
     }
 }

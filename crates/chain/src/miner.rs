@@ -5,7 +5,8 @@
 //! and competes in the PoW lottery. For the delay figures the interesting
 //! quantity is *how long* the mining competition takes, which depends on the
 //! difficulty and the competing hash power; this module provides both an
-//! analytic sample (exponential race) and a real nonce search.
+//! analytic sample (exponential race) and a real nonce search, the serial
+//! [`PowConfig::search_header`].
 
 use crate::block::Block;
 use crate::pow::PowConfig;
@@ -38,16 +39,9 @@ impl Miner {
         Miner { id, hash_rate }
     }
 
-    /// Performs a real bounded nonce search on `candidate`, returning the
-    /// number of hashes spent if a proof was found.
-    ///
-    /// With [`PowConfig::mining_threads`] above one, the search fans out
-    /// over the configured worker count through the deterministic
-    /// parallel search covering exactly the serial range `[0, budget)`:
-    /// the winning nonce is the smallest satisfying nonce of that range
-    /// at every worker count, so the sealed block — and whether the
-    /// budget suffices at all — is identical to the serial search. Only
-    /// the wall-clock changes.
+    /// Performs a real bounded nonce search on `candidate` over `[0,
+    /// budget)`, returning the number of hashes spent if a proof was
+    /// found.
     pub fn mine_block(
         &self,
         candidate: &mut Block,
@@ -56,14 +50,7 @@ impl Miner {
     ) -> Option<u64> {
         candidate.header.difficulty = config.difficulty;
         candidate.header.miner_id = self.id;
-        let threads = config.effective_mining_threads();
-        let nonce = if threads > 1 {
-            config
-                .search_header_parallel_budget(&candidate.header, threads, budget)
-                .0?
-        } else {
-            config.search_header(&candidate.header, 0, budget)?
-        };
+        let nonce = config.search_header(&candidate.header, 0, budget)?;
         candidate.header.nonce = nonce;
         Some(nonce + 1)
     }
@@ -152,39 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mining_seals_the_same_block_as_serial() {
-        let miner = Miner::new(3, 1000.0);
-        let genesis = Block::genesis();
-        let serial_config = PowConfig::new(64);
-        let parallel_config = PowConfig::new(64).with_mining_threads(4);
-
-        let mut serial_block = Block::candidate(&genesis, vec![], 0, 1, 0);
-        miner
-            .mine_block(&mut serial_block, &serial_config, 1_000_000)
-            .expect("serial mining succeeds");
-        let mut parallel_block = Block::candidate(&genesis, vec![], 0, 1, 0);
-        miner
-            .mine_block(&mut parallel_block, &parallel_config, 1_000_000)
-            .expect("parallel mining succeeds");
-
-        assert_eq!(serial_block.header.nonce, parallel_block.header.nonce);
-        assert_eq!(serial_block.hash(), parallel_block.hash());
-        assert!(parallel_block.proof_is_valid());
-    }
-
-    #[test]
     fn mine_block_respects_budget() {
         let miner = Miner::new(3, 1000.0);
         let genesis = Block::genesis();
         let mut candidate = Block::candidate(&genesis, vec![], 0, 1, 0);
         let config = PowConfig::new(u64::MAX / 2);
         assert!(miner.mine_block(&mut candidate, &config, 16).is_none());
-        // The parallel search covers the identical [0, budget) range, so
-        // it fails on exactly the budgets the serial search fails on —
-        // including budgets not divisible by the worker count.
-        let parallel = config.with_mining_threads(3);
-        assert!(miner.mine_block(&mut candidate, &parallel, 16).is_none());
-        assert!(miner.mine_block(&mut candidate, &parallel, 17).is_none());
     }
 
     #[test]

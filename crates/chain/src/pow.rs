@@ -8,43 +8,30 @@
 //! of success per hash is `1 / difficulty`, so the expected number of hashes
 //! per block equals the difficulty. The delay model in `bfl-core` uses
 //! [`PowConfig::expected_hashes`] together with a miner's hash rate to turn
-//! difficulty into seconds; this module also implements *actual* nonce
-//! searches (sequential and multi-threaded) so the ledger substrate is a
-//! real PoW chain, not a mock.
+//! difficulty into seconds; this module also implements the *actual* nonce
+//! search so the ledger substrate is a real PoW chain, not a mock.
 //!
-//! The header searches ([`PowConfig::search_header`],
-//! [`PowConfig::search_header_parallel_budget`]) go through the block header's
-//! SHA-256 midstate ([`crate::block::BlockHeader::pow_midstate`]): the
-//! nonce is the last header field, so the 96-byte prefix is compressed
+//! There is one search, serial: a block at the engine's difficulty costs
+//! about 64 hashes, far less than a thread spawn, so a parallel search
+//! could only lose. [`PowConfig::search_header`] goes through the block
+//! header's SHA-256 midstate ([`crate::block::BlockHeader::pow_midstate`]):
+//! the nonce is the last header field, so the 96-byte prefix is compressed
 //! once per mining attempt and each nonce costs one final padded block —
 //! half the compressions of hashing the full header, with no per-nonce
 //! allocation.
 
-use crate::block::{BlockHeader, PowMidstate};
+use crate::block::BlockHeader;
 use bfl_crypto::sha256::Digest;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mining difficulty, expressed as the expected number of hash evaluations
 /// required to find a valid nonce (`Target = Target_1 / difficulty`).
 pub type Difficulty = u64;
-
-/// Nonces scanned per claim by each worker of the deterministic parallel
-/// search. Small enough that workers notice a winner quickly, large
-/// enough that the shared counter is off the hot path.
-const PARALLEL_SEARCH_BLOCK: u64 = 4096;
 
 /// Proof-of-work configuration shared by all miners in a deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PowConfig {
     /// Difficulty: expected hashes per block. Must be at least 1.
     pub difficulty: Difficulty,
-    /// Worker threads the consensus nonce search uses: `1` keeps the
-    /// serial loop, `0` means one worker per available core, and any
-    /// other value is the exact worker count. The parallel search is
-    /// deterministic (it returns the smallest satisfying nonce of the
-    /// covered range), so this knob changes wall-clock time, never the
-    /// mined block.
-    pub mining_threads: usize,
 }
 
 impl Default for PowConfig {
@@ -52,37 +39,27 @@ impl Default for PowConfig {
         // A light default so unit tests and examples mine instantly.
         PowConfig {
             difficulty: 1 << 12,
-            mining_threads: 1,
         }
     }
 }
 
 impl PowConfig {
-    /// Creates a configuration with the given difficulty (clamped to >= 1)
-    /// and the serial nonce search.
+    /// Creates a configuration with the given difficulty (clamped to >= 1).
     pub fn new(difficulty: Difficulty) -> Self {
         PowConfig {
             difficulty: difficulty.max(1),
-            mining_threads: 1,
         }
     }
 
-    /// Returns the configuration with the mining-thread knob set (see
-    /// [`PowConfig::mining_threads`]).
-    pub fn with_mining_threads(mut self, threads: usize) -> Self {
-        self.mining_threads = threads;
+    /// Returns the configuration unchanged. The nonce search is serial,
+    /// so `threads` must be 1; the method stays for callers that pass
+    /// `BflConfig::mining_threads` through.
+    pub fn with_mining_threads(self, threads: usize) -> Self {
+        assert_eq!(
+            threads, 1,
+            "the nonce search is serial: mining_threads must be 1"
+        );
         self
-    }
-
-    /// The worker count [`PowConfig::mining_threads`] resolves to: `0`
-    /// becomes the machine's available parallelism.
-    pub fn effective_mining_threads(&self) -> usize {
-        match self.mining_threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
     }
 
     /// Expected number of hash evaluations to find a block at this difficulty.
@@ -121,102 +98,6 @@ impl PowConfig {
         None
     }
 
-    /// Multi-threaded nonce search over `[0, threads * budget_per_thread)`
-    /// with a **deterministic** winner: the returned nonce is the smallest
-    /// satisfying nonce of the covered range, independent of thread
-    /// scheduling, so parallel mining produces the same block a serial
-    /// scan of the range would.
-    ///
-    /// The range is split into fixed-size blocks dealt round-robin to the
-    /// workers. When a worker finds a satisfying nonce it publishes it
-    /// with `fetch_min`; a worker abandons the race only when its next
-    /// block starts above the published best, which guarantees every
-    /// block below the final winner was fully scanned (the paper's
-    /// mining competition, where "those who receive the message will stop
-    /// their current computation" — except losers first finish anything
-    /// that could still undercut the winner). Returns the winning nonce
-    /// and the total number of hashes evaluated across all workers.
-    pub fn search_parallel<F>(
-        &self,
-        threads: usize,
-        budget_per_thread: u64,
-        hash_with_nonce: F,
-    ) -> (Option<u64>, u64)
-    where
-        F: Fn(u64) -> Digest + Sync,
-    {
-        let threads = threads.max(1);
-        let total = (threads as u64).saturating_mul(budget_per_thread);
-        self.search_range_parallel(threads, total, hash_with_nonce)
-    }
-
-    /// Deterministic parallel search over exactly `[0, total)` (the core
-    /// behind [`Self::search_parallel`]; see there for the scheme). An
-    /// exact total lets callers with a fixed hash budget keep it precise
-    /// regardless of the worker count.
-    fn search_range_parallel<F>(
-        &self,
-        threads: usize,
-        total: u64,
-        hash_with_nonce: F,
-    ) -> (Option<u64>, u64)
-    where
-        F: Fn(u64) -> Digest + Sync,
-    {
-        let threads = threads.max(1);
-        if threads == 1 {
-            let found = self.search(0, total, &hash_with_nonce);
-            // Mirror the parallel accounting: a found nonce means nonce+1
-            // hashes were spent; exhaustion means the whole budget was.
-            let hashes = found.map_or(total, |n| n + 1);
-            return (found, hashes);
-        }
-        let per_thread = (total / threads as u64).max(1);
-        let block = PARALLEL_SEARCH_BLOCK.min(per_thread);
-        let blocks = total.div_ceil(block);
-        let best = AtomicU64::new(u64::MAX);
-        let total_hashes = AtomicU64::new(0);
-
-        std::thread::scope(|scope| {
-            for worker in 0..threads as u64 {
-                let hash_fn = &hash_with_nonce;
-                let best = &best;
-                let total_hashes = &total_hashes;
-                let config = *self;
-                scope.spawn(move || {
-                    let mut local_hashes = 0u64;
-                    let mut index = worker;
-                    while index < blocks {
-                        let start = index * block;
-                        // Nothing in this block (or any later one of this
-                        // worker) can undercut the published winner.
-                        if start > best.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let end = (start + block).min(total);
-                        for nonce in start..end {
-                            local_hashes += 1;
-                            if config.meets_target(&hash_fn(nonce)) {
-                                best.fetch_min(nonce, Ordering::AcqRel);
-                                break;
-                            }
-                        }
-                        index += threads as u64;
-                    }
-                    total_hashes.fetch_add(local_hashes, Ordering::Relaxed);
-                });
-            }
-        });
-
-        let winner = best.load(Ordering::Acquire);
-        let winner = if winner == u64::MAX {
-            None
-        } else {
-            Some(winner)
-        };
-        (winner, total_hashes.load(Ordering::Relaxed))
-    }
-
     /// Sequential nonce search over `header`, hashing through its
     /// precomputed midstate (one compression per nonce).
     pub fn search_header(
@@ -227,24 +108,6 @@ impl PowConfig {
     ) -> Option<u64> {
         let midstate = header.pow_midstate();
         self.search(start_nonce, budget, |nonce| midstate.hash_with_nonce(nonce))
-    }
-
-    /// Multi-threaded nonce search over `header` through its midstate
-    /// (each worker hashes via a clone of it, so the 96-byte prefix is
-    /// compressed once for the whole race), over exactly the nonce range
-    /// `[0, budget)` — the same range the serial [`Self::search_header`]
-    /// scans — so consensus mining covers an identical search space at
-    /// every worker count.
-    pub fn search_header_parallel_budget(
-        &self,
-        header: &BlockHeader,
-        threads: usize,
-        budget: u64,
-    ) -> (Option<u64>, u64) {
-        let midstate: PowMidstate = header.pow_midstate();
-        self.search_range_parallel(threads, budget, move |nonce| {
-            midstate.hash_with_nonce(nonce)
-        })
     }
 }
 
@@ -322,63 +185,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn parallel_search_finds_valid_nonce_and_counts_hashes() {
-        let config = PowConfig::new(64);
-        let (nonce, hashes) = config.search_parallel(4, 250_000, header_hash);
-        let nonce = nonce.expect("parallel search must find a difficulty-64 solution");
-        assert!(config.meets_target(&header_hash(nonce)));
-        assert!(hashes > 0);
-    }
-
-    #[test]
-    fn parallel_search_is_deterministic_and_matches_serial() {
-        let config = PowConfig::new(256);
-        let serial = config.search(0, 1_000_000, header_hash);
-        assert!(serial.is_some());
-        // The deterministic parallel search returns the smallest
-        // satisfying nonce of the covered range — i.e. exactly what the
-        // serial scan finds — for every worker count.
-        for threads in [1usize, 2, 3, 4] {
-            let per_thread = 1_000_000u64.div_ceil(threads as u64);
-            for _ in 0..3 {
-                let (nonce, _) = config.search_parallel(threads, per_thread, header_hash);
-                assert_eq!(nonce, serial, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn mining_threads_knob_resolves() {
-        assert_eq!(PowConfig::new(8).mining_threads, 1);
-        assert_eq!(PowConfig::new(8).effective_mining_threads(), 1);
-        let parallel = PowConfig::new(8).with_mining_threads(3);
-        assert_eq!(parallel.effective_mining_threads(), 3);
-        assert_eq!(parallel.difficulty, 8);
-        // 0 resolves to the machine's parallelism, never zero.
-        assert!(
-            PowConfig::new(8)
-                .with_mining_threads(0)
-                .effective_mining_threads()
-                >= 1
-        );
-    }
-
-    #[test]
-    fn parallel_search_with_impossible_target_exhausts_budget() {
-        let config = PowConfig::new(u64::MAX / 2);
-        let (nonce, hashes) = config.search_parallel(2, 50, header_hash);
-        assert!(nonce.is_none());
-        assert_eq!(hashes, 100);
-    }
-
-    #[test]
-    fn parallel_search_with_zero_threads_is_clamped() {
-        let config = PowConfig::new(16);
-        let (nonce, _) = config.search_parallel(0, 100_000, header_hash);
-        assert!(nonce.is_some());
-    }
-
     fn sample_header() -> crate::block::BlockHeader {
         let genesis = crate::block::Block::genesis();
         crate::block::Block::candidate(&genesis, vec![], 99, 1, 7).header
@@ -392,15 +198,5 @@ mod tests {
         let via_full = config.search(0, 1_000_000, |n| header.hash_with_nonce(n));
         assert_eq!(via_midstate, via_full);
         assert!(via_midstate.is_some());
-    }
-
-    #[test]
-    fn parallel_header_search_finds_valid_nonce() {
-        let header = sample_header();
-        let config = PowConfig::new(64);
-        let (nonce, hashes) = config.search_header_parallel_budget(&header, 4, 1_000_000);
-        let nonce = nonce.expect("difficulty 64 must be solvable");
-        assert!(config.meets_target(&header.hash_with_nonce(nonce)));
-        assert!(hashes > 0);
     }
 }

@@ -302,10 +302,8 @@ pub struct BflConfig {
     /// Rounds a discarded client sits out before becoming selectable again
     /// (the "clients selection" effect of the discard strategy).
     pub discard_cooldown_rounds: usize,
-    /// Worker threads the PoW nonce search uses when sealing a block:
-    /// `1` keeps the serial loop, `0` uses one worker per core, any other
-    /// value is the exact count. The parallel search is deterministic, so
-    /// this changes wall-clock time but never the mined chain.
+    /// Worker threads of the PoW nonce search. Must be 1 (the search is
+    /// serial); kept for the frozen serde form, which spells it.
     pub mining_threads: usize,
     /// When a round's block seals: lockstep ([`SyncMode::Synchronous`],
     /// the PR 4 engine) or after a flexible quota of uploads has arrived
@@ -386,6 +384,13 @@ impl BflConfig {
                 bfl_crypto::rsa::MIN_MODULUS_BITS
             )));
         }
+        if self.mining_threads != 1 {
+            return Err(CoreError::invalid(format!(
+                "mining_threads must be 1 (the nonce search is serial), got {}",
+                self.mining_threads
+            )));
+        }
+        self.delay.validate()?;
         self.anchor.validate()?;
         self.sync.validate()?;
         self.staleness.validate()?;
@@ -723,6 +728,69 @@ mod tests {
         let mut config = BflConfig::default();
         config.profiles.uplink = DelayDistribution::Uniform { min: 0.4, max: 0.1 };
         assert_rejected(config, "inverted");
+    }
+
+    #[test]
+    fn mining_threads_other_than_one_rejected() {
+        for threads in [0, 2] {
+            let config = BflConfig {
+                mining_threads: threads,
+                ..Default::default()
+            };
+            assert_rejected(
+                config,
+                &format!("mining_threads must be 1 (the nonce search is serial), got {threads}"),
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_delay_models_rejected() {
+        type Edit = fn(&mut DelayModel);
+        let cases: [(Edit, &str); 8] = [
+            (
+                |d| d.miner_hash_rate = 0.0,
+                "delay.miner_hash_rate must be finite and positive, got 0",
+            ),
+            (
+                |d| d.miner_hash_rate = f64::INFINITY,
+                "delay.miner_hash_rate",
+            ),
+            (
+                |d| d.uplink.bandwidth_bytes_per_s = 0.0,
+                "delay.uplink.bandwidth_bytes_per_s must be finite and positive, got 0",
+            ),
+            (
+                |d| d.miner_link.bandwidth_bytes_per_s = -1.0,
+                "delay.miner_link.bandwidth_bytes_per_s",
+            ),
+            (
+                |d| d.uplink.latency = DelayDistribution::Uniform { min: 0.4, max: 0.1 },
+                "delay.uplink.latency: uniform delay bounds are inverted",
+            ),
+            (
+                |d| d.miner_link.latency = DelayDistribution::Exponential { mean: f64::NAN },
+                "delay.miner_link.latency",
+            ),
+            (
+                |d| d.local_step_seconds = -0.1,
+                "delay.local_step_seconds must be finite and non-negative, got -0.1",
+            ),
+            (
+                |d| d.fork.resolution_overhead_s = f64::NAN,
+                "delay.fork.resolution_overhead_s",
+            ),
+        ];
+        for (edit, needle) in cases {
+            let mut config = BflConfig::default();
+            edit(&mut config.delay);
+            assert_rejected(config, needle);
+        }
+        // Zero seconds are a valid (instant) cost.
+        let mut config = BflConfig::default();
+        config.delay.upload_processing_s = 0.0;
+        config.delay.fork.propagation_delay_s = 0.0;
+        config.validate().unwrap();
     }
 
     #[test]

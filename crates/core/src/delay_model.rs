@@ -23,6 +23,7 @@
 //! fork-resolution overhead (Figure 6b). FedAvg/FedProx pay only
 //! `T_local + T_up` plus a small server aggregation cost.
 
+use crate::error::CoreError;
 use bfl_chain::fork::ForkModel;
 use bfl_chain::miner::{expected_competition_time, Miner};
 use bfl_chain::pow::PowConfig;
@@ -119,6 +120,58 @@ impl Default for DelayModel {
 }
 
 impl DelayModel {
+    /// Validates what the engines sample, divide by and schedule with, so
+    /// a model they cannot run fails here instead of panicking mid-run: a
+    /// positive, finite hash rate and link bandwidths, valid latency
+    /// distributions on both links, and finite, non-negative seconds.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        let check = |ok: bool, field: &str, want: &str, value: f64| {
+            if ok {
+                Ok(())
+            } else {
+                Err(CoreError::invalid(format!(
+                    "delay.{field} must be {want}, got {value}"
+                )))
+            }
+        };
+        let positive =
+            |field: &str, v: f64| check(v.is_finite() && v > 0.0, field, "finite and positive", v);
+        positive("miner_hash_rate", self.miner_hash_rate)?;
+        for (name, link) in [("uplink", &self.uplink), ("miner_link", &self.miner_link)] {
+            positive(
+                &format!("{name}.bandwidth_bytes_per_s"),
+                link.bandwidth_bytes_per_s,
+            )?;
+            link.latency
+                .validate()
+                .map_err(|e| CoreError::invalid(format!("delay.{name}.latency: {e}")))?;
+        }
+        for (field, v) in [
+            ("local_step_seconds", self.local_step_seconds),
+            ("upload_processing_s", self.upload_processing_s),
+            (
+                "clustering_seconds_per_vector",
+                self.clustering_seconds_per_vector,
+            ),
+            ("aggregation_seconds", self.aggregation_seconds),
+            ("consensus_overhead_s", self.consensus_overhead_s),
+            ("baseline_tx_process_s", self.baseline_tx_process_s),
+            ("fork.propagation_delay_s", self.fork.propagation_delay_s),
+            (
+                "fork.resolution_overhead_s",
+                self.fork.resolution_overhead_s,
+            ),
+        ] {
+            check(
+                v.is_finite() && v >= 0.0,
+                field,
+                "finite and non-negative",
+                v,
+            )?;
+        }
+        Ok(())
+    }
+
     /// The PoW configuration implied by the model.
     pub fn pow_config(&self) -> PowConfig {
         PowConfig::new(self.pow_difficulty)

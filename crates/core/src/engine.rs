@@ -339,10 +339,7 @@ fn consensus_group(config: &BflConfig) -> RoundConsensus {
     let miners: Vec<Miner> = (0..config.miners as u64)
         .map(|id| Miner::new(id, config.delay.miner_hash_rate))
         .collect();
-    let mut consensus = RoundConsensus::new(
-        miners,
-        bfl_chain::PowConfig::new(64).with_mining_threads(config.mining_threads),
-    );
+    let mut consensus = RoundConsensus::new(miners, bfl_chain::PowConfig::new(64));
     consensus
         .replicas
         .iter_mut()

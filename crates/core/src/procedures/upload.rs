@@ -261,7 +261,9 @@ mod tests {
         let by_hand = bfl_crypto::BigUint::from_bytes_be(&sha256(&preimage));
         let public = &pairs[&6].public;
         assert_eq!(
-            public.apply(&signature.to_biguint()),
+            signature
+                .to_biguint()
+                .modpow_reference(public.exponent(), public.modulus()),
             by_hand.rem(public.modulus())
         );
         let mut verifier = BatchVerifier::new();

@@ -317,24 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mining_produces_an_identical_run() {
-        let (train, test) = tiny_data();
-        let serial = base_config(2);
-        let mut parallel = serial;
-        parallel.mining_threads = 0; // one worker per core
-        let a = run(serial, &train, &test);
-        let b = run(parallel, &train, &test);
-        // The deterministic parallel nonce search seals the same blocks,
-        // so the entire trajectory is bit-identical.
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.final_params, b.final_params);
-        assert_eq!(
-            a.chain.as_ref().unwrap().tip().hash(),
-            b.chain.as_ref().unwrap().tip().hash()
-        );
-    }
-
-    #[test]
     fn runs_are_reproducible() {
         let (train, test) = tiny_data();
         let config = base_config(3);

@@ -4,8 +4,8 @@
 //! arithmetic far beyond 128 bits. This module provides a compact
 //! [`BigUint`] with exactly the operations the [`crate::rsa`] and
 //! [`crate::prime`] modules need: comparison, addition, subtraction,
-//! schoolbook multiplication, division, shifts, modular exponentiation,
-//! gcd, and modular inversion via the extended Euclidean algorithm
+//! schoolbook multiplication, division, shifts, gcd, and modular
+//! inversion via the extended Euclidean algorithm
 //! (implemented with a small sign-tracking wrapper).
 //!
 //! # Representation
@@ -27,15 +27,14 @@
 //! # Fast paths and their oracles
 //!
 //! [`BigUint::div_rem`] is word-level Knuth Algorithm D (one 64-bit
-//! quotient digit per step) and [`BigUint::modpow`] is Montgomery/REDC
-//! exponentiation (see [`crate::montgomery`]). The seed implementations
-//! stay as plain functions that only tests call:
+//! quotient digit per step). Modular exponentiation lives in
+//! [`crate::montgomery`], not here. The seed implementations stay as
+//! plain functions that only tests call:
 //! [`BigUint::div_rem_reference`] (binary long division) and
 //! [`BigUint::modpow_reference`] (square-and-multiply reduced through
 //! it). `tests/crypto_equivalence.rs` pins each fast path to its oracle
 //! bit for bit, up to 4096-bit operands.
 
-use crate::montgomery::MontgomeryCtx;
 use serde::{Deserialize, Serialize, Value};
 use std::cmp::Ordering;
 use std::fmt;
@@ -490,61 +489,28 @@ impl BigUint {
         self.div_rem(modulus).1
     }
 
-    /// Modular multiplication `self * other mod modulus`.
-    pub fn modmul(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
-        self.mul(other).rem(modulus)
-    }
-
-    /// Modular exponentiation.
-    ///
-    /// Montgomery/REDC with fixed 4-bit windows for odd moduli (see
-    /// [`crate::montgomery`]); even moduli, which REDC cannot serve,
-    /// fall back to binary square-and-multiply over [`Self::rem`].
-    pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
-        assert!(!modulus.is_zero(), "modpow with zero modulus");
-        if modulus.is_one() {
-            return BigUint::zero();
-        }
-        match MontgomeryCtx::new(modulus) {
-            Some(ctx) => ctx.modpow(self, exponent),
-            None => self.modpow_binary(exponent, modulus, BigUint::rem),
-        }
-    }
-
     /// The seed modular exponentiation: binary square-and-multiply with
     /// every product reduced through [`Self::div_rem_reference`], so it
     /// shares nothing with Knuth division, Montgomery arithmetic or CRT.
-    /// The oracle for [`Self::modpow`], [`MontgomeryCtx`] and both RSA
-    /// key operations (`tests/crypto_equivalence.rs` and the in-crate
-    /// Montgomery, primality and signature tests call it); no production
-    /// path does.
+    /// The oracle for [`crate::montgomery::MontgomeryCtx::pow_in_place`]
+    /// and both RSA key operations (`tests/crypto_equivalence.rs` and the
+    /// in-crate Montgomery, primality and signature tests call it); no
+    /// production path does.
     pub fn modpow_reference(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         if modulus.is_one() {
             return BigUint::zero();
         }
-        self.modpow_binary(exponent, modulus, |value, modulus| {
-            value.div_rem_reference(modulus).1
-        })
-    }
-
-    /// Right-to-left binary exponentiation for a modulus above one, with
-    /// the reduction supplied by the caller.
-    fn modpow_binary(
-        &self,
-        exponent: &BigUint,
-        modulus: &BigUint,
-        reduce: fn(&BigUint, &BigUint) -> BigUint,
-    ) -> BigUint {
-        let mut base = reduce(self, modulus);
+        let reduce = |value: &BigUint| value.div_rem_reference(modulus).1;
+        let mut base = reduce(self);
         let mut result = BigUint::one();
         let bits = exponent.bit_len();
         for i in 0..bits {
             if exponent.bit(i) {
-                result = reduce(&result.mul(&base), modulus);
+                result = reduce(&result.mul(&base));
             }
             if i + 1 < bits {
-                base = reduce(&base.mul(&base), modulus);
+                base = reduce(&base.mul(&base));
             }
         }
         result
@@ -839,6 +805,7 @@ impl Signed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montgomery::{MontWorkspace, MontgomeryCtx};
     use proptest::prelude::*;
 
     fn big(v: u64) -> BigUint {
@@ -1046,13 +1013,22 @@ mod tests {
 
     #[test]
     fn modpow_small_cases() {
-        assert_eq!(big(4).modpow(&big(13), &big(497)), big(445));
-        assert_eq!(big(2).modpow(&big(10), &big(1025)), big(1024));
-        assert_eq!(big(7).modpow(&BigUint::zero(), &big(13)), BigUint::one());
-        assert_eq!(big(7).modpow(&big(5), &BigUint::one()), BigUint::zero());
+        assert_eq!(big(4).modpow_reference(&big(13), &big(497)), big(445));
+        assert_eq!(big(2).modpow_reference(&big(10), &big(1025)), big(1024));
+        assert_eq!(
+            big(7).modpow_reference(&BigUint::zero(), &big(13)),
+            BigUint::one()
+        );
+        assert_eq!(
+            big(7).modpow_reference(&big(5), &BigUint::one()),
+            BigUint::zero()
+        );
         // Fermat's little theorem: a^(p-1) ≡ 1 mod p for prime p, a not divisible by p.
         let p = big(1_000_000_007);
-        assert_eq!(big(123456).modpow(&big(1_000_000_006), &p), BigUint::one());
+        assert_eq!(
+            big(123456).modpow_reference(&big(1_000_000_006), &p),
+            BigUint::one()
+        );
     }
 
     #[test]
@@ -1215,10 +1191,16 @@ mod tests {
             for _ in 0..exp {
                 expected = expected * (base as u128 % modulus as u128) % modulus as u128;
             }
-            // Even and odd moduli alike: the Montgomery path, its binary
-            // fallback and the oracle all land on the u128 product chain.
+            // The oracle at every modulus and the Montgomery chain at every
+            // odd one land on the u128 product chain.
             let expected = BigUint::from_u64(expected as u64);
-            prop_assert_eq!(&big(base).modpow(&big(exp), &big(modulus)), &expected);
+            if let Some(ctx) = MontgomeryCtx::new(&big(modulus)) {
+                let mut ws = MontWorkspace::new();
+                ctx.prepare(&mut ws);
+                ctx.load(&big(base), &mut ws);
+                ctx.pow_in_place(&big(exp), &mut ws);
+                prop_assert_eq!(&ctx.recover_value(&mut ws), &expected);
+            }
             prop_assert_eq!(big(base).modpow_reference(&big(exp), &big(modulus)), expected);
         }
 

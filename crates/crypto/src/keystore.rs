@@ -8,7 +8,7 @@
 
 use crate::error::CryptoError;
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
-use crate::signature::{verify_message, BatchVerifier, EnvelopeDigest, Signature, SignedMessage};
+use crate::signature::{BatchVerifier, EnvelopeDigest, Signature, SignedMessage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -62,20 +62,10 @@ impl KeyStore {
         self.keys.iter()
     }
 
-    /// Verifies a signed message against the key registered for its signer.
-    pub fn verify(&self, message: &SignedMessage) -> Result<(), CryptoError> {
-        let key = self
-            .keys
-            .get(&message.signer)
-            .ok_or(CryptoError::UnknownSigner(message.signer))?;
-        verify_message(message, key)
-    }
-
     /// Verifies a detached `signature` over `signer ‖ payload` against
     /// the key registered for `signer`, through a shared
     /// [`BatchVerifier`]: the miner-side check for an upload whose payload
-    /// and signature travel separately. Decision-identical to
-    /// [`KeyStore::verify`] on the assembled envelope.
+    /// and signature travel separately.
     pub fn verify_detached(
         &self,
         signer: u64,
@@ -109,7 +99,7 @@ impl KeyStore {
     /// verdict per message in input order. Unknown signers are reported
     /// per slot; the known-signer remainder goes through
     /// [`BatchVerifier::verify_batch`], every per-message decision
-    /// identical to [`KeyStore::verify`].
+    /// identical to [`KeyStore::verify_detached`] on its parts.
     pub fn verify_batch(
         &self,
         messages: &[&SignedMessage],
@@ -293,6 +283,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `message` checked against `store` through a fresh verifier.
+    fn verify(store: &KeyStore, message: &SignedMessage) -> Result<(), CryptoError> {
+        store.verify_detached(
+            message.signer,
+            &message.payload,
+            &message.signature,
+            &mut BatchVerifier::new(),
+        )
+    }
+
     #[test]
     fn provision_registers_all_clients() {
         let mut store = KeyStore::new();
@@ -314,10 +314,13 @@ mod tests {
         let pairs = store.provision(&mut rng, &[10, 20], 256).unwrap();
 
         let msg = sign_message(10, b"local gradient", &pairs[&10].private);
-        store.verify(&msg).expect("registered signer verifies");
+        verify(&store, &msg).expect("registered signer verifies");
 
         let unknown = sign_message(30, b"ghost", &pairs[&10].private);
-        assert_eq!(store.verify(&unknown), Err(CryptoError::UnknownSigner(30)));
+        assert_eq!(
+            verify(&store, &unknown),
+            Err(CryptoError::UnknownSigner(30))
+        );
     }
 
     #[test]
@@ -327,7 +330,7 @@ mod tests {
         let pairs = store.provision(&mut rng, &[1, 2], 256).unwrap();
         // Client 2 signs but claims to be client 1.
         let forged = sign_message(1, b"poisoned gradient", &pairs[&2].private);
-        assert_eq!(store.verify(&forged), Err(CryptoError::InvalidSignature));
+        assert_eq!(verify(&store, &forged), Err(CryptoError::InvalidSignature));
     }
 
     #[test]
@@ -338,7 +341,7 @@ mod tests {
         assert!(store.revoke(7).is_some());
         assert!(store.revoke(7).is_none());
         let msg = sign_message(7, b"late upload", &pairs[&7].private);
-        assert_eq!(store.verify(&msg), Err(CryptoError::UnknownSigner(7)));
+        assert_eq!(verify(&store, &msg), Err(CryptoError::UnknownSigner(7)));
     }
 
     #[test]
@@ -350,7 +353,7 @@ mod tests {
         let restored: KeyStore = serde_json::from_str(&json).unwrap();
         assert_eq!(restored.len(), 2);
         let msg = sign_message(4, b"gradient", &pairs[&4].private);
-        restored.verify(&msg).expect("restored store verifies");
+        verify(&restored, &msg).expect("restored store verifies");
     }
 
     #[test]
@@ -365,7 +368,7 @@ mod tests {
         let batch = [&good, &ghost, &forged];
         let mut verifier = BatchVerifier::new();
         let verdicts = store.verify_batch(&batch, &mut verifier);
-        let singles: Vec<_> = batch.iter().map(|m| store.verify(m)).collect();
+        let singles: Vec<_> = batch.iter().map(|m| verify(&store, m)).collect();
         assert_eq!(verdicts, singles);
         let detached: Vec<_> = batch
             .iter()
@@ -393,7 +396,7 @@ mod tests {
         // Rederivation is identity: the old signature verifies against the
         // regenerated public key.
         vault.pair(7).unwrap();
-        vault.store().verify(&sig).expect("rederived key matches");
+        verify(vault.store(), &sig).expect("rederived key matches");
     }
 
     #[test]
@@ -417,7 +420,7 @@ mod tests {
         backward.ensure(&[3, 2, 1]).unwrap();
         for id in 1..=3u64 {
             let a = sign_message(id, b"m", &forward.pairs()[&id].private);
-            backward.store().verify(&a).expect("order-independent keys");
+            verify(backward.store(), &a).expect("order-independent keys");
         }
     }
 

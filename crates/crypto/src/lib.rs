@@ -18,26 +18,27 @@
 //!   compression dispatches to the hardware instruction sequence.
 //! * [`bigint`] — arbitrary-precision unsigned integers ([`BigUint`])
 //!   over 64-bit limbs with `u128` intermediates: schoolbook
-//!   multiplication, word-level Knuth Algorithm D division, modular
-//!   exponentiation, and a minimal signed wrapper used by the extended
-//!   Euclidean algorithm.
+//!   multiplication, word-level Knuth Algorithm D division, and a minimal
+//!   signed wrapper used by the extended Euclidean algorithm.
 //! * [`montgomery`] — REDC-based modular multiplication (64-bit CIOS)
-//!   and fixed-window exponentiation behind every hot `modpow`, with a
-//!   reusable workspace for allocation-free exponentiation chains.
+//!   and fixed-window exponentiation in a reusable workspace: the one
+//!   modular exponentiation every signature, verification and
+//!   Miller-Rabin witness runs.
 //! * [`prime`] — Miller-Rabin probabilistic primality testing (Montgomery
 //!   accelerated, grouped small-prime trial division) and random prime
 //!   generation.
-//! * [`rsa`] — RSA key generation, raw modular sign/verify; private keys
-//!   carry CRT factors so signing runs two half-size exponentiations,
-//!   and both key types cache their per-modulus Montgomery contexts
-//!   across operations.
-//! * [`signature`] — the hash-then-sign envelope used by the protocol.
+//! * [`rsa`] — RSA key generation and the private-key operation; private
+//!   keys carry CRT factors so signing runs two half-size
+//!   exponentiations, both key types cache their per-modulus Montgomery
+//!   contexts across operations, and a key refuses an even modulus.
+//! * [`signature`] — the hash-then-sign envelope used by the protocol and
+//!   its one verifier, [`BatchVerifier`].
 //! * [`keystore`] — the miner-side registry mapping client identifiers to
 //!   public keys.
 //!
-//! The seed implementations the fast paths replaced stay as oracles —
-//! plain functions no production path calls:
-//! [`BigUint::div_rem_reference`] (binary long division) and
+//! Each operation has one implementation. The seed implementations the
+//! fast paths replaced stay as oracles — plain functions no production
+//! path calls: [`BigUint::div_rem_reference`] (binary long division) and
 //! [`BigUint::modpow_reference`] (square-and-multiply over it, which is
 //! also plain-exponent RSA signing and verification).
 //! `tests/crypto_equivalence.rs` compares every fast path against them
@@ -66,6 +67,5 @@ pub use montgomery::{MontWorkspace, MontgomeryCtx};
 pub use rsa::{CrtFactors, RsaKeyPair, RsaPrivateKey, RsaPublicKey};
 pub use sha256::{sha256, Sha256};
 pub use signature::{
-    sign_detached, sign_message, verify_detached, verify_message, BatchVerifier, EnvelopeDigest,
-    Signature, SignedMessage,
+    sign_detached, sign_message, BatchVerifier, EnvelopeDigest, Signature, SignedMessage,
 };

@@ -20,6 +20,16 @@
 //! a 32-byte digest enters the context of a 64-bit prime as directly as
 //! it enters that of a 1024-bit modulus.
 //!
+//! There is one exponentiation path: [`MontgomeryCtx::prepare`] fits a
+//! workspace to the context, [`MontgomeryCtx::load`] (or
+//! [`MontgomeryCtx::load_bytes_be`]) brings the base in,
+//! [`MontgomeryCtx::pow_in_place`] raises it, and
+//! [`MontgomeryCtx::recover_value`] brings the result out — or, as
+//! verification does, [`MontgomeryCtx::value_equals_stash`] compares two
+//! images without leaving the domain. RSA signing and verification and
+//! every Miller-Rabin witness run that chain; its oracle is
+//! [`BigUint::modpow_reference`], which no production path calls.
+//!
 //! ## Fixed-width kernel
 //!
 //! The limb counts the simulation actually runs — 2 and 4 (the CRT primes
@@ -29,22 +39,21 @@
 //! the accumulator is a stack array the compiler keeps in registers (or
 //! spills without bounds checks at 16 limbs), the final conditional
 //! subtract is a select instead of a branch, and no scratch slice is
-//! walked. Squarings at these widths are `mul_fixed(a, a)`: a fixed-width
-//! SOS square (half the limb products, but a second pass over a
-//! double-width accumulator) measured level with it at 8 limbs and 10%
-//! behind at 16, so it was not kept. Every other width runs the generic
-//! slice loops — CIOS multiply, SOS square — which are also the oracle
-//! the fixed kernel is tested against limb for limb: a Montgomery product
-//! of reduced operands is a unique residue, so the two can only agree or
-//! be wrong.
+//! walked. Every other width runs the generic CIOS slice loop, which is
+//! also the oracle the fixed kernel is tested against limb for limb: a
+//! Montgomery product of reduced operands is a unique residue, so the two
+//! can only agree or be wrong. A squaring at any width is the multiply of
+//! a value by itself. No workload builds a context at a generic width:
+//! 256-bit keys run at 4 limbs and 1024-bit keys at 16, their CRT primes
+//! and keygen candidates at 2 and 8.
 //!
 //! Building a context costs one full division (`R^2 mod n`), which is
 //! why the RSA key types ([`crate::rsa`]) cache one context per key
 //! instead of rebuilding it on every sign/verify.
 //!
-//! Montgomery reduction requires an odd modulus; [`MontgomeryCtx::new`]
-//! returns `None` otherwise and [`BigUint::modpow`] falls back to binary
-//! square-and-multiply.
+//! Montgomery reduction requires an odd modulus above one;
+//! [`MontgomeryCtx::new`] returns `None` otherwise. RSA keys refuse such
+//! a modulus when they are built, so every key has a context.
 
 use crate::bigint::{limb_of_bytes_be, BigUint};
 
@@ -70,16 +79,6 @@ pub struct MontgomeryCtx {
     r2: Vec<u64>,
 }
 
-/// A residue in the Montgomery domain (`aR mod n`), tied to the
-/// [`MontgomeryCtx`] that produced it. Stored as exactly `k` limbs.
-///
-/// The map `a -> aR mod n` is a bijection on residues, so comparing two
-/// `MontElem`s for equality compares the underlying residues.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MontElem {
-    limbs: Vec<u64>,
-}
-
 /// Reusable buffers for a sequence of Montgomery operations against one
 /// context: the CIOS scratch, a swap buffer, the fixed-window table, and
 /// the current working element. Allocated once (all sizes are functions
@@ -88,9 +87,8 @@ pub struct MontElem {
 /// sequence through one workspace with zero per-operation allocation.
 #[derive(Debug, Default)]
 pub struct MontWorkspace {
-    /// Accumulator of the generic-width loops, `2k + 2` limbs: the SOS
-    /// square needs `2k + 1`, the CIOS multiply `k + 2` (its spare upper
-    /// half holds a block's image in [`MontgomeryCtx::load`], the
+    /// `2k + 2` limbs: the generic CIOS multiply's accumulator (`k + 2`)
+    /// and, above it, a block's image in [`MontgomeryCtx::load`] (the
     /// only use the fixed-width kernel has for it).
     scratch: Vec<u64>,
     /// Swap target for in-place multiplies, `k` limbs.
@@ -98,8 +96,7 @@ pub struct MontWorkspace {
     /// Flat window table, grown on first use by [`MontgomeryCtx::pow_in_place`]
     /// (`k` limbs for short exponents, `(TABLE_LEN - 1) * k` for the
     /// windowed path; entry `i` holds `base^(i+1)`). Starts empty so
-    /// conversion-only workspaces — and the short-exponent verify path —
-    /// never pay for the full table.
+    /// the short-exponent verify path never pays for the full table.
     table: Vec<u64>,
     /// The current working element, `k` limbs.
     value: Vec<u64>,
@@ -162,18 +159,6 @@ impl MontgomeryCtx {
     /// The modulus as a `BigUint`.
     pub fn modulus(&self) -> BigUint {
         BigUint::from_limbs(self.n.clone())
-    }
-
-    /// Builds a reusable workspace sized for this context.
-    pub fn workspace(&self) -> MontWorkspace {
-        let k = self.k();
-        MontWorkspace {
-            scratch: vec![0u64; 2 * k + 2],
-            tmp: vec![0u64; k],
-            table: Vec::new(),
-            value: vec![0u64; k],
-            hold: Vec::new(),
-        }
     }
 
     /// Fits `ws` to this context, reallocating only when the limb count
@@ -290,19 +275,6 @@ impl MontgomeryCtx {
         std::mem::swap(value, tmp);
     }
 
-    /// Whether the workspace's working element equals `elem`.
-    pub fn element_equals(&self, ws: &MontWorkspace, elem: &MontElem) -> bool {
-        ws.value == elem.limbs
-    }
-
-    /// Maps `a` into the Montgomery domain (`aR mod n`), reducing `a`
-    /// modulo `n` first if needed.
-    pub fn convert(&self, a: &BigUint) -> MontElem {
-        let mut ws = self.workspace();
-        self.load(a, &mut ws);
-        MontElem { limbs: ws.value }
-    }
-
     /// The working element mapped back to an ordinary residue: one
     /// Montgomery multiply by `1` through the workspace's own buffers, so
     /// the returned `BigUint` is the only allocation.
@@ -361,32 +333,6 @@ impl MontgomeryCtx {
         self.recover_into(ws, h);
     }
 
-    /// Maps a Montgomery-domain element back to an ordinary residue.
-    pub fn recover(&self, a: &MontElem) -> BigUint {
-        let one = {
-            let mut v = vec![0u64; self.k()];
-            v[0] = 1;
-            v
-        };
-        let mut out = vec![0u64; self.k()];
-        let mut scratch = vec![0u64; self.k() + 2];
-        self.mul_into(&a.limbs, &one, &mut scratch, &mut out);
-        BigUint::from_limbs(out)
-    }
-
-    /// The multiplicative identity in the Montgomery domain (`R mod n`).
-    pub fn one(&self) -> MontElem {
-        self.convert(&BigUint::one())
-    }
-
-    /// Montgomery product of two domain elements.
-    pub fn mul(&self, a: &MontElem, b: &MontElem) -> MontElem {
-        let mut out = vec![0u64; self.k()];
-        let mut scratch = vec![0u64; self.k() + 2];
-        self.mul_into(&a.limbs, &b.limbs, &mut scratch, &mut out);
-        MontElem { limbs: out }
-    }
-
     /// Exponentiation in the Montgomery domain, in place:
     /// `ws.value = ws.value^exponent`.
     ///
@@ -402,7 +348,7 @@ impl MontgomeryCtx {
     pub fn pow_in_place(&self, exponent: &BigUint, ws: &mut MontWorkspace) {
         let k = self.k();
         if exponent.is_zero() {
-            ws.value.copy_from_slice(&self.one().limbs);
+            self.load_limbs(&[1], ws);
             return;
         }
         let bits = exponent.bit_len();
@@ -463,22 +409,6 @@ impl MontgomeryCtx {
         }
     }
 
-    /// Convenience: full modular exponentiation `base^exponent mod n`
-    /// through the Montgomery domain.
-    pub fn modpow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        self.modpow_in(base, exponent, &mut self.workspace())
-    }
-
-    /// [`Self::modpow`] through a caller-held workspace (re-fitted to
-    /// this context first), so a caller exponentiating repeatedly — the
-    /// CRT signing path — allocates nothing per call but the result.
-    pub fn modpow_in(&self, base: &BigUint, exponent: &BigUint, ws: &mut MontWorkspace) -> BigUint {
-        self.prepare(ws);
-        self.load(base, ws);
-        self.pow_in_place(exponent, ws);
-        self.recover_value(ws)
-    }
-
     /// Extracts the `w`-th 4-bit window of `exponent` (window 0 holds the
     /// least significant bits). Windows never straddle a limb because 64
     /// is a multiple of [`WINDOW_BITS`].
@@ -489,18 +419,11 @@ impl MontgomeryCtx {
         ((limb >> (bit % 64)) & (TABLE_LEN as u64 - 1)) as usize
     }
 
-    /// Squares `a` into `out` (`out = a^2 * R^{-1} mod n`). Squarings are
-    /// ~84% of a 65537-exponent verify (16 of 19 reductions) and four in
-    /// five reductions of a windowed private exponentiation; the generic
-    /// widths give them the SOS form, the fixed widths their multiply (see
-    /// the module docs).
+    /// Squares `a` into `out` (`out = a^2 * R^{-1} mod n`): the multiply
+    /// of `a` by itself, at every width (see the module docs).
     #[inline]
     fn square_into(&self, a: &[u64], scratch: &mut [u64], out: &mut [u64]) {
-        match self.k() {
-            // The widths `mul_into` has a fixed kernel for.
-            2 | 4 | 8 | 16 => self.mul_into(a, a, scratch, out),
-            _ => self.sqr_into_generic(a, scratch, out),
-        }
+        self.mul_into(a, a, scratch, out)
     }
 
     /// `out = a * b * R^{-1} mod n` for `k`-limb operands below `n`,
@@ -516,84 +439,6 @@ impl MontgomeryCtx {
             16 => mul_fixed::<16>(a, b, &self.n, self.n0_inv, out),
             _ => self.mul_into_generic(a, b, scratch, out),
         }
-    }
-
-    /// SOS Montgomery squaring at any width: `out = a^2 * R^{-1} mod n`.
-    ///
-    /// Computes the full `2k`-limb square first — off-diagonal partial
-    /// products once, doubled, then the diagonal — and Montgomery-reduces
-    /// it in a second pass. The symmetry saves nearly half the limb
-    /// multiplies of a generic CIOS multiply. `scratch` must hold at
-    /// least `2k + 1` limbs.
-    fn sqr_into_generic(&self, a: &[u64], scratch: &mut [u64], out: &mut [u64]) {
-        let k = self.k();
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(out.len(), k);
-        debug_assert!(scratch.len() > 2 * k);
-        let t = &mut scratch[..2 * k + 1];
-        t.fill(0);
-
-        // Off-diagonal products a[i] * a[j] for i < j, each needed twice.
-        // Iteration i writes indices i+1+i .. i+k; its carry lands in
-        // t[i + k], which no earlier iteration has touched.
-        for i in 0..k {
-            let ai = a[i] as u128;
-            let mut carry: u128 = 0;
-            for j in i + 1..k {
-                let s = t[i + j] as u128 + ai * a[j] as u128 + carry;
-                t[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            t[i + k] = carry as u64;
-        }
-
-        // Double the off-diagonal sum (top limb t[2k] starts at zero and
-        // receives the shifted-out bit).
-        let mut top: u64 = 0;
-        for limb in t.iter_mut().take(2 * k) {
-            let shifted = (*limb << 1) | top;
-            top = *limb >> 63;
-            *limb = shifted;
-        }
-        t[2 * k] = top;
-
-        // Add the diagonal squares.
-        let mut carry: u128 = 0;
-        for i in 0..k {
-            let ai = a[i] as u128;
-            let s = t[2 * i] as u128 + ai * ai + carry;
-            t[2 * i] = s as u64;
-            let s2 = t[2 * i + 1] as u128 + (s >> 64);
-            t[2 * i + 1] = s2 as u64;
-            carry = s2 >> 64;
-        }
-        let s = t[2 * k] as u128 + carry;
-        t[2 * k] = s as u64;
-        debug_assert_eq!(s >> 64, 0);
-
-        // Montgomery reduction of the 2k-limb square: each step clears
-        // t[i] exactly, so after k steps the result sits in t[k ..= 2k].
-        for i in 0..k {
-            let m = t[i].wrapping_mul(self.n0_inv) as u128;
-            let mut carry: u128 = 0;
-            for j in 0..k {
-                let s = t[i + j] as u128 + m * self.n[j] as u128 + carry;
-                t[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                debug_assert!(idx <= 2 * k);
-                let s = t[idx] as u128 + carry;
-                t[idx] = s as u64;
-                carry = s >> 64;
-                idx += 1;
-            }
-        }
-
-        // a < n keeps the reduced value below 2n; one conditional
-        // subtract brings it into [0, n). t[2k] is the overflow limb.
-        reduce_once(&t[k..2 * k], t[2 * k], &self.n, out);
     }
 
     /// CIOS Montgomery multiply-accumulate at any width:
@@ -780,6 +625,58 @@ mod tests {
         BigUint::from_u64(v)
     }
 
+    /// `a * b mod m` through the seed division.
+    fn mul_mod(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
+        a.mul(b).div_rem_reference(m).1
+    }
+
+    /// A fresh workspace fitted to `ctx`.
+    fn fitted(ctx: &MontgomeryCtx) -> MontWorkspace {
+        let mut ws = MontWorkspace::new();
+        ctx.prepare(&mut ws);
+        ws
+    }
+
+    /// The Montgomery image of `a` under `ctx`.
+    fn image(ctx: &MontgomeryCtx, a: &BigUint) -> Vec<u64> {
+        let mut ws = fitted(ctx);
+        ctx.load(a, &mut ws);
+        ws.value
+    }
+
+    /// The ordinary residue an image stands for.
+    fn residue(ctx: &MontgomeryCtx, image: &[u64]) -> BigUint {
+        let mut ws = fitted(ctx);
+        ws.value.copy_from_slice(image);
+        ctx.recover_value(&mut ws)
+    }
+
+    /// `base^exponent mod n` through the one exponentiation chain, in `ws`
+    /// (re-fitted to `ctx` first).
+    fn pow_in(
+        ctx: &MontgomeryCtx,
+        base: &BigUint,
+        exponent: &BigUint,
+        ws: &mut MontWorkspace,
+    ) -> BigUint {
+        ctx.prepare(ws);
+        ctx.load(base, ws);
+        ctx.pow_in_place(exponent, ws);
+        ctx.recover_value(ws)
+    }
+
+    fn pow(ctx: &MontgomeryCtx, base: &BigUint, exponent: &BigUint) -> BigUint {
+        pow_in(ctx, base, exponent, &mut MontWorkspace::new())
+    }
+
+    /// `a * b mod n` as the Montgomery product of the two images.
+    fn product(ctx: &MontgomeryCtx, a: &BigUint, b: &BigUint) -> BigUint {
+        let (a, b) = (image(ctx, a), image(ctx, b));
+        let mut out = vec![0u64; ctx.k()];
+        ctx.mul_into(&a, &b, &mut vec![0u64; ctx.k() + 2], &mut out);
+        residue(ctx, &out)
+    }
+
     #[test]
     fn rejects_even_and_trivial_moduli() {
         assert!(MontgomeryCtx::new(&big(10)).is_none());
@@ -791,12 +688,13 @@ mod tests {
     #[test]
     fn convert_recover_round_trip() {
         let ctx = MontgomeryCtx::new(&big(1_000_003)).unwrap();
+        let round_trip = |v: u64| residue(&ctx, &image(&ctx, &big(v)));
         for v in [0u64, 1, 2, 999_999, 1_000_002, 123_456] {
-            assert_eq!(ctx.recover(&ctx.convert(&big(v))), big(v));
+            assert_eq!(round_trip(v), big(v));
         }
         // Values at or above the modulus reduce first.
-        assert_eq!(ctx.recover(&ctx.convert(&big(1_000_003))), big(0));
-        assert_eq!(ctx.recover(&ctx.convert(&big(2_000_007))), big(1));
+        assert_eq!(round_trip(1_000_003), big(0));
+        assert_eq!(round_trip(2_000_007), big(1));
     }
 
     #[test]
@@ -808,9 +706,8 @@ mod tests {
             (0xdead_beef_dead_beef, 0xcafe_babe_cafe_babe),
             (1, 0),
         ] {
-            let expected = big(a).modmul(&big(b), &m);
-            let got = ctx.recover(&ctx.mul(&ctx.convert(&big(a)), &ctx.convert(&big(b))));
-            assert_eq!(got, expected, "a={a} b={b}");
+            let expected = mul_mod(&big(a), &big(b), &m);
+            assert_eq!(product(&ctx, &big(a), &big(b)), expected, "a={a} b={b}");
         }
     }
 
@@ -818,22 +715,19 @@ mod tests {
     fn modpow_matches_reference_small() {
         let m = big(497); // odd composite
         let ctx = MontgomeryCtx::new(&m).unwrap();
-        assert_eq!(ctx.modpow(&big(4), &big(13)), big(445));
-        assert_eq!(ctx.modpow(&big(7), &BigUint::zero()), BigUint::one());
+        assert_eq!(pow(&ctx, &big(4), &big(13)), big(445));
+        assert_eq!(pow(&ctx, &big(7), &BigUint::zero()), BigUint::one());
         let p = big(1_000_000_007);
         let ctx = MontgomeryCtx::new(&p).unwrap();
-        assert_eq!(
-            ctx.modpow(&big(123456), &big(1_000_000_006)),
-            BigUint::one()
-        );
+        assert_eq!(pow(&ctx, &big(123456), &big(1_000_000_006)), BigUint::one());
     }
 
     #[test]
     fn equality_in_domain_matches_equality_of_residues() {
         let ctx = MontgomeryCtx::new(&big(1_000_003)).unwrap();
-        assert_eq!(ctx.convert(&big(42)), ctx.convert(&big(42)));
-        assert_ne!(ctx.convert(&big(42)), ctx.convert(&big(43)));
-        assert_eq!(ctx.one(), ctx.convert(&big(1)));
+        assert_eq!(image(&ctx, &big(42)), image(&ctx, &big(42)));
+        assert_ne!(image(&ctx, &big(42)), image(&ctx, &big(43)));
+        assert_eq!(image(&ctx, &big(1_000_045)), image(&ctx, &big(42)));
     }
 
     #[test]
@@ -847,17 +741,15 @@ mod tests {
             .shl(254)
             .add(&BigUint::from_decimal_str("987654321987654321987654321").unwrap());
         let b = BigUint::one().shl(200).sub(&BigUint::from_u32(1));
-        assert_eq!(ctx.recover(&ctx.convert(&a)), a.rem(&m));
-        let got = ctx.recover(&ctx.mul(&ctx.convert(&a), &ctx.convert(&b)));
-        assert_eq!(got, a.modmul(&b, &m));
+        assert_eq!(residue(&ctx, &image(&ctx, &a)), a.rem(&m));
+        assert_eq!(product(&ctx, &a, &b), mul_mod(&a, &b, &m));
         // Fermat: a^(m-1) ≡ 1 (mod m) for this prime modulus.
-        assert_eq!(ctx.modpow(&a, &m.sub(&BigUint::one())), BigUint::one());
+        assert_eq!(pow(&ctx, &a, &m.sub(&BigUint::one())), BigUint::one());
         // Squaring dispatches through the same kernel.
-        let mut ws = ctx.workspace();
-        ctx.prepare(&mut ws);
+        let mut ws = fitted(&ctx);
         ctx.load(&a, &mut ws);
         ctx.square_in_place(&mut ws);
-        assert!(ctx.element_equals(&ws, &ctx.convert(&a.modmul(&a, &m))));
+        assert_eq!(ws.value, image(&ctx, &mul_mod(&a, &a, &m)));
     }
 
     #[test]
@@ -885,15 +777,14 @@ mod tests {
         ];
         for m in &moduli {
             let ctx = MontgomeryCtx::new(m).unwrap();
-            let mut ws_bytes = MontWorkspace::new();
-            let mut ws_limbs = ctx.workspace();
-            ctx.prepare(&mut ws_bytes);
+            let mut ws_bytes = fitted(&ctx);
+            let mut ws_limbs = fitted(&ctx);
             for bytes in &cases {
                 let value = BigUint::from_bytes_be(bytes);
                 let residue = value.div_rem_reference(m).1;
                 ctx.load_bytes_be(bytes, &mut ws_bytes);
                 ctx.load(&value, &mut ws_limbs);
-                assert!(ctx.element_equals(&ws_bytes, &ctx.convert(&residue)));
+                assert_eq!(ws_bytes.value, image(&ctx, &residue));
                 assert_eq!(
                     ctx.recover_value(&mut ws_bytes),
                     residue,
@@ -915,25 +806,25 @@ mod tests {
         let ctx = MontgomeryCtx::new(&m).unwrap();
         let a = BigUint::from_decimal_str("123456789012345678901234567890123456").unwrap();
         let b = BigUint::from_decimal_str("98765432109876543210987654321").unwrap();
-        assert_eq!(ctx.recover(&ctx.convert(&a)), a.rem(&m));
-        let got = ctx.recover(&ctx.mul(&ctx.convert(&a), &ctx.convert(&b)));
-        assert_eq!(got, a.modmul(&b, &m));
+        assert_eq!(residue(&ctx, &image(&ctx, &a)), a.rem(&m));
+        assert_eq!(product(&ctx, &a, &b), mul_mod(&a, &b, &m));
         // Fermat: a^(m-1) ≡ 1 (mod m) for this prime modulus.
-        assert_eq!(ctx.modpow(&a, &m.sub(&BigUint::one())), BigUint::one());
-        // And the workspace chain agrees with the one-shot ops.
-        let mut ws = ctx.workspace();
+        assert_eq!(pow(&ctx, &a, &m.sub(&BigUint::one())), BigUint::one());
+        // A squaring by exponent and one in place land on the same images.
+        let mut ws = fitted(&ctx);
         ctx.load(&a, &mut ws);
         ctx.pow_in_place(&BigUint::from_u32(2), &mut ws);
-        assert!(ctx.element_equals(&ws, &ctx.convert(&a.modmul(&a, &m))));
+        let a2 = mul_mod(&a, &a, &m);
+        assert_eq!(ws.value, image(&ctx, &a2));
         ctx.square_in_place(&mut ws);
-        let a2 = a.modmul(&a, &m);
-        assert!(ctx.element_equals(&ws, &ctx.convert(&a2.modmul(&a2, &m))));
+        assert_eq!(ws.value, image(&ctx, &mul_mod(&a2, &a2, &m)));
     }
 
     #[test]
     fn fitted_and_refitted_workspaces_exponentiate_identically() {
         // Odd moduli across limb counts: fixed-width kernels (k = 2, 4)
-        // and the generic loops (k = 1, 3).
+        // and the generic loop (k = 1, 3).
+        let other = MontgomeryCtx::new(&BigUint::one().shl(511).add(&BigUint::one())).unwrap();
         for dec in [
             "1000003",
             "170141183460469231731687303715884105727", // 2^127 - 1 (k = 2)
@@ -942,25 +833,26 @@ mod tests {
         ] {
             let m = BigUint::from_decimal_str(dec).unwrap();
             let ctx = MontgomeryCtx::new(&m).unwrap();
-            let mut prepared = MontWorkspace::new();
-            ctx.prepare(&mut prepared);
-            let mut plain = ctx.workspace();
+            let mut prepared = fitted(&ctx);
+            // Fitted to an 8-limb context first, then re-fitted.
+            let mut refitted = fitted(&other);
+            ctx.prepare(&mut refitted);
             let a = BigUint::from_decimal_str("987654321234567898765432123456789").unwrap();
             let e = BigUint::from_u32(65537);
             ctx.load(&a, &mut prepared);
             ctx.pow_in_place(&e, &mut prepared);
-            ctx.load(&a, &mut plain);
-            ctx.pow_in_place(&e, &mut plain);
-            assert_eq!(prepared.value, plain.value, "modulus {dec}");
+            ctx.load(&a, &mut refitted);
+            ctx.pow_in_place(&e, &mut refitted);
+            assert_eq!(prepared.value, refitted.value, "modulus {dec}");
             let reference = a.modpow_reference(&e, &m);
-            assert_eq!(ctx.recover_value(&mut plain), reference);
+            assert_eq!(ctx.recover_value(&mut refitted), reference);
             // Long (windowed) exponents agree too.
             let d = BigUint::from_decimal_str("123456789012345678901234567890123456789").unwrap();
             ctx.load(&a, &mut prepared);
             ctx.pow_in_place(&d, &mut prepared);
-            assert_eq!(ctx.modpow(&a, &d), ctx.recover_value(&mut prepared));
+            assert_eq!(pow(&ctx, &a, &d), ctx.recover_value(&mut prepared));
             let reference = a.modpow_reference(&d, &m);
-            assert_eq!(ctx.modpow(&a, &d), reference);
+            assert_eq!(pow(&ctx, &a, &d), reference);
         }
     }
 
@@ -985,14 +877,14 @@ mod tests {
         large.pow_in_place(&BigUint::from_u32(65537), &mut ws);
         assert_eq!(
             large.recover_value(&mut ws),
-            large.modpow(&a, &BigUint::from_u32(65537))
+            a.modpow_reference(&BigUint::from_u32(65537), &large.modulus())
         );
         small.prepare(&mut ws);
         small.load(&big(7), &mut ws);
         small.pow_in_place(&big(13), &mut ws);
         assert_eq!(
             small.recover_value(&mut ws),
-            small.modpow(&big(7), &big(13))
+            big(7).modpow_reference(&big(13), &big(1_000_003))
         );
     }
 
@@ -1075,9 +967,9 @@ mod tests {
                 };
                 assert_eq!(fixed, pad(&expected), "K={K} REDC a={a:x?} b={b:x?}");
             }
-            // a == b: the squaring entry point against the generic SOS loop.
+            // a == b: the squaring entry point against the generic multiply.
             ctx.square_into(a, &mut scratch, &mut fixed);
-            ctx.sqr_into_generic(a, &mut scratch, &mut generic);
+            ctx.mul_into_generic(a, a, &mut scratch, &mut generic);
             assert_eq!(fixed, generic, "K={K} sqr a={a:x?}");
         }
         (subtracted, direct)
@@ -1114,14 +1006,11 @@ mod tests {
             let base = BigUint::from_limbs((0..k).map(|_| next()).collect());
             let exponent = BigUint::from_limbs((0..k).map(|_| next()).collect());
             let reference = base.modpow_reference(&exponent, &modulus);
-            assert_eq!(ctx.modpow(&base, &exponent), reference, "k={k}");
+            assert_eq!(pow(&ctx, &base, &exponent), reference, "k={k}");
             // A workspace warmed on another width re-fits and agrees.
-            let mut ws = MontWorkspace::new();
-            MontgomeryCtx::new(&big(1_000_003))
-                .unwrap()
-                .prepare(&mut ws);
-            assert_eq!(ctx.modpow_in(&base, &exponent, &mut ws), reference);
-            assert_eq!(ctx.modpow_in(&base, &exponent, &mut ws), reference);
+            let mut ws = fitted(&MontgomeryCtx::new(&big(1_000_003)).unwrap());
+            assert_eq!(pow_in(&ctx, &base, &exponent, &mut ws), reference);
+            assert_eq!(pow_in(&ctx, &base, &exponent, &mut ws), reference);
         }
     }
 
@@ -1130,8 +1019,8 @@ mod tests {
         let m = BigUint::from_decimal_str("340282366920938463463374607431768211507").unwrap(); // 2^128 + 51, odd
         let ctx = MontgomeryCtx::new(&m).unwrap();
         let a = BigUint::from_decimal_str("123456789012345678901234567890").unwrap();
-        assert_eq!(ctx.recover(&ctx.convert(&a)), a);
-        let sq = ctx.modpow(&a, &big(2));
-        assert_eq!(sq, a.modmul(&a, &m));
+        assert_eq!(residue(&ctx, &image(&ctx, &a)), a);
+        let sq = pow(&ctx, &a, &big(2));
+        assert_eq!(sq, mul_mod(&a, &a, &m));
     }
 }

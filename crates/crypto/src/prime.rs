@@ -7,7 +7,7 @@
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;
-use crate::montgomery::MontgomeryCtx;
+use crate::montgomery::{MontWorkspace, MontgomeryCtx};
 use rand::Rng;
 use std::sync::OnceLock;
 
@@ -149,26 +149,30 @@ pub fn is_probably_prime<R: Rng + ?Sized>(candidate: &BigUint, rounds: usize, rn
     };
     let two = BigUint::from_u32(2);
 
-    // One Montgomery context serves every witness of this candidate; the
-    // witness chain then squares entirely inside the Montgomery domain
-    // (the domain map is a bijection, so comparing in-domain values is
-    // comparing residues).
+    // One Montgomery context and one workspace serve every witness of this
+    // candidate: the whole chain (load, windowed pow, squarings) runs
+    // allocation-free, and the witness is compared in the Montgomery domain
+    // against the images of 1 and n - 1, each held as limbs (the domain map
+    // is a bijection, so comparing images is comparing residues).
     let ctx = MontgomeryCtx::new(candidate).expect("trial division removed every even candidate");
-    let one_m = ctx.one();
-    let minus_one_m = ctx.convert(&n_minus_one);
-    // One workspace serves every witness: the whole chain (domain
-    // conversion, windowed pow, squarings) runs allocation-free.
-    let mut ws = ctx.workspace();
+    let mut ws = MontWorkspace::new();
+    ctx.prepare(&mut ws);
+    let mut image = |value: &BigUint| {
+        ctx.load(value, &mut ws);
+        ws.value().to_vec()
+    };
+    let one = image(&BigUint::one());
+    let minus_one = image(&n_minus_one);
     'witness: for _ in 0..rounds {
         let a = random_range(rng, &two, &n_minus_one);
         ctx.load(&a, &mut ws);
         ctx.pow_in_place(&d, &mut ws);
-        if ctx.element_equals(&ws, &one_m) || ctx.element_equals(&ws, &minus_one_m) {
+        if ws.value() == one || ws.value() == minus_one {
             continue 'witness;
         }
         for _ in 0..s.saturating_sub(1) {
             ctx.square_in_place(&mut ws);
-            if ctx.element_equals(&ws, &minus_one_m) {
+            if ws.value() == minus_one {
                 continue 'witness;
             }
         }

@@ -1,10 +1,18 @@
-//! RSA key generation and raw sign/verify.
+//! RSA key generation and the raw private-key operation.
 //!
 //! FAIR-BFL assigns each client a unique private key; miners hold the
 //! corresponding public keys and verify every gradient upload (paper
 //! Figure 2). This module implements the textbook RSA primitive on top of
 //! [`crate::bigint`] and [`crate::prime`]: key generation with two random
-//! primes, `e = 65537`, and `d = e^{-1} mod (p-1)(q-1)`.
+//! primes, `e = 65537`, and `d = e^{-1} mod (p-1)(q-1)`. The public
+//! operation has no entry point here: verification runs it inside
+//! [`crate::signature::BatchVerifier`], through
+//! [`RsaPublicKey::montgomery_ctx`].
+//!
+//! Every key has a Montgomery context, which needs an odd modulus above
+//! one. Deserialization refuses a modulus (or CRT prime) that is even or
+//! at most one with an error, and [`RsaPublicKey::new`] /
+//! [`RsaPrivateKey::with_crt`] assert it; generated keys always pass.
 //!
 //! Generated private keys carry the CRT factors `(p, q, d_p, d_q,
 //! q_inv)`, so [`RsaPrivateKey::apply`] runs two half-size Montgomery
@@ -131,13 +139,12 @@ pub const MIN_MODULUS_BITS: usize = 128;
 ///
 /// The first caller pays the context construction (one division for
 /// `R^2 mod n`); every later call through the same key — or a clone of
-/// it — reuses the finished context. `None` is cached for even moduli,
-/// where Montgomery reduction does not apply. The cache is invisible to
-/// equality and serialization: it is rebuilt on demand after
-/// deserialization and never enters the wire format.
+/// it — reuses the finished context. The cache is invisible to equality
+/// and serialization: it is rebuilt on demand after deserialization and
+/// never enters the wire format.
 #[derive(Debug, Default, Clone)]
 pub struct MontCache {
-    cell: OnceLock<Option<MontgomeryCtx>>,
+    cell: OnceLock<MontgomeryCtx>,
 }
 
 impl MontCache {
@@ -146,16 +153,34 @@ impl MontCache {
         Self::default()
     }
 
-    /// The cached context for `modulus`, building it on first use.
-    fn get_or_build(&self, modulus: &BigUint) -> Option<&MontgomeryCtx> {
-        self.cell
-            .get_or_init(|| MontgomeryCtx::new(modulus))
-            .as_ref()
+    /// The cached context for `modulus`, building it on first use. The
+    /// key constructors admit only odd moduli above one, which always
+    /// have a context.
+    fn get_or_build(&self, modulus: &BigUint) -> &MontgomeryCtx {
+        self.cell.get_or_init(|| {
+            MontgomeryCtx::new(modulus).expect("key constructors admit only odd moduli above one")
+        })
     }
 
     /// Whether the context has been built already (test/diagnostic hook).
     pub fn is_warm(&self) -> bool {
         self.cell.get().is_some()
+    }
+}
+
+/// Whether `modulus` has a Montgomery context: odd and above one.
+fn admits_context(modulus: &BigUint) -> bool {
+    !modulus.is_even() && !modulus.is_one()
+}
+
+/// The key constructors' modulus check, as a deserialization error.
+fn check_modulus(what: &str, modulus: &BigUint) -> Result<(), serde::Error> {
+    if admits_context(modulus) {
+        Ok(())
+    } else {
+        Err(serde::Error::custom(format!(
+            "RSA {what} must be odd and above one"
+        )))
     }
 }
 
@@ -165,7 +190,7 @@ impl MontCache {
 /// against the same key (the miner-side hot path) do not rebuild the
 /// per-modulus precomputation. Equality and the serialized form cover
 /// only `(n, e)`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RsaPublicKey {
     /// Modulus `n = p * q`.
     modulus: BigUint,
@@ -196,7 +221,7 @@ pub struct CrtFactors {
 /// (when CRT factors are present) one per prime factor — so repeated
 /// signing through the same key reuses the per-modulus precomputation.
 /// Equality and the serialized form cover only `(n, d, crt)`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RsaPrivateKey {
     /// Modulus `n = p * q`.
     modulus: BigUint,
@@ -224,7 +249,15 @@ pub struct RsaKeyPair {
 
 impl RsaPublicKey {
     /// Builds a public key from `(n, e)` with a cold context cache.
+    ///
+    /// # Panics
+    ///
+    /// If the modulus is even or at most one (see the module docs).
     pub fn new(modulus: BigUint, exponent: BigUint) -> Self {
+        assert!(
+            admits_context(&modulus),
+            "RSA modulus must be odd and above one"
+        );
         RsaPublicKey {
             modulus,
             exponent,
@@ -232,23 +265,9 @@ impl RsaPublicKey {
         }
     }
 
-    /// Applies the public operation `m^e mod n` (used for verification)
-    /// through the cached Montgomery context.
-    pub fn apply(&self, message: &BigUint) -> BigUint {
-        match self.mont.get_or_build(&self.modulus) {
-            Some(ctx) => ctx.modpow(message, &self.exponent),
-            None => message.modpow(&self.exponent, &self.modulus),
-        }
-    }
-
-    /// The key's cached Montgomery context, building it on first use.
-    /// `None` when the modulus does not admit one (even or trivial).
-    ///
-    /// This is the entry point for batched verification
-    /// ([`crate::signature::BatchVerifier`]): driving the context
-    /// directly through a shared prepared workspace skips the per-call
-    /// workspace allocations that [`RsaPublicKey::apply`] pays.
-    pub fn montgomery_ctx(&self) -> Option<&MontgomeryCtx> {
+    /// The key's cached Montgomery context, building it on first use:
+    /// what [`crate::signature::BatchVerifier`] raises a signature in.
+    pub fn montgomery_ctx(&self) -> &MontgomeryCtx {
         self.mont.get_or_build(&self.modulus)
     }
 
@@ -297,8 +316,10 @@ impl Serialize for RsaPublicKey {
 
 impl Deserialize for RsaPublicKey {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let modulus = BigUint::from_value(value.field("modulus")?)?;
+        check_modulus("modulus", &modulus)?;
         Ok(RsaPublicKey::new(
-            BigUint::from_value(value.field("modulus")?)?,
+            modulus,
             BigUint::from_value(value.field("exponent")?)?,
         ))
     }
@@ -314,7 +335,17 @@ impl RsaPrivateKey {
 
     /// Builds a private key from `(n, d)` plus optional CRT factors,
     /// with cold context caches.
+    ///
+    /// # Panics
+    ///
+    /// If the modulus or a CRT prime is even or at most one (see the
+    /// module docs).
     pub fn with_crt(modulus: BigUint, exponent: BigUint, crt: Option<CrtFactors>) -> Self {
+        let primes = crt.iter().flat_map(|crt| [&crt.p, &crt.q]);
+        assert!(
+            std::iter::once(&modulus).chain(primes).all(admits_context),
+            "RSA modulus and CRT primes must be odd and above one"
+        );
         RsaPrivateKey {
             modulus,
             exponent,
@@ -341,28 +372,22 @@ impl RsaPrivateKey {
     /// width, handing the result's limbs (possibly with leading zero
     /// limbs) to `finish` — the one body every private-key operation runs.
     pub(crate) fn apply_limbs<T>(&self, message: &[u64], finish: impl FnOnce(&[u64]) -> T) -> T {
-        let crt = self.crt.as_ref().and_then(|crt| {
-            let ctx_p = self.crt_p_mont.get_or_build(&crt.p)?;
-            Some((crt, ctx_p, self.crt_q_mont.get_or_build(&crt.q)?))
-        });
-        if let Some((crt, ctx_p, ctx_q)) = crt {
-            return SIGNING_WORKSPACE.with_borrow_mut(|ws| {
-                ws.crt(message, crt, ctx_p, ctx_q);
-                finish(&ws.s)
-            });
-        }
-        match self.mont.get_or_build(&self.modulus) {
-            Some(ctx) => SIGNING_WORKSPACE.with_borrow_mut(|ws| {
-                ws.full(message, ctx, &self.exponent);
-                finish(&ws.s)
-            }),
-            // An even modulus (hand-built material: every generated prime
-            // is odd) has no Montgomery form.
-            None => {
-                let message = BigUint::from_limbs(message.to_vec());
-                finish(message.modpow(&self.exponent, &self.modulus).limbs())
+        SIGNING_WORKSPACE.with_borrow_mut(|ws| {
+            match &self.crt {
+                Some(crt) => ws.crt(
+                    message,
+                    crt,
+                    self.crt_p_mont.get_or_build(&crt.p),
+                    self.crt_q_mont.get_or_build(&crt.q),
+                ),
+                None => ws.full(
+                    message,
+                    self.mont.get_or_build(&self.modulus),
+                    &self.exponent,
+                ),
             }
-        }
+            finish(&ws.s)
+        })
     }
 
     /// The modulus `n`. Read-only: the cached contexts are derived from
@@ -431,6 +456,11 @@ impl Deserialize for RsaPrivateKey {
             Ok(Value::Null) => None,
             Ok(v) => Some(CrtFactors::from_value(v)?),
         };
+        check_modulus("modulus", &modulus)?;
+        if let Some(crt) = &crt {
+            check_modulus("CRT prime p", &crt.p)?;
+            check_modulus("CRT prime q", &crt.q)?;
+        }
         Ok(RsaPrivateKey::with_crt(modulus, exponent, crt))
     }
 }
@@ -509,6 +539,11 @@ mod tests {
         StdRng::seed_from_u64(0x0FA1_EBF1)
     }
 
+    /// The public operation `m^e mod n`, by the oracle.
+    fn public_op(key: &RsaPublicKey, m: &BigUint) -> BigUint {
+        m.modpow_reference(&key.exponent, &key.modulus)
+    }
+
     #[test]
     fn rejects_tiny_keys() {
         let mut r = rng();
@@ -539,7 +574,7 @@ mod tests {
         let one = BigUint::one();
         assert_eq!(crt.d_p, pair.private.exponent.rem(&crt.p.sub(&one)),);
         assert_eq!(crt.d_q, pair.private.exponent.rem(&crt.q.sub(&one)),);
-        assert_eq!(crt.q_inv.modmul(&crt.q, &crt.p), one);
+        assert_eq!(crt.q_inv.mul(&crt.q).rem(&crt.p), one);
     }
 
     #[test]
@@ -548,7 +583,7 @@ mod tests {
         let pair = RsaKeyPair::generate(&mut r, 256).unwrap();
         for value in [0u64, 1, 42, 123_456_789, u64::MAX] {
             let m = BigUint::from_u64(value);
-            let c = pair.public.apply(&m);
+            let c = public_op(&pair.public, &m);
             let back = pair.private.apply(&c);
             assert_eq!(back, m, "round trip failed for {value}");
         }
@@ -560,9 +595,9 @@ mod tests {
         let pair = RsaKeyPair::generate(&mut r, 256).unwrap();
         let m = BigUint::from_u64(0xDEAD_BEEF_CAFE);
         let sig = pair.private.apply(&m);
-        assert_eq!(pair.public.apply(&sig), m);
+        assert_eq!(public_op(&pair.public, &sig), m);
         // A different message does not verify against the same signature.
-        assert_ne!(pair.public.apply(&sig), BigUint::from_u64(1234));
+        assert_ne!(public_op(&pair.public, &sig), BigUint::from_u64(1234));
     }
 
     #[test]
@@ -588,7 +623,7 @@ mod tests {
         assert!(!pair.private.context_is_warm());
         let m = BigUint::from_u64(0xFEED);
         let sig = pair.private.apply(&m);
-        let _ = pair.public.apply(&sig);
+        let _ = pair.public.montgomery_ctx();
         assert!(pair.public.context_is_warm());
         assert!(pair.private.context_is_warm());
         // Clones share the already-built contexts.
@@ -621,7 +656,7 @@ mod tests {
         let sig_by_a = a.private.apply(&m);
         // Verifying with b's public key should not recover m (except with
         // negligible probability).
-        assert_ne!(b.public.apply(&sig_by_a), m);
+        assert_ne!(public_op(&b.public, &sig_by_a), m);
     }
 
     #[test]
@@ -662,5 +697,30 @@ mod tests {
         // And it still signs compatibly with the CRT-bearing original.
         let m = BigUint::from_u64(0xABCD_EF01);
         assert_eq!(key.apply(&m), pair.private.apply(&m));
+    }
+
+    #[test]
+    fn an_even_modulus_fails_to_deserialize() {
+        let pair = RsaKeyPair::generate(&mut rng(), 192).unwrap();
+        let even = pair.public.modulus.add(&BigUint::one()).to_hex_string();
+        let exponent = pair.public.exponent.to_hex_string();
+        let public = format!("{{\"modulus\":\"{even}\",\"exponent\":\"{exponent}\"}}");
+        let err = serde_json::from_str::<RsaPublicKey>(&public).unwrap_err();
+        assert!(err.to_string().contains("RSA modulus must be odd"), "{err}");
+        let private = format!(
+            "{{\"modulus\":\"{even}\",\"exponent\":\"{}\"}}",
+            pair.private.exponent.to_hex_string()
+        );
+        let err = serde_json::from_str::<RsaPrivateKey>(&private).unwrap_err();
+        assert!(err.to_string().contains("RSA modulus must be odd"), "{err}");
+        // A CRT prime is held to the same rule.
+        let mut crt = pair.private.crt.clone().unwrap();
+        crt.q = BigUint::from_u64(2);
+        let mut value = pair.private.to_value();
+        if let Value::Obj(fields) = &mut value {
+            fields[2].1 = crt.to_value();
+        }
+        let err = RsaPrivateKey::from_value(&value).unwrap_err();
+        assert!(err.to_string().contains("CRT prime q must be odd"), "{err}");
     }
 }

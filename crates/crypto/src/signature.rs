@@ -14,32 +14,30 @@
 //! payload — in as many pieces as the caller has it — through the
 //! incremental SHA-256, so neither signing nor verifying builds a
 //! preimage, copies the payload, or constructs a [`SignedMessage`].
-//! [`sign_detached`] / [`verify_detached`] /
-//! [`BatchVerifier::confirm_detached`] are the primitives for a payload
-//! held in one piece. A client that holds its gradient as `f64`s feeds an
-//! [`EnvelopeDigest`] chunk by chunk and calls [`EnvelopeDigest::sign`];
-//! a miner hashes what it received the same way and hands the digest to
+//! [`sign_detached`] / [`BatchVerifier::confirm_detached`] are the
+//! primitives for a payload held in one piece. A client that holds its
+//! gradient as `f64`s feeds an [`EnvelopeDigest`] chunk by chunk and calls
+//! [`EnvelopeDigest::sign`]; a miner hashes what it received the same way
+//! and hands the digest to
 //! [`KeyStore::verify_envelope`](crate::keystore::KeyStore::verify_envelope).
-//! [`sign_message`],
-//! [`verify_message`] and [`BatchVerifier::confirm`] are thin wrappers
-//! for callers that do want the owning envelope, with identical bytes
-//! and decisions.
+//! [`sign_message`] and [`BatchVerifier::verify_batch`] serve callers that
+//! do want the owning envelope, with identical bytes and decisions.
 //!
 //! Signing runs in the thread's signing workspace ([`crate::rsa`]): the
 //! digest goes into it as limbs and the signature comes out as its
 //! bytes, which are the one allocation a warm thread makes per signature.
 //!
-//! [`verify_detached`] is the one-shot check; [`BatchVerifier`] is the
-//! amortized one. A round's uploads arrive as a batch, and the one-shot
-//! path allocates a Montgomery workspace and the digest reduction per
-//! call. The batch verifier keeps a single [`MontWorkspace`] across the
-//! whole batch (re-fitted only when the key width changes) and compares
-//! in the Montgomery domain (skipping the recover multiply) — same
-//! accept/reject decision per upload, and no allocation at all once its
-//! workspace fits the key. Both refuse a signature whose integer is not
-//! below the modulus before exponentiating (RFC 8017's RSAVP1, step 1):
-//! `s + n` has the same `e`-th power as `s`, so a verifier that reduced
-//! it would accept a second encoding of every signature.
+//! There is one verifier, [`BatchVerifier`], and one verification body,
+//! its `confirm_envelope`: every entry point — detached, streamed,
+//! batched, or through a [`crate::keystore::KeyStore`] — ends there. It
+//! keeps a single [`MontWorkspace`] across a round's uploads (re-fitted
+//! only when the key width changes), raises the signature in the key's
+//! Montgomery context and compares it with the digest's image without
+//! leaving the domain, so once its workspace fits the key it allocates
+//! nothing. It refuses a signature whose integer is not below the modulus
+//! before exponentiating (RFC 8017's RSAVP1, step 1): `s + n` has the
+//! same `e`-th power as `s`, so a verifier that reduced it would accept a
+//! second encoding of every signature.
 //!
 //! The oracle for all of it is the plain exponent through
 //! [`BigUint::modpow_reference`] (no CRT, no Montgomery, seed long
@@ -149,47 +147,6 @@ pub fn sign_detached(signer: u64, payload: &[u8], key: &RsaPrivateKey) -> Signat
     EnvelopeDigest::of(signer, payload).sign(key)
 }
 
-/// RSAVP1's first step (RFC 8017): the signature representative must be
-/// below the modulus. The check every verification path makes before it
-/// exponentiates.
-fn check_representative(signature: &Signature, key: &RsaPublicKey) -> Result<(), CryptoError> {
-    match key.modulus().cmp_bytes_be(&signature.bytes) {
-        Ordering::Greater => Ok(()),
-        _ => Err(CryptoError::InvalidSignature),
-    }
-}
-
-/// Verifies a detached `signature` over `signer ‖ payload` against the
-/// claimed signer's public key.
-pub fn verify_detached(
-    signer: u64,
-    payload: &[u8],
-    signature: &Signature,
-    key: &RsaPublicKey,
-) -> Result<(), CryptoError> {
-    verify_digest(
-        &EnvelopeDigest::of(signer, payload).finalize(),
-        signature,
-        key,
-    )
-}
-
-/// The one-shot check of `signature` against a finished envelope digest.
-fn verify_digest(
-    digest: &Digest,
-    signature: &Signature,
-    key: &RsaPublicKey,
-) -> Result<(), CryptoError> {
-    check_representative(signature, key)?;
-    let expected = BigUint::from_bytes_be(digest).rem(key.modulus());
-    let recovered = key.apply(&signature.to_biguint());
-    if recovered == expected {
-        Ok(())
-    } else {
-        Err(CryptoError::InvalidSignature)
-    }
-}
-
 /// Signs `payload` on behalf of `signer` with `key`, returning the owning
 /// envelope ([`sign_detached`] plus a copy of the payload).
 pub fn sign_message(signer: u64, payload: &[u8], key: &RsaPrivateKey) -> SignedMessage {
@@ -200,16 +157,9 @@ pub fn sign_message(signer: u64, payload: &[u8], key: &RsaPrivateKey) -> SignedM
     }
 }
 
-/// Verifies a [`SignedMessage`] against the claimed signer's public key.
-pub fn verify_message(message: &SignedMessage, key: &RsaPublicKey) -> Result<(), CryptoError> {
-    verify_detached(message.signer, &message.payload, &message.signature, key)
-}
-
-/// Verifies uploads in batches, amortizing the per-call setup that
-/// [`verify_detached`] pays: one [`MontWorkspace`] (re-fitted only when
-/// the key width changes) serves the whole batch, and comparisons happen
-/// in the Montgomery domain. Every verdict is exactly the one
-/// [`verify_message`] reaches.
+/// The signature verifier (see the module docs): one [`MontWorkspace`],
+/// re-fitted only when the key width changes, serves every check, and
+/// comparisons happen in the Montgomery domain.
 #[derive(Debug, Default)]
 pub struct BatchVerifier {
     ws: MontWorkspace,
@@ -221,18 +171,8 @@ impl BatchVerifier {
         Self::default()
     }
 
-    /// Verifies one message exactly like [`verify_message`], through the
-    /// shared workspace ([`Self::confirm_detached`] on its parts).
-    pub fn confirm(
-        &mut self,
-        message: &SignedMessage,
-        key: &RsaPublicKey,
-    ) -> Result<(), CryptoError> {
-        self.confirm_detached(message.signer, &message.payload, &message.signature, key)
-    }
-
-    /// Verifies a detached signature exactly like [`verify_detached`],
-    /// through the shared workspace.
+    /// Verifies a detached `signature` over `signer ‖ payload` against the
+    /// claimed signer's public key.
     pub fn confirm_detached(
         &mut self,
         signer: u64,
@@ -245,11 +185,11 @@ impl BatchVerifier {
 
     /// Verifies `signature` against an envelope the caller has hashed —
     /// a miner streaming the payload it received into an
-    /// [`EnvelopeDigest`] — through the shared workspace. Decisions are
-    /// [`verify_detached`]'s: both refuse a representative not below `n`
-    /// and compare `s^e mod n` against the reduced digest, here via the
-    /// (bijective) Montgomery images instead of the recovered residues.
-    /// Allocates nothing once the workspace fits the key.
+    /// [`EnvelopeDigest`] — through the shared workspace: the one
+    /// verification body. It refuses a representative not below `n`
+    /// (RSAVP1, step 1) and compares `s^e mod n` against the reduced
+    /// digest via their (bijective) Montgomery images. Allocates nothing
+    /// once the workspace fits the key.
     pub(crate) fn confirm_envelope(
         &mut self,
         envelope: EnvelopeDigest,
@@ -257,12 +197,10 @@ impl BatchVerifier {
         key: &RsaPublicKey,
     ) -> Result<(), CryptoError> {
         let digest = envelope.finalize();
-        let Some(ctx) = key.montgomery_ctx() else {
-            // Even/trivial modulus: no Montgomery context exists and the
-            // one-shot path's binary exponentiation is the only route.
-            return verify_digest(&digest, signature, key);
-        };
-        check_representative(signature, key)?;
+        if key.modulus().cmp_bytes_be(&signature.bytes) != Ordering::Greater {
+            return Err(CryptoError::InvalidSignature);
+        }
+        let ctx = key.montgomery_ctx();
         ctx.prepare(&mut self.ws);
         ctx.load_bytes_be(&signature.bytes, &mut self.ws);
         ctx.pow_in_place(key.exponent(), &mut self.ws);
@@ -276,14 +214,16 @@ impl BatchVerifier {
     }
 
     /// Verifies a batch, returning one verdict per message in input
-    /// order: [`Self::confirm`] on each.
+    /// order: [`Self::confirm_detached`] on each message's parts.
     pub fn verify_batch(
         &mut self,
         batch: &[(&SignedMessage, &RsaPublicKey)],
     ) -> Vec<Result<(), CryptoError>> {
         batch
             .iter()
-            .map(|(message, key)| self.confirm(message, key))
+            .map(|(message, key)| {
+                self.confirm_detached(message.signer, &message.payload, &message.signature, key)
+            })
             .collect()
     }
 }
@@ -301,6 +241,48 @@ mod tests {
         RsaKeyPair::generate(&mut rng, 256).unwrap()
     }
 
+    /// One message through a fresh verifier.
+    fn verify(message: &SignedMessage, key: &RsaPublicKey) -> Result<(), CryptoError> {
+        BatchVerifier::new().confirm_detached(
+            message.signer,
+            &message.payload,
+            &message.signature,
+            key,
+        )
+    }
+
+    /// The envelope digest as the integer the oracles start from,
+    /// reduced by the seed long division.
+    fn reference_digest(signer: u64, payload: &[u8], modulus: &BigUint) -> BigUint {
+        BigUint::from_bytes_be(&EnvelopeDigest::of(signer, payload).finalize())
+            .div_rem_reference(modulus)
+            .1
+    }
+
+    /// The oracle verdict, `s < n && s.modpow_reference(e, n) == H(m) mod
+    /// n`: no Montgomery arithmetic, no Knuth division.
+    fn reference_verdict(
+        signer: u64,
+        payload: &[u8],
+        signature: &Signature,
+        key: &RsaPublicKey,
+    ) -> Result<(), CryptoError> {
+        let (n, s) = (key.modulus(), signature.to_biguint());
+        if s < *n && s.modpow_reference(key.exponent(), n) == reference_digest(signer, payload, n) {
+            Ok(())
+        } else {
+            Err(CryptoError::InvalidSignature)
+        }
+    }
+
+    /// [`reference_verdict`] on an owning envelope.
+    fn reference_verdict_of(
+        message: &SignedMessage,
+        key: &RsaPublicKey,
+    ) -> Result<(), CryptoError> {
+        reference_verdict(message.signer, &message.payload, &message.signature, key)
+    }
+
     #[test]
     fn sign_and_verify_round_trip() {
         let pair = keypair();
@@ -310,7 +292,7 @@ mod tests {
         assert_eq!(msg.payload, payload);
         assert!(!msg.signature.is_empty());
         assert!(msg.signature.len() <= 32);
-        verify_message(&msg, &pair.public).expect("valid signature must verify");
+        verify(&msg, &pair.public).expect("valid signature must verify");
     }
 
     #[test]
@@ -319,7 +301,7 @@ mod tests {
         let mut msg = sign_message(1, b"honest gradient", &pair.private);
         msg.payload = b"forged gradient".to_vec();
         assert_eq!(
-            verify_message(&msg, &pair.public),
+            verify(&msg, &pair.public),
             Err(CryptoError::InvalidSignature)
         );
     }
@@ -330,7 +312,7 @@ mod tests {
         let mut msg = sign_message(1, b"honest gradient", &pair.private);
         msg.signer = 2;
         assert_eq!(
-            verify_message(&msg, &pair.public),
+            verify(&msg, &pair.public),
             Err(CryptoError::InvalidSignature)
         );
     }
@@ -343,7 +325,7 @@ mod tests {
             *first ^= 0xff;
         }
         assert_eq!(
-            verify_message(&msg, &pair.public),
+            verify(&msg, &pair.public),
             Err(CryptoError::InvalidSignature)
         );
     }
@@ -355,7 +337,7 @@ mod tests {
         let other = RsaKeyPair::generate(&mut other_rng, 256).unwrap();
         let msg = sign_message(1, b"payload", &pair.private);
         assert_eq!(
-            verify_message(&msg, &other.public),
+            verify(&msg, &other.public),
             Err(CryptoError::InvalidSignature)
         );
     }
@@ -385,7 +367,7 @@ mod tests {
             let mut verifier = BatchVerifier::new();
             let verdicts = |signature: &Signature, verifier: &mut BatchVerifier| {
                 [
-                    verify_detached(3, payload, signature, &pair.public),
+                    reference_verdict(3, payload, signature, &pair.public),
                     verifier.confirm_detached(3, payload, signature, &pair.public),
                     store.verify_detached(3, payload, signature, verifier),
                 ]
@@ -411,7 +393,7 @@ mod tests {
     fn empty_payload_is_signable() {
         let pair = keypair();
         let msg = sign_message(9, b"", &pair.private);
-        verify_message(&msg, &pair.public).unwrap();
+        verify(&msg, &pair.public).unwrap();
     }
 
     /// A "reversed" pair: signing uses the short exponent 65537,
@@ -452,7 +434,10 @@ mod tests {
             (&wide, &other.public),
             (&valid, &other.public),
         ] {
-            assert_eq!(verifier.confirm(msg, key), verify_message(msg, key));
+            assert_eq!(
+                verifier.confirm_detached(msg.signer, &msg.payload, &msg.signature, key),
+                reference_verdict_of(msg, key)
+            );
         }
     }
 
@@ -473,7 +458,10 @@ mod tests {
         let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
             msgs.iter().map(|m| (m, &pair.public)).collect();
         let got = BatchVerifier::new().verify_batch(&batch);
-        let expected: Vec<_> = batch.iter().map(|(m, k)| verify_message(m, k)).collect();
+        let expected: Vec<_> = batch
+            .iter()
+            .map(|(m, k)| reference_verdict_of(m, k))
+            .collect();
         assert_eq!(got, expected);
         assert!(got[1].is_err() && got[4].is_err());
         assert_eq!(got.iter().filter(|verdict| verdict.is_ok()).count(), 4);
@@ -486,7 +474,7 @@ mod tests {
         let json = serde_json::to_string(&msg).unwrap();
         let back: SignedMessage = serde_json::from_str(&json).unwrap();
         assert_eq!(back, msg);
-        verify_message(&back, &pair.public).unwrap();
+        verify(&back, &pair.public).unwrap();
     }
 
     #[test]
@@ -504,14 +492,6 @@ mod tests {
             payload.chunks(piece).for_each(|part| digest.update(part));
             assert_eq!(digest.hasher.finalize(), expected, "piece = {piece}");
         }
-    }
-
-    /// The envelope digest as the integer both oracles below start from,
-    /// reduced by the seed long division.
-    fn reference_digest(signer: u64, payload: &[u8], modulus: &BigUint) -> BigUint {
-        BigUint::from_bytes_be(&EnvelopeDigest::of(signer, payload).finalize())
-            .div_rem_reference(modulus)
-            .1
     }
 
     /// The detached API against the envelope API it now underlies, and
@@ -575,21 +555,16 @@ mod tests {
                 payload: payload.to_vec(),
                 signature: signature.clone(),
             };
-            let expected = verify_message(&message, key);
+            let expected = reference_verdict_of(&message, key);
             assert_eq!(expected.is_ok(), ok, "{case}");
-            let representative = signature.to_biguint();
-            let recovered = representative.modpow_reference(key.exponent(), key.modulus());
-            assert_eq!(
-                representative < *key.modulus()
-                    && recovered == reference_digest(signer, payload, key.modulus()),
-                ok,
-                "{case}"
-            );
-            assert_eq!(verify_detached(signer, payload, signature, key), expected);
-            assert_eq!(verifier.confirm(&message, key), expected, "{case}");
             assert_eq!(
                 verifier.confirm_detached(signer, payload, signature, key),
                 expected,
+                "{case}"
+            );
+            assert_eq!(
+                verifier.verify_batch(&[(&message, key)]),
+                [expected],
                 "{case}"
             );
         }
@@ -656,7 +631,7 @@ mod tests {
             }
 
             /// Batched verification reaches exactly the per-upload
-            /// `verify_message` verdicts for arbitrary accept/reject
+            /// oracle verdicts for arbitrary accept/reject
             /// mixes — corrupted payload bytes and corrupted signature
             /// bytes included — under short- and long-exponent keys.
             #[test]
@@ -695,7 +670,7 @@ mod tests {
                 let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
                     msgs.iter().map(|m| (m, public)).collect();
                 let expected: Vec<_> =
-                    batch.iter().map(|(m, k)| verify_message(m, k)).collect();
+                    batch.iter().map(|(m, k)| reference_verdict_of(m, k)).collect();
                 let got = BatchVerifier::new().verify_batch(&batch);
                 prop_assert_eq!(got, expected);
             }

@@ -13,7 +13,8 @@
 //!   this file, up to 4096-bit operands,
 //! * Knuth Algorithm D division ≡ the seed binary long division, up to
 //!   4096-bit operands,
-//! * Montgomery fixed-window `modpow` ≡ `modpow_reference`
+//! * the Montgomery workspace chain (fixed-window `pow_in_place`) ≡
+//!   `modpow_reference`
 //!   (square-and-multiply over the seed division), up to 4096-bit moduli,
 //! * CRT signing and cached-context verification ≡ the plain exponent
 //!   through `modpow_reference`.
@@ -24,13 +25,28 @@
 //! produces a key that signs/verifies identically.
 
 use bfl_crypto::bigint::BigUint;
-use bfl_crypto::montgomery::MontgomeryCtx;
+use bfl_crypto::montgomery::{MontWorkspace, MontgomeryCtx};
 use bfl_crypto::rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};
 use bfl_crypto::signature::sign_detached;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
+
+/// `base^exponent mod n` through the one exponentiation chain: a fitted
+/// workspace, `load`, `pow_in_place`, `recover_value`.
+fn montgomery_pow(ctx: &MontgomeryCtx, base: &BigUint, exponent: &BigUint) -> BigUint {
+    let mut ws = MontWorkspace::new();
+    ctx.prepare(&mut ws);
+    ctx.load(base, &mut ws);
+    ctx.pow_in_place(exponent, &mut ws);
+    ctx.recover_value(&mut ws)
+}
+
+/// The public operation `s^e mod n` in the key's cached context.
+fn public_op(key: &RsaPublicKey, s: &BigUint) -> BigUint {
+    montgomery_pow(key.montgomery_ctx(), s, key.exponent())
+}
 
 /// A non-zero value built from random bytes (falls back to `fallback`).
 fn nonzero(bytes: &[u8], fallback: u32) -> BigUint {
@@ -204,7 +220,7 @@ proptest! {
         let exponent = BigUint::from_bytes_be(&exp_bytes);
         let modulus = odd_modulus(&mod_bytes);
         let ctx = MontgomeryCtx::new(&modulus).expect("odd modulus >= 3");
-        let fast = ctx.modpow(&base, &exponent);
+        let fast = montgomery_pow(&ctx, &base, &exponent);
         prop_assert_eq!(fast, base.modpow_reference(&exponent, &modulus));
     }
 
@@ -219,7 +235,7 @@ proptest! {
         let exponent = BigUint::from_bytes_be(&exp_bytes);
         let modulus = odd_modulus(&mod_bytes);
         let ctx = MontgomeryCtx::new(&modulus).expect("odd modulus >= 3");
-        let fast = ctx.modpow(&base, &exponent);
+        let fast = montgomery_pow(&ctx, &base, &exponent);
         prop_assert_eq!(fast, base.modpow_reference(&exponent, &modulus));
     }
 }
@@ -239,7 +255,7 @@ fn montgomery_modpow_matches_reference_at_2048_bits() {
     let exponent = BigUint::from_u64(0xF00D_FACE_CAFE_BEEF);
 
     let ctx = MontgomeryCtx::new(&modulus).expect("odd 2048-bit modulus");
-    let fast = ctx.modpow(&base, &exponent);
+    let fast = montgomery_pow(&ctx, &base, &exponent);
     assert_eq!(fast, base.modpow_reference(&exponent, &modulus));
 }
 
@@ -260,7 +276,7 @@ fn montgomery_modpow_matches_reference_at_4096_bits() {
     let exponent = BigUint::from_u64(0xB007);
 
     let ctx = MontgomeryCtx::new(&modulus).expect("odd 4096-bit modulus");
-    let fast = ctx.modpow(&base, &exponent);
+    let fast = montgomery_pow(&ctx, &base, &exponent);
     assert_eq!(fast, base.modpow_reference(&exponent, &modulus));
 }
 
@@ -294,7 +310,7 @@ proptest! {
             prop_assert_eq!(&fast, &reference);
             // The signature round-trips through the public operation.
             let m_reduced = message.rem(pair.private.modulus());
-            prop_assert_eq!(pair.public.apply(&fast), m_reduced);
+            prop_assert_eq!(public_op(&pair.public, &fast), m_reduced);
         }
     }
 
@@ -311,7 +327,7 @@ proptest! {
         let recovered_ref =
             sig_fast.modpow_reference(pair.public.exponent(), pair.public.modulus());
         prop_assert_eq!(&recovered_ref, &message.rem(pair.private.modulus()));
-        prop_assert_eq!(pair.public.apply(&sig_fast), recovered_ref);
+        prop_assert_eq!(public_op(&pair.public, &sig_fast), recovered_ref);
     }
 }
 
@@ -350,7 +366,11 @@ fn crt_sign_through_the_reused_workspace_matches_the_plain_exponent_oracle() {
         .collect();
     for (pair, expected) in pairs.iter().zip(&reference) {
         let reduced = digest.div_rem_reference(pair.public.modulus()).1;
-        assert_eq!(pair.public.apply(expected), reduced, "reference signs");
+        assert_eq!(
+            public_op(&pair.public, expected),
+            reduced,
+            "reference signs"
+        );
         // The 256-bit digest against the prime it is first reduced by:
         // above every prime under 256 bits, below every prime above.
         let p = &pair.private.crt().expect("generated keys carry CRT").p;
@@ -437,8 +457,8 @@ fn warm_context_caches_do_not_change_serialized_keys() {
     // Warm the shared pair's caches (signing touches the CRT contexts,
     // verification the public one).
     let message = BigUint::from_u64(0xCAC4E);
-    let sig = pair.private.apply(&message);
-    let _ = pair.public.apply(&sig);
+    let _ = pair.private.apply(&message);
+    let _ = pair.public.montgomery_ctx();
     assert!(pair.public.context_is_warm());
     assert!(pair.private.context_is_warm());
 
@@ -470,6 +490,6 @@ fn keys_round_trip_through_serde_and_keep_signing_identically() {
         assert!(!back.public.context_is_warm(), "caches must arrive cold");
         // The rebuilt key signs and verifies identically.
         assert_eq!(back.private.apply(&message), sig);
-        assert_eq!(back.public.apply(&sig), pair.public.apply(&sig));
+        assert_eq!(public_op(&back.public, &sig), public_op(&pair.public, &sig));
     }
 }

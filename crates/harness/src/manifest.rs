@@ -873,6 +873,9 @@ mod tests {
         let model = |model: &str| {
             format!(r#""base": {{"fl": {{"clients": 10, "rounds": 1, "model": {model}}}}}"#)
         };
+        let delay = |delay: &str| {
+            format!(r#""base": {{"fl": {{"clients": 10, "rounds": 1}}, "delay": {delay}}}"#)
+        };
         let starved = r#""dataset": {"train_samples": 5, "test_samples": 5}"#;
         for (extra, needles) in [
             (
@@ -908,6 +911,22 @@ mod tests {
             (
                 model(r#"{"SoftmaxRegression": {"features": 0, "classes": 1}}"#),
                 ["base", "0 features", "1 classes"],
+            ),
+            (
+                delay(r#"{"miner_hash_rate": 0.0}"#),
+                ["base", "delay.miner_hash_rate", "got 0"],
+            ),
+            (
+                delay(r#"{"uplink": {"bandwidth_bytes_per_s": 0.0}}"#),
+                ["base", "delay.uplink.bandwidth_bytes_per_s", "got 0"],
+            ),
+            (
+                delay(r#"{"uplink": {"latency": {"Uniform": {"min": 0.4, "max": 0.1}}}}"#),
+                ["base", "delay.uplink.latency", "inverted"],
+            ),
+            (
+                r#""base": {"mining_threads": 0}"#.to_string(),
+                ["base", "mining_threads must be 1", "got 0"],
             ),
         ] {
             let err = parse(&format!(", {extra}")).unwrap_err();

@@ -304,6 +304,39 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
     );
     config.fl.model = ModelKind::default_mnist();
 
+    // A delay model the engines cannot run, and a nonce search that is
+    // not the serial one, fail validation instead of panicking mid-run.
+    type Edit = fn(&mut BflConfig);
+    let rows: [(Edit, &str); 5] = [
+        (
+            |c| c.delay.miner_hash_rate = 0.0,
+            "delay.miner_hash_rate must be finite and positive, got 0",
+        ),
+        (
+            |c| c.delay.uplink.bandwidth_bytes_per_s = 0.0,
+            "delay.uplink.bandwidth_bytes_per_s must be finite and positive, got 0",
+        ),
+        (
+            |c| {
+                c.delay.uplink.latency =
+                    fair_bfl::net::DelayDistribution::Uniform { min: 0.4, max: 0.1 }
+            },
+            "delay.uplink.latency: uniform delay bounds are inverted",
+        ),
+        (
+            |c| c.delay.local_step_seconds = -1.0,
+            "delay.local_step_seconds must be finite and non-negative, got -1",
+        ),
+        (|c| c.mining_threads = 0, "mining_threads must be 1"),
+    ];
+    for (edit, needle) in rows {
+        let mut hostile = config;
+        edit(&mut hostile);
+        let err = Scenario::from_config(hostile).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(_)));
+        assert!(err.to_string().contains(needle), "{err}");
+    }
+
     config.fl.clients = train.len() + 1;
     let scenario = Scenario::from_config(config).expect("valid until it meets the data");
     let err = scenario.start(&train, &test).err().expect("starved");

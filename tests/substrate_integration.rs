@@ -7,7 +7,7 @@
 use fair_bfl::chain::{Blockchain, Mempool, PowConfig, Transaction};
 use fair_bfl::cluster::{dbscan, DbscanConfig, DistanceMetric};
 use fair_bfl::crypto::signature::sign_message;
-use fair_bfl::crypto::KeyStore;
+use fair_bfl::crypto::{BatchVerifier, KeyStore};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
 use fair_bfl::ml::gradient;
 use fair_bfl::ml::model::{Model, ModelKind};
@@ -23,28 +23,28 @@ fn signed_gradient_transactions_flow_from_clients_to_a_mined_block() {
     let mut keystore = KeyStore::new();
     let pairs = keystore.provision(&mut rng, &[1, 2, 3], 256).unwrap();
 
-    // Each client produces a (fake) gradient payload, signs it, and submits
-    // it through the miner's mempool.
+    // Each client produces a (fake) gradient payload and signs it; the
+    // miner verifies each upload before it submits it to its mempool.
     let mut mempool = Mempool::new();
+    let mut verifier = BatchVerifier::new();
     for id in 1..=3u64 {
         let grad: Vec<f64> = (0..32)
             .map(|i| (id as f64) * 0.1 + i as f64 * 0.01)
             .collect();
         let payload = gradient::to_bytes(&grad);
         let envelope = sign_message(id, &payload, &pairs[&id].private);
-        let tx = Transaction::local_gradient(id, 1, payload);
-        mempool
-            .submit_signed(tx, &envelope, &keystore)
+        keystore
+            .verify_detached(id, &payload, &envelope.signature, &mut verifier)
             .expect("registered client uploads verify");
+        mempool.submit(Transaction::local_gradient(id, 1, payload));
     }
     assert_eq!(mempool.len(), 3);
 
     // A forged submission (client 2 impersonating client 1) never reaches
     // the pool.
     let forged_envelope = sign_message(1, b"poison", &pairs[&2].private);
-    let forged_tx = Transaction::local_gradient(1, 1, b"poison".to_vec());
-    assert!(mempool
-        .submit_signed(forged_tx, &forged_envelope, &keystore)
+    assert!(keystore
+        .verify_detached(1, b"poison", &forged_envelope.signature, &mut verifier)
         .is_err());
     assert_eq!(mempool.len(), 3);
 
