@@ -45,57 +45,6 @@ pub(crate) fn merkle_root_in_place(level: &mut [Digest]) -> Digest {
     level[0]
 }
 
-/// Computes a Merkle inclusion proof for the leaf at `index`.
-///
-/// Returns the sibling path bottom-up, or `None` if `index` is out of range.
-pub fn merkle_proof(leaves: &[Digest], index: usize) -> Option<Vec<Digest>> {
-    if index >= leaves.len() {
-        return None;
-    }
-    let mut proof = Vec::new();
-    let mut level: Vec<Digest> = leaves.to_vec();
-    let mut idx = index;
-    while level.len() > 1 {
-        let sibling = if idx.is_multiple_of(2) {
-            *level.get(idx + 1).unwrap_or(&level[idx])
-        } else {
-            level[idx - 1]
-        };
-        proof.push(sibling);
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            let left = pair[0];
-            let right = if pair.len() == 2 { pair[1] } else { pair[0] };
-            let mut buf = [0u8; 64];
-            buf[..32].copy_from_slice(&left);
-            buf[32..].copy_from_slice(&right);
-            next.push(sha256(&buf));
-        }
-        level = next;
-        idx /= 2;
-    }
-    Some(proof)
-}
-
-/// Verifies a Merkle inclusion proof produced by [`merkle_proof`].
-pub fn verify_proof(leaf: Digest, index: usize, proof: &[Digest], root: Digest) -> bool {
-    let mut current = leaf;
-    let mut idx = index;
-    for sibling in proof {
-        let mut buf = [0u8; 64];
-        if idx.is_multiple_of(2) {
-            buf[..32].copy_from_slice(&current);
-            buf[32..].copy_from_slice(sibling);
-        } else {
-            buf[..32].copy_from_slice(sibling);
-            buf[32..].copy_from_slice(&current);
-        }
-        current = sha256(&buf);
-        idx /= 2;
-    }
-    current == root
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,36 +132,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn proof_out_of_range_is_none() {
-        let leaves: Vec<Digest> = (0..3).map(leaf).collect();
-        assert!(merkle_proof(&leaves, 3).is_none());
-        assert!(merkle_proof(&[], 0).is_none());
-    }
-
-    #[test]
-    fn proofs_verify_and_detect_tampering() {
-        let leaves: Vec<Digest> = (0..7).map(leaf).collect();
-        let root = merkle_root(&leaves);
-        for (i, &l) in leaves.iter().enumerate() {
-            let proof = merkle_proof(&leaves, i).unwrap();
-            assert!(verify_proof(l, i, &proof, root));
-            assert!(!verify_proof(leaf(200), i, &proof, root));
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn all_proofs_verify(n in 1usize..24) {
-            let leaves: Vec<Digest> = (0..n as u8).map(leaf).collect();
-            let root = merkle_root(&leaves);
-            for i in 0..n {
-                let proof = merkle_proof(&leaves, i).unwrap();
-                prop_assert!(verify_proof(leaves[i], i, &proof, root));
-            }
-        }
 
         #[test]
         fn root_is_deterministic(n in 0usize..24) {

@@ -113,22 +113,14 @@ mod tests {
 
     #[test]
     fn zero_threshold_keeps_distinct_points_separate() {
-        let labels = agglomerative(&two_blobs(), 0.0, DistanceMetric::Euclidean);
+        let labels = agglomerative(&two_blobs(), 0.0, DistanceMetric::Cosine);
         assert_eq!(labels.cluster_count(), 5);
     }
 
     #[test]
     fn huge_threshold_merges_everything() {
-        let labels = agglomerative(&two_blobs(), 1e9, DistanceMetric::Euclidean);
+        let labels = agglomerative(&two_blobs(), 1e9, DistanceMetric::Cosine);
         assert_eq!(labels.cluster_count(), 1);
-    }
-
-    #[test]
-    fn identical_points_merge_even_at_zero_threshold() {
-        let data = vec![vec![1.0, 2.0], vec![1.0, 2.0], vec![5.0, 5.0]];
-        let labels = agglomerative(&data, 0.0, DistanceMetric::Euclidean);
-        assert!(labels.same_cluster(0, 1));
-        assert!(!labels.same_cluster(0, 2));
     }
 
     #[test]

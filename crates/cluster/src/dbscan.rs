@@ -158,36 +158,13 @@ mod tests {
     }
 
     #[test]
-    fn euclidean_metric_also_works() {
-        let data = vec![
-            vec![0.0, 0.0],
-            vec![0.1, 0.0],
-            vec![0.0, 0.1],
-            vec![5.0, 5.0],
-            vec![5.1, 5.0],
-        ];
-        let labels = dbscan(
-            &data,
-            &DbscanConfig {
-                eps: 0.5,
-                min_points: 2,
-                metric: DistanceMetric::Euclidean,
-            },
-        );
-        assert_eq!(labels.cluster_count(), 2);
-        assert!(labels.same_cluster(0, 1));
-        assert!(labels.same_cluster(3, 4));
-        assert!(!labels.same_cluster(0, 3));
-    }
-
-    #[test]
     fn min_points_larger_than_any_neighbourhood_gives_all_noise() {
         let labels = dbscan(
             &two_blobs(),
             &DbscanConfig {
                 eps: 0.01,
                 min_points: 10,
-                metric: DistanceMetric::Euclidean,
+                metric: DistanceMetric::Cosine,
             },
         );
         assert_eq!(labels.cluster_count(), 0);
@@ -261,7 +238,7 @@ mod tests {
                 ((state >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
             };
             let data: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next()]).collect();
-            let config = DbscanConfig { eps, min_points, metric: DistanceMetric::Euclidean };
+            let config = DbscanConfig { eps, min_points, metric: DistanceMetric::Cosine };
             let distances = distance_matrix(&data, config.metric);
             prop_assert_eq!(
                 dbscan_with_distances(&distances, &config),
@@ -277,7 +254,7 @@ mod tests {
                 ((state >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
             };
             let data: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next(), next()]).collect();
-            let labels = dbscan(&data, &DbscanConfig { eps, min_points: 2, metric: DistanceMetric::Euclidean });
+            let labels = dbscan(&data, &DbscanConfig { eps, min_points: 2, metric: DistanceMetric::Cosine });
             prop_assert_eq!(labels.len(), n);
             // Every point is either in a cluster or noise; cluster ids are dense from 0.
             let count = labels.cluster_count();

@@ -1,14 +1,17 @@
-//! Distance metrics and pairwise distance matrices.
+//! The cosine distance and pairwise distance matrices.
+//!
+//! Algorithm 2 clusters gradients by cosine distance, the metric its θ
+//! scores use, and [`DistanceMetric`] has that one variant; the type stays
+//! because scenario configurations spell it (`"metric": "Cosine"`).
 //!
 //! The pairwise matrix is the shared substrate of every clustering
 //! backend (DBSCAN and agglomerative consume it directly; k-means uses
 //! the rectangular [`cross_distance_matrix`] for its assignment step).
 //! Instead of `n²` independent `O(d)` vector traversals, every inner
-//! product comes out of one Gram pass and cosine and Euclidean distances
-//! derive from `G = V · Vᵀ` and its diagonal:
+//! product comes out of one Gram pass, and each distance derives from
+//! `G = V · Vᵀ` and its diagonal:
 //!
-//! * cosine:    `d_ij = 1 − G_ij / √(G_ii · G_jj)`
-//! * euclidean: `d_ij = √(G_ii + G_jj − 2 G_ij)`
+//! * cosine: `d_ij = 1 − G_ij / √(G_ii · G_jj)`
 //!
 //! # The triangle kernel
 //!
@@ -27,11 +30,11 @@
 //! accumulation order, dispatched per [`bfl_ml::simd::active`] to an
 //! AVX2+FMA form that reproduces the scalar order bit-for-bit. Two
 //! guarantees follow and hold under either tier and any thread count:
-//! identical rows produce bit-identical entries, so identical points keep
-//! *exactly* zero Euclidean distance (single-linkage clustering at a zero
-//! threshold and Algorithm 2's θ scoring depend on this); and every entry
-//! has the bit pattern the full GEMM used to give it, so labels, θ and
-//! the golden run digests are unchanged.
+//! identical rows produce bit-identical entries, so every pair of
+//! identical points is at the same distance (zero up to the rounding of
+//! `√G_ii · √G_jj`); and every entry has the bit pattern the full GEMM
+//! used to give it, so labels, θ and the golden run digests are
+//! unchanged.
 //!
 //! # The work-based split
 //!
@@ -48,7 +51,7 @@
 //! The quadratic per-pair path is retained as
 //! [`distance_matrix_reference`] for the equivalence tests.
 
-use bfl_ml::gradient::{cosine_distance, l2_distance};
+use bfl_ml::gradient::cosine_distance;
 use bfl_ml::tensor::{gram_upper, matmul_transpose_b_into, Matrix};
 use serde::{Deserialize, Serialize};
 
@@ -57,24 +60,12 @@ use serde::{Deserialize, Serialize};
 pub enum DistanceMetric {
     /// Cosine distance `1 - cos(a, b)` (the paper's θ).
     Cosine,
-    /// Euclidean (L2) distance.
-    Euclidean,
 }
 
 impl DistanceMetric {
-    /// Distance between two vectors under this metric.
-    pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            DistanceMetric::Cosine => cosine_distance(a, b),
-            DistanceMetric::Euclidean => l2_distance(a, b),
-        }
-    }
-
     /// Distance derived from Gram-matrix entries (`g_ij` the inner
-    /// product, `g_ii`/`g_jj` the squared norms), falling back to an
-    /// exact pass over the two vectors where the Gram form loses
-    /// precision.
-    fn gram_distance(&self, a: &[f64], b: &[f64], g_ij: f64, g_ii: f64, g_jj: f64) -> f64 {
+    /// product, `g_ii`/`g_jj` the squared norms).
+    fn gram_distance(self, g_ij: f64, g_ii: f64, g_jj: f64) -> f64 {
         match self {
             DistanceMetric::Cosine => {
                 if g_ii <= 0.0 || g_jj <= 0.0 {
@@ -83,18 +74,6 @@ impl DistanceMetric {
                 }
                 let similarity = (g_ij / (g_ii.sqrt() * g_jj.sqrt())).clamp(-1.0, 1.0);
                 1.0 - similarity
-            }
-            DistanceMetric::Euclidean => {
-                // `d² = G_ii + G_jj − 2 G_ij` cancels catastrophically for
-                // near-identical vectors: the subtraction's rounding error
-                // is ~eps·(G_ii+G_jj), which can exceed d² itself. In that
-                // zone recompute the distance exactly; elsewhere the Gram
-                // form is accurate well past the 1e-9 equivalence bound.
-                let d_squared = g_ii + g_jj - 2.0 * g_ij;
-                if d_squared < 1e-9 * (g_ii + g_jj) {
-                    return l2_distance(a, b);
-                }
-                d_squared.sqrt()
             }
         }
     }
@@ -128,7 +107,7 @@ pub fn distance_matrix_rows(rows: &[&[f64]], metric: DistanceMetric) -> Vec<Vec<
     for i in 0..n {
         let g_ii = gram[i * n + i];
         for j in (i + 1)..n {
-            let d = metric.gram_distance(rows[i], rows[j], gram[i * n + j], g_ii, gram[j * n + j]);
+            let d = metric.gram_distance(gram[i * n + j], g_ii, gram[j * n + j]);
             matrix[i][j] = d;
             matrix[j][i] = d;
         }
@@ -139,11 +118,12 @@ pub fn distance_matrix_rows(rows: &[&[f64]], metric: DistanceMetric) -> Vec<Vec<
 /// Per-pair reference implementation of [`distance_matrix`] (the
 /// pre-batching `O(k²·d)` path), kept for equivalence tests.
 pub fn distance_matrix_reference(vectors: &[Vec<f64>], metric: DistanceMetric) -> Vec<Vec<f64>> {
+    let DistanceMetric::Cosine = metric;
     let n = vectors.len();
     let mut matrix = vec![vec![0.0; n]; n];
     for i in 0..n {
         for j in (i + 1)..n {
-            let d = metric.distance(&vectors[i], &vectors[j]);
+            let d = cosine_distance(&vectors[i], &vectors[j]);
             matrix[i][j] = d;
             matrix[j][i] = d;
         }
@@ -184,9 +164,7 @@ pub fn cross_distance_matrix_packed(
     (0..a.rows)
         .map(|i| {
             (0..b.rows)
-                .map(|j| {
-                    metric.gram_distance(a.row(i), b.row(j), gram.get(i, j), norms_a[i], norms_b[j])
-                })
+                .map(|j| metric.gram_distance(gram.get(i, j), norms_a[i], norms_b[j]))
                 .collect()
         })
         .collect()
@@ -200,22 +178,21 @@ mod tests {
 
     #[test]
     fn metrics_match_reference_implementations() {
-        let a = vec![1.0, 0.0];
-        let b = vec![0.0, 1.0];
-        assert!((DistanceMetric::Cosine.distance(&a, &b) - 1.0).abs() < 1e-12);
-        assert!((DistanceMetric::Euclidean.distance(&a, &b) - 2f64.sqrt()).abs() < 1e-12);
+        let vectors = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![-2.0, 0.0]];
+        let m = distance_matrix(&vectors, DistanceMetric::Cosine);
+        assert!((m[0][1] - 1.0).abs() < 1e-12);
+        assert!((m[0][2] - 2.0).abs() < 1e-12);
+        assert!((m[0][1] - cosine_distance(&vectors[0], &vectors[1])).abs() < 1e-12);
     }
 
     #[test]
     fn matrix_is_symmetric_with_zero_diagonal() {
         let vectors = vec![vec![1.0, 2.0], vec![3.0, -1.0], vec![0.5, 0.5]];
-        for metric in [DistanceMetric::Cosine, DistanceMetric::Euclidean] {
-            let m = distance_matrix(&vectors, metric);
-            for (i, row) in m.iter().enumerate() {
-                assert_eq!(row[i], 0.0);
-                for (j, &value) in row.iter().enumerate() {
-                    assert!((value - m[j][i]).abs() < 1e-15);
-                }
+        let m = distance_matrix(&vectors, DistanceMetric::Cosine);
+        for (i, row) in m.iter().enumerate() {
+            assert_eq!(row[i], 0.0);
+            for (j, &value) in row.iter().enumerate() {
+                assert!((value - m[j][i]).abs() < 1e-15);
             }
         }
     }
@@ -230,13 +207,11 @@ mod tests {
             ((state >> 11) as f64 / (1u64 << 53) as f64) * 20.0 - 10.0
         };
         let vectors: Vec<Vec<f64>> = (0..17).map(|_| (0..23).map(|_| next()).collect()).collect();
-        for metric in [DistanceMetric::Cosine, DistanceMetric::Euclidean] {
-            let fast = distance_matrix(&vectors, metric);
-            let reference = distance_matrix_reference(&vectors, metric);
-            for (fast_row, reference_row) in fast.iter().zip(reference.iter()) {
-                for (x, y) in fast_row.iter().zip(reference_row.iter()) {
-                    assert!((x - y).abs() < 1e-9, "{x} vs {y} under {metric:?}");
-                }
+        let fast = distance_matrix(&vectors, DistanceMetric::Cosine);
+        let reference = distance_matrix_reference(&vectors, DistanceMetric::Cosine);
+        for (fast_row, reference_row) in fast.iter().zip(reference.iter()) {
+            for (x, y) in fast_row.iter().zip(reference_row.iter()) {
+                assert!((x - y).abs() < 1e-9, "{x} vs {y}");
             }
         }
     }
@@ -256,19 +231,6 @@ mod tests {
         assert_eq!(fast[0][1], 1.0);
         assert_eq!(fast[0][2], 1.0);
         assert_eq!(fast[0][0], 0.0);
-    }
-
-    #[test]
-    fn identical_points_have_exactly_zero_euclidean_distance() {
-        // Bit-identical Gram entries make the cancellation exact — the
-        // zero-threshold single-linkage merge relies on this.
-        let vectors = vec![vec![1.5, -2.5, 3.25], vec![1.5, -2.5, 3.25]];
-        let m = distance_matrix(&vectors, DistanceMetric::Euclidean);
-        assert_eq!(m[0][1], 0.0);
-        // Cosine is only zero up to `sqrt(x)·sqrt(x)` rounding, exactly
-        // like the per-pair reference.
-        let m = distance_matrix(&vectors, DistanceMetric::Cosine);
-        assert!(m[0][1].abs() < 1e-12);
     }
 
     #[test]
@@ -294,21 +256,30 @@ mod tests {
         vectors[21] = vectors[5].clone();
         let rows: Vec<&[f64]> = vectors.iter().map(Vec::as_slice).collect();
 
+        // A duplicated pair sits at exactly the distance the pair gets on
+        // its own: bit-identical Gram entries, whichever workers formed
+        // them (zero up to the rounding of `√G_ii · √G_jj`).
+        let alone = |v: &Vec<f64>| {
+            par::with_thread_limit(1, || {
+                distance_matrix(&[v.clone(), v.clone()], DistanceMetric::Cosine)[0][1]
+            })
+        };
         let serial =
-            par::with_thread_limit(1, || distance_matrix_rows(&rows, DistanceMetric::Euclidean));
-        assert_eq!(serial[0][39], 0.0);
-        assert_eq!(serial[5][21], 0.0);
-        assert!(serial[0][1] > 0.0);
+            par::with_thread_limit(1, || distance_matrix_rows(&rows, DistanceMetric::Cosine));
+        assert_eq!(serial[0][39], alone(&vectors[0]));
+        assert_eq!(serial[5][21], alone(&vectors[5]));
+        assert!(serial[0][39].abs() < 1e-12 && serial[5][21].abs() < 1e-12);
+        assert!(serial[0][1] > 0.1);
         for limit in [2, 3, 8] {
             let parallel = par::with_thread_limit(limit, || {
-                distance_matrix_rows(&rows, DistanceMetric::Euclidean)
+                distance_matrix_rows(&rows, DistanceMetric::Cosine)
             });
             assert_eq!(parallel, serial, "{limit} threads");
         }
         // The owned and packed front-ends are the same computation.
-        assert_eq!(distance_matrix(&vectors, DistanceMetric::Euclidean), serial);
+        assert_eq!(distance_matrix(&vectors, DistanceMetric::Cosine), serial);
         assert_eq!(
-            distance_matrix_packed(&Matrix::from_rows(&vectors), DistanceMetric::Euclidean),
+            distance_matrix_packed(&Matrix::from_rows(&vectors), DistanceMetric::Cosine),
             serial
         );
     }
@@ -321,30 +292,26 @@ mod tests {
         let mut nudged = base.clone();
         nudged[3] += 1e-10;
         let vectors = vec![base, nudged];
-        for metric in [DistanceMetric::Euclidean, DistanceMetric::Cosine] {
-            let fast = distance_matrix(&vectors, metric);
-            let reference = distance_matrix_reference(&vectors, metric);
-            assert!(
-                (fast[0][1] - reference[0][1]).abs() < 1e-12,
-                "{metric:?}: {} vs {}",
-                fast[0][1],
-                reference[0][1]
-            );
-        }
+        let fast = distance_matrix(&vectors, DistanceMetric::Cosine);
+        let reference = distance_matrix_reference(&vectors, DistanceMetric::Cosine);
+        assert!(
+            (fast[0][1] - reference[0][1]).abs() < 1e-12,
+            "{} vs {}",
+            fast[0][1],
+            reference[0][1]
+        );
     }
 
     #[test]
     fn cross_matrix_matches_pairwise_distances() {
         let a = vec![vec![1.0, 0.0], vec![0.5, 0.5], vec![0.0, 0.0]];
         let b = vec![vec![0.0, 1.0], vec![1.0, 1.0]];
-        for metric in [DistanceMetric::Cosine, DistanceMetric::Euclidean] {
-            let m = cross_distance_matrix(&a, &b, metric);
-            assert_eq!(m.len(), 3);
-            for (i, row) in m.iter().enumerate() {
-                assert_eq!(row.len(), 2);
-                for (j, &d) in row.iter().enumerate() {
-                    assert!((d - metric.distance(&a[i], &b[j])).abs() < 1e-12);
-                }
+        let m = cross_distance_matrix(&a, &b, DistanceMetric::Cosine);
+        assert_eq!(m.len(), 3);
+        for (i, row) in m.iter().enumerate() {
+            assert_eq!(row.len(), 2);
+            for (j, &d) in row.iter().enumerate() {
+                assert!((d - cosine_distance(&a[i], &b[j])).abs() < 1e-12);
             }
         }
         assert_eq!(
@@ -360,9 +327,8 @@ mod tests {
         fn distances_are_non_negative(a in proptest::collection::vec(-10.0f64..10.0, 3..8),
                                       b in proptest::collection::vec(-10.0f64..10.0, 3..8)) {
             let n = a.len().min(b.len());
-            for metric in [DistanceMetric::Cosine, DistanceMetric::Euclidean] {
-                prop_assert!(metric.distance(&a[..n], &b[..n]) >= 0.0);
-            }
+            let m = distance_matrix(&[a[..n].to_vec(), b[..n].to_vec()], DistanceMetric::Cosine);
+            prop_assert!(m[0][1] >= 0.0);
         }
 
         #[test]
@@ -373,13 +339,11 @@ mod tests {
                 ((state >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
             };
             let vectors: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| next()).collect()).collect();
-            for metric in [DistanceMetric::Cosine, DistanceMetric::Euclidean] {
-                let fast = distance_matrix(&vectors, metric);
-                let reference = distance_matrix_reference(&vectors, metric);
-                for i in 0..n {
-                    for j in 0..n {
-                        prop_assert!((fast[i][j] - reference[i][j]).abs() < 1e-9);
-                    }
+            let fast = distance_matrix(&vectors, DistanceMetric::Cosine);
+            let reference = distance_matrix_reference(&vectors, DistanceMetric::Cosine);
+            for i in 0..n {
+                for j in 0..n {
+                    prop_assert!((fast[i][j] - reference[i][j]).abs() < 1e-9);
                 }
             }
         }

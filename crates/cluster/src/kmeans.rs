@@ -11,8 +11,8 @@ pub struct KmeansConfig {
     pub k: usize,
     /// Maximum number of Lloyd iterations.
     pub max_iterations: usize,
-    /// Metric used for the assignment step (centroids are always arithmetic
-    /// means, as in spherical k-means when the metric is cosine).
+    /// Metric used for the assignment step (cosine, the only one;
+    /// centroids are arithmetic means, as in spherical k-means).
     pub metric: DistanceMetric,
     /// Seed of the deterministic centroid initialization.
     pub seed: u64,
@@ -171,20 +171,6 @@ mod tests {
         );
         assert_eq!(labels.len(), 3);
         assert!(labels.cluster_count() >= 1);
-    }
-
-    #[test]
-    fn euclidean_metric_works_too() {
-        let labels = kmeans(
-            &two_blobs(),
-            &KmeansConfig {
-                k: 2,
-                metric: DistanceMetric::Euclidean,
-                ..Default::default()
-            },
-        );
-        assert_eq!(labels.cluster_count(), 2);
-        assert!(!labels.same_cluster(0, 1));
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!
 //! "Any suitable clustering algorithm can be used here as needed. However,
 //! we use DBSCAN in experiments by default" — so [`mod@dbscan`] is the default,
-//! with [`mod@kmeans`] and [`agglomerative`] provided as the alternatives the
-//! ablation benches compare.
+//! with [`mod@kmeans`] and [`agglomerative`] provided as the alternatives
+//! `scenarios/table2_clustering.json` compares.
+//!
+//! Every backend measures gradients by cosine distance, the metric of
+//! Algorithm 2's θ scores and the one [`DistanceMetric`] variant.
 
 #![warn(missing_docs)]
 
@@ -58,6 +61,32 @@ impl ClusteringAlgorithm {
         ClusteringAlgorithm::Dbscan {
             eps: 0.35,
             min_points: 2,
+        }
+    }
+
+    /// Checks the parameters the algorithms assert on, so a configuration
+    /// fails validation instead of panicking mid-run: DBSCAN needs
+    /// `eps > 0` and `min_points >= 1`, k-means `k >= 1`, and
+    /// agglomerative clustering a `distance_threshold >= 0`.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            ClusteringAlgorithm::Dbscan { eps, .. } if eps.is_nan() || eps <= 0.0 => {
+                Err(format!("DBSCAN eps must be positive, got {eps}"))
+            }
+            ClusteringAlgorithm::Dbscan { min_points: 0, .. } => {
+                Err("DBSCAN min_points must be at least 1, got 0".to_string())
+            }
+            ClusteringAlgorithm::KMeans { k: 0, .. } => {
+                Err("k-means k must be at least 1, got 0".to_string())
+            }
+            ClusteringAlgorithm::Agglomerative { distance_threshold }
+                if distance_threshold.is_nan() || distance_threshold < 0.0 =>
+            {
+                Err(format!(
+                    "agglomerative distance_threshold must be non-negative, got {distance_threshold}"
+                ))
+            }
+            _ => Ok(()),
         }
     }
 

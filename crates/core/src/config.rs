@@ -280,7 +280,8 @@ pub struct BflConfig {
     pub strategy: LowContributionStrategy,
     /// Clustering backend for Algorithm 2 (DBSCAN by default).
     pub clustering: ClusteringAlgorithm,
-    /// Distance metric for clustering and θ scores.
+    /// The clustering metric: cosine, the only metric; kept for the frozen
+    /// serde form.
     pub metric: DistanceMetric,
     /// The anchor gradient Algorithm 2 clusters against and measures θ
     /// from (the paper's plain mean by default; median/trimmed-mean resist
@@ -391,6 +392,7 @@ impl BflConfig {
             )));
         }
         self.delay.validate()?;
+        self.clustering.validate().map_err(CoreError::invalid)?;
         self.anchor.validate()?;
         self.sync.validate()?;
         self.staleness.validate()?;
@@ -616,6 +618,67 @@ mod tests {
             },
             "RSA modulus too small",
         );
+    }
+
+    #[test]
+    fn invalid_clustering_rejected() {
+        for (clustering, needle) in [
+            (
+                ClusteringAlgorithm::KMeans {
+                    k: 0,
+                    max_iterations: 5,
+                },
+                "k-means k must be at least 1, got 0",
+            ),
+            (
+                ClusteringAlgorithm::Agglomerative {
+                    distance_threshold: -0.1,
+                },
+                "distance_threshold must be non-negative, got -0.1",
+            ),
+            (
+                ClusteringAlgorithm::Dbscan {
+                    eps: -1.0,
+                    min_points: 2,
+                },
+                "eps must be positive, got -1",
+            ),
+            (
+                ClusteringAlgorithm::Dbscan {
+                    eps: 0.3,
+                    min_points: 0,
+                },
+                "min_points must be at least 1, got 0",
+            ),
+        ] {
+            assert_rejected(
+                BflConfig {
+                    clustering,
+                    ..Default::default()
+                },
+                needle,
+            );
+        }
+        // The boundary values the algorithms accept pass.
+        for clustering in [
+            ClusteringAlgorithm::KMeans {
+                k: 1,
+                max_iterations: 0,
+            },
+            ClusteringAlgorithm::Agglomerative {
+                distance_threshold: 0.0,
+            },
+            ClusteringAlgorithm::Dbscan {
+                eps: 1e-9,
+                min_points: 1,
+            },
+        ] {
+            let config = BflConfig {
+                clustering,
+                ..Default::default()
+            };
+            assert_eq!(config.validate(), Ok(()), "{clustering:?}");
+        }
     }
 
     #[test]

@@ -1,115 +1,50 @@
 //! Client contribution identification — Algorithm 2.
 //!
 //! Input: the round's gradient set `W^k_{r+1}` (one upload per selected
-//! client) plus the freshly computed global gradient. The winning miner
+//! client) plus the anchor gradient computed from it. The winning miner
 //! clusters the combined set; clients whose uploads land in the same
-//! cluster as the global gradient are **high contribution** (their cosine
-//! distance θ_i to the global update becomes both their reward share and
-//! their Equation 1 aggregation weight), everyone else — including every
-//! point the clustering marks as noise — is **low contribution** and is
-//! handled by the configured [`LowContributionStrategy`].
+//! cluster as the anchor are **high contribution** (their cosine distance
+//! θ_i to the anchor becomes both their reward share and their Equation 1
+//! aggregation weight), everyone else — including every point the
+//! clustering marks as noise — is **low contribution** and is handled by
+//! the configured [`LowContributionStrategy`](crate::LowContributionStrategy).
+//!
+//! [`analyze_contributions`] is the algorithm: anchor, clustering and θ.
+//! Procedure IV
+//! ([`compute_global_update`](crate::procedures::global_update::compute_global_update))
+//! is its one caller in a run: it settles the rewards, applies the
+//! strategy, aggregates, and returns the [`ContributionReport`].
 
 use crate::aggregation::WEIGHT_FLOOR;
-use crate::policy::{AggregationAnchor, ProportionalReward, RewardPolicy};
+use crate::policy::AggregationAnchor;
 use crate::reward::RewardEntry;
-use crate::strategy::LowContributionStrategy;
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
 use bfl_ml::gradient::GradientVector;
 use bfl_ml::tensor;
 use serde::{Deserialize, Serialize};
 
-/// The outcome of running Algorithm 2 on one round's gradient set.
+/// The outcome of Algorithm 2 on one round's gradient set, as Procedure IV
+/// reports it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ContributionReport {
     /// (client id, θ_i) for every high-contribution client.
     pub high_contribution: Vec<(u64, f64)>,
     /// Client ids labelled low contribution.
     pub low_contribution: Vec<u64>,
-    /// The reward list the configured [`RewardPolicy`] produced for the
-    /// high contributors (⟨C_i, θ_i/Σθ_k · base⟩ under the default
-    /// proportional policy).
+    /// The reward list the configured
+    /// [`RewardPolicy`](crate::RewardPolicy) produced for the high
+    /// contributors (⟨C_i, θ_i/Σθ_k · base⟩ under the default proportional
+    /// policy).
     pub rewards: Vec<RewardEntry>,
-    /// The anchor gradient the report was computed against — the simple
-    /// average of all uploads under [`AggregationAnchor::Mean`] (the
-    /// paper's behaviour), or the configured robust anchor.
-    pub global_gradient: GradientVector,
-    /// The anchor gradient after applying the strategy: equal to
-    /// `global_gradient` under [`LowContributionStrategy::Keep`], or the
-    /// anchor recomputed over the high-contribution uploads only under
-    /// `Discard`.
-    pub effective_global: GradientVector,
-    /// Number of clusters the algorithm found (for diagnostics/ablations).
-    pub cluster_count: usize,
 }
 
-impl ContributionReport {
-    /// Ids of the clients whose gradients were actually dropped from the
-    /// aggregation (empty under the keep strategy).
-    pub fn dropped_clients(&self, strategy: LowContributionStrategy) -> Vec<u64> {
-        if strategy.discards() {
-            self.low_contribution.clone()
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-/// Runs Algorithm 2 with the paper's default policies (mean anchor,
-/// proportional rewards).
+/// Algorithm 2 without rewards or a low-contribution strategy: anchor,
+/// clustering, and θ scores.
 ///
-/// * `uploads` — (client id, uploaded gradient) pairs for the round.
-/// * `algorithm` / `metric` — the clustering backend (DBSCAN + cosine by
-///   default, matching the paper).
-/// * `strategy` — keep or discard low contributors.
-/// * `reward_base` — the per-round reward pool.
-pub fn identify_contributions(
-    uploads: &[(u64, GradientVector)],
-    algorithm: &ClusteringAlgorithm,
-    metric: DistanceMetric,
-    strategy: LowContributionStrategy,
-    reward_base: f64,
-) -> ContributionReport {
-    let refs: Vec<(u64, &[f64])> = uploads.iter().map(|(id, g)| (*id, g.as_slice())).collect();
-    identify_contributions_with(
-        &refs,
-        algorithm,
-        metric,
-        strategy,
-        AggregationAnchor::Mean,
-        0,
-        &ProportionalReward { base: reward_base },
-    )
-}
-
-/// Runs Algorithm 2 with pluggable policies — the full Scenario-API form.
-///
-/// The anchor gradient is computed over all uploads by the configured
-/// [`AggregationAnchor`] (the simple average of Algorithm 1 line 24 under
-/// `Mean`) and appended to the set before clustering, exactly as in the
-/// paper's Algorithm 2 (the anchor is the last element of the clustered
-/// set). `round` is forwarded to the [`RewardPolicy`] so round-dependent
-/// incentive schemes can be plugged in.
-pub fn identify_contributions_with(
-    uploads: &[(u64, &[f64])],
-    algorithm: &ClusteringAlgorithm,
-    metric: DistanceMetric,
-    strategy: LowContributionStrategy,
-    anchor: AggregationAnchor,
-    round: usize,
-    reward: &dyn RewardPolicy,
-) -> ContributionReport {
-    let analysis = analyze_contributions(uploads, algorithm, metric, anchor);
-    let rewards = reward.round_rewards(round, &analysis.high_contribution);
-    let effective_global = analysis.effective_global(uploads, strategy, anchor);
-    analysis.into_report(rewards, effective_global)
-}
-
-/// The reward-free core of Algorithm 2: anchor, clustering, and θ scores.
-///
-/// Split out of [`identify_contributions_with`] so the streaming
-/// aggregation path can run the analysis once per *chunk* (the chunk acts
-/// as the clustering committee) while settling rewards exactly once per
-/// round over the concatenated scores — per-chunk reward calls would
+/// Rewards are settled by the caller, so the streaming aggregation path
+/// can run the analysis once per *chunk* (the chunk acts as the
+/// clustering committee) while settling rewards exactly once per round
+/// over the concatenated scores — per-chunk reward calls would
 /// re-normalize each chunk's pool and change payouts.
 #[derive(Debug, Clone)]
 pub struct ContributionAnalysis {
@@ -119,8 +54,6 @@ pub struct ContributionAnalysis {
     pub low_contribution: Vec<u64>,
     /// The anchor gradient the analysis clustered against.
     pub global_gradient: GradientVector,
-    /// Number of clusters found.
-    pub cluster_count: usize,
     /// The same labels aligned with the analysed `uploads` slice: entry
     /// `i` is `Some(θ_i)` when upload `i` is high contribution and `None`
     /// when it is low. Aggregation walks this next to the uploads instead
@@ -128,50 +61,15 @@ pub struct ContributionAnalysis {
     pub theta_by_upload: Vec<Option<f64>>,
 }
 
-impl ContributionAnalysis {
-    /// The anchor gradient after `strategy` is applied: the anchor
-    /// recomputed over the high-contribution uploads when low contributors
-    /// are discarded, `global_gradient` itself otherwise. `uploads` must be
-    /// the slice this analysis was computed from.
-    pub fn effective_global(
-        &self,
-        uploads: &[(u64, &[f64])],
-        strategy: LowContributionStrategy,
-        anchor: AggregationAnchor,
-    ) -> GradientVector {
-        if strategy.discards() && !self.low_contribution.is_empty() {
-            let kept: Vec<&[f64]> = uploads
-                .iter()
-                .zip(&self.theta_by_upload)
-                .filter(|(_, theta)| theta.is_some())
-                .map(|((_, g), _)| *g)
-                .collect();
-            anchor.compute(&kept)
-        } else {
-            self.global_gradient.clone()
-        }
-    }
-
-    /// Completes the analysis into Algorithm 2's report.
-    pub fn into_report(
-        self,
-        rewards: Vec<RewardEntry>,
-        effective_global: GradientVector,
-    ) -> ContributionReport {
-        ContributionReport {
-            high_contribution: self.high_contribution,
-            low_contribution: self.low_contribution,
-            rewards,
-            global_gradient: self.global_gradient,
-            effective_global,
-            cluster_count: self.cluster_count,
-        }
-    }
-}
-
-/// Runs Algorithm 2's analysis phase (anchor, clustering, θ) without
-/// settling rewards or applying a low-contribution strategy. See
-/// [`ContributionAnalysis`].
+/// Runs Algorithm 2's analysis (anchor, clustering, θ) over `uploads`,
+/// (client id, uploaded gradient) pairs.
+///
+/// The anchor gradient is computed over all uploads by `anchor` (the
+/// simple average of Algorithm 1 line 24 under
+/// [`AggregationAnchor::Mean`]) and appended to the set before
+/// clustering, exactly as in the paper's Algorithm 2 (the anchor is the
+/// last element of the clustered set). `metric` must be
+/// [`DistanceMetric::Cosine`], the only metric.
 pub fn analyze_contributions(
     uploads: &[(u64, &[f64])],
     algorithm: &ClusteringAlgorithm,
@@ -189,7 +87,6 @@ pub fn analyze_contributions(
     let global_gradient = anchor.compute(&clustered);
     clustered.push(&global_gradient);
     let labels = algorithm.run_rows(&clustered, metric);
-    let cluster_count = labels.cluster_count();
 
     // Algorithm 2's θ weights: the cosine distance of an upload to the
     // anchor gradient, floored so Equation 1 never divides by zero.
@@ -228,7 +125,6 @@ pub fn analyze_contributions(
         high_contribution,
         low_contribution,
         global_gradient,
-        cluster_count,
         theta_by_upload,
     }
 }
@@ -236,6 +132,12 @@ pub fn analyze_contributions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{ProportionalReward, RewardPolicy};
+    use crate::procedures::global_update::{
+        compute_global_update, GlobalUpdateOutcome, GlobalUpdatePolicy,
+    };
+    use crate::procedures::upload::VerifiedUpload;
+    use crate::strategy::LowContributionStrategy;
 
     /// Ten honest-looking uploads near +x plus `forged` sign-flipped ones.
     fn uploads_with_forgeries(honest: usize, forged: usize) -> Vec<(u64, GradientVector)> {
@@ -258,45 +160,87 @@ mod tests {
         ClusteringAlgorithm::default_dbscan()
     }
 
+    fn refs(uploads: &[(u64, GradientVector)]) -> Vec<(u64, &[f64])> {
+        uploads.iter().map(|(id, g)| (*id, g.as_slice())).collect()
+    }
+
+    /// Procedure IV over `uploads` at round 1: Algorithm 2 under `anchor`,
+    /// rewards from `reward`, Equation 1 when `fair`, plain averaging
+    /// otherwise.
+    fn procedure_iv(
+        uploads: &[(u64, GradientVector)],
+        algorithm: &ClusteringAlgorithm,
+        strategy: LowContributionStrategy,
+        fair_aggregation: bool,
+        anchor: AggregationAnchor,
+        reward: &dyn RewardPolicy,
+    ) -> GlobalUpdateOutcome {
+        let merged: Vec<VerifiedUpload> = uploads
+            .iter()
+            .map(|(client_id, params)| VerifiedUpload {
+                client_id: *client_id,
+                miner: 0,
+                params: params.clone(),
+                forged: false,
+            })
+            .collect();
+        compute_global_update(
+            &merged,
+            &GlobalUpdatePolicy {
+                clustering: algorithm,
+                metric: DistanceMetric::Cosine,
+                strategy,
+                fair_aggregation,
+                anchor,
+                round: 1,
+                reward,
+            },
+        )
+    }
+
+    /// [`procedure_iv`] under the paper's defaults: mean anchor, Equation 1
+    /// and proportional rewards out of `base`.
+    fn paper_round(
+        uploads: &[(u64, GradientVector)],
+        algorithm: &ClusteringAlgorithm,
+        strategy: LowContributionStrategy,
+        base: f64,
+    ) -> GlobalUpdateOutcome {
+        procedure_iv(
+            uploads,
+            algorithm,
+            strategy,
+            true,
+            AggregationAnchor::Mean,
+            &ProportionalReward { base },
+        )
+    }
+
     #[test]
     #[should_panic(expected = "at least one upload")]
     fn empty_uploads_panic() {
-        let _ = identify_contributions(
+        let _ = analyze_contributions(
             &[],
             &dbscan(),
             DistanceMetric::Cosine,
-            LowContributionStrategy::Keep,
-            100.0,
+            AggregationAnchor::Mean,
         );
     }
 
     #[test]
     fn all_honest_clients_are_high_contribution() {
         let uploads = uploads_with_forgeries(8, 0);
-        let report = identify_contributions(
-            &uploads,
-            &dbscan(),
-            DistanceMetric::Cosine,
-            LowContributionStrategy::Keep,
-            100.0,
-        );
-        assert_eq!(report.high_contribution.len(), 8);
-        assert!(report.low_contribution.is_empty());
-        assert_eq!(report.rewards.len(), 8);
-        assert_eq!(report.effective_global, report.global_gradient);
-        assert!(report.cluster_count >= 1);
+        let outcome = paper_round(&uploads, &dbscan(), LowContributionStrategy::Keep, 100.0);
+        assert_eq!(outcome.report.high_contribution.len(), 8);
+        assert!(outcome.report.low_contribution.is_empty());
+        assert_eq!(outcome.report.rewards.len(), 8);
+        assert!(outcome.dropped.is_empty());
     }
 
     #[test]
     fn forged_gradients_are_labelled_low_contribution() {
         let uploads = uploads_with_forgeries(8, 2);
-        let report = identify_contributions(
-            &uploads,
-            &dbscan(),
-            DistanceMetric::Cosine,
-            LowContributionStrategy::Keep,
-            100.0,
-        );
+        let report = paper_round(&uploads, &dbscan(), LowContributionStrategy::Keep, 100.0).report;
         // The two sign-flipped uploads (ids 8 and 9) form their own cluster,
         // far from the global average which sits nearer the honest mass.
         assert!(report.low_contribution.contains(&8));
@@ -312,7 +256,7 @@ mod tests {
         let mut uploads = uploads_with_forgeries(6, 2);
         uploads.swap(1, 6);
         uploads.swap(3, 7);
-        let refs: Vec<(u64, &[f64])> = uploads.iter().map(|(id, g)| (*id, g.as_slice())).collect();
+        let refs = refs(&uploads);
         let analysis = analyze_contributions(
             &refs,
             &dbscan(),
@@ -334,45 +278,38 @@ mod tests {
 
     #[test]
     fn discard_strategy_recomputes_the_global_update() {
+        // Under plain averaging the round's update is the anchor: over
+        // every upload when keeping, over the high contributors when
+        // discarding.
         let uploads = uploads_with_forgeries(8, 2);
-        let keep = identify_contributions(
-            &uploads,
-            &dbscan(),
-            DistanceMetric::Cosine,
-            LowContributionStrategy::Keep,
-            100.0,
-        );
-        let discard = identify_contributions(
-            &uploads,
-            &dbscan(),
-            DistanceMetric::Cosine,
-            LowContributionStrategy::Discard,
-            100.0,
-        );
-        assert_eq!(keep.effective_global, keep.global_gradient);
-        assert_ne!(discard.effective_global, discard.global_gradient);
+        let plain = |strategy| {
+            procedure_iv(
+                &uploads,
+                &dbscan(),
+                strategy,
+                false,
+                AggregationAnchor::Mean,
+                &ProportionalReward { base: 100.0 },
+            )
+        };
+        let keep = plain(LowContributionStrategy::Keep);
+        let discard = plain(LowContributionStrategy::Discard);
+        let all: Vec<&[f64]> = refs(&uploads).iter().map(|(_, g)| *g).collect();
+        let anchor = AggregationAnchor::Mean.compute(&all);
+        assert_eq!(keep.global_params, anchor);
+        assert_ne!(discard.global_params, anchor);
         // The discarded aggregate is closer to the honest direction: its
         // first coordinate should be larger (honest updates are ~ +1).
-        assert!(discard.effective_global[0] > keep.effective_global[0]);
-        assert_eq!(
-            discard.dropped_clients(LowContributionStrategy::Discard),
-            vec![8, 9]
-        );
-        assert!(keep
-            .dropped_clients(LowContributionStrategy::Keep)
-            .is_empty());
+        assert!(discard.global_params[0] > keep.global_params[0]);
+        assert_eq!(discard.dropped, vec![8, 9]);
+        assert!(keep.dropped.is_empty());
     }
 
     #[test]
     fn reward_shares_sum_to_one_among_high_contributors() {
         let uploads = uploads_with_forgeries(6, 1);
-        let report = identify_contributions(
-            &uploads,
-            &dbscan(),
-            DistanceMetric::Cosine,
-            LowContributionStrategy::Discard,
-            10.0,
-        );
+        let report =
+            paper_round(&uploads, &dbscan(), LowContributionStrategy::Discard, 10.0).report;
         let share_sum: f64 = report.rewards.iter().map(|r| r.share).sum();
         assert!((share_sum - 1.0).abs() < 1e-9);
     }
@@ -384,16 +321,16 @@ mod tests {
         // but an aggressive configuration can fail; either way nobody is
         // discarded.
         let uploads = vec![(0u64, vec![1.0, 2.0, 3.0])];
-        let report = identify_contributions(
+        let report = paper_round(
             &uploads,
             &ClusteringAlgorithm::Dbscan {
                 eps: 1e-9,
                 min_points: 5,
             },
-            DistanceMetric::Cosine,
             LowContributionStrategy::Discard,
             100.0,
-        );
+        )
+        .report;
         assert_eq!(report.high_contribution.len(), 1);
         assert!(report.low_contribution.is_empty());
     }
@@ -422,13 +359,8 @@ mod tests {
         // onto itself: the anchor leaves the honest cluster and the
         // degenerate keep-everyone fallback (or a mislabelling) results.
         let uploads = uploads_with_scaling_attacker();
-        let report = identify_contributions(
-            &uploads,
-            &dbscan(),
-            DistanceMetric::Cosine,
-            LowContributionStrategy::Discard,
-            100.0,
-        );
+        let report =
+            paper_round(&uploads, &dbscan(), LowContributionStrategy::Discard, 100.0).report;
         assert!(
             !report.low_contribution.contains(&9),
             "the mean anchor fails to isolate the -8x attacker (got low = {:?})",
@@ -439,30 +371,30 @@ mod tests {
     #[test]
     fn robust_anchors_survive_the_scaling_attacker_that_corrupts_the_mean() {
         let uploads = uploads_with_scaling_attacker();
-        let refs: Vec<(u64, &[f64])> = uploads.iter().map(|(id, g)| (*id, g.as_slice())).collect();
         for anchor in [
             AggregationAnchor::Median,
             AggregationAnchor::TrimmedMean { trim_ratio: 0.2 },
         ] {
-            let report = identify_contributions_with(
-                &refs,
+            // Plain averaging: the update is the anchor recomputed over
+            // the uploads the strategy keeps.
+            let outcome = procedure_iv(
+                &uploads,
                 &dbscan(),
-                DistanceMetric::Cosine,
                 LowContributionStrategy::Discard,
+                false,
                 anchor,
-                1,
                 &ProportionalReward { base: 100.0 },
             );
             assert_eq!(
-                report.low_contribution,
+                outcome.report.low_contribution,
                 vec![9],
                 "{anchor:?} should isolate exactly the attacker"
             );
-            assert_eq!(report.high_contribution.len(), 9);
-            // The effective global is recomputed from the honest uploads
-            // and stays in the honest direction.
-            assert!(report.effective_global[0] > 0.9);
-            assert!(report.rewards.iter().all(|r| r.client_id < 9));
+            assert_eq!(outcome.report.high_contribution.len(), 9);
+            // The recomputed anchor comes from the honest uploads and
+            // stays in the honest direction.
+            assert!(outcome.global_params[0] > 0.9);
+            assert!(outcome.report.rewards.iter().all(|r| r.client_id < 9));
         }
     }
 
@@ -485,41 +417,17 @@ mod tests {
         }
 
         let uploads = uploads_with_forgeries(4, 0);
-        let refs: Vec<(u64, &[f64])> = uploads.iter().map(|(id, g)| (*id, g.as_slice())).collect();
-        let report = identify_contributions_with(
-            &refs,
-            &dbscan(),
-            DistanceMetric::Cosine,
-            LowContributionStrategy::Keep,
-            AggregationAnchor::Mean,
-            7,
-            &FlatReward,
-        );
-        assert_eq!(report.rewards.len(), 4);
-        assert!(report.rewards.iter().all(|r| r.amount_milli == 1007));
-    }
-
-    #[test]
-    fn mean_anchor_form_matches_the_default_wrapper() {
-        let uploads = uploads_with_forgeries(6, 2);
-        let refs: Vec<(u64, &[f64])> = uploads.iter().map(|(id, g)| (*id, g.as_slice())).collect();
-        let via_wrapper = identify_contributions(
+        let report = procedure_iv(
             &uploads,
             &dbscan(),
-            DistanceMetric::Cosine,
-            LowContributionStrategy::Discard,
-            50.0,
-        );
-        let via_full = identify_contributions_with(
-            &refs,
-            &dbscan(),
-            DistanceMetric::Cosine,
-            LowContributionStrategy::Discard,
+            LowContributionStrategy::Keep,
+            true,
             AggregationAnchor::Mean,
-            0,
-            &ProportionalReward { base: 50.0 },
-        );
-        assert_eq!(via_wrapper, via_full);
+            &FlatReward,
+        )
+        .report;
+        assert_eq!(report.rewards.len(), 4);
+        assert!(report.rewards.iter().all(|r| r.amount_milli == 1001));
     }
 
     #[test]
@@ -534,13 +442,13 @@ mod tests {
                 distance_threshold: 0.5,
             },
         ] {
-            let report = identify_contributions(
+            let report = paper_round(
                 &uploads,
                 &algorithm,
-                DistanceMetric::Cosine,
                 LowContributionStrategy::Discard,
                 100.0,
-            );
+            )
+            .report;
             assert!(
                 report.low_contribution.contains(&8) && report.low_contribution.contains(&9),
                 "{algorithm:?} should isolate the forged uploads, got {:?}",

@@ -207,11 +207,6 @@ impl<'a> SimulationRun<'a> {
         &self.config
     }
 
-    /// Rounds completed so far.
-    pub fn rounds_completed(&self) -> usize {
-        self.round
-    }
-
     /// True once every configured round has run (or a round failed).
     pub fn is_finished(&self) -> bool {
         self.finished || self.round >= self.config.fl.rounds

@@ -70,7 +70,7 @@ pub use aggregation::{contribution_weights, fair_aggregate};
 pub use config::{
     AggregationMode, AttackConfig, BflConfig, ProfileConfig, ProvisioningMode, SyncMode,
 };
-pub use contribution::{identify_contributions, ContributionReport};
+pub use contribution::ContributionReport;
 pub use delay_model::{DelayBreakdown, DelayModel};
 pub use detection::{DetectionRow, DetectionTable};
 pub use engine::SimulationRun;

@@ -18,18 +18,6 @@ pub struct ExchangeOutcome {
     pub per_miner: BTreeMap<usize, Vec<u64>>,
 }
 
-impl ExchangeOutcome {
-    /// True when every miner ended up with the same set of client ids — the
-    /// paper's stated postcondition of Procedure-III.
-    pub fn all_miners_agree(&self) -> bool {
-        let mut iter = self.per_miner.values();
-        match iter.next() {
-            None => true,
-            Some(first) => iter.all(|ids| ids == first),
-        }
-    }
-}
-
 /// Runs Procedure-III over the per-miner upload sets for `miners` miners.
 ///
 /// Miners that received no uploads still participate in the exchange and
@@ -70,11 +58,18 @@ mod tests {
         crate::procedures::upload::upload_gradients(&updates, &topology, None, None, &mut rng)
     }
 
+    /// Procedure-III's postcondition: every miner holds the merged set's
+    /// client ids.
+    fn assert_every_miner_holds_the_merged_set(outcome: &ExchangeOutcome) {
+        let merged: Vec<u64> = outcome.merged.iter().map(|u| u.client_id).collect();
+        assert!(outcome.per_miner.values().all(|ids| *ids == merged));
+    }
+
     #[test]
     fn all_miners_end_with_the_same_complete_set() {
         let outcome = exchange_gradients(uploads(20, 4), 4);
         assert_eq!(outcome.merged.len(), 20);
-        assert!(outcome.all_miners_agree());
+        assert_every_miner_holds_the_merged_set(&outcome);
         assert_eq!(outcome.per_miner.len(), 4);
         for ids in outcome.per_miner.values() {
             assert_eq!(ids.len(), 20);
@@ -90,13 +85,13 @@ mod tests {
     fn empty_round_is_handled() {
         let outcome = exchange_gradients(UploadOutcome::default(), 3);
         assert!(outcome.merged.is_empty());
-        assert!(outcome.all_miners_agree());
+        assert_every_miner_holds_the_merged_set(&outcome);
     }
 
     #[test]
     fn single_miner_degenerate_case() {
         let outcome = exchange_gradients(uploads(5, 1), 1);
         assert_eq!(outcome.merged.len(), 5);
-        assert!(outcome.all_miners_agree());
+        assert_every_miner_holds_the_merged_set(&outcome);
     }
 }

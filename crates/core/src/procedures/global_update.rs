@@ -11,7 +11,7 @@
 
 use crate::aggregation::{contribution_weights, WEIGHT_FLOOR};
 use crate::config::BflConfig;
-use crate::contribution::{analyze_contributions, ContributionReport};
+use crate::contribution::{analyze_contributions, ContributionAnalysis, ContributionReport};
 use crate::policy::{AggregationAnchor, RewardPolicy};
 use crate::procedures::upload::VerifiedUpload;
 use crate::strategy::LowContributionStrategy;
@@ -23,7 +23,8 @@ use bfl_ml::gradient::weighted_average_refs;
 pub struct GlobalUpdatePolicy<'a> {
     /// Clustering backend for Algorithm 2.
     pub clustering: &'a ClusteringAlgorithm,
-    /// Distance metric for clustering and θ scores.
+    /// The clustering metric ([`DistanceMetric::Cosine`], the only one; θ
+    /// is always the cosine distance).
     pub metric: DistanceMetric,
     /// Keep or discard low contributors.
     pub strategy: LowContributionStrategy,
@@ -60,14 +61,7 @@ impl<'a> GlobalUpdatePolicy<'a> {
 /// The result of Procedure-IV.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalUpdateOutcome {
-    /// Algorithm 2's report (contribution labels, rewards, anchor gradient).
-    ///
-    /// `report.effective_global` is the strategy-recomputed anchor only
-    /// under plain averaging, where it *is* the round's global update.
-    /// Under fair aggregation Equation 1 supersedes it, so it is not
-    /// recomputed and equals `report.global_gradient`;
-    /// [`identify_contributions_with`](crate::contribution::identify_contributions_with)
-    /// is the form that always materializes it.
+    /// Algorithm 2's report: contribution labels and the reward list.
     pub report: ContributionReport,
     /// The parameters recorded in the block and used by clients next round.
     pub global_params: Vec<f64>,
@@ -88,36 +82,53 @@ pub fn compute_global_update(
         .map(|u| (u.client_id, u.params.as_slice()))
         .collect();
 
-    let analysis = analyze_contributions(&uploads, policy.clustering, policy.metric, policy.anchor);
+    let ContributionAnalysis {
+        high_contribution,
+        low_contribution,
+        global_gradient,
+        theta_by_upload,
+    } = analyze_contributions(&uploads, policy.clustering, policy.metric, policy.anchor);
     let rewards = policy
         .reward
-        .round_rewards(policy.round, &analysis.high_contribution);
+        .round_rewards(policy.round, &high_contribution);
     let discards = policy.strategy.discards();
 
-    let (global_params, effective_global) = if policy.fair_aggregation {
+    let global_params = if policy.fair_aggregation {
         // Equation 1 over the uploads the strategy keeps, weighted by θ;
         // a kept-but-low upload (the keep strategy) weighs in at the floor.
         let (vectors, scores): (Vec<&[f64]>, Vec<f64>) = uploads
             .iter()
-            .zip(&analysis.theta_by_upload)
+            .zip(&theta_by_upload)
             .filter(|(_, theta)| theta.is_some() || !discards)
             .map(|((_, g), theta)| (*g, theta.unwrap_or(WEIGHT_FLOOR)))
             .unzip();
-        let weights = contribution_weights(&scores);
-        (
-            weighted_average_refs(&vectors, &weights),
-            analysis.global_gradient.clone(),
-        )
-    } else {
+        weighted_average_refs(&vectors, &contribution_weights(&scores))
+    } else if discards && !low_contribution.is_empty() {
         // Plain averaging: the anchor over the kept uploads is the update.
-        let effective = analysis.effective_global(&uploads, policy.strategy, policy.anchor);
-        (effective.clone(), effective)
+        let kept: Vec<&[f64]> = uploads
+            .iter()
+            .zip(&theta_by_upload)
+            .filter(|(_, theta)| theta.is_some())
+            .map(|((_, g), _)| *g)
+            .collect();
+        policy.anchor.compute(&kept)
+    } else {
+        // Plain averaging that keeps every upload: the update is the
+        // anchor Algorithm 2 already computed.
+        global_gradient
     };
 
-    let report = analysis.into_report(rewards, effective_global);
-    let dropped = report.dropped_clients(policy.strategy);
+    let dropped = if discards {
+        low_contribution.clone()
+    } else {
+        Vec::new()
+    };
     GlobalUpdateOutcome {
-        report,
+        report: ContributionReport {
+            high_contribution,
+            low_contribution,
+            rewards,
+        },
         global_params,
         dropped,
     }
@@ -266,9 +277,10 @@ mod tests {
         assert!((total as i64 - 50_000).abs() <= 6);
     }
 
-    /// Procedure-IV as it ran before Algorithm 2 kept an index-aligned
-    /// view: the full standalone report first, then every kept upload
-    /// re-found in it by client id.
+    /// Procedure-IV by client id, as it ran before Algorithm 2 kept an
+    /// index-aligned view: Algorithm 2's id lists first, then every kept
+    /// upload re-found in them by client id. Plain averaging re-runs the
+    /// anchor over the kept uploads.
     fn outcome_by_id_lookup(
         merged: &[VerifiedUpload],
         policy: &GlobalUpdatePolicy<'_>,
@@ -277,38 +289,41 @@ mod tests {
             .iter()
             .map(|u| (u.client_id, u.params.as_slice()))
             .collect();
-        let report = crate::contribution::identify_contributions_with(
-            &uploads,
-            policy.clustering,
-            policy.metric,
-            policy.strategy,
-            policy.anchor,
-            policy.round,
-            policy.reward,
-        );
-        let dropped = report.dropped_clients(policy.strategy);
+        let analysis =
+            analyze_contributions(&uploads, policy.clustering, policy.metric, policy.anchor);
+        let dropped = if policy.strategy.discards() {
+            analysis.low_contribution.clone()
+        } else {
+            Vec::new()
+        };
         let kept: Vec<&(u64, &[f64])> = uploads
             .iter()
             .filter(|(id, _)| !dropped.contains(id))
             .collect();
+        let vectors: Vec<&[f64]> = kept.iter().map(|(_, g)| *g).collect();
         let global_params = if policy.fair_aggregation {
             let scores: Vec<f64> = kept
                 .iter()
                 .map(|(id, _)| {
-                    report
+                    analysis
                         .high_contribution
                         .iter()
                         .find(|(hid, _)| hid == id)
                         .map_or(WEIGHT_FLOOR, |(_, theta)| *theta)
                 })
                 .collect();
-            let vectors: Vec<&[f64]> = kept.iter().map(|(_, g)| *g).collect();
             weighted_average_refs(&vectors, &contribution_weights(&scores))
         } else {
-            report.effective_global.clone()
+            policy.anchor.compute(&vectors)
         };
         GlobalUpdateOutcome {
-            report,
+            report: ContributionReport {
+                rewards: policy
+                    .reward
+                    .round_rewards(policy.round, &analysis.high_contribution),
+                high_contribution: analysis.high_contribution,
+                low_contribution: analysis.low_contribution,
+            },
             global_params,
             dropped,
         }
@@ -366,26 +381,6 @@ mod tests {
                         "{context}"
                     );
                     assert_eq!(now.report.rewards, before.report.rewards, "{context}");
-                    assert_eq!(
-                        now.report.global_gradient, before.report.global_gradient,
-                        "{context}"
-                    );
-                    assert_eq!(
-                        now.report.cluster_count, before.report.cluster_count,
-                        "{context}"
-                    );
-                    // The one deliberate difference: nobody consumes the
-                    // strategy-recomputed anchor under fair aggregation, so
-                    // Procedure-IV no longer computes it there.
-                    if fair {
-                        assert_eq!(now.report.effective_global, now.report.global_gradient);
-                    } else {
-                        assert_eq!(
-                            now.report.effective_global, before.report.effective_global,
-                            "{context}"
-                        );
-                        assert_eq!(now.global_params, now.report.effective_global);
-                    }
                     if strategy.discards() && !matches!(anchor, AggregationAnchor::Mean) {
                         assert!(!now.dropped.is_empty(), "{context} should drop attackers");
                     }

@@ -25,11 +25,9 @@ use bfl_ml::tensor::Scratch;
 
 /// Runs Procedure-I for the given participants.
 ///
-/// `participants` are indices into `clients`; `attacks` holds one attack
-/// designation per participant (aligned with `participants`), overriding
-/// each client's own attack field — per-round attackers are designated
-/// without cloning the client population. Returns one [`LocalUpdate`] per
-/// participant, in the same order.
+/// `participants` are indices into `clients`; `attacks` holds the round's
+/// attack designation per participant (aligned with `participants`).
+/// Returns one [`LocalUpdate`] per participant, in the same order.
 ///
 /// Public because the benchmark's lockstep replay (`benchmark/`) rebuilds
 /// a round from the procedures and calls it; the engines reach the same
@@ -127,7 +125,7 @@ mod tests {
         let clients = vec![
             Client::honest(0, (0..40).collect()),
             Client::honest(1, (40..80).collect()),
-            Client::malicious(2, (80..120).collect(), AttackKind::SignFlip),
+            Client::honest(2, (80..120).collect()),
         ];
         let kind = ModelKind::SoftmaxRegression {
             features: 784,
@@ -136,9 +134,12 @@ mod tests {
         (data, clients, kind)
     }
 
-    /// Every participant under its own [`Client::attack`] designation.
-    fn own_attacks(clients: &[Client], participants: &[usize]) -> Vec<Option<AttackKind>> {
-        participants.iter().map(|&i| clients[i].attack).collect()
+    /// The designation the tests' rounds make: client 2 flips its signs.
+    fn designate(participants: &[usize]) -> Vec<Option<AttackKind>> {
+        participants
+            .iter()
+            .map(|&i| (i == 2).then_some(AttackKind::SignFlip))
+            .collect()
     }
 
     #[test]
@@ -154,7 +155,7 @@ mod tests {
         let updates = run_local_updates_with_attacks(
             &clients,
             &[0, 2],
-            &own_attacks(&clients, &[0, 2]),
+            &designate(&[0, 2]),
             kind,
             &global,
             &data,
@@ -181,7 +182,7 @@ mod tests {
         let parallel = run_local_updates_with_attacks(
             &clients,
             &[0, 1, 2],
-            &own_attacks(&clients, &[0, 1, 2]),
+            &designate(&[0, 1, 2]),
             kind,
             &global,
             &data,
@@ -190,9 +191,10 @@ mod tests {
         );
         let sequential: Vec<_> = clients
             .iter()
-            .map(|client| {
+            .zip(designate(&[0, 1, 2]))
+            .map(|(client, attack)| {
                 client.local_update_as(
-                    client.attack,
+                    attack,
                     kind,
                     &global,
                     &data.features,
@@ -218,8 +220,8 @@ mod tests {
             proximal_mu: 0.0,
         };
         let global = vec![0.0; kind.num_params()];
-        // Client 0 is honest but gets designated; client 2 is malicious
-        // but its designation is cleared for this round.
+        // Client 0 is designated this round; client 2, the other rounds'
+        // attacker, is not.
         let updates = run_local_updates_with_attacks(
             &clients,
             &[0, 2],
@@ -235,7 +237,7 @@ mod tests {
         // The honest result is the pass the client runs on its own, before
         // it flips the signs.
         let own = clients[2].local_update_as(
-            clients[2].attack,
+            Some(AttackKind::SignFlip),
             kind,
             &global,
             &data.features,

@@ -79,11 +79,6 @@ impl UploadOutcome {
         all.sort_by_key(|u| u.client_id);
         all
     }
-
-    /// Number of accepted uploads.
-    pub fn accepted_count(&self) -> usize {
-        self.per_miner.values().map(Vec::len).sum()
-    }
 }
 
 /// Per-upload verdict of the signing/verification fan-out, in the same
@@ -338,7 +333,6 @@ mod tests {
         let topology = Topology::new(100, 3);
         let mut rng = StdRng::seed_from_u64(1);
         let outcome = upload_gradients(&updates, &topology, None, None, &mut rng);
-        assert_eq!(outcome.accepted_count(), 5);
         assert!(outcome.rejected.is_empty());
         let all = outcome.into_all_accepted();
         assert_eq!(all.len(), 5);
@@ -381,8 +375,8 @@ mod tests {
         let updates: Vec<LocalUpdate> = vec![update(0), update(1), update(2), update(4)];
         let topology = Topology::new(100, 2);
         let outcome = upload_gradients(&updates, &topology, Some(&pairs), Some(&store), &mut rng);
-        assert_eq!(outcome.accepted_count(), 3);
         assert_eq!(outcome.rejected, vec![4]);
+        assert_eq!(outcome.into_all_accepted().len(), 3);
     }
 
     #[test]

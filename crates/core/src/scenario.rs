@@ -30,7 +30,7 @@
 use crate::config::BflConfig;
 use crate::engine::SimulationRun;
 use crate::error::CoreError;
-use crate::policy::{ObserverControl, RewardPolicy, RoundEvent, RoundObserver};
+use crate::policy::{ObserverControl, RoundEvent, RoundObserver};
 use crate::simulation::SimulationResult;
 use bfl_data::Dataset;
 use serde::{Deserialize, Serialize};
@@ -66,19 +66,6 @@ impl Scenario {
     /// until every configured round has run.
     pub fn run(&self, train: &Dataset, test: &Dataset) -> Result<SimulationResult, CoreError> {
         let mut run = self.start(train, test)?;
-        run.run_to_completion()?;
-        Ok(run.into_result())
-    }
-
-    /// Runs the scenario with a custom [`RewardPolicy`] in place of the
-    /// default proportional incentive.
-    pub fn run_with_reward(
-        &self,
-        train: &Dataset,
-        test: &Dataset,
-        reward: Box<dyn RewardPolicy>,
-    ) -> Result<SimulationResult, CoreError> {
-        let mut run = self.start(train, test)?.with_reward_policy(reward);
         run.run_to_completion()?;
         Ok(run.into_result())
     }

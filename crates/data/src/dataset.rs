@@ -48,15 +48,6 @@ impl Dataset {
         self.features.cols
     }
 
-    /// Number of samples carrying each label.
-    pub fn label_histogram(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.classes];
-        for &label in &self.labels {
-            counts[label] += 1;
-        }
-        counts
-    }
-
     /// Builds a new dataset containing only the selected rows (in order).
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         Dataset {
@@ -95,7 +86,8 @@ mod tests {
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());
         assert_eq!(d.feature_count(), 2);
-        assert_eq!(d.label_histogram(), vec![2, 2]);
+        assert_eq!(d.labels, vec![0, 1, 0, 1]);
+        assert_eq!(d.classes, 2);
     }
 
     #[test]

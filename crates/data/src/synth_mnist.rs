@@ -290,9 +290,11 @@ mod tests {
         let data = gen.generate_split(200, &mut rng);
         assert_eq!(data.len(), 200);
         assert_eq!(data.feature_count(), IMAGE_PIXELS);
-        let hist = data.label_histogram();
-        assert_eq!(hist.len(), NUM_CLASSES);
-        assert!(hist.iter().all(|&c| c == 20));
+        assert_eq!(data.classes, NUM_CLASSES);
+        for class in 0..NUM_CLASSES {
+            let count = data.labels.iter().filter(|&&label| label == class).count();
+            assert_eq!(count, 20, "class {class}");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Federated clients.
 //!
-//! A client owns a shard of the training data (indices into the shared
-//! dataset), runs Procedure-I's local SGD pass starting from the latest
-//! global parameters, and returns its updated parameter vector. A
-//! compromised client additionally forges the upload with its configured
-//! [`AttackKind`].
+//! A client is an id and a shard of the training data (indices into the
+//! shared dataset). It runs Procedure-I's local SGD pass starting from the
+//! latest global parameters and returns its updated parameter vector. The
+//! round engine designates a round's attackers; a designated client
+//! forges its upload with the [`AttackKind`] it is handed.
 
 use crate::attack::AttackKind;
 use bfl_ml::model::{Model, ModelKind};
@@ -21,8 +21,6 @@ pub struct Client {
     pub id: u64,
     /// Row indices of the shared training set owned by this client (D_i).
     pub shard: Vec<usize>,
-    /// If set, the client is malicious and forges its uploads.
-    pub attack: Option<AttackKind>,
 }
 
 /// The result of one local update pass.
@@ -40,22 +38,9 @@ pub struct LocalUpdate {
 }
 
 impl Client {
-    /// Creates an honest client owning `shard`.
+    /// Creates a client owning `shard`.
     pub fn honest(id: u64, shard: Vec<usize>) -> Self {
-        Client {
-            id,
-            shard,
-            attack: None,
-        }
-    }
-
-    /// Creates a malicious client owning `shard`.
-    pub fn malicious(id: u64, shard: Vec<usize>, attack: AttackKind) -> Self {
-        Client {
-            id,
-            shard,
-            attack: Some(attack),
-        }
+        Client { id, shard }
     }
 
     /// Number of local samples |D_i| (what vanilla BFL would have clients
@@ -64,16 +49,10 @@ impl Client {
         self.shard.len()
     }
 
-    /// True when this client forges its uploads.
-    pub fn is_malicious(&self) -> bool {
-        self.attack.is_some()
-    }
-
-    /// Runs Procedure-I as `attack` designates (the client's own
-    /// [`Client::attack`] field, or a per-round designation the FAIR-BFL
-    /// round driver makes without cloning the client population): starts
+    /// Runs Procedure-I under this round's designation (`attack` is
+    /// `Some` when the round engine made this client an attacker): starts
     /// from `global_params`, trains for the configured epochs/batches on
-    /// the local shard, and returns the upload. `scratch` is the worker's
+    /// the local shard, and returns the upload, forged when designated. `scratch` is the worker's
     /// reusable workspace, so a worker training many clients reuses its
     /// buffers across all of them.
     ///
@@ -149,15 +128,10 @@ mod tests {
 
     #[test]
     fn constructors_and_accessors() {
-        let honest = Client::honest(3, vec![0, 1, 2]);
-        assert_eq!(honest.id, 3);
-        assert_eq!(honest.sample_count(), 3);
-        assert!(!honest.is_malicious());
-
-        let mut evil = Client::malicious(4, vec![5], AttackKind::SignFlip);
-        assert!(evil.is_malicious());
-        evil.attack = None;
-        assert!(!evil.is_malicious());
+        let client = Client::honest(3, vec![0, 1, 2]);
+        assert_eq!(client.id, 3);
+        assert_eq!(client.shard, vec![0, 1, 2]);
+        assert_eq!(client.sample_count(), 3);
     }
 
     #[test]
@@ -174,7 +148,7 @@ mod tests {
         };
         let update = |round_seed| {
             client.local_update_as(
-                client.attack,
+                None,
                 kind,
                 &global,
                 &data.features,
@@ -312,12 +286,10 @@ mod tests {
             learning_rate: 0.05,
             proximal_mu: 0.0,
         };
-        let shard: Vec<usize> = (0..50).collect();
-        let honest = Client::honest(1, shard.clone());
-        let evil = Client::malicious(1, shard, AttackKind::SignFlip);
-        let update = |client: &Client| {
+        let client = Client::honest(1, (0..50).collect());
+        let update = |attack| {
             client.local_update_as(
-                client.attack,
+                attack,
                 kind,
                 &global,
                 &data.features,
@@ -327,8 +299,8 @@ mod tests {
                 &mut Scratch::new(),
             )
         };
-        let honest_update = update(&honest);
-        let forged_update = update(&evil);
+        let honest_update = update(None);
+        let forged_update = update(Some(AttackKind::SignFlip));
         assert!(forged_update.forged);
         let distance = cosine_distance(&honest_update.params, &forged_update.params);
         assert!(
@@ -350,7 +322,7 @@ mod tests {
         };
         let update = |client: Client| {
             client.local_update_as(
-                client.attack,
+                None,
                 kind,
                 &global,
                 &data.features,

@@ -91,7 +91,6 @@ mod tests {
         let c = implicit_client(1, 42, 4, 10);
         assert_eq!(c.id, 42);
         assert_eq!(c.sample_count(), 4);
-        assert!(c.attack.is_none());
     }
 
     #[test]

@@ -107,7 +107,6 @@ mod tests {
         assert_eq!(clients.len(), 10);
         let total: usize = clients.iter().map(Client::sample_count).sum();
         assert_eq!(total, train.len());
-        assert!(clients.iter().all(|c| !c.is_malicious()));
     }
 
     #[test]

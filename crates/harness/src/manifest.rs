@@ -928,6 +928,27 @@ mod tests {
                 r#""base": {"mining_threads": 0}"#.to_string(),
                 ["base", "mining_threads must be 1", "got 0"],
             ),
+            (
+                r#""base": {"clustering": {"KMeans": {"k": 0, "max_iterations": 5}}}"#.to_string(),
+                ["base", "k-means k", "got 0"],
+            ),
+            (
+                r#""base": {"clustering": {"Agglomerative": {"distance_threshold": -0.1}}}"#
+                    .to_string(),
+                ["base", "distance_threshold", "got -0.1"],
+            ),
+            (
+                r#""base": {"clustering": {"Dbscan": {"eps": -1.0, "min_points": 2}}}"#.to_string(),
+                ["base", "eps must be positive", "got -1"],
+            ),
+            (
+                r#""base": {"clustering": {"Dbscan": {"eps": 0.3, "min_points": 0}}}"#.to_string(),
+                ["base", "min_points", "got 0"],
+            ),
+            (
+                r#""base": {"metric": "Euclidean"}"#.to_string(),
+                ["base.metric", "unknown DistanceMetric variant", "Euclidean"],
+            ),
         ] {
             let err = parse(&format!(", {extra}")).unwrap_err();
             for needle in needles {

@@ -3,7 +3,7 @@
 //! `benchmark/workloads/*.json` files are such manifests' `base` objects,
 //! and every shipped fleet under `scenarios/` parses.
 
-use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
+use bfl_cluster::ClusteringAlgorithm;
 use bfl_core::{
     AggregationAnchor, AggregationMode, AttackConfig, BflConfig, FlexibilityMode,
     LowContributionStrategy, ProvisioningMode, ReorgPolicy, RetryPolicy, StalenessPolicy, SyncMode,
@@ -114,7 +114,6 @@ fn arbitrary_valid_config(words: Vec<u64>) -> BflConfig {
             distance_threshold: p.unit(),
         },
     };
-    config.metric = [DistanceMetric::Cosine, DistanceMetric::Euclidean][p.below(2)];
     config.fair_aggregation = p.flag();
     config.delay.uplink.latency = p.distribution();
     config.delay.pow_difficulty = 1 + p.below(5000) as u64;

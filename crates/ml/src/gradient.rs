@@ -33,11 +33,6 @@ pub fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
     1.0 - cosine_similarity(a, b)
 }
 
-/// Euclidean distance between two equal-length vectors.
-pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    tensor::l2_norm(&tensor::sub(a, b))
-}
-
 /// Simple (unweighted) average of a set of equal-length vectors — the
 /// paper's "Simple Average" aggregation in Algorithm 1 line 24.
 pub fn average(vectors: &[GradientVector]) -> GradientVector {
@@ -278,11 +273,6 @@ mod tests {
     fn cosine_distance_ranges() {
         assert!((cosine_distance(&[1.0, 2.0], &[2.0, 4.0])).abs() < 1e-12);
         assert!((cosine_distance(&[1.0, 0.0], &[-1.0, 0.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn l2_distance_known_case() {
-        assert!((l2_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic data-parallel helpers over a pool of parked workers.
 //!
 //! The workspace previously reached for rayon's parallel iterators in
-//! three hot loops (per-row matvecs, per-client local SGD). The offline
+//! its hot loops (per-row products, per-client local SGD). The offline
 //! build has no rayon, and the loops it parallelized are exactly the
 //! ones the batched GEMM engine restructures — so the replacement is a
 //! deliberately small fork/join layer: inputs are split into one

@@ -176,59 +176,6 @@ impl Matrix {
             out.data.extend_from_slice(self.row(i));
         }
     }
-
-    /// Transposes `self` into `out` (reusing its allocation).
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        transpose_slice_into(&self.data, self.rows, self.cols, out);
-    }
-
-    /// Matrix-vector product `self * x` (parallel over row blocks).
-    pub fn matvec(&self, x: &[f64]) -> Vector {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        let mut out = vec![0.0; self.rows];
-        if self.cols == 0 {
-            return out;
-        }
-        par::par_rows_mut(&mut out, 1, 64, |row_start, chunk| {
-            for (offset, slot) in chunk.iter_mut().enumerate() {
-                *slot = dot(self.row(row_start + offset), x);
-            }
-        });
-        out
-    }
-
-    /// Matrix-transpose-vector product `selfᵀ * y`.
-    pub fn matvec_transpose(&self, y: &[f64]) -> Vector {
-        assert_eq!(y.len(), self.rows, "matvec_transpose dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (r, &coeff) in y.iter().enumerate() {
-            if coeff == 0.0 {
-                continue;
-            }
-            axpy(coeff, self.row(r), &mut out);
-        }
-        out
-    }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-}
-
-/// Transposes a row-major `rows x cols` buffer into `out` (`cols x
-/// rows`), reusing `out`'s allocation.
-pub fn transpose_slice_into(src: &[f64], rows: usize, cols: usize, out: &mut Matrix) {
-    debug_assert_eq!(src.len(), rows * cols);
-    out.rows = cols;
-    out.cols = rows;
-    // No clear(): every element is overwritten below.
-    out.data.resize(rows * cols, 0.0);
-    for r in 0..rows {
-        for (c, &v) in src[r * cols..(r + 1) * cols].iter().enumerate() {
-            out.data[c * rows + r] = v;
-        }
-    }
 }
 
 /// Indexed-row Gram kernel: `C[i][j] = <features.row(rows[i]), B.row(j)>`
@@ -423,8 +370,8 @@ pub(crate) const STRIPE: usize = 4 * LANES;
 /// Lane-striped dot product: deterministic (fixed stripe layout, fixed
 /// reduction order) and auto-vectorizable. Every entry [`gram_upper`] and
 /// [`gemm_nt`] produce goes through this one routine, so identical input
-/// rows yield bit-identical entries — the Euclidean-from-Gram cancellation
-/// depends on this. Dispatches to the hand-written AVX2+FMA form when
+/// rows yield bit-identical entries, so identical points sit at identical
+/// distances whichever worker formed them. Dispatches to the hand-written AVX2+FMA form when
 /// [`simd::active`]; both tiers run the identical stripe/fold/tail
 /// order, so the result is the same bit pattern either way.
 #[inline]
@@ -740,22 +687,15 @@ pub fn l2_norm(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Element-wise subtraction `a - b` into a new vector.
-pub fn sub(a: &[f64], b: &[f64]) -> Vector {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
-}
-
-/// Element-wise addition `a + b` into a new vector.
-pub fn add(a: &[f64], b: &[f64]) -> Vector {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Element-wise `a + b`.
+    fn add(a: &[f64], b: &[f64]) -> Vector {
+        a.iter().zip(b).map(|(x, y)| x + y).collect()
+    }
 
     #[test]
     fn zeros_and_from_vec() {
@@ -811,21 +751,36 @@ mod tests {
         assert_eq!(out.data.capacity(), capacity, "no reallocation expected");
     }
 
+    /// `A · x` through [`gemm_nt`], `x` as a one-row operand.
+    fn times_vector(a: &Matrix, x: &[f64]) -> Vector {
+        let mut out = vec![0.0; a.rows];
+        gemm_nt(&a.data, x, &mut out, a.rows, a.cols, 1);
+        out
+    }
+
+    /// `Aᵀ · y` through [`gemm_tn_indexed_overwrite`], `y` as a
+    /// one-column operand.
+    fn transpose_times_vector(a: &Matrix, y: &[f64]) -> Vector {
+        let y = Matrix::from_vec(y.len(), 1, y.to_vec());
+        tn(a, &y).data
+    }
+
     #[test]
     fn matvec_small_example() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-        assert_eq!(m.matvec_transpose(&[1.0, 1.0]), vec![4.0, 6.0]);
+        assert_eq!(times_vector(&m, &[1.0, 1.0]), vec![3.0, 7.0]);
+        assert_eq!(transpose_times_vector(&m, &[1.0, 1.0]), vec![4.0, 6.0]);
     }
 
     #[test]
     fn matvec_many_rows_matches_sequential() {
+        // 100 rows fan out over row blocks; each is still one dot product.
         let rows: Vec<Vec<f64>> = (0..100)
             .map(|r| (0..8).map(|c| (r * 8 + c) as f64).collect())
             .collect();
         let m = Matrix::from_rows(&rows);
         let x: Vec<f64> = (0..8).map(|i| i as f64 * 0.5).collect();
-        let par = m.matvec(&x);
+        let par = times_vector(&m, &x);
         let seq: Vec<f64> = (0..m.rows).map(|r| dot(m.row(r), &x)).collect();
         assert_eq!(par, seq);
     }
@@ -840,14 +795,13 @@ mod tests {
         scale(0.5, &mut x);
         assert_eq!(x, vec![1.0, 2.0]);
         assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(sub(&[3.0, 4.0], &[1.0, 1.0]), vec![2.0, 3.0]);
-        assert_eq!(add(&[3.0, 4.0], &[1.0, 1.0]), vec![4.0, 5.0]);
     }
 
     #[test]
     fn frobenius_norm_matches_manual() {
+        // A matrix's Frobenius norm is the L2 norm of its row-major data.
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
+        assert!((l2_norm(&m.data) - 5.0).abs() < 1e-12);
     }
 
     fn deterministic_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -876,11 +830,20 @@ mod tests {
         c
     }
 
+    /// The explicit transpose the kernels are checked against.
+    fn transpose(m: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(m.cols, m.rows);
+        for r in 0..m.rows {
+            for c in 0..m.cols {
+                t.set(c, r, m.get(r, c));
+            }
+        }
+        t
+    }
+
     /// `A · B` as [`gemm_nt`] against an explicit transpose of `B`.
     fn nn(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut bt = Matrix::zeros(0, 0);
-        b.transpose_into(&mut bt);
-        nt(a, &bt)
+        nt(a, &transpose(b))
     }
 
     /// `Aᵀ · B` through the indexed gradient kernel over every row of `B`.
@@ -919,9 +882,7 @@ mod tests {
         for (m, k, n, seed) in [(4, 6, 3, 5), (1, 5, 5, 6), (10, 2, 9, 7)] {
             let a = deterministic_matrix(k, m, seed);
             let b = deterministic_matrix(k, n, seed + 200);
-            let mut at = Matrix::zeros(0, 0);
-            a.transpose_into(&mut at);
-            assert_close(&tn(&a, &b), &matmul_naive(&at, &b), 1e-12);
+            assert_close(&tn(&a, &b), &matmul_naive(&transpose(&a), &b), 1e-12);
         }
     }
 
@@ -931,9 +892,7 @@ mod tests {
         for (m, k, n, seed) in [(3, 7, 1, 8), (2, 9, 4, 9), (6, 3, 5, 10), (5, 300, 11, 11)] {
             let a = deterministic_matrix(m, k, seed);
             let b = deterministic_matrix(n, k, seed + 300);
-            let mut bt = Matrix::zeros(0, 0);
-            b.transpose_into(&mut bt);
-            assert_close(&nt(&a, &b), &matmul_naive(&a, &bt), 1e-12);
+            assert_close(&nt(&a, &b), &matmul_naive(&a, &transpose(&b)), 1e-12);
         }
     }
 
@@ -981,19 +940,24 @@ mod tests {
         let capacity = c.data.capacity();
         matmul_transpose_b_into(&a, &b, &mut c);
         assert_eq!(c.data.capacity(), capacity);
-        let mut bt = Matrix::zeros(0, 0);
-        b.transpose_into(&mut bt);
-        assert_close(&c, &matmul_naive(&a, &bt), 1e-12);
+        assert_close(&c, &matmul_naive(&a, &transpose(&b)), 1e-12);
     }
 
     #[test]
     fn transpose_round_trip() {
+        // `Aᵀ · I` through the gradient kernel is an exact transpose
+        // (every other product is a zero), and twice is the identity.
+        let identity = |n: usize| {
+            let mut id = Matrix::zeros(n, n);
+            for i in 0..n {
+                id.set(i, i, 1.0);
+            }
+            id
+        };
         let m = deterministic_matrix(4, 7, 31);
-        let mut t = Matrix::zeros(0, 0);
-        let mut back = Matrix::zeros(0, 0);
-        m.transpose_into(&mut t);
-        t.transpose_into(&mut back);
-        assert_eq!(m, back);
+        let t = tn(&m, &identity(4));
+        assert_eq!(t, transpose(&m));
+        assert_eq!(tn(&t, &identity(7)), m);
     }
 
     #[test]
@@ -1071,8 +1035,8 @@ mod tests {
             let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect());
             let x: Vec<f64> = (0..cols).map(|_| next()).collect();
             let y: Vec<f64> = (0..cols).map(|_| next()).collect();
-            let lhs = m.matvec(&add(&x, &y));
-            let rhs = add(&m.matvec(&x), &m.matvec(&y));
+            let lhs = times_vector(&m, &add(&x, &y));
+            let rhs = add(&times_vector(&m, &x), &times_vector(&m, &y));
             for (a, b) in lhs.iter().zip(rhs.iter()) {
                 prop_assert!((a - b).abs() < 1e-9);
             }
@@ -1089,8 +1053,8 @@ mod tests {
             let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect());
             let x: Vec<f64> = (0..cols).map(|_| next()).collect();
             let y: Vec<f64> = (0..rows).map(|_| next()).collect();
-            let lhs = dot(&m.matvec(&x), &y);
-            let rhs = dot(&x, &m.matvec_transpose(&y));
+            let lhs = dot(&times_vector(&m, &x), &y);
+            let rhs = dot(&x, &transpose_times_vector(&m, &y));
             prop_assert!((lhs - rhs).abs() < 1e-9);
         }
 
@@ -1110,10 +1074,10 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
             };
-            let x: Vec<f64> = (0..n).map(|_| next()).collect();
-            let lhs = nn(&a, &b).matvec(&x);
-            let rhs = a.matvec(&b.matvec(&x));
-            for (p, q) in lhs.iter().zip(rhs.iter()) {
+            let x = Matrix::from_vec(n, 1, (0..n).map(|_| next()).collect());
+            let lhs = matmul_naive(&nn(&a, &b), &x);
+            let rhs = matmul_naive(&a, &matmul_naive(&b, &x));
+            for (p, q) in lhs.data.iter().zip(rhs.data.iter()) {
                 prop_assert!((p - q).abs() < 1e-9);
             }
         }

@@ -46,7 +46,7 @@ fn step_driven_run_is_bit_identical_to_one_shot_run_in_both_engine_modes() {
     while let Some(outcome) = run.step().unwrap() {
         rounds += 1;
         assert_eq!(outcome.round, rounds);
-        assert_eq!(run.rounds_completed(), rounds);
+        assert_eq!(run.outcomes().len(), rounds);
     }
     let stepped = run.into_result();
 
@@ -142,9 +142,12 @@ fn custom_reward_policies_reach_the_ledger() {
         }
     }
 
-    let result = scenario
-        .run_with_reward(&train, &test, Box::new(FlatReward))
-        .unwrap();
+    let mut run = scenario
+        .start(&train, &test)
+        .unwrap()
+        .with_reward_policy(Box::new(FlatReward));
+    run.run_to_completion().unwrap();
+    let result = run.into_result();
     assert!(result
         .reward_totals
         .values()
@@ -251,6 +254,7 @@ fn invalid_scenarios_surface_typed_errors_through_the_facade() {
 /// sees the data. Each names the numbers involved.
 #[test]
 fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
+    use fair_bfl::cluster::ClusteringAlgorithm;
     use fair_bfl::fl::config::PartitionKind;
     use fair_bfl::ml::ModelKind;
     let (train, test) = small_dataset();
@@ -304,10 +308,11 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
     );
     config.fl.model = ModelKind::default_mnist();
 
-    // A delay model the engines cannot run, and a nonce search that is
-    // not the serial one, fail validation instead of panicking mid-run.
+    // A delay model the engines cannot run, a nonce search that is not
+    // the serial one, and clustering parameters the algorithms assert on
+    // fail validation instead of panicking mid-run.
     type Edit = fn(&mut BflConfig);
-    let rows: [(Edit, &str); 5] = [
+    let rows: [(Edit, &str); 9] = [
         (
             |c| c.delay.miner_hash_rate = 0.0,
             "delay.miner_hash_rate must be finite and positive, got 0",
@@ -328,6 +333,41 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
             "delay.local_step_seconds must be finite and non-negative, got -1",
         ),
         (|c| c.mining_threads = 0, "mining_threads must be 1"),
+        (
+            |c| {
+                c.clustering = ClusteringAlgorithm::KMeans {
+                    k: 0,
+                    max_iterations: 5,
+                }
+            },
+            "k-means k must be at least 1, got 0",
+        ),
+        (
+            |c| {
+                c.clustering = ClusteringAlgorithm::Agglomerative {
+                    distance_threshold: -0.1,
+                }
+            },
+            "agglomerative distance_threshold must be non-negative, got -0.1",
+        ),
+        (
+            |c| {
+                c.clustering = ClusteringAlgorithm::Dbscan {
+                    eps: -1.0,
+                    min_points: 2,
+                }
+            },
+            "DBSCAN eps must be positive, got -1",
+        ),
+        (
+            |c| {
+                c.clustering = ClusteringAlgorithm::Dbscan {
+                    eps: 0.3,
+                    min_points: 0,
+                }
+            },
+            "DBSCAN min_points must be at least 1, got 0",
+        ),
     ];
     for (edit, needle) in rows {
         let mut hostile = config;
