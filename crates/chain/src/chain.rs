@@ -5,9 +5,11 @@
 //! block exists once however many miners append it, and each replica
 //! still runs the full [`Blockchain::validate_candidate`] on it before it
 //! does. Under FAIR-BFL's synchronized design all replicas stay identical
-//! (one block per communication round, no forks); the vanilla baseline
-//! may need to resolve competing tips, which
-//! [`Blockchain::resolve_longest`] models with the longest-chain rule.
+//! (one block per communication round, no forks). A partition or a miner
+//! crash can still leave replicas on competing tips; one fork-choice rule,
+//! [`RoundConsensus::heal`](crate::consensus::RoundConsensus::heal),
+//! resolves them: the longest replica wins, and each other replica adopts
+//! it only when its own [`Blockchain::append`] would accept every block.
 
 use crate::block::Block;
 use crate::error::ChainError;
@@ -137,42 +139,16 @@ impl Blockchain {
             .try_for_each(|window| self.validate_link(&window[0], &window[1]))
     }
 
-    /// Replaces this replica's blocks with handles to `other`'s. The
-    /// caller has validated `other`.
-    pub(crate) fn adopt(&mut self, other: &Blockchain) {
-        self.blocks.clone_from(&other.blocks);
-    }
-
-    /// Adopts `other` when every block of it is one this chain's
-    /// [`append`](Blockchain::append) would have accepted — its own size
-    /// limit and proof requirement, not `other`'s.
-    fn adopt_if_valid(&mut self, other: &Blockchain) -> bool {
+    /// Replaces this replica's blocks with handles to `other`'s when every
+    /// block of it is one this chain's [`append`](Blockchain::append) would
+    /// have accepted — its own size limit and proof requirement, not
+    /// `other`'s. Returns whether it did.
+    pub(crate) fn adopt_if_valid(&mut self, other: &Blockchain) -> bool {
         let valid = self.validate_blocks(&other.blocks).is_ok();
         if valid {
-            self.adopt(other);
+            self.blocks.clone_from(&other.blocks);
         }
         valid
-    }
-
-    /// Longest-chain resolution: adopts `other` if it is strictly longer and
-    /// fully valid. Returns true when a reorganisation happened.
-    pub fn resolve_longest(&mut self, other: &Blockchain) -> bool {
-        other.len() > self.len() && self.adopt_if_valid(other)
-    }
-
-    /// Tie-breaking resolution for healing a fork whose branches grew to
-    /// the *same* length: adopts `other` when it is fully valid, at least
-    /// as long, and ends in a different tip. [`resolve_longest`] strictly
-    /// prefers length; this is the deterministic "first-seen branch wins"
-    /// rule the consensus layer applies to the equal-length remainder, with
-    /// the preferred branch always passed as `other`. Returns true when a
-    /// reorganisation happened.
-    ///
-    /// [`resolve_longest`]: Blockchain::resolve_longest
-    pub fn resolve_preferred(&mut self, other: &Blockchain) -> bool {
-        other.len() >= self.len()
-            && other.tip().hash() != self.tip().hash()
-            && self.adopt_if_valid(other)
     }
 
     /// The blocks of `self` that do not appear in `canonical` (compared by
@@ -248,10 +224,23 @@ impl Blockchain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consensus::RoundConsensus;
+    use crate::miner::Miner;
     use crate::transaction::Transaction;
 
     fn easy_pow() -> PowConfig {
         PowConfig::new(4)
+    }
+
+    /// A consensus group whose miner `i` holds `replicas[i]`.
+    fn group_of(replicas: Vec<Blockchain>) -> RoundConsensus {
+        let miners = (0..replicas.len() as u64)
+            .map(|id| Miner::new(id, 1000.0))
+            .collect();
+        RoundConsensus {
+            replicas,
+            ..RoundConsensus::new(miners, easy_pow())
+        }
     }
 
     #[test]
@@ -340,17 +329,16 @@ mod tests {
         ));
 
         // A replica whose `append` would have refused the block does not
-        // take it through fork resolution either, however long the chain.
+        // take it through a heal either, however long the chain; a peer
+        // under the limit it was sealed with adopts it.
         let mut replica = Blockchain::new();
         replica.max_block_bytes = 1024;
-        assert!(!replica.resolve_longest(&roomy));
-        assert!(!replica.resolve_preferred(&roomy));
-        assert_eq!(replica.height(), 0);
-
-        // Under the limit it was sealed with, the chain is adopted.
-        let mut peer = Blockchain::new();
-        assert!(peer.resolve_longest(&roomy));
-        assert_eq!(peer.height(), 2);
+        let mut group = group_of(vec![roomy.clone(), replica, Blockchain::new()]);
+        assert!(group.heal().is_empty());
+        assert_eq!(group.replicas[1].height(), 0);
+        assert_eq!(group.replicas[2].height(), 2);
+        assert_eq!(group.replicas[2].tip().hash(), roomy.tip().hash());
+        assert_eq!(group.agreed_height(), None);
     }
 
     #[test]
@@ -411,12 +399,17 @@ mod tests {
         a.mine_and_append(vec![], 0, &easy_pow(), 1).unwrap();
         b.mine_and_append(vec![], 0, &easy_pow(), 2).unwrap();
         b.mine_and_append(vec![], 1, &easy_pow(), 2).unwrap();
-        assert!(a.resolve_longest(&b));
-        assert_eq!(a.height(), 2);
-        // Equal or shorter chains are not adopted.
-        let c = Blockchain::new();
-        assert!(!a.resolve_longest(&c));
-        assert_eq!(a.height(), 2);
+        let mut group = group_of(vec![a.clone(), b.clone()]);
+        let orphans = group.heal();
+        assert_eq!(orphans.len(), 1);
+        assert_eq!(orphans[0].hash(), a.tip().hash());
+        assert_eq!(group.agreed_height(), Some(2));
+        assert_eq!(group.replicas[0].tip().hash(), b.tip().hash());
+        // A shorter chain is not adopted, whatever its replica's index.
+        let mut group = group_of(vec![Blockchain::new(), b.clone()]);
+        assert!(group.heal().is_empty());
+        assert_eq!(group.replicas[1].tip().hash(), b.tip().hash());
+        assert_eq!(group.agreed_height(), Some(2));
     }
 
     #[test]
@@ -427,18 +420,16 @@ mod tests {
         b.mine_and_append(vec![], 1, &easy_pow(), 2).unwrap();
         assert_ne!(a.tip().hash(), b.tip().hash());
 
-        // Longest-chain cannot resolve an equal-length fork...
-        assert!(!a.resolve_longest(&b));
-        // ...but the preferred branch wins the tie.
-        let preferred = b.clone();
-        assert!(a.resolve_preferred(&preferred));
-        assert_eq!(a.tip().hash(), b.tip().hash());
-        // Re-applying is a no-op (same tip).
-        assert!(!a.resolve_preferred(&preferred));
-        // A shorter chain is never adopted.
-        let genesis_only = Blockchain::new();
-        assert!(!a.resolve_preferred(&genesis_only));
-        assert_eq!(a.height(), 1);
+        // The lower replica's branch wins an equal-length fork.
+        let mut group = group_of(vec![b.clone(), a.clone()]);
+        let orphans = group.heal();
+        assert_eq!(orphans.len(), 1);
+        assert_eq!(orphans[0].hash(), a.tip().hash());
+        assert_eq!(group.replicas[1].tip().hash(), b.tip().hash());
+        assert_eq!(group.agreed_height(), Some(1));
+        // Re-healing is a no-op (same tip).
+        assert!(group.heal().is_empty());
+        assert_eq!(group.replicas[0].tip().hash(), b.tip().hash());
     }
 
     #[test]
@@ -550,9 +541,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             /// After an arbitrary valid fork — a shared prefix plus two
-            /// divergent branches of arbitrary lengths — longest-chain
-            /// resolution (with the preferred-branch tiebreak on equal
-            /// lengths) converges both replicas to one tip.
+            /// divergent branches of arbitrary lengths — a heal (longest
+            /// branch, ties toward the lower replica) converges both
+            /// replicas to one tip and orphans exactly the losing branch.
             #[test]
             fn resolution_converges_an_arbitrary_valid_fork(
                 prefix_len in 0usize..3,
@@ -576,28 +567,20 @@ mod tests {
                 }
                 prop_assert_ne!(a.tip().hash(), b.tip().hash());
 
-                // Each side applies the longest-chain rule; the
-                // equal-length remainder is broken toward branch A (the
-                // deterministic first-seen preference).
-                let snapshot_a = a.clone();
-                let reorg_a = a.resolve_longest(&b);
-                let reorg_b = b.resolve_longest(&snapshot_a);
-                if a.tip().hash() != b.tip().hash() {
-                    b.resolve_preferred(&a);
-                }
+                let (winner, loser) = if a_len >= b_len { (&a, &b) } else { (&b, &a) };
+                let mut group = group_of(vec![a.clone(), b.clone()]);
+                let orphans = group.heal();
 
-                prop_assert_eq!(a.tip().hash(), b.tip().hash());
-                prop_assert_eq!(a.height(), b.height());
-                prop_assert_eq!(a.height() as usize, prefix_len + a_len.max(b_len));
-                a.validate_all().unwrap();
-                b.validate_all().unwrap();
-                // Exactly one side reorganised on unequal lengths; neither
-                // did on ties (the tiebreak handled it).
-                if a_len != b_len {
-                    prop_assert!(reorg_a ^ reorg_b);
-                } else {
-                    prop_assert!(!reorg_a && !reorg_b);
+                prop_assert_eq!(group.agreed_height(), Some(winner.height()));
+                prop_assert_eq!(group.replicas[1].tip().hash(), winner.tip().hash());
+                prop_assert_eq!(winner.height() as usize, prefix_len + a_len.max(b_len));
+                for replica in &group.replicas {
+                    replica.validate_all().unwrap();
                 }
+                let lost: Vec<[u8; 32]> = orphans.iter().map(|b| b.hash()).collect();
+                let branch: Vec<[u8; 32]> =
+                    loser.iter().skip(prefix_len + 1).map(Block::hash).collect();
+                prop_assert_eq!(lost, branch);
             }
         }
     }

@@ -146,15 +146,16 @@ impl RoundConsensus {
     }
 
     /// Heals a fork after a partition or crash left the replicas on
-    /// divergent tips: the longest replica wins (ties broken toward the
-    /// lowest miner index, deterministically), every other replica adopts
-    /// it, and the blocks of the losing branches are returned (deduped by
-    /// hash, in replica order) so the round engine can salvage or discard
-    /// their contents per the configured reorg policy.
-    ///
-    /// The winning chain is re-validated once, under the size limit and
-    /// proof requirement the group's replicas share, and the adopting
-    /// replicas then take handles to its blocks.
+    /// divergent tips — the one fork-choice rule. The longest replica wins
+    /// (ties broken toward the lowest miner index, deterministically).
+    /// Every other replica validates the winning chain under its *own*
+    /// size limit and proof requirement, the rule its
+    /// [`Blockchain::append`] applies, and adopts it (taking handles to
+    /// its blocks) only if every block passes; a replica that refuses
+    /// keeps its tip. The blocks the adopting replicas leave behind are
+    /// returned (deduped by hash, in replica order) so the round engine
+    /// can salvage or discard their contents per the configured reorg
+    /// policy.
     ///
     /// A no-op returning an empty list when the replicas already agree.
     pub fn heal(&mut self) -> Vec<Arc<Block>> {
@@ -167,23 +168,31 @@ impl RoundConsensus {
         // Handles only: the winner's blocks are shared, not copied.
         let winner = self.replicas[winner_index].clone();
         let winner_tip = winner.tip().hash();
-        let winner_valid = winner.validate_all().is_ok();
 
         let mut orphans: Vec<Arc<Block>> = Vec::new();
         let mut seen = std::collections::BTreeSet::new();
+        let mut all_adopted = true;
         for replica in &mut self.replicas {
-            for orphan in replica.orphaned_against(&winner) {
+            // No replica is longer than the winner, so "strictly longer,
+            // else equally long with another tip" is "another tip".
+            if replica.tip().hash() == winner_tip {
+                continue;
+            }
+            let lost = replica.orphaned_against(&winner);
+            if !replica.adopt_if_valid(&winner) {
+                all_adopted = false;
+                continue;
+            }
+            for orphan in lost {
                 if seen.insert(orphan.hash()) {
                     orphans.push(orphan);
                 }
             }
-            // No replica is longer than the winner, so "strictly longer,
-            // else equally long with another tip" is "another tip".
-            if winner_valid && replica.tip().hash() != winner_tip {
-                replica.adopt(&winner);
-            }
         }
-        debug_assert!(self.agreed_height().is_some(), "healed replicas agree");
+        debug_assert!(
+            !all_adopted || self.agreed_height().is_some(),
+            "replicas that all adopted agree"
+        );
         orphans
     }
 

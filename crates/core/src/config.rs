@@ -130,23 +130,15 @@ impl ProfileConfig {
         Ok(())
     }
 
-    /// Derives the per-client profile population for `clients` clients.
+    /// Derives client `i`'s profile out of a population of `clients`
+    /// without materializing the rest — a pure per-index function, so the
+    /// event engine can serve million-client populations in O(1) memory.
     ///
     /// Deterministic by construction: client `i` of `n` is a straggler
     /// iff `i >= n - round(straggler_fraction · n)` (multipliers ramp
     /// linearly up to `straggler_slowdown`), and a churner iff
     /// `i < round(churn_fraction · n)` (first departures staggered across
     /// the online period so the population never vanishes at once).
-    pub fn build_profiles(&self, clients: usize) -> Vec<NodeProfile> {
-        (0..clients).map(|i| self.profile_of(i, clients)).collect()
-    }
-
-    /// Derives client `i`'s profile out of a population of `clients`
-    /// without materializing the rest — the pure per-index function
-    /// [`build_profiles`](Self::build_profiles) maps over, exposed so the
-    /// event engine can serve million-client populations from an
-    /// O(1)-memory oracle. `profile_of(i, n) == build_profiles(n)[i]`
-    /// bit-for-bit.
     pub fn profile_of(&self, i: usize, clients: usize) -> NodeProfile {
         let stragglers = ((clients as f64) * self.straggler_fraction).round() as usize;
         let churners = ((clients as f64) * self.churn_fraction).round() as usize;
@@ -375,8 +367,20 @@ impl BflConfig {
         if self.miners < 1 {
             return Err(CoreError::invalid("need at least one miner"));
         }
-        if self.reward_base < 0.0 {
-            return Err(CoreError::invalid("reward base must be non-negative"));
+        if self.reward_base.is_nan() || self.reward_base < 0.0 {
+            return Err(CoreError::invalid(format!(
+                "reward_base must be non-negative, got {}",
+                self.reward_base
+            )));
+        }
+        // Rewards are paid in u64 milli-units: past 2^53 a run's total is
+        // no longer an exact integer in f64, and the ledger can overflow.
+        let run_milli = self.reward_base * 1000.0 * self.fl.rounds as f64;
+        if run_milli > 2f64.powi(53) {
+            return Err(CoreError::invalid(format!(
+                "reward_base {} pays {run_milli} milli-units over {} rounds, past 2^53",
+                self.reward_base, self.fl.rounds
+            )));
         }
         if self.rsa_modulus_bits < bfl_crypto::rsa::MIN_MODULUS_BITS {
             return Err(CoreError::invalid(format!(
@@ -600,13 +604,19 @@ mod tests {
 
     #[test]
     fn negative_reward_base_rejected() {
-        assert_rejected(
-            BflConfig {
-                reward_base: -1.0,
-                ..Default::default()
-            },
-            "reward base",
-        );
+        for (reward_base, needle) in [
+            (-1.0, "reward_base must be non-negative, got -1"),
+            (f64::NAN, "reward_base must be non-negative, got NaN"),
+            (1e17, "reward_base 100000000000000000 pays"),
+        ] {
+            assert_rejected(
+                BflConfig {
+                    reward_base,
+                    ..Default::default()
+                },
+                needle,
+            );
+        }
     }
 
     #[test]
@@ -991,24 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_of_matches_build_profiles_bit_for_bit() {
-        let profiles = ProfileConfig {
-            straggler_slowdown: 6.0,
-            straggler_fraction: 0.25,
-            churn_fraction: 0.4,
-            churn_online_s: 120.0,
-            churn_offline_s: 40.0,
-            uplink: DelayDistribution::Uniform { min: 0.1, max: 0.9 },
-        };
-        for n in [1usize, 7, 32] {
-            let built = profiles.build_profiles(n);
-            for (i, expected) in built.iter().enumerate() {
-                assert_eq!(profiles.profile_of(i, n), *expected, "client {i} of {n}");
-            }
-        }
-    }
-
-    #[test]
     fn profile_population_is_deterministic_and_shaped() {
         let profiles = ProfileConfig {
             straggler_slowdown: 8.0,
@@ -1019,9 +1011,8 @@ mod tests {
             ..ProfileConfig::default()
         };
         profiles.validate().unwrap();
-        let population = profiles.build_profiles(10);
-        assert_eq!(population, profiles.build_profiles(10));
-        assert_eq!(population.len(), 10);
+        let population: Vec<NodeProfile> = (0..10).map(|i| profiles.profile_of(i, 10)).collect();
+        assert_eq!(profiles.profile_of(9, 10), population[9]);
         // The slow tail sits at the highest indices, ramping up to the
         // configured slowdown.
         assert_eq!(population[0].compute_multiplier, 1.0);
@@ -1054,7 +1045,7 @@ mod tests {
             assert!(a < b, "departures are staggered");
         }
         // The degenerate default population is uniform and always online.
-        let uniform = ProfileConfig::default().build_profiles(5);
-        assert!(uniform.iter().all(|p| *p == NodeProfile::uniform()));
+        let uniform = ProfileConfig::default();
+        assert!((0..5).all(|i| uniform.profile_of(i, 5) == NodeProfile::uniform()));
     }
 }

@@ -48,7 +48,7 @@ use bfl_ml::metrics::accuracy;
 use bfl_ml::model::Model;
 use bfl_ml::optimizer::{local_step_count, LocalTrainingConfig};
 use bfl_ml::SoftmaxRegression;
-use bfl_net::{SimClock, Topology};
+use bfl_net::{InvalidEventTime, SimClock, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -340,6 +340,29 @@ fn consensus_group(config: &BflConfig) -> RoundConsensus {
         .iter_mut()
         .for_each(|c| c.max_block_bytes = config.delay.max_block_bytes);
     consensus
+}
+
+/// The error that ends a run in `round` when a time it schedules or
+/// advances to leaves `f64`'s finite range: each delay field is validated
+/// finite, but their sums and products are not, and a `Normal` latency is
+/// unbounded.
+pub(crate) fn time_overflow(round: usize) -> impl Fn(InvalidEventTime) -> CoreError {
+    move |e| {
+        CoreError::invalid(format!(
+            "round {round}: simulated time reached {} s, past the finite range; \
+             the configured delays are too large",
+            e.time_s
+        ))
+    }
+}
+
+/// Advances `clock` by `seconds`, or ends the run (see [`time_overflow`]).
+pub(crate) fn advance_clock(
+    clock: &mut SimClock,
+    seconds: f64,
+    round: usize,
+) -> Result<(), CoreError> {
+    clock.try_advance(seconds).map_err(time_overflow(round))
 }
 
 /// What Procedure IV hands to the rest of a round, in either engine: the
@@ -767,7 +790,7 @@ impl<'a> LearningState<'a> {
             }
             FlexibilityMode::ChainOnly => unreachable!("handled by ChainOnlyState"),
         };
-        self.clock.advance(breakdown.total());
+        advance_clock(&mut self.clock, breakdown.total(), round)?;
 
         Ok(self.finish_round(round, sealed, breakdown, block_hash, KpiRow::default()))
     }
@@ -806,7 +829,7 @@ impl ChainOnlyState {
             config
                 .delay
                 .blockchain_round(config.fl.clients, config.miners, &mut self.rng);
-        self.clock.advance(breakdown.total());
+        advance_clock(&mut self.clock, breakdown.total(), round)?;
         Ok(RoundOutcome {
             round,
             elapsed_s: self.clock.now_seconds(),

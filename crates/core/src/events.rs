@@ -126,7 +126,7 @@ use crate::aggregation::WEIGHT_FLOOR;
 use crate::config::{AggregationMode, BflConfig};
 use crate::contribution::analyze_contributions;
 use crate::delay_model::DelayBreakdown;
-use crate::engine::{round_seed, LearningState, SealedRound};
+use crate::engine::{advance_clock, round_seed, time_overflow, LearningState, SealedRound};
 use crate::error::CoreError;
 use crate::flexibility::FlexibilityMode;
 use crate::policy::{ReorgPolicy, RetryPolicy, RewardPolicy};
@@ -468,7 +468,6 @@ pub(crate) fn step_flexible(
         .take()
         .expect("flexible-quota runs hold an async runtime");
     rt.reset_kpi_counters();
-    let mut result = step_flexible_inner(state, &mut rt, config, reward_policy, round, quota);
     // A heavily churning population can produce an attempt whose every
     // possible arrival was lost or discarded (e.g. all free clients
     // offline while the only in-flight uploads are doomed stale ones),
@@ -479,17 +478,20 @@ pub(crate) fn step_flexible(
     // surfaces `EmptyRound`. (Each retry re-runs the round prologue, so
     // cooldowns may tick once per attempt — acceptable for the
     // pathological schedules this covers.)
-    for _ in 0..8 {
-        if !matches!(result, Err(CoreError::EmptyRound { .. })) {
-            break;
+    let mut attempts = || {
+        let mut result = step_flexible_inner(state, &mut rt, config, reward_policy, round, quota);
+        for _ in 0..8 {
+            if !matches!(result, Err(CoreError::EmptyRound { .. }))
+                || !(fast_forward_to_next_join(state, config, &rt)
+                    || fast_forward_past_partition(state, config, &rt, round)?)
+            {
+                break;
+            }
+            result = step_flexible_inner(state, &mut rt, config, reward_policy, round, quota);
         }
-        if !fast_forward_to_next_join(state, config, &rt)
-            && !fast_forward_past_partition(state, config, &rt)
-        {
-            break;
-        }
-        result = step_flexible_inner(state, &mut rt, config, reward_policy, round, quota);
-    }
+        result
+    };
+    let result = attempts();
     state.async_rt = Some(rt);
     result
 }
@@ -525,6 +527,7 @@ fn fast_forward_to_next_join(
     let now = state.clock.now_seconds();
     match next_join_after(state, config, now) {
         Some(next) => {
+            // `next` is finite, so the clock stays in range.
             state.clock.advance(next - now + 1e-9);
             true
         }
@@ -541,17 +544,17 @@ fn fast_forward_past_partition(
     state: &mut LearningState<'_>,
     config: &BflConfig,
     rt: &AsyncRuntime,
-) -> bool {
+    round: usize,
+) -> Result<bool, CoreError> {
     if !rt.queue.is_empty() || rt.fork_healed {
-        return false;
+        return Ok(false);
     }
     let now = state.clock.now_seconds();
     match config.fault.partition {
         Some(p) if p.is_active(now) => {
-            state.clock.advance(p.end_s() - now + 1e-9);
-            true
+            advance_clock(&mut state.clock, p.end_s() - now + 1e-9, round).map(|()| true)
         }
-        _ => false,
+        _ => Ok(false),
     }
 }
 
@@ -567,9 +570,9 @@ fn fault_prologue(
     rt: &mut AsyncRuntime,
     config: &BflConfig,
     round: usize,
-) -> f64 {
+) -> Result<f64, CoreError> {
     if !config.fault.is_active() {
-        return 0.0;
+        return Ok(0.0);
     }
     let now = state.clock.now_seconds();
     purge_crashed_pending(rt, config, round, now);
@@ -584,7 +587,7 @@ fn fault_prologue(
                 let fork = &config.delay.fork;
                 t_fork =
                     fork.resolution_overhead_s + fork.propagation_delay_s * orphans.len() as f64;
-                state.clock.advance(t_fork);
+                advance_clock(&mut state.clock, t_fork, round)?;
                 rt.record(now, round, round, u64::MAX, EventKind::ForkHealed);
             }
             salvage_stranded(state, rt, config, round);
@@ -605,7 +608,7 @@ fn fault_prologue(
             }
         }
     }
-    t_fork
+    Ok(t_fork)
 }
 
 /// The crash instant: every upload pending at the crashed miner vanishes
@@ -746,7 +749,7 @@ fn step_flexible_inner(
     // Fault bookkeeping precedes selection: a heal both advances the
     // clock (the fork resolution cost) and, under `Salvage`, seeds this
     // round's pool with the rescued uploads.
-    let t_fork = fault_prologue(state, rt, config, round);
+    let t_fork = fault_prologue(state, rt, config, round)?;
 
     // Select this round's participants among clients that are not cooling
     // down, not still busy with an earlier round's work, and online at the
@@ -803,15 +806,17 @@ fn step_flexible_inner(
         let finish = round_start + profile.training_seconds(t_local);
         rt.record(round_start, round, round, id, EventKind::TrainingScheduled);
         rt.in_flight.insert(id);
-        rt.queue.push(
-            finish,
-            EngineEvent::TrainingFinished(InFlightUpload {
-                ticket,
-                born_round: round,
-                train_finished_s: finish,
-                attempt: 1,
-            }),
-        );
+        rt.queue
+            .try_push(
+                finish,
+                EngineEvent::TrainingFinished(InFlightUpload {
+                    ticket,
+                    born_round: round,
+                    train_finished_s: finish,
+                    attempt: 1,
+                }),
+            )
+            .map_err(time_overflow(round))
     };
     if config.aggregation.is_streaming() {
         // Each pass is deferred into its ticket and runs just before its
@@ -826,7 +831,7 @@ fn step_flexible_inner(
                 born_seed,
                 snapshot: Arc::clone(&snapshot),
             });
-            commission(state, rt, position, ticket);
+            commission(state, rt, position, ticket)?;
         }
     } else {
         // The passes are computed eagerly (their *content* is a pure
@@ -849,7 +854,7 @@ fn step_flexible_inner(
             },
         );
         for (&position, ticket) in selected_positions.iter().zip(tickets) {
-            commission(state, rt, position, ticket);
+            commission(state, rt, position, ticket)?;
         }
     }
 
@@ -897,12 +902,12 @@ fn step_flexible_inner(
             EngineEvent::TrainingFinished(upload) => {
                 let (id, born_round) = (upload.client_id(), upload.born_round);
                 rt.record(time, round, born_round, id, EventKind::TrainingFinished);
-                send_upload(state, rt, config, round, time, upload);
+                send_upload(state, rt, config, round, time, upload)?;
             }
             EngineEvent::RetryTimer(upload) => {
                 let (id, born_round) = (upload.client_id(), upload.born_round);
                 rt.record(time, round, born_round, id, EventKind::UploadRetried);
-                send_upload(state, rt, config, round, time, upload);
+                send_upload(state, rt, config, round, time, upload)?;
             }
             EngineEvent::UploadArrived {
                 upload,
@@ -923,7 +928,7 @@ fn step_flexible_inner(
                     if !retry_pending {
                         let earliest = profile.next_online_from(time);
                         if earliest.is_finite()
-                            && schedule_retry(rt, config, time, upload, earliest)
+                            && schedule_retry(rt, config, round, time, upload, earliest)?
                         {
                             rt.in_flight.insert(id);
                         }
@@ -1090,7 +1095,7 @@ fn step_flexible_inner(
     // and while the mesh is split, the secondary component seals its own
     // block over the uploads stranded on its side, growing the divergent
     // branch the heal will have to resolve.
-    state.clock.advance(wait + t_ex + t_gl);
+    advance_clock(&mut state.clock, wait + t_ex + t_gl, round)?;
     let block_hash = if let Some(consensus) = state.consensus.as_mut() {
         let seal_s = state.clock.now_seconds();
         let outcome = if config.fault.partition.is_none() && config.fault.crash.is_none() {
@@ -1153,7 +1158,7 @@ fn step_flexible_inner(
     } else {
         0.0
     };
-    state.clock.advance(t_bl);
+    advance_clock(&mut state.clock, t_bl, round)?;
 
     state.apply_discard_cooldowns(config, &sealed.dropped);
 
@@ -1342,7 +1347,7 @@ fn send_upload(
     round: usize,
     time: f64,
     upload: InFlightUpload,
-) {
+) -> Result<(), CoreError> {
     let (id, born_round) = (upload.client_id(), upload.born_round);
     let miner = state.topology.associate_one(&mut state.rng);
     let transfer = config.delay.gradient_bytes as f64 / config.delay.uplink.bandwidth_bytes_per_s;
@@ -1382,41 +1387,47 @@ fn send_upload(
 
     if dropped || swallowed {
         rt.record(time, round, born_round, id, EventKind::UploadDropped);
-        if !schedule_retry(rt, config, time, upload, time) {
+        if !schedule_retry(rt, config, round, time, upload, time)? {
             rt.in_flight.remove(&id);
         }
-        return;
+        return Ok(());
     }
 
     // A corrupted upload is certain to be rejected at the miner, so the
     // client's retransmission timer (when the policy grants one) is
     // armed at send time — the timeout models the missing receipt.
     let certain_reject = corrupt.is_some() && state.keys.is_some();
-    let retry_pending = certain_reject && schedule_retry(rt, config, time, upload.clone(), time);
+    let retry_pending =
+        certain_reject && schedule_retry(rt, config, round, time, upload.clone(), time)?;
 
     if duplicated {
         // The duplicate is an independent network copy arriving one
         // store-and-forward later; corruption strikes per copy, so the
         // clone arrives clean.
-        rt.queue.push(
-            arrival + transfer + config.delay.upload_processing_s,
+        rt.queue
+            .try_push(
+                arrival + transfer + config.delay.upload_processing_s,
+                EngineEvent::UploadArrived {
+                    upload: upload.clone(),
+                    miner,
+                    corrupt: None,
+                    retry_pending,
+                },
+            )
+            .map_err(time_overflow(round))?;
+    }
+    rt.queue
+        .try_push(
+            arrival,
             EngineEvent::UploadArrived {
-                upload: upload.clone(),
+                upload,
                 miner,
-                corrupt: None,
+                corrupt,
                 retry_pending,
             },
-        );
-    }
-    rt.queue.push(
-        arrival,
-        EngineEvent::UploadArrived {
-            upload,
-            miner,
-            corrupt,
-            retry_pending,
-        },
-    );
+        )
+        .map_err(time_overflow(round))?;
+    Ok(())
 }
 
 /// Arms the client-side retransmission timer for `upload`'s failed send
@@ -1426,26 +1437,28 @@ fn send_upload(
 fn schedule_retry(
     rt: &mut AsyncRuntime,
     config: &BflConfig,
+    round: usize,
     now: f64,
     upload: InFlightUpload,
     earliest: f64,
-) -> bool {
+) -> Result<bool, CoreError> {
     let jitter01 = match config.retry {
         RetryPolicy::Backoff { jitter_s, .. } if jitter_s > 0.0 => rt.fault_rng.gen::<f64>(),
         _ => 0.0,
     };
     match config.retry.backoff_delay(upload.attempt, jitter01) {
-        Some(delay) => {
-            rt.queue.push(
+        Some(delay) => rt
+            .queue
+            .try_push(
                 (now + delay).max(earliest),
                 EngineEvent::RetryTimer(InFlightUpload {
                     attempt: upload.attempt + 1,
                     ..upload
                 }),
-            );
-            true
-        }
-        None => false,
+            )
+            .map(|_| true)
+            .map_err(time_overflow(round)),
+        None => Ok(false),
     }
 }
 

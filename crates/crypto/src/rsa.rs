@@ -12,10 +12,11 @@
 //! Every key has a Montgomery context, which needs an odd modulus above
 //! one. Deserialization refuses a modulus (or CRT prime) that is even or
 //! at most one with an error, and [`RsaPublicKey::new`] /
-//! [`RsaPrivateKey::with_crt`] assert it; generated keys always pass.
+//! [`RsaPrivateKey::new`] assert it; generated keys always pass.
 //!
-//! Generated private keys carry the CRT factors `(p, q, d_p, d_q,
-//! q_inv)`, so [`RsaPrivateKey::apply`] runs two half-size Montgomery
+//! A private key always carries the CRT factors `(p, q, d_p, d_q,
+//! q_inv)` — deserialization refuses one without them — so
+//! [`RsaPrivateKey::apply`] runs two half-size Montgomery
 //! exponentiations and recombines by Garner's formula — roughly 4x
 //! faster than a full-size exponentiation, on top of the Montgomery
 //! speedup itself. The whole private operation runs in the thread's
@@ -29,23 +30,21 @@
 //! first signature at the largest width it signs at, it allocates no
 //! scratch at all. A `bfl_ml::par` fan-out hands its chunks to parked
 //! helper threads that live as long as the thread that fans out, so a
-//! helper signing round after round keeps that warm workspace too. Keys
-//! built from `(n, d)` alone (deserialized legacy material, external test
-//! vectors) run the full-size exponentiation through the same workspace.
+//! helper signing round after round keeps that warm workspace too.
 //! The oracle for both key operations is the plain exponent through
 //! [`BigUint::modpow_reference`] — `m.modpow_reference(d, n)` is what a
 //! signature must equal — which `tests/crypto_equivalence.rs` and the
 //! [`crate::signature`] tests compare against bit for bit.
 //!
-//! Both key types carry a lazily-built, shareable [`MontgomeryCtx`]
-//! cache ([`MontCache`]): constructing a context costs a full division
-//! (`R^2 mod n`), so the first sign/verify through a key builds it once
-//! and every later operation — including every verification through a
-//! [`crate::keystore::KeyStore`]-held key — reuses it. Private keys
-//! additionally cache the CRT `p`/`q` context pair. The caches are pure
-//! acceleration state: they are excluded from equality, cloning keeps
-//! them warm, and the hand-written serde impls never write them to the
-//! wire.
+//! Both key types carry lazily-built, shareable [`MontgomeryCtx`]
+//! caches ([`MontCache`]) — a public key for its modulus, a private key
+//! for its CRT primes `p` and `q`: constructing a context costs a full
+//! division (`R^2 mod n`), so the first sign/verify through a key builds
+//! it once and every later operation — including every verification
+//! through a [`crate::keystore::KeyStore`]-held key — reuses it. The
+//! caches are pure acceleration state: they are excluded from equality,
+//! cloning keeps them warm, and the hand-written serde impls never write
+//! them to the wire.
 //!
 //! The protocol-facing hash-then-sign wrapper lives in [`crate::signature`].
 
@@ -77,7 +76,7 @@ struct SigningWorkspace {
     s_q: Vec<u64>,
     /// Garner's coefficient `h = q_inv (s_p - s_q) mod p`.
     h: Vec<u64>,
-    /// The result `s`: `s_q + q h` for CRT keys.
+    /// The result `s = s_q + q h`.
     s: Vec<u64>,
 }
 
@@ -90,13 +89,10 @@ fn fit(buffer: &mut Vec<u64>, len: usize) {
 impl SigningWorkspace {
     /// `s = m^d mod n` by CRT: `s_p = m^{d_p} mod p`, `s_q = m^{d_q} mod
     /// q`, `s = s_q + q · (q_inv (s_p - s_q) mod p)`.
-    fn crt(
-        &mut self,
-        message: &[u64],
-        crt: &CrtFactors,
-        ctx_p: &MontgomeryCtx,
-        ctx_q: &MontgomeryCtx,
-    ) {
+    fn crt(&mut self, message: &[u64], key: &RsaPrivateKey) {
+        let crt = &key.crt;
+        let ctx_p = key.crt_p_mont.get_or_build(&crt.p);
+        let ctx_q = key.crt_q_mont.get_or_build(&crt.q);
         let ws = &mut self.mont;
         ctx_p.prepare(ws);
         ctx_p.load_limbs(message, ws);
@@ -115,16 +111,6 @@ impl SigningWorkspace {
         // s_q + q h <= (q - 1) + q (p - 1) < n: it fits p's and q's limbs.
         fit(&mut self.s, ctx_p.k() + ctx_q.k());
         mul_add_limbs(crt.q.limbs(), &self.h, &self.s_q, &mut self.s);
-    }
-
-    /// `s = m^d mod n` by one full-size exponentiation.
-    fn full(&mut self, message: &[u64], ctx: &MontgomeryCtx, exponent: &BigUint) {
-        let ws = &mut self.mont;
-        ctx.prepare(ws);
-        ctx.load_limbs(message, ws);
-        ctx.pow_in_place(exponent, ws);
-        fit(&mut self.s, ctx.k());
-        ctx.recover_into(ws, &mut self.s);
     }
 }
 
@@ -215,24 +201,21 @@ pub struct CrtFactors {
     pub q_inv: BigUint,
 }
 
-/// An RSA private key: `(n, d)` plus optional CRT factors.
+/// An RSA private key: `(n, d)` and its CRT factors.
 ///
-/// Carries lazily-built Montgomery contexts — one for the modulus, and
-/// (when CRT factors are present) one per prime factor — so repeated
-/// signing through the same key reuses the per-modulus precomputation.
-/// Equality and the serialized form cover only `(n, d, crt)`.
+/// Carries a lazily-built Montgomery context per prime factor, so
+/// repeated signing through the same key reuses the per-prime
+/// precomputation. Equality and the serialized form cover only
+/// `(n, d, crt)`.
 #[derive(Debug, Clone)]
 pub struct RsaPrivateKey {
     /// Modulus `n = p * q`.
     modulus: BigUint,
     /// Private exponent `d = e^{-1} mod phi(n)`.
     exponent: BigUint,
-    /// CRT factors, present on generated keys; `None` on keys built from
-    /// `(n, d)` alone, which fall back to a full-size exponentiation.
-    crt: Option<CrtFactors>,
-    /// Cached Montgomery context for `modulus` (see [`MontCache`]).
-    mont: MontCache,
-    /// Cached Montgomery context for the CRT prime `p`.
+    /// CRT factors: every signature runs through them.
+    crt: CrtFactors,
+    /// Cached Montgomery context for the CRT prime `p` (see [`MontCache`]).
     crt_p_mont: MontCache,
     /// Cached Montgomery context for the CRT prime `q`.
     crt_q_mont: MontCache,
@@ -326,31 +309,22 @@ impl Deserialize for RsaPublicKey {
 }
 
 impl RsaPrivateKey {
-    /// Builds a private key from `(n, d)` alone — the compatibility path
-    /// for key material without CRT factors. Signing works but runs the
-    /// full-size exponentiation.
-    pub fn from_components(modulus: BigUint, exponent: BigUint) -> Self {
-        Self::with_crt(modulus, exponent, None)
-    }
-
-    /// Builds a private key from `(n, d)` plus optional CRT factors,
-    /// with cold context caches.
+    /// Builds a private key from `(n, d)` and its CRT factors, with cold
+    /// context caches.
     ///
     /// # Panics
     ///
     /// If the modulus or a CRT prime is even or at most one (see the
     /// module docs).
-    pub fn with_crt(modulus: BigUint, exponent: BigUint, crt: Option<CrtFactors>) -> Self {
-        let primes = crt.iter().flat_map(|crt| [&crt.p, &crt.q]);
+    pub fn new(modulus: BigUint, exponent: BigUint, crt: CrtFactors) -> Self {
         assert!(
-            std::iter::once(&modulus).chain(primes).all(admits_context),
+            [&modulus, &crt.p, &crt.q].into_iter().all(admits_context),
             "RSA modulus and CRT primes must be odd and above one"
         );
         RsaPrivateKey {
             modulus,
             exponent,
             crt,
-            mont: MontCache::new(),
             crt_p_mont: MontCache::new(),
             crt_q_mont: MontCache::new(),
         }
@@ -358,12 +332,11 @@ impl RsaPrivateKey {
 
     /// Applies the private operation `m^d mod n` (used for signing).
     ///
-    /// With CRT factors present this runs two half-size Montgomery
-    /// exponentiations mod `p` and `q` and recombines with Garner's
-    /// formula; otherwise a single full-size exponentiation. Either way it
-    /// runs in the thread's signing workspace (see the module docs), with
-    /// every Montgomery context from the per-key caches; the returned
-    /// `BigUint` is the only allocation.
+    /// Runs two half-size Montgomery exponentiations mod `p` and `q` and
+    /// recombines with Garner's formula, in the thread's signing
+    /// workspace (see the module docs), with both Montgomery contexts
+    /// from the per-key caches; the returned `BigUint` is the only
+    /// allocation.
     pub fn apply(&self, message: &BigUint) -> BigUint {
         self.apply_limbs(message.limbs(), |s| BigUint::from_limbs(s.to_vec()))
     }
@@ -373,26 +346,14 @@ impl RsaPrivateKey {
     /// limbs) to `finish` — the one body every private-key operation runs.
     pub(crate) fn apply_limbs<T>(&self, message: &[u64], finish: impl FnOnce(&[u64]) -> T) -> T {
         SIGNING_WORKSPACE.with_borrow_mut(|ws| {
-            match &self.crt {
-                Some(crt) => ws.crt(
-                    message,
-                    crt,
-                    self.crt_p_mont.get_or_build(&crt.p),
-                    self.crt_q_mont.get_or_build(&crt.q),
-                ),
-                None => ws.full(
-                    message,
-                    self.mont.get_or_build(&self.modulus),
-                    &self.exponent,
-                ),
-            }
+            ws.crt(message, self);
             finish(&ws.s)
         })
     }
 
     /// The modulus `n`. Read-only: the cached contexts are derived from
     /// the key material, so changed material means a new key via
-    /// [`RsaPrivateKey::with_crt`].
+    /// [`RsaPrivateKey::new`].
     pub fn modulus(&self) -> &BigUint {
         &self.modulus
     }
@@ -402,9 +363,9 @@ impl RsaPrivateKey {
         &self.exponent
     }
 
-    /// The CRT factors, when the key carries them.
-    pub fn crt(&self) -> Option<&CrtFactors> {
-        self.crt.as_ref()
+    /// The CRT factors.
+    pub fn crt(&self) -> &CrtFactors {
+        &self.crt
     }
 
     /// Size of the modulus in bits.
@@ -414,7 +375,7 @@ impl RsaPrivateKey {
 
     /// Whether any of the Montgomery contexts have been built (test hook).
     pub fn context_is_warm(&self) -> bool {
-        self.mont.is_warm() || self.crt_p_mont.is_warm() || self.crt_q_mont.is_warm()
+        self.crt_p_mont.is_warm() || self.crt_q_mont.is_warm()
     }
 }
 
@@ -427,22 +388,14 @@ impl PartialEq for RsaPrivateKey {
 
 impl Eq for RsaPrivateKey {}
 
-// Hand-written serde keeps deserialization compatible with key material
-// serialized before CRT factors existed: a missing or null `crt` field
-// reads back as `None` instead of erroring. The context caches never
-// enter the wire format.
+// Hand-written serde keeps the context caches out of the wire format and
+// checks the key material before a constructor would assert on it.
 impl Serialize for RsaPrivateKey {
     fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("modulus".to_string(), self.modulus.to_value()),
             ("exponent".to_string(), self.exponent.to_value()),
-            (
-                "crt".to_string(),
-                match &self.crt {
-                    Some(crt) => crt.to_value(),
-                    None => Value::Null,
-                },
-            ),
+            ("crt".to_string(), self.crt.to_value()),
         ])
     }
 }
@@ -451,17 +404,18 @@ impl Deserialize for RsaPrivateKey {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
         let modulus = BigUint::from_value(value.field("modulus")?)?;
         let exponent = BigUint::from_value(value.field("exponent")?)?;
-        let crt = match value.field("crt") {
-            Err(_) => None,
-            Ok(Value::Null) => None,
-            Ok(v) => Some(CrtFactors::from_value(v)?),
-        };
         check_modulus("modulus", &modulus)?;
-        if let Some(crt) = &crt {
-            check_modulus("CRT prime p", &crt.p)?;
-            check_modulus("CRT prime q", &crt.q)?;
-        }
-        Ok(RsaPrivateKey::with_crt(modulus, exponent, crt))
+        let crt = match value.field("crt") {
+            Ok(Value::Null) | Err(_) => {
+                return Err(serde::Error::custom(
+                    "RSA private key has no `crt` factors".to_string(),
+                ))
+            }
+            Ok(v) => CrtFactors::from_value(v)?,
+        };
+        check_modulus("CRT prime p", &crt.p)?;
+        check_modulus("CRT prime q", &crt.q)?;
+        Ok(RsaPrivateKey::new(modulus, exponent, crt))
     }
 }
 
@@ -522,7 +476,7 @@ impl RsaKeyPair {
             };
             return Ok(RsaKeyPair {
                 public: RsaPublicKey::new(n.clone(), e),
-                private: RsaPrivateKey::with_crt(n, d, Some(crt)),
+                private: RsaPrivateKey::new(n, d, crt),
             });
         }
         Err(CryptoError::PrimeGenerationFailed)
@@ -569,7 +523,7 @@ mod tests {
     fn generated_key_carries_consistent_crt_factors() {
         let mut r = rng();
         let pair = RsaKeyPair::generate(&mut r, 256).unwrap();
-        let crt = pair.private.crt.as_ref().expect("generated keys carry CRT");
+        let crt = &pair.private.crt;
         assert_eq!(crt.p.mul(&crt.q), pair.private.modulus);
         let one = BigUint::one();
         assert_eq!(crt.d_p, pair.private.exponent.rem(&crt.p.sub(&one)),);
@@ -601,21 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn key_without_crt_signs_identically() {
-        let mut r = rng();
-        let pair = RsaKeyPair::generate(&mut r, 256).unwrap();
-        let plain = RsaPrivateKey::from_components(
-            pair.private.modulus.clone(),
-            pair.private.exponent.clone(),
-        );
-        assert!(plain.crt.is_none());
-        for value in [0u64, 1, 77, u64::MAX] {
-            let m = BigUint::from_u64(value);
-            assert_eq!(pair.private.apply(&m), plain.apply(&m));
-        }
-    }
-
-    #[test]
     fn contexts_warm_up_lazily_and_cloning_keeps_them() {
         let mut r = rng();
         let pair = RsaKeyPair::generate(&mut r, 256).unwrap();
@@ -630,7 +569,7 @@ mod tests {
         assert!(pair.public.clone().context_is_warm());
         assert!(pair.private.clone().context_is_warm());
         // Warm and cold keys compare equal and sign identically.
-        let cold = RsaPrivateKey::with_crt(
+        let cold = RsaPrivateKey::new(
             pair.private.modulus.clone(),
             pair.private.exponent.clone(),
             pair.private.crt.clone(),
@@ -678,25 +617,22 @@ mod tests {
         let back: RsaKeyPair = serde_json::from_str(&json).unwrap();
         assert_eq!(back.public, pair.public);
         assert_eq!(back.private, pair.private);
-        assert!(back.private.crt.is_some());
     }
 
     #[test]
-    fn legacy_private_key_json_deserializes_without_crt() {
-        let mut r = rng();
-        let pair = RsaKeyPair::generate(&mut r, 192).unwrap();
-        // Key material serialized before CRT factors existed: only (n, d).
-        let legacy = format!(
-            "{{\"modulus\":\"{}\",\"exponent\":\"{}\"}}",
+    fn a_private_key_without_crt_fails_to_deserialize() {
+        let pair = RsaKeyPair::generate(&mut rng(), 192).unwrap();
+        let (n, d) = (
             pair.private.modulus.to_hex_string(),
-            pair.private.exponent.to_hex_string()
+            pair.private.exponent.to_hex_string(),
         );
-        let key: RsaPrivateKey = serde_json::from_str(&legacy).unwrap();
-        assert!(key.crt.is_none());
-        assert_eq!(key.modulus, pair.private.modulus);
-        // And it still signs compatibly with the CRT-bearing original.
-        let m = BigUint::from_u64(0xABCD_EF01);
-        assert_eq!(key.apply(&m), pair.private.apply(&m));
+        for json in [
+            format!("{{\"modulus\":\"{n}\",\"exponent\":\"{d}\"}}"),
+            format!("{{\"modulus\":\"{n}\",\"exponent\":\"{d}\",\"crt\":null}}"),
+        ] {
+            let err = serde_json::from_str::<RsaPrivateKey>(&json).unwrap_err();
+            assert!(err.to_string().contains("`crt`"), "{err}");
+        }
     }
 
     #[test]
@@ -714,7 +650,7 @@ mod tests {
         let err = serde_json::from_str::<RsaPrivateKey>(&private).unwrap_err();
         assert!(err.to_string().contains("RSA modulus must be odd"), "{err}");
         // A CRT prime is held to the same rule.
-        let mut crt = pair.private.crt.clone().unwrap();
+        let mut crt = pair.private.crt.clone();
         crt.q = BigUint::from_u64(2);
         let mut value = pair.private.to_value();
         if let Value::Obj(fields) = &mut value {

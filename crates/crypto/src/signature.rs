@@ -231,7 +231,7 @@ impl BatchVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rsa::RsaKeyPair;
+    use crate::rsa::{CrtFactors, RsaKeyPair};
     use crate::sha256::sha256;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -399,13 +399,21 @@ mod tests {
     /// A "reversed" pair: signing uses the short exponent 65537,
     /// verification the full-size exponent `d` — a valid RSA relation
     /// that drives the verifier's windowed exponentiation over a long
-    /// exponent, where every generated key has the 17-bit 65537.
+    /// exponent, where every generated key has the 17-bit 65537. The
+    /// signer is a CRT key for `e`: `d_p = e mod (p - 1)`, `d_q = e mod
+    /// (q - 1)`.
     fn long_exponent_pair() -> (RsaPrivateKey, RsaPublicKey) {
         let mut rng = StdRng::seed_from_u64(0xB47C);
         let pair = RsaKeyPair::generate(&mut rng, 256).unwrap();
-        let signer = RsaPrivateKey::from_components(
+        let (e, crt, one) = (pair.public.exponent(), pair.private.crt(), BigUint::one());
+        let signer = RsaPrivateKey::new(
             pair.public.modulus().clone(),
-            pair.public.exponent().clone(),
+            e.clone(),
+            CrtFactors {
+                d_p: e.rem(&crt.p.sub(&one)),
+                d_q: e.rem(&crt.q.sub(&one)),
+                ..crt.clone()
+            },
         );
         let verifier = RsaPublicKey::new(
             pair.private.modulus().clone(),

@@ -56,14 +56,6 @@ impl Dataset {
             classes: self.classes,
         }
     }
-
-    /// Splits the dataset into a head of `head_len` samples and the rest.
-    pub fn split_at(&self, head_len: usize) -> (Dataset, Dataset) {
-        let head_len = head_len.min(self.len());
-        let head: Vec<usize> = (0..head_len).collect();
-        let tail: Vec<usize> = (head_len..self.len()).collect();
-        (self.subset(&head), self.subset(&tail))
-    }
 }
 
 #[cfg(test)]
@@ -111,16 +103,5 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.labels, vec![1, 0]);
         assert_eq!(s.features.row(0), &[0.9, 0.1]);
-    }
-
-    #[test]
-    fn split_at_partitions_everything() {
-        let d = small();
-        let (head, tail) = d.split_at(3);
-        assert_eq!(head.len(), 3);
-        assert_eq!(tail.len(), 1);
-        let (all, none) = d.split_at(10);
-        assert_eq!(all.len(), 4);
-        assert!(none.is_empty());
     }
 }

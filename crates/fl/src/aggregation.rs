@@ -4,9 +4,9 @@
 //! (`bfl_ml::gradient::average_refs`), with FAIR-BFL's
 //! contribution-weighted Equation 1 layered on top in `bfl-core`. What
 //! lives here is the staleness decay the event engine applies to late
-//! uploads, and FedAvg's canonical sample-count weighting.
+//! uploads.
 
-use bfl_ml::gradient::{weighted_average, GradientVector};
+use bfl_ml::gradient::GradientVector;
 
 /// Decays a stale client upload toward the current global parameters.
 ///
@@ -45,33 +45,14 @@ pub fn decay_stale_update(
         .collect()
 }
 
-/// Sample-count-weighted FedAvg aggregation: weights proportional to |D_i|.
-pub fn sample_weighted_average(
-    updates: &[GradientVector],
-    sample_counts: &[usize],
-) -> GradientVector {
-    assert_eq!(updates.len(), sample_counts.len());
-    let weights: Vec<f64> = sample_counts.iter().map(|&c| c as f64).collect();
-    weighted_average(updates, &weights)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sample_weighting_favours_larger_shards() {
-        let updates = vec![vec![0.0], vec![10.0]];
-        let aggregated = sample_weighted_average(&updates, &[1, 9]);
-        assert!((aggregated[0] - 9.0).abs() < 1e-12);
-        let equal = sample_weighted_average(&updates, &[5, 5]);
-        assert!((equal[0] - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
+    #[should_panic(expected = "same dimension")]
     fn mismatched_lengths_panic() {
-        let _ = sample_weighted_average(&[vec![1.0]], &[1, 2]);
+        let _ = decay_stale_update(&[1.0], &[1.0, 2.0], 0.5, 1);
     }
 
     #[test]

@@ -949,6 +949,10 @@ mod tests {
                 r#""base": {"metric": "Euclidean"}"#.to_string(),
                 ["base.metric", "unknown DistanceMetric variant", "Euclidean"],
             ),
+            (
+                r#""base": {"reward_base": 1e17}"#.to_string(),
+                ["base", "reward_base", "past 2^53"],
+            ),
         ] {
             let err = parse(&format!(", {extra}")).unwrap_err();
             for needle in needles {

@@ -30,11 +30,6 @@ pub fn zeros(len: usize) -> Vec<f64> {
     vec![0.0; len]
 }
 
-/// Small-scale uniform initialization in `[-scale, scale]`.
-pub fn uniform<R: Rng + ?Sized>(rng: &mut R, len: usize, scale: f64) -> Vec<f64> {
-    (0..len).map(|_| rng.gen_range(-scale..scale)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,13 +51,6 @@ mod tests {
     fn zeros_are_zero() {
         assert!(zeros(16).iter().all(|&v| v == 0.0));
         assert_eq!(zeros(0).len(), 0);
-    }
-
-    #[test]
-    fn uniform_respects_scale() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let w = uniform(&mut rng, 1000, 0.01);
-        assert!(w.iter().all(|&v| v.abs() <= 0.01));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod tensor;
 
 pub use gradient::GradientVector;
 pub use linear::SoftmaxRegression;
-pub use metrics::{accuracy, confusion_matrix};
+pub use metrics::accuracy;
 pub use model::{Model, ModelKind};
 pub use optimizer::{LocalTrainingConfig, Sgd};
 pub use tensor::{Matrix, Scratch, Vector};

@@ -26,20 +26,6 @@ pub fn cross_entropy_grad(logits: &[f64], label: usize) -> Vec<f64> {
     grad
 }
 
-/// Mean squared error between predictions and targets.
-pub fn mse(predictions: &[f64], targets: &[f64]) -> f64 {
-    debug_assert_eq!(predictions.len(), targets.len());
-    if predictions.is_empty() {
-        return 0.0;
-    }
-    predictions
-        .iter()
-        .zip(targets.iter())
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f64>()
-        / predictions.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,13 +53,6 @@ mod tests {
         assert!(sum.abs() < 1e-12);
         // The true-class entry is negative (prob - 1 < 0).
         assert!(g[2] < 0.0);
-    }
-
-    #[test]
-    fn mse_basics() {
-        assert_eq!(mse(&[], &[]), 0.0);
-        assert_eq!(mse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        assert!((mse(&[1.0, 3.0], &[0.0, 0.0]) - 5.0).abs() < 1e-12);
     }
 
     proptest! {

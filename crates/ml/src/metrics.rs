@@ -1,4 +1,4 @@
-//! Classification metrics: accuracy and confusion matrices.
+//! Classification metrics: accuracy.
 //!
 //! The evaluation's headline metric is "the average accuracy Σ acc_i / n,
 //! where acc_i is the verification accuracy of client C_i in a
@@ -100,33 +100,6 @@ pub fn accuracy_reference<M: Model + ?Sized>(
     correct as f64 / rows.len() as f64
 }
 
-/// Confusion matrix `counts[true][predicted]` over the given rows.
-pub fn confusion_matrix<M: Model + ?Sized>(
-    model: &M,
-    features: &Matrix,
-    labels: &[usize],
-    classes: usize,
-) -> Vec<Vec<usize>> {
-    let mut counts = vec![vec![0usize; classes]; classes];
-    let mut scratch = Scratch::new();
-    let mut start = 0;
-    while start < features.rows {
-        let end = (start + EVAL_BLOCK).min(features.rows);
-        // The row set is always contiguous here: run straight on the
-        // dataset's own storage, no gather copy.
-        let x = &features.data[start * features.cols..end * features.cols];
-        model.logits_block(x, end - start, &mut scratch);
-        for (offset, &truth) in labels[start..end].iter().enumerate() {
-            let predicted = argmax(scratch.z.row(offset));
-            if truth < classes && predicted < classes {
-                counts[truth][predicted] += 1;
-            }
-        }
-        start = end;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,37 +152,5 @@ mod tests {
         let batched = accuracy(&m, &features, &labels, None);
         let reference = accuracy_reference(&m, &features, &labels, &indices);
         assert_eq!(batched, reference);
-    }
-
-    #[test]
-    fn confusion_matrix_matches_per_row_predictions_across_block_boundary() {
-        let (m, features, labels) = boundary_dataset();
-        let mut expected = vec![vec![0usize; 4]; 4];
-        for (r, &truth) in labels.iter().enumerate() {
-            expected[truth][m.predict_row(features.row(r))] += 1;
-        }
-        let cm = confusion_matrix(&m, &features, &labels, 4);
-        assert_eq!(cm, expected);
-        assert_eq!(cm.iter().flatten().sum::<usize>(), features.rows);
-        assert!(
-            cm.iter().flatten().filter(|&&count| count > 0).count() > 4,
-            "the fixture must spread predictions over several cells"
-        );
-    }
-
-    #[test]
-    fn confusion_matrix_rows_sum_to_class_counts() {
-        let m = rigged_model();
-        let features = Matrix::from_rows(&vec![vec![0.0, 0.0]; 6]);
-        let labels = vec![0, 0, 1, 1, 2, 2];
-        let cm = confusion_matrix(&m, &features, &labels, 3);
-        // Everything is predicted as class 0.
-        assert_eq!(cm[0][0], 2);
-        assert_eq!(cm[1][0], 2);
-        assert_eq!(cm[2][0], 2);
-        assert_eq!(
-            cm[0][1] + cm[0][2] + cm[1][1] + cm[1][2] + cm[2][1] + cm[2][2],
-            0
-        );
     }
 }

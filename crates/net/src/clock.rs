@@ -4,6 +4,7 @@
 //! so experiment results are deterministic and machine-independent. The
 //! clock only ever moves forward.
 
+use crate::event::InvalidEventTime;
 use serde::{Deserialize, Serialize};
 
 /// A monotonically advancing simulated clock.
@@ -48,6 +49,18 @@ impl SimClock {
         );
         self.now_seconds += seconds;
     }
+
+    /// [`advance`](Self::advance) without the panic, for increments a
+    /// caller cannot bound: refuses, leaving the clock where it is, when
+    /// `seconds` is negative or the time it would reach is not finite.
+    pub fn try_advance(&mut self, seconds: f64) -> Result<(), InvalidEventTime> {
+        let time_s = self.now_seconds + seconds;
+        if !(seconds >= 0.0 && time_s.is_finite()) {
+            return Err(InvalidEventTime { time_s });
+        }
+        self.now_seconds = time_s;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -75,5 +88,15 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn non_finite_advance_panics() {
         SimClock::new().advance(f64::NAN);
+    }
+
+    #[test]
+    fn try_advance_refuses_a_time_past_the_finite_range() {
+        let mut clock = SimClock::new();
+        clock.try_advance(1e308).unwrap();
+        for bad in [1e308, f64::INFINITY, f64::NAN, -1.0] {
+            assert!(clock.try_advance(bad).is_err(), "{bad}");
+            assert_eq!(clock.now_seconds(), 1e308);
+        }
     }
 }

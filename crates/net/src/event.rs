@@ -39,11 +39,12 @@ pub struct ScheduledEvent<T> {
     pub payload: T,
 }
 
-/// Rejected schedule: event times must be finite and non-negative.
-///
-/// Returned by [`EventQueue::try_push`]; the panicking [`EventQueue::push`]
-/// wraps the same check for call sites whose times are correct by
-/// construction (the engine's delay models only emit finite sums).
+/// A simulated time outside the finite, non-negative range: an event time
+/// [`EventQueue::try_push`] refuses, or a time
+/// [`SimClock::try_advance`](crate::SimClock::try_advance) refuses to
+/// reach. The panicking [`EventQueue::push`] and `SimClock::advance` make
+/// the same checks for call sites whose times are correct by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvalidEventTime {
     /// The offending time, as given.
@@ -54,7 +55,7 @@ impl std::fmt::Display for InvalidEventTime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "events must be scheduled at a finite, non-negative time (got {})",
+            "a simulated time must be a finite, non-negative number of seconds (got {})",
             self.time_s
         )
     }

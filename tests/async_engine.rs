@@ -202,7 +202,9 @@ fn churn_schedules_gate_selection_and_can_lose_in_flight_uploads() {
 
     // Offline clients are never selected: every scheduled pass respects
     // the profile's churn schedule.
-    let profiles = scenario.config().profiles.build_profiles(6);
+    let profiles: Vec<_> = (0..6)
+        .map(|i| scenario.config().profiles.profile_of(i, 6))
+        .collect();
     for event in &trace {
         if event.kind == EventKind::TrainingScheduled {
             assert!(
@@ -262,7 +264,9 @@ fn a_fully_churning_population_fast_forwards_instead_of_aborting() {
     let result = run.into_result();
     assert_eq!(result.outcomes.len(), rounds, "no round aborts");
     // Scheduling still respects every churn schedule.
-    let profiles = scenario.config().profiles.build_profiles(4);
+    let profiles: Vec<_> = (0..4)
+        .map(|i| scenario.config().profiles.profile_of(i, 4))
+        .collect();
     for event in &trace {
         if event.kind == EventKind::TrainingScheduled {
             assert!(profiles[event.client_id as usize].is_online(event.time_s));

@@ -309,10 +309,11 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
     config.fl.model = ModelKind::default_mnist();
 
     // A delay model the engines cannot run, a nonce search that is not
-    // the serial one, and clustering parameters the algorithms assert on
-    // fail validation instead of panicking mid-run.
+    // the serial one, clustering parameters the algorithms assert on and
+    // a reward pool the milli-unit ledger cannot hold fail validation
+    // instead of panicking mid-run.
     type Edit = fn(&mut BflConfig);
-    let rows: [(Edit, &str); 9] = [
+    let rows: [(Edit, &str); 10] = [
         (
             |c| c.delay.miner_hash_rate = 0.0,
             "delay.miner_hash_rate must be finite and positive, got 0",
@@ -368,6 +369,10 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
             },
             "DBSCAN min_points must be at least 1, got 0",
         ),
+        (
+            |c| c.reward_base = 1e17,
+            "reward_base 100000000000000000 pays",
+        ),
     ];
     for (edit, needle) in rows {
         let mut hostile = config;
@@ -392,4 +397,34 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
         .unwrap()
         .start(&train, &test)
         .is_ok());
+}
+
+/// Delays each finite on its own but whose sums leave `f64`'s range end
+/// the run with an error naming the round, in the lockstep, event and
+/// chain-only engines alike, instead of panicking in the clock or the
+/// event queue.
+#[test]
+fn simulated_time_past_the_finite_range_ends_the_run_with_an_error() {
+    use fair_bfl::core::SyncMode;
+    let (train, test) = small_dataset();
+    let mut configs = [2, 3, 3, 2].map(small_config);
+    configs[0].delay.local_step_seconds = 1e308;
+    configs[1].profiles.uplink = fair_bfl::net::DelayDistribution::Constant(1e308);
+    configs[2].profiles.straggler_slowdown = 1e308;
+    configs[2].profiles.straggler_fraction = 1.0;
+    for config in &mut configs[1..3] {
+        config.sync = SyncMode::FlexibleQuota { quota: 3 };
+    }
+    configs[3].mode = FlexibilityMode::ChainOnly;
+    configs[3].delay.baseline_tx_process_s = 1e308;
+    for config in configs {
+        let scenario = Scenario::from_config(config).expect("every delay is finite");
+        let mut run = scenario.start(&train, &test).unwrap();
+        let err = run.run_to_completion().unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+        let needle = "simulated time reached inf s, past the finite range";
+        assert!(err.to_string().contains(needle), "{err}");
+        assert!(err.to_string().contains("round "), "{err}");
+        assert!(run.step().unwrap().is_none(), "the run ended");
+    }
 }
