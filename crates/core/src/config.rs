@@ -191,25 +191,29 @@ pub enum ProvisioningMode {
     },
 }
 
-/// How Procedure IV consumes a round's uploads.
+/// Where a flexible round runs Algorithm 2.
 ///
-/// The materialized mode buffers every admitted upload until the quota is
-/// met and runs Algorithm 2 once over the full set — O(quota) gradient
-/// vectors held at peak. The streaming mode folds completed chunks into
-/// running fair-aggregation accumulators as they arrive, holding at most
-/// `chunk` gradients at a time, so a 10k-participant round no longer needs
-/// 10k × dim floats of residency.
+/// Either way the event engine's one fold drains the pending pool into
+/// the round's tally (admitted and stale counts, losses, forged ids); the
+/// mode decides only the committee. The materialized mode buffers every
+/// admitted upload until the quota is met and runs Algorithm 2 once over
+/// the full set — O(quota) gradient vectors held at peak. The streaming
+/// mode runs it on each completed chunk and folds the kept uploads into
+/// one running weighted sum, holding at most `chunk` gradients at a time,
+/// so a 10k-participant round no longer needs 10k × dim floats of
+/// residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum AggregationMode {
-    /// Buffer the full round, aggregate once. The PR 4–6 behaviour,
-    /// bit-identical.
+    /// Buffer the full round and analyse it as one committee at the seal,
+    /// through `compute_global_update` — the synchronous engine's path.
     #[default]
     Materialized,
     /// Fold uploads chunk-by-chunk on the event engine. Algorithm 2's
     /// clustering and θ scores are computed per chunk (the chunk acts as
     /// the committee), contribution weights compose linearly across chunks
-    /// because Equation 1 is a weighted mean, and rewards are settled once
-    /// per round over the concatenated θ scores.
+    /// because Equation 1 is a weighted mean (plain averaging is the θ = 1
+    /// case), and rewards are settled once per round over the
+    /// concatenated θ scores.
     Streaming {
         /// Uploads folded per chunk (>= 1).
         chunk: usize,
@@ -820,7 +824,7 @@ mod tests {
     #[test]
     fn invalid_delay_models_rejected() {
         type Edit = fn(&mut DelayModel);
-        let cases: [(Edit, &str); 8] = [
+        let cases: [(Edit, &str); 9] = [
             (
                 |d| d.miner_hash_rate = 0.0,
                 "delay.miner_hash_rate must be finite and positive, got 0",
@@ -852,6 +856,11 @@ mod tests {
             (
                 |d| d.fork.resolution_overhead_s = f64::NAN,
                 "delay.fork.resolution_overhead_s",
+            ),
+            (
+                |d| d.baseline_tx_bytes = 524_289,
+                "delay.baseline_tx_bytes must fit in a block of delay.max_block_bytes = 524288, \
+                 got 524289",
             ),
         ];
         for (edit, needle) in cases {

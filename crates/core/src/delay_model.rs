@@ -123,8 +123,15 @@ impl DelayModel {
     /// Validates what the engines sample, divide by and schedule with, so
     /// a model they cannot run fails here instead of panicking mid-run: a
     /// positive, finite hash rate and link bandwidths, valid latency
-    /// distributions on both links, and finite, non-negative seconds.
+    /// distributions on both links, finite, non-negative seconds, and a
+    /// chain-only transaction that fits in a block.
     pub fn validate(&self) -> Result<(), CoreError> {
+        if self.baseline_tx_bytes > self.max_block_bytes {
+            return Err(CoreError::invalid(format!(
+                "delay.baseline_tx_bytes must fit in a block of delay.max_block_bytes = {}, got {}",
+                self.max_block_bytes, self.baseline_tx_bytes
+            )));
+        }
         let check = |ok: bool, field: &str, want: &str, value: f64| {
             if ok {
                 Ok(())

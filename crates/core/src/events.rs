@@ -39,11 +39,12 @@
 //!   client cannot know its upload will arrive late.)
 //! * **Procedures III–V** fire when the *flexible block quota* `K` of
 //!   uploads has arrived — the paper's flexible block size — rather than
-//!   when every participant reports: the miner drains the pending pool,
-//!   computes the global update under the scenario's anchor/reward
-//!   policies, and seals the block at the quota's simulated time. From
-//!   the Procedure-IV hand-off on, the round is the lockstep engine's:
-//!   one `SealedRound`, one `adopt`, one `finish_round` (`engine.rs`).
+//!   when every participant reports. Uploads leave the pending pool
+//!   through the round's one fold, which tallies them and runs Algorithm 2
+//!   and Equation 1 under the scenario's anchor/reward policies; the block
+//!   seals at the quota's simulated time. From the Procedure-IV hand-off
+//!   on, the round is the lockstep engine's: one `SealedRound`, one
+//!   `adopt`, one `finish_round` (`engine.rs`).
 //!
 //! ## Fault injection
 //!
@@ -93,11 +94,12 @@
 //! no later than the upload's admission, against the commissioning
 //! round's snapshot of the global parameters (a pure function, so retries
 //! and duplicates resolve identically), and the client signs at
-//! admission — and Procedure-IV folds arrivals chunk by chunk: each
+//! admission — and the round's fold drains the pool chunk by chunk: each
 //! full chunk runs Algorithm 2 as its own clustering committee and is
-//! absorbed into running aggregation sums, so no round ever holds more
-//! than one chunk of gradients. Rewards still settle exactly once per
-//! round over the concatenated θ scores. Streaming requires the mean
+//! absorbed into one running weighted sum, so no round ever holds more
+//! than one chunk of gradients. (A materialized round is one committee,
+//! analysed at the seal.) Rewards still settle exactly once per round
+//! over the concatenated θ scores. Streaming requires the mean
 //! anchor (the only anchor whose aggregation composes across chunks) and
 //! a plan without crashes or partitions (crash purges and partition
 //! strands cannot un-fold an absorbed chunk); validation enforces both.
@@ -866,15 +868,9 @@ fn step_flexible_inner(
         return Err(CoreError::EmptyRound { round });
     }
 
-    // The streaming fold: absorbed chunks count toward the quota even
-    // though `rt.arrived` (now a chunk buffer, not the round's full set)
-    // has been drained into the running sums.
-    let mut fold = match config.aggregation {
-        AggregationMode::Streaming { chunk } => {
-            Some(StreamFold::new(chunk, state.global_params.len()))
-        }
-        AggregationMode::Materialized => None,
-    };
+    // The round's one Procedure-IV fold: what it has absorbed counts
+    // toward the quota even though `rt.arrived` no longer holds it.
+    let mut fold = RoundFold::new(config, round, round_start, state.global_params.len());
 
     // Pump the queue until the quota is reached (or nothing is left in
     // flight — churn losses, drops and rejections can shrink a round, and
@@ -886,8 +882,11 @@ fn step_flexible_inner(
     // One event at a time, in `(time, seq)` order: the quota and the
     // deadline are checked before each pop, and whatever the round seals
     // without simply stays queued.
-    while rt.arrived.len() + fold.as_ref().map_or(0, |f| f.admitted) < target {
-        let pending = rt.arrived.len() + fold.as_ref().map_or(0, |f| f.admitted);
+    loop {
+        let pending = fold.pending(rt);
+        if pending >= target {
+            break;
+        }
         let Some(time) = rt.queue.peek_time() else {
             break;
         };
@@ -962,13 +961,11 @@ fn step_flexible_inner(
                     rt.record(time, round, born_round, id, EventKind::DuplicateIgnored);
                     continue;
                 }
-                // Streaming: a deferred ticket about to be opened brings
-                // the deferred arrivals queued right behind it along, as
-                // far as the chunk buffer and the quota have room.
-                if let Some(fold) = fold.as_ref() {
-                    let room = (fold.chunk - rt.arrived.len()).min(target - pending);
-                    resolve_run_ahead(state, rt, config, round, room, &upload);
-                }
+                // A deferred ticket about to be opened brings the deferred
+                // arrivals queued right behind it along, as far as the
+                // chunk buffer and the quota have room.
+                let room = (fold.chunk - rt.arrived.len()).min(target - pending);
+                resolve_run_ahead(state, rt, config, round, room, &upload);
                 let kind = admit_upload(state, rt, config, round, upload, miner, corrupt);
                 rt.record(time, round, born_round, id, kind);
                 match kind {
@@ -982,12 +979,11 @@ fn step_flexible_inner(
                     _ => {}
                 }
                 // Streaming: a full chunk is absorbed into the running
-                // sums immediately, keeping the pending pool bounded by
-                // the chunk size.
-                if let Some(fold) = fold.as_mut() {
-                    if rt.arrived.len() >= fold.chunk {
-                        fold.flush(rt, config, round, round_start);
-                    }
+                // sum immediately, keeping the pending pool bounded by the
+                // chunk size. A materialized chunk is never full.
+                if rt.arrived.len() >= fold.chunk {
+                    let chunk = fold.drain(rt);
+                    fold.absorb(chunk, config);
                 }
             }
         }
@@ -997,13 +993,14 @@ fn step_flexible_inner(
     // deferred and resolve again, identically, when they do arrive.
     rt.parked.clear();
 
-    if rt.arrived.len() + fold.as_ref().map_or(0, |f| f.admitted) == 0 {
+    let pending = fold.pending(rt);
+    if pending == 0 {
         return Err(CoreError::EmptyRound { round });
     }
     // Only record the quota as *reached* when it actually was: churn
     // losses and rejections can drain the queue short, in which case the
     // round seals with what arrived but the trace must not claim K.
-    if rt.arrived.len() + fold.as_ref().map_or(0, |f| f.admitted) >= target {
+    if pending >= target {
         rt.record(quota_time, round, round, u64::MAX, EventKind::QuotaReached);
     } else if deadline_hit {
         let expired = deadline.expect("deadline_hit implies a deadline");
@@ -1017,55 +1014,8 @@ fn step_flexible_inner(
     let mempool_depth_at_seal = rt.arrived.len();
 
     // Procedure-IV at the quota's simulated time, under the scenario's
-    // anchor and reward policies. The materialized path assembles the
-    // round's full gradient set and runs `compute_global_update` exactly
-    // as the synchronous engine does; the streaming path absorbs the
-    // final partial chunk and seals the fold's running sums.
-    let (mut sealed, max_own_finish) = match fold {
-        Some(mut fold) => {
-            fold.flush(rt, config, round, round_start);
-            fold.seal(round, config, reward_policy)
-        }
-        None => {
-            // The miner drains its pending pool: the round's gradient set,
-            // ordered by client id.
-            let arrived = std::mem::take(&mut rt.arrived);
-            let stale_included = arrived.values().filter(|a| a.born_round < round).count();
-            let max_own_finish = arrived
-                .values()
-                .filter(|a| a.born_round == round)
-                .map(|a| a.train_finished_s - round_start)
-                .fold(0.0f64, f64::max);
-            // The round record averages the losses of the passes that
-            // actually entered the block (never empty here), so a
-            // stale-heavy round reports its real training loss instead of
-            // a 0.0 sentinel.
-            let train_loss =
-                arrived.values().map(|a| a.final_epoch_loss).sum::<f64>() / arrived.len() as f64;
-            let merged: Vec<VerifiedUpload> = arrived.into_values().map(|a| a.upload).collect();
-            // Ground truth for the detection row: the forged uploads *in
-            // this block* — a stale attacker is attributed to the round
-            // whose block (and Algorithm 2 pass) it actually entered,
-            // keeping attacker and dropped sets over the same population.
-            let block_attackers: Vec<u64> = merged
-                .iter()
-                .filter(|u| u.forged)
-                .map(|u| u.client_id)
-                .collect();
-            let global = global_update::compute_global_update(
-                &merged,
-                &GlobalUpdatePolicy::for_round(config, round, reward_policy),
-            );
-            let sealed = SealedRound::from_global_update(
-                global,
-                merged.len(),
-                stale_included,
-                train_loss,
-                block_attackers,
-            );
-            (sealed, max_own_finish)
-        }
-    };
+    // anchor and reward policies.
+    let (mut sealed, max_own_finish) = fold.seal(rt, config, reward_policy);
     state.adopt(&mut sealed);
 
     // The round's delay breakdown, read off the event clock: the wait for
@@ -1182,79 +1132,97 @@ fn step_flexible_inner(
     Ok(state.finish_round(round, sealed, breakdown, block_hash, kpi))
 }
 
-/// The streaming Procedure-IV fold: uploads are absorbed chunk by chunk
-/// into running aggregation sums, so a round's live gradient memory is
-/// bounded by the chunk size instead of the quota.
+/// A flexible round's one Procedure-IV fold. Uploads enter it as they
+/// leave the pending pool, and it tallies them: the admitted count the
+/// quota reads, the stale count, the slowest own-round pass, the loss sum
+/// and the forged ids.
 ///
-/// Each full chunk runs Algorithm 2 as its own clustering committee
-/// (anchor, clustering, θ over the chunk); the kept uploads are folded
-/// into `Σ θᵢ·uᵢ / Σ θᵢ` (Equation 1 — exactly the composition the mean
-/// anchor admits, which is why validation requires it) or a plain running
-/// mean when fair aggregation is off. Rewards are **not** settled per
-/// chunk — the proportional policy normalizes per call, so θ scores
-/// concatenate across chunks and settle exactly once at
-/// [`StreamFold::seal`].
-struct StreamFold {
+/// [`AggregationMode`] decides only where Algorithm 2 runs. A materialized
+/// round is one committee, analysed by `compute_global_update` at the
+/// seal. A streaming round runs it on each full chunk as its own committee
+/// and folds the kept uploads into one running `Σ wᵢ·uᵢ / Σ wᵢ` — w = θ
+/// under fair aggregation (Equation 1, the composition the mean anchor
+/// admits, which is why validation requires it), 1 under plain averaging
+/// — so it never holds more than one chunk of gradients. Rewards settle
+/// once, at [`RoundFold::seal`], over the concatenated θ scores: the
+/// proportional policy normalizes per call.
+struct RoundFold {
+    round: usize,
+    round_start: f64,
+    /// Uploads per committee: the streaming chunk, or `usize::MAX` for a
+    /// materialized round, whose pool never fills before the seal.
     chunk: usize,
-    /// Uploads absorbed so far (they count toward the quota).
+    /// Uploads drained from the pool so far (they count toward the quota).
     admitted: usize,
-    /// Σ θᵢ·uᵢ over kept uploads (fair aggregation).
+    stale_included: usize,
+    max_own_finish: f64,
+    /// The round record averages the losses of the passes that entered
+    /// the block, so a stale-heavy round reports its real training loss.
+    loss_sum: f64,
+    /// The detection row's ground truth: forged uploads in this block (a
+    /// stale attacker counts in the round whose block it entered).
+    forged: Vec<u64>,
+    /// Σ wᵢ·uᵢ over kept uploads (streaming only; empty when
+    /// materialized).
     weighted_sum: Vec<f64>,
-    /// Σ θᵢ over kept uploads (fair aggregation).
+    /// Σ wᵢ over kept uploads (streaming only).
     weight_sum: f64,
-    /// Σ uᵢ over kept uploads (plain averaging).
-    plain_sum: Vec<f64>,
-    /// Kept-upload count (plain averaging).
-    kept_count: usize,
     /// Concatenated (id, θ) high-contribution pairs across chunks.
     scores: Vec<(u64, f64)>,
     /// Concatenated low-contribution ids across chunks.
     low: Vec<u64>,
-    /// Forged uploads absorbed into the block.
-    forged: Vec<u64>,
-    stale_included: usize,
-    max_own_finish: f64,
-    loss_sum: f64,
 }
 
-impl StreamFold {
-    fn new(chunk: usize, dim: usize) -> Self {
-        StreamFold {
-            chunk: chunk.max(1),
+impl RoundFold {
+    fn new(config: &BflConfig, round: usize, round_start: f64, dim: usize) -> Self {
+        let (chunk, dim) = match config.aggregation {
+            AggregationMode::Streaming { chunk } => (chunk, dim),
+            AggregationMode::Materialized => (usize::MAX, 0),
+        };
+        RoundFold {
+            round,
+            round_start,
+            chunk,
             admitted: 0,
-            weighted_sum: vec![0.0; dim],
-            weight_sum: 0.0,
-            plain_sum: vec![0.0; dim],
-            kept_count: 0,
-            scores: Vec::new(),
-            low: Vec::new(),
-            forged: Vec::new(),
             stale_included: 0,
             max_own_finish: 0.0,
             loss_sum: 0.0,
+            forged: Vec::new(),
+            weighted_sum: vec![0.0; dim],
+            weight_sum: 0.0,
+            scores: Vec::new(),
+            low: Vec::new(),
         }
     }
 
-    /// Drains the pending pool and absorbs the chunk into the running
-    /// sums.
-    fn flush(&mut self, rt: &mut AsyncRuntime, config: &BflConfig, round: usize, round_start: f64) {
-        if rt.arrived.is_empty() {
-            return;
-        }
-        let chunk = std::mem::take(&mut rt.arrived);
-        self.admitted += chunk.len();
-        self.stale_included += chunk.values().filter(|a| a.born_round < round).count();
-        self.max_own_finish = chunk
+    /// Uploads the round holds: the pending pool plus what it has drained.
+    fn pending(&self, rt: &AsyncRuntime) -> usize {
+        rt.arrived.len() + self.admitted
+    }
+
+    /// Drains the pending pool into the round's tally and returns its
+    /// uploads, ordered by client id.
+    fn drain(&mut self, rt: &mut AsyncRuntime) -> Vec<VerifiedUpload> {
+        let pool = std::mem::take(&mut rt.arrived);
+        self.admitted += pool.len();
+        self.stale_included += pool.values().filter(|a| a.born_round < self.round).count();
+        self.max_own_finish = pool
             .values()
-            .filter(|a| a.born_round == round)
-            .map(|a| a.train_finished_s - round_start)
+            .filter(|a| a.born_round == self.round)
+            .map(|a| a.train_finished_s - self.round_start)
             .fold(self.max_own_finish, f64::max);
-        self.loss_sum += chunk.values().map(|a| a.final_epoch_loss).sum::<f64>();
-        let uploads: Vec<VerifiedUpload> = chunk.into_values().map(|a| a.upload).collect();
+        self.loss_sum += pool.values().map(|a| a.final_epoch_loss).sum::<f64>();
+        let uploads: Vec<VerifiedUpload> = pool.into_values().map(|a| a.upload).collect();
         self.forged
             .extend(uploads.iter().filter(|u| u.forged).map(|u| u.client_id));
+        uploads
+    }
 
-        // Algorithm 2 over the chunk committee.
+    /// Streaming: absorbs one chunk committee into the running sum.
+    fn absorb(&mut self, uploads: Vec<VerifiedUpload>, config: &BflConfig) {
+        if uploads.is_empty() {
+            return;
+        }
         let refs: Vec<(u64, &[f64])> = uploads
             .iter()
             .map(|u| (u.client_id, u.params.as_slice()))
@@ -1265,70 +1233,61 @@ impl StreamFold {
         for ((_, params), theta) in refs.iter().zip(&analysis.theta_by_upload) {
             // Kept-but-low uploads (the keep strategy) weigh in at the
             // floor, mirroring `compute_global_update`.
-            let theta = match theta {
-                Some(theta) => *theta,
+            let weight = match theta {
                 None if discards => continue,
+                _ if !config.fair_aggregation => 1.0,
+                Some(theta) => *theta,
                 None => WEIGHT_FLOOR,
             };
-            if config.fair_aggregation {
-                for (acc, &v) in self.weighted_sum.iter_mut().zip(*params) {
-                    *acc += theta * v;
-                }
-                self.weight_sum += theta;
-            } else {
-                for (acc, &v) in self.plain_sum.iter_mut().zip(*params) {
-                    *acc += v;
-                }
-                self.kept_count += 1;
+            for (acc, &v) in self.weighted_sum.iter_mut().zip(*params) {
+                *acc += weight * v;
             }
+            self.weight_sum += weight;
         }
         self.scores.extend(analysis.high_contribution);
-        self.low.extend(analysis.low_contribution);
+        if discards {
+            self.low.extend(analysis.low_contribution);
+        }
     }
 
-    /// Settles the round: normalizes the running sums into the global
-    /// parameters and pays rewards exactly once over the concatenated
-    /// θ scores (sorted by client id, the materialized path's order).
-    /// Returns the hand-off with, beside it, the slowest counted own-round
-    /// local pass (the event clock's `T_local`).
+    /// Settles the round over what the pool still holds. Returns the
+    /// hand-off with, beside it, the slowest counted own-round local pass
+    /// (the event clock's `T_local`).
     fn seal(
-        self,
-        round: usize,
+        mut self,
+        rt: &mut AsyncRuntime,
         config: &BflConfig,
         reward_policy: &dyn RewardPolicy,
     ) -> (SealedRound, f64) {
-        debug_assert!(self.admitted > 0, "sealing an empty fold");
-        let global_params: Vec<f64> = if config.fair_aggregation {
-            self.weighted_sum
-                .iter()
-                .map(|&v| v / self.weight_sum)
-                .collect()
+        let uploads = self.drain(rt);
+        let train_loss = self.loss_sum / self.admitted as f64;
+        let sealed = if config.aggregation.is_streaming() {
+            // The final partial chunk; then rewards are paid exactly once
+            // over the concatenated θ scores, sorted by client id (the
+            // materialized order).
+            self.absorb(uploads, config);
+            self.scores.sort_unstable_by_key(|entry| entry.0);
+            self.low.sort_unstable();
+            self.forged.sort_unstable();
+            SealedRound {
+                participants: self.admitted,
+                stale_included: self.stale_included,
+                train_loss,
+                global_params: self
+                    .weighted_sum
+                    .iter()
+                    .map(|&v| v / self.weight_sum)
+                    .collect(),
+                rewards: reward_policy.round_rewards(self.round, &self.scores),
+                high_contributors: self.scores.len(),
+                attackers: self.forged,
+                dropped: self.low,
+            }
         } else {
-            self.plain_sum
-                .iter()
-                .map(|&v| v / self.kept_count.max(1) as f64)
-                .collect()
-        };
-        let mut scores = self.scores;
-        scores.sort_unstable_by_key(|entry| entry.0);
-        let rewards = reward_policy.round_rewards(round, &scores);
-        let mut dropped = if config.strategy.discards() {
-            self.low
-        } else {
-            Vec::new()
-        };
-        dropped.sort_unstable();
-        let mut block_attackers = self.forged;
-        block_attackers.sort_unstable();
-        let sealed = SealedRound {
-            participants: self.admitted,
-            stale_included: self.stale_included,
-            train_loss: self.loss_sum / self.admitted as f64,
-            attackers: block_attackers,
-            global_params,
-            rewards,
-            dropped,
-            high_contributors: scores.len(),
+            let policy = GlobalUpdatePolicy::for_round(config, self.round, reward_policy);
+            let global = global_update::compute_global_update(&uploads, &policy);
+            let (participants, stale) = (self.admitted, self.stale_included);
+            SealedRound::from_global_update(global, participants, stale, train_loss, self.forged)
         };
         (sealed, self.max_own_finish)
     }

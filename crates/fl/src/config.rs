@@ -127,6 +127,15 @@ impl FlConfig {
             PartitionKind::ShardNonIid {
                 shards_per_client: 0,
             } => Err("shard partition needs shards_per_client >= 1, got 0".into()),
+            PartitionKind::ShardNonIid { shards_per_client }
+                if self.clients.checked_mul(shards_per_client).is_none() =>
+            {
+                Err(format!(
+                    "shard partition needs clients × shards_per_client to fit in usize, got {} \
+                     clients × shards_per_client {shards_per_client}",
+                    self.clients
+                ))
+            }
             PartitionKind::Dirichlet { alpha } if !(alpha.is_finite() && alpha > 0.0) => Err(
                 format!("Dirichlet concentration alpha must be finite and positive, got {alpha}"),
             ),
@@ -265,6 +274,21 @@ mod tests {
         .unwrap_err();
         assert!(
             err.contains("shards_per_client") && err.contains('0'),
+            "{err}"
+        );
+        // A product that wraps would divide by zero (or split the wrong
+        // shard count) inside the partitioner.
+        let huge = 1 << (usize::BITS - 1);
+        let err = FlConfig {
+            clients: 2,
+            ..with(PartitionKind::ShardNonIid {
+                shards_per_client: huge,
+            })
+        }
+        .validate()
+        .unwrap_err();
+        assert!(
+            err.contains(&format!("2 clients × shards_per_client {huge}")),
             "{err}"
         );
         for alpha in [0.0, -1.5, f64::NAN, f64::INFINITY] {

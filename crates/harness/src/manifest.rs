@@ -953,6 +953,16 @@ mod tests {
                 r#""base": {"reward_base": 1e17}"#.to_string(),
                 ["base", "reward_base", "past 2^53"],
             ),
+            (
+                fl(r#"{"ShardNonIid": {"shards_per_client": 9223372036854775808}}"#),
+                ["base", "shards_per_client", "9223372036854775808"],
+            ),
+            (
+                r#""base": {"fl": {"clients": 4, "rounds": 1}, "mode": "ChainOnly",
+                    "delay": {"baseline_tx_bytes": 18446744073709551615}}"#
+                    .to_string(),
+                ["base", "delay.baseline_tx_bytes", "18446744073709551615"],
+            ),
         ] {
             let err = parse(&format!(", {extra}")).unwrap_err();
             for needle in needles {

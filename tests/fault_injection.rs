@@ -11,8 +11,8 @@ mod common;
 use common::{full_participation_fl, run_digest, run_grid, small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
-    BflConfig, EventRecord, ProfileConfig, ProvisioningMode, ReorgPolicy, RetryPolicy, Scenario,
-    SimulationResult, StalenessPolicy, SyncMode,
+    AggregationMode, BflConfig, EventRecord, ProfileConfig, ProvisioningMode, ReorgPolicy,
+    RetryPolicy, Scenario, SimulationResult, StalenessPolicy, SyncMode,
 };
 use fair_bfl::fl::config::{FlConfig, PartitionKind};
 use fair_bfl::ml::optimizer::LocalTrainingConfig;
@@ -526,6 +526,59 @@ fn trace_digest(trace: &[EventRecord]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// A signed scenario with stragglers, `DecayedInclude` and drop,
+/// duplicate and corrupt faults under backoff retries: 30 implicit
+/// clients, 40% of them a round.
+fn signed_faulty_scenario(provisioning: ProvisioningMode) -> Scenario {
+    Scenario::from_config(BflConfig {
+        fl: FlConfig {
+            clients: 30,
+            rounds: 5,
+            participation_ratio: 0.4,
+            partition: PartitionKind::ImplicitIid {
+                samples_per_client: 6,
+            },
+            local: LocalTrainingConfig {
+                epochs: 1,
+                batch_size: 10,
+                ..LocalTrainingConfig::default()
+            },
+            seed: 29,
+            ..FlConfig::default()
+        },
+        miners: 3,
+        verify_signatures: true,
+        rsa_modulus_bits: 256,
+        provisioning,
+        sync: SyncMode::FlexibleQuota { quota: 8 },
+        staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
+        profiles: ProfileConfig {
+            straggler_slowdown: 6.0,
+            straggler_fraction: 0.25,
+            uplink: DelayDistribution::Constant(0.05),
+            ..ProfileConfig::default()
+        },
+        fault: FaultPlan {
+            uplink: LinkFaults {
+                drop_rate: 0.15,
+                duplicate_rate: 0.2,
+                corrupt_rate: 0.25,
+                ..LinkFaults::default()
+            },
+            ..FaultPlan::default()
+        },
+        retry: RetryPolicy::Backoff {
+            max_attempts: 3,
+            timeout_s: 1.0,
+            base_s: 0.5,
+            factor: 2.0,
+            jitter_s: 0.1,
+        },
+        ..BflConfig::default()
+    })
+    .unwrap()
+}
+
 /// Procedure II moved: clients now sign inside Procedure I's fan-out and
 /// the signature rides the upload through every fault, instead of the
 /// event pump signing at each admission. Raw RSA draws no randomness, so
@@ -541,63 +594,15 @@ fn signed_faulty_rounds_replay_the_pre_change_goldens_at_any_fan_out_and_provisi
     const TRACE: &str = "3ee6f4f747f138e049dcfd59f1ae0dfc8b9851cc94247bc04f8526664a04ff01";
 
     let (train, test) = small_dataset();
-    let scenario = |provisioning: ProvisioningMode| {
-        Scenario::from_config(BflConfig {
-            fl: FlConfig {
-                clients: 30,
-                rounds: 5,
-                participation_ratio: 0.4,
-                partition: PartitionKind::ImplicitIid {
-                    samples_per_client: 6,
-                },
-                local: LocalTrainingConfig {
-                    epochs: 1,
-                    batch_size: 10,
-                    ..LocalTrainingConfig::default()
-                },
-                seed: 29,
-                ..FlConfig::default()
-            },
-            miners: 3,
-            verify_signatures: true,
-            rsa_modulus_bits: 256,
-            provisioning,
-            sync: SyncMode::FlexibleQuota { quota: 8 },
-            staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
-            profiles: ProfileConfig {
-                straggler_slowdown: 6.0,
-                straggler_fraction: 0.25,
-                uplink: DelayDistribution::Constant(0.05),
-                ..ProfileConfig::default()
-            },
-            fault: FaultPlan {
-                uplink: LinkFaults {
-                    drop_rate: 0.15,
-                    duplicate_rate: 0.2,
-                    corrupt_rate: 0.25,
-                    ..LinkFaults::default()
-                },
-                ..FaultPlan::default()
-            },
-            retry: RetryPolicy::Backoff {
-                max_attempts: 3,
-                timeout_s: 1.0,
-                base_s: 0.5,
-                factor: 2.0,
-                jitter_s: 0.1,
-            },
-            ..BflConfig::default()
-        })
-        .unwrap()
-    };
-
     for provisioning in [
         ProvisioningMode::Eager,
         ProvisioningMode::Lazy { cache_budget: 12 },
     ] {
         for threads in [1usize, 2, 8] {
             let (trace, result) = fair_bfl::ml::par::with_thread_limit(threads, || {
-                let mut run = scenario(provisioning).start(&train, &test).unwrap();
+                let mut run = signed_faulty_scenario(provisioning)
+                    .start(&train, &test)
+                    .unwrap();
                 run.run_to_completion().unwrap();
                 (run.event_trace().to_vec(), run.into_result())
             });
@@ -625,6 +630,113 @@ fn signed_faulty_rounds_replay_the_pre_change_goldens_at_any_fan_out_and_provisi
             let context = format!("{provisioning:?}, {threads} thread(s)");
             assert_eq!(run_digest(&result), RUN, "run digest, {context}");
             assert_eq!(trace_digest(&trace), TRACE, "event trace, {context}");
+        }
+    }
+}
+
+/// The trace agrees with the round record: for every round of an
+/// event-engine run, each `KpiRow` counter equals the tally of the
+/// `EventRecord` kinds it counts, and — none of these runs crashes a
+/// miner, whose purge also records `UploadLost` — the uploads a block
+/// carries are exactly the round's admissions, its stale ones exactly
+/// the round's `StaleIncluded` records.
+#[test]
+fn kpi_counters_and_round_tallies_equal_the_trace() {
+    use EventKind::*;
+    let (train, test) = small_dataset();
+    let stragglers = ProfileConfig {
+        straggler_slowdown: 6.0,
+        straggler_fraction: 0.25,
+        uplink: DelayDistribution::Constant(0.05),
+        ..ProfileConfig::default()
+    };
+    let materialized = BflConfig {
+        fl: full_participation_fl(8, 4, 42),
+        miners: 2,
+        verify_signatures: false,
+        sync: SyncMode::FlexibleQuota { quota: 5 },
+        staleness: StalenessPolicy::DecayedInclude { decay: 0.5 },
+        profiles: stragglers,
+        ..BflConfig::default()
+    };
+    let streaming = BflConfig {
+        aggregation: AggregationMode::Streaming { chunk: 2 },
+        ..materialized
+    };
+    let partition = FaultPlan {
+        partition: Some(Partition {
+            start_s: 2.0,
+            duration_s: 25.0,
+            boundary: 2,
+        }),
+        ..FaultPlan::default()
+    };
+    // Quota 8 waits for the stragglers; a deadline at half the first
+    // such round seals without them.
+    let patient = BflConfig {
+        sync: SyncMode::FlexibleQuota { quota: 8 },
+        ..materialized
+    };
+    let patient_run = Scenario::from_config(patient).unwrap().run(&train, &test);
+    let round1_s = patient_run.unwrap().outcomes[0].elapsed_s;
+    let deadline = BflConfig {
+        fault: FaultPlan {
+            deadline_s: round1_s * 0.5,
+            ..FaultPlan::default()
+        },
+        ..patient
+    };
+    // Each scenario, and a record kind it must produce.
+    let cases = [
+        (
+            "materialized",
+            Scenario::from_config(materialized).unwrap(),
+            StaleIncluded,
+        ),
+        (
+            "streaming",
+            Scenario::from_config(streaming).unwrap(),
+            StaleIncluded,
+        ),
+        (
+            "signed-faulty",
+            signed_faulty_scenario(ProvisioningMode::Eager),
+            UploadRetried,
+        ),
+        (
+            "partition-salvage",
+            faulted_scenario(8, 3, partition, RetryPolicy::None, ReorgPolicy::Salvage),
+            UploadStranded,
+        ),
+        (
+            "deadline",
+            Scenario::from_config(deadline).unwrap(),
+            DeadlineSealed,
+        ),
+    ];
+    for (label, scenario, exercised) in cases {
+        let mut run = scenario.start(&train, &test).unwrap();
+        run.run_to_completion().unwrap();
+        let trace = run.event_trace().to_vec();
+        let result = run.into_result();
+        assert!(trace.iter().any(|e| e.kind == exercised), "{label}");
+        for o in &result.outcomes {
+            let count = |kinds: &[EventKind]| {
+                trace
+                    .iter()
+                    .filter(|e| e.round == o.round && kinds.contains(&e.kind))
+                    .count()
+            };
+            for (value, kinds) in [
+                (o.kpi.stale_discarded, &[StaleDiscarded][..]),
+                (o.kpi.dropped_uploads, &[UploadLost, UploadDropped]),
+                (o.kpi.retried_uploads, &[UploadRetried]),
+                (o.participants, &[UploadArrived, StaleIncluded]),
+                (o.stale_included, &[StaleIncluded]),
+                (o.kpi.stale_included, &[StaleIncluded]),
+            ] {
+                assert_eq!(value, count(kinds), "{label}, round {}, {kinds:?}", o.round);
+            }
         }
     }
 }

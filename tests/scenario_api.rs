@@ -309,11 +309,12 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
     config.fl.model = ModelKind::default_mnist();
 
     // A delay model the engines cannot run, a nonce search that is not
-    // the serial one, clustering parameters the algorithms assert on and
-    // a reward pool the milli-unit ledger cannot hold fail validation
-    // instead of panicking mid-run.
+    // the serial one, clustering parameters the algorithms assert on, a
+    // reward pool the milli-unit ledger cannot hold, a shard count that
+    // overflows and a chain-only transaction no block can hold fail
+    // validation instead of panicking mid-run.
     type Edit = fn(&mut BflConfig);
-    let rows: [(Edit, &str); 10] = [
+    let rows: [(Edit, &str); 12] = [
         (
             |c| c.delay.miner_hash_rate = 0.0,
             "delay.miner_hash_rate must be finite and positive, got 0",
@@ -372,6 +373,21 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
         (
             |c| c.reward_base = 1e17,
             "reward_base 100000000000000000 pays",
+        ),
+        (
+            |c| {
+                c.fl.partition = PartitionKind::ShardNonIid {
+                    shards_per_client: usize::MAX,
+                }
+            },
+            "clients × shards_per_client to fit in usize",
+        ),
+        (
+            |c| {
+                c.mode = FlexibilityMode::ChainOnly;
+                c.delay.baseline_tx_bytes = usize::MAX;
+            },
+            "delay.baseline_tx_bytes must fit in a block",
         ),
     ];
     for (edit, needle) in rows {
