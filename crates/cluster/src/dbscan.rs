@@ -137,7 +137,7 @@ mod tests {
         assert!(labels.same_cluster(0, 5));
         assert!(labels.same_cluster(6, 11));
         assert!(!labels.same_cluster(0, 6));
-        assert!(labels.noise_points().is_empty());
+        assert!(labels.as_slice().iter().all(Option::is_some));
     }
 
     #[test]
@@ -168,7 +168,8 @@ mod tests {
             },
         );
         assert_eq!(labels.cluster_count(), 0);
-        assert_eq!(labels.noise_points().len(), 12);
+        assert_eq!(labels.len(), 12);
+        assert!(labels.as_slice().iter().all(Option::is_none));
     }
 
     #[test]

@@ -28,7 +28,14 @@
 //!
 //! Each Gram entry is the lane-striped `dot_lanes` reduction in a fixed
 //! accumulation order, dispatched per [`bfl_ml::simd::active`] to an
-//! AVX2+FMA form that reproduces the scalar order bit-for-bit. Two
+//! AVX2+FMA form that reproduces the scalar order bit-for-bit. Past 16
+//! rows the kernel forms the entries in 4 × 2 register tiles: each row
+//! vector it loads feeds every entry of the tile that row belongs to,
+//! where a dot per entry loads two vectors for each multiply-add. A
+//! 128-upload chunk committee's 129 × 7850 Gram takes about half the time
+//! it did as one dot per entry. Each entry's accumulator chains still run
+//! exactly its own dot's operations in its own order, so the tiling
+//! changes no bit. Two
 //! guarantees follow and hold under either tier and any thread count:
 //! identical rows produce bit-identical entries, so every pair of
 //! identical points is at the same distance (zero up to the rounding of

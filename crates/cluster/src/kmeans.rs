@@ -156,7 +156,7 @@ mod tests {
         assert!(labels.same_cluster(0, 2));
         assert!(labels.same_cluster(1, 3));
         assert!(!labels.same_cluster(0, 1));
-        assert!(labels.noise_points().is_empty());
+        assert!(labels.as_slice().iter().all(Option::is_some));
     }
 
     #[test]

@@ -38,24 +38,6 @@ impl ClusterLabels {
         }
     }
 
-    /// Indices of all points assigned to `cluster`.
-    pub fn members_of(&self, cluster: usize) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| (*c == Some(cluster)).then_some(i))
-            .collect()
-    }
-
-    /// Indices of noise points.
-    pub fn noise_points(&self) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.is_none().then_some(i))
-            .collect()
-    }
-
     /// Number of distinct (non-noise) clusters.
     pub fn cluster_count(&self) -> usize {
         let mut ids: Vec<usize> = self.assignments.iter().filter_map(|c| *c).collect();
@@ -87,9 +69,7 @@ mod tests {
         assert_eq!(l.cluster_of(3), None);
         assert_eq!(l.cluster_of(99), None);
         assert_eq!(l.cluster_count(), 2);
-        assert_eq!(l.members_of(1), vec![2, 4]);
-        assert_eq!(l.noise_points(), vec![3]);
-        assert_eq!(l.as_slice().len(), 5);
+        assert_eq!(l.as_slice(), &[Some(0), Some(0), Some(1), None, Some(1)]);
     }
 
     #[test]

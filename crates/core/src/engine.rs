@@ -809,13 +809,21 @@ impl ChainOnlyState {
     }
 
     fn step(&mut self, config: &BflConfig, round: usize) -> Result<RoundOutcome, CoreError> {
-        // Every worker submits one transaction.
+        // Every worker submits one transaction. Its size passed validation
+        // against the block limit, which may itself be near `usize::MAX`,
+        // so the payload is reserved fallibly.
+        let tx_bytes = config.delay.baseline_tx_bytes;
         for worker in 0..config.fl.clients as u64 {
-            self.mempool.submit(Transaction::local_gradient(
-                worker,
-                round as u64,
-                vec![0u8; config.delay.baseline_tx_bytes],
-            ));
+            let mut payload = Vec::new();
+            payload.try_reserve_exact(tx_bytes).map_err(|e| {
+                CoreError::invalid(format!(
+                    "delay.baseline_tx_bytes = {tx_bytes} cannot be allocated for a \
+                     chain-only transaction: {e}"
+                ))
+            })?;
+            payload.resize(tx_bytes, 0);
+            self.mempool
+                .submit(Transaction::local_gradient(worker, round as u64, payload));
         }
         // Miners clear the backlog, one block at a time.
         while !self.mempool.is_empty() {

@@ -979,6 +979,28 @@ mod tests {
                 "mode": "ChainOnly"}"#,
         )
         .unwrap();
+        // A transaction that fits a block near `usize::MAX` passes
+        // validation, and running it fails with the field's name instead
+        // of aborting in the allocator.
+        for (max_block_bytes, baseline_tx_bytes) in [
+            ("18446744073709551615", "18446744073709551000"),
+            ("4611686018427387904", "4611686018427387904"),
+        ] {
+            let manifest = parse(&format!(
+                r#", {starved}, "base": {{"fl": {{"clients": 4, "rounds": 1}}, "mode": "ChainOnly",
+                    "delay": {{"max_block_bytes": {max_block_bytes},
+                               "baseline_tx_bytes": {baseline_tx_bytes}}}}}"#
+            ))
+            .unwrap();
+            let err = crate::runner::run_fleet(&manifest, Default::default(), 1).unwrap_err();
+            for needle in [
+                "delay.baseline_tx_bytes",
+                baseline_tx_bytes,
+                "cannot be allocated",
+            ] {
+                assert!(err.to_string().contains(needle), "`{needle}` in: {err}");
+            }
+        }
     }
 
     /// Every way a `base` / `set` object can be wrong is a

@@ -25,7 +25,13 @@
 //!   computes half the dot products of the general kernel and needs no
 //!   packed copy of `V`. Each entry is the same `dot_lanes` reduction
 //!   in the same regime `gemm_nt(V, V)` would use for it — the bit
-//!   patterns are those of the full product.
+//!   patterns are those of the full product. Past 16 rows the entries are
+//!   formed in register tiles: a micro-kernel advances one accumulator
+//!   chain of a 4 × 2 block of entries at a time, so each row vector it
+//!   loads feeds up to four multiply-adds instead of one, and the chains
+//!   are carried across `k`-blocks that keep the tile's rows in L1. Each
+//!   chain sees exactly the operations of its entry's own dot (see the
+//!   [`crate::simd`] module docs), so the tiling shows in the speed only.
 //!
 //! The GEMMs take raw row-major buffers plus dimensions, so models
 //! can point operands directly at windows of their flat parameter
@@ -63,6 +69,7 @@
 use crate::par;
 use crate::simd;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A dense vector of `f64` values.
 pub type Vector = Vec<f64>;
@@ -369,9 +376,11 @@ pub(crate) const STRIPE: usize = 4 * LANES;
 
 /// Lane-striped dot product: deterministic (fixed stripe layout, fixed
 /// reduction order) and auto-vectorizable. Every entry [`gram_upper`] and
-/// [`gemm_nt`] produce goes through this one routine, so identical input
-/// rows yield bit-identical entries, so identical points sit at identical
-/// distances whichever worker formed them. Dispatches to the hand-written AVX2+FMA form when
+/// [`gemm_nt`] produce is this reduction (the tiled Gram regime runs its
+/// chains and its [`finish_lanes_scalar`] entry by entry), so identical
+/// input rows yield bit-identical entries, so identical points sit at
+/// identical distances whichever worker formed them. Dispatches to the
+/// hand-written AVX2+FMA form when
 /// [`simd::active`]; both tiers run the identical stripe/fold/tail
 /// order, so the result is the same bit pattern either way.
 #[inline]
@@ -402,7 +411,16 @@ pub(crate) fn dot_lanes_scalar(a: &[f64], b: &[f64]) -> f64 {
         }
         i += STRIPE;
     }
-    // Fold the stripe into one vector, then reduce it left-to-right.
+    finish_lanes_scalar(&acc, a, b)
+}
+
+/// The rest of [`dot_lanes_scalar`] once every whole stripe is in `acc`:
+/// fold the stripe into one vector, run the `LANES` tail from the first
+/// index past the stripes, reduce left-to-right, add the remainder.
+#[inline]
+fn finish_lanes_scalar(acc: &[f64; STRIPE], a: &[f64], b: &[f64]) -> f64 {
+    let len = a.len();
+    let mut i = len / STRIPE * STRIPE;
     let mut folded = [0.0f64; LANES];
     for (l, value) in acc.iter().enumerate() {
         folded[l % LANES] += value;
@@ -511,17 +529,13 @@ fn gemm_nt_core<'a>(
 }
 
 /// Multiply-adds one worker must own before [`gram_upper`] fans out:
-/// roughly half a millisecond of dot products, an order of magnitude
-/// above handing a chunk to a parked worker. A row count cannot make this
-/// call — a 51 x 7850 Gram is 10 M multiply-adds, an 11 x 7850 one half
-/// a million.
+/// about a quarter of a millisecond of the tiled kernel (it runs 8–10 G
+/// multiply-adds a second on one core of a Xeon with AVX2, where the
+/// one-dot-per-entry kernel before it ran about 4.5 G and this gate read
+/// half a millisecond), still an order of magnitude above handing a chunk
+/// to a parked worker. A row count cannot make this call — a 51 x 7850
+/// Gram is 10 M multiply-adds, an 11 x 7850 one half a million.
 const MIN_GRAM_MACS_PER_WORKER: usize = 1 << 21;
-
-/// Output rows per tile of the large-row [`gram_upper`] regime. Model
-/// parameter rows (63 KiB) never fit L1, so the tile exists to divide
-/// how often the column operand streams in from L2/L3: once per tile
-/// instead of once per output row.
-const GRAM_ROW_TILE: usize = 16;
 
 /// Upper triangle of the Gram matrix `G = V · Vᵀ` over borrowed rows:
 /// `out[i * n + j] = ⟨rows[i], rows[j]⟩` for `j >= i`; entries below the
@@ -532,11 +546,13 @@ const GRAM_ROW_TILE: usize = 16;
 /// (`k`-blocked partials for at most 16 long rows, one full-length dot
 /// otherwise), that `gemm_nt(V, V)` produces for it, so each entry
 /// computed here has that product's exact bit pattern and identical rows
-/// still yield identical entries. The work is split over contiguous row
-/// ranges of near-equal *area* (row `i` holds `n - i` entries) and fans
-/// out only past about two million multiply-adds per worker; each worker
-/// owns a disjoint slice of `out`, so thread count never shows in the
-/// result.
+/// still yield identical entries. The full-length dots are formed
+/// together in register tiles (see the module docs); every entry's
+/// accumulator chains still run its own dot's operations in its own
+/// order. The work is split over contiguous row ranges of near-equal
+/// *area* (row `i` holds `n - i` entries) and fans out only past about
+/// two million multiply-adds per worker; each worker owns a disjoint
+/// slice of `out`, so thread count never shows in the result.
 pub fn gram_upper(rows: &[&[f64]], out: &mut [f64]) {
     let n = rows.len();
     assert_eq!(out.len(), n * n, "gram_upper needs an n x n output");
@@ -599,11 +615,161 @@ fn gram_upper_rows(rows: &[&[f64]], row_start: usize, chunk: &mut [f64]) {
         }
         return;
     }
-    for tile_start in (row_start..row_end).step_by(GRAM_ROW_TILE) {
-        let tile_end = (tile_start + GRAM_ROW_TILE).min(row_end);
-        for (j, b_j) in rows.iter().enumerate().skip(tile_start) {
-            for i in tile_start..tile_end.min(j + 1) {
-                chunk[(i - row_start) * n + j] = dot_lanes(rows[i], b_j);
+    #[cfg(target_arch = "x86_64")]
+    if simd::active() {
+        // SAFETY: `simd::active()` guarantees AVX2+FMA were detected.
+        unsafe { simd::gram_upper_tiled(rows, row_start, chunk) };
+        return;
+    }
+    // SAFETY: the scalar kernel needs no CPU feature.
+    unsafe { gram_tiles::<ScalarGram>(rows, row_start, chunk) };
+}
+
+/// Rows of one micro-tile of the large-row [`gram_upper`] regime.
+pub(crate) const GRAM_MR: usize = 4;
+
+/// Columns of one micro-tile: a micro-kernel call forms the
+/// `GRAM_MR × GRAM_NR` entries' accumulator chains together, loading
+/// each row's vector once per stripe for all of them.
+pub(crate) const GRAM_NR: usize = 2;
+
+/// Edge of a panel block: the square block of entries whose slot
+/// accumulators are carried from one `k`-block to the next.
+pub(crate) const GRAM_PANEL: usize = 16;
+
+/// Stripes per `k`-block: a micro-tile's `GRAM_MR + GRAM_NR` row
+/// segments (24 KiB) stay L1-resident across its eight slot passes.
+const GRAM_K_STRIPES: usize = 16;
+
+const _: () = assert!(GRAM_PANEL.is_multiple_of(GRAM_MR) && GRAM_PANEL.is_multiple_of(GRAM_NR));
+
+/// The stripe accumulators of every entry of one panel block:
+/// `acc[ii][jj]` is the `acc` array [`dot_lanes_scalar`] keeps for entry
+/// (`p0 + ii`, `q0 + jj`).
+pub(crate) type GramPanel = [[[f64; STRIPE]; GRAM_PANEL]; GRAM_PANEL];
+
+/// One tier's arithmetic in the large-row [`gram_upper`] regime; the loop
+/// nest around it is [`gram_tiles`].
+pub(crate) trait GramKernel {
+    /// Adds stripes `stripes` of every product `a[r] · b[c]` into the
+    /// stripe accumulators `acc[ii + r][jj + c]`, one four-slot group at a
+    /// time and stripes ascending, so every slot sees the `mul_add` chain
+    /// [`dot_lanes_scalar`] gives it. A block starting at stripe 0 starts
+    /// from `+0.0`.
+    ///
+    /// # Safety
+    /// The tier's CPU features are available; every row holds at least
+    /// `stripes.end * STRIPE` elements.
+    unsafe fn tile(
+        a: [&[f64]; GRAM_MR],
+        b: [&[f64]; GRAM_NR],
+        stripes: Range<usize>,
+        acc: &mut GramPanel,
+        ii: usize,
+        jj: usize,
+    );
+
+    /// The entry `⟨a, b⟩` from its stripe accumulators: the fold, the
+    /// `LANES` tail, the left-to-right sum and the remainder of
+    /// [`dot_lanes_scalar`].
+    ///
+    /// # Safety
+    /// The tier's CPU features are available; `a.len() == b.len()`.
+    unsafe fn finish(acc: &[f64; STRIPE], a: &[f64], b: &[f64]) -> f64;
+}
+
+/// The scalar tier of [`GramKernel`].
+struct ScalarGram;
+
+impl GramKernel for ScalarGram {
+    #[inline(always)]
+    unsafe fn tile(
+        a: [&[f64]; GRAM_MR],
+        b: [&[f64]; GRAM_NR],
+        stripes: Range<usize>,
+        acc: &mut GramPanel,
+        ii: usize,
+        jj: usize,
+    ) {
+        for slot in (0..STRIPE).step_by(4) {
+            let mut c = [[[0.0f64; 4]; GRAM_NR]; GRAM_MR];
+            if stripes.start > 0 {
+                for (r, c_r) in c.iter_mut().enumerate() {
+                    for (q, c_rq) in c_r.iter_mut().enumerate() {
+                        c_rq.copy_from_slice(&acc[ii + r][jj + q][slot..slot + 4]);
+                    }
+                }
+            }
+            for t in stripes.clone() {
+                let at = t * STRIPE + slot;
+                let bv: [&[f64; 4]; GRAM_NR] =
+                    std::array::from_fn(|q| b[q][at..at + 4].try_into().unwrap());
+                for (a_r, c_r) in a.iter().zip(c.iter_mut()) {
+                    let av: &[f64; 4] = a_r[at..at + 4].try_into().unwrap();
+                    for (b_q, c_rq) in bv.iter().zip(c_r.iter_mut()) {
+                        for l in 0..4 {
+                            c_rq[l] = av[l].mul_add(b_q[l], c_rq[l]);
+                        }
+                    }
+                }
+            }
+            for (r, c_r) in c.iter().enumerate() {
+                for (q, c_rq) in c_r.iter().enumerate() {
+                    acc[ii + r][jj + q][slot..slot + 4].copy_from_slice(c_rq);
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn finish(acc: &[f64; STRIPE], a: &[f64], b: &[f64]) -> f64 {
+        finish_lanes_scalar(acc, a, b)
+    }
+}
+
+/// The large-row regime of [`gram_upper_rows`], written once for both
+/// tiers: panel blocks of `GRAM_PANEL × GRAM_PANEL` entries on or above
+/// the diagonal, each swept in `k`-blocks of `GRAM_K_STRIPES` stripes by
+/// `GRAM_MR × GRAM_NR` micro-tiles, then finished entry by entry.
+///
+/// A micro-tile at the edge of the worker's rows or of the matrix reads
+/// the edge row again in its missing places and its extra entries are
+/// never written; a micro-tile wholly below the diagonal is skipped.
+///
+/// # Safety
+/// `K`'s CPU features are available. `#[inline(always)]` so the AVX2
+/// instance compiles inside its `#[target_feature]` caller.
+#[inline(always)]
+pub(crate) unsafe fn gram_tiles<K: GramKernel>(
+    rows: &[&[f64]],
+    row_start: usize,
+    chunk: &mut [f64],
+) {
+    let n = rows.len();
+    let row_end = row_start + chunk.len() / n;
+    let stripes = rows[0].len() / STRIPE;
+    let mut acc: GramPanel = [[[0.0; STRIPE]; GRAM_PANEL]; GRAM_PANEL];
+    for p0 in (row_start..row_end).step_by(GRAM_PANEL) {
+        let p1 = (p0 + GRAM_PANEL).min(row_end);
+        for q0 in (p0..n).step_by(GRAM_PANEL) {
+            let q1 = (q0 + GRAM_PANEL).min(n);
+            for t0 in (0..stripes).step_by(GRAM_K_STRIPES) {
+                let block = t0..(t0 + GRAM_K_STRIPES).min(stripes);
+                for i0 in (p0..p1).step_by(GRAM_MR) {
+                    let a = std::array::from_fn(|r| rows[(i0 + r).min(p1 - 1)]);
+                    // The first micro-tile with a column at or past `i0`.
+                    let j_first = q0 + i0.saturating_sub(q0) / GRAM_NR * GRAM_NR;
+                    for j0 in (j_first..q1).step_by(GRAM_NR) {
+                        let b = std::array::from_fn(|c| rows[(j0 + c).min(q1 - 1)]);
+                        K::tile(a, b, block.clone(), &mut acc, i0 - p0, j0 - q0);
+                    }
+                }
+            }
+            for i in p0..p1 {
+                let c_row = &mut chunk[(i - row_start) * n..(i - row_start + 1) * n];
+                for j in i.max(q0)..q1 {
+                    c_row[j] = K::finish(&acc[i - p0][j - q0], rows[i], rows[j]);
+                }
             }
         }
     }

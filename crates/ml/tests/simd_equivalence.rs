@@ -248,9 +248,10 @@ proptest! {
 
     /// The triangle kernel against the GEMM it replaced, entry by entry
     /// and bit by bit, on both tiers. Every `n` in `0..70` is visited
-    /// (crossing the 16-row regime switch and the 16-row tiles) with row
-    /// lengths cycling through every tail, and one row is repeated so the
-    /// identical-rows ⇒ identical-entries guarantee is exercised too.
+    /// (crossing the 16-row regime switch, the 4 × 2 micro-tiles and the
+    /// 16-row panels) with row lengths cycling through every tail, and one
+    /// row is repeated so the identical-rows ⇒ identical-entries guarantee
+    /// is exercised too.
     #[test]
     fn gram_upper_matches_gemm_nt_bits(
         shift in 0usize..14,
@@ -277,10 +278,79 @@ proptest! {
     }
 }
 
+/// Row lengths at the edges of the tiled Gram regime's `k`-blocks (16
+/// stripes of 32, 512 elements): one and two blocks, each exact, one or
+/// a `LANES` tail past it (plus a remainder), and one short of it; and
+/// the model's 7850.
+const GRAM_EDGE_LENGTHS: [usize; 15] = [
+    503, 504, 511, 512, 513, 520, 521, 1015, 1016, 1023, 1024, 1025, 1032, 1033, 7850,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// The register-tiled Gram regime against the GEMM, bit for bit on
+    /// both tiers, where a tiling bug would show: row lengths at every
+    /// `k`-block edge, so stripe accumulators are carried across blocks
+    /// and finished from partial ones; every `n` in `17..=40` and 129, so
+    /// the matrix ends inside micro-tiles (4 × 2) and panels (16); fan-out
+    /// limits 1, 2, 3 and 8 on the 129 × 1033 Gram (8.7 M multiply-adds,
+    /// up to four workers), whose worker boundaries fall inside
+    /// micro-tiles; and one row repeated in every row and
+    /// column position of a micro-tile, whose entries must be identical.
+    /// `gram_upper_entries` checks nothing below the diagonal is written.
+    #[test]
+    fn gram_upper_tiles_match_gemm_nt_bits_at_their_edges(
+        shift in 0usize..15,
+        source in 0usize..129,
+        seed in buffer(40 * 7850),
+    ) {
+        for n in (17..=40).chain([129]) {
+            let k = if n == 129 { 1033 } else { GRAM_EDGE_LENGTHS[(n + shift) % 15] };
+            let mut rows: Vec<&[f64]> = (0..n).map(|i| &seed[i * k..(i + 1) * k]).collect();
+            // Rows 1, 6, 11 and 16 hold micro-tile row positions 1, 2, 3
+            // and 0, and column positions 1, 0, 1 and 0; `n - 1` is the
+            // matrix's last row.
+            let copies = [1, 6, 11, 16, n - 1];
+            let source = source % n;
+            for at in copies {
+                rows[at] = rows[source];
+            }
+            let limits: &[usize] = if n == 129 { &[1, 2, 3, 8] } else { &[1, 8] };
+            assert_tiers_bit_identical("gram_upper tiles vs gemm_nt", || {
+                let expected = gemm_nt_upper_entries(&rows);
+                for &limit in limits {
+                    let got = gram_upper_entries(&rows, limit);
+                    assert!(
+                        got.iter().zip(&expected).all(|(g, e)| g.to_bits() == e.to_bits()),
+                        "n={n} k={k} limit={limit}: gram_upper differs from gemm_nt"
+                    );
+                }
+                // Identical rows give identical entries against every
+                // row past them.
+                let entry = |i: usize, j: usize| {
+                    let (i, j) = (i.min(j), i.max(j));
+                    expected[i * n - i * (i + 1) / 2 + j]
+                };
+                let mut at = copies.to_vec();
+                at.push(source);
+                for j in 0..n {
+                    let bits = entry(at[0], j).to_bits();
+                    assert!(
+                        at.iter().all(|&i| entry(i, j).to_bits() == bits),
+                        "n={n} k={k}: copies of row {source} differ against row {j}"
+                    );
+                }
+                expected
+            });
+        }
+    }
+}
+
 /// A Gram large enough that the work gate really fans out — 2415 dots of
 /// 7001 multiply-adds split two, three and eight ways, boundaries landing
-/// inside 16-row tiles — still equals the serial kernel and the GEMM on
-/// every entry, under either tier.
+/// inside micro-tiles and panels — still equals the serial kernel and the
+/// GEMM on every entry, under either tier.
 #[test]
 fn gram_upper_fans_out_without_changing_a_bit() {
     let (n, k) = (69usize, 7001usize);

@@ -413,6 +413,29 @@ fn hostile_partitions_fail_with_a_diagnostic_instead_of_a_panic() {
         .unwrap()
         .start(&train, &test)
         .is_ok());
+
+    // A block limit near `usize::MAX` lets through a transaction size no
+    // allocator can serve (past `isize::MAX`, or past the address space):
+    // the run fails naming it instead of aborting the process.
+    for (max_block_bytes, baseline_tx_bytes) in [
+        (usize::MAX, 18_446_744_073_709_551_000),
+        (4_611_686_018_427_387_904, 4_611_686_018_427_387_904),
+    ] {
+        let mut chain = small_config(1);
+        chain.fl.clients = 4;
+        chain.mode = FlexibilityMode::ChainOnly;
+        chain.delay.max_block_bytes = max_block_bytes;
+        chain.delay.baseline_tx_bytes = baseline_tx_bytes;
+        let scenario = Scenario::from_config(chain).expect("the transaction fits the block");
+        let err = scenario
+            .start(&train, &test)
+            .unwrap()
+            .run_to_completion()
+            .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+        let needle = format!("delay.baseline_tx_bytes = {baseline_tx_bytes} cannot be allocated");
+        assert!(err.to_string().contains(&needle), "{err}");
+    }
 }
 
 /// Delays each finite on its own but whose sums leave `f64`'s range end
