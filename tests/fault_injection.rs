@@ -312,6 +312,12 @@ fn a_miner_crash_loses_its_pool_and_the_mesh_recovers() {
         digests.push(run_digest(&run.into_result()));
     }
     assert_eq!(digests[0], digests[1], "crash runs replay bit-identically");
+    // Pinned: the digest covers every block hash, so it also fixes which
+    // miners sealed each round.
+    assert_eq!(
+        digests[0],
+        "09fe0232d49e801f587791b9597387b26d9362220c1b7ce31f4b798b86881b70"
+    );
 
     // The downed miner swallows or loses uploads somewhere in the run.
     assert!(
@@ -370,6 +376,10 @@ fn a_partition_forks_the_mesh_and_heals_to_one_tip() {
         "partition runs replay bit-identically"
     );
     assert_eq!(digests[0], digests[1]);
+    assert_eq!(
+        digests[0],
+        "e0eef325ededf052e286ab4c32e912cb52cb3c460d694bf64dab60d7560ccac6"
+    );
 
     let trace = &traces[0];
     assert!(
