@@ -70,11 +70,6 @@ impl Blockchain {
         self.blocks.last().expect("chain always holds genesis")
     }
 
-    /// Block at `height`, if it exists.
-    pub fn block_at(&self, height: u64) -> Option<&Block> {
-        self.blocks.get(height as usize).map(Arc::as_ref)
-    }
-
     /// Iterates over all blocks from genesis to tip.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
         self.blocks.iter().map(Arc::as_ref)
@@ -471,16 +466,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(chain.latest_global_gradient(), Some((2, vec![2])));
-    }
-
-    #[test]
-    fn block_at_and_iter_are_consistent() {
-        let mut chain = Blockchain::new();
-        chain.mine_and_append(vec![], 0, &easy_pow(), 1).unwrap();
-        assert_eq!(chain.block_at(0).unwrap().header.index, 0);
-        assert_eq!(chain.block_at(1).unwrap().header.index, 1);
-        assert!(chain.block_at(2).is_none());
-        assert_eq!(chain.iter().count(), 2);
+        assert_eq!(chain.iter().count(), 3);
     }
 
     #[test]

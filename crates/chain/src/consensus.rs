@@ -145,9 +145,18 @@ impl RoundConsensus {
         })
     }
 
+    /// The fork-choice rule: the leader among `candidates` (replica
+    /// indices) is the longest replica, ties broken toward the lowest
+    /// index. Panics when there is no candidate.
+    pub fn leader(&self, candidates: impl IntoIterator<Item = usize>) -> usize {
+        candidates
+            .into_iter()
+            .max_by_key(|&i| (self.replicas[i].height(), std::cmp::Reverse(i)))
+            .expect("fork choice needs at least one candidate")
+    }
+
     /// Heals a fork after a partition or crash left the replicas on
-    /// divergent tips — the one fork-choice rule. The longest replica wins
-    /// (ties broken toward the lowest miner index, deterministically).
+    /// divergent tips: the [`leader`](Self::leader) of the whole mesh wins.
     /// Every other replica validates the winning chain under its *own*
     /// size limit and proof requirement, the rule its
     /// [`Blockchain::append`] applies, and adopts it (taking handles to
@@ -162,11 +171,8 @@ impl RoundConsensus {
         if self.agreed_height().is_some() {
             return Vec::new();
         }
-        let winner_index = (0..self.replicas.len())
-            .max_by_key(|&i| (self.replicas[i].height(), std::cmp::Reverse(i)))
-            .expect("consensus holds at least one replica");
         // Handles only: the winner's blocks are shared, not copied.
-        let winner = self.replicas[winner_index].clone();
+        let winner = self.canonical_chain().clone();
         let winner_tip = winner.tip().hash();
 
         let mut orphans: Vec<Arc<Block>> = Vec::new();
@@ -196,15 +202,17 @@ impl RoundConsensus {
         orphans
     }
 
-    /// Returns a reference to the (agreed) canonical chain.
+    /// The [`leader`](Self::leader)'s chain: while the replicas disagree,
+    /// the longest one.
     pub fn canonical_chain(&self) -> &Blockchain {
-        &self.replicas[0]
+        &self.replicas[self.leader(0..self.replicas.len())]
     }
 
-    /// Dissolves the group into its canonical chain, dropping the other
-    /// replicas' handles.
+    /// Dissolves the group into the [`leader`](Self::leader)'s chain,
+    /// dropping the other replicas' handles.
     pub fn into_canonical_chain(mut self) -> Blockchain {
-        self.replicas.swap_remove(0)
+        let leader = self.leader(0..self.replicas.len());
+        self.replicas.swap_remove(leader)
     }
 }
 
@@ -361,8 +369,9 @@ mod tests {
             )
             .unwrap();
 
-        // A real fork: the replicas disagree.
+        // A real fork: the replicas disagree; 0 and 1 tie longest, 0 leads.
         assert_eq!(consensus.agreed_height(), None);
+        assert_eq!(consensus.leader([2, 1, 0]), 0);
         assert_eq!(consensus.replicas[0].height(), 3);
         assert_eq!(consensus.replicas[2].height(), 2);
         assert_ne!(

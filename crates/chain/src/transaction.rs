@@ -113,14 +113,6 @@ impl Transaction {
         ENVELOPE_BYTES + payload
     }
 
-    /// True for gradient-carrying transactions (global or local).
-    pub fn is_gradient(&self) -> bool {
-        matches!(
-            self.kind,
-            TransactionKind::GlobalGradient { .. } | TransactionKind::LocalGradient { .. }
-        )
-    }
-
     /// Stable content hash used as the transaction id and Merkle leaf:
     /// SHA-256 of `submitter ‖ tag ‖ round ‖ …` (all integers big-endian,
     /// a gradient's payload last). The fields are streamed into the hasher
@@ -237,11 +229,10 @@ mod tests {
         let g = Transaction::global_gradient(1, 7, vec![1, 2, 3]);
         assert_eq!(g.round(), 7);
         assert_eq!(g.submitter, 1);
-        assert!(g.is_gradient());
+        assert!(matches!(g.kind, TransactionKind::GlobalGradient { .. }));
 
         let l = Transaction::local_gradient(5, 3, vec![9]);
         assert_eq!(l.round(), 3);
-        assert!(l.is_gradient());
         match &l.kind {
             TransactionKind::LocalGradient { client_id, .. } => assert_eq!(*client_id, 5),
             other => panic!("unexpected kind {other:?}"),
@@ -249,7 +240,7 @@ mod tests {
 
         let r = Transaction::reward(2, 4, 8, 1500);
         assert_eq!(r.round(), 4);
-        assert!(!r.is_gradient());
+        assert!(matches!(r.kind, TransactionKind::Reward { .. }));
     }
 
     #[test]

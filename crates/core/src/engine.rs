@@ -19,8 +19,9 @@
 //! `LearningState::adopt`) and the round's tail
 //! (`LearningState::finish_round`: evaluation, [`RoundOutcome`]). What
 //! each engine keeps to itself is how uploads get from the clients to
-//! Procedure IV: the lockstep *middle* of `step_synchronous`, or the
-//! event pump.
+//! Procedure IV — the lockstep *middle* of `step_synchronous`, or the
+//! event engine's commission and pump phases — and which miners seal: the
+//! whole mesh, or those the event engine's fault plan leaves able to.
 
 use crate::config::{BflConfig, ProvisioningMode};
 use crate::delay_model::DelayBreakdown;

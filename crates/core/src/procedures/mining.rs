@@ -18,8 +18,10 @@ use bfl_ml::gradient;
 use rand::Rng;
 
 /// Builds the round's transaction list: the single global-gradient
-/// transaction plus one reward transaction per rewarded client.
-pub fn build_block_transactions(
+/// transaction plus one reward transaction per rewarded client. The list
+/// is the same whichever miner wins: `miner_id`, the submitter it records,
+/// is bookkeeping (the block header records the winner).
+fn build_block_transactions(
     miner_id: u64,
     round: u64,
     global_params: &[f64],
@@ -45,11 +47,6 @@ pub fn mine_round<R: Rng + ?Sized>(
     timestamp_ms: u64,
     rng: &mut R,
 ) -> Result<ConsensusOutcome, CoreError> {
-    // The transaction list is identical regardless of which miner wins, so
-    // build it for the eventual winner after the competition is sampled
-    // inside `seal_round`; the miner id recorded on the transactions is the
-    // consensus group's first miner (the submitter field is bookkeeping, the
-    // winner is recorded in the block header).
     let submitter = consensus.miners[0].id;
     let transactions = build_block_transactions(submitter, round, global_params, rewards);
     consensus
@@ -58,9 +55,10 @@ pub fn mine_round<R: Rng + ?Sized>(
 }
 
 /// Procedure-V for one mesh component: seals the component's block among
-/// `members` only (see [`RoundConsensus::seal_round_among`]). Used by the
-/// event engine when a crash or partition leaves part of the mesh
-/// unreachable; the rest keeps its own tip until the fork heals.
+/// `members` only (see [`RoundConsensus::seal_round_among`]); the rest of
+/// the mesh keeps its own tip until the fork heals. The event engine's
+/// only sealing call: a fault-free round's members are every miner, which
+/// draws exactly as [`mine_round`].
 pub fn mine_round_among<R: Rng + ?Sized>(
     consensus: &mut RoundConsensus,
     members: &[usize],
@@ -83,6 +81,7 @@ mod tests {
     use crate::reward::build_reward_list;
     use bfl_chain::miner::Miner;
     use bfl_chain::pow::PowConfig;
+    use bfl_chain::TransactionKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -96,9 +95,12 @@ mod tests {
         let rewards = build_reward_list(&[(1, 0.4), (2, 0.6)], 100.0);
         let txs = build_block_transactions(0, 7, &[1.0, 2.0, 3.0], &rewards);
         assert_eq!(txs.len(), 3);
-        assert!(txs[0].is_gradient());
+        assert!(matches!(
+            txs[0].kind,
+            TransactionKind::GlobalGradient { .. }
+        ));
         assert_eq!(txs[0].round(), 7);
-        assert!(!txs[1].is_gradient());
+        assert!(matches!(txs[1].kind, TransactionKind::Reward { .. }));
     }
 
     #[test]

@@ -181,7 +181,7 @@ fn attackers_that_are_caught_earn_no_rewards_that_round() {
     // received a reward in that round's block.
     let chain = result.chain.as_ref().unwrap();
     for outcome in &result.outcomes {
-        let block = chain.block_at(outcome.round as u64).unwrap();
+        let block = chain.iter().nth(outcome.round).unwrap();
         let rewarded: Vec<u64> = block
             .transactions
             .iter()

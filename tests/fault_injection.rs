@@ -279,6 +279,7 @@ fn corrupted_uploads_are_rejected_by_the_signature_check() {
 
 #[test]
 fn a_miner_crash_loses_its_pool_and_the_mesh_recovers() {
+    const CRASH_RUN: &str = "09fe0232d49e801f587791b9597387b26d9362220c1b7ce31f4b798b86881b70";
     let (train, test) = small_dataset();
     let quota = 6;
     let rounds = 4;
@@ -312,12 +313,8 @@ fn a_miner_crash_loses_its_pool_and_the_mesh_recovers() {
         digests.push(run_digest(&run.into_result()));
     }
     assert_eq!(digests[0], digests[1], "crash runs replay bit-identically");
-    // Pinned: the digest covers every block hash, so it also fixes which
-    // miners sealed each round.
-    assert_eq!(
-        digests[0],
-        "09fe0232d49e801f587791b9597387b26d9362220c1b7ce31f4b798b86881b70"
-    );
+    // Pinned: the digest covers every block hash, so it pins who sealed.
+    assert_eq!(digests[0], CRASH_RUN);
 
     // The downed miner swallows or loses uploads somewhere in the run.
     assert!(
@@ -334,6 +331,34 @@ fn a_miner_crash_loses_its_pool_and_the_mesh_recovers() {
     chain.validate_all().unwrap();
 }
 
+/// A run that ends while its replicas disagree returns the leading
+/// replica's chain: miner 0 goes down at once and stays down past the
+/// run, so every round seals on miner 1, whose chain must hold every
+/// round's block and the rewards the run paid.
+#[test]
+fn a_run_that_ends_split_returns_the_leading_replica() {
+    let (train, test) = small_dataset();
+    let fault = FaultPlan {
+        crash: Some(CrashSchedule {
+            miner: 0,
+            crash_at_s: 0.2,
+            down_for_s: 100.0,
+        }),
+        ..FaultPlan::default()
+    };
+    let scenario = faulted_scenario(6, 6, fault, RetryPolicy::None, ReorgPolicy::Discard);
+    let config = BflConfig {
+        miners: 2,
+        ..*scenario.config()
+    };
+    let scenario = Scenario::from_config(config).unwrap();
+    let result = scenario.run(&train, &test).unwrap();
+    let chain = result.chain.as_ref().unwrap();
+    assert_eq!(chain.height(), 6);
+    chain.validate_all().unwrap();
+    assert_eq!(chain.reward_totals(), result.reward_totals);
+}
+
 /// The acceptance scenario: a partition splits the 3-miner mesh, both
 /// components mine their own branch (a real fork), and the first round
 /// after the window heals it by longest-chain adoption — one tip, the
@@ -341,6 +366,7 @@ fn a_miner_crash_loses_its_pool_and_the_mesh_recovers() {
 /// the resolution cost charged as `T_fork`.
 #[test]
 fn a_partition_forks_the_mesh_and_heals_to_one_tip() {
+    const PARTITION_RUN: &str = "e0eef325ededf052e286ab4c32e912cb52cb3c460d694bf64dab60d7560ccac6";
     let (train, test) = small_dataset();
     let quota = 8;
     let rounds = 5;
@@ -376,10 +402,7 @@ fn a_partition_forks_the_mesh_and_heals_to_one_tip() {
         "partition runs replay bit-identically"
     );
     assert_eq!(digests[0], digests[1]);
-    assert_eq!(
-        digests[0],
-        "e0eef325ededf052e286ab4c32e912cb52cb3c460d694bf64dab60d7560ccac6"
-    );
+    assert_eq!(digests[0], PARTITION_RUN);
 
     let trace = &traces[0];
     assert!(
