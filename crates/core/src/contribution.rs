@@ -19,7 +19,7 @@ use crate::aggregation::WEIGHT_FLOOR;
 use crate::policy::AggregationAnchor;
 use crate::reward::RewardEntry;
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
-use bfl_ml::gradient::GradientVector;
+use bfl_ml::gradient::{self, GradientVector};
 use bfl_ml::tensor;
 use serde::{Deserialize, Serialize};
 
@@ -88,29 +88,39 @@ pub fn analyze_contributions(
     clustered.push(&global_gradient);
     let labels = algorithm.run_rows(&clustered, metric);
 
-    // Algorithm 2's θ weights: the cosine distance of an upload to the
-    // anchor gradient, floored so Equation 1 never divides by zero.
-    let global_norm = tensor::l2_norm(&global_gradient);
-    let theta = |upload: &[f64]| -> f64 {
-        let upload_norm = tensor::l2_norm(upload);
-        let similarity = if upload_norm == 0.0 || global_norm == 0.0 {
-            0.0
-        } else {
-            (tensor::dot(upload, &global_gradient) / (upload_norm * global_norm)).clamp(-1.0, 1.0)
-        };
-        (1.0 - similarity).max(WEIGHT_FLOOR)
-    };
-
     // Degenerate case: if the clustering failed to place the anchor
     // gradient in any cluster (for example every point is noise under a
     // tiny eps), treat every client as high contribution rather than
     // discarding the whole round.
     let nobody_high = (0..n).all(|i| !labels.same_cluster(i, n));
-    let theta_by_upload: Vec<Option<f64>> = uploads
-        .iter()
-        .enumerate()
-        .map(|(i, (_, upload))| (nobody_high || labels.same_cluster(i, n)).then(|| theta(upload)))
-        .collect();
+
+    // Algorithm 2's θ weights: the cosine distance of an upload to the
+    // anchor gradient, floored so Equation 1 never divides by zero. Only
+    // high-contribution uploads are scored, gathered four at a time into
+    // one `dots_and_squares_x4` pass: their dots with the anchor and their
+    // squared norms come out in `tensor::dot`'s own order, so θ has the
+    // bits of `gradient::cosine_distance`. A short last block repeats its
+    // first upload in the spare slots and keeps only the θs it gathered.
+    let global_norm = tensor::l2_norm(&global_gradient);
+    let theta = |dot: f64, square: f64| -> f64 {
+        (1.0 - gradient::cosine_from_parts(dot, square.sqrt(), global_norm)).max(WEIGHT_FLOOR)
+    };
+    let mut theta_by_upload: Vec<Option<f64>> = vec![None; n];
+    let mut high = (0..n).filter(|&i| nobody_high || labels.same_cluster(i, n));
+    while let Some(first) = high.next() {
+        let mut block = [first; 4];
+        let mut filled = 1;
+        for slot in &mut block[1..] {
+            let Some(i) = high.next() else { break };
+            *slot = i;
+            filled += 1;
+        }
+        let (dots, squares) =
+            tensor::dots_and_squares_x4(block.map(|j| uploads[j].1), &global_gradient);
+        for (r, &j) in block[..filled].iter().enumerate() {
+            theta_by_upload[j] = Some(theta(dots[r], squares[r]));
+        }
+    }
 
     let mut high_contribution = Vec::new();
     let mut low_contribution = Vec::new();
@@ -274,6 +284,94 @@ mod tests {
         }
         assert!(high.next().is_none() && low.next().is_none());
         assert_eq!(analysis.low_contribution, vec![6, 7]);
+    }
+
+    /// `honest` uploads with `forged` sign-flipped, shortened ones
+    /// interleaved among them: forgery `j` goes right before (`leading`)
+    /// or after honest upload `j`, and any past the last honest one go
+    /// last. The high rows are then never contiguous.
+    fn interleaved_forgeries(
+        honest: usize,
+        forged: usize,
+        leading: bool,
+    ) -> Vec<(u64, GradientVector)> {
+        let row = |i: usize, scale: f64| -> GradientVector {
+            (0..7)
+                .map(|k| scale * (1.0 + 0.1 * k as f64 + 0.01 * (i * (k % 3)) as f64))
+                .collect()
+        };
+        let mut rows = Vec::new();
+        for i in 0..honest.max(forged) {
+            let honest = (i < honest).then(|| row(i, 1.0));
+            let forgery = (i < forged).then(|| row(i, -0.2));
+            let (first, second) = if leading {
+                (forgery, honest)
+            } else {
+                (honest, forgery)
+            };
+            rows.extend(first.into_iter().chain(second));
+        }
+        rows.into_iter()
+            .enumerate()
+            .map(|(id, g)| (id as u64, g))
+            .collect()
+    }
+
+    /// θ of every high upload has the bits of the one-upload oracle, and
+    /// every other upload is `None`.
+    fn assert_theta_is_the_oracle(
+        uploads: &[(u64, GradientVector)],
+        analysis: &ContributionAnalysis,
+        high: impl Fn(&[f64]) -> bool,
+    ) {
+        for ((id, upload), theta) in uploads.iter().zip(&analysis.theta_by_upload) {
+            let oracle = high(upload).then(|| {
+                gradient::cosine_distance(upload, &analysis.global_gradient).max(WEIGHT_FLOOR)
+            });
+            assert_eq!(
+                theta.map(f64::to_bits),
+                oracle.map(f64::to_bits),
+                "upload {id} of {}",
+                uploads.len()
+            );
+        }
+    }
+
+    #[test]
+    fn theta_is_gathered_four_high_uploads_at_a_time_with_the_oracles_bits() {
+        // 1–9 high uploads (every remainder mod 4), forgeries inside the
+        // blocks of four.
+        for honest in 1..=9 {
+            for forged in 1..=3 {
+                for leading in [false, true] {
+                    let uploads = interleaved_forgeries(honest, forged, leading);
+                    let refs = refs(&uploads);
+                    let analysis = analyze_contributions(
+                        &refs,
+                        &dbscan(),
+                        DistanceMetric::Cosine,
+                        AggregationAnchor::Mean,
+                    );
+                    // Forgeries point against every honest upload.
+                    assert_eq!(analysis.high_contribution.len(), honest);
+                    assert_theta_is_the_oracle(&uploads, &analysis, |g| g[0] > 0.0);
+
+                    // Nobody shares the anchor's cluster, so everyone is
+                    // scored: the fallback goes through the same gather.
+                    let everyone = analyze_contributions(
+                        &refs,
+                        &ClusteringAlgorithm::Dbscan {
+                            eps: 1e-9,
+                            min_points: uploads.len() + 2,
+                        },
+                        DistanceMetric::Cosine,
+                        AggregationAnchor::Mean,
+                    );
+                    assert!(everyone.low_contribution.is_empty());
+                    assert_theta_is_the_oracle(&uploads, &everyone, |_| true);
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,12 +19,18 @@ pub type GradientVector = Vec<f64>;
 /// Returns 0 when either vector is all-zero.
 pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "cosine similarity needs equal lengths");
-    let na = tensor::l2_norm(a);
-    let nb = tensor::l2_norm(b);
-    if na == 0.0 || nb == 0.0 {
+    cosine_from_parts(tensor::dot(a, b), tensor::l2_norm(a), tensor::l2_norm(b))
+}
+
+/// The cosine of two vectors from their dot product and norms: 0 when
+/// either norm is zero, else `dot / (norm_a · norm_b)` clamped to
+/// `[-1, 1]`. [`cosine_similarity`] and Algorithm 2's θ scoring, which
+/// forms its dots four uploads at a time, both end here.
+pub fn cosine_from_parts(dot: f64, norm_a: f64, norm_b: f64) -> f64 {
+    if norm_a == 0.0 || norm_b == 0.0 {
         return 0.0;
     }
-    (tensor::dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    (dot / (norm_a * norm_b)).clamp(-1.0, 1.0)
 }
 
 /// Cosine distance `1 - cosine_similarity`, in `[0, 2]`. This is the θ of

@@ -76,11 +76,6 @@ impl SoftmaxRegression {
         self.features
     }
 
-    /// Number of output classes.
-    pub fn class_count(&self) -> usize {
-        self.classes
-    }
-
     /// Weight connecting `feature` to `class`.
     pub fn weight(&self, class: usize, feature: usize) -> f64 {
         self.params[class * self.features + feature]
@@ -285,7 +280,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let m = SoftmaxRegression::new(5, 3, &mut rng);
         assert_eq!(m.feature_count(), 5);
-        assert_eq!(m.class_count(), 3);
+        assert_eq!(m.classes, 3);
         assert_eq!(m.num_params(), 18);
         assert_eq!(m.params().len(), 18);
         // Biases start at zero.

@@ -5,7 +5,7 @@
 //!
 //! Two matrix-matrix kernels, each with an indexed form that reads
 //! minibatch rows in place, cover every shape training and evaluation
-//! need, and a third serves Algorithm 2:
+//! need, and two more serve Algorithm 2:
 //!
 //! * [`gemm_nt`] — `C = A · Bᵀ`, used for logits against
 //!   row-major weights, evaluation, and the rectangular point-to-centroid
@@ -32,6 +32,13 @@
 //!   are carried across `k`-blocks that keep the tile's rows in L1. Each
 //!   chain sees exactly the operations of its entry's own dot (see the
 //!   [`crate::simd`] module docs), so the tiling shows in the speed only.
+//! * [`dots_and_squares_x4`] — θ's inputs, each upload's dot with the
+//!   anchor and its squared norm, for four uploads per pass. θ must keep
+//!   [`dot`]'s bits, so it cannot use the lane-striped reduction, and a
+//!   lone [`dot`] waits on every add before the next. Interleaving four
+//!   rows runs eight such chains side by side, each in [`dot`]'s exact
+//!   order, reads each row once for both of its dots and shares each
+//!   anchor load across the four.
 //!
 //! The GEMMs take raw row-major buffers plus dimensions, so models
 //! can point operands directly at windows of their flat parameter
@@ -809,11 +816,46 @@ impl Default for Matrix {
     }
 }
 
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices: one chain of adds from −0.0
+/// (where `f64`'s `Sum` starts), left to right. [`dots_and_squares_x4`]
+/// reproduces it bit for bit.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
+}
+
+/// [`dot`]`(row, anchor)` and [`dot`]`(row, row)` for a block of four
+/// rows: Algorithm 2's θ inputs for four uploads in one pass.
+///
+/// A lone [`dot`] is one chain of dependent adds, so it runs at the add
+/// latency however fast the loads are. Here the eight chains advance
+/// together, each row is read once for both of its dots, and each anchor
+/// element loaded serves all four rows. Every chain is still [`dot`]'s
+/// own: it starts from −0.0, where `f64`'s `Sum` starts (so an all-zero
+/// row against a negative anchor keeps its negative zero), multiplies and
+/// then adds, two roundings and never a fused multiply-add, and adds left
+/// to right. The results are [`dot`]'s bit patterns, and it allocates
+/// nothing.
+///
+/// # Panics
+///
+/// When a row's length differs from the anchor's.
+pub fn dots_and_squares_x4(rows: [&[f64]; 4], anchor: &[f64]) -> ([f64; 4], [f64; 4]) {
+    let n = anchor.len();
+    for row in rows {
+        assert_eq!(row.len(), n, "a row's length must match the anchor's");
+    }
+    let mut dots = [-0.0f64; 4];
+    let mut squares = [-0.0f64; 4];
+    for (k, &a) in anchor.iter().enumerate() {
+        for r in 0..4 {
+            let x = rows[r][k];
+            dots[r] += x * a;
+            squares[r] += x * x;
+        }
+    }
+    (dots, squares)
 }
 
 /// In-place AXPY: `y += alpha * x` — the SGD update
@@ -856,6 +898,7 @@ pub fn l2_norm(x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient;
     use proptest::prelude::*;
 
     /// Element-wise `a + b`.
@@ -1149,6 +1192,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Checks [`dots_and_squares_x4`] on `rows` against [`dot`], bit for
+    /// bit, and the θ it feeds against `gradient::cosine_distance`: an
+    /// equal unfloored θ is an equal θ under any floor.
+    fn check_x4(rows: [&[f64]; 4], anchor: &[f64]) {
+        let (dots, squares) = dots_and_squares_x4(rows, anchor);
+        let anchor_norm = l2_norm(anchor);
+        for (r, row) in rows.into_iter().enumerate() {
+            assert_eq!(dots[r].to_bits(), dot(row, anchor).to_bits(), "row {r} dot");
+            assert_eq!(
+                squares[r].to_bits(),
+                dot(row, row).to_bits(),
+                "row {r} square"
+            );
+            let theta = 1.0 - gradient::cosine_from_parts(dots[r], squares[r].sqrt(), anchor_norm);
+            assert_eq!(
+                theta.to_bits(),
+                gradient::cosine_distance(row, anchor).to_bits(),
+                "row {r} θ"
+            );
+        }
+    }
+
+    #[test]
+    fn dots_and_squares_x4_keeps_dots_bits_on_committee_rows_and_signed_zeros() {
+        // The paper's 7850-parameter model, four uploads against an anchor.
+        let m = deterministic_matrix(5, 7850, 37);
+        let rows = [m.row(0), m.row(1), m.row(2), m.row(3)];
+        check_x4(rows, m.row(4));
+
+        // `f64`'s `Sum` starts from −0.0: an empty chain, and an all-zero
+        // row against a negative anchor, sum to −0.0, and so do the
+        // kernel's; against a positive anchor the zero is +0.0.
+        let (dots, squares) = dots_and_squares_x4([&[]; 4], &[]);
+        assert!(dots
+            .iter()
+            .chain(&squares)
+            .all(|d| d.to_bits() == (-0.0f64).to_bits()));
+        let zero = [0.0; 3];
+        let (dots, squares) = dots_and_squares_x4([&zero; 4], &[-1.0, -2.0, -3.0]);
+        assert!(dots.iter().all(|d| d.to_bits() == (-0.0f64).to_bits()));
+        assert!(squares.iter().all(|d| d.to_bits() == 0.0f64.to_bits()));
+        let (dots, _) = dots_and_squares_x4([&zero; 4], &[1.0, 2.0, 3.0]);
+        assert!(dots.iter().all(|d| d.to_bits() == 0.0f64.to_bits()));
+    }
+
+    /// Every row length 0..=40, with every subset of the four rows
+    /// all-zero (of either sign), against a zero, a negative and a mixed
+    /// anchor.
+    #[test]
+    fn dots_and_squares_x4_keeps_dots_bits_at_every_short_length() {
+        for len in 0..=40 {
+            let m = deterministic_matrix(5, len, len as u64);
+            let anchors = [
+                vec![0.0; len],
+                m.row(4).iter().map(|v| -v.abs()).collect(),
+                m.row(4).to_vec(),
+            ];
+            for zero_rows in 0..16 {
+                for zero in [0.0, -0.0] {
+                    let rows: Vec<Vec<f64>> = (0..4)
+                        .map(|r| {
+                            if zero_rows & (1 << r) != 0 {
+                                vec![zero; len]
+                            } else {
+                                m.row(r).to_vec()
+                            }
+                        })
+                        .collect();
+                    for anchor in &anchors {
+                        check_x4([&rows[0], &rows[1], &rows[2], &rows[3]], anchor);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must match the anchor's")]
+    fn dots_and_squares_x4_rejects_a_row_of_another_length() {
+        let _ = dots_and_squares_x4([&[1.0], &[1.0], &[1.0, 2.0], &[1.0]], &[1.0]);
     }
 
     proptest! {
