@@ -50,15 +50,6 @@ pub struct AllocDelta {
     pub allocations: usize,
 }
 
-impl AllocDelta {
-    /// True when the bracketed region grew the heap by nothing: every
-    /// byte and block it allocated was freed again (allocation *churn*
-    /// is allowed; *growth* is not).
-    pub fn is_net_zero(&self) -> bool {
-        self.net_bytes == 0 && self.net_blocks == 0
-    }
-}
-
 /// A [`System`]-backed allocator that tracks live bytes and their peak.
 ///
 /// Install one as the global allocator and bracket measured regions:

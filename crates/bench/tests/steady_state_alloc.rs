@@ -102,7 +102,7 @@ fn warm_up_then_measure(threads: usize) {
         assert!(outcome.participants > 0);
         let delta = ALLOC.delta_since(&before);
         assert!(
-            delta.is_net_zero(),
+            delta.net_bytes == 0 && delta.net_blocks == 0,
             "steady-state round {} at {threads} threads grew the heap: {} net bytes, \
              {} net blocks across {} allocation events (per-round allocation has crept \
              back into the flexible engine)",

@@ -167,20 +167,25 @@ impl ProfileConfig {
     }
 }
 
-/// How a signing run's RSA key pairs are provisioned.
+/// How large a signing run's key vault is, and when it fills.
 ///
-/// Eager provisioning generates the whole population's key pairs up
-/// front — O(population) memory and keygen work. Lazy provisioning derives
-/// each key pair on first selection from a pure per-index RNG stream
-/// ([`bfl_crypto::LazyKeyVault`]) and caches at most `cache_budget` of
-/// them, so a round costs O(participants) regardless of population size.
-/// Neither mode provisions clients: an implicit partition
-/// ([`bfl_fl::implicit`]) derives each client where it is used, and any
-/// other partition builds them all at run start.
+/// Every signing run holds its RSA key pairs in one
+/// [`bfl_crypto::KeyVault`], which derives client `id`'s pair from a pure
+/// per-id RNG stream, so a client's key bytes are the same under either
+/// mode. Eager provisioning is the vault at a budget of the whole
+/// population, filled at run start — O(population) memory and keygen
+/// work, and no round derives. Lazy provisioning derives each pair on
+/// first selection and caches at most `cache_budget` of them, so a round
+/// costs O(participants) regardless of population size. Neither mode
+/// provisions clients: an implicit partition ([`bfl_fl::implicit`])
+/// derives each client where it is used, and any other partition builds
+/// them all at run start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ProvisioningMode {
-    /// Generate every key pair (when signing) at run start. The PR 4–6
-    /// behaviour, bit-identical.
+    /// Derive every key pair (when signing) at run start; no round
+    /// derives one. Key bytes never enter a block, a reward or a round
+    /// outcome, so results are bit-identical to those of the sequential
+    /// keygen stream eager runs once drew from; the key bytes are not.
     #[default]
     Eager,
     /// Derive key pairs on demand; requires
@@ -391,6 +396,13 @@ impl BflConfig {
                 "RSA modulus too small: {} bits (minimum {})",
                 self.rsa_modulus_bits,
                 bfl_crypto::rsa::MIN_MODULUS_BITS
+            )));
+        }
+        if self.rsa_modulus_bits > bfl_crypto::rsa::MAX_MODULUS_BITS {
+            return Err(CoreError::invalid(format!(
+                "rsa_modulus_bits {} is past the maximum {}",
+                self.rsa_modulus_bits,
+                bfl_crypto::rsa::MAX_MODULUS_BITS
             )));
         }
         if self.mining_threads != 1 {
@@ -632,6 +644,20 @@ mod tests {
             },
             "RSA modulus too small",
         );
+    }
+
+    #[test]
+    fn huge_rsa_modulus_rejected() {
+        let bits = |rsa_modulus_bits| BflConfig {
+            rsa_modulus_bits,
+            ..Default::default()
+        };
+        assert!(bits(bfl_crypto::rsa::MAX_MODULUS_BITS).validate().is_ok());
+        assert_rejected(
+            bits(bfl_crypto::rsa::MAX_MODULUS_BITS + 1),
+            "rsa_modulus_bits",
+        );
+        assert_rejected(bits(usize::MAX), "rsa_modulus_bits");
     }
 
     #[test]

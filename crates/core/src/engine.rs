@@ -38,7 +38,7 @@ use bfl_chain::consensus::RoundConsensus;
 use bfl_chain::mempool::Mempool;
 use bfl_chain::miner::Miner;
 use bfl_chain::{Blockchain, Transaction};
-use bfl_crypto::{CryptoError, KeyStore, LazyKeyVault, RsaKeyPair};
+use bfl_crypto::{KeyVault, RsaKeyPair};
 use bfl_data::Dataset;
 use bfl_fl::attack::AttackKind;
 use bfl_fl::client::LocalUpdate;
@@ -87,9 +87,11 @@ pub(crate) struct LearningState<'a> {
     /// (client id == population index in both backends).
     pub(crate) pool: ClientPool,
     pub(crate) local_config: LocalTrainingConfig,
-    /// RSA identities when `verify_signatures` is on: eagerly provisioned
-    /// for the whole population, or derived lazily per selection.
-    pub(crate) keys: Option<KeyChain>,
+    /// RSA identities when `verify_signatures` is on: each client's pair
+    /// derived from its id ([`KeyVault::derive`]), the whole population
+    /// at run start under [`ProvisioningMode::Eager`], or on first
+    /// selection within the lazy cache budget.
+    pub(crate) keys: Option<KeyVault>,
     pub(crate) consensus: Option<RoundConsensus>,
     pub(crate) topology: Topology,
     pub(crate) global_model: SoftmaxRegression,
@@ -109,62 +111,6 @@ struct ChainOnlyState {
     consensus: RoundConsensus,
     mempool: Mempool,
     clock: SimClock,
-}
-
-/// Procedure-II key material, provisioned eagerly (one sequential keygen
-/// pass over the whole population at run start — the PR 4–6 behaviour) or
-/// lazily (per-index streams drawn on first selection, budgeted; see
-/// [`LazyKeyVault`] for the determinism contract).
-pub(crate) enum KeyChain {
-    /// Whole-population keys generated up front.
-    Eager {
-        /// Miner-side public-key registry.
-        store: KeyStore,
-        /// Client-side private pairs, keyed by id.
-        pairs: BTreeMap<u64, RsaKeyPair>,
-    },
-    /// Keys derived on first selection under an O(active) budget.
-    Lazy(LazyKeyVault),
-}
-
-impl KeyChain {
-    /// The miner-side public-key registry (full population when eager,
-    /// currently-cached subset when lazy).
-    pub(crate) fn store(&self) -> &KeyStore {
-        match self {
-            KeyChain::Eager { store, .. } => store,
-            KeyChain::Lazy(vault) => vault.store(),
-        }
-    }
-
-    /// Currently-held private pairs keyed by client id.
-    pub(crate) fn pairs(&self) -> &BTreeMap<u64, RsaKeyPair> {
-        match self {
-            KeyChain::Eager { pairs, .. } => pairs,
-            KeyChain::Lazy(vault) => vault.pairs(),
-        }
-    }
-
-    /// Makes sure every id in `ids` holds a key pair before Procedure II
-    /// runs. A no-op for the eager chain (everyone was provisioned at run
-    /// start); the lazy vault derives-or-touches each id, so the whole
-    /// selection survives the LRU budget for the round.
-    pub(crate) fn ensure_selected(&mut self, ids: &[u64]) -> Result<(), CryptoError> {
-        match self {
-            KeyChain::Eager { .. } => Ok(()),
-            KeyChain::Lazy(vault) => vault.ensure(ids),
-        }
-    }
-
-    /// Client `id`'s signing pair, deriving it first if lazy. `None` means
-    /// the id has no identity (eager chain without that client) — the
-    /// caller treats the upload as unsigned-and-rejected.
-    pub(crate) fn signing_pair(&mut self, id: u64) -> Option<&RsaKeyPair> {
-        match self {
-            KeyChain::Eager { pairs, .. } => pairs.get(&id),
-            KeyChain::Lazy(vault) => vault.pair(id).ok(),
-        }
-    }
 }
 
 impl<'a> SimulationRun<'a> {
@@ -433,7 +379,7 @@ impl<'a> LearningState<'a> {
         // provisioning mode, so that eager and lazy provisioning draw
         // identically from the learning stream and stay bit-identical.
         // The pool keeps no client: each is derived where it is used, so
-        // the provisioning mode shapes only the key chain below. Implicit
+        // the provisioning mode sizes only the key vault below. Implicit
         // partitions consume zero learning-stream draws either way.
         let pool = match config.fl.partition {
             PartitionKind::ImplicitIid { samples_per_client } => {
@@ -451,32 +397,31 @@ impl<'a> LearningState<'a> {
         };
         let local_config = config.fl.local;
 
-        // Key provisioning (Procedure-II's RSA identities). Keys come
-        // from a dedicated RNG stream so the learning trajectory is
-        // invariant to crypto details: how many candidates a prime
-        // search consumes — or whether signatures are enabled at all —
-        // must not reshuffle client selection and training randomness.
-        // Client ids are population indices by construction, so eager
-        // provisioning enumerates `0..n` directly.
-        let keys: Option<KeyChain> = if config.verify_signatures {
-            Some(match config.provisioning {
-                ProvisioningMode::Eager => {
-                    let mut key_rng = StdRng::seed_from_u64(config.fl.seed ^ 0x5EED_0F4B);
-                    let mut store = KeyStore::new();
-                    let ids: Vec<u64> = (0..config.fl.clients as u64).collect();
-                    let pairs = store
-                        .provision(&mut key_rng, &ids, config.rsa_modulus_bits)
-                        .map_err(CoreError::from)?;
-                    KeyChain::Eager { store, pairs }
-                }
-                ProvisioningMode::Lazy { cache_budget } => KeyChain::Lazy(LazyKeyVault::new(
-                    config.fl.seed ^ 0x5EED_0F4B,
-                    config.rsa_modulus_bits,
-                    cache_budget,
-                )),
-            })
-        } else {
-            None
+        // Key provisioning (Procedure-II's RSA identities). Each client's
+        // pair comes from its own stream, seeded by the run's key seed and
+        // its id, so the learning trajectory is invariant to crypto
+        // details: how many candidates a prime search consumes — or
+        // whether signatures are enabled at all — must not reshuffle
+        // client selection and training randomness. The provisioning mode
+        // only sizes the vault: eager holds the whole population, derived
+        // here (client ids are population indices, so `0..n`), and no
+        // round derives; lazy derives each client on first selection.
+        let vault = |budget| {
+            KeyVault::new(
+                config.fl.seed ^ 0x5EED_0F4B,
+                config.rsa_modulus_bits,
+                budget,
+            )
+        };
+        let keys = match (config.verify_signatures, config.provisioning) {
+            (false, _) => None,
+            (true, ProvisioningMode::Lazy { cache_budget }) => Some(vault(cache_budget)),
+            (true, ProvisioningMode::Eager) => {
+                let mut vault = vault(config.fl.clients);
+                let ids: Vec<u64> = (0..config.fl.clients as u64).collect();
+                vault.ensure(&ids)?;
+                Some(vault)
+            }
         };
 
         // Consensus group (Procedure-V), only when the mode mines.
@@ -595,8 +540,9 @@ impl<'a> LearningState<'a> {
     /// `positions` under `attacks` against the current global parameters
     /// and `round`'s seed — over the working set the pool lends — and hands
     /// each update to `finish` on the worker that trained it, together
-    /// with its client's signing pair when the run signs and the client
-    /// currently holds one. Results come back in selection order.
+    /// with its client's signing pair when the run signs (the caller has
+    /// ensured the selection in the vault). Results come back in selection
+    /// order.
     pub(crate) fn train_selection<U: Send>(
         &mut self,
         config: &BflConfig,
@@ -606,7 +552,7 @@ impl<'a> LearningState<'a> {
         finish: impl Fn(LocalUpdate, Option<&RsaKeyPair>) -> U + Sync,
     ) -> Vec<U> {
         let (clients, indices) = self.pool.working_set(positions);
-        let pairs = self.keys.as_ref().map(KeyChain::pairs);
+        let pairs = self.keys.as_ref().map(KeyVault::pairs);
         local_update::fan_out(
             &clients,
             &indices,
@@ -721,18 +667,18 @@ impl<'a> LearningState<'a> {
             .sum::<f64>()
             / updates.len().max(1) as f64;
 
-        // Procedure-II: upload + verification. The lazy key chain
-        // provisions (or LRU-touches) exactly the selected identities
-        // before the signing fan-out.
+        // Procedure-II: upload + verification. The vault derives (or
+        // LRU-touches) exactly the selected identities before the signing
+        // fan-out.
         if let Some(keys) = self.keys.as_mut() {
             let ids: Vec<u64> = updates.iter().map(|u| u.client_id).collect();
-            keys.ensure_selected(&ids).map_err(CoreError::from)?;
+            keys.ensure(&ids).map_err(CoreError::from)?;
         }
         let uploads = upload::upload_gradients(
             &updates,
             &self.topology,
-            self.keys.as_ref().map(KeyChain::pairs),
-            self.keys.as_ref().map(KeyChain::store),
+            self.keys.as_ref().map(KeyVault::pairs),
+            self.keys.as_ref().map(KeyVault::store),
             &mut self.rng,
         );
 

@@ -227,16 +227,16 @@ pub(super) fn admit_upload(
     // nothing to verify. Looking the identity up also re-registers a
     // lazily provisioned key the LRU has evicted since the commission, so
     // stale and retried uploads stay verifiable after any amount of
-    // eviction.
-    if let Some(chain) = state.keys.as_mut() {
-        let Some(pair) = chain.signing_pair(id) else {
+    // eviction; only a failed keygen leaves the client without one.
+    if let Some(vault) = state.keys.as_mut() {
+        let Ok(pair) = vault.pair(id) else {
             return EventKind::UploadRejected;
         };
         let signed_now;
         let signature = match &opened {
             Opened::Sent(sent) => match &sent.signature {
                 Some(signature) => signature,
-                // Commissioned without an identity: nothing vouches for it.
+                // Arrived bare: nothing vouches for it.
                 None => return EventKind::UploadRejected,
             },
             Opened::Trained(update) => {
@@ -248,7 +248,7 @@ pub(super) fn admit_upload(
         // signature check is the detector. (The unsigned ablation has no
         // detector.)
         let envelope = received_envelope(update, corrupt);
-        if chain
+        if vault
             .store()
             .verify_envelope(envelope, signature, &mut rt.verifier)
             .is_err()

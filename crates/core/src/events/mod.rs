@@ -162,8 +162,7 @@ enum UploadTicket {
 struct SentUpdate {
     update: LocalUpdate,
     /// The client's signature over what it sent, made at commission.
-    /// `None` when signatures are off, or when the client holds no
-    /// identity (the miner then rejects the upload).
+    /// `None` when signatures are off.
     signature: Option<Signature>,
 }
 
@@ -547,11 +546,11 @@ fn commission(
         // The passes are computed eagerly (their *content* is a pure
         // function of the round seed), and Procedure-II's client half
         // rides the same fan-out: the round's identities are resolved up
-        // front (the lazy chain derives or LRU-touches exactly the
-        // selection) and every worker signs the update it just trained.
+        // front (the vault derives or LRU-touches exactly the selection)
+        // and every worker signs the update it just trained.
         if let Some(keys) = state.keys.as_mut() {
             let ids: Vec<u64> = selected.iter().map(|&p| p as u64).collect();
-            keys.ensure_selected(&ids).map_err(CoreError::from)?;
+            keys.ensure(&ids).map_err(CoreError::from)?;
         }
         let tickets =
             state.train_selection(config, round, selected, &attacks, UploadTicket::signed);

@@ -3,8 +3,8 @@ use super::faults::{salvage_stranded, StrandedUpload};
 use super::run_ahead::{resolve_deferred, resolve_run_ahead};
 use super::*;
 use crate::config::{AggregationMode, ProfileConfig, SyncMode};
-use crate::engine::KeyChain;
 use crate::policy::{ReorgPolicy, StalenessPolicy};
+use bfl_crypto::KeyVault;
 use bfl_data::{Dataset, SynthMnist, SynthMnistConfig};
 use bfl_fl::config::PartitionKind;
 use bfl_ml::optimizer::LocalTrainingStats;
@@ -45,16 +45,23 @@ fn signed_tickets(
     state.train_selection(config, 1, positions, &attacks, UploadTicket::signed)
 }
 
-/// Replaces `id`'s private half with an unrelated key while the miners
-/// keep the public half they registered: from here on, anything signed
-/// for `id` fails verification, so an upload of `id`'s that still
-/// verifies can only carry a signature made before the swap.
-fn swap_private_key(state: &mut LearningState<'_>, id: u64) {
-    let Some(KeyChain::Eager { pairs, .. }) = state.keys.as_mut() else {
-        panic!("the signed test config provisions eagerly");
+/// A copy of the signed `ticket` whose carried signature has its last
+/// byte flipped. The client's pair still signs the update correctly (this
+/// asserts so), so only a check against the carried signature can reject
+/// the copy: a miner that re-signed on the client's behalf would admit it.
+fn with_flipped_signature(state: &LearningState<'_>, ticket: &UploadTicket) -> UploadTicket {
+    let UploadTicket::Ready(sent) = ticket else {
+        unreachable!("a signed ticket carries its update")
     };
-    let stranger = RsaKeyPair::generate(&mut StdRng::seed_from_u64(0x57A6), 256).unwrap();
-    pairs.insert(id, stranger);
+    let carried = sent.signature.as_ref().expect("signed at commission");
+    let pair = &state.keys.as_ref().expect("a signing run").pairs()[&sent.update.client_id];
+    assert_eq!(&sign_update(&sent.update, &pair.private), carried);
+    let mut flipped = carried.clone();
+    *flipped.bytes.last_mut().unwrap() ^= 0x01;
+    UploadTicket::Ready(Arc::new(SentUpdate {
+        update: sent.update.clone(),
+        signature: Some(flipped),
+    }))
 }
 
 fn admit(
@@ -112,8 +119,6 @@ fn a_retried_upload_is_checked_against_the_signature_made_at_commission() {
         UploadTicket::Ready(sent) if sent.signature.as_ref().is_some_and(|s| !s.is_empty())
     )));
     let (stale, fresh) = (tickets.pop().unwrap(), tickets.pop().unwrap());
-    swap_private_key(&mut state, 1);
-    swap_private_key(&mut state, 2);
     let params_at = |ticket: &UploadTicket| match ticket {
         UploadTicket::Ready(sent) => sent.update.params.as_ptr(),
         UploadTicket::Deferred(_) => unreachable!(),
@@ -126,8 +131,13 @@ fn a_retried_upload_is_checked_against_the_signature_made_at_commission() {
     let flipped = Some((12345, NonZeroU8::new(0x20).unwrap()));
     let corrupted = admit(&mut state, &mut rt, &config, 1, 1, copy, flipped);
     assert_eq!(corrupted, EventKind::UploadRejected);
+    // ... so does a clean delivery whose carried signature is off by one
+    // byte, though client 1's pair would sign its update correctly ...
+    let forged = with_flipped_signature(&state, &fresh);
+    let forged = admit(&mut state, &mut rt, &config, 1, 1, forged, None);
+    assert_eq!(forged, EventKind::UploadRejected);
     assert!(rt.arrived.is_empty());
-    // ... and its retransmission passes it, with the signature the
+    // ... and the retransmission passes it, with the signature the
     // client made when it first sent the upload — the last copy, so
     // the pool takes the sent parameters themselves.
     let retried = admit(&mut state, &mut rt, &config, 1, 1, fresh, None);
@@ -137,6 +147,9 @@ fn a_retried_upload_is_checked_against_the_signature_made_at_commission() {
 
     // A carried stale upload verifies the same way: what was signed
     // is what was sent, whatever the block aggregates.
+    let forged = with_flipped_signature(&state, &stale);
+    let forged = admit(&mut state, &mut rt, &config, 2, 1, forged, None);
+    assert_eq!(forged, EventKind::UploadRejected);
     let carried = admit(&mut state, &mut rt, &config, 2, 1, stale, None);
     assert_eq!(carried, EventKind::StaleIncluded);
     assert_eq!(rt.arrived.keys().copied().collect::<Vec<u64>>(), [1, 2]);
@@ -162,23 +175,9 @@ fn an_upload_without_a_commission_signature_is_rejected() {
     let mut state = LearningState::new(&config, &train, &test).unwrap();
     let mut rt = state.async_rt.take().unwrap();
 
-    // Client 3 holds no identity at all: unsigned at commission,
-    // unknown at admission.
-    let Some(KeyChain::Eager { pairs, .. }) = state.keys.as_mut() else {
-        panic!("eager chain");
-    };
-    pairs.remove(&3);
-    let mut tickets = signed_tickets(&mut state, &config, &[3, 4]);
-    let known = tickets.pop().unwrap();
-    let nobody = tickets.pop().unwrap();
-    assert!(matches!(&nobody, UploadTicket::Ready(sent) if sent.signature.is_none()));
-    assert_eq!(
-        admit(&mut state, &mut rt, &config, 1, 1, nobody, None),
-        EventKind::UploadRejected
-    );
-
-    // Client 4 has one, but its upload arrives bare: the miner never
+    // Client 4 holds a key, but its upload arrives bare: the miner never
     // signs on a client's behalf.
+    let known = signed_tickets(&mut state, &config, &[4]).pop().unwrap();
     let UploadTicket::Ready(sent) = known else {
         unreachable!()
     };
@@ -191,6 +190,52 @@ fn an_upload_without_a_commission_signature_is_rejected() {
     assert!(rt.arrived.is_empty());
 }
 
+/// A client's key is a function of its id alone, whichever the
+/// provisioning mode: the eager vault holds `KeyVault::derive`'s pair for
+/// every client from run start, the lazy one for every client a round
+/// has selected.
+#[test]
+fn every_vault_pair_is_the_one_derived_from_its_client_id() {
+    let (train, test) = dataset();
+    let held = |state: &LearningState<'_>| -> Vec<(u64, String)> {
+        let pairs = state.keys.as_ref().expect("a signing run").pairs();
+        let json = |pair| serde_json::to_string(pair).unwrap();
+        pairs.iter().map(|(&id, pair)| (id, json(pair))).collect()
+    };
+
+    let eager = signed_config();
+    let population: Vec<(u64, String)> = (0..eager.fl.clients as u64)
+        .map(|id| {
+            let pair = KeyVault::derive(eager.fl.seed ^ 0x5EED_0F4B, id, eager.rsa_modulus_bits);
+            (id, serde_json::to_string(&pair.unwrap()).unwrap())
+        })
+        .collect();
+    let state = LearningState::new(&eager, &train, &test).unwrap();
+    assert_eq!(held(&state), population);
+
+    let mut lazy = signed_config();
+    lazy.fl.participation_ratio = 0.5;
+    lazy.fl.partition = PartitionKind::ImplicitIid {
+        samples_per_client: 20,
+    };
+    lazy.sync = SyncMode::FlexibleQuota { quota: 2 };
+    lazy.provisioning = crate::config::ProvisioningMode::Lazy {
+        cache_budget: lazy.fl.clients,
+    };
+    lazy.validate().unwrap();
+    let mut state = LearningState::new(&lazy, &train, &test).unwrap();
+    assert!(held(&state).is_empty(), "nobody is selected yet");
+    let reward = crate::policy::ProportionalReward {
+        base: lazy.reward_base,
+    };
+    step_flexible(&mut state, &lazy, &reward, 1, 2).unwrap();
+    let selected = held(&state);
+    assert_eq!(selected.len(), lazy.fl.selected_per_round());
+    for (id, pair) in &selected {
+        assert_eq!(pair, &population[*id as usize].1, "client {id}");
+    }
+}
+
 #[test]
 fn a_stranded_upload_is_salvaged_with_its_commission_signature() {
     let (train, test) = dataset();
@@ -199,20 +244,34 @@ fn a_stranded_upload_is_salvaged_with_its_commission_signature() {
     let mut state = LearningState::new(&config, &train, &test).unwrap();
     let mut rt = state.async_rt.take().unwrap();
 
+    // Client 5's upload strands twice: once with its carried signature
+    // flipped, once intact. The salvage checks each against what it
+    // carries, so only the intact copy is included.
     let ticket = signed_tickets(&mut state, &config, &[5]).pop().unwrap();
-    swap_private_key(&mut state, 5);
-    rt.stranded.push(StrandedUpload {
-        upload: InFlightUpload {
-            ticket,
-            born_round: 1,
-            train_finished_s: 0.5,
-            attempt: 1,
-        },
-        miner: 1,
-    });
+    let forged = with_flipped_signature(&state, &ticket);
+    for ticket in [forged, ticket] {
+        rt.stranded.push(StrandedUpload {
+            upload: InFlightUpload {
+                ticket,
+                born_round: 1,
+                train_finished_s: 0.5,
+                attempt: 1,
+            },
+            miner: 1,
+        });
+    }
     salvage_stranded(&mut state, &mut rt, &config, 2);
-    let last = rt.trace.last().expect("the salvage is traced");
-    assert_eq!((last.client_id, last.kind), (5, EventKind::StaleIncluded));
+    let salvaged: Vec<_> = rt.trace[rt.trace.len() - 2..]
+        .iter()
+        .map(|record| (record.client_id, record.kind))
+        .collect();
+    assert_eq!(
+        salvaged,
+        [
+            (5, EventKind::UploadRejected),
+            (5, EventKind::StaleIncluded)
+        ]
+    );
     assert_eq!(rt.arrived[&5].born_round, 1);
     assert_eq!(rt.delivered[&5], 1);
 }

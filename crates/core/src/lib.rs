@@ -39,7 +39,10 @@
 //! pluggable seams live in [`policy`]: the [`policy::AggregationAnchor`]
 //! Algorithm 2 measures against (mean / median / trimmed mean), the
 //! [`policy::RewardPolicy`] that turns θ scores into payouts, and the
-//! [`policy::RoundObserver`] that streams per-round events to the driver.
+//! event engine's staleness, retry and reorg policies. A caller that
+//! watches or stops a run round by round steps it itself: `step` lends
+//! the round's outcome, and the run its detection table, reward ledger
+//! and chain.
 //! A scenario's run depends on nothing but the scenario and the shared
 //! datasets, so grids of them fan out across cores and processes with
 //! order-stable, thread-count-invariant results — that is `bfl-harness`
@@ -78,8 +81,7 @@ pub use error::CoreError;
 pub use events::EventRecord;
 pub use flexibility::FlexibilityMode;
 pub use policy::{
-    AggregationAnchor, ObserverControl, ProportionalReward, ReorgPolicy, RetryPolicy, RewardPolicy,
-    RoundEvent, RoundObserver, StalenessPolicy,
+    AggregationAnchor, ProportionalReward, ReorgPolicy, RetryPolicy, RewardPolicy, StalenessPolicy,
 };
 pub use reward::{gini, RewardEntry};
 pub use scenario::Scenario;

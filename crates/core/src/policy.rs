@@ -1,10 +1,10 @@
 //! Pluggable scenario policies — the trait seams of the Scenario API.
 //!
 //! FAIR-BFL's contribution is a *redesign space*: which gradient the round
-//! anchors on, how the reward pool is split, and what a driver does with
-//! each round's events are all design choices, not fixed code paths. This
-//! module exposes each choice as a policy with the paper's behaviour as
-//! the default:
+//! anchors on, how the reward pool is split, and what happens to stale,
+//! lost and stranded uploads are all design choices, not fixed code
+//! paths. This module exposes each choice as a policy with the paper's
+//! behaviour as the default:
 //!
 //! * [`AggregationAnchor`] — the reference gradient Algorithm 2 clusters
 //!   against and measures θ from. The paper uses the plain average
@@ -12,18 +12,16 @@
 //!   survive scaling attackers strong enough to corrupt the mean itself.
 //! * [`RewardPolicy`] — how a round's θ scores become paid rewards. The
 //!   default [`ProportionalReward`] is the paper's `θ_i / Σ θ_k · base`.
-//! * [`RoundObserver`] — a streaming consumer of per-round events
-//!   (outcome, detection row, sealed block) that can stop a run early
-//!   without owning the round loop.
+//! * [`StalenessPolicy`], [`RetryPolicy`] and [`ReorgPolicy`] — the event
+//!   engine's handling of late, lost and stranded uploads.
+//!
+//! A caller that wants each round as it completes steps the run itself
+//! ([`crate::engine::SimulationRun::step`]).
 
-use crate::detection::DetectionRow;
 use crate::error::CoreError;
 use crate::reward::{build_reward_list, RewardEntry};
-use crate::simulation::RoundOutcome;
-use bfl_chain::Block;
 use bfl_ml::gradient::{average_refs, trimmed_mean_refs, GradientVector};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The reference gradient of a round: what Algorithm 2 appends to the
 /// clustered set, measures every upload's θ against, and (under the
@@ -252,47 +250,6 @@ pub struct ProportionalReward {
 impl RewardPolicy for ProportionalReward {
     fn round_rewards(&self, _round: usize, scores: &[(u64, f64)]) -> Vec<RewardEntry> {
         build_reward_list(scores, self.base)
-    }
-}
-
-/// Everything observable at the end of one communication round.
-#[derive(Debug, Clone, Copy)]
-pub struct RoundEvent<'a> {
-    /// The round's outcome record.
-    pub outcome: &'a RoundOutcome,
-    /// The round's detection row (absent in modes that skip Algorithm 2).
-    pub detection: Option<&'a DetectionRow>,
-    /// The block sealed this round (absent when the mode does not mine;
-    /// the last block of the round when a round seals several).
-    pub block: Option<&'a Block>,
-    /// Cumulative per-client reward ledger through this round, in
-    /// milli-units — what [`crate::reward::gini`] consumes to track
-    /// incentive concentration round by round.
-    pub reward_totals: &'a BTreeMap<u64, u64>,
-}
-
-/// What an observer wants the driver to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObserverControl {
-    /// Keep stepping.
-    Continue,
-    /// Stop the run after this round; the result covers the completed
-    /// rounds only.
-    Stop,
-}
-
-/// A streaming consumer of per-round events. Drivers plug one in to log,
-/// checkpoint, or early-stop without re-implementing the round loop.
-pub trait RoundObserver {
-    /// Called once per completed round, in round order.
-    fn on_round(&mut self, event: &RoundEvent<'_>) -> ObserverControl;
-}
-
-/// The trivial observer: watch every round, never stop the run.
-impl<F: FnMut(&RoundEvent<'_>)> RoundObserver for F {
-    fn on_round(&mut self, event: &RoundEvent<'_>) -> ObserverControl {
-        self(event);
-        ObserverControl::Continue
     }
 }
 

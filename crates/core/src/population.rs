@@ -7,7 +7,7 @@
 //! ([`bfl_fl::implicit`]), derived wherever it is asked for and dropped
 //! after use, so memory scales with the participants a round actually
 //! touches rather than the configured population — whatever the
-//! provisioning mode, which shapes only the key chain.
+//! provisioning mode, which sizes only the key vault.
 //!
 //! The round engines ask the pool two questions and never which backend
 //! answers them. [`ClientPool::select`] is Procedure I's selection: up to

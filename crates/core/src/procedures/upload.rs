@@ -256,8 +256,7 @@ mod tests {
         let by_hand = bfl_crypto::BigUint::from_bytes_be(&sha256(&preimage));
         let public = &pairs[&6].public;
         assert_eq!(
-            signature
-                .to_biguint()
+            bfl_crypto::BigUint::from_bytes_be(&signature.bytes)
                 .modpow_reference(public.exponent(), public.modulus()),
             by_hand.rem(public.modulus())
         );

@@ -22,15 +22,14 @@
 //! # Ok::<(), bfl_core::CoreError>(())
 //! ```
 //!
-//! For round-by-round control, [`Scenario::start`] hands back the
-//! stepwise [`SimulationRun`]; [`Scenario::run_observed`] keeps the loop
-//! but streams every round through a [`RoundObserver`] that may stop the
-//! run early.
+//! For round-by-round control — logging, early stopping — [`Scenario::start`]
+//! hands back the stepwise [`SimulationRun`]: each
+//! [`step`](SimulationRun::step) lends the round's outcome, and the run
+//! its detection table, reward ledger and chain between steps.
 
 use crate::config::BflConfig;
 use crate::engine::SimulationRun;
 use crate::error::CoreError;
-use crate::policy::{ObserverControl, RoundEvent, RoundObserver};
 use crate::simulation::SimulationResult;
 use bfl_data::Dataset;
 use serde::{Deserialize, Serialize};
@@ -67,37 +66,6 @@ impl Scenario {
     pub fn run(&self, train: &Dataset, test: &Dataset) -> Result<SimulationResult, CoreError> {
         let mut run = self.start(train, test)?;
         run.run_to_completion()?;
-        Ok(run.into_result())
-    }
-
-    /// Runs the scenario, streaming every completed round to `observer`.
-    /// The observer sees the round outcome, the round's detection row
-    /// (when Algorithm 2 ran) and the sealed block (when the mode mines),
-    /// and can stop the run early; the result then covers the completed
-    /// rounds only.
-    pub fn run_observed(
-        &self,
-        train: &Dataset,
-        test: &Dataset,
-        observer: &mut dyn RoundObserver,
-    ) -> Result<SimulationResult, CoreError> {
-        let mut run = self.start(train, test)?;
-        while run.step()?.is_some() {
-            let outcome = run.outcomes().last().expect("step stored the round");
-            let event = RoundEvent {
-                outcome,
-                detection: run.detection().rows.last(),
-                block: if outcome.block_hash.is_some() {
-                    run.chain().map(|c| c.tip())
-                } else {
-                    None
-                },
-                reward_totals: run.reward_totals(),
-            };
-            if observer.on_round(&event) == ObserverControl::Stop {
-                break;
-            }
-        }
         Ok(run.into_result())
     }
 }

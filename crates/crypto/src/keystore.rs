@@ -1,10 +1,14 @@
-//! Miner-side registry of client public keys.
+//! Miner-side registry of client public keys, and the vault that assigns
+//! them.
 //!
 //! In FAIR-BFL "each client is assigned a unique private key according to
 //! its ID, and the corresponding public key will be held by the miners"
-//! (Section 4.2). The [`KeyStore`] is that holding structure: it maps client
-//! identifiers to public keys and offers a single verification entry point
-//! so the chain and core crates never handle raw key material directly.
+//! (Section 4.2). The [`KeyVault`] is the assignment: client `id`'s pair is
+//! a pure function of the run's key seed and `id`, whether a run derives
+//! the whole population up front or each client on first selection. The
+//! [`KeyStore`] is the holding structure: it maps client identifiers to
+//! public keys and offers a single verification entry point so the chain
+//! and core crates never handle raw key material directly.
 
 use crate::error::CryptoError;
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
@@ -127,8 +131,10 @@ impl KeyStore {
             .collect()
     }
 
-    /// Convenience setup: generates key pairs for `client_ids`, registers the
-    /// public halves, and returns the private pairs keyed by client id.
+    /// Convenience setup: generates key pairs for `client_ids` in order from
+    /// one `rng`, registers the public halves, and returns the private
+    /// pairs keyed by client id. Simulation runs derive their keys per id
+    /// through a [`KeyVault`] instead.
     pub fn provision<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -145,68 +151,67 @@ impl KeyStore {
     }
 }
 
-/// Lazy, deterministic key provisioning for implicit populations.
+/// Deterministic per-id key provisioning: every signing run's identities.
 ///
-/// ## The lazy `KeyStore` contract
+/// ## The key-vault contract
 ///
-/// Eager provisioning ([`KeyStore::provision`]) draws every client's key
-/// material *sequentially* from one RNG, so client `i`'s key depends on
-/// all keys generated before it — fine for small populations, O(population)
-/// keygen work for large ones. The vault instead gives every client its
-/// **own** key stream:
+/// [`KeyStore::provision`] draws every client's key material
+/// *sequentially* from one RNG, so client `i`'s key depends on all keys
+/// generated before it. The vault instead gives every client its **own**
+/// key stream, following the paper's rule that each client's private key
+/// is assigned "according to its ID":
 ///
 /// ```text
 /// stream(id) = StdRng::seed_from_u64(key_seed ^ (id · 0x9E37_79B9_7F4A_7C15))
 /// ```
 ///
 /// where `key_seed` is the run's key-stream seed (the engine passes
-/// `fl.seed ^ 0x5EED_0F4B`, the same constant the eager path uses) and the
-/// golden-ratio multiply is the per-entity mixer shared with round seeds
-/// and per-client training RNGs. Every RSA draw for client `id` — prime
-/// candidates, Miller–Rabin witnesses — comes from `stream(id)` and nothing
-/// else, which yields the two guarantees lazy provisioning rests on:
+/// `fl.seed ^ 0x5EED_0F4B`) and the golden-ratio multiply is the
+/// per-entity mixer shared with round seeds and per-client training RNGs.
+/// Every RSA draw for client `id` — prime candidates, Miller–Rabin
+/// witnesses — comes from `stream(id)` and nothing else, which yields the
+/// guarantees both provisioning budgets rest on:
 ///
 /// 1. **Rederivation is identity.** Evicting a pair and deriving it again
 ///    replays the same stream from the same seed, so the regenerated pair
 ///    is byte-identical; the cache is a pure memoization and its budget or
-///    eviction order can never change results.
-/// 2. **Stream isolation.** No draw touches the learning or fault streams,
-///    so lazy and eager runs see identical learning-stream states. (Key
-///    *material* still differs from the eager path — sequential vs
-///    per-index streams — but key bytes never enter round outcomes, block
-///    hashes, or rewards; they only gate signature verification, which
-///    passes in both.)
+///    eviction order can never change results — or key bytes. A vault
+///    filled up front (the engine's eager budget, the whole population)
+///    and one filled on first selection hold the same pair for every id.
+/// 2. **Stream isolation.** No draw touches the learning or fault
+///    streams, so a run's learning-stream states do not depend on the
+///    budget, or on whether it signs at all.
 ///
 /// The cache keeps at most `budget` private pairs, evicting the least
 /// recently *used* pair (touch = signing lookup or `ensure`). Evicted
 /// public keys leave the embedded [`KeyStore`] too, keeping the registry
-/// O(active); a later re-selection simply re-registers the identical key.
+/// O(budget); a later re-selection simply re-registers the identical key.
+/// A touch of a cached id only rewrites its stamp, so it allocates
+/// nothing; eviction, which only a miss over budget triggers, scans the
+/// cache for the smallest stamp.
 #[derive(Debug, Clone)]
-pub struct LazyKeyVault {
+pub struct KeyVault {
     key_seed: u64,
     modulus_bits: usize,
     budget: usize,
     store: KeyStore,
     pairs: BTreeMap<u64, RsaKeyPair>,
-    /// LRU bookkeeping: monotone touch tick per cached id, plus the
-    /// inverse (tick → id) so eviction is O(log n).
+    /// LRU bookkeeping: the monotone touch stamp of every cached id.
     last_touch: BTreeMap<u64, u64>,
-    by_tick: BTreeMap<u64, u64>,
     next_tick: u64,
 }
 
-impl LazyKeyVault {
+impl KeyVault {
     /// Creates a vault deriving `modulus_bits` keys from `key_seed`,
     /// caching at most `budget` pairs (at least one).
     pub fn new(key_seed: u64, modulus_bits: usize, budget: usize) -> Self {
-        LazyKeyVault {
+        KeyVault {
             key_seed,
             modulus_bits,
             budget: budget.max(1),
             store: KeyStore::new(),
             pairs: BTreeMap::new(),
             last_touch: BTreeMap::new(),
-            by_tick: BTreeMap::new(),
             next_tick: 0,
         }
     }
@@ -221,11 +226,6 @@ impl LazyKeyVault {
         &self.pairs
     }
 
-    /// Number of cached pairs.
-    pub fn cached(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Derives client `id`'s key pair from its per-index stream. Pure in
     /// `(key_seed, id, modulus_bits)` — see the type-level contract.
     pub fn derive(key_seed: u64, id: u64, modulus_bits: usize) -> Result<RsaKeyPair, CryptoError> {
@@ -233,37 +233,27 @@ impl LazyKeyVault {
         RsaKeyPair::generate(&mut rng, modulus_bits)
     }
 
-    fn touch(&mut self, id: u64) {
-        if let Some(old) = self.last_touch.insert(id, self.next_tick) {
-            self.by_tick.remove(&old);
-        }
-        self.by_tick.insert(self.next_tick, id);
-        self.next_tick += 1;
-    }
-
-    fn evict_to_budget(&mut self) {
-        while self.pairs.len() > self.budget {
-            let Some((&tick, &victim)) = self.by_tick.iter().next() else {
-                break;
-            };
-            self.by_tick.remove(&tick);
-            self.last_touch.remove(&victim);
-            self.pairs.remove(&victim);
-            self.store.revoke(victim);
-        }
-    }
-
     /// Ensures client `id`'s pair is cached (deriving it on a miss) and
     /// returns a reference to it, marking it most recently used.
     pub fn pair(&mut self, id: u64) -> Result<&RsaKeyPair, CryptoError> {
-        if !self.pairs.contains_key(&id) {
+        let tick = self.next_tick;
+        self.next_tick += 1;
+        if let Some(stamp) = self.last_touch.get_mut(&id) {
+            *stamp = tick;
+        } else {
             let pair = Self::derive(self.key_seed, id, self.modulus_bits)?;
+            if self.pairs.len() == self.budget {
+                // Full: the least recently used pair, the smallest stamp, goes.
+                let (&victim, _) = self.last_touch.iter().min_by_key(|&(_, &t)| t).unwrap();
+                self.last_touch.remove(&victim);
+                self.pairs.remove(&victim);
+                self.store.revoke(victim);
+            }
             self.store.register(id, pair.public.clone());
             self.pairs.insert(id, pair);
+            self.last_touch.insert(id, tick);
         }
-        self.touch(id);
-        self.evict_to_budget();
-        Ok(self.pairs.get(&id).expect("just ensured"))
+        Ok(&self.pairs[&id])
     }
 
     /// Ensures every id in `ids` is cached. With `budget >= ids.len()` the
@@ -382,7 +372,7 @@ mod tests {
 
     #[test]
     fn lazy_vault_rederives_identical_pairs_after_eviction() {
-        let mut vault = LazyKeyVault::new(0xBF1 ^ 0x5EED_0F4B, 192, 2);
+        let mut vault = KeyVault::new(0xBF1 ^ 0x5EED_0F4B, 192, 2);
         let sig = {
             let pair = vault.pair(7).unwrap();
             sign_message(7, b"gradient", &pair.private)
@@ -390,7 +380,7 @@ mod tests {
         // Push id 7 out of the budget-2 cache.
         vault.pair(8).unwrap();
         vault.pair(9).unwrap();
-        assert_eq!(vault.cached(), 2);
+        assert_eq!(vault.pairs().len(), 2);
         assert!(vault.pairs().get(&7).is_none(), "7 was evicted");
         assert!(vault.store().public_key(7).is_none(), "revoked with it");
         // Rederivation is identity: the old signature verifies against the
@@ -401,7 +391,7 @@ mod tests {
 
     #[test]
     fn lazy_vault_evicts_least_recently_used() {
-        let mut vault = LazyKeyVault::new(11, 192, 2);
+        let mut vault = KeyVault::new(11, 192, 2);
         vault.pair(1).unwrap();
         vault.pair(2).unwrap();
         vault.pair(1).unwrap(); // touch 1 → 2 is now LRU
@@ -414,8 +404,8 @@ mod tests {
 
     #[test]
     fn lazy_vault_streams_are_independent_of_derivation_order() {
-        let mut forward = LazyKeyVault::new(5, 192, 8);
-        let mut backward = LazyKeyVault::new(5, 192, 8);
+        let mut forward = KeyVault::new(5, 192, 8);
+        let mut backward = KeyVault::new(5, 192, 8);
         forward.ensure(&[1, 2, 3]).unwrap();
         backward.ensure(&[3, 2, 1]).unwrap();
         for id in 1..=3u64 {

@@ -34,7 +34,8 @@
 //! * [`signature`] — the hash-then-sign envelope used by the protocol and
 //!   its one verifier, [`BatchVerifier`].
 //! * [`keystore`] — the miner-side registry mapping client identifiers to
-//!   public keys.
+//!   public keys, and the [`KeyVault`] that derives each client's pair
+//!   from its id.
 //!
 //! Each operation has one implementation. The seed implementations the
 //! fast paths replaced stay as oracles — plain functions no production
@@ -62,7 +63,7 @@ pub mod signature;
 
 pub use bigint::BigUint;
 pub use error::CryptoError;
-pub use keystore::{KeyStore, LazyKeyVault};
+pub use keystore::{KeyStore, KeyVault};
 pub use montgomery::{MontWorkspace, MontgomeryCtx};
 pub use rsa::{CrtFactors, RsaKeyPair, RsaPrivateKey, RsaPublicKey};
 pub use sha256::{sha256, Sha256};

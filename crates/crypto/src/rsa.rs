@@ -121,6 +121,11 @@ pub const PUBLIC_EXPONENT: u32 = 65537;
 /// digest comfortably after reduction and offers no meaningful structure.
 pub const MIN_MODULUS_BITS: usize = 128;
 
+/// Maximum modulus size a simulation may ask for, far past any size it
+/// signs with. Unbounded, a prime candidate's allocation can outgrow any
+/// heap, so configurations refuse larger sizes before a run starts.
+pub const MAX_MODULUS_BITS: usize = 16384;
+
 /// A lazily-built per-modulus [`MontgomeryCtx`] cache.
 ///
 /// The first caller pays the context construction (one division for

@@ -40,12 +40,12 @@
 //! second encoding of every signature.
 //!
 //! The oracle for all of it is the plain exponent through
-//! [`BigUint::modpow_reference`] (no CRT, no Montgomery, seed long
-//! division): the unit tests below hold every signature to
-//! `H(m).modpow_reference(d, n)` and every verdict to
+//! [`BigUint::modpow_reference`](crate::BigUint::modpow_reference) (no
+//! CRT, no Montgomery, seed long division): the unit tests below hold
+//! every signature to `H(m).modpow_reference(d, n)` and every verdict to
 //! `s < n && s.modpow_reference(e, n) == H(m) mod n`, bit for bit.
 
-use crate::bigint::{limb_of_bytes_be, limbs_to_bytes_be, BigUint};
+use crate::bigint::{limb_of_bytes_be, limbs_to_bytes_be};
 use crate::error::CryptoError;
 use crate::montgomery::MontWorkspace;
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
@@ -61,11 +61,6 @@ pub struct Signature {
 }
 
 impl Signature {
-    /// Interprets the signature as an integer.
-    pub fn to_biguint(&self) -> BigUint {
-        BigUint::from_bytes_be(&self.bytes)
-    }
-
     /// Signature length in bytes.
     pub fn len(&self) -> usize {
         self.bytes.len()
@@ -231,6 +226,7 @@ impl BatchVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::BigUint;
     use crate::rsa::{CrtFactors, RsaKeyPair};
     use crate::sha256::sha256;
     use rand::rngs::StdRng;
@@ -267,7 +263,7 @@ mod tests {
         signature: &Signature,
         key: &RsaPublicKey,
     ) -> Result<(), CryptoError> {
-        let (n, s) = (key.modulus(), signature.to_biguint());
+        let (n, s) = (key.modulus(), BigUint::from_bytes_be(&signature.bytes));
         if s < *n && s.modpow_reference(key.exponent(), n) == reference_digest(signer, payload, n) {
             Ok(())
         } else {
@@ -353,7 +349,9 @@ mod tests {
             let signature = sign_detached(3, payload, &pair.private);
             let (n, e) = (pair.public.modulus(), pair.public.exponent());
             let lifted = Signature {
-                bytes: signature.to_biguint().add(n).to_bytes_be(),
+                bytes: BigUint::from_bytes_be(&signature.bytes)
+                    .add(n)
+                    .to_bytes_be(),
             };
             let at_n = Signature {
                 bytes: n.to_bytes_be(),
@@ -361,8 +359,8 @@ mod tests {
             // `s + n` raises to exactly what `s` does: only the range
             // check tells them apart.
             assert_eq!(
-                lifted.to_biguint().modpow_reference(e, n),
-                signature.to_biguint().modpow_reference(e, n)
+                BigUint::from_bytes_be(&lifted.bytes).modpow_reference(e, n),
+                BigUint::from_bytes_be(&signature.bytes).modpow_reference(e, n)
             );
             let mut verifier = BatchVerifier::new();
             let verdicts = |signature: &Signature, verifier: &mut BatchVerifier| {
@@ -521,7 +519,7 @@ mod tests {
         payload.chunks(61).for_each(|part| streamed.update(part));
         assert_eq!(streamed.sign(private), signature);
         assert_eq!(
-            signature.to_biguint(),
+            BigUint::from_bytes_be(&signature.bytes),
             reference_digest(signer, payload, private.modulus())
                 .modpow_reference(private.exponent(), private.modulus())
         );

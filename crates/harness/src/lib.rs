@@ -6,9 +6,9 @@
 //! of override axes (cross-producting into labelled cells), and a seed
 //! fleet. The [`runner`] expands cells × seeds into a canonical job
 //! list, fans it across cores with `bfl_ml::par`'s order-stable
-//! fork/join map (this is the workspace's one fleet runner), and streams
-//! per-round KPI rows through the [`bfl_core::RoundObserver`] seam into
-//! per-seed CSV/JSON series plus a cross-seed `summary.json`
+//! fork/join map (this is the workspace's one fleet runner), steps each
+//! run ([`bfl_core::SimulationRun::step`]) to read a per-round KPI row
+//! into per-seed CSV/JSON series plus a cross-seed `summary.json`
 //! ([`stats::Stats`] per KPI per cell).
 //!
 //! Fleets also shard across *processes* with zero coordination: shard

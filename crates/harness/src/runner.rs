@@ -9,7 +9,7 @@
 
 use crate::manifest::{DatasetSpec, Manifest};
 use crate::stats::Stats;
-use bfl_core::{gini, CoreError, RoundEvent, Scenario};
+use bfl_core::{gini, CoreError, Scenario};
 use bfl_data::{Dataset, SynthMnist, SynthMnistConfig};
 use bfl_ml::par;
 use rand::rngs::StdRng;
@@ -115,7 +115,7 @@ fn io_err(path: &Path, e: std::io::Error) -> HarnessError {
     }
 }
 
-/// One per-round KPI record, streamed out of the [`RoundEvent`] seam.
+/// One per-round KPI record, read off the run after each step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundRow {
     /// Communication round (1-based).
@@ -309,15 +309,16 @@ fn run_one(
     let scenario = Scenario::from_config(config)?;
 
     let mut rows: Vec<RoundRow> = Vec::new();
-    let observer = |event: &RoundEvent<'_>| {
-        let ledger: Vec<u64> = event.reward_totals.values().copied().collect();
-        let outcome = event.outcome;
+    let mut run = scenario.start(train, test)?;
+    while run.step()?.is_some() {
+        let outcome = run.outcomes().last().expect("step stored the round");
+        let ledger: Vec<u64> = run.reward_totals().values().copied().collect();
         rows.push(RoundRow {
             round: outcome.round,
             accuracy: outcome.accuracy,
             train_loss: outcome.train_loss,
             participants: outcome.participants,
-            detection_rate: event.detection.and_then(|d| d.detection_rate),
+            detection_rate: run.detection().rows.last().and_then(|d| d.detection_rate),
             makespan_s: outcome.kpi.makespan_s,
             mempool_depth_at_seal: outcome.kpi.mempool_depth_at_seal,
             stale_included: outcome.kpi.stale_included,
@@ -327,9 +328,8 @@ fn run_one(
             rewards_paid_milli: outcome.rewards_paid_milli,
             reward_gini: gini(&ledger),
         });
-    };
-    let mut observer = observer;
-    let result = scenario.run_observed(train, test, &mut observer)?;
+    }
+    let result = run.into_result();
 
     let makespan_s = rows.iter().map(|r| r.makespan_s).sum();
     let ledger: Vec<u64> = result.reward_totals.values().copied().collect();

@@ -1,11 +1,11 @@
 //! Quickstart: write a small FAIR-BFL scenario as a `BflConfig`,
-//! stream every round through an observer while it runs, and inspect the
-//! results — accuracy trajectory, per-procedure delays, the ledger, and
-//! the rewards the incentive mechanism paid out.
+//! step it round by round while it runs, and inspect the results —
+//! accuracy trajectory, per-procedure delays, the ledger, and the
+//! rewards the incentive mechanism paid out.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use fair_bfl::core::{BflConfig, LowContributionStrategy, RoundEvent, Scenario};
+use fair_bfl::core::{BflConfig, LowContributionStrategy, Scenario};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
 use fair_bfl::fl::config::{FlConfig, PartitionKind};
 use fair_bfl::ml::optimizer::LocalTrainingConfig;
@@ -54,12 +54,13 @@ fn main() {
     };
     let scenario = Scenario::from_config(config).expect("scenario is consistent");
 
-    // 3. Run it, watching every round as it completes. The observer sees
-    //    the round outcome (and, in mining modes, the sealed block) the
-    //    moment the round finishes — no waiting for the whole run.
+    // 3. Run it, watching every round as it completes: `start()` returns
+    //    a stepwise run whose `step()` lends each round's outcome (in
+    //    mining modes, with its sealed block's hash) the moment the round
+    //    finishes — no waiting for the whole run.
     println!("\nround  accuracy  delay(s)   T_local  T_up   T_gl   T_bl   block");
-    let mut watch = |event: &RoundEvent<'_>| {
-        let o = event.outcome;
+    let mut run = scenario.start(&train, &test).expect("run provisions");
+    while let Some(o) = run.step().expect("simulation should complete") {
         println!(
             "{:>5}  {:>8.3}  {:>8.2}   {:>6.2}  {:>5.2}  {:>5.2}  {:>5.2}   {}",
             o.round,
@@ -69,15 +70,10 @@ fn main() {
             o.breakdown.t_up,
             o.breakdown.t_gl,
             o.breakdown.t_bl,
-            event
-                .block
-                .map(|b| b.hash_hex()[..10].to_string())
-                .unwrap_or_default()
+            o.block_hash.as_deref().map_or("", |hash| &hash[..10])
         );
-    };
-    let result = scenario
-        .run_observed(&train, &test, &mut watch)
-        .expect("simulation should complete");
+    }
+    let result = run.into_result();
 
     // 4. Inspect what happened.
     println!(
@@ -101,9 +97,8 @@ fn main() {
         println!("  client {client:>3}: {amount}");
     }
 
-    // 5. The same scenario can also be driven round by round: `start()`
-    //    returns a stepwise run whose `step()` yields one outcome per
-    //    round — handy for early stopping or interleaved bookkeeping.
+    // 5. Stepping is also how a run stops early: break out of the loop,
+    //    and the result covers the completed rounds.
     let mut run = scenario.start(&train, &test).expect("run provisions");
     while let Some(outcome) = run.step().expect("round completes") {
         if outcome.accuracy > 0.8 {

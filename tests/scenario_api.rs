@@ -1,6 +1,6 @@
 //! Integration tests for the Scenario API: `from_config`'s typed
 //! validation, the stepwise engine's equivalence with the one-shot
-//! driver, streaming observers, pluggable reward policies, and the
+//! run, step-driven early stopping, pluggable reward policies, and the
 //! parallel sweep runner — all exercised through the facade crate.
 
 mod common;
@@ -8,8 +8,8 @@ mod common;
 use common::{run_grid, small_config, small_dataset};
 use fair_bfl::core::reward::RewardEntry;
 use fair_bfl::core::{
-    AggregationAnchor, BflConfig, CoreError, FlexibilityMode, ObserverControl, RewardPolicy,
-    RoundEvent, RoundObserver, Scenario, SimulationResult,
+    AggregationAnchor, BflConfig, CoreError, FlexibilityMode, RewardPolicy, Scenario,
+    SimulationResult,
 };
 use fair_bfl::fl::config::FlConfig;
 
@@ -54,58 +54,62 @@ fn step_driven_run_is_bit_identical_to_one_shot_run_in_both_engine_modes() {
     assert_bit_identical(&one_shot, &stepped);
 }
 
+// (The two `observers_*` names date from the observer seam these tests
+// used to go through; a caller now steps the run itself, and the names
+// stay so the tests keep their ids.)
+
+/// A step-driven run that stops early keeps the completed prefix of the
+/// full run bit for bit, and its chain has the prefix's height.
 #[test]
 fn observers_stream_rounds_and_can_stop_early() {
     let (train, test) = small_dataset();
     let scenario = Scenario::from_config(small_config(5)).unwrap();
+    let full = scenario.run(&train, &test).unwrap();
 
-    // A closure observer sees every round in order, with the sealed block.
+    let mut run = scenario.start(&train, &test).unwrap();
     let mut seen = Vec::new();
-    let mut watch = |event: &RoundEvent<'_>| {
+    while let Some(outcome) = run.step().unwrap() {
+        let round = outcome.round;
+        seen.push(round);
         assert_eq!(
-            event.block.map(|b| b.hash_hex()),
-            event.outcome.block_hash.clone(),
-            "the event's block is the one the outcome references"
+            run.chain().map(|c| c.tip().hash_hex()),
+            run.outcomes()[round - 1].block_hash,
+            "the outcome references the block the round sealed"
         );
-        assert!(event.detection.is_some(), "learning modes run Algorithm 2");
-        seen.push(event.outcome.round);
-    };
-    let full = scenario.run_observed(&train, &test, &mut watch).unwrap();
-    assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-    assert_eq!(full.outcomes.len(), 5);
-
-    // A stopping observer truncates the run after its round.
-    struct StopAfter(usize);
-    impl RoundObserver for StopAfter {
-        fn on_round(&mut self, event: &RoundEvent<'_>) -> ObserverControl {
-            if event.outcome.round >= self.0 {
-                ObserverControl::Stop
-            } else {
-                ObserverControl::Continue
-            }
+        assert_eq!(
+            run.detection().rows.len(),
+            round,
+            "learning modes run Algorithm 2"
+        );
+        if round == 2 {
+            break;
         }
     }
-    let stopped = scenario
-        .run_observed(&train, &test, &mut StopAfter(2))
-        .unwrap();
+    let stopped = run.into_result();
+    assert_eq!(seen, vec![1, 2]);
     assert_eq!(stopped.outcomes.len(), 2);
     assert_eq!(stopped.chain.as_ref().unwrap().height(), 2);
-    // The completed prefix matches the full run exactly.
+    // The completed prefix matches the full run exactly, block hashes
+    // included.
     assert_eq!(stopped.outcomes, full.outcomes[..2]);
+    assert_eq!(stopped.detection.rows, full.detection.rows[..2]);
 }
 
-/// An event carries the round's one record: everything an observer
-/// streamed — KPI row and clock included — is what the result keeps.
+/// What a caller reads between steps — the round's outcome (KPI row and
+/// clock included), its detection row and the cumulative reward ledger —
+/// is what the result keeps.
 #[test]
 fn observers_see_the_records_the_result_keeps() {
     let (train, test) = small_dataset();
     let scenario = Scenario::from_config(small_config(3)).unwrap();
+    let mut run = scenario.start(&train, &test).unwrap();
     let mut streamed = Vec::new();
-    let mut watch = |event: &RoundEvent<'_>| {
-        let paid: u64 = event.reward_totals.values().sum();
-        streamed.push((event.outcome.clone(), event.detection.cloned(), paid));
-    };
-    let result = scenario.run_observed(&train, &test, &mut watch).unwrap();
+    while let Some(outcome) = run.step().unwrap() {
+        let outcome = outcome.clone();
+        let paid: u64 = run.reward_totals().values().sum();
+        streamed.push((outcome, run.detection().rows.last().cloned(), paid));
+    }
+    let result = run.into_result();
 
     assert_eq!(streamed.len(), 3);
     let mut paid_so_far = 0;
@@ -116,6 +120,7 @@ fn observers_see_the_records_the_result_keeps() {
         paid_so_far += outcome.rewards_paid_milli;
         assert_eq!(*paid, paid_so_far, "the ledger is cumulative");
     }
+    assert_eq!(result.reward_totals.values().sum::<u64>(), paid_so_far);
     assert!(streamed
         .windows(2)
         .all(|w| w[1].0.elapsed_s > w[0].0.elapsed_s));
