@@ -3,7 +3,8 @@
 //! four-row θ kernel allocates nothing, and one `analyze_contributions`
 //! over a `pop1m_streaming`-shaped chunk committee (128 uploads of the
 //! paper's 7850 parameters, mean anchor, the default DBSCAN) makes a
-//! pinned number of allocator calls at one worker and at two.
+//! pinned number of allocator calls at one worker and at two, and never
+//! holds as much extra heap as one pairwise matrix of the committee.
 
 use bfl_bench::CountingAllocator;
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
@@ -12,9 +13,14 @@ use bfl_core::AggregationAnchor;
 use bfl_ml::{par, tensor};
 
 /// Allocator calls of one warm analysis of [`committee`]`(128, 7850)`:
-/// the anchor, the Gram and clustering buffers, the label and θ vectors
-/// and the id lists' growth. θ scoring itself adds none.
-const ANALYSIS_CALLS: usize = 156;
+/// the anchor, the clustered row list, the anchor search's squared norms,
+/// membership mask and queue, the θ vector and the id lists' growth. θ
+/// scoring itself adds none.
+const ANALYSIS_CALLS: usize = 16;
+
+/// Bytes of one `129 × 129` matrix of `f64`, the committee and its
+/// anchor's pairwise Gram: the anchor's cluster is found without one.
+const PAIRWISE_BYTES: usize = 129 * 129 * std::mem::size_of::<f64>();
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -24,6 +30,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOC.snapshot();
     let out = f();
     (out, ALLOC.delta_since(&before).allocations)
+}
+
+/// Runs `f`, returning its result and the most heap it held at once
+/// above what was live when it started.
+fn high_water<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let live = ALLOC.current_bytes();
+    ALLOC.reset_peak();
+    let out = f();
+    (out, ALLOC.peak_bytes().saturating_sub(live))
 }
 
 /// `rows` uploads of `len` parameters around one direction, every
@@ -74,10 +89,14 @@ fn theta_scoring_allocates_nothing_and_algorithm_2_its_pinned_count() {
                 (again.high_contribution.len(), again.low_contribution.len()),
                 (110, 18)
             );
-            // Scoring θ one upload at a time made the same count.
             assert_eq!(
                 calls, ANALYSIS_CALLS,
                 "Algorithm 2 over 128 x 7850 at {workers} worker(s) made {calls} allocator calls"
+            );
+            let (_, held) = high_water(analyze);
+            assert!(
+                held < PAIRWISE_BYTES,
+                "Algorithm 2 over 128 x 7850 at {workers} worker(s) held {held} bytes at once"
             );
         });
     }

@@ -4,10 +4,13 @@
 //! The implementation is the textbook region-growing formulation over a
 //! precomputed pairwise distance matrix, which is exactly right for the
 //! problem sizes Algorithm 2 encounters (tens to a few hundred gradient
-//! vectors per round).
+//! vectors per round). Algorithm 2 itself reads only the anchor's
+//! cluster, and under `min_points <= 2` [`dbscan_anchor_cluster`] finds
+//! that cluster without the matrix.
 
 use crate::distance::{distance_matrix, DistanceMetric};
 use crate::labels::ClusterLabels;
+use bfl_ml::tensor::{gram_entry, gram_square_and_entry};
 use std::collections::VecDeque;
 
 /// DBSCAN parameters.
@@ -42,7 +45,7 @@ pub fn dbscan(vectors: &[Vec<f64>], config: &DbscanConfig) -> ClusterLabels {
 
 /// DBSCAN over a precomputed pairwise distance matrix — the algorithm
 /// only ever consumes distances, so callers that already hold the shared
-/// Gram-derived matrix (Algorithm 2) skip recomputing it.
+/// Gram-derived matrix skip recomputing it.
 pub fn dbscan_with_distances(distances: &[Vec<f64>], config: &DbscanConfig) -> ClusterLabels {
     let n = distances.len();
     if n == 0 {
@@ -108,9 +111,74 @@ pub fn dbscan_with_distances(distances: &[Vec<f64>], config: &DbscanConfig) -> C
     ClusterLabels::new(assignments)
 }
 
+/// Whether each row lies in the last row's DBSCAN cluster, for
+/// `min_points` 1 or 2, forming only the distances that question needs.
+///
+/// With `min_points <= 2` a point with any ε-neighbour besides itself is a
+/// core point, so DBSCAN's clusters are the connected components of the
+/// ε-graph whatever the visit order (a point with no neighbour is noise,
+/// or under `min_points == 1` a cluster of its own). The last row's
+/// cluster is then a breadth-first search from it, which tests each
+/// (reached, unreached) pair at most once: `2n + 1` Gram entries when
+/// every row is near the last (each row's squared norm and its entry
+/// against the last, from one read of the row), never more than the
+/// triangle's. Each entry has the bits
+/// [`gram_upper`](bfl_ml::tensor::gram_upper) gives it in a set of this
+/// size ([`gram_entry`], [`gram_square_and_entry`]), and each distance is
+/// the one [`dbscan_with_distances`] reads off the pairwise matrix, so
+/// entry `i` equals `dbscan(..).same_cluster(i, n - 1)`.
+pub fn dbscan_anchor_cluster(rows: &[&[f64]], config: &DbscanConfig) -> Vec<bool> {
+    let n = rows.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    assert!(config.eps > 0.0, "eps must be positive");
+    assert!(
+        (1..=2).contains(&config.min_points),
+        "the anchor's cluster is its ε-component only for min_points 1 or 2"
+    );
+    // The anchor's own step reads each other row once, for its squared
+    // norm and its entry against the anchor together.
+    let anchor = n - 1;
+    let anchor_square = gram_entry(rows[anchor], rows[anchor], n);
+    let mut squares = Vec::with_capacity(n);
+    let mut member = vec![false; n];
+    let mut reached = Vec::with_capacity(n);
+    reached.push(anchor);
+    for (j, row) in rows[..anchor].iter().enumerate() {
+        let (square, g_ja) = gram_square_and_entry(row, rows[anchor], n);
+        squares.push(square);
+        if config.metric.gram_distance(g_ja, square, anchor_square) <= config.eps {
+            member[j] = true;
+            reached.push(j);
+        }
+    }
+    squares.push(anchor_square);
+    member[anchor] = true;
+    let near = |i: usize, j: usize| {
+        let g_ij = gram_entry(rows[i], rows[j], n);
+        config.metric.gram_distance(g_ij, squares[i], squares[j]) <= config.eps
+    };
+    // `reached[0]` is the anchor, whose step is done.
+    let mut next = 1;
+    while let Some(&i) = reached.get(next) {
+        next += 1;
+        for (j, in_cluster) in member.iter_mut().enumerate() {
+            if !*in_cluster && near(i, j) {
+                *in_cluster = true;
+                reached.push(j);
+            }
+        }
+    }
+    // Alone, the anchor is a cluster only if it is a core point by itself.
+    member[anchor] = reached.len() >= config.min_points;
+    member
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::distance_matrix_rows;
     use proptest::prelude::*;
 
     fn two_blobs() -> Vec<Vec<f64>> {
@@ -223,8 +291,139 @@ mod tests {
         ClusterLabels::new(assignments)
     }
 
+    /// Whether each row is in the last row's cluster, read off the full
+    /// pairwise matrix's labels.
+    fn anchor_cluster_of_labels(rows: &[&[f64]], config: &DbscanConfig) -> Vec<bool> {
+        let labels = dbscan_with_distances(&distance_matrix_rows(rows, config.metric), config);
+        (0..rows.len())
+            .map(|i| labels.same_cluster(i, rows.len() - 1))
+            .collect()
+    }
+
+    /// The point at `angle` on the circle of the first two coordinates,
+    /// scaled by `scale` (cosine distance ignores it), other coordinates 0.
+    fn on_circle(angle: f64, scale: f64, d: usize) -> Vec<f64> {
+        let mut row = vec![0.0; d];
+        row[0] = scale * angle.cos();
+        row[1] = scale * angle.sin();
+        row
+    }
+
+    /// `n` rows of `d >= 3` coordinates whose last row is the anchor,
+    /// mixing near and far points, duplicates, zero rows, noise and a chain
+    /// of 0.6-radian steps away from the anchor's direction: at ε = 0.35
+    /// (0.86 radians) only the chain's first link is the anchor's
+    /// neighbour, the rest reach it through the chain. The anchor is on the
+    /// chain's origin, isolated on the third axis, zero, or a duplicate.
+    fn mixed_committee(seed: u64, n: usize, d: usize) -> Vec<Vec<f64>> {
+        let mut state = seed | 1;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+        let mut link = 0.0;
+        for _ in 0..n - 1 {
+            let scale = 0.1 + 10.0 * next();
+            let row = match (next() * 6.0) as usize {
+                0 => on_circle(0.2 * (next() - 0.5), scale, d),
+                1 => on_circle(std::f64::consts::PI + next() - 0.5, scale, d),
+                2 if !rows.is_empty() => rows[(next() * rows.len() as f64) as usize].clone(),
+                3 => vec![0.0; d],
+                4 => {
+                    link += 0.6;
+                    on_circle(link, scale, d)
+                }
+                _ => (0..d).map(|_| next() * 4.0 - 2.0).collect(),
+            };
+            rows.push(row);
+        }
+        let anchor = match (next() * 4.0) as usize {
+            0 => on_circle(0.0, 1.0, d),
+            1 => {
+                let mut row = vec![0.0; d];
+                row[2] = 1.0;
+                row
+            }
+            2 => vec![0.0; d],
+            _ if !rows.is_empty() => rows[(next() * rows.len() as f64) as usize].clone(),
+            _ => on_circle(0.0, 1.0, d),
+        };
+        rows.push(anchor);
+        rows
+    }
+
+    #[test]
+    fn a_chain_reaches_the_anchor_only_through_other_uploads() {
+        // Rows 1 → 2 → 3 step 0.6 radians away from the anchor (row 4);
+        // row 0 sits opposite it. Only row 1 is the anchor's neighbour.
+        let rows = [
+            on_circle(std::f64::consts::PI, 1.0, 3),
+            on_circle(0.6, 2.0, 3),
+            on_circle(1.2, 0.5, 3),
+            on_circle(1.8, 3.0, 3),
+            on_circle(0.0, 1.0, 3),
+        ];
+        let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        for min_points in [1, 2] {
+            let config = DbscanConfig {
+                min_points,
+                ..DbscanConfig::default()
+            };
+            let want = vec![false, true, true, true, true];
+            assert_eq!(anchor_cluster_of_labels(&rows, &config), want);
+            assert_eq!(dbscan_anchor_cluster(&rows, &config), want);
+        }
+    }
+
+    #[test]
+    fn an_isolated_anchor_has_no_cluster_but_its_own() {
+        let rows = [
+            vec![1.0, 0.0, 0.0],
+            vec![1.0, 0.1, 0.0],
+            vec![0.0, 0.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+        ];
+        let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        // Under `min_points == 2` the anchor is noise, in no cluster; under
+        // 1 it is a cluster of one.
+        for (min_points, alone) in [(1, true), (2, false)] {
+            let config = DbscanConfig {
+                min_points,
+                ..DbscanConfig::default()
+            };
+            let want = vec![false, false, false, alone];
+            assert_eq!(anchor_cluster_of_labels(&rows, &config), want);
+            assert_eq!(dbscan_anchor_cluster(&rows, &config), want);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The anchor's search against the full matrix's labels, under
+        /// `min_points` 1 and 2 and radii that take in zero rows (distance
+        /// 1) or not: committees of 1 to 40 rows (both sides of the Gram's
+        /// 16-row regime switch) of 3 to 300 coordinates (both sides of
+        /// its `k`-blocking).
+        #[test]
+        fn the_anchor_search_equals_the_full_labels(
+            n in 1usize..40,
+            d in 0usize..4,
+            eps in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let (d, eps) = ([3, 4, 9, 300][d], [0.05, 0.35, 0.9, 1.2][eps]);
+            let committee = mixed_committee(seed, n, d);
+            let rows: Vec<&[f64]> = committee.iter().map(Vec::as_slice).collect();
+            for min_points in [1, 2] {
+                let config = DbscanConfig { eps, min_points, metric: DistanceMetric::Cosine };
+                prop_assert_eq!(
+                    dbscan_anchor_cluster(&rows, &config),
+                    anchor_cluster_of_labels(&rows, &config)
+                );
+            }
+        }
 
         #[test]
         fn compressed_neighbourhoods_leave_every_label_unchanged(

@@ -18,9 +18,13 @@
 //! A pairwise matrix is symmetric, so only `G_ij` with `j ≥ i` is ever
 //! read. [`distance_matrix_rows`] therefore asks
 //! [`bfl_ml::tensor::gram_upper`] for the upper triangle alone — half the
-//! dot products of a full `V · Vᵀ` — over *borrowed* rows: Algorithm 2
-//! hands in the round's uploads plus the anchor row exactly where they
-//! already live, and nothing is packed into a contiguous copy first.
+//! dot products of a full `V · Vᵀ` — over *borrowed* rows: Algorithm 2's
+//! non-default clusterings hand in the round's uploads plus the anchor row
+//! exactly where they already live, and nothing is packed into a
+//! contiguous copy first. (Its default DBSCAN needs no matrix: it asks
+//! only for the anchor's cluster, which
+//! [`dbscan_anchor_cluster`](crate::dbscan::dbscan_anchor_cluster) finds
+//! from single entries with the triangle's bits.)
 //! [`distance_matrix`] and [`distance_matrix_packed`] are thin adapters
 //! that borrow their rows and call the same function. Only the
 //! rectangular [`cross_distance_matrix`] (two different row sets, nothing
@@ -72,7 +76,7 @@ pub enum DistanceMetric {
 impl DistanceMetric {
     /// Distance derived from Gram-matrix entries (`g_ij` the inner
     /// product, `g_ii`/`g_jj` the squared norms).
-    fn gram_distance(self, g_ij: f64, g_ii: f64, g_jj: f64) -> f64 {
+    pub(crate) fn gram_distance(self, g_ij: f64, g_ii: f64, g_jj: f64) -> f64 {
         match self {
             DistanceMetric::Cosine => {
                 if g_ii <= 0.0 || g_jj <= 0.0 {
@@ -102,9 +106,10 @@ pub fn distance_matrix_packed(rows: &Matrix, metric: DistanceMetric) -> Vec<Vec<
     distance_matrix_rows(&rows, metric)
 }
 
-/// [`distance_matrix`] over borrowed rows — the form Algorithm 2 uses,
-/// passing the round's uploads and the anchor row where they already
-/// live. One triangle Gram pass (see the module docs) feeds every pair.
+/// [`distance_matrix`] over borrowed rows — the form Algorithm 2's
+/// clusterings use, passing the round's uploads and the anchor row where
+/// they already live. One triangle Gram pass (see the module docs) feeds
+/// every pair.
 pub fn distance_matrix_rows(rows: &[&[f64]], metric: DistanceMetric) -> Vec<Vec<f64>> {
     let n = rows.len();
     let mut gram = vec![0.0; n * n];

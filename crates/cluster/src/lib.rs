@@ -97,11 +97,42 @@ impl ClusteringAlgorithm {
         self.run_rows(&rows, metric)
     }
 
-    /// [`ClusteringAlgorithm::run`] over borrowed rows — Algorithm 2
-    /// passes the round's uploads plus the anchor row where they already
-    /// live. DBSCAN and agglomerative clustering consume the shared
-    /// triangle-Gram distance matrix directly; k-means packs the rows once
-    /// for its per-iteration assignment GEMMs.
+    /// Whether each row lands in the last row's cluster: Algorithm 2's one
+    /// question of the clustering, whose last row is the anchor.
+    ///
+    /// DBSCAN with `min_points <= 2`, the paper's setting, answers it with
+    /// [`dbscan::dbscan_anchor_cluster`], a search from the last row that
+    /// forms only the distances it tests and no pairwise matrix; every
+    /// other configuration reads the answer off [`Self::run_rows`]'s labels.
+    /// Either way entry `i` is `run_rows(..).same_cluster(i, last)`.
+    pub fn anchor_cluster(&self, rows: &[&[f64]], metric: DistanceMetric) -> Vec<bool> {
+        match *self {
+            ClusteringAlgorithm::Dbscan {
+                eps,
+                min_points: min_points @ (1 | 2),
+            } => dbscan::dbscan_anchor_cluster(
+                rows,
+                &dbscan::DbscanConfig {
+                    eps,
+                    min_points,
+                    metric,
+                },
+            ),
+            _ => {
+                let labels = self.run_rows(rows, metric);
+                let last = rows.len().saturating_sub(1);
+                (0..rows.len())
+                    .map(|i| labels.same_cluster(i, last))
+                    .collect()
+            }
+        }
+    }
+
+    /// [`ClusteringAlgorithm::run`] over borrowed rows, such as the
+    /// round's uploads plus the anchor row where they already live. DBSCAN
+    /// and agglomerative clustering consume the shared triangle-Gram
+    /// distance matrix directly; k-means packs the rows once for its
+    /// per-iteration assignment GEMMs.
     pub fn run_rows(&self, rows: &[&[f64]], metric: DistanceMetric) -> ClusterLabels {
         if rows.is_empty() {
             return ClusterLabels::new(Vec::new());
@@ -178,6 +209,46 @@ mod tests {
                 "{algorithm:?}: the blobs should be separate"
             );
         }
+    }
+
+    #[test]
+    fn every_algorithm_answers_the_anchor_question_as_its_labels_do() {
+        // The two blobs, one far point, and an anchor on the first blob.
+        let mut data = blobs();
+        data.push(vec![1.0, -1.0]);
+        data.push(vec![1.0, 1.0]);
+        let rows: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+        let last = rows.len() - 1;
+        for algorithm in [
+            ClusteringAlgorithm::default_dbscan(),
+            ClusteringAlgorithm::Dbscan {
+                eps: 0.35,
+                min_points: 1,
+            },
+            ClusteringAlgorithm::Dbscan {
+                eps: 0.35,
+                min_points: 3,
+            },
+            ClusteringAlgorithm::KMeans {
+                k: 2,
+                max_iterations: 50,
+            },
+            ClusteringAlgorithm::Agglomerative {
+                distance_threshold: 0.5,
+            },
+        ] {
+            let labels = algorithm.run_rows(&rows, DistanceMetric::Cosine);
+            let want: Vec<bool> = (0..rows.len())
+                .map(|i| labels.same_cluster(i, last))
+                .collect();
+            let got = algorithm.anchor_cluster(&rows, DistanceMetric::Cosine);
+            assert_eq!(got, want, "{algorithm:?}");
+            assert!(got[..5].iter().all(|&high| high), "{algorithm:?}");
+            assert!(!got[5..10].contains(&true), "{algorithm:?}");
+        }
+        assert!(ClusteringAlgorithm::default_dbscan()
+            .anchor_cluster(&[], DistanceMetric::Cosine)
+            .is_empty());
     }
 
     #[test]

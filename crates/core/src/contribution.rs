@@ -80,19 +80,20 @@ pub fn analyze_contributions(
     let n = uploads.len();
 
     // The clustered set is the uploads plus the anchor gradient, appended
-    // last — as borrowed rows: the clustering backend's triangle Gram
-    // pass reads every vector where it already lives.
+    // last — as borrowed rows: the clustering reads every vector where it
+    // already lives. Only the anchor's cluster is read, so the default
+    // DBSCAN forms only the distances that cluster's search tests.
     let mut clustered: Vec<&[f64]> = Vec::with_capacity(n + 1);
     clustered.extend(uploads.iter().map(|(_, g)| *g));
     let global_gradient = anchor.compute(&clustered);
     clustered.push(&global_gradient);
-    let labels = algorithm.run_rows(&clustered, metric);
+    let with_anchor = algorithm.anchor_cluster(&clustered, metric);
 
     // Degenerate case: if the clustering failed to place the anchor
     // gradient in any cluster (for example every point is noise under a
     // tiny eps), treat every client as high contribution rather than
     // discarding the whole round.
-    let nobody_high = (0..n).all(|i| !labels.same_cluster(i, n));
+    let nobody_high = !with_anchor[..n].contains(&true);
 
     // Algorithm 2's θ weights: the cosine distance of an upload to the
     // anchor gradient, floored so Equation 1 never divides by zero. Only
@@ -106,7 +107,7 @@ pub fn analyze_contributions(
         (1.0 - gradient::cosine_from_parts(dot, square.sqrt(), global_norm)).max(WEIGHT_FLOOR)
     };
     let mut theta_by_upload: Vec<Option<f64>> = vec![None; n];
-    let mut high = (0..n).filter(|&i| nobody_high || labels.same_cluster(i, n));
+    let mut high = (0..n).filter(|&i| nobody_high || with_anchor[i]);
     while let Some(first) = high.next() {
         let mut block = [first; 4];
         let mut filled = 1;

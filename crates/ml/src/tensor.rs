@@ -32,6 +32,9 @@
 //!   are carried across `k`-blocks that keep the tile's rows in L1. Each
 //!   chain sees exactly the operations of its entry's own dot (see the
 //!   [`crate::simd`] module docs), so the tiling shows in the speed only.
+//!   [`gram_entry`] forms one entry alone, with the same bits, for a
+//!   caller that reads only a few ([`gram_square_and_entry`] two that
+//!   share a row).
 //! * [`dots_and_squares_x4`] — θ's inputs, each upload's dot with the
 //!   anchor and its squared norm, for four uploads per pass. θ must keep
 //!   [`dot`]'s bits, so it cannot use the lane-striped reduction, and a
@@ -596,13 +599,87 @@ fn triangle_first_row(n: usize, workers: usize, w: usize) -> usize {
     r
 }
 
+/// Whether [`gram_upper`] over `n` rows of length `k` forms each entry
+/// from `k`-blocked partial sums (the small-row regime) rather than one
+/// full-length [`dot_lanes`].
+fn gram_is_blocked(n: usize, k: usize) -> bool {
+    n <= NT_SMALL_ROWS && k > 2 * NT_K_BLOCK
+}
+
+/// One entry of [`gram_upper`] over a set of `n` rows, formed alone:
+/// `⟨a, b⟩` for two rows of the set, with the bits `gram_upper` gives
+/// that entry — the `k`-blocked partial sums added in ascending order in
+/// the small-row regime, one `dot_lanes` otherwise (the register tiles
+/// run exactly that dot's chains). The arguments commute bit for bit.
+/// A caller that reads a few entries of a large Gram (Algorithm 2's
+/// search of the anchor's cluster) forms only those.
+pub fn gram_entry(a: &[f64], b: &[f64], n: usize) -> f64 {
+    gram_entries(a, b, n, dot_lanes, |sum, partial| sum + partial)
+}
+
+/// [`gram_entry`]`(a, a, n)` and [`gram_entry`]`(a, b, n)` with one read
+/// of `a`: a row's squared norm and its entry against another row, as a
+/// search from one row (Algorithm 2's anchor) needs them for every other.
+pub fn gram_square_and_entry(a: &[f64], b: &[f64], n: usize) -> (f64, f64) {
+    gram_entries(a, b, n, square_and_dot_lanes, |(square, entry), (s, e)| {
+        (square + s, entry + e)
+    })
+}
+
+/// `lanes(a, b)` in the regime [`gram_upper`] uses for a set of `n` rows:
+/// over each `k`-block, the partials folded by `add` in ascending order,
+/// when the entries are blocked; over the whole rows otherwise.
+fn gram_entries<T>(
+    a: &[f64],
+    b: &[f64],
+    n: usize,
+    lanes: impl Fn(&[f64], &[f64]) -> T,
+    add: impl Fn(T, T) -> T,
+) -> T {
+    assert_eq!(a.len(), b.len(), "Gram entries need equal-length rows");
+    if !gram_is_blocked(n, a.len()) {
+        return lanes(a, b);
+    }
+    let mut partials = a
+        .chunks(NT_K_BLOCK)
+        .zip(b.chunks(NT_K_BLOCK))
+        .map(|(a_blk, b_blk)| lanes(a_blk, b_blk));
+    let first = partials.next().expect("a blocked row has k-blocks");
+    partials.fold(first, add)
+}
+
+/// `(dot_lanes(a, a), dot_lanes(a, b))` from one pass over `a`: the two
+/// stripe accumulator sets advance side by side, each lane's chain in
+/// [`dot_lanes_scalar`]'s order, so both results keep its bits (which the
+/// AVX2 tier shares). Written once, for both tiers: the compiler
+/// vectorizes the lanes.
+fn square_and_dot_lanes(a: &[f64], b: &[f64]) -> (f64, f64) {
+    let len = a.len();
+    let mut squares = [0.0f64; STRIPE];
+    let mut dots = [0.0f64; STRIPE];
+    let mut i = 0;
+    while i + STRIPE <= len {
+        let av: &[f64; STRIPE] = a[i..i + STRIPE].try_into().unwrap();
+        let bv: &[f64; STRIPE] = b[i..i + STRIPE].try_into().unwrap();
+        for l in 0..STRIPE {
+            squares[l] = av[l].mul_add(av[l], squares[l]);
+            dots[l] = av[l].mul_add(bv[l], dots[l]);
+        }
+        i += STRIPE;
+    }
+    (
+        finish_lanes_scalar(&squares, a, a),
+        finish_lanes_scalar(&dots, a, b),
+    )
+}
+
 /// Serial core of [`gram_upper`] over the output rows held by `chunk`
 /// (starting at `row_start`).
 fn gram_upper_rows(rows: &[&[f64]], row_start: usize, chunk: &mut [f64]) {
     let n = rows.len();
     let k = rows[0].len();
     let row_end = row_start + chunk.len() / n;
-    if n <= NT_SMALL_ROWS && k > 2 * NT_K_BLOCK {
+    if gram_is_blocked(n, k) {
         // Small regime: every row's `k`-block stays L1-resident while
         // the block's partial products are added to the entries above
         // the diagonal, blocks in ascending order.

@@ -347,6 +347,59 @@ proptest! {
     }
 }
 
+/// Row lengths around the small-row regime's `k`-blocks: one block, two,
+/// either side of the `2 * NT_K_BLOCK = 256` switch and of the blocks past
+/// it, with `LANES` and sub-`LANES` tails; and past the tiled regime's
+/// 512-element `k`-blocks.
+const GRAM_ENTRY_LENGTHS: [usize; 14] = [
+    0, 9, 128, 129, 255, 256, 257, 263, 383, 384, 385, 512, 521, 1033,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Gram entries formed alone are the entries `gram_upper` writes, bit
+    /// for bit on both tiers and in either argument order, and so are a
+    /// row's squared norm and entry formed together: every `n` in `1..40`
+    /// (both sides of the 16-row regime switch, inside and past the
+    /// register tiles) with row lengths cycling through `k`-block tails on
+    /// both sides of 256, one row repeated.
+    #[test]
+    fn gram_entry_matches_gram_upper_bits(
+        shift in 0usize..14,
+        duplicate in 0usize..40,
+        seed in buffer(40 * 1033),
+    ) {
+        for n in 1..40 {
+            let k = GRAM_ENTRY_LENGTHS[(n + shift) % GRAM_ENTRY_LENGTHS.len()];
+            let mut rows: Vec<&[f64]> = (0..n).map(|i| &seed[i * k..(i + 1) * k]).collect();
+            rows[n - 1] = rows[duplicate % n];
+            assert_tiers_bit_identical("gram_entry vs gram_upper", || {
+                let expected = gram_upper_entries(&rows, 2);
+                let entry = |i: usize, j: usize| {
+                    let (i, j) = (i.min(j), i.max(j));
+                    expected[i * n - i * (i + 1) / 2 + j]
+                };
+                for i in 0..n {
+                    for j in 0..n {
+                        let (want, want_square) = (entry(i, j), entry(i, i));
+                        let got = tensor::gram_entry(rows[i], rows[j], n);
+                        let (square, paired) = tensor::gram_square_and_entry(rows[i], rows[j], n);
+                        assert!(
+                            got.to_bits() == want.to_bits()
+                                && paired.to_bits() == want.to_bits()
+                                && square.to_bits() == want_square.to_bits(),
+                            "n={n} k={k} ({i}, {j}): {got:?}, {paired:?} and {square:?} vs \
+                             gram_upper's {want:?} and {want_square:?}"
+                        );
+                    }
+                }
+                expected
+            });
+        }
+    }
+}
+
 /// A Gram large enough that the work gate really fans out — 2415 dots of
 /// 7001 multiply-adds split two, three and eight ways, boundaries landing
 /// inside micro-tiles and panels — still equals the serial kernel and the

@@ -437,6 +437,119 @@ fn a_partition_forks_the_mesh_and_heals_to_one_tip() {
     );
 }
 
+/// The (born round, client) pairs of every record of `kind`, in trace
+/// order.
+fn commissions(trace: &[EventRecord], kind: EventKind) -> Vec<(usize, u64)> {
+    trace
+        .iter()
+        .filter(|e| e.kind == kind)
+        .map(|e| (e.born_round, e.client_id))
+        .collect()
+}
+
+/// Under `ReorgPolicy::Discard` every upload stranded on the losing side
+/// of a partition is wasted at the heal, and the waste shows: one
+/// `StaleDiscarded` record per stranded commission, each counted in its
+/// round's `KpiRow::stale_discarded`. Nothing else is discarded here (the
+/// staleness policy includes late uploads), so the two sets are equal.
+#[test]
+fn stranded_uploads_discarded_at_the_heal_are_recorded_and_counted() {
+    let (train, test) = small_dataset();
+    let (quota, rounds) = (8, 5);
+    let ends = probe_round_ends(quota, rounds);
+    let fault = FaultPlan {
+        partition: Some(Partition {
+            start_s: ends[0] + 0.01,
+            duration_s: ends[2] - ends[0],
+            boundary: 2,
+        }),
+        ..FaultPlan::default()
+    };
+    let scenario = faulted_scenario(
+        quota,
+        rounds,
+        fault,
+        RetryPolicy::None,
+        ReorgPolicy::Discard,
+    );
+    let mut run = scenario.start(&train, &test).unwrap();
+    run.run_to_completion().unwrap();
+    let trace = run.event_trace().to_vec();
+    let result = run.into_result();
+
+    let mut stranded = commissions(&trace, EventKind::UploadStranded);
+    let mut discarded = commissions(&trace, EventKind::StaleDiscarded);
+    assert!(!stranded.is_empty(), "the partition must strand uploads");
+    assert!(
+        trace.iter().any(|e| e.kind == EventKind::ForkHealed),
+        "the mesh must heal inside the run"
+    );
+    stranded.sort_unstable();
+    discarded.sort_unstable();
+    assert_eq!(
+        discarded, stranded,
+        "each stranded upload is discarded once"
+    );
+    let counted: usize = result.outcomes.iter().map(|o| o.kpi.stale_discarded).sum();
+    assert_eq!(counted, stranded.len());
+}
+
+/// A stale upload the staleness policy discards is settled: its
+/// duplicate reads `DuplicateIgnored` and is never judged a second time,
+/// so no commission is discarded twice.
+#[test]
+fn a_duplicate_of_a_discarded_stale_upload_is_ignored() {
+    let (train, test) = small_dataset();
+    let scenario = Scenario::from_config(BflConfig {
+        fl: full_participation_fl(8, 4, 42),
+        miners: 2,
+        verify_signatures: false,
+        sync: SyncMode::FlexibleQuota { quota: 5 },
+        staleness: StalenessPolicy::Discard,
+        profiles: ProfileConfig {
+            straggler_slowdown: 6.0,
+            straggler_fraction: 0.25,
+            uplink: DelayDistribution::Constant(0.05),
+            ..ProfileConfig::default()
+        },
+        fault: FaultPlan {
+            uplink: LinkFaults {
+                duplicate_rate: 1.0,
+                ..LinkFaults::default()
+            },
+            ..FaultPlan::default()
+        },
+        ..BflConfig::default()
+    })
+    .unwrap();
+    let mut run = scenario.start(&train, &test).unwrap();
+    run.run_to_completion().unwrap();
+    let trace = run.event_trace().to_vec();
+
+    let discarded = commissions(&trace, EventKind::StaleDiscarded);
+    assert!(!discarded.is_empty(), "stragglers must arrive stale");
+    let mut settled = std::collections::BTreeSet::new();
+    for commission in &discarded {
+        assert!(
+            settled.insert(*commission),
+            "(born round, client) {commission:?} was discarded twice"
+        );
+    }
+    let first_discard = |c: (usize, u64)| {
+        trace
+            .iter()
+            .position(|e| e.kind == EventKind::StaleDiscarded && (e.born_round, e.client_id) == c)
+    };
+    let ignored_after_discard = trace.iter().enumerate().any(|(at, e)| {
+        e.kind == EventKind::DuplicateIgnored
+            && first_discard((e.born_round, e.client_id)).is_some_and(|d| d < at)
+    });
+    assert!(
+        ignored_after_discard,
+        "a discarded upload's duplicate must arrive and be ignored"
+    );
+}
+
 #[test]
 fn the_fault_deadline_seals_short_rounds_instead_of_waiting() {
     let (train, test) = small_dataset();
