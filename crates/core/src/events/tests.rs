@@ -428,7 +428,7 @@ fn a_stale_upload_under_discard_is_dropped_unopened() {
     let mut config = streaming_config(StalenessPolicy::Discard);
     let mut state = LearningState::new(&config, &train, &test).unwrap();
     let mut rt = state.async_rt.take().unwrap();
-    let grown = |rt: &AsyncRuntime| rt.scratch.grad.capacity() > 0;
+    let grown = |rt: &AsyncRuntime| rt.scratch.order.capacity() > 0;
     assert!(!grown(&rt), "nothing has trained yet");
 
     let snapshot = Arc::new(state.global_params.clone());

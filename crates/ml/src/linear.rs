@@ -10,8 +10,9 @@
 use crate::activation::softmax_in_place;
 use crate::loss::{cross_entropy, cross_entropy_grad};
 use crate::model::Model;
-use crate::tensor::{Matrix, Scratch};
+use crate::tensor::{Matrix, Scratch, SgdStep};
 use crate::{init, tensor};
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -47,11 +48,11 @@ impl SoftmaxRegression {
     /// initialisation `new` would have sampled from `rng` (see
     /// [`crate::ModelKind::adopt`]). Every initialiser call in `new` has
     /// its `skip_` twin here, in the same order.
-    pub(crate) fn adopt<R: Rng + ?Sized>(
+    pub(crate) fn adopt(
         features: usize,
         classes: usize,
         params: Vec<f64>,
-        rng: &mut R,
+        rng: &mut StdRng,
     ) -> Self {
         assert!(
             features > 0 && classes > 1,
@@ -84,6 +85,88 @@ impl SoftmaxRegression {
     /// Bias of `class`.
     pub fn bias(&self, class: usize) -> f64 {
         self.params[self.classes * self.features + class]
+    }
+
+    /// The forward half of a batched step: logits straight off the
+    /// dataset rows (the minibatch is never gathered into a contiguous
+    /// copy), then `delta = softmax(z) − one_hot(label)` into
+    /// `scratch.delta`. Returns the loss summed over the batch.
+    fn forward_delta(
+        &self,
+        features: &Matrix,
+        labels: &[usize],
+        rows: &[usize],
+        scratch: &mut Scratch,
+    ) -> f64 {
+        assert_eq!(
+            features.rows,
+            labels.len(),
+            "features/labels length mismatch"
+        );
+        assert!(
+            !rows.is_empty(),
+            "gradient over an empty batch is undefined"
+        );
+        assert_eq!(features.cols, self.features, "feature width mismatch");
+        let batch = rows.len();
+
+        let weight_len = self.classes * self.features;
+        scratch.z.resize_in_place(batch, self.classes);
+        tensor::gemm_nt_indexed(
+            features,
+            rows,
+            &self.params[..weight_len],
+            &mut scratch.z.data,
+            self.classes,
+        );
+        let bias = &self.params[weight_len..];
+        for row in scratch.z.data.chunks_mut(self.classes) {
+            for (v, &b) in row.iter_mut().zip(bias.iter()) {
+                *v += b;
+            }
+        }
+
+        // delta is computed row-wise in place; the loss accumulates from
+        // the same probabilities.
+        let mut total_loss = 0.0;
+        scratch.delta.resize_in_place(batch, self.classes);
+        scratch.delta.data.copy_from_slice(&scratch.z.data);
+        for (r, &row_index) in rows.iter().enumerate() {
+            let delta_row = scratch.delta.row_mut(r);
+            softmax_in_place(delta_row);
+            let label = labels[row_index];
+            total_loss += -(delta_row[label].max(1e-15)).ln();
+            delta_row[label] -= 1.0;
+        }
+        total_loss
+    }
+
+    /// The backward half: steps `target` (the flat layout of a model
+    /// with `delta`'s class count) by the batch's summed gradient,
+    /// `grad_W = δᵀ · X` through the fused kernel and `grad_b` the column
+    /// sum of δ, each element stepped as it is finished. The column sum
+    /// adds the rows in order from `+0.0`: the bits of a chain of
+    /// `axpy(1.0, δ_r, grad_b)` over a zeroed `grad_b`, since a product
+    /// with 1.0 is exact.
+    fn backward_step(
+        features: &Matrix,
+        rows: &[usize],
+        delta: &Matrix,
+        target: &mut [f64],
+        step: &SgdStep,
+    ) {
+        let classes = delta.cols;
+        let bias_offset = target.len() - classes;
+        let (target_w, target_b) = target.split_at_mut(bias_offset);
+        let (step_w, step_b) = step.split_at(bias_offset);
+        tensor::gemm_tn_indexed_step(&delta.data, features, rows, target_w, classes, &step_w);
+        for c in 0..classes {
+            let mut sum = 0.0;
+            for r in 0..rows.len() {
+                sum += delta.get(r, c);
+            }
+            step_b.apply(target_b, c, sum);
+        }
     }
 }
 
@@ -142,7 +225,7 @@ impl Model for SoftmaxRegression {
         }
     }
 
-    fn loss_and_sum_grad_batched(
+    fn loss_and_grad_batched(
         &self,
         features: &Matrix,
         labels: &[usize],
@@ -150,67 +233,27 @@ impl Model for SoftmaxRegression {
         grad: &mut Vec<f64>,
         scratch: &mut Scratch,
     ) -> f64 {
-        assert_eq!(
-            features.rows,
-            labels.len(),
-            "features/labels length mismatch"
-        );
-        assert!(
-            !rows.is_empty(),
-            "gradient over an empty batch is undefined"
-        );
-        assert_eq!(features.cols, self.features, "feature width mismatch");
-        let batch = rows.len();
-
-        // Forward straight off the dataset rows — the minibatch is never
-        // gathered into a contiguous copy.
-        let weight_len = self.classes * self.features;
-        scratch.z.resize_in_place(batch, self.classes);
-        tensor::gemm_nt_indexed(
-            features,
-            rows,
-            &self.params[..weight_len],
-            &mut scratch.z.data,
-            self.classes,
-        );
-        let bias = &self.params[weight_len..];
-        for row in scratch.z.data.chunks_mut(self.classes) {
-            for (v, &b) in row.iter_mut().zip(bias.iter()) {
-                *v += b;
-            }
-        }
-
-        // delta = softmax(z) - one_hot(label), computed row-wise in place;
-        // the loss accumulates from the same probabilities.
-        let mut total_loss = 0.0;
-        scratch.delta.resize_in_place(batch, self.classes);
-        scratch.delta.data.copy_from_slice(&scratch.z.data);
-        for (r, &row_index) in rows.iter().enumerate() {
-            let delta_row = scratch.delta.row_mut(r);
-            softmax_in_place(delta_row);
-            let label = labels[row_index];
-            total_loss += -(delta_row[label].max(1e-15)).ln();
-            delta_row[label] -= 1.0;
-        }
-
-        // grad_W = δᵀ · X as one store-mode GEMM straight into the weight
-        // window of `grad` (no zeroing pass over the buffer); grad_b is
-        // the column sum of δ.
-        let bias_offset = self.classes * self.features;
+        let loss = self.forward_delta(features, labels, rows, scratch);
+        // The raw gradient is the unit step over a zeroed buffer.
+        grad.clear();
         grad.resize(self.num_params(), 0.0);
-        let (grad_w, grad_b) = grad.split_at_mut(bias_offset);
-        tensor::gemm_tn_indexed_overwrite(
-            &scratch.delta.data,
-            features,
-            rows,
-            grad_w,
-            self.classes,
-        );
-        grad_b.fill(0.0);
-        for r in 0..batch {
-            tensor::axpy(1.0, scratch.delta.row(r), grad_b);
-        }
-        total_loss
+        Self::backward_step(features, rows, &scratch.delta, grad, &SgdStep::UNIT);
+        let scale = 1.0 / rows.len() as f64;
+        tensor::scale(scale, grad);
+        loss * scale
+    }
+
+    fn loss_and_step_batched(
+        &mut self,
+        features: &Matrix,
+        labels: &[usize],
+        rows: &[usize],
+        step: &SgdStep,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let loss = self.forward_delta(features, labels, rows, scratch);
+        Self::backward_step(features, rows, &scratch.delta, &mut self.params, step);
+        loss
     }
 
     fn loss_and_grad_reference(

@@ -7,7 +7,8 @@
 //! shape as a configuration spells it.
 
 use crate::linear::SoftmaxRegression;
-use crate::tensor::{Matrix, Scratch};
+use crate::tensor::{Matrix, Scratch, SgdStep};
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -16,9 +17,10 @@ use serde::{Deserialize, Serialize};
 /// [`SoftmaxRegression`] is the one implementor; the local pass
 /// ([`crate::optimizer`]) and evaluation ([`crate::metrics`]) are written
 /// against this interface. The compute-heavy entry points
-/// (`loss_and_grad_batched`, `logits_batch`) move whole minibatches
-/// through the GEMM kernels of [`crate::tensor`]; [`Model::loss_and_grad`]
-/// is the allocating convenience form over them. The seed's per-sample
+/// (`loss_and_step_batched`, `loss_and_grad_batched`, `logits_batch`)
+/// move whole minibatches through the GEMM kernels of [`crate::tensor`];
+/// [`Model::loss_and_grad`] is the allocating convenience form over them.
+/// The seed's per-sample
 /// [`Model::loss_and_grad_reference`] is their oracle: nothing but tests
 /// (`tests/batched_equivalence.rs`) and the reference local pass
 /// ([`crate::optimizer::train_local_reference`]) calls it.
@@ -68,18 +70,20 @@ pub trait Model {
         scratch.x = x;
     }
 
-    /// Batched loss/gradient over the selected rows, as sums over the
-    /// batch (no `1/B` scaling), writing the flat gradient into `grad`
-    /// (resized as needed) and reusing `scratch` buffers. Returns the
-    /// summed loss. The training loop consumes this form directly,
-    /// folding the `1/B` factor into the SGD step so no extra pass over
-    /// the gradient is spent on scaling.
-    fn loss_and_sum_grad_batched(
-        &self,
+    /// One SGD step over the selected rows, fused: the forward pass, then
+    /// a backward that steps the parameters in place by `step` as each
+    /// gradient element is finished (see [`SgdStep`]) — the gradient of
+    /// the batch, a sum over its rows (no `1/B` scaling: the step's
+    /// coefficient carries it), is never stored. Reuses `scratch`'s
+    /// buffers and returns the summed loss, measured before the step.
+    /// The local pass ([`crate::optimizer::train_local_with_scratch`]) is
+    /// its one production caller.
+    fn loss_and_step_batched(
+        &mut self,
         features: &Matrix,
         labels: &[usize],
         rows: &[usize],
-        grad: &mut Vec<f64>,
+        step: &SgdStep,
         scratch: &mut Scratch,
     ) -> f64;
 
@@ -93,12 +97,7 @@ pub trait Model {
         rows: &[usize],
         grad: &mut Vec<f64>,
         scratch: &mut Scratch,
-    ) -> f64 {
-        let summed = self.loss_and_sum_grad_batched(features, labels, rows, grad, scratch);
-        let scale = 1.0 / rows.len() as f64;
-        crate::tensor::scale(scale, grad);
-        summed * scale
-    }
+    ) -> f64;
 
     /// Per-sample reference implementation of [`Model::loss_and_grad`],
     /// kept verbatim from the pre-batching engine as the oracle
@@ -201,7 +200,11 @@ impl ModelKind {
     /// they see, so the stream must advance as if the initialisation had
     /// happened. `adopt(p, rng)` is therefore `build(rng)` followed by
     /// `set_params(&p)`, bit for bit, for the model and for `rng`.
-    pub fn adopt<R: Rng + ?Sized>(&self, params: Vec<f64>, rng: &mut R) -> SoftmaxRegression {
+    ///
+    /// The skipped draws cost one jump of `rng`'s state (`StdRng::discard`),
+    /// not one step per draw, which is why this takes the workspace's
+    /// generator rather than any `Rng`.
+    pub fn adopt(&self, params: Vec<f64>, rng: &mut StdRng) -> SoftmaxRegression {
         let ModelKind::SoftmaxRegression { features, classes } = *self;
         SoftmaxRegression::adopt(features, classes, params, rng)
     }
@@ -211,7 +214,6 @@ impl ModelKind {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
     proptest! {

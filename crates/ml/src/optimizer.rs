@@ -15,7 +15,7 @@
 //! parameter — and called by nothing else.
 
 use crate::model::Model;
-use crate::tensor::{self, Matrix, Scratch};
+use crate::tensor::{self, Matrix, Scratch, SgdStep};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -102,12 +102,14 @@ pub fn train_local<M: Model, R: Rng + ?Sized>(
 
 /// [`train_local`] with an externally owned [`Scratch`], which holds
 /// every buffer the pass needs besides the model itself: the
-/// forward/backward intermediates, the flat gradient and the shuffled
-/// sample order. After the first pass warms them, every step of every
-/// epoch — and every later client trained with the same workspace, whatever
-/// its shard size — runs without heap allocation. The one exception is
-/// FedProx (`proximal_mu > 0`), which keeps a copy of the starting
-/// parameters to pull towards.
+/// forward/backward intermediates and the shuffled sample order. Each
+/// step is [`Model::loss_and_step_batched`], whose backward steps the
+/// parameters as it finishes each gradient element, so the pass keeps no
+/// gradient buffer. After the first pass warms the workspace, every step
+/// of every epoch — and every later client trained with the same
+/// workspace, whatever its shard size — runs without heap allocation. The
+/// one exception is FedProx (`proximal_mu > 0`), which keeps a copy of
+/// the starting parameters to pull towards.
 pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
     model: &mut M,
     features: &Matrix,
@@ -125,9 +127,8 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
     } else {
         Vec::new()
     };
-    // Taken out of the workspace for the pass (the gradient kernels borrow
-    // `scratch` next to `grad`) and handed back below.
-    let mut grad = std::mem::take(&mut scratch.grad);
+    // Taken out of the workspace for the pass (the step borrows `scratch`
+    // next to it) and handed back below.
     let mut order = std::mem::take(&mut scratch.order);
     order.clear();
     order.extend_from_slice(samples);
@@ -140,32 +141,17 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
         let mut epoch_batches = 0;
         for batch in order.chunks(config.batch_size) {
             // The model's own parameter vector is the optimizer state:
-            // gradients are computed against it in place and the SGD step
-            // mutates it directly, with no per-step copy. The gradient
-            // stays a sum over the batch and the `1/B` mean is folded
-            // into the step's coefficient, saving one full pass over the
-            // gradient per step.
+            // the gradient is a sum over the batch and the `1/B` mean is
+            // folded into the step's coefficient. FedProx's pull scales by
+            // B for the same reason, so the `lr/B` step recovers
+            // `lr * mu * (w - w_global)` exactly.
             let inverse_batch = 1.0 / batch.len() as f64;
-            let loss_sum =
-                model.loss_and_sum_grad_batched(features, labels, batch, &mut grad, scratch);
-            if config.proximal_mu > 0.0 {
-                // FedProx on the summed gradient: the proximal pull
-                // scales by B so the fused `lr/B` step recovers
-                // `lr * mu * (w - w_global)` exactly.
-                let mu_times_batch = config.proximal_mu * batch.len() as f64;
-                for ((g, w), w0) in grad
-                    .iter_mut()
-                    .zip(model.params_ref().iter())
-                    .zip(anchor.iter())
-                {
-                    *g += mu_times_batch * (w - w0);
-                }
-            }
-            tensor::axpy(
-                -config.learning_rate * inverse_batch,
-                &grad,
-                model.params_mut(),
-            );
+            let step = SgdStep {
+                alpha: -config.learning_rate * inverse_batch,
+                proximal: (config.proximal_mu > 0.0)
+                    .then_some((config.proximal_mu * batch.len() as f64, &anchor[..])),
+            };
+            let loss_sum = model.loss_and_step_batched(features, labels, batch, &step, scratch);
             epoch_loss += loss_sum * inverse_batch;
             epoch_batches += 1;
             steps += 1;
@@ -175,7 +161,6 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
         }
     }
 
-    scratch.grad = grad;
     scratch.order = order;
     LocalTrainingStats {
         steps,

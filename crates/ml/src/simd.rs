@@ -76,7 +76,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 #[cfg(target_arch = "x86_64")]
 use crate::tensor::{
-    gram_tiles, GramKernel, GramPanel, GRAM_MR, GRAM_NR, LANES, NT_K_BLOCK, STRIPE,
+    gram_tiles, GramKernel, GramPanel, SgdStep, GRAM_MR, GRAM_NR, LANES, NT_K_BLOCK, STRIPE,
 };
 #[cfg(target_arch = "x86_64")]
 use std::ops::Range;
@@ -479,20 +479,47 @@ mod avx2 {
         }
     }
 
-    /// AVX2 `C = Aᵀ · B` register tile, generic over how `B` rows are
-    /// fetched — the mirror of the scalar body behind
-    /// `gemm_tn_indexed_overwrite`. Four output rows × `LANES` columns
-    /// advance together from zeroed accumulators; each scalar
-    /// `[f64; LANES]` accumulator pair is two ymm, each broadcast
-    /// `a_col[r].mul_add(bv[l], acc[l])` is one `vbroadcastsd` + two
-    /// `vfmaddpd`, and the sample (`k`) loop order is unchanged, so every
-    /// output element accumulates its `k` contributions in the reference
-    /// order. Sub-`LANES` column tails and sub-4-row remainders run the
-    /// scalar body's literal tail code.
+    /// [`SgdStep::apply`] on four lanes: `c[at..at + 4]` stepped by the
+    /// finished gradient elements in `g`, with the scalar form's
+    /// operations — `vsubpd`, `vmulpd`, `vaddpd` for the pull, `vmulpd`
+    /// then `vaddpd` for the step — and **not** FMA, which would change
+    /// results.
+    ///
+    /// # Safety
+    /// Requires AVX2; `at + 4 <= c.len()`, and the anchor of a proximal
+    /// step is as long as `c`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn step_lanes(step: &SgdStep, c: &mut [f64], at: usize, g: __m256d) {
+        debug_assert!(at + 4 <= c.len());
+        let w = c.as_mut_ptr().add(at);
+        let wv = _mm256_loadu_pd(w);
+        let g = match step.proximal {
+            Some((mu_b, anchor)) => {
+                let pull = _mm256_sub_pd(wv, _mm256_loadu_pd(anchor.as_ptr().add(at)));
+                _mm256_add_pd(g, _mm256_mul_pd(_mm256_set1_pd(mu_b), pull))
+            }
+            None => g,
+        };
+        let stepped = _mm256_add_pd(wv, _mm256_mul_pd(_mm256_set1_pd(step.alpha), g));
+        _mm256_storeu_pd(w, stepped);
+    }
+
+    /// AVX2 register tile of `tensor::gemm_tn_indexed_step`, generic over
+    /// how `B` rows are fetched — the mirror of its scalar body. Four
+    /// output rows × `LANES` columns advance together from zeroed
+    /// accumulators; each scalar `[f64; LANES]` accumulator is two ymm,
+    /// each broadcast `a_col[r].mul_add(bv[l], acc[l])` is one
+    /// `vbroadcastsd` + two `vfmaddpd`, and the sample (`k`) loop order is
+    /// unchanged, so every element accumulates its `k` contributions in
+    /// the reference order before `step_lanes` steps `c` by it.
+    /// Sub-`LANES` column tails and sub-4-row remainders run the scalar
+    /// body's literal tail code.
     ///
     /// # Safety
     /// Requires AVX2+FMA; `a.len() == k * m`, `b_row(kk).len() >= n`
-    /// for `kk < k`, `c.len() == m * n`.
+    /// for `kk < k`, `c.len() == m * n`, and the anchor of a proximal
+    /// `step` is as long as `c`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gemm_tn<'a>(
@@ -502,13 +529,10 @@ mod avx2 {
         k: usize,
         m: usize,
         n: usize,
+        step: &SgdStep,
     ) {
         let mut r = 0usize;
         while r + 4 <= m {
-            let sub = &mut c[r * n..(r + 4) * n];
-            let (c0, rest) = sub.split_at_mut(n);
-            let (c1, rest) = rest.split_at_mut(n);
-            let (c2, c3) = rest.split_at_mut(n);
             let mut j = 0usize;
             while j + LANES <= n {
                 let (mut a0l, mut a0h) = (_mm256_setzero_pd(), _mm256_setzero_pd());
@@ -533,14 +557,14 @@ mod avx2 {
                     a3l = _mm256_fmadd_pd(w3, bl, a3l);
                     a3h = _mm256_fmadd_pd(w3, bh, a3h);
                 }
-                let store = |row: &mut [f64], lo: __m256d, hi: __m256d| {
-                    _mm256_storeu_pd(row.as_mut_ptr().add(j), lo);
-                    _mm256_storeu_pd(row.as_mut_ptr().add(j + 4), hi);
-                };
-                store(c0, a0l, a0h);
-                store(c1, a1l, a1h);
-                store(c2, a2l, a2h);
-                store(c3, a3l, a3h);
+                for (q, (lo, hi)) in [(a0l, a0h), (a1l, a1h), (a2l, a2h), (a3l, a3h)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let at = (r + q) * n + j;
+                    step_lanes(step, c, at, lo);
+                    step_lanes(step, c, at + 4, hi);
+                }
                 j += LANES;
             }
             while j < n {
@@ -553,10 +577,9 @@ mod avx2 {
                     s2 += a_col[2] * b_j;
                     s3 += a_col[3] * b_j;
                 }
-                c0[j] = s0;
-                c1[j] = s1;
-                c2[j] = s2;
-                c3[j] = s3;
+                for (q, g) in [s0, s1, s2, s3].into_iter().enumerate() {
+                    step.apply(c, (r + q) * n + j, g);
+                }
                 j += 1;
             }
             r += 4;
@@ -565,8 +588,6 @@ mod avx2 {
         // body takes them one at a time; per-element accumulation order
         // is unchanged, only which pass computes each row).
         if r + 2 <= m {
-            let sub = &mut c[r * n..(r + 2) * n];
-            let (c0, c1) = sub.split_at_mut(n);
             let mut j = 0usize;
             while j + LANES <= n {
                 let (mut a0l, mut a0h) = (_mm256_setzero_pd(), _mm256_setzero_pd());
@@ -583,10 +604,11 @@ mod avx2 {
                     a1l = _mm256_fmadd_pd(w1, bl, a1l);
                     a1h = _mm256_fmadd_pd(w1, bh, a1h);
                 }
-                _mm256_storeu_pd(c0.as_mut_ptr().add(j), a0l);
-                _mm256_storeu_pd(c0.as_mut_ptr().add(j + 4), a0h);
-                _mm256_storeu_pd(c1.as_mut_ptr().add(j), a1l);
-                _mm256_storeu_pd(c1.as_mut_ptr().add(j + 4), a1h);
+                for (q, (lo, hi)) in [(a0l, a0h), (a1l, a1h)].into_iter().enumerate() {
+                    let at = (r + q) * n + j;
+                    step_lanes(step, c, at, lo);
+                    step_lanes(step, c, at + 4, hi);
+                }
                 j += LANES;
             }
             while j < n {
@@ -597,14 +619,13 @@ mod avx2 {
                     s0 += a_col[0] * b_j;
                     s1 += a_col[1] * b_j;
                 }
-                c0[j] = s0;
-                c1[j] = s1;
+                step.apply(c, r * n + j, s0);
+                step.apply(c, (r + 1) * n + j, s1);
                 j += 1;
             }
             r += 2;
         }
         while r < m {
-            let c_row = &mut c[r * n..(r + 1) * n];
             let mut j = 0usize;
             while j + LANES <= n {
                 let (mut al, mut ah) = (_mm256_setzero_pd(), _mm256_setzero_pd());
@@ -614,8 +635,8 @@ mod avx2 {
                     al = _mm256_fmadd_pd(w, _mm256_loadu_pd(brow.as_ptr().add(j)), al);
                     ah = _mm256_fmadd_pd(w, _mm256_loadu_pd(brow.as_ptr().add(j + 4)), ah);
                 }
-                _mm256_storeu_pd(c_row.as_mut_ptr().add(j), al);
-                _mm256_storeu_pd(c_row.as_mut_ptr().add(j + 4), ah);
+                step_lanes(step, c, r * n + j, al);
+                step_lanes(step, c, r * n + j + 4, ah);
                 j += LANES;
             }
             while j < n {
@@ -623,7 +644,7 @@ mod avx2 {
                 for kk in 0..k {
                     s += a[kk * m + r] * b_row(kk)[j];
                 }
-                c_row[j] = s;
+                step.apply(c, r * n + j, s);
                 j += 1;
             }
             r += 1;

@@ -14,11 +14,14 @@
 //!   `k`-blocked partial sums), so independent accumulator chains hide
 //!   the floating-point add latency that makes a plain `dot`
 //!   latency-bound. [`gemm_nt_indexed`] is the minibatch-logits form.
-//! * [`gemm_tn_indexed_overwrite`] — `C = Aᵀ · X[rows]`, the gradient
-//!   kernel (`grad_W = δᵀ · X`). Accumulation over the samples runs in
-//!   ascending order, which keeps the batched gradients numerically
-//!   aligned with the per-sample reference path (same summation order
-//!   per output element).
+//! * [`gemm_tn_indexed_step`] — `W += α·(Aᵀ · X[rows])`, the gradient
+//!   kernel (`grad_W = δᵀ · X`) with the SGD step ([`SgdStep`], FedProx's
+//!   pull included) applied to each element as it is finished, so a
+//!   training step never stores its gradient. Accumulation over the
+//!   samples runs in ascending order, which keeps the batched gradients
+//!   numerically aligned with the per-sample reference path (same
+//!   summation order per output element).
+//!   [`gemm_tn_indexed_overwrite`] is its raw-gradient form.
 //! * [`gram_upper`] — the upper triangle of `G = V · Vᵀ` over *borrowed*
 //!   rows, the kernel behind every pairwise distance matrix. A Gram
 //!   matrix is symmetric and only `G_ij`, `j ≥ i`, is ever read, so this
@@ -67,8 +70,9 @@
 //!
 //! [`Scratch`] owns every intermediate buffer a batched forward/backward
 //! pass needs (packed minibatch, logits, deltas, prediction buffer) and
-//! the two a local training pass adds (the flat parameter gradient and
-//! the shuffled sample order). Buffers are resized
+//! the one a local training pass adds (the shuffled sample order); the
+//! pass keeps no gradient buffer, its backward steps the parameters in
+//! place. Buffers are resized
 //! with [`Matrix::resize_in_place`], which reuses the underlying
 //! allocation, so a training loop that threads one `Scratch` through all
 //! of its epochs allocates only on the first minibatch and runs
@@ -214,11 +218,95 @@ pub fn gemm_nt_indexed(features: &Matrix, rows: &[usize], b: &[f64], c: &mut [f6
     gemm_nt_core(|r| features.row(rows[r]), rows.len(), b, c, k, n);
 }
 
-/// Indexed-row store-mode gradient kernel:
-/// `C = Aᵀ · X[rows]` (`A: B x m` coefficients, `X[rows]`: the selected
-/// feature rows read in place, `C: m x k` overwritten — callers reusing a
-/// gradient buffer skip zeroing it between steps). Every output element
-/// accumulates its sample contributions in ascending order.
+/// The SGD step a gradient kernel folds into each gradient element it
+/// finishes: `w += alpha * (g + mu_b * (w − w0))`, where the `mu_b` term
+/// (FedProx's pull) is there only under FedProx. Each operation rounds on
+/// its own — a subtraction, a multiply, then an add — never a fused
+/// multiply-add, so the step keeps the bits of the unfused composition
+/// (the FedProx pull over a gradient buffer, then [`axpy`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SgdStep<'a> {
+    /// Coefficient of the step: `−η / B` on a gradient summed over `B`
+    /// samples.
+    pub alpha: f64,
+    /// FedProx's pull, `(μ·B, w0)`: its coefficient on a summed gradient
+    /// and the starting parameters, aligned element for element with the
+    /// stepped ones. `None` adds no term at all (not a zero one, which
+    /// would turn a `−0.0` gradient into `+0.0`).
+    pub proximal: Option<(f64, &'a [f64])>,
+}
+
+impl<'a> SgdStep<'a> {
+    /// `w = 0.0 + 1.0 * g`: the step that turns a zeroed buffer into the
+    /// raw gradient. Exact but for one corner: a fused multiply-add whose
+    /// product underflows can end a sum on `−0.0`, which this stores as
+    /// `+0.0` (a store of the accumulator would keep the sign).
+    pub const UNIT: SgdStep<'static> = SgdStep {
+        alpha: 1.0,
+        proximal: None,
+    };
+
+    /// The steps over `w[..mid]` and `w[mid..]`, for a caller that steps
+    /// a parameter vector in windows: the anchor is cut at the same point.
+    pub fn split_at(&self, mid: usize) -> (SgdStep<'a>, SgdStep<'a>) {
+        let (head, tail) = match self.proximal {
+            Some((mu_b, anchor)) => {
+                let (head, tail) = anchor.split_at(mid);
+                (Some((mu_b, head)), Some((mu_b, tail)))
+            }
+            None => (None, None),
+        };
+        let window = |proximal| SgdStep {
+            alpha: self.alpha,
+            proximal,
+        };
+        (window(head), window(tail))
+    }
+
+    /// Steps `w[at]` by the finished gradient element `g`.
+    #[inline(always)]
+    pub(crate) fn apply(&self, w: &mut [f64], at: usize, g: f64) {
+        let g = match self.proximal {
+            Some((mu_b, anchor)) => g + mu_b * (w[at] - anchor[at]),
+            None => g,
+        };
+        w[at] += self.alpha * g;
+    }
+}
+
+/// Indexed-row gradient kernel with the SGD step fused in:
+/// `W += alpha * (Aᵀ · X[rows] [+ μ·B·(W − W0)])` (`A: B x m`
+/// coefficients, `X[rows]`: the selected feature rows read in place,
+/// `W: m x features.cols`, the weight window of the parameters). Every
+/// gradient element accumulates its sample contributions in ascending
+/// order and is stepped into `W` from its register, never stored: the
+/// backward of a training step writes the parameters and nothing else.
+pub fn gemm_tn_indexed_step(
+    a: &[f64],
+    features: &Matrix,
+    rows: &[usize],
+    w: &mut [f64],
+    m: usize,
+    step: &SgdStep,
+) {
+    let n = features.cols;
+    let k = rows.len();
+    debug_assert_eq!(a.len(), k * m);
+    assert_eq!(w.len(), m * n, "weight window must be m x features");
+    if let Some((_, anchor)) = step.proximal {
+        assert_eq!(anchor.len(), w.len(), "anchor must align with the weights");
+    }
+    if m == 0 || n == 0 {
+        return;
+    }
+    gemm_tn_body(a, |kk| features.row(rows[kk]), w, k, m, n, step);
+}
+
+/// `C = Aᵀ · X[rows]`, overwriting `C` (`m x features.cols`): the raw
+/// gradient, through [`gemm_tn_indexed_step`]'s kernel as
+/// [`SgdStep::UNIT`] over a zeroed `C` — the bits a store of each
+/// accumulator would leave, except that a `−0.0` sum is stored as
+/// `+0.0` (see [`SgdStep::UNIT`]).
 pub fn gemm_tn_indexed_overwrite(
     a: &[f64],
     features: &Matrix,
@@ -226,30 +314,20 @@ pub fn gemm_tn_indexed_overwrite(
     c: &mut [f64],
     m: usize,
 ) {
-    let n = features.cols;
-    let k = rows.len();
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(c.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c.fill(0.0);
-        return;
-    }
-    gemm_tn_body(a, |kk| features.row(rows[kk]), c, k, m, n);
+    c.fill(0.0);
+    gemm_tn_indexed_step(a, features, rows, c, m, &SgdStep::UNIT);
 }
 
-/// The `C = Aᵀ · B` register-tile body behind
-/// [`gemm_tn_indexed_overwrite`], generic over how `B` rows are fetched;
-/// the AVX2 tier ([`simd::gemm_tn`], dispatched here) mirrors its scalar
-/// tails exactly.
+/// The register-tile body behind [`gemm_tn_indexed_step`], generic over
+/// how `B` rows are fetched; the AVX2 tier ([`simd::gemm_tn`], dispatched
+/// here) mirrors its scalar tails exactly.
 ///
 /// Register-tiled: four output rows advance together through `j` in
 /// [`LANES`]-wide vectors, with the full `k` (sample) dimension fused
-/// into one pass — each output element is stored exactly once, instead
-/// of once per sample. Every element accumulates its `k` contributions
-/// in ascending order from zero, matching the per-sample reference
+/// into one pass — each gradient element is finished once, instead of
+/// once per sample, and stepped into `c` by `step` straight from its
+/// accumulator. Every element accumulates its `k` contributions in
+/// ascending order from zero, matching the per-sample reference
 /// summation order.
 fn gemm_tn_body<'a>(
     a: &[f64],
@@ -258,39 +336,33 @@ fn gemm_tn_body<'a>(
     k: usize,
     m: usize,
     n: usize,
+    step: &SgdStep,
 ) {
     #[cfg(target_arch = "x86_64")]
     if simd::active() {
         // SAFETY: `simd::active()` guarantees AVX2+FMA were detected.
-        unsafe { simd::gemm_tn(a, &b_row, c, k, m, n) };
+        unsafe { simd::gemm_tn(a, &b_row, c, k, m, n, step) };
         return;
     }
     let mut r = 0;
     while r + 4 <= m {
-        let sub = &mut c[r * n..(r + 4) * n];
-        let (c0, rest) = sub.split_at_mut(n);
-        let (c1, rest) = rest.split_at_mut(n);
-        let (c2, c3) = rest.split_at_mut(n);
         let mut j = 0;
         while j + LANES <= n {
-            let mut acc0 = [0.0; LANES];
-            let mut acc1 = [0.0; LANES];
-            let mut acc2 = [0.0; LANES];
-            let mut acc3 = [0.0; LANES];
+            let mut acc = [[0.0; LANES]; 4];
             for kk in 0..k {
                 let bv: &[f64; LANES] = b_row(kk)[j..j + LANES].try_into().unwrap();
                 let a_col = &a[kk * m + r..kk * m + r + 4];
                 for l in 0..LANES {
-                    acc0[l] = a_col[0].mul_add(bv[l], acc0[l]);
-                    acc1[l] = a_col[1].mul_add(bv[l], acc1[l]);
-                    acc2[l] = a_col[2].mul_add(bv[l], acc2[l]);
-                    acc3[l] = a_col[3].mul_add(bv[l], acc3[l]);
+                    for q in 0..4 {
+                        acc[q][l] = a_col[q].mul_add(bv[l], acc[q][l]);
+                    }
                 }
             }
-            c0[j..j + LANES].copy_from_slice(&acc0);
-            c1[j..j + LANES].copy_from_slice(&acc1);
-            c2[j..j + LANES].copy_from_slice(&acc2);
-            c3[j..j + LANES].copy_from_slice(&acc3);
+            for (q, lanes) in acc.iter().enumerate() {
+                for (l, &g) in lanes.iter().enumerate() {
+                    step.apply(c, (r + q) * n + j + l, g);
+                }
+            }
             j += LANES;
         }
         while j < n {
@@ -303,17 +375,15 @@ fn gemm_tn_body<'a>(
                 s2 += a_col[2] * b_j;
                 s3 += a_col[3] * b_j;
             }
-            c0[j] = s0;
-            c1[j] = s1;
-            c2[j] = s2;
-            c3[j] = s3;
+            for (q, g) in [s0, s1, s2, s3].into_iter().enumerate() {
+                step.apply(c, (r + q) * n + j, g);
+            }
             j += 1;
         }
         r += 4;
     }
     // Remainder rows, one at a time with the same full-`k` fusion.
     while r < m {
-        let c_row = &mut c[r * n..(r + 1) * n];
         let mut j = 0;
         while j + LANES <= n {
             let mut acc = [0.0; LANES];
@@ -324,7 +394,9 @@ fn gemm_tn_body<'a>(
                     acc[l] = a_ki.mul_add(bv[l], acc[l]);
                 }
             }
-            c_row[j..j + LANES].copy_from_slice(&acc);
+            for (l, &g) in acc.iter().enumerate() {
+                step.apply(c, r * n + j + l, g);
+            }
             j += LANES;
         }
         while j < n {
@@ -332,7 +404,7 @@ fn gemm_tn_body<'a>(
             for kk in 0..k {
                 s += a[kk * m + r] * b_row(kk)[j];
             }
-            c_row[j] = s;
+            step.apply(c, r * n + j, s);
             j += 1;
         }
         r += 1;
@@ -872,8 +944,6 @@ pub struct Scratch {
     pub delta: Matrix,
     /// Predicted class per batch row.
     pub predictions: Vec<usize>,
-    /// Flat parameter gradient of the current minibatch (local training).
-    pub grad: Vec<f64>,
     /// The shard's row indices in this epoch's shuffled order (local
     /// training).
     pub order: Vec<usize>,

@@ -2,13 +2,26 @@
 //! retained per-sample implementations (`loss_and_grad_reference`,
 //! `train_local_reference`, `accuracy_reference`): same losses, same
 //! gradients, same trained parameters, same predictions, on randomized
-//! models and data.
+//! models and data. The fused local pass is also held, bit for bit, to
+//! the unfused composition it replaced, and the adopting constructor's
+//! jump of the generator to the draws it skips.
+//!
+//! The racing jump test relies on no other test in this binary jumping
+//! past the paper's 7,840 draws: the powers it needs are built by it.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use bfl_ml::metrics;
 use bfl_ml::model::{Model, ModelKind};
-use bfl_ml::optimizer::{train_local_reference, train_local_with_scratch, LocalTrainingConfig};
-use bfl_ml::tensor::{Matrix, Scratch};
+use bfl_ml::optimizer::{
+    train_local_reference, train_local_with_scratch, LocalTrainingConfig, LocalTrainingStats,
+};
+use bfl_ml::par;
+use bfl_ml::tensor::{self, Matrix, Scratch};
+use bfl_ml::SoftmaxRegression;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 
 const TOLERANCE: f64 = 1e-9;
@@ -212,6 +225,240 @@ fn batched_local_pass_matches_the_reference_pass() {
                 reference_rng.next_u64(),
                 "{case}: both passes must consume the rng identically"
             );
+        }
+    }
+}
+
+/// `Aᵀ · X[rows]` (`A: B x m`) element by element, independent of the
+/// kernel's tiling: the gradient the backward stored before the SGD step
+/// moved into it. Each element sums its samples in ascending order from
+/// `+0.0` — a fused multiply-add in the columns the kernel covers with
+/// 8-wide vectors, a multiply then an add in the tail past the last full
+/// vector — and is stored as it ends, `−0.0` included.
+fn raw_gradient(a: &[f64], features: &Matrix, rows: &[usize], m: usize) -> Vec<f64> {
+    let n = features.cols;
+    let vector_columns = n - n % 8;
+    let mut grad = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut sum = 0.0f64;
+            for (r, &row) in rows.iter().enumerate() {
+                let (coefficient, x) = (a[r * m + i], features.row(row)[j]);
+                sum = if j < vector_columns {
+                    coefficient.mul_add(x, sum)
+                } else {
+                    sum + coefficient * x
+                };
+            }
+            grad[i * n + j] = sum;
+        }
+    }
+    grad
+}
+
+/// The local pass as it was before the SGD step moved into the backward:
+/// the summed gradient stored whole ([`raw_gradient`] for the weights, an
+/// `axpy(1.0, δ_r, ·)` chain for the biases), then FedProx's
+/// pull over it, then `axpy` of `−lr/B` into the parameters. The forward
+/// (logits, `δ`, the loss) is `loss_and_grad_batched`'s, read back from
+/// the workspace.
+fn unfused_pass(
+    model: &mut SoftmaxRegression,
+    classes: usize,
+    features: &Matrix,
+    labels: &[usize],
+    samples: &[usize],
+    config: &LocalTrainingConfig,
+    rng: &mut StdRng,
+) -> LocalTrainingStats {
+    let anchor = model.params();
+    let weight_len = classes * features.cols;
+    let mut scratch = Scratch::new();
+    let mut grad = vec![0.0; model.num_params()];
+    let mut unused = Vec::new();
+    let mut order = samples.to_vec();
+    let (mut steps, mut final_epoch_loss) = (0, 0.0);
+    for epoch in 0..config.epochs {
+        order.shuffle(rng);
+        let (mut epoch_loss, mut epoch_batches) = (0.0, 0);
+        for batch in order.chunks(config.batch_size) {
+            let inverse_batch = 1.0 / batch.len() as f64;
+            let mean_loss =
+                model.loss_and_grad_batched(features, labels, batch, &mut unused, &mut scratch);
+            let (grad_w, grad_b) = grad.split_at_mut(weight_len);
+            grad_w.copy_from_slice(&raw_gradient(&scratch.delta.data, features, batch, classes));
+            grad_b.fill(0.0);
+            for r in 0..batch.len() {
+                tensor::axpy(1.0, scratch.delta.row(r), grad_b);
+            }
+            if config.proximal_mu > 0.0 {
+                let mu_times_batch = config.proximal_mu * batch.len() as f64;
+                for ((g, w), w0) in grad.iter_mut().zip(model.params_ref()).zip(&anchor) {
+                    *g += mu_times_batch * (w - w0);
+                }
+            }
+            tensor::axpy(
+                -config.learning_rate * inverse_batch,
+                &grad,
+                model.params_mut(),
+            );
+            epoch_loss += mean_loss;
+            epoch_batches += 1;
+            steps += 1;
+        }
+        if epoch == config.epochs - 1 {
+            final_epoch_loss = epoch_loss / epoch_batches as f64;
+        }
+    }
+    LocalTrainingStats {
+        steps,
+        final_epoch_loss,
+    }
+}
+
+/// The fused pass against [`unfused_pass`], bit for bit: batch sizes 1,
+/// 3, 8, 10 and 17, feature counts that leave every `LANES` (8) tail
+/// from 0 to 7 with class counts on and off the kernel's four-row
+/// blocks, with and without FedProx. Runs on the dispatched tier
+/// (`BFL_SIMD=off` pins the scalar one; `simd_equivalence` flips both in
+/// one process).
+#[test]
+fn the_fused_pass_keeps_the_unfused_passs_bits() {
+    let mut rng = StdRng::seed_from_u64(0xF05E);
+    let mut scratch = Scratch::new();
+    // Feature counts 8 + t for every tail t (23 is 16 + 7); class counts
+    // one 4-row block, blocks plus a remainder of 1, 2 or 3, or none.
+    for (features_count, classes) in [
+        (8usize, 4usize),
+        (9, 5),
+        (18, 2),
+        (11, 7),
+        (12, 10),
+        (13, 3),
+        (14, 6),
+        (23, 9),
+    ] {
+        let kind = ModelKind::SoftmaxRegression {
+            features: features_count,
+            classes,
+        };
+        let (features, labels) = random_dataset(&mut rng, 40, features_count, classes);
+        let shard: Vec<usize> = (0..34).map(|i| (i * 7 + 1) % 40).collect();
+        for batch_size in [1usize, 3, 8, 10, 17] {
+            for proximal_mu in [0.0, 0.3] {
+                let config = LocalTrainingConfig {
+                    epochs: 2,
+                    batch_size,
+                    learning_rate: 0.07,
+                    proximal_mu,
+                };
+                let start = kind.build(&mut rng);
+                let seed = rng.next_u64();
+                let case = format!("{features_count}x{classes} B {batch_size} mu {proximal_mu}");
+
+                let mut fused = start.clone();
+                let mut fused_rng = StdRng::seed_from_u64(seed);
+                let fused_stats = train_local_with_scratch(
+                    &mut fused,
+                    &features,
+                    &labels,
+                    &shard,
+                    &config,
+                    &mut fused_rng,
+                    &mut scratch,
+                );
+                let mut unfused = start.clone();
+                let mut unfused_rng = StdRng::seed_from_u64(seed);
+                let unfused_stats = unfused_pass(
+                    &mut unfused,
+                    classes,
+                    &features,
+                    &labels,
+                    &shard,
+                    &config,
+                    &mut unfused_rng,
+                );
+
+                assert_eq!(fused_stats.steps, unfused_stats.steps, "{case}");
+                assert_eq!(
+                    fused_stats.final_epoch_loss.to_bits(),
+                    unfused_stats.final_epoch_loss.to_bits(),
+                    "{case}: loss"
+                );
+                for (i, (f, u)) in fused
+                    .params_ref()
+                    .iter()
+                    .zip(unfused.params_ref())
+                    .enumerate()
+                {
+                    assert_eq!(f.to_bits(), u.to_bits(), "{case} param[{i}]: {f} vs {u}");
+                }
+                assert_ne!(fused.params_ref(), start.params_ref(), "{case}: trained");
+                assert_eq!(fused_rng, unfused_rng, "{case}: rng");
+            }
+        }
+    }
+}
+
+/// Steps `rng` past `draws` outputs one at a time: the jump's oracle.
+fn stepped(seed: u64, draws: u64) -> StdRng {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..draws {
+        rng.next_u64();
+    }
+    rng
+}
+
+/// Two `bfl_ml::par` workers make the first jump that needs a power of
+/// the transition matrix at once: one builds it into the static table
+/// while the other waits for it, and both land where stepping does.
+/// `with_thread_limit` gives the map two workers on any host and under
+/// any `BFL_MAX_THREADS`, and they meet before jumping; the deadline only
+/// keeps the test from hanging should the map ever run its items inline.
+#[test]
+fn two_workers_racing_on_a_fresh_powers_first_build_both_land_where_stepping_does() {
+    // Past every other length this binary jumps (the largest, the
+    // paper's 784 × 10, stays under 2¹³), so 2¹³ and 2¹⁴ are built here.
+    const FRESH: u64 = 31_337;
+    let seeds = [3u64, 4];
+    let arrived = AtomicUsize::new(0);
+    let jumped = par::with_thread_limit(2, || {
+        par::par_map(&seeds, 1, |_, &seed| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(1);
+            while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::hint::spin_loop();
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            rng.discard(FRESH);
+            rng
+        })
+    });
+    for (rng, &seed) in jumped.iter().zip(&seeds) {
+        assert_eq!(*rng, stepped(seed, FRESH), "seed {seed}");
+    }
+}
+
+/// `adopt` is `build` then `set_params`, for the model and for the
+/// generator, at the paper's shape and a second one in turn: two lengths
+/// jump through one power table, and neither disturbs the other.
+#[test]
+fn adopt_is_build_then_set_params_at_two_live_shapes() {
+    for round in 0..3u64 {
+        for kind in [ModelKind::default_mnist(), KIND] {
+            let seed = 0xAD0 + round;
+            let params: Vec<f64> = (0..kind.num_params())
+                .map(|i| (i as f64 * 0.13 + round as f64).cos())
+                .collect();
+            let mut built_rng = StdRng::seed_from_u64(seed);
+            let mut built = kind.build(&mut built_rng);
+            built.set_params(&params);
+            let mut adopted_rng = StdRng::seed_from_u64(seed);
+            let adopted = kind.adopt(params, &mut adopted_rng);
+            assert_eq!(adopted, built, "{kind:?}");
+            for _ in 0..3 {
+                assert_eq!(adopted_rng.next_u64(), built_rng.next_u64(), "{kind:?}");
+            }
         }
     }
 }

@@ -16,7 +16,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use bfl_ml::model::{Model, ModelKind};
-use bfl_ml::tensor::{self, Matrix, Scratch};
+use bfl_ml::tensor::{self, Matrix, Scratch, SgdStep};
 use bfl_ml::{metrics, par, simd};
 use proptest::prelude::*;
 
@@ -203,6 +203,125 @@ proptest! {
             y
         });
     }
+
+    /// `gemm_tn_indexed_step`, the backward with the SGD step fused in:
+    /// the step of each finished element (FedProx's pull included) is a
+    /// separate subtract, multiply and add on both tiers, over
+    /// adversarial parameters, anchors and coefficients.
+    #[test]
+    fn gemm_tn_indexed_step_matches_scalar_bits(
+        pool_rows in 1usize..8,
+        m in 0usize..12,
+        n in 0usize..70,
+        idx_seed in proptest::collection::vec(0usize..8, 0..10),
+        seed in buffer(8 * 70 + 10 * 12),
+        w0 in buffer(12 * 70),
+        anchor in buffer(12 * 70),
+        alpha in element(),
+        mu_b in element(),
+        proximal in any::<bool>(),
+    ) {
+        let features = Matrix::from_vec(pool_rows, n, seed[..pool_rows * n].to_vec());
+        let rows: Vec<usize> = idx_seed.iter().map(|&i| i % pool_rows).collect();
+        let a = seed[seed.len() - rows.len() * m..].to_vec();
+        let step = SgdStep {
+            alpha,
+            proximal: proximal.then_some((mu_b, &anchor[..m * n])),
+        };
+        assert_tiers_bit_identical("gemm_tn_indexed_step", || {
+            let mut w = w0[..m * n].to_vec();
+            tensor::gemm_tn_indexed_step(&a, &features, &rows, &mut w, m, &step);
+            w
+        });
+    }
+}
+
+/// `Aᵀ · X[rows]` (`A: B x m`) element by element, independent of the
+/// kernel's tiling: the gradient the backward stored before the SGD step
+/// moved into it. Each element sums its samples in ascending order from
+/// `+0.0` — a fused multiply-add in the columns the kernel covers with
+/// 8-wide vectors, a multiply then an add in the tail past the last full
+/// vector — and is stored as it ends, `−0.0` included.
+fn raw_gradient(a: &[f64], features: &Matrix, rows: &[usize], m: usize) -> Vec<f64> {
+    let n = features.cols;
+    let vector_columns = n - n % 8;
+    let mut grad = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut sum = 0.0f64;
+            for (r, &row) in rows.iter().enumerate() {
+                let (coefficient, x) = (a[r * m + i], features.row(row)[j]);
+                sum = if j < vector_columns {
+                    coefficient.mul_add(x, sum)
+                } else {
+                    sum + coefficient * x
+                };
+            }
+            grad[i * n + j] = sum;
+        }
+    }
+    grad
+}
+
+/// The fused step against the composition it replaced, on each tier:
+/// the summed gradient stored whole ([`raw_gradient`], no code shared
+/// with the kernel), then FedProx's pull over it, then `axpy` into the
+/// weights. Batch sizes 1,
+/// 3, 8, 10 and 17, feature counts leaving every `LANES` tail, row counts
+/// on and off the kernel's 4- and 2-row blocks, μ of 0 and 0.3; `to_bits`
+/// equality, so an FMA anywhere in the step fails it.
+#[test]
+fn the_fused_step_keeps_the_unfused_bits_on_both_tiers() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(0x57E9);
+    let mut value = move || rng.gen_range(-2.0..2.0);
+    let _guard = tier_lock();
+    for vector_tier in [false, true] {
+        simd::set_enabled(vector_tier);
+        for batch in [1usize, 3, 8, 10, 17] {
+            for n in (8..16).chain([23, 785]) {
+                for m in [1usize, 2, 3, 4, 5, 6, 7, 10] {
+                    let pool: Vec<f64> = (0..20 * n).map(|_| value()).collect();
+                    let features = Matrix::from_vec(20, n, pool);
+                    let rows: Vec<usize> = (0..batch).map(|i| (i * 7 + 2) % 20).collect();
+                    let a: Vec<f64> = (0..batch * m).map(|_| value()).collect();
+                    let start: Vec<f64> = (0..m * n).map(|_| value()).collect();
+                    let anchor: Vec<f64> = (0..m * n).map(|_| value()).collect();
+                    for mu in [0.0, 0.3] {
+                        let alpha = -0.01 * (1.0 / batch as f64);
+                        let mu_b = mu * batch as f64;
+
+                        let mut composed = start.clone();
+                        let mut grad = raw_gradient(&a, &features, &rows, m);
+                        if mu > 0.0 {
+                            for ((g, w), w0) in grad.iter_mut().zip(&composed).zip(&anchor) {
+                                *g += mu_b * (w - w0);
+                            }
+                        }
+                        tensor::axpy(alpha, &grad, &mut composed);
+
+                        let mut fused = start.clone();
+                        let step = SgdStep {
+                            alpha,
+                            proximal: (mu > 0.0).then_some((mu_b, anchor.as_slice())),
+                        };
+                        tensor::gemm_tn_indexed_step(&a, &features, &rows, &mut fused, m, &step);
+
+                        for (i, (f, c)) in fused.iter().zip(&composed).enumerate() {
+                            assert!(
+                                f.to_bits() == c.to_bits(),
+                                "vector tier {vector_tier}, B {batch}, {m} x {n}, mu {mu}: \
+                                 element {i} fused {f:?} vs composed {c:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    simd::reset();
 }
 
 /// The `j >= i` entries of a row-major `n x n` matrix, row by row.
@@ -435,8 +554,9 @@ fn gram_upper_fans_out_without_changing_a_bit() {
     });
 }
 
-/// End-to-end: a full batched loss/gradient pass and an evaluation sweep
-/// produce bit-identical losses, gradients, and accuracies under either
+/// End-to-end: a full batched loss/gradient pass, an evaluation sweep and
+/// a fused SGD step with and without FedProx produce bit-identical
+/// losses, gradients, accuracies and stepped parameters under either
 /// tier — the composite the per-kernel properties exist to guarantee.
 #[test]
 fn batched_training_and_eval_bits_match_across_tiers() {
@@ -455,13 +575,25 @@ fn batched_training_and_eval_bits_match_across_tiers() {
     let features = Matrix::from_vec(rows, 300, data);
     let batch: Vec<usize> = (0..rows).step_by(2).collect();
 
-    assert_tiers_bit_identical("loss/grad/accuracy", || {
+    let anchor: Vec<f64> = model.params_ref().iter().map(|w| w * 0.5).collect();
+    assert_tiers_bit_identical("loss/grad/accuracy/step", || {
         let mut scratch = Scratch::new();
         let mut grad = Vec::new();
         let loss = model.loss_and_grad_batched(&features, &labels, &batch, &mut grad, &mut scratch);
         let acc = metrics::accuracy(&model, &features, &labels, None);
         grad.push(loss);
         grad.push(acc);
+        for proximal in [None, Some((0.3 * batch.len() as f64, anchor.as_slice()))] {
+            let mut stepped = model.clone();
+            let step = SgdStep {
+                alpha: -0.01 / batch.len() as f64,
+                proximal,
+            };
+            let loss =
+                stepped.loss_and_step_batched(&features, &labels, &batch, &step, &mut scratch);
+            grad.extend_from_slice(stepped.params_ref());
+            grad.push(loss);
+        }
         grad
     });
 }
