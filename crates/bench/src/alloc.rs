@@ -17,8 +17,8 @@
 //! events* and *live blocks*, and [`CountingAllocator::snapshot`] /
 //! [`CountingAllocator::delta_since`] bracket a region with one call on
 //! each side — the steady-state round-loop test uses this to assert that
-//! a warmed-up flexible round leaves **zero net** bytes and blocks
-//! behind.
+//! a warmed-up flexible round leaves no net bytes or blocks behind but
+//! the reward list its outcome retains.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -13,6 +13,7 @@
 
 use crate::block::Block;
 use crate::error::ChainError;
+#[cfg(test)]
 use crate::pow::PowConfig;
 use crate::transaction::TransactionKind;
 use serde::{Deserialize, Serialize};
@@ -196,6 +197,7 @@ impl Blockchain {
 
     /// Builds, mines and appends a block containing `transactions` on top of
     /// the current tip. Returns the number of hash attempts spent mining.
+    #[cfg(test)]
     pub fn mine_and_append(
         &mut self,
         transactions: Vec<crate::transaction::Transaction>,

@@ -39,6 +39,7 @@ impl ClusterLabels {
     }
 
     /// Number of distinct (non-noise) clusters.
+    #[cfg(test)]
     pub fn cluster_count(&self) -> usize {
         let mut ids: Vec<usize> = self.assignments.iter().filter_map(|c| *c).collect();
         ids.sort_unstable();

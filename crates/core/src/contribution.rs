@@ -31,10 +31,8 @@ pub struct ContributionReport {
     pub high_contribution: Vec<(u64, f64)>,
     /// Client ids labelled low contribution.
     pub low_contribution: Vec<u64>,
-    /// The reward list the configured
-    /// [`RewardPolicy`](crate::RewardPolicy) produced for the high
-    /// contributors (⟨C_i, θ_i/Σθ_k · base⟩ under the default proportional
-    /// policy).
+    /// The reward list paid to the high contributors: ⟨C_i, θ_i/Σθ_k ·
+    /// base⟩ ([`ProportionalReward`](crate::ProportionalReward)).
     pub rewards: Vec<RewardEntry>,
 }
 
@@ -143,7 +141,7 @@ pub fn analyze_contributions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ProportionalReward, RewardPolicy};
+    use crate::policy::ProportionalReward;
     use crate::procedures::global_update::{
         compute_global_update, GlobalUpdateOutcome, GlobalUpdatePolicy,
     };
@@ -184,7 +182,7 @@ mod tests {
         strategy: LowContributionStrategy,
         fair_aggregation: bool,
         anchor: AggregationAnchor,
-        reward: &dyn RewardPolicy,
+        reward: &ProportionalReward,
     ) -> GlobalUpdateOutcome {
         let merged: Vec<VerifiedUpload> = uploads
             .iter()
@@ -495,38 +493,6 @@ mod tests {
             assert!(outcome.global_params[0] > 0.9);
             assert!(outcome.report.rewards.iter().all(|r| r.client_id < 9));
         }
-    }
-
-    #[test]
-    fn custom_reward_policies_plug_into_algorithm_2() {
-        /// Pays every high contributor a flat amount, ignoring θ.
-        struct FlatReward;
-        impl RewardPolicy for FlatReward {
-            fn round_rewards(&self, round: usize, scores: &[(u64, f64)]) -> Vec<RewardEntry> {
-                scores
-                    .iter()
-                    .map(|&(client_id, theta)| RewardEntry {
-                        client_id,
-                        theta,
-                        share: 1.0 / scores.len() as f64,
-                        amount_milli: 1000 + round as u64,
-                    })
-                    .collect()
-            }
-        }
-
-        let uploads = uploads_with_forgeries(4, 0);
-        let report = procedure_iv(
-            &uploads,
-            &dbscan(),
-            LowContributionStrategy::Keep,
-            true,
-            AggregationAnchor::Mean,
-            &FlatReward,
-        )
-        .report;
-        assert_eq!(report.rewards.len(), 4);
-        assert!(report.rewards.iter().all(|r| r.amount_milli == 1001));
     }
 
     #[test]

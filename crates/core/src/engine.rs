@@ -28,7 +28,7 @@ use crate::delay_model::DelayBreakdown;
 use crate::detection::{DetectionRow, DetectionTable};
 use crate::error::CoreError;
 use crate::flexibility::FlexibilityMode;
-use crate::policy::{ProportionalReward, RewardPolicy};
+use crate::policy::ProportionalReward;
 use crate::population::{ClientPool, ImplicitSpec};
 use crate::procedures::global_update::{GlobalUpdateOutcome, GlobalUpdatePolicy};
 use crate::procedures::{exchange, global_update, local_update, mining, upload};
@@ -60,7 +60,6 @@ use std::collections::BTreeMap;
 /// the result covers the completed rounds).
 pub struct SimulationRun<'a> {
     config: BflConfig,
-    reward: Box<dyn RewardPolicy + 'a>,
     state: RunState<'a>,
     round: usize,
     finished: bool,
@@ -128,9 +127,6 @@ impl<'a> SimulationRun<'a> {
             _ => RunState::Learning(Box::new(LearningState::new(&config, train, test)?)),
         };
         Ok(SimulationRun {
-            reward: Box::new(ProportionalReward {
-                base: config.reward_base,
-            }),
             config,
             state,
             round: 0,
@@ -139,14 +135,6 @@ impl<'a> SimulationRun<'a> {
             detection: DetectionTable::new(),
             reward_totals: BTreeMap::new(),
         })
-    }
-
-    /// Replaces the reward policy (defaults to the paper's
-    /// [`ProportionalReward`] over the configured `reward_base`). Swap it
-    /// before the first step — rounds already executed keep their payouts.
-    pub fn with_reward_policy(mut self, reward: Box<dyn RewardPolicy + 'a>) -> Self {
-        self.reward = reward;
-        self
     }
 
     /// The run's configuration.
@@ -209,7 +197,7 @@ impl<'a> SimulationRun<'a> {
         }
         let round = self.round + 1;
         let stepped = match &mut self.state {
-            RunState::Learning(state) => state.step(&self.config, self.reward.as_ref(), round),
+            RunState::Learning(state) => state.step(&self.config, round),
             RunState::ChainOnly(state) => state.step(&self.config, round),
         };
         let outcome = match stepped {
@@ -459,18 +447,11 @@ impl<'a> LearningState<'a> {
     /// One communication round, dispatched on the scenario's sync mode:
     /// the lockstep pass (the PR 4 engine, bit-identical) or the
     /// event-driven flexible-quota round of [`crate::events`].
-    fn step(
-        &mut self,
-        config: &BflConfig,
-        reward_policy: &dyn RewardPolicy,
-        round: usize,
-    ) -> Result<RoundOutcome, CoreError> {
+    fn step(&mut self, config: &BflConfig, round: usize) -> Result<RoundOutcome, CoreError> {
         match config.sync {
-            crate::config::SyncMode::Synchronous => {
-                self.step_synchronous(config, reward_policy, round)
-            }
+            crate::config::SyncMode::Synchronous => self.step_synchronous(config, round),
             crate::config::SyncMode::FlexibleQuota { quota } => {
-                crate::events::step_flexible(self, config, reward_policy, round, quota)
+                crate::events::step_flexible(self, config, round, quota)
             }
         }
     }
@@ -634,7 +615,6 @@ impl<'a> LearningState<'a> {
     fn step_synchronous(
         &mut self,
         config: &BflConfig,
-        reward_policy: &dyn RewardPolicy,
         round: usize,
     ) -> Result<RoundOutcome, CoreError> {
         self.advance_cooldowns();
@@ -696,10 +676,13 @@ impl<'a> LearningState<'a> {
         }
 
         // Procedure-IV: global update + Algorithm 2, under the scenario's
-        // anchor and reward policies.
+        // anchor, paying the paper's proportional reward.
+        let reward = ProportionalReward {
+            base: config.reward_base,
+        };
         let global = global_update::compute_global_update(
             &merged,
-            &GlobalUpdatePolicy::for_round(config, round, reward_policy),
+            &GlobalUpdatePolicy::for_round(config, round, &reward),
         );
         let mut sealed =
             SealedRound::from_global_update(global, merged.len(), 0, train_loss, attackers);

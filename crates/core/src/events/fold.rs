@@ -5,7 +5,7 @@ use crate::aggregation::WEIGHT_FLOOR;
 use crate::config::{AggregationMode, BflConfig};
 use crate::contribution::analyze_contributions;
 use crate::engine::SealedRound;
-use crate::policy::RewardPolicy;
+use crate::policy::ProportionalReward;
 use crate::procedures::global_update::{self, GlobalUpdatePolicy};
 use crate::procedures::upload::VerifiedUpload;
 
@@ -130,12 +130,10 @@ impl RoundFold {
     /// Settles the round over what the pool still holds. Returns the
     /// hand-off with, beside it, the slowest counted own-round local pass
     /// (the event clock's `T_local`).
-    pub(super) fn seal(
-        mut self,
-        rt: &mut AsyncRuntime,
-        config: &BflConfig,
-        reward_policy: &dyn RewardPolicy,
-    ) -> (SealedRound, f64) {
+    pub(super) fn seal(mut self, rt: &mut AsyncRuntime, config: &BflConfig) -> (SealedRound, f64) {
+        let reward = ProportionalReward {
+            base: config.reward_base,
+        };
         let uploads = self.drain(rt);
         let train_loss = self.loss_sum / self.admitted as f64;
         let sealed = if config.aggregation.is_streaming() {
@@ -155,13 +153,13 @@ impl RoundFold {
                     .iter()
                     .map(|&v| v / self.weight_sum)
                     .collect(),
-                rewards: reward_policy.round_rewards(self.round, &self.scores),
+                rewards: reward.round_rewards(&self.scores),
                 high_contributors: self.scores.len(),
                 attackers: self.forged,
                 dropped: self.low,
             }
         } else {
-            let policy = GlobalUpdatePolicy::for_round(config, self.round, reward_policy);
+            let policy = GlobalUpdatePolicy::for_round(config, self.round, &reward);
             let global = global_update::compute_global_update(&uploads, &policy);
             let (participants, stale) = (self.admitted, self.stale_included);
             SealedRound::from_global_update(global, participants, stale, train_loss, self.forged)

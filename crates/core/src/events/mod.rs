@@ -45,7 +45,6 @@ use crate::delay_model::DelayBreakdown;
 use crate::engine::{advance_clock, round_seed, time_overflow, LearningState};
 use crate::error::CoreError;
 use crate::flexibility::FlexibilityMode;
-use crate::policy::RewardPolicy;
 use crate::procedures::mining;
 use crate::procedures::upload::{sign_update, Corruption, VerifiedUpload};
 use crate::simulation::{KpiRow, RoundOutcome};
@@ -369,7 +368,6 @@ impl AsyncRuntime {
 pub(crate) fn step_flexible(
     state: &mut LearningState<'_>,
     config: &BflConfig,
-    reward_policy: &dyn RewardPolicy,
     round: usize,
     quota: usize,
 ) -> Result<RoundOutcome, CoreError> {
@@ -389,7 +387,7 @@ pub(crate) fn step_flexible(
     // cooldowns may tick once per attempt — acceptable for the
     // pathological schedules this covers.)
     let mut attempts = || {
-        let mut result = attempt_round(state, &mut rt, config, reward_policy, round, quota);
+        let mut result = attempt_round(state, &mut rt, config, round, quota);
         for _ in 0..8 {
             if !matches!(result, Err(CoreError::EmptyRound { .. }))
                 || !(fast_forward_to_next_join(state, config, &rt)
@@ -397,7 +395,7 @@ pub(crate) fn step_flexible(
             {
                 break;
             }
-            result = attempt_round(state, &mut rt, config, reward_policy, round, quota);
+            result = attempt_round(state, &mut rt, config, round, quota);
         }
         result
     };
@@ -411,7 +409,6 @@ fn attempt_round(
     state: &mut LearningState<'_>,
     rt: &mut AsyncRuntime,
     config: &BflConfig,
-    reward_policy: &dyn RewardPolicy,
     round: usize,
     quota: usize,
 ) -> Result<RoundOutcome, CoreError> {
@@ -428,7 +425,7 @@ fn attempt_round(
     // toward the quota even though `rt.arrived` no longer holds it.
     let mut fold = RoundFold::new(config, round, round_start, state.global_params.len());
     let pumped = pump(state, rt, config, &mut fold, target)?;
-    seal(state, rt, config, reward_policy, fold, pumped, t_fork)
+    seal(state, rt, config, fold, pumped, t_fork)
 }
 
 /// The round's prologue and Procedure-I selection. Cooldowns tick, the
@@ -732,7 +729,6 @@ fn seal(
     state: &mut LearningState<'_>,
     rt: &mut AsyncRuntime,
     config: &BflConfig,
-    reward_policy: &dyn RewardPolicy,
     fold: RoundFold,
     pumped: Pumped,
     t_fork: f64,
@@ -744,8 +740,9 @@ fn seal(
     // buffer it keeps.
     let mempool_depth_at_seal = rt.arrived.len();
 
-    // Procedure-IV under the scenario's anchor and reward policies.
-    let (mut sealed, max_own_finish) = fold.seal(rt, config, reward_policy);
+    // Procedure-IV under the scenario's anchor, paying the paper's
+    // proportional reward.
+    let (mut sealed, max_own_finish) = fold.seal(rt, config);
     state.adopt(&mut sealed);
 
     // The wait for the quota decomposes into the slowest counted

@@ -225,10 +225,7 @@ fn every_vault_pair_is_the_one_derived_from_its_client_id() {
     lazy.validate().unwrap();
     let mut state = LearningState::new(&lazy, &train, &test).unwrap();
     assert!(held(&state).is_empty(), "nobody is selected yet");
-    let reward = crate::policy::ProportionalReward {
-        base: lazy.reward_base,
-    };
-    step_flexible(&mut state, &lazy, &reward, 1, 2).unwrap();
+    step_flexible(&mut state, &lazy, 1, 2).unwrap();
     let selected = held(&state);
     assert_eq!(selected.len(), lazy.fl.selected_per_round());
     for (id, pair) in &selected {
@@ -280,14 +277,11 @@ fn a_stranded_upload_is_salvaged_with_its_commission_signature() {
 fn no_pass_stays_parked_across_a_seal() {
     let (train, test) = dataset();
     let config = streaming_config(StalenessPolicy::DecayedInclude { decay: 0.5 });
-    let reward = crate::policy::ProportionalReward {
-        base: config.reward_base,
-    };
     let mut state = LearningState::new(&config, &train, &test).unwrap();
     for round in 1..=config.fl.rounds {
         // (Every walk of the round also ran `resolve_run_ahead`'s own
         // `parked.len() <= room` assertion.)
-        let outcome = step_flexible(&mut state, &config, &reward, round, 14).unwrap();
+        let outcome = step_flexible(&mut state, &config, round, 14).unwrap();
         assert_eq!(outcome.participants, 14);
         let rt = state.async_rt.as_ref().unwrap();
         assert!(rt.parked.is_empty(), "round {round} left a pass parked");

@@ -24,8 +24,8 @@
 //! dropping III+V degrades it to pure FL. [`delay_model`] implements the
 //! per-procedure delay decomposition `T(n,m) = T_local + T_up + T_ex +
 //! T_gl + T_bl` (plus the queuing and forking penalties that only the
-//! vanilla baselines pay), [`detection`] implements the Table 2 bookkeeping,
-//! and [`theory`] evaluates the Theorem 3.1 convergence bound.
+//! vanilla baselines pay), and [`detection`] implements the Table 2
+//! bookkeeping.
 //!
 //! ## The Scenario API
 //!
@@ -36,10 +36,11 @@
 //! engine [`engine::SimulationRun`] executes it, one
 //! [`step`](engine::SimulationRun::step) — one [`RoundOutcome`], the
 //! run's only per-round record — per communication round. The
-//! pluggable seams live in [`policy`]: the [`policy::AggregationAnchor`]
+//! scenario's policies live in [`policy`]: the [`policy::AggregationAnchor`]
 //! Algorithm 2 measures against (mean / median / trimmed mean), the
-//! [`policy::RewardPolicy`] that turns θ scores into payouts, and the
-//! event engine's staleness, retry and reorg policies. A caller that
+//! paper's [`policy::ProportionalReward`] every round pays over
+//! `reward_base`, and the event engine's staleness, retry and reorg
+//! policies. A caller that
 //! watches or stops a run round by round steps it itself: `step` lends
 //! the round's outcome, and the run its detection table, reward ledger
 //! and chain.
@@ -67,7 +68,6 @@ pub mod reward;
 pub mod scenario;
 pub mod simulation;
 pub mod strategy;
-pub mod theory;
 
 pub use aggregation::{contribution_weights, fair_aggregate};
 pub use config::{
@@ -81,10 +81,9 @@ pub use error::CoreError;
 pub use events::EventRecord;
 pub use flexibility::FlexibilityMode;
 pub use policy::{
-    AggregationAnchor, ProportionalReward, ReorgPolicy, RetryPolicy, RewardPolicy, StalenessPolicy,
+    AggregationAnchor, ProportionalReward, ReorgPolicy, RetryPolicy, StalenessPolicy,
 };
 pub use reward::{gini, RewardEntry};
 pub use scenario::Scenario;
 pub use simulation::{KpiRow, RoundOutcome, SimulationResult};
 pub use strategy::LowContributionStrategy;
-pub use theory::TheoremParams;

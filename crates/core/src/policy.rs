@@ -1,17 +1,17 @@
-//! Pluggable scenario policies — the trait seams of the Scenario API.
+//! The scenario's policies, set through `BflConfig` with the paper's
+//! behaviour as the default.
 //!
 //! FAIR-BFL's contribution is a *redesign space*: which gradient the round
-//! anchors on, how the reward pool is split, and what happens to stale,
-//! lost and stranded uploads are all design choices, not fixed code
-//! paths. This module exposes each choice as a policy with the paper's
-//! behaviour as the default:
+//! anchors on and what happens to stale, lost and stranded uploads are
+//! design choices, not fixed code paths. The incentive is one rule, paid
+//! from the configured `reward_base`:
 //!
 //! * [`AggregationAnchor`] — the reference gradient Algorithm 2 clusters
 //!   against and measures θ from. The paper uses the plain average
 //!   ([`AggregationAnchor::Mean`]); the median and trimmed-mean anchors
 //!   survive scaling attackers strong enough to corrupt the mean itself.
-//! * [`RewardPolicy`] — how a round's θ scores become paid rewards. The
-//!   default [`ProportionalReward`] is the paper's `θ_i / Σ θ_k · base`.
+//! * [`ProportionalReward`] — how a round's θ scores become paid rewards:
+//!   the paper's `θ_i / Σ θ_k · base`.
 //! * [`StalenessPolicy`], [`RetryPolicy`] and [`ReorgPolicy`] — the event
 //!   engine's handling of late, lost and stranded uploads.
 //!
@@ -229,26 +229,18 @@ pub enum ReorgPolicy {
     Salvage,
 }
 
-/// How a round's high-contribution θ scores become paid rewards.
-///
-/// Implementations must be deterministic in `(round, scores)`: sweep
-/// reproducibility and the step/run equivalence guarantees rely on it.
-pub trait RewardPolicy: Send + Sync {
-    /// Builds the reward list for one round from the (client, θ) pairs of
-    /// the clients labelled high contribution.
-    fn round_rewards(&self, round: usize, scores: &[(u64, f64)]) -> Vec<RewardEntry>;
-}
-
 /// The paper's incentive mechanism: every high contributor is paid
 /// `θ_i / Σ θ_k · base` (Algorithm 2's reward list).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProportionalReward {
     /// The per-round reward pool.
     pub base: f64,
 }
 
-impl RewardPolicy for ProportionalReward {
-    fn round_rewards(&self, _round: usize, scores: &[(u64, f64)]) -> Vec<RewardEntry> {
+impl ProportionalReward {
+    /// Builds one round's reward list from the (client, θ) pairs of the
+    /// clients labelled high contribution.
+    pub fn round_rewards(&self, scores: &[(u64, f64)]) -> Vec<RewardEntry> {
         build_reward_list(scores, self.base)
     }
 }
@@ -385,7 +377,7 @@ mod tests {
         let scores = [(1u64, 0.25), (2u64, 0.75)];
         let policy = ProportionalReward { base: 10.0 };
         assert_eq!(
-            policy.round_rewards(3, &scores),
+            policy.round_rewards(&scores),
             build_reward_list(&scores, 10.0)
         );
     }

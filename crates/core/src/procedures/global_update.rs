@@ -12,14 +12,14 @@
 use crate::aggregation::{contribution_weights, WEIGHT_FLOOR};
 use crate::config::BflConfig;
 use crate::contribution::{analyze_contributions, ContributionAnalysis, ContributionReport};
-use crate::policy::{AggregationAnchor, RewardPolicy};
+use crate::policy::{AggregationAnchor, ProportionalReward};
 use crate::procedures::upload::VerifiedUpload;
 use crate::strategy::LowContributionStrategy;
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
 use bfl_ml::gradient::weighted_average_refs;
 
 /// The policy bundle Procedure-IV runs under — one round's view of the
-/// scenario configuration plus the pluggable reward policy.
+/// scenario configuration.
 pub struct GlobalUpdatePolicy<'a> {
     /// Clustering backend for Algorithm 2.
     pub clustering: &'a ClusteringAlgorithm,
@@ -32,10 +32,11 @@ pub struct GlobalUpdatePolicy<'a> {
     pub fair_aggregation: bool,
     /// The anchor gradient Algorithm 2 measures against.
     pub anchor: AggregationAnchor,
-    /// The communication round (1-based), forwarded to the reward policy.
+    /// The communication round (1-based). Procedure IV does not read it;
+    /// the benchmark's frozen replay still sets it.
     pub round: usize,
     /// How θ scores become paid rewards.
-    pub reward: &'a dyn RewardPolicy,
+    pub reward: &'a ProportionalReward,
 }
 
 impl<'a> GlobalUpdatePolicy<'a> {
@@ -44,7 +45,7 @@ impl<'a> GlobalUpdatePolicy<'a> {
     pub(crate) fn for_round(
         config: &'a BflConfig,
         round: usize,
-        reward: &'a dyn RewardPolicy,
+        reward: &'a ProportionalReward,
     ) -> Self {
         GlobalUpdatePolicy {
             clustering: &config.clustering,
@@ -88,9 +89,7 @@ pub fn compute_global_update(
         global_gradient,
         theta_by_upload,
     } = analyze_contributions(&uploads, policy.clustering, policy.metric, policy.anchor);
-    let rewards = policy
-        .reward
-        .round_rewards(policy.round, &high_contribution);
+    let rewards = policy.reward.round_rewards(&high_contribution);
     let discards = policy.strategy.discards();
 
     let global_params = if policy.fair_aggregation {
@@ -318,9 +317,7 @@ mod tests {
         };
         GlobalUpdateOutcome {
             report: ContributionReport {
-                rewards: policy
-                    .reward
-                    .round_rewards(policy.round, &analysis.high_contribution),
+                rewards: policy.reward.round_rewards(&analysis.high_contribution),
                 high_contribution: analysis.high_contribution,
                 low_contribution: analysis.low_contribution,
             },

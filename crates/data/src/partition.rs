@@ -27,6 +27,7 @@ pub type Partition = Vec<Vec<usize>>;
 
 /// Verifies the structural invariants of a partition over `total` samples:
 /// every index in `0..total` appears exactly once and no client is empty.
+#[cfg(test)]
 pub fn partition_is_valid(partition: &Partition, total: usize) -> bool {
     let mut seen = vec![false; total];
     for shard in partition {

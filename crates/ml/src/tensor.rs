@@ -21,7 +21,6 @@
 //!   samples runs in ascending order, which keeps the batched gradients
 //!   numerically aligned with the per-sample reference path (same
 //!   summation order per output element).
-//!   [`gemm_tn_indexed_overwrite`] is its raw-gradient form.
 //! * [`gram_upper`] — the upper triangle of `G = V · Vᵀ` over *borrowed*
 //!   rows, the kernel behind every pairwise distance matrix. A Gram
 //!   matrix is symmetric and only `G_ij`, `j ≥ i`, is ever read, so this
@@ -300,22 +299,6 @@ pub fn gemm_tn_indexed_step(
         return;
     }
     gemm_tn_body(a, |kk| features.row(rows[kk]), w, k, m, n, step);
-}
-
-/// `C = Aᵀ · X[rows]`, overwriting `C` (`m x features.cols`): the raw
-/// gradient, through [`gemm_tn_indexed_step`]'s kernel as
-/// [`SgdStep::UNIT`] over a zeroed `C` — the bits a store of each
-/// accumulator would leave, except that a `−0.0` sum is stored as
-/// `+0.0` (see [`SgdStep::UNIT`]).
-pub fn gemm_tn_indexed_overwrite(
-    a: &[f64],
-    features: &Matrix,
-    rows: &[usize],
-    c: &mut [f64],
-    m: usize,
-) {
-    c.fill(0.0);
-    gemm_tn_indexed_step(a, features, rows, c, m, &SgdStep::UNIT);
 }
 
 /// The register-tile body behind [`gemm_tn_indexed_step`], generic over
@@ -1114,8 +1097,8 @@ mod tests {
         out
     }
 
-    /// `Aᵀ · y` through [`gemm_tn_indexed_overwrite`], `y` as a
-    /// one-column operand.
+    /// `Aᵀ · y` through [`gemm_tn_indexed_step`], `y` as a one-column
+    /// operand.
     fn transpose_times_vector(a: &Matrix, y: &[f64]) -> Vector {
         let y = Matrix::from_vec(y.len(), 1, y.to_vec());
         tn(a, &y).data
@@ -1206,7 +1189,7 @@ mod tests {
     fn tn(a: &Matrix, b: &Matrix) -> Matrix {
         let rows: Vec<usize> = (0..b.rows).collect();
         let mut c = Matrix::zeros(a.cols, b.cols);
-        gemm_tn_indexed_overwrite(&a.data, b, &rows, &mut c.data, a.cols);
+        gemm_tn_indexed_step(&a.data, b, &rows, &mut c.data, a.cols, &SgdStep::UNIT);
         c
     }
 

@@ -164,27 +164,6 @@ proptest! {
         });
     }
 
-    /// `gemm_tn_indexed_overwrite` fetches its `B` rows through dataset
-    /// indices (the softmax-gradient hot path) and overwrites a garbage
-    /// `C` identically on both tiers.
-    #[test]
-    fn gemm_tn_indexed_matches_scalar_bits(
-        pool_rows in 1usize..8,
-        m in 0usize..12,
-        n in 0usize..70,
-        idx_seed in proptest::collection::vec(0usize..8, 0..10),
-        seed in buffer(8 * 70 + 10 * 12),
-    ) {
-        let features = Matrix::from_vec(pool_rows, n, seed[..pool_rows * n].to_vec());
-        let rows: Vec<usize> = idx_seed.iter().map(|&i| i % pool_rows).collect();
-        let a = seed[seed.len() - rows.len() * m..].to_vec();
-        assert_tiers_bit_identical("gemm_tn_indexed_overwrite", || {
-            let mut c = vec![f64::NAN; m * n];
-            tensor::gemm_tn_indexed_overwrite(&a, &features, &rows, &mut c, m);
-            c
-        });
-    }
-
     /// `axpy` (the SGD parameter update): deliberately *unfused*
     /// multiply-then-add in both tiers — an FMA here would be a one-
     /// rounding difference this property would catch immediately.

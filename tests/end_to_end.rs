@@ -5,7 +5,7 @@
 mod common;
 
 use common::{small_config, small_dataset};
-use fair_bfl::core::{Scenario, TheoremParams};
+use fair_bfl::core::Scenario;
 use fair_bfl::ml::gradient;
 
 #[test]
@@ -119,7 +119,7 @@ fn different_seeds_give_different_runs() {
 }
 
 #[test]
-fn theorem_bound_upper_envelopes_the_loss_decay_shape() {
+fn training_loss_falls_over_a_full_participation_run() {
     let (train, test) = small_dataset();
     let mut config = small_config(8);
     config.fl.participation_ratio = 1.0;
@@ -128,15 +128,8 @@ fn theorem_bound_upper_envelopes_the_loss_decay_shape() {
         .run(&train, &test)
         .unwrap();
 
-    let params = TheoremParams {
-        clients_per_round: config.fl.selected_per_round(),
-        local_epochs: config.fl.local.epochs,
-        ..TheoremParams::default()
-    };
-    let bound = params.bound_series(config.fl.rounds);
-    // The bound decreases monotonically; the measured loss decreases overall
-    // (not necessarily monotonically, SGD is noisy).
-    assert!(bound.windows(2).all(|w| w[1] < w[0]));
+    // The loss decreases overall (not necessarily monotonically, SGD is
+    // noisy).
     let first_loss = result.outcomes.first().unwrap().train_loss;
     let last_loss = result.outcomes.last().unwrap().train_loss;
     assert!(last_loss < first_loss);

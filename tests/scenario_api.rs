@@ -1,15 +1,13 @@
 //! Integration tests for the Scenario API: `from_config`'s typed
 //! validation, the stepwise engine's equivalence with the one-shot
-//! run, step-driven early stopping, pluggable reward policies, and the
+//! run, step-driven early stopping, the proportional reward ledger, and the
 //! parallel sweep runner — all exercised through the facade crate.
 
 mod common;
 
 use common::{run_grid, small_config, small_dataset};
-use fair_bfl::core::reward::RewardEntry;
 use fair_bfl::core::{
-    AggregationAnchor, BflConfig, CoreError, FlexibilityMode, RewardPolicy, Scenario,
-    SimulationResult,
+    AggregationAnchor, BflConfig, CoreError, FlexibilityMode, Scenario, SimulationResult,
 };
 use fair_bfl::fl::config::FlConfig;
 
@@ -127,44 +125,29 @@ fn observers_see_the_records_the_result_keeps() {
 }
 
 #[test]
-fn custom_reward_policies_reach_the_ledger() {
+fn proportional_rewards_reach_the_ledger() {
     let (train, test) = small_dataset();
-    let scenario = Scenario::from_config(small_config(3)).unwrap();
-
-    /// Pays a flat 2 units to every high contributor, whatever its θ.
-    struct FlatReward;
-    impl RewardPolicy for FlatReward {
-        fn round_rewards(&self, _round: usize, scores: &[(u64, f64)]) -> Vec<RewardEntry> {
-            scores
-                .iter()
-                .map(|&(client_id, theta)| RewardEntry {
-                    client_id,
-                    theta,
-                    share: 1.0 / scores.len() as f64,
-                    amount_milli: 2_000,
-                })
-                .collect()
-        }
-    }
-
-    let mut run = scenario
-        .start(&train, &test)
+    let config = small_config(3);
+    let base_milli = config.reward_base * 1000.0;
+    let result = Scenario::from_config(config)
         .unwrap()
-        .with_reward_policy(Box::new(FlatReward));
-    run.run_to_completion().unwrap();
-    let result = run.into_result();
-    assert!(result
-        .reward_totals
-        .values()
-        .all(|&total| total % 2_000 == 0));
-    // The flat payouts are what the blocks actually record.
+        .run(&train, &test)
+        .unwrap();
+    // The payouts are what the blocks actually record.
     let chain = result.chain.as_ref().unwrap();
     assert_eq!(chain.reward_totals(), result.reward_totals);
+    assert!(result.outcomes.iter().any(|o| !o.rewards.is_empty()));
     for outcome in &result.outcomes {
-        assert_eq!(
-            outcome.rewards_paid_milli,
-            2_000 * outcome.high_contributors as u64
-        );
+        let paid: u64 = outcome.rewards.iter().map(|r| r.amount_milli).sum();
+        assert_eq!(outcome.rewards_paid_milli, paid);
+        // Each entry rounds its share of the pool once.
+        let n = outcome.rewards.len();
+        if n > 0 {
+            assert!(
+                (paid as f64 - base_milli).abs() <= n as f64,
+                "{paid} vs {base_milli}"
+            );
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! training gradients being clustered by Algorithm 2's backends, and the
 //! delay model agreeing with the chain substrate's expectations.
 
-use fair_bfl::chain::{Blockchain, Mempool, PowConfig, Transaction};
+use fair_bfl::chain::{Block, Blockchain, Mempool, PowConfig, Transaction};
 use fair_bfl::cluster::{dbscan, DbscanConfig, DistanceMetric};
 use fair_bfl::crypto::signature::sign_message;
 use fair_bfl::crypto::{BatchVerifier, KeyStore};
@@ -52,9 +52,10 @@ fn signed_gradient_transactions_flow_from_clients_to_a_mined_block() {
     let mut chain = Blockchain::new();
     let batch = mempool.drain_block(chain.max_block_bytes);
     assert_eq!(batch.len(), 3);
-    chain
-        .mine_and_append(batch, 1_000, &PowConfig::new(32), 0)
-        .unwrap();
+    let pow = PowConfig::new(32);
+    let mut block = Block::candidate(chain.tip(), batch, 1_000, pow.difficulty, 0);
+    block.mine(&pow);
+    chain.append(block).unwrap();
     chain.validate_all().unwrap();
     assert_eq!(chain.height(), 1);
     assert_eq!(chain.tip().transactions.len(), 3);
