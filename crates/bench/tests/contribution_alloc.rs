@@ -3,14 +3,16 @@
 //! four-row θ kernel allocates nothing, and one `analyze_contributions`
 //! over a `pop1m_streaming`-shaped chunk committee (128 uploads of the
 //! paper's 7850 parameters, mean anchor, the default DBSCAN) makes a
-//! pinned number of allocator calls at one worker and at two, and never
-//! holds as much extra heap as one pairwise matrix of the committee.
+//! pinned number of allocator calls at one worker and at two (where each
+//! of its row passes fans out), and never holds as much extra heap as one
+//! pairwise matrix of the committee; the streaming fold's weighted sum
+//! over that committee allocates nothing at either.
 
 use bfl_bench::CountingAllocator;
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
 use bfl_core::contribution::analyze_contributions;
 use bfl_core::AggregationAnchor;
-use bfl_ml::{par, tensor};
+use bfl_ml::{gradient, par, tensor};
 
 /// Allocator calls of one warm analysis of [`committee`]`(128, 7850)`:
 /// the anchor, the clustered row list, the anchor search's squared norms,
@@ -81,6 +83,8 @@ fn theta_scoring_allocates_nothing_and_algorithm_2_its_pinned_count() {
 
     for workers in [1usize, 2] {
         par::with_thread_limit(workers, || {
+            // At two workers every row pass of the committee fans out.
+            assert_eq!(par::plan_row_pass(128, 7850), workers);
             // The first call builds the calling thread's pool of helpers.
             let first = analyze();
             let (again, calls) = counted(analyze);
@@ -97,6 +101,20 @@ fn theta_scoring_allocates_nothing_and_algorithm_2_its_pinned_count() {
             assert!(
                 held < PAIRWISE_BYTES,
                 "Algorithm 2 over 128 x 7850 at {workers} worker(s) held {held} bytes at once"
+            );
+
+            // The streaming fold's step after the analysis: the committee's
+            // uploads, weighted by θ, added into the round's running sum.
+            let mut sum = vec![0.0; 7850];
+            let weighted = || {
+                rows.iter()
+                    .zip(&first.theta_by_upload)
+                    .filter_map(|(row, theta)| Some((*row, (*theta)?)))
+            };
+            let ((), calls) = counted(|| gradient::add_weighted_rows(&mut sum, weighted));
+            assert_eq!(
+                calls, 0,
+                "the streaming sum over 128 x 7850 at {workers} worker(s) made {calls} allocator calls"
             );
         });
     }

@@ -10,6 +10,7 @@
 
 use crate::distance::{distance_matrix, DistanceMetric};
 use crate::labels::ClusterLabels;
+use bfl_ml::par;
 use bfl_ml::tensor::{gram_entry, gram_square_and_entry};
 use std::collections::VecDeque;
 
@@ -137,23 +138,17 @@ pub fn dbscan_anchor_cluster(rows: &[&[f64]], config: &DbscanConfig) -> Vec<bool
         (1..=2).contains(&config.min_points),
         "the anchor's cluster is its ε-component only for min_points 1 or 2"
     );
-    // The anchor's own step reads each other row once, for its squared
-    // norm and its entry against the anchor together.
     let anchor = n - 1;
     let anchor_square = gram_entry(rows[anchor], rows[anchor], n);
-    let mut squares = Vec::with_capacity(n);
+    let mut squares = vec![0.0; n];
     let mut member = vec![false; n];
+    anchor_step(rows, &mut squares, &mut member, |g_ja, square| {
+        config.metric.gram_distance(g_ja, square, anchor_square) <= config.eps
+    });
+    squares[anchor] = anchor_square;
     let mut reached = Vec::with_capacity(n);
     reached.push(anchor);
-    for (j, row) in rows[..anchor].iter().enumerate() {
-        let (square, g_ja) = gram_square_and_entry(row, rows[anchor], n);
-        squares.push(square);
-        if config.metric.gram_distance(g_ja, square, anchor_square) <= config.eps {
-            member[j] = true;
-            reached.push(j);
-        }
-    }
-    squares.push(anchor_square);
+    reached.extend((0..anchor).filter(|&j| member[j]));
     member[anchor] = true;
     let near = |i: usize, j: usize| {
         let g_ij = gram_entry(rows[i], rows[j], n);
@@ -173,6 +168,35 @@ pub fn dbscan_anchor_cluster(rows: &[&[f64]], config: &DbscanConfig) -> Vec<bool
     // Alone, the anchor is a cluster only if it is a core point by itself.
     member[anchor] = reached.len() >= config.min_points;
     member
+}
+
+/// The anchor's own step of [`dbscan_anchor_cluster`], which reads each
+/// other row once: for each `j` below the last (anchor) row, row `j`'s
+/// squared norm goes to `squares[j]` and `near(entry, square)` of its
+/// entry against the anchor to `near_anchor[j]`, both from one
+/// [`gram_square_and_entry`]. Each row's step is its own, so past `par`'s
+/// row-pass threshold the rows split into ranges across workers.
+fn anchor_step<T: Send>(
+    rows: &[&[f64]],
+    squares: &mut [f64],
+    near_anchor: &mut [T],
+    near: impl Fn(f64, f64) -> T + Sync,
+) {
+    let n = rows.len();
+    let anchor = rows[n - 1];
+    let workers = par::plan_row_pass(n, anchor.len());
+    par::par_split_pair_mut(
+        &mut squares[..n - 1],
+        &mut near_anchor[..n - 1],
+        workers,
+        |first, squares, near_anchor| {
+            for (j, (square, out)) in squares.iter_mut().zip(near_anchor).enumerate() {
+                let (s, g_ja) = gram_square_and_entry(rows[first + j], anchor, n);
+                *square = s;
+                *out = near(g_ja, s);
+            }
+        },
+    );
 }
 
 #[cfg(test)]
@@ -395,6 +419,57 @@ mod tests {
             let want = vec![false, false, false, alone];
             assert_eq!(anchor_cluster_of_labels(&rows, &config), want);
             assert_eq!(dbscan_anchor_cluster(&rows, &config), want);
+        }
+    }
+
+    #[test]
+    fn the_anchor_step_splits_rows_without_changing_a_bit() {
+        // 269 uploads of the paper's 7850 parameters and their anchor are
+        // eight workers' worth of rows, so each limit below fans the step
+        // out to exactly that many; every 90th upload points away.
+        let (n, len) = (270usize, 7850usize);
+        let mut state = 0xD85C_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let committee: Vec<Vec<f64>> = (0..n)
+            .map(|j| {
+                let sign = if j % 90 == 45 { -1.0 } else { 1.0 };
+                (0..len)
+                    .map(|k| sign * ((k as f64 * 0.01).sin() + 0.3 * next()))
+                    .collect()
+            })
+            .collect();
+        let rows: Vec<&[f64]> = committee.iter().map(Vec::as_slice).collect();
+        let serial: Vec<(f64, f64)> = rows[..n - 1]
+            .iter()
+            .map(|row| gram_square_and_entry(row, rows[n - 1], n))
+            .collect();
+        let config = DbscanConfig::default();
+        let cluster = par::with_thread_limit(1, || dbscan_anchor_cluster(&rows, &config));
+        assert_eq!(cluster.iter().filter(|&&member| !member).count(), 3);
+
+        for limit in [1, 2, 3, 8] {
+            par::with_thread_limit(limit, || {
+                assert_eq!(par::plan_row_pass(n, len), limit);
+                let (mut squares, mut entries) = (vec![0.0; n], vec![0.0; n]);
+                anchor_step(&rows, &mut squares, &mut entries, |entry, _| entry);
+                for (j, &(square, entry)) in serial.iter().enumerate() {
+                    assert_eq!(
+                        (squares[j].to_bits(), entries[j].to_bits()),
+                        (square.to_bits(), entry.to_bits()),
+                        "row {j}'s (square, entry) at {limit} threads"
+                    );
+                }
+                assert_eq!(
+                    dbscan_anchor_cluster(&rows, &config),
+                    cluster,
+                    "{limit} threads"
+                );
+            });
         }
     }
 

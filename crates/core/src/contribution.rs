@@ -20,7 +20,7 @@ use crate::policy::AggregationAnchor;
 use crate::reward::RewardEntry;
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
 use bfl_ml::gradient::{self, GradientVector};
-use bfl_ml::tensor;
+use bfl_ml::{par, tensor};
 use serde::{Deserialize, Serialize};
 
 /// The outcome of Algorithm 2 on one round's gradient set, as Procedure IV
@@ -100,26 +100,33 @@ pub fn analyze_contributions(
     // squared norms come out in `tensor::dot`'s own order, so θ has the
     // bits of `gradient::cosine_distance`. A short last block repeats its
     // first upload in the spare slots and keeps only the θs it gathered.
+    // Each upload's chains are its own, so past `par`'s row-pass
+    // threshold the uploads split into ranges, each gathered on its own.
     let global_norm = tensor::l2_norm(&global_gradient);
     let theta = |dot: f64, square: f64| -> f64 {
         (1.0 - gradient::cosine_from_parts(dot, square.sqrt(), global_norm)).max(WEIGHT_FLOOR)
     };
+    let is_high = |i: usize| nobody_high || with_anchor[i];
     let mut theta_by_upload: Vec<Option<f64>> = vec![None; n];
-    let mut high = (0..n).filter(|&i| nobody_high || with_anchor[i]);
-    while let Some(first) = high.next() {
-        let mut block = [first; 4];
-        let mut filled = 1;
-        for slot in &mut block[1..] {
-            let Some(i) = high.next() else { break };
-            *slot = i;
-            filled += 1;
+    let scored = (0..n).filter(|&i| is_high(i)).count();
+    let workers = par::plan_row_pass(scored, global_gradient.len());
+    par::par_split_mut(&mut theta_by_upload, workers, |start, thetas| {
+        let mut high = (start..start + thetas.len()).filter(|&i| is_high(i));
+        while let Some(first) = high.next() {
+            let mut block = [first; 4];
+            let mut filled = 1;
+            for slot in &mut block[1..] {
+                let Some(i) = high.next() else { break };
+                *slot = i;
+                filled += 1;
+            }
+            let (dots, squares) =
+                tensor::dots_and_squares_x4(block.map(|j| uploads[j].1), &global_gradient);
+            for (r, &j) in block[..filled].iter().enumerate() {
+                thetas[j - start] = Some(theta(dots[r], squares[r]));
+            }
         }
-        let (dots, squares) =
-            tensor::dots_and_squares_x4(block.map(|j| uploads[j].1), &global_gradient);
-        for (r, &j) in block[..filled].iter().enumerate() {
-            theta_by_upload[j] = Some(theta(dots[r], squares[r]));
-        }
-    }
+    });
 
     let mut high_contribution = Vec::new();
     let mut low_contribution = Vec::new();
@@ -370,6 +377,40 @@ mod tests {
                     assert_theta_is_the_oracle(&uploads, &everyone, |_| true);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn theta_splits_the_uploads_across_workers_with_the_oracles_bits() {
+        // 268 high uploads of the paper's 7850 parameters are eight
+        // workers' worth of rows, so each limit below splits θ (and the
+        // mean anchor and the search's first step) that many ways; the
+        // two forgeries fall inside workers' ranges, so blocks of four
+        // straddle them at every limit.
+        let (n, len) = (270usize, 7850usize);
+        let forged = |i: usize| i == 100 || i == 201;
+        let uploads: Vec<(u64, GradientVector)> = (0..n)
+            .map(|i| {
+                let sign = if forged(i) { -1.0 } else { 1.0 };
+                let row = (0..len)
+                    .map(|k| sign * ((k as f64 * 0.01).sin() + 0.05 * ((i * 31 + k) as f64).cos()))
+                    .collect();
+                (i as u64, row)
+            })
+            .collect();
+        let refs = refs(&uploads);
+        for limit in [1, 2, 3, 8] {
+            par::with_thread_limit(limit, || {
+                assert_eq!(par::plan_row_pass(n - 2, len), limit);
+                let analysis = analyze_contributions(
+                    &refs,
+                    &dbscan(),
+                    DistanceMetric::Cosine,
+                    AggregationAnchor::Mean,
+                );
+                assert_eq!(analysis.low_contribution, [100, 201]);
+                assert_theta_is_the_oracle(&uploads, &analysis, |g| g[100] > 0.0);
+            });
         }
     }
 

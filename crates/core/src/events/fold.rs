@@ -8,6 +8,7 @@ use crate::engine::SealedRound;
 use crate::policy::ProportionalReward;
 use crate::procedures::global_update::{self, GlobalUpdatePolicy};
 use crate::procedures::upload::VerifiedUpload;
+use bfl_ml::gradient;
 
 /// A flexible round's one Procedure-IV fold. Uploads enter it as they
 /// leave the pending pool, and it tallies them: the admitted count the
@@ -107,20 +108,21 @@ impl RoundFold {
         let analysis =
             analyze_contributions(&refs, &config.clustering, config.metric, config.anchor);
         let discards = config.strategy.discards();
-        for ((_, params), theta) in refs.iter().zip(&analysis.theta_by_upload) {
-            // Kept-but-low uploads (the keep strategy) weigh in at the
-            // floor, mirroring `compute_global_update`.
-            let weight = match theta {
-                None if discards => continue,
-                _ if !config.fair_aggregation => 1.0,
-                Some(theta) => *theta,
-                None => WEIGHT_FLOOR,
-            };
-            for (acc, &v) in self.weighted_sum.iter_mut().zip(*params) {
-                *acc += weight * v;
-            }
-            self.weight_sum += weight;
-        }
+        // Kept-but-low uploads (the keep strategy) weigh in at the floor,
+        // mirroring `compute_global_update`; `None` is a discarded upload.
+        let weight = |theta: &Option<f64>| match theta {
+            None if discards => None,
+            _ if !config.fair_aggregation => Some(1.0),
+            Some(theta) => Some(*theta),
+            None => Some(WEIGHT_FLOOR),
+        };
+        let kept = || {
+            refs.iter()
+                .zip(&analysis.theta_by_upload)
+                .filter_map(|((_, params), theta)| Some((*params, weight(theta)?)))
+        };
+        gradient::add_weighted_rows(&mut self.weighted_sum, kept);
+        self.weight_sum = kept().fold(self.weight_sum, |sum, (_, weight)| sum + weight);
         self.scores.extend(analysis.high_contribution);
         if discards {
             self.low.extend(analysis.low_contribution);

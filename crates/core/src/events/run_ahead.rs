@@ -12,6 +12,7 @@ use bfl_ml::optimizer::LocalTrainingConfig;
 use bfl_ml::par;
 use bfl_ml::tensor::Scratch;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 impl Commission {
@@ -61,6 +62,13 @@ pub(super) fn resolve_deferred(
     )
 }
 
+thread_local! {
+    /// This thread's training workspace for [`resolve_run_ahead`]'s
+    /// fan-out, kept warm across runs: pure scratch, which every pass
+    /// re-fits, so which passes a worker ran before never shows.
+    static RUN_AHEAD: RefCell<Scratch> = RefCell::default();
+}
+
 /// Local-pass work (samples × epochs × parameters) worth one worker of
 /// the run-ahead fan-out: about eight of `pop1m_streaming`'s one-step
 /// passes, about 0.2 ms (26–27 µs a pass on one core) against the ~11 µs
@@ -83,10 +91,11 @@ const MIN_RUN_AHEAD_WORK: usize = 1 << 19;
 /// buffered uploads never exceed one chunk and no pass is run for a round
 /// that cannot admit it. Tickets the staleness policy will drop unopened
 /// are skipped; a commission queued twice (a duplicate, a retransmission)
-/// is run once. The run's passes then go through one `par_map_with` over
+/// is run once. The run's passes then go through one `par_map` over
 /// clients the pool lends (borrowed when materialized, derived when
-/// implicit) and are parked in `rt.parked` under `(client_id,
-/// born_round)`, where `admit_upload` finds them.
+/// implicit), each worker training in its thread's warm workspace, and
+/// are parked in `rt.parked` under `(client_id, born_round)`, where
+/// `admit_upload` finds them.
 ///
 /// Only *where a pass runs* changes. Every event is still popped, checked
 /// and recorded by the pump in its original order, and a pass is a pure
@@ -167,14 +176,11 @@ pub(super) fn resolve_run_ahead(
         .map(|client| client.sample_count() * local.epochs * state.global_params.len())
         .sum();
     let min_per_thread = MIN_RUN_AHEAD_WORK.div_ceil((work / run.len()).max(1));
-    let updates = par::par_map_with(
-        &run,
-        min_per_thread,
-        Scratch::new,
-        |scratch, i, (_, commission)| {
+    let updates = par::par_map(&run, min_per_thread, |i, (_, commission)| {
+        RUN_AHEAD.with_borrow_mut(|scratch| {
             commission.pass(&clients[i], config.fl.model, train, local, scratch)
-        },
-    );
+        })
+    });
     rt.parked.extend(
         run.iter()
             .zip(updates)

@@ -50,14 +50,40 @@ pub fn average(vectors: &[GradientVector]) -> GradientVector {
 /// average uploads in place instead of cloning every parameter vector.
 pub fn average_refs(vectors: &[&[f64]]) -> GradientVector {
     assert!(!vectors.is_empty(), "cannot average zero vectors");
-    let len = vectors[0].len();
-    let mut out = vec![0.0; len];
-    for v in vectors {
-        assert_eq!(v.len(), len, "all vectors must have equal length");
-        tensor::axpy(1.0, v, &mut out);
-    }
+    let mut out = vec![0.0; vectors[0].len()];
+    add_weighted_rows(&mut out, || vectors.iter().map(|v| (*v, 1.0)));
     tensor::scale(1.0 / vectors.len() as f64, &mut out);
     out
+}
+
+/// `out += Σ wᵢ·rowᵢ` over the `(rowᵢ, wᵢ)` pairs `rows()` yields, each
+/// row added in turn by [`tensor::axpy`]: element by element, multiply
+/// then add. The mean anchor and Equation 1's sums, materialized and
+/// streaming, run here.
+///
+/// Past [`par::MIN_ROW_BYTES_PER_WORKER`] of rows a worker, `out` is split
+/// by column range: each worker adds every row, in order, into its own
+/// columns, so the bits do not depend on the split. `rows` is called once
+/// to count and check the rows and once per worker; it allocates nothing
+/// here.
+///
+/// # Panics
+/// Panics if a row's length differs from `out`'s.
+pub fn add_weighted_rows<'a, I>(out: &mut [f64], rows: impl Fn() -> I + Sync)
+where
+    I: Iterator<Item = (&'a [f64], f64)>,
+{
+    let len = out.len();
+    let count = rows()
+        .inspect(|(row, _)| assert_eq!(row.len(), len, "all vectors must have equal length"))
+        .count();
+    let workers = par::plan_row_pass(count, len);
+    par::par_split_mut(out, workers, |first, columns| {
+        let last = first + columns.len();
+        for (row, weight) in rows() {
+            tensor::axpy(weight, &row[first..last], columns);
+        }
+    });
 }
 
 /// Coordinates gathered per pass over the uploads: eight `f64`s are one
@@ -209,12 +235,10 @@ pub fn weighted_average_refs(vectors: &[&[f64]], weights: &[f64]) -> GradientVec
     );
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weights must not all be zero");
-    let len = vectors[0].len();
-    let mut out = vec![0.0; len];
-    for (v, &w) in vectors.iter().zip(weights.iter()) {
-        assert_eq!(v.len(), len, "all vectors must have equal length");
-        tensor::axpy(w / total, v, &mut out);
-    }
+    let mut out = vec![0.0; vectors[0].len()];
+    add_weighted_rows(&mut out, || {
+        vectors.iter().zip(weights).map(|(v, &w)| (*v, w / total))
+    });
     out
 }
 
@@ -376,7 +400,7 @@ mod tests {
         for (c, (g, e)) in got.iter().zip(expected).enumerate() {
             assert!(
                 g.to_bits() == e.to_bits(),
-                "{context}: coordinate {c} is {g:?}, the sorted form gives {e:?}"
+                "{context}: coordinate {c} is {g:?}, not {e:?}"
             );
         }
     }
@@ -432,6 +456,65 @@ mod tests {
                 let got = par::with_thread_limit(limit, || trimmed_mean_refs(&refs, ratio));
                 assert_same_bits(&got, &expected, &format!("ratio {ratio}, {limit} threads"));
             }
+        }
+    }
+
+    #[test]
+    fn row_sums_split_by_column_keep_the_serial_loops_bits() {
+        // 270 rows of the paper's 7850 parameters are eight workers' worth
+        // of rows, so each limit below fans out to exactly that many. The
+        // column splits land off the AVX2 body's 8-wide steps: 2 workers
+        // own 3925 columns apiece (a 4-wide step and a one-column tail), 3
+        // own 2617, 2617 and 2616, and 8 own 982 or 981.
+        let (rows, len) = (270usize, 7850usize);
+        let mut state = 0x0C01_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Full-width mantissas over several binades, so every add rounds.
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * (1 << (state % 7)) as f64
+        };
+        let vectors: Vec<Vec<f64>> = (0..rows)
+            .map(|_| (0..len).map(|_| next()).collect())
+            .collect();
+        let weights: Vec<f64> = (0..rows).map(|_| next().abs() + 0.01).collect();
+        let refs: Vec<&[f64]> = vectors.iter().map(|v| v.as_slice()).collect();
+
+        // The serial loops, element by element: multiply, then add.
+        let serial = |weight: &dyn Fn(usize) -> f64| {
+            let mut out = vec![0.0; len];
+            for (r, v) in refs.iter().enumerate() {
+                for (o, &x) in out.iter_mut().zip(v.iter()) {
+                    *o += weight(r) * x;
+                }
+            }
+            out
+        };
+        let mut mean = serial(&|_| 1.0);
+        for o in &mut mean {
+            *o *= 1.0 / rows as f64;
+        }
+        let total: f64 = weights.iter().sum();
+        let equation_1 = serial(&|r| weights[r] / total);
+        let streamed = serial(&|r| weights[r]);
+
+        for limit in [1, 2, 3, 8] {
+            par::with_thread_limit(limit, || {
+                assert_eq!(par::plan_row_pass(rows, len), limit);
+                let context = |what: &str| format!("{what} at {limit} threads");
+                assert_same_bits(&average_refs(&refs), &mean, &context("the mean"));
+                assert_same_bits(
+                    &weighted_average_refs(&refs, &weights),
+                    &equation_1,
+                    &context("Equation 1"),
+                );
+                let mut sum = vec![0.0; len];
+                add_weighted_rows(&mut sum, || {
+                    refs.iter().copied().zip(weights.iter().copied())
+                });
+                assert_same_bits(&sum, &streamed, &context("the streaming sum"));
+            });
         }
     }
 

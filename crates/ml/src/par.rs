@@ -30,6 +30,25 @@
 //! Every entry point degrades to a plain inline loop when the machine
 //! has a single core or the input is too small to be worth waking a
 //! helper for.
+//!
+//! ## Row passes
+//!
+//! Algorithm 2 reads a committee's upload rows four times, and each read
+//! fans out through [`par_split_mut`] / [`par_split_pair_mut`] once it
+//! streams at least [`MIN_ROW_BYTES_PER_WORKER`] (2 MiB) a worker
+//! ([`plan_row_pass`]) — on `pop1m_streaming`, a full 128-upload chunk
+//! (8 MB) but not the seal's 32-upload partial chunk, and no committee of
+//! the paper workloads (at most 51 uploads, 3.2 MB):
+//! - the mean anchor and Equation 1's `Σ wᵢ·uᵢ`, materialized or
+//!   streaming (all through `gradient::add_weighted_rows`), split by
+//!   *column* range: each worker owns a slice of the output and adds
+//!   every row into it in order, element by element;
+//! - the anchor's step of the cluster search (`bfl-cluster`'s
+//!   `dbscan_anchor_cluster`) and θ (`bfl-core`'s `analyze_contributions`)
+//!   split by *row* range: each row's chains are its own.
+//!
+//! So none of them can move a bit at any worker count. They write into
+//! the buffers the serial loop writes and allocate nothing of their own.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -148,6 +167,74 @@ fn parse_max_threads(value: Option<&str>) -> Result<Option<usize>, String> {
 /// keeping the hot loop free of any fork/join machinery.
 pub fn plan_workers(work: usize, min_work_per_thread: usize) -> usize {
     max_threads().min(work / min_work_per_thread.max(1)).max(1)
+}
+
+/// Bytes of rows one worker must read before a pass over a committee's
+/// rows fans out: 2 MiB, as much as one core's L2 on the x86-64 VMs this
+/// was tuned on, so each worker streams from L3 or memory for about
+/// 0.1 ms, against the ~11 µs of handing a chunk to a parked helper. A row pass runs at one core's stream rate
+/// (the mean of 128 × 7850 rows, 8 MB: 0.38–0.44 ms on one core of a
+/// 2-vCPU x86-64 VM, 0.23–0.25 ms on two).
+pub const MIN_ROW_BYTES_PER_WORKER: usize = 2 << 20;
+
+/// Workers for a pass that reads `rows` rows of `row_len` `f64`s once: one
+/// per [`MIN_ROW_BYTES_PER_WORKER`], at most [`max_threads`], at least 1.
+pub fn plan_row_pass(rows: usize, row_len: usize) -> usize {
+    let bytes = rows
+        .saturating_mul(row_len)
+        .saturating_mul(std::mem::size_of::<f64>());
+    plan_workers(bytes, MIN_ROW_BYTES_PER_WORKER)
+}
+
+/// Runs `f` over `workers` balanced contiguous chunks of `data` (the
+/// chunk's first index, the chunk), in parallel; `workers <= 1` is one
+/// inline call over all of `data`. Each worker owns its chunk, so a pass
+/// whose elements are computed independently gives the same bits at any
+/// worker count.
+pub fn par_split_mut<T, F>(data: &mut [T], workers: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let len = data.len();
+    par_row_ranges_mut(data, 1, workers, |w| chunk_len(len, workers, w).start, f);
+}
+
+/// [`par_split_mut`] over two equal-length slices split at the same
+/// indices: `f` gets the chunk's first index and both chunks.
+///
+/// # Panics
+/// Panics if the slices' lengths differ.
+pub fn par_split_pair_mut<A, B, F>(a: &mut [A], b: &mut [B], workers: usize, f: F)
+where
+    A: Send,
+    B: Send,
+    F: Fn(usize, &mut [A], &mut [B]) + Sync,
+{
+    assert_eq!(a.len(), b.len(), "a paired split needs equal lengths");
+    if workers <= 1 {
+        f(0, a, b);
+        return;
+    }
+    let len = a.len();
+    let (a_items, b_items) = (Shared(a.as_mut_ptr()), Shared(b.as_mut_ptr()));
+    fan_out(
+        len,
+        workers,
+        |w| chunk_len(len, workers, w),
+        &|range: Range<usize>| {
+            // SAFETY: `fan_out` hands out disjoint ranges within `0..len`,
+            // the length of both slices, so each chunk pair is a disjoint
+            // part of `a` and of `b`.
+            let (a_chunk, b_chunk) = unsafe {
+                (
+                    std::slice::from_raw_parts_mut(a_items.at(range.start), range.len()),
+                    std::slice::from_raw_parts_mut(b_items.at(range.start), range.len()),
+                )
+            };
+            f(range.start, a_chunk, b_chunk);
+        },
+    );
 }
 
 /// Balanced split: chunk sizes differ by at most one.
@@ -685,6 +772,31 @@ mod tests {
         assert!(refused.is_err());
         // Only worker 0's range was handed out before the check failed.
         assert!(touched.into_inner() <= 7 * cols);
+    }
+
+    #[test]
+    fn balanced_splits_cover_every_index_once_at_any_worker_count() {
+        for len in [0usize, 1, 7, 23] {
+            for workers in 1..=9 {
+                let mut single = vec![0usize; len];
+                par_split_mut(&mut single, workers, |first, chunk| {
+                    for (i, slot) in chunk.iter_mut().enumerate() {
+                        *slot += first + i + 1;
+                    }
+                });
+                let (mut a, mut b) = (vec![0usize; len], vec![0i64; len]);
+                par_split_pair_mut(&mut a, &mut b, workers, |first, a, b| {
+                    assert_eq!(a.len(), b.len());
+                    for (i, (x, y)) in a.iter_mut().zip(b).enumerate() {
+                        *x += first + i + 1;
+                        *y -= (first + i + 1) as i64;
+                    }
+                });
+                let want: Vec<usize> = (1..=len).collect();
+                assert_eq!((&single, &a), (&want, &want), "{len} over {workers}");
+                assert!(b.iter().zip(&want).all(|(&y, &w)| y == -(w as i64)));
+            }
+        }
     }
 
     #[test]

@@ -293,3 +293,57 @@ fn streaming_run_ahead_is_invisible_at_any_thread_count() {
         assert_eq!(k, kpis, "KPI rows at {threads} threads");
     }
 }
+
+/// Streaming chunk committees big enough for Algorithm 2's row passes to
+/// fan out (`par::plan_row_pass`): 110 uploads of the paper's 7850
+/// parameters are three workers' worth of rows, so at three and eight
+/// threads the mean anchor, the anchor search's first step, θ and the
+/// running Equation 1 sum each split three ways, at two threads two ways,
+/// and the seal's 30-upload partial chunk stays inline. The digest and
+/// the KPI rows must not see it.
+#[test]
+fn streaming_committees_past_the_row_pass_threshold_are_invisible_at_any_thread_count() {
+    let mut config = small_config(2);
+    config.fl.clients = 600;
+    config.fl.participation_ratio = 0.5;
+    config.fl.partition = PartitionKind::ImplicitIid {
+        samples_per_client: 6,
+    };
+    config.verify_signatures = false;
+    config.sync = SyncMode::FlexibleQuota { quota: 250 };
+    config.provisioning = ProvisioningMode::Lazy { cache_budget: 300 };
+    config.aggregation = AggregationMode::Streaming { chunk: 110 };
+    let scenario = Scenario::from_config(config).unwrap();
+    let (train, test) = small_dataset();
+    assert_eq!(
+        par::with_thread_limit(8, || par::plan_row_pass(110, 7850)),
+        3
+    );
+    assert_eq!(
+        par::with_thread_limit(8, || par::plan_row_pass(31, 7850)),
+        1
+    );
+
+    let observe = |threads: usize| -> (String, Vec<KpiRow>) {
+        par::with_thread_limit(threads, || {
+            let mut run = scenario.start(&train, &test).unwrap();
+            run.run_to_completion().unwrap();
+            for outcome in run.outcomes() {
+                assert_eq!(
+                    outcome.participants, 250,
+                    "two full chunks and a partial one"
+                );
+                assert_eq!(outcome.kpi.mempool_depth_at_seal, 30, "the partial chunk");
+            }
+            let kpis = run.outcomes().iter().map(|o| o.kpi).collect();
+            (run_digest(&run.into_result()), kpis)
+        })
+    };
+    let (digest, kpis) = observe(1);
+    assert_eq!(kpis.len(), 2);
+    for threads in [2, 3, 8] {
+        let (d, k) = observe(threads);
+        assert_eq!(d, digest, "digest at {threads} threads");
+        assert_eq!(k, kpis, "KPI rows at {threads} threads");
+    }
+}
