@@ -10,9 +10,10 @@ use crate::config::BflConfig;
 use crate::engine::{time_overflow, LearningState};
 use crate::error::CoreError;
 use crate::policy::RetryPolicy;
-use crate::procedures::upload::{received_envelope, sign_update, Corruption, VerifiedUpload};
+use crate::procedures::upload::{
+    finite_verdict, received_envelope, sign_update, Corruption, VerifiedUpload,
+};
 use bfl_fl::client::LocalUpdate;
-use bfl_ml::gradient;
 use rand::Rng;
 use std::num::NonZeroU8;
 use std::sync::Arc;
@@ -138,11 +139,12 @@ pub(super) fn schedule_retry(
 
 /// The `UploadArrived` handler's admission step — the miner's half of
 /// Procedure-II. In order: the staleness verdict when it cannot depend on
-/// the payload, opening the ticket, the finite-gradient check, the
-/// staleness policy for carried uploads, and signature verification
-/// against the registered key (Figure 2) over the payload's serialized
-/// form, hashed as it streams from the `f64`s with any in-transit
-/// corruption applied. An upload that passes them all is *admitted*: it
+/// the payload, opening the ticket, the finite-gradient check (read at
+/// this same step from the verdict the update's local pass formed,
+/// [`LocalUpdate::finite`]), the staleness policy for carried uploads,
+/// and signature verification against the registered key (Figure 2) over
+/// the payload's serialized form, hashed as it streams from the `f64`s
+/// with any in-transit corruption applied. An upload that passes them all is *admitted*: it
 /// joins the miners' pending pool, `rt.arrived`, as a decoded
 /// [`VerifiedUpload`] (the decayed vector for a carried stale upload) and
 /// counts toward the quota — moving the sent parameters out of the ticket
@@ -202,8 +204,9 @@ pub(super) fn admit_upload(
     let update = opened.update();
     // A NaN or infinite coordinate would poison the anchor and the
     // aggregate for everyone: the miner refuses the upload outright, as
-    // it would a bad signature.
-    if !gradient::all_finite(&update.params) {
+    // it would a bad signature. The pass formed the verdict over what it
+    // returned; nothing here scans the upload again.
+    if !finite_verdict(update) {
         return EventKind::UploadRejected;
     }
     let id = update.client_id;

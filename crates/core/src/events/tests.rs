@@ -451,15 +451,11 @@ fn a_stale_upload_under_discard_is_dropped_unopened() {
     // non-finite upload is `StaleDiscarded` under `Discard` and
     // `UploadRejected` everywhere else.
     let poisoned = || {
-        let update = LocalUpdate {
-            client_id: 19,
-            params: vec![f64::NAN; snapshot.len()],
-            forged: true,
-            stats: LocalTrainingStats {
-                steps: 1,
-                final_epoch_loss: 0.5,
-            },
+        let stats = LocalTrainingStats {
+            steps: 1,
+            final_epoch_loss: 0.5,
         };
+        let update = LocalUpdate::new(19, vec![f64::NAN; snapshot.len()], true, stats);
         UploadTicket::signed(update, None)
     };
     let kinds = |config: &BflConfig, state: &mut LearningState<'_>, rt: &mut AsyncRuntime| {
@@ -474,4 +470,125 @@ fn a_stale_upload_under_discard_is_dropped_unopened() {
         kinds(&config, &mut state, &mut rt),
         [EventKind::StaleDiscarded, EventKind::UploadRejected]
     );
+}
+
+/// A deferred pass trained from a snapshot holding a NaN returns a NaN
+/// upload, and the miner refuses it on the verdict the pass formed —
+/// whether `admit_upload` ran the pass or `resolve_run_ahead` parked it.
+/// A stale copy under `Discard` is still dropped unopened.
+#[test]
+fn a_poisoned_snapshot_is_refused_on_its_verdict_parked_or_run_at_admission() {
+    let (train, test) = dataset();
+    let config = streaming_config(StalenessPolicy::Discard);
+    let mut state = LearningState::new(&config, &train, &test).unwrap();
+    let mut rt = state.async_rt.take().unwrap();
+    let mut snapshot = state.global_params.clone();
+    snapshot[3] = f64::NAN;
+    let snapshot = Arc::new(snapshot);
+    let commission = |client_id: u64| Commission {
+        client_id,
+        attack: None,
+        born_seed: 7,
+        snapshot: Arc::clone(&snapshot),
+    };
+    let deferred = |client_id: u64| UploadTicket::Deferred(commission(client_id));
+
+    // Stale under `Discard`: dropped before any pass runs.
+    let late = admit(&mut state, &mut rt, &config, 3, 2, deferred(1), None);
+    assert_eq!(late, EventKind::StaleDiscarded);
+    assert_eq!(rt.scratch.order.capacity(), 0, "no local pass ran");
+
+    // Nothing parked: the pass runs at admission.
+    let pass = resolve_deferred(&state, &mut Scratch::new(), &config, &commission(1));
+    assert!(!pass.finite);
+    let fresh = admit(&mut state, &mut rt, &config, 2, 2, deferred(1), None);
+    assert_eq!(fresh, EventKind::UploadRejected);
+
+    // Parked: clients 2 and 3 arrive together, so the walk from 2's
+    // arrival opens both passes ahead of their admission.
+    for client_id in [2, 3] {
+        let upload = InFlightUpload {
+            ticket: deferred(client_id),
+            born_round: 2,
+            train_finished_s: 0.5,
+            attempt: 1,
+        };
+        rt.queue.push(
+            1.0,
+            EngineEvent::UploadArrived(Delivery {
+                upload,
+                miner: 0,
+                corrupt: None,
+                retry_pending: false,
+            }),
+        );
+    }
+    let head = rt.queue.pop().unwrap();
+    let EngineEvent::UploadArrived(Delivery { upload, .. }) = &head.payload else {
+        unreachable!()
+    };
+    resolve_run_ahead(&mut state, &mut rt, &config, 2, 6, upload);
+    assert_eq!(rt.parked.keys().map(|k| k.0).collect::<Vec<u64>>(), [2, 3]);
+    assert!(rt.parked.values().all(|update| !update.finite));
+    for client_id in [2, 3] {
+        let ticket = deferred(client_id);
+        let kind = admit(&mut state, &mut rt, &config, 2, 2, ticket, None);
+        assert_eq!(kind, EventKind::UploadRejected, "client {client_id}");
+    }
+    assert!(rt.parked.is_empty(), "both parked passes were taken");
+    assert!(rt.arrived.is_empty());
+}
+
+/// The verdict covers the vector the pass returns, the forgery for an
+/// attacker: a `Scaling` forgery past `f64::MAX` overflows to ±∞ although
+/// its honest pass is finite.
+#[test]
+fn an_overflowing_forgery_is_refused_though_its_honest_pass_is_finite() {
+    let (train, test) = dataset();
+    let config = streaming_config(StalenessPolicy::Discard);
+    let mut state = LearningState::new(&config, &train, &test).unwrap();
+    let mut rt = state.async_rt.take().unwrap();
+    // One coordinate large enough that 1e308 times it overflows.
+    let mut snapshot = state.global_params.clone();
+    snapshot[0] = 4.0;
+    let snapshot = Arc::new(snapshot);
+    let commission = |attack: Option<AttackKind>| Commission {
+        client_id: 5,
+        attack,
+        born_seed: 7,
+        snapshot: Arc::clone(&snapshot),
+    };
+    let forgery = Some(AttackKind::Scaling { factor: 1e308 });
+    let pass = |attack| resolve_deferred(&state, &mut Scratch::new(), &config, &commission(attack));
+    assert!(pass(None).finite, "the honest pass is finite");
+    let forged = pass(forgery);
+    assert!(forged.forged && !forged.finite);
+
+    let ticket = UploadTicket::Deferred(commission(forgery));
+    let kind = admit(&mut state, &mut rt, &config, 2, 2, ticket, None);
+    assert_eq!(kind, EventKind::UploadRejected);
+    let honest = UploadTicket::Deferred(commission(None));
+    let kind = admit(&mut state, &mut rt, &config, 2, 2, honest, None);
+    assert_eq!(kind, EventKind::UploadArrived);
+}
+
+/// A `Ready` ticket carries the update its commission trained: from a
+/// global model holding a NaN, its verdict is false, and the miner refuses
+/// it though the client's signature over it is sound.
+#[test]
+fn a_ready_ticket_from_a_poisoned_pass_is_refused_on_its_verdict() {
+    let (train, test) = dataset();
+    let config = signed_config();
+    let mut state = LearningState::new(&config, &train, &test).unwrap();
+    let mut rt = state.async_rt.take().unwrap();
+    state.global_params[3] = f64::NAN;
+    let ticket = signed_tickets(&mut state, &config, &[2]).pop().unwrap();
+    let UploadTicket::Ready(sent) = &ticket else {
+        unreachable!("a signed ticket carries its update")
+    };
+    assert!(sent.signature.is_some());
+    assert!(!sent.update.finite);
+    let kind = admit(&mut state, &mut rt, &config, 1, 1, ticket, None);
+    assert_eq!(kind, EventKind::UploadRejected);
+    assert!(rt.arrived.is_empty());
 }

@@ -43,14 +43,12 @@ mod tests {
         use bfl_fl::client::LocalUpdate;
         use bfl_ml::optimizer::LocalTrainingStats;
         let updates: Vec<LocalUpdate> = (0..clients as u64)
-            .map(|id| LocalUpdate {
-                client_id: id,
-                params: vec![id as f64],
-                forged: false,
-                stats: LocalTrainingStats {
+            .map(|id| {
+                let stats = LocalTrainingStats {
                     steps: 1,
                     final_epoch_loss: 0.1,
-                },
+                };
+                LocalUpdate::new(id, vec![id as f64], false, stats)
             })
             .collect();
         let topology = Topology::new(clients.max(1), miners);

@@ -26,7 +26,10 @@
 //! worker checks through its own thread's [`BatchVerifier`], which the
 //! pool's parked workers keep warm from round to round. Every upload is
 //! still signed, hashed twice and verified in full every round; nothing
-//! carries a digest or a verdict from one check to the next.
+//! carries a digest or a signature verdict from one check to the next.
+//! The finite check is read from the verdict the local pass formed over
+//! the vector it returned ([`LocalUpdate::finite`]), so admission does
+//! not scan the upload a second time (`finite_verdict`).
 
 use bfl_crypto::{BatchVerifier, EnvelopeDigest, KeyStore, RsaKeyPair, RsaPrivateKey, Signature};
 use bfl_fl::client::LocalUpdate;
@@ -97,6 +100,19 @@ pub(crate) fn sign_update(update: &LocalUpdate, key: &RsaPrivateKey) -> Signatur
     received_envelope(update, None).sign(key)
 }
 
+/// Procedure II's finite check on `update`: the verdict its pass formed.
+/// Debug builds scan the parameters again and assert the verdict holds,
+/// so every admission a debug test makes re-checks it.
+pub(crate) fn finite_verdict(update: &LocalUpdate) -> bool {
+    debug_assert_eq!(
+        update.finite,
+        gradient::all_finite(&update.params),
+        "client {}'s finite verdict disagrees with its parameters",
+        update.client_id
+    );
+    update.finite
+}
+
 /// An in-transit corruption: `(byte index seed, xor mask)`. The byte at
 /// `seed % len` of the serialized payload arrives xored with the mask. A
 /// zero mask would corrupt nothing, and saying so in the type lets the
@@ -165,7 +181,7 @@ pub fn upload_gradients<R: Rng + ?Sized>(
             // so sharing the workspace cannot change outcomes.
             par::par_map(&items, 1, |_, &(update, miner)| {
                 match pairs.get(&update.client_id) {
-                    Some(pair) if gradient::all_finite(&update.params) => {
+                    Some(pair) if finite_verdict(update) => {
                         let signature = sign_update(update, &pair.private);
                         let verdict = VERIFIER.with_borrow_mut(|verifier| {
                             let envelope = received_envelope(update, None);
@@ -186,7 +202,7 @@ pub fn upload_gradients<R: Rng + ?Sized>(
         _ => items
             .iter()
             .map(|&(update, miner)| {
-                if gradient::all_finite(&update.params) {
+                if finite_verdict(update) {
                     Verdict::Accepted(verified(update, miner))
                 } else {
                     Verdict::Rejected(update.client_id)
@@ -225,16 +241,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `client_id`'s honest upload of `params`, its verdict derived from
+    /// them.
+    fn update_of(client_id: u64, params: Vec<f64>) -> LocalUpdate {
+        let stats = LocalTrainingStats {
+            steps: 1,
+            final_epoch_loss: 0.5,
+        };
+        LocalUpdate::new(client_id, params, false, stats)
+    }
+
     fn update(client_id: u64) -> LocalUpdate {
-        LocalUpdate {
-            client_id,
-            params: vec![client_id as f64, 1.0, 2.0],
-            forged: false,
-            stats: LocalTrainingStats {
-                steps: 1,
-                final_epoch_loss: 0.5,
-            },
-        }
+        update_of(client_id, vec![client_id as f64, 1.0, 2.0])
     }
 
     #[test]
@@ -244,8 +262,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let pairs = store.provision(&mut rng, &[6], 256).unwrap();
         // Longer than one streaming chunk, with a non-trivial tail.
-        let mut sent = update(6);
-        sent.params = (0..1300).map(|i| (i as f64).sin()).collect();
+        let sent = update_of(6, (0..1300).map(|i| (i as f64).sin()).collect());
 
         let signature = sign_update(&sent, &pairs[&6].private);
         let payload = gradient::to_bytes(&sent.params);
@@ -301,8 +318,7 @@ mod tests {
                 mask in 1u8..=255,
             ) {
                 let (store, pair) = identity();
-                let mut sent = update(9);
-                sent.params = (0..len).map(|i| (i as f64 * 0.37).cos()).collect();
+                let sent = update_of(9, (0..len).map(|i| (i as f64 * 0.37).cos()).collect());
                 let signature = sign_update(&sent, &pair.private);
                 let corrupt = (index_seed, NonZeroU8::new(mask).unwrap());
 
@@ -340,14 +356,60 @@ mod tests {
         assert!(all.iter().all(|u| u.miner < 3));
     }
 
+    /// A pass from a global model holding a NaN: `local_update_as`'s
+    /// upload, with the verdict the pass formed.
+    fn poisoned_pass(client_id: u64) -> LocalUpdate {
+        use bfl_data::{SynthMnist, SynthMnistConfig};
+        use bfl_fl::client::Client;
+        use bfl_ml::model::ModelKind;
+        use bfl_ml::optimizer::LocalTrainingConfig;
+        use bfl_ml::tensor::Scratch;
+
+        let data = SynthMnist::new(SynthMnistConfig {
+            train_samples: 8,
+            test_samples: 1,
+            noise_std: 0.05,
+            max_translation: 1.0,
+        })
+        .generate_split(8, &mut StdRng::seed_from_u64(4));
+        let kind = ModelKind::SoftmaxRegression {
+            features: 784,
+            classes: 10,
+        };
+        let mut global = vec![0.0; kind.num_params()];
+        global[5] = f64::NAN;
+        let config = LocalTrainingConfig {
+            epochs: 1,
+            batch_size: 4,
+            learning_rate: 0.05,
+            proximal_mu: 0.0,
+        };
+        Client::honest(client_id, (0..8).collect()).local_update_as(
+            None,
+            kind,
+            &global,
+            &data.features,
+            &data.labels,
+            &config,
+            3,
+            &mut Scratch::new(),
+        )
+    }
+
+    /// Both branches refuse a non-finite upload on its verdict, whether
+    /// built here or formed by a real pass.
     #[test]
     fn non_finite_uploads_are_rejected_signed_or_not() {
         let mut store = KeyStore::new();
         let mut rng = StdRng::seed_from_u64(5);
-        let pairs = store.provision(&mut rng, &[0, 1, 2], 256).unwrap();
-        let mut updates: Vec<LocalUpdate> = (0..3).map(update).collect();
-        updates[1].params[2] = f64::NAN;
-        updates[2].params[0] = f64::NEG_INFINITY;
+        let pairs = store.provision(&mut rng, &[0, 1, 2, 3], 256).unwrap();
+        let updates = [
+            update(0),
+            update_of(1, vec![1.0, 1.0, f64::NAN]),
+            update_of(2, vec![f64::NEG_INFINITY, 1.0, 2.0]),
+            poisoned_pass(3),
+        ];
+        assert!(!updates[3].finite, "the pass's verdict covers its NaNs");
         let topology = Topology::new(100, 2);
         for keys in [None, Some((&pairs, &store))] {
             let outcome = upload_gradients(
@@ -357,11 +419,25 @@ mod tests {
                 keys.map(|k| k.1),
                 &mut rng,
             );
-            assert_eq!(outcome.rejected, vec![1, 2]);
+            assert_eq!(outcome.rejected, vec![1, 2, 3]);
             let accepted = outcome.into_all_accepted();
             assert_eq!(accepted.len(), 1);
             assert_eq!(accepted[0].client_id, 0);
         }
+    }
+
+    /// A verdict that disagrees with its parameters is a bug in whoever
+    /// built the update; a debug build's admission catches it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "finite verdict disagrees")]
+    fn a_lying_verdict_trips_the_admission_assert() {
+        let lying = LocalUpdate {
+            finite: true,
+            ..update_of(0, vec![1.0, f64::NAN])
+        };
+        let (topology, mut rng) = (Topology::new(1, 1), StdRng::seed_from_u64(1));
+        upload_gradients(&[lying], &topology, None, None, &mut rng);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! forges its upload with the [`AttackKind`] it is handed.
 
 use crate::attack::AttackKind;
+use bfl_ml::gradient;
 use bfl_ml::model::{Model, ModelKind};
 use bfl_ml::optimizer::{train_local_with_scratch, LocalTrainingConfig, LocalTrainingStats};
 use bfl_ml::tensor::{Matrix, Scratch};
@@ -35,6 +36,26 @@ pub struct LocalUpdate {
     /// Training statistics of the honest pass (also present for forged
     /// uploads: the attacker trains honestly, then forges the upload).
     pub stats: LocalTrainingStats,
+    /// Whether every coordinate of `params` is finite (no NaN, no ±∞):
+    /// Procedure II's finite check, formed by [`LocalUpdate::new`] over
+    /// the vector the pass returns, on the thread that ran the pass. A
+    /// miner reads it at admission instead of scanning the upload again.
+    pub finite: bool,
+}
+
+impl LocalUpdate {
+    /// The update `client_id` uploads, with its verdict derived from
+    /// `params`.
+    pub fn new(client_id: u64, params: Vec<f64>, forged: bool, stats: LocalTrainingStats) -> Self {
+        let finite = gradient::all_finite(&params);
+        LocalUpdate {
+            client_id,
+            params,
+            forged,
+            stats,
+            finite,
+        }
+    }
 }
 
 impl Client {
@@ -52,9 +73,11 @@ impl Client {
     /// Runs Procedure-I under this round's designation (`attack` is
     /// `Some` when the round engine made this client an attacker): starts
     /// from `global_params`, trains for the configured epochs/batches on
-    /// the local shard, and returns the upload, forged when designated. `scratch` is the worker's
-    /// reusable workspace, so a worker training many clients reuses its
-    /// buffers across all of them.
+    /// the local shard, and returns the upload, forged when designated,
+    /// with its finite verdict formed here, while the vector is still
+    /// warm in this core's cache. `scratch` is the worker's reusable
+    /// workspace, so a worker training many clients reuses its buffers
+    /// across all of them.
     ///
     /// The per-client RNG is derived from `(round_seed, client id)` so runs
     /// are reproducible regardless of scheduling order; this also allows
@@ -86,20 +109,11 @@ impl Client {
             scratch,
         );
         let honest_params = model.into_params();
-        match attack {
-            None => LocalUpdate {
-                client_id: self.id,
-                params: honest_params,
-                forged: false,
-                stats,
-            },
-            Some(attack) => LocalUpdate {
-                client_id: self.id,
-                params: attack.forge(&honest_params, &mut rng),
-                forged: true,
-                stats,
-            },
-        }
+        let params = match attack {
+            None => honest_params,
+            Some(attack) => attack.forge(&honest_params, &mut rng),
+        };
+        LocalUpdate::new(self.id, params, attack.is_some(), stats)
     }
 }
 
@@ -193,15 +207,11 @@ mod tests {
             &mut rng,
         );
         let honest_params = model.params();
-        LocalUpdate {
-            client_id: client.id,
-            params: match attack {
-                None => honest_params,
-                Some(attack) => attack.forge(&honest_params, &mut rng),
-            },
-            forged: attack.is_some(),
-            stats,
-        }
+        let params = match attack {
+            None => honest_params,
+            Some(attack) => attack.forge(&honest_params, &mut rng),
+        };
+        LocalUpdate::new(client.id, params, attack.is_some(), stats)
     }
 
     #[test]
@@ -269,6 +279,7 @@ mod tests {
                         "{context}"
                     );
                     assert_eq!(update.forged, oracle.forged, "{context}");
+                    assert_eq!(update.finite, oracle.finite, "{context}");
                     assert_eq!(update.client_id, oracle.client_id, "{context}");
                 }
             }

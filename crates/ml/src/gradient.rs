@@ -205,12 +205,14 @@ fn zero_window_sum(column: impl Iterator<Item = f64> + Clone, trim: usize, kept:
         .sum()
 }
 
-/// True when every coordinate is finite — neither NaN nor ±∞. Upload
-/// admission checks this before a gradient can reach an anchor or the
-/// global model.
+/// True when every coordinate is finite — neither NaN nor ±∞. Its caller
+/// is the local pass (`LocalUpdate::new`, which `Client::local_update_as`
+/// ends in): the pass records the verdict over the vector it returns, on
+/// its own thread, and upload admission reads that verdict before a
+/// gradient can reach an anchor or the global model.
 pub fn all_finite(gradient: &[f64]) -> bool {
     // No early exit: a branch-free scan vectorizes, and it runs once per
-    // admitted upload over vectors that are finite in all but hostile runs.
+    // local pass over vectors that are finite in all but hostile runs.
     gradient.iter().fold(true, |ok, v| ok & v.is_finite())
 }
 
