@@ -1,10 +1,12 @@
 //! Procedure I's allocation contract, asserted in-process: with a warm
-//! [`Scratch`], one local pass asks the allocator for its copy of the
-//! global parameters — the vector it trains in place and then uploads —
-//! and for nothing else. No throw-away initialisation, no gradient or
-//! shuffle buffer of its own, no copy of the result. That holds for a
-//! paper-shaped pass (35 samples, `E = 5`, `B = 10`) and a
-//! `pop1m_streaming`-shaped one (8 samples, `E = 1`, `B = 10`). The jump
+//! [`Scratch`], one local pass asks the allocator for its upload — the
+//! vector its first step writes straight from the global parameters and
+//! later steps train in place — and for nothing else. No copy of the
+//! model, no throw-away initialisation, no gradient or shuffle buffer of
+//! its own, no copy of the result, and under FedProx no copy of the
+//! start to pull towards. That holds for a paper-shaped pass (35 samples,
+//! `E = 5`, `B = 10`), a `pop1m_streaming`-shaped one (8 samples, `E = 1`,
+//! `B = 10`) and a FedProx one (`μ = 0.3`, the paper's shape). The jump
 //! that skips the initialiser's draws allocates nothing even when it
 //! first needs a power of the transition matrix and builds it. The
 //! counting allocator is installed as this binary's global allocator.
@@ -13,7 +15,7 @@ use bfl_bench::CountingAllocator;
 use bfl_fl::client::Client;
 use bfl_harness::runner::generate_dataset;
 use bfl_harness::DatasetSpec;
-use bfl_ml::model::{Model, ModelKind};
+use bfl_ml::model::ModelKind;
 use bfl_ml::optimizer::LocalTrainingConfig;
 use bfl_ml::tensor::Scratch;
 use rand::rngs::StdRng;
@@ -54,6 +56,10 @@ fn a_warm_local_pass_allocates_its_upload_and_nothing_else() {
     ));
 
     let streaming = LocalTrainingConfig { epochs: 1, ..paper };
+    let fedprox = LocalTrainingConfig {
+        proximal_mu: 0.3,
+        ..paper
+    };
     for (shape, client, config) in [
         ("paper", Client::honest(2, (60..95).collect()), paper),
         (
@@ -61,6 +67,7 @@ fn a_warm_local_pass_allocates_its_upload_and_nothing_else() {
             Client::honest(3, (95..103).collect()),
             streaming,
         ),
+        ("FedProx", Client::honest(4, (103..138).collect()), fedprox),
     ] {
         ALLOC.reset_peak();
         let start = ALLOC.snapshot();
@@ -73,7 +80,7 @@ fn a_warm_local_pass_allocates_its_upload_and_nothing_else() {
         assert_eq!(
             delta.allocations, 1,
             "a warm {shape}-shaped local pass made {} allocator calls (exactly 1 allowed: its \
-             parameter vector)",
+             upload)",
             delta.allocations
         );
         assert_eq!(
@@ -90,15 +97,13 @@ fn a_warm_local_pass_allocates_its_upload_and_nothing_else() {
         features: 784,
         classes: 11,
     };
-    let params = vec![0.5; fresh.num_params()];
     let mut rng = StdRng::seed_from_u64(7);
     ALLOC.reset_peak();
     let start = ALLOC.snapshot();
-    let adopted = fresh.adopt(params, &mut rng);
+    fresh.skip_build(&mut rng);
     rng.discard(1 << 40);
     let delta = ALLOC.delta_since(&start);
     let high_water = ALLOC.peak_bytes() - start.live_bytes;
-    assert_eq!(adopted.num_params(), fresh.num_params());
     assert_eq!(
         delta.allocations, 0,
         "first jumps to new powers made {} allocator calls",

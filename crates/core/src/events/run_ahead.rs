@@ -71,11 +71,12 @@ thread_local! {
 
 /// Local-pass work (samples × epochs × parameters) worth one worker of
 /// the run-ahead fan-out: about eight of `pop1m_streaming`'s one-step
-/// passes, about 0.11–0.12 ms (13.6–14.6 µs a pass on one core, of which
-/// the pass's finite verdict over its 7,850 parameters is about 1.3 µs)
-/// against the ~11 µs it takes to hand a chunk to a parked `bfl_ml::par`
-/// worker and collect it (measured on a 2-vCPU x86-64 VM). Paper-sized
-/// passes clear it one apiece.
+/// passes, about 0.10 ms (12.7–12.8 µs a pass on one core when the
+/// allocator hands each upload back warm, 27.4–27.5 µs when each upload
+/// is kept, as a round keeps them; the finite verdict over the 7,850
+/// parameters is about 0.57 µs of it) against the ~11 µs it takes to
+/// hand a chunk to a parked `bfl_ml::par` worker and collect it (measured
+/// on a 2-vCPU x86-64 VM). Paper-sized passes clear it one apiece.
 const MIN_RUN_AHEAD_WORK: usize = 1 << 19;
 
 /// Opens a run of deferred tickets at once, ahead of their admission.

@@ -579,6 +579,7 @@ impl BigUint {
     }
 
     /// Parses a decimal string.
+    #[cfg(test)]
     pub fn from_decimal_str(s: &str) -> Option<BigUint> {
         if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
             return None;

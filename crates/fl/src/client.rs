@@ -8,7 +8,7 @@
 
 use crate::attack::AttackKind;
 use bfl_ml::gradient;
-use bfl_ml::model::{Model, ModelKind};
+use bfl_ml::model::ModelKind;
 use bfl_ml::optimizer::{train_local_with_scratch, LocalTrainingConfig, LocalTrainingStats};
 use bfl_ml::tensor::{Matrix, Scratch};
 use rand::rngs::StdRng;
@@ -96,11 +96,13 @@ impl Client {
     ) -> LocalUpdate {
         let mut rng =
             StdRng::seed_from_u64(round_seed ^ (self.id.wrapping_mul(0x9E3779B97F4A7C15)));
-        // The pass's one model-sized allocation: the copy of the global
-        // parameters it trains in place and then uploads.
-        let mut model = model_kind.adopt(global_params.to_vec(), &mut rng);
-        let stats = train_local_with_scratch(
-            &mut model,
+        // No model is built: the pass steps the global snapshot straight
+        // into its upload, its one model-sized allocation, and the
+        // generator skips the draws `build` would have made.
+        model_kind.skip_build(&mut rng);
+        let (honest_params, stats) = train_local_with_scratch(
+            model_kind,
+            global_params,
             features,
             labels,
             &self.shard,
@@ -108,7 +110,6 @@ impl Client {
             &mut rng,
             scratch,
         );
-        let honest_params = model.into_params();
         let params = match attack {
             None => honest_params,
             Some(attack) => attack.forge(&honest_params, &mut rng),
@@ -122,6 +123,7 @@ mod tests {
     use super::*;
     use bfl_data::synth_mnist::{SynthMnist, SynthMnistConfig};
     use bfl_ml::gradient::cosine_distance;
+    use bfl_ml::model::Model;
 
     fn small_data() -> bfl_data::Dataset {
         let gen = SynthMnist::new(SynthMnistConfig {
@@ -183,8 +185,13 @@ mod tests {
     }
 
     /// The composition `local_update_as` replaced — initialise a model,
-    /// overwrite it with the global parameters, train, copy the result
-    /// out — kept as the oracle for it.
+    /// overwrite it with the global parameters, train it, copy the result
+    /// out — kept as the oracle for it: the pass builds no model, copies
+    /// nothing and skips the initialiser's draws instead of making them.
+    /// (That its first step, written fresh from the snapshot, has the
+    /// bits of a step over a copy is held by `bfl-ml`'s
+    /// `the_fused_pass_keeps_the_unfused_passs_bits` and
+    /// `the_fresh_step_writes_every_element_with_the_in_place_bits`.)
     fn local_update_oracle(
         client: &Client,
         attack: Option<AttackKind>,
@@ -224,22 +231,27 @@ mod tests {
             Some(AttackKind::GaussianNoise { std: 0.5 }),
             Some(AttackKind::AdditiveNoise { std: 0.1 }),
         ];
-        // Shard sizes on both sides of the batch size, visited in an order
-        // that grows and shrinks the reused workspace's buffers.
+        // Shard sizes on both sides of the batch size and exactly on it,
+        // visited in an order that grows and shrinks the reused
+        // workspace's buffers. At one epoch the last two are one step
+        // each, first and last at once: 8 samples is `pop1m_streaming`'s
+        // shape.
         let clients = [
             Client::honest(11, (0..25).collect()),
             Client::honest(12, (25..28).collect()),
             Client::honest(13, (28..78).collect()),
             Client::honest(14, (78..85).collect()),
+            Client::honest(15, (85..95).collect()),
+            Client::honest(16, (92..100).collect()),
         ];
         let mut scratch = Scratch::new();
         let model_kind = kind();
         let global: Vec<f64> = (0..model_kind.num_params())
             .map(|i| (i as f64 * 0.013).sin() * 0.05)
             .collect();
-        for proximal_mu in [0.0, 0.3] {
+        for (epochs, proximal_mu) in [(2, 0.0), (2, 0.3), (1, 0.0), (1, 0.3)] {
             let config = LocalTrainingConfig {
-                epochs: 2,
+                epochs,
                 batch_size: 10,
                 learning_rate: 0.05,
                 proximal_mu,
@@ -265,7 +277,10 @@ mod tests {
                         &config,
                         round_seed as u64,
                     );
-                    let context = format!("mu {proximal_mu}, {attack:?}, client {}", client.id);
+                    let context = format!(
+                        "E {epochs}, mu {proximal_mu}, {attack:?}, client {}",
+                        client.id
+                    );
                     // Bit patterns, not `==`: the noise forgeries must
                     // agree to the last bit too.
                     let bits = |params: &[f64]| -> Vec<u64> {

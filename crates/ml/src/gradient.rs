@@ -210,10 +210,25 @@ fn zero_window_sum(column: impl Iterator<Item = f64> + Clone, trim: usize, kept:
 /// ends in): the pass records the verdict over the vector it returns, on
 /// its own thread, and upload admission reads that verdict before a
 /// gradient can reach an anchor or the global model.
+///
+/// Eight lanes each sum `x · 0` over their coordinates. That is a zero
+/// for every finite `x` and NaN for NaN or ±∞, and a NaN stays in its
+/// lane, so the vector is finite exactly when every lane ends on `0.0`
+/// (either sign).
+/// The lanes are independent adds with no branch or early exit, so the
+/// scan vectorizes; the coordinates past the last full eight are checked
+/// one by one.
 pub fn all_finite(gradient: &[f64]) -> bool {
-    // No early exit: a branch-free scan vectorizes, and it runs once per
-    // local pass over vectors that are finite in all but hostile runs.
-    gradient.iter().fold(true, |ok, v| ok & v.is_finite())
+    const LANES: usize = 8;
+    let chunks = gradient.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    let mut lanes = [0.0f64; LANES];
+    for chunk in chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane += x * 0.0;
+        }
+    }
+    lanes.iter().all(|&lane| lane == 0.0) && tail.iter().all(|x| x.is_finite())
 }
 
 /// Weighted average `Σ p_i v_i / Σ p_i` — Equation 1's fair aggregation.
@@ -544,6 +559,39 @@ mod tests {
                 let mut g = vec![1.5; 41];
                 g[position] = bad;
                 assert!(!all_finite(&g), "{bad} at {position}");
+            }
+        }
+    }
+
+    /// The lane-wise scan against `is_finite` one coordinate at a time,
+    /// with each awkward value at every lane of two full blocks and at
+    /// every position of the tail: NaN and ±∞ must be caught wherever
+    /// they sit, and −0.0, a subnormal and ±`f64::MAX` (whose product
+    /// with zero is still a zero) must pass. Every prefix is checked too,
+    /// so each position is also the last, in a block or in a tail.
+    #[test]
+    fn all_finite_agrees_with_is_finite_at_every_lane_and_tail_position() {
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        // Two full blocks and a tail of seven.
+        let len = 23;
+        for value in values {
+            for position in 0..len {
+                let mut g: Vec<f64> = (0..len).map(|i| i as f64 * 0.37 - 3.0).collect();
+                g[position] = value;
+                assert_eq!(all_finite(&g), value.is_finite(), "{value} at {position}");
+                assert_eq!(
+                    all_finite(&g[..=position]),
+                    value.is_finite(),
+                    "{value} last at {position}"
+                );
             }
         }
     }

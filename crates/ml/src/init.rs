@@ -15,10 +15,10 @@ pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usiz
 
 /// Advances `rng` past exactly the draws [`xavier_uniform`] makes for the
 /// same layer, producing nothing: one `next_u64` per weight, which is what
-/// a `gen_range` over `f64` consumes (`vendor/rand`'s `unit_f64`). The
-/// adopting model constructors call this where `new` calls
-/// [`xavier_uniform`], so whatever draws from `rng` next sees the same
-/// stream either way. The draws are not stepped through one by one:
+/// a `gen_range` over `f64` consumes (`vendor/rand`'s `unit_f64`). A
+/// local pass's skip of the model it never builds calls this where `new`
+/// calls [`xavier_uniform`], so whatever draws from `rng` next sees the
+/// same stream either way. The draws are not stepped through one by one:
 /// `StdRng::discard` (the vendored `rand`'s one addition to upstream's
 /// API) multiplies the xoshiro256++ state by the transition matrices of
 /// the powers of two that sum to the layer's size, six at the paper's

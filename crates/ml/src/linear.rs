@@ -9,8 +9,8 @@
 
 use crate::activation::softmax_in_place;
 use crate::loss::{cross_entropy, cross_entropy_grad};
-use crate::model::Model;
-use crate::tensor::{Matrix, Scratch, SgdStep};
+use crate::model::{Model, ModelKind};
+use crate::tensor::{Matrix, Scratch, SgdStep, StepTarget};
 use crate::{init, tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -43,38 +43,29 @@ impl SoftmaxRegression {
         }
     }
 
-    /// [`SoftmaxRegression::new`] for a caller that already holds the
-    /// parameters: adopts `params` and skips, draw for draw, the
-    /// initialisation `new` would have sampled from `rng` (see
-    /// [`crate::ModelKind::adopt`]). Every initialiser call in `new` has
-    /// its `skip_` twin here, in the same order.
-    pub(crate) fn adopt(
-        features: usize,
-        classes: usize,
-        params: Vec<f64>,
-        rng: &mut StdRng,
-    ) -> Self {
+    /// Advances `rng` exactly as [`SoftmaxRegression::new`] would and
+    /// builds nothing (see [`crate::ModelKind::skip_build`]). Every
+    /// initialiser call in `new` has its `skip_` twin here, in the same
+    /// order.
+    pub(crate) fn skip_new(features: usize, classes: usize, rng: &mut StdRng) {
         assert!(
             features > 0 && classes > 1,
             "need at least 1 feature and 2 classes"
         );
         init::skip_xavier_uniform(rng, features, classes);
-        let model = SoftmaxRegression {
-            features,
-            classes,
-            params,
-        };
-        assert_eq!(
-            model.params.len(),
-            model.num_params(),
-            "parameter length mismatch"
-        );
-        model
     }
 
     /// Input dimensionality.
     pub fn feature_count(&self) -> usize {
         self.features
+    }
+
+    /// This model's shape, as a configuration spells it.
+    pub fn kind(&self) -> ModelKind {
+        ModelKind::SoftmaxRegression {
+            features: self.features,
+            classes: self.classes,
+        }
     }
 
     /// Weight connecting `feature` to `class`.
@@ -87,12 +78,14 @@ impl SoftmaxRegression {
         self.params[self.classes * self.features + class]
     }
 
-    /// The forward half of a batched step: logits straight off the
-    /// dataset rows (the minibatch is never gathered into a contiguous
-    /// copy), then `delta = softmax(z) − one_hot(label)` into
-    /// `scratch.delta`. Returns the loss summed over the batch.
+    /// The forward half of a batched step over the `classes`-class
+    /// parameters `params`: logits straight off the dataset rows (the
+    /// minibatch is never gathered into a contiguous copy), then
+    /// `delta = softmax(z) − one_hot(label)` into `scratch.delta`.
+    /// Returns the loss summed over the batch.
     fn forward_delta(
-        &self,
+        classes: usize,
+        params: &[f64],
         features: &Matrix,
         labels: &[usize],
         rows: &[usize],
@@ -107,20 +100,17 @@ impl SoftmaxRegression {
             !rows.is_empty(),
             "gradient over an empty batch is undefined"
         );
-        assert_eq!(features.cols, self.features, "feature width mismatch");
+        assert_eq!(
+            params.len(),
+            classes * (features.cols + 1),
+            "feature width mismatch"
+        );
         let batch = rows.len();
 
-        let weight_len = self.classes * self.features;
-        scratch.z.resize_in_place(batch, self.classes);
-        tensor::gemm_nt_indexed(
-            features,
-            rows,
-            &self.params[..weight_len],
-            &mut scratch.z.data,
-            self.classes,
-        );
-        let bias = &self.params[weight_len..];
-        for row in scratch.z.data.chunks_mut(self.classes) {
+        let (weights, bias) = params.split_at(classes * features.cols);
+        scratch.z.resize_in_place(batch, classes);
+        tensor::gemm_nt_indexed(features, rows, weights, &mut scratch.z.data, classes);
+        for row in scratch.z.data.chunks_mut(classes) {
             for (v, &b) in row.iter_mut().zip(bias.iter()) {
                 *v += b;
             }
@@ -129,7 +119,7 @@ impl SoftmaxRegression {
         // delta is computed row-wise in place; the loss accumulates from
         // the same probabilities.
         let mut total_loss = 0.0;
-        scratch.delta.resize_in_place(batch, self.classes);
+        scratch.delta.resize_in_place(batch, classes);
         scratch.delta.data.copy_from_slice(&scratch.z.data);
         for (r, &row_index) in rows.iter().enumerate() {
             let delta_row = scratch.delta.row_mut(r);
@@ -147,26 +137,47 @@ impl SoftmaxRegression {
     /// sum of δ, each element stepped as it is finished. The column sum
     /// adds the rows in order from `+0.0`: the bits of a chain of
     /// `axpy(1.0, δ_r, grad_b)` over a zeroed `grad_b`, since a product
-    /// with 1.0 is exact.
+    /// with 1.0 is exact. The kernel stores each weight once and the bias
+    /// loop each bias once, so a [`tensor::Fresh`] target ends with every
+    /// element written exactly once.
     fn backward_step(
         features: &Matrix,
         rows: &[usize],
         delta: &Matrix,
-        target: &mut [f64],
+        target: impl StepTarget,
         step: &SgdStep,
     ) {
         let classes = delta.cols;
-        let bias_offset = target.len() - classes;
-        let (target_w, target_b) = target.split_at_mut(bias_offset);
+        let bias_offset = target.source().len() - classes;
+        let (target_w, mut target_b) = target.split_at(bias_offset);
         let (step_w, step_b) = step.split_at(bias_offset);
-        tensor::gemm_tn_indexed_step(&delta.data, features, rows, target_w, classes, &step_w);
+        tensor::gemm_tn_indexed_step_into(&delta.data, features, rows, target_w, classes, &step_w);
         for c in 0..classes {
             let mut sum = 0.0;
             for r in 0..rows.len() {
                 sum += delta.get(r, c);
             }
-            step_b.apply(target_b, c, sum);
+            step_b.apply(&mut target_b, c, sum);
         }
+    }
+
+    /// One fused SGD step of a local pass over a `classes`-class model
+    /// that need not exist: the forward reads `target`'s source
+    /// parameters, the backward steps them into `target` (see
+    /// [`crate::optimizer::train_local_with_scratch`]). Returns the loss
+    /// summed over the batch, measured before the step.
+    pub(crate) fn loss_and_step(
+        classes: usize,
+        target: impl StepTarget,
+        features: &Matrix,
+        labels: &[usize],
+        rows: &[usize],
+        step: &SgdStep,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let loss = Self::forward_delta(classes, target.source(), features, labels, rows, scratch);
+        Self::backward_step(features, rows, &scratch.delta, target, step);
+        loss
     }
 }
 
@@ -181,10 +192,6 @@ impl Model for SoftmaxRegression {
 
     fn params_mut(&mut self) -> &mut [f64] {
         &mut self.params
-    }
-
-    fn into_params(self) -> Vec<f64> {
-        self.params
     }
 
     fn set_params(&mut self, params: &[f64]) {
@@ -233,27 +240,20 @@ impl Model for SoftmaxRegression {
         grad: &mut Vec<f64>,
         scratch: &mut Scratch,
     ) -> f64 {
-        let loss = self.forward_delta(features, labels, rows, scratch);
+        let loss = Self::forward_delta(self.classes, &self.params, features, labels, rows, scratch);
         // The raw gradient is the unit step over a zeroed buffer.
         grad.clear();
         grad.resize(self.num_params(), 0.0);
-        Self::backward_step(features, rows, &scratch.delta, grad, &SgdStep::UNIT);
+        Self::backward_step(
+            features,
+            rows,
+            &scratch.delta,
+            &mut grad[..],
+            &SgdStep::UNIT,
+        );
         let scale = 1.0 / rows.len() as f64;
         tensor::scale(scale, grad);
         loss * scale
-    }
-
-    fn loss_and_step_batched(
-        &mut self,
-        features: &Matrix,
-        labels: &[usize],
-        rows: &[usize],
-        step: &SgdStep,
-        scratch: &mut Scratch,
-    ) -> f64 {
-        let loss = self.forward_delta(features, labels, rows, scratch);
-        Self::backward_step(features, rows, &scratch.delta, &mut self.params, step);
-        loss
     }
 
     fn loss_and_grad_reference(

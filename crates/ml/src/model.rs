@@ -7,18 +7,20 @@
 //! shape as a configuration spells it.
 
 use crate::linear::SoftmaxRegression;
-use crate::tensor::{Matrix, Scratch, SgdStep};
+use crate::tensor::{Matrix, Scratch, SgdStep, StepTarget};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A trainable classification model with flat parameter access.
 ///
-/// [`SoftmaxRegression`] is the one implementor; the local pass
-/// ([`crate::optimizer`]) and evaluation ([`crate::metrics`]) are written
-/// against this interface. The compute-heavy entry points
-/// (`loss_and_step_batched`, `loss_and_grad_batched`, `logits_batch`)
-/// move whole minibatches through the GEMM kernels of [`crate::tensor`];
+/// [`SoftmaxRegression`] is the one implementor; evaluation
+/// ([`crate::metrics`]) and the reference local pass are written against
+/// this interface. (The local pass itself steps a parameter vector by its
+/// [`ModelKind`], without a model: see
+/// [`crate::optimizer::train_local_with_scratch`].) The compute-heavy
+/// entry points (`loss_and_grad_batched`, `logits_batch`) move whole
+/// minibatches through the GEMM kernels of [`crate::tensor`];
 /// [`Model::loss_and_grad`] is the allocating convenience form over them.
 /// The seed's per-sample
 /// [`Model::loss_and_grad_reference`] is their oracle: nothing but tests
@@ -37,17 +39,10 @@ pub trait Model {
         self.params_ref().to_vec()
     }
 
-    /// Mutably borrows the flat parameter vector, letting optimizers
-    /// apply updates in place instead of round-tripping a copy through
-    /// [`Model::set_params`] every step.
+    /// Mutably borrows the flat parameter vector, for a caller that
+    /// updates it in place instead of round-tripping a copy through
+    /// [`Model::set_params`].
     fn params_mut(&mut self) -> &mut [f64];
-
-    /// Consumes the model, yielding its own parameter vector — what a
-    /// local pass uploads once training is done, without the copy
-    /// [`Model::params`] makes.
-    fn into_params(self) -> Vec<f64>
-    where
-        Self: Sized;
 
     /// Overwrites the parameters from a flat vector of length
     /// [`Model::num_params`].
@@ -69,23 +64,6 @@ pub trait Model {
         self.logits_block(&x.data, x.rows, scratch);
         scratch.x = x;
     }
-
-    /// One SGD step over the selected rows, fused: the forward pass, then
-    /// a backward that steps the parameters in place by `step` as each
-    /// gradient element is finished (see [`SgdStep`]) — the gradient of
-    /// the batch, a sum over its rows (no `1/B` scaling: the step's
-    /// coefficient carries it), is never stored. Reuses `scratch`'s
-    /// buffers and returns the summed loss, measured before the step.
-    /// The local pass ([`crate::optimizer::train_local_with_scratch`]) is
-    /// its one production caller.
-    fn loss_and_step_batched(
-        &mut self,
-        features: &Matrix,
-        labels: &[usize],
-        rows: &[usize],
-        step: &SgdStep,
-        scratch: &mut Scratch,
-    ) -> f64;
 
     /// Batched mean loss and gradient over the selected rows, writing the
     /// flat gradient into `grad` (resized as needed) and reusing
@@ -143,6 +121,7 @@ pub fn argmax(values: &[f64]) -> usize {
 }
 
 /// Mean loss of a model over an entire dataset.
+#[cfg(test)]
 pub fn dataset_loss<M: Model + ?Sized>(model: &M, features: &Matrix, labels: &[usize]) -> f64 {
     let rows: Vec<usize> = (0..features.rows).collect();
     model.loss_and_grad(features, labels, &rows).0
@@ -187,26 +166,40 @@ impl ModelKind {
         SoftmaxRegression::new(features, classes, rng)
     }
 
-    /// Instantiates the model around `params` (length
-    /// [`ModelKind::num_params`], taken by value — no copy) and leaves
-    /// `rng` exactly where [`ModelKind::build`] would have left it.
+    /// Leaves `rng` exactly where [`ModelKind::build`] would have left
+    /// it, and builds nothing.
     ///
     /// `build` samples one value per weight — `features·classes` draws;
-    /// biases start at zero and draw nothing — and a local pass
-    /// overwrites every one of them with the global parameters before its
-    /// first step. This constructor skips the sampling but not the draws:
-    /// the pass's shuffles and an attacker's forgery noise come from the
-    /// same `rng` afterwards, and every golden digest fixes the numbers
-    /// they see, so the stream must advance as if the initialisation had
-    /// happened. `adopt(p, rng)` is therefore `build(rng)` followed by
-    /// `set_params(&p)`, bit for bit, for the model and for `rng`.
+    /// biases start at zero and draw nothing — and a local pass would
+    /// overwrite every one of them with the global parameters before its
+    /// first step, so it builds no model at all: it steps the global
+    /// snapshot into its upload ([`crate::optimizer`]). It skips the
+    /// sampling but not the draws: the pass's shuffles and an attacker's
+    /// forgery noise come from the same `rng` afterwards, and every
+    /// golden digest fixes the numbers they see, so the stream must
+    /// advance as if the initialisation had happened.
     ///
     /// The skipped draws cost one jump of `rng`'s state (`StdRng::discard`),
     /// not one step per draw, which is why this takes the workspace's
     /// generator rather than any `Rng`.
-    pub fn adopt(&self, params: Vec<f64>, rng: &mut StdRng) -> SoftmaxRegression {
+    pub fn skip_build(&self, rng: &mut StdRng) {
         let ModelKind::SoftmaxRegression { features, classes } = *self;
-        SoftmaxRegression::adopt(features, classes, params, rng)
+        SoftmaxRegression::skip_new(features, classes, rng);
+    }
+
+    /// One fused SGD step of a local pass over parameters of this shape
+    /// (see [`SoftmaxRegression::loss_and_step`]).
+    pub(crate) fn loss_and_step(
+        &self,
+        target: impl StepTarget,
+        features: &Matrix,
+        labels: &[usize],
+        rows: &[usize],
+        step: &SgdStep,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let ModelKind::SoftmaxRegression { classes, .. } = *self;
+        SoftmaxRegression::loss_and_step(classes, target, features, labels, rows, step, scratch)
     }
 }
 
@@ -217,45 +210,24 @@ mod tests {
     use rand::{RngCore, SeedableRng};
 
     proptest! {
-        /// `adopt` against the composition it replaced, `build` then
-        /// `set_params`: the same model, and an `rng` in the same state —
-        /// whatever draws next (a shuffle, a forgery) sees the same
-        /// stream. Shapes are arbitrary and small.
+        /// `skip_build` against `build`: the generator ends in the same
+        /// state — whatever draws next (a shuffle, a forgery) sees the
+        /// same stream. Shapes are arbitrary and small.
         #[test]
-        fn adopt_is_build_then_set_params_for_the_model_and_the_rng(
+        fn skip_build_leaves_the_rng_where_build_does(
             features in 1usize..24,
             classes in 2usize..7,
             seed in any::<u64>(),
         ) {
             let kind = ModelKind::SoftmaxRegression { features, classes };
-            let params: Vec<f64> = (0..kind.num_params())
-                .map(|i| (i as f64 * 0.37 + seed as f64 * 1e-19).sin())
-                .collect();
-
             let mut built_rng = StdRng::seed_from_u64(seed);
-            let mut built = kind.build(&mut built_rng);
-            built.set_params(&params);
-
-            let mut adopted_rng = StdRng::seed_from_u64(seed);
-            let adopted = kind.adopt(params.clone(), &mut adopted_rng);
-
-            prop_assert_eq!(&adopted, &built);
-            prop_assert_eq!(adopted.params_ref(), params.as_slice());
-            prop_assert_eq!(adopted.into_params(), params);
+            let _ = kind.build(&mut built_rng);
+            let mut skipped_rng = StdRng::seed_from_u64(seed);
+            kind.skip_build(&mut skipped_rng);
             for _ in 0..8 {
-                prop_assert_eq!(adopted_rng.next_u64(), built_rng.next_u64());
+                prop_assert_eq!(skipped_rng.next_u64(), built_rng.next_u64());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "parameter length mismatch")]
-    fn adopt_rejects_a_vector_of_the_wrong_length() {
-        let kind = ModelKind::SoftmaxRegression {
-            features: 5,
-            classes: 3,
-        };
-        let _ = kind.adopt(vec![0.0; 17], &mut StdRng::seed_from_u64(1));
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! `proximal_mu = 0` recovers FedAvg/FAIR-BFL local training.
 //!
 //! [`train_local_with_scratch`] is the pass every run executes: batched
-//! gradients, in-place steps, no allocation once its [`Scratch`] is warm.
+//! gradients fused into the steps, no model built and no allocation but
+//! the trained vector once its [`Scratch`] is warm.
 //! [`train_local_reference`] is the seed's per-sample pass, kept as its
 //! oracle — `batched_local_pass_matches_the_reference_pass` in
 //! `tests/batched_equivalence.rs` holds the two to 1e-9 per trained
 //! parameter — and called by nothing else.
 
-use crate::model::Model;
-use crate::tensor::{self, Matrix, Scratch, SgdStep};
+use crate::linear::SoftmaxRegression;
+use crate::model::{Model, ModelKind};
+use crate::tensor::{self, Fresh, Matrix, Scratch, SgdStep};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -88,45 +90,61 @@ pub struct LocalTrainingStats {
 /// Convenience wrapper around [`train_local_with_scratch`] that builds a
 /// one-shot [`Scratch`]; loops that train many clients should hold one
 /// workspace per worker and call the `_with_scratch` form instead.
-pub fn train_local<M: Model, R: Rng + ?Sized>(
-    model: &mut M,
+pub fn train_local<R: Rng + ?Sized>(
+    model: &mut SoftmaxRegression,
     features: &Matrix,
     labels: &[usize],
     samples: &[usize],
     config: &LocalTrainingConfig,
     rng: &mut R,
 ) -> LocalTrainingStats {
-    let mut scratch = Scratch::new();
-    train_local_with_scratch(model, features, labels, samples, config, rng, &mut scratch)
+    let (params, stats) = train_local_with_scratch(
+        model.kind(),
+        model.params_ref(),
+        features,
+        labels,
+        samples,
+        config,
+        rng,
+        &mut Scratch::new(),
+    );
+    model.set_params(&params);
+    stats
 }
 
-/// [`train_local`] with an externally owned [`Scratch`], which holds
-/// every buffer the pass needs besides the model itself: the
-/// forward/backward intermediates and the shuffled sample order. Each
-/// step is [`Model::loss_and_step_batched`], whose backward steps the
-/// parameters as it finishes each gradient element, so the pass keeps no
-/// gradient buffer. After the first pass warms the workspace, every step
-/// of every epoch — and every later client trained with the same
-/// workspace, whatever its shard size — runs without heap allocation. The
-/// one exception is FedProx (`proximal_mu > 0`), which keeps a copy of
-/// the starting parameters to pull towards.
-pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
-    model: &mut M,
+/// The local pass of a `kind`-shaped model from the parameters `start`:
+/// returns the trained vector and the pass's statistics. `start` is only
+/// read — the commission's global snapshot, shared by every pass of the
+/// round — and no model is built.
+///
+/// Each step is one [`ModelKind`] step: the forward, then a backward
+/// that steps each parameter as it finishes its gradient element
+/// ([`SgdStep`]), so the pass keeps no gradient buffer. The first step
+/// reads `start` for both halves and writes each parameter once,
+/// `w = start + α·g`, into the vector the pass returns, which is
+/// allocated and never initialised beforehand: the pass copies no model.
+/// Every later step runs in place on that vector. FedProx's pull is
+/// towards `start`. So the pass's one allocation is the vector it
+/// returns: `scratch` holds every other buffer (the forward/backward
+/// intermediates and the shuffled sample order), and after the first
+/// pass warms it, every later pass trained with the same workspace,
+/// whatever its shard size, allocates nothing else.
+#[allow(clippy::too_many_arguments)]
+pub fn train_local_with_scratch<R: Rng + ?Sized>(
+    kind: ModelKind,
+    start: &[f64],
     features: &Matrix,
     labels: &[usize],
     samples: &[usize],
     config: &LocalTrainingConfig,
     rng: &mut R,
     scratch: &mut Scratch,
-) -> LocalTrainingStats {
+) -> (Vec<f64>, LocalTrainingStats) {
     check_local_pass(samples, config);
+    let len = kind.num_params();
+    assert_eq!(start.len(), len, "parameter length mismatch");
 
-    // Only the proximal term ever reads the starting point.
-    let anchor = if config.proximal_mu > 0.0 {
-        model.params()
-    } else {
-        Vec::new()
-    };
+    let mut params: Vec<f64> = Vec::with_capacity(len);
     // Taken out of the workspace for the pass (the step borrows `scratch`
     // next to it) and handed back below.
     let mut order = std::mem::take(&mut scratch.order);
@@ -140,8 +158,7 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
         let mut epoch_loss = 0.0;
         let mut epoch_batches = 0;
         for batch in order.chunks(config.batch_size) {
-            // The model's own parameter vector is the optimizer state:
-            // the gradient is a sum over the batch and the `1/B` mean is
+            // The gradient is a sum over the batch and the `1/B` mean is
             // folded into the step's coefficient. FedProx's pull scales by
             // B for the same reason, so the `lr/B` step recovers
             // `lr * mu * (w - w_global)` exactly.
@@ -149,9 +166,25 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
             let step = SgdStep {
                 alpha: -config.learning_rate * inverse_batch,
                 proximal: (config.proximal_mu > 0.0)
-                    .then_some((config.proximal_mu * batch.len() as f64, &anchor[..])),
+                    .then_some((config.proximal_mu * batch.len() as f64, start)),
             };
-            let loss_sum = model.loss_and_step_batched(features, labels, batch, &step, scratch);
+            let loss_sum = if steps == 0 {
+                let out = &mut params.spare_capacity_mut()[..len];
+                let target = Fresh::new(start, out);
+                let loss = kind.loss_and_step(target, features, labels, batch, &step, scratch);
+                // SAFETY: the capacity is at least `len`, and the step just
+                // wrote each of the first `len` elements exactly once. Its
+                // forward asserted `len == classes × (features.cols + 1)`;
+                // its backward visits every weight of the
+                // `classes × features.cols` window in one kernel tile or
+                // tail and every bias in its loop
+                // (`SoftmaxRegression::backward_step`). A panic before this
+                // line leaves the vector empty.
+                unsafe { params.set_len(len) };
+                loss
+            } else {
+                kind.loss_and_step(&mut params[..], features, labels, batch, &step, scratch)
+            };
             epoch_loss += loss_sum * inverse_batch;
             epoch_batches += 1;
             steps += 1;
@@ -162,10 +195,11 @@ pub fn train_local_with_scratch<M: Model, R: Rng + ?Sized>(
     }
 
     scratch.order = order;
-    LocalTrainingStats {
+    let stats = LocalTrainingStats {
         steps,
         final_epoch_loss,
-    }
+    };
+    (params, stats)
 }
 
 /// The seed's per-sample local pass, kept as the oracle for
@@ -244,7 +278,6 @@ pub fn local_step_count(samples: usize, config: &LocalTrainingConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::SoftmaxRegression;
     use crate::model::{argmax, dataset_loss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -398,6 +431,26 @@ mod tests {
         assert_eq!(local_step_count(100, &config), 50);
         assert_eq!(local_step_count(101, &config), 55);
         assert_eq!(local_step_count(1, &config), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter length mismatch")]
+    fn a_pass_rejects_a_start_of_the_wrong_length() {
+        let (features, labels) = blob_dataset();
+        let kind = ModelKind::SoftmaxRegression {
+            features: 3,
+            classes: 3,
+        };
+        let _ = train_local_with_scratch(
+            kind,
+            &[0.0; 11],
+            &features,
+            &labels,
+            &[0, 1, 2],
+            &LocalTrainingConfig::default(),
+            &mut StdRng::seed_from_u64(9),
+            &mut Scratch::new(),
+        );
     }
 
     #[test]

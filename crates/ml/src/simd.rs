@@ -76,7 +76,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 #[cfg(target_arch = "x86_64")]
 use crate::tensor::{
-    gram_tiles, GramKernel, GramPanel, SgdStep, GRAM_MR, GRAM_NR, LANES, NT_K_BLOCK, STRIPE,
+    gram_tiles, GramKernel, GramPanel, SgdStep, StepTarget, GRAM_MR, GRAM_NR, LANES, NT_K_BLOCK,
+    STRIPE,
 };
 #[cfg(target_arch = "x86_64")]
 use std::ops::Range;
@@ -479,21 +480,21 @@ mod avx2 {
         }
     }
 
-    /// [`SgdStep::apply`] on four lanes: `c[at..at + 4]` stepped by the
-    /// finished gradient elements in `g`, with the scalar form's
-    /// operations — `vsubpd`, `vmulpd`, `vaddpd` for the pull, `vmulpd`
-    /// then `vaddpd` for the step — and **not** FMA, which would change
-    /// results.
+    /// [`SgdStep::apply`] on four lanes: parameters `at..at + 4` of `c`
+    /// stepped by the finished gradient elements in `g`, with the scalar
+    /// form's operations — `vsubpd`, `vmulpd`, `vaddpd` for the pull,
+    /// `vmulpd` then `vaddpd` for the step — and **not** FMA, which would
+    /// change results.
     ///
     /// # Safety
-    /// Requires AVX2; `at + 4 <= c.len()`, and the anchor of a proximal
-    /// step is as long as `c`.
+    /// Requires AVX2; `at + 4 <= c.source().len()`, and the anchor of a
+    /// proximal step is as long as `c`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn step_lanes(step: &SgdStep, c: &mut [f64], at: usize, g: __m256d) {
-        debug_assert!(at + 4 <= c.len());
-        let w = c.as_mut_ptr().add(at);
-        let wv = _mm256_loadu_pd(w);
+    unsafe fn step_lanes(step: &SgdStep, c: &mut impl StepTarget, at: usize, g: __m256d) {
+        debug_assert!(at + 4 <= c.source().len());
+        let (from, to) = c.lanes();
+        let wv = _mm256_loadu_pd(from.add(at));
         let g = match step.proximal {
             Some((mu_b, anchor)) => {
                 let pull = _mm256_sub_pd(wv, _mm256_loadu_pd(anchor.as_ptr().add(at)));
@@ -502,7 +503,11 @@ mod avx2 {
             None => g,
         };
         let stepped = _mm256_add_pd(wv, _mm256_mul_pd(_mm256_set1_pd(step.alpha), g));
-        _mm256_storeu_pd(w, stepped);
+        // SAFETY: `to` is valid for writes of `c.source().len()` elements
+        // (`StepTarget::lanes`) and `at + 4` is within them. For a fresh
+        // target it is its `MaybeUninit` buffer cast to `*mut f64`: the
+        // store initialises these four elements and forms no reference.
+        _mm256_storeu_pd(to.add(at), stepped);
     }
 
     /// AVX2 register tile of `tensor::gemm_tn_indexed_step`, generic over
@@ -518,14 +523,14 @@ mod avx2 {
     ///
     /// # Safety
     /// Requires AVX2+FMA; `a.len() == k * m`, `b_row(kk).len() >= n`
-    /// for `kk < k`, `c.len() == m * n`, and the anchor of a proximal
-    /// `step` is as long as `c`.
+    /// for `kk < k`, `c.source().len() == m * n`, and the anchor of a
+    /// proximal `step` is as long as `c`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_tn<'a>(
+    pub(crate) unsafe fn gemm_tn<'a>(
         a: &[f64],
         b_row: &impl Fn(usize) -> &'a [f64],
-        c: &mut [f64],
+        c: &mut impl StepTarget,
         k: usize,
         m: usize,
         n: usize,
@@ -696,9 +701,9 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::gram_upper_tiled;
+pub use avx2::{axpy, dot, gemm_nt_large, gemm_nt_small};
 #[cfg(target_arch = "x86_64")]
-pub use avx2::{axpy, dot, gemm_nt_large, gemm_nt_small, gemm_tn};
+pub(crate) use avx2::{gemm_tn, gram_upper_tiled};
 
 #[cfg(test)]
 mod tests {

@@ -21,6 +21,11 @@
 //!   samples runs in ascending order, which keeps the batched gradients
 //!   numerically aligned with the per-sample reference path (same
 //!   summation order per output element).
+//!   [`gemm_tn_indexed_step_fresh`] is the same step read from a
+//!   snapshot `W0` and written, once per element, into an uninitialised
+//!   buffer: `W = W0 + α·(…)`, with the in-place step's bits. A local
+//!   pass's first step writes its upload this way, so no pass copies the
+//!   model it starts from.
 //! * [`gram_upper`] — the upper triangle of `G = V · Vᵀ` over *borrowed*
 //!   rows, the kernel behind every pairwise distance matrix. A Gram
 //!   matrix is symmetric and only `G_ij`, `j ≥ i`, is ever read, so this
@@ -70,8 +75,8 @@
 //! [`Scratch`] owns every intermediate buffer a batched forward/backward
 //! pass needs (packed minibatch, logits, deltas, prediction buffer) and
 //! the one a local training pass adds (the shuffled sample order); the
-//! pass keeps no gradient buffer, its backward steps the parameters in
-//! place. Buffers are resized
+//! pass keeps no gradient buffer, its backward steps the parameters as it
+//! finishes each gradient element. Buffers are resized
 //! with [`Matrix::resize_in_place`], which reuses the underlying
 //! allocation, so a training loop that threads one `Scratch` through all
 //! of its epochs allocates only on the first minibatch and runs
@@ -82,6 +87,7 @@
 use crate::par;
 use crate::simd;
 use serde::{Deserialize, Serialize};
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// A dense vector of `f64` values.
@@ -262,14 +268,104 @@ impl<'a> SgdStep<'a> {
         (window(head), window(tail))
     }
 
-    /// Steps `w[at]` by the finished gradient element `g`.
+    /// Steps parameter `at` of `w` by the finished gradient element `g`.
     #[inline(always)]
-    pub(crate) fn apply(&self, w: &mut [f64], at: usize, g: f64) {
+    pub(crate) fn apply(&self, w: &mut impl StepTarget, at: usize, g: f64) {
+        let from = w.source()[at];
         let g = match self.proximal {
-            Some((mu_b, anchor)) => g + mu_b * (w[at] - anchor[at]),
+            Some((mu_b, anchor)) => g + mu_b * (from - anchor[at]),
             None => g,
         };
-        w[at] += self.alpha * g;
+        w.store(at, from + self.alpha * g);
+    }
+}
+
+/// Where a fused SGD step reads the parameters it steps and where it
+/// writes the stepped ones: one slice, stepped in place, or a snapshot
+/// and a [`Fresh`] buffer. Either way each parameter is read once and
+/// written once, by the same operations, so the two agree bit for bit
+/// when the snapshot holds the slice's values.
+pub(crate) trait StepTarget: Sized {
+    /// The parameters the step starts from.
+    fn source(&self) -> &[f64];
+
+    /// Writes the stepped parameter `at`.
+    fn store(&mut self, at: usize, value: f64);
+
+    /// The targets over `[..mid]` and `[mid..]`.
+    fn split_at(self, mid: usize) -> (Self, Self);
+
+    /// Where the AVX2 tier loads parameters from and stores stepped ones,
+    /// both taken from this one borrow and valid for `source().len()`
+    /// elements.
+    fn lanes(&mut self) -> (*const f64, *mut f64);
+}
+
+impl StepTarget for &mut [f64] {
+    fn source(&self) -> &[f64] {
+        self
+    }
+
+    #[inline(always)]
+    fn store(&mut self, at: usize, value: f64) {
+        self[at] = value;
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+
+    #[inline(always)]
+    fn lanes(&mut self) -> (*const f64, *mut f64) {
+        let w = self.as_mut_ptr();
+        (w, w)
+    }
+}
+
+/// A step target whose parameters come from `start` and whose stepped
+/// ones are written, once each, into `out`: a buffer nothing has to
+/// initialise first. No `&mut [f64]` over `out` is ever formed; the
+/// scalar tier writes through [`MaybeUninit::write`], the AVX2 tier
+/// stores through the pointer [`StepTarget::lanes`] casts from it.
+pub(crate) struct Fresh<'a> {
+    start: &'a [f64],
+    out: &'a mut [MaybeUninit<f64>],
+}
+
+impl<'a> Fresh<'a> {
+    /// The target that steps `start` into `out`, of the same length.
+    pub(crate) fn new(start: &'a [f64], out: &'a mut [MaybeUninit<f64>]) -> Self {
+        assert_eq!(
+            start.len(),
+            out.len(),
+            "a fresh target must match its start"
+        );
+        Fresh { start, out }
+    }
+}
+
+impl StepTarget for Fresh<'_> {
+    fn source(&self) -> &[f64] {
+        self.start
+    }
+
+    #[inline(always)]
+    fn store(&mut self, at: usize, value: f64) {
+        self.out[at].write(value);
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (start_head, start_tail) = self.start.split_at(mid);
+        let (out_head, out_tail) = self.out.split_at_mut(mid);
+        (
+            Fresh::new(start_head, out_head),
+            Fresh::new(start_tail, out_tail),
+        )
+    }
+
+    #[inline(always)]
+    fn lanes(&mut self) -> (*const f64, *mut f64) {
+        (self.start.as_ptr(), self.out.as_mut_ptr().cast())
     }
 }
 
@@ -288,17 +384,49 @@ pub fn gemm_tn_indexed_step(
     m: usize,
     step: &SgdStep,
 ) {
+    gemm_tn_indexed_step_into(a, features, rows, w, m, step);
+}
+
+/// [`gemm_tn_indexed_step`] into a fresh target:
+/// `out = start + alpha * (Aᵀ · X[rows] [+ μ·B·(start − W0)])`, each
+/// element of `out` written exactly once, with the bits the in-place
+/// step gives over a copy of `start`. `out` need not be initialised:
+/// a local pass's first step writes its upload this way, straight from
+/// the global snapshot, without copying the model first.
+pub fn gemm_tn_indexed_step_fresh(
+    a: &[f64],
+    features: &Matrix,
+    rows: &[usize],
+    start: &[f64],
+    out: &mut [MaybeUninit<f64>],
+    m: usize,
+    step: &SgdStep,
+) {
+    gemm_tn_indexed_step_into(a, features, rows, Fresh::new(start, out), m, step);
+}
+
+/// The two forms of the fused gradient kernel over any [`StepTarget`].
+pub(crate) fn gemm_tn_indexed_step_into(
+    a: &[f64],
+    features: &Matrix,
+    rows: &[usize],
+    mut w: impl StepTarget,
+    m: usize,
+    step: &SgdStep,
+) {
     let n = features.cols;
     let k = rows.len();
-    debug_assert_eq!(a.len(), k * m);
-    assert_eq!(w.len(), m * n, "weight window must be m x features");
+    let len = w.source().len();
+    // Checked in release too: the AVX2 tier reads `a` through raw pointers.
+    assert_eq!(a.len(), k * m, "coefficients must be rows x m");
+    assert_eq!(len, m * n, "weight window must be m x features");
     if let Some((_, anchor)) = step.proximal {
-        assert_eq!(anchor.len(), w.len(), "anchor must align with the weights");
+        assert_eq!(anchor.len(), len, "anchor must align with the weights");
     }
     if m == 0 || n == 0 {
         return;
     }
-    gemm_tn_body(a, |kk| features.row(rows[kk]), w, k, m, n, step);
+    gemm_tn_body(a, |kk| features.row(rows[kk]), &mut w, k, m, n, step);
 }
 
 /// The register-tile body behind [`gemm_tn_indexed_step`], generic over
@@ -311,11 +439,13 @@ pub fn gemm_tn_indexed_step(
 /// once per sample, and stepped into `c` by `step` straight from its
 /// accumulator. Every element accumulates its `k` contributions in
 /// ascending order from zero, matching the per-sample reference
-/// summation order.
+/// summation order. Each `(row, column)` pair of the `m x n` window is
+/// visited exactly once, by one of the tiles or tails, so every element
+/// of `c` is stored exactly once: what a [`Fresh`] target relies on.
 fn gemm_tn_body<'a>(
     a: &[f64],
     b_row: impl Fn(usize) -> &'a [f64],
-    c: &mut [f64],
+    c: &mut impl StepTarget,
     k: usize,
     m: usize,
     n: usize,

@@ -2,9 +2,11 @@
 //! retained per-sample implementations (`loss_and_grad_reference`,
 //! `train_local_reference`, `accuracy_reference`): same losses, same
 //! gradients, same trained parameters, same predictions, on randomized
-//! models and data. The fused local pass is also held, bit for bit, to
-//! the unfused composition it replaced, and the adopting constructor's
-//! jump of the generator to the draws it skips.
+//! models and data. The fused local pass, whose first step writes its
+//! upload from the starting parameters, is also held, bit for bit, to the
+//! unfused copy-then-step composition it replaced, and the pass's jump of
+//! the generator past the draws of the model it never builds to the
+//! draws themselves.
 //!
 //! The racing jump test relies on no other test in this binary jumping
 //! past the paper's 7,840 draws: the powers it needs are built by it.
@@ -152,8 +154,8 @@ fn logits_batch_matches_per_row_logits() {
 
 /// The whole local pass, not just one gradient: the batched loop (summed
 /// gradient, `lr/B` folded into the step, proximal pull scaled by `B`,
-/// parameters updated in place) against the seed's per-sample loop, from
-/// the same model, shard and rng state.
+/// the first step written from the start, the rest in place) against the
+/// seed's per-sample loop, from the same parameters, shard and rng state.
 #[test]
 fn batched_local_pass_matches_the_reference_pass() {
     let mut rng = StdRng::seed_from_u64(0x10CA1);
@@ -177,10 +179,10 @@ fn batched_local_pass_matches_the_reference_pass() {
             let seed = rng.next_u64();
             let case = format!("shard {shard_len} mu {proximal_mu}");
 
-            let mut batched = start.clone();
             let mut batched_rng = StdRng::seed_from_u64(seed);
-            let batched_stats = train_local_with_scratch(
-                &mut batched,
+            let (batched, batched_stats) = train_local_with_scratch(
+                KIND,
+                start.params_ref(),
                 &features,
                 &labels,
                 &shard,
@@ -208,13 +210,8 @@ fn batched_local_pass_matches_the_reference_pass() {
                 batched_stats.final_epoch_loss,
                 reference_stats.final_epoch_loss
             );
-            assert_ne!(batched.params_ref(), start.params_ref(), "{case}: trained");
-            for (i, (b, r)) in batched
-                .params_ref()
-                .iter()
-                .zip(reference.params_ref())
-                .enumerate()
-            {
+            assert_ne!(batched, start.params_ref(), "{case}: trained");
+            for (i, (b, r)) in batched.iter().zip(reference.params_ref()).enumerate() {
                 assert!(
                     (b - r).abs() < TOLERANCE,
                     "{case} param[{i}]: batched {b} vs reference {r}"
@@ -256,7 +253,8 @@ fn raw_gradient(a: &[f64], features: &Matrix, rows: &[usize], m: usize) -> Vec<f
     grad
 }
 
-/// The local pass as it was before the SGD step moved into the backward:
+/// The local pass as it was before the SGD step moved into the backward,
+/// on a copy of the starting parameters stepped in place every step:
 /// the summed gradient stored whole ([`raw_gradient`] for the weights, an
 /// `axpy(1.0, δ_r, ·)` chain for the biases), then FedProx's
 /// pull over it, then `axpy` of `−lr/B` into the parameters. The forward
@@ -316,8 +314,9 @@ fn unfused_pass(
     }
 }
 
-/// The fused pass against [`unfused_pass`], bit for bit: batch sizes 1,
-/// 3, 8, 10 and 17, feature counts that leave every `LANES` (8) tail
+/// The fused pass against [`unfused_pass`], bit for bit — its first
+/// step stores into a fresh vector what the unfused pass steps into a
+/// copy of the start: batch sizes 1, 3, 8, 10 and 17, feature counts that leave every `LANES` (8) tail
 /// from 0 to 7 with class counts on and off the kernel's four-row
 /// blocks, with and without FedProx. Runs on the dispatched tier
 /// (`BFL_SIMD=off` pins the scalar one; `simd_equivalence` flips both in
@@ -356,10 +355,10 @@ fn the_fused_pass_keeps_the_unfused_passs_bits() {
                 let seed = rng.next_u64();
                 let case = format!("{features_count}x{classes} B {batch_size} mu {proximal_mu}");
 
-                let mut fused = start.clone();
                 let mut fused_rng = StdRng::seed_from_u64(seed);
-                let fused_stats = train_local_with_scratch(
-                    &mut fused,
+                let (fused, fused_stats) = train_local_with_scratch(
+                    kind,
+                    start.params_ref(),
                     &features,
                     &labels,
                     &shard,
@@ -385,15 +384,10 @@ fn the_fused_pass_keeps_the_unfused_passs_bits() {
                     unfused_stats.final_epoch_loss.to_bits(),
                     "{case}: loss"
                 );
-                for (i, (f, u)) in fused
-                    .params_ref()
-                    .iter()
-                    .zip(unfused.params_ref())
-                    .enumerate()
-                {
+                for (i, (f, u)) in fused.iter().zip(unfused.params_ref()).enumerate() {
                     assert_eq!(f.to_bits(), u.to_bits(), "{case} param[{i}]: {f} vs {u}");
                 }
-                assert_ne!(fused.params_ref(), start.params_ref(), "{case}: trained");
+                assert_ne!(fused, start.params_ref(), "{case}: trained");
                 assert_eq!(fused_rng, unfused_rng, "{case}: rng");
             }
         }
@@ -439,25 +433,20 @@ fn two_workers_racing_on_a_fresh_powers_first_build_both_land_where_stepping_doe
     }
 }
 
-/// `adopt` is `build` then `set_params`, for the model and for the
-/// generator, at the paper's shape and a second one in turn: two lengths
-/// jump through one power table, and neither disturbs the other.
+/// `skip_build` leaves the generator where `build` does, at the paper's
+/// shape and a second one in turn: two lengths jump through one power
+/// table, and neither disturbs the other.
 #[test]
-fn adopt_is_build_then_set_params_at_two_live_shapes() {
+fn skip_build_leaves_the_rng_where_build_does_at_two_live_shapes() {
     for round in 0..3u64 {
         for kind in [ModelKind::default_mnist(), KIND] {
             let seed = 0xAD0 + round;
-            let params: Vec<f64> = (0..kind.num_params())
-                .map(|i| (i as f64 * 0.13 + round as f64).cos())
-                .collect();
             let mut built_rng = StdRng::seed_from_u64(seed);
-            let mut built = kind.build(&mut built_rng);
-            built.set_params(&params);
-            let mut adopted_rng = StdRng::seed_from_u64(seed);
-            let adopted = kind.adopt(params, &mut adopted_rng);
-            assert_eq!(adopted, built, "{kind:?}");
+            let _ = kind.build(&mut built_rng);
+            let mut skipped_rng = StdRng::seed_from_u64(seed);
+            kind.skip_build(&mut skipped_rng);
             for _ in 0..3 {
-                assert_eq!(adopted_rng.next_u64(), built_rng.next_u64(), "{kind:?}");
+                assert_eq!(skipped_rng.next_u64(), built_rng.next_u64(), "{kind:?}");
             }
         }
     }

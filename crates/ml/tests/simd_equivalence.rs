@@ -16,6 +16,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use bfl_ml::model::{Model, ModelKind};
+use bfl_ml::optimizer::{train_local_with_scratch, LocalTrainingConfig};
 use bfl_ml::tensor::{self, Matrix, Scratch, SgdStep};
 use bfl_ml::{metrics, par, simd};
 use proptest::prelude::*;
@@ -303,6 +304,66 @@ fn the_fused_step_keeps_the_unfused_bits_on_both_tiers() {
     simd::reset();
 }
 
+/// The fresh-target step writes its whole target, and writes it with the
+/// in-place step's bits: a target filled with a signalling-NaN sentinel
+/// (no arithmetic on these finite inputs can produce it) holds no
+/// sentinel afterwards, and every element has the bits
+/// `gemm_tn_indexed_step` gives over a copy of `start`, on each tier.
+/// Row counts 1 to 10 (on and off the kernel's 4- and 2-row blocks),
+/// column counts leaving `LANES` tails of 1, 7, 0, 1 and 7 and the
+/// paper's 784, batches of 1 to 10, with and without FedProx's pull.
+#[test]
+fn the_fresh_step_writes_every_element_with_the_in_place_bits() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::mem::MaybeUninit;
+
+    const SENTINEL: u64 = 0x7FF4_DEAD_BEEF_F00D;
+    let mut rng = StdRng::seed_from_u64(0xF2E5);
+    for m in 1usize..=10 {
+        for n in [1usize, 7, 8, 9, 15, 784] {
+            let pool: Vec<f64> = (0..12 * n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let features = Matrix::from_vec(12, n, pool);
+            let start: Vec<f64> = (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let anchor: Vec<f64> = (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            for batch in 1usize..=10 {
+                let rows: Vec<usize> = (0..batch).map(|i| (i * 5 + m) % 12).collect();
+                let a: Vec<f64> = (0..batch * m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                for mu in [0.0, 0.3] {
+                    let step = SgdStep {
+                        alpha: -0.05 / batch as f64,
+                        proximal: (mu > 0.0).then_some((mu * batch as f64, anchor.as_slice())),
+                    };
+                    let case = format!("{m} x {n}, B {batch}, mu {mu}");
+                    assert_tiers_bit_identical(&case, || {
+                        let mut in_place = start.clone();
+                        tensor::gemm_tn_indexed_step(&a, &features, &rows, &mut in_place, m, &step);
+                        let mut out = vec![MaybeUninit::new(f64::from_bits(SENTINEL)); m * n];
+                        tensor::gemm_tn_indexed_step_fresh(
+                            &a, &features, &rows, &start, &mut out, m, &step,
+                        );
+                        // SAFETY: every element was initialised to the
+                        // sentinel above; the step only overwrites them.
+                        let fresh: Vec<f64> = out
+                            .into_iter()
+                            .map(|v| unsafe { v.assume_init() })
+                            .collect();
+                        for (i, (f, w)) in fresh.iter().zip(&in_place).enumerate() {
+                            assert_ne!(f.to_bits(), SENTINEL, "{case}: element {i} never written");
+                            assert_eq!(
+                                f.to_bits(),
+                                w.to_bits(),
+                                "{case}: element {i} fresh {f:?} vs in place {w:?}"
+                            );
+                        }
+                        fresh
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// The `j >= i` entries of a row-major `n x n` matrix, row by row.
 fn upper_entries(matrix: &[f64], n: usize) -> Vec<f64> {
     (0..n)
@@ -534,8 +595,9 @@ fn gram_upper_fans_out_without_changing_a_bit() {
 }
 
 /// End-to-end: a full batched loss/gradient pass, an evaluation sweep and
-/// a fused SGD step with and without FedProx produce bit-identical
-/// losses, gradients, accuracies and stepped parameters under either
+/// a two-step local pass (its first step written fresh from the start,
+/// the second in place) with and without FedProx produce bit-identical
+/// losses, gradients, accuracies and trained parameters under either
 /// tier — the composite the per-kernel properties exist to guarantee.
 #[test]
 fn batched_training_and_eval_bits_match_across_tiers() {
@@ -554,24 +616,32 @@ fn batched_training_and_eval_bits_match_across_tiers() {
     let features = Matrix::from_vec(rows, 300, data);
     let batch: Vec<usize> = (0..rows).step_by(2).collect();
 
-    let anchor: Vec<f64> = model.params_ref().iter().map(|w| w * 0.5).collect();
-    assert_tiers_bit_identical("loss/grad/accuracy/step", || {
+    assert_tiers_bit_identical("loss/grad/accuracy/pass", || {
         let mut scratch = Scratch::new();
         let mut grad = Vec::new();
         let loss = model.loss_and_grad_batched(&features, &labels, &batch, &mut grad, &mut scratch);
         let acc = metrics::accuracy(&model, &features, &labels, None);
         grad.push(loss);
         grad.push(acc);
-        for proximal in [None, Some((0.3 * batch.len() as f64, anchor.as_slice()))] {
-            let mut stepped = model.clone();
-            let step = SgdStep {
-                alpha: -0.01 / batch.len() as f64,
-                proximal,
+        for proximal_mu in [0.0, 0.3] {
+            let config = LocalTrainingConfig {
+                epochs: 2,
+                batch_size: batch.len(),
+                learning_rate: 0.01,
+                proximal_mu,
             };
-            let loss =
-                stepped.loss_and_step_batched(&features, &labels, &batch, &step, &mut scratch);
-            grad.extend_from_slice(stepped.params_ref());
-            grad.push(loss);
+            let (trained, stats) = train_local_with_scratch(
+                kind,
+                model.params_ref(),
+                &features,
+                &labels,
+                &batch,
+                &config,
+                &mut StdRng::seed_from_u64(0x5EED),
+                &mut scratch,
+            );
+            grad.extend_from_slice(&trained);
+            grad.push(stats.final_epoch_loss);
         }
         grad
     });
