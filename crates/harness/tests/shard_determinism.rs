@@ -4,35 +4,12 @@
 //! can fan across processes and cores with zero coordination and still
 //! produce one canonical artifact.
 
+mod common;
 use bfl_harness::{merge_shards, run_fleet, write_outputs, Manifest, Shard};
 use bfl_ml::par;
+use common::TempDir;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-
-/// A scratch directory that cleans up after itself.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "bfl_harness_shard_prop_{}_{tag}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Builds a small manifest varied by the proptest inputs: one axis over
 /// the low-contribution strategy, optionally a second axis toggling fair

@@ -1123,12 +1123,15 @@ pub fn dots_and_squares_x4(rows: [&[f64]; 4], anchor: &[f64]) -> ([f64; 4], [f64
 /// add (two roundings, deliberately not fused); the AVX2 tier keeps
 /// that shape with `vmulpd` + `vaddpd`, so both tiers agree bit-for-bit
 /// on every element.
+///
+/// Panics, before writing anything, if `x` and `y` differ in length.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len(), "axpy over slices of different lengths");
     #[cfg(target_arch = "x86_64")]
     if simd::active() {
-        // SAFETY: `simd::active()` guarantees AVX2+FMA were detected.
+        // SAFETY: `simd::active()` guarantees AVX2+FMA were detected, and
+        // the lengths are equal.
         unsafe { simd::axpy(alpha, x, y) };
         return;
     }

@@ -216,6 +216,25 @@ proptest! {
     }
 }
 
+/// `axpy` into a `y` shorter than `x` panics on both tiers, in a release
+/// build too, before it writes a single element: the AVX2 tier stores
+/// through `y`'s pointer for `x.len()` elements, so a length check only a
+/// debug build makes would let it write past `y`.
+#[test]
+fn axpy_into_a_short_y_panics_before_any_write_on_both_tiers() {
+    let _guard = tier_lock();
+    for vector_tier in [false, true] {
+        simd::set_enabled(vector_tier);
+        let mut buffer = [7.0; 16];
+        let short = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tensor::axpy(2.0, &[1.0; 16], &mut buffer[..8]);
+        }));
+        assert!(short.is_err(), "vector tier {vector_tier}: no panic");
+        assert_eq!(buffer, [7.0; 16], "vector tier {vector_tier}: written");
+    }
+    simd::reset();
+}
+
 /// `Aᵀ · X[rows]` (`A: B x m`) element by element, independent of the
 /// kernel's tiling: the gradient the backward stored before the SGD step
 /// moved into it. Each element sums its samples in ascending order from
