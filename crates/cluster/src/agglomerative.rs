@@ -4,23 +4,11 @@
 //! (single linkage: distance between clusters = minimum pairwise distance)
 //! until the closest remaining pair is farther than the threshold.
 
-use crate::distance::{distance_matrix, DistanceMetric};
 use crate::labels::ClusterLabels;
 
-/// Runs agglomerative clustering with the given merge `distance_threshold`.
-pub fn agglomerative(
-    vectors: &[Vec<f64>],
-    distance_threshold: f64,
-    metric: DistanceMetric,
-) -> ClusterLabels {
-    if vectors.is_empty() {
-        return ClusterLabels::new(Vec::new());
-    }
-    agglomerative_with_distances(&distance_matrix(vectors, metric), distance_threshold)
-}
-
 /// Single-linkage clustering over a precomputed pairwise distance matrix
-/// (shared with the other backends through the triangle Gram pass).
+/// (such as [`distance_matrix_rows`](crate::distance::distance_matrix_rows)'s),
+/// merging until the closest pair is farther than `distance_threshold`.
 pub fn agglomerative_with_distances(
     distances: &[Vec<f64>],
     distance_threshold: f64,
@@ -85,6 +73,15 @@ pub fn agglomerative_with_distances(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::{distance_matrix_rows, DistanceMetric};
+
+    fn agglomerative(vectors: &[Vec<f64>], distance_threshold: f64) -> ClusterLabels {
+        let rows: Vec<&[f64]> = vectors.iter().map(Vec::as_slice).collect();
+        agglomerative_with_distances(
+            &distance_matrix_rows(&rows, DistanceMetric::Cosine),
+            distance_threshold,
+        )
+    }
 
     fn two_blobs() -> Vec<Vec<f64>> {
         vec![
@@ -98,12 +95,12 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_labels() {
-        assert!(agglomerative(&[], 0.5, DistanceMetric::Cosine).is_empty());
+        assert!(agglomerative(&[], 0.5).is_empty());
     }
 
     #[test]
     fn separates_two_blobs() {
-        let labels = agglomerative(&two_blobs(), 0.3, DistanceMetric::Cosine);
+        let labels = agglomerative(&two_blobs(), 0.3);
         assert_eq!(labels.cluster_count(), 2);
         assert!(labels.same_cluster(0, 1));
         assert!(labels.same_cluster(0, 2));
@@ -113,19 +110,19 @@ mod tests {
 
     #[test]
     fn zero_threshold_keeps_distinct_points_separate() {
-        let labels = agglomerative(&two_blobs(), 0.0, DistanceMetric::Cosine);
+        let labels = agglomerative(&two_blobs(), 0.0);
         assert_eq!(labels.cluster_count(), 5);
     }
 
     #[test]
     fn huge_threshold_merges_everything() {
-        let labels = agglomerative(&two_blobs(), 1e9, DistanceMetric::Cosine);
+        let labels = agglomerative(&two_blobs(), 1e9);
         assert_eq!(labels.cluster_count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_threshold_panics() {
-        let _ = agglomerative(&two_blobs(), -0.1, DistanceMetric::Cosine);
+        let _ = agglomerative(&two_blobs(), -0.1);
     }
 }

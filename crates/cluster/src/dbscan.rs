@@ -8,7 +8,7 @@
 //! cluster, and under `min_points <= 2` [`dbscan_anchor_cluster`] finds
 //! that cluster without the matrix.
 
-use crate::distance::{distance_matrix, DistanceMetric};
+use crate::distance::DistanceMetric;
 use crate::labels::ClusterLabels;
 use bfl_ml::par;
 use bfl_ml::tensor::{gram_entry, gram_square_and_entry};
@@ -36,17 +36,9 @@ impl Default for DbscanConfig {
     }
 }
 
-/// Runs DBSCAN over `vectors`, returning cluster labels (noise = `None`).
-pub fn dbscan(vectors: &[Vec<f64>], config: &DbscanConfig) -> ClusterLabels {
-    if vectors.is_empty() {
-        return ClusterLabels::new(Vec::new());
-    }
-    dbscan_with_distances(&distance_matrix(vectors, config.metric), config)
-}
-
-/// DBSCAN over a precomputed pairwise distance matrix — the algorithm
-/// only ever consumes distances, so callers that already hold the shared
-/// Gram-derived matrix skip recomputing it.
+/// DBSCAN over a precomputed pairwise distance matrix (such as
+/// [`distance_matrix_rows`](crate::distance::distance_matrix_rows)'s),
+/// returning cluster labels (noise = `None`).
 pub fn dbscan_with_distances(distances: &[Vec<f64>], config: &DbscanConfig) -> ClusterLabels {
     let n = distances.len();
     if n == 0 {
@@ -123,11 +115,11 @@ pub fn dbscan_with_distances(distances: &[Vec<f64>], config: &DbscanConfig) -> C
 /// (reached, unreached) pair at most once: `2n + 1` Gram entries when
 /// every row is near the last (each row's squared norm and its entry
 /// against the last, from one read of the row), never more than the
-/// triangle's. Each entry has the bits
-/// [`gram_upper`](bfl_ml::tensor::gram_upper) gives it in a set of this
-/// size ([`gram_entry`], [`gram_square_and_entry`]), and each distance is
-/// the one [`dbscan_with_distances`] reads off the pairwise matrix, so
-/// entry `i` equals `dbscan(..).same_cluster(i, n - 1)`.
+/// pairwise matrix's. Each entry is the one
+/// [`distance_matrix_rows`](crate::distance::distance_matrix_rows) forms
+/// ([`gram_entry`], [`gram_square_and_entry`]), so each distance is the
+/// one [`dbscan_with_distances`] reads off the pairwise matrix, and entry
+/// `i` equals the full labels' `same_cluster(i, n - 1)`.
 pub fn dbscan_anchor_cluster(rows: &[&[f64]], config: &DbscanConfig) -> Vec<bool> {
     let n = rows.len();
     if n == 0 {
@@ -204,6 +196,12 @@ mod tests {
     use super::*;
     use crate::distance::distance_matrix_rows;
     use proptest::prelude::*;
+
+    /// Full DBSCAN over owned vectors.
+    fn dbscan(vectors: &[Vec<f64>], config: &DbscanConfig) -> ClusterLabels {
+        let rows: Vec<&[f64]> = vectors.iter().map(Vec::as_slice).collect();
+        dbscan_with_distances(&distance_matrix_rows(&rows, config.metric), config)
+    }
 
     fn two_blobs() -> Vec<Vec<f64>> {
         let mut v = Vec::new();
@@ -514,7 +512,8 @@ mod tests {
             };
             let data: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next()]).collect();
             let config = DbscanConfig { eps, min_points, metric: DistanceMetric::Cosine };
-            let distances = distance_matrix(&data, config.metric);
+            let rows: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+            let distances = distance_matrix_rows(&rows, config.metric);
             prop_assert_eq!(
                 dbscan_with_distances(&distances, &config),
                 dbscan_with_neighbour_lists(&distances, &config)

@@ -39,17 +39,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs k-means over `vectors`. If there are fewer points than `k`, each
-/// point gets its own cluster.
-pub fn kmeans(vectors: &[Vec<f64>], config: &KmeansConfig) -> ClusterLabels {
-    if vectors.is_empty() {
-        return ClusterLabels::new(Vec::new());
-    }
-    kmeans_packed(&Matrix::from_rows(vectors), config)
-}
-
-/// [`kmeans`] over an already packed row-major point set; the assignment
-/// step computes all point-to-centroid distances with one rectangular
+/// Runs k-means over a packed row-major point set. If there are fewer
+/// points than `k`, each point gets its own cluster. The assignment step
+/// computes all point-to-centroid distances with one rectangular
 /// Gram GEMM per Lloyd iteration instead of `n·k` vector traversals.
 pub fn kmeans_packed(points: &Matrix, config: &KmeansConfig) -> ClusterLabels {
     let n = points.rows;
@@ -127,6 +119,10 @@ pub fn kmeans_packed(points: &Matrix, config: &KmeansConfig) -> ClusterLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn kmeans(vectors: &[Vec<f64>], config: &KmeansConfig) -> ClusterLabels {
+        kmeans_packed(&Matrix::from_rows(vectors), config)
+    }
 
     fn two_blobs() -> Vec<Vec<f64>> {
         let mut v = Vec::new();

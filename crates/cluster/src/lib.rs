@@ -23,9 +23,9 @@ pub mod distance;
 pub mod kmeans;
 pub mod labels;
 
-pub use dbscan::{dbscan, DbscanConfig};
-pub use distance::{cross_distance_matrix, distance_matrix, DistanceMetric};
-pub use kmeans::{kmeans, KmeansConfig};
+pub use dbscan::DbscanConfig;
+pub use distance::DistanceMetric;
+pub use kmeans::KmeansConfig;
 pub use labels::ClusterLabels;
 
 use bfl_ml::tensor::Matrix;
@@ -90,13 +90,6 @@ impl ClusteringAlgorithm {
         }
     }
 
-    /// Runs the selected algorithm over the given vectors with the given
-    /// metric, returning per-vector cluster labels.
-    pub fn run(&self, vectors: &[Vec<f64>], metric: DistanceMetric) -> ClusterLabels {
-        let rows: Vec<&[f64]> = vectors.iter().map(Vec::as_slice).collect();
-        self.run_rows(&rows, metric)
-    }
-
     /// Whether each row lands in the last row's cluster: Algorithm 2's one
     /// question of the clustering, whose last row is the anchor.
     ///
@@ -128,11 +121,11 @@ impl ClusteringAlgorithm {
         }
     }
 
-    /// [`ClusteringAlgorithm::run`] over borrowed rows, such as the
-    /// round's uploads plus the anchor row where they already live. DBSCAN
-    /// and agglomerative clustering consume the shared triangle-Gram
-    /// distance matrix directly; k-means packs the rows once for its
-    /// per-iteration assignment GEMMs.
+    /// Runs the selected algorithm over borrowed rows, such as the round's
+    /// uploads plus the anchor row where they already live, returning
+    /// per-row cluster labels. DBSCAN and agglomerative clustering consume
+    /// [`distance::distance_matrix_rows`]'s pairwise matrix; k-means packs
+    /// the rows once for its per-iteration assignment GEMMs.
     pub fn run_rows(&self, rows: &[&[f64]], metric: DistanceMetric) -> ClusterLabels {
         if rows.is_empty() {
             return ClusterLabels::new(Vec::new());
@@ -185,6 +178,7 @@ mod tests {
     #[test]
     fn all_algorithms_separate_two_blobs() {
         let data = blobs();
+        let rows: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         for algorithm in [
             ClusteringAlgorithm::default_dbscan(),
             ClusteringAlgorithm::KMeans {
@@ -195,7 +189,7 @@ mod tests {
                 distance_threshold: 0.5,
             },
         ] {
-            let labels = algorithm.run(&data, DistanceMetric::Cosine);
+            let labels = algorithm.run_rows(&rows, DistanceMetric::Cosine);
             assert!(
                 labels.same_cluster(0, 4),
                 "{algorithm:?}: first blob should be one cluster"

@@ -213,7 +213,7 @@ impl Model for SoftmaxRegression {
         debug_assert_eq!(x.len(), rows * self.features);
         scratch.z.resize_in_place(rows, self.classes);
         // z = X · Wᵀ straight against the row-major parameter window —
-        // the Gram kernel's dot tiles want exactly this layout, so no
+        // `gemm_nt` reads `B` by rows, exactly this layout, so no
         // transpose or copy is needed.
         let weights = &self.params[..self.classes * self.features];
         tensor::gemm_nt(

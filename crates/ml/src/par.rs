@@ -161,8 +161,8 @@ fn parse_max_threads(value: Option<&str>) -> Result<Option<usize>, String> {
 
 /// Number of workers a job of `work` units would use, given the minimum
 /// units worth handing one thread. The unit is the caller's: output rows
-/// for the GEMMs, multiply-adds for the triangle Gram kernel, gathered
-/// values for the robust anchors — whatever tracks the job's cost.
+/// for the GEMMs, bytes of rows for a committee's row passes, items for
+/// [`par_map`] — whatever tracks the job's cost.
 /// Kernels use this to pick the plain serial core when the answer is 1,
 /// keeping the hot loop free of any fork/join machinery.
 pub fn plan_workers(work: usize, min_work_per_thread: usize) -> usize {
@@ -196,8 +196,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let len = data.len();
-    par_row_ranges_mut(data, 1, workers, |w| chunk_len(len, workers, w).start, f);
+    split_rows_mut(data, 1, workers, f);
 }
 
 /// [`par_split_mut`] over two equal-length slices split at the same
@@ -326,58 +325,38 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(row_len > 0, "row_len must be positive");
-    let rows = data.len() / row_len;
-    let workers = plan_workers(rows, min_rows_per_thread);
-    par_row_ranges_mut(
-        data,
-        row_len,
-        workers,
-        |w| chunk_len(rows, workers, w).start,
-        f,
-    );
+    let workers = plan_workers(data.len() / row_len, min_rows_per_thread);
+    split_rows_mut(data, row_len, workers, f);
 }
 
-/// [`par_rows_mut`] with the split chosen by the caller: worker `w` owns
-/// rows `first_row(w)..first_row(w + 1)`, so `first_row` must be
-/// non-decreasing with `first_row(0) == 0` and `first_row(workers)` the
-/// row count. Jobs whose rows cost unequal amounts (the triangle Gram
-/// kernel) pass a cost-balanced split here instead of an even one.
-///
-/// The last range runs on the calling thread, so a `workers`-way fan-out
-/// wakes `workers - 1` helpers and `workers == 1` wakes none.
-///
-/// # Panics
-/// Panics, before any range past the offending one is handed out, if the
-/// split does not run non-decreasing from 0 to the row count.
+/// Runs `f` over `workers` balanced contiguous chunks of `data`'s
+/// `row_len`-element rows (the chunk's first row, the chunk). The last
+/// chunk runs on the calling thread, so a `workers`-way fan-out wakes
+/// `workers - 1` helpers and `workers <= 1` wakes none.
 #[inline]
-pub fn par_row_ranges_mut<T, F>(
-    data: &mut [T],
-    row_len: usize,
-    workers: usize,
-    first_row: impl Fn(usize) -> usize,
-    f: F,
-) where
+fn split_rows_mut<T, F>(data: &mut [T], row_len: usize, workers: usize, f: F)
+where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    assert!(row_len > 0, "row_len must be positive");
     debug_assert_eq!(data.len() % row_len, 0);
     if workers <= 1 {
         f(0, data);
         return;
     }
 
-    let rows = Shared(data.as_mut_ptr());
+    let rows = data.len() / row_len;
+    let items = Shared(data.as_mut_ptr());
     fan_out(
-        data.len() / row_len,
+        rows,
         workers,
-        |w| first_row(w)..first_row(w + 1),
+        |w| chunk_len(rows, workers, w),
         &|range: Range<usize>| {
             // SAFETY: `fan_out` hands out disjoint row ranges within the
             // row count, so the chunks are disjoint slices of `data`.
             let chunk = unsafe {
                 std::slice::from_raw_parts_mut(
-                    rows.at(range.start * row_len),
+                    items.at(range.start * row_len),
                     range.len() * row_len,
                 )
             };
@@ -734,44 +713,19 @@ mod tests {
     }
 
     #[test]
-    fn par_row_ranges_mut_honours_an_uneven_split() {
-        let rows = 11;
-        let cols = 3;
-        // Boundaries 0 | 1 | 1 | 7 | 11: one single-row range, one empty.
-        let bounds = [0usize, 1, 1, 7, 11];
-        let mut data = vec![0usize; rows * cols];
-        par_row_ranges_mut(
-            &mut data,
-            cols,
-            4,
-            |w| bounds[w],
-            |row_start, chunk| {
-                assert!(bounds.contains(&row_start));
-                for (r, row) in chunk.chunks_mut(cols).enumerate() {
-                    row.fill(row_start + r + 1);
-                }
-            },
-        );
-        for (r, row) in data.chunks(cols).enumerate() {
-            assert!(row.iter().all(|&v| v == r + 1));
-        }
-        // A split that goes backwards is refused before any chunk runs.
-        let backwards = [0usize, 7, 1, 11];
+    fn fan_out_refuses_a_backwards_split_before_handing_it_out() {
+        // Worker 1's range runs from 7 back to 1: the split is refused,
+        // and only worker 0's range was handed out before the check.
+        let bounds = [0usize, 7, 1, 11];
         let touched = AtomicUsize::new(0);
+        let chunk = |range: Range<usize>| {
+            touched.fetch_add(range.len(), Ordering::Relaxed);
+        };
         let refused = panic::catch_unwind(AssertUnwindSafe(|| {
-            par_row_ranges_mut(
-                &mut data,
-                cols,
-                3,
-                |w| backwards[w],
-                |_, chunk| {
-                    touched.fetch_add(chunk.len(), Ordering::Relaxed);
-                },
-            )
+            fan_out(11, 3, |w| bounds[w]..bounds[w + 1], &chunk)
         }));
         assert!(refused.is_err());
-        // Only worker 0's range was handed out before the check failed.
-        assert!(touched.into_inner() <= 7 * cols);
+        assert!(touched.into_inner() <= 7);
     }
 
     #[test]

@@ -25,17 +25,7 @@
 //! * the horizontal reduction spills `f0`/`f1` to memory and performs
 //!   the same `folded.iter().sum()` the scalar path performs (a
 //!   left-to-right chain of eight dependent adds), and the sub-`LANES`
-//!   remainder stays plain scalar `out += a[i] * b[i]`;
-//! * the tiled Gram kernel interleaves *entries* without touching any
-//!   entry's order: accumulator `y_s` of a dot is an FMA chain of its own
-//!   that only ever sees indices `32t + 4s … 32t + 4s + 3`, stripes `t`
-//!   ascending, and no other chain reads it before the fold. So the
-//!   micro-kernel may advance chain `s` of a 4 × 2 block of entries
-//!   together — one load of each row's vector feeds every entry that
-//!   row belongs to — and carry the chains from one `k`-block to the next
-//!   through memory (a store and a reload keep every bit). Each entry
-//!   still receives exactly its own dot's FMAs, in its own order, before
-//!   the unchanged fold, tail, `hsum1` and remainder.
+//!   remainder stays plain scalar `out += a[i] * b[i]`.
 //!
 //! Because the lane-striped accumulators start at `+0.0` and an FMA
 //! chain seeded with `+0.0` can never produce `-0.0`, the re-bracketed
@@ -75,12 +65,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 #[cfg(target_arch = "x86_64")]
-use crate::tensor::{
-    gram_tiles, GramKernel, GramPanel, SgdStep, StepTarget, GRAM_MR, GRAM_NR, LANES, NT_K_BLOCK,
-    STRIPE,
-};
-#[cfg(target_arch = "x86_64")]
-use std::ops::Range;
+use crate::tensor::{SgdStep, StepTarget, LANES, NT_K_BLOCK, STRIPE};
 
 const UNRESOLVED: u8 = 0;
 const OFF: u8 = 1;
@@ -309,68 +294,6 @@ mod avx2 {
             i += 1;
         }
         out
-    }
-
-    /// The AVX2 tier of [`GramKernel`]: each micro-tile entry's
-    /// four-slot group `s` is one `ymm` chain, exactly `dot`'s `acc[s]`.
-    struct Avx2Gram;
-
-    impl GramKernel for Avx2Gram {
-        #[inline(always)]
-        unsafe fn tile(
-            a: [&[f64]; GRAM_MR],
-            b: [&[f64]; GRAM_NR],
-            stripes: Range<usize>,
-            acc: &mut GramPanel,
-            ii: usize,
-            jj: usize,
-        ) {
-            for slot in (0..STRIPE).step_by(4) {
-                let mut c = [[_mm256_setzero_pd(); GRAM_NR]; GRAM_MR];
-                if stripes.start > 0 {
-                    for (r, c_r) in c.iter_mut().enumerate() {
-                        for (q, c_rq) in c_r.iter_mut().enumerate() {
-                            *c_rq = _mm256_loadu_pd(acc[ii + r][jj + q].as_ptr().add(slot));
-                        }
-                    }
-                }
-                for t in stripes.clone() {
-                    let at = t * STRIPE + slot;
-                    let bv: [__m256d; GRAM_NR] =
-                        std::array::from_fn(|q| _mm256_loadu_pd(b[q].as_ptr().add(at)));
-                    for (a_r, c_r) in a.iter().zip(c.iter_mut()) {
-                        let av = _mm256_loadu_pd(a_r.as_ptr().add(at));
-                        for (b_q, c_rq) in bv.iter().zip(c_r.iter_mut()) {
-                            *c_rq = _mm256_fmadd_pd(av, *b_q, *c_rq);
-                        }
-                    }
-                }
-                for (r, c_r) in c.iter().enumerate() {
-                    for (q, c_rq) in c_r.iter().enumerate() {
-                        _mm256_storeu_pd(acc[ii + r][jj + q].as_mut_ptr().add(slot), *c_rq);
-                    }
-                }
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn finish(acc: &[f64; STRIPE], a: &[f64], b: &[f64]) -> f64 {
-            let acc: [__m256d; STRIPE / 4] =
-                std::array::from_fn(|t| _mm256_loadu_pd(acc.as_ptr().add(4 * t)));
-            let (f0, f1, i) = fold_tail(&acc, a, b);
-            reduce_rest(f0, f1, a, b, i)
-        }
-    }
-
-    /// AVX2 large-row regime of `gram_upper`: the shared loop nest
-    /// `gram_tiles` around [`Avx2Gram`].
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA; every row has the same length and `chunk` holds
-    /// whole rows of the `n × n` output starting at `row_start`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn gram_upper_tiled(rows: &[&[f64]], row_start: usize, chunk: &mut [f64]) {
-        gram_tiles::<Avx2Gram>(rows, row_start, chunk)
     }
 
     /// AVX2 large-row `A · Bᵀ` regime (evaluation logits, k-means
@@ -701,9 +624,9 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use avx2::{axpy, dot, gemm_nt_large, gemm_nt_small};
+pub(crate) use avx2::gemm_tn;
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::{gemm_tn, gram_upper_tiled};
+pub use avx2::{axpy, dot, gemm_nt_large, gemm_nt_small};
 
 #[cfg(test)]
 mod tests {

@@ -26,22 +26,13 @@
 //!   buffer: `W = W0 + α·(…)`, with the in-place step's bits. A local
 //!   pass's first step writes its upload this way, so no pass copies the
 //!   model it starts from.
-//! * [`gram_upper`] — the upper triangle of `G = V · Vᵀ` over *borrowed*
-//!   rows, the kernel behind every pairwise distance matrix. A Gram
-//!   matrix is symmetric and only `G_ij`, `j ≥ i`, is ever read, so this
-//!   computes half the dot products of the general kernel and needs no
-//!   packed copy of `V`. Each entry is the same `dot_lanes` reduction
-//!   in the same regime `gemm_nt(V, V)` would use for it — the bit
-//!   patterns are those of the full product. Past 16 rows the entries are
-//!   formed in register tiles: a micro-kernel advances one accumulator
-//!   chain of a 4 × 2 block of entries at a time, so each row vector it
-//!   loads feeds up to four multiply-adds instead of one, and the chains
-//!   are carried across `k`-blocks that keep the tile's rows in L1. Each
-//!   chain sees exactly the operations of its entry's own dot (see the
-//!   [`crate::simd`] module docs), so the tiling shows in the speed only.
-//!   [`gram_entry`] forms one entry alone, with the same bits, for a
-//!   caller that reads only a few ([`gram_square_and_entry`] two that
-//!   share a row).
+//! * [`gram_entry`] — one entry `⟨a, b⟩` of the Gram matrix
+//!   `G = V · Vᵀ` of a set of borrowed rows, the kernel behind every
+//!   pairwise distance. It is the same `dot_lanes` reduction in the same
+//!   regime `gemm_nt(V, V)` would use for that entry, so it has the full
+//!   product's bit pattern, and no packed copy of `V` is needed.
+//!   [`gram_square_and_entry`] forms a row's squared norm and its entry
+//!   against another row from one read of the row.
 //! * [`dots_and_squares_x4`] — θ's inputs, each upload's dot with the
 //!   anchor and its squared norm, for four uploads per pass. θ must keep
 //!   [`dot`]'s bits, so it cannot use the lane-striped reduction, and a
@@ -57,18 +48,13 @@
 //! is [`gemm_nt`] over whole [`Matrix`] operands, for Algorithm 2's
 //! rectangular distances.
 //!
-//! [`gemm_nt`] and [`gram_upper`] parallelize over contiguous blocks of
-//! output rows through [`crate::par`]; each worker owns a disjoint slice
-//! of `C`, so results are bit-identical regardless of thread count. The
-//! indexed minibatch kernels run on the calling thread: the local pass
-//! already fans out over clients. *Whether* and *where* to split is a
-//! question of work, not of rows. A GEMM's rows all cost the same, so
-//! they split evenly once every worker gets `MIN_ROWS_PER_THREAD` of
-//! them. A triangle's rows do not — row `i` holds `n − i` entries — so
-//! [`gram_upper`] cuts ranges of near-equal *area* and fans out only
-//! when each worker would own about two million multiply-adds: a
-//! 51 × 7850 committee uses every core, an 11- or 15-row one runs on the
-//! calling thread and wakes no worker.
+//! [`gemm_nt`] parallelizes over contiguous blocks of output rows
+//! through [`crate::par`] once every worker gets `MIN_ROWS_PER_THREAD`
+//! of them; each worker owns a disjoint slice of `C`, so results are
+//! bit-identical regardless of thread count. The indexed minibatch
+//! kernels and the Gram entries run on the calling thread: the local
+//! pass already fans out over clients, and Algorithm 2 splits its own
+//! row passes.
 //!
 //! # Scratch workspace
 //!
@@ -88,7 +74,6 @@ use crate::par;
 use crate::simd;
 use serde::{Deserialize, Serialize};
 use std::mem::MaybeUninit;
-use std::ops::Range;
 
 /// A dense vector of `f64` values.
 pub type Vector = Vec<f64>;
@@ -570,11 +555,10 @@ pub(crate) const LANES: usize = 8;
 pub(crate) const STRIPE: usize = 4 * LANES;
 
 /// Lane-striped dot product: deterministic (fixed stripe layout, fixed
-/// reduction order) and auto-vectorizable. Every entry [`gram_upper`] and
-/// [`gemm_nt`] produce is this reduction (the tiled Gram regime runs its
-/// chains and its [`finish_lanes_scalar`] entry by entry), so identical
-/// input rows yield bit-identical entries, so identical points sit at
-/// identical distances whichever worker formed them. Dispatches to the
+/// reduction order) and auto-vectorizable. Every entry [`gram_entry`] and
+/// [`gemm_nt`] produce is this reduction, so identical input rows yield
+/// bit-identical entries, so identical points sit at identical
+/// distances whichever worker formed them. Dispatches to the
 /// hand-written AVX2+FMA form when
 /// [`simd::active`]; both tiers run the identical stripe/fold/tail
 /// order, so the result is the same bit pattern either way.
@@ -640,10 +624,10 @@ fn finish_lanes_scalar(acc: &[f64; STRIPE], a: &[f64], b: &[f64]) -> f64 {
 /// operand tiles (16 KiB each) fit L1 together.
 pub(crate) const NT_K_BLOCK: usize = 128;
 
-/// Most output rows the small-row regime takes. [`gram_upper`] keys its
-/// own regime choice on the same bound, so a Gram matrix this small
-/// keeps the `k`-blocked accumulation — and with it the bit patterns —
-/// it had as a [`gemm_nt`] product.
+/// Most output rows the small-row regime takes. [`gram_entry`] keys its
+/// regime choice on the same bound, so the entries of a Gram matrix this
+/// small keep the `k`-blocked accumulation — and with it the bit
+/// patterns — they have as a [`gemm_nt`] product.
 const NT_SMALL_ROWS: usize = 16;
 
 /// Serial core of [`gemm_nt`] over one contiguous block of output rows.
@@ -723,81 +707,21 @@ fn gemm_nt_core<'a>(
     }
 }
 
-/// Multiply-adds one worker must own before [`gram_upper`] fans out:
-/// about a quarter of a millisecond of the tiled kernel (it runs 8–10 G
-/// multiply-adds a second on one core of a Xeon with AVX2, where the
-/// one-dot-per-entry kernel before it ran about 4.5 G and this gate read
-/// half a millisecond), still an order of magnitude above handing a chunk
-/// to a parked worker. A row count cannot make this call — a 51 x 7850
-/// Gram is 10 M multiply-adds, an 11 x 7850 one half a million.
-const MIN_GRAM_MACS_PER_WORKER: usize = 1 << 21;
-
-/// Upper triangle of the Gram matrix `G = V · Vᵀ` over borrowed rows:
-/// `out[i * n + j] = ⟨rows[i], rows[j]⟩` for `j >= i`; entries below the
-/// diagonal are left untouched. Rows are read where they live — no
-/// packed copy of `V` is needed.
-///
-/// Every entry is the same `dot_lanes` reduction, in the same regime
-/// (`k`-blocked partials for at most 16 long rows, one full-length dot
-/// otherwise), that `gemm_nt(V, V)` produces for it, so each entry
-/// computed here has that product's exact bit pattern and identical rows
-/// still yield identical entries. The full-length dots are formed
-/// together in register tiles (see the module docs); every entry's
-/// accumulator chains still run its own dot's operations in its own
-/// order. The work is split over contiguous row ranges of near-equal
-/// *area* (row `i` holds `n - i` entries) and fans out only past about
-/// two million multiply-adds per worker; each worker owns a disjoint
-/// slice of `out`, so thread count never shows in the result.
-pub fn gram_upper(rows: &[&[f64]], out: &mut [f64]) {
-    let n = rows.len();
-    assert_eq!(out.len(), n * n, "gram_upper needs an n x n output");
-    let Some(first) = rows.first() else {
-        return;
-    };
-    let k = first.len();
-    assert!(
-        rows.iter().all(|row| row.len() == k),
-        "all rows must have equal length"
-    );
-    let macs = n * (n + 1) / 2 * k;
-    let workers = par::plan_workers(macs, MIN_GRAM_MACS_PER_WORKER).min(n);
-    par::par_row_ranges_mut(
-        out,
-        n,
-        workers,
-        |w| triangle_first_row(n, workers, w),
-        |row_start, chunk| gram_upper_rows(rows, row_start, chunk),
-    );
-}
-
-/// First row of worker `w` when the `n` rows of an upper triangle are
-/// split into `workers` contiguous ranges of near-equal area: the
-/// smallest `r` whose preceding rows hold at least `w / workers` of the
-/// `n (n + 1) / 2` entries.
-fn triangle_first_row(n: usize, workers: usize, w: usize) -> usize {
-    // Twice the entries in rows `0..r`, to stay in integers.
-    let doubled_area = |r: usize| r * (2 * n - r + 1);
-    let mut r = 0;
-    while doubled_area(r) * workers < w * n * (n + 1) {
-        r += 1;
-    }
-    r
-}
-
-/// Whether [`gram_upper`] over `n` rows of length `k` forms each entry
-/// from `k`-blocked partial sums (the small-row regime) rather than one
-/// full-length [`dot_lanes`].
+/// Whether [`gemm_nt`]`(V, V)` over `n` rows of length `k` forms each
+/// entry from `k`-blocked partial sums (the small-row regime) rather than
+/// one full-length [`dot_lanes`].
 fn gram_is_blocked(n: usize, k: usize) -> bool {
     n <= NT_SMALL_ROWS && k > 2 * NT_K_BLOCK
 }
 
-/// One entry of [`gram_upper`] over a set of `n` rows, formed alone:
-/// `⟨a, b⟩` for two rows of the set, with the bits `gram_upper` gives
-/// that entry — the `k`-blocked partial sums added in ascending order in
-/// the small-row regime, one `dot_lanes` otherwise (the register tiles
-/// run exactly that dot's chains). The arguments commute bit for bit.
-/// A caller that reads a few entries of a large Gram (Algorithm 2's
-/// search of the anchor's cluster) forms only those.
+/// One entry of the Gram matrix `G = V · Vᵀ` of a set of `n` rows,
+/// formed alone: `⟨a, b⟩` for two rows of the set, with the bits
+/// [`gemm_nt`]`(V, V)` gives that entry — the `k`-blocked partial sums
+/// added in ascending order in the small-row regime, one `dot_lanes`
+/// otherwise. The arguments commute bit for bit, and identical rows give
+/// identical entries. A pairwise distance matrix is one call per entry;
+/// a caller that reads a few entries (Algorithm 2's search of the
+/// anchor's cluster) forms only those.
 pub fn gram_entry(a: &[f64], b: &[f64], n: usize) -> f64 {
     gram_entries(a, b, n, dot_lanes, |sum, partial| sum + partial)
 }
@@ -811,7 +735,7 @@ pub fn gram_square_and_entry(a: &[f64], b: &[f64], n: usize) -> (f64, f64) {
     })
 }
 
-/// `lanes(a, b)` in the regime [`gram_upper`] uses for a set of `n` rows:
+/// `lanes(a, b)` in the regime [`gemm_nt`] uses for a set of `n` rows:
 /// over each `k`-block, the partials folded by `add` in ascending order,
 /// when the entries are blocked; over the whole rows otherwise.
 fn gram_entries<T>(
@@ -856,192 +780,6 @@ fn square_and_dot_lanes(a: &[f64], b: &[f64]) -> (f64, f64) {
         finish_lanes_scalar(&squares, a, a),
         finish_lanes_scalar(&dots, a, b),
     )
-}
-
-/// Serial core of [`gram_upper`] over the output rows held by `chunk`
-/// (starting at `row_start`).
-fn gram_upper_rows(rows: &[&[f64]], row_start: usize, chunk: &mut [f64]) {
-    let n = rows.len();
-    let k = rows[0].len();
-    let row_end = row_start + chunk.len() / n;
-    if gram_is_blocked(n, k) {
-        // Small regime: every row's `k`-block stays L1-resident while
-        // the block's partial products are added to the entries above
-        // the diagonal, blocks in ascending order.
-        for k0 in (0..k).step_by(NT_K_BLOCK) {
-            let k_end = (k0 + NT_K_BLOCK).min(k);
-            for (i, c_row) in (row_start..row_end).zip(chunk.chunks_mut(n)) {
-                let a_blk = &rows[i][k0..k_end];
-                for j in i..n {
-                    let partial = dot_lanes(a_blk, &rows[j][k0..k_end]);
-                    if k0 == 0 {
-                        c_row[j] = partial;
-                    } else {
-                        c_row[j] += partial;
-                    }
-                }
-            }
-        }
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if simd::active() {
-        // SAFETY: `simd::active()` guarantees AVX2+FMA were detected.
-        unsafe { simd::gram_upper_tiled(rows, row_start, chunk) };
-        return;
-    }
-    // SAFETY: the scalar kernel needs no CPU feature.
-    unsafe { gram_tiles::<ScalarGram>(rows, row_start, chunk) };
-}
-
-/// Rows of one micro-tile of the large-row [`gram_upper`] regime.
-pub(crate) const GRAM_MR: usize = 4;
-
-/// Columns of one micro-tile: a micro-kernel call forms the
-/// `GRAM_MR × GRAM_NR` entries' accumulator chains together, loading
-/// each row's vector once per stripe for all of them.
-pub(crate) const GRAM_NR: usize = 2;
-
-/// Edge of a panel block: the square block of entries whose slot
-/// accumulators are carried from one `k`-block to the next.
-pub(crate) const GRAM_PANEL: usize = 16;
-
-/// Stripes per `k`-block: a micro-tile's `GRAM_MR + GRAM_NR` row
-/// segments (24 KiB) stay L1-resident across its eight slot passes.
-const GRAM_K_STRIPES: usize = 16;
-
-const _: () = assert!(GRAM_PANEL.is_multiple_of(GRAM_MR) && GRAM_PANEL.is_multiple_of(GRAM_NR));
-
-/// The stripe accumulators of every entry of one panel block:
-/// `acc[ii][jj]` is the `acc` array [`dot_lanes_scalar`] keeps for entry
-/// (`p0 + ii`, `q0 + jj`).
-pub(crate) type GramPanel = [[[f64; STRIPE]; GRAM_PANEL]; GRAM_PANEL];
-
-/// One tier's arithmetic in the large-row [`gram_upper`] regime; the loop
-/// nest around it is [`gram_tiles`].
-pub(crate) trait GramKernel {
-    /// Adds stripes `stripes` of every product `a[r] · b[c]` into the
-    /// stripe accumulators `acc[ii + r][jj + c]`, one four-slot group at a
-    /// time and stripes ascending, so every slot sees the `mul_add` chain
-    /// [`dot_lanes_scalar`] gives it. A block starting at stripe 0 starts
-    /// from `+0.0`.
-    ///
-    /// # Safety
-    /// The tier's CPU features are available; every row holds at least
-    /// `stripes.end * STRIPE` elements.
-    unsafe fn tile(
-        a: [&[f64]; GRAM_MR],
-        b: [&[f64]; GRAM_NR],
-        stripes: Range<usize>,
-        acc: &mut GramPanel,
-        ii: usize,
-        jj: usize,
-    );
-
-    /// The entry `⟨a, b⟩` from its stripe accumulators: the fold, the
-    /// `LANES` tail, the left-to-right sum and the remainder of
-    /// [`dot_lanes_scalar`].
-    ///
-    /// # Safety
-    /// The tier's CPU features are available; `a.len() == b.len()`.
-    unsafe fn finish(acc: &[f64; STRIPE], a: &[f64], b: &[f64]) -> f64;
-}
-
-/// The scalar tier of [`GramKernel`].
-struct ScalarGram;
-
-impl GramKernel for ScalarGram {
-    #[inline(always)]
-    unsafe fn tile(
-        a: [&[f64]; GRAM_MR],
-        b: [&[f64]; GRAM_NR],
-        stripes: Range<usize>,
-        acc: &mut GramPanel,
-        ii: usize,
-        jj: usize,
-    ) {
-        for slot in (0..STRIPE).step_by(4) {
-            let mut c = [[[0.0f64; 4]; GRAM_NR]; GRAM_MR];
-            if stripes.start > 0 {
-                for (r, c_r) in c.iter_mut().enumerate() {
-                    for (q, c_rq) in c_r.iter_mut().enumerate() {
-                        c_rq.copy_from_slice(&acc[ii + r][jj + q][slot..slot + 4]);
-                    }
-                }
-            }
-            for t in stripes.clone() {
-                let at = t * STRIPE + slot;
-                let bv: [&[f64; 4]; GRAM_NR] =
-                    std::array::from_fn(|q| b[q][at..at + 4].try_into().unwrap());
-                for (a_r, c_r) in a.iter().zip(c.iter_mut()) {
-                    let av: &[f64; 4] = a_r[at..at + 4].try_into().unwrap();
-                    for (b_q, c_rq) in bv.iter().zip(c_r.iter_mut()) {
-                        for l in 0..4 {
-                            c_rq[l] = av[l].mul_add(b_q[l], c_rq[l]);
-                        }
-                    }
-                }
-            }
-            for (r, c_r) in c.iter().enumerate() {
-                for (q, c_rq) in c_r.iter().enumerate() {
-                    acc[ii + r][jj + q][slot..slot + 4].copy_from_slice(c_rq);
-                }
-            }
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn finish(acc: &[f64; STRIPE], a: &[f64], b: &[f64]) -> f64 {
-        finish_lanes_scalar(acc, a, b)
-    }
-}
-
-/// The large-row regime of [`gram_upper_rows`], written once for both
-/// tiers: panel blocks of `GRAM_PANEL × GRAM_PANEL` entries on or above
-/// the diagonal, each swept in `k`-blocks of `GRAM_K_STRIPES` stripes by
-/// `GRAM_MR × GRAM_NR` micro-tiles, then finished entry by entry.
-///
-/// A micro-tile at the edge of the worker's rows or of the matrix reads
-/// the edge row again in its missing places and its extra entries are
-/// never written; a micro-tile wholly below the diagonal is skipped.
-///
-/// # Safety
-/// `K`'s CPU features are available. `#[inline(always)]` so the AVX2
-/// instance compiles inside its `#[target_feature]` caller.
-#[inline(always)]
-pub(crate) unsafe fn gram_tiles<K: GramKernel>(
-    rows: &[&[f64]],
-    row_start: usize,
-    chunk: &mut [f64],
-) {
-    let n = rows.len();
-    let row_end = row_start + chunk.len() / n;
-    let stripes = rows[0].len() / STRIPE;
-    let mut acc: GramPanel = [[[0.0; STRIPE]; GRAM_PANEL]; GRAM_PANEL];
-    for p0 in (row_start..row_end).step_by(GRAM_PANEL) {
-        let p1 = (p0 + GRAM_PANEL).min(row_end);
-        for q0 in (p0..n).step_by(GRAM_PANEL) {
-            let q1 = (q0 + GRAM_PANEL).min(n);
-            for t0 in (0..stripes).step_by(GRAM_K_STRIPES) {
-                let block = t0..(t0 + GRAM_K_STRIPES).min(stripes);
-                for i0 in (p0..p1).step_by(GRAM_MR) {
-                    let a = std::array::from_fn(|r| rows[(i0 + r).min(p1 - 1)]);
-                    // The first micro-tile with a column at or past `i0`.
-                    let j_first = q0 + i0.saturating_sub(q0) / GRAM_NR * GRAM_NR;
-                    for j0 in (j_first..q1).step_by(GRAM_NR) {
-                        let b = std::array::from_fn(|c| rows[(j0 + c).min(q1 - 1)]);
-                        K::tile(a, b, block.clone(), &mut acc, i0 - p0, j0 - q0);
-                    }
-                }
-            }
-            for i in p0..p1 {
-                let c_row = &mut chunk[(i - row_start) * n..(i - row_start + 1) * n];
-                for j in i.max(q0)..q1 {
-                    c_row[j] = K::finish(&acc[i - p0][j - q0], rows[i], rows[j]);
-                }
-            }
-        }
-    }
 }
 
 /// Reusable buffers for the batched training/evaluation engine. See the
@@ -1432,31 +1170,6 @@ mod tests {
         assert_eq!(tn(&t, &identity(7)), m);
     }
 
-    #[test]
-    fn triangle_split_is_monotone_complete_and_area_balanced() {
-        for n in 0..70usize {
-            for workers in 1..=n.clamp(1, 8) {
-                assert_eq!(triangle_first_row(n, workers, 0), 0);
-                assert_eq!(triangle_first_row(n, workers, workers), n);
-                let total = n * (n + 1) / 2;
-                for w in 0..workers {
-                    let (start, end) = (
-                        triangle_first_row(n, workers, w),
-                        triangle_first_row(n, workers, w + 1),
-                    );
-                    assert!(start <= end, "n={n} workers={workers} w={w}");
-                    // No range exceeds its fair share by more than the one
-                    // row that straddles the boundary.
-                    let area: usize = (start..end).map(|r| n - r).sum();
-                    assert!(
-                        area * workers <= total + n * workers,
-                        "n={n} workers={workers} w={w}: area {area} of {total}"
-                    );
-                }
-            }
-        }
-    }
-
     /// Checks [`dots_and_squares_x4`] on `rows` against [`dot`], bit for
     /// bit, and the θ it feeds against `gradient::cosine_distance`: an
     /// equal unfloored θ is an equal θ under any floor.
@@ -1541,42 +1254,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Cutting the output rows anywhere — worker boundaries that fall
-        /// inside a tile, single-row and empty ranges — leaves every
-        /// upper-triangle entry with the bits of the one-piece kernel, in
-        /// both regimes (`k = 300` with `n <= 16` is the `k`-blocked one).
-        #[test]
-        fn gram_upper_rows_is_invariant_under_any_row_split(
-            n in 1usize..40,
-            long_rows in any::<bool>(),
-            cut_a in 0usize..40,
-            cut_b in 0usize..40,
-            seed in any::<u64>(),
-        ) {
-            let k = if long_rows { 300 } else { 37 };
-            let packed = deterministic_matrix(n, k, seed);
-            let rows: Vec<&[f64]> = (0..n).map(|i| packed.row(i)).collect();
-            let mut whole = vec![f64::NAN; n * n];
-            gram_upper_rows(&rows, 0, &mut whole);
-
-            let (lo, hi) = (cut_a.min(cut_b).min(n), cut_a.max(cut_b).min(n));
-            let mut pieces = vec![f64::NAN; n * n];
-            for (start, end) in [(0, lo), (lo, hi), (hi, n)] {
-                gram_upper_rows(&rows, start, &mut pieces[start * n..end * n]);
-            }
-            for i in 0..n {
-                for j in 0..n {
-                    let (a, b) = (whole[i * n + j], pieces[i * n + j]);
-                    if j >= i {
-                        prop_assert_eq!(a.to_bits(), b.to_bits());
-                    } else {
-                        // Below the diagonal nothing is written.
-                        prop_assert!(a.is_nan() && b.is_nan());
-                    }
-                }
-            }
-        }
 
         #[test]
         fn matvec_is_linear(rows in 1usize..20, cols in 1usize..20, seed in any::<u64>()) {

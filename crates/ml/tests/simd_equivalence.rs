@@ -18,7 +18,7 @@ use std::sync::{Mutex, MutexGuard};
 use bfl_ml::model::{Model, ModelKind};
 use bfl_ml::optimizer::{train_local_with_scratch, LocalTrainingConfig};
 use bfl_ml::tensor::{self, Matrix, Scratch, SgdStep};
-use bfl_ml::{metrics, par, simd};
+use bfl_ml::{metrics, simd};
 use proptest::prelude::*;
 
 /// Serializes tier flips across this binary's concurrently running
@@ -383,184 +383,40 @@ fn the_fresh_step_writes_every_element_with_the_in_place_bits() {
     }
 }
 
-/// The `j >= i` entries of a row-major `n x n` matrix, row by row.
-fn upper_entries(matrix: &[f64], n: usize) -> Vec<f64> {
-    (0..n)
-        .flat_map(|i| (i..n).map(move |j| (i, j)))
-        .map(|(i, j)| matrix[i * n + j])
-        .collect()
-}
-
-/// Everything `gram_upper` writes for `rows` — the entries with `j >= i`,
-/// row-major — under a pinned fan-out limit.
-fn gram_upper_entries(rows: &[&[f64]], thread_limit: usize) -> Vec<f64> {
-    let n = rows.len();
-    let mut out = vec![f64::NAN; n * n];
-    par::with_thread_limit(thread_limit, || tensor::gram_upper(rows, &mut out));
-    for i in 0..n {
-        for j in 0..i {
-            assert!(out[i * n + j].is_nan(), "entry ({i}, {j}) was written");
-        }
-    }
-    upper_entries(&out, n)
-}
-
-/// The same entries read out of the full `V · Vᵀ` GEMM the Gram path
-/// used to run — the bit patterns `gram_upper` must keep.
-fn gemm_nt_upper_entries(rows: &[&[f64]]) -> Vec<f64> {
-    let n = rows.len();
-    let k = rows.first().map_or(0, |row| row.len());
-    let packed: Vec<f64> = rows.iter().flat_map(|row| row.iter().copied()).collect();
-    let mut full = vec![0.0f64; n * n];
-    tensor::gemm_nt(&packed, &packed, &mut full, n, k, n);
-    upper_entries(&full, n)
-}
-
-/// Row lengths that end in every kind of tail: empty, sub-`LANES`
-/// scalar remainders, `LANES` tails, whole stripes, and both sides of
-/// the `2 * NT_K_BLOCK = 256` regime switch.
-const GRAM_ROW_LENGTHS: [usize; 14] = [0, 1, 7, 8, 9, 31, 32, 33, 40, 71, 256, 257, 300, 389];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The triangle kernel against the GEMM it replaced, entry by entry
-    /// and bit by bit, on both tiers. Every `n` in `0..70` is visited
-    /// (crossing the 16-row regime switch, the 4 × 2 micro-tiles and the
-    /// 16-row panels) with row lengths cycling through every tail, and one
-    /// row is repeated so the identical-rows ⇒ identical-entries guarantee
-    /// is exercised too.
-    #[test]
-    fn gram_upper_matches_gemm_nt_bits(
-        shift in 0usize..14,
-        duplicate_to in 0usize..70,
-        duplicate_from in 0usize..70,
-        seed in buffer(70 * 389),
-    ) {
-        for n in 0..70 {
-            let k = GRAM_ROW_LENGTHS[(n + shift) % GRAM_ROW_LENGTHS.len()];
-            let mut rows: Vec<&[f64]> = (0..n).map(|i| &seed[i * k..(i + 1) * k]).collect();
-            if n > 0 {
-                rows[duplicate_to % n] = rows[duplicate_from % n];
-            }
-            assert_tiers_bit_identical("gram_upper vs gemm_nt", || {
-                let expected = gemm_nt_upper_entries(&rows);
-                let got = gram_upper_entries(&rows, 8);
-                assert!(
-                    got.iter().zip(&expected).all(|(g, e)| g.to_bits() == e.to_bits()),
-                    "n={n} k={k}: gram_upper differs from gemm_nt"
-                );
-                expected
-            });
-        }
-    }
-}
-
-/// Row lengths at the edges of the tiled Gram regime's `k`-blocks (16
-/// stripes of 32, 512 elements): one and two blocks, each exact, one or
-/// a `LANES` tail past it (plus a remainder), and one short of it; and
-/// the model's 7850.
-const GRAM_EDGE_LENGTHS: [usize; 15] = [
-    503, 504, 511, 512, 513, 520, 521, 1015, 1016, 1023, 1024, 1025, 1032, 1033, 7850,
-];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1))]
-
-    /// The register-tiled Gram regime against the GEMM, bit for bit on
-    /// both tiers, where a tiling bug would show: row lengths at every
-    /// `k`-block edge, so stripe accumulators are carried across blocks
-    /// and finished from partial ones; every `n` in `17..=40` and 129, so
-    /// the matrix ends inside micro-tiles (4 × 2) and panels (16); fan-out
-    /// limits 1, 2, 3 and 8 on the 129 × 1033 Gram (8.7 M multiply-adds,
-    /// up to four workers), whose worker boundaries fall inside
-    /// micro-tiles; and one row repeated in every row and
-    /// column position of a micro-tile, whose entries must be identical.
-    /// `gram_upper_entries` checks nothing below the diagonal is written.
-    #[test]
-    fn gram_upper_tiles_match_gemm_nt_bits_at_their_edges(
-        shift in 0usize..15,
-        source in 0usize..129,
-        seed in buffer(40 * 7850),
-    ) {
-        for n in (17..=40).chain([129]) {
-            let k = if n == 129 { 1033 } else { GRAM_EDGE_LENGTHS[(n + shift) % 15] };
-            let mut rows: Vec<&[f64]> = (0..n).map(|i| &seed[i * k..(i + 1) * k]).collect();
-            // Rows 1, 6, 11 and 16 hold micro-tile row positions 1, 2, 3
-            // and 0, and column positions 1, 0, 1 and 0; `n - 1` is the
-            // matrix's last row.
-            let copies = [1, 6, 11, 16, n - 1];
-            let source = source % n;
-            for at in copies {
-                rows[at] = rows[source];
-            }
-            let limits: &[usize] = if n == 129 { &[1, 2, 3, 8] } else { &[1, 8] };
-            assert_tiers_bit_identical("gram_upper tiles vs gemm_nt", || {
-                let expected = gemm_nt_upper_entries(&rows);
-                for &limit in limits {
-                    let got = gram_upper_entries(&rows, limit);
-                    assert!(
-                        got.iter().zip(&expected).all(|(g, e)| g.to_bits() == e.to_bits()),
-                        "n={n} k={k} limit={limit}: gram_upper differs from gemm_nt"
-                    );
-                }
-                // Identical rows give identical entries against every
-                // row past them.
-                let entry = |i: usize, j: usize| {
-                    let (i, j) = (i.min(j), i.max(j));
-                    expected[i * n - i * (i + 1) / 2 + j]
-                };
-                let mut at = copies.to_vec();
-                at.push(source);
-                for j in 0..n {
-                    let bits = entry(at[0], j).to_bits();
-                    assert!(
-                        at.iter().all(|&i| entry(i, j).to_bits() == bits),
-                        "n={n} k={k}: copies of row {source} differ against row {j}"
-                    );
-                }
-                expected
-            });
-        }
-    }
-}
-
-/// Row lengths around the small-row regime's `k`-blocks: one block, two,
-/// either side of the `2 * NT_K_BLOCK = 256` switch and of the blocks past
-/// it, with `LANES` and sub-`LANES` tails; and past the tiled regime's
-/// 512-element `k`-blocks.
-const GRAM_ENTRY_LENGTHS: [usize; 14] = [
-    0, 9, 128, 129, 255, 256, 257, 263, 383, 384, 385, 512, 521, 1033,
+/// Row lengths that end in every kind of tail: empty, sub-`LANES` scalar
+/// remainders, `LANES` tails, whole stripes, `k`-blocks of 128 with and
+/// without tails on both sides of the `2 * NT_K_BLOCK = 256` regime
+/// switch; and the model's 7850.
+const GRAM_ROW_LENGTHS: [usize; 25] = [
+    0, 1, 7, 8, 9, 31, 32, 33, 40, 71, 128, 129, 255, 256, 257, 263, 300, 383, 384, 385, 389, 512,
+    521, 1033, 7850,
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// Gram entries formed alone are the entries `gram_upper` writes, bit
-    /// for bit on both tiers and in either argument order, and so are a
-    /// row's squared norm and entry formed together: every `n` in `1..40`
-    /// (both sides of the 16-row regime switch, inside and past the
-    /// register tiles) with row lengths cycling through `k`-block tails on
-    /// both sides of 256, one row repeated.
+    /// Gram entries formed alone are the entries of the full `V · Vᵀ`
+    /// GEMM, bit for bit on both tiers and in either argument order, and
+    /// so are a row's squared norm and entry formed together: every `n` in
+    /// `1..70` (both sides of the 16-row regime switch) with row lengths
+    /// cycling through every tail, and one row repeated.
     #[test]
-    fn gram_entry_matches_gram_upper_bits(
-        shift in 0usize..14,
-        duplicate in 0usize..40,
-        seed in buffer(40 * 1033),
+    fn gram_entry_matches_gemm_nt_bits(
+        shift in 0usize..25,
+        duplicate in 0usize..70,
+        seed in buffer(69 * 7850),
     ) {
-        for n in 1..40 {
-            let k = GRAM_ENTRY_LENGTHS[(n + shift) % GRAM_ENTRY_LENGTHS.len()];
+        for n in 1..70 {
+            let k = GRAM_ROW_LENGTHS[(n + shift) % GRAM_ROW_LENGTHS.len()];
             let mut rows: Vec<&[f64]> = (0..n).map(|i| &seed[i * k..(i + 1) * k]).collect();
             rows[n - 1] = rows[duplicate % n];
-            assert_tiers_bit_identical("gram_entry vs gram_upper", || {
-                let expected = gram_upper_entries(&rows, 2);
-                let entry = |i: usize, j: usize| {
-                    let (i, j) = (i.min(j), i.max(j));
-                    expected[i * n - i * (i + 1) / 2 + j]
-                };
+            assert_tiers_bit_identical("gram_entry vs gemm_nt", || {
+                let packed: Vec<f64> = rows.iter().flat_map(|row| row.iter().copied()).collect();
+                let mut full = vec![0.0f64; n * n];
+                tensor::gemm_nt(&packed, &packed, &mut full, n, k, n);
                 for i in 0..n {
                     for j in 0..n {
-                        let (want, want_square) = (entry(i, j), entry(i, i));
+                        let (want, want_square) = (full[i * n + j], full[i * n + i]);
                         let got = tensor::gram_entry(rows[i], rows[j], n);
                         let (square, paired) = tensor::gram_square_and_entry(rows[i], rows[j], n);
                         assert!(
@@ -568,49 +424,14 @@ proptest! {
                                 && paired.to_bits() == want.to_bits()
                                 && square.to_bits() == want_square.to_bits(),
                             "n={n} k={k} ({i}, {j}): {got:?}, {paired:?} and {square:?} vs \
-                             gram_upper's {want:?} and {want_square:?}"
+                             gemm_nt's {want:?} and {want_square:?}"
                         );
                     }
                 }
-                expected
+                full
             });
         }
     }
-}
-
-/// A Gram large enough that the work gate really fans out — 2415 dots of
-/// 7001 multiply-adds split two, three and eight ways, boundaries landing
-/// inside micro-tiles and panels — still equals the serial kernel and the
-/// GEMM on every entry, under either tier.
-#[test]
-fn gram_upper_fans_out_without_changing_a_bit() {
-    let (n, k) = (69usize, 7001usize);
-    let mut state = 0x6AA3_u64;
-    let data: Vec<f64> = (0..n * k)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        })
-        .collect();
-    let mut rows: Vec<&[f64]> = data.chunks(k).collect();
-    // Identical rows on both sides of every worker boundary.
-    rows[68] = rows[0];
-    rows[40] = rows[3];
-    assert_tiers_bit_identical("gram_upper fan-out", || {
-        let expected = gemm_nt_upper_entries(&rows);
-        for limit in [1, 2, 3, 8] {
-            let got = gram_upper_entries(&rows, limit);
-            assert!(
-                got.iter()
-                    .zip(&expected)
-                    .all(|(g, e)| g.to_bits() == e.to_bits()),
-                "limit={limit}: gram_upper differs from gemm_nt"
-            );
-        }
-        expected
-    });
 }
 
 /// End-to-end: a full batched loss/gradient pass, an evaluation sweep and

@@ -6,7 +6,9 @@
 
 mod common;
 
-use common::{full_participation_fl, run_digest, run_grid, small_config, small_dataset};
+use common::{
+    assert_same_run, full_participation_fl, run_digest, run_grid, small_config, small_dataset,
+};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
     BflConfig, ProfileConfig, Scenario, SimulationResult, StalenessPolicy, SyncMode,
@@ -68,16 +70,16 @@ fn flexible_quota_runs_are_deterministic_with_identical_event_traces() {
     let scenario = straggler_scenario(6, StalenessPolicy::DecayedInclude { decay: 0.5 }, 3);
 
     let mut traces = Vec::new();
-    let mut digests = Vec::new();
+    let mut results = Vec::new();
     for _ in 0..2 {
         let mut run = scenario.start(&train, &test).unwrap();
         run.run_to_completion().unwrap();
         traces.push(run.event_trace().to_vec());
-        digests.push(run_digest(&run.into_result()));
+        results.push(run.into_result());
     }
     assert!(!traces[0].is_empty(), "flexible runs schedule events");
     assert_eq!(traces[0], traces[1], "the event trace is deterministic");
-    assert_eq!(digests[0], digests[1], "the run result is deterministic");
+    assert_same_run(&results[0], &results[1], "the run result is deterministic");
 }
 
 #[test]
@@ -94,10 +96,10 @@ fn flexible_sweeps_are_bit_identical_for_any_thread_count() {
         let cells = run_grid(&grid, workers, &train, &test);
         assert_eq!(cells.len(), serial.len());
         for ((a, b), quota) in serial.iter().zip(cells.iter()).zip(quotas) {
-            assert_eq!(
-                run_digest(a),
-                run_digest(b),
-                "cell `quota-{quota}` must not depend on sweep parallelism"
+            assert_same_run(
+                a,
+                b,
+                &format!("cell `quota-{quota}` must not depend on sweep parallelism"),
             );
         }
     }

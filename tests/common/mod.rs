@@ -45,11 +45,12 @@ pub fn full_participation_fl(clients: usize, rounds: usize, seed: u64) -> FlConf
     fl
 }
 
-/// Canonical digest over every artifact the experiments read: block
-/// hashes, per-round accuracy/loss/delay/clock/participants (bit-exact),
-/// detection rows, reward totals, and the final parameter vector.
-#[allow(dead_code)] // not every test binary pins a digest
-pub fn run_digest(result: &SimulationResult) -> String {
+/// Canonical text of every artifact the experiments read, one line per
+/// block hash, round, detection row and reward total, then the final
+/// parameter vector: per-round accuracy/loss/delay/clock/participants and
+/// the parameters bit-exact.
+#[allow(dead_code)] // not every test binary compares runs
+pub fn run_canon(result: &SimulationResult) -> String {
     let mut canon = String::new();
     if let Some(chain) = &result.chain {
         for block in chain.iter() {
@@ -80,8 +81,41 @@ pub fn run_digest(result: &SimulationResult) -> String {
     for p in &result.final_params {
         canon.push_str(&format!("{:016x}", p.to_bits()));
     }
-    let digest = fair_bfl::crypto::sha256::sha256(canon.as_bytes());
+    canon
+}
+
+/// SHA-256 of [`run_canon`] in hex: what a golden pin records.
+#[allow(dead_code)] // not every test binary pins a digest
+pub fn run_digest(result: &SimulationResult) -> String {
+    let digest = fair_bfl::crypto::sha256::sha256(run_canon(result).as_bytes());
     digest.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Asserts that `a` and `b` are the same run ([`run_canon`] equal); on a
+/// difference the panic names `what` and shows the first canonical line
+/// that differs (for the parameter line, the 16-digit value that does).
+#[allow(dead_code)] // not every test binary compares runs
+pub fn assert_same_run(a: &SimulationResult, b: &SimulationResult, what: &str) {
+    let (a, b) = (run_canon(a), run_canon(b));
+    if a == b {
+        return;
+    }
+    let (a, b): (Vec<&str>, Vec<&str>) = (a.split('\n').collect(), b.split('\n').collect());
+    let line = (0..a.len().max(b.len()))
+        .find(|&i| a.get(i) != b.get(i))
+        .expect("unequal texts differ in some line");
+    let x = a.get(line).copied().unwrap_or("<no line>");
+    let y = b.get(line).copied().unwrap_or("<no line>");
+    if x.len().max(y.len()) <= 200 {
+        panic!("{what}: canonical line {line} differs: {x:?} vs {y:?}");
+    }
+    let at = x.bytes().zip(y.bytes()).take_while(|(p, q)| p == q).count() / 16 * 16;
+    let window = |s: &str| s.get(at..(at + 16).min(s.len())).unwrap_or("").to_string();
+    panic!(
+        "{what}: canonical line {line} differs at character {at}: {:?} vs {:?}",
+        window(x),
+        window(y)
+    );
 }
 
 /// Runs every scenario of `grid` over the shared split on exactly

@@ -8,7 +8,9 @@
 
 mod common;
 
-use common::{full_participation_fl, run_digest, run_grid, small_config, small_dataset};
+use common::{
+    assert_same_run, full_participation_fl, run_digest, run_grid, small_config, small_dataset,
+};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
     AggregationMode, BflConfig, EventRecord, ProfileConfig, ProvisioningMode, ReorgPolicy,
@@ -105,7 +107,7 @@ fn zero_fault_plan_replays_the_pr5_engine_bit_identically() {
     let mut base_run = baseline.start(&train, &test).unwrap();
     base_run.run_to_completion().unwrap();
     let base_trace = base_run.event_trace().to_vec();
-    let base_digest = run_digest(&base_run.into_result());
+    let base_result = base_run.into_result();
 
     let explicit = faulted_scenario(
         6,
@@ -121,7 +123,7 @@ fn zero_fault_plan_replays_the_pr5_engine_bit_identically() {
         &base_trace[..],
         "an inactive plan draws nothing and schedules nothing extra"
     );
-    assert_eq!(run_digest(&run.into_result()), base_digest);
+    assert_same_run(&run.into_result(), &base_result, "an inactive plan");
 }
 
 #[test]
@@ -144,18 +146,18 @@ fn dropped_uploads_are_retransmitted_under_the_backoff_policy() {
     let scenario = faulted_scenario(6, 3, fault, retry, ReorgPolicy::Discard);
 
     let mut traces = Vec::new();
-    let mut digests = Vec::new();
+    let mut results = Vec::new();
     for _ in 0..2 {
         let mut run = scenario.start(&train, &test).unwrap();
         run.run_to_completion().unwrap();
         traces.push(run.event_trace().to_vec());
-        digests.push(run_digest(&run.into_result()));
+        results.push(run.into_result());
     }
     assert_eq!(
         traces[0], traces[1],
         "faulted traces replay bit-identically"
     );
-    assert_eq!(digests[0], digests[1]);
+    assert_same_run(&results[0], &results[1], "faulted runs replay");
 
     let count = |kind: EventKind| traces[0].iter().filter(|e| e.kind == kind).count();
     assert!(count(EventKind::UploadDropped) > 0, "40% loss must strike");
@@ -304,17 +306,17 @@ fn a_miner_crash_loses_its_pool_and_the_mesh_recovers() {
     };
     let scenario = faulted_scenario(quota, rounds, fault, retry, ReorgPolicy::Discard);
 
-    let mut digests = Vec::new();
+    let mut results = Vec::new();
     let mut trace = Vec::new();
     for _ in 0..2 {
         let mut run = scenario.start(&train, &test).unwrap();
         run.run_to_completion().unwrap();
         trace = run.event_trace().to_vec();
-        digests.push(run_digest(&run.into_result()));
+        results.push(run.into_result());
     }
-    assert_eq!(digests[0], digests[1], "crash runs replay bit-identically");
+    assert_same_run(&results[0], &results[1], "crash runs replay");
     // Pinned: the digest covers every block hash, so it pins who sealed.
-    assert_eq!(digests[0], CRASH_RUN);
+    assert_eq!(run_digest(&results[0]), CRASH_RUN);
 
     // The downed miner swallows or loses uploads somewhere in the run.
     assert!(
@@ -389,20 +391,20 @@ fn a_partition_forks_the_mesh_and_heals_to_one_tip() {
         ReorgPolicy::Salvage,
     );
 
-    let mut digests = Vec::new();
+    let mut results = Vec::new();
     let mut traces = Vec::new();
     for _ in 0..2 {
         let mut run = scenario.start(&train, &test).unwrap();
         run.run_to_completion().unwrap();
         traces.push(run.event_trace().to_vec());
-        digests.push(run_digest(&run.into_result()));
+        results.push(run.into_result());
     }
     assert_eq!(
         traces[0], traces[1],
         "partition runs replay bit-identically"
     );
-    assert_eq!(digests[0], digests[1]);
-    assert_eq!(digests[0], PARTITION_RUN);
+    assert_same_run(&results[0], &results[1], "partition runs replay");
+    assert_eq!(run_digest(&results[0]), PARTITION_RUN);
 
     let trace = &traces[0];
     assert!(
@@ -646,10 +648,10 @@ fn faulted_sweeps_are_bit_identical_for_any_thread_count() {
         let cells = run_grid(&grid, workers, &train, &test);
         assert_eq!(cells.len(), serial.len());
         for ((a, b), label) in serial.iter().zip(cells.iter()).zip(labels) {
-            assert_eq!(
-                run_digest(a),
-                run_digest(b),
-                "cell `{label}` must not depend on sweep parallelism"
+            assert_same_run(
+                a,
+                b,
+                &format!("cell `{label}` must not depend on sweep parallelism"),
             );
         }
     }

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{run_digest, small_config, small_dataset};
+use common::{assert_same_run, run_digest, small_config, small_dataset};
 use fair_bfl::core::events::EventKind;
 use fair_bfl::core::{
     AggregationMode, AttackConfig, BflConfig, EventRecord, KpiRow, LowContributionStrategy,
@@ -52,10 +52,10 @@ fn lazy_provisioning_is_bit_identical_to_eager_in_both_engine_modes() {
     let mut lazy = eager;
     lazy.provisioning = ProvisioningMode::Lazy { cache_budget: 5 };
 
-    assert_eq!(
-        run_digest(&run(eager)),
-        run_digest(&run(lazy)),
-        "lazy provisioning diverged from the eager path"
+    assert_same_run(
+        &run(eager),
+        &run(lazy),
+        "lazy provisioning diverged from the eager path",
     );
 }
 
@@ -79,10 +79,10 @@ fn lazy_provisioning_matches_eager_on_the_flexible_engine() {
     let mut lazy = eager;
     lazy.provisioning = ProvisioningMode::Lazy { cache_budget: 12 };
 
-    assert_eq!(
-        run_digest(&run(eager)),
-        run_digest(&run(lazy)),
-        "lazy provisioning diverged on the flexible engine"
+    assert_same_run(
+        &run(eager),
+        &run(lazy),
+        "lazy provisioning diverged on the flexible engine",
     );
 }
 
@@ -159,10 +159,10 @@ fn streaming_multi_chunk_composition_is_deterministic() {
 
     let first = run(config);
     let second = run(config);
-    assert_eq!(
-        run_digest(&first),
-        run_digest(&second),
-        "streaming composition must be deterministic"
+    assert_same_run(
+        &first,
+        &second,
+        "streaming composition must be deterministic",
     );
     for round in &first.outcomes {
         assert!(round.participants >= 10, "quota admits ten per round");
@@ -248,16 +248,16 @@ fn streaming_run_ahead_is_invisible_at_any_thread_count() {
     let scenario = Scenario::from_config(config).unwrap();
     let (train, test) = small_dataset();
 
-    let observe = |threads: usize| -> (String, Vec<EventRecord>, Vec<KpiRow>) {
+    let observe = |threads: usize| -> (SimulationResult, Vec<EventRecord>, Vec<KpiRow>) {
         par::with_thread_limit(threads, || {
             let mut run = scenario.start(&train, &test).unwrap();
             run.run_to_completion().unwrap();
             let trace = run.event_trace().to_vec();
             let kpis = run.outcomes().iter().map(|o| o.kpi).collect();
-            (run_digest(&run.into_result()), trace, kpis)
+            (run.into_result(), trace, kpis)
         })
     };
-    let (digest, trace, kpis) = observe(1);
+    let (result, trace, kpis) = observe(1);
 
     // The scenario does what it was built to do.
     assert!(
@@ -287,8 +287,8 @@ fn streaming_run_ahead_is_invisible_at_any_thread_count() {
     );
 
     for threads in [2, 8] {
-        let (d, t, k) = observe(threads);
-        assert_eq!(d, digest, "digest at {threads} threads");
+        let (r, t, k) = observe(threads);
+        assert_same_run(&r, &result, &format!("{threads} threads"));
         assert_eq!(t, trace, "event trace at {threads} threads");
         assert_eq!(k, kpis, "KPI rows at {threads} threads");
     }
@@ -324,7 +324,7 @@ fn streaming_committees_past_the_row_pass_threshold_are_invisible_at_any_thread_
         1
     );
 
-    let observe = |threads: usize| -> (String, Vec<KpiRow>) {
+    let observe = |threads: usize| -> (SimulationResult, Vec<KpiRow>) {
         par::with_thread_limit(threads, || {
             let mut run = scenario.start(&train, &test).unwrap();
             run.run_to_completion().unwrap();
@@ -336,14 +336,14 @@ fn streaming_committees_past_the_row_pass_threshold_are_invisible_at_any_thread_
                 assert_eq!(outcome.kpi.mempool_depth_at_seal, 30, "the partial chunk");
             }
             let kpis = run.outcomes().iter().map(|o| o.kpi).collect();
-            (run_digest(&run.into_result()), kpis)
+            (run.into_result(), kpis)
         })
     };
-    let (digest, kpis) = observe(1);
+    let (result, kpis) = observe(1);
     assert_eq!(kpis.len(), 2);
     for threads in [2, 3, 8] {
-        let (d, k) = observe(threads);
-        assert_eq!(d, digest, "digest at {threads} threads");
+        let (r, k) = observe(threads);
+        assert_same_run(&r, &result, &format!("{threads} threads"));
         assert_eq!(k, kpis, "KPI rows at {threads} threads");
     }
 }

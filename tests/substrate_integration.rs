@@ -5,7 +5,7 @@
 //! delay model agreeing with the chain substrate's expectations.
 
 use fair_bfl::chain::{Block, Blockchain, Mempool, PowConfig, Transaction};
-use fair_bfl::cluster::{dbscan, DbscanConfig, DistanceMetric};
+use fair_bfl::cluster::{ClusteringAlgorithm, DistanceMetric};
 use fair_bfl::crypto::signature::sign_message;
 use fair_bfl::crypto::{BatchVerifier, KeyStore};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
@@ -128,14 +128,12 @@ fn real_training_gradients_cluster_by_data_quality() {
         uploads.push(delta);
     }
 
-    let labels = dbscan(
-        &uploads,
-        &DbscanConfig {
-            eps: 0.6,
-            min_points: 2,
-            metric: DistanceMetric::Cosine,
-        },
-    );
+    let rows: Vec<&[f64]> = uploads.iter().map(Vec::as_slice).collect();
+    let dbscan = ClusteringAlgorithm::Dbscan {
+        eps: 0.6,
+        min_points: 2,
+    };
+    let labels = dbscan.run_rows(&rows, DistanceMetric::Cosine);
     // The four honest deltas share a cluster; the two label-permuted deltas
     // do not join it.
     assert!(labels.same_cluster(0, 1));
