@@ -1,5 +1,7 @@
-//! Procedure I's allocation contract, asserted in-process: with a warm
-//! [`Scratch`], one local pass asks the allocator for its upload — the
+//! Procedure I's allocation contract, asserted in-process: on a thread
+//! whose training workspace an earlier, larger pass has grown (`bfl_ml`
+//! keeps one per thread), one local pass asks the allocator for its
+//! upload — the
 //! vector its first step writes straight from the global parameters and
 //! later steps train in place — and for nothing else. No copy of the
 //! model, no throw-away initialisation, no gradient or shuffle buffer of
@@ -17,7 +19,6 @@ use bfl_harness::runner::generate_dataset;
 use bfl_harness::DatasetSpec;
 use bfl_ml::model::ModelKind;
 use bfl_ml::optimizer::LocalTrainingConfig;
-use bfl_ml::tensor::Scratch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,8 +33,7 @@ fn a_warm_local_pass_allocates_its_upload_and_nothing_else() {
     let model = ModelKind::default_mnist();
     let model_bytes = model.num_params() * std::mem::size_of::<f64>();
     let global = vec![0.01; model.num_params()];
-    let mut scratch = Scratch::new();
-    let pass = |client: &Client, config: &LocalTrainingConfig, scratch: &mut Scratch| {
+    let pass = |client: &Client, config: &LocalTrainingConfig| {
         client.local_update_as(
             None,
             model,
@@ -42,18 +42,14 @@ fn a_warm_local_pass_allocates_its_upload_and_nothing_else() {
             &train.labels,
             config,
             7,
-            scratch,
         )
     };
 
-    // Warm the workspace on a larger shard than the measured ones, so the
-    // brackets also show a reused workspace is not regrown to fit.
+    // Warm this thread's workspace on a larger shard than the measured
+    // ones, so the brackets also show a reused workspace is not regrown
+    // to fit.
     let paper = LocalTrainingConfig::default();
-    drop(pass(
-        &Client::honest(1, (0..60).collect()),
-        &paper,
-        &mut scratch,
-    ));
+    drop(pass(&Client::honest(1, (0..60).collect()), &paper));
 
     let streaming = LocalTrainingConfig { epochs: 1, ..paper };
     let fedprox = LocalTrainingConfig {
@@ -71,7 +67,7 @@ fn a_warm_local_pass_allocates_its_upload_and_nothing_else() {
     ] {
         ALLOC.reset_peak();
         let start = ALLOC.snapshot();
-        let update = pass(&client, &config, &mut scratch);
+        let update = pass(&client, &config);
         let delta = ALLOC.delta_since(&start);
         let high_water = ALLOC.peak_bytes() - start.live_bytes;
 

@@ -5,8 +5,10 @@
 //! blocks. Transient churn (gradient buffers, RSA preimages, queue events)
 //! is allowed; what is not allowed is per-round growth creeping back into
 //! the steady state (fresh pump buffers, per-ticket scratch spaces,
-//! one-element association Vecs — the hot spots PR 10 moved into
-//! [`AsyncRuntime`]'s reusable state).
+//! one-element association Vecs). Those now live where they are reused:
+//! the pump's buffers in `AsyncRuntime`, and the training workspace and
+//! the verifier in each thread, kept by `bfl_ml` and `bfl_crypto`. The
+//! helpers' are warm by the measured window, as the pump thread's are.
 //!
 //! The *intentional* per-round growth is that reward list, the
 //! deterministic event trace and the accumulated round records; the last

@@ -6,11 +6,11 @@
 //! allocates its results and little else — no thread is spawned for it.
 //!
 //! "Warm" is one earlier use on the same thread: the thread's signing
-//! workspace, the key's Montgomery contexts, the verifier's workspace and
+//! workspace, the key's Montgomery contexts, the thread's verifier and
 //! the calling thread's pool of helpers are all built by then.
 
 use bfl_bench::CountingAllocator;
-use bfl_crypto::{BatchVerifier, EnvelopeDigest, KeyStore};
+use bfl_crypto::{EnvelopeDigest, KeyStore};
 use bfl_ml::{gradient, par};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,10 +44,9 @@ fn an_upload_allocates_its_signature_and_a_fan_out_its_results() {
             .provision(&mut StdRng::seed_from_u64(bits as u64), &[4], bits)
             .expect("keygen");
         let key = &pairs[&4].private;
-        let mut verifier = BatchVerifier::new();
         let signature = envelope().sign(key);
         store
-            .verify_envelope(envelope(), &signature, &mut verifier)
+            .verify_envelope(envelope(), &signature)
             .expect("the miner accepts what the client signed");
 
         let (again, signing) = counted(|| envelope().sign(key));
@@ -57,8 +56,7 @@ fn an_upload_allocates_its_signature_and_a_fan_out_its_results() {
             "a warm {bits}-bit signature made {signing} allocator calls (at most 2 allowed: \
              its bytes, and one spare)"
         );
-        let (verdict, checking) =
-            counted(|| store.verify_envelope(envelope(), &signature, &mut verifier));
+        let (verdict, checking) = counted(|| store.verify_envelope(envelope(), &signature));
         assert_eq!(verdict, Ok(()));
         assert_eq!(
             checking, 0,

@@ -11,7 +11,7 @@
 use crate::distance::DistanceMetric;
 use crate::labels::ClusterLabels;
 use bfl_ml::par;
-use bfl_ml::tensor::{gram_entry, gram_square_and_entry};
+use bfl_ml::tensor::{dot_lanes, square_and_dot_lanes};
 use std::collections::VecDeque;
 
 /// DBSCAN parameters.
@@ -117,7 +117,7 @@ pub fn dbscan_with_distances(distances: &[Vec<f64>], config: &DbscanConfig) -> C
 /// against the last, from one read of the row), never more than the
 /// pairwise matrix's. Each entry is the one
 /// [`distance_matrix_rows`](crate::distance::distance_matrix_rows) forms
-/// ([`gram_entry`], [`gram_square_and_entry`]), so each distance is the
+/// ([`dot_lanes`], [`square_and_dot_lanes`]), so each distance is the
 /// one [`dbscan_with_distances`] reads off the pairwise matrix, and entry
 /// `i` equals the full labels' `same_cluster(i, n - 1)`.
 pub fn dbscan_anchor_cluster(rows: &[&[f64]], config: &DbscanConfig) -> Vec<bool> {
@@ -131,7 +131,7 @@ pub fn dbscan_anchor_cluster(rows: &[&[f64]], config: &DbscanConfig) -> Vec<bool
         "the anchor's cluster is its ε-component only for min_points 1 or 2"
     );
     let anchor = n - 1;
-    let anchor_square = gram_entry(rows[anchor], rows[anchor], n);
+    let anchor_square = dot_lanes(rows[anchor], rows[anchor]);
     let mut squares = vec![0.0; n];
     let mut member = vec![false; n];
     anchor_step(rows, &mut squares, &mut member, |g_ja, square| {
@@ -143,7 +143,7 @@ pub fn dbscan_anchor_cluster(rows: &[&[f64]], config: &DbscanConfig) -> Vec<bool
     reached.extend((0..anchor).filter(|&j| member[j]));
     member[anchor] = true;
     let near = |i: usize, j: usize| {
-        let g_ij = gram_entry(rows[i], rows[j], n);
+        let g_ij = dot_lanes(rows[i], rows[j]);
         config.metric.gram_distance(g_ij, squares[i], squares[j]) <= config.eps
     };
     // `reached[0]` is the anchor, whose step is done.
@@ -166,7 +166,7 @@ pub fn dbscan_anchor_cluster(rows: &[&[f64]], config: &DbscanConfig) -> Vec<bool
 /// other row once: for each `j` below the last (anchor) row, row `j`'s
 /// squared norm goes to `squares[j]` and `near(entry, square)` of its
 /// entry against the anchor to `near_anchor[j]`, both from one
-/// [`gram_square_and_entry`]. Each row's step is its own, so past `par`'s
+/// [`square_and_dot_lanes`]. Each row's step is its own, so past `par`'s
 /// row-pass threshold the rows split into ranges across workers.
 fn anchor_step<T: Send>(
     rows: &[&[f64]],
@@ -183,7 +183,7 @@ fn anchor_step<T: Send>(
         workers,
         |first, squares, near_anchor| {
             for (j, (square, out)) in squares.iter_mut().zip(near_anchor).enumerate() {
-                let (s, g_ja) = gram_square_and_entry(rows[first + j], anchor, n);
+                let (s, g_ja) = square_and_dot_lanes(rows[first + j], anchor);
                 *square = s;
                 *out = near(g_ja, s);
             }
@@ -444,7 +444,7 @@ mod tests {
         let rows: Vec<&[f64]> = committee.iter().map(Vec::as_slice).collect();
         let serial: Vec<(f64, f64)> = rows[..n - 1]
             .iter()
-            .map(|row| gram_square_and_entry(row, rows[n - 1], n))
+            .map(|row| square_and_dot_lanes(row, rows[n - 1]))
             .collect();
         let config = DbscanConfig::default();
         let cluster = par::with_thread_limit(1, || dbscan_anchor_cluster(&rows, &config));

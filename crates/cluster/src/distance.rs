@@ -15,7 +15,7 @@
 //! # One entry at a time
 //!
 //! [`distance_matrix_rows`] forms each row's square and each pair above
-//! the diagonal with [`bfl_ml::tensor::gram_entry`], over *borrowed*
+//! the diagonal with [`bfl_ml::tensor::dot_lanes`], over *borrowed*
 //! rows: Algorithm 2's non-default clusterings hand in the round's
 //! uploads plus the anchor row exactly where they already live, and
 //! nothing is packed into a contiguous copy first. The paper's default
@@ -26,16 +26,15 @@
 //! [`cross_distance_matrix_packed`] (two different row sets) runs the
 //! general `A · Bᵀ` GEMM.
 //!
-//! Each Gram entry is the lane-striped `dot_lanes` reduction in the
-//! regime `gemm_nt(V, V)` would use for it, dispatched per
-//! [`bfl_ml::simd::active`] to an AVX2+FMA form that reproduces the
-//! scalar order bit-for-bit. Two guarantees follow and hold under either
-//! tier: identical rows produce bit-identical entries, so every pair of
+//! Each Gram entry is the lane-striped `dot_lanes` reduction,
+//! dispatched per [`bfl_ml::simd::active`] to an AVX2+FMA form that
+//! reproduces the scalar order bit-for-bit. So under either tier,
+//! identical rows produce bit-identical entries, and every pair of
 //! identical points is at the same distance (zero up to the rounding of
-//! `√G_ii · √G_jj`); and every entry has the bit pattern the full GEMM
-//! gives it, so labels, θ and the golden run digests are unchanged.
+//! `√G_ii · √G_jj`). No code forms the full product `V · Vᵀ`, so an entry
+//! owes no bits to one.
 
-use bfl_ml::tensor::{gram_entry, matmul_transpose_b_into, Matrix};
+use bfl_ml::tensor::{dot_lanes, matmul_transpose_b_into, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Metric used to compare gradient vectors.
@@ -71,15 +70,15 @@ pub fn distance_matrix_packed(rows: &Matrix, metric: DistanceMetric) -> Vec<Vec<
 /// Full symmetric pairwise distance matrix (`n x n`) over borrowed rows —
 /// the form Algorithm 2's clusterings use, passing the round's uploads
 /// and the anchor row where they already live. Each pair's distance comes
-/// from one [`gram_entry`] and the two rows' squares (see the module
+/// from one [`dot_lanes`] and the two rows' squares (see the module
 /// docs).
 pub fn distance_matrix_rows(rows: &[&[f64]], metric: DistanceMetric) -> Vec<Vec<f64>> {
     let n = rows.len();
-    let squares: Vec<f64> = rows.iter().map(|row| gram_entry(row, row, n)).collect();
+    let squares: Vec<f64> = rows.iter().map(|row| dot_lanes(row, row)).collect();
     let mut matrix = vec![vec![0.0; n]; n];
     for i in 0..n {
         for j in (i + 1)..n {
-            let g_ij = gram_entry(rows[i], rows[j], n);
+            let g_ij = dot_lanes(rows[i], rows[j]);
             let d = metric.gram_distance(g_ij, squares[i], squares[j]);
             matrix[i][j] = d;
             matrix[j][i] = d;

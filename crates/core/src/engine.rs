@@ -789,3 +789,101 @@ impl ChainOnlyState {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use bfl_crypto::{EnvelopeDigest, KeyStore, Signature};
+    use bfl_data::{SynthMnist, SynthMnistConfig};
+    use bfl_fl::client::Client;
+    use bfl_ml::metrics::{accuracy, EVAL_BLOCK};
+    use bfl_ml::model::{Model, ModelKind};
+    use bfl_ml::optimizer::LocalTrainingConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A round's three uses of the per-thread workspaces (`bfl_ml`'s
+    /// training and evaluation scratch, `bfl_crypto`'s verifier) give the
+    /// bits a fresh thread gives on a thread that larger work grew them
+    /// first: a pass over a bigger shard and batch, a whole evaluation
+    /// block of scattered rows, and a verification at a wider key. Every
+    /// use re-fits what it reads, so what ran before never shows.
+    #[test]
+    fn warm_workspaces_give_a_fresh_threads_bits() {
+        let data = SynthMnist::new(SynthMnistConfig {
+            train_samples: 600,
+            test_samples: 1,
+            noise_std: 0.05,
+            max_translation: 1.0,
+        })
+        .generate_split(600, &mut StdRng::seed_from_u64(21));
+        let kind = ModelKind::default_mnist();
+        let global: Vec<f64> = (0..kind.num_params())
+            .map(|i| (i as f64 * 0.017).cos() * 0.03)
+            .collect();
+        let mut model = kind.build(&mut StdRng::seed_from_u64(2));
+        model.set_params(&global);
+        let mut store = KeyStore::new();
+        let mut rng = StdRng::seed_from_u64(0x5C);
+        let mut pairs = store.provision(&mut rng, &[1], 512).unwrap();
+        pairs.extend(store.provision(&mut rng, &[2], 256).unwrap());
+        let signed = |id: u64, payload: &[u8]| {
+            let mut envelope = EnvelopeDigest::new(id);
+            envelope.update(payload);
+            envelope.sign(&pairs[&id].private)
+        };
+        let verify = |id: u64, payload: &[u8], signature: &Signature| {
+            let mut envelope = EnvelopeDigest::new(id);
+            envelope.update(payload);
+            store.verify_envelope(envelope, signature).is_ok()
+        };
+        let scattered =
+            |len: usize| -> Vec<usize> { (0..len).map(|i| (i * 7 + 3) % 600).collect() };
+        let pass = |shard: Vec<usize>, batch_size: usize| {
+            let config = LocalTrainingConfig {
+                epochs: 2,
+                batch_size,
+                learning_rate: 0.05,
+                proximal_mu: 0.2,
+            };
+            Client::honest(5, shard).local_update_as(
+                None,
+                kind,
+                &global,
+                &data.features,
+                &data.labels,
+                &config,
+                9,
+            )
+        };
+        let payload = b"an upload".as_slice();
+        let good = signed(2, payload);
+        let mut forged = good.clone();
+        *forged.bytes.last_mut().unwrap() ^= 1;
+
+        // The measured uses, each as bits.
+        let measured = || {
+            let update = pass(scattered(23), 10);
+            let mut bits: Vec<u64> = update.params.iter().map(|v| v.to_bits()).collect();
+            bits.push(update.stats.final_epoch_loss.to_bits());
+            let rows = scattered(37);
+            bits.push(accuracy(&model, &data.features, &data.labels, Some(&rows)).to_bits());
+            bits.push(u64::from(verify(2, payload, &good)));
+            bits.push(u64::from(verify(2, payload, &forged)));
+            bits
+        };
+        let fresh = std::thread::scope(|s| s.spawn(measured).join().unwrap());
+        let warmed = std::thread::scope(|s| {
+            s.spawn(|| {
+                drop(pass(scattered(300), 64));
+                let block = scattered(EVAL_BLOCK);
+                accuracy(&model, &data.features, &data.labels, Some(&block));
+                assert!(verify(1, payload, &signed(1, payload)));
+                measured()
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(fresh[fresh.len() - 2..], [1, 0], "the verdicts themselves");
+        assert_eq!(warmed, fresh);
+    }
+}

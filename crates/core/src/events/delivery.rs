@@ -197,7 +197,7 @@ pub(super) fn admit_upload(
         UploadTicket::Deferred(commission) => Opened::Trained(
             match rt.parked.remove(&(commission.client_id, born_round)) {
                 Some(update) => update,
-                None => resolve_deferred(state, &mut rt.scratch, config, &commission),
+                None => resolve_deferred(state, config, &commission),
             },
         ),
     };
@@ -251,11 +251,7 @@ pub(super) fn admit_upload(
         // signature check is the detector. (The unsigned ablation has no
         // detector.)
         let envelope = received_envelope(update, corrupt);
-        if vault
-            .store()
-            .verify_envelope(envelope, signature, &mut rt.verifier)
-            .is_err()
-        {
+        if vault.store().verify_envelope(envelope, signature).is_err() {
             return EventKind::UploadRejected;
         }
     }

@@ -48,11 +48,10 @@ use crate::flexibility::FlexibilityMode;
 use crate::procedures::mining;
 use crate::procedures::upload::{sign_update, Corruption, VerifiedUpload};
 use crate::simulation::{KpiRow, RoundOutcome};
-use bfl_crypto::{BatchVerifier, RsaKeyPair, Signature};
+use bfl_crypto::{RsaKeyPair, Signature};
 use bfl_fl::attack::AttackKind;
 use bfl_fl::client::LocalUpdate;
 use bfl_fl::selection::drop_stragglers;
-use bfl_ml::tensor::Scratch;
 use bfl_net::{EventQueue, ScheduledEvent};
 use delivery::{admit_upload, schedule_retry, send_upload};
 use faults::{
@@ -275,18 +274,9 @@ pub(crate) struct AsyncRuntime {
     crash_purged: bool,
     /// The recovered miner has resynchronised its replica.
     crash_resynced: bool,
-    /// Shared batch verifier for the arrival path: one Montgomery
-    /// workspace amortised across every envelope this engine checks.
-    /// Decisions are identical to per-upload `verify`, so the cache is
-    /// invisible to replay determinism.
-    verifier: BatchVerifier,
     /// The run-ahead walk's holding buffer for the events it pops to look
     /// at, kept so its capacity is reused; empty outside the walk.
     drain_buf: Vec<ScheduledEvent<EngineEvent>>,
-    /// Reusable training workspace for deferred tickets `admit_upload`
-    /// opens itself, so they don't build a fresh `Scratch` per admitted
-    /// upload.
-    scratch: Scratch,
     /// Deferred passes [`resolve_run_ahead`] ran ahead of their admission,
     /// keyed by `(client_id, born_round)`; `admit_upload` takes them from
     /// here. Never more than the chunk buffer and the quota have room
@@ -314,9 +304,7 @@ impl AsyncRuntime {
             fork_healed: false,
             crash_purged: false,
             crash_resynced: false,
-            verifier: BatchVerifier::new(),
             drain_buf: Vec::new(),
-            scratch: Scratch::new(),
             parked: BTreeMap::new(),
             kpi_stale_discarded: 0,
             kpi_dropped: 0,

@@ -10,9 +10,7 @@ use bfl_fl::client::{Client, LocalUpdate};
 use bfl_ml::model::ModelKind;
 use bfl_ml::optimizer::LocalTrainingConfig;
 use bfl_ml::par;
-use bfl_ml::tensor::Scratch;
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 impl Commission {
@@ -26,7 +24,6 @@ impl Commission {
         model: ModelKind,
         train: &Dataset,
         local: &LocalTrainingConfig,
-        scratch: &mut Scratch,
     ) -> LocalUpdate {
         client.local_update_as(
             self.attack,
@@ -36,37 +33,21 @@ impl Commission {
             &train.labels,
             local,
             self.born_seed,
-            scratch,
         )
     }
 }
 
-/// Runs one deferred commission's pass on the event pump, in `scratch`
-/// (the runtime's training workspace):
+/// Runs one deferred commission's pass on the event pump:
 /// [`admit_upload`](super::delivery::admit_upload)'s fallback for a ticket
 /// [`resolve_run_ahead`] did not open — a run of one, or an admission
 /// outside the pump (a salvage).
 pub(super) fn resolve_deferred(
     state: &LearningState<'_>,
-    scratch: &mut Scratch,
     config: &BflConfig,
     commission: &Commission,
 ) -> LocalUpdate {
     let client = state.pool.client(commission.client_id as usize);
-    commission.pass(
-        &client,
-        config.fl.model,
-        state.train,
-        &state.local_config,
-        scratch,
-    )
-}
-
-thread_local! {
-    /// This thread's training workspace for [`resolve_run_ahead`]'s
-    /// fan-out, kept warm across runs: pure scratch, which every pass
-    /// re-fits, so which passes a worker ran before never shows.
-    static RUN_AHEAD: RefCell<Scratch> = RefCell::default();
+    commission.pass(&client, config.fl.model, state.train, &state.local_config)
 }
 
 /// Local-pass work (samples × epochs × parameters) worth one worker of
@@ -95,7 +76,7 @@ const MIN_RUN_AHEAD_WORK: usize = 1 << 19;
 /// are skipped; a commission queued twice (a duplicate, a retransmission)
 /// is run once. The run's passes then go through one `par_map` over
 /// clients the pool lends (borrowed when materialized, derived when
-/// implicit), each worker training in its thread's warm workspace, and
+/// implicit), each pass in its thread's warm training workspace, and
 /// are parked in `rt.parked` under `(client_id, born_round)`, where
 /// `admit_upload` finds them.
 ///
@@ -162,8 +143,7 @@ pub(super) fn resolve_run_ahead(
             rt.queue.reinsert(event);
         }
     }
-    // A run of one is the pass `admit_upload` runs itself, in the
-    // runtime's warm workspace.
+    // A run of one is the pass `admit_upload` runs itself.
     if run.len() < 2 {
         return;
     }
@@ -179,9 +159,7 @@ pub(super) fn resolve_run_ahead(
         .sum();
     let min_per_thread = MIN_RUN_AHEAD_WORK.div_ceil((work / run.len()).max(1));
     let updates = par::par_map(&run, min_per_thread, |i, (_, commission)| {
-        RUN_AHEAD.with_borrow_mut(|scratch| {
-            commission.pass(&clients[i], config.fl.model, train, local, scratch)
-        })
+        commission.pass(&clients[i], config.fl.model, train, local)
     });
     rt.parked.extend(
         run.iter()

@@ -391,7 +391,7 @@ fn a_run_is_resolved_within_its_room_and_the_queue_keeps_its_order() {
     // runs on it: the poisoned pass is refused.
     for (id, source) in [(1, &snapshot), (4, &poisoned), (2, &snapshot)] {
         let ticket = commission(id, source);
-        let expected = resolve_deferred(&state, &mut Scratch::new(), &config, &ticket);
+        let expected = resolve_deferred(&state, &config, &ticket);
         let before = rt.parked.len();
         let kind = admit(
             &mut state,
@@ -422,26 +422,25 @@ fn a_stale_upload_under_discard_is_dropped_unopened() {
     let mut config = streaming_config(StalenessPolicy::Discard);
     let mut state = LearningState::new(&config, &train, &test).unwrap();
     let mut rt = state.async_rt.take().unwrap();
-    let grown = |rt: &AsyncRuntime| rt.scratch.order.capacity() > 0;
-    assert!(!grown(&rt), "nothing has trained yet");
 
     let snapshot = Arc::new(state.global_params.clone());
-    let deferred = |client_id: u64| {
+    let ticket = |client_id: u64, snapshot: &Arc<Vec<f64>>| {
         UploadTicket::Deferred(Commission {
             client_id,
             attack: None,
             born_seed: 7,
-            snapshot: Arc::clone(&snapshot),
+            snapshot: Arc::clone(snapshot),
         })
     };
-    // Late: discarded without deriving the client or training it.
-    let late = admit(&mut state, &mut rt, &config, 2, 1, deferred(17), None);
+    let deferred = |client_id: u64| ticket(client_id, &snapshot);
+    // Late: discarded without deriving the client or training it. Its
+    // snapshot is empty, so opening it would panic on the length check.
+    let unopenable = ticket(17, &Arc::new(Vec::new()));
+    let late = admit(&mut state, &mut rt, &config, 2, 1, unopenable, None);
     assert_eq!(late, EventKind::StaleDiscarded);
-    assert!(!grown(&rt), "no local pass ran");
-    // On time: the same ticket trains at admission.
+    // On time: the same client trains at admission.
     let fresh = admit(&mut state, &mut rt, &config, 1, 1, deferred(17), None);
     assert_eq!(fresh, EventKind::UploadArrived);
-    assert!(grown(&rt), "the pass ran in the runtime's workspace");
     // Under a policy that reads the payload, a late ticket is opened.
     config.staleness = StalenessPolicy::DecayedInclude { decay: 0.5 };
     let carried = admit(&mut state, &mut rt, &config, 2, 1, deferred(18), None);
@@ -493,13 +492,17 @@ fn a_poisoned_snapshot_is_refused_on_its_verdict_parked_or_run_at_admission() {
     };
     let deferred = |client_id: u64| UploadTicket::Deferred(commission(client_id));
 
-    // Stale under `Discard`: dropped before any pass runs.
-    let late = admit(&mut state, &mut rt, &config, 3, 2, deferred(1), None);
+    // Stale under `Discard`: dropped before any pass runs. Its snapshot
+    // is empty, so opening it would panic on the length check.
+    let unopenable = UploadTicket::Deferred(Commission {
+        snapshot: Arc::new(Vec::new()),
+        ..commission(1)
+    });
+    let late = admit(&mut state, &mut rt, &config, 3, 2, unopenable, None);
     assert_eq!(late, EventKind::StaleDiscarded);
-    assert_eq!(rt.scratch.order.capacity(), 0, "no local pass ran");
 
     // Nothing parked: the pass runs at admission.
-    let pass = resolve_deferred(&state, &mut Scratch::new(), &config, &commission(1));
+    let pass = resolve_deferred(&state, &config, &commission(1));
     assert!(!pass.finite);
     let fresh = admit(&mut state, &mut rt, &config, 2, 2, deferred(1), None);
     assert_eq!(fresh, EventKind::UploadRejected);
@@ -559,7 +562,7 @@ fn an_overflowing_forgery_is_refused_though_its_honest_pass_is_finite() {
         snapshot: Arc::clone(&snapshot),
     };
     let forgery = Some(AttackKind::Scaling { factor: 1e308 });
-    let pass = |attack| resolve_deferred(&state, &mut Scratch::new(), &config, &commission(attack));
+    let pass = |attack| resolve_deferred(&state, &config, &commission(attack));
     assert!(pass(None).finite, "the honest pass is finite");
     let forged = pass(forgery);
     assert!(forged.forged && !forged.finite);

@@ -3,9 +3,10 @@
 //! Every selected client reads the global gradient from the latest block,
 //! runs `E` epochs of mini-batch SGD on its own shard, and produces its
 //! updated parameter vector. Clients are independent, so the pass runs in
-//! parallel — one fork/join task per participant, with each worker
-//! reusing a single scratch workspace across every client in its chunk,
-//! so the batched GEMM engine stays allocation-free for the whole round.
+//! parallel — one fork/join task per participant, each pass in the
+//! training workspace of the thread that runs it (`bfl_ml` keeps one per
+//! thread), so the batched GEMM engine stays allocation-free for the
+//! whole round.
 //!
 //! Both round engines go through the one fan-out here (`fan_out`, by way
 //! of `LearningState::train_selection`), which hands each finished update
@@ -21,7 +22,6 @@ use bfl_fl::client::{Client, LocalUpdate};
 use bfl_ml::model::ModelKind;
 use bfl_ml::optimizer::{local_step_count, LocalTrainingConfig};
 use bfl_ml::par;
-use bfl_ml::tensor::Scratch;
 
 /// Runs Procedure-I for the given participants.
 ///
@@ -76,7 +76,7 @@ pub(crate) fn fan_out<U: Send>(
         attacks.len(),
         "one attack designation per participant required"
     );
-    par::par_map_with(participants, 1, Scratch::new, |scratch, position, &idx| {
+    par::par_map(participants, 1, |position, &idx| {
         finish(clients[idx].local_update_as(
             attacks[position],
             model,
@@ -85,7 +85,6 @@ pub(crate) fn fan_out<U: Send>(
             &train.labels,
             local,
             round_seed,
-            scratch,
         ))
     })
 }
@@ -201,7 +200,6 @@ mod tests {
                     &data.labels,
                     &local,
                     5,
-                    &mut Scratch::new(),
                 )
             })
             .collect();
@@ -244,7 +242,6 @@ mod tests {
             &data.labels,
             &local,
             7,
-            &mut Scratch::new(),
         );
         assert_eq!(updates[1].stats, own.stats);
         let flipped: Vec<f64> = updates[1].params.iter().map(|v| -v).collect();

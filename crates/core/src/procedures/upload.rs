@@ -23,7 +23,7 @@
 //! materialised, and neither is an envelope. What an upload costs the
 //! allocator is its signature's bytes and the accepted copy of its
 //! parameters: signing runs in the thread's signing workspace, and every
-//! worker checks through its own thread's [`BatchVerifier`], which the
+//! check in the thread's verifier (both `bfl_crypto`'s), which the
 //! pool's parked workers keep warm from round to round. Every upload is
 //! still signed, hashed twice and verified in full every round; nothing
 //! carries a digest or a signature verdict from one check to the next.
@@ -31,22 +31,14 @@
 //! the vector it returned ([`LocalUpdate::finite`]), so admission does
 //! not scan the upload a second time (`finite_verdict`).
 
-use bfl_crypto::{BatchVerifier, EnvelopeDigest, KeyStore, RsaKeyPair, RsaPrivateKey, Signature};
+use bfl_crypto::{EnvelopeDigest, KeyStore, RsaKeyPair, RsaPrivateKey, Signature};
 use bfl_fl::client::LocalUpdate;
 use bfl_ml::gradient;
 use bfl_ml::par;
 use bfl_net::Topology;
 use rand::Rng;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::num::NonZeroU8;
-
-thread_local! {
-    /// This thread's verification workspace for [`upload_gradients`]'
-    /// fan-out. Pure scratch, like the signing workspace: every check
-    /// re-fits and reloads it.
-    static VERIFIER: RefCell<BatchVerifier> = RefCell::default();
-}
 
 /// An upload accepted by a miner after signature verification.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,19 +166,13 @@ pub fn upload_gradients<R: Rng + ?Sized>(
             // chain of modexps becomes a parallel batch. Each task only
             // reads shared state (keys, store), and results come back in
             // input order, so acceptance, rejection order and per-miner
-            // grouping match the serial loop exactly. Each worker checks
-            // through its thread's `BatchVerifier`, one Montgomery
-            // workspace across every upload it checks, this round and the
-            // next — per-upload decisions are identical to `store.verify`,
-            // so sharing the workspace cannot change outcomes.
+            // grouping match the serial loop exactly.
             par::par_map(&items, 1, |_, &(update, miner)| {
                 match pairs.get(&update.client_id) {
                     Some(pair) if finite_verdict(update) => {
                         let signature = sign_update(update, &pair.private);
-                        let verdict = VERIFIER.with_borrow_mut(|verifier| {
-                            let envelope = received_envelope(update, None);
-                            store.verify_envelope(envelope, &signature, verifier)
-                        });
+                        let envelope = received_envelope(update, None);
+                        let verdict = store.verify_envelope(envelope, &signature);
                         if verdict.is_ok() {
                             Verdict::Accepted(verified(update, miner))
                         } else {
@@ -277,12 +263,11 @@ mod tests {
                 .modpow_reference(public.exponent(), public.modulus()),
             by_hand.rem(public.modulus())
         );
-        let mut verifier = BatchVerifier::new();
         store
-            .verify_detached(6, &payload, &signature, &mut verifier)
+            .verify_detached(6, &payload, &signature)
             .expect("the miner accepts what the client signed");
         store
-            .verify_envelope(received_envelope(&sent, None), &signature, &mut verifier)
+            .verify_envelope(received_envelope(&sent, None), &signature)
             .expect("and hashes the same bytes where they lie");
     }
 
@@ -331,10 +316,9 @@ mod tests {
                     received_envelope(&sent, Some(corrupt)).sign(&pair.private),
                     sign_detached(9, &flipped, &pair.private)
                 );
-                let mut verifier = BatchVerifier::new();
                 let streamed =
-                    store.verify_envelope(received_envelope(&sent, Some(corrupt)), &signature, &mut verifier);
-                let materialised = store.verify_detached(9, &flipped, &signature, &mut verifier);
+                    store.verify_envelope(received_envelope(&sent, Some(corrupt)), &signature);
+                let materialised = store.verify_detached(9, &flipped, &signature);
                 prop_assert_eq!(&streamed, &materialised);
                 // Only an empty payload has no byte to strike.
                 prop_assert_eq!(streamed.is_ok(), len == 0);
@@ -363,7 +347,6 @@ mod tests {
         use bfl_fl::client::Client;
         use bfl_ml::model::ModelKind;
         use bfl_ml::optimizer::LocalTrainingConfig;
-        use bfl_ml::tensor::Scratch;
 
         let data = SynthMnist::new(SynthMnistConfig {
             train_samples: 8,
@@ -392,7 +375,6 @@ mod tests {
             &data.labels,
             &config,
             3,
-            &mut Scratch::new(),
         )
     }
 

@@ -16,7 +16,14 @@ use crate::signature::{BatchVerifier, EnvelopeDigest, Signature, SignedMessage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+
+thread_local! {
+    /// This thread's verifier for [`KeyStore::verify_envelope`] and
+    /// [`KeyStore::verify_detached`].
+    static VERIFIER: RefCell<BatchVerifier> = RefCell::default();
+}
 
 /// Registry mapping client ids to their RSA public keys.
 ///
@@ -67,36 +74,37 @@ impl KeyStore {
     }
 
     /// Verifies a detached `signature` over `signer ‖ payload` against
-    /// the key registered for `signer`, through a shared
-    /// [`BatchVerifier`]: the miner-side check for an upload whose payload
-    /// and signature travel separately.
+    /// the key registered for `signer`, through the thread's verifier:
+    /// the miner-side check for an upload whose payload and signature
+    /// travel separately.
     pub fn verify_detached(
         &self,
         signer: u64,
         payload: &[u8],
         signature: &Signature,
-        verifier: &mut BatchVerifier,
     ) -> Result<(), CryptoError> {
-        self.verify_envelope(EnvelopeDigest::of(signer, payload), signature, verifier)
+        self.verify_envelope(EnvelopeDigest::of(signer, payload), signature)
     }
 
     /// Verifies `signature` against an envelope the miner hashed as the
     /// payload arrived, with the key registered for the signer the
-    /// envelope names, through a shared [`BatchVerifier`]. Decisions are
-    /// [`KeyStore::verify_detached`]'s on the payload held in one piece,
-    /// and a verifier whose workspace fits the key allocates nothing.
+    /// envelope names. Decisions are [`KeyStore::verify_detached`]'s on
+    /// the payload held in one piece. The check runs in the thread's
+    /// [`BatchVerifier`], kept here the way signing keeps its workspace
+    /// ([`crate::rsa`]): pure scratch that every check re-fits and
+    /// reloads, so a thread whose verifier fits the key allocates
+    /// nothing.
     pub fn verify_envelope(
         &self,
         envelope: EnvelopeDigest,
         signature: &Signature,
-        verifier: &mut BatchVerifier,
     ) -> Result<(), CryptoError> {
         let signer = envelope.signer();
         let key = self
             .keys
             .get(&signer)
             .ok_or(CryptoError::UnknownSigner(signer))?;
-        verifier.confirm_envelope(envelope, signature, key)
+        VERIFIER.with_borrow_mut(|verifier| verifier.confirm_envelope(envelope, signature, key))
     }
 
     /// Verifies a slice of signed messages as a batch, returning one
@@ -273,14 +281,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// `message` checked against `store` through a fresh verifier.
+    /// `message` checked against `store` through the thread's verifier.
     fn verify(store: &KeyStore, message: &SignedMessage) -> Result<(), CryptoError> {
-        store.verify_detached(
-            message.signer,
-            &message.payload,
-            &message.signature,
-            &mut BatchVerifier::new(),
-        )
+        store.verify_detached(message.signer, &message.payload, &message.signature)
     }
 
     #[test]
@@ -356,15 +359,9 @@ mod tests {
         let mut forged = sign_message(2, b"gradient", &pairs[&2].private);
         forged.payload = b"poisoned".to_vec();
         let batch = [&good, &ghost, &forged];
-        let mut verifier = BatchVerifier::new();
-        let verdicts = store.verify_batch(&batch, &mut verifier);
+        let verdicts = store.verify_batch(&batch, &mut BatchVerifier::new());
         let singles: Vec<_> = batch.iter().map(|m| verify(&store, m)).collect();
         assert_eq!(verdicts, singles);
-        let detached: Vec<_> = batch
-            .iter()
-            .map(|m| store.verify_detached(m.signer, &m.payload, &m.signature, &mut verifier))
-            .collect();
-        assert_eq!(detached, singles);
         assert_eq!(verdicts[0], Ok(()));
         assert_eq!(verdicts[1], Err(CryptoError::UnknownSigner(9)));
         assert_eq!(verdicts[2], Err(CryptoError::InvalidSignature));

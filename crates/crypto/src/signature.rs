@@ -29,7 +29,11 @@
 //!
 //! There is one verifier, [`BatchVerifier`], and one verification body,
 //! its `confirm_envelope`: every entry point — detached, streamed,
-//! batched, or through a [`crate::keystore::KeyStore`] — ends there. It
+//! batched, or through a [`crate::keystore::KeyStore`] — ends there. A
+//! store's single checks borrow the thread's verifier, the way signing
+//! borrows the thread's signing workspace; only
+//! [`KeyStore::verify_batch`](crate::keystore::KeyStore::verify_batch)
+//! and [`BatchVerifier`]'s own methods take one from the caller. It
 //! keeps a single [`MontWorkspace`] across a round's uploads (re-fitted
 //! only when the key width changes), raises the signature in the key's
 //! Montgomery context and compares it with the digest's image without
@@ -367,7 +371,7 @@ mod tests {
                 [
                     reference_verdict(3, payload, signature, &pair.public),
                     verifier.confirm_detached(3, payload, signature, &pair.public),
-                    store.verify_detached(3, payload, signature, verifier),
+                    store.verify_detached(3, payload, signature),
                 ]
             };
             assert_eq!(

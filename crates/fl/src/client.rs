@@ -9,8 +9,8 @@
 use crate::attack::AttackKind;
 use bfl_ml::gradient;
 use bfl_ml::model::ModelKind;
-use bfl_ml::optimizer::{train_local_with_scratch, LocalTrainingConfig, LocalTrainingStats};
-use bfl_ml::tensor::{Matrix, Scratch};
+use bfl_ml::optimizer::{local_pass, LocalTrainingConfig, LocalTrainingStats};
+use bfl_ml::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -75,9 +75,9 @@ impl Client {
     /// from `global_params`, trains for the configured epochs/batches on
     /// the local shard, and returns the upload, forged when designated,
     /// with its finite verdict formed here, while the vector is still
-    /// warm in this core's cache. `scratch` is the worker's reusable
-    /// workspace, so a worker training many clients reuses its buffers
-    /// across all of them.
+    /// warm in this core's cache. The pass runs in the thread's training
+    /// workspace (`bfl_ml`'s), so a worker training many clients reuses
+    /// its buffers across all of them.
     ///
     /// The per-client RNG is derived from `(round_seed, client id)` so runs
     /// are reproducible regardless of scheduling order; this also allows
@@ -92,7 +92,6 @@ impl Client {
         labels: &[usize],
         config: &LocalTrainingConfig,
         round_seed: u64,
-        scratch: &mut Scratch,
     ) -> LocalUpdate {
         let mut rng =
             StdRng::seed_from_u64(round_seed ^ (self.id.wrapping_mul(0x9E3779B97F4A7C15)));
@@ -100,7 +99,7 @@ impl Client {
         // into its upload, its one model-sized allocation, and the
         // generator skips the draws `build` would have made.
         model_kind.skip_build(&mut rng);
-        let (honest_params, stats) = train_local_with_scratch(
+        let (honest_params, stats) = local_pass(
             model_kind,
             global_params,
             features,
@@ -108,7 +107,6 @@ impl Client {
             &self.shard,
             config,
             &mut rng,
-            scratch,
         );
         let params = match attack {
             None => honest_params,
@@ -171,7 +169,6 @@ mod tests {
                 &data.labels,
                 &config,
                 round_seed,
-                &mut Scratch::new(),
             )
         };
         let a = update(7);
@@ -244,7 +241,6 @@ mod tests {
             Client::honest(15, (85..95).collect()),
             Client::honest(16, (92..100).collect()),
         ];
-        let mut scratch = Scratch::new();
         let model_kind = kind();
         let global: Vec<f64> = (0..model_kind.num_params())
             .map(|i| (i as f64 * 0.013).sin() * 0.05)
@@ -266,7 +262,6 @@ mod tests {
                         &data.labels,
                         &config,
                         round_seed as u64,
-                        &mut scratch,
                     );
                     let oracle = local_update_oracle(
                         client,
@@ -322,7 +317,6 @@ mod tests {
                 &data.labels,
                 &config,
                 9,
-                &mut Scratch::new(),
             )
         };
         let honest_update = update(None);
@@ -355,7 +349,6 @@ mod tests {
                 &data.labels,
                 &config,
                 3,
-                &mut Scratch::new(),
             )
         };
         let a = update(Client::honest(0, (0..50).collect()));

@@ -9,7 +9,7 @@
 
 use crate::manifest::{DatasetSpec, Manifest};
 use crate::stats::Stats;
-use bfl_core::{gini, CoreError, Scenario};
+use bfl_core::{gini, CoreError, KpiRow, Scenario};
 use bfl_data::{Dataset, SynthMnist, SynthMnistConfig};
 use bfl_ml::par;
 use rand::rngs::StdRng;
@@ -128,18 +128,9 @@ pub struct RoundRow {
     pub participants: usize,
     /// Attacker-detection rate this round (absent without attackers).
     pub detection_rate: Option<f64>,
-    /// Wall-clock makespan of the round in simulated seconds.
-    pub makespan_s: f64,
-    /// Mempool depth at the instant the block sealed.
-    pub mempool_depth_at_seal: usize,
-    /// Stale uploads the staleness policy included.
-    pub stale_included: usize,
-    /// Stale uploads the staleness policy discarded.
-    pub stale_discarded: usize,
-    /// Uploads lost or dropped by link faults.
-    pub dropped_uploads: usize,
-    /// Uploads the retry policy re-sent.
-    pub retried_uploads: usize,
+    /// The round's makespan and event-driven counters, as the engine
+    /// recorded them.
+    pub kpi: KpiRow,
     /// Reward paid this round, in milli-units.
     pub rewards_paid_milli: u64,
     /// Gini coefficient of the cumulative reward ledger through this round.
@@ -319,19 +310,14 @@ fn run_one(
             train_loss: outcome.train_loss,
             participants: outcome.participants,
             detection_rate: run.detection().rows.last().and_then(|d| d.detection_rate),
-            makespan_s: outcome.kpi.makespan_s,
-            mempool_depth_at_seal: outcome.kpi.mempool_depth_at_seal,
-            stale_included: outcome.kpi.stale_included,
-            stale_discarded: outcome.kpi.stale_discarded,
-            dropped_uploads: outcome.kpi.dropped_uploads,
-            retried_uploads: outcome.kpi.retried_uploads,
+            kpi: outcome.kpi,
             rewards_paid_milli: outcome.rewards_paid_milli,
             reward_gini: gini(&ledger),
         });
     }
     let result = run.into_result();
 
-    let makespan_s = rows.iter().map(|r| r.makespan_s).sum();
+    let makespan_s = rows.iter().map(|r| r.kpi.makespan_s).sum();
     let ledger: Vec<u64> = result.reward_totals.values().copied().collect();
     let attackers_injected = result.detection.totals().0 > 0;
     let finals = FinalMetrics {
@@ -416,12 +402,12 @@ pub fn render_csv(rows: &[RoundRow]) -> String {
             r.train_loss,
             r.participants,
             detection,
-            r.makespan_s,
-            r.mempool_depth_at_seal,
-            r.stale_included,
-            r.stale_discarded,
-            r.dropped_uploads,
-            r.retried_uploads,
+            r.kpi.makespan_s,
+            r.kpi.mempool_depth_at_seal,
+            r.kpi.stale_included,
+            r.kpi.stale_discarded,
+            r.kpi.dropped_uploads,
+            r.kpi.retried_uploads,
             r.rewards_paid_milli,
             r.reward_gini,
         ));
@@ -552,12 +538,14 @@ mod tests {
             train_loss: 1.25,
             participants: 7,
             detection_rate: None,
-            makespan_s: 2.5,
-            mempool_depth_at_seal: 7,
-            stale_included: 0,
-            stale_discarded: 1,
-            dropped_uploads: 2,
-            retried_uploads: 3,
+            kpi: KpiRow {
+                makespan_s: 2.5,
+                mempool_depth_at_seal: 7,
+                stale_included: 0,
+                stale_discarded: 1,
+                dropped_uploads: 2,
+                retried_uploads: 3,
+            },
             rewards_paid_milli: 9000,
             reward_gini: 0.125,
         }];

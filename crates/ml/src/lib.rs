@@ -9,8 +9,9 @@
 //! ([`linear::SoftmaxRegression`]), 7850 parameters at MNIST scale, over a
 //! small, BLAS-free batched GEMM kernel set ([`tensor`]). Whole minibatches
 //! and evaluation sets move through cache-blocked matrix-matrix kernels
-//! that parallelize over output row blocks ([`par`]), with a reusable
-//! [`tensor::Scratch`] workspace keeping the hot loops allocation-free.
+//! that parallelize over output row blocks ([`par`]), with one reusable
+//! [`tensor::Scratch`] workspace per thread keeping the hot loops
+//! allocation-free.
 //! The original per-sample implementations stay as oracles — plain
 //! functions that only tests call ([`Model::loss_and_grad_reference`],
 //! [`optimizer::train_local_reference`],

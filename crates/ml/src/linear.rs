@@ -164,7 +164,7 @@ impl SoftmaxRegression {
     /// One fused SGD step of a local pass over a `classes`-class model
     /// that need not exist: the forward reads `target`'s source
     /// parameters, the backward steps them into `target` (see
-    /// [`crate::optimizer::train_local_with_scratch`]). Returns the loss
+    /// [`crate::optimizer::local_pass`]). Returns the loss
     /// summed over the batch, measured before the step.
     pub(crate) fn loss_and_step(
         classes: usize,

@@ -7,8 +7,9 @@
 //!
 //! Prediction runs through the batched engine: evaluation rows are packed
 //! into blocks of [`EVAL_BLOCK`] and pushed through one logits GEMM per
-//! block, with blocks distributed over worker threads (each reusing its
-//! own [`Scratch`]). The per-row [`accuracy_reference`] is the oracle
+//! block, with blocks distributed over worker threads, each block in the
+//! workspace of the thread that runs it (see [`crate::tensor`]'s
+//! *Scratch workspace*). The per-row [`accuracy_reference`] is the oracle
 //! the tests here and in `tests/batched_equivalence.rs` compare against.
 //! Batched logits agree with the per-row dot products to within a few
 //! ulps (the kernels use fused multiply-add and striped reductions), so
@@ -23,7 +24,7 @@
 
 use crate::model::{argmax, Model};
 use crate::par;
-use crate::tensor::{Matrix, Scratch};
+use crate::tensor::{self, Matrix, Scratch};
 
 /// Rows per evaluation block: large enough to amortize the GEMM
 /// dispatch, small enough that a block's logits stay cache-resident.
@@ -74,8 +75,8 @@ pub fn accuracy<M: Model + Sync + ?Sized>(
         return 0.0;
     }
     let blocks: Vec<&[usize]> = rows.chunks(EVAL_BLOCK).collect();
-    let correct: usize = par::par_map_with(&blocks, 1, Scratch::new, |scratch, _, block| {
-        count_correct_block(model, features, labels, block, scratch)
+    let correct: usize = par::par_map(&blocks, 1, |_, block| {
+        tensor::with_scratch(|scratch| count_correct_block(model, features, labels, block, scratch))
     })
     .into_iter()
     .sum();

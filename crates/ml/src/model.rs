@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// ([`crate::metrics`]) and the reference local pass are written against
 /// this interface. (The local pass itself steps a parameter vector by its
 /// [`ModelKind`], without a model: see
-/// [`crate::optimizer::train_local_with_scratch`].) The compute-heavy
+/// [`crate::optimizer::local_pass`].) The compute-heavy
 /// entry points (`loss_and_grad_batched`, `logits_batch`) move whole
 /// minibatches through the GEMM kernels of [`crate::tensor`];
 /// [`Model::loss_and_grad`] is the allocating convenience form over them.

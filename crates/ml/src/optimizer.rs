@@ -7,9 +7,10 @@
 //! the update as an extra `μ (w − w_global)` gradient component; setting
 //! `proximal_mu = 0` recovers FedAvg/FAIR-BFL local training.
 //!
-//! [`train_local_with_scratch`] is the pass every run executes: batched
-//! gradients fused into the steps, no model built and no allocation but
-//! the trained vector once its [`Scratch`] is warm.
+//! [`local_pass`] is the pass every run executes: batched gradients
+//! fused into the steps, no model built and no allocation but the
+//! trained vector once the thread's workspace is warm (see
+//! [`crate::tensor`]'s *Scratch workspace*).
 //! [`train_local_reference`] is the seed's per-sample pass, kept as its
 //! oracle — `batched_local_pass_matches_the_reference_pass` in
 //! `tests/batched_equivalence.rs` holds the two to 1e-9 per trained
@@ -17,7 +18,7 @@
 
 use crate::linear::SoftmaxRegression;
 use crate::model::{Model, ModelKind};
-use crate::tensor::{self, Fresh, Matrix, Scratch, SgdStep};
+use crate::tensor::{self, Fresh, Matrix, SgdStep};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -87,9 +88,7 @@ pub struct LocalTrainingStats {
 /// `samples` identifies the client's local shard D_i inside the shared
 /// feature/label arrays, so no per-client copies of the data are made.
 ///
-/// Convenience wrapper around [`train_local_with_scratch`] that builds a
-/// one-shot [`Scratch`]; loops that train many clients should hold one
-/// workspace per worker and call the `_with_scratch` form instead.
+/// [`local_pass`] from `model`'s parameters, written back into `model`.
 pub fn train_local<R: Rng + ?Sized>(
     model: &mut SoftmaxRegression,
     features: &Matrix,
@@ -98,7 +97,7 @@ pub fn train_local<R: Rng + ?Sized>(
     config: &LocalTrainingConfig,
     rng: &mut R,
 ) -> LocalTrainingStats {
-    let (params, stats) = train_local_with_scratch(
+    let (params, stats) = local_pass(
         model.kind(),
         model.params_ref(),
         features,
@@ -106,7 +105,6 @@ pub fn train_local<R: Rng + ?Sized>(
         samples,
         config,
         rng,
-        &mut Scratch::new(),
     );
     model.set_params(&params);
     stats
@@ -125,12 +123,11 @@ pub fn train_local<R: Rng + ?Sized>(
 /// allocated and never initialised beforehand: the pass copies no model.
 /// Every later step runs in place on that vector. FedProx's pull is
 /// towards `start`. So the pass's one allocation is the vector it
-/// returns: `scratch` holds every other buffer (the forward/backward
-/// intermediates and the shuffled sample order), and after the first
-/// pass warms it, every later pass trained with the same workspace,
-/// whatever its shard size, allocates nothing else.
-#[allow(clippy::too_many_arguments)]
-pub fn train_local_with_scratch<R: Rng + ?Sized>(
+/// returns: every other buffer (the forward/backward intermediates and
+/// the shuffled sample order) is the thread's workspace, borrowed for the
+/// pass, and after a pass at the largest shard size a thread trains,
+/// every later pass on that thread allocates nothing else.
+pub fn local_pass<R: Rng + ?Sized>(
     kind: ModelKind,
     start: &[f64],
     features: &Matrix,
@@ -138,72 +135,72 @@ pub fn train_local_with_scratch<R: Rng + ?Sized>(
     samples: &[usize],
     config: &LocalTrainingConfig,
     rng: &mut R,
-    scratch: &mut Scratch,
 ) -> (Vec<f64>, LocalTrainingStats) {
     check_local_pass(samples, config);
     let len = kind.num_params();
     assert_eq!(start.len(), len, "parameter length mismatch");
+    tensor::with_scratch(|scratch| {
+        let mut params: Vec<f64> = Vec::with_capacity(len);
+        // Taken out of the workspace for the pass (the step borrows
+        // `scratch` next to it) and handed back below.
+        let mut order = std::mem::take(&mut scratch.order);
+        order.clear();
+        order.extend_from_slice(samples);
+        let mut steps = 0;
+        let mut final_epoch_loss = 0.0;
 
-    let mut params: Vec<f64> = Vec::with_capacity(len);
-    // Taken out of the workspace for the pass (the step borrows `scratch`
-    // next to it) and handed back below.
-    let mut order = std::mem::take(&mut scratch.order);
-    order.clear();
-    order.extend_from_slice(samples);
-    let mut steps = 0;
-    let mut final_epoch_loss = 0.0;
-
-    for epoch in 0..config.epochs {
-        order.shuffle(rng);
-        let mut epoch_loss = 0.0;
-        let mut epoch_batches = 0;
-        for batch in order.chunks(config.batch_size) {
-            // The gradient is a sum over the batch and the `1/B` mean is
-            // folded into the step's coefficient. FedProx's pull scales by
-            // B for the same reason, so the `lr/B` step recovers
-            // `lr * mu * (w - w_global)` exactly.
-            let inverse_batch = 1.0 / batch.len() as f64;
-            let step = SgdStep {
-                alpha: -config.learning_rate * inverse_batch,
-                proximal: (config.proximal_mu > 0.0)
-                    .then_some((config.proximal_mu * batch.len() as f64, start)),
-            };
-            let loss_sum = if steps == 0 {
-                let out = &mut params.spare_capacity_mut()[..len];
-                let target = Fresh::new(start, out);
-                let loss = kind.loss_and_step(target, features, labels, batch, &step, scratch);
-                // SAFETY: the capacity is at least `len`, and the step just
-                // wrote each of the first `len` elements exactly once. Its
-                // forward asserted `len == classes × (features.cols + 1)`;
-                // its backward visits every weight of the
-                // `classes × features.cols` window in one kernel tile or
-                // tail and every bias in its loop
-                // (`SoftmaxRegression::backward_step`). A panic before this
-                // line leaves the vector empty.
-                unsafe { params.set_len(len) };
-                loss
-            } else {
-                kind.loss_and_step(&mut params[..], features, labels, batch, &step, scratch)
-            };
-            epoch_loss += loss_sum * inverse_batch;
-            epoch_batches += 1;
-            steps += 1;
+        for epoch in 0..config.epochs {
+            order.shuffle(rng);
+            let mut epoch_loss = 0.0;
+            let mut epoch_batches = 0;
+            for batch in order.chunks(config.batch_size) {
+                // The gradient is a sum over the batch and the `1/B` mean
+                // is folded into the step's coefficient. FedProx's pull
+                // scales by B for the same reason, so the `lr/B` step
+                // recovers `lr * mu * (w - w_global)` exactly.
+                let inverse_batch = 1.0 / batch.len() as f64;
+                let step = SgdStep {
+                    alpha: -config.learning_rate * inverse_batch,
+                    proximal: (config.proximal_mu > 0.0)
+                        .then_some((config.proximal_mu * batch.len() as f64, start)),
+                };
+                let loss_sum = if steps == 0 {
+                    let out = &mut params.spare_capacity_mut()[..len];
+                    let target = Fresh::new(start, out);
+                    let loss = kind.loss_and_step(target, features, labels, batch, &step, scratch);
+                    // SAFETY: the capacity is at least `len`, and the step
+                    // just wrote each of the first `len` elements exactly
+                    // once. Its forward asserted `len == classes ×
+                    // (features.cols + 1)`; its backward visits every
+                    // weight of the `classes × features.cols` window in one
+                    // kernel tile or tail and every bias in its loop
+                    // (`SoftmaxRegression::backward_step`). A panic before
+                    // this line leaves the vector empty.
+                    unsafe { params.set_len(len) };
+                    loss
+                } else {
+                    kind.loss_and_step(&mut params[..], features, labels, batch, &step, scratch)
+                };
+                epoch_loss += loss_sum * inverse_batch;
+                epoch_batches += 1;
+                steps += 1;
+            }
+            if epoch == config.epochs - 1 {
+                final_epoch_loss = epoch_loss / epoch_batches.max(1) as f64;
+            }
         }
-        if epoch == config.epochs - 1 {
-            final_epoch_loss = epoch_loss / epoch_batches.max(1) as f64;
-        }
-    }
 
-    scratch.order = order;
-    let stats = LocalTrainingStats {
-        steps,
-        final_epoch_loss,
-    };
-    (params, stats)
+        scratch.order = order;
+        let stats = LocalTrainingStats {
+            steps,
+            final_epoch_loss,
+        };
+        (params, stats)
+    })
 }
 
 /// The seed's per-sample local pass, kept as the oracle for
-/// [`train_local_with_scratch`]: a separate parameter vector
+/// [`local_pass`]: a separate parameter vector
 /// round-tripped through `set_params` every step, the mean gradient from
 /// [`Model::loss_and_grad_reference`], the proximal pull and the
 /// [`Sgd::step`] applied to it unfused. It shuffles with `rng` exactly as
@@ -441,7 +438,7 @@ mod tests {
             features: 3,
             classes: 3,
         };
-        let _ = train_local_with_scratch(
+        let _ = local_pass(
             kind,
             &[0.0; 11],
             &features,
@@ -449,7 +446,6 @@ mod tests {
             &[0, 1, 2],
             &LocalTrainingConfig::default(),
             &mut StdRng::seed_from_u64(9),
-            &mut Scratch::new(),
         );
     }
 

@@ -18,8 +18,11 @@
 //! shrinks. Between fan-outs a helper blocks on a condition variable — it
 //! neither spins nor exits — so a fan-out hands its chunks to threads
 //! that are already running: it spawns nothing and allocates nothing of
-//! its own, and a helper's thread-locals (the signing workspace in
-//! `bfl_crypto::rsa`, for one) stay warm from one fan-out to the next.
+//! its own, and a helper's thread-locals stay warm from one fan-out to
+//! the next. Those are the workspaces: the training and evaluation
+//! [`crate::tensor::Scratch`], `bfl_crypto`'s signing workspace and its
+//! verifier. A fan-out hands out items and nothing else; each chunk
+//! borrows its own thread's workspaces where it needs them.
 //! The calling thread runs the last chunk itself and then waits until
 //! every helper has finished — also when its own chunk panics — so no
 //! helper outlives what the fan-out lent it. A helper's panic is caught
@@ -248,43 +251,23 @@ fn chunk_len(total: usize, workers: usize, index: usize) -> Range<usize> {
 /// Maps `f` over `items` (with the item index), preserving order.
 ///
 /// `min_per_thread` is the smallest number of items worth giving one
-/// worker; below `2 * min_per_thread` the map runs inline.
+/// worker; below `2 * min_per_thread` the map runs inline. The calling
+/// thread is one of the workers: it takes the last chunk. Each chunk
+/// writes its results straight into their slots of the returned vector,
+/// so the map's one allocation is that vector.
+#[inline]
 pub fn par_map<T, U, F>(items: &[T], min_per_thread: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    par_map_with(
-        items,
-        min_per_thread,
-        || (),
-        |(), index, item| f(index, item),
-    )
-}
-
-/// Like [`par_map`], but each worker first builds a reusable state with
-/// `init` and threads it through every item of its chunk — the hook the
-/// training engine uses to reuse one [`crate::tensor::Scratch`] across
-/// all clients a worker processes. The calling thread is one of the
-/// workers (it takes the last chunk, with its own `init()` state). Each
-/// chunk writes its results straight into their slots of the returned
-/// vector, so the map's one allocation is that vector.
-#[inline]
-pub fn par_map_with<T, S, U, I, F>(items: &[T], min_per_thread: usize, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> U + Sync,
-{
     let workers = plan_workers(items.len(), min_per_thread);
     if workers <= 1 {
-        let mut state = init();
         return items
             .iter()
             .enumerate()
-            .map(|(index, item)| f(&mut state, index, item))
+            .map(|(index, item)| f(index, item))
             .collect();
     }
 
@@ -295,9 +278,8 @@ where
         workers,
         |w| chunk_len(items.len(), workers, w),
         &|range: Range<usize>| {
-            let mut state = init();
             for index in range {
-                let value = f(&mut state, index, &items[index]);
+                let value = f(index, &items[index]);
                 // SAFETY: `fan_out` hands out disjoint ranges within
                 // `0..items.len()`, the capacity reserved above, so each
                 // slot is written once, by one thread.
@@ -636,46 +618,17 @@ mod tests {
     }
 
     #[test]
-    fn par_map_with_reuses_state_within_a_worker() {
-        let items: Vec<usize> = (0..40).collect();
-        let out = par_map_with(
-            &items,
-            1,
-            || 0usize,
-            |calls, _, &item| {
-                *calls += 1;
-                (item, *calls)
-            },
-        );
-        // Call counters grow monotonically inside each worker's chunk and
-        // every item is present exactly once, in order.
-        assert_eq!(out.len(), 40);
-        for (i, (item, calls)) in out.iter().enumerate() {
-            assert_eq!(*item, i);
-            assert!(*calls >= 1);
-        }
-    }
-
-    #[test]
-    fn par_map_with_runs_the_last_chunk_on_the_calling_thread() {
+    fn par_map_runs_the_last_chunk_on_the_calling_thread() {
         let items: Vec<usize> = (0..9).collect();
         let caller = std::thread::current().id();
-        let (threads, inits) = with_thread_limit(3, || {
-            let inits = AtomicUsize::new(0);
-            let threads = par_map_with(
-                &items,
-                1,
-                || inits.fetch_add(1, Ordering::Relaxed),
-                |_, index, &item| {
-                    assert_eq!(index, item);
-                    // The caller's chunk is a worker like any other.
-                    assert_eq!(max_threads(), 1);
-                    std::thread::current().id()
-                },
-            );
-            (threads, inits.into_inner())
+        let threads = with_thread_limit(3, || {
+            par_map(&items, 1, |index, &item| {
+                assert_eq!(index, item);
+                // The caller's chunk is a worker like any other.
+                assert_eq!(max_threads(), 1);
+                std::thread::current().id()
+            })
         });
-        assert_eq!(inits, 3, "one state per worker, the caller's included");
         assert!(threads[..6].iter().all(|&id| id != caller));
         assert!(threads[6..].iter().all(|&id| id == caller));
         // The caller stops being a worker when its chunk is done.

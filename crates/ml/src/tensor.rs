@@ -10,7 +10,7 @@
 //! * [`gemm_nt`] — `C = A · Bᵀ`, used for logits against
 //!   row-major weights, evaluation, and the rectangular point-to-centroid
 //!   distances of k-means. Every output element is one lane-striped
-//!   `dot_lanes` reduction (or, for at most 16 long rows, its
+//!   [`dot_lanes`] reduction (or, for at most 16 long rows, its
 //!   `k`-blocked partial sums), so independent accumulator chains hide
 //!   the floating-point add latency that makes a plain `dot`
 //!   latency-bound. [`gemm_nt_indexed`] is the minibatch-logits form.
@@ -26,13 +26,12 @@
 //!   buffer: `W = W0 + α·(…)`, with the in-place step's bits. A local
 //!   pass's first step writes its upload this way, so no pass copies the
 //!   model it starts from.
-//! * [`gram_entry`] — one entry `⟨a, b⟩` of the Gram matrix
-//!   `G = V · Vᵀ` of a set of borrowed rows, the kernel behind every
-//!   pairwise distance. It is the same `dot_lanes` reduction in the same
-//!   regime `gemm_nt(V, V)` would use for that entry, so it has the full
-//!   product's bit pattern, and no packed copy of `V` is needed.
-//!   [`gram_square_and_entry`] forms a row's squared norm and its entry
-//!   against another row from one read of the row.
+//! * [`dot_lanes`] — one entry `⟨a, b⟩` of the Gram matrix `G = V · Vᵀ`
+//!   of a set of borrowed rows, the kernel behind every pairwise
+//!   distance: the lane-striped reduction [`gemm_nt`]'s large-row regime
+//!   runs for each output element. [`square_and_dot_lanes`] forms a
+//!   row's squared norm and its entry against another row from one read
+//!   of the row.
 //! * [`dots_and_squares_x4`] — θ's inputs, each upload's dot with the
 //!   anchor and its squared norm, for four uploads per pass. θ must keep
 //!   [`dot`]'s bits, so it cannot use the lane-striped reduction, and a
@@ -59,20 +58,25 @@
 //! # Scratch workspace
 //!
 //! [`Scratch`] owns every intermediate buffer a batched forward/backward
-//! pass needs (packed minibatch, logits, deltas, prediction buffer) and
-//! the one a local training pass adds (the shuffled sample order); the
-//! pass keeps no gradient buffer, its backward steps the parameters as it
-//! finishes each gradient element. Buffers are resized
-//! with [`Matrix::resize_in_place`], which reuses the underlying
-//! allocation, so a training loop that threads one `Scratch` through all
-//! of its epochs allocates only on the first minibatch and runs
-//! allocation-free afterwards. Each rayon-style worker in the
-//! client-parallel loops builds one `Scratch` and reuses it for every
-//! client in its chunk.
+//! pass needs (packed minibatch, logits, deltas) and the one a local
+//! training pass adds (the shuffled sample order); the pass keeps no
+//! gradient buffer, its backward steps the parameters as it finishes each
+//! gradient element. Buffers are resized with [`Matrix::resize_in_place`],
+//! which reuses the underlying allocation, so a workspace allocates only
+//! while it grows. Each thread keeps one, private to this crate: the
+//! local pass ([`crate::optimizer::local_pass`]) borrows it for the
+//! pass and each evaluation block ([`crate::metrics::accuracy`]) for the
+//! block, on whichever thread runs it, and neither runs anything that
+//! borrows it again. Every use re-fits and overwrites what it reads, so
+//! what ran on a thread before never shows in a result; after a
+//! thread's first pass and block at their largest shapes, neither
+//! allocates a workspace buffer again. The [`crate::Model`] methods that
+//! take a `&mut Scratch` are the explicit form the two borrow through.
 
 use crate::par;
 use crate::simd;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::mem::MaybeUninit;
 
 /// A dense vector of `f64` values.
@@ -555,15 +559,20 @@ pub(crate) const LANES: usize = 8;
 pub(crate) const STRIPE: usize = 4 * LANES;
 
 /// Lane-striped dot product: deterministic (fixed stripe layout, fixed
-/// reduction order) and auto-vectorizable. Every entry [`gram_entry`] and
-/// [`gemm_nt`] produce is this reduction, so identical input rows yield
-/// bit-identical entries, so identical points sit at identical
-/// distances whichever worker formed them. Dispatches to the
-/// hand-written AVX2+FMA form when
-/// [`simd::active`]; both tiers run the identical stripe/fold/tail
-/// order, so the result is the same bit pattern either way.
+/// reduction order) and auto-vectorizable. Every entry of a pairwise
+/// distance matrix and of [`gemm_nt`]'s large-row regime is this
+/// reduction, so identical input rows yield bit-identical entries, and
+/// identical points sit at identical distances whichever worker formed
+/// them. The arguments commute bit for bit. Dispatches to the
+/// hand-written AVX2+FMA form when [`simd::active`]; both tiers run the
+/// identical stripe/fold/tail order, so the result is the same bit
+/// pattern either way.
+///
+/// # Panics
+/// Panics if `a` and `b` differ in length.
 #[inline]
-pub(crate) fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
+pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "dot_lanes needs equal-length rows");
     #[cfg(target_arch = "x86_64")]
     if simd::active() {
         // SAFETY: `simd::active()` guarantees AVX2+FMA were detected.
@@ -624,10 +633,7 @@ fn finish_lanes_scalar(acc: &[f64; STRIPE], a: &[f64], b: &[f64]) -> f64 {
 /// operand tiles (16 KiB each) fit L1 together.
 pub(crate) const NT_K_BLOCK: usize = 128;
 
-/// Most output rows the small-row regime takes. [`gram_entry`] keys its
-/// regime choice on the same bound, so the entries of a Gram matrix this
-/// small keep the `k`-blocked accumulation — and with it the bit
-/// patterns — they have as a [`gemm_nt`] product.
+/// Most output rows the small-row regime takes.
 const NT_SMALL_ROWS: usize = 16;
 
 /// Serial core of [`gemm_nt`] over one contiguous block of output rows.
@@ -707,62 +713,21 @@ fn gemm_nt_core<'a>(
     }
 }
 
-/// Whether [`gemm_nt`]`(V, V)` over `n` rows of length `k` forms each
-/// entry from `k`-blocked partial sums (the small-row regime) rather than
-/// one full-length [`dot_lanes`].
-fn gram_is_blocked(n: usize, k: usize) -> bool {
-    n <= NT_SMALL_ROWS && k > 2 * NT_K_BLOCK
-}
-
-/// One entry of the Gram matrix `G = V · Vᵀ` of a set of `n` rows,
-/// formed alone: `⟨a, b⟩` for two rows of the set, with the bits
-/// [`gemm_nt`]`(V, V)` gives that entry — the `k`-blocked partial sums
-/// added in ascending order in the small-row regime, one `dot_lanes`
-/// otherwise. The arguments commute bit for bit, and identical rows give
-/// identical entries. A pairwise distance matrix is one call per entry;
-/// a caller that reads a few entries (Algorithm 2's search of the
-/// anchor's cluster) forms only those.
-pub fn gram_entry(a: &[f64], b: &[f64], n: usize) -> f64 {
-    gram_entries(a, b, n, dot_lanes, |sum, partial| sum + partial)
-}
-
-/// [`gram_entry`]`(a, a, n)` and [`gram_entry`]`(a, b, n)` with one read
-/// of `a`: a row's squared norm and its entry against another row, as a
-/// search from one row (Algorithm 2's anchor) needs them for every other.
-pub fn gram_square_and_entry(a: &[f64], b: &[f64], n: usize) -> (f64, f64) {
-    gram_entries(a, b, n, square_and_dot_lanes, |(square, entry), (s, e)| {
-        (square + s, entry + e)
-    })
-}
-
-/// `lanes(a, b)` in the regime [`gemm_nt`] uses for a set of `n` rows:
-/// over each `k`-block, the partials folded by `add` in ascending order,
-/// when the entries are blocked; over the whole rows otherwise.
-fn gram_entries<T>(
-    a: &[f64],
-    b: &[f64],
-    n: usize,
-    lanes: impl Fn(&[f64], &[f64]) -> T,
-    add: impl Fn(T, T) -> T,
-) -> T {
-    assert_eq!(a.len(), b.len(), "Gram entries need equal-length rows");
-    if !gram_is_blocked(n, a.len()) {
-        return lanes(a, b);
-    }
-    let mut partials = a
-        .chunks(NT_K_BLOCK)
-        .zip(b.chunks(NT_K_BLOCK))
-        .map(|(a_blk, b_blk)| lanes(a_blk, b_blk));
-    let first = partials.next().expect("a blocked row has k-blocks");
-    partials.fold(first, add)
-}
-
 /// `(dot_lanes(a, a), dot_lanes(a, b))` from one pass over `a`: the two
 /// stripe accumulator sets advance side by side, each lane's chain in
-/// [`dot_lanes_scalar`]'s order, so both results keep its bits (which the
-/// AVX2 tier shares). Written once, for both tiers: the compiler
-/// vectorizes the lanes.
-fn square_and_dot_lanes(a: &[f64], b: &[f64]) -> (f64, f64) {
+/// the order of [`dot_lanes`]' scalar tier, so both results keep its
+/// bits (which the AVX2 tier shares). Written once, for both tiers: the compiler
+/// vectorizes the lanes. A search from one row (Algorithm 2's anchor)
+/// needs both for every other row.
+///
+/// # Panics
+/// Panics if `a` and `b` differ in length.
+pub fn square_and_dot_lanes(a: &[f64], b: &[f64]) -> (f64, f64) {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "square_and_dot_lanes needs equal-length rows"
+    );
     let len = a.len();
     let mut squares = [0.0f64; STRIPE];
     let mut dots = [0.0f64; STRIPE];
@@ -783,8 +748,8 @@ fn square_and_dot_lanes(a: &[f64], b: &[f64]) -> (f64, f64) {
 }
 
 /// Reusable buffers for the batched training/evaluation engine. See the
-/// module docs for the design; build one per worker and thread it
-/// through every batched call the worker makes.
+/// module docs: each thread keeps one, which the local pass and
+/// evaluation borrow.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
     /// Packed minibatch rows (`B x features`).
@@ -793,8 +758,6 @@ pub struct Scratch {
     pub z: Matrix,
     /// Loss gradient with respect to the logits (`B x classes`).
     pub delta: Matrix,
-    /// Predicted class per batch row.
-    pub predictions: Vec<usize>,
     /// The shard's row indices in this epoch's shuffled order (local
     /// training).
     pub order: Vec<usize>,
@@ -805,6 +768,21 @@ impl Scratch {
     pub fn new() -> Self {
         Scratch::default()
     }
+}
+
+thread_local! {
+    /// This thread's training and evaluation workspace (see the module
+    /// docs).
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `f` in this thread's [`Scratch`]: the one way the local pass and
+/// evaluation reach a workspace.
+///
+/// # Panics
+/// Panics if `f` borrows the workspace again.
+pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
+    SCRATCH.with_borrow_mut(f)
 }
 
 /// Default empty `Matrix` (used by `Scratch::default`).

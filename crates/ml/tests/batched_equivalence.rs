@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use bfl_ml::metrics;
 use bfl_ml::model::{Model, ModelKind};
 use bfl_ml::optimizer::{
-    train_local_reference, train_local_with_scratch, LocalTrainingConfig, LocalTrainingStats,
+    local_pass, train_local_reference, LocalTrainingConfig, LocalTrainingStats,
 };
 use bfl_ml::par;
 use bfl_ml::tensor::{self, Matrix, Scratch};
@@ -159,9 +159,8 @@ fn logits_batch_matches_per_row_logits() {
 #[test]
 fn batched_local_pass_matches_the_reference_pass() {
     let mut rng = StdRng::seed_from_u64(0x10CA1);
-    // One workspace across every case: a pass must not depend on what the
-    // previous one left in it.
-    let mut scratch = Scratch::new();
+    // Every case runs in this thread's one workspace: a pass must not
+    // depend on what the previous one left in it.
     let (features, labels) = random_dataset(&mut rng, 64, 17, 5);
     // Shards of 7 rows (smaller than one batch), 23 (two batches and a
     // remainder of 3) and 40 (a whole number of batches), scattered
@@ -180,7 +179,7 @@ fn batched_local_pass_matches_the_reference_pass() {
             let case = format!("shard {shard_len} mu {proximal_mu}");
 
             let mut batched_rng = StdRng::seed_from_u64(seed);
-            let (batched, batched_stats) = train_local_with_scratch(
+            let (batched, batched_stats) = local_pass(
                 KIND,
                 start.params_ref(),
                 &features,
@@ -188,7 +187,6 @@ fn batched_local_pass_matches_the_reference_pass() {
                 &shard,
                 &config,
                 &mut batched_rng,
-                &mut scratch,
             );
             let mut reference = start.clone();
             let mut reference_rng = StdRng::seed_from_u64(seed);
@@ -324,7 +322,6 @@ fn unfused_pass(
 #[test]
 fn the_fused_pass_keeps_the_unfused_passs_bits() {
     let mut rng = StdRng::seed_from_u64(0xF05E);
-    let mut scratch = Scratch::new();
     // Feature counts 8 + t for every tail t (23 is 16 + 7); class counts
     // one 4-row block, blocks plus a remainder of 1, 2 or 3, or none.
     for (features_count, classes) in [
@@ -356,7 +353,7 @@ fn the_fused_pass_keeps_the_unfused_passs_bits() {
                 let case = format!("{features_count}x{classes} B {batch_size} mu {proximal_mu}");
 
                 let mut fused_rng = StdRng::seed_from_u64(seed);
-                let (fused, fused_stats) = train_local_with_scratch(
+                let (fused, fused_stats) = local_pass(
                     kind,
                     start.params_ref(),
                     &features,
@@ -364,7 +361,6 @@ fn the_fused_pass_keeps_the_unfused_passs_bits() {
                     &shard,
                     &config,
                     &mut fused_rng,
-                    &mut scratch,
                 );
                 let mut unfused = start.clone();
                 let mut unfused_rng = StdRng::seed_from_u64(seed);

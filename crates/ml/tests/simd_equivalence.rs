@@ -16,7 +16,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use bfl_ml::model::{Model, ModelKind};
-use bfl_ml::optimizer::{train_local_with_scratch, LocalTrainingConfig};
+use bfl_ml::optimizer::{local_pass, LocalTrainingConfig};
 use bfl_ml::tensor::{self, Matrix, Scratch, SgdStep};
 use bfl_ml::{metrics, simd};
 use proptest::prelude::*;
@@ -90,7 +90,10 @@ proptest! {
     /// One dot product of arbitrary length (`gemm_nt` with a 1x1 output
     /// is exactly one `dot_lanes` call): covers the empty product, the
     /// sub-`LANES` scalar remainder, the `LANES` tail, and multiple
-    /// 32-wide stripes.
+    /// 32-wide stripes. The Gram entries of a pairwise distance matrix
+    /// keep those bits on both tiers: `dot_lanes` in either argument
+    /// order, `square_and_dot_lanes`' pair, and a repeated row's entry
+    /// against its own square.
     #[test]
     fn dot_lanes_matches_scalar_bits(
         k in 0usize..200,
@@ -99,9 +102,25 @@ proptest! {
     ) {
         let a = seed_a[..k].to_vec();
         let b = seed_b[..k].to_vec();
+        let repeated = a.clone();
         assert_tiers_bit_identical("dot", || {
             let mut c = vec![0.0f64; 1];
             tensor::gemm_nt(&a, &b, &mut c, 1, k, 1);
+            let (square, entry) = tensor::square_and_dot_lanes(&a, &b);
+            let entries = [
+                tensor::dot_lanes(&a, &b),
+                tensor::dot_lanes(&b, &a),
+                entry,
+                c[0],
+            ];
+            let squares = [tensor::dot_lanes(&a, &a), tensor::dot_lanes(&a, &repeated), square];
+            for values in [&entries[..], &squares[..]] {
+                assert!(
+                    values.iter().all(|v| v.to_bits() == values[0].to_bits()),
+                    "k={k}: {values:?}"
+                );
+            }
+            c.push(square);
             c
         });
     }
@@ -385,21 +404,27 @@ fn the_fresh_step_writes_every_element_with_the_in_place_bits() {
 
 /// Row lengths that end in every kind of tail: empty, sub-`LANES` scalar
 /// remainders, `LANES` tails, whole stripes, `k`-blocks of 128 with and
-/// without tails on both sides of the `2 * NT_K_BLOCK = 256` regime
+/// without tails on both sides of `gemm_nt`'s `2 * 128 = 256` regime
 /// switch; and the model's 7850.
 const GRAM_ROW_LENGTHS: [usize; 25] = [
     0, 1, 7, 8, 9, 31, 32, 33, 40, 71, 128, 129, 255, 256, 257, 263, 300, 383, 384, 385, 389, 512,
     521, 1033, 7850,
 ];
 
+/// `gemm_nt`'s `k`-block in its small-row regime (`rows <= 16`,
+/// `n <= 32`, `k > 256`), where each entry sums per-block `dot_lanes`.
+const NT_K_BLOCK: usize = 128;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// Gram entries formed alone are the entries of the full `V · Vᵀ`
-    /// GEMM, bit for bit on both tiers and in either argument order, and
-    /// so are a row's squared norm and entry formed together: every `n` in
-    /// `1..70` (both sides of the 16-row regime switch) with row lengths
-    /// cycling through every tail, and one row repeated.
+    /// The Gram entries the clusterings form one at a time (`dot_lanes` in
+    /// either argument order, `square_and_dot_lanes`' square and entry)
+    /// are the entries of the full `V · Vᵀ` GEMM wherever `gemm_nt` takes
+    /// one dot per entry, and its small-row regime sums the same reduction
+    /// per `k`-block — bit for bit on both tiers: every `n` in `1..70`
+    /// (both sides of the 16-row regime switch) with row lengths cycling
+    /// through every tail, and one row repeated.
     #[test]
     fn gram_entry_matches_gemm_nt_bits(
         shift in 0usize..25,
@@ -410,21 +435,41 @@ proptest! {
             let k = GRAM_ROW_LENGTHS[(n + shift) % GRAM_ROW_LENGTHS.len()];
             let mut rows: Vec<&[f64]> = (0..n).map(|i| &seed[i * k..(i + 1) * k]).collect();
             rows[n - 1] = rows[duplicate % n];
-            assert_tiers_bit_identical("gram_entry vs gemm_nt", || {
+            let blocked = n <= 16 && k > 2 * NT_K_BLOCK;
+            let gemm_entry = |a: &[f64], b: &[f64]| {
+                if !blocked {
+                    return tensor::dot_lanes(a, b);
+                }
+                let mut sum = 0.0;
+                for k0 in (0..k).step_by(NT_K_BLOCK) {
+                    let k_end = (k0 + NT_K_BLOCK).min(k);
+                    let partial = tensor::dot_lanes(&a[k0..k_end], &b[k0..k_end]);
+                    sum = if k0 == 0 { partial } else { sum + partial };
+                }
+                sum
+            };
+            assert_tiers_bit_identical("Gram entries vs gemm_nt", || {
                 let packed: Vec<f64> = rows.iter().flat_map(|row| row.iter().copied()).collect();
                 let mut full = vec![0.0f64; n * n];
                 tensor::gemm_nt(&packed, &packed, &mut full, n, k, n);
                 for i in 0..n {
                     for j in 0..n {
-                        let (want, want_square) = (full[i * n + j], full[i * n + i]);
-                        let got = tensor::gram_entry(rows[i], rows[j], n);
-                        let (square, paired) = tensor::gram_square_and_entry(rows[i], rows[j], n);
+                        let want = full[i * n + j];
+                        let got = gemm_entry(rows[i], rows[j]);
                         assert!(
-                            got.to_bits() == want.to_bits()
-                                && paired.to_bits() == want.to_bits()
-                                && square.to_bits() == want_square.to_bits(),
-                            "n={n} k={k} ({i}, {j}): {got:?}, {paired:?} and {square:?} vs \
-                             gemm_nt's {want:?} and {want_square:?}"
+                            got.to_bits() == want.to_bits(),
+                            "n={n} k={k} ({i}, {j}): {got:?} vs gemm_nt's {want:?}"
+                        );
+                        let entry = tensor::dot_lanes(rows[i], rows[j]);
+                        let square = tensor::dot_lanes(rows[i], rows[i]);
+                        let swapped = tensor::dot_lanes(rows[j], rows[i]);
+                        let (paired_square, paired) = tensor::square_and_dot_lanes(rows[i], rows[j]);
+                        assert!(
+                            swapped.to_bits() == entry.to_bits()
+                                && paired.to_bits() == entry.to_bits()
+                                && paired_square.to_bits() == square.to_bits(),
+                            "n={n} k={k} ({i}, {j}): {swapped:?}, {paired:?} and \
+                             {paired_square:?} vs {entry:?} and {square:?}"
                         );
                     }
                 }
@@ -470,7 +515,7 @@ fn batched_training_and_eval_bits_match_across_tiers() {
                 learning_rate: 0.01,
                 proximal_mu,
             };
-            let (trained, stats) = train_local_with_scratch(
+            let (trained, stats) = local_pass(
                 kind,
                 model.params_ref(),
                 &features,
@@ -478,7 +523,6 @@ fn batched_training_and_eval_bits_match_across_tiers() {
                 &batch,
                 &config,
                 &mut StdRng::seed_from_u64(0x5EED),
-                &mut scratch,
             );
             grad.extend_from_slice(&trained);
             grad.push(stats.final_epoch_loss);

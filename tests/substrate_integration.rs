@@ -7,7 +7,7 @@
 use fair_bfl::chain::{Block, Blockchain, Mempool, PowConfig, Transaction};
 use fair_bfl::cluster::{ClusteringAlgorithm, DistanceMetric};
 use fair_bfl::crypto::signature::sign_message;
-use fair_bfl::crypto::{BatchVerifier, KeyStore};
+use fair_bfl::crypto::KeyStore;
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
 use fair_bfl::ml::gradient;
 use fair_bfl::ml::model::{Model, ModelKind};
@@ -26,7 +26,6 @@ fn signed_gradient_transactions_flow_from_clients_to_a_mined_block() {
     // Each client produces a (fake) gradient payload and signs it; the
     // miner verifies each upload before it submits it to its mempool.
     let mut mempool = Mempool::new();
-    let mut verifier = BatchVerifier::new();
     for id in 1..=3u64 {
         let grad: Vec<f64> = (0..32)
             .map(|i| (id as f64) * 0.1 + i as f64 * 0.01)
@@ -34,7 +33,7 @@ fn signed_gradient_transactions_flow_from_clients_to_a_mined_block() {
         let payload = gradient::to_bytes(&grad);
         let envelope = sign_message(id, &payload, &pairs[&id].private);
         keystore
-            .verify_detached(id, &payload, &envelope.signature, &mut verifier)
+            .verify_detached(id, &payload, &envelope.signature)
             .expect("registered client uploads verify");
         mempool.submit(Transaction::local_gradient(id, 1, payload));
     }
@@ -44,7 +43,7 @@ fn signed_gradient_transactions_flow_from_clients_to_a_mined_block() {
     // the pool.
     let forged_envelope = sign_message(1, b"poison", &pairs[&2].private);
     assert!(keystore
-        .verify_detached(1, b"poison", &forged_envelope.signature, &mut verifier)
+        .verify_detached(1, b"poison", &forged_envelope.signature)
         .is_err());
     assert_eq!(mempool.len(), 3);
 
